@@ -1,16 +1,16 @@
-//! Pipelined registration day vs the barrier-synchronous engine.
+//! The threaded registration day vs the inline one.
 //!
 //! Runs the same seeded register-and-activate day (the full
 //! `register_and_activate` path: precompute, ceremonies, admission,
-//! activation) several ways and compares end-to-end sessions/sec,
-//! **with precompute included in every timed run** (cold pools; the
-//! pipelined runs hide precompute behind ceremonies via the background
-//! refiller rather than excluding it):
+//! activation) several ways through [`vg_service::run_day`] and compares
+//! end-to-end sessions/sec, **with precompute included in every timed
+//! run** (cold pools; the pipelined runs hide precompute behind
+//! ceremonies via the background refiller rather than excluding it):
 //!
-//! - **barrier**: `register_and_activate_day` over the in-process
-//!   service transport — synchronous pool refills at window boundaries,
-//!   one flush + activation barrier per window, one connection (the
-//!   PR-4 engine, and the bit-identical baseline);
+//! - **barrier**: the default plan — inline on `LocalBoundary`,
+//!   synchronous pool refills at window boundaries, one admission +
+//!   activation barrier per window, no threads (the bit-identical
+//!   baseline);
 //! - **pipe-s1**: the pipelined engine with a single station —
 //!   background refiller + server-side ingest worker + lagged
 //!   activation, no extra parallelism (isolates the coalescing and
@@ -48,9 +48,7 @@ use std::time::Instant;
 use vg_bench::{arg_flag, arg_str, arg_usize, print_table, BenchReport};
 use vg_crypto::HmacDrbg;
 use vg_service::{
-    pipelined_register_and_activate_day, pipelined_register_and_activate_day_chaos,
-    register_and_activate_day, ChaosOptions, DayStats, FaultPlan, IngestMode, PipelineConfig,
-    TransportPlan,
+    run_day, ChaosOptions, DayPlan, DayStats, FaultPlan, IngestMode, PipelineConfig, TransportPlan,
 };
 use vg_sim::population::{FakeCredentialDist, RegistrationPlan};
 use vg_trip::fleet::{FleetConfig, KioskFleet};
@@ -68,81 +66,24 @@ fn config(n_voters: u64, n_kiosks: usize) -> TripConfig {
 }
 
 /// One timed end-to-end day (cold pool: precompute inside the timer).
-/// Returns (sessions/sec, day stats).
-fn run_day(
+/// Returns (sessions/sec, day stats), or the typed error of a chaos day
+/// the fault rate overwhelmed.
+fn timed_day(
     plan: &RegistrationPlan,
     kiosks: usize,
     fleet_config: FleetConfig,
-    pipeline: Option<(PipelineConfig, TransportPlan)>,
-) -> (f64, DayStats) {
+    day: &DayPlan,
+) -> Result<(f64, DayStats), vg_trip::TripError> {
     let n = plan.len();
     let mut rng = HmacDrbg::from_u64(0x71FE);
     let mut system = TripSystem::setup(config(n as u64, kiosks), &mut rng);
     let fleet = KioskFleet::new(fleet_config);
     let mut done = 0usize;
     let t0 = Instant::now();
-    let stats = match pipeline {
-        None => register_and_activate_day(
-            &fleet,
-            &mut system,
-            plan.sessions(),
-            TransportPlan::IN_PROCESS,
-            |_, _| done += 1,
-        )
-        .expect("barrier day runs"),
-        Some((pipeline, transport)) => pipelined_register_and_activate_day(
-            &fleet,
-            &mut system,
-            plan.sessions(),
-            transport,
-            pipeline,
-            |_, _| done += 1,
-        )
-        .expect("pipelined day runs"),
-    };
+    let stats = run_day(&fleet, &mut system, plan.sessions(), day, |_, _| done += 1)?;
     let rate = n as f64 / t0.elapsed().as_secs_f64();
     assert_eq!(done, n);
-    (rate, stats)
-}
-
-/// One timed degraded-mode day under a seeded fault plan. Returns
-/// `None` (with the typed error printed) if the chaos rate overwhelmed
-/// the bounded re-steal budget — a legitimate graceful-degradation
-/// outcome, just not a measurable rate.
-fn run_chaos_day(
-    plan: &RegistrationPlan,
-    kiosks: usize,
-    fleet_config: FleetConfig,
-    pipeline: PipelineConfig,
-    transport: TransportPlan,
-    chaos: ChaosOptions,
-) -> Option<(f64, DayStats)> {
-    let n = plan.len();
-    let mut rng = HmacDrbg::from_u64(0x71FE);
-    let mut system = TripSystem::setup(config(n as u64, kiosks), &mut rng);
-    let fleet = KioskFleet::new(fleet_config);
-    let mut done = 0usize;
-    let t0 = Instant::now();
-    let result = pipelined_register_and_activate_day_chaos(
-        &fleet,
-        &mut system,
-        plan.sessions(),
-        transport,
-        pipeline,
-        chaos,
-        |_, _| done += 1,
-    );
-    match result {
-        Ok(stats) => {
-            let rate = n as f64 / t0.elapsed().as_secs_f64();
-            assert_eq!(done, n);
-            Some((rate, stats))
-        }
-        Err(e) => {
-            println!("chaos day degraded past healing (typed abort): {e:?}");
-            None
-        }
-    }
+    Ok((rate, stats))
 }
 
 fn coalesce_ratio(s: &DayStats) -> f64 {
@@ -203,7 +144,7 @@ fn main() {
          {stations} station(s), {workers} ingest worker(s), {threads} thread(s), \
          pool {pool}, lag {lag}:"
     );
-    println!("barrier = synchronous refills + per-window flush barriers (one connection),");
+    println!("barrier = inline day: synchronous refills + per-window barriers, no threads,");
     println!("pipe-w1 = pipelined stations serialized on a single ingest worker,");
     println!("pipe    = background refiller + sharded ingest workers + lagged activation.");
     println!("Rates are end-to-end register+activate sessions/sec, precompute included.\n");
@@ -221,53 +162,46 @@ fn main() {
         .meta("secure", secure)
         .meta("fault_rate_permille", fault_rate);
 
-    let (barrier, _) = run_day(&plan, kiosks, fleet_config, None);
-    let (pipe_s1, s1_stats) = run_day(
-        &plan,
-        kiosks,
-        fleet_config,
-        Some((pipeline(1, 1), TransportPlan::IN_PROCESS)),
-    );
-    let (pipe_w1, w1_stats) = run_day(
-        &plan,
-        kiosks,
-        fleet_config,
-        Some((pipeline(stations, 1), TransportPlan::IN_PROCESS)),
-    );
-    let (pipe, pipe_stats) = run_day(
-        &plan,
-        kiosks,
-        fleet_config,
-        Some((pipeline(stations, workers), TransportPlan::IN_PROCESS)),
-    );
-    let (pipe_tcp, tcp_stats) = run_day(
-        &plan,
-        kiosks,
-        fleet_config,
-        Some((pipeline(stations, workers), tcp_plan)),
-    );
+    let day = |pipeline, transport| DayPlan {
+        transport,
+        pipeline,
+        activate: true,
+        chaos: None,
+    };
+    let healthy = |day: DayPlan| timed_day(&plan, kiosks, fleet_config, &day).expect("day runs");
+    // The default pipeline on the in-process transport is the inline day.
+    let (barrier, _) = healthy(day(PipelineConfig::default(), TransportPlan::IN_PROCESS));
+    let (pipe_s1, s1_stats) = healthy(day(pipeline(1, 1), TransportPlan::IN_PROCESS));
+    let (pipe_w1, w1_stats) = healthy(day(pipeline(stations, 1), TransportPlan::IN_PROCESS));
+    let (pipe, pipe_stats) = healthy(day(pipeline(stations, workers), TransportPlan::IN_PROCESS));
+    let (pipe_tcp, tcp_stats) = healthy(day(pipeline(stations, workers), tcp_plan));
 
+    // The degraded-mode row; `None` (with the typed error printed) if the
+    // chaos rate overwhelmed the bounded re-steal budget — a legitimate
+    // graceful-degradation outcome, just not a measurable rate.
     let chaos_row = (fault_rate > 0)
         .then(|| {
-            run_chaos_day(
-                &plan,
-                kiosks,
-                fleet_config,
-                pipeline(stations, workers),
-                tcp_plan,
-                ChaosOptions {
-                    plan: Some(FaultPlan {
-                        seed: 0xFA17,
-                        net_rate_permille: fault_rate.min(1000) as u16,
-                        stalls: true,
-                        // Corruption needs the MAC-protected channel to
-                        // surface typed; plaintext would diverge silently.
-                        corrupt: secure,
-                        disk: None,
-                    }),
-                    ..ChaosOptions::default()
-                },
-            )
+            let chaos = ChaosOptions {
+                plan: Some(FaultPlan {
+                    seed: 0xFA17,
+                    net_rate_permille: fault_rate.min(1000) as u16,
+                    stalls: true,
+                    // Corruption needs the MAC-protected channel to
+                    // surface typed; plaintext would diverge silently.
+                    corrupt: secure,
+                    disk: None,
+                }),
+                ..ChaosOptions::default()
+            };
+            let day = DayPlan {
+                chaos: Some(chaos),
+                ..day(pipeline(stations, workers), tcp_plan)
+            };
+            timed_day(&plan, kiosks, fleet_config, &day)
+                .inspect_err(|e| {
+                    println!("chaos day degraded past healing (typed abort): {e:?}");
+                })
+                .ok()
         })
         .flatten();
 
@@ -275,7 +209,7 @@ fn main() {
     let shard_scaling = pipe / pipe_w1;
     let mut rows = vec![
         vec![
-            "barrier (1 conn)".into(),
+            "barrier (inline)".into(),
             format!("{barrier:.0}"),
             "1.00x".into(),
             "-".into(),
@@ -371,7 +305,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     report.metric("host_cores", cores as f64);
     println!(
-        "\npipelined speedup over the barrier engine: {speedup:.2}x on {cores} core(s) {}",
+        "\npipelined speedup over the inline day: {speedup:.2}x on {cores} core(s) {}",
         if speedup >= 1.3 {
             "(>= 1.3x target met)"
         } else if cores <= 1 {

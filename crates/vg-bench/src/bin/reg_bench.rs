@@ -112,9 +112,13 @@ fn bench_fleet(plan: &RegistrationPlan, kiosks: usize, threads: usize, pool: usi
     let t0 = Instant::now();
     let mut cold_pool = fleet.prepare_pool(&system, plan.sessions());
     fleet
-        .register_each_with_pool(&mut system, plan.sessions(), &mut cold_pool, |_| {
-            registered += 1
-        })
+        .register_each(
+            &mut system,
+            plan.sessions(),
+            &mut cold_pool,
+            false,
+            |_, _| registered += 1,
+        )
         .expect("fleet registers");
     let cold = registered as f64 / t0.elapsed().as_secs_f64();
 
@@ -141,13 +145,13 @@ fn bench_fleet(plan: &RegistrationPlan, kiosks: usize, threads: usize, pool: usi
         pool.warm(&system.printers[0]).expect("pool warms");
         let precompute = n as f64 / t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let sessions = fleet
-            .register_and_activate_with_pool(&mut system, plan.sessions(), &mut pool)
+        let mut sessions = 0usize;
+        fleet
+            .register_each(&mut system, plan.sessions(), &mut pool, true, |_, _| {
+                sessions += 1
+            })
             .expect("warm fleet registers");
-        (
-            sessions.len() as f64 / t0.elapsed().as_secs_f64(),
-            precompute,
-        )
+        (sessions as f64 / t0.elapsed().as_secs_f64(), precompute)
     };
     let (warm, precompute) = warm_run(pool);
     // The windowing-tax probe: same warm day through 32-session windows

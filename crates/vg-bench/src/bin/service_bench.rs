@@ -1,26 +1,24 @@
 //! Service-layer overhead: what the typed RPC boundary costs per
 //! registration ceremony.
 //!
-//! Runs the same seeded registration day three ways and compares
-//! sessions/sec:
+//! Runs the same seeded registration day two ways through
+//! [`vg_service::run_day`] and compares sessions/sec:
 //!
-//! - **local**: the fleet on the in-process [`vg_trip::LocalBoundary`]
-//!   (synchronous per-window ledger admission — the pre-service-layer
-//!   behavior);
-//! - **svc-inproc**: the fleet over the service layer's in-process
-//!   transport (typed messages, zero-copy dispatch, **asynchronous
-//!   coalesced** ledger ingestion);
-//! - **svc-tcp**: the same services behind a length-prefixed loopback
-//!   TCP socket — every request round-trips the full versioned codec.
+//! - **inproc**: the default plan — inline and thread-free on the
+//!   in-process [`vg_trip::LocalBoundary`] (synchronous per-window ledger
+//!   admission);
+//! - **svc-tcp**: the one-station gateway day — the same queue over a
+//!   length-prefixed loopback TCP socket into the threaded engine, every
+//!   request round-tripping the full versioned codec.
 //!
-//! All three produce bit-identical ledgers (the equivalence proptests pin
-//! it); the bench quantifies the framing + socket tax and the async
-//! ingestion win. The guarded headline is `tcp / inprocess` throughput —
-//! a dimensionless ratio that catches codec or transport regressions
-//! without tracking absolute host speed.
+//! Both produce bit-identical ledgers (the equivalence proptests pin
+//! it); the bench quantifies the framing + socket + thread hand-off tax.
+//! The guarded headline is `tcp / inprocess` throughput — a dimensionless
+//! ratio that catches codec or transport regressions without tracking
+//! absolute host speed.
 //!
 //! A second section measures **gateway connection scaling**: the same
-//! pipelined day over the multiplexed station gateway at increasing
+//! threaded day over the multiplexed station gateway at increasing
 //! station-connection counts (`--connections`, default `1,64`). The
 //! gateway serves every connection on a small bounded reactor pool, so
 //! the guarded headline — the per-ceremony TCP tax at the highest
@@ -37,10 +35,7 @@ use std::time::Instant;
 
 use vg_bench::{arg_flag, arg_str, arg_usize, print_table, BenchReport};
 use vg_crypto::HmacDrbg;
-use vg_service::{
-    pipelined_register_day, register_and_activate_day, register_day, DayStats, IngestMode,
-    PipelineConfig, TransportPlan,
-};
+use vg_service::{run_day, DayPlan, DayStats, IngestMode, PipelineConfig, TransportPlan};
 use vg_sim::population::{FakeCredentialDist, RegistrationPlan};
 use vg_trip::fleet::{FleetConfig, KioskFleet};
 use vg_trip::setup::{TripConfig, TripSystem};
@@ -56,14 +51,13 @@ fn config(n_voters: u64, n_kiosks: usize) -> TripConfig {
     }
 }
 
-/// One timed registration day. Returns sessions/sec plus (for service
-/// transports) the day's ingest-coalescing telemetry.
-fn run_day(
+/// One timed registration day over `kiosks` kiosks. Returns sessions/sec
+/// plus the day's telemetry.
+fn timed_day(
     plan: &RegistrationPlan,
     kiosks: usize,
     fleet_config: FleetConfig,
-    transport: Option<TransportPlan>,
-    activate: bool,
+    day: &DayPlan,
 ) -> (f64, DayStats) {
     let n = plan.len();
     let mut rng = HmacDrbg::from_u64(0x5E41);
@@ -71,33 +65,8 @@ fn run_day(
     let fleet = KioskFleet::new(fleet_config);
     let mut done = 0usize;
     let t0 = Instant::now();
-    let stats = match (transport, activate) {
-        (None, false) => {
-            let mut pool = fleet.prepare_pool(&system, plan.sessions());
-            fleet
-                .register_each_with_pool(&mut system, plan.sessions(), &mut pool, |_| done += 1)
-                .expect("local fleet registers");
-            DayStats::default()
-        }
-        (None, true) => {
-            let mut pool = fleet.prepare_pool(&system, plan.sessions());
-            fleet
-                .register_and_activate_each_with_pool(
-                    &mut system,
-                    plan.sessions(),
-                    &mut pool,
-                    |_, _| done += 1,
-                )
-                .expect("local fleet registers+activates");
-            DayStats::default()
-        }
-        (Some(t), false) => register_day(&fleet, &mut system, plan.sessions(), t, |_| done += 1)
-            .expect("service day registers"),
-        (Some(t), true) => {
-            register_and_activate_day(&fleet, &mut system, plan.sessions(), t, |_, _| done += 1)
-                .expect("service day registers+activates")
-        }
-    };
+    let stats = run_day(&fleet, &mut system, plan.sessions(), day, |_, _| done += 1)
+        .expect("registration day runs");
     assert_eq!(done, n);
     (n as f64 / t0.elapsed().as_secs_f64(), stats)
 }
@@ -134,9 +103,8 @@ fn main() {
     };
 
     println!("Service-layer overhead, {threads} thread(s), pool batch {pool}:");
-    println!("local = in-process boundary (synchronous admission),");
-    println!("svc-inproc = typed services + async coalesced ingestion,");
-    println!("svc-tcp = same services over a framed loopback socket.");
+    println!("inproc = inline day on the in-process boundary (synchronous admission),");
+    println!("svc-tcp = one station over a framed loopback socket into the gateway.");
     println!(
         "Rates are sessions/sec ({}).\n",
         if activate {
@@ -181,70 +149,63 @@ fn main() {
             threads,
             seed: [0x5Eu8; 32],
         };
-        let (local, _) = run_day(&plan, kiosks, fleet_config, None, activate);
-        let (inproc, inproc_stats) = run_day(
+        let (inproc, _) = timed_day(
             &plan,
             kiosks,
             fleet_config,
-            Some(TransportPlan::IN_PROCESS),
-            activate,
+            &DayPlan {
+                activate,
+                ..DayPlan::default()
+            },
         );
-        let (tcp, _) = run_day(&plan, kiosks, fleet_config, Some(tcp_plan), activate);
+        let (tcp, tcp_stats) = timed_day(
+            &plan,
+            kiosks,
+            fleet_config,
+            &DayPlan {
+                transport: tcp_plan,
+                activate,
+                ..DayPlan::default()
+            },
+        );
         let tcp_ratio = tcp / inproc;
-        let async_gain = inproc / local;
         // Per-ceremony cost of the socket + codec, in microseconds.
         let overhead_us = (1.0 / tcp - 1.0 / inproc) * 1e6;
         headline = Some(headline.map_or(tcp_ratio, |h: f64| h.min(tcp_ratio)));
         rows.push(vec![
             n.to_string(),
             kiosks.to_string(),
-            format!("{local:.0}"),
             format!("{inproc:.0}"),
             format!("{tcp:.0}"),
             format!("{:.1}", overhead_us),
             format!("{tcp_ratio:.3}"),
-            format!("{async_gain:.3}"),
         ]);
         let prefix = format!("n{n}_k{kiosks}");
-        report.metric(&format!("{prefix}_local_per_sec"), local);
-        report.metric(&format!("{prefix}_svc_inproc_per_sec"), inproc);
+        report.metric(&format!("{prefix}_inproc_per_sec"), inproc);
         report.metric(&format!("{prefix}_svc_tcp_per_sec"), tcp);
         report.metric(
             &format!("{prefix}_tcp_overhead_us_per_ceremony"),
             overhead_us,
         );
         report.metric(&format!("{prefix}_tcp_over_inproc"), tcp_ratio);
-        report.metric(&format!("{prefix}_async_ingest_gain"), async_gain);
-        // Ingest coalescing telemetry (in-process run): how many window
-        // submissions each RLC admission sweep absorbed, per ledger. The
-        // trajectory table tracks this ratio across commits.
-        let ingest = inproc_stats.ingest;
-        report.metric(&format!("{prefix}_env_batches"), ingest.env_batches as f64);
-        report.metric(&format!("{prefix}_env_sweeps"), ingest.env_sweeps as f64);
-        report.metric(&format!("{prefix}_reg_batches"), ingest.reg_batches as f64);
-        report.metric(&format!("{prefix}_reg_sweeps"), ingest.reg_sweeps as f64);
-        let ratio = (ingest.env_batches + ingest.reg_batches) as f64
-            / (ingest.env_sweeps + ingest.reg_sweeps).max(1) as f64;
-        report.metric(&format!("{prefix}_coalesce_ratio"), ratio);
+        // The gateway day's sequencer + shard-worker utilization.
         report.metric(
             &format!("{prefix}_worker_busy_us"),
-            ingest.worker_busy_us as f64,
+            tcp_stats.ingest.worker_busy_us as f64,
         );
         report.metric(
             &format!("{prefix}_worker_idle_us"),
-            ingest.worker_idle_us as f64,
+            tcp_stats.ingest.worker_idle_us as f64,
         );
     }
     print_table(
         &[
             "voters",
             "kiosks",
-            "local/s",
-            "svc-inproc/s",
+            "inproc/s",
             "svc-tcp/s",
             "tcp us/ceremony",
             "tcp/inproc",
-            "async gain",
         ],
         &rows,
     );
@@ -260,7 +221,7 @@ fn main() {
     // Gateway connection scaling: one kiosk-sized station connection
     // per count, every connection multiplexed onto the gateway's bounded
     // reactor pool. The tax is per-ceremony time over the in-process
-    // pipelined day at the same station count, so station parallelism
+    // threaded day at the same station count, so station parallelism
     // cancels and only the transport remains.
     let (n, _) = cases[0];
     let gw_plan = {
@@ -319,7 +280,7 @@ fn main() {
     }
 }
 
-/// One timed pipelined registration day over the multiplexed gateway at
+/// One timed threaded registration day over the multiplexed gateway at
 /// `stations` connections (one kiosk per station so the fan-out is
 /// exactly the connection count).
 fn run_gateway_day(
@@ -328,26 +289,14 @@ fn run_gateway_day(
     transport: TransportPlan,
     stations: usize,
 ) -> f64 {
-    let n = plan.len();
-    let mut rng = HmacDrbg::from_u64(0x5E41);
-    let mut system = TripSystem::setup(config(n as u64, stations), &mut rng);
-    let fleet = KioskFleet::new(fleet_config);
-    let pipeline = PipelineConfig {
-        stations,
-        ingest: IngestMode::Background,
-        ..PipelineConfig::default()
-    };
-    let mut done = 0usize;
-    let t0 = Instant::now();
-    pipelined_register_day(
-        &fleet,
-        &mut system,
-        plan.sessions(),
+    let day = DayPlan {
         transport,
-        pipeline,
-        |_| done += 1,
-    )
-    .expect("gateway day registers");
-    assert_eq!(done, n);
-    n as f64 / t0.elapsed().as_secs_f64()
+        pipeline: PipelineConfig {
+            stations,
+            ingest: IngestMode::Background,
+            ..PipelineConfig::default()
+        },
+        ..DayPlan::default()
+    };
+    timed_day(plan, stations, fleet_config, &day).0
 }

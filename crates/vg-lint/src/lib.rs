@@ -37,7 +37,11 @@
 //! ```
 //!
 //! The justification is mandatory, and a directive that suppresses
-//! nothing is itself reported — allowlists cannot rot silently.
+//! nothing is itself reported — allowlists cannot rot silently. Neither
+//! can the path lists that scope the rules: an entry of
+//! [`Config::server_paths`], [`Config::det_paths`] or an `*_exempt` list
+//! that matches no scanned file is a hygiene finding too
+//! ([`stale_config_paths`]).
 //!
 //! The analyzer skips `#[cfg(test)]` modules, `tests/`, `benches/`, the
 //! dev shims, and its own source tree (whose rule tables and fixtures
@@ -53,7 +57,8 @@ use std::path::{Path, PathBuf};
 /// One rule violation (or allowlist-hygiene finding).
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule name (`ct-compare`, `panic-path`, …, or `allowlist`).
+    /// Rule name (`ct-compare`, `panic-path`, …, `allowlist`, or `config`
+    /// for a path list entry that matches nothing).
     pub rule: &'static str,
     /// Workspace-relative file.
     pub file: PathBuf,
@@ -174,9 +179,7 @@ impl Default for Config {
             server_paths: [
                 "vg-service/src/gateway.rs",
                 "vg-service/src/pipeline.rs",
-                "vg-service/src/ingest.rs",
                 "vg-service/src/channel.rs",
-                "vg-service/src/registrar.rs",
                 "vg-service/src/transport.rs",
                 "vg-service/src/fault.rs",
                 "vg-service/src/retry.rs",
@@ -284,6 +287,40 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Vec<Violation> {
     }
     kept.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     kept
+}
+
+/// Path-rot hygiene: every `server_paths` / `det_paths` / `*_exempt`
+/// entry must match at least one scanned file. A renamed or deleted
+/// serving file would otherwise silently leave its rule (the entry keeps
+/// "matching" nothing, and nothing complains). Reported as hygiene
+/// findings — denied under `--deny-all` — and kept out of [`analyze`] so
+/// narrow fixture file sets need not satisfy every list.
+pub fn stale_config_paths(files: &[SourceFile], cfg: &Config) -> Vec<Violation> {
+    let lists: [(&str, &[String]); 5] = [
+        ("server_paths", &cfg.server_paths),
+        ("det_paths", &cfg.det_paths),
+        ("entropy_exempt", &cfg.entropy_exempt),
+        ("ct_exempt", &cfg.ct_exempt),
+        ("lock_exempt", &cfg.lock_exempt),
+    ];
+    let mut out = Vec::new();
+    for (list, entries) in lists {
+        for entry in entries {
+            if !files.iter().any(|f| f.path_matches(entry)) {
+                out.push(Violation {
+                    rule: "config",
+                    file: PathBuf::from(entry),
+                    line: 0,
+                    message: format!(
+                        "`{list}` entry matches no scanned file; the file moved or is gone — \
+                         update the list so its rule keeps covering the code"
+                    ),
+                    hygiene: true,
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Loads every production source file of the workspace rooted at `root`.

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vg_lint::{analyze, find_root, load_workspace, Config};
+use vg_lint::{analyze, find_root, load_workspace, stale_config_paths, Config};
 
 fn main() -> ExitCode {
     let mut deny_all = false;
@@ -64,7 +64,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let violations = analyze(&files, &cfg);
+    let mut violations = analyze(&files, &cfg);
+    violations.extend(stale_config_paths(&files, &cfg));
     let denied: Vec<_> = violations
         .iter()
         .filter(|v| deny_all || !v.hygiene)

@@ -1,7 +1,7 @@
 //! Fixture suite: every rule must fire on a known-bad snippet, respect
 //! the allowlist, and stay quiet on the real workspace.
 
-use vg_lint::{analyze, Config, SourceFile, Violation};
+use vg_lint::{analyze, stale_config_paths, Config, SourceFile, Violation};
 
 /// A config whose path filters match the fixture file names used below.
 /// `secret_types` stays empty; the secret-debug tests use [`run_secret`].
@@ -585,6 +585,32 @@ fn wire_tags_fires_on_error_code_mismatch() {
 }
 
 // ---------------------------------------------------------------------
+// Path-list rot
+// ---------------------------------------------------------------------
+
+#[test]
+fn config_entry_matching_no_file_is_a_hygiene_finding() {
+    let files = [
+        SourceFile::from_source("crates/svc/src/srv.rs", "fn serve() {}\n"),
+        SourceFile::from_source("crates/svc/src/det.rs", "fn derive() {}\n"),
+    ];
+    let mut cfg = fixture_config();
+    cfg.entropy_exempt = vec![];
+    cfg.ct_exempt = vec![];
+    assert!(stale_config_paths(&files, &cfg).is_empty());
+
+    // The serving file is renamed away from its list entry, and an
+    // exemption names a file that no longer exists.
+    cfg.server_paths = vec!["svc/src/registrar.rs".into()];
+    cfg.lock_exempt = vec!["sync.rs".into()];
+    let vs = stale_config_paths(&files, &cfg);
+    assert_eq!(rules_of(&vs), ["config", "config"], "{vs:#?}");
+    assert!(vs.iter().all(|v| v.hygiene), "denied only under --deny-all");
+    assert!(vs[0].message.contains("server_paths"), "{vs:#?}");
+    assert!(vs[1].message.contains("lock_exempt"), "{vs:#?}");
+}
+
+// ---------------------------------------------------------------------
 // The real workspace
 // ---------------------------------------------------------------------
 
@@ -598,10 +624,11 @@ fn the_workspace_is_clean_under_deny_all() {
     let cfg = Config::default();
     let files = vg_lint::load_workspace(&root, &cfg).expect("workspace readable");
     assert!(files.len() > 50, "workspace walk found too few files");
-    let vs = analyze(&files, &cfg);
+    let mut vs = analyze(&files, &cfg);
+    vs.extend(stale_config_paths(&files, &cfg));
     assert!(
         vs.is_empty(),
-        "workspace must be clean including allowlist hygiene:\n{}",
+        "workspace must be clean including allowlist and path-list hygiene:\n{}",
         vs.iter().map(|v| v.render()).collect::<Vec<_>>().join("\n")
     );
 }

@@ -452,8 +452,8 @@ pub(crate) fn finish_server_handshake(
     Ok(hello.keys.clone())
 }
 
-/// Blocking server handshake (the barrier-path counterpart of the
-/// gateway's non-blocking state machine). Typed rejections are reported
+/// Blocking server handshake (the thread-per-connection counterpart of
+/// the gateway's non-blocking state machine). Typed rejections are reported
 /// to the peer as plaintext `Response::Err` before returning the error.
 fn server_handshake(
     mut chan: Box<dyn FramedChannel>,
@@ -575,8 +575,9 @@ impl Connector for TcpConnector {
     }
 }
 
-/// Accepts framed TCP channels under one policy (barrier-path serving;
-/// the pipelined day uses the non-blocking gateway instead).
+/// Accepts framed TCP channels under one policy, blocking per connection
+/// (a registration day serves its stations through the non-blocking
+/// gateway instead).
 pub struct TcpChannelListener {
     listener: TcpListener,
     policy: ChannelPolicy,

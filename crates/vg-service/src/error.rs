@@ -8,7 +8,6 @@
 //! cannot be reconstituted from untrusted bytes and decodes to a fixed
 //! placeholder.
 
-use crate::ingest::IngestError;
 use vg_crypto::codec::{put_u32, Reader};
 use vg_crypto::CryptoError;
 use vg_ledger::LedgerError;
@@ -21,11 +20,6 @@ pub enum ServiceError {
     Trip(TripError),
     /// A transport failure: socket, framing, codec or protocol violation.
     Transport(String),
-    /// The ingest queue kept refusing a submission even after bounded
-    /// flush-and-retry: the typed give-up of the backpressure contract.
-    /// Carries the final refusal so callers can see how saturated the
-    /// queue was when the registrar gave up.
-    Ingest(IngestError),
     /// A secure-channel peer completed the handshake cryptography but is
     /// not enrolled (unknown station key, or the registrar's static key
     /// did not match the enrolled one). Typed separately from
@@ -50,7 +44,6 @@ impl core::fmt::Display for ServiceError {
         match self {
             ServiceError::Trip(e) => write!(f, "service error: {e}"),
             ServiceError::Transport(what) => write!(f, "transport error: {what}"),
-            ServiceError::Ingest(e) => write!(f, "ingest gave up after bounded retries: {e}"),
             ServiceError::AuthFailed(who) => write!(f, "channel authentication failed: {who}"),
             ServiceError::HandshakeFailed(why) => write!(f, "channel handshake failed: {why}"),
             ServiceError::Timeout(what) => write!(f, "deadline expired: {what}"),
@@ -99,9 +92,6 @@ impl ServiceError {
         match self {
             ServiceError::Trip(e) => e,
             ServiceError::Transport(what) => TripError::Boundary(what),
-            ServiceError::Ingest(e) => {
-                TripError::Boundary(format!("ingest gave up after bounded retries: {e}"))
-            }
             ServiceError::AuthFailed(who) => {
                 TripError::Boundary(format!("channel authentication failed: {who}"))
             }
@@ -228,9 +218,6 @@ pub(crate) fn encode_error(buf: &mut Vec<u8>, e: &ServiceError) {
             TripError::InvalidConfig(s) => (15, 0, 0, s.as_str()),
         },
         ServiceError::Transport(s) => (14, 0, 0, s.as_str()),
-        ServiceError::Ingest(IngestError::Backpressure { pending, capacity }) => {
-            (16, *pending as u32, *capacity as u32, "")
-        }
         ServiceError::AuthFailed(s) => (17, 0, 0, s.as_str()),
         ServiceError::HandshakeFailed(s) => (18, 0, 0, s.as_str()),
         ServiceError::Timeout(s) => (19, 0, 0, s.as_str()),
@@ -267,10 +254,8 @@ pub(crate) fn decode_error(r: &mut Reader<'_>) -> Result<ServiceError, CryptoErr
         13 => ServiceError::Trip(TripError::Boundary(text)),
         14 => ServiceError::Transport(text),
         15 => ServiceError::Trip(TripError::InvalidConfig(text)),
-        16 => ServiceError::Ingest(IngestError::Backpressure {
-            pending: sub as usize,
-            capacity: sub2 as usize,
-        }),
+        // 16 was the barrier host's ingest-backpressure give-up; retired
+        // with that host, never reassigned.
         17 => ServiceError::AuthFailed(text),
         18 => ServiceError::HandshakeFailed(text),
         19 => ServiceError::Timeout(text),
@@ -299,10 +284,6 @@ mod tests {
             ServiceError::Trip(TripError::Boundary("lost".into())),
             ServiceError::Trip(TripError::InvalidConfig("3 stations over 2 kiosks".into())),
             ServiceError::Transport("socket reset".into()),
-            ServiceError::Ingest(IngestError::Backpressure {
-                pending: 16_000,
-                capacity: 16_384,
-            }),
             ServiceError::AuthFailed("station key not enrolled".into()),
             ServiceError::HandshakeFailed("confirmation mac mismatch".into()),
             ServiceError::Timeout("read deadline after 250ms".into()),
@@ -332,11 +313,19 @@ mod tests {
 
     #[test]
     fn garbage_error_rejected() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 99);
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, 0);
-        assert!(decode_error(&mut Reader::new(&buf)).is_err());
+        // 99 was never assigned; 16 is retired — a peer still speaking it
+        // gets the typed codec error, not a misparse.
+        for tag in [99, 16] {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, tag);
+            put_u32(&mut buf, 16_000);
+            put_u32(&mut buf, 16_384);
+            put_u32(&mut buf, 0);
+            assert_eq!(
+                decode_error(&mut Reader::new(&buf)),
+                Err(CryptoError::Malformed("unknown error tag")),
+                "tag {tag}"
+            );
+        }
     }
 }

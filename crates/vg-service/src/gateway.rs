@@ -1,5 +1,5 @@
 //! The multiplexed station gateway: a non-blocking acceptor that serves
-//! every pipelined-day connection — stations, refillers, steal lanes —
+//! every threaded-day connection — stations, refillers, steal lanes —
 //! on a small bounded pool of reactor threads instead of one thread per
 //! connection.
 //!
@@ -12,8 +12,8 @@
 //! a *pending* poll closure (a request parked on the sequencer); while a
 //! connection has a response in flight the reactor stops reading it —
 //! that per-connection stop-and-wait is the gateway's backpressure, and
-//! it composes with the ingest queue's own bounded-retry
-//! [`backpressure`](crate::ingest::IngestError::Backpressure) contract.
+//! it composes with the shard workers' own bound (past a per-lane record
+//! cap a submission's acknowledgement waits for an inline sweep).
 //!
 //! The reactor pool size is fixed (bounded by the deployment, not the
 //! connection count), so a day with hundreds of station connections runs

@@ -20,29 +20,42 @@
 //!   protocol's natural units (tickets, check-out QRs, envelope
 //!   commitments, print jobs, activation claims, signed tree heads);
 //! - [`wire`]: the strict codec envelope and length-prefixed framing;
-//! - [`ingest`]: the asynchronous ledger ingestion queue — in-flight
-//!   submissions coalesce into single RLC-folded admission sweeps;
-//! - [`registrar`]: the host serving all four services over deployment
-//!   state;
 //! - [`channel`]: the pluggable transport API — [`FramedChannel`] /
 //!   [`Connector`] / [`Listener`] traits, TCP and in-process pipe
 //!   channels, and the mutual-auth encrypted [`channel::SecureChannel`]
 //!   that wraps any of them by [`ChannelPolicy`];
 //! - [`transport`]: the [`TransportPlan`] value (link × security), the
-//!   fleet-facing [`ServiceBoundary`] adapter, channel serving, and
-//!   whole-registration-day runners (plus the deprecated [`Transport`]
-//!   enum shim);
+//!   fleet-facing [`ServiceBoundary`] adapter and the [`ChannelClient`]
+//!   speaking the four services over any channel;
 //! - [`gateway`]: the non-blocking multiplexed acceptor that serves every
-//!   pipelined-day connection on a bounded reactor pool.
+//!   threaded-day connection on a bounded reactor pool;
+//! - [`pipeline`]: [`run_day`] and the threaded engine behind it (shard
+//!   verification workers, the commit sequencer, station runners, the
+//!   work-stealing coordinator).
+//!
+//! # One registration day: [`run_day`]
+//!
+//! A whole registration day is one call, `run_day(&fleet, &mut system,
+//! queue, &DayPlan, sink)`, and the engine is something the code reads
+//! off the [`DayPlan`] rather than something the caller picks. A plan
+//! that needs no concurrency (plaintext in-process transport, default
+//! [`PipelineConfig`], no chaos) runs inline and thread-free on
+//! [`vg_trip::LocalBoundary`]; every other plan — one-station TCP and
+//! secure days included — runs on the threaded engine. The split is
+//! measured: forcing one-session booth days through the threaded engine
+//! cost 26 % of booth throughput on the lifecycle benchmark (see
+//! [`pipeline`]'s module docs), so both paths stay, each with a benchmark
+//! workload on its side of the choice.
 //!
 //! # Equivalence contract
 //!
-//! A registration day over any transport is **bit-identical** — same
-//! ledger tree heads, same credentials, same event traces — to the
-//! in-process sequential reference, for any `(seed, queue, kiosks, pool
-//! batch, threads)`. The workspace's `tests/service.rs` pins this with
-//! cross-transport proptests; `vg-bench`'s `service_bench` measures what
-//! the framing and the asynchronous ingestion cost per ceremony.
+//! A registration day under any plan is **bit-identical** — same ledger
+//! tree heads, same credentials, same event traces — to the in-process
+//! sequential reference, for any `(seed, queue, kiosks, pool batch,
+//! threads)`. The workspace's `tests/service.rs` and `tests/pipeline.rs`
+//! pin this with cross-transport and cross-configuration proptests;
+//! `vg-bench`'s `service_bench` measures what the framing costs per
+//! ceremony.
 //!
 //! This crate forbids `unsafe` code (`#![forbid(unsafe_code)]`): the
 //! whole workspace is safe Rust, locked in by the `vg-lint` analyzer's
@@ -54,10 +67,8 @@ pub mod channel;
 pub mod error;
 pub mod fault;
 pub mod gateway;
-pub mod ingest;
 pub mod messages;
 pub mod pipeline;
-pub mod registrar;
 pub mod retry;
 pub mod traits;
 pub mod transport;
@@ -69,22 +80,14 @@ pub use channel::{
 };
 pub use error::ServiceError;
 pub use fault::{ChannelFault, FaultPlan, FaultyChannel, FaultyConnector};
-pub use ingest::{IngestError, IngestQueue};
 pub use pipeline::{
-    pipelined_register_and_activate_day, pipelined_register_and_activate_day_chaos,
-    pipelined_register_and_activate_day_with_fault, pipelined_register_day, ChaosOptions,
-    IngestHandle, IngestMode, IngestProgress, PipelineConfig, StationFault, StationHang,
+    run_day, ChaosOptions, DayPlan, IngestMode, PipelineConfig, StationFault, StationHang,
 };
-pub use registrar::RegistrarHost;
 pub use retry::RetryPolicy;
 pub use traits::{
     ActivationService, LedgerIngestService, PrintService, RegistrarEndpoint, RegistrarService,
 };
-#[allow(deprecated)]
-pub use transport::Transport;
 pub use transport::{
-    ledger_heads_over, register_and_activate_day, register_day, serve_channel, serve_connection,
-    ChannelClient, ChannelSecurity, DayStats, LinkKind, ServiceBoundary, StealRecord,
-    TransportPlan,
+    ChannelClient, ChannelSecurity, DayStats, LinkKind, ServiceBoundary, StealRecord, TransportPlan,
 };
 pub use wire::Wire;

@@ -359,9 +359,9 @@ wire_struct! {
     /// admitted and sweeps run per ledger (the coalescing ratio is
     /// `batches / sweeps`), plus cumulative busy and idle time in
     /// microseconds summed over every ingest thread — the sharded
-    /// verification workers and the commit sequencer (zero on a
-    /// barrier-mode host with no worker thread) — the number of shard
-    /// workers that served the day (`0` on a barrier host), and the
+    /// verification workers and the commit sequencer (zero on an
+    /// inline day, which has neither) — the number of shard workers
+    /// that served the day (`0` on an inline day), and the
     /// durability counters from the WAL backend (records appended and
     /// group fsyncs issued; zero on the volatile backends), and the
     /// count of WAL IO failures absorbed as typed errors (nonzero only
@@ -386,11 +386,16 @@ wire_struct! {
 pub enum Request {
     /// [`crate::traits::RegistrarService::check_in`].
     CheckIn(CheckInRequest),
-    /// [`crate::traits::RegistrarService::check_out_batch`].
+    /// Untagged batched check-out. Retired from the service traits (every
+    /// station submits [`Request::CheckOutBatchSeq`]); no fleet sends it
+    /// and the registrar answers it with a typed error. The codec stays:
+    /// the tag is versioned and never reassigned.
     CheckOutBatch(CheckOutBatchRequest),
     /// [`crate::traits::PrintService::print_envelopes`].
     Print(PrintRequest),
-    /// [`crate::traits::LedgerIngestService::submit_envelopes`].
+    /// Untagged envelope submission; retired like
+    /// [`Request::CheckOutBatch`] in favour of
+    /// [`Request::SubmitEnvelopesSeq`].
     SubmitEnvelopes(EnvelopeSubmitRequest),
     /// [`crate::traits::LedgerIngestService::sync`].
     Sync,

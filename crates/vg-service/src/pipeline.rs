@@ -1,12 +1,29 @@
-//! The pipelined registration-day engine: background pool refillers, a
-//! sharded multi-worker ingest layer, and a multi-connection registrar
-//! with dynamic kiosk work stealing.
+//! The registration day: one entry point, [`run_day`], and the threaded
+//! engine behind every day that needs concurrency — background pool
+//! refillers, a sharded multi-worker ingest layer, and a multi-connection
+//! registrar with dynamic kiosk work stealing.
 //!
-//! The barrier-synchronous day ([`crate::register_and_activate_day`])
-//! executes its three stages lock-step: precompute refills the pool at
-//! window boundaries, ledger admission flushes on the caller's thread at
-//! every activation barrier, and the TCP server accepts exactly one
-//! kiosk-coordinator connection. This module overlaps all three:
+//! # One entry point, two ways to run
+//!
+//! [`run_day`] reads the engine off its [`DayPlan`]; the caller never
+//! picks one. A plan that needs no concurrency — in-process plaintext
+//! transport, the default [`PipelineConfig`], no chaos — runs **inline**:
+//! thread-free (beyond the fleet's own ceremony crew) on
+//! [`vg_trip::LocalBoundary`], synchronous admission, a `persist()`
+//! commit point at every barrier. Every other plan, one-station TCP and
+//! secure days included, runs on the **threaded** engine below.
+//!
+//! Both sides are measured, not assumed. Forcing one-session booth days
+//! through the threaded engine cost 26 % of `reg_sessions_per_s` on the
+//! lifecycle benchmark's `booth` workload (394 → 293 sessions/s, p50
+//! session latency 2.16 → 3.15 ms, +19 % peak RSS — about ten
+//! cross-thread round trips per one-session day), so "the barrier day is
+//! the degenerate threaded plan" was rejected; the threaded side is what
+//! `regday_mem`/`regday_deploy` run. A third, deferred-admission engine
+//! between the two (a coalescing ingest queue behind a private server
+//! thread) measured 1.02× the inline path and was deleted.
+//!
+//! # The threaded engine
 //!
 //! - **Refillers** ([`vg_trip::pool::PoolFeed`]): each polling station
 //!   runs a dedicated thread owning a `PrintService` client that keeps
@@ -27,24 +44,26 @@
 //!   day still yields **one signed head per ledger**, bit-identical to
 //!   one worker. Prefix barriers
 //!   ([`Request::SyncThrough`](crate::messages::Request)) resolve as
-//!   admission advances; submissions come with real completion handles
-//!   ([`IngestHandle`]) that can be polled or awaited.
-//! - **Multi-connection registrar**: the TCP acceptor serves N
+//!   admission advances.
+//! - **Multi-connection registrar**: the gateway serves N
 //!   kiosk-coordinator connections (one per polling station, plus each
 //!   station's refiller client), with the commit sequencer as the single
-//!   serialization point for ledger state.
+//!   serialization point for ledger state. Both ledger lanes — envelope
+//!   commitments and registration records — run through the same
+//!   reorder → verify → inbox → commit routine, parameterised only by
+//!   the lane's verify and commit functions.
 //!
 //! # Bit-identity
 //!
-//! Every pipeline configuration — station count, worker count, low-water
-//! mark, ingest mode, activation lag, transport — produces ledgers and
-//! credentials bit-identical to the sequential seeded reference: session
-//! materials are pure functions of `(seed, global index, voter)`, kiosk
-//! assignment stays `index mod |K|` (stations own disjoint kiosk
-//! chunks), and the sequencer commits records in global session order no
-//! matter which station or worker finished first. Pipelining changes
-//! *when* work happens, never *what* lands on the ledger — pinned by
-//! `tests/pipeline.rs`.
+//! Every plan — inline or threaded; station count, worker count,
+//! low-water mark, ingest mode, activation lag, transport — produces
+//! ledgers and credentials bit-identical to the sequential seeded
+//! reference: session materials are pure functions of `(seed, global
+//! index, voter)`, kiosk assignment stays `index mod |K|` (stations own
+//! disjoint kiosk chunks), and the sequencer commits records in global
+//! session order no matter which station or worker finished first.
+//! Threading changes *when* work happens, never *what* lands on the
+//! ledger — pinned by `tests/pipeline.rs`.
 //!
 //! # Failover: work stealing
 //!
@@ -63,7 +82,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vg_crypto::par::par_map;
@@ -95,11 +114,10 @@ use crate::gateway::{
     acceptor_loop, reactor_loop, Dispatched, GatewayDispatch, GatewayIntake, PipeHub, REAP_AFTER,
 };
 use crate::messages::{
-    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchRequest,
-    CheckOutBatchResponse, EnvelopeSubmitRequest, IngestReceipt, IngestStatsReply, LedgerHeads,
-    PrintRequest, PrintResponse, Request, Response, SeqCheckOutRequest, SeqEnvelopeSubmitRequest,
+    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchResponse, IngestReceipt,
+    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, Request, Response,
+    SeqCheckOutRequest, SeqEnvelopeSubmitRequest,
 };
-use crate::registrar::MAX_PENDING_RECORDS;
 use crate::retry::RetryPolicy;
 use crate::traits::{ActivationService, LedgerIngestService, PrintService, RegistrarService};
 use crate::transport::{
@@ -118,8 +136,8 @@ use crate::transport::{
 /// both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// Flush only at barriers (sync/heads/activation) — the coalescing
-    /// behavior of the single-connection host, behind a worker thread.
+    /// Flush only at barriers (sync/heads/activation), coalescing every
+    /// window submitted in between into one sweep.
     #[default]
     Barrier,
     /// Additionally flush whenever the command channel goes idle, so
@@ -127,7 +145,8 @@ pub enum IngestMode {
     Background,
 }
 
-/// Tuning for a pipelined registration day.
+/// Tuning for the threaded engine. The default is the lock-step plan: on
+/// the in-process transport, with no chaos, [`run_day`] runs it inline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Polling-station connections. Must satisfy `1 <= stations <= |K|`
@@ -166,17 +185,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// Whether any knob departs from the lock-step defaults.
-    pub fn is_pipelined(&self) -> bool {
-        self.stations > 1
-            || self.low_water > 0
-            || self.ingest == IngestMode::Background
-            || self.activation_lag > 1
-            || self.workers > 1
-    }
-}
-
 /// A chaos hook for failover tests: station `station`'s boundary starts
 /// failing every call after `after_ops` successful ones, simulating a
 /// polling-station connection dying mid-window. Honest deployments pass
@@ -205,25 +213,12 @@ pub struct StationFault {
     pub recovery_deaths: usize,
 }
 
-/// How many times a failed steal chunk may be re-partitioned onto the
-/// surviving stations before the day gives up with the runner's typed
-/// error. Depth 0 is the initial steal off a dead station; each retry
-/// re-steals only what is still undelivered, so bounded depth bounds
-/// total replay work at roughly `depth × remaining`.
-const MAX_RESTEAL_DEPTH: usize = 2;
-
-/// Default coordinator liveness deadline: a station that delivers no
-/// outcome for this long (while still holding undelivered sessions) is
-/// declared *stalled* and its remainder is stolen exactly like a dead
-/// station's. Deliberately generous — healthy stations deliver every few
-/// milliseconds, and a false positive is merely wasteful (the dedup
-/// layer absorbs the double delivery), never incorrect. Chaos tests
-/// tighten it through [`ChaosOptions::stall_timeout`].
-const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Everything the chaos harness can inject into a pipelined day. The
-/// default injects nothing and runs with the production liveness
-/// deadlines.
+/// Everything the chaos harness can inject into a threaded day
+/// ([`DayPlan::chaos`]). The default injects nothing and runs with the
+/// production liveness deadlines. The contract the chaos sweep asserts:
+/// the day either completes with ledgers bit-identical to the unfaulted
+/// sequential reference, or returns a typed [`TripError`] — never a
+/// panic, never a hang.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosOptions {
     /// Clean connection-death schedule (the original failover hook).
@@ -252,131 +247,69 @@ pub struct StationHang {
     pub after_ops: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Completion handles
-// ---------------------------------------------------------------------------
+/// What one registration day runs as: how stations reach the registrar,
+/// how the threaded engine is tuned, whether credentials activate, and
+/// what the chaos harness injects. The default is a thread-free,
+/// register-only day on [`vg_trip::LocalBoundary`].
+#[derive(Clone, Debug, Default)]
+pub struct DayPlan {
+    /// Link × channel security between the stations and the registrar.
+    pub transport: TransportPlan,
+    /// Threaded-engine tuning.
+    pub pipeline: PipelineConfig,
+    /// Activate every window's credentials on fresh devices (groups of
+    /// [`PipelineConfig::activation_lag`] windows behind one prefix
+    /// barrier each); without it every device comes back empty.
+    pub activate: bool,
+    /// Fault injection; `None` on honest deployments.
+    pub chaos: Option<ChaosOptions>,
+}
 
-// Shared pipeline state (progress counters, the verified inbox) is
-// internally consistent at every individual store, so locks recover from
-// poisoning via `vg_crypto::sync::lock_recover` rather than panicking
-// every waiting station and the day coordinator with it.
+/// Whether `plan` needs no concurrency and runs inline on
+/// [`vg_trip::LocalBoundary`]. Read off the plan — no caller picks an
+/// engine — and measured on both sides (see the module docs).
+fn runs_inline(plan: &DayPlan) -> bool {
+    plan.transport == TransportPlan::IN_PROCESS
+        && plan.pipeline == PipelineConfig::default()
+        && plan.chaos.is_none()
+}
+
+/// Runs one whole registration day for `queue` (`(voter, fakes)` in
+/// check-in order) as `plan` describes, streaming each session's
+/// `(outcome, device)` pair to `sink` in queue order, and returns the
+/// day's service-layer telemetry. Ledgers and credentials are
+/// bit-identical to the sequential seeded reference for any plan and any
+/// `(seed, queue, kiosks, pool batch, threads)`.
+pub fn run_day(
+    fleet: &KioskFleet,
+    system: &mut TripSystem,
+    queue: &[(VoterId, usize)],
+    plan: &DayPlan,
+    mut sink: impl FnMut(RegistrationOutcome, Vsd),
+) -> Result<DayStats, TripError> {
+    if !runs_inline(plan) {
+        return run_threaded_day(fleet, system, queue, plan, &mut sink);
+    }
+    let mut pool = fleet.prepare_pool(system, queue);
+    fleet.register_each(system, queue, &mut pool, plan.activate, sink)?;
+    let durability = system.ledger.durability_stats();
+    Ok(DayStats {
+        ingest: IngestStatsReply {
+            wal_records: durability.wal_records,
+            wal_fsyncs: durability.wal_fsyncs,
+            wal_failures: durability.wal_failures,
+            ..IngestStatsReply::default()
+        },
+        workers: 1,
+        ..DayStats::default()
+    })
+}
+
+// Shared engine state (the verified inbox) is internally consistent at
+// every individual store, so locks recover from poisoning via
+// `vg_crypto::sync::lock_recover` rather than panicking every waiting
+// station and the day coordinator with it.
 use vg_crypto::sync::lock_recover;
-
-#[derive(Default)]
-struct ProgressState {
-    /// Sessions `[0, admitted_through)` are admitted on both ledgers.
-    admitted_through: u64,
-    /// Sticky first admission failure.
-    failed: Option<ServiceError>,
-    /// The worker exited; nothing further will resolve.
-    finished: bool,
-}
-
-/// Shared admission progress the ingest worker publishes after every
-/// sweep; [`IngestHandle`]s resolve against it.
-#[derive(Clone, Default)]
-pub struct IngestProgress {
-    shared: Arc<(Mutex<ProgressState>, Condvar)>,
-}
-
-impl IngestProgress {
-    /// Fresh progress at session zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn update(&self, admitted_through: u64, failed: Option<&ServiceError>) {
-        let (lock, cv) = &*self.shared;
-        let mut st = lock_recover(lock);
-        st.admitted_through = st.admitted_through.max(admitted_through);
-        if st.failed.is_none() {
-            st.failed = failed.cloned();
-        }
-        cv.notify_all();
-    }
-
-    fn finish(&self) {
-        let (lock, cv) = &*self.shared;
-        lock_recover(lock).finished = true;
-        cv.notify_all();
-    }
-
-    /// A handle that resolves once every session below `through` is
-    /// admitted.
-    pub fn handle(&self, through: u64) -> IngestHandle {
-        IngestHandle {
-            through,
-            progress: self.clone(),
-        }
-    }
-}
-
-/// A real completion handle for an asynchronous ledger submission: where
-/// the barrier-mode host hands out opaque tickets that only resolve at
-/// the next sync, a pipelined submission can be polled or awaited while
-/// the worker drives admission in the background.
-pub struct IngestHandle {
-    through: u64,
-    progress: IngestProgress,
-}
-
-impl IngestHandle {
-    /// Non-blocking check: `None` while admission is still pending,
-    /// `Some(Ok)` once the covering prefix is admitted, `Some(Err)` on a
-    /// sticky admission failure (or a worker that exited first).
-    pub fn poll(&self) -> Option<Result<(), ServiceError>> {
-        let (lock, _) = &*self.progress.shared;
-        let st = lock_recover(lock);
-        if let Some(e) = &st.failed {
-            return Some(Err(e.clone()));
-        }
-        if st.admitted_through >= self.through {
-            return Some(Ok(()));
-        }
-        if st.finished {
-            return Some(Err(ServiceError::Transport(
-                "ingest worker exited before admission".into(),
-            )));
-        }
-        None
-    }
-
-    /// Blocks until the submission resolves.
-    ///
-    /// # Commit-point contract
-    ///
-    /// When `wait` returns `Ok(())`, every session up to and including
-    /// the one this handle covers has been *admitted*: its envelope
-    /// commitments and registration records passed the RLC admission
-    /// sweep and were appended to the ledgers, and — on a durable
-    /// backend — the sweep that admitted them ended with a `persist()`
-    /// commit barrier (WAL group-fsync, then a signed tree head
-    /// covering them). A crash after `Ok(())` therefore cannot lose the
-    /// session: reopening the store replays it back under the same
-    /// head. This holds identically under [`IngestMode::Barrier`] and
-    /// [`IngestMode::Background`]; the modes only change when sweeps
-    /// happen, not what an `Ok(())` means. On `Err`, nothing past the
-    /// last successful sweep is guaranteed — but everything *before*
-    /// the sticky failure was still persisted by its own sweep.
-    pub fn wait(&self) -> Result<(), ServiceError> {
-        let (lock, cv) = &*self.progress.shared;
-        let mut st = lock_recover(lock);
-        loop {
-            if let Some(e) = &st.failed {
-                return Err(e.clone());
-            }
-            if st.admitted_through >= self.through {
-                return Ok(());
-            }
-            if st.finished {
-                return Err(ServiceError::Transport(
-                    "ingest worker exited before admission".into(),
-                ));
-            }
-            st = vg_crypto::sync::wait_recover(cv, st);
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The sharded ingest engine
@@ -388,33 +321,20 @@ impl IngestHandle {
 /// comes from.
 const MIN_IDLE_SWEEP: usize = 512;
 
-/// Commands for the commit sequencer — the one thread owning the ledgers.
-enum Cmd {
-    CheckIn(VoterId, Sender<Result<CheckInTicket, ServiceError>>),
-    SyncThrough(u64, Sender<Result<(), ServiceError>>),
-    SyncAll(Sender<Result<(), ServiceError>>),
-    Activate(Vec<ActivationClaim>, Sender<Result<(), ServiceError>>),
-    Heads(Sender<Result<LedgerHeads, ServiceError>>),
-    Stats(Sender<IngestStatsReply>),
-    /// Fail every parked barrier so blocked stations unwind (day abort).
-    Abort,
-    /// A shard worker changed the shared inbox (released, verified or
-    /// failed something): commit opportunistically and re-check parked
-    /// barriers. Carries nothing — the inbox is the message.
-    Poke,
-    /// Day teardown, sent exactly once by the coordinator after every
-    /// station is done: the sequencer drops its shard senders so the
-    /// workers drain, exit-sweep into the inbox, and release their own
-    /// sequencer senders in turn. Without this the worker ⇄ sequencer
-    /// channel cycle would keep both sides parked in `recv` forever.
-    Shutdown,
-}
+/// Per-lane ceiling on deferred records. Coalescing submissions into one
+/// folded admission sweep is the throughput win, but an unbounded backlog
+/// would buffer a whole million-voter day server-side and delay admission
+/// errors to end-of-day. Past the cap a shard sweeps inline on the
+/// submitter's call and a [`IngestMode::Barrier`] sequencer commits, so
+/// memory and error latency stay O(cap) while many small windows still
+/// coalesce.
+const MAX_PENDING_RECORDS: usize = 16_384;
 
 /// Commands for one shard verification worker.
 enum ShardCmd {
     /// Session-tagged envelope-commitment groups for sessions this shard
     /// owns; the reply resolves once the groups are buffered (and any
-    /// overflow sweep ran), mirroring the old submit acknowledgement.
+    /// overflow sweep ran).
     Envelopes(
         Vec<(u64, Vec<EnvelopeCommitment>)>,
         Sender<Result<(), ServiceError>>,
@@ -425,16 +345,10 @@ enum ShardCmd {
         Sender<Result<(), ServiceError>>,
     ),
     /// Barrier: verify everything pending now and publish it, then
-    /// report what is still stuck in the reorder buffers (a nonzero
-    /// report at day end means sessions were lost in transit).
-    Flush(Sender<FlushReport>),
-}
-
-/// A shard worker's answer to [`ShardCmd::Flush`].
-struct FlushReport {
-    /// Session groups still waiting for earlier sessions, per lane.
-    env_reorder: usize,
-    reg_reorder: usize,
+    /// report how many session groups are still stuck in the reorder
+    /// buffers, both lanes (nonzero at day end means sessions were lost
+    /// in transit).
+    Flush(Sender<usize>),
 }
 
 /// Which shard worker owns a global session index. Ownership keys off
@@ -468,21 +382,72 @@ struct WorkerTelemetry {
     idle_us: u64,
 }
 
-/// Verified-but-uncommitted state shared between the shard workers and
-/// the commit sequencer: session groups that passed their shard's RLC
-/// sweep wait here for the sequencer to drain them as one contiguous,
-/// globally-ordered prefix.
-struct VerifiedInbox {
-    env: BTreeMap<u64, Vec<EnvelopeCommitment>>,
-    reg: BTreeMap<u64, Vec<RegistrationRecord>>,
-    /// Total records across both maps (commit-threshold bookkeeping).
+/// One ledger lane of the [`VerifiedInbox`]: session groups that passed
+/// their shard's RLC sweep, waiting for the sequencer to drain them as
+/// one contiguous, globally-ordered prefix.
+struct InboxLane<R> {
+    groups: BTreeMap<u64, Vec<R>>,
+    /// Records across `groups` (commit-threshold bookkeeping).
     records: usize,
     /// Per-worker release floors: worker `w` has released every owned
-    /// session below `env_floor[w]` (resp. `reg`). The global released
-    /// prefix is the minimum across workers — what parked barriers can
-    /// force a flush for.
-    env_floor: Vec<u64>,
-    reg_floor: Vec<u64>,
+    /// session below `floor[w]`. The global released prefix is the
+    /// minimum across workers — what parked barriers can force a flush
+    /// for.
+    floor: Vec<u64>,
+}
+
+impl<R> InboxLane<R> {
+    fn new(floor: Vec<u64>) -> Self {
+        Self {
+            groups: BTreeMap::new(),
+            records: 0,
+            floor,
+        }
+    }
+
+    /// Takes what `worker` verified (`groups`) and released empty
+    /// (`empties` — they advance the commit prefix but verify nothing),
+    /// and its new release floor.
+    fn publish(
+        &mut self,
+        worker: usize,
+        groups: Vec<(u64, Vec<R>)>,
+        empties: Vec<u64>,
+        floor: u64,
+    ) {
+        for session in empties {
+            self.groups.entry(session).or_default();
+        }
+        for (session, group) in groups {
+            self.records += group.len();
+            self.groups.insert(session, group);
+        }
+        self.floor[worker] = floor;
+    }
+
+    /// Removes the contiguous run of groups starting at session `next`,
+    /// in session order.
+    fn drain_prefix(&mut self, mut next: u64) -> Vec<Vec<R>> {
+        let mut groups = Vec::new();
+        while let Some(group) = self.groups.remove(&next) {
+            self.records -= group.len();
+            groups.push(group);
+            next += 1;
+        }
+        groups
+    }
+
+    /// Every session below this is released by its owning worker.
+    fn released_through(&self) -> u64 {
+        self.floor.iter().copied().min().unwrap_or(u64::MAX)
+    }
+}
+
+/// Verified-but-uncommitted state shared between the shard workers and
+/// the commit sequencer.
+struct VerifiedInbox {
+    env: InboxLane<EnvelopeCommitment>,
+    reg: InboxLane<RegistrationRecord>,
     /// Earliest verification failure across all workers, by session.
     failed: Option<(u64, ServiceError)>,
     stats: Vec<WorkerTelemetry>,
@@ -495,14 +460,16 @@ impl VerifiedInbox {
             .map(|s| s.first().copied().unwrap_or(u64::MAX))
             .collect();
         Self {
-            env: BTreeMap::new(),
-            reg: BTreeMap::new(),
-            records: 0,
-            env_floor: floor.clone(),
-            reg_floor: floor,
+            env: InboxLane::new(floor.clone()),
+            reg: InboxLane::new(floor),
             failed: None,
             stats: vec![WorkerTelemetry::default(); worker_sessions.len()],
         }
+    }
+
+    /// Total records across both lanes.
+    fn records(&self) -> usize {
+        self.env.records + self.reg.records
     }
 
     /// Record a verification failure, keeping the earliest session.
@@ -514,8 +481,37 @@ impl VerifiedInbox {
     }
 }
 
+/// What one lane of a shard worker hands the inbox: the verified-good
+/// session groups in submission order, the sessions released empty, and
+/// the first verification failure (pinned to its session) if a sweep hit
+/// one.
+struct LaneUpdate<R> {
+    groups: Vec<(u64, Vec<R>)>,
+    empties: Vec<u64>,
+    failure: Option<(u64, ServiceError)>,
+}
+
+impl<R> Default for LaneUpdate<R> {
+    fn default() -> Self {
+        Self {
+            groups: Vec::new(),
+            empties: Vec::new(),
+            failure: None,
+        }
+    }
+}
+
+impl<R> LaneUpdate<R> {
+    fn is_empty(&self) -> bool {
+        self.groups.is_empty() && self.empties.is_empty() && self.failure.is_none()
+    }
+}
+
 /// One ledger lane of a shard worker: the reorder buffer over the
-/// worker's *owned* sessions plus the verification backlog.
+/// worker's *owned* sessions, the verification backlog, and the lane's
+/// pure signature-chain check ([`EnvelopeLedger::verify_batch`] or
+/// [`RegistrationLedger::verify_batch`]) — the only thing the two lanes
+/// do differently.
 struct WorkerLane<R> {
     /// The worker's owned global session indices, ascending (sparse —
     /// shards interleave in the global order).
@@ -529,10 +525,11 @@ struct WorkerLane<R> {
     pending_records: usize,
     batches: u64,
     sweeps: u64,
+    verify: fn(&[R], usize) -> Result<(), LedgerError>,
 }
 
-impl<R> WorkerLane<R> {
-    fn new(sessions: Arc<Vec<u64>>) -> Self {
+impl<R: Clone> WorkerLane<R> {
+    fn new(sessions: Arc<Vec<u64>>, verify: fn(&[R], usize) -> Result<(), LedgerError>) -> Self {
         Self {
             sessions,
             pos: 0,
@@ -541,6 +538,7 @@ impl<R> WorkerLane<R> {
             pending_records: 0,
             batches: 0,
             sweeps: 0,
+            verify,
         }
     }
 
@@ -554,8 +552,7 @@ impl<R> WorkerLane<R> {
     /// re-submissions are byte-identical, so first-wins is sound), then
     /// releases the in-order prefix of *owned* sessions: nonempty groups
     /// join the verification backlog, empty ones are returned so the
-    /// caller can publish them straight to the inbox (they advance the
-    /// commit prefix but verify nothing).
+    /// caller can publish them straight to the inbox.
     fn absorb(&mut self, groups: Vec<(u64, Vec<R>)>) -> Vec<u64> {
         for (session, records) in groups {
             if session < self.waiting_for() || self.reorder.contains_key(&session) {
@@ -584,14 +581,60 @@ impl<R> WorkerLane<R> {
         }
         empties
     }
+
+    /// The per-shard RLC admission sweep: one coalesced fold over
+    /// everything pending. On a fold failure, re-verify per group to
+    /// attribute the offender: groups before it survive, the offender
+    /// and everything after are dropped with the failure pinned to the
+    /// offending session.
+    fn sweep(&mut self, threads: usize) -> LaneUpdate<R> {
+        let mut update = LaneUpdate::default();
+        if self.pending.is_empty() {
+            return update;
+        }
+        self.sweeps += 1;
+        self.pending_records = 0;
+        let groups = std::mem::take(&mut self.pending);
+        let flat: Vec<R> = groups.iter().flat_map(|(_, g)| g.iter().cloned()).collect();
+        if (self.verify)(&flat, threads).is_ok() {
+            update.groups = groups;
+            return update;
+        }
+        // If no group reproduces the coalesced failure, the per-group
+        // pass is authoritative (an RLC false accept is the
+        // cryptographically negligible direction, not this one).
+        for (session, group) in groups {
+            match (self.verify)(&group, threads) {
+                Ok(()) => update.groups.push((session, group)),
+                Err(e) => {
+                    update.failure = Some((session, e.into()));
+                    break;
+                }
+            }
+        }
+        update
+    }
+
+    /// A station's submission: buffer and release, and past the cap
+    /// sweep inline. Verification needs no ledger, so the backlog just
+    /// drains here, on the shard's own thread.
+    fn submit(&mut self, groups: Vec<(u64, Vec<R>)>, threads: usize) -> LaneUpdate<R> {
+        let empties = self.absorb(groups);
+        let mut update = if self.pending_records > MAX_PENDING_RECORDS {
+            self.sweep(threads)
+        } else {
+            LaneUpdate::default()
+        };
+        update.empties = empties;
+        update
+    }
 }
 
 /// One shard verification worker: owns the reorder buffers for its
 /// session partition and runs the per-shard RLC admission sweeps. It
 /// never touches a ledger — verification is pure signature-chain
-/// checking ([`EnvelopeLedger::verify_batch`] /
-/// [`RegistrationLedger::verify_batch`]), which is exactly why N of
-/// these can run concurrently while commits stay single-owner.
+/// checking — which is exactly why N of these can run concurrently while
+/// commits stay single-owner.
 struct ShardWorker {
     id: usize,
     threads: usize,
@@ -607,11 +650,6 @@ struct ShardWorker {
     idle: Duration,
 }
 
-/// A sweep's outcome: the verified-good session groups in submission
-/// order, plus the first verification failure (pinned to its session)
-/// if the sweep hit one.
-type SweepOutcome<R> = (Vec<(u64, Vec<R>)>, Option<(u64, ServiceError)>);
-
 impl ShardWorker {
     fn telemetry(&self) -> WorkerTelemetry {
         WorkerTelemetry {
@@ -624,191 +662,82 @@ impl ShardWorker {
         }
     }
 
-    /// The per-shard RLC admission sweep for the envelope lane: one
-    /// coalesced fold over everything pending. On a fold failure,
-    /// re-verify per group to attribute the offender: groups before it
-    /// survive, the offender and everything after are dropped with the
-    /// failure pinned to the offending session.
-    fn sweep_env(&mut self) -> SweepOutcome<EnvelopeCommitment> {
-        if self.env.pending.is_empty() {
-            return (Vec::new(), None);
-        }
-        self.env.sweeps += 1;
-        self.env.pending_records = 0;
-        let groups = std::mem::take(&mut self.env.pending);
-        let flat: Vec<EnvelopeCommitment> =
-            groups.iter().flat_map(|(_, g)| g.iter().cloned()).collect();
-        if EnvelopeLedger::verify_batch(&flat, self.threads).is_ok() {
-            return (groups, None);
-        }
-        let mut good = Vec::new();
-        for (session, group) in groups {
-            match EnvelopeLedger::verify_batch(&group, self.threads) {
-                Ok(()) => good.push((session, group)),
-                Err(e) => return (good, Some((session, e.into()))),
-            }
-        }
-        // The coalesced fold failed but no group reproduces it: the
-        // per-group pass is authoritative (an RLC false accept is the
-        // cryptographically negligible direction, not this one).
-        (good, None)
-    }
-
-    /// [`Self::sweep_env`] for the registration lane.
-    fn sweep_reg(&mut self) -> SweepOutcome<RegistrationRecord> {
-        if self.reg.pending.is_empty() {
-            return (Vec::new(), None);
-        }
-        self.reg.sweeps += 1;
-        self.reg.pending_records = 0;
-        let groups = std::mem::take(&mut self.reg.pending);
-        let flat: Vec<RegistrationRecord> =
-            groups.iter().flat_map(|(_, g)| g.iter().cloned()).collect();
-        if RegistrationLedger::verify_batch(&flat, self.threads).is_ok() {
-            return (groups, None);
-        }
-        let mut good = Vec::new();
-        for (session, group) in groups {
-            match RegistrationLedger::verify_batch(&group, self.threads) {
-                Ok(()) => good.push((session, group)),
-                Err(e) => return (good, Some((session, e.into()))),
-            }
-        }
-        (good, None)
-    }
-
     /// Pushes this worker's new state into the shared inbox under one
-    /// lock — verified groups, released-empty sessions, release floors,
-    /// telemetry and any verification failures — and returns the sticky
-    /// *global* failure (possibly another worker's) if one is set.
+    /// lock — both lanes' updates, release floors, telemetry and any
+    /// verification failures — and returns the sticky *global* failure
+    /// (possibly another worker's) if one is set.
     fn publish(
         &mut self,
-        env_groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-        env_empties: Vec<u64>,
-        reg_groups: Vec<(u64, Vec<RegistrationRecord>)>,
-        reg_empties: Vec<u64>,
-        failures: Vec<(u64, ServiceError)>,
+        env: LaneUpdate<EnvelopeCommitment>,
+        reg: LaneUpdate<RegistrationRecord>,
     ) -> Option<ServiceError> {
         let telemetry = self.telemetry();
         let mut sh = lock_recover(&self.inbox);
-        for session in env_empties {
-            sh.env.entry(session).or_default();
-        }
-        for (session, group) in env_groups {
-            sh.records += group.len();
-            sh.env.insert(session, group);
-        }
-        for session in reg_empties {
-            sh.reg.entry(session).or_default();
-        }
-        for (session, group) in reg_groups {
-            sh.records += group.len();
-            sh.reg.insert(session, group);
-        }
-        sh.env_floor[self.id] = self.env.waiting_for();
-        sh.reg_floor[self.id] = self.reg.waiting_for();
+        sh.env
+            .publish(self.id, env.groups, env.empties, self.env.waiting_for());
+        sh.reg
+            .publish(self.id, reg.groups, reg.empties, self.reg.waiting_for());
         sh.stats[self.id] = telemetry;
-        for (session, error) in failures {
+        for (session, error) in env.failure.into_iter().chain(reg.failure) {
             sh.fail(session, error);
         }
         sh.failed.as_ref().map(|(_, e)| e.clone())
     }
 
-    /// Sweep both lanes and publish; poke the sequencer if anything
-    /// moved so it can commit and re-check parked barriers.
-    fn sweep_and_publish(&mut self) {
-        let (env_groups, env_fail) = self.sweep_env();
-        let (reg_groups, reg_fail) = self.sweep_reg();
-        let moved = !env_groups.is_empty()
-            || !reg_groups.is_empty()
-            || env_fail.is_some()
-            || reg_fail.is_some();
-        let failures: Vec<_> = env_fail.into_iter().chain(reg_fail).collect();
-        if let Some(e) = self.publish(env_groups, Vec::new(), reg_groups, Vec::new(), failures) {
+    /// Sweeps both lanes and publishes; returns whether anything moved
+    /// (so the sequencer is worth poking).
+    fn sweep_and_publish(&mut self) -> bool {
+        let env = self.env.sweep(self.threads);
+        let reg = self.reg.sweep(self.threads);
+        let moved = !(env.is_empty() && reg.is_empty());
+        if let Some(e) = self.publish(env, reg) {
             self.failed.get_or_insert(e);
         }
-        if moved {
-            let _ = self.seq.send(Cmd::Poke);
+        moved
+    }
+
+    /// Acknowledges a station's submission on one lane: refused after a
+    /// sticky failure, otherwise `submit` runs the lane's
+    /// [`WorkerLane::submit`], the result is published and the sequencer
+    /// poked so it can commit and re-check parked barriers.
+    fn acknowledge(
+        &mut self,
+        submit: impl FnOnce(
+            &mut Self,
+        ) -> (
+            LaneUpdate<EnvelopeCommitment>,
+            LaneUpdate<RegistrationRecord>,
+        ),
+    ) -> Result<(), ServiceError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let (env, reg) = submit(self);
+        let sticky = self.publish(env, reg);
+        let _ = self.seq.send(Cmd::Poke);
+        match sticky {
+            Some(e) => Err(self.failed.get_or_insert(e).clone()),
+            None => Ok(()),
         }
     }
 
     fn handle(&mut self, cmd: ShardCmd) {
         match cmd {
             ShardCmd::Envelopes(groups, reply) => {
-                if let Some(e) = self.failed.clone() {
-                    let _ = reply.send(Err(e));
-                    return;
-                }
-                let empties = self.env.absorb(groups);
-                // Over the cap: sweep inline. Verification needs no
-                // ledger, so unlike the old single worker there is no
-                // flush-and-retry dance — the backlog just drains here,
-                // on the shard's own thread.
-                let (swept, fail) = if self.env.pending_records > MAX_PENDING_RECORDS {
-                    self.sweep_env()
-                } else {
-                    (Vec::new(), None)
-                };
-                let sticky = self.publish(
-                    swept,
-                    empties,
-                    Vec::new(),
-                    Vec::new(),
-                    fail.into_iter().collect(),
+                let _ = reply.send(
+                    self.acknowledge(|w| (w.env.submit(groups, w.threads), LaneUpdate::default())),
                 );
-                let _ = self.seq.send(Cmd::Poke);
-                let out = match sticky {
-                    Some(e) => {
-                        self.failed.get_or_insert(e.clone());
-                        Err(e)
-                    }
-                    None => Ok(()),
-                };
-                let _ = reply.send(out);
             }
             ShardCmd::Records(groups, reply) => {
-                if let Some(e) = self.failed.clone() {
-                    let _ = reply.send(Err(e));
-                    return;
-                }
-                let empties = self.reg.absorb(groups);
-                let (swept, fail) = if self.reg.pending_records > MAX_PENDING_RECORDS {
-                    self.sweep_reg()
-                } else {
-                    (Vec::new(), None)
-                };
-                let sticky = self.publish(
-                    Vec::new(),
-                    Vec::new(),
-                    swept,
-                    empties,
-                    fail.into_iter().collect(),
+                let _ = reply.send(
+                    self.acknowledge(|w| (LaneUpdate::default(), w.reg.submit(groups, w.threads))),
                 );
-                let _ = self.seq.send(Cmd::Poke);
-                let out = match sticky {
-                    Some(e) => {
-                        self.failed.get_or_insert(e.clone());
-                        Err(e)
-                    }
-                    None => Ok(()),
-                };
-                let _ = reply.send(out);
             }
             ShardCmd::Flush(ack) => {
-                let (env_groups, env_fail) = self.sweep_env();
-                let (reg_groups, reg_fail) = self.sweep_reg();
-                let failures: Vec<_> = env_fail.into_iter().chain(reg_fail).collect();
-                if let Some(e) =
-                    self.publish(env_groups, Vec::new(), reg_groups, Vec::new(), failures)
-                {
-                    self.failed.get_or_insert(e);
-                }
                 // No poke: the sequencer is blocked on this ack and
                 // commits as soon as every shard reports.
-                let _ = ack.send(FlushReport {
-                    env_reorder: self.env.reorder.len(),
-                    reg_reorder: self.reg.reorder.len(),
-                });
+                self.sweep_and_publish();
+                let _ = ack.send(self.env.reorder.len() + self.reg.reorder.len());
             }
         }
     }
@@ -826,7 +755,9 @@ impl ShardWorker {
                         && self.env.pending_records + self.reg.pending_records >= MIN_IDLE_SWEEP
                     {
                         let t = Instant::now();
-                        self.sweep_and_publish();
+                        if self.sweep_and_publish() {
+                            let _ = self.seq.send(Cmd::Poke);
+                        }
                         self.busy += t.elapsed();
                         continue;
                     }
@@ -855,6 +786,79 @@ impl ShardWorker {
     }
 }
 
+/// Commands for the commit sequencer — the one thread owning the ledgers.
+enum Cmd {
+    CheckIn(VoterId, Sender<Result<CheckInTicket, ServiceError>>),
+    SyncThrough(u64, Sender<Result<(), ServiceError>>),
+    SyncAll(Sender<Result<(), ServiceError>>),
+    Activate(Vec<ActivationClaim>, Sender<Result<(), ServiceError>>),
+    Heads(Sender<Result<LedgerHeads, ServiceError>>),
+    Stats(Sender<IngestStatsReply>),
+    /// Fail every parked barrier so blocked stations unwind (day abort).
+    Abort,
+    /// A shard worker changed the shared inbox (released, verified or
+    /// failed something): commit opportunistically and re-check parked
+    /// barriers. Carries nothing — the inbox is the message.
+    Poke,
+    /// Day teardown, sent exactly once by the coordinator after every
+    /// station is done: the sequencer drops its shard senders so the
+    /// workers drain, exit-sweep into the inbox, and release their own
+    /// sequencer senders in turn. Without this the worker ⇄ sequencer
+    /// channel cycle would keep both sides parked in `recv` forever.
+    Shutdown,
+}
+
+/// One ledger lane of the sequencer: the commit cursor plus the lane's
+/// preverified append
+/// ([`EnvelopeLedger::commit_batch_preverified`] or
+/// [`RegistrationLedger::post_batch_preverified`]) — the only thing the
+/// two lanes do differently.
+struct CommitLane<R> {
+    /// Next session to commit; `[0, next)` is on this lane's ledger.
+    next: u64,
+    append: fn(&mut Ledger, Vec<R>, usize) -> Result<(), LedgerError>,
+}
+
+impl<R: Clone> CommitLane<R> {
+    /// Commits `groups` — the contiguous verified prefix starting at
+    /// `self.next`, in session order — as one coalesced append, with a
+    /// per-group fallback to pin a failure to the first offending session
+    /// and keep the committed prefix before it. Eligibility (roster,
+    /// double registration) is a real failure mode of the registration
+    /// lane, checked here at the commit point; the preverified entry
+    /// points check it before appending anything, so re-running per
+    /// group never double-appends. Returns whether anything was appended,
+    /// and the failure if the lane hit one.
+    fn commit(
+        &mut self,
+        ledger: &mut Ledger,
+        threads: usize,
+        groups: Vec<Vec<R>>,
+    ) -> (bool, Option<ServiceError>) {
+        let count = groups.len() as u64;
+        let flat: Vec<R> = groups.iter().flatten().cloned().collect();
+        if flat.is_empty() {
+            self.next += count;
+            return (false, None);
+        }
+        if (self.append)(ledger, flat, threads).is_ok() {
+            self.next += count;
+            return (true, None);
+        }
+        let mut appended = false;
+        for group in groups {
+            if !group.is_empty() {
+                if let Err(e) = (self.append)(ledger, group, threads) {
+                    return (appended, Some(e.into()));
+                }
+                appended = true;
+            }
+            self.next += 1;
+        }
+        (appended, None)
+    }
+}
+
 /// The commit sequencer: the one thread owning the ledgers for the day.
 /// It drains the shared inbox's contiguous verified prefix and appends
 /// it in exact global session order through the preverified entry points
@@ -862,9 +866,9 @@ impl ShardWorker {
 /// workers change *where verification runs*, never what lands on the
 /// ledger or how many signed heads a day produces. Every mutation
 /// funnels through [`Sequencer::flush_all`], whose final `persist()` is
-/// the one durable commit point: no code path publishes progress,
-/// answers a barrier, or returns ledger heads for state that has not
-/// already been fsynced under a signed head.
+/// the one durable commit point: no code path answers a barrier or
+/// returns ledger heads for state that has not already been fsynced
+/// under a signed head.
 struct Sequencer<'a> {
     ledger: &'a mut Ledger,
     official: &'a Official,
@@ -873,23 +877,20 @@ struct Sequencer<'a> {
     workers: usize,
     shard_txs: Vec<Sender<ShardCmd>>,
     inbox: Arc<Mutex<VerifiedInbox>>,
-    /// Next session to commit per lane; `[0, env_next)` is on the
-    /// envelope ledger (resp. `reg`).
-    env_next: u64,
-    reg_next: u64,
+    env: CommitLane<EnvelopeCommitment>,
+    reg: CommitLane<RegistrationRecord>,
     parked: Vec<(u64, Sender<Result<(), ServiceError>>)>,
     failed: Option<ServiceError>,
     /// Reorder-buffer occupancy reported by the last flush barrier —
     /// nonzero at day end means sessions were lost in transit.
     stalled_reorder: usize,
-    progress: IngestProgress,
     busy: Duration,
     idle: Duration,
 }
 
 impl Sequencer<'_> {
     fn admitted_through(&self) -> u64 {
-        self.env_next.min(self.reg_next)
+        self.env.next.min(self.reg.next)
     }
 
     /// The durable commit barrier, with graceful degradation: a WAL IO
@@ -906,132 +907,35 @@ impl Sequencer<'_> {
     }
 
     fn inbox_records(&self) -> usize {
-        lock_recover(&self.inbox).records
+        lock_recover(&self.inbox).records()
     }
 
     /// Drains the contiguous verified prefix out of the inbox and
-    /// commits it: coalesced, globally-ordered preverified appends, one
-    /// per ledger, with a per-group fallback to attribute eligibility
-    /// failures (the preverified entry points check eligibility before
-    /// appending anything, so re-running per group never double-appends).
+    /// commits it, envelope lane first (see [`CommitLane::commit`]).
     /// Returns whether anything was appended; callers follow with the
-    /// `persist()` commit barrier before publishing progress.
+    /// `persist()` commit barrier before answering anyone.
     fn commit_ready(&mut self) -> bool {
         if self.failed.is_some() {
             return false;
         }
         let (env_groups, reg_groups, verify_failed) = {
             let mut sh = lock_recover(&self.inbox);
-            let mut env_groups = Vec::new();
-            let mut next = self.env_next;
-            while let Some(group) = sh.env.remove(&next) {
-                sh.records -= group.len();
-                env_groups.push(group);
-                next += 1;
-            }
-            let mut reg_groups = Vec::new();
-            let mut next = self.reg_next;
-            while let Some(group) = sh.reg.remove(&next) {
-                sh.records -= group.len();
-                reg_groups.push(group);
-                next += 1;
-            }
-            (env_groups, reg_groups, sh.failed.clone())
+            (
+                sh.env.drain_prefix(self.env.next),
+                sh.reg.drain_prefix(self.reg.next),
+                sh.failed.clone(),
+            )
         };
-        let mut appended = false;
-        if !env_groups.is_empty() {
-            let count = env_groups.len() as u64;
-            let flat: Vec<EnvelopeCommitment> = env_groups.iter().flatten().cloned().collect();
-            if flat.is_empty() {
-                self.env_next += count;
-            } else {
-                match self
-                    .ledger
-                    .envelopes
-                    .commit_batch_preverified(flat, self.threads)
-                {
-                    Ok(_) => {
-                        self.env_next += count;
-                        appended = true;
-                    }
-                    Err(_) => {
-                        // Attribute to the offending session group.
-                        for group in env_groups {
-                            if group.is_empty() {
-                                self.env_next += 1;
-                                continue;
-                            }
-                            match self
-                                .ledger
-                                .envelopes
-                                .commit_batch_preverified(group, self.threads)
-                            {
-                                Ok(_) => {
-                                    self.env_next += 1;
-                                    appended = true;
-                                }
-                                Err(e) => {
-                                    self.failed = Some(e.into());
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if self.failed.is_none() && !reg_groups.is_empty() {
-            let count = reg_groups.len() as u64;
-            let flat: Vec<RegistrationRecord> = reg_groups.iter().flatten().cloned().collect();
-            if flat.is_empty() {
-                self.reg_next += count;
-            } else {
-                match self
-                    .ledger
-                    .registration
-                    .post_batch_preverified(flat, self.threads)
-                {
-                    Ok(_) => {
-                        self.reg_next += count;
-                        appended = true;
-                    }
-                    Err(_) => {
-                        // Eligibility (roster, double registration) is a
-                        // real failure mode: re-run per group to pin it
-                        // to the first offending session and keep the
-                        // committed prefix before it.
-                        for group in reg_groups {
-                            if group.is_empty() {
-                                self.reg_next += 1;
-                                continue;
-                            }
-                            match self
-                                .ledger
-                                .registration
-                                .post_batch_preverified(group, self.threads)
-                            {
-                                Ok(_) => {
-                                    self.reg_next += 1;
-                                    appended = true;
-                                }
-                                Err(e) => {
-                                    self.failed = Some(e.into());
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let (mut appended, mut failed) = self.env.commit(self.ledger, self.threads, env_groups);
+        if failed.is_none() {
+            let (reg_appended, reg_failed) = self.reg.commit(self.ledger, self.threads, reg_groups);
+            appended |= reg_appended;
+            failed = reg_failed;
         }
         // A verification failure parked in the inbox becomes sticky only
         // after the good prefix before it is committed (the workers only
         // publish verified-good groups below the failing session).
-        if self.failed.is_none() {
-            if let Some((_, e)) = verify_failed {
-                self.failed = Some(e);
-            }
-        }
+        self.failed = failed.or(verify_failed.map(|(_, e)| e));
         appended
     }
 
@@ -1039,9 +943,9 @@ impl Sequencer<'_> {
     /// backlog *concurrently* (this fan-out is the throughput win of the
     /// shard layer), then one globally-ordered commit closes at the
     /// durable commit point — RLC admission → segment append → group
-    /// fsync → signed-head publish. Progress is published (and handles
-    /// resolve) only after `persist()` returns, so an admitted session
-    /// is always a persisted session.
+    /// fsync → signed-head publish. Barriers are answered only after
+    /// `persist()` returns, so an admitted session is always a persisted
+    /// session.
     fn flush_all(&mut self) {
         let mut acks = Vec::new();
         for tx in &self.shard_txs {
@@ -1050,20 +954,12 @@ impl Sequencer<'_> {
                 acks.push(ack_rx);
             }
         }
-        let mut stalled = 0;
-        for ack in acks {
-            if let Ok(report) = ack.recv() {
-                stalled += report.env_reorder + report.reg_reorder;
-            }
-        }
-        self.stalled_reorder = stalled;
+        self.stalled_reorder = acks.into_iter().filter_map(|ack| ack.recv().ok()).sum();
         self.commit_ready();
         // Commit barrier: everything this sweep admitted reaches stable
-        // storage (WAL fsync + signed head) before any handle observes
+        // storage (WAL fsync + signed head) before any barrier observes
         // it as admitted. A no-op on volatile backends.
         self.persist_ledger();
-        self.progress
-            .update(self.admitted_through(), self.failed.as_ref());
     }
 
     /// Resolves parked prefix barriers: flushes when a parked barrier's
@@ -1077,9 +973,7 @@ impl Sequencer<'_> {
         if self.failed.is_none() {
             let releasable = {
                 let sh = lock_recover(&self.inbox);
-                let env = sh.env_floor.iter().copied().min().unwrap_or(u64::MAX);
-                let reg = sh.reg_floor.iter().copied().min().unwrap_or(u64::MAX);
-                env.min(reg)
+                sh.env.released_through().min(sh.reg.released_through())
             };
             let admitted = self.admitted_through();
             if self
@@ -1153,7 +1047,7 @@ impl Sequencer<'_> {
                 self.flush_all();
                 let residual = {
                     let sh = lock_recover(&self.inbox);
-                    !sh.env.is_empty() || !sh.reg.is_empty()
+                    !sh.env.groups.is_empty() || !sh.reg.groups.is_empty()
                 };
                 let out = if let Some(e) = self.failed.clone() {
                     Err(e)
@@ -1210,7 +1104,7 @@ impl Sequencer<'_> {
             }
             Cmd::Poke => {
                 // The inbox changed; the shared post-command path below
-                // commits, re-checks parked barriers and publishes.
+                // commits and re-checks parked barriers.
             }
             Cmd::Shutdown => {
                 // Drop the shard senders: the workers' receivers
@@ -1242,11 +1136,6 @@ impl Sequencer<'_> {
                 self.persist_ledger();
             }
             self.service_parked();
-            // Publish progress even when nothing flushed: releasing an
-            // empty record group can advance the admitted prefix on its
-            // own, and handles block on this.
-            self.progress
-                .update(self.admitted_through(), self.failed.as_ref());
             self.busy += t.elapsed();
         }
         // Day over: every client and worker sender is gone — the workers
@@ -1261,7 +1150,6 @@ impl Sequencer<'_> {
                 "registration day ended with submissions missing".into(),
             )));
         }
-        self.progress.finish();
     }
 }
 
@@ -1277,7 +1165,6 @@ struct IngestClient {
     /// One engine-wide ticket sequence, so tickets stay monotonic per
     /// connection no matter which shard served the submission.
     tickets: Arc<AtomicU64>,
-    progress: IngestProgress,
 }
 
 impl IngestClient {
@@ -1307,22 +1194,24 @@ impl IngestClient {
         Ok(rx)
     }
 
-    /// Splits session-tagged groups by owning shard and waits for every
-    /// touched worker's acknowledgement (a station's sessions all live
-    /// in one shard, so the common case is exactly one send).
-    fn fan_out<R>(
+    /// Submits session-tagged groups on one lane (`make` picks it):
+    /// splits them by owning shard, waits for every touched worker's
+    /// acknowledgement (a station's sessions all live in one shard, so
+    /// the common case is exactly one send) and returns the submission's
+    /// ticket.
+    fn submit<R>(
         &self,
         groups: Vec<(u64, Vec<R>)>,
         make: impl Fn(Vec<(u64, Vec<R>)>, Sender<Result<(), ServiceError>>) -> ShardCmd,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<u64, ServiceError> {
         for ack in self.fan_out_async(groups, make)? {
             ack.recv()
                 .map_err(|_| ServiceError::Transport("ingest worker gone".into()))??;
         }
-        Ok(())
+        Ok(self.tickets.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// The non-blocking half of [`IngestClient::fan_out`]: splits groups
+    /// The non-blocking half of [`IngestClient::submit`]: splits groups
     /// by owning shard, sends, and hands back one acknowledgement
     /// receiver per touched worker.
     fn fan_out_async<R>(
@@ -1349,26 +1238,6 @@ impl IngestClient {
         Ok(acks)
     }
 
-    fn submit_envelopes(
-        &self,
-        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<(u64, IngestHandle), ServiceError> {
-        let through = groups.last().map_or(0, |(s, _)| s + 1);
-        self.fan_out(groups, ShardCmd::Envelopes)?;
-        let ticket = self.tickets.fetch_add(1, Ordering::SeqCst);
-        Ok((ticket, self.progress.handle(through)))
-    }
-
-    fn submit_records(
-        &self,
-        groups: Vec<(u64, Vec<RegistrationRecord>)>,
-    ) -> Result<(u64, IngestHandle), ServiceError> {
-        let through = groups.last().map_or(0, |(s, _)| s + 1);
-        self.fan_out(groups, ShardCmd::Records)?;
-        let ticket = self.tickets.fetch_add(1, Ordering::SeqCst);
-        Ok((ticket, self.progress.handle(through)))
-    }
-
     fn stats(&self) -> Result<IngestStatsReply, ServiceError> {
         let (tx, rx) = mpsc::channel();
         self.seq
@@ -1391,7 +1260,7 @@ impl IngestClient {
 
 /// The wired-but-unspawned sharded engine: [`build_ingest`] constructs
 /// every piece before any thread exists so the caller controls spawning
-/// (the day runner uses scoped threads; tests drive pieces directly).
+/// (the day runs them on scoped threads).
 struct IngestEngine<'a> {
     client: IngestClient,
     sequencer: Sequencer<'a>,
@@ -1413,7 +1282,6 @@ fn build_ingest<'a>(
 ) -> IngestEngine<'a> {
     let workers = worker_sessions.len();
     let (seq_tx, seq_rx) = mpsc::channel();
-    let progress = IngestProgress::new();
     let inbox = Arc::new(Mutex::new(VerifiedInbox::new(&worker_sessions)));
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shards = Vec::with_capacity(workers);
@@ -1426,8 +1294,8 @@ fn build_ingest<'a>(
                 id,
                 threads,
                 mode,
-                env: WorkerLane::new(Arc::clone(&sessions)),
-                reg: WorkerLane::new(sessions),
+                env: WorkerLane::new(Arc::clone(&sessions), EnvelopeLedger::verify_batch),
+                reg: WorkerLane::new(sessions, RegistrationLedger::verify_batch),
                 inbox: Arc::clone(&inbox),
                 seq: seq_tx.clone(),
                 failed: None,
@@ -1442,7 +1310,6 @@ fn build_ingest<'a>(
         shards: Arc::new(shard_txs.clone()),
         route,
         tickets: Arc::new(AtomicU64::new(0)),
-        progress: progress.clone(),
     };
     let sequencer = Sequencer {
         ledger,
@@ -1452,12 +1319,27 @@ fn build_ingest<'a>(
         workers,
         shard_txs,
         inbox,
-        env_next: 0,
-        reg_next: 0,
+        env: CommitLane {
+            next: 0,
+            append: |ledger, batch, threads| {
+                ledger
+                    .envelopes
+                    .commit_batch_preverified(batch, threads)
+                    .map(drop)
+            },
+        },
+        reg: CommitLane {
+            next: 0,
+            append: |ledger, batch, threads| {
+                ledger
+                    .registration
+                    .post_batch_preverified(batch, threads)
+                    .map(drop)
+            },
+        },
         parked: Vec::new(),
         failed: None,
         stalled_reorder: 0,
-        progress,
         busy: Duration::ZERO,
         idle: Duration::ZERO,
     };
@@ -1514,8 +1396,9 @@ impl HostCore<'_> {
 /// The in-process pipelined endpoint: ledger-free services run inline on
 /// the station's thread; submissions fan out to the shard workers and
 /// everything touching ledger state crosses the sequencer channel.
-/// Serves the same four service traits as [`crate::RegistrarHost`], so
-/// the fleet drives it through the ordinary [`ServiceBoundary`].
+/// Serves the same four service traits a [`ChannelClient`] speaks over
+/// the gateway, so the fleet drives either through the ordinary
+/// [`ServiceBoundary`].
 struct PipelinedEndpoint<'a> {
     core: HostCore<'a>,
     client: IngestClient,
@@ -1526,15 +1409,6 @@ impl RegistrarService for PipelinedEndpoint<'_> {
         self.client
             .call(|reply| Cmd::CheckIn(req.voter, reply))
             .map(|ticket| CheckInResponse { ticket })
-    }
-
-    fn check_out_batch(
-        &mut self,
-        _req: CheckOutBatchRequest,
-    ) -> Result<CheckOutBatchResponse, ServiceError> {
-        Err(ServiceError::Transport(
-            "pipelined registrar requires session-tagged submissions".into(),
-        ))
     }
 
     fn check_out_groups(
@@ -1555,7 +1429,7 @@ impl RegistrarService for PipelinedEndpoint<'_> {
             })
             .collect();
         let records = self.core.verify_and_countersign(groups)?;
-        let (ticket, _handle) = self.client.submit_records(records)?;
+        let ticket = self.client.submit(records, ShardCmd::Records)?;
         Ok(CheckOutBatchResponse { ticket })
     }
 }
@@ -1569,20 +1443,11 @@ impl PrintService for PipelinedEndpoint<'_> {
 }
 
 impl LedgerIngestService for PipelinedEndpoint<'_> {
-    fn submit_envelopes(
-        &mut self,
-        _req: EnvelopeSubmitRequest,
-    ) -> Result<IngestReceipt, ServiceError> {
-        Err(ServiceError::Transport(
-            "pipelined registrar requires session-tagged submissions".into(),
-        ))
-    }
-
     fn submit_envelope_groups(
         &mut self,
         req: SeqEnvelopeSubmitRequest,
     ) -> Result<IngestReceipt, ServiceError> {
-        let (ticket, _handle) = self.client.submit_envelopes(req.groups)?;
+        let ticket = self.client.submit(req.groups, ShardCmd::Envelopes)?;
         Ok(IngestReceipt { ticket })
     }
 
@@ -1658,22 +1523,6 @@ impl RegistrarBoundary for FaultingBoundary<'_> {
     ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError> {
         self.tick()?;
         self.inner.print_envelopes(jobs)
-    }
-
-    fn submit_envelopes(
-        &mut self,
-        commitments: Vec<EnvelopeCommitment>,
-    ) -> Result<IngestTicket, TripError> {
-        self.tick()?;
-        self.inner.submit_envelopes(commitments)
-    }
-
-    fn submit_checkouts(
-        &mut self,
-        checkouts: Vec<(CheckOutQr, NonceCoupon)>,
-    ) -> Result<IngestTicket, TripError> {
-        self.tick()?;
-        self.inner.submit_checkouts(checkouts)
     }
 
     fn submit_envelope_groups(
@@ -2057,7 +1906,7 @@ impl GatewayDispatch for PipelineDispatch<'_> {
             })),
             Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_) => {
                 Dispatched::Now(Response::Err(ServiceError::Transport(
-                    "pipelined registrar requires session-tagged submissions".into(),
+                    "the sharded registrar requires session-tagged submissions".into(),
                 )))
             }
             Request::SubmitEnvelopesSeq(m) => {
@@ -2129,123 +1978,49 @@ impl GatewayDispatch for PipelineDispatch<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The whole pipelined day
+// The whole threaded day
 // ---------------------------------------------------------------------------
 
-/// [`register_day`](crate::register_day) on the pipelined engine:
-/// background refillers, the server-side ingest worker, and one
-/// connection per polling station. Outcomes stream to `sink` in global
-/// queue order; ledgers are bit-identical to the sequential reference for
-/// any [`PipelineConfig`].
-pub fn pipelined_register_day(
-    fleet: &KioskFleet,
-    system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: impl Into<TransportPlan>,
-    pipeline: PipelineConfig,
-    mut sink: impl FnMut(RegistrationOutcome),
-) -> Result<DayStats, TripError> {
-    run_pipelined_day(
-        fleet,
-        system,
-        plan,
-        transport.into(),
-        pipeline,
-        false,
-        ChaosOptions::default(),
-        &mut |_, outcome, _| sink(outcome),
-    )
-}
+/// How many times a failed steal chunk may be re-partitioned onto the
+/// surviving stations before the day gives up with the runner's typed
+/// error. Depth 0 is the initial steal off a dead station; each retry
+/// re-steals only what is still undelivered, so bounded depth bounds
+/// total replay work at roughly `depth × remaining`.
+const MAX_RESTEAL_DEPTH: usize = 2;
 
-/// [`register_and_activate_day`](crate::register_and_activate_day) on the
-/// pipelined engine (see [`pipelined_register_day`]); activation runs in
-/// groups of [`PipelineConfig::activation_lag`] windows behind shared
-/// prefix barriers.
-pub fn pipelined_register_and_activate_day(
-    fleet: &KioskFleet,
-    system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: impl Into<TransportPlan>,
-    pipeline: PipelineConfig,
-    sink: impl FnMut(RegistrationOutcome, Vsd),
-) -> Result<DayStats, TripError> {
-    pipelined_register_and_activate_day_with_fault(
-        fleet, system, plan, transport, pipeline, None, sink,
-    )
-}
+/// Default coordinator liveness deadline: a station that delivers no
+/// outcome for this long (while still holding undelivered sessions) is
+/// declared *stalled* and its remainder is stolen exactly like a dead
+/// station's. Deliberately generous — healthy stations deliver every few
+/// milliseconds, and a false positive is merely wasteful (the dedup
+/// layer absorbs the double delivery), never incorrect. Chaos tests
+/// tighten it through [`ChaosOptions::stall_timeout`].
+const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// [`pipelined_register_and_activate_day`] with an optional injected
-/// station fault: the faulted station's connection dies mid-day and the
-/// coordinator re-runs its undelivered sessions on a fresh recovery
-/// connection — the failover path the adversarial tests exercise.
-pub fn pipelined_register_and_activate_day_with_fault(
+/// [`run_day`] on the threaded engine: the commit sequencer, the shard
+/// workers, the gateway (for every plan but plaintext in-process) and one
+/// thread per polling station, coordinated from the caller's thread.
+fn run_threaded_day(
     fleet: &KioskFleet,
     system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: impl Into<TransportPlan>,
-    pipeline: PipelineConfig,
-    fault: Option<StationFault>,
-    sink: impl FnMut(RegistrationOutcome, Vsd),
+    queue: &[(VoterId, usize)],
+    plan: &DayPlan,
+    sink: &mut dyn FnMut(RegistrationOutcome, Vsd),
 ) -> Result<DayStats, TripError> {
-    pipelined_register_and_activate_day_chaos(
-        fleet,
-        system,
-        plan,
+    let DayPlan {
         transport,
         pipeline,
-        ChaosOptions {
-            fault,
-            ..ChaosOptions::default()
-        },
-        sink,
-    )
-}
-
-/// [`pipelined_register_and_activate_day`] under a full [`ChaosOptions`]
-/// envelope: clean connection deaths, a seeded [`FaultPlan`] (network
-/// faults on every dialed channel plus disk faults under the WAL), and a
-/// tightened stall-detection deadline. The contract the chaos sweep
-/// asserts: the day either completes with ledgers bit-identical to the
-/// unfaulted sequential reference, or returns a typed [`TripError`] —
-/// never a panic, never a hang.
-pub fn pipelined_register_and_activate_day_chaos(
-    fleet: &KioskFleet,
-    system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: impl Into<TransportPlan>,
-    pipeline: PipelineConfig,
-    chaos: ChaosOptions,
-    mut sink: impl FnMut(RegistrationOutcome, Vsd),
-) -> Result<DayStats, TripError> {
-    run_pipelined_day(
-        fleet,
-        system,
-        plan,
-        transport.into(),
-        pipeline,
-        true,
-        chaos,
-        &mut |_, outcome, vsd| sink(outcome, vsd.unwrap_or_default()),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_day(
-    fleet: &KioskFleet,
-    system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: TransportPlan,
-    pipeline: PipelineConfig,
-    activate: bool,
-    chaos: ChaosOptions,
-    sink: &mut dyn FnMut(usize, RegistrationOutcome, Option<Vsd>),
-) -> Result<DayStats, TripError> {
+        activate,
+        ..
+    } = *plan;
+    let quiet = ChaosOptions::default();
+    let chaos = plan.chaos.as_ref().unwrap_or(&quiet);
     let fault = chaos.fault;
     let stall_timeout = chaos.stall_timeout.unwrap_or(DEFAULT_STALL_TIMEOUT);
     let authority_pk = system.authority.public_key;
     let printer_registry = system.printer_registry.clone();
-    let last_occurrence = last_occurrence_of(plan);
-    let total_sessions = plan.len();
+    let last_occurrence = last_occurrence_of(queue);
+    let total_sessions = queue.len();
     let TripSystem {
         officials,
         printers,
@@ -2272,7 +2047,7 @@ fn run_pipelined_day(
         printer_registry: &printer_registry,
         last_occurrence: &last_occurrence,
     };
-    let station_plans = partition_stations(plan, kiosks, pipeline.stations)?;
+    let station_plans = partition_stations(queue, kiosks, pipeline.stations)?;
 
     // Shard ownership: one worker per station partition, folded down to
     // the effective worker count. Routing keys off the *original* kiosk
@@ -2566,7 +2341,7 @@ fn run_pipelined_day(
                             if let Some(looted) = stolen {
                                 adversary_loot.push(looted);
                             }
-                            sink(next_emit, outcome, vsd);
+                            sink(outcome, vsd.unwrap_or_default());
                             next_emit += 1;
                         }
                     }
@@ -2822,100 +2597,4 @@ fn run_pipelined_day(
         drop(client);
         result
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vg_crypto::{HmacDrbg, Rng};
-    use vg_trip::setup::TripConfig;
-
-    /// The sharded engine over a real ledger: two shard workers own the
-    /// even/odd session interleave, handles resolve by poll/wait while
-    /// the per-worker reorder buffers restore cross-station submission
-    /// order, and the sequencer still commits one global prefix.
-    #[test]
-    fn ingest_handles_resolve_in_global_order() {
-        let mut rng = HmacDrbg::from_u64(9);
-        let mut system = TripSystem::setup(TripConfig::with_voters(2), &mut rng);
-        let printer = EnvelopePrinter::new(&mut rng);
-        let TripSystem {
-            officials, ledger, ..
-        } = &mut system;
-        let commitment = |i: u64| {
-            let mut r = HmacDrbg::from_u64(i);
-            printer
-                .print_detached(r.scalar(), vg_trip::materials::Symbol::Star)
-                .1
-        };
-
-        // Two kiosks owned by two stations, folded onto two workers:
-        // worker 0 owns session 0, worker 1 owns session 1.
-        let route = ShardRoute {
-            owner: Arc::new(kiosk_owners(2, 2)),
-            workers: 2,
-        };
-        let engine = build_ingest(
-            ledger,
-            &officials[0],
-            1,
-            IngestMode::Background,
-            route,
-            vec![vec![0], vec![1]],
-        );
-        let IngestEngine {
-            client,
-            sequencer,
-            seq_rx,
-            shards,
-        } = engine;
-        std::thread::scope(|scope| {
-            scope.spawn(move || sequencer.run(seq_rx));
-            for (worker, rx) in shards {
-                scope.spawn(move || worker.run(rx));
-            }
-
-            // Session 1 arrives before session 0: its handle must stay
-            // pending (the registration lane gates admitted_through too,
-            // so we drive both lanes).
-            let (_, h1) = client
-                .submit_envelopes(vec![(1, vec![commitment(1)])])
-                .unwrap();
-            assert!(h1.poll().is_none(), "gap: session 0 missing");
-            let (_, h0) = client
-                .submit_envelopes(vec![(0, vec![commitment(0)])])
-                .unwrap();
-            // Registration lane: both sessions' records are required
-            // before the global prefix counts as admitted. An empty
-            // record group per session keeps the lanes' bookkeeping
-            // moving without real check-out material.
-            client
-                .submit_records(vec![(0, vec![]), (1, vec![])])
-                .unwrap();
-            // Two pending commitments sit below the idle-sweep floor, so
-            // drive the sweep with a prefix barrier — exactly what a
-            // station's activation group does.
-            client
-                .call(|reply| Cmd::SyncThrough(2, reply))
-                .expect("prefix barrier");
-            h0.wait().expect("prefix admitted");
-            h1.wait().expect("prefix admitted");
-            assert_eq!(h1.poll(), Some(Ok(())));
-            // Duplicate (failover-style) resubmission is dropped, not
-            // double-admitted.
-            let (_, dup) = client
-                .submit_envelopes(vec![(0, vec![commitment(0)])])
-                .unwrap();
-            dup.wait().expect("already admitted");
-            let stats = client.stats().unwrap();
-            assert!(stats.env_batches > 0);
-            assert_eq!(stats.workers, 2);
-            // Teardown handshake (see `Cmd::Shutdown`): the sequencer
-            // releases the workers, then the last client drop releases
-            // the sequencer.
-            client.shutdown();
-            drop(client);
-        });
-        assert!(system.ledger.envelopes.committed_count() >= 2);
-    }
 }

@@ -8,16 +8,26 @@
 //! | [`PrintService`] | envelope printers (Fig 7 line 5) | print room |
 //! | [`ActivationService`] | the ledger-facing half of activation (Fig 11 lines 9–11) | registrar |
 //!
-//! Implementations: `RegistrarHost` serves all four in-process;
-//! `TcpClient` speaks them over a framed socket. The fleet consumes them
-//! bundled as a [`RegistrarEndpoint`] through the `ServiceBoundary`
-//! adapter.
+//! Implementations: the threaded engine's in-process endpoint serves all
+//! four straight off the shard workers and the commit sequencer;
+//! `ChannelClient` speaks them over any framed channel into the gateway.
+//! The fleet consumes them bundled as a [`RegistrarEndpoint`] through the
+//! `ServiceBoundary` adapter. (An inline day — see
+//! [`run_day`](crate::run_day) — skips this layer entirely and runs on
+//! `vg_trip::LocalBoundary`, which documents the same commit-point
+//! contract.)
+//!
+//! The untagged `Request::SubmitEnvelopes` / `Request::CheckOutBatch`
+//! messages are sent by no fleet and served by no host any more (every
+//! station submits session-tagged groups, and the traits no longer carry
+//! the untagged calls); their codec stays in [`crate::messages`] because
+//! the wire format is versioned and the lifecycle benchmark probes it.
 
 use crate::error::ServiceError;
 use crate::messages::{
-    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchRequest,
-    CheckOutBatchResponse, EnvelopeSubmitRequest, IngestReceipt, IngestStatsReply, LedgerHeads,
-    PrintRequest, PrintResponse, SeqCheckOutRequest, SeqEnvelopeSubmitRequest,
+    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchResponse, IngestReceipt,
+    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, SeqCheckOutRequest,
+    SeqEnvelopeSubmitRequest,
 };
 
 /// The registration officials' desk service.
@@ -36,28 +46,16 @@ pub trait RegistrarService {
     /// Check-in (Fig 8): authenticates the voter, issues a session ticket.
     fn check_in(&mut self, req: CheckInRequest) -> Result<CheckInResponse, ServiceError>;
 
-    /// Batched check-out (Fig 10): verifies kiosk signatures, countersigns
-    /// from the supplied coupons, and queues the records for L_R
-    /// admission. The returned ticket resolves by the next
+    /// Session-tagged batched check-out from one polling station (Fig
+    /// 10): verifies kiosk signatures, countersigns from the supplied
+    /// coupons, and queues the records for L_R admission; the registrar
+    /// uses the global indices to restore queue order across stations
+    /// before admission. The returned ticket resolves by the next
     /// [`LedgerIngestService::sync`].
-    fn check_out_batch(
-        &mut self,
-        req: CheckOutBatchRequest,
-    ) -> Result<CheckOutBatchResponse, ServiceError>;
-
-    /// Session-tagged batched check-out from one polling station. A
-    /// single-connection host may flatten to
-    /// [`RegistrarService::check_out_batch`] (the default — submissions
-    /// arrive pre-ordered there); a multi-station registrar uses the
-    /// global indices to restore queue order before admission.
     fn check_out_groups(
         &mut self,
         req: SeqCheckOutRequest,
-    ) -> Result<CheckOutBatchResponse, ServiceError> {
-        self.check_out_batch(CheckOutBatchRequest {
-            checkouts: req.groups.into_iter().flat_map(|(_, c)| c).collect(),
-        })
-    }
+    ) -> Result<CheckOutBatchResponse, ServiceError>;
 }
 
 /// The bulletin board's asynchronous admission front-end.
@@ -86,17 +84,11 @@ pub trait RegistrarService {
 /// that commits them. A crash after the barrier returns loses nothing
 /// it covered: reopening the store replays the WAL back to the same
 /// heads, bit-identically. Receipts from
-/// [`LedgerIngestService::submit_envelopes`] alone promise ordering,
-/// not durability; durability attaches at the next barrier (or, on the
-/// pipelined host, when the covering `IngestHandle` resolves — its
-/// `wait` documents the same contract per ingest mode).
+/// [`LedgerIngestService::submit_envelope_groups`] alone promise ordering,
+/// not durability; durability attaches at the next barrier, identically
+/// under both [`IngestMode`](crate::IngestMode)s — the modes only change
+/// when sweeps happen, not what a returned barrier means.
 pub trait LedgerIngestService {
-    /// Queues a window's envelope commitments for L_E admission.
-    fn submit_envelopes(
-        &mut self,
-        req: EnvelopeSubmitRequest,
-    ) -> Result<IngestReceipt, ServiceError>;
-
     /// Barrier: drives every queued submission (envelopes *and* check-out
     /// records) to admission, surfacing the earliest failure.
     fn sync(&mut self) -> Result<(), ServiceError>;
@@ -104,33 +96,21 @@ pub trait LedgerIngestService {
     /// Signed tree heads of L_R and L_E (implies a sync).
     fn ledger_heads(&mut self) -> Result<LedgerHeads, ServiceError>;
 
-    /// Session-tagged envelope submission from one polling station
-    /// (ordering contract as [`RegistrarService::check_out_groups`];
-    /// default flattens for single-connection hosts).
+    /// Queues a window's envelope commitments for L_E admission,
+    /// session-tagged (ordering contract as
+    /// [`RegistrarService::check_out_groups`]).
     fn submit_envelope_groups(
         &mut self,
         req: SeqEnvelopeSubmitRequest,
-    ) -> Result<IngestReceipt, ServiceError> {
-        self.submit_envelopes(crate::messages::EnvelopeSubmitRequest {
-            commitments: req.groups.into_iter().flat_map(|(_, g)| g).collect(),
-        })
-    }
+    ) -> Result<IngestReceipt, ServiceError>;
 
     /// Prefix barrier: returns once every session with global index below
-    /// `sessions` is admitted on both ledgers. On a single-connection
-    /// host the whole queue is the prefix, so the default full
-    /// [`LedgerIngestService::sync`] is equivalent.
-    fn sync_through(&mut self, sessions: u64) -> Result<(), ServiceError> {
-        let _ = sessions;
-        self.sync()
-    }
+    /// `sessions` is admitted on both ledgers.
+    fn sync_through(&mut self, sessions: u64) -> Result<(), ServiceError>;
 
     /// Coalescing and worker-utilization telemetry (see
-    /// [`IngestStatsReply`]); hosts without an ingest worker report zero
-    /// busy/idle time.
-    fn ingest_stats(&mut self) -> Result<IngestStatsReply, ServiceError> {
-        Ok(IngestStatsReply::default())
-    }
+    /// [`IngestStatsReply`]).
+    fn ingest_stats(&mut self) -> Result<IngestStatsReply, ServiceError>;
 }
 
 /// The envelope print service.

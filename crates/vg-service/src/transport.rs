@@ -1,50 +1,44 @@
-//! Transport plans, the fleet-facing [`ServiceBoundary`] adapter, channel
-//! serving, and whole-registration-day runners.
+//! Transport plans, the fleet-facing [`ServiceBoundary`] adapter, the
+//! [`ChannelClient`] that speaks the four services over any framed
+//! channel, and the day telemetry every [`run_day`](crate::run_day)
+//! returns.
 //!
 //! Endpoints are pluggable *channel values* (see [`crate::channel`]): a
-//! day runner takes a [`TransportPlan`] — a link kind × security policy
-//! pair — and wires the fleet to the registrar through whichever
-//! [`Connector`]/[`Listener`](crate::channel::Listener) implements it.
-//! All plans serve the *same*
-//! [`RegistrarHost`] logic, so a fleet run is bit-identical across them
-//! (pinned by the workspace's cross-transport equivalence proptests):
+//! day takes a [`TransportPlan`] — a link kind × security policy pair —
+//! and wires its stations to the registrar through whichever
+//! [`Connector`] implements it:
 //!
-//! - `InProcess × Plaintext`: the endpoint **is** the host — direct
-//!   method calls, zero copies, no serialization. The reference.
-//! - `InProcess × Secure`: the full handshake + encrypted records over an
-//!   in-process pipe, exercising the identical protocol state machines
-//!   without a socket.
+//! - `InProcess × Plaintext`: no frames at all. On the default pipeline
+//!   the day runs inline on [`vg_trip::LocalBoundary`]; on any other it
+//!   dispatches straight into the sharded engine over in-process
+//!   channels. The reference.
+//! - `InProcess × Secure`: the full handshake + encrypted records over
+//!   in-process pipes into the gateway, exercising the identical
+//!   protocol state machines without a socket.
 //! - `Tcp × {Plaintext, Secure}`: length-prefixed frames over a loopback
-//!   socket; every request round-trips the full versioned codec (and,
-//!   when secure, the sealed-record layer).
+//!   socket into the gateway; every request round-trips the full
+//!   versioned codec (and, when secure, the sealed-record layer).
 //!
-//! The old closed [`Transport`] enum remains as a deprecated shim that
-//! maps onto [`TransportPlan`].
+//! Every plan is bit-identical to every other (pinned by the workspace's
+//! cross-transport equivalence proptests).
 
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use vg_crypto::schnorr::NonceCoupon;
 use vg_ledger::{EnvelopeCommitment, TreeHead, VoterId};
 use vg_trip::boundary::{IngestTicket, RegistrarBoundary};
-use vg_trip::fleet::KioskFleet;
 use vg_trip::materials::{CheckInTicket, CheckOutQr, Envelope};
-use vg_trip::protocol::RegistrationOutcome;
-use vg_trip::setup::{TransportKeyring, TripSystem};
-use vg_trip::vsd::{ActivationClaim, Vsd};
+use vg_trip::setup::TransportKeyring;
+use vg_trip::vsd::ActivationClaim;
 use vg_trip::{PrintJob, TripError};
 
-use crate::channel::{
-    pipe_pair, ChannelPolicy, Connector, FramedChannel, SecureConfig, TcpChannel,
-};
+use crate::channel::{ChannelPolicy, Connector, FramedChannel, SecureConfig};
 use crate::error::ServiceError;
 use crate::messages::{
-    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchRequest,
-    CheckOutBatchResponse, EnvelopeSubmitRequest, HandshakeFrame, IngestReceipt, IngestStatsReply,
-    LedgerHeads, PrintRequest, PrintResponse, Request, Response, SeqCheckOutRequest,
-    SeqEnvelopeSubmitRequest, SyncThroughRequest,
+    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchResponse, IngestReceipt,
+    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, Request, Response,
+    SeqCheckOutRequest, SeqEnvelopeSubmitRequest, SyncThroughRequest,
 };
-use crate::registrar::RegistrarHost;
 use crate::traits::{
     ActivationService, LedgerIngestService, PrintService, RegistrarEndpoint, RegistrarService,
 };
@@ -72,9 +66,8 @@ pub enum ChannelSecurity {
 }
 
 /// A value describing how a registration day's endpoints are wired:
-/// link kind × channel security. Replaces the closed [`Transport`] enum —
-/// plans compose, and new links/policies slot in without touching every
-/// call site.
+/// link kind × channel security. Plans compose, and new links/policies
+/// slot in without touching every call site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TransportPlan {
     /// The link layer.
@@ -128,30 +121,6 @@ impl From<LinkKind> for TransportPlan {
     }
 }
 
-/// Which transport a registration day runs over (legacy shim).
-#[deprecated(
-    since = "0.9.0",
-    note = "use `TransportPlan` (e.g. `TransportPlan::TCP`); transports are pluggable channel values now"
-)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    /// Direct in-process dispatch (zero-copy; the reference).
-    InProcess,
-    /// Length-prefixed frames over a loopback TCP socket, served by a
-    /// worker thread.
-    Tcp,
-}
-
-#[allow(deprecated)]
-impl From<Transport> for TransportPlan {
-    fn from(t: Transport) -> Self {
-        match t {
-            Transport::InProcess => TransportPlan::IN_PROCESS,
-            Transport::Tcp => TransportPlan::TCP,
-        }
-    }
-}
-
 /// Builds the client-side channel policy for `station` from the
 /// deployment keyring (station keys round-robin over the keyring slots;
 /// refillers and steal lanes reuse their station's identity).
@@ -185,8 +154,8 @@ pub(crate) fn server_policy(keys: &TransportKeyring, security: ChannelSecurity) 
 /// Adapts any [`RegistrarEndpoint`] into the fleet's
 /// [`RegistrarBoundary`], mapping message types at the seam.
 pub struct ServiceBoundary<E> {
-    /// The underlying endpoint (a [`RegistrarHost`] or a
-    /// [`ChannelClient`]).
+    /// The underlying endpoint (the in-process sharded-engine endpoint
+    /// or a [`ChannelClient`]).
     pub endpoint: E,
 }
 
@@ -214,30 +183,6 @@ impl<E: RegistrarEndpoint> RegistrarBoundary for ServiceBoundary<E> {
                 jobs: jobs.to_vec(),
             })
             .map(|r| r.envelopes)
-            .map_err(ServiceError::into_trip)
-    }
-
-    fn submit_envelopes(
-        &mut self,
-        commitments: Vec<EnvelopeCommitment>,
-    ) -> Result<IngestTicket, TripError> {
-        self.endpoint
-            .submit_envelopes(EnvelopeSubmitRequest { commitments })
-            .map(|r| IngestTicket(r.ticket))
-            .map_err(ServiceError::into_trip)
-    }
-
-    fn submit_checkouts(
-        &mut self,
-        checkouts: Vec<(CheckOutQr, NonceCoupon)>,
-    ) -> Result<IngestTicket, TripError> {
-        let checkouts = checkouts
-            .into_iter()
-            .map(|(qr, coupon)| (qr, coupon.into()))
-            .collect();
-        self.endpoint
-            .check_out_batch(CheckOutBatchRequest { checkouts })
-            .map(|r| IngestTicket(r.ticket))
             .map_err(ServiceError::into_trip)
     }
 
@@ -325,40 +270,10 @@ impl ChannelClient {
         Ok(Self::over(connector.connect()?))
     }
 
-    /// Dials a plaintext TCP channel (legacy convenience).
-    pub fn tcp(addr: std::net::SocketAddr) -> Result<Self, ServiceError> {
-        Ok(Self::over(Box::new(TcpChannel::connect(addr)?)))
-    }
-
     fn call(&mut self, req: &Request) -> Result<Response, ServiceError> {
         self.chan.send_frame(&req.to_wire())?;
         let frame = self.chan.recv_frame()?;
         Response::from_wire(&frame).map_err(ServiceError::codec)
-    }
-
-    /// Asks the server loop to exit (flushing its ingestion queues first).
-    pub fn shutdown(&mut self) -> Result<(), ServiceError> {
-        match self.call(&Request::Shutdown)? {
-            Response::Shutdown => Ok(()),
-            Response::Err(e) => Err(e),
-            _ => Err(ServiceError::Transport("mismatched shutdown reply".into())),
-        }
-    }
-}
-
-/// A client over one framed TCP connection (legacy shim).
-#[deprecated(
-    since = "0.9.0",
-    note = "use `ChannelClient` over a `Connector` (e.g. `TcpConnector`)"
-)]
-pub struct TcpClient;
-
-#[allow(deprecated)]
-impl TcpClient {
-    /// Connects a plaintext [`ChannelClient`] to a serving
-    /// [`RegistrarHost`].
-    pub fn connect(addr: std::net::SocketAddr) -> Result<ChannelClient, ServiceError> {
-        ChannelClient::tcp(addr)
     }
 }
 
@@ -384,13 +299,6 @@ impl RegistrarService for ChannelClient {
         chan_call!(self, Request::CheckIn(req), CheckIn)
     }
 
-    fn check_out_batch(
-        &mut self,
-        req: CheckOutBatchRequest,
-    ) -> Result<CheckOutBatchResponse, ServiceError> {
-        chan_call!(self, Request::CheckOutBatch(req), CheckOutBatch)
-    }
-
     fn check_out_groups(
         &mut self,
         req: SeqCheckOutRequest,
@@ -406,13 +314,6 @@ impl PrintService for ChannelClient {
 }
 
 impl LedgerIngestService for ChannelClient {
-    fn submit_envelopes(
-        &mut self,
-        req: EnvelopeSubmitRequest,
-    ) -> Result<IngestReceipt, ServiceError> {
-        chan_call!(self, Request::SubmitEnvelopes(req), SubmitEnvelopes)
-    }
-
     fn sync(&mut self) -> Result<(), ServiceError> {
         chan_call!(self, Request::Sync, Sync, unit)
     }
@@ -448,141 +349,6 @@ impl ActivationService for ChannelClient {
     }
 }
 
-/// Maps one request onto any endpoint bundle. `sync_on_shutdown` makes
-/// `Shutdown` imply a full ingest flush — right for the single-connection
-/// server (the connection *is* the day), wrong for one station of a
-/// multi-connection day (other stations are still submitting; the
-/// coordinator owns the final barrier).
-pub(crate) fn dispatch<E: crate::traits::RegistrarEndpoint>(
-    host: &mut E,
-    req: Request,
-    sync_on_shutdown: bool,
-) -> (Response, bool) {
-    match req {
-        Request::CheckIn(m) => (
-            host.check_in(m)
-                .map(Response::CheckIn)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::CheckOutBatch(m) => (
-            host.check_out_batch(m)
-                .map(Response::CheckOutBatch)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::Print(m) => (
-            host.print_envelopes(m)
-                .map(Response::Print)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::SubmitEnvelopes(m) => (
-            host.submit_envelopes(m)
-                .map(Response::SubmitEnvelopes)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::Sync => (
-            host.sync()
-                .map(|()| Response::Sync)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::LedgerHeads => (
-            host.ledger_heads()
-                .map(Response::LedgerHeads)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::ActivationSweep(m) => (
-            host.activation_sweep(m)
-                .map(|()| Response::ActivationSweep)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::SubmitEnvelopesSeq(m) => (
-            host.submit_envelope_groups(m)
-                .map(Response::SubmitEnvelopesSeq)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::CheckOutBatchSeq(m) => (
-            host.check_out_groups(m)
-                .map(Response::CheckOutBatchSeq)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::SyncThrough(m) => (
-            host.sync_through(m.sessions)
-                .map(|()| Response::SyncThrough)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        Request::IngestStats => (
-            LedgerIngestService::ingest_stats(host)
-                .map(Response::IngestStats)
-                .unwrap_or_else(Response::Err),
-            false,
-        ),
-        // Flush before acknowledging so the ledger is complete when the
-        // server loop returns (single-connection mode only).
-        Request::Shutdown => {
-            if sync_on_shutdown {
-                match host.sync() {
-                    Ok(()) => (Response::Shutdown, true),
-                    Err(e) => (Response::Err(e), true),
-                }
-            } else {
-                (Response::Shutdown, true)
-            }
-        }
-    }
-}
-
-/// Serves one established channel until a `Shutdown` request or a
-/// transport failure. Malformed requests are answered with a typed error
-/// and the connection continues (one bad frame must not take the
-/// registrar down) — except a secure-channel frame on a plaintext
-/// channel, which is a policy mismatch: the peer gets a typed
-/// [`ServiceError::HandshakeFailed`] and the connection closes.
-pub fn serve_channel(
-    chan: &mut dyn FramedChannel,
-    host: &mut RegistrarHost<'_>,
-) -> Result<(), ServiceError> {
-    loop {
-        let frame = chan.recv_frame()?;
-        let (response, done) = match Request::from_wire(&frame) {
-            Ok(req) => dispatch(host, req, true),
-            Err(_) if HandshakeFrame::is_channel_frame(&frame) => {
-                let e = ServiceError::HandshakeFailed(
-                    "plaintext registrar received a secure-channel frame".into(),
-                );
-                chan.send_frame(&Response::Err(e.clone()).to_wire())?;
-                return Err(e);
-            }
-            Err(e) => (
-                Response::Err(ServiceError::Transport(format!("bad request: {e}"))),
-                false,
-            ),
-        };
-        chan.send_frame(&response.to_wire())?;
-        if done {
-            return Ok(());
-        }
-    }
-}
-
-/// Serves one client TCP connection (plaintext). Legacy wrapper over
-/// [`serve_channel`].
-pub fn serve_connection(
-    stream: TcpStream,
-    host: &mut RegistrarHost<'_>,
-) -> Result<(), ServiceError> {
-    let mut chan = TcpChannel::from_stream(stream)?;
-    serve_channel(&mut chan, host)
-}
-
 /// One stolen kiosk-range chunk: when a polling station dies mid-day,
 /// each surviving station that absorbs a contiguous chunk of the dead
 /// station's kiosk range logs one of these (the kiosk assignment `i mod
@@ -600,14 +366,14 @@ pub struct StealRecord {
     pub depth: usize,
 }
 
-/// End-of-day service-layer telemetry, returned by every day runner.
+/// End-of-day service-layer telemetry, returned by [`run_day`](crate::run_day).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DayStats {
-    /// Ingest coalescing counters and (for pipelined days) worker
-    /// busy/idle time.
+    /// Ingest coalescing counters and worker busy/idle time (threaded
+    /// days only) plus the ledger's WAL counters (every day).
     pub ingest: IngestStatsReply,
-    /// Effective ingest worker count (`1` on barrier and single-worker
-    /// days; pipelined days run `min(workers, stations)` shards).
+    /// Effective ingest worker count (`1` on inline and single-worker
+    /// days; threaded days run `min(workers, stations)` shards).
     pub workers: usize,
     /// Work-stealing log: one entry per chunk of a dead station's kiosk
     /// range absorbed by a survivor, retry chains included. Empty on
@@ -624,205 +390,4 @@ pub struct DayStats {
     /// progress within the liveness deadline) rather than by a clean
     /// connection death; each one triggered the chunked steal path.
     pub stall_steals: u64,
-}
-
-/// Runs `client_run` against the registrar parts of `system` served per
-/// `plan`, while the kiosks (and adversary-loot bookkeeping) stay on the
-/// caller's side of the boundary. This is the borrow seam: the registrar
-/// state moves behind the boundary for the duration of the run.
-fn with_boundary<R>(
-    system: &mut TripSystem,
-    plan: TransportPlan,
-    threads: usize,
-    client_run: impl FnOnce(
-        &mut dyn RegistrarBoundary,
-        &[vg_trip::kiosk::Kiosk],
-        &mut Vec<vg_trip::kiosk::StolenCredential>,
-    ) -> Result<R, TripError>,
-) -> Result<(R, DayStats), TripError> {
-    let TripSystem {
-        officials,
-        printers,
-        ledger,
-        kiosks,
-        kiosk_registry,
-        adversary_loot,
-        transport_keys,
-        ..
-    } = system;
-    let (Some(official), Some(printer)) = (officials.first(), printers.first()) else {
-        return Err(TripError::InvalidConfig(
-            "a registration day needs at least one official and one printer".into(),
-        ));
-    };
-    if plan == TransportPlan::IN_PROCESS {
-        // Zero-copy reference path: the endpoint is the host.
-        let host = RegistrarHost::new(official, printer, ledger, kiosk_registry, threads);
-        let mut boundary = ServiceBoundary::new(host);
-        let out = client_run(&mut boundary, kiosks, adversary_loot)?;
-        let ingest = boundary
-            .endpoint
-            .ingest_stats()
-            .map_err(|e| TripError::Boundary(e.to_string()))?;
-        return Ok((
-            out,
-            DayStats {
-                ingest,
-                workers: 1,
-                steals: Vec::new(),
-                timeouts: 0,
-                reconnects: 0,
-                reaped: 0,
-                stall_steals: 0,
-            },
-        ));
-    }
-    let client_pol = client_policy(transport_keys, plan.security, 0);
-    let server_pol = server_policy(transport_keys, plan.security);
-    // Build the two raw channel halves per link kind. For TCP the raw
-    // connect happens BEFORE the server thread spawns: the bound
-    // listener's backlog holds the connection, and a failed connect
-    // returns here with no accept() ever blocking — otherwise a connect
-    // failure would leave the server thread parked in accept() and the
-    // scope join would hang the whole registration day. (Handshakes run
-    // *after* the spawn; they cannot deadlock because both sides are then
-    // live.)
-    type LazyServerChannel =
-        Box<dyn FnOnce() -> Result<Box<dyn FramedChannel>, ServiceError> + Send>;
-    let (client_raw, server_accept): (Box<dyn FramedChannel>, LazyServerChannel) = match plan.link {
-        LinkKind::InProcess => {
-            let (client_half, server_half) = pipe_pair();
-            (
-                Box::new(client_half),
-                Box::new(move || Ok(Box::new(server_half) as Box<dyn FramedChannel>)),
-            )
-        }
-        LinkKind::Tcp => {
-            let listener = TcpListener::bind(("127.0.0.1", 0))
-                .map_err(|e| TripError::Boundary(format!("bind: {e}")))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| TripError::Boundary(format!("local_addr: {e}")))?;
-            let chan = TcpChannel::connect(addr).map_err(|e| TripError::Boundary(e.to_string()))?;
-            (
-                Box::new(chan),
-                Box::new(move || {
-                    let (stream, _) = listener.accept()?;
-                    Ok(Box::new(TcpChannel::from_stream(stream)?) as Box<dyn FramedChannel>)
-                }),
-            )
-        }
-    };
-    std::thread::scope(|scope| {
-        let server = scope.spawn(move || -> Result<(), ServiceError> {
-            let raw = server_accept()?;
-            let mut chan = server_pol.establish_server(raw)?;
-            let mut host = RegistrarHost::new(official, printer, ledger, kiosk_registry, threads);
-            serve_channel(chan.as_mut(), &mut host)
-        });
-        let run = |raw: Box<dyn FramedChannel>| -> Result<(R, DayStats), TripError> {
-            let chan = client_pol
-                .establish_client(raw)
-                .map_err(|e| TripError::Boundary(e.to_string()))?;
-            let mut boundary = ServiceBoundary::new(ChannelClient::over(chan));
-            let out = client_run(&mut boundary, kiosks, adversary_loot);
-            let ingest = match &out {
-                Ok(_) => boundary.endpoint.ingest_stats().ok(),
-                Err(_) => None,
-            };
-            // Always attempt shutdown so the server thread exits even
-            // when the client run failed.
-            let down = boundary.endpoint.shutdown();
-            let out = out?;
-            down.map_err(|e| TripError::Boundary(e.to_string()))?;
-            Ok((
-                out,
-                DayStats {
-                    ingest: ingest.unwrap_or_default(),
-                    workers: 1,
-                    steals: Vec::new(),
-                    timeouts: 0,
-                    reconnects: 0,
-                    reaped: 0,
-                    stall_steals: 0,
-                },
-            ))
-        };
-        let result = run(client_raw);
-        match server.join() {
-            Ok(Ok(())) => result,
-            Ok(Err(server_err)) => result.and(Err(TripError::Boundary(server_err.to_string()))),
-            Err(_) => result.and(Err(TripError::Boundary("server panicked".into()))),
-        }
-    })
-}
-
-/// Runs a whole fleet registration day over `transport`, streaming
-/// outcomes to `sink` in queue order. Bit-identical ledgers and outcomes
-/// across transport plans for any `(seed, queue, kiosks, pool, threads)`.
-/// Returns the day's service-layer telemetry.
-pub fn register_day(
-    fleet: &KioskFleet,
-    system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: impl Into<TransportPlan>,
-    mut sink: impl FnMut(RegistrationOutcome),
-) -> Result<DayStats, TripError> {
-    let mut pool = fleet.prepare_pool(system, plan);
-    let threads = fleet.config().threads;
-    with_boundary(
-        system,
-        transport.into(),
-        threads,
-        move |boundary, kiosks, loot| {
-            fleet.register_each_over(kiosks, boundary, plan, &mut pool, loot, &mut sink)
-        },
-    )
-    .map(|((), stats)| stats)
-}
-
-/// [`register_day`] plus per-window credential activation on fresh
-/// devices, streaming `(outcome, device)` pairs in queue order.
-pub fn register_and_activate_day(
-    fleet: &KioskFleet,
-    system: &mut TripSystem,
-    plan: &[(VoterId, usize)],
-    transport: impl Into<TransportPlan>,
-    mut sink: impl FnMut(RegistrationOutcome, Vsd),
-) -> Result<DayStats, TripError> {
-    let mut pool = fleet.prepare_pool(system, plan);
-    let threads = fleet.config().threads;
-    let authority_pk = system.authority.public_key;
-    let printer_registry = system.printer_registry.clone();
-    with_boundary(
-        system,
-        transport.into(),
-        threads,
-        move |boundary, kiosks, loot| {
-            fleet.register_and_activate_each_over(
-                kiosks,
-                boundary,
-                plan,
-                &mut pool,
-                &authority_pk,
-                &printer_registry,
-                loot,
-                &mut sink,
-            )
-        },
-    )
-    .map(|((), stats)| stats)
-}
-
-/// Fetches both registrar ledger heads over `transport` (sanity hook for
-/// examples and benches; implies a full ingest flush).
-pub fn ledger_heads_over(
-    system: &mut TripSystem,
-    transport: impl Into<TransportPlan>,
-    threads: usize,
-) -> Result<(TreeHead, TreeHead), TripError> {
-    with_boundary(system, transport.into(), threads, |boundary, _, _| {
-        Ok((boundary.registration_head()?, boundary.envelope_head()?))
-    })
-    .map(|(heads, _)| heads)
 }

@@ -15,15 +15,15 @@
 //!   in-process registrar state — today's behavior, and the reference a
 //!   remote run must equal bit-identically.
 //! - `vg-service`'s `ServiceBoundary`: the same calls encoded as typed,
-//!   versioned wire messages over a transport (in-process dispatch or a
-//!   length-prefixed TCP socket), with ledger submissions coalesced by an
-//!   asynchronous ingestion queue.
+//!   versioned wire messages to a registrar that shards verification
+//!   across workers and commits in global session order (in-process
+//!   channels, pipes or a length-prefixed TCP socket).
 //!
 //! # Submission semantics
 //!
-//! [`RegistrarBoundary::submit_envelopes`] and
-//! [`RegistrarBoundary::submit_checkouts`] are **ordered, asynchronous
-//! submissions**: the boundary promises that batches are admitted to each
+//! [`RegistrarBoundary::submit_envelope_groups`] and
+//! [`RegistrarBoundary::submit_checkout_groups`] are **ordered,
+//! asynchronous submissions**: the boundary promises that batches are admitted to each
 //! ledger in submission order, but may defer admission (coalescing several
 //! windows into one RLC-folded sweep) until [`RegistrarBoundary::sync`].
 //! An admission failure therefore surfaces either at the submitting call
@@ -33,6 +33,16 @@
 //! immediately; the fleet's replay contract (ledger heads bit-identical to
 //! the sequential reference) holds for any conforming implementation
 //! because Merkle roots depend only on record order, not on batching.
+//!
+//! # Commit points
+//!
+//! Every barrier — [`RegistrarBoundary::sync`],
+//! [`RegistrarBoundary::sync_through`],
+//! [`RegistrarBoundary::activation_sweep`] and the two head getters — is
+//! also a *durability* barrier on a durable ledger backend: when it
+//! returns `Ok`, everything it covers is in the write-ahead log,
+//! group-fsynced (when fsync is on) and under a persisted signed head.
+//! On volatile backends the barrier costs nothing.
 
 use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
@@ -62,57 +72,38 @@ pub trait RegistrarBoundary {
     /// Envelope print fulfilment: signs (and prepares ledger commitments
     /// for) one envelope per job, in job order. The commitments are *not*
     /// posted here — the coordinator submits them in queue order via
-    /// [`RegistrarBoundary::submit_envelopes`].
+    /// [`RegistrarBoundary::submit_envelope_groups`].
     fn print_envelopes(
         &mut self,
         jobs: &[PrintJob],
     ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError>;
 
     /// Submits a window's envelope commitments for admission to L_E
-    /// (ordered, possibly deferred; see the module docs).
-    fn submit_envelopes(
+    /// (ordered, possibly deferred; see the module docs). `groups` pairs
+    /// each global session index with that session's commitments, in
+    /// session order: a multi-station registrar uses the indices to
+    /// restore global queue order across stations before admission, so
+    /// the ledgers stay bit-identical to the sequential reference no
+    /// matter which station finished first.
+    fn submit_envelope_groups(
         &mut self,
-        commitments: Vec<EnvelopeCommitment>,
+        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
     ) -> Result<IngestTicket, TripError>;
 
-    /// Submits a window's check-out tickets (Fig 10): the official
+    /// Submits a window's check-out tickets (Fig 10), session-tagged like
+    /// [`RegistrarBoundary::submit_envelope_groups`]: the official
     /// verifies the kiosk signatures, countersigns from the sessions'
     /// coupons, and the records are admitted to L_R (ordered, possibly
     /// deferred).
-    fn submit_checkouts(
+    fn submit_checkout_groups(
         &mut self,
-        checkouts: Vec<(CheckOutQr, NonceCoupon)>,
+        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
     ) -> Result<IngestTicket, TripError>;
 
     /// Barrier: drives every outstanding submission to admission and
     /// surfaces the earliest failure. After `Ok(())`, the ledgers reflect
     /// all prior submissions.
     fn sync(&mut self) -> Result<(), TripError>;
-
-    /// [`RegistrarBoundary::submit_envelopes`] with per-session tagging:
-    /// `groups` pairs each global session index with that session's
-    /// commitments, in session order. A single-connection boundary admits
-    /// them exactly as the flattened submission (the default); a
-    /// multi-station registrar uses the indices to restore global queue
-    /// order across stations before admission, so the ledgers stay
-    /// bit-identical to the sequential reference no matter which station
-    /// finished first.
-    fn submit_envelope_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<IngestTicket, TripError> {
-        self.submit_envelopes(groups.into_iter().flat_map(|(_, g)| g).collect())
-    }
-
-    /// [`RegistrarBoundary::submit_checkouts`] with per-session tagging;
-    /// same ordering contract as
-    /// [`RegistrarBoundary::submit_envelope_groups`].
-    fn submit_checkout_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<IngestTicket, TripError> {
-        self.submit_checkouts(groups.into_iter().flat_map(|(_, g)| g).collect())
-    }
 
     /// Prefix barrier: returns once every session with global index below
     /// `sessions` is admitted on both ledgers. On a single-connection
@@ -139,8 +130,10 @@ pub trait RegistrarBoundary {
 }
 
 /// The in-process registrar: direct calls into borrowed registrar state,
-/// admitting every submission synchronously. This is the zero-copy
-/// reference implementation of [`RegistrarBoundary`].
+/// admitting every submission synchronously and persisting at every
+/// barrier. This is the zero-copy reference implementation of
+/// [`RegistrarBoundary`], and the engine every thread-free registration
+/// day runs on.
 pub struct LocalBoundary<'a> {
     official: &'a Official,
     printer: &'a EnvelopePrinter,
@@ -174,6 +167,15 @@ impl<'a> LocalBoundary<'a> {
         self.next_ticket += 1;
         t
     }
+
+    /// The durable commit point (see the module docs): WAL group-fsync,
+    /// then signed heads. An IO failure surfaces typed and leaves the
+    /// store poisoned, so later barriers keep failing until restart.
+    fn persist(&mut self) -> Result<(), TripError> {
+        self.ledger
+            .persist()
+            .map_err(|e| TripError::Ledger(e.into()))
+    }
 }
 
 impl RegistrarBoundary for LocalBoundary<'_> {
@@ -190,10 +192,13 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         }))
     }
 
-    fn submit_envelopes(
+    fn submit_envelope_groups(
         &mut self,
-        commitments: Vec<EnvelopeCommitment>,
+        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
     ) -> Result<IngestTicket, TripError> {
+        // One boundary carries the whole queue in order, so the session
+        // tags are redundant here: admit the window as one batch.
+        let commitments = groups.into_iter().flat_map(|(_, g)| g).collect();
         self.ledger
             .envelopes
             .commit_batch(commitments, self.threads)
@@ -201,32 +206,38 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         Ok(self.ticket())
     }
 
-    fn submit_checkouts(
+    fn submit_checkout_groups(
         &mut self,
-        checkouts: Vec<(CheckOutQr, NonceCoupon)>,
+        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
     ) -> Result<IngestTicket, TripError> {
+        let checkouts = groups.into_iter().flat_map(|(_, g)| g).collect();
         self.official
             .check_out_batch(self.ledger, checkouts, self.kiosk_registry, self.threads)?;
         Ok(self.ticket())
     }
 
     fn sync(&mut self) -> Result<(), TripError> {
-        // Everything was admitted at submission time.
-        Ok(())
+        // Everything was admitted at submission time; only the commit
+        // point is left.
+        self.persist()
     }
 
     fn activation_sweep(&mut self, claims: &[ActivationClaim]) -> Result<(), TripError> {
         for claim in claims {
             activation_ledger_phase(self.ledger, claim)?;
         }
-        Ok(())
+        // Activation appended reveal-WAL entries; sync them before
+        // acknowledging the sweep.
+        self.persist()
     }
 
     fn registration_head(&mut self) -> Result<TreeHead, TripError> {
+        self.persist()?;
         Ok(self.ledger.registration.tree_head())
     }
 
     fn envelope_head(&mut self) -> Result<TreeHead, TripError> {
+        self.persist()?;
         Ok(self.ledger.envelopes.tree_head())
     }
 }

@@ -42,7 +42,7 @@ use vg_ledger::VoterId;
 
 /// Where a station's ceremony windows come from: either a caller-managed
 /// [`CeremonyPool`] refilled synchronously at window boundaries
-/// ([`PoolSource`], the barrier-era behavior), or a [`PoolFeed`] kept warm
+/// ([`PoolSource`], the inline day's behavior), or a [`PoolFeed`] kept warm
 /// by a background refiller thread ([`FeedSource`]), so the coordinator
 /// never waits for precompute mid-day.
 pub trait MaterialsSource {
@@ -434,7 +434,7 @@ impl KioskFleet {
     /// Builds the [`CeremonyPool`] for a queue over this system's kiosks,
     /// without deriving anything yet. Pre-warm it ([`CeremonyPool::warm`])
     /// to model the booth-idle precompute the paper's deployment assumes,
-    /// then drain it through [`KioskFleet::register_with_pool`].
+    /// then drain it through [`KioskFleet::register_each`].
     pub fn prepare_pool(&self, system: &TripSystem, plan: &[(VoterId, usize)]) -> CeremonyPool {
         let n_kiosks = system.kiosks.len().max(1);
         let session_plans: Vec<SessionPlan> = plan
@@ -471,93 +471,11 @@ impl KioskFleet {
         plan: &[(VoterId, usize)],
     ) -> Result<Vec<RegistrationOutcome>, TripError> {
         let mut pool = self.prepare_pool(system, plan);
-        self.register_with_pool(system, plan, &mut pool)
-    }
-
-    /// [`KioskFleet::register`] drawing from a caller-managed pool —
-    /// typically one pre-warmed while the booths were idle. The pool must
-    /// have been built by [`KioskFleet::prepare_pool`] for the same
-    /// `(system, plan)`; whatever it has not derived yet is refilled on
-    /// demand.
-    pub fn register_with_pool(
-        &self,
-        system: &mut TripSystem,
-        plan: &[(VoterId, usize)],
-        pool: &mut CeremonyPool,
-    ) -> Result<Vec<RegistrationOutcome>, TripError> {
         let mut outcomes = Vec::with_capacity(plan.len());
-        self.register_each_with_pool(system, plan, pool, |outcome| outcomes.push(outcome))?;
+        self.register_each(system, plan, &mut pool, false, |outcome, _| {
+            outcomes.push(outcome)
+        })?;
         Ok(outcomes)
-    }
-
-    /// Streaming core: like [`KioskFleet::register_with_pool`] but hands
-    /// each [`RegistrationOutcome`] to `sink` (queue order) instead of
-    /// accumulating them, so the dominant per-session state (credential
-    /// materials, receipts, envelopes) stays O(pool batch). Light
-    /// bookkeeping remains O(queue): the check-in tickets, the ledger
-    /// records themselves, and each kiosk's sealed event journal.
-    pub fn register_each_with_pool(
-        &self,
-        system: &mut TripSystem,
-        plan: &[(VoterId, usize)],
-        pool: &mut CeremonyPool,
-        sink: impl FnMut(RegistrationOutcome),
-    ) -> Result<(), TripError> {
-        let TripSystem {
-            officials,
-            printers,
-            ledger,
-            kiosks,
-            kiosk_registry,
-            adversary_loot,
-            ..
-        } = system;
-        let mut boundary = LocalBoundary::new(
-            &officials[0],
-            &printers[0],
-            ledger,
-            kiosk_registry,
-            self.config.threads,
-        );
-        self.register_each_over(kiosks, &mut boundary, plan, pool, adversary_loot, sink)
-    }
-
-    /// [`KioskFleet::register_each_with_pool`] with the registrar behind
-    /// an explicit [`RegistrarBoundary`] — the fleet's deployment seam.
-    /// The kiosks stay on this side (they are the booth machines the
-    /// coordinator drives); check-in, printing, ledger admission and
-    /// activation cross the boundary. With [`LocalBoundary`] this is
-    /// exactly [`KioskFleet::register_each_with_pool`]; with a service
-    /// transport it is the same registration day over RPC, bit-identical
-    /// by the replay contract.
-    pub fn register_each_over(
-        &self,
-        kiosks: &[Kiosk],
-        boundary: &mut dyn RegistrarBoundary,
-        plan: &[(VoterId, usize)],
-        pool: &mut CeremonyPool,
-        loot: &mut Vec<StolenCredential>,
-        mut sink: impl FnMut(RegistrationOutcome),
-    ) -> Result<(), TripError> {
-        let sessions: Vec<(usize, VoterId, usize)> = plan
-            .iter()
-            .enumerate()
-            .map(|(i, &(voter, fakes))| (i, voter, fakes))
-            .collect();
-        let mut source = PoolSource { pool };
-        self.run_station_over(
-            kiosks,
-            boundary,
-            &sessions,
-            &mut source,
-            None,
-            &mut |_idx, outcome, _vsd, stolen| {
-                if let Some(looted) = stolen {
-                    loot.push(looted);
-                }
-                sink(outcome);
-            },
-        )
     }
 
     /// [`KioskFleet::register`] followed by batched activation of every
@@ -574,37 +492,37 @@ impl KioskFleet {
         plan: &[(VoterId, usize)],
     ) -> Result<Vec<(RegistrationOutcome, Vsd)>, TripError> {
         let mut pool = self.prepare_pool(system, plan);
-        self.register_and_activate_with_pool(system, plan, &mut pool)
-    }
-
-    /// [`KioskFleet::register_and_activate`] drawing from a caller-managed
-    /// (typically pre-warmed) pool.
-    pub fn register_and_activate_with_pool(
-        &self,
-        system: &mut TripSystem,
-        plan: &[(VoterId, usize)],
-        pool: &mut CeremonyPool,
-    ) -> Result<Vec<(RegistrationOutcome, Vsd)>, TripError> {
         let mut out = Vec::with_capacity(plan.len());
-        self.register_and_activate_each_with_pool(system, plan, pool, |outcome, vsd| {
+        self.register_each(system, plan, &mut pool, true, |outcome, vsd| {
             out.push((outcome, vsd))
         })?;
         Ok(out)
     }
 
-    /// Streaming register-and-activate: every window is registered *and*
-    /// activated before the next window's ceremonies run, so peak memory
-    /// stays O(pool batch) even for million-voter queues — no run-length
-    /// credential accumulation before the activation sweep.
-    pub fn register_and_activate_each_with_pool(
+    /// The streaming core under both collecting wrappers: a whole
+    /// registration day on the in-process [`LocalBoundary`], drawing from
+    /// a caller-managed pool — typically one pre-warmed while the booths
+    /// were idle. The pool must have been built by
+    /// [`KioskFleet::prepare_pool`] for the same `(system, plan)`;
+    /// whatever it has not derived yet is refilled on demand.
+    ///
+    /// Each session's `(outcome, device)` pair goes to `sink` in queue
+    /// order as its window completes, so the dominant per-session state
+    /// (credential materials, receipts, envelopes) stays O(pool batch)
+    /// even for million-voter queues. Light bookkeeping remains O(queue):
+    /// the check-in tickets, the ledger records themselves, and each
+    /// kiosk's sealed event journal. With `activate`, every window is
+    /// registered *and* activated (behind its own barrier) before the
+    /// next window's ledger phase; without it every device comes back
+    /// empty.
+    pub fn register_each(
         &self,
         system: &mut TripSystem,
         plan: &[(VoterId, usize)],
         pool: &mut CeremonyPool,
-        sink: impl FnMut(RegistrationOutcome, Vsd),
+        activate: bool,
+        mut sink: impl FnMut(RegistrationOutcome, Vsd),
     ) -> Result<(), TripError> {
-        let authority_pk = system.authority.public_key;
-        let printer_registry = system.printer_registry.clone();
         let TripSystem {
             officials,
             printers,
@@ -612,46 +530,25 @@ impl KioskFleet {
             kiosks,
             kiosk_registry,
             adversary_loot,
+            authority,
+            printer_registry,
             ..
         } = system;
+        let (Some(official), Some(printer)) = (officials.first(), printers.first()) else {
+            return Err(TripError::InvalidConfig(
+                "a registration day needs at least one official and one printer".into(),
+            ));
+        };
         let mut boundary = LocalBoundary::new(
-            &officials[0],
-            &printers[0],
+            official,
+            printer,
             ledger,
             kiosk_registry,
             self.config.threads,
         );
-        self.register_and_activate_each_over(
-            kiosks,
-            &mut boundary,
-            plan,
-            pool,
-            &authority_pk,
-            &printer_registry,
-            adversary_loot,
-            sink,
-        )
-    }
-
-    /// [`KioskFleet::register_and_activate_each_with_pool`] over an
-    /// explicit [`RegistrarBoundary`]: the device-side activation checks
-    /// (Fig 11 lines 2–8, folded) run on this side, only the ledger-phase
-    /// claims cross the boundary.
-    #[allow(clippy::too_many_arguments)]
-    pub fn register_and_activate_each_over(
-        &self,
-        kiosks: &[Kiosk],
-        boundary: &mut dyn RegistrarBoundary,
-        plan: &[(VoterId, usize)],
-        pool: &mut CeremonyPool,
-        authority_pk: &EdwardsPoint,
-        printer_registry: &[CompressedPoint],
-        loot: &mut Vec<StolenCredential>,
-        mut sink: impl FnMut(RegistrationOutcome, Vsd),
-    ) -> Result<(), TripError> {
         let last_occurrence = last_occurrence_of(plan);
         let ctx = ActivationContext {
-            authority_pk,
+            authority_pk: &authority.public_key,
             printer_registry,
             last_occurrence: &last_occurrence,
         };
@@ -660,20 +557,18 @@ impl KioskFleet {
             .enumerate()
             .map(|(i, &(voter, fakes))| (i, voter, fakes))
             .collect();
-        let mut source = PoolSource { pool };
         self.run_station_over(
             kiosks,
-            boundary,
+            &mut boundary,
             &sessions,
-            &mut source,
+            &mut PoolSource { pool },
             // lag 1: activate every window behind its own barrier — the
-            // barrier-synchronous reference the pipelined engine must
-            // equal bit-identically (and the baseline it is benched
-            // against).
-            Some((&ctx, 1)),
+            // lock-step reference the threaded engine must equal
+            // bit-identically (and the baseline it is benched against).
+            activate.then_some((&ctx, 1)),
             &mut |_idx, outcome, vsd, stolen| {
                 if let Some(looted) = stolen {
-                    loot.push(looted);
+                    adversary_loot.push(looted);
                 }
                 sink(outcome, vsd.unwrap_or_default());
             },

@@ -50,9 +50,9 @@ use std::marker::PhantomData;
 
 use vg_crypto::drbg::Rng;
 use vg_ledger::{Ledger, LedgerBackend, VoterId};
-use vg_service::{ChannelSecurity, IngestMode, PipelineConfig, TransportPlan};
+use vg_service::{ChannelSecurity, DayPlan, IngestMode, PipelineConfig, TransportPlan};
 use vg_trip::fleet::{FleetConfig, KioskFleet};
-use vg_trip::protocol::{activate_all, register_voter, RegistrationOutcome};
+use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::setup::{TripConfig, TripSystem};
 use vg_trip::vsd::{ActivatedCredential, Vsd};
 
@@ -218,8 +218,8 @@ impl ElectionBuilder {
     /// registrar services behind a framed loopback socket) with the
     /// channel security policy. Every plan produces bit-identical
     /// ledgers and credentials for the same seed — the service layer's
-    /// equivalence contract. Accepts the deprecated
-    /// [`vg_service::Transport`] enum for source compatibility.
+    /// equivalence contract. Anything but the plaintext in-process plan
+    /// runs registration on the threaded engine behind the gateway.
     pub fn transport(mut self, transport: impl Into<TransportPlan>) -> Self {
         self.transport = transport.into();
         self
@@ -245,7 +245,7 @@ impl ElectionBuilder {
     /// typed [`vg_trip::TripError::InvalidConfig`] rather than silently
     /// clamping (kiosks split into contiguous chunks, so `1 <= stations
     /// <= |K|` is a hard invariant). More than one routes registration
-    /// through the pipelined engine: stations drive disjoint kiosk
+    /// through the threaded engine: stations drive disjoint kiosk
     /// chunks concurrently and the registrar's ingest layer restores
     /// global queue order, so the ledgers stay bit-identical to a
     /// single-station run.
@@ -260,7 +260,7 @@ impl ElectionBuilder {
     /// sweeps concurrently, while a single commit sequencer keeps
     /// appends globally ordered under one signed head per ledger — the
     /// effective count is `min(workers, stations)`. More than one
-    /// routes registration through the pipelined engine.
+    /// routes registration through the threaded engine.
     pub fn ingest_workers(mut self, n: usize) -> Self {
         self.pipeline.workers = n.max(1);
         self
@@ -280,7 +280,7 @@ impl ElectionBuilder {
     /// [`IngestMode::Barrier`] (only at sync barriers — the default) or
     /// [`IngestMode::Background`] (also in channel-idle gaps, overlapping
     /// sweeps with the next window's ceremonies). Selecting `Background`
-    /// routes registration through the pipelined engine.
+    /// routes registration through the threaded engine.
     pub fn ingest(mut self, mode: IngestMode) -> Self {
         self.pipeline.ingest = mode;
         self
@@ -342,9 +342,10 @@ pub struct Election<P: ElectionPhase = Registration> {
     /// Transport plan (link + channel security) the registration
     /// services run over.
     pub transport: TransportPlan,
-    /// Pipelined-registration tuning (stations, refiller low-water mark,
-    /// ingest mode, activation lag). Lock-step defaults keep the
-    /// barrier-synchronous engine.
+    /// Threaded-engine tuning (stations, ingest workers, refiller
+    /// low-water mark, ingest mode, activation lag). With the lock-step
+    /// defaults on the plaintext in-process transport, registration runs
+    /// inline on `vg_trip::LocalBoundary` (see [`vg_service::run_day`]).
     pub pipeline: PipelineConfig,
     _phase: PhantomData<P>,
 }
@@ -427,8 +428,7 @@ impl Election<Registration> {
     /// on worker threads ahead of each ceremony window, sessions fan out
     /// across the deployment's kiosks (session `i` on kiosk `i mod |K|`),
     /// and envelope commitments, check-out records and activation checks
-    /// all go through batched random-linear-combination admission —
-    /// asynchronously coalesced by the service layer's ingestion queue.
+    /// all go through batched random-linear-combination admission.
     /// If a voter appears twice, only the last registration's credentials
     /// activate (re-registration semantics, §3.2).
     pub fn register_batch(
@@ -450,9 +450,10 @@ impl Election<Registration> {
     /// Streaming registration + activation: each session's
     /// `(outcome, device)` pair goes to `sink` as its pool window
     /// completes, so peak memory stays O(pool batch) — the entry point
-    /// for million-voter registration days. Registration and activation
-    /// are interleaved per window through the service layer's
-    /// asynchronous ledger ingestion.
+    /// for million-voter registration days. One [`vg_service::run_day`]
+    /// under the session's transport and pipeline settings: registration
+    /// and activation interleave per window (or per
+    /// `activation_lag` windows on the threaded engine).
     pub fn register_and_activate_each(
         &mut self,
         plan: &[(VoterId, usize)],
@@ -460,24 +461,13 @@ impl Election<Registration> {
         sink: impl FnMut(RegistrationOutcome, Vsd),
     ) -> Result<(), VotegralError> {
         let fleet = self.fleet(rng);
-        if self.pipeline.is_pipelined() {
-            vg_service::pipelined_register_and_activate_day(
-                &fleet,
-                &mut self.trip,
-                plan,
-                self.transport,
-                self.pipeline,
-                sink,
-            )?;
-        } else {
-            vg_service::register_and_activate_day(
-                &fleet,
-                &mut self.trip,
-                plan,
-                self.transport,
-                sink,
-            )?;
-        }
+        let day = DayPlan {
+            transport: self.transport,
+            pipeline: self.pipeline,
+            activate: true,
+            chaos: None,
+        };
+        vg_service::run_day(&fleet, &mut self.trip, plan, &day, sink)?;
         Ok(())
     }
 
@@ -585,85 +575,6 @@ impl Election<Tallying> {
     }
 }
 
-/// The seed's phase-free election facade, kept as a thin migration shim.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ElectionBuilder and the phase-typed Election sessions"
-)]
-pub struct LegacyElection {
-    /// The TRIP registration system.
-    pub trip: TripSystem,
-    /// The ballot option configuration.
-    pub vote_config: VoteConfig,
-    /// Number of mixers in the tally cascades.
-    pub mixers: usize,
-}
-
-#[allow(deprecated)]
-impl LegacyElection {
-    /// Sets up an election with `n_options` ballot choices.
-    pub fn new(trip_config: TripConfig, n_options: u32, rng: &mut dyn Rng) -> Self {
-        Self {
-            trip: TripSystem::setup(trip_config, rng),
-            vote_config: VoteConfig::new(n_options),
-            mixers: vg_shuffle::MixCascade::DEFAULT_MIXERS,
-        }
-    }
-
-    /// Registers a voter and activates every credential.
-    pub fn register_and_activate(
-        &mut self,
-        voter: VoterId,
-        n_fakes: usize,
-        rng: &mut dyn Rng,
-    ) -> Result<(RegistrationOutcome, Vsd), VotegralError> {
-        let mut outcome = register_voter(&mut self.trip, voter, n_fakes, rng)?;
-        let vsd = activate_all(&mut self.trip, &mut outcome, rng)?;
-        Ok((outcome, vsd))
-    }
-
-    /// Casts a ballot with any activated credential.
-    pub fn cast(
-        &mut self,
-        credential: &ActivatedCredential,
-        vote: u32,
-        rng: &mut dyn Rng,
-    ) -> Result<usize, VotegralError> {
-        let apk = self.trip.authority.public_key;
-        cast_ballot(
-            credential,
-            vote,
-            self.vote_config,
-            &apk,
-            &mut self.trip.ledger,
-            rng,
-        )
-    }
-
-    /// Runs the tally.
-    pub fn tally(&self, rng: &mut dyn Rng) -> Result<TallyTranscript, VotegralError> {
-        tally(
-            &self.trip.authority,
-            &self.trip.ledger,
-            self.vote_config,
-            &self.trip.kiosk_registry,
-            self.mixers,
-            rng,
-        )
-    }
-
-    /// Independently verifies a tally transcript.
-    pub fn verify(&self, transcript: &TallyTranscript) -> Result<ElectionResult, VotegralError> {
-        verify_tally(
-            transcript,
-            &self.trip.ledger,
-            &PublicAuthority::of(&self.trip.authority),
-            &self.trip.kiosk_registry,
-            self.mixers,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,7 +670,7 @@ mod tests {
 
     #[test]
     fn pipelined_registration_matches_lockstep() {
-        // The pipelined engine (stations + refiller + background ingest +
+        // The threaded engine (stations + refiller + background ingest +
         // lagged activation) is invisible in the ledgers and devices.
         let run = |pipelined: bool| {
             let mut rng = HmacDrbg::from_u64(77);
@@ -940,19 +851,5 @@ mod tests {
         let last = transcript.ballot_pair_inputs.len() - 1;
         transcript.ballot_pair_inputs[last].1 = transcript.ballot_pair_inputs[0].1;
         assert!(tallying.verify(&transcript).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_still_runs_end_to_end() {
-        let mut rng = HmacDrbg::from_u64(42);
-        let mut election = LegacyElection::new(TripConfig::with_voters(2), 2, &mut rng);
-        let (_, vsd) = election
-            .register_and_activate(VoterId(1), 0, &mut rng)
-            .unwrap();
-        election.cast(&vsd.credentials[0], 1, &mut rng).unwrap();
-        let transcript = election.tally(&mut rng).unwrap();
-        assert_eq!(transcript.result.counts, vec![0, 1]);
-        election.verify(&transcript).expect("verifies");
     }
 }

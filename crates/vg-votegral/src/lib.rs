@@ -40,7 +40,5 @@ pub use history::{prove_ownership, recover_votes, VotingHistory};
 pub use tally::{tally, AcceptedBallot, ElectionResult, TallyTranscript, VectorOpening};
 pub use transfer::{transfer_credential, TransferCertificate, TransferredCredential};
 pub use verifier::{verify_tally, verify_tally_with, PublicAuthority};
-#[allow(deprecated)]
-pub use vg_service::Transport;
 pub use vg_service::{ChannelSecurity, LinkKind, TransportPlan};
 pub use vg_shuffle::VerifyMode;

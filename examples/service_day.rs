@@ -9,7 +9,7 @@
 
 use votegral::crypto::HmacDrbg;
 use votegral::ledger::VoterId;
-use votegral::service::{register_and_activate_day, TransportPlan};
+use votegral::service::{run_day, DayPlan, TransportPlan};
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::setup::{TripConfig, TripSystem};
 
@@ -36,13 +36,21 @@ fn main() {
         TransportPlan::TCP,
         TransportPlan::SECURE_TCP,
     ] {
-        // Identical deterministic setup for both runs.
+        // Identical deterministic setup for every run.
         let mut rng = HmacDrbg::from_u64(7);
         let mut system = TripSystem::setup(config.clone(), &mut rng);
 
         let mut sessions = 0usize;
         let mut credentials = 0usize;
-        register_and_activate_day(&fleet, &mut system, &queue, transport, |_, vsd| {
+        // One entry point for every plan: the in-process day runs inline
+        // on the local boundary, the TCP days on the threaded engine
+        // behind the gateway.
+        let day = DayPlan {
+            transport,
+            activate: true,
+            ..DayPlan::default()
+        };
+        run_day(&fleet, &mut system, &queue, &day, |_, vsd| {
             sessions += 1;
             credentials += vsd.credentials.len();
         })

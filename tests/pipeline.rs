@@ -13,14 +13,30 @@ use votegral::crypto::HmacDrbg;
 use votegral::ledger::FsFault;
 use votegral::ledger::{simulate_crash, LedgerBackend, VoterId};
 use votegral::service::{
-    pipelined_register_and_activate_day, pipelined_register_and_activate_day_chaos,
-    pipelined_register_and_activate_day_with_fault, pipelined_register_day,
-    register_and_activate_day, ChaosOptions, FaultPlan, IngestMode, PipelineConfig, StationFault,
+    run_day, ChaosOptions, DayPlan, FaultPlan, IngestMode, PipelineConfig, StationFault,
     StationHang, TransportPlan,
 };
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::protocol::{register_voter_seeded, RegistrationOutcome};
 use votegral::trip::setup::{TripConfig, TripSystem};
+
+/// A register-and-activate day with an optional injected station fault
+/// (the failover suites' common shape).
+fn faulted_day(
+    transport: TransportPlan,
+    pipeline: PipelineConfig,
+    fault: Option<StationFault>,
+) -> DayPlan {
+    DayPlan {
+        transport,
+        pipeline,
+        activate: true,
+        chaos: fault.map(|fault| ChaosOptions {
+            fault: Some(fault),
+            ..ChaosOptions::default()
+        }),
+    }
+}
 
 fn trip_config(n_voters: u64, n_kiosks: usize) -> TripConfig {
     TripConfig {
@@ -117,10 +133,9 @@ proptest! {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
             let mut system = TripSystem::setup(trip_config(n_voters, n_kiosks), &mut rng);
             let mut outcomes = Vec::new();
-            pipelined_register_day(&fleet, &mut system, &queue, transport, pipeline, |o| {
-                outcomes.push(o)
-            })
-            .expect("pipelined day runs");
+            let day = DayPlan { transport, pipeline, ..DayPlan::default() };
+            run_day(&fleet, &mut system, &queue, &day, |o, _| outcomes.push(o))
+                .expect("pipelined day runs");
             prop_assert_eq!(
                 &fingerprint(&system, &outcomes),
                 &reference,
@@ -160,7 +175,8 @@ proptest! {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0xAC8);
             let mut system = TripSystem::setup(trip_config(n_voters, 2), &mut rng);
             let mut secrets = Vec::new();
-            register_and_activate_day(&fleet, &mut system, &queue, TransportPlan::IN_PROCESS, |_, vsd| {
+            let inline = DayPlan { activate: true, ..DayPlan::default() };
+            run_day(&fleet, &mut system, &queue, &inline, |_, vsd| {
                 secrets.extend(vsd.credentials.iter().map(|c| c.key.secret()));
             })
             .expect("barrier day runs");
@@ -187,12 +203,11 @@ proptest! {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0xAC8);
             let mut system = TripSystem::setup(trip_config(n_voters, 2), &mut rng);
             let mut secrets = Vec::new();
-            pipelined_register_and_activate_day(
+            run_day(
                 &fleet,
                 &mut system,
                 &queue,
-                transport,
-                pipeline,
+                &faulted_day(transport, pipeline, None),
                 |_, vsd| secrets.extend(vsd.credentials.iter().map(|c| c.key.secret())),
             )
             .expect("pipelined day runs");
@@ -234,13 +249,11 @@ fn station_death_mid_window_heals_on_survivors() {
         let mut system = TripSystem::setup(trip_config(6, 4), &mut rng);
         let mut devices = Vec::new();
         let mut outcomes = Vec::new();
-        pipelined_register_and_activate_day_with_fault(
+        run_day(
             &fleet,
             &mut system,
             &queue,
-            transport,
-            pipeline,
-            fault,
+            &faulted_day(transport, pipeline, fault),
             |outcome, vsd| {
                 devices.push(vsd.credentials.len());
                 outcomes.push(outcome);
@@ -298,12 +311,11 @@ fn unrecoverable_error_returns_typed_instead_of_hanging() {
         };
         // Voter 99 is not on the roster; their station fails at check-in
         // deterministically, and so does the recovery connection.
-        let out = pipelined_register_and_activate_day(
+        let out = run_day(
             &fleet,
             &mut system,
             &[(VoterId(1), 0), (VoterId(99), 0)],
-            transport,
-            pipeline,
+            &faulted_day(transport, pipeline, None),
             |_, _| {},
         );
         assert_eq!(
@@ -346,7 +358,9 @@ fn durable_config(n_voters: u64, n_kiosks: usize, dir: &Path, fsync: bool) -> Tr
 /// setup seed and driven through the same deterministic day, replays to
 /// signed tree heads and credential bytes bit-identical to the
 /// uncrashed sequential seeded reference. Swept over the transports
-/// (including the secure gateway) and both ingest modes.
+/// (including the secure gateway), both ingest modes, and the inline day
+/// — whose only commit points are `LocalBoundary`'s own barriers (no row
+/// calls `Election::persist_ledgers`).
 ///
 /// SIGKILL-equivalence: the durable store writes each file append-only
 /// from a single thread, so any kill leaves a per-file byte prefix —
@@ -364,41 +378,65 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
     });
     let reference = sequential_reference(seed64, &seed, 4, &queue);
 
-    for (ingest, transport) in [
-        (IngestMode::Barrier, TransportPlan::IN_PROCESS),
-        (IngestMode::Barrier, TransportPlan::TCP),
-        (IngestMode::Background, TransportPlan::IN_PROCESS),
-        (IngestMode::Background, TransportPlan::TCP),
-        (IngestMode::Background, TransportPlan::SECURE_TCP),
+    let threaded = |ingest| PipelineConfig {
+        stations: 2,
+        workers: 2,
+        low_water: 2,
+        ingest,
+        activation_lag: 1,
+    };
+    for (engine, pipeline, transport) in [
+        (
+            "Barrier",
+            threaded(IngestMode::Barrier),
+            TransportPlan::IN_PROCESS,
+        ),
+        ("Barrier", threaded(IngestMode::Barrier), TransportPlan::TCP),
+        (
+            "Background",
+            threaded(IngestMode::Background),
+            TransportPlan::IN_PROCESS,
+        ),
+        (
+            "Background",
+            threaded(IngestMode::Background),
+            TransportPlan::TCP,
+        ),
+        (
+            "Background",
+            threaded(IngestMode::Background),
+            TransportPlan::SECURE_TCP,
+        ),
+        // The default plan: inline on `LocalBoundary`, no threads.
+        (
+            "inline",
+            PipelineConfig::default(),
+            TransportPlan::IN_PROCESS,
+        ),
     ] {
-        let pipeline = PipelineConfig {
-            stations: 2,
-            workers: 2,
-            low_water: 2,
-            ingest,
-            activation_lag: 1,
-        };
         // Reopening is just setup on the same directory with the same
         // seed: the WAL replays, and re-running the deterministic day
         // no-ops through the persisted prefix via the replay cursor.
-        let run_day = |dir: &Path| {
+        let day_on = |dir: &Path| {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
             let mut system = TripSystem::setup(durable_config(6, 4, dir, false), &mut rng);
             let mut outcomes = Vec::new();
-            let stats =
-                pipelined_register_day(&fleet, &mut system, &queue, transport, pipeline, |o| {
-                    outcomes.push(o)
-                })
-                .expect("durable pipelined day runs");
+            let day = DayPlan {
+                transport,
+                pipeline,
+                ..DayPlan::default()
+            };
+            let stats = run_day(&fleet, &mut system, &queue, &day, |o, _| outcomes.push(o))
+                .expect("durable day runs");
             (fingerprint(&system, &outcomes), stats)
         };
 
         // The uncrashed durable day: flat WAL Merkle roots are
         // bit-identical to the volatile in-memory reference, and the
         // day's records really went through the WAL.
-        let full_dir = wal_dir(&format!("full-{ingest:?}-{transport:?}"));
-        let (full, stats) = run_day(&full_dir);
-        assert_eq!(full, reference, "{ingest:?}/{transport:?} uncrashed");
+        let full_dir = wal_dir(&format!("full-{engine}-{transport:?}"));
+        let (full, stats) = day_on(&full_dir);
+        assert_eq!(full, reference, "{engine}/{transport:?} uncrashed");
         assert!(stats.ingest.wal_records > 0, "day must write the WAL");
 
         // Kill the day at five byte fractions of its WAL — early (mid
@@ -409,16 +447,59 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
             let crashed = wal_dir(&format!("crash-{permille}"));
             let report = simulate_crash(&full_dir, &crashed, permille).expect("simulate crash");
             any_torn |= report.torn_tail;
-            let (recovered, _) = run_day(&crashed);
+            let (recovered, _) = day_on(&crashed);
             assert_eq!(
                 recovered, reference,
-                "{ingest:?}/{transport:?} killed at {permille}‰"
+                "{engine}/{transport:?} killed at {permille}‰"
             );
             let _ = std::fs::remove_dir_all(&crashed);
         }
         assert!(any_torn, "the sweep must include a mid-segment-write kill");
         let _ = std::fs::remove_dir_all(&full_dir);
     }
+}
+
+/// The inline day's commit points: a default-plan [`run_day`] runs on
+/// `LocalBoundary`, whose barriers must persist — every activation
+/// window's `sync_through` and `activation_sweep` end in a WAL fsync and
+/// a signed head on disk *while the day runs*, not at segment rolls or
+/// when the system drops.
+#[test]
+fn inline_durable_day_persists_at_every_barrier() {
+    let queue: Vec<(VoterId, usize)> = (1..=6).map(|v| (VoterId(v), (v % 2) as usize)).collect();
+    let fleet = KioskFleet::new(FleetConfig {
+        pool_batch: 2,
+        threads: 2,
+        seed: [0x1Du8; 32],
+    });
+    let dir = wal_dir("inline-barrier");
+    let mut rng = HmacDrbg::from_u64(0x1D);
+    let mut system = TripSystem::setup(durable_config(6, 4, &dir, true), &mut rng);
+    let before = system.ledger.durability_stats();
+    let day = DayPlan {
+        activate: true,
+        ..DayPlan::default()
+    };
+    let mut devices = 0usize;
+    run_day(&fleet, &mut system, &queue, &day, |_, vsd| {
+        devices += vsd.credentials.len()
+    })
+    .expect("inline durable day runs");
+    assert_eq!(devices, 9);
+    // Asserted before the system drops: six voters in windows of two are
+    // three activation windows, each behind its own barrier.
+    let after = system.ledger.durability_stats();
+    let windows = queue.len().div_ceil(2) as u64;
+    assert!(
+        after.heads_persisted - before.heads_persisted >= windows,
+        "every activation window must persist a signed head, got {after:?} (from {before:?})"
+    );
+    assert!(
+        after.wal_fsyncs > before.wal_fsyncs,
+        "fsync-at-barrier must engage on the inline path"
+    );
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite of the crash-recovery criterion: the kill lands during
@@ -456,13 +537,11 @@ fn kill_during_failover_reopens_to_the_healthy_reference() {
         let mut system = TripSystem::setup(config, &mut rng);
         let mut devices = Vec::new();
         let mut outcomes = Vec::new();
-        let result = pipelined_register_and_activate_day_with_fault(
+        let result = run_day(
             &fleet,
             &mut system,
             &queue,
-            transport,
-            pipeline,
-            fault,
+            &faulted_day(transport, pipeline, fault),
             |outcome, vsd| {
                 devices.push(vsd.credentials.len());
                 outcomes.push(outcome);
@@ -576,13 +655,11 @@ fn station_death_steals_kiosk_chunks_across_survivors() {
         let mut system = TripSystem::setup(trip_config(9, 6), &mut rng);
         let mut devices = Vec::new();
         let mut outcomes = Vec::new();
-        let stats = pipelined_register_and_activate_day_with_fault(
+        let stats = run_day(
             &fleet,
             &mut system,
             &queue,
-            transport,
-            pipeline,
-            fault,
+            &faulted_day(transport, pipeline, fault),
             |outcome, vsd| {
                 devices.push(vsd.credentials.len());
                 outcomes.push(outcome);
@@ -671,13 +748,11 @@ fn durable_kill_then_steal_replays_to_identical_heads() {
         let mut system = TripSystem::setup(config, &mut rng);
         let mut devices = Vec::new();
         let mut outcomes = Vec::new();
-        let stats = pipelined_register_and_activate_day_with_fault(
+        let stats = run_day(
             &fleet,
             &mut system,
             &queue,
-            transport,
-            pipeline,
-            fault,
+            &faulted_day(transport, pipeline, fault),
             |outcome, vsd| {
                 devices.push(vsd.credentials.len());
                 outcomes.push(outcome);
@@ -767,13 +842,11 @@ fn dead_steal_chunks_are_restolen_with_bounded_depth() {
         let mut system = TripSystem::setup(trip_config(9, 6), &mut rng);
         let mut devices = Vec::new();
         let mut outcomes = Vec::new();
-        let stats = pipelined_register_and_activate_day_with_fault(
+        let stats = run_day(
             &fleet,
             &mut system,
             &queue,
-            transport,
-            pipeline,
-            fault,
+            &faulted_day(transport, pipeline, fault),
             |outcome, vsd| {
                 devices.push(vsd.credentials.len());
                 outcomes.push(outcome);
@@ -992,15 +1065,15 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                 // healthy-but-delayed stations are not mass-stolen.
                 stall_timeout: Some(std::time::Duration::from_secs(5)),
             };
-            let result = pipelined_register_and_activate_day_chaos(
-                &fleet,
-                &mut system,
-                &queue,
-                cell.transport,
+            let day = DayPlan {
+                transport: cell.transport,
                 pipeline,
-                chaos,
-                |outcome, _vsd| outcomes.push(outcome),
-            );
+                activate: true,
+                chaos: Some(chaos),
+            };
+            let result = run_day(&fleet, &mut system, &queue, &day, |outcome, _vsd| {
+                outcomes.push(outcome)
+            });
             let fp = result
                 .as_ref()
                 .ok()
@@ -1068,15 +1141,15 @@ fn quiet_chaos_options_are_the_identity() {
     let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
     let mut system = TripSystem::setup(trip_config(4, 4), &mut rng);
     let mut outcomes = Vec::new();
-    let stats = pipelined_register_and_activate_day_chaos(
-        &fleet,
-        &mut system,
-        &queue,
-        TransportPlan::TCP,
+    let day = DayPlan {
+        transport: TransportPlan::TCP,
         pipeline,
-        ChaosOptions::default(),
-        |outcome, _vsd| outcomes.push(outcome),
-    )
+        activate: true,
+        chaos: Some(ChaosOptions::default()),
+    };
+    let stats = run_day(&fleet, &mut system, &queue, &day, |outcome, _vsd| {
+        outcomes.push(outcome)
+    })
     .expect("quiet chaos day runs");
     assert_eq!(fingerprint(&system, &outcomes), reference);
     assert_eq!(
@@ -1116,22 +1189,22 @@ fn silently_hung_station_is_stall_detected_and_stolen() {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
             let mut system = TripSystem::setup(trip_config(6, 4), &mut rng);
             let mut outcomes = Vec::new();
-            let stats = pipelined_register_and_activate_day_chaos(
-                &fleet,
-                &mut system,
-                &queue,
+            let day = DayPlan {
                 transport,
                 pipeline,
-                ChaosOptions {
+                activate: true,
+                chaos: Some(ChaosOptions {
                     hang: Some(StationHang {
                         station: 1,
                         after_ops,
                     }),
                     stall_timeout: Some(std::time::Duration::from_millis(400)),
                     ..ChaosOptions::default()
-                },
-                |outcome, _vsd| outcomes.push(outcome),
-            )
+                }),
+            };
+            let stats = run_day(&fleet, &mut system, &queue, &day, |outcome, _vsd| {
+                outcomes.push(outcome)
+            })
             .expect("the stall detector must heal a silently hung station");
             assert_eq!(
                 fingerprint(&system, &outcomes),

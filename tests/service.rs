@@ -21,9 +21,8 @@ use votegral::service::messages::{
     SyncThroughRequest, WireCoupon,
 };
 use votegral::service::{
-    pipe_pair, register_and_activate_day, register_day, serve_channel, ChannelPolicy, Connector,
-    Deadlines, FramedChannel, LinkKind, Listener, RegistrarHost, SecureConfig, ServiceError,
-    TcpChannelListener, TcpConnector, TransportPlan,
+    run_day, ChannelPolicy, Connector, DayPlan, Deadlines, LinkKind, Listener, SecureConfig,
+    ServiceError, TcpChannelListener, TcpConnector, TransportPlan,
 };
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::materials::{CheckInTicket, CheckOutQr, Symbol};
@@ -33,6 +32,17 @@ use votegral::trip::setup::{TripConfig, TripSystem};
 use votegral::trip::vsd::ActivationClaim;
 use votegral::trip::PrintJob;
 use votegral::votegral::ElectionBuilder;
+
+/// A registration day over `transport` on the default (one-station,
+/// lock-step) pipeline: inline for the plaintext in-process plan, the
+/// one-station gateway day for every other.
+fn day(transport: TransportPlan, activate: bool) -> DayPlan {
+    DayPlan {
+        transport,
+        activate,
+        ..DayPlan::default()
+    }
+}
 
 fn trip_config(n_voters: u64, n_kiosks: usize) -> TripConfig {
     TripConfig {
@@ -357,7 +367,7 @@ proptest! {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x5EC);
             let mut system = TripSystem::setup(trip_config(n_voters, n_kiosks), &mut rng);
             let mut outcomes = Vec::new();
-            register_day(&fleet, &mut system, &queue, transport, |o| outcomes.push(o))
+            run_day(&fleet, &mut system, &queue, &day(transport, false), |o, _| outcomes.push(o))
                 .expect("service day runs");
             prop_assert_eq!(
                 &run_fingerprint(&system, &outcomes),
@@ -392,7 +402,7 @@ proptest! {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0xAC7);
             let mut system = TripSystem::setup(trip_config(n_voters, 2), &mut rng);
             let mut secrets = Vec::new();
-            register_and_activate_day(&fleet, &mut system, &queue, transport, |_, vsd| {
+            run_day(&fleet, &mut system, &queue, &day(transport, true), |_, vsd| {
                 secrets.extend(vsd.credentials.iter().map(|c| c.key.secret()));
             })
             .expect("activation day runs");
@@ -462,12 +472,18 @@ fn malicious_kiosk_detected_over_tcp() {
         let queue: Vec<(VoterId, usize)> = (1..=3).map(|v| (VoterId(v), 1)).collect();
         let fleet = KioskFleet::new(FleetConfig::seeded([9u8; 32]));
         let mut honest_traces = Vec::new();
-        register_and_activate_day(&fleet, &mut system, &queue, transport, |outcome, vsd| {
-            honest_traces.push((
-                votegral::trip::protocol::trace_shows_honest_real_flow(&outcome.events),
-                vsd.credentials.len(),
-            ));
-        })
+        run_day(
+            &fleet,
+            &mut system,
+            &queue,
+            &day(transport, true),
+            |outcome, vsd| {
+                honest_traces.push((
+                    votegral::trip::protocol::trace_shows_honest_real_flow(&outcome.events),
+                    vsd.credentials.len(),
+                ));
+            },
+        )
         .expect("day runs");
         let looted: Vec<u64> = system.adversary_loot.iter().map(|s| s.voter_id.0).collect();
         (honest_traces, looted)
@@ -497,12 +513,12 @@ fn typed_errors_cross_the_wire() {
         let mut system = TripSystem::setup(trip_config(2, 1), &mut rng);
         let fleet = KioskFleet::new(FleetConfig::seeded([3u8; 32]));
         // Voter 99 is not on the roster.
-        register_day(
+        run_day(
             &fleet,
             &mut system,
             &[(VoterId(1), 0), (VoterId(99), 0)],
-            transport,
-            |_| {},
+            &day(transport, false),
+            |_, _| {},
         )
     };
     let local = run(TransportPlan::IN_PROCESS);
@@ -553,37 +569,6 @@ fn unenrolled_station_rejected_over_real_tcp() {
     assert!(matches!(
         client.recv_frame(),
         Err(ServiceError::AuthFailed(_))
-    ));
-}
-
-/// Policy mismatch at the serving layer: a secure station dialing a
-/// plaintext-served registrar sends a handshake `Init`, which the
-/// registrar detects from the disjoint tag range and answers with a
-/// typed [`ServiceError::HandshakeFailed`] before closing — the secure
-/// peer sees the typed error, not a hang.
-#[test]
-fn secure_station_against_plaintext_registrar_fails_typed() {
-    let mut rng = HmacDrbg::from_u64(55);
-    let mut system = TripSystem::setup(trip_config(1, 1), &mut rng);
-    let (mut client, mut server) = pipe_pair();
-    let eph = EphemeralKey::generate(&mut rng);
-    client
-        .send_frame(&HandshakeFrame::Init(HandshakeInit { eph: eph.public }).to_wire())
-        .expect("send init");
-    let TripSystem {
-        officials,
-        printers,
-        ledger,
-        kiosk_registry,
-        ..
-    } = &mut system;
-    let mut host = RegistrarHost::new(&officials[0], &printers[0], ledger, kiosk_registry, 1);
-    let out = serve_channel(&mut server, &mut host);
-    assert!(matches!(out, Err(ServiceError::HandshakeFailed(_))));
-    let frame = client.recv_frame().expect("typed rejection frame");
-    assert!(matches!(
-        Response::from_wire(&frame),
-        Ok(Response::Err(ServiceError::HandshakeFailed(_)))
     ));
 }
 
