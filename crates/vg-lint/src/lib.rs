@@ -178,7 +178,9 @@ impl Default for Config {
             .collect(),
             server_paths: [
                 "vg-service/src/gateway.rs",
-                "vg-service/src/pipeline.rs",
+                // The day engine, split by role: mod (run_day), shard,
+                // sequencer, station, coordinator.
+                "vg-service/src/pipeline/",
                 "vg-service/src/channel.rs",
                 "vg-service/src/transport.rs",
                 "vg-service/src/fault.rs",

@@ -1,0 +1,669 @@
+//! The whole threaded day: engine wiring, the gateway, one thread per
+//! station, and the coordinator that releases outcomes in queue order and
+//! steals a lost station's work (see the [module docs](super)).
+
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use vg_ledger::VoterId;
+use vg_trip::fleet::{
+    kiosk_owners, last_occurrence_of, partition_stations, ActivationContext, KioskFleet,
+};
+use vg_trip::protocol::RegistrationOutcome;
+use vg_trip::setup::TripSystem;
+use vg_trip::vsd::Vsd;
+use vg_trip::TripError;
+
+use crate::channel::{Connector, Deadlines, TcpConnector};
+use crate::error::ServiceError;
+use crate::fault::{FaultPlan, FaultyConnector};
+use crate::gateway::{acceptor_loop, reactor_loop, GatewayIntake, PipeHub, REAP_AFTER};
+use crate::retry::RetryPolicy;
+use crate::transport::{
+    client_policy, server_policy, ChannelSecurity, DayStats, LinkKind, StealRecord,
+};
+
+use super::sequencer::{build_ingest, Cmd, IngestEngine};
+use super::shard::ShardRoute;
+use super::station::{
+    run_station, run_steal_lane, DayCounters, HostCore, Link, PipelineDispatch, SessionDelivery,
+    StationJob, StationMsg, StealJob,
+};
+use super::{ChaosOptions, DayPlan};
+
+/// Coordinator bookkeeping for one in-flight steal chunk: enough to
+/// re-partition its sessions onto the remaining survivors if the chunk's
+/// runner dies too, up to [`MAX_RESTEAL_DEPTH`] retries deep.
+struct StealMeta {
+    /// The original dead station (attribution in [`StealRecord`]s).
+    victim: usize,
+    /// Retry depth of this chunk (0 = stolen from the victim itself).
+    depth: usize,
+    /// Global session indices the chunk was responsible for.
+    sessions: Vec<usize>,
+    /// The steal lane carrying the chunk, or `None` for a dedicated
+    /// one-shot runner (spawned when every candidate lane was busy).
+    lane: Option<usize>,
+}
+
+/// How many times a failed steal chunk may be re-partitioned onto the
+/// surviving stations before the day gives up with the runner's typed
+/// error. Depth 0 is the initial steal off a dead station; each retry
+/// re-steals only what is still undelivered, so bounded depth bounds
+/// total replay work at roughly `depth × remaining`.
+const MAX_RESTEAL_DEPTH: usize = 2;
+
+/// Default coordinator liveness deadline: a station that delivers no
+/// outcome for this long (while still holding undelivered sessions) is
+/// declared *stalled* and its remainder is stolen exactly like a dead
+/// station's. Deliberately generous — healthy stations deliver every few
+/// milliseconds, and a false positive is merely wasteful (the dedup
+/// layer absorbs the double delivery), never incorrect. Chaos tests
+/// tighten it through [`ChaosOptions::stall_timeout`].
+const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// [`run_day`] on the threaded engine: the commit sequencer, the shard
+/// workers, the gateway (for every plan but plaintext in-process) and one
+/// thread per polling station, coordinated from the caller's thread.
+pub(super) fn run_threaded_day(
+    fleet: &KioskFleet,
+    system: &mut TripSystem,
+    queue: &[(VoterId, usize)],
+    plan: &DayPlan,
+    sink: &mut dyn FnMut(RegistrationOutcome, Vsd),
+) -> Result<DayStats, TripError> {
+    let DayPlan {
+        transport,
+        pipeline,
+        activate,
+        ..
+    } = *plan;
+    let quiet = ChaosOptions::default();
+    let chaos = plan.chaos.as_ref().unwrap_or(&quiet);
+    let fault = chaos.fault;
+    let stall_timeout = chaos.stall_timeout.unwrap_or(DEFAULT_STALL_TIMEOUT);
+    let authority_pk = system.authority.public_key;
+    let printer_registry = system.printer_registry.clone();
+    let last_occurrence = last_occurrence_of(queue);
+    let total_sessions = queue.len();
+    let TripSystem {
+        officials,
+        printers,
+        ledger,
+        kiosks,
+        kiosk_registry,
+        adversary_loot,
+        transport_keys,
+        ..
+    } = system;
+    let (Some(official), Some(printer)) = (officials.first(), printers.first()) else {
+        return Err(TripError::InvalidConfig(
+            "a registration day needs at least one official and one printer".into(),
+        ));
+    };
+    let core = HostCore {
+        official,
+        printer,
+        kiosk_registry,
+        threads: fleet.config().threads,
+    };
+    let ctx = ActivationContext {
+        authority_pk: &authority_pk,
+        printer_registry: &printer_registry,
+        last_occurrence: &last_occurrence,
+    };
+    let station_plans = partition_stations(queue, kiosks, pipeline.stations)?;
+
+    // Shard ownership: one worker per station partition, folded down to
+    // the effective worker count. Routing keys off the *original* kiosk
+    // owner so steal re-submissions land on the same shard.
+    let workers = pipeline.workers.max(1).min(station_plans.len());
+    let route = ShardRoute {
+        owner: Arc::new(kiosk_owners(kiosks.len(), station_plans.len())),
+        workers,
+    };
+    let mut worker_sessions: Vec<Vec<u64>> = vec![Vec::new(); workers];
+    for session in 0..total_sessions as u64 {
+        worker_sessions[route.worker_of(session)].push(session);
+    }
+
+    // Disk faults go in before the engine is wired so the very first
+    // WAL write is already under the injected schedule.
+    if let Some(ff) = chaos.plan.as_ref().and_then(FaultPlan::fault_fs) {
+        ledger.install_fault_fs(ff);
+    }
+
+    // The whole engine — sequencer, shard workers, client — is wired
+    // before any thread spawns.
+    let IngestEngine {
+        client,
+        sequencer,
+        seq_rx,
+        shards,
+    } = build_ingest(
+        ledger,
+        official,
+        core.threads,
+        pipeline.ingest,
+        route,
+        worker_sessions,
+    );
+
+    // TCP: bind before the scope so stations can connect immediately.
+    let listener = match transport.link {
+        LinkKind::InProcess => None,
+        LinkKind::Tcp => Some(
+            TcpListener::bind(("127.0.0.1", 0))
+                .map_err(|e| TripError::Boundary(format!("bind: {e}")))?,
+        ),
+    };
+    let addr = listener
+        .as_ref()
+        .map(|l| l.local_addr())
+        .transpose()
+        .map_err(|e| TripError::Boundary(format!("local_addr: {e}")))?;
+    // One flag tears the whole gateway down: the acceptor stops
+    // admitting and the reactors exit once their connections drain.
+    let accepting = Arc::new(AtomicBool::new(true));
+
+    // The gateway serves every remote-ish day: real TCP links, and
+    // in-process links that the policy secures (the handshake needs the
+    // frame-level server). Only the plaintext in-process day bypasses it
+    // and dispatches straight into the engine — that is the bit-identity
+    // reference and the zero-overhead perf path.
+    let use_gateway =
+        transport.link == LinkKind::Tcp || transport.security == ChannelSecurity::Secure;
+
+    // Reactor pool: bounded by the deployment, not the connection count.
+    const MAX_REACTORS: usize = 4;
+    let mut reactor_rxs = Vec::new();
+    let mut intake = None;
+    if use_gateway {
+        let n = station_plans.len().clamp(1, MAX_REACTORS);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
+        reactor_rxs = rxs;
+        intake = Some(GatewayIntake::new(txs));
+    }
+    // One pluggable connector per station, carrying that station's
+    // enrolled channel identity; its refiller and steal lanes dial the
+    // same connector (they act on the station's behalf).
+    let connectors: Option<Vec<Box<dyn Connector>>> = intake.as_ref().map(|intake| {
+        station_plans
+            .iter()
+            .map(|sp| -> Box<dyn Connector> {
+                let policy = client_policy(transport_keys, transport.security, sp.station);
+                let base: Box<dyn Connector> = match addr {
+                    Some(addr) => Box::new(TcpConnector {
+                        addr,
+                        policy,
+                        deadlines: Deadlines::default(),
+                    }),
+                    None => Box::new(PipeHub::new(intake.clone(), policy)),
+                };
+                // Network faults wrap the *established* channel, so the
+                // schedule applies uniformly to plaintext and secured
+                // links (injection sits outside the security policy).
+                match &chaos.plan {
+                    Some(fp) if fp.net_rate_permille > 0 => {
+                        Box::new(FaultyConnector::new(base, fp.clone(), sp.station))
+                    }
+                    _ => base,
+                }
+            })
+            .collect()
+    });
+
+    // Day-wide degraded-mode telemetry: boundary counters shared by the
+    // station/lane threads, reap count owned by the gateway reactors.
+    let counters = DayCounters::default();
+    let reaped = Arc::new(AtomicU64::new(0));
+    // Releases injected hangs at teardown so their threads join.
+    let day_over = Arc::new(AtomicBool::new(false));
+
+    std::thread::scope(|scope| -> Result<DayStats, TripError> {
+        scope.spawn(move || sequencer.run(seq_rx));
+        for (worker, rx) in shards {
+            scope.spawn(move || worker.run(rx));
+        }
+
+        // The multiplexed gateway: a bounded reactor pool serves every
+        // connection — stations, refillers, steal lanes — and the
+        // acceptor (TCP days only; in-process dials inject straight into
+        // the intake) only hands sockets over.
+        if use_gateway {
+            let server_pol = server_policy(transport_keys, transport.security);
+            for rx in reactor_rxs.drain(..) {
+                let policy = server_pol.clone();
+                let dispatch = PipelineDispatch {
+                    core,
+                    client: client.clone(),
+                };
+                let open = Arc::clone(&accepting);
+                let reaped = Arc::clone(&reaped);
+                scope.spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, reaped));
+            }
+        }
+        if let Some(listener) = listener {
+            let open = Arc::clone(&accepting);
+            let Some(intake) = intake.clone() else {
+                return Err(TripError::InvalidConfig(
+                    "TCP listener configured without a gateway intake".into(),
+                ));
+            };
+            scope.spawn(move || acceptor_loop(listener, open, intake));
+        }
+
+        let station_link = |station: usize| match &connectors {
+            Some(conns) => Link::Gateway(conns[station].as_ref()),
+            None => Link::InProcess(core),
+        };
+
+        let (msg_tx, msg_rx) = mpsc::channel::<StationMsg>();
+        let mut spawned = 0usize;
+        for sp in &station_plans {
+            let hang = chaos.hang.filter(|h| h.station == sp.station);
+            let job = StationJob {
+                fleet,
+                kiosks,
+                sessions: sp.sessions.clone(),
+                plans: sp.plans.clone(),
+                authority_pk,
+                activation: activate.then_some(&ctx),
+                pipeline,
+                fault_after: fault
+                    .filter(|f| f.station == sp.station)
+                    .map(|f| f.after_ops)
+                    .or(hang.map(|h| h.after_ops)),
+                hang_release: hang.map(|_| Arc::clone(&day_over)),
+                retry: RetryPolicy::reconnect(sp.station as u64),
+                counters: &counters,
+            };
+            let tx = msg_tx.clone();
+            let client = client.clone();
+            let station_id = sp.station;
+            let link = station_link(sp.station);
+            scope.spawn(move || {
+                let result = run_station(job, link, &client, &tx);
+                let _ = tx.send(StationMsg::Done(station_id, result));
+            });
+            spawned += 1;
+        }
+
+        // Coordinator: release outcomes in global session order, push
+        // adversary loot in that same order, and steal a dead station's
+        // undelivered kiosk range onto the survivors. Runs as an
+        // immediately-invoked closure so EVERY exit path — including the
+        // error returns — falls through to the acceptor wake-up below;
+        // returning early from the scope with the acceptor still parked
+        // in accept() would deadlock the scope join.
+        let coordinate = || -> Result<DayStats, TripError> {
+            let mut next_emit = 0usize;
+            let mut buffered: BTreeMap<usize, SessionDelivery> = BTreeMap::new();
+            let mut done = 0usize;
+            let mut recovered: HashSet<usize> = HashSet::new();
+            let mut alive = vec![true; station_plans.len()];
+            let mut steals: Vec<StealRecord> = Vec::new();
+            let mut steal_seq = 0usize;
+            let mut first_error: Option<TripError> = None;
+            // Per-thief steal lanes: ONE extra connection per surviving
+            // station, shared by every chunk (and re-stolen chunk) that
+            // thief absorbs. Declared inside the coordinator so every
+            // return path drops the job senders and the lanes unwind
+            // before the scope joins.
+            let mut steal_lanes: HashMap<usize, Sender<StealJob>> = HashMap::new();
+            // In-flight chunks per lane. A lane only accepts a job at
+            // load 0 (see `run_steal_lane` on why queueing can deadlock).
+            let mut lane_load: HashMap<usize, usize> = HashMap::new();
+            let mut steal_meta: HashMap<usize, StealMeta> = HashMap::new();
+            // Chaos budget: how many recovery runners the injected fault
+            // may still kill (so bounded re-steal is testable without
+            // the fault killing every retry forever).
+            let mut recovery_deaths_left = fault.map_or(0, |f| f.recovery_deaths);
+            // Stall-aware liveness. `session_owner` resolves a delivered
+            // session index back to its original station so each outcome
+            // refreshes its station's activity clock; a station with
+            // undelivered sessions and a stale clock is declared
+            // *stalled* — lost without the courtesy of dying — and its
+            // remainder is stolen through the exact same path as a dead
+            // station's, by synthesizing the `Done(id, Err)` it never
+            // sent. If the stalled station later recovers and sends its
+            // REAL `Done`, that message is swallowed (`stalled` set):
+            // the synthetic one already advanced the `done` accounting,
+            // and a late error must not abort a day the steal healed.
+            let session_owner: HashMap<usize, usize> = station_plans
+                .iter()
+                .enumerate()
+                .flat_map(|(s, sp)| sp.sessions.iter().map(move |&(idx, _, _)| (idx, s)))
+                .collect();
+            let mut last_activity: Vec<Instant> = vec![Instant::now(); station_plans.len()];
+            let mut finished: HashSet<usize> = HashSet::new();
+            let mut stalled: HashSet<usize> = HashSet::new();
+            let mut stall_steals = 0u64;
+            let mut synthetic: VecDeque<StationMsg> = VecDeque::new();
+            let stall_poll =
+                (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
+            while done < spawned {
+                let (msg, synthesized) = match synthetic.pop_front() {
+                    Some(msg) => (msg, true),
+                    None => match msg_rx.recv_timeout(stall_poll) {
+                        Ok(msg) => (msg, false),
+                        Err(RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Timeout) => {
+                            // Liveness scan: only stations that are still
+                            // nominally alive, unfinished, hold sessions
+                            // nobody has delivered, and have been silent
+                            // past the deadline. A healthy station parked
+                            // on an activation barrier keeps its clock
+                            // fresh through the other stations' outcomes
+                            // only if it owns none of the missing
+                            // sessions — so a false positive costs a
+                            // redundant (deduped) replay, never
+                            // correctness.
+                            for id in 0..station_plans.len() {
+                                if !alive[id]
+                                    || finished.contains(&id)
+                                    || stalled.contains(&id)
+                                    || last_activity[id].elapsed() < stall_timeout
+                                {
+                                    continue;
+                                }
+                                let undelivered =
+                                    station_plans[id].sessions.iter().any(|&(idx, _, _)| {
+                                        idx >= next_emit && !buffered.contains_key(&idx)
+                                    });
+                                if !undelivered {
+                                    continue;
+                                }
+                                stalled.insert(id);
+                                stall_steals += 1;
+                                synthetic.push_back(StationMsg::Done(
+                                    id,
+                                    Err(TripError::Boundary(format!(
+                                        "station {id} stalled: no outcome within \
+                                         {stall_timeout:?}"
+                                    ))),
+                                ));
+                            }
+                            continue;
+                        }
+                    },
+                };
+                if !synthesized {
+                    if let StationMsg::Done(id, _) = &msg {
+                        if stalled.remove(id) {
+                            continue;
+                        }
+                    }
+                }
+                match msg {
+                    StationMsg::Outcome(idx, delivery) => {
+                        if let Some(&owner) = session_owner.get(&idx) {
+                            last_activity[owner] = Instant::now();
+                        }
+                        buffered.entry(idx).or_insert(delivery);
+                        while let Some(delivery) = buffered.remove(&next_emit) {
+                            let (outcome, vsd, stolen) = *delivery;
+                            if let Some(looted) = stolen {
+                                adversary_loot.push(looted);
+                            }
+                            sink(outcome, vsd.unwrap_or_default());
+                            next_emit += 1;
+                        }
+                    }
+                    StationMsg::Done(id, Ok(())) => {
+                        done += 1;
+                        if id < station_plans.len() {
+                            finished.insert(id);
+                        }
+                        // Retire a finished steal chunk's lane slot.
+                        if let Some(t) = steal_meta.remove(&id).and_then(|m| m.lane) {
+                            lane_load.entry(t).and_modify(|n| *n = n.saturating_sub(1));
+                        }
+                    }
+                    StationMsg::Done(id, Err(e)) => {
+                        done += 1;
+                        if matches!(&e, TripError::Boundary(m) if m.contains("deadline expired")) {
+                            counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let meta = steal_meta.remove(&id);
+                        if let Some(t) = meta.as_ref().and_then(|m| m.lane) {
+                            lane_load.entry(t).and_modify(|n| *n = n.saturating_sub(1));
+                        }
+                        // Attribute the death: an *original* station's
+                        // first death is stolen; a dead steal chunk is
+                        // re-stolen onto the remaining survivors up to
+                        // MAX_RESTEAL_DEPTH retries deep; anything else
+                        // aborts the day.
+                        let resteal: Option<(usize, usize, Vec<usize>)> =
+                            if id < station_plans.len()
+                                && recovered.insert(id)
+                                && first_error.is_none()
+                            {
+                                alive[id] = false;
+                                Some((
+                                    id,
+                                    0,
+                                    station_plans[id]
+                                        .sessions
+                                        .iter()
+                                        .map(|&(idx, _, _)| idx)
+                                        .collect(),
+                                ))
+                            } else if let Some(meta) = meta {
+                                (first_error.is_none() && meta.depth < MAX_RESTEAL_DEPTH)
+                                    .then_some((meta.victim, meta.depth + 1, meta.sessions))
+                            } else {
+                                None
+                            };
+                        let Some((victim, depth, candidates)) = resteal else {
+                            // Unrecoverable: remember the first error and
+                            // fail every parked barrier so blocked stations
+                            // unwind instead of deadlocking the scope join.
+                            first_error.get_or_insert(e);
+                            client.abort();
+                            continue;
+                        };
+                        // Undelivered = not yet emitted and not buffered.
+                        let remaining: Vec<usize> = candidates
+                            .into_iter()
+                            .filter(|idx| *idx >= next_emit && !buffered.contains_key(idx))
+                            .collect();
+                        if remaining.is_empty() {
+                            continue;
+                        }
+                        // Dynamic work stealing: split the undelivered
+                        // kiosk range into contiguous chunks attributed
+                        // round-robin to the surviving stations, so
+                        // recovery re-derivation runs in parallel
+                        // instead of on one serial replay connection.
+                        // Each chunk rides its thief's steal *lane* —
+                        // one amortized connection per thief, not one
+                        // per chunk — unless every lane is busy, in
+                        // which case it gets a dedicated runner (see
+                        // `run_steal_lane`). The kiosk assignment never
+                        // moves; shard routing (keyed off the original
+                        // owner) dedups the re-submissions.
+                        let sp = &station_plans[victim];
+                        let k = kiosks.len();
+                        let mut stolen_kiosks: Vec<usize> =
+                            remaining.iter().map(|idx| idx % k).collect();
+                        stolen_kiosks.sort_unstable();
+                        stolen_kiosks.dedup();
+                        let survivors: Vec<usize> =
+                            (0..station_plans.len()).filter(|s| alive[*s]).collect();
+                        // No survivors: one chunk, replayed by the
+                        // victim itself (the pre-stealing behavior).
+                        let chunks = survivors.len().clamp(1, stolen_kiosks.len());
+                        for c in 0..chunks {
+                            let lo = c * stolen_kiosks.len() / chunks;
+                            let hi = (c + 1) * stolen_kiosks.len() / chunks;
+                            let owned: HashSet<usize> =
+                                stolen_kiosks[lo..hi].iter().copied().collect();
+                            let keep: HashSet<usize> = remaining
+                                .iter()
+                                .copied()
+                                .filter(|idx| owned.contains(&(idx % k)))
+                                .collect();
+                            if keep.is_empty() {
+                                continue;
+                            }
+                            // Prefer riding an IDLE survivor lane (one
+                            // amortized connection per thief); when every
+                            // candidate lane has a chunk in flight, fall
+                            // back to a dedicated one-shot runner so
+                            // session-ordered chunks never serialize
+                            // behind each other (prefix-barrier deadlock).
+                            let preferred = survivors
+                                .get(c % survivors.len().max(1))
+                                .copied()
+                                .unwrap_or(victim);
+                            let lane_thief = (0..survivors.len())
+                                .map(|o| survivors[(c + o) % survivors.len()])
+                                .find(|t| lane_load.get(t).is_none_or(|n| *n == 0));
+                            let thief = lane_thief.unwrap_or(preferred);
+                            steals.push(StealRecord {
+                                victim,
+                                thief,
+                                sessions: keep.len(),
+                                depth,
+                            });
+                            let sessions: Vec<(usize, VoterId, usize)> = sp
+                                .sessions
+                                .iter()
+                                .filter(|(idx, _, _)| keep.contains(idx))
+                                .copied()
+                                .collect();
+                            let session_idxs: Vec<usize> =
+                                sessions.iter().map(|&(idx, _, _)| idx).collect();
+                            // Steal chunks draw their materials from a
+                            // pre-built pool instead of spinning up a
+                            // refiller connection per chunk (same
+                            // seeded plans → same bytes either way).
+                            let mut chunk_pipeline = pipeline;
+                            chunk_pipeline.low_water = 0;
+                            // Kill-during-failover chaos hook: the
+                            // fault may kill up to `recovery_deaths`
+                            // recovery runners before the retries are
+                            // allowed to succeed.
+                            let fault_after = match fault {
+                                Some(f) if f.station == victim && recovery_deaths_left > 0 => {
+                                    f.recovery_after_ops.inspect(|_| recovery_deaths_left -= 1)
+                                }
+                                _ => None,
+                            };
+                            let job = StationJob {
+                                fleet,
+                                kiosks,
+                                sessions,
+                                plans: sp
+                                    .plans
+                                    .iter()
+                                    .filter(|(idx, _)| keep.contains(idx))
+                                    .copied()
+                                    .collect(),
+                                authority_pk,
+                                activation: activate.then_some(&ctx),
+                                pipeline: chunk_pipeline,
+                                fault_after,
+                                hang_release: None,
+                                retry: RetryPolicy::reconnect(
+                                    (station_plans.len() + steal_seq) as u64,
+                                ),
+                                counters: &counters,
+                            };
+                            let runner_id = station_plans.len() + steal_seq;
+                            steal_seq += 1;
+                            steal_meta.insert(
+                                runner_id,
+                                StealMeta {
+                                    victim,
+                                    depth,
+                                    sessions: session_idxs,
+                                    lane: lane_thief,
+                                },
+                            );
+                            match lane_thief {
+                                Some(t) => {
+                                    *lane_load.entry(t).or_insert(0) += 1;
+                                    let lane = steal_lanes.entry(t).or_insert_with(|| {
+                                        let (job_tx, job_rx) = mpsc::channel::<StealJob>();
+                                        let tx = msg_tx.clone();
+                                        let client = client.clone();
+                                        let link = station_link(t);
+                                        scope.spawn(move || {
+                                            run_steal_lane(job_rx, link, &client, &tx)
+                                        });
+                                        job_tx
+                                    });
+                                    // The lane cannot be gone while we
+                                    // hold its sender; a send failure is
+                                    // unreachable.
+                                    let _ = lane.send(StealJob { runner_id, job });
+                                }
+                                None => {
+                                    let tx = msg_tx.clone();
+                                    let client = client.clone();
+                                    let link = station_link(thief);
+                                    scope.spawn(move || {
+                                        let result = run_station(job, link, &client, &tx);
+                                        let _ = tx.send(StationMsg::Done(runner_id, result));
+                                    });
+                                }
+                            }
+                            spawned += 1;
+                        }
+                    }
+                }
+            }
+            drop(msg_tx);
+
+            if let Some(e) = first_error {
+                return Err(e);
+            }
+            if next_emit != total_sessions {
+                return Err(TripError::Boundary(format!(
+                    "day ended with {next_emit}/{total_sessions} sessions delivered"
+                )));
+            }
+
+            // Final barrier + telemetry straight over the engine channel.
+            client.call(Cmd::SyncAll).map_err(ServiceError::into_trip)?;
+            let ingest = client
+                .stats()
+                .map_err(|e| TripError::Boundary(e.to_string()))?;
+            Ok(DayStats {
+                ingest,
+                workers,
+                steals,
+                timeouts: counters.timeouts.load(Ordering::Relaxed),
+                reconnects: counters.reconnects.load(Ordering::Relaxed),
+                reaped: reaped.load(Ordering::Relaxed),
+                stall_steals,
+            })
+        };
+        let result = coordinate();
+
+        // Tear the gateway down — on success AND failure alike (see the
+        // coordinator comment): clear the flag so the reactors exit once
+        // their connections drain, and wake the acceptor (parked in
+        // accept()) with a throwaway connection so it observes the flag.
+        // Injected hangs release first so their threads join.
+        day_over.store(true, Ordering::SeqCst);
+        accepting.store(false, Ordering::SeqCst);
+        if let Some(addr) = addr {
+            drop(TcpStream::connect(addr));
+        }
+        // Teardown handshake: the sequencer drops its shard senders so
+        // the workers drain and exit; dropping the coordinator's client
+        // (the reactors' clones go with their threads) then lets the
+        // sequencer itself exit. Both must happen on every exit path or
+        // the scope join deadlocks.
+        client.shutdown();
+        drop(client);
+        result
+    })
+}
