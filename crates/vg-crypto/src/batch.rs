@@ -15,9 +15,9 @@
 //!
 //! # Soundness of the small-exponent RLC
 //!
-//! Let Eⱼ = Σᵢ aⱼᵢ·Pⱼᵢ be the error point of equation j. All points live
-//! in the prime-order subgroup of order ℓ, so each Eⱼ equals eⱼ·B for a
-//! unique eⱼ ∈ Z_ℓ. The folded check accepts iff Σⱼ wⱼ·eⱼ ≡ 0 (mod ℓ).
+//! Let Eⱼ = Σᵢ aⱼᵢ·Pⱼᵢ be the error point of equation j. When every point
+//! lives in the prime-order subgroup of order ℓ, each Eⱼ equals eⱼ·B for a
+//! unique eⱼ ∈ Z_ℓ and the folded check accepts iff Σⱼ wⱼ·eⱼ ≡ 0 (mod ℓ).
 //! If some eⱼ ≠ 0, then over weights drawn uniformly from [1, 2¹²⁸) —
 //! independently of the eⱼ — at most one choice of wⱼ (with the others
 //! fixed) satisfies the congruence, so the batch wrongly accepts with
@@ -30,6 +30,33 @@
 //! in the batch (grinding a hash gives a cheating prover only a 2⁻¹²⁷
 //! success chance per attempt).
 //!
+//! # Points outside the prime-order subgroup
+//!
+//! Decoded points are curve-checked, not subgroup-checked, so an error
+//! point may carry a component Tⱼ in the 8-torsion E\[8\]: Eⱼ = eⱼ·B + Tⱼ.
+//! The bound above covers only the eⱼ. A cofactorless fold additionally
+//! asks for Σⱼ wⱼ·Tⱼ = 𝒪, which a prover who sees (or grinds) hash-derived
+//! weights can arrange with probability 1/8 per attempt — *easier* than
+//! passing the one-by-one check. A caller whose points are not all known
+//! to be torsion-free must therefore
+//!
+//! 1. finish the fold with [`BatchVerifier::verify_cofactored`], which
+//!    checks 8·Σⱼ wⱼ·Eⱼ = 𝒪 and so establishes exactly "every relation
+//!    holds in the quotient E / E\[8\]", and
+//! 2. take every *decision* that depends on the related points in that
+//!    quotient too — compare and hash `mul_by_cofactor()` images, never
+//!    raw encodings — because a relation that holds modulo torsion says
+//!    nothing about which of the eight representatives was published.
+//!
+//! Users: `vg-shuffle`'s cascade folds and `vg-trip`'s activation fold
+//! run over points their own provers generated in the subgroup and use
+//! [`BatchVerifier::verify`]; `vg-ledger`'s admission sweeps fall back to
+//! the authoritative one-by-one check on rejection. The tally folds of
+//! `vg-votegral` (tagging rounds, vote-proof admission) and
+//! [`crate::dkg::verify_openings`] take transcript points as published,
+//! so they are cofactored, and `match_tags`/`count_votes` decide on
+//! cofactor-cleared plaintexts.
+//!
 //! # Static bases
 //!
 //! Equations from one proof system typically share bases — Pedersen
@@ -39,9 +66,10 @@
 //! final multi-scalar multiplication no matter how many equations touch
 //! it.
 
-use crate::drbg::Rng;
+use crate::drbg::{HmacDrbg, Rng};
 use crate::edwards::{multiscalar_mul_par, EdwardsPoint};
 use crate::scalar::Scalar;
+use crate::sha2::Sha512;
 
 /// Draws a uniform non-zero 128-bit batching weight.
 ///
@@ -58,10 +86,75 @@ pub fn small_weight(rng: &mut dyn Rng) -> Scalar {
     }
 }
 
+/// Draws `n` batching weights with a single generator call.
+///
+/// Same distribution as `n` calls of [`small_weight`], but an HMAC-DRBG
+/// pays its state update once per call rather than once per weight, which
+/// matters when a fold draws two weights per proof.
+pub fn small_weights(rng: &mut dyn Rng, n: usize) -> Vec<Scalar> {
+    let mut bytes = vec![0u8; 16 * n];
+    rng.fill_bytes(&mut bytes);
+    bytes
+        .chunks_exact(16)
+        .map(|half| {
+            let mut wide = [0u8; 32];
+            wide[..16].copy_from_slice(half);
+            let w = Scalar::from_bytes_mod_order(&wide);
+            if w.is_zero() {
+                small_weight(rng)
+            } else {
+                w
+            }
+        })
+        .collect()
+}
+
+/// The weight source of a deterministic fold over in-memory statements:
+/// a running hash that must absorb **every** statement and proof a fold
+/// checks before that fold's weights are drawn from it — the
+/// everything-committed rule [`crate::schnorr::SignatureSweep`] documents,
+/// for folds that carry no signatures.
+///
+/// A verifier that folds a long vector in fixed-size chunks keeps one
+/// commitment for the whole vector: each chunk is absorbed before its
+/// weights are drawn, so chunk k's weights commit to chunks 0 … k — a
+/// superset of what chunk k's fold checks — and memory stays bounded by
+/// the chunk.
+pub struct CommittedWeights {
+    hash: Sha512,
+}
+
+impl CommittedWeights {
+    /// Starts a commitment under `domain` (a versioned per-call-site
+    /// separation label).
+    pub fn new(domain: &[u8]) -> Self {
+        let mut hash = Sha512::new();
+        hash.update(b"votegral-committed-weights-v1");
+        hash.update(&(domain.len() as u64).to_le_bytes());
+        hash.update(domain);
+        Self { hash }
+    }
+
+    /// Absorbs statement or proof bytes. Callers absorb fixed-width fields
+    /// in a fixed order (and every count that shapes the order), which
+    /// keeps the absorbed stream injective.
+    pub fn absorb(&mut self, bytes: &[u8]) -> &mut Self {
+        self.hash.update(bytes);
+        self
+    }
+
+    /// Draws `n` weights bound to everything absorbed so far.
+    pub fn weights(&self, n: usize) -> Vec<Scalar> {
+        let mut rng = HmacDrbg::new(&self.hash.clone().finalize());
+        small_weights(&mut rng, n)
+    }
+}
+
 /// Accumulates weighted Σ-protocol equations into one multi-scalar check.
 ///
 /// Create with the shared [static bases](self#static-bases), queue each
-/// equation with its weight, then call [`BatchVerifier::verify`] once.
+/// equation with its weight, then call [`BatchVerifier::verify`] (or
+/// [`BatchVerifier::verify_cofactored`], see the module docs) once.
 pub struct BatchVerifier {
     statics: Vec<EdwardsPoint>,
     static_coeffs: Vec<Scalar>,
@@ -124,14 +217,27 @@ impl BatchVerifier {
 
     /// Runs the single folded multi-scalar multiplication over up to
     /// `threads` workers and returns whether it lands on the identity.
-    pub fn verify(mut self, threads: usize) -> bool {
+    pub fn verify(self, threads: usize) -> bool {
+        self.fold(threads).is_identity()
+    }
+
+    /// Like [`BatchVerifier::verify`], but accepts iff the folded sum lies
+    /// in the 8-torsion (8·Σ = 𝒪): every queued relation holds modulo
+    /// E\[8\]. The check for points that were never subgroup-checked —
+    /// see [the module docs](self#points-outside-the-prime-order-subgroup)
+    /// for what the caller owes in return.
+    pub fn verify_cofactored(self, threads: usize) -> bool {
+        self.fold(threads).is_small_order()
+    }
+
+    fn fold(mut self, threads: usize) -> EdwardsPoint {
         for (coeff, point) in self.static_coeffs.iter().zip(self.statics.iter()) {
             if !coeff.is_zero() {
                 self.scalars.push(*coeff);
                 self.points.push(*point);
             }
         }
-        multiscalar_mul_par(&self.scalars, &self.points, threads).is_identity()
+        multiscalar_mul_par(&self.scalars, &self.points, threads)
     }
 }
 
@@ -209,6 +315,52 @@ mod tests {
         }
         assert!(with_static.verify(1));
         assert!(all_dynamic.verify(1));
+    }
+
+    #[test]
+    fn cofactored_check_ignores_torsion_and_nothing_else() {
+        // (0, −1) has order 2. An equation whose error is exactly that
+        // point fails the plain fold (odd weight) and passes the
+        // cofactored one; a prime-order error fails both.
+        let mut enc = [0xffu8; 32];
+        enc[0] = 0xec;
+        enc[31] = 0x7f;
+        let t2 = crate::CompressedPoint(enc).decompress().expect("on curve");
+        assert!(t2.is_small_order() && !t2.is_identity());
+        let w = Scalar::ONE;
+        let queue = |error: EdwardsPoint| {
+            let mut bv = BatchVerifier::new(&[]);
+            bv.queue(&w, &[], &[(Scalar::ONE, error)]);
+            bv
+        };
+        assert!(!queue(t2).verify(1));
+        assert!(queue(t2).verify_cofactored(1));
+        assert!(!queue(EdwardsPoint::basepoint()).verify_cofactored(1));
+        assert!(!queue(EdwardsPoint::basepoint() + t2).verify_cofactored(1));
+    }
+
+    #[test]
+    fn committed_weights_depend_on_everything_absorbed() {
+        let mut a = CommittedWeights::new(b"d1");
+        let b = CommittedWeights::new(b"d2");
+        assert_ne!(a.weights(2), b.weights(2), "domain not committed");
+        let before = a.weights(2);
+        assert_eq!(before, a.weights(2), "drawing is repeatable");
+        a.absorb(b"statement");
+        assert_ne!(before, a.weights(2), "absorbed bytes not committed");
+    }
+
+    #[test]
+    fn bulk_weights_are_small_and_nonzero() {
+        let mut rng = HmacDrbg::from_u64(10);
+        let ws = small_weights(&mut rng, 33);
+        assert_eq!(ws.len(), 33);
+        for w in &ws {
+            assert!(!w.is_zero());
+            assert!(w.to_bytes()[16..].iter().all(|&b| b == 0));
+        }
+        assert_ne!(ws[0], ws[1]);
+        assert!(small_weights(&mut rng, 0).is_empty());
     }
 
     #[test]

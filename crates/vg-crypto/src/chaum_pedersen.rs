@@ -22,7 +22,7 @@
 //!   human is in the loop.
 
 use crate::drbg::Rng;
-use crate::edwards::EdwardsPoint;
+use crate::edwards::{multiscalar_mul, CompressedPoint, EdwardsPoint};
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
@@ -73,13 +73,23 @@ pub struct Prover {
     commit: Commitment,
 }
 
+/// `s·base`, through the fixed-base table when `base` is the basepoint —
+/// every tagging, decryption-share and vote-proof statement has g₁ = B.
+fn scale(base: &EdwardsPoint, s: &Scalar) -> EdwardsPoint {
+    if *base == EdwardsPoint::basepoint() {
+        EdwardsPoint::mul_base(s)
+    } else {
+        *base * s
+    }
+}
+
 impl Prover {
     /// Step 1 (kiosk, Fig 9a line 5): choose a nonce and commit.
     pub fn commit(stmt: &DlEqStatement, rng: &mut dyn Rng) -> Self {
         let nonce = rng.scalar();
         let commit = Commitment {
-            a1: stmt.g1 * nonce,
-            a2: stmt.g2 * nonce,
+            a1: scale(&stmt.g1, &nonce),
+            a2: scale(&stmt.g2, &nonce),
         };
         Self { nonce, commit }
     }
@@ -125,8 +135,8 @@ pub fn forge_transcript(
 ) -> IzkpTranscript {
     let y = rng.scalar();
     let commit = Commitment {
-        a1: stmt.g1 * y + stmt.y1 * *challenge,
-        a2: stmt.g2 * y + stmt.y2 * *challenge,
+        a1: scale(&stmt.g1, &y) + stmt.y1 * *challenge,
+        a2: multiscalar_mul(&[y, *challenge], &[stmt.g2, stmt.y2]),
     };
     IzkpTranscript {
         commit,
@@ -155,6 +165,29 @@ pub struct DlEqProof {
     pub response: Scalar,
 }
 
+/// The encodings a NIZK challenge absorbs, in absorption order:
+/// g₁, y₁, g₂, y₂, Y₁, Y₂.
+pub type DlEqEncodings = [CompressedPoint; 6];
+
+/// Derives the Fiat–Shamir challenge of a NIZK proof from the *encodings*
+/// of its statement and commitment — byte for byte what [`prove_dleq`] and
+/// [`verify_dleq`] absorb. Batched provers and verifiers compress a whole
+/// vector of points with one shared inversion
+/// ([`EdwardsPoint::batch_compress`]) and replay the challenges from here.
+pub fn dleq_challenge(transcript: &mut Transcript, enc: &DlEqEncodings) -> Scalar {
+    const LABELS: [&[u8]; 6] = [b"cp-g1", b"cp-y1", b"cp-g2", b"cp-y2", b"cp-a1", b"cp-a2"];
+    for (label, point) in LABELS.into_iter().zip(enc.iter()) {
+        transcript.append_compressed(label, point);
+    }
+    transcript.challenge_scalar(b"cp-e")
+}
+
+fn encodings(stmt: &DlEqStatement, commit: &Commitment) -> DlEqEncodings {
+    EdwardsPoint::batch_compress(&[stmt.g1, stmt.y1, stmt.g2, stmt.y2, commit.a1, commit.a2])
+        .try_into()
+        .expect("six points in, six encodings out")
+}
+
 /// Produces a NIZK proof of y₁ = x·g₁ ∧ y₂ = x·g₂ bound to `transcript`.
 pub fn prove_dleq(
     transcript: &mut Transcript,
@@ -163,10 +196,7 @@ pub fn prove_dleq(
     rng: &mut dyn Rng,
 ) -> DlEqProof {
     let prover = Prover::commit(stmt, rng);
-    absorb_stmt(transcript, stmt);
-    transcript.append_point(b"cp-a1", &prover.commit.a1);
-    transcript.append_point(b"cp-a2", &prover.commit.a2);
-    let e = transcript.challenge_scalar(b"cp-e");
+    let e = dleq_challenge(transcript, &encodings(stmt, &prover.commit));
     let t = prover.respond(x, &e);
     DlEqProof {
         commit: t.commit,
@@ -174,16 +204,58 @@ pub fn prove_dleq(
     }
 }
 
+/// One proof request of [`prove_dleq_batch`]: the transcript the proof is
+/// bound to, the statement, and its witness.
+pub struct DlEqJob<'a> {
+    /// The transcript, positioned where [`prove_dleq`] would receive it.
+    pub transcript: Transcript,
+    /// The statement to prove.
+    pub stmt: DlEqStatement,
+    /// The witness x.
+    pub witness: &'a Scalar,
+}
+
+/// Proves a vector of statements, producing exactly the proofs — and
+/// consuming exactly the randomness — of [`prove_dleq`] called on each job
+/// in order: all nonces are drawn and all commitments computed first, then
+/// every point the challenges absorb is compressed with one shared
+/// inversion instead of six per proof.
+pub fn prove_dleq_batch(jobs: Vec<DlEqJob<'_>>, rng: &mut dyn Rng) -> Vec<DlEqProof> {
+    let provers: Vec<Prover> = jobs
+        .iter()
+        .map(|job| Prover::commit(&job.stmt, rng))
+        .collect();
+    let mut points = Vec::with_capacity(6 * jobs.len());
+    for (job, prover) in jobs.iter().zip(provers.iter()) {
+        let (stmt, commit) = (&job.stmt, &prover.commit);
+        points.extend([stmt.g1, stmt.y1, stmt.g2, stmt.y2, commit.a1, commit.a2]);
+    }
+    let encoded = EdwardsPoint::batch_compress(&points);
+    jobs.into_iter()
+        .zip(provers)
+        .zip(encoded.chunks_exact(6))
+        .map(|((mut job, prover), enc)| {
+            let enc = enc.try_into().expect("chunks of six");
+            let e = dleq_challenge(&mut job.transcript, enc);
+            let t = prover.respond(job.witness, &e);
+            DlEqProof {
+                commit: t.commit,
+                response: t.response,
+            }
+        })
+        .collect()
+}
+
 /// Verifies a NIZK discrete-log-equality proof bound to `transcript`.
+///
+/// The one-by-one reference check; vectors of proofs are verified by the
+/// folds built on [`crate::batch::BatchVerifier`].
 pub fn verify_dleq(
     transcript: &mut Transcript,
     stmt: &DlEqStatement,
     proof: &DlEqProof,
 ) -> Result<(), CryptoError> {
-    absorb_stmt(transcript, stmt);
-    transcript.append_point(b"cp-a1", &proof.commit.a1);
-    transcript.append_point(b"cp-a2", &proof.commit.a2);
-    let e = transcript.challenge_scalar(b"cp-e");
+    let e = dleq_challenge(transcript, &encodings(stmt, &proof.commit));
     let t = IzkpTranscript {
         commit: proof.commit,
         challenge: e,
@@ -194,13 +266,6 @@ pub fn verify_dleq(
     } else {
         Err(CryptoError::BadProof)
     }
-}
-
-fn absorb_stmt(transcript: &mut Transcript, stmt: &DlEqStatement) {
-    transcript.append_point(b"cp-g1", &stmt.g1);
-    transcript.append_point(b"cp-y1", &stmt.y1);
-    transcript.append_point(b"cp-g2", &stmt.g2);
-    transcript.append_point(b"cp-y2", &stmt.y2);
 }
 
 /// A Schnorr proof of knowledge of a discrete logarithm (y = x·g).
@@ -362,6 +427,62 @@ mod tests {
         let mut bad = stmt;
         bad.y1 += EdwardsPoint::basepoint();
         assert!(verify_dleq(&mut Transcript::new(b"t"), &bad, &proof).is_err());
+    }
+
+    #[test]
+    fn batch_prover_matches_one_by_one() {
+        // Same proofs, same RNG position afterwards.
+        let mut setup = HmacDrbg::from_u64(20);
+        let stmts: Vec<(DlEqStatement, Scalar)> =
+            (0..5).map(|_| stmt_with_witness(&mut setup)).collect();
+        let transcript = |i: usize| {
+            let mut t = Transcript::new(b"batch-test");
+            t.append_u64(b"i", i as u64);
+            t
+        };
+        let mut rng_a = HmacDrbg::from_u64(21);
+        let mut rng_b = HmacDrbg::from_u64(21);
+        let single: Vec<DlEqProof> = stmts
+            .iter()
+            .enumerate()
+            .map(|(i, (stmt, x))| prove_dleq(&mut transcript(i), stmt, x, &mut rng_a))
+            .collect();
+        let jobs = stmts
+            .iter()
+            .enumerate()
+            .map(|(i, (stmt, x))| DlEqJob {
+                transcript: transcript(i),
+                stmt: *stmt,
+                witness: x,
+            })
+            .collect();
+        let batch = prove_dleq_batch(jobs, &mut rng_b);
+        assert_eq!(single, batch);
+        assert_eq!(rng_a.scalar(), rng_b.scalar());
+        for (i, ((stmt, _), proof)) in stmts.iter().zip(batch.iter()).enumerate() {
+            verify_dleq(&mut transcript(i), stmt, proof).expect("verifies");
+        }
+        assert!(prove_dleq_batch(Vec::new(), &mut rng_a).is_empty());
+    }
+
+    #[test]
+    fn basepoint_fast_path_matches_generic_multiplication() {
+        // g₁ = B takes the table path in commit and forge; the commitments
+        // must be the points the generic multiplication yields.
+        let mut rng = HmacDrbg::from_u64(22);
+        let (stmt, _) = stmt_with_witness(&mut rng);
+        let mut rng_a = HmacDrbg::from_u64(23);
+        let mut rng_b = HmacDrbg::from_u64(23);
+        let commit = Prover::commit(&stmt, &mut rng_a).commitment();
+        let nonce = rng_b.scalar();
+        assert_eq!(commit.a1, stmt.g1 * nonce);
+        assert_eq!(commit.a2, stmt.g2 * nonce);
+        let e = rng.scalar();
+        let forged = forge_transcript(&stmt, &e, &mut rng_a);
+        let y = rng_b.scalar();
+        assert_eq!(forged.response, y);
+        assert_eq!(forged.commit.a1, stmt.g1 * y + stmt.y1 * e);
+        assert_eq!(forged.commit.a2, stmt.g2 * y + stmt.y2 * e);
     }
 
     #[test]

@@ -15,13 +15,34 @@
 //! verification plus tests that reject corrupted dealings; simulated members
 //! live in one process, as in the paper's prototype.
 
-use crate::chaum_pedersen::{prove_dleq, verify_dleq, DlEqProof, DlEqStatement};
+use crate::batch::{BatchVerifier, CommittedWeights};
+use crate::chaum_pedersen::{
+    dleq_challenge, prove_dleq, prove_dleq_batch, verify_dleq, DlEqJob, DlEqProof, DlEqStatement,
+};
 use crate::drbg::Rng;
-use crate::edwards::EdwardsPoint;
+use crate::edwards::{multiscalar_mul, EdwardsPoint};
 use crate::elgamal::Ciphertext;
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
+
+/// Proofs (proving) or equations (verifying) handled per pass of the
+/// vector paths, so their working memory does not grow with the vector.
+const CHUNK: usize = 2048;
+
+/// The statement of a decryption share: log_B(X_j) = log_{C₁}(D_j).
+fn share_statement(vk: &EdwardsPoint, ct: &Ciphertext, share: &EdwardsPoint) -> DlEqStatement {
+    DlEqStatement {
+        g1: EdwardsPoint::basepoint(),
+        y1: *vk,
+        g2: ct.c1,
+        y2: *share,
+    }
+}
+
+fn share_transcript() -> Transcript {
+    Transcript::new(b"votegral-decryption-share")
+}
 
 /// One authority member's long-term key material after the DKG.
 #[derive(Clone)]
@@ -138,6 +159,51 @@ impl Authority {
         }
     }
 
+    /// The first `t` members' verifiable shares for every ciphertext,
+    /// `shares[item][member]` — exactly the shares (and exactly the RNG
+    /// draws, item-major) of [`AuthorityMember::decryption_share`] called
+    /// in that order, with each chunk's commitments compressed through
+    /// one shared inversion before hashing.
+    pub fn decryption_shares(
+        &self,
+        cts: &[Ciphertext],
+        rng: &mut dyn Rng,
+    ) -> Vec<Vec<DecryptionShare>> {
+        let members = &self.members[..self.t];
+        let mut out = Vec::with_capacity(cts.len());
+        for chunk in cts.chunks((CHUNK / self.t).max(1)) {
+            let pairs: Vec<(&Ciphertext, &AuthorityMember)> = chunk
+                .iter()
+                .flat_map(|ct| members.iter().map(move |m| (ct, m)))
+                .collect();
+            let points: Vec<EdwardsPoint> = pairs.iter().map(|(ct, m)| ct.c1 * m.share).collect();
+            let jobs = pairs
+                .iter()
+                .zip(points.iter())
+                .map(|((ct, m), d)| DlEqJob {
+                    transcript: share_transcript(),
+                    stmt: share_statement(&m.vk, ct, d),
+                    witness: &m.share,
+                })
+                .collect();
+            let mut shares = pairs
+                .iter()
+                .zip(points.iter())
+                .zip(prove_dleq_batch(jobs, rng))
+                .map(|(((_, m), d), proof)| DecryptionShare {
+                    member_index: m.index,
+                    share: *d,
+                    proof,
+                });
+            out.extend(
+                chunk
+                    .iter()
+                    .map(|_| shares.by_ref().take(self.t).collect::<Vec<_>>()),
+            );
+        }
+        out
+    }
+
     /// Threshold-decrypts `ct` using the first `t` members, verifying every
     /// share proof; returns the plaintext point.
     pub fn threshold_decrypt(
@@ -162,15 +228,9 @@ impl AuthorityMember {
     /// D_j = x_j·C₁ with a Chaum–Pedersen proof against X_j.
     pub fn decryption_share(&self, ct: &Ciphertext, rng: &mut dyn Rng) -> DecryptionShare {
         let d = ct.c1 * self.share;
-        let stmt = DlEqStatement {
-            g1: EdwardsPoint::basepoint(),
-            y1: self.vk,
-            g2: ct.c1,
-            y2: d,
-        };
         let proof = prove_dleq(
-            &mut Transcript::new(b"votegral-decryption-share"),
-            &stmt,
+            &mut share_transcript(),
+            &share_statement(&self.vk, ct, &d),
             &self.share,
             rng,
         );
@@ -203,15 +263,9 @@ pub struct DecryptionShare {
 impl DecryptionShare {
     /// Verifies the share against the member's verification key.
     pub fn verify(&self, vk: &EdwardsPoint, ct: &Ciphertext) -> Result<(), CryptoError> {
-        let stmt = DlEqStatement {
-            g1: EdwardsPoint::basepoint(),
-            y1: *vk,
-            g2: ct.c1,
-            y2: self.share,
-        };
         verify_dleq(
-            &mut Transcript::new(b"votegral-decryption-share"),
-            &stmt,
+            &mut share_transcript(),
+            &share_statement(vk, ct, &self.share),
             &self.proof,
         )
     }
@@ -227,20 +281,47 @@ fn eval_poly(coeffs: &[Scalar], x: u32) -> Scalar {
     acc
 }
 
-/// Lagrange coefficient λ_j at zero for the index set `indices`.
-fn lagrange_at_zero(indices: &[u32], j: u32) -> Scalar {
-    let mut num = Scalar::ONE;
-    let mut den = Scalar::ONE;
-    let js = Scalar::from_u64(j as u64);
-    for &m in indices {
-        if m == j {
-            continue;
+/// The Lagrange coefficients λ_j at zero for a set of distinct member
+/// indices, in `indices` order — computed once per index set (one shared
+/// scalar inversion) and reused for every ciphertext that set opens.
+pub fn lagrange_coefficients(indices: &[u32]) -> Result<Vec<Scalar>, CryptoError> {
+    // Reject duplicate indices (would make interpolation meaningless).
+    for (a, &ia) in indices.iter().enumerate() {
+        if indices[a + 1..].contains(&ia) {
+            return Err(CryptoError::Malformed("duplicate share index"));
         }
-        let ms = Scalar::from_u64(m as u64);
-        num *= ms;
-        den *= ms - js;
     }
-    num * den.invert()
+    let xs: Vec<Scalar> = indices
+        .iter()
+        .map(|&m| Scalar::from_u64(m as u64))
+        .collect();
+    let mut nums = Vec::with_capacity(xs.len());
+    let mut dens = Vec::with_capacity(xs.len());
+    for (j, xj) in xs.iter().enumerate() {
+        let mut num = Scalar::ONE;
+        let mut den = Scalar::ONE;
+        for (m, xm) in xs.iter().enumerate() {
+            if m != j {
+                num *= *xm;
+                den *= *xm - *xj;
+            }
+        }
+        nums.push(num);
+        dens.push(den);
+    }
+    Scalar::batch_invert(&mut dens);
+    Ok(nums.into_iter().zip(dens).map(|(n, d)| n * d).collect())
+}
+
+/// M = C₂ − Σⱼ λⱼ·Dⱼ for `lambdas` =
+/// [`lagrange_coefficients`] of exactly these shares' indices.
+pub fn combine_with(
+    ct: &Ciphertext,
+    shares: &[DecryptionShare],
+    lambdas: &[Scalar],
+) -> EdwardsPoint {
+    let points: Vec<EdwardsPoint> = shares.iter().map(|s| s.share).collect();
+    ct.c2 - multiscalar_mul(lambdas, &points)
 }
 
 /// Combines at least `t` verified decryption shares into the plaintext
@@ -255,20 +336,126 @@ pub fn combine_shares(
     }
     let used = &shares[..t];
     let indices: Vec<u32> = used.iter().map(|s| s.member_index).collect();
-    // Reject duplicate indices (would make interpolation meaningless).
-    for (a, &ia) in indices.iter().enumerate() {
-        for &ib in &indices[a + 1..] {
-            if ia == ib {
-                return Err(CryptoError::Malformed("duplicate share index"));
+    Ok(combine_with(ct, used, &lagrange_coefficients(&indices)?))
+}
+
+/// Verifies a whole vector of threshold openings — every share proof of
+/// every item and every recombination `plaintexts[i]` = C₂ − Σλⱼ·Dⱼ — in
+/// cofactored [`BatchVerifier`] folds of about two thousand equations.
+///
+/// Accepts what the one-by-one reference ([`DecryptionShare::verify`] on
+/// every share, then [`combine_shares`] compared with the claim) accepts,
+/// with every relation taken modulo the 8-torsion: callers decide on
+/// cofactor-cleared plaintexts (see [`crate::batch`]). `member_vks[j−1]`
+/// is X_j; every item needs at least `threshold` shares and is recombined
+/// from its first `threshold`, as [`combine_shares`] does.
+///
+/// Per item the fold merges what the relations share: C₁ is one term for
+/// all of the item's share proofs, each Dⱼ one term for its proof *and*
+/// the recombination, C₂ − P one short-weight term.
+pub fn verify_openings(
+    cts: &[Ciphertext],
+    shares: &[Vec<DecryptionShare>],
+    plaintexts: &[EdwardsPoint],
+    member_vks: &[EdwardsPoint],
+    threshold: usize,
+    threads: usize,
+) -> Result<(), CryptoError> {
+    if shares.len() != cts.len() || plaintexts.len() != cts.len() {
+        return Err(CryptoError::Malformed("opening lengths"));
+    }
+    // Static bases: B at 0, X_j at j.
+    let mut statics = vec![EdwardsPoint::basepoint()];
+    statics.extend_from_slice(member_vks);
+    let static_enc = EdwardsPoint::batch_compress(&statics);
+    let mut commitment = CommittedWeights::new(b"votegral-opening-fold-v1");
+    commitment.absorb(&(cts.len() as u64).to_le_bytes());
+    commitment.absorb(&(threshold as u64).to_le_bytes());
+    for enc in &static_enc {
+        commitment.absorb(&enc.0);
+    }
+
+    let mut lagrange: (Vec<u32>, Vec<Scalar>) = (Vec::new(), Vec::new());
+    let items_per_fold = (CHUNK / (2 * threshold + 1)).max(1);
+    for ((cts, shares), plaintexts) in cts
+        .chunks(items_per_fold)
+        .zip(shares.chunks(items_per_fold))
+        .zip(plaintexts.chunks(items_per_fold))
+    {
+        // Shape checks, then every point of the chunk through one
+        // inversion: (C₁, C₂, P) per item, (D, Y₁, Y₂) per share.
+        let mut points = Vec::new();
+        for ((ct, item), plain) in cts.iter().zip(shares).zip(plaintexts) {
+            if item.len() < threshold {
+                return Err(CryptoError::InsufficientShares);
+            }
+            points.extend([ct.c1, ct.c2, *plain]);
+            for s in item {
+                if s.member_index == 0 || s.member_index as usize > member_vks.len() {
+                    return Err(CryptoError::BadShare);
+                }
+                points.extend([s.share, s.proof.commit.a1, s.proof.commit.a2]);
             }
         }
+        let encoded = EdwardsPoint::batch_compress(&points);
+        let mut equations = 0;
+        let mut enc = encoded.iter();
+        for item in shares {
+            commitment.absorb(&(item.len() as u64).to_le_bytes());
+            for e in enc.by_ref().take(3 + 3 * item.len()) {
+                commitment.absorb(&e.0);
+            }
+            for s in item {
+                commitment.absorb(&s.member_index.to_le_bytes());
+                commitment.absorb(&s.proof.response.to_bytes());
+            }
+            equations += 2 * item.len() + 1;
+        }
+        let weights = commitment.weights(equations);
+        let mut weights = weights.iter();
+        let mut weight = || *weights.next().expect("one weight per equation");
+
+        let mut batch = BatchVerifier::new(&statics);
+        let mut enc = encoded.iter();
+        let mut next_enc = || *enc.next().expect("one encoding per point");
+        for ((ct, item), plain) in cts.iter().zip(shares).zip(plaintexts) {
+            let (c1_enc, _, _) = (next_enc(), next_enc(), next_enc());
+            let indices: Vec<u32> = item[..threshold].iter().map(|s| s.member_index).collect();
+            if indices != lagrange.0 {
+                lagrange = (indices.clone(), lagrange_coefficients(&indices)?);
+            }
+            let w_sum = weight();
+            let mut c1_coeff = Scalar::ZERO;
+            for (j, s) in item.iter().enumerate() {
+                let (d_enc, a1_enc, a2_enc) = (next_enc(), next_enc(), next_enc());
+                let vk = s.member_index as usize;
+                let e = dleq_challenge(
+                    &mut share_transcript(),
+                    &[static_enc[0], static_enc[vk], c1_enc, d_enc, a1_enc, a2_enc],
+                );
+                let r = s.proof.response;
+                // w₁·(Y₁ − r·B − e·X_j) + w₂·(Y₂ − r·C₁ − e·D_j).
+                let (w1, w2) = (weight(), weight());
+                batch.add_static(0, -(w1 * r));
+                batch.add_static(vk, -(w1 * e));
+                batch.add_term(w1, s.proof.commit.a1);
+                batch.add_term(w2, s.proof.commit.a2);
+                c1_coeff -= w2 * r;
+                // … + w·(C₂ − P − Σ λⱼ·D_j) over the first t shares.
+                let mut d_coeff = -(w2 * e);
+                if let Some(lambda) = lagrange.1.get(j) {
+                    d_coeff -= w_sum * *lambda;
+                }
+                batch.add_term(d_coeff, s.share);
+            }
+            batch.add_term(c1_coeff, ct.c1);
+            batch.add_term(w_sum, ct.c2 - *plain);
+        }
+        if !batch.verify_cofactored(threads) {
+            return Err(CryptoError::BadShare);
+        }
     }
-    let mut x_c1 = EdwardsPoint::IDENTITY;
-    for s in used {
-        let lambda = lagrange_at_zero(&indices, s.member_index);
-        x_c1 += s.share * lambda;
-    }
-    Ok(ct.c2 - x_c1)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -353,9 +540,10 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(6);
         let coeffs: Vec<Scalar> = (0..3).map(|_| rng.scalar()).collect();
         let indices = [1u32, 3, 7];
+        let lambdas = lagrange_coefficients(&indices).expect("distinct indices");
         let mut secret = Scalar::ZERO;
-        for &j in &indices {
-            secret += lagrange_at_zero(&indices, j) * eval_poly(&coeffs, j);
+        for (lambda, &j) in lambdas.iter().zip(indices.iter()) {
+            secret += *lambda * eval_poly(&coeffs, j);
         }
         assert_eq!(secret, coeffs[0]);
     }
@@ -372,6 +560,113 @@ mod tests {
             combine_shares(&ct, &dup, 2),
             Err(CryptoError::Malformed(_))
         ));
+    }
+
+    /// An honest opening of `n` ciphertexts by the first t of 4 members.
+    #[allow(clippy::type_complexity)]
+    fn opened_vector(
+        seed: u64,
+        n: u64,
+        t: usize,
+    ) -> (
+        Authority,
+        Vec<Ciphertext>,
+        Vec<Vec<DecryptionShare>>,
+        Vec<EdwardsPoint>,
+    ) {
+        let mut rng = HmacDrbg::from_u64(seed);
+        let authority = Authority::dkg(4, t, &mut rng);
+        let cts: Vec<Ciphertext> = (1..=n)
+            .map(|i| {
+                let m = EdwardsPoint::mul_base(&Scalar::from_u64(i));
+                elgamal::encrypt_point(&authority.public_key, &m, &mut rng).0
+            })
+            .collect();
+        let shares = authority.decryption_shares(&cts, &mut rng);
+        let plaintexts = cts
+            .iter()
+            .zip(shares.iter())
+            .map(|(ct, s)| combine_shares(ct, s, t).expect("combines"))
+            .collect();
+        (authority, cts, shares, plaintexts)
+    }
+
+    fn vks(authority: &Authority) -> Vec<EdwardsPoint> {
+        authority.members.iter().map(|m| m.vk).collect()
+    }
+
+    #[test]
+    fn vector_shares_match_one_by_one() {
+        let (authority, cts, shares, plaintexts) = opened_vector(9, 3, 3);
+        // Replay the same stream: setup draws, then share by share.
+        let mut rng = HmacDrbg::from_u64(9);
+        let replay = Authority::dkg(4, 3, &mut rng);
+        for _ in 0..cts.len() {
+            let _ = elgamal::encrypt_point(&replay.public_key, &EdwardsPoint::IDENTITY, &mut rng);
+        }
+        for (i, (ct, item)) in cts.iter().zip(shares.iter()).enumerate() {
+            assert_eq!(item.len(), 3);
+            for (m, share) in authority.members.iter().zip(item.iter()) {
+                let single = m.decryption_share(ct, &mut rng);
+                assert_eq!(single.member_index, share.member_index);
+                assert_eq!(single.share, share.share);
+                assert_eq!(single.proof, share.proof);
+            }
+            assert_eq!(
+                plaintexts[i],
+                EdwardsPoint::mul_base(&Scalar::from_u64(i as u64 + 1))
+            );
+        }
+    }
+
+    #[test]
+    fn folded_openings_accept_honest_and_reject_each_tamper() {
+        let (authority, cts, shares, plaintexts) = opened_vector(10, 5, 3);
+        let vks = vks(&authority);
+        verify_openings(&cts, &shares, &plaintexts, &vks, 3, 1).expect("honest opening");
+        verify_openings(&[], &[], &[], &vks, 3, 1).expect("empty opening");
+        let b = EdwardsPoint::basepoint();
+        let tampers: [fn(&mut DecryptionShare, &mut EdwardsPoint); 5] = [
+            |s, _| s.share += EdwardsPoint::basepoint(),
+            |s, _| s.proof.commit.a1 += EdwardsPoint::basepoint(),
+            |s, _| s.proof.commit.a2 += EdwardsPoint::basepoint(),
+            |s, _| s.proof.response += Scalar::ONE,
+            |_, p| *p += EdwardsPoint::basepoint(),
+        ];
+        for (k, tamper) in tampers.iter().enumerate() {
+            let (mut bad_shares, mut bad_plain) = (shares.clone(), plaintexts.clone());
+            tamper(&mut bad_shares[k][k % 3], &mut bad_plain[k]);
+            assert!(
+                verify_openings(&cts, &bad_shares, &bad_plain, &vks, 3, 1).is_err(),
+                "tamper {k} survived the fold"
+            );
+        }
+        // Shape violations the one-by-one path rejects too.
+        let mut short = shares.clone();
+        short[1].pop();
+        assert!(verify_openings(&cts, &short, &plaintexts, &vks, 3, 1).is_err());
+        let mut dup = shares.clone();
+        dup[2][1] = dup[2][0].clone();
+        assert!(verify_openings(&cts, &dup, &plaintexts, &vks, 3, 1).is_err());
+        let mut stranger = shares.clone();
+        stranger[0][0].member_index = 9;
+        assert!(verify_openings(&cts, &stranger, &plaintexts, &vks, 3, 1).is_err());
+        let mut wrong_ct = cts.clone();
+        wrong_ct[4].c2 += b;
+        assert!(verify_openings(&wrong_ct, &shares, &plaintexts, &vks, 3, 1).is_err());
+    }
+
+    #[test]
+    fn folded_openings_span_several_folds() {
+        // More items than one fold holds (CHUNK / 3 with t = 1): the
+        // rolling commitment and the per-fold cursors line up, and a
+        // tamper in the last fold is still caught.
+        let n = (CHUNK / 3 + 5) as u64;
+        let (authority, cts, shares, mut plaintexts) = opened_vector(11, n, 1);
+        let vks = vks(&authority);
+        verify_openings(&cts, &shares, &plaintexts, &vks, 1, 2).expect("honest opening");
+        *plaintexts.last_mut().expect("non-empty") += EdwardsPoint::basepoint();
+        assert!(verify_openings(&cts, &shares, &plaintexts, &vks, 1, 2).is_err());
     }
 
     #[test]

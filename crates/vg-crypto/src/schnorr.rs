@@ -333,6 +333,11 @@ pub fn batch_verify_par(
     let vk_compressed = EdwardsPoint::batch_compress(&vk_points);
     for ((vk, msg, sig), vk_c) in items.iter().zip(vk_compressed.iter()) {
         let r_point = sig.r.decompress().ok_or(CryptoError::InvalidPoint)?;
+        // The same rejection `VerifyingKey::verify` makes: without it a key
+        // holder's (R = 𝒪, s = e·sk) folds clean here and fails one by one.
+        if r_point.is_small_order() {
+            return Err(CryptoError::InvalidPoint);
+        }
         let e = challenge(&sig.r, vk_c, msg);
         // 128-bit random weight is ample for soundness.
         let mut w = [0u8; 32];
@@ -717,6 +722,35 @@ mod tests {
             let batch_ok = batch_verify(&items, &mut rng).is_ok();
             assert_eq!(individual_ok, batch_ok, "round {round}");
         }
+    }
+
+    #[test]
+    fn small_order_commitment_rejected_by_every_path() {
+        // R = 𝒪 and s = e·sk satisfy s·B = R + e·A, so only the explicit
+        // small-order rejection keeps this out — on the single path, in
+        // the batch fold and in the committed sweep alike.
+        let mut rng = HmacDrbg::from_u64(12);
+        let key = SigningKey::generate(&mut rng);
+        let msg = b"crafted";
+        let r = EdwardsPoint::IDENTITY.compress();
+        let e = challenge(&r, &key.public_key_compressed(), msg);
+        let crafted = Signature {
+            r,
+            s: e * key.secret(),
+        };
+        let vk = key.verifying_key();
+        assert_eq!(vk.verify(msg, &crafted), Err(CryptoError::InvalidPoint));
+        let honest = key.sign(b"honest");
+        let items: Vec<(VerifyingKey, &[u8], Signature)> =
+            vec![(vk, b"honest", honest), (vk, msg, crafted)];
+        assert_eq!(
+            batch_verify(&items, &mut rng),
+            Err(CryptoError::InvalidPoint)
+        );
+        let mut sweep = SignatureSweep::new(b"test-sweep-v1");
+        sweep.push(vk, b"honest".to_vec(), honest);
+        sweep.push(vk, msg.to_vec(), crafted);
+        assert!(sweep.verify(1).is_err());
     }
 
     #[test]

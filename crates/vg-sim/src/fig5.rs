@@ -205,10 +205,21 @@ mod tests {
         // (TRIP vs Civitas registration, exact factors) are checked by the
         // release harness binaries, which measure at larger n.
         let n = 12;
-        let votegral = measure(SystemKind::Votegral, n, 3, 1);
-        let swiss = measure(SystemKind::SwissPost, n, 3, 1);
-        let voteagain = measure(SystemKind::VoteAgain, n, 3, 1);
-        let civitas = measure(SystemKind::Civitas, n, 3, 1);
+        // The faster-tallying of two runs each: the folded tally proofs
+        // narrowed VoteAgain-vs-Votegral from ~2.4x to ~1.8x, which one
+        // scheduling hiccup on a single wall-clock sample can invert.
+        let best_of_two = |kind| {
+            let (a, b) = (measure(kind, n, 3, 1), measure(kind, n, 3, 1));
+            if a.tally_ms < b.tally_ms {
+                a
+            } else {
+                b
+            }
+        };
+        let votegral = best_of_two(SystemKind::Votegral);
+        let swiss = best_of_two(SystemKind::SwissPost);
+        let voteagain = best_of_two(SystemKind::VoteAgain);
+        let civitas = best_of_two(SystemKind::Civitas);
 
         // Registration: VoteAgain (one keygen) is far below everything.
         assert!(

@@ -13,6 +13,7 @@
 //! The ballot payload is signed by the credential key pair and posted to
 //! the ballot ledger L_V.
 
+use vg_crypto::batch::BatchVerifier;
 use vg_crypto::chaum_pedersen::{
     forge_transcript, verify_transcript, Commitment, DlEqStatement, IzkpTranscript, Prover,
 };
@@ -85,18 +86,49 @@ fn branch_statement(authority_pk: &EdwardsPoint, ct: &Ciphertext, option: u32) -
     }
 }
 
-fn vote_transcript(
+/// The Fiat–Shamir challenge of a vote proof, from the *encodings* of
+/// everything it binds: A_pk, the 64-byte ciphertext, the credential key
+/// and each branch's (Y₁, Y₂) in option order.
+fn vote_challenge<'a>(
+    authority_pk: &CompressedPoint,
+    ct: &[u8],
+    credential_pk: &CompressedPoint,
+    config: VoteConfig,
+    commitments: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+) -> Scalar {
+    let mut t = Transcript::new(b"votegral-vote-proof");
+    t.append_compressed(b"vp-apk", authority_pk);
+    t.append_bytes(b"vp-ct", ct);
+    t.append_bytes(b"vp-cred", &credential_pk.0);
+    t.append_u64(b"vp-m", config.n_options as u64);
+    for (a1, a2) in commitments {
+        t.append_bytes(b"vp-a1", a1);
+        t.append_bytes(b"vp-a2", a2);
+    }
+    t.challenge_scalar(b"vp-e")
+}
+
+/// [`vote_challenge`] for a statement and commitments held as points,
+/// all compressed through one shared inversion.
+fn vote_challenge_of_points<'a>(
     authority_pk: &EdwardsPoint,
     ct: &Ciphertext,
     credential_pk: &CompressedPoint,
     config: VoteConfig,
-) -> Transcript {
-    let mut t = Transcript::new(b"votegral-vote-proof");
-    t.append_point(b"vp-apk", authority_pk);
-    t.append_bytes(b"vp-ct", &ct.to_bytes());
-    t.append_bytes(b"vp-cred", &credential_pk.0);
-    t.append_u64(b"vp-m", config.n_options as u64);
-    t
+    commitments: impl Iterator<Item = &'a Commitment>,
+) -> Scalar {
+    let mut points = vec![*authority_pk, ct.c1, ct.c2];
+    for commit in commitments {
+        points.extend([commit.a1, commit.a2]);
+    }
+    let enc = EdwardsPoint::batch_compress(&points);
+    vote_challenge(
+        &enc[0],
+        &[enc[1].0, enc[2].0].concat(),
+        credential_pk,
+        config,
+        enc[3..].chunks_exact(2).map(|c| (&c[0].0[..], &c[1].0[..])),
+    )
 }
 
 /// Proves that `ct = Enc(A_pk, g^vote; r)` with `vote < n_options`,
@@ -135,17 +167,15 @@ pub fn prove_vote(
     let prover = Prover::commit(&real_stmt, rng);
     let real_commit = prover.commitment();
 
-    let mut transcript = vote_transcript(authority_pk, ct, credential_pk, config);
-    for (opt, slot) in branches.iter().enumerate() {
-        let commit = if opt as u32 == vote {
-            real_commit
-        } else {
-            slot.as_ref().expect("simulated").0
-        };
-        transcript.append_point(b"vp-a1", &commit.a1);
-        transcript.append_point(b"vp-a2", &commit.a2);
-    }
-    let e = transcript.challenge_scalar(b"vp-e");
+    let e = vote_challenge_of_points(
+        authority_pk,
+        ct,
+        credential_pk,
+        config,
+        branches
+            .iter()
+            .map(|slot| slot.as_ref().map_or(&real_commit, |(commit, _, _)| commit)),
+    );
     let e_real = e - challenge_sum;
     let t_real = prover.respond(randomness, &e_real);
     branches[vote as usize] = Some((t_real.commit, t_real.challenge, t_real.response));
@@ -166,12 +196,13 @@ pub fn verify_vote_proof(
     if proof.branches.len() != config.n_options as usize {
         return Err(CryptoError::Malformed("wrong branch count"));
     }
-    let mut transcript = vote_transcript(authority_pk, ct, credential_pk, config);
-    for (commit, _, _) in &proof.branches {
-        transcript.append_point(b"vp-a1", &commit.a1);
-        transcript.append_point(b"vp-a2", &commit.a2);
-    }
-    let e = transcript.challenge_scalar(b"vp-e");
+    let e = vote_challenge_of_points(
+        authority_pk,
+        ct,
+        credential_pk,
+        config,
+        proof.branches.iter().map(|(commit, _, _)| commit),
+    );
     let sum: Scalar = proof.branches.iter().map(|(_, e_m, _)| *e_m).sum();
     if sum != e {
         return Err(CryptoError::BadProof);
@@ -188,6 +219,69 @@ pub fn verify_vote_proof(
         }
     }
     Ok(())
+}
+
+/// Byte offset of the first branch in a ballot payload, after the 4-byte
+/// branch count and the 64-byte ciphertext; each branch is 128 bytes
+/// (Y₁ ‖ Y₂ ‖ e ‖ z).
+const BRANCHES_AT: usize = 68;
+
+/// The exact half of [`verify_vote_proof`] for a ballot decoded from
+/// `payload`: branch count and Σ eₘ = H(…). The strict decoder accepts
+/// only canonical encodings, so the payload's own bytes *are* the
+/// compressed ciphertext and commitments the challenge binds — no point is
+/// re-compressed.
+pub(crate) fn check_vote_challenge(
+    authority_pk: &CompressedPoint,
+    ballot: &Ballot,
+    payload: &[u8],
+    credential_pk: &CompressedPoint,
+    config: VoteConfig,
+) -> Result<(), CryptoError> {
+    let branches = &ballot.vote_proof.branches;
+    if branches.len() != config.n_options as usize {
+        return Err(CryptoError::Malformed("wrong branch count"));
+    }
+    let e = vote_challenge(
+        authority_pk,
+        &payload[4..BRANCHES_AT],
+        credential_pk,
+        config,
+        payload[BRANCHES_AT..]
+            .chunks_exact(128)
+            .take(branches.len())
+            .map(|branch| (&branch[..32], &branch[32..64])),
+    );
+    let sum: Scalar = branches.iter().map(|(_, e_m, _)| *e_m).sum();
+    if sum == e {
+        Ok(())
+    } else {
+        Err(CryptoError::BadProof)
+    }
+}
+
+/// The folded half of [`verify_vote_proof`]: queues both equations of
+/// every branch, w₁·(Y₁ − z·B − eₘ·C₁) + w₂·(Y₂ − z·A_pk − eₘ·(C₂ − m·B)),
+/// into a batch whose static bases are B at 0 and A_pk at 1. `weights`
+/// holds two per branch; C₁ and C₂ are one term each for all branches.
+pub(crate) fn queue_vote_proof(batch: &mut BatchVerifier, weights: &[Scalar], ballot: &Ballot) {
+    let (mut c1_coeff, mut c2_coeff) = (Scalar::ZERO, Scalar::ZERO);
+    for (m, ((commit, e_m, z_m), w)) in ballot
+        .vote_proof
+        .branches
+        .iter()
+        .zip(weights.chunks_exact(2))
+        .enumerate()
+    {
+        batch.add_static(0, w[1] * *e_m * Scalar::from_u64(m as u64) - w[0] * *z_m);
+        batch.add_static(1, -(w[1] * *z_m));
+        batch.add_term(w[0], commit.a1);
+        batch.add_term(w[1], commit.a2);
+        c1_coeff -= w[0] * *e_m;
+        c2_coeff -= w[1] * *e_m;
+    }
+    batch.add_term(c1_coeff, ballot.vote_ct.c1);
+    batch.add_term(c2_coeff, ballot.vote_ct.c2);
 }
 
 impl Ballot {

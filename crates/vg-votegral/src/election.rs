@@ -818,6 +818,33 @@ mod tests {
     }
 
     #[test]
+    fn padding_dummies_pass_through_both_verify_modes() {
+        // Zero ballots and one ballot: the identity-ciphertext dummies
+        // (and the empty vote opening) go through the tagging and opening
+        // folds exactly as through the one-by-one checks.
+        use vg_shuffle::VerifyMode;
+        for ballots in 0..=1usize {
+            let (mut election, mut rng) = small_election(14, 2);
+            let (_, vsd) = election
+                .register_and_activate(VoterId(1), 0, &mut rng)
+                .unwrap();
+            let mut voting = election.open_voting();
+            for _ in 0..ballots {
+                voting.cast(&vsd.credentials[0], 2, &mut rng).unwrap();
+            }
+            let tallying = voting.close();
+            let transcript = tallying.tally(&mut rng).unwrap();
+            assert_eq!(transcript.n_ballot_dummies, 2 - ballots);
+            assert_eq!(transcript.n_reg_dummies, 1);
+            assert_eq!(transcript.result.counted, ballots);
+            for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
+                let verified = tallying.verify_with_mode(&transcript, mode);
+                assert_eq!(verified.as_ref(), Ok(&transcript.result), "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
     fn tampered_transcript_detected() {
         let (mut election, mut rng) = small_election(5, 2);
         let (_, vsd) = election

@@ -10,10 +10,19 @@
 //! tags (enabling hash-map matching in linear time), while the blinding
 //! hides the actual keys.
 
-use vg_crypto::chaum_pedersen::{prove_dleq, verify_dleq, DlEqProof, DlEqStatement};
+use vg_crypto::batch::{BatchVerifier, CommittedWeights};
+use vg_crypto::chaum_pedersen::{
+    dleq_challenge, prove_dleq_batch, verify_dleq, DlEqJob, DlEqProof, DlEqStatement,
+};
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::{CryptoError, EdwardsPoint, Scalar, Transcript};
+use vg_shuffle::VerifyMode;
+
+/// Ciphertexts handled per pass of [`TaggingKey::apply`] and per fold of
+/// [`TaggingRound::verify`] (four equations each), so neither's working
+/// memory grows with the vector.
+const CHUNK: usize = 512;
 
 /// One member's secret tagging exponent for one election.
 pub struct TaggingKey {
@@ -34,25 +43,31 @@ impl TaggingKey {
 
     /// Applies the exponent to every ciphertext, producing a verifiable
     /// round.
+    ///
+    /// Nonces are drawn ciphertext by ciphertext, first component first —
+    /// the order a loop of single proofs would draw them — and each
+    /// chunk's commitments are compressed through one shared inversion
+    /// before hashing ([`prove_dleq_batch`]).
     pub fn apply(&self, inputs: &[Ciphertext], rng: &mut dyn Rng) -> TaggingRound {
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut proofs = Vec::with_capacity(inputs.len());
-        for (idx, input) in inputs.iter().enumerate() {
-            let out = input.scale(&self.secret);
-            let p1 = prove_dleq(
-                &mut proof_transcript(idx, 0),
-                &component_statement(&self.commitment, &input.c1, &out.c1),
-                &self.secret,
-                rng,
-            );
-            let p2 = prove_dleq(
-                &mut proof_transcript(idx, 1),
-                &component_statement(&self.commitment, &input.c2, &out.c2),
-                &self.secret,
-                rng,
-            );
-            outputs.push(out);
-            proofs.push([p1, p2]);
+        for (k, chunk) in inputs.chunks(CHUNK).enumerate() {
+            let scaled: Vec<Ciphertext> = chunk.iter().map(|c| c.scale(&self.secret)).collect();
+            let jobs = chunk
+                .iter()
+                .zip(scaled.iter())
+                .enumerate()
+                .flat_map(|(i, (input, out))| {
+                    [(0, input.c1, out.c1), (1, input.c2, out.c2)].map(|(comp, g2, y2)| DlEqJob {
+                        transcript: proof_transcript(k * CHUNK + i, comp),
+                        stmt: component_statement(&self.commitment, &g2, &y2),
+                        witness: &self.secret,
+                    })
+                })
+                .collect();
+            let chunk_proofs = prove_dleq_batch(jobs, rng);
+            proofs.extend(chunk_proofs.chunks_exact(2).map(|p| [p[0], p[1]]));
+            outputs.extend(scaled);
         }
         TaggingRound {
             commitment: self.commitment,
@@ -94,11 +109,36 @@ pub struct TaggingRound {
 }
 
 impl TaggingRound {
-    /// Verifies the round against its inputs.
+    /// Verifies the round against its inputs through the batched path on
+    /// the host's cores.
     pub fn verify(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
+        self.verify_with(inputs, VerifyMode::Batched, crate::par::default_threads())
+    }
+
+    /// Verifies the round against its inputs.
+    ///
+    /// [`VerifyMode::Sequential`] checks the proofs one by one and is the
+    /// reference. [`VerifyMode::Batched`] folds every proof of the round
+    /// into cofactored multi-scalar checks of 512 ciphertexts each: it
+    /// accepts what the reference accepts, with every relation taken
+    /// modulo the 8-torsion — which is why the tally decides on
+    /// cofactor-cleared plaintexts (see [`vg_crypto::batch`]).
+    pub fn verify_with(
+        &self,
+        inputs: &[Ciphertext],
+        mode: VerifyMode,
+        threads: usize,
+    ) -> Result<(), CryptoError> {
         if self.outputs.len() != inputs.len() || self.proofs.len() != inputs.len() {
             return Err(CryptoError::Malformed("tagging round lengths"));
         }
+        match mode {
+            VerifyMode::Sequential => self.verify_one_by_one(inputs),
+            VerifyMode::Batched => self.verify_folded(inputs, threads),
+        }
+    }
+
+    fn verify_one_by_one(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
         for (idx, ((input, output), proof)) in inputs
             .iter()
             .zip(self.outputs.iter())
@@ -115,6 +155,62 @@ impl TaggingRound {
                 &component_statement(&self.commitment, &input.c2, &output.c2),
                 &proof[1],
             )?;
+        }
+        Ok(())
+    }
+
+    fn verify_folded(&self, inputs: &[Ciphertext], threads: usize) -> Result<(), CryptoError> {
+        // Static bases: B at 0, Sᵢ at 1.
+        let statics = [EdwardsPoint::basepoint(), self.commitment];
+        let static_enc = EdwardsPoint::batch_compress(&statics);
+        let mut commitment = CommittedWeights::new(b"votegral-tagging-fold-v1");
+        commitment.absorb(&static_enc[1].0);
+        commitment.absorb(&(inputs.len() as u64).to_le_bytes());
+
+        for (k, ((inputs, outputs), proofs)) in inputs
+            .chunks(CHUNK)
+            .zip(self.outputs.chunks(CHUNK))
+            .zip(self.proofs.chunks(CHUNK))
+            .enumerate()
+        {
+            // Per component: (input, output, Y₁, Y₂), through one inversion.
+            let mut points = Vec::with_capacity(8 * inputs.len());
+            for ((input, output), proof) in inputs.iter().zip(outputs).zip(proofs) {
+                let (p0, p1) = (proof[0].commit, proof[1].commit);
+                points.extend([input.c1, output.c1, p0.a1, p0.a2]);
+                points.extend([input.c2, output.c2, p1.a1, p1.a2]);
+            }
+            let encoded = EdwardsPoint::batch_compress(&points);
+            for enc in &encoded {
+                commitment.absorb(&enc.0);
+            }
+            for proof in proofs {
+                commitment.absorb(&proof[0].response.to_bytes());
+                commitment.absorb(&proof[1].response.to_bytes());
+            }
+            let weights = commitment.weights(4 * inputs.len());
+
+            let mut batch = BatchVerifier::new(&statics);
+            for (c, proof) in proofs.iter().flatten().enumerate() {
+                let [input, output, a1, a2] = [0, 1, 2, 3].map(|i| points[4 * c + i]);
+                let enc = &encoded[4 * c..];
+                let e = dleq_challenge(
+                    &mut proof_transcript(k * CHUNK + c / 2, (c % 2) as u8),
+                    &[static_enc[0], static_enc[1], enc[0], enc[1], enc[2], enc[3]],
+                );
+                let r = proof.response;
+                // w₁·(Y₁ − r·B − e·Sᵢ) + w₂·(Y₂ − r·in − e·out).
+                let (w1, w2) = (weights[2 * c], weights[2 * c + 1]);
+                batch.add_static(0, -(w1 * r));
+                batch.add_static(1, -(w1 * e));
+                batch.add_term(w1, a1);
+                batch.add_term(w2, a2);
+                batch.add_term(-(w2 * r), input);
+                batch.add_term(-(w2 * e), output);
+            }
+            if !batch.verify_cofactored(threads) {
+                return Err(CryptoError::BadProof);
+            }
         }
         Ok(())
     }
@@ -136,7 +232,8 @@ pub fn apply_cascade(
     rounds
 }
 
-/// Verifies a tagging cascade and returns the final ciphertexts.
+/// Verifies a tagging cascade through the batched path on the host's
+/// cores and returns the final ciphertexts.
 ///
 /// `expected_commitments` pins the member commitments so that the ballot
 /// and registration cascades provably used the *same* exponents.
@@ -144,6 +241,24 @@ pub fn verify_cascade<'a>(
     inputs: &'a [Ciphertext],
     rounds: &'a [TaggingRound],
     expected_commitments: &[EdwardsPoint],
+) -> Result<&'a [Ciphertext], CryptoError> {
+    verify_cascade_with(
+        inputs,
+        rounds,
+        expected_commitments,
+        VerifyMode::Batched,
+        crate::par::default_threads(),
+    )
+}
+
+/// [`verify_cascade`] with an explicit [`VerifyMode`] and worker thread
+/// count (see [`TaggingRound::verify_with`]).
+pub fn verify_cascade_with<'a>(
+    inputs: &'a [Ciphertext],
+    rounds: &'a [TaggingRound],
+    expected_commitments: &[EdwardsPoint],
+    mode: VerifyMode,
+    threads: usize,
 ) -> Result<&'a [Ciphertext], CryptoError> {
     if rounds.len() != expected_commitments.len() {
         return Err(CryptoError::Malformed("tagging cascade length"));
@@ -153,7 +268,7 @@ pub fn verify_cascade<'a>(
         if round.commitment != *expected {
             return Err(CryptoError::BadProof);
         }
-        round.verify(current)?;
+        round.verify_with(current, mode, threads)?;
         current = &round.outputs;
     }
     Ok(current)
@@ -204,6 +319,84 @@ mod tests {
         let mut round = key.apply(&cts, &mut rng);
         round.outputs[0].c1 += EdwardsPoint::basepoint();
         assert!(round.verify(&cts).is_err());
+    }
+
+    /// `n` encryptions of small points under a fresh key.
+    fn inputs(n: u64, rng: &mut dyn Rng) -> Vec<Ciphertext> {
+        let kp = ElGamalKeyPair::generate(rng);
+        (1..=n)
+            .map(|i| encrypt_point(&kp.pk, &EdwardsPoint::mul_base(&Scalar::from_u64(i)), rng).0)
+            .collect()
+    }
+
+    #[test]
+    fn apply_matches_a_loop_of_single_proofs() {
+        // Same outputs, same proofs, same RNG position as proving component
+        // by component — across a chunk boundary.
+        let mut rng = HmacDrbg::from_u64(5);
+        let cts = inputs(CHUNK as u64 + 3, &mut rng);
+        let key = TaggingKey::generate(&mut rng);
+        let mut rng_a = HmacDrbg::from_u64(6);
+        let mut rng_b = HmacDrbg::from_u64(6);
+        let round = key.apply(&cts, &mut rng_a);
+        for (idx, ((input, output), proof)) in cts
+            .iter()
+            .zip(round.outputs.iter())
+            .zip(round.proofs.iter())
+            .enumerate()
+        {
+            assert_eq!(*output, input.scale(&key.secret));
+            for (comp, g2, y2) in [(0, input.c1, output.c1), (1, input.c2, output.c2)] {
+                let single = vg_crypto::chaum_pedersen::prove_dleq(
+                    &mut proof_transcript(idx, comp),
+                    &component_statement(&key.commitment, &g2, &y2),
+                    &key.secret,
+                    &mut rng_b,
+                );
+                assert_eq!(proof[comp as usize], single, "ciphertext {idx}/{comp}");
+            }
+        }
+        assert_eq!(rng_a.scalar(), rng_b.scalar());
+        // … and the fold spans the boundary too.
+        round.verify(&cts).expect("honest round folds clean");
+        round
+            .verify_with(&cts, VerifyMode::Sequential, 1)
+            .expect("honest round verifies one by one");
+    }
+
+    #[test]
+    fn folded_and_one_by_one_agree_on_every_tamper() {
+        let mut rng = HmacDrbg::from_u64(7);
+        let cts = inputs(5, &mut rng);
+        let round = TaggingKey::generate(&mut rng).apply(&cts, &mut rng);
+        let b = EdwardsPoint::basepoint();
+        let tampers: [&dyn Fn(&mut TaggingRound); 9] = [
+            &|r| r.outputs[0].c1 += b,
+            &|r| r.outputs[4].c2 += b,
+            &|r| r.proofs[1][0].commit.a1 += b,
+            &|r| r.proofs[1][1].commit.a2 += b,
+            &|r| r.proofs[2][0].response += Scalar::ONE,
+            &|r| r.proofs[3][1].response += Scalar::ONE,
+            &|r| r.proofs.swap(0, 1),
+            &|r| r.proofs[2].swap(0, 1),
+            &|r| r.commitment += b,
+        ];
+        for (k, tamper) in tampers.iter().enumerate() {
+            let mut bad = round.clone();
+            tamper(&mut bad);
+            for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
+                assert_eq!(
+                    bad.verify_with(&cts, mode, 2),
+                    Err(CryptoError::BadProof),
+                    "tamper {k} under {mode:?}"
+                );
+            }
+        }
+        // Empty rounds pass through both paths.
+        let empty = TaggingKey::generate(&mut rng).apply(&[], &mut rng);
+        for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
+            empty.verify_with(&[], mode, 1).expect("empty round");
+        }
     }
 
     #[test]

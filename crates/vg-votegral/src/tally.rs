@@ -20,20 +20,24 @@
 
 use std::collections::HashMap;
 
-use vg_crypto::dkg::{combine_shares, Authority, DecryptionShare};
+use vg_crypto::batch::{small_weights, BatchVerifier};
+use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionShare};
 use vg_crypto::drbg::Rng;
-use vg_crypto::elgamal::{discrete_log_small, Ciphertext};
-use vg_crypto::schnorr::VerifyingKey;
+use vg_crypto::elgamal::Ciphertext;
+use vg_crypto::schnorr::{SignatureSweep, VerifyingKey, VerifyingKeyCache};
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::{BallotRecord, Ledger};
 use vg_shuffle::{MixCascade, MixTranscript, PairMixTranscript};
+use vg_trip::materials::response_message_from_hash;
 
-use crate::ballot::{verify_vote_proof, Ballot, VoteConfig};
+use crate::ballot::{
+    check_vote_challenge, queue_vote_proof, verify_vote_proof, Ballot, VoteConfig,
+};
 use crate::error::VotegralError;
 use crate::tagging::{apply_cascade, TaggingKey, TaggingRound};
 
 /// A ballot that passed admission, paired with its credential key.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AcceptedBallot {
     /// The authenticating credential public key.
     pub credential_pk: CompressedPoint,
@@ -118,6 +122,11 @@ pub fn dummy_ciphertext() -> Ciphertext {
     Ciphertext::identity()
 }
 
+/// Ballot records admitted per signature sweep and vote-proof fold, so
+/// admission's working memory does not grow with the ledger and one bad
+/// record sends only its own block through the one-by-one fallback.
+const ADMISSION_BLOCK: usize = 1024;
+
 /// Admission: deterministically derives the accepted ballot list from the
 /// ledger. Used identically by the tally and by independent verifiers.
 pub fn admit_ballots(
@@ -126,16 +135,55 @@ pub fn admit_ballots(
     authority_pk: &EdwardsPoint,
     kiosk_registry: &[CompressedPoint],
 ) -> (Vec<AcceptedBallot>, usize, usize) {
+    admit_records(
+        ledger.ballots.records(),
+        config,
+        authority_pk,
+        kiosk_registry,
+        crate::par::default_threads(),
+    )
+}
+
+/// [`admit_ballots`] over a record slice with an explicit worker count.
+///
+/// Each block of records is checked by [`admit_block_folded`]; only when
+/// that fold rejects is the block re-checked one by one, so the decisions
+/// are those of a loop of single checks (see there for the one caveat,
+/// torsion-crafted proofs).
+pub(crate) fn admit_records(
+    records: &[BallotRecord],
+    config: VoteConfig,
+    authority_pk: &EdwardsPoint,
+    kiosk_registry: &[CompressedPoint],
+    threads: usize,
+) -> (Vec<AcceptedBallot>, usize, usize) {
+    keep_last(records.chunks(ADMISSION_BLOCK).flat_map(|block| {
+        admit_block_folded(block, config, authority_pk, kiosk_registry, threads).unwrap_or_else(
+            || {
+                block
+                    .iter()
+                    .map(|r| admit_one(r, config, authority_pk, kiosk_registry))
+                    .collect()
+            },
+        )
+    }))
+}
+
+/// Turns per-record decisions (ledger order) into the accepted list, the
+/// rejected count and the superseded count: ballots are deduplicated by
+/// credential key, keeping the last (re-voting with the same credential
+/// replaces the earlier ballot).
+fn keep_last(
+    decisions: impl Iterator<Item = Option<AcceptedBallot>>,
+) -> (Vec<AcceptedBallot>, usize, usize) {
     let mut rejected = 0usize;
     let mut candidates: Vec<AcceptedBallot> = Vec::new();
-    for record in ledger.ballots.records() {
-        match admit_one(record, config, authority_pk, kiosk_registry) {
+    for decision in decisions {
+        match decision {
             Some(ab) => candidates.push(ab),
             None => rejected += 1,
         }
     }
-    // Deduplicate by credential key, keeping the last ballot (re-voting
-    // with the same credential replaces the earlier ballot).
     let mut last: HashMap<CompressedPoint, usize> = HashMap::new();
     for (i, ab) in candidates.iter().enumerate() {
         last.insert(ab.credential_pk, i);
@@ -145,6 +193,77 @@ pub fn admit_ballots(
     keep.sort_unstable();
     let accepted = keep.into_iter().map(|i| candidates[i].clone()).collect();
     (accepted, rejected, superseded)
+}
+
+/// Checks a block of records with one [`SignatureSweep`] (credential
+/// signature and kiosk issuance signature per record) continued into one
+/// cofactored fold of every vote-proof branch equation.
+///
+/// Everything a single check decides *exactly* — key and payload decoding,
+/// the branch count, the branch challenges summing to the Fiat–Shamir
+/// challenge, kiosk registry membership — is decided exactly here too, and
+/// a record failing any of it is `None` without entering the folds. The
+/// sweep's weights commit to every queued key, message and signature; the
+/// credential signature's message is the whole payload, so continuing its
+/// DRBG into the branch fold keeps the everything-committed rule (A_pk
+/// and the option count are committed explicitly).
+///
+/// Returns `None` when a fold rejects: some queued record is invalid and
+/// the caller locates it with [`admit_one`]. A proof that holds only
+/// modulo the 8-torsion passes the cofactored fold and fails `admit_one`,
+/// so whether such a ballot is admitted depends on its block-mates; it is
+/// its own credential holder's ballot either way, and the tally and every
+/// verifier run this same function on the same ledger, so they agree.
+fn admit_block_folded(
+    block: &[BallotRecord],
+    config: VoteConfig,
+    authority_pk: &EdwardsPoint,
+    kiosk_registry: &[CompressedPoint],
+    threads: usize,
+) -> Option<Vec<Option<AcceptedBallot>>> {
+    let apk_enc = authority_pk.compress();
+    let mut kiosks = VerifyingKeyCache::new();
+    let mut sweep = SignatureSweep::new(b"votegral-ballot-admission-v1");
+    sweep.commit(&apk_enc.0);
+    sweep.commit(&config.n_options.to_le_bytes());
+    let decisions: Vec<Option<AcceptedBallot>> = block
+        .iter()
+        .map(|record| {
+            let vk = VerifyingKey::from_compressed(&record.credential_pk).ok()?;
+            let ballot = Ballot::from_bytes(&record.payload).ok()?;
+            let credential_pk = record.credential_pk;
+            check_vote_challenge(&apk_enc, &ballot, &record.payload, &credential_pk, config)
+                .ok()?;
+            if !kiosk_registry.contains(&ballot.issuance.kiosk_pk) {
+                return None;
+            }
+            let kiosk_vk = kiosks.get(&ballot.issuance.kiosk_pk).ok()?;
+            sweep.push(vk, BallotRecord::message(&record.payload), record.signature);
+            sweep.push(
+                kiosk_vk,
+                response_message_from_hash(&credential_pk, &ballot.issuance.er_hash),
+                ballot.issuance.signature,
+            );
+            Some(AcceptedBallot {
+                credential_pk,
+                ballot,
+            })
+        })
+        .collect();
+    let mut rng = sweep.verify(threads).ok()?;
+
+    let per_ballot = 2 * config.n_options as usize;
+    let queued = decisions.iter().flatten().count();
+    let weights = small_weights(&mut rng, per_ballot * queued);
+    let mut proofs = BatchVerifier::new(&[EdwardsPoint::basepoint(), *authority_pk]);
+    for (ab, weights) in decisions
+        .iter()
+        .flatten()
+        .zip(weights.chunks_exact(per_ballot))
+    {
+        queue_vote_proof(&mut proofs, weights, &ab.ballot);
+    }
+    proofs.verify_cofactored(threads).then_some(decisions)
 }
 
 fn admit_one(
@@ -186,23 +305,24 @@ pub fn registration_inputs(ledger: &Ledger) -> Vec<Ciphertext> {
 }
 
 /// Threshold-decrypts a ciphertext vector with verifiable shares from the
-/// first t members.
+/// first t members, recombining every item with one set of Lagrange
+/// coefficients.
 fn open_vector(
     authority: &Authority,
     cts: &[Ciphertext],
     rng: &mut dyn Rng,
 ) -> Result<VectorOpening, VotegralError> {
-    let mut shares = Vec::with_capacity(cts.len());
-    let mut plaintexts = Vec::with_capacity(cts.len());
-    for ct in cts {
-        let item_shares: Vec<DecryptionShare> = authority.members[..authority.t]
-            .iter()
-            .map(|m| m.decryption_share(ct, rng))
-            .collect();
-        let plain = combine_shares(ct, &item_shares, authority.t).map_err(VotegralError::Crypto)?;
-        shares.push(item_shares);
-        plaintexts.push(plain);
-    }
+    let shares = authority.decryption_shares(cts, rng);
+    let indices: Vec<u32> = authority.members[..authority.t]
+        .iter()
+        .map(|m| m.index)
+        .collect();
+    let lambdas = lagrange_coefficients(&indices).map_err(VotegralError::Crypto)?;
+    let plaintexts = cts
+        .iter()
+        .zip(shares.iter())
+        .map(|(ct, item)| combine_with(ct, item, &lambdas))
+        .collect();
     Ok(VectorOpening { shares, plaintexts })
 }
 
@@ -329,18 +449,28 @@ pub fn tally(
 /// The identity element never matches: padding dummies on both sides blind
 /// to the identity (s·0 = 0), while genuine credential keys cannot be the
 /// identity because small-order keys are rejected at ballot admission.
+///
+/// Every comparison — identity test included — is made on cofactor-cleared
+/// images 8·P: the tagging and opening proofs establish the blinded values
+/// only up to an 8-torsion component (transcript points are curve-checked,
+/// not subgroup-checked), so a member could otherwise shift one victim's
+/// published tag by a torsion point and silently unmatch it. Honest values
+/// lie in the prime-order subgroup, where P ↦ 8·P is a bijection, so
+/// honest runs decide exactly as a comparison of raw encodings would.
 pub fn match_tags(blinded_tags: &[EdwardsPoint], blinded_keys: &[EdwardsPoint]) -> Vec<usize> {
-    let identity = EdwardsPoint::IDENTITY.compress();
+    let cleared = |points: &[EdwardsPoint]| {
+        let images: Vec<EdwardsPoint> = points.iter().map(|p| p.mul_by_cofactor()).collect();
+        EdwardsPoint::batch_compress(&images)
+    };
+    let identity = CompressedPoint::identity();
     let mut available: HashMap<CompressedPoint, u32> = HashMap::new();
-    for t in blinded_tags {
-        let c = t.compress();
+    for c in cleared(blinded_tags) {
         if c != identity {
             *available.entry(c).or_insert(0) += 1;
         }
     }
     let mut matched = Vec::new();
-    for (i, k) in blinded_keys.iter().enumerate() {
-        let c = k.compress();
+    for (i, c) in cleared(blinded_keys).into_iter().enumerate() {
         if c == identity {
             continue;
         }
@@ -356,6 +486,22 @@ pub fn match_tags(blinded_tags: &[EdwardsPoint], blinded_keys: &[EdwardsPoint]) 
     matched
 }
 
+/// The option v < `n_options` with 8·P = 8·(v·B), if any: the vote a
+/// decrypted point encodes, read — like [`match_tags`] — on
+/// cofactor-cleared images.
+fn vote_of(point: &EdwardsPoint, n_options: u32) -> Option<u32> {
+    let cleared = point.mul_by_cofactor();
+    let step = EdwardsPoint::basepoint().mul_by_cofactor();
+    let mut acc = EdwardsPoint::IDENTITY;
+    for v in 0..n_options {
+        if acc == cleared {
+            return Some(v);
+        }
+        acc += step;
+    }
+    None
+}
+
 /// Counts decrypted votes (g^v points) into per-option totals.
 pub fn count_votes(
     config: VoteConfig,
@@ -367,7 +513,7 @@ pub fn count_votes(
     let mut counted = 0usize;
     let mut invalid = 0usize;
     for point in opened_votes {
-        match discrete_log_small(point, config.n_options as u64) {
+        match vote_of(point, config.n_options) {
             Some(v) => {
                 counts[v as usize] += 1;
                 counted += 1;
@@ -387,3 +533,169 @@ pub fn count_votes(
 
 // The tally's verifier lives in `crate::verifier`; tests for the full
 // pipeline are in `crate::election` and the workspace integration tests.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ballot::{build_ballot_record, Ballot};
+    use crate::election::ElectionBuilder;
+    use vg_crypto::schnorr::SigningKey;
+    use vg_crypto::{HmacDrbg, Scalar};
+    use vg_ledger::VoterId;
+    use vg_trip::vsd::ActivatedCredential;
+
+    struct Board {
+        config: VoteConfig,
+        apk: EdwardsPoint,
+        registry: Vec<CompressedPoint>,
+        credentials: Vec<ActivatedCredential>,
+        /// One honest ballot per credential, then a re-vote by the first.
+        records: Vec<BallotRecord>,
+        rng: HmacDrbg,
+    }
+
+    fn board(seed: u64) -> Board {
+        let mut rng = HmacDrbg::from_u64(seed);
+        let mut election = ElectionBuilder::new().voters(3).options(3).build(&mut rng);
+        let mut credentials = Vec::new();
+        for v in 1..=3u64 {
+            let (_, vsd) = election
+                .register_and_activate(VoterId(v), (v % 2) as usize, &mut rng)
+                .expect("registers");
+            credentials.extend(vsd.credentials);
+        }
+        let (config, apk) = (election.vote_config, election.trip.authority.public_key);
+        let mut records: Vec<BallotRecord> = credentials
+            .iter()
+            .enumerate()
+            .map(|(i, c)| build_ballot_record(c, i as u32 % 3, config, &apk, &mut rng).unwrap())
+            .collect();
+        records.push(build_ballot_record(&credentials[0], 2, config, &apk, &mut rng).unwrap());
+        Board {
+            config,
+            apk,
+            registry: election.trip.kiosk_registry.clone(),
+            credentials,
+            records,
+            rng,
+        }
+    }
+
+    impl Board {
+        /// Re-signs `records[i]` after `edit` changed its decoded ballot.
+        fn rewrite(&mut self, i: usize, edit: impl FnOnce(&mut Ballot, &mut HmacDrbg)) {
+            let mut ballot = Ballot::from_bytes(&self.records[i].payload).expect("decodes");
+            edit(&mut ballot, &mut self.rng);
+            let payload = ballot.to_bytes();
+            self.records[i].signature = self.credentials[i]
+                .key
+                .sign(&BallotRecord::message(&payload));
+            self.records[i].payload = payload;
+        }
+
+        fn one_by_one(&self) -> (Vec<AcceptedBallot>, usize, usize) {
+            keep_last(
+                self.records
+                    .iter()
+                    .map(|r| admit_one(r, self.config, &self.apk, &self.registry)),
+            )
+        }
+
+        fn folded(&self) -> Option<Vec<Option<AcceptedBallot>>> {
+            admit_block_folded(&self.records, self.config, &self.apk, &self.registry, 1)
+        }
+
+        fn admitted(&self) -> (Vec<AcceptedBallot>, usize, usize) {
+            admit_records(&self.records, self.config, &self.apk, &self.registry, 2)
+        }
+    }
+
+    #[test]
+    fn all_valid_board_never_enters_the_fallback() {
+        let board = board(1);
+        let decisions = board.folded().expect("the folds accept an honest board");
+        assert!(decisions.iter().all(Option::is_some));
+        let (accepted, rejected, superseded) = board.admitted();
+        assert_eq!((rejected, superseded), (0, 1), "one re-vote, no rejects");
+        assert_eq!(accepted.len(), board.credentials.len());
+        assert_eq!(board.admitted(), board.one_by_one());
+        // The empty board passes through the folds too.
+        let empty = admit_block_folded(&[], board.config, &board.apk, &board.registry, 1);
+        assert_eq!(empty, Some(Vec::new()));
+    }
+
+    #[test]
+    fn exact_rejections_stay_out_of_the_folds() {
+        // Undecodable payload, broken challenge sum, unknown kiosk: decided
+        // exactly, so the remaining valid ballots still fold clean.
+        let mut board = board(2);
+        let garbage = vec![0xffu8; 40];
+        board.records[1].signature = board.credentials[1]
+            .key
+            .sign(&BallotRecord::message(&garbage));
+        board.records[1].payload = garbage;
+        board.rewrite(2, |ballot, _| {
+            ballot.vote_proof.branches[0].1 += Scalar::ONE
+        });
+        board.rewrite(3, |ballot, rng| {
+            ballot.issuance.kiosk_pk = SigningKey::generate(rng).verifying_key().compress();
+        });
+        let decisions = board.folded().expect("no fold sees the exact rejections");
+        let rejected: Vec<usize> = (0..decisions.len())
+            .filter(|&i| decisions[i].is_none())
+            .collect();
+        assert_eq!(rejected, vec![1, 2, 3]);
+        assert_eq!(board.admitted(), board.one_by_one());
+    }
+
+    #[test]
+    fn fold_then_fallback_decides_like_one_by_one() {
+        // One bad credential signature, one bad vote-proof branch and one
+        // unknown kiosk among valid ballots: the folds reject, the
+        // fallback locates the offenders, and the outcome is the loop's.
+        let mut board = board(3);
+        board.records[1].signature.s += Scalar::ONE;
+        board.rewrite(2, |ballot, _| {
+            ballot.vote_proof.branches[1].2 += Scalar::ONE
+        });
+        board.rewrite(3, |ballot, rng| {
+            ballot.issuance.kiosk_pk = SigningKey::generate(rng).verifying_key().compress();
+        });
+        assert!(board.folded().is_none(), "a fold must reject this board");
+        let (accepted, rejected, superseded) = board.admitted();
+        assert_eq!((accepted, rejected, superseded), board.one_by_one());
+        assert_eq!((rejected, superseded), (3, 1));
+
+        // Each fold-level offender alone is caught by its own fold.
+        for offender in 0..3 {
+            let mut board = self::board(4);
+            match offender {
+                0 => board.records[0].signature.s += Scalar::ONE,
+                1 => board.rewrite(1, |ballot, _| {
+                    ballot.vote_proof.branches[0].2 += Scalar::ONE
+                }),
+                _ => board.rewrite(2, |ballot, _| ballot.issuance.signature.s += Scalar::ONE),
+            }
+            assert!(board.folded().is_none(), "offender {offender} folded clean");
+            assert_eq!(board.admitted(), board.one_by_one(), "offender {offender}");
+            assert_eq!(board.admitted().1, 1);
+        }
+    }
+
+    #[test]
+    fn decisions_are_taken_on_cofactor_cleared_points() {
+        // (0, −1) has order 2: adding it to an opened plaintext changes its
+        // encoding but neither its match nor its vote.
+        let mut enc = [0xffu8; 32];
+        enc[0] = 0xec;
+        enc[31] = 0x7f;
+        let t2 = CompressedPoint(enc).decompress().expect("on curve");
+        let p = |k: u64| EdwardsPoint::mul_base(&Scalar::from_u64(k));
+        let tags = [p(11), EdwardsPoint::IDENTITY, p(12)];
+        let keys = [p(12) + t2, p(13), t2, p(11)];
+        assert_eq!(match_tags(&tags, &keys), vec![0, 3]);
+        let counted = count_votes(VoteConfig::new(3), &[p(2) + t2, p(0), p(3), t2], 4, 4);
+        assert_eq!(counted.counts, vec![2, 0, 1]);
+        assert_eq!((counted.counted, counted.invalid), (3, 1));
+    }
+}

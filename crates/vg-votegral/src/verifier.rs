@@ -7,16 +7,16 @@
 //! against the claimed result. Any single inconsistency pinpoints the
 //! stage (and thus the responsible actor) via [`crate::error::VerifyStage`].
 
-use vg_crypto::dkg::{combine_shares, Authority};
+use vg_crypto::dkg::{combine_shares, verify_openings, Authority};
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::Ledger;
 use vg_shuffle::{MixCascade, VerifyMode};
 
 use crate::error::{VerifyStage, VotegralError};
-use crate::tagging::verify_cascade;
+use crate::tagging::verify_cascade_with;
 use crate::tally::{
-    admit_ballots, count_votes, dummy_ciphertext, match_tags, registration_inputs, ElectionResult,
+    admit_records, count_votes, dummy_ciphertext, match_tags, registration_inputs, ElectionResult,
     TallyTranscript, VectorOpening,
 };
 
@@ -44,10 +44,12 @@ impl PublicAuthority {
 
 /// Verifies a complete tally transcript against the public ledger.
 ///
-/// Returns the (re-derived) election result on success. Mix-cascade
-/// proofs are checked through the batched random-linear-combination path
-/// ([`VerifyMode::Batched`]); use [`verify_tally_with`] to select the
-/// sequential reference path instead.
+/// Returns the (re-derived) election result on success. Mix-cascade,
+/// tagging and decryption-share proofs are checked through the batched
+/// random-linear-combination paths ([`VerifyMode::Batched`]); use
+/// [`verify_tally_with`] to select the sequential reference paths instead.
+/// Ballot admission is the tally's own [`crate::tally::admit_ballots`]
+/// (folded, with a one-by-one fallback) in either mode.
 pub fn verify_tally(
     transcript: &TallyTranscript,
     ledger: &Ledger,
@@ -66,9 +68,9 @@ pub fn verify_tally(
     )
 }
 
-/// [`verify_tally`] with an explicit mix-proof [`VerifyMode`] and worker
-/// thread count — the knob the equivalence property tests and the
-/// `verify_bench` comparison turn.
+/// [`verify_tally`] with an explicit proof [`VerifyMode`] (mixes, tagging
+/// rounds and openings alike) and worker thread count — the knob the
+/// equivalence property tests and the `verify_bench` comparison turn.
 pub fn verify_tally_with(
     transcript: &TallyTranscript,
     ledger: &Ledger,
@@ -81,15 +83,16 @@ pub fn verify_tally_with(
     let apk = authority.public_key;
 
     // Stage 1: re-derive admission and compare.
-    let (accepted, rejected, superseded) =
-        admit_ballots(ledger, transcript.config, &apk, kiosk_registry);
-    if accepted.len() != transcript.accepted.len()
+    let (accepted, rejected, superseded) = admit_records(
+        ledger.ballots.records(),
+        transcript.config,
+        &apk,
+        kiosk_registry,
+        threads,
+    );
+    if accepted != transcript.accepted
         || rejected != transcript.rejected
         || superseded != transcript.superseded
-        || accepted
-            .iter()
-            .zip(transcript.accepted.iter())
-            .any(|(a, b)| a.credential_pk != b.credential_pk || a.ballot != b.ballot)
     {
         return Err(VotegralError::Verification(VerifyStage::BallotAdmission));
     }
@@ -159,22 +162,29 @@ pub fn verify_tally_with(
         .iter()
         .map(|p| p.1)
         .collect();
-    let tagged_regs = verify_cascade(
+    let tagged_regs = verify_cascade_with(
         transcript.reg_mix.outputs(),
         &transcript.reg_tagging,
         &transcript.tag_commitments,
+        mode,
+        threads,
     )
     .map_err(|_| VotegralError::Verification(VerifyStage::Tagging))?;
-    let tagged_keys = verify_cascade(
+    let tagged_keys = verify_cascade_with(
         &mixed_keys,
         &transcript.ballot_tagging,
         &transcript.tag_commitments,
+        mode,
+        threads,
     )
     .map_err(|_| VotegralError::Verification(VerifyStage::Tagging))?;
 
     // Stage 4: both openings.
-    verify_opening(&transcript.reg_opening, tagged_regs, authority)?;
-    verify_opening(&transcript.key_opening, tagged_keys, authority)?;
+    let check_opening = |opening: &VectorOpening, cts: &[Ciphertext]| {
+        verify_opening(opening, cts, authority, mode, threads)
+    };
+    check_opening(&transcript.reg_opening, tagged_regs)?;
+    check_opening(&transcript.key_opening, tagged_keys)?;
 
     // Stage 5: recompute matching.
     let matched = match_tags(
@@ -190,7 +200,7 @@ pub fn verify_tally_with(
         .iter()
         .map(|&i| transcript.ballot_mix.outputs()[i].0)
         .collect();
-    verify_opening(&transcript.vote_opening, &matched_votes, authority)?;
+    check_opening(&transcript.vote_opening, &matched_votes)?;
     let result = count_votes(
         transcript.config,
         &transcript.vote_opening.plaintexts,
@@ -203,21 +213,51 @@ pub fn verify_tally_with(
     Ok(result)
 }
 
-/// Verifies every decryption share of an opening and recombines.
+/// Verifies every decryption share of an opening and the recombination.
 ///
-/// Per-item checks are independent, so they fan out over the host's cores
-/// (the paper's tally evaluation used a 128-core node; see
-/// [`crate::par`]).
+/// [`VerifyMode::Batched`] folds the whole opening
+/// ([`vg_crypto::dkg::verify_openings`]); [`VerifyMode::Sequential`] is
+/// the reference: per item, every share proof and then the recombination,
+/// independent items fanned out over `threads` (the paper's tally
+/// evaluation used a 128-core node; see [`crate::par`]).
 fn verify_opening(
     opening: &VectorOpening,
     cts: &[Ciphertext],
     authority: &PublicAuthority,
+    mode: VerifyMode,
+    threads: usize,
 ) -> Result<(), VotegralError> {
-    if opening.shares.len() != cts.len() || opening.plaintexts.len() != cts.len() {
-        return Err(VotegralError::Verification(VerifyStage::Decryption));
+    let ok = match mode {
+        VerifyMode::Batched => verify_openings(
+            cts,
+            &opening.shares,
+            &opening.plaintexts,
+            &authority.member_vks,
+            authority.threshold,
+            threads,
+        )
+        .is_ok(),
+        VerifyMode::Sequential => {
+            opening.shares.len() == cts.len()
+                && opening.plaintexts.len() == cts.len()
+                && verify_opening_one_by_one(opening, cts, authority, threads)
+        }
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(VotegralError::Verification(VerifyStage::Decryption))
     }
+}
+
+fn verify_opening_one_by_one(
+    opening: &VectorOpening,
+    cts: &[Ciphertext],
+    authority: &PublicAuthority,
+    threads: usize,
+) -> bool {
     let items: Vec<(usize, &Ciphertext)> = cts.iter().enumerate().collect();
-    let results = crate::par::par_map(&items, crate::par::default_threads(), |(i, ct)| {
+    crate::par::par_map(&items, threads, |(i, ct)| {
         let shares = &opening.shares[*i];
         let claimed = &opening.plaintexts[*i];
         if shares.len() < authority.threshold {
@@ -236,10 +276,7 @@ fn verify_opening(
             Ok(combined) => combined == *claimed,
             Err(_) => false,
         }
-    });
-    if results.iter().all(|&ok| ok) {
-        Ok(())
-    } else {
-        Err(VotegralError::Verification(VerifyStage::Decryption))
-    }
+    })
+    .into_iter()
+    .all(|ok| ok)
 }

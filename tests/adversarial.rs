@@ -2,10 +2,12 @@
 //! surface across crates — malicious kiosks, duplicated envelopes,
 //! impersonation, and coercion-resistance structure.
 
-use votegral::crypto::chaum_pedersen::{verify_transcript, DlEqStatement, IzkpTranscript};
+use votegral::crypto::chaum_pedersen::{
+    prove_dleq, verify_dleq, verify_transcript, DlEqStatement, IzkpTranscript,
+};
 use votegral::crypto::drbg::Rng;
 use votegral::crypto::elgamal::{encrypt_point, Ciphertext};
-use votegral::crypto::{EdwardsPoint, HmacDrbg, Scalar};
+use votegral::crypto::{CompressedPoint, EdwardsPoint, HmacDrbg, Scalar, Transcript};
 use votegral::ledger::VoterId;
 use votegral::shuffle::{MixCascade, VerifyMode};
 use votegral::sim::coercion::credentials_structurally_indistinguishable;
@@ -225,6 +227,122 @@ fn malicious_mixer_in_cascade_caught_by_both_verify_modes() {
         let forged = encrypt_point(&kp.pk, &EdwardsPoint::mul_base(&rng.scalar()), &mut rng).0;
         bad.stages[malicious_stage].outputs[2] = forged;
         reject_both(&format!("flip@{malicious_stage}"), &bad);
+    }
+}
+
+/// An RNG that remembers every 64-byte draw, so a test can play the
+/// tagging member whose exponent the tally sampled.
+struct Recording<'a> {
+    inner: &'a mut HmacDrbg,
+    wide_draws: Vec<[u8; 64]>,
+}
+
+impl Rng for Recording<'_> {
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.inner.fill_bytes(dest);
+        if let Ok(wide) = <[u8; 64]>::try_from(&*dest) {
+            self.wide_draws.push(wide);
+        }
+    }
+}
+
+#[test]
+fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
+    // Transcript points are curve-checked, not subgroup-checked, so a
+    // Chaum–Pedersen proof only pins its statement modulo the 8-torsion:
+    // adding the order-2 point T₂ to y₂ leaves an error e·T₂, which
+    // vanishes whenever the challenge e is even — the prover grinds its
+    // nonce. The LAST tagging member does exactly that to one victim's
+    // tagged key. Every proof still verifies, the opened blinded key
+    // becomes P + T₂, and a matching that compares raw encodings would
+    // silently drop the victim's ballot. Decisions are taken on
+    // cofactor-cleared points instead, so the result must not move — for
+    // the tally's own matching and under both verification modes.
+    let mut rng = HmacDrbg::from_u64(77);
+    let mut election = ElectionBuilder::new().voters(3).options(3).build(&mut rng);
+    let devices: Vec<_> = (1..=3u64)
+        .map(|v| {
+            election
+                .register_and_activate(VoterId(v), 0, &mut rng)
+                .unwrap()
+                .1
+        })
+        .collect();
+    let mut voting = election.open_voting();
+    for (v, vsd) in devices.iter().enumerate() {
+        voting
+            .cast(&vsd.credentials[0], v as u32, &mut rng)
+            .unwrap();
+    }
+    let tallying = voting.close();
+    let mut recording = Recording {
+        inner: &mut rng,
+        wide_draws: Vec::new(),
+    };
+    let mut transcript = tallying.tally(&mut recording).unwrap();
+    let honest_result = transcript.result.clone();
+    assert_eq!(honest_result.counts, vec![1, 1, 1]);
+
+    // The last member's exponent: the draw whose image is its commitment.
+    let commitment = *transcript.tag_commitments.last().unwrap();
+    let secret = recording
+        .wide_draws
+        .iter()
+        .map(Scalar::from_bytes_wide)
+        .find(|s| EdwardsPoint::mul_base(s) == commitment)
+        .expect("the tally drew the tagging exponent from this RNG");
+
+    // T₂ = (0, −1).
+    let mut enc = [0xffu8; 32];
+    enc[0] = 0xec;
+    enc[31] = 0x7f;
+    let t2 = CompressedPoint(enc).decompress().unwrap();
+    assert!(t2.is_small_order() && !t2.is_identity());
+
+    // The victim: a matched (real) ballot. Shift its tagged key, regrind
+    // the second component's proof until the challenge is even.
+    let victim = transcript.matched_indices[0];
+    let rounds = transcript.ballot_tagging.len();
+    let input = transcript.ballot_tagging[rounds - 2].outputs[victim];
+    let last = &mut transcript.ballot_tagging[rounds - 1];
+    last.outputs[victim].c2 += t2;
+    let stmt = DlEqStatement {
+        g1: EdwardsPoint::basepoint(),
+        y1: commitment,
+        g2: input.c2,
+        y2: last.outputs[victim].c2,
+    };
+    let bound = || {
+        let mut t = Transcript::new(b"votegral-tagging");
+        t.append_u64(b"tag-idx", victim as u64);
+        t.append_u64(b"tag-comp", 1);
+        t
+    };
+    let ground = (0..64)
+        .map(|_| prove_dleq(&mut bound(), &stmt, &secret, &mut rng))
+        .find(|proof| verify_dleq(&mut bound(), &stmt, proof).is_ok())
+        .expect("half of all nonces give an even challenge");
+    last.proofs[victim][1] = ground;
+    // The shares depend on C₁ alone and stay valid; the recombined
+    // plaintext inherits the offset.
+    transcript.key_opening.plaintexts[victim] += t2;
+
+    // The tally's own decision…
+    let matched = votegral::votegral::tally::match_tags(
+        &transcript.reg_opening.plaintexts,
+        &transcript.key_opening.plaintexts,
+    );
+    assert_eq!(
+        matched, transcript.matched_indices,
+        "the victim stays matched"
+    );
+    // …and the verifier's, in both modes.
+    for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
+        assert_eq!(
+            tallying.verify_with_mode(&transcript, mode),
+            Ok(honest_result.clone()),
+            "{mode:?}"
+        );
     }
 }
 

@@ -10,7 +10,7 @@ use votegral::crypto::{CompressedPoint, HmacDrbg, Scalar};
 use votegral::ledger::{BallotRecord, LedgerBackend, TamperEvidentLog, VoterId};
 use votegral::shuffle::VerifyMode;
 use votegral::trip::vsd::ActivatedCredential;
-use votegral::votegral::{Ballot, ElectionBuilder};
+use votegral::votegral::{Ballot, ElectionBuilder, VotegralError};
 
 /// A fresh scratch directory for durable-backend cases.
 fn wal_dir(tag: &str) -> PathBuf {
@@ -428,6 +428,283 @@ proptest! {
     }
 }
 
+/// Single-field tampers of the tally's Σ-proof evidence — tagging rounds,
+/// openings, matching and counts. Every tamper adds a prime-order offset
+/// (`+B` on a point, `+1` on a scalar, index or count) and can be undone,
+/// because a `TallyTranscript` is not `Clone`.
+mod tally_tampers {
+    use votegral::crypto::drbg::Rng;
+    use votegral::crypto::{EdwardsPoint, Scalar};
+    use votegral::votegral::tagging::TaggingRound;
+    use votegral::votegral::tally::VectorOpening;
+    use votegral::votegral::{TallyTranscript, VerifyStage};
+
+    /// What is tampered, with its location: `cascade` is 0 for the
+    /// registration tags and 1 for the ballot keys, `opening` 0/1/2 for
+    /// the tag, key and vote openings.
+    #[derive(Clone, Copy, Debug)]
+    pub enum Tamper {
+        /// Component `comp` of output `item` of round `round`.
+        TaggingOutput {
+            cascade: usize,
+            round: usize,
+            item: usize,
+            comp: usize,
+        },
+        /// Field `field` (Y₁, Y₂, response) of that component's proof.
+        TaggingProof {
+            cascade: usize,
+            round: usize,
+            item: usize,
+            comp: usize,
+            field: usize,
+        },
+        /// Field `field` (D, Y₁, Y₂, response) of one decryption share.
+        Share {
+            opening: usize,
+            item: usize,
+            member: usize,
+            field: usize,
+        },
+        OpenedPlaintext {
+            opening: usize,
+            item: usize,
+        },
+        /// Bump entry `Some(k)`, or — with nothing matched — claim one.
+        MatchedIndex(Option<usize>),
+        ClaimedCount {
+            option: usize,
+        },
+    }
+
+    fn bump_point(p: &mut EdwardsPoint, undo: bool) {
+        if undo {
+            *p -= EdwardsPoint::basepoint();
+        } else {
+            *p += EdwardsPoint::basepoint();
+        }
+    }
+
+    fn bump_scalar(s: &mut Scalar, undo: bool) {
+        if undo {
+            *s -= Scalar::ONE;
+        } else {
+            *s += Scalar::ONE;
+        }
+    }
+
+    fn bump_index(i: &mut usize, undo: bool) {
+        if undo {
+            *i -= 1;
+        } else {
+            *i += 1;
+        }
+    }
+
+    fn cascade(t: &mut TallyTranscript, which: usize) -> &mut Vec<TaggingRound> {
+        match which {
+            0 => &mut t.reg_tagging,
+            _ => &mut t.ballot_tagging,
+        }
+    }
+
+    fn opening(t: &mut TallyTranscript, which: usize) -> &mut VectorOpening {
+        match which {
+            0 => &mut t.reg_opening,
+            1 => &mut t.key_opening,
+            _ => &mut t.vote_opening,
+        }
+    }
+
+    impl Tamper {
+        /// The verification stage that must name this tamper.
+        pub fn stage(&self) -> VerifyStage {
+            match self {
+                Tamper::TaggingOutput { .. } | Tamper::TaggingProof { .. } => VerifyStage::Tagging,
+                Tamper::Share { .. } | Tamper::OpenedPlaintext { .. } => VerifyStage::Decryption,
+                Tamper::MatchedIndex(_) => VerifyStage::Matching,
+                Tamper::ClaimedCount { .. } => VerifyStage::Counting,
+            }
+        }
+
+        pub fn apply(&self, t: &mut TallyTranscript, undo: bool) {
+            match *self {
+                Tamper::TaggingOutput {
+                    cascade: which,
+                    round,
+                    item,
+                    comp,
+                } => {
+                    let ct = &mut cascade(t, which)[round].outputs[item];
+                    bump_point(if comp == 0 { &mut ct.c1 } else { &mut ct.c2 }, undo);
+                }
+                Tamper::TaggingProof {
+                    cascade: which,
+                    round,
+                    item,
+                    comp,
+                    field,
+                } => {
+                    let proof = &mut cascade(t, which)[round].proofs[item][comp];
+                    match field {
+                        0 => bump_point(&mut proof.commit.a1, undo),
+                        1 => bump_point(&mut proof.commit.a2, undo),
+                        _ => bump_scalar(&mut proof.response, undo),
+                    }
+                }
+                Tamper::Share {
+                    opening: which,
+                    item,
+                    member,
+                    field,
+                } => {
+                    let share = &mut opening(t, which).shares[item][member];
+                    match field {
+                        0 => bump_point(&mut share.share, undo),
+                        1 => bump_point(&mut share.proof.commit.a1, undo),
+                        2 => bump_point(&mut share.proof.commit.a2, undo),
+                        _ => bump_scalar(&mut share.proof.response, undo),
+                    }
+                }
+                Tamper::OpenedPlaintext {
+                    opening: which,
+                    item,
+                } => bump_point(&mut opening(t, which).plaintexts[item], undo),
+                Tamper::MatchedIndex(Some(k)) => bump_index(&mut t.matched_indices[k], undo),
+                Tamper::MatchedIndex(None) if undo => {
+                    t.matched_indices.pop();
+                }
+                Tamper::MatchedIndex(None) => t.matched_indices.push(0),
+                Tamper::ClaimedCount { option } => {
+                    let mut count = t.result.counts[option] as usize;
+                    bump_index(&mut count, undo);
+                    t.result.counts[option] = count as u64;
+                }
+            }
+        }
+    }
+
+    /// One tamper of every kind, at locations drawn from `rng`.
+    pub fn one_of_each(t: &TallyTranscript, rng: &mut dyn Rng) -> Vec<Tamper> {
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        let cascade = pick(2);
+        let rounds = [&t.reg_tagging, &t.ballot_tagging][cascade];
+        let round = pick(rounds.len());
+        let item = pick(rounds[round].outputs.len());
+        // The vote opening is empty when nothing matched.
+        let opening = pick(if t.vote_opening.shares.is_empty() {
+            2
+        } else {
+            3
+        });
+        let shares = &[&t.reg_opening, &t.key_opening, &t.vote_opening][opening].shares;
+        let opened = pick(shares.len());
+        let member = pick(shares[opened].len());
+        vec![
+            Tamper::TaggingOutput {
+                cascade,
+                round,
+                item,
+                comp: pick(2),
+            },
+            Tamper::TaggingProof {
+                cascade,
+                round,
+                item,
+                comp: pick(2),
+                field: pick(3),
+            },
+            Tamper::Share {
+                opening,
+                item: opened,
+                member,
+                field: 0,
+            },
+            Tamper::Share {
+                opening,
+                item: opened,
+                member,
+                field: 1 + pick(3),
+            },
+            Tamper::OpenedPlaintext {
+                opening,
+                item: opened,
+            },
+            Tamper::MatchedIndex(match t.matched_indices.len() {
+                0 => None,
+                n => Some(pick(n)),
+            }),
+            Tamper::ClaimedCount {
+                option: pick(t.result.counts.len()),
+            },
+        ]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The tally's batched verification (folded tagging rounds, folded
+    /// openings) against its sequential reference, beside the mix-cascade
+    /// soak above: over random small elections the two modes accept the
+    /// honest transcript with the same result, and every single-field
+    /// tamper of a tagging output, tagging proof, decryption share, share
+    /// proof, opened plaintext, matched index or claimed count is rejected
+    /// by both at the same — the expected — stage.
+    #[test]
+    fn tally_verify_modes_equivalent_and_tamper_sound(
+        seed in any::<u64>(),
+        n_voters in 1u64..4,
+        mixers in 1usize..3,
+        fake_counts in proptest::collection::vec(0usize..2, 3),
+    ) {
+        let mut rng = HmacDrbg::from_u64(seed);
+        let mut election = ElectionBuilder::new()
+            .voters(n_voters)
+            .options(3)
+            .mixers(mixers)
+            .build(&mut rng);
+        let mut devices = Vec::new();
+        for v in 1..=n_voters {
+            let fakes = fake_counts[(v - 1) as usize];
+            let (_, vsd) = election
+                .register_and_activate(VoterId(v), fakes, &mut rng)
+                .expect("registration");
+            devices.push(vsd);
+        }
+        let mut voting = election.open_voting();
+        // The last voter abstains in every other election, so padding
+        // dummies and unmatched registrations occur.
+        let casting = devices.len() - (seed % 2) as usize;
+        for (v, vsd) in devices.iter().take(casting).enumerate() {
+            for cred in &vsd.credentials {
+                voting.cast(cred, (v % 3) as u32, &mut rng).expect("cast");
+            }
+        }
+        let tallying = voting.close();
+        let mut transcript = tallying.tally(&mut rng).expect("tally");
+
+        let modes = [VerifyMode::Sequential, VerifyMode::Batched];
+        for mode in modes {
+            let verified = tallying.verify_with_mode(&transcript, mode);
+            prop_assert_eq!(verified.as_ref(), Ok(&transcript.result), "honest, {:?}", mode);
+        }
+        for tamper in tally_tampers::one_of_each(&transcript, &mut rng) {
+            tamper.apply(&mut transcript, false);
+            for mode in modes {
+                prop_assert_eq!(
+                    tallying.verify_with_mode(&transcript, mode),
+                    Err(VotegralError::Verification(tamper.stage())),
+                    "{:?} under {:?}", tamper, mode
+                );
+            }
+            tamper.apply(&mut transcript, true);
+        }
+        // Every tamper was undone: the transcript verifies again.
+        prop_assert!(tallying.verify(&transcript).is_ok());
+    }
+}
+
 /// Deterministic replay across the batch paths: `cast_batch` + batched
 /// tally verification produces a bit-identical `TallyTranscript` (and
 /// identical ledger heads) to sequential `cast` + sequential verification
@@ -479,6 +756,15 @@ fn batched_pipeline_replays_bit_identically() {
     assert_eq!(sequential.0, batched.0, "identical ballot ledger heads");
     assert_eq!(sequential.1, batched.1, "bit-identical tally transcripts");
     assert_eq!(sequential.2, batched.2, "identical results");
+    // Pinned on the commit before the tally's provers took their fast
+    // paths (fixed-base commitments, shared-inversion hashing, one set of
+    // Lagrange coefficients): those may move no transcript byte and no RNG
+    // draw, so this digest may never change without a protocol change.
+    let hex: String = batched.1.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex, "303fca9951ca40b8dec7ffd1c29c5958caea8b5378fb82d90063f84f3a939293",
+        "tally transcript bytes moved"
+    );
 }
 
 /// The whole pipeline is deterministic from its seed: two elections run
