@@ -87,8 +87,8 @@ fn timed_day(
 }
 
 fn coalesce_ratio(s: &DayStats) -> f64 {
-    let batches = s.ingest.env_batches + s.ingest.reg_batches;
-    let sweeps = (s.ingest.env_sweeps + s.ingest.reg_sweeps).max(1);
+    let batches = s.env_batches + s.reg_batches;
+    let sweeps = (s.env_sweeps + s.reg_sweeps).max(1);
     batches as f64 / sweeps as f64
 }
 
@@ -273,14 +273,8 @@ fn main() {
     report.metric("pipe_w1_speedup", pipe_w1 / barrier);
     report.metric("pipe_tcp_speedup", pipe_tcp / barrier);
     report.metric("pipe_coalesce_ratio", coalesce_ratio(&pipe_stats));
-    report.metric(
-        "pipe_worker_busy_us",
-        pipe_stats.ingest.worker_busy_us as f64,
-    );
-    report.metric(
-        "pipe_worker_idle_us",
-        pipe_stats.ingest.worker_idle_us as f64,
-    );
+    report.metric("pipe_worker_busy_us", pipe_stats.worker_busy_us as f64);
+    report.metric("pipe_worker_idle_us", pipe_stats.worker_idle_us as f64);
     if let Some((degraded, chaos_stats)) = &chaos_row {
         report.metric("degraded_e2e_per_sec", *degraded);
         report.metric("degraded_vs_healthy", degraded / pipe_tcp);
@@ -332,7 +326,7 @@ fn main() {
 }
 
 fn busy_pct(s: &DayStats) -> f64 {
-    let busy = s.ingest.worker_busy_us as f64;
-    let idle = s.ingest.worker_idle_us as f64;
+    let busy = s.worker_busy_us as f64;
+    let idle = s.worker_idle_us as f64;
     100.0 * busy / (busy + idle).max(1.0)
 }

@@ -191,11 +191,11 @@ fn main() {
         // The gateway day's sequencer + shard-worker utilization.
         report.metric(
             &format!("{prefix}_worker_busy_us"),
-            tcp_stats.ingest.worker_busy_us as f64,
+            tcp_stats.worker_busy_us as f64,
         );
         report.metric(
             &format!("{prefix}_worker_idle_us"),
-            tcp_stats.ingest.worker_idle_us as f64,
+            tcp_stats.worker_idle_us as f64,
         );
     }
     print_table(

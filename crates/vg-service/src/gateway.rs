@@ -9,8 +9,9 @@
 //! the secure handshake frame by frame), decode at most a budgeted
 //! number of frames per tick per connection, and hand decoded requests
 //! to a `GatewayDispatch`. A dispatch may answer immediately or return
-//! a *pending* poll closure (a request parked on the sequencer); while a
-//! connection has a response in flight the reactor stops reading it —
+//! a `Pending` set of reply channels (a request parked on the sequencer
+//! or the shard workers); while a connection has a response in flight
+//! the reactor stops reading it —
 //! that per-connection stop-and-wait is the gateway's backpressure, and
 //! it composes with the shard workers' own bound (past a per-lane record
 //! cap a submission's acknowledgement waits for an inline sweep).
@@ -22,8 +23,8 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,6 +36,7 @@ use crate::channel::{
 };
 use crate::error::ServiceError;
 use crate::messages::{HandshakeFrame, Request, Response, SealedRecord};
+use crate::transport::EngineStats;
 use crate::wire::MAX_FRAME;
 
 /// Frames decoded per connection per reactor tick. Keeps one chatty
@@ -235,18 +237,67 @@ pub(crate) enum Dispatched {
     /// Answer now, then close the connection once the response flushes
     /// (e.g. a station's `Shutdown`).
     CloseAfter(Response),
-    /// The request is parked (typically on the sequencer). The reactor
-    /// polls the closure each tick until it yields the response; the
-    /// connection is not read meanwhile — strictly one request in flight
-    /// per connection, which is the gateway's backpressure.
-    Pending(Box<dyn FnMut() -> Option<Response> + Send>),
+    /// The request is parked (on the sequencer or the shard workers).
+    /// The reactor polls the reply channels each tick until they yield
+    /// the response; the connection is not read meanwhile — strictly one
+    /// request in flight per connection, which is the gateway's
+    /// backpressure.
+    Pending(Pending),
+}
+
+/// A parked response, as data: the reply channels a dispatch arm is
+/// waiting on. The reactor resolves it by polling, the in-process link
+/// by blocking on the same channels — so each operation's translation
+/// into engine commands exists once, in its dispatch arm.
+pub(crate) struct Pending {
+    /// Shard-worker acknowledgements that must all land `Ok` first.
+    pub(crate) acks: Vec<Receiver<Result<(), ServiceError>>>,
+    /// The channel the answer arrives on (pre-loaded by the arm when the
+    /// acknowledgements are all it waits for).
+    pub(crate) reply: Receiver<Response>,
+}
+
+impl Pending {
+    /// Parks on `acks` alone: `then` answers once they have all landed.
+    pub(crate) fn after(acks: Vec<Receiver<Result<(), ServiceError>>>, then: Response) -> Self {
+        let (tx, reply) = mpsc::channel();
+        let _ = tx.send(then);
+        Self { acks, reply }
+    }
+
+    /// The response, waiting on the channels (`block`, the in-process
+    /// link) or in one non-blocking pass (the reactor) that hands `self`
+    /// back while something is still outstanding.
+    pub(crate) fn resolve(mut self, block: bool) -> Result<Response, Self> {
+        fn take<T>(rx: &Receiver<T>, block: bool) -> Result<T, TryRecvError> {
+            if block {
+                rx.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                rx.try_recv()
+            }
+        }
+        let gone = |who| Response::Err(ServiceError::Transport(format!("ingest {who} gone")));
+        while let Some(ack) = self.acks.last() {
+            match take(ack, block) {
+                Ok(Ok(())) => drop(self.acks.pop()),
+                Ok(Err(e)) => return Ok(Response::Err(e)),
+                Err(TryRecvError::Empty) => return Err(self),
+                Err(TryRecvError::Disconnected) => return Ok(gone("worker")),
+            }
+        }
+        match take(&self.reply, block) {
+            Ok(resp) => Ok(resp),
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => Ok(gone("sequencer")),
+        }
+    }
 }
 
 /// Maps decoded requests to responses for gateway-served connections.
 /// One clone per reactor thread.
 pub(crate) trait GatewayDispatch: Send {
     /// Handles one request. Must not block on other connections'
-    /// progress — park on a [`Dispatched::Pending`] closure instead.
+    /// progress — park on a [`Dispatched::Pending`] instead.
     fn dispatch(&mut self, req: Request) -> Dispatched;
 }
 
@@ -359,7 +410,7 @@ struct GatewayConn {
     state: ConnState,
     /// An in-flight parked response; the connection is not read while
     /// this is set.
-    pending: Option<Box<dyn FnMut() -> Option<Response> + Send>>,
+    pending: Option<Pending>,
     /// Close once the write buffer drains.
     closing: bool,
     /// When this connection entered a reapable condition (half-open
@@ -437,7 +488,7 @@ impl GatewayConn {
                 let _ = self.queue_response(&resp);
                 self.closing = true;
             }
-            Dispatched::Pending(poll) => self.pending = Some(poll),
+            Dispatched::Pending(parked) => self.pending = Some(parked),
         }
     }
 
@@ -545,11 +596,13 @@ impl GatewayConn {
     ) -> Step {
         let mut progressed = false;
         // 1. Poll an in-flight parked response.
-        if let Some(poll) = &mut self.pending {
-            if let Some(resp) = poll() {
-                self.pending = None;
-                self.apply(Dispatched::Now(resp));
-                progressed = true;
+        if let Some(parked) = self.pending.take() {
+            match parked.resolve(false) {
+                Ok(resp) => {
+                    self.apply(Dispatched::Now(resp));
+                    progressed = true;
+                }
+                Err(parked) => self.pending = Some(parked),
             }
         }
         // 2. Read frames (unless closing or a response is in flight).
@@ -605,7 +658,7 @@ pub(crate) fn reactor_loop(
     mut dispatch: impl GatewayDispatch,
     open: Arc<AtomicBool>,
     reap_after: Duration,
-    reaped: Arc<AtomicU64>,
+    stats: Arc<EngineStats>,
 ) {
     let mut conns: Vec<GatewayConn> = Vec::new();
     let mut idle_sleep = Duration::from_micros(10);
@@ -645,7 +698,7 @@ pub(crate) fn reactor_loop(
                 }
                 Step::Reaped => {
                     conns.swap_remove(i);
-                    reaped.fetch_add(1, Ordering::Relaxed);
+                    stats.reaped.fetch_add(1, Ordering::Relaxed);
                     progressed = true;
                 }
             }
@@ -671,32 +724,25 @@ mod tests {
     use super::*;
     use crate::channel::{pipe_pair, FramedChannel, SecureConfig};
     use std::sync::mpsc::channel;
-    use std::sync::Mutex;
     use vg_crypto::schnorr::SigningKey;
     use vg_crypto::HmacDrbg;
 
-    /// Answers `Sync` immediately, `LedgerHeads` after two polls, and
-    /// `Shutdown` with close-after.
-    #[derive(Clone)]
-    struct TestDispatch {
-        polls_left: Arc<Mutex<u32>>,
-    }
+    /// Answers `Sync` immediately, `LedgerHeads` parked (the reply lands
+    /// a few reactor polls later), and `Shutdown` with close-after.
+    struct TestDispatch;
 
     impl GatewayDispatch for TestDispatch {
         fn dispatch(&mut self, req: Request) -> Dispatched {
             match req {
                 Request::Sync => Dispatched::Now(Response::Sync),
                 Request::LedgerHeads => {
-                    let polls = self.polls_left.clone();
-                    Dispatched::Pending(Box::new(move || {
-                        let mut left = vg_crypto::sync::lock_recover(&polls);
-                        if *left == 0 {
-                            Some(Response::SyncThrough)
-                        } else {
-                            *left -= 1;
-                            None
-                        }
-                    }))
+                    let (tx, reply) = channel();
+                    std::thread::spawn(move || {
+                        std::thread::sleep(Duration::from_millis(20));
+                        let _ = tx.send(Response::SyncThrough);
+                    });
+                    let acks = Vec::new();
+                    Dispatched::Pending(Pending { acks, reply })
                 }
                 Request::Shutdown => Dispatched::CloseAfter(Response::Shutdown),
                 _ => Dispatched::Now(Response::Err(ServiceError::Transport("nope".into()))),
@@ -704,26 +750,9 @@ mod tests {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn spawn_reactor(
-        policy: ChannelPolicy,
-    ) -> (
-        GatewayIntake,
-        std::thread::JoinHandle<()>,
-        Arc<Mutex<u32>>,
-        Arc<AtomicU64>,
-    ) {
-        let (tx, rx) = channel();
-        let polls = Arc::new(Mutex::new(2));
-        let dispatch = TestDispatch {
-            polls_left: polls.clone(),
-        };
-        let open = Arc::new(AtomicBool::new(true));
-        let reaped = Arc::new(AtomicU64::new(0));
-        let r = reaped.clone();
-        let handle =
-            std::thread::spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, r));
-        (GatewayIntake::new(vec![tx]), handle, polls, reaped)
+    fn spawn_reactor(policy: ChannelPolicy) -> (GatewayIntake, std::thread::JoinHandle<()>) {
+        let (intake, handle, _) = spawn_reaping_reactor(policy, REAP_AFTER);
+        (intake, handle)
     }
 
     fn call(chan: &mut dyn FramedChannel, req: &Request) -> Response {
@@ -733,7 +762,7 @@ mod tests {
 
     #[test]
     fn plaintext_pipe_request_response_and_pending() {
-        let (intake, handle, _, _) = spawn_reactor(ChannelPolicy::Plaintext);
+        let (intake, handle) = spawn_reactor(ChannelPolicy::Plaintext);
         let (mut client, server_half) = pipe_pair();
         assert!(intake.push(GatewayIo::from_pipe(server_half)));
         assert!(matches!(call(&mut client, &Request::Sync), Response::Sync));
@@ -753,7 +782,7 @@ mod tests {
 
     #[test]
     fn tcp_connection_served_nonblocking() {
-        let (intake, handle, _, _) = spawn_reactor(ChannelPolicy::Plaintext);
+        let (intake, handle) = spawn_reactor(ChannelPolicy::Plaintext);
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = crate::channel::TcpChannel::connect(addr).unwrap();
@@ -793,7 +822,7 @@ mod tests {
     #[test]
     fn secure_handshake_and_sealed_requests_over_gateway() {
         let (server_cfg, client_cfg) = secure_cfgs();
-        let (intake, handle, _, _) = spawn_reactor(ChannelPolicy::Secure(server_cfg));
+        let (intake, handle) = spawn_reactor(ChannelPolicy::Secure(server_cfg));
         let (client_half, server_half) = pipe_pair();
         assert!(intake.push(GatewayIo::from_pipe(server_half)));
         let mut client = ChannelPolicy::Secure(client_cfg)
@@ -814,7 +843,7 @@ mod tests {
         let (server_cfg, mut client_cfg) = secure_cfgs();
         let mut rng = HmacDrbg::from_u64(100);
         client_cfg.local = SigningKey::generate(&mut rng);
-        let (intake, handle, _, _) = spawn_reactor(ChannelPolicy::Secure(server_cfg));
+        let (intake, handle) = spawn_reactor(ChannelPolicy::Secure(server_cfg));
         let (client_half, server_half) = pipe_pair();
         assert!(intake.push(GatewayIo::from_pipe(server_half)));
         let mut client = ChannelPolicy::Secure(client_cfg)
@@ -833,25 +862,22 @@ mod tests {
     fn spawn_reaping_reactor(
         policy: ChannelPolicy,
         reap_after: Duration,
-    ) -> (GatewayIntake, std::thread::JoinHandle<()>, Arc<AtomicU64>) {
+    ) -> (GatewayIntake, std::thread::JoinHandle<()>, Arc<EngineStats>) {
         let (tx, rx) = channel();
-        let dispatch = TestDispatch {
-            polls_left: Arc::new(Mutex::new(0)),
-        };
         let open = Arc::new(AtomicBool::new(true));
-        let reaped = Arc::new(AtomicU64::new(0));
-        let r = reaped.clone();
+        let stats = EngineStats::new(1);
+        let s = stats.clone();
         let handle =
-            std::thread::spawn(move || reactor_loop(rx, policy, dispatch, open, reap_after, r));
-        (GatewayIntake::new(vec![tx]), handle, reaped)
+            std::thread::spawn(move || reactor_loop(rx, policy, TestDispatch, open, reap_after, s));
+        (GatewayIntake::new(vec![tx]), handle, stats)
     }
 
-    fn await_reap(reaped: &AtomicU64) -> u64 {
+    fn await_reap(stats: &EngineStats) -> u64 {
         let t0 = Instant::now();
-        while reaped.load(Ordering::Relaxed) == 0 && t0.elapsed() < Duration::from_secs(10) {
+        while stats.reaped.load(Ordering::Relaxed) == 0 && t0.elapsed() < Duration::from_secs(10) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        reaped.load(Ordering::Relaxed)
+        stats.reaped.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -901,7 +927,7 @@ mod tests {
     #[test]
     fn plaintext_client_of_secure_gateway_rejected_typed() {
         let (server_cfg, _) = secure_cfgs();
-        let (intake, handle, _, _) = spawn_reactor(ChannelPolicy::Secure(server_cfg));
+        let (intake, handle) = spawn_reactor(ChannelPolicy::Secure(server_cfg));
         let (mut client, server_half) = pipe_pair();
         assert!(intake.push(GatewayIo::from_pipe(server_half)));
         client.send_frame(&Request::Sync.to_wire()).unwrap();
@@ -917,7 +943,7 @@ mod tests {
 
     #[test]
     fn secure_frame_to_plaintext_gateway_rejected_typed() {
-        let (intake, handle, _, _) = spawn_reactor(ChannelPolicy::Plaintext);
+        let (intake, handle) = spawn_reactor(ChannelPolicy::Plaintext);
         let (mut client, server_half) = pipe_pair();
         assert!(intake.push(GatewayIo::from_pipe(server_half)));
         let mut rng = HmacDrbg::from_u64(5);

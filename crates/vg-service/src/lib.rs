@@ -6,27 +6,30 @@
 //! makes those boundaries explicit:
 //!
 //! ```text
-//!  fleet side (booths)                │ registrar side (services)
-//!  ──────────────────────────────────┼────────────────────────────────
-//!  KioskFleet ── RegistrarBoundary ──┤ RegistrarService    (officials)
-//!    │   (vg-trip seam)              │ PrintService        (printers)
-//!    │                               │ LedgerIngestService (bulletin board)
-//!    └─ VSD client checks            │ ActivationService   (ledger phase)
+//!  fleet side (booths)                │ registrar side (one Request seam)
+//!  ──────────────────────────────────┼──────────────────────────────────
+//!  KioskFleet ── RegistrarBoundary ──┤ CheckIn, CheckOutBatchSeq  (officials)
+//!    │   (vg-trip seam, six calls;   │ Print                      (printers)
+//!    │    ServiceBoundary maps them  │ SubmitEnvelopesSeq,
+//!    │    onto Request → Response)   │   SyncThrough, …       (bulletin board)
+//!    └─ VSD client checks            │ ActivationSweep        (ledger phase)
 //! ```
 //!
-//! - [`traits`]: the four service traits, one per paper role, each with
-//!   its trust assumptions documented;
 //! - [`messages`]: versioned, canonical wire messages built from the
 //!   protocol's natural units (tickets, check-out QRs, envelope
 //!   commitments, print jobs, activation claims, signed tree heads);
+//!   the [`messages::Request`] variants — the four paper roles as four
+//!   message groups — carry each role's trust assumptions and the
+//!   commit-point contract;
 //! - [`wire`]: the strict codec envelope and length-prefixed framing;
 //! - [`channel`]: the pluggable transport API — [`FramedChannel`] /
 //!   [`Connector`] / [`Listener`] traits, TCP and in-process pipe
 //!   channels, and the mutual-auth encrypted [`channel::SecureChannel`]
 //!   that wraps any of them by [`ChannelPolicy`];
 //! - [`transport`]: the [`TransportPlan`] value (link × security), the
-//!   fleet-facing [`ServiceBoundary`] adapter and the [`ChannelClient`]
-//!   speaking the four services over any channel;
+//!   one-method [`RequestEndpoint`] seam, the fleet-facing
+//!   [`ServiceBoundary`] mapping over it, the [`ChannelClient`] speaking
+//!   it over any channel, and the flat [`DayStats`] record;
 //! - [`gateway`]: the non-blocking multiplexed acceptor that serves every
 //!   threaded-day connection on a bounded reactor pool;
 //! - [`pipeline`]: [`run_day`] and the threaded engine behind it (shard
@@ -70,7 +73,6 @@ pub mod gateway;
 pub mod messages;
 pub mod pipeline;
 pub mod retry;
-pub mod traits;
 pub mod transport;
 pub mod wire;
 
@@ -84,10 +86,8 @@ pub use pipeline::{
     run_day, ChaosOptions, DayPlan, IngestMode, PipelineConfig, StationFault, StationHang,
 };
 pub use retry::RetryPolicy;
-pub use traits::{
-    ActivationService, LedgerIngestService, PrintService, RegistrarEndpoint, RegistrarService,
-};
 pub use transport::{
-    ChannelClient, ChannelSecurity, DayStats, LinkKind, ServiceBoundary, StealRecord, TransportPlan,
+    ChannelClient, ChannelSecurity, DayStats, LinkKind, RequestEndpoint, ServiceBoundary,
+    StealRecord, TransportPlan,
 };
 pub use wire::Wire;

@@ -1,4 +1,4 @@
-//! Typed request/response messages for the four registrar services, with
+//! Typed request/response messages for the four registrar roles, with
 //! canonical [`Wire`] encodings.
 //!
 //! Every message is built from the protocol's natural units — check-in
@@ -355,17 +355,10 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Ingest coalescing and worker-utilization telemetry: batches
-    /// admitted and sweeps run per ledger (the coalescing ratio is
-    /// `batches / sweeps`), plus cumulative busy and idle time in
-    /// microseconds summed over every ingest thread — the sharded
-    /// verification workers and the commit sequencer (zero on an
-    /// inline day, which has neither) — the number of shard workers
-    /// that served the day (`0` on an inline day), and the
-    /// durability counters from the WAL backend (records appended and
-    /// group fsyncs issued; zero on the volatile backends), and the
-    /// count of WAL IO failures absorbed as typed errors (nonzero only
-    /// on days degraded by real or injected disk faults).
+    /// Tag 11's payload: the threaded engine's counters as of the
+    /// request — the like-named fields of
+    /// [`DayStats`](crate::DayStats), which documents them and from
+    /// whose snapshot this is built.
     #[derive(Clone, Copy, Default, PartialEq, Eq)]
     IngestStatsReply {
         env_batches: u64,
@@ -381,37 +374,108 @@ wire_struct! {
     }
 }
 
-/// A client request, tagged for dispatch.
+/// A client request, tagged for dispatch: the one seam between the fleet
+/// and the registrar side of a deployment (`ServiceBoundary` maps
+/// `vg_trip::RegistrarBoundary`'s six calls onto it; the threaded engine
+/// serves each variant from one dispatch arm). The variants fall into
+/// four groups, one per paper role; variant order is tag order.
+///
+/// # Officials' desks (Figs 8, 10): [`Request::CheckIn`], [`Request::CheckOutBatchSeq`]
+///
+/// Trusted to apply the roster at check-in and Fig 10's verification rules
+/// at check-out; the desk holds the official's signing key and the shared
+/// MAC secret `s_rk`. It is **not** trusted with voter privacy beyond what
+/// the paper grants the registrar: everything it sees (check-out QRs,
+/// records) is also on the public ledger or visible at the desk. A
+/// compromised desk can deny service or register ineligible voters — both
+/// publicly auditable against the roster — but cannot forge a voter's
+/// credential tag without the kiosk signature chain.
+///
+/// # Envelope printers (Fig 7 line 5): [`Request::Print`]
+///
+/// Holds a printer signing key from the printer registry. The paper
+/// trusts printers not to leak or duplicate challenges (a duplicating
+/// printer is caught by activation's duplicate-challenge detector,
+/// Appendix F.3.5); the print room additionally learns which challenges
+/// belong to one refill batch, which the physical print room learns
+/// anyway. It never sees credential keys or voter identities.
+///
+/// # Bulletin board: [`Request::SubmitEnvelopesSeq`], [`Request::SyncThrough`], [`Request::Sync`], [`Request::LedgerHeads`], [`Request::IngestStats`]
+///
+/// The admission front-end runs with the ledger operator's signing key.
+/// Submissions (check-out records included) are **ordered and
+/// coalesced**: in-flight batches may be folded into one
+/// random-linear-combination admission sweep, but always admit in global
+/// session order — the signed tree heads any auditor checks are therefore
+/// bit-identical to a synchronous, batch-at-a-time ledger. A compromised
+/// front-end is exactly a compromised ledger operator: it can withhold or
+/// reorder *pending* submissions (detectable by the submitting registrar
+/// at the next barrier) but cannot rewrite admitted history without
+/// breaking the Merkle consistency proofs.
+///
+/// **Commit-point contract.** On a durable ledger backend every barrier
+/// is also a *durability* barrier. When [`Request::Sync`],
+/// [`Request::SyncThrough`], [`Request::LedgerHeads`] or
+/// [`Request::ActivationSweep`] is answered without error, everything the
+/// barrier covers has been appended to the write-ahead log, group-fsynced
+/// (when fsync is enabled), and covered by a persisted signed tree head —
+/// in that order, records strictly before the head that commits them. A
+/// crash after the answer loses nothing it covered: reopening the store
+/// replays the WAL back to the same heads, bit-identically. A submission's
+/// receipt alone promises ordering, not durability; durability attaches
+/// at the next barrier, identically under both
+/// [`IngestMode`](crate::IngestMode)s — the modes only change when sweeps
+/// happen, not what an answered barrier means.
+///
+/// # Activation ledger phase (Fig 11 lines 9–11): [`Request::ActivationSweep`]
+///
+/// Performs only the L_R cross-check and the L_E challenge reveal. The
+/// device-side checks (lines 2–8) — and the credential *secret* — stay on
+/// the voter's device; the registrar learns exactly what the public
+/// ledger learns at activation (which challenges were revealed, and the
+/// aggregate activation count the coercion adversary is allowed to see,
+/// Appendix F.1). It cannot distinguish real from fake credentials, by
+/// design.
 #[derive(Debug)]
 pub enum Request {
-    /// [`crate::traits::RegistrarService::check_in`].
+    /// Check-in (Fig 8): authenticates the voter, issues a session ticket.
     CheckIn(CheckInRequest),
-    /// Untagged batched check-out. Retired from the service traits (every
-    /// station submits [`Request::CheckOutBatchSeq`]); no fleet sends it
-    /// and the registrar answers it with a typed error. The codec stays:
-    /// the tag is versioned and never reassigned.
+    /// Untagged batched check-out. Retired (every station submits
+    /// [`Request::CheckOutBatchSeq`]); no fleet sends it and the
+    /// registrar answers it with a typed error. The codec stays: the tag
+    /// is versioned and never reassigned.
     CheckOutBatch(CheckOutBatchRequest),
-    /// [`crate::traits::PrintService::print_envelopes`].
+    /// Signs one envelope per job, in order, returning the envelopes with
+    /// their not-yet-posted L_E commitments.
     Print(PrintRequest),
     /// Untagged envelope submission; retired like
     /// [`Request::CheckOutBatch`] in favour of
     /// [`Request::SubmitEnvelopesSeq`].
     SubmitEnvelopes(EnvelopeSubmitRequest),
-    /// [`crate::traits::LedgerIngestService::sync`].
+    /// Barrier: drives every queued submission (envelopes *and* check-out
+    /// records) to admission, surfacing the earliest failure.
     Sync,
-    /// [`crate::traits::LedgerIngestService::ledger_heads`].
+    /// Signed tree heads of L_R and L_E (implies a [`Request::Sync`]).
     LedgerHeads,
-    /// [`crate::traits::ActivationService::activation_sweep`].
+    /// Runs the activation ledger phase for a batch of claims, in order,
+    /// stopping at the first failure exactly as a sequential activation
+    /// loop would.
     ActivationSweep(ActivationSweepRequest),
     /// Ends the connection; the server loop exits cleanly.
     Shutdown,
-    /// [`crate::traits::LedgerIngestService::submit_envelope_groups`].
+    /// Queues a window's envelope commitments for L_E admission,
+    /// session-tagged: the registrar uses the global indices to restore
+    /// queue order across stations before admission.
     SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest),
-    /// [`crate::traits::RegistrarService::check_out_groups`].
+    /// Session-tagged batched check-out from one polling station (Fig
+    /// 10): verifies kiosk signatures, countersigns from the supplied
+    /// coupons, and queues the records for L_R admission (ordering
+    /// contract as [`Request::SubmitEnvelopesSeq`]).
     CheckOutBatchSeq(SeqCheckOutRequest),
-    /// [`crate::traits::LedgerIngestService::sync_through`].
+    /// Prefix barrier: answered once every session with global index
+    /// below `sessions` is admitted on both ledgers.
     SyncThrough(SyncThroughRequest),
-    /// [`crate::traits::LedgerIngestService::ingest_stats`].
+    /// Engine telemetry (see [`IngestStatsReply`]).
     IngestStats,
 }
 

@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,19 +19,20 @@ use vg_trip::vsd::Vsd;
 use vg_trip::TripError;
 
 use crate::channel::{Connector, Deadlines, TcpConnector};
-use crate::error::ServiceError;
 use crate::fault::{FaultPlan, FaultyConnector};
 use crate::gateway::{acceptor_loop, reactor_loop, GatewayIntake, PipeHub, REAP_AFTER};
+use crate::messages::{Request, Response};
 use crate::retry::RetryPolicy;
 use crate::transport::{
-    client_policy, server_policy, ChannelSecurity, DayStats, LinkKind, StealRecord,
+    client_policy, server_policy, ChannelSecurity, DayStats, EngineStats, LinkKind,
+    RequestEndpoint, StealRecord,
 };
 
-use super::sequencer::{build_ingest, Cmd, IngestEngine};
+use super::sequencer::{build_ingest, IngestEngine};
 use super::shard::ShardRoute;
 use super::station::{
-    run_station, run_steal_lane, DayCounters, HostCore, Link, PipelineDispatch, SessionDelivery,
-    StationJob, StationMsg, StealJob,
+    run_station, run_steal_lane, Link, PipelineDispatch, SessionDelivery, StationJob, StationMsg,
+    StealJob,
 };
 use super::{ChaosOptions, DayPlan};
 
@@ -105,12 +106,7 @@ pub(super) fn run_threaded_day(
             "a registration day needs at least one official and one printer".into(),
         ));
     };
-    let core = HostCore {
-        official,
-        printer,
-        kiosk_registry,
-        threads: fleet.config().threads,
-    };
+    let threads = fleet.config().threads;
     let ctx = ActivationContext {
         authority_pk: &authority_pk,
         printer_registry: &printer_registry,
@@ -126,10 +122,6 @@ pub(super) fn run_threaded_day(
         owner: Arc::new(kiosk_owners(kiosks.len(), station_plans.len())),
         workers,
     };
-    let mut worker_sessions: Vec<Vec<u64>> = vec![Vec::new(); workers];
-    for session in 0..total_sessions as u64 {
-        worker_sessions[route.worker_of(session)].push(session);
-    }
 
     // Disk faults go in before the engine is wired so the very first
     // WAL write is already under the injected schedule.
@@ -137,20 +129,26 @@ pub(super) fn run_threaded_day(
         ledger.install_fault_fs(ff);
     }
 
+    // The day's one counter block: shard workers and the sequencer book
+    // sweeps and busy/idle time into it, station/refiller/steal runners
+    // their timeouts and reconnects, the gateway reactors their reaps,
+    // the coordinator its stall steals.
+    let stats = EngineStats::new(workers);
+
     // The whole engine — sequencer, shard workers, client — is wired
     // before any thread spawns.
     let IngestEngine {
         client,
         sequencer,
-        seq_rx,
         shards,
     } = build_ingest(
         ledger,
         official,
-        core.threads,
+        threads,
         pipeline.ingest,
         route,
-        worker_sessions,
+        total_sessions as u64,
+        Arc::clone(&stats),
     );
 
     // TCP: bind before the scope so stations can connect immediately.
@@ -217,17 +215,22 @@ pub(super) fn run_threaded_day(
             .collect()
     });
 
-    // Day-wide degraded-mode telemetry: boundary counters shared by the
-    // station/lane threads, reap count owned by the gateway reactors.
-    let counters = DayCounters::default();
-    let reaped = Arc::new(AtomicU64::new(0));
     // Releases injected hangs at teardown so their threads join.
     let day_over = Arc::new(AtomicBool::new(false));
 
-    std::thread::scope(|scope| -> Result<DayStats, TripError> {
-        scope.spawn(move || sequencer.run(seq_rx));
-        for (worker, rx) in shards {
-            scope.spawn(move || worker.run(rx));
+    let steals = std::thread::scope(|scope| -> Result<Vec<StealRecord>, TripError> {
+        // The engine's side of the seam; every in-process link and every
+        // gateway reactor serves its own clone.
+        let registrar = PipelineDispatch {
+            official,
+            printer,
+            kiosk_registry,
+            threads,
+            client,
+        };
+        scope.spawn(move || sequencer.run());
+        for worker in shards {
+            scope.spawn(move || worker.run());
         }
 
         // The multiplexed gateway: a bounded reactor pool serves every
@@ -238,13 +241,10 @@ pub(super) fn run_threaded_day(
             let server_pol = server_policy(transport_keys, transport.security);
             for rx in reactor_rxs.drain(..) {
                 let policy = server_pol.clone();
-                let dispatch = PipelineDispatch {
-                    core,
-                    client: client.clone(),
-                };
+                let dispatch = registrar.clone();
                 let open = Arc::clone(&accepting);
-                let reaped = Arc::clone(&reaped);
-                scope.spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, reaped));
+                let stats = Arc::clone(&stats);
+                scope.spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, stats));
             }
         }
         if let Some(listener) = listener {
@@ -259,7 +259,7 @@ pub(super) fn run_threaded_day(
 
         let station_link = |station: usize| match &connectors {
             Some(conns) => Link::Gateway(conns[station].as_ref()),
-            None => Link::InProcess(core),
+            None => Link::InProcess(registrar.clone()),
         };
 
         let (msg_tx, msg_rx) = mpsc::channel::<StationMsg>();
@@ -280,14 +280,13 @@ pub(super) fn run_threaded_day(
                     .or(hang.map(|h| h.after_ops)),
                 hang_release: hang.map(|_| Arc::clone(&day_over)),
                 retry: RetryPolicy::reconnect(sp.station as u64),
-                counters: &counters,
+                stats: &stats,
             };
             let tx = msg_tx.clone();
-            let client = client.clone();
             let station_id = sp.station;
             let link = station_link(sp.station);
             scope.spawn(move || {
-                let result = run_station(job, link, &client, &tx);
+                let result = run_station(job, link, &tx);
                 let _ = tx.send(StationMsg::Done(station_id, result));
             });
             spawned += 1;
@@ -300,7 +299,7 @@ pub(super) fn run_threaded_day(
         // error returns — falls through to the acceptor wake-up below;
         // returning early from the scope with the acceptor still parked
         // in accept() would deadlock the scope join.
-        let coordinate = || -> Result<DayStats, TripError> {
+        let coordinate = || -> Result<Vec<StealRecord>, TripError> {
             let mut next_emit = 0usize;
             let mut buffered: BTreeMap<usize, SessionDelivery> = BTreeMap::new();
             let mut done = 0usize;
@@ -342,7 +341,6 @@ pub(super) fn run_threaded_day(
             let mut last_activity: Vec<Instant> = vec![Instant::now(); station_plans.len()];
             let mut finished: HashSet<usize> = HashSet::new();
             let mut stalled: HashSet<usize> = HashSet::new();
-            let mut stall_steals = 0u64;
             let mut synthetic: VecDeque<StationMsg> = VecDeque::new();
             let stall_poll =
                 (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
@@ -379,7 +377,7 @@ pub(super) fn run_threaded_day(
                                     continue;
                                 }
                                 stalled.insert(id);
-                                stall_steals += 1;
+                                stats.stall_steals.fetch_add(1, Ordering::Relaxed);
                                 synthetic.push_back(StationMsg::Done(
                                     id,
                                     Err(TripError::Boundary(format!(
@@ -426,9 +424,6 @@ pub(super) fn run_threaded_day(
                     }
                     StationMsg::Done(id, Err(e)) => {
                         done += 1;
-                        if matches!(&e, TripError::Boundary(m) if m.contains("deadline expired")) {
-                            counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
                         let meta = steal_meta.remove(&id);
                         if let Some(t) = meta.as_ref().and_then(|m| m.lane) {
                             lane_load.entry(t).and_modify(|n| *n = n.saturating_sub(1));
@@ -464,7 +459,7 @@ pub(super) fn run_threaded_day(
                             // fail every parked barrier so blocked stations
                             // unwind instead of deadlocking the scope join.
                             first_error.get_or_insert(e);
-                            client.abort();
+                            registrar.client.abort();
                             continue;
                         };
                         // Undelivered = not yet emitted and not buffered.
@@ -573,7 +568,7 @@ pub(super) fn run_threaded_day(
                                 retry: RetryPolicy::reconnect(
                                     (station_plans.len() + steal_seq) as u64,
                                 ),
-                                counters: &counters,
+                                stats: &stats,
                             };
                             let runner_id = station_plans.len() + steal_seq;
                             steal_seq += 1;
@@ -592,11 +587,8 @@ pub(super) fn run_threaded_day(
                                     let lane = steal_lanes.entry(t).or_insert_with(|| {
                                         let (job_tx, job_rx) = mpsc::channel::<StealJob>();
                                         let tx = msg_tx.clone();
-                                        let client = client.clone();
                                         let link = station_link(t);
-                                        scope.spawn(move || {
-                                            run_steal_lane(job_rx, link, &client, &tx)
-                                        });
+                                        scope.spawn(move || run_steal_lane(job_rx, link, &tx));
                                         job_tx
                                     });
                                     // The lane cannot be gone while we
@@ -606,10 +598,9 @@ pub(super) fn run_threaded_day(
                                 }
                                 None => {
                                     let tx = msg_tx.clone();
-                                    let client = client.clone();
                                     let link = station_link(thief);
                                     scope.spawn(move || {
-                                        let result = run_station(job, link, &client, &tx);
+                                        let result = run_station(job, link, &tx);
                                         let _ = tx.send(StationMsg::Done(runner_id, result));
                                     });
                                 }
@@ -630,20 +621,11 @@ pub(super) fn run_threaded_day(
                 )));
             }
 
-            // Final barrier + telemetry straight over the engine channel.
-            client.call(Cmd::SyncAll).map_err(ServiceError::into_trip)?;
-            let ingest = client
-                .stats()
-                .map_err(|e| TripError::Boundary(e.to_string()))?;
-            Ok(DayStats {
-                ingest,
-                workers,
-                steals,
-                timeouts: counters.timeouts.load(Ordering::Relaxed),
-                reconnects: counters.reconnects.load(Ordering::Relaxed),
-                reaped: reaped.load(Ordering::Relaxed),
-                stall_steals,
-            })
+            // Final barrier, over the same in-process link a station uses.
+            match registrar.clone().call(Request::Sync) {
+                Response::Err(e) => Err(e.into_trip()),
+                _ => Ok(steals),
+            }
         };
         let result = coordinate();
 
@@ -662,8 +644,13 @@ pub(super) fn run_threaded_day(
         // (the reactors' clones go with their threads) then lets the
         // sequencer itself exit. Both must happen on every exit path or
         // the scope join deadlocks.
-        client.shutdown();
-        drop(client);
+        registrar.client.shutdown();
+        drop(registrar);
         result
+    })?;
+    // Every engine thread has joined: the ledger is ours again.
+    Ok(DayStats {
+        steals,
+        ..stats.snapshot(ledger.durability_stats())
     })
 }

@@ -25,10 +25,18 @@
 //!
 //! # The threaded engine
 //!
+//! - **One seam**: every registrar operation enters the engine as a
+//!   [`Request`](crate::messages::Request) and is translated into
+//!   sequencer / shard-worker commands in exactly one dispatch arm
+//!   (`station.rs`). A gateway reactor polls the arm's reply channels;
+//!   the in-process link blocks on the same channels. All engine threads
+//!   book their telemetry into one shared counter block, snapshotted
+//!   into the flat [`DayStats`].
 //! - **Refillers** ([`vg_trip::pool::PoolFeed`]): each polling station
-//!   runs a dedicated thread owning a `PrintService` client that keeps
-//!   the station's ceremony pool above a low-water mark, hiding
-//!   precompute behind ceremony latency mid-day, not just at warm start.
+//!   runs a dedicated thread with its own registrar link, sending
+//!   `Request::Print`s that keep the station's ceremony pool above a
+//!   low-water mark, hiding precompute behind ceremony latency mid-day,
+//!   not just at warm start.
 //! - **Sharded ingest**: N shard workers
 //!   ([`PipelineConfig::workers`]) own disjoint station partitions of
 //!   the session stream — shard = original kiosk-chunk owner, so a
@@ -93,8 +101,7 @@ use vg_trip::vsd::Vsd;
 use vg_trip::TripError;
 
 use crate::fault::FaultPlan;
-use crate::messages::IngestStatsReply;
-use crate::transport::{DayStats, TransportPlan};
+use crate::transport::{DayStats, EngineStats, TransportPlan};
 
 use coordinator::run_threaded_day;
 
@@ -265,15 +272,6 @@ pub fn run_day(
     }
     let mut pool = fleet.prepare_pool(system, queue);
     fleet.register_each(system, queue, &mut pool, plan.activate, sink)?;
-    let durability = system.ledger.durability_stats();
-    Ok(DayStats {
-        ingest: IngestStatsReply {
-            wal_records: durability.wal_records,
-            wal_fsyncs: durability.wal_fsyncs,
-            wal_failures: durability.wal_failures,
-            ..IngestStatsReply::default()
-        },
-        workers: 1,
-        ..DayStats::default()
-    })
+    // No engine: one worker (the caller) and a zeroed counter block.
+    Ok(EngineStats::new(1).snapshot(system.ledger.durability_stats()))
 }

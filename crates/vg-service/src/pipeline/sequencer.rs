@@ -4,19 +4,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vg_crypto::sync::lock_recover;
 use vg_ledger::{
     EnvelopeCommitment, EnvelopeLedger, Ledger, LedgerError, RegistrationLedger,
     RegistrationRecord, VoterId,
 };
-use vg_trip::materials::CheckInTicket;
 use vg_trip::official::Official;
 use vg_trip::vsd::{activation_ledger_phase, ActivationClaim};
 
 use crate::error::ServiceError;
-use crate::messages::{IngestStatsReply, LedgerHeads};
+use crate::gateway::{Dispatched, Pending};
+use crate::messages::{CheckInResponse, IngestStatsReply, LedgerHeads, Response};
+use crate::transport::EngineStats;
 
 use super::shard::{
     ShardCmd, ShardRoute, ShardWorker, VerifiedInbox, WorkerLane, MAX_PENDING_RECORDS,
@@ -25,13 +26,15 @@ use super::shard::{
 use super::IngestMode;
 
 /// Commands for the commit sequencer — the one thread owning the ledgers.
+/// The first six are registrar requests that need ledger state; each is
+/// answered with its [`Response`] (or [`Response::Err`]).
 pub(super) enum Cmd {
-    CheckIn(VoterId, Sender<Result<CheckInTicket, ServiceError>>),
-    SyncThrough(u64, Sender<Result<(), ServiceError>>),
-    SyncAll(Sender<Result<(), ServiceError>>),
-    Activate(Vec<ActivationClaim>, Sender<Result<(), ServiceError>>),
-    Heads(Sender<Result<LedgerHeads, ServiceError>>),
-    Stats(Sender<IngestStatsReply>),
+    CheckIn(VoterId, Sender<Response>),
+    SyncThrough(u64, Sender<Response>),
+    SyncAll(Sender<Response>),
+    Activate(Vec<ActivationClaim>, Sender<Response>),
+    Heads(Sender<Response>),
+    Stats(Sender<Response>),
     /// Fail every parked barrier so blocked stations unwind (day abort).
     Abort,
     /// A shard worker changed the shared inbox (released, verified or
@@ -112,18 +115,17 @@ pub(super) struct Sequencer<'a> {
     official: &'a Official,
     threads: usize,
     mode: IngestMode,
-    workers: usize,
+    rx: Receiver<Cmd>,
     shard_txs: Vec<Sender<ShardCmd>>,
     inbox: Arc<Mutex<VerifiedInbox>>,
     env: CommitLane<EnvelopeCommitment>,
     reg: CommitLane<RegistrationRecord>,
-    parked: Vec<(u64, Sender<Result<(), ServiceError>>)>,
+    parked: Vec<(u64, Sender<Response>)>,
     failed: Option<ServiceError>,
     /// Reorder-buffer occupancy reported by the last flush barrier —
     /// nonzero at day end means sessions were lost in transit.
     stalled_reorder: usize,
-    busy: Duration,
-    idle: Duration,
+    stats: Arc<EngineStats>,
 }
 
 impl Sequencer<'_> {
@@ -224,14 +226,14 @@ impl Sequencer<'_> {
         }
         if let Some(e) = self.failed.clone() {
             for (_, reply) in self.parked.drain(..) {
-                let _ = reply.send(Err(e.clone()));
+                let _ = reply.send(Response::Err(e.clone()));
             }
             return;
         }
         let admitted = self.admitted_through();
         self.parked.retain(|(needed, reply)| {
             if *needed <= admitted {
-                let _ = reply.send(Ok(()));
+                let _ = reply.send(Response::SyncThrough);
                 false
             } else {
                 true
@@ -239,44 +241,25 @@ impl Sequencer<'_> {
         });
     }
 
-    fn stats(&self) -> IngestStatsReply {
-        let durability = self.ledger.durability_stats();
-        let sh = lock_recover(&self.inbox);
-        let mut reply = IngestStatsReply {
-            env_batches: 0,
-            env_sweeps: 0,
-            reg_batches: 0,
-            reg_sweeps: 0,
-            worker_busy_us: self.busy.as_micros() as u64,
-            worker_idle_us: self.idle.as_micros() as u64,
-            wal_records: durability.wal_records,
-            wal_fsyncs: durability.wal_fsyncs,
-            workers: self.workers as u64,
-            wal_failures: durability.wal_failures,
-        };
-        for t in &sh.stats {
-            reply.env_batches += t.env_batches;
-            reply.env_sweeps += t.env_sweeps;
-            reply.reg_batches += t.reg_batches;
-            reply.reg_sweeps += t.reg_sweeps;
-            reply.worker_busy_us += t.busy_us;
-            reply.worker_idle_us += t.idle_us;
+    /// `ok` unless the sticky failure is set.
+    fn unless_failed(&self, ok: impl FnOnce(&Self) -> Response) -> Response {
+        match &self.failed {
+            Some(e) => Response::Err(e.clone()),
+            None => ok(self),
         }
-        reply
     }
 
     fn handle(&mut self, cmd: Cmd) {
         match cmd {
             Cmd::CheckIn(voter, reply) => {
-                let out = self
-                    .official
-                    .check_in(self.ledger, voter)
-                    .map_err(ServiceError::Trip);
-                let _ = reply.send(out);
+                let _ = reply.send(match self.official.check_in(self.ledger, voter) {
+                    Ok(ticket) => Response::CheckIn(CheckInResponse { ticket }),
+                    Err(e) => Response::Err(ServiceError::Trip(e)),
+                });
             }
             Cmd::SyncThrough(sessions, reply) => {
                 if self.admitted_through() >= sessions && self.failed.is_none() {
-                    let _ = reply.send(Ok(()));
+                    let _ = reply.send(Response::SyncThrough);
                 } else {
                     self.parked.push((sessions, reply));
                 }
@@ -287,51 +270,45 @@ impl Sequencer<'_> {
                     let sh = lock_recover(&self.inbox);
                     !sh.env.groups.is_empty() || !sh.reg.groups.is_empty()
                 };
-                let out = if let Some(e) = self.failed.clone() {
-                    Err(e)
-                } else if self.stalled_reorder > 0 || residual {
-                    Err(ServiceError::Transport(format!(
-                        "sessions lost: admission stalled at {} (gap in submissions)",
-                        self.admitted_through()
-                    )))
-                } else {
-                    Ok(())
-                };
-                let _ = reply.send(out);
+                let _ = reply.send(self.unless_failed(|seq| {
+                    if seq.stalled_reorder > 0 || residual {
+                        Response::Err(ServiceError::Transport(format!(
+                            "sessions lost: admission stalled at {} (gap in submissions)",
+                            seq.admitted_through()
+                        )))
+                    } else {
+                        Response::Sync
+                    }
+                }));
             }
             Cmd::Activate(claims, reply) => {
                 self.flush_all();
-                let out = if let Some(e) = self.failed.clone() {
-                    Err(e)
-                } else {
-                    let mut out = Ok(());
+                let mut out = self.unless_failed(|_| Response::ActivationSweep);
+                if self.failed.is_none() {
                     for claim in &claims {
                         if let Err(e) = activation_ledger_phase(self.ledger, claim) {
-                            out = Err(ServiceError::Trip(e));
+                            out = Response::Err(ServiceError::Trip(e));
                             break;
                         }
                     }
                     // Activation appended reveal-WAL entries; sync them
                     // before acknowledging the claims.
                     self.persist_ledger();
-                    out
-                };
+                }
                 let _ = reply.send(out);
             }
             Cmd::Heads(reply) => {
                 self.flush_all();
-                let out = if let Some(e) = self.failed.clone() {
-                    Err(e)
-                } else {
-                    Ok(LedgerHeads {
-                        registration: self.ledger.registration.tree_head(),
-                        envelopes: self.ledger.envelopes.tree_head(),
+                let _ = reply.send(self.unless_failed(|seq| {
+                    Response::LedgerHeads(LedgerHeads {
+                        registration: seq.ledger.registration.tree_head(),
+                        envelopes: seq.ledger.envelopes.tree_head(),
                     })
-                };
-                let _ = reply.send(out);
+                }));
             }
             Cmd::Stats(reply) => {
-                let _ = reply.send(self.stats());
+                let day = self.stats.snapshot(self.ledger.durability_stats());
+                let _ = reply.send(Response::IngestStats(IngestStatsReply::from(&day)));
             }
             Cmd::Abort => {
                 let e = ServiceError::Transport("registration day aborted".into());
@@ -353,11 +330,11 @@ impl Sequencer<'_> {
         }
     }
 
-    pub(super) fn run(mut self, rx: Receiver<Cmd>) {
+    pub(super) fn run(mut self) {
         loop {
             let t = Instant::now();
-            let Ok(cmd) = rx.recv() else { break };
-            self.idle += t.elapsed();
+            let Ok(cmd) = self.rx.recv() else { break };
+            self.stats.idle(t);
             let t = Instant::now();
             self.handle(cmd);
             // Opportunistic commits: verified records must not pile up
@@ -374,7 +351,7 @@ impl Sequencer<'_> {
                 self.persist_ledger();
             }
             self.service_parked();
-            self.busy += t.elapsed();
+            self.stats.busy(t);
         }
         // Day over: every client and worker sender is gone — the workers
         // exit-swept their backlogs into the inbox before releasing
@@ -384,79 +361,51 @@ impl Sequencer<'_> {
         self.flush_all();
         self.service_parked();
         for (_, reply) in self.parked.drain(..) {
-            let _ = reply.send(Err(ServiceError::Transport(
+            let _ = reply.send(Response::Err(ServiceError::Transport(
                 "registration day ended with submissions missing".into(),
             )));
         }
     }
 }
 
-/// Client half of the sharded engine (cheap to clone; one per connection
-/// handler / in-process endpoint): submissions fan out to the shard
-/// workers owning their sessions, everything stateful goes to the
-/// sequencer.
+/// Client half of the sharded engine (cheap to clone; one per gateway
+/// reactor / in-process link): submissions fan out to the shard workers
+/// owning their sessions, everything stateful goes to the sequencer.
+/// Nothing here blocks — both calls hand back the reply channels as a
+/// [`Dispatched`], for the caller to poll or wait on.
 #[derive(Clone)]
 pub(super) struct IngestClient {
-    pub(super) seq: Sender<Cmd>,
+    seq: Sender<Cmd>,
     shards: Arc<Vec<Sender<ShardCmd>>>,
     route: ShardRoute,
     /// One engine-wide ticket sequence, so tickets stay monotonic per
     /// connection no matter which shard served the submission.
-    pub(super) tickets: Arc<AtomicU64>,
+    tickets: Arc<AtomicU64>,
 }
 
 impl IngestClient {
-    pub(super) fn call<T>(
-        &self,
-        build: impl FnOnce(Sender<Result<T, ServiceError>>) -> Cmd,
-    ) -> Result<T, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.seq
-            .send(build(tx))
-            .map_err(|_| ServiceError::Transport("ingest sequencer gone".into()))?;
-        rx.recv()
-            .map_err(|_| ServiceError::Transport("ingest sequencer gone".into()))?
-    }
-
-    /// Sends one sequencer command and hands back the reply receiver
-    /// without blocking (the gateway reactor polls it as a pending
-    /// response instead of parking a thread on it).
-    pub(super) fn call_async<T: Send>(
-        &self,
-        build: impl FnOnce(Sender<Result<T, ServiceError>>) -> Cmd,
-    ) -> Result<Receiver<Result<T, ServiceError>>, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.seq
-            .send(build(tx))
-            .map_err(|_| ServiceError::Transport("ingest sequencer gone".into()))?;
-        Ok(rx)
+    /// Sends one sequencer command and parks on its reply.
+    pub(super) fn ask(&self, build: impl FnOnce(Sender<Response>) -> Cmd) -> Dispatched {
+        let (tx, reply) = mpsc::channel();
+        if self.seq.send(build(tx)).is_err() {
+            let gone = ServiceError::Transport("ingest sequencer gone".into());
+            return Dispatched::Now(Response::Err(gone));
+        }
+        let acks = Vec::new();
+        Dispatched::Pending(Pending { acks, reply })
     }
 
     /// Submits session-tagged groups on one lane (`make` picks it):
-    /// splits them by owning shard, waits for every touched worker's
-    /// acknowledgement (a station's sessions all live in one shard, so
-    /// the common case is exactly one send) and returns the submission's
-    /// ticket.
-    pub(super) fn submit<R>(
+    /// splits them by owning shard, sends (a station's sessions all live
+    /// in one shard, so the common case is exactly one send) and parks on
+    /// every touched worker's acknowledgement; `done` builds the answer
+    /// from the submission's ticket.
+    pub(super) fn fan_out<R>(
         &self,
         groups: Vec<(u64, Vec<R>)>,
         make: impl Fn(Vec<(u64, Vec<R>)>, Sender<Result<(), ServiceError>>) -> ShardCmd,
-    ) -> Result<u64, ServiceError> {
-        for ack in self.fan_out_async(groups, make)? {
-            ack.recv()
-                .map_err(|_| ServiceError::Transport("ingest worker gone".into()))??;
-        }
-        Ok(self.tickets.fetch_add(1, Ordering::SeqCst))
-    }
-
-    /// The non-blocking half of [`IngestClient::submit`]: splits groups
-    /// by owning shard, sends, and hands back one acknowledgement
-    /// receiver per touched worker.
-    pub(super) fn fan_out_async<R>(
-        &self,
-        groups: Vec<(u64, Vec<R>)>,
-        make: impl Fn(Vec<(u64, Vec<R>)>, Sender<Result<(), ServiceError>>) -> ShardCmd,
-    ) -> Result<Vec<Receiver<Result<(), ServiceError>>>, ServiceError> {
+        done: impl FnOnce(u64) -> Response,
+    ) -> Dispatched {
         let mut per_worker: Vec<Vec<(u64, Vec<R>)>> =
             (0..self.route.workers).map(|_| Vec::new()).collect();
         for group in groups {
@@ -468,21 +417,14 @@ impl IngestClient {
                 continue;
             }
             let (tx, rx) = mpsc::channel();
-            self.shards[worker]
-                .send(make(batch, tx))
-                .map_err(|_| ServiceError::Transport("ingest worker gone".into()))?;
+            if self.shards[worker].send(make(batch, tx)).is_err() {
+                let gone = ServiceError::Transport("ingest worker gone".into());
+                return Dispatched::Now(Response::Err(gone));
+            }
             acks.push(rx);
         }
-        Ok(acks)
-    }
-
-    pub(super) fn stats(&self) -> Result<IngestStatsReply, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.seq
-            .send(Cmd::Stats(tx))
-            .map_err(|_| ServiceError::Transport("ingest sequencer gone".into()))?;
-        rx.recv()
-            .map_err(|_| ServiceError::Transport("ingest sequencer gone".into()))
+        let ticket = self.tickets.fetch_add(1, Ordering::SeqCst);
+        Dispatched::Pending(Pending::after(acks, done(ticket)))
     }
 
     pub(super) fn abort(&self) {
@@ -502,24 +444,29 @@ impl IngestClient {
 pub(super) struct IngestEngine<'a> {
     pub(super) client: IngestClient,
     pub(super) sequencer: Sequencer<'a>,
-    pub(super) seq_rx: Receiver<Cmd>,
-    pub(super) shards: Vec<(ShardWorker, Receiver<ShardCmd>)>,
+    pub(super) shards: Vec<ShardWorker>,
 }
 
-/// Wires up the sharded ingest engine: one sequencer owning `ledger`,
-/// one shard worker per entry of `worker_sessions` (each list the
-/// ascending global session indices that worker owns — together a
-/// partition of the day), and a cloneable client routing by `route`.
+/// Wires up the sharded ingest engine for a day of `sessions` sessions:
+/// one sequencer owning `ledger`, `route.workers` shard workers (each
+/// owning the ascending global session indices `route` sends it —
+/// together a partition of the day), and a cloneable client routing by
+/// `route`.
 pub(super) fn build_ingest<'a>(
     ledger: &'a mut Ledger,
     official: &'a Official,
     threads: usize,
     mode: IngestMode,
     route: ShardRoute,
-    worker_sessions: Vec<Vec<u64>>,
+    sessions: u64,
+    stats: Arc<EngineStats>,
 ) -> IngestEngine<'a> {
-    let workers = worker_sessions.len();
-    let (seq_tx, seq_rx) = mpsc::channel();
+    let workers = route.workers;
+    let mut worker_sessions: Vec<Vec<u64>> = vec![Vec::new(); workers];
+    for session in 0..sessions {
+        worker_sessions[route.worker_of(session)].push(session);
+    }
+    let (seq_tx, rx) = mpsc::channel();
     let inbox = Arc::new(Mutex::new(VerifiedInbox::new(&worker_sessions)));
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shards = Vec::with_capacity(workers);
@@ -527,21 +474,18 @@ pub(super) fn build_ingest<'a>(
         let (tx, rx) = mpsc::channel();
         shard_txs.push(tx);
         let sessions = Arc::new(sessions);
-        shards.push((
-            ShardWorker {
-                id,
-                threads,
-                mode,
-                env: WorkerLane::new(Arc::clone(&sessions), EnvelopeLedger::verify_batch),
-                reg: WorkerLane::new(sessions, RegistrationLedger::verify_batch),
-                inbox: Arc::clone(&inbox),
-                seq: seq_tx.clone(),
-                failed: None,
-                busy: Duration::ZERO,
-                idle: Duration::ZERO,
-            },
+        shards.push(ShardWorker {
+            id,
+            threads,
+            mode,
             rx,
-        ));
+            env: WorkerLane::new(Arc::clone(&sessions), EnvelopeLedger::verify_batch),
+            reg: WorkerLane::new(sessions, RegistrationLedger::verify_batch),
+            inbox: Arc::clone(&inbox),
+            seq: seq_tx.clone(),
+            failed: None,
+            stats: Arc::clone(&stats),
+        });
     }
     let client = IngestClient {
         seq: seq_tx,
@@ -554,7 +498,7 @@ pub(super) fn build_ingest<'a>(
         official,
         threads,
         mode,
-        workers,
+        rx,
         shard_txs,
         inbox,
         env: CommitLane {
@@ -578,13 +522,11 @@ pub(super) fn build_ingest<'a>(
         parked: Vec::new(),
         failed: None,
         stalled_reorder: 0,
-        busy: Duration::ZERO,
-        idle: Duration::ZERO,
+        stats,
     };
     IngestEngine {
         client,
         sequencer,
-        seq_rx,
         shards,
     }
 }

@@ -2,13 +2,15 @@
 //! into (see the [module docs](super)).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vg_ledger::{EnvelopeCommitment, LedgerError, RegistrationRecord};
 
 use crate::error::ServiceError;
+use crate::transport::{EngineStats, LaneStats};
 
 use super::sequencer::Cmd;
 use super::IngestMode;
@@ -72,18 +74,6 @@ impl ShardRoute {
     pub(super) fn worker_of(&self, session: u64) -> usize {
         self.owner[session as usize % self.owner.len()] % self.workers
     }
-}
-
-/// Per-worker telemetry snapshot, published into the inbox so the
-/// sequencer can answer [`Cmd::Stats`] without stopping the workers.
-#[derive(Clone, Copy, Default)]
-pub(super) struct WorkerTelemetry {
-    pub(super) env_batches: u64,
-    pub(super) env_sweeps: u64,
-    pub(super) reg_batches: u64,
-    pub(super) reg_sweeps: u64,
-    pub(super) busy_us: u64,
-    pub(super) idle_us: u64,
 }
 
 /// One ledger lane of the [`VerifiedInbox`]: session groups that passed
@@ -154,7 +144,6 @@ pub(super) struct VerifiedInbox {
     pub(super) reg: InboxLane<RegistrationRecord>,
     /// Earliest verification failure across all workers, by session.
     pub(super) failed: Option<(u64, ServiceError)>,
-    pub(super) stats: Vec<WorkerTelemetry>,
 }
 
 impl VerifiedInbox {
@@ -167,7 +156,6 @@ impl VerifiedInbox {
             env: InboxLane::new(floor.clone()),
             reg: InboxLane::new(floor),
             failed: None,
-            stats: vec![WorkerTelemetry::default(); worker_sessions.len()],
         }
     }
 
@@ -227,8 +215,6 @@ pub(super) struct WorkerLane<R> {
     /// Released, in-order groups awaiting a verification sweep.
     pending: Vec<(u64, Vec<R>)>,
     pending_records: usize,
-    batches: u64,
-    sweeps: u64,
     verify: fn(&[R], usize) -> Result<(), LedgerError>,
 }
 
@@ -243,8 +229,6 @@ impl<R: Clone> WorkerLane<R> {
             reorder: BTreeMap::new(),
             pending: Vec::new(),
             pending_records: 0,
-            batches: 0,
-            sweeps: 0,
             verify,
         }
     }
@@ -260,7 +244,7 @@ impl<R: Clone> WorkerLane<R> {
     /// releases the in-order prefix of *owned* sessions: nonempty groups
     /// join the verification backlog, empty ones are returned so the
     /// caller can publish them straight to the inbox.
-    fn absorb(&mut self, groups: Vec<(u64, Vec<R>)>) -> Vec<u64> {
+    fn absorb(&mut self, groups: Vec<(u64, Vec<R>)>, stats: &LaneStats) -> Vec<u64> {
         for (session, records) in groups {
             if session < self.waiting_for() || self.reorder.contains_key(&session) {
                 continue; // duplicate (failover re-submission)
@@ -284,7 +268,7 @@ impl<R: Clone> WorkerLane<R> {
             self.pos += 1;
         }
         if released_any {
-            self.batches += 1;
+            stats.batches.fetch_add(1, Ordering::Relaxed);
         }
         empties
     }
@@ -294,12 +278,12 @@ impl<R: Clone> WorkerLane<R> {
     /// attribute the offender: groups before it survive, the offender
     /// and everything after are dropped with the failure pinned to the
     /// offending session.
-    fn sweep(&mut self, threads: usize) -> LaneUpdate<R> {
+    fn sweep(&mut self, threads: usize, stats: &LaneStats) -> LaneUpdate<R> {
         let mut update = LaneUpdate::default();
         if self.pending.is_empty() {
             return update;
         }
-        self.sweeps += 1;
+        stats.sweeps.fetch_add(1, Ordering::Relaxed);
         self.pending_records = 0;
         let groups = std::mem::take(&mut self.pending);
         let flat: Vec<R> = groups.iter().flat_map(|(_, g)| g.iter().cloned()).collect();
@@ -325,10 +309,15 @@ impl<R: Clone> WorkerLane<R> {
     /// A station's submission: buffer and release, and past the cap
     /// sweep inline. Verification needs no ledger, so the backlog just
     /// drains here, on the shard's own thread.
-    fn submit(&mut self, groups: Vec<(u64, Vec<R>)>, threads: usize) -> LaneUpdate<R> {
-        let empties = self.absorb(groups);
+    fn submit(
+        &mut self,
+        groups: Vec<(u64, Vec<R>)>,
+        threads: usize,
+        stats: &LaneStats,
+    ) -> LaneUpdate<R> {
+        let empties = self.absorb(groups, stats);
         let mut update = if self.pending_records > MAX_PENDING_RECORDS {
-            self.sweep(threads)
+            self.sweep(threads, stats)
         } else {
             LaneUpdate::default()
         };
@@ -346,6 +335,7 @@ pub(super) struct ShardWorker {
     pub(super) id: usize,
     pub(super) threads: usize,
     pub(super) mode: IngestMode,
+    pub(super) rx: Receiver<ShardCmd>,
     pub(super) env: WorkerLane<EnvelopeCommitment>,
     pub(super) reg: WorkerLane<RegistrationRecord>,
     pub(super) inbox: Arc<Mutex<VerifiedInbox>>,
@@ -353,24 +343,13 @@ pub(super) struct ShardWorker {
     /// Sticky local mirror of the shared failure: refuses further
     /// submissions without taking the inbox lock.
     pub(super) failed: Option<ServiceError>,
-    pub(super) busy: Duration,
-    pub(super) idle: Duration,
+    /// The day's shared counter block (lane counters, busy/idle time).
+    pub(super) stats: Arc<EngineStats>,
 }
 
 impl ShardWorker {
-    fn telemetry(&self) -> WorkerTelemetry {
-        WorkerTelemetry {
-            env_batches: self.env.batches,
-            env_sweeps: self.env.sweeps,
-            reg_batches: self.reg.batches,
-            reg_sweeps: self.reg.sweeps,
-            busy_us: self.busy.as_micros() as u64,
-            idle_us: self.idle.as_micros() as u64,
-        }
-    }
-
     /// Pushes this worker's new state into the shared inbox under one
-    /// lock — both lanes' updates, release floors, telemetry and any
+    /// lock — both lanes' updates, release floors and any
     /// verification failures — and returns the sticky *global* failure
     /// (possibly another worker's) if one is set.
     fn publish(
@@ -378,13 +357,11 @@ impl ShardWorker {
         env: LaneUpdate<EnvelopeCommitment>,
         reg: LaneUpdate<RegistrationRecord>,
     ) -> Option<ServiceError> {
-        let telemetry = self.telemetry();
         let mut sh = lock_recover(&self.inbox);
         sh.env
             .publish(self.id, env.groups, env.empties, self.env.waiting_for());
         sh.reg
             .publish(self.id, reg.groups, reg.empties, self.reg.waiting_for());
-        sh.stats[self.id] = telemetry;
         for (session, error) in env.failure.into_iter().chain(reg.failure) {
             sh.fail(session, error);
         }
@@ -394,8 +371,8 @@ impl ShardWorker {
     /// Sweeps both lanes and publishes; returns whether anything moved
     /// (so the sequencer is worth poking).
     fn sweep_and_publish(&mut self) -> bool {
-        let env = self.env.sweep(self.threads);
-        let reg = self.reg.sweep(self.threads);
+        let env = self.env.sweep(self.threads, &self.stats.env);
+        let reg = self.reg.sweep(self.threads, &self.stats.reg);
         let moved = !(env.is_empty() && reg.is_empty());
         if let Some(e) = self.publish(env, reg) {
             self.failed.get_or_insert(e);
@@ -431,14 +408,16 @@ impl ShardWorker {
     fn handle(&mut self, cmd: ShardCmd) {
         match cmd {
             ShardCmd::Envelopes(groups, reply) => {
-                let _ = reply.send(
-                    self.acknowledge(|w| (w.env.submit(groups, w.threads), LaneUpdate::default())),
-                );
+                let _ = reply.send(self.acknowledge(|w| {
+                    let env = w.env.submit(groups, w.threads, &w.stats.env);
+                    (env, LaneUpdate::default())
+                }));
             }
             ShardCmd::Records(groups, reply) => {
-                let _ = reply.send(
-                    self.acknowledge(|w| (LaneUpdate::default(), w.reg.submit(groups, w.threads))),
-                );
+                let _ = reply.send(self.acknowledge(|w| {
+                    let reg = w.reg.submit(groups, w.threads, &w.stats.reg);
+                    (LaneUpdate::default(), reg)
+                }));
             }
             ShardCmd::Flush(ack) => {
                 // No poke: the sequencer is blocked on this ack and
@@ -452,9 +431,9 @@ impl ShardWorker {
     /// The worker loop: drain immediately-available commands first, use
     /// [`IngestMode::Background`] idle gaps for verification sweeps that
     /// overlap the stations' next ceremonies, and only then block.
-    pub(super) fn run(mut self, rx: Receiver<ShardCmd>) {
+    pub(super) fn run(mut self) {
         loop {
-            let cmd = match rx.try_recv() {
+            let cmd = match self.rx.try_recv() {
                 Ok(cmd) => cmd,
                 Err(TryRecvError::Empty) => {
                     if self.mode == IngestMode::Background
@@ -465,13 +444,13 @@ impl ShardWorker {
                         if self.sweep_and_publish() {
                             let _ = self.seq.send(Cmd::Poke);
                         }
-                        self.busy += t.elapsed();
+                        self.stats.busy(t);
                         continue;
                     }
                     let t = Instant::now();
-                    match rx.recv() {
+                    match self.rx.recv() {
                         Ok(cmd) => {
-                            self.idle += t.elapsed();
+                            self.stats.idle(t);
                             cmd
                         }
                         Err(_) => break,
@@ -481,14 +460,14 @@ impl ShardWorker {
             };
             let t = Instant::now();
             self.handle(cmd);
-            self.busy += t.elapsed();
+            self.stats.busy(t);
         }
         // The sequencer dropped our channel (day teardown): sweep the
         // remaining backlog into the inbox so the final commit pass sees
         // it, then release our sequencer sender by returning.
         let t = Instant::now();
         self.sweep_and_publish();
-        self.busy += t.elapsed();
+        self.stats.busy(t);
         let _ = self.seq.send(Cmd::Poke);
     }
 }

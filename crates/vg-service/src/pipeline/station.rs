@@ -1,9 +1,10 @@
 //! A polling station's day and both ends of its link to the registrar:
-//! the in-process endpoint, the gateway dispatch, and the station, refiller
-//! and steal-lane runners (see the [module docs](super)).
+//! the engine's request dispatch (served by the gateway reactors, or
+//! called straight as the in-process link) and the station, refiller and
+//! steal-lane runners (see the [module docs](super)).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,49 +12,53 @@ use vg_crypto::par::par_map;
 use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
 use vg_ledger::{EnvelopeCommitment, RegistrationRecord, VoterId};
-use vg_trip::boundary::{IngestTicket, RegistrarBoundary};
+use vg_trip::boundary::RegistrarBoundary;
 use vg_trip::fleet::{ActivationContext, FeedSource, KioskFleet, PoolSource};
 use vg_trip::kiosk::{Kiosk, StolenCredential};
-use vg_trip::materials::{CheckInTicket, CheckOutQr, Envelope};
+use vg_trip::materials::{CheckOutQr, Envelope};
 use vg_trip::official::Official;
 use vg_trip::pool::PoolFeed;
 use vg_trip::printer::EnvelopePrinter;
 use vg_trip::protocol::RegistrationOutcome;
-use vg_trip::vsd::{ActivationClaim, Vsd};
+use vg_trip::vsd::Vsd;
 use vg_trip::{PrintJob, TripError};
 
 use crate::channel::Connector;
 use crate::error::ServiceError;
 use crate::gateway::{Dispatched, GatewayDispatch};
-use crate::messages::{
-    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchResponse, IngestReceipt,
-    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, Request, Response,
-    SeqCheckOutRequest, SeqEnvelopeSubmitRequest,
-};
+use crate::messages::{CheckOutBatchResponse, IngestReceipt, PrintResponse, Request, Response};
 use crate::retry::RetryPolicy;
-use crate::traits::{ActivationService, LedgerIngestService, PrintService, RegistrarService};
-use crate::transport::{ChannelClient, ServiceBoundary};
+use crate::transport::{
+    regroup_coupons, ChannelClient, EngineStats, RequestEndpoint, ServiceBoundary,
+};
 
 use super::sequencer::{Cmd, IngestClient};
 use super::shard::ShardCmd;
 use super::PipelineConfig;
 
 // ---------------------------------------------------------------------------
-// Registrar-side shared services (no ledger state)
+// Registrar-side: the request dispatch
 // ---------------------------------------------------------------------------
 
-/// The ledger-free registrar services every connection handler can run on
-/// its own thread: printing and desk-side check-out verification. Only
-/// the resulting records funnel into the worker.
-#[derive(Clone, Copy)]
-pub(super) struct HostCore<'a> {
+/// The threaded engine's side of the seam: every [`Request`] is
+/// translated into sequencer / shard-worker commands here, once.
+/// Ledger-free requests (printing, desk-side check-out verification) run
+/// inline on the caller — only the resulting records funnel into the
+/// shard workers; everything stateful is forwarded and *parked* on its
+/// reply channels. A gateway reactor polls those, so one station's
+/// barrier never stalls another station's connection; the in-process
+/// link (the [`RequestEndpoint`] impl below) blocks on them. Cheap to
+/// clone: one per reactor and per in-process link.
+#[derive(Clone)]
+pub(super) struct PipelineDispatch<'a> {
     pub(super) official: &'a Official,
     pub(super) printer: &'a EnvelopePrinter,
     pub(super) kiosk_registry: &'a [CompressedPoint],
     pub(super) threads: usize,
+    pub(super) client: IngestClient,
 }
 
-impl HostCore<'_> {
+impl PipelineDispatch<'_> {
     fn print(&self, jobs: &[PrintJob]) -> Vec<(Envelope, EnvelopeCommitment)> {
         par_map(jobs, self.threads, |job| {
             self.printer.print_detached(job.challenge, job.symbol)
@@ -80,84 +85,55 @@ impl HostCore<'_> {
     }
 }
 
-/// The in-process pipelined endpoint: ledger-free services run inline on
-/// the station's thread; submissions fan out to the shard workers and
-/// everything touching ledger state crosses the sequencer channel.
-/// Serves the same four service traits a [`ChannelClient`] speaks over
-/// the gateway, so the fleet drives either through the ordinary
-/// [`ServiceBoundary`].
-struct PipelinedEndpoint<'a> {
-    core: HostCore<'a>,
-    client: IngestClient,
-}
-
-impl RegistrarService for PipelinedEndpoint<'_> {
-    fn check_in(&mut self, req: CheckInRequest) -> Result<CheckInResponse, ServiceError> {
-        self.client
-            .call(|reply| Cmd::CheckIn(req.voter, reply))
-            .map(|ticket| CheckInResponse { ticket })
-    }
-
-    fn check_out_groups(
-        &mut self,
-        req: SeqCheckOutRequest,
-    ) -> Result<CheckOutBatchResponse, ServiceError> {
-        let groups = req
-            .groups
-            .into_iter()
-            .map(|(s, checkouts)| {
-                (
-                    s,
-                    checkouts
-                        .into_iter()
-                        .map(|(qr, coupon)| (qr, coupon.into()))
-                        .collect(),
-                )
-            })
-            .collect();
-        let records = self.core.verify_and_countersign(groups)?;
-        let ticket = self.client.submit(records, ShardCmd::Records)?;
-        Ok(CheckOutBatchResponse { ticket })
+impl GatewayDispatch for PipelineDispatch<'_> {
+    fn dispatch(&mut self, req: Request) -> Dispatched {
+        match req {
+            Request::CheckIn(m) => self.client.ask(|r| Cmd::CheckIn(m.voter, r)),
+            Request::Print(m) => Dispatched::Now(Response::Print(PrintResponse {
+                envelopes: self.print(&m.jobs),
+            })),
+            Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_) => {
+                Dispatched::Now(Response::Err(ServiceError::Transport(
+                    "the sharded registrar requires session-tagged submissions".into(),
+                )))
+            }
+            Request::SubmitEnvelopesSeq(m) => {
+                self.client
+                    .fan_out(m.groups, ShardCmd::Envelopes, |ticket| {
+                        Response::SubmitEnvelopesSeq(IngestReceipt { ticket })
+                    })
+            }
+            Request::CheckOutBatchSeq(m) => {
+                match self.verify_and_countersign(regroup_coupons(m.groups)) {
+                    Ok(records) => self.client.fan_out(records, ShardCmd::Records, |ticket| {
+                        Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket })
+                    }),
+                    Err(e) => Dispatched::Now(Response::Err(e)),
+                }
+            }
+            Request::Sync => self.client.ask(Cmd::SyncAll),
+            Request::SyncThrough(m) => self.client.ask(|r| Cmd::SyncThrough(m.sessions, r)),
+            Request::LedgerHeads => self.client.ask(Cmd::Heads),
+            Request::IngestStats => self.client.ask(Cmd::Stats),
+            Request::ActivationSweep(m) => self.client.ask(|r| Cmd::Activate(m.claims, r)),
+            // No ingest flush: the coordinator owns the day's final
+            // barrier (matching the old multi-connection semantics).
+            Request::Shutdown => Dispatched::CloseAfter(Response::Shutdown),
+        }
     }
 }
 
-impl PrintService for PipelinedEndpoint<'_> {
-    fn print_envelopes(&mut self, req: PrintRequest) -> Result<PrintResponse, ServiceError> {
-        Ok(PrintResponse {
-            envelopes: self.core.print(&req.jobs),
-        })
-    }
-}
-
-impl LedgerIngestService for PipelinedEndpoint<'_> {
-    fn submit_envelope_groups(
-        &mut self,
-        req: SeqEnvelopeSubmitRequest,
-    ) -> Result<IngestReceipt, ServiceError> {
-        let ticket = self.client.submit(req.groups, ShardCmd::Envelopes)?;
-        Ok(IngestReceipt { ticket })
-    }
-
-    fn sync(&mut self) -> Result<(), ServiceError> {
-        self.client.call(Cmd::SyncAll)
-    }
-
-    fn sync_through(&mut self, sessions: u64) -> Result<(), ServiceError> {
-        self.client.call(|reply| Cmd::SyncThrough(sessions, reply))
-    }
-
-    fn ledger_heads(&mut self) -> Result<LedgerHeads, ServiceError> {
-        self.client.call(Cmd::Heads)
-    }
-
-    fn ingest_stats(&mut self) -> Result<IngestStatsReply, ServiceError> {
-        self.client.stats()
-    }
-}
-
-impl ActivationService for PipelinedEndpoint<'_> {
-    fn activation_sweep(&mut self, req: ActivationSweepRequest) -> Result<(), ServiceError> {
-        self.client.call(|reply| Cmd::Activate(req.claims, reply))
+/// The in-process link: dispatch, then wait on the reply channels a
+/// reactor would poll.
+impl RequestEndpoint for PipelineDispatch<'_> {
+    fn call(&mut self, req: Request) -> Response {
+        match self.dispatch(req) {
+            Dispatched::Now(resp) | Dispatched::CloseAfter(resp) => resp,
+            Dispatched::Pending(parked) => parked.resolve(true).unwrap_or_else(|_| {
+                // Unreachable: a blocking resolve never hands itself back.
+                Response::Err(ServiceError::Transport("reply still parked".into()))
+            }),
+        }
     }
 }
 
@@ -165,92 +141,35 @@ impl ActivationService for PipelinedEndpoint<'_> {
 // Client-side station runner
 // ---------------------------------------------------------------------------
 
-/// Wraps a boundary so every call past `remaining` fails as if the
+/// Wraps a link so every request past `remaining` fails as if the
 /// station's connection dropped (the chaos hook behind [`StationFault`]).
-struct FaultingBoundary<'a> {
-    inner: &'a mut dyn RegistrarBoundary,
+/// [`ServiceBoundary`] makes one request per boundary call, so this
+/// counts boundary calls.
+struct FaultingEndpoint<'a> {
+    inner: &'a mut dyn RequestEndpoint,
     remaining: usize,
     /// `Some` turns the fault into a HANG: once `remaining` hits zero
-    /// the boundary parks until the flag (set at day teardown) releases
+    /// the link parks until the flag (set at day teardown) releases
     /// it, modeling a station that stops making progress without the
     /// courtesy of an error. The release-then-error keeps the thread
     /// joinable; while the day runs, the station is simply silent.
     hang_until: Option<Arc<AtomicBool>>,
 }
 
-impl FaultingBoundary<'_> {
-    fn tick(&mut self) -> Result<(), TripError> {
-        if self.remaining == 0 {
-            if let Some(released) = &self.hang_until {
-                while !released.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                return Err(TripError::Boundary(
-                    "hung station released at day teardown".into(),
-                ));
-            }
-            return Err(TripError::Boundary(
-                "station connection lost (injected fault)".into(),
-            ));
+impl RequestEndpoint for FaultingEndpoint<'_> {
+    fn call(&mut self, req: Request) -> Response {
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            return self.inner.call(req);
         }
-        self.remaining -= 1;
-        Ok(())
-    }
-}
-
-impl RegistrarBoundary for FaultingBoundary<'_> {
-    fn check_in(&mut self, voter: VoterId) -> Result<CheckInTicket, TripError> {
-        self.tick()?;
-        self.inner.check_in(voter)
-    }
-
-    fn print_envelopes(
-        &mut self,
-        jobs: &[PrintJob],
-    ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError> {
-        self.tick()?;
-        self.inner.print_envelopes(jobs)
-    }
-
-    fn submit_envelope_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<IngestTicket, TripError> {
-        self.tick()?;
-        self.inner.submit_envelope_groups(groups)
-    }
-
-    fn submit_checkout_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<IngestTicket, TripError> {
-        self.tick()?;
-        self.inner.submit_checkout_groups(groups)
-    }
-
-    fn sync(&mut self) -> Result<(), TripError> {
-        self.tick()?;
-        self.inner.sync()
-    }
-
-    fn sync_through(&mut self, sessions: u64) -> Result<(), TripError> {
-        self.tick()?;
-        self.inner.sync_through(sessions)
-    }
-
-    fn activation_sweep(&mut self, claims: &[ActivationClaim]) -> Result<(), TripError> {
-        self.tick()?;
-        self.inner.activation_sweep(claims)
-    }
-
-    fn registration_head(&mut self) -> Result<vg_ledger::TreeHead, TripError> {
-        self.tick()?;
-        self.inner.registration_head()
-    }
-
-    fn envelope_head(&mut self) -> Result<vg_ledger::TreeHead, TripError> {
-        self.tick()?;
-        self.inner.envelope_head()
+        let mut why = "station connection lost (injected fault)";
+        if let Some(released) = &self.hang_until {
+            while !released.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            why = "hung station released at day teardown";
+        }
+        Response::Err(ServiceError::Transport(why.into()))
     }
 }
 
@@ -266,9 +185,9 @@ pub(super) enum StationMsg {
 /// How a station (or its refiller, or a steal lane) reaches the
 /// registrar: direct in-process dispatch, or a pluggable [`Connector`]
 /// that dials (and, per policy, secures) a gateway-served channel.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub(super) enum Link<'a> {
-    InProcess(HostCore<'a>),
+    InProcess(PipelineDispatch<'a>),
     Gateway(&'a dyn Connector),
 }
 
@@ -289,20 +208,8 @@ pub(super) struct StationJob<'a> {
     /// boundary, refiller, steal-lane reuse). Seeded per runner so a
     /// fleet that loses the registrar at once backs off desynchronized.
     pub(super) retry: RetryPolicy,
-    /// Shared degraded-mode telemetry, surfaced in [`DayStats`].
-    pub(super) counters: &'a DayCounters,
-}
-
-/// Day-wide degraded-mode counters shared across every station, steal
-/// lane and refiller thread.
-#[derive(Debug, Default)]
-pub(super) struct DayCounters {
-    /// Deadline expiries observed at station boundaries (connect-time
-    /// `ServiceError::Timeout`s plus in-flight stalls surfacing as
-    /// `deadline expired` boundary failures).
-    pub(super) timeouts: AtomicU64,
-    /// Retry-layer attempts beyond each operation's first try.
-    pub(super) reconnects: AtomicU64,
+    /// The day's shared counter block (timeouts, reconnects).
+    pub(super) stats: &'a EngineStats,
 }
 
 /// Dials (with retry) one gateway channel, counting reconnect attempts
@@ -310,37 +217,32 @@ pub(super) struct DayCounters {
 fn dial_with_retry(
     conn: &dyn Connector,
     retry: RetryPolicy,
-    counters: &DayCounters,
+    stats: &EngineStats,
 ) -> Result<ChannelClient, ServiceError> {
     retry.run(|attempt| {
         if attempt > 0 {
-            counters.reconnects.fetch_add(1, Ordering::Relaxed);
+            stats.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         ChannelClient::connect(conn).inspect_err(|e| {
             if matches!(e, ServiceError::Timeout(_)) {
-                counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                stats.timeouts.fetch_add(1, Ordering::Relaxed);
             }
         })
     })
 }
 
-/// Opens a station-side boundary over `link`: the in-process pipelined
-/// endpoint, or a freshly dialed (and policy-secured) channel.
-fn station_boundary<'a>(
-    link: Link<'a>,
-    client: &IngestClient,
+/// Opens one registrar link: the engine's dispatch itself in process, or
+/// a freshly dialed (and policy-secured) channel into the gateway.
+fn open_link<'a>(
+    link: &Link<'a>,
     retry: RetryPolicy,
-    counters: &DayCounters,
-) -> Result<Box<dyn RegistrarBoundary + 'a>, TripError> {
+    stats: &EngineStats,
+) -> Result<Box<dyn RequestEndpoint + 'a>, TripError> {
     Ok(match link {
-        Link::InProcess(core) => Box::new(ServiceBoundary::new(PipelinedEndpoint {
-            core,
-            client: client.clone(),
-        })),
-        Link::Gateway(conn) => Box::new(ServiceBoundary::new(
-            dial_with_retry(conn, retry, counters)
-                .map_err(|e| TripError::Boundary(e.to_string()))?,
-        )),
+        Link::InProcess(registrar) => Box::new(registrar.clone()),
+        Link::Gateway(conn) => Box::new(
+            dial_with_retry(*conn, retry, stats).map_err(|e| TripError::Boundary(e.to_string()))?,
+        ),
     })
 }
 
@@ -349,34 +251,33 @@ fn station_boundary<'a>(
 pub(super) fn run_station(
     job: StationJob<'_>,
     link: Link<'_>,
-    client: &IngestClient,
     tx: &Sender<StationMsg>,
 ) -> Result<(), TripError> {
-    let mut boundary = station_boundary(link, client, job.retry, job.counters)?;
-    drive_station(job, link, &mut *boundary, tx)
+    let mut endpoint = open_link(&link, job.retry, job.stats)?;
+    drive_station(job, &link, &mut *endpoint, tx)
 }
 
-/// Drives one station job over an already-open boundary (stations open
+/// Drives one station job over an already-open link (stations open
 /// their own; steal lanes amortize one across every chunk they absorb).
 fn drive_station(
     mut job: StationJob<'_>,
-    link: Link<'_>,
-    boundary: &mut dyn RegistrarBoundary,
+    link: &Link<'_>,
+    endpoint: &mut dyn RequestEndpoint,
     tx: &Sender<StationMsg>,
 ) -> Result<(), TripError> {
     let mut faulting;
-    let hang_release = job.hang_release.take();
-    let boundary: &mut dyn RegistrarBoundary = match job.fault_after {
+    let endpoint: &mut dyn RequestEndpoint = match job.fault_after {
         Some(after_ops) => {
-            faulting = FaultingBoundary {
-                inner: boundary,
+            faulting = FaultingEndpoint {
+                inner: endpoint,
                 remaining: after_ops,
-                hang_until: hang_release,
+                hang_until: job.hang_release.take(),
             };
             &mut faulting
         }
-        None => boundary,
+        None => endpoint,
     };
+    let boundary = &mut ServiceBoundary::new(endpoint, &job.stats.timeouts);
     let activation = job
         .activation
         .map(|ctx| (ctx, job.pipeline.activation_lag.max(1)));
@@ -389,58 +290,44 @@ fn drive_station(
     // The indexed plan is only needed by the pool; move it rather than
     // cloning megabytes of SessionPlans per station (and per recovery).
     let plans = std::mem::take(&mut job.plans);
-    if job.pipeline.low_water > 0 {
-        let mut pool = job.fleet.prepare_pool_indexed(job.authority_pk, plans);
-        let feed = PoolFeed::new(job.pipeline.low_water);
-        let threads = job.fleet.config().threads;
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                // The refiller owns its own print client: a second
-                // connection for TCP days, direct printer calls locally.
-                let result = match link {
-                    Link::InProcess(core) => feed.run_refiller(&mut pool, &mut |jobs| {
-                        Ok(par_map(jobs, threads, |j| {
-                            core.printer.print_detached(j.challenge, j.symbol)
-                        }))
-                    }),
-                    Link::Gateway(conn) => match dial_with_retry(conn, job.retry, job.counters) {
-                        Ok(mut client) => feed.run_refiller(&mut pool, &mut |jobs| {
-                            client
-                                .print_envelopes(PrintRequest {
-                                    jobs: jobs.to_vec(),
-                                })
-                                .map(|r| r.envelopes)
-                                .map_err(ServiceError::into_trip)
-                        }),
-                        Err(e) => Err(TripError::Boundary(e.to_string())),
-                    },
-                };
-                // A refiller failure reaches the consumer through the
-                // feed; nothing further to do here.
-                let _ = result;
-            });
-            let run = job.fleet.run_station_over(
-                job.kiosks,
-                &mut *boundary,
-                &job.sessions,
-                &mut FeedSource { feed: &feed },
-                activation,
-                &mut sink,
-            );
-            feed.close();
-            run
-        })
-    } else {
-        let mut pool = job.fleet.prepare_pool_indexed(job.authority_pk, plans);
-        job.fleet.run_station_over(
+    let mut pool = job.fleet.prepare_pool_indexed(job.authority_pk, plans);
+    if job.pipeline.low_water == 0 {
+        return job.fleet.run_station_over(
             job.kiosks,
-            &mut *boundary,
+            boundary,
             &job.sessions,
             &mut PoolSource { pool: &mut pool },
             activation,
             &mut sink,
-        )
+        );
     }
+    let feed = PoolFeed::new(job.pipeline.low_water);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // The refiller prints over its own link: a second connection
+            // on gateway days, the dispatch's printer call in process.
+            let refilled = open_link(link, job.retry, job.stats).and_then(|mut own| {
+                let mut printer = ServiceBoundary::new(&mut *own, &job.stats.timeouts);
+                feed.run_refiller(&mut pool, &mut |jobs| printer.print_envelopes(jobs))
+            });
+            // `run_refiller` hands its own failures to the feed; a link
+            // that never opened must be handed over here, or the station
+            // parks in `take_window` forever.
+            if let Err(e) = refilled {
+                feed.fail(e);
+            }
+        });
+        let run = job.fleet.run_station_over(
+            job.kiosks,
+            boundary,
+            &job.sessions,
+            &mut FeedSource { feed: &feed },
+            activation,
+            &mut sink,
+        );
+        feed.close();
+        run
+    })
 }
 
 /// One stolen chunk queued onto a surviving station's steal lane.
@@ -468,183 +355,267 @@ pub(super) struct StealJob<'a> {
 pub(super) fn run_steal_lane<'a>(
     jobs: Receiver<StealJob<'a>>,
     link: Link<'a>,
-    client: &IngestClient,
     tx: &Sender<StationMsg>,
 ) {
-    let mut boundary: Option<Box<dyn RegistrarBoundary + 'a>> = None;
+    let mut endpoint: Option<Box<dyn RequestEndpoint + 'a>> = None;
     while let Ok(StealJob { runner_id, job }) = jobs.recv() {
         let result = (|| -> Result<(), TripError> {
-            let open = match &mut boundary {
+            let open = match &mut endpoint {
                 Some(open) => open,
-                None => boundary.insert(station_boundary(link, client, job.retry, job.counters)?),
+                None => endpoint.insert(open_link(&link, job.retry, job.stats)?),
             };
-            drive_station(job, link, &mut **open, tx)
+            drive_station(job, &link, &mut **open, tx)
         })();
         if result.is_err() {
-            boundary = None;
+            endpoint = None;
         }
         let _ = tx.send(StationMsg::Done(runner_id, result));
     }
 }
 
-// ---------------------------------------------------------------------------
-// The gateway dispatch
-// ---------------------------------------------------------------------------
+/// Engine-level tests of the one seam: the same live engine answers a
+/// request identically over both links, and a station whose refiller
+/// cannot dial unwinds typed instead of parking.
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
 
-/// The pipelined engine behind the multiplexed gateway: ledger-free
-/// requests (printing, check-out verification) run inline on the reactor,
-/// everything stateful is forwarded to the sequencer / shard workers and
-/// *parked* — the reactor polls the reply channel instead of blocking, so
-/// one station's barrier never stalls another station's connection.
-pub(super) struct PipelineDispatch<'a> {
-    pub(super) core: HostCore<'a>,
-    pub(super) client: IngestClient,
-}
+    use vg_crypto::{HmacDrbg, Rng};
+    use vg_ledger::VoterId;
+    use vg_trip::fleet::{kiosk_owners, partition_stations, FleetConfig, KioskFleet};
+    use vg_trip::materials::Symbol;
+    use vg_trip::setup::{TripConfig, TripSystem};
+    use vg_trip::{PrintJob, TripError};
 
-/// Parks a unit-reply sequencer command as a pending gateway response.
-fn park_unit(rx: Receiver<Result<(), ServiceError>>, ok: Response) -> Dispatched {
-    let mut ok = Some(ok);
-    park(rx, move |()| {
-        // The reactor clears `pending` on the first `Some`, so the
-        // closure resolves at most once; a second call is a reactor bug
-        // answered typed rather than by killing the thread.
-        ok.take().unwrap_or_else(|| {
-            Response::Err(ServiceError::Transport(
-                "pending response polled after resolution".into(),
-            ))
-        })
-    })
-}
+    use crate::channel::{pipe_pair, ChannelPolicy, Connector, FramedChannel};
+    use crate::error::ServiceError;
+    use crate::gateway::{reactor_loop, GatewayIntake, GatewayIo, PipeHub, REAP_AFTER};
+    use crate::messages::*;
+    use crate::retry::RetryPolicy;
+    use crate::transport::{ChannelClient, EngineStats, RequestEndpoint};
 
-/// Parks a typed-reply sequencer command as a pending gateway response.
-fn park<T: Send + 'static>(
-    rx: Receiver<Result<T, ServiceError>>,
-    mut wrap: impl FnMut(T) -> Response + Send + 'static,
-) -> Dispatched {
-    Dispatched::Pending(Box::new(move || match rx.try_recv() {
-        Ok(Ok(v)) => Some(wrap(v)),
-        Ok(Err(e)) => Some(Response::Err(e)),
-        Err(TryRecvError::Empty) => None,
-        Err(TryRecvError::Disconnected) => Some(Response::Err(ServiceError::Transport(
-            "ingest sequencer gone".into(),
-        ))),
-    }))
-}
+    use super::super::sequencer::{build_ingest, IngestEngine};
+    use super::super::shard::ShardRoute;
+    use super::super::IngestMode;
+    use super::*;
 
-impl PipelineDispatch<'_> {
-    /// Fans session-tagged groups out to the shard workers and parks on
-    /// the workers' acknowledgements; the submission ticket is allocated
-    /// when the last ack lands, mirroring the blocking path's ordering.
-    fn park_fan_out<R>(
-        &self,
-        groups: Vec<(u64, Vec<R>)>,
-        make: impl Fn(Vec<(u64, Vec<R>)>, Sender<Result<(), ServiceError>>) -> ShardCmd,
-        done: impl Fn(u64) -> Response + Send + 'static,
-    ) -> Dispatched {
-        let mut acks = match self.client.fan_out_async(groups, make) {
-            Ok(acks) => acks,
-            Err(e) => return Dispatched::Now(Response::Err(e)),
-        };
-        let tickets = Arc::clone(&self.client.tickets);
-        Dispatched::Pending(Box::new(move || {
-            while let Some(rx) = acks.last() {
-                match rx.try_recv() {
-                    Ok(Ok(())) => {
-                        acks.pop();
-                    }
-                    Ok(Err(e)) => return Some(Response::Err(e)),
-                    Err(TryRecvError::Empty) => return None,
-                    Err(TryRecvError::Disconnected) => {
-                        return Some(Response::Err(ServiceError::Transport(
-                            "ingest worker gone".into(),
-                        )))
-                    }
-                }
-            }
-            Some(done(tickets.fetch_add(1, Ordering::SeqCst)))
-        }))
+    /// A live one-worker engine over a leaked (`'static`) system, its threads
+    /// on plain `spawn`s — so a watchdog can fail a test that would otherwise
+    /// hang a scope join.
+    struct Rig {
+        registrar: PipelineDispatch<'static>,
+        stats: Arc<EngineStats>,
+        kiosks: &'static [vg_trip::kiosk::Kiosk],
+        authority_pk: vg_crypto::EdwardsPoint,
     }
-}
 
-impl GatewayDispatch for PipelineDispatch<'_> {
-    fn dispatch(&mut self, req: Request) -> Dispatched {
-        match req {
-            Request::CheckIn(m) => match self.client.call_async(|r| Cmd::CheckIn(m.voter, r)) {
-                Ok(rx) => park(rx, |ticket| Response::CheckIn(CheckInResponse { ticket })),
-                Err(e) => Dispatched::Now(Response::Err(e)),
-            },
-            Request::Print(m) => Dispatched::Now(Response::Print(PrintResponse {
-                envelopes: self.core.print(&m.jobs),
-            })),
-            Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_) => {
-                Dispatched::Now(Response::Err(ServiceError::Transport(
-                    "the sharded registrar requires session-tagged submissions".into(),
-                )))
-            }
-            Request::SubmitEnvelopesSeq(m) => {
-                self.park_fan_out(m.groups, ShardCmd::Envelopes, |ticket| {
-                    Response::SubmitEnvelopesSeq(IngestReceipt { ticket })
-                })
-            }
-            Request::CheckOutBatchSeq(m) => {
-                let groups = m
-                    .groups
-                    .into_iter()
-                    .map(|(s, checkouts)| {
-                        (
-                            s,
-                            checkouts
-                                .into_iter()
-                                .map(|(qr, coupon)| (qr, coupon.into()))
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                match self.core.verify_and_countersign(groups) {
-                    Ok(records) => self.park_fan_out(records, ShardCmd::Records, |ticket| {
-                        Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket })
-                    }),
-                    Err(e) => Dispatched::Now(Response::Err(e)),
-                }
-            }
-            Request::Sync => match self.client.call_async(Cmd::SyncAll) {
-                Ok(rx) => park_unit(rx, Response::Sync),
-                Err(e) => Dispatched::Now(Response::Err(e)),
-            },
-            Request::SyncThrough(m) => {
-                match self.client.call_async(|r| Cmd::SyncThrough(m.sessions, r)) {
-                    Ok(rx) => park_unit(rx, Response::SyncThrough),
-                    Err(e) => Dispatched::Now(Response::Err(e)),
-                }
-            }
-            Request::LedgerHeads => match self.client.call_async(Cmd::Heads) {
-                Ok(rx) => park(rx, Response::LedgerHeads),
-                Err(e) => Dispatched::Now(Response::Err(e)),
-            },
-            Request::IngestStats => {
-                let (tx, rx) = mpsc::channel();
-                if self.client.seq.send(Cmd::Stats(tx)).is_err() {
-                    return Dispatched::Now(Response::Err(ServiceError::Transport(
-                        "ingest sequencer gone".into(),
-                    )));
-                }
-                Dispatched::Pending(Box::new(move || match rx.try_recv() {
-                    Ok(stats) => Some(Response::IngestStats(stats)),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => Some(Response::Err(
-                        ServiceError::Transport("ingest sequencer gone".into()),
-                    )),
-                }))
-            }
-            Request::ActivationSweep(m) => {
-                match self.client.call_async(|r| Cmd::Activate(m.claims, r)) {
-                    Ok(rx) => park_unit(rx, Response::ActivationSweep),
-                    Err(e) => Dispatched::Now(Response::Err(e)),
-                }
-            }
-            // No ingest flush: the coordinator owns the day's final
-            // barrier (matching the old multi-connection semantics).
-            Request::Shutdown => Dispatched::CloseAfter(Response::Shutdown),
+    fn rig(sessions: u64) -> Rig {
+        let mut rng = HmacDrbg::from_u64(0x5EA4);
+        let config = TripConfig {
+            n_voters: sessions,
+            n_kiosks: 2,
+            ..TripConfig::default()
+        };
+        let system: &'static mut TripSystem =
+            Box::leak(Box::new(TripSystem::setup(config, &mut rng)));
+        let route = ShardRoute {
+            owner: Arc::new(kiosk_owners(system.kiosks.len(), 1)),
+            workers: 1,
+        };
+        let stats = EngineStats::new(1);
+        let (official, mode) = (&system.officials[0], IngestMode::Barrier);
+        let IngestEngine {
+            client,
+            sequencer,
+            shards,
+        } = build_ingest(
+            &mut system.ledger,
+            official,
+            1,
+            mode,
+            route,
+            sessions,
+            Arc::clone(&stats),
+        );
+        std::thread::spawn(move || sequencer.run());
+        for worker in shards {
+            std::thread::spawn(move || worker.run());
         }
+        let registrar = PipelineDispatch {
+            official,
+            printer: &system.printers[0],
+            kiosk_registry: &system.kiosk_registry,
+            threads: 1,
+            client,
+        };
+        Rig {
+            registrar,
+            stats,
+            kiosks: &system.kiosks,
+            authority_pk: system.authority.public_key,
+        }
+    }
+
+    impl Rig {
+        /// One reactor thread serving the engine over plaintext pipes.
+        fn gateway(&self) -> GatewayIntake {
+            let (tx, rx) = mpsc::channel();
+            let (open, stats) = (Arc::new(AtomicBool::new(true)), Arc::clone(&self.stats));
+            let (policy, dispatch) = (ChannelPolicy::Plaintext, self.registrar.clone());
+            std::thread::spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, stats));
+            GatewayIntake::new(vec![tx])
+        }
+    }
+
+    /// A response's wire bytes with what legitimately differs between two
+    /// calls masked out: the engine-wide submission ticket and the ingest
+    /// threads' clocks.
+    fn comparable(mut resp: Response) -> Vec<u8> {
+        match &mut resp {
+            Response::SubmitEnvelopesSeq(r) => r.ticket = 0,
+            Response::CheckOutBatchSeq(r) => r.ticket = 0,
+            Response::IngestStats(r) => (r.worker_busy_us, r.worker_idle_us) = (0, 0),
+            _ => {}
+        }
+        resp.to_wire()
+    }
+
+    #[test]
+    fn one_engine_answers_both_links_alike() {
+        let rig = rig(1);
+        let mut local = rig.registrar.clone();
+        let (client_half, server_half) = pipe_pair();
+        assert!(rig.gateway().push(GatewayIo::from_pipe(server_half)));
+        let mut wire = ChannelClient::over(Box::new(client_half));
+
+        let mut rng = HmacDrbg::from_u64(11);
+        let jobs = vec![PrintJob {
+            challenge: rng.scalar(),
+            symbol: Symbol::ALL[0],
+        }];
+        let commitments = rig
+            .registrar
+            .printer
+            .print_detached(jobs[0].challenge, jobs[0].symbol)
+            .1;
+        // Every variant, in an order a day could produce: session 0's
+        // envelopes and (empty) check-out group, then the barriers over them.
+        let requests = [
+            Request::CheckIn(CheckInRequest { voter: VoterId(1) }),
+            Request::Print(PrintRequest { jobs }),
+            Request::SubmitEnvelopes(EnvelopeSubmitRequest {
+                commitments: vec![commitments.clone()],
+            }),
+            Request::CheckOutBatch(CheckOutBatchRequest {
+                checkouts: Vec::new(),
+            }),
+            Request::SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest {
+                groups: vec![(0, vec![commitments])],
+            }),
+            Request::CheckOutBatchSeq(SeqCheckOutRequest {
+                groups: vec![(0, Vec::new())],
+            }),
+            Request::SyncThrough(SyncThroughRequest { sessions: 1 }),
+            Request::ActivationSweep(ActivationSweepRequest { claims: Vec::new() }),
+            Request::Sync,
+            Request::LedgerHeads,
+            Request::IngestStats,
+            Request::Shutdown,
+        ];
+        assert_eq!(requests.len(), REQUEST_TAGS.len());
+        for req in requests {
+            let label = format!("{req:?}");
+            let retired = matches!(req, Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_));
+            let twin = Request::from_wire(&req.to_wire()).expect("round trip");
+            let direct = local.call(req);
+            let framed = wire.call(twin);
+            match &direct {
+                // The retired untagged pair: one typed refusal, both ways.
+                Response::Err(ServiceError::Transport(_)) if retired => {}
+                Response::Err(e) => panic!("{label} refused: {e}"),
+                _ => assert!(!retired, "{label} is retired"),
+            }
+            if let Response::IngestStats(reply) = &direct {
+                // Tag 11 on a live engine: the envelope really went through.
+                assert_eq!(
+                    (reply.workers, reply.env_batches, reply.env_sweeps),
+                    (1, 1, 1)
+                );
+            }
+            assert_eq!(comparable(direct), comparable(framed), "{label}");
+        }
+        rig.registrar.client.shutdown();
+    }
+
+    /// Dials the gateway once; every later dial finds it unreachable.
+    struct DialsOnce {
+        hub: PipeHub,
+        dialed: AtomicBool,
+    }
+
+    impl Connector for DialsOnce {
+        fn connect(&self) -> Result<Box<dyn FramedChannel>, ServiceError> {
+            if self.dialed.swap(true, Ordering::SeqCst) {
+                return Err(ServiceError::Transport("registrar unreachable".into()));
+            }
+            self.hub.connect()
+        }
+    }
+
+    /// The station's own dial succeeds (it checks its queue in), its
+    /// refiller's fails: the dial error must reach the station through
+    /// the feed. Before `PoolFeed::fail` the refiller thread returned
+    /// without touching the feed and the station parked in `take_window`
+    /// forever (watchdog expiry below).
+    #[test]
+    fn refiller_dial_failure_unwinds_the_station_typed() {
+        let rig = rig(4);
+        let connector: &'static DialsOnce = Box::leak(Box::new(DialsOnce {
+            hub: PipeHub::new(rig.gateway(), ChannelPolicy::Plaintext),
+            dialed: AtomicBool::new(false),
+        }));
+        let queue: Vec<(VoterId, usize)> = (1..=4).map(|v| (VoterId(v), 0)).collect();
+        let fleet: &'static KioskFleet = Box::leak(Box::new(KioskFleet::new(FleetConfig {
+            pool_batch: 2,
+            threads: 1,
+            seed: [7; 32],
+        })));
+        let plan = partition_stations(&queue, rig.kiosks, 1)
+            .expect("one station")
+            .remove(0);
+        let job = StationJob {
+            fleet,
+            kiosks: rig.kiosks,
+            sessions: plan.sessions,
+            plans: plan.plans,
+            authority_pk: rig.authority_pk,
+            activation: None,
+            pipeline: PipelineConfig {
+                low_water: 2,
+                ..PipelineConfig::default()
+            },
+            fault_after: None,
+            hang_release: None,
+            retry: RetryPolicy::once(),
+            stats: Box::leak(Box::new(Arc::clone(&rig.stats))),
+        };
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (tx, _outcomes) = mpsc::channel();
+            let _ = done_tx.send(run_station(job, Link::Gateway(connector), &tx));
+        });
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("watchdog: the station parked on a feed its dead refiller never touched");
+        assert_eq!(
+            result,
+            Err(TripError::Boundary(
+                "transport error: registrar unreachable".into()
+            ))
+        );
+        rig.registrar.client.shutdown();
     }
 }

@@ -1,7 +1,16 @@
-//! Transport plans, the fleet-facing [`ServiceBoundary`] adapter, the
-//! [`ChannelClient`] that speaks the four services over any framed
-//! channel, and the day telemetry every [`run_day`](crate::run_day)
-//! returns.
+//! Transport plans, the one typed↔message mapping ([`ServiceBoundary`])
+//! over the one-method [`RequestEndpoint`] seam, the [`ChannelClient`]
+//! that speaks it over any framed channel, and the day telemetry every
+//! [`run_day`](crate::run_day) returns.
+//!
+//! Below [`RegistrarBoundary`] the [`Request`] → [`Response`] message is
+//! the only seam. A registrar operation is spelled in four places: the
+//! trait declaration and `LocalBoundary` in `vg-trip`, its mapping in
+//! [`ServiceBoundary`] here, and its dispatch arm in the threaded engine
+//! ([`crate::pipeline`]). Three things implement [`RequestEndpoint`]: the
+//! [`ChannelClient`] (wire), the engine's in-process link (dispatch, then
+//! block on the reply channel) and the chaos op-count wrapper around
+//! either.
 //!
 //! Endpoints are pluggable *channel values* (see [`crate::channel`]): a
 //! day takes a [`TransportPlan`] — a link kind × security policy pair —
@@ -22,11 +31,13 @@
 //! Every plan is bit-identical to every other (pinned by the workspace's
 //! cross-transport equivalence proptests).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use vg_crypto::schnorr::NonceCoupon;
-use vg_ledger::{EnvelopeCommitment, TreeHead, VoterId};
-use vg_trip::boundary::{IngestTicket, RegistrarBoundary};
+use vg_ledger::{DurabilityStats, EnvelopeCommitment, VoterId};
+use vg_trip::boundary::RegistrarBoundary;
 use vg_trip::materials::{CheckInTicket, CheckOutQr, Envelope};
 use vg_trip::setup::TransportKeyring;
 use vg_trip::vsd::ActivationClaim;
@@ -35,12 +46,8 @@ use vg_trip::{PrintJob, TripError};
 use crate::channel::{ChannelPolicy, Connector, FramedChannel, SecureConfig};
 use crate::error::ServiceError;
 use crate::messages::{
-    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchResponse, IngestReceipt,
-    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, Request, Response,
+    ActivationSweepRequest, CheckInRequest, IngestStatsReply, PrintRequest, Request, Response,
     SeqCheckOutRequest, SeqEnvelopeSubmitRequest, SyncThroughRequest,
-};
-use crate::traits::{
-    ActivationService, LedgerIngestService, PrintService, RegistrarEndpoint, RegistrarService,
 };
 
 /// Which link a registration day runs over.
@@ -151,107 +158,121 @@ pub(crate) fn server_policy(keys: &TransportKeyring, security: ChannelSecurity) 
     }
 }
 
-/// Adapts any [`RegistrarEndpoint`] into the fleet's
-/// [`RegistrarBoundary`], mapping message types at the seam.
-pub struct ServiceBoundary<E> {
-    /// The underlying endpoint (the in-process sharded-engine endpoint
-    /// or a [`ChannelClient`]).
-    pub endpoint: E,
+/// The one seam below [`RegistrarBoundary`]: a registrar that answers
+/// one [`Request`] with one [`Response`] — [`Response::Err`] when it
+/// refused the request or the link to it failed.
+pub trait RequestEndpoint {
+    /// Sends one request and waits for its response.
+    fn call(&mut self, req: Request) -> Response;
 }
 
-impl<E: RegistrarEndpoint> ServiceBoundary<E> {
-    /// Wraps an endpoint.
-    pub fn new(endpoint: E) -> Self {
-        Self { endpoint }
+/// Regroups session-tagged check-outs between their in-memory and wire
+/// coupon forms ([`NonceCoupon`] ⇄ [`crate::messages::WireCoupon`]), either
+/// direction.
+pub(crate) fn regroup_coupons<Q, A, B: From<A>>(
+    groups: Vec<(u64, Vec<(Q, A)>)>,
+) -> Vec<(u64, Vec<(Q, B)>)> {
+    let regroup = |(session, checkouts): (u64, Vec<(Q, A)>)| {
+        let checkouts = checkouts
+            .into_iter()
+            .map(|(qr, c)| (qr, c.into()))
+            .collect();
+        (session, checkouts)
+    };
+    groups.into_iter().map(regroup).collect()
+}
+
+/// The fleet's [`RegistrarBoundary`] over any [`RequestEndpoint`]: the
+/// single place a typed registrar call becomes a [`Request`] and its
+/// [`Response`] becomes a typed result — one request per call, so the
+/// chaos op counter under it counts boundary calls.
+pub struct ServiceBoundary<'a> {
+    endpoint: &'a mut dyn RequestEndpoint,
+    timeouts: &'a AtomicU64,
+}
+
+impl<'a> ServiceBoundary<'a> {
+    /// Wraps an endpoint; deadline expiries it reports are counted into
+    /// `timeouts` while they are still typed [`ServiceError::Timeout`]s.
+    pub fn new(endpoint: &'a mut dyn RequestEndpoint, timeouts: &'a AtomicU64) -> Self {
+        Self { endpoint, timeouts }
+    }
+
+    fn call(&mut self, req: Request) -> Result<Response, TripError> {
+        match self.endpoint.call(req) {
+            Response::Err(e) => {
+                if matches!(e, ServiceError::Timeout(_)) {
+                    self.timeouts.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e.into_trip())
+            }
+            resp => Ok(resp),
+        }
     }
 }
 
-impl<E: RegistrarEndpoint> RegistrarBoundary for ServiceBoundary<E> {
+fn mismatched<T>() -> Result<T, TripError> {
+    Err(TripError::Boundary("mismatched response tag".into()))
+}
+
+impl RegistrarBoundary for ServiceBoundary<'_> {
     fn check_in(&mut self, voter: VoterId) -> Result<CheckInTicket, TripError> {
-        self.endpoint
-            .check_in(CheckInRequest { voter })
-            .map(|r| r.ticket)
-            .map_err(ServiceError::into_trip)
+        match self.call(Request::CheckIn(CheckInRequest { voter }))? {
+            Response::CheckIn(r) => Ok(r.ticket),
+            _ => mismatched(),
+        }
     }
 
     fn print_envelopes(
         &mut self,
         jobs: &[PrintJob],
     ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError> {
-        self.endpoint
-            .print_envelopes(PrintRequest {
-                jobs: jobs.to_vec(),
-            })
-            .map(|r| r.envelopes)
-            .map_err(ServiceError::into_trip)
-    }
-
-    fn sync(&mut self) -> Result<(), TripError> {
-        self.endpoint.sync().map_err(ServiceError::into_trip)
+        let jobs = jobs.to_vec();
+        match self.call(Request::Print(PrintRequest { jobs }))? {
+            Response::Print(r) => Ok(r.envelopes),
+            _ => mismatched(),
+        }
     }
 
     fn submit_envelope_groups(
         &mut self,
         groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<IngestTicket, TripError> {
-        self.endpoint
-            .submit_envelope_groups(SeqEnvelopeSubmitRequest { groups })
-            .map(|r| IngestTicket(r.ticket))
-            .map_err(ServiceError::into_trip)
+    ) -> Result<(), TripError> {
+        let req = Request::SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest { groups });
+        match self.call(req)? {
+            Response::SubmitEnvelopesSeq(_) => Ok(()),
+            _ => mismatched(),
+        }
     }
 
     fn submit_checkout_groups(
         &mut self,
         groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<IngestTicket, TripError> {
-        let groups = groups
-            .into_iter()
-            .map(|(idx, checkouts)| {
-                (
-                    idx,
-                    checkouts
-                        .into_iter()
-                        .map(|(qr, coupon)| (qr, coupon.into()))
-                        .collect(),
-                )
-            })
-            .collect();
-        self.endpoint
-            .check_out_groups(SeqCheckOutRequest { groups })
-            .map(|r| IngestTicket(r.ticket))
-            .map_err(ServiceError::into_trip)
+    ) -> Result<(), TripError> {
+        let groups = regroup_coupons(groups);
+        match self.call(Request::CheckOutBatchSeq(SeqCheckOutRequest { groups }))? {
+            Response::CheckOutBatchSeq(_) => Ok(()),
+            _ => mismatched(),
+        }
     }
 
     fn sync_through(&mut self, sessions: u64) -> Result<(), TripError> {
-        self.endpoint
-            .sync_through(sessions)
-            .map_err(ServiceError::into_trip)
+        match self.call(Request::SyncThrough(SyncThroughRequest { sessions }))? {
+            Response::SyncThrough => Ok(()),
+            _ => mismatched(),
+        }
     }
 
     fn activation_sweep(&mut self, claims: &[ActivationClaim]) -> Result<(), TripError> {
-        self.endpoint
-            .activation_sweep(ActivationSweepRequest {
-                claims: claims.to_vec(),
-            })
-            .map_err(ServiceError::into_trip)
-    }
-
-    fn registration_head(&mut self) -> Result<TreeHead, TripError> {
-        self.endpoint
-            .ledger_heads()
-            .map(|h| h.registration)
-            .map_err(ServiceError::into_trip)
-    }
-
-    fn envelope_head(&mut self) -> Result<TreeHead, TripError> {
-        self.endpoint
-            .ledger_heads()
-            .map(|h| h.envelopes)
-            .map_err(ServiceError::into_trip)
+        let claims = claims.to_vec();
+        match self.call(Request::ActivationSweep(ActivationSweepRequest { claims }))? {
+            Response::ActivationSweep => Ok(()),
+            _ => mismatched(),
+        }
     }
 }
 
-/// A client for all four services over any established [`FramedChannel`]
+/// A [`RequestEndpoint`] over any established [`FramedChannel`]
 /// (plaintext TCP, secure TCP, in-process pipes — the client neither
 /// knows nor cares).
 pub struct ChannelClient {
@@ -269,83 +290,15 @@ impl ChannelClient {
     pub fn connect(connector: &dyn Connector) -> Result<Self, ServiceError> {
         Ok(Self::over(connector.connect()?))
     }
-
-    fn call(&mut self, req: &Request) -> Result<Response, ServiceError> {
-        self.chan.send_frame(&req.to_wire())?;
-        let frame = self.chan.recv_frame()?;
-        Response::from_wire(&frame).map_err(ServiceError::codec)
-    }
 }
 
-macro_rules! chan_call {
-    ($self:ident, $req:expr, $variant:ident) => {
-        match $self.call(&$req)? {
-            Response::$variant(m) => Ok(m),
-            Response::Err(e) => Err(e),
-            _ => Err(ServiceError::Transport("mismatched response tag".into())),
-        }
-    };
-    ($self:ident, $req:expr, $variant:ident, unit) => {
-        match $self.call(&$req)? {
-            Response::$variant => Ok(()),
-            Response::Err(e) => Err(e),
-            _ => Err(ServiceError::Transport("mismatched response tag".into())),
-        }
-    };
-}
-
-impl RegistrarService for ChannelClient {
-    fn check_in(&mut self, req: CheckInRequest) -> Result<CheckInResponse, ServiceError> {
-        chan_call!(self, Request::CheckIn(req), CheckIn)
-    }
-
-    fn check_out_groups(
-        &mut self,
-        req: SeqCheckOutRequest,
-    ) -> Result<CheckOutBatchResponse, ServiceError> {
-        chan_call!(self, Request::CheckOutBatchSeq(req), CheckOutBatchSeq)
-    }
-}
-
-impl PrintService for ChannelClient {
-    fn print_envelopes(&mut self, req: PrintRequest) -> Result<PrintResponse, ServiceError> {
-        chan_call!(self, Request::Print(req), Print)
-    }
-}
-
-impl LedgerIngestService for ChannelClient {
-    fn sync(&mut self) -> Result<(), ServiceError> {
-        chan_call!(self, Request::Sync, Sync, unit)
-    }
-
-    fn ledger_heads(&mut self) -> Result<LedgerHeads, ServiceError> {
-        chan_call!(self, Request::LedgerHeads, LedgerHeads)
-    }
-
-    fn submit_envelope_groups(
-        &mut self,
-        req: SeqEnvelopeSubmitRequest,
-    ) -> Result<IngestReceipt, ServiceError> {
-        chan_call!(self, Request::SubmitEnvelopesSeq(req), SubmitEnvelopesSeq)
-    }
-
-    fn sync_through(&mut self, sessions: u64) -> Result<(), ServiceError> {
-        chan_call!(
-            self,
-            Request::SyncThrough(SyncThroughRequest { sessions }),
-            SyncThrough,
-            unit
-        )
-    }
-
-    fn ingest_stats(&mut self) -> Result<IngestStatsReply, ServiceError> {
-        chan_call!(self, Request::IngestStats, IngestStats)
-    }
-}
-
-impl ActivationService for ChannelClient {
-    fn activation_sweep(&mut self, req: ActivationSweepRequest) -> Result<(), ServiceError> {
-        chan_call!(self, Request::ActivationSweep(req), ActivationSweep, unit)
+impl RequestEndpoint for ChannelClient {
+    fn call(&mut self, req: Request) -> Response {
+        let round_trip = |chan: &mut dyn FramedChannel| {
+            chan.send_frame(&req.to_wire())?;
+            Response::from_wire(&chan.recv_frame()?).map_err(ServiceError::codec)
+        };
+        round_trip(&mut *self.chan).unwrap_or_else(Response::Err)
     }
 }
 
@@ -366,15 +319,37 @@ pub struct StealRecord {
     pub depth: usize,
 }
 
-/// End-of-day service-layer telemetry, returned by [`run_day`](crate::run_day).
+/// End-of-day service-layer telemetry, returned by
+/// [`run_day`](crate::run_day): one flat record. The engine counters
+/// (batches, sweeps, busy/idle, degraded-mode counts) are zero on an
+/// inline day, which has no engine; the WAL counters are the ledger's
+/// own on every day.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DayStats {
-    /// Ingest coalescing counters and worker busy/idle time (threaded
-    /// days only) plus the ledger's WAL counters (every day).
-    pub ingest: IngestStatsReply,
-    /// Effective ingest worker count (`1` on inline and single-worker
-    /// days; threaded days run `min(workers, stations)` shards).
+    /// Shard verification workers that served the day: threaded days run
+    /// `min(workers, stations)`; an inline day reports `1`.
     pub workers: usize,
+    /// Envelope-lane submissions admitted (the coalescing ratio is
+    /// `batches / sweeps`).
+    pub env_batches: u64,
+    /// Envelope-lane RLC verification sweeps run.
+    pub env_sweeps: u64,
+    /// Registration-lane submissions admitted.
+    pub reg_batches: u64,
+    /// Registration-lane RLC verification sweeps run.
+    pub reg_sweeps: u64,
+    /// Cumulative busy time in microseconds, summed over every ingest
+    /// thread (the shard workers and the commit sequencer).
+    pub worker_busy_us: u64,
+    /// Cumulative idle time of the same threads, in microseconds.
+    pub worker_idle_us: u64,
+    /// Records appended to the WAL (zero on the volatile backends).
+    pub wal_records: u64,
+    /// Group fsyncs issued at commit barriers.
+    pub wal_fsyncs: u64,
+    /// WAL IO failures absorbed as typed errors (nonzero only on days
+    /// degraded by real or injected disk faults).
+    pub wal_failures: u64,
     /// Work-stealing log: one entry per chunk of a dead station's kiosk
     /// range absorbed by a survivor, retry chains included. Empty on
     /// healthy days.
@@ -390,4 +365,93 @@ pub struct DayStats {
     /// progress within the liveness deadline) rather than by a clean
     /// connection death; each one triggered the chunked steal path.
     pub stall_steals: u64,
+}
+
+/// Tag 11's wire payload — the one place it is built — from the same
+/// snapshot every day returns.
+impl From<&DayStats> for IngestStatsReply {
+    fn from(day: &DayStats) -> Self {
+        Self {
+            env_batches: day.env_batches,
+            env_sweeps: day.env_sweeps,
+            reg_batches: day.reg_batches,
+            reg_sweeps: day.reg_sweeps,
+            worker_busy_us: day.worker_busy_us,
+            worker_idle_us: day.worker_idle_us,
+            wal_records: day.wal_records,
+            wal_fsyncs: day.wal_fsyncs,
+            workers: day.workers as u64,
+            wal_failures: day.wal_failures,
+        }
+    }
+}
+
+/// One ledger lane's coalescing counters inside [`EngineStats`].
+#[derive(Default)]
+pub(crate) struct LaneStats {
+    pub(crate) batches: AtomicU64,
+    pub(crate) sweeps: AtomicU64,
+}
+
+/// The threaded engine's one shared counter block: shard workers, the
+/// sequencer, station/refiller/steal runners, the gateway reactors and
+/// the coordinator all bump it in place, and [`EngineStats::snapshot`]
+/// flattens it into the public [`DayStats`] (an inline day snapshots a
+/// zeroed block).
+#[derive(Default)]
+pub(crate) struct EngineStats {
+    pub(crate) workers: usize,
+    pub(crate) env: LaneStats,
+    pub(crate) reg: LaneStats,
+    busy_ns: AtomicU64,
+    idle_ns: AtomicU64,
+    pub(crate) timeouts: AtomicU64,
+    pub(crate) reconnects: AtomicU64,
+    pub(crate) reaped: AtomicU64,
+    pub(crate) stall_steals: AtomicU64,
+}
+
+impl EngineStats {
+    /// A zeroed block for an engine of `workers` shard workers.
+    pub(crate) fn new(workers: usize) -> Arc<Self> {
+        Arc::new(Self {
+            workers,
+            ..Self::default()
+        })
+    }
+
+    /// Books the time since `since` as ingest-thread busy time.
+    pub(crate) fn busy(&self, since: Instant) {
+        let ns = since.elapsed().as_nanos() as u64;
+        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Books the time since `since` as ingest-thread idle time.
+    pub(crate) fn idle(&self, since: Instant) {
+        let ns = since.elapsed().as_nanos() as u64;
+        self.idle_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// The counters as of now beside the ledger's WAL counters (no steal
+    /// log — the coordinator adds that).
+    pub(crate) fn snapshot(&self, wal: DurabilityStats) -> DayStats {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        DayStats {
+            workers: self.workers,
+            env_batches: get(&self.env.batches),
+            env_sweeps: get(&self.env.sweeps),
+            reg_batches: get(&self.reg.batches),
+            reg_sweeps: get(&self.reg.sweeps),
+            worker_busy_us: get(&self.busy_ns) / 1000,
+            worker_idle_us: get(&self.idle_ns) / 1000,
+            wal_records: wal.wal_records,
+            wal_fsyncs: wal.wal_fsyncs,
+            wal_failures: wal.wal_failures,
+            timeouts: get(&self.timeouts),
+            reconnects: get(&self.reconnects),
+            reaped: get(&self.reaped),
+            stall_steals: get(&self.stall_steals),
+            ..DayStats::default()
+        }
+    }
 }

@@ -14,10 +14,10 @@
 //! - [`LocalBoundary`] (here): direct, zero-copy calls into the
 //!   in-process registrar state — today's behavior, and the reference a
 //!   remote run must equal bit-identically.
-//! - `vg-service`'s `ServiceBoundary`: the same calls encoded as typed,
-//!   versioned wire messages to a registrar that shards verification
-//!   across workers and commits in global session order (in-process
-//!   channels, pipes or a length-prefixed TCP socket).
+//! - `vg-service`'s `ServiceBoundary`: the same six calls mapped onto
+//!   typed, versioned `Request`/`Response` messages to a registrar that
+//!   shards verification across workers and commits in global session
+//!   order (in-process dispatch, pipes or a length-prefixed TCP socket).
 //!
 //! # Submission semantics
 //!
@@ -25,28 +25,27 @@
 //! [`RegistrarBoundary::submit_checkout_groups`] are **ordered,
 //! asynchronous submissions**: the boundary promises that batches are admitted to each
 //! ledger in submission order, but may defer admission (coalescing several
-//! windows into one RLC-folded sweep) until [`RegistrarBoundary::sync`].
-//! An admission failure therefore surfaces either at the submitting call
-//! or at the next `sync` — callers that need errors attributed before
-//! proceeding (the fleet does, before activating a window) place a `sync`
-//! barrier. [`LocalBoundary`] admits synchronously, so its tickets resolve
-//! immediately; the fleet's replay contract (ledger heads bit-identical to
-//! the sequential reference) holds for any conforming implementation
+//! windows into one RLC-folded sweep) until the next barrier. An
+//! admission failure therefore surfaces either at the submitting call or
+//! at the next barrier — callers that need errors attributed before
+//! proceeding (the fleet does, before activating a window) place a
+//! [`RegistrarBoundary::sync_through`]. [`LocalBoundary`] admits
+//! synchronously; the fleet's replay contract (ledger heads bit-identical
+//! to the sequential reference) holds for any conforming implementation
 //! because Merkle roots depend only on record order, not on batching.
 //!
 //! # Commit points
 //!
-//! Every barrier — [`RegistrarBoundary::sync`],
-//! [`RegistrarBoundary::sync_through`],
-//! [`RegistrarBoundary::activation_sweep`] and the two head getters — is
-//! also a *durability* barrier on a durable ledger backend: when it
-//! returns `Ok`, everything it covers is in the write-ahead log,
-//! group-fsynced (when fsync is on) and under a persisted signed head.
-//! On volatile backends the barrier costs nothing.
+//! Both barriers — [`RegistrarBoundary::sync_through`] and
+//! [`RegistrarBoundary::activation_sweep`] — are also *durability*
+//! barriers on a durable ledger backend: when one returns `Ok`,
+//! everything it covers is in the write-ahead log, group-fsynced (when
+//! fsync is on) and under a persisted signed head. On volatile backends
+//! the barrier costs nothing.
 
 use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
-use vg_ledger::{EnvelopeCommitment, Ledger, TreeHead, VoterId};
+use vg_ledger::{EnvelopeCommitment, Ledger, VoterId};
 
 use crate::ceremony::PrintJob;
 use crate::error::TripError;
@@ -54,12 +53,6 @@ use crate::materials::{CheckInTicket, CheckOutQr, Envelope};
 use crate::official::Official;
 use crate::printer::EnvelopePrinter;
 use crate::vsd::{activation_ledger_phase, ActivationClaim};
-
-/// An opaque receipt for an asynchronous ledger submission. Monotonically
-/// increasing per boundary; resolved (admitted or failed) no later than
-/// the next [`RegistrarBoundary::sync`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct IngestTicket(pub u64);
 
 /// The registrar-side operations a fleet run needs, in coordinator call
 /// order. See the [module docs](self) for the deployment picture and the
@@ -88,7 +81,7 @@ pub trait RegistrarBoundary {
     fn submit_envelope_groups(
         &mut self,
         groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<IngestTicket, TripError>;
+    ) -> Result<(), TripError>;
 
     /// Submits a window's check-out tickets (Fig 10), session-tagged like
     /// [`RegistrarBoundary::submit_envelope_groups`]: the official
@@ -98,35 +91,21 @@ pub trait RegistrarBoundary {
     fn submit_checkout_groups(
         &mut self,
         groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<IngestTicket, TripError>;
-
-    /// Barrier: drives every outstanding submission to admission and
-    /// surfaces the earliest failure. After `Ok(())`, the ledgers reflect
-    /// all prior submissions.
-    fn sync(&mut self) -> Result<(), TripError>;
+    ) -> Result<(), TripError>;
 
     /// Prefix barrier: returns once every session with global index below
-    /// `sessions` is admitted on both ledgers. On a single-connection
-    /// boundary all own submissions are the whole prefix, so the default
-    /// full [`RegistrarBoundary::sync`] is equivalent; a multi-station
-    /// registrar may need to wait for *other* stations' earlier sessions
-    /// to arrive before this station's activation cross-checks can run.
-    fn sync_through(&mut self, sessions: u64) -> Result<(), TripError> {
-        let _ = sessions;
-        self.sync()
-    }
+    /// `sessions` is admitted on both ledgers, surfacing the earliest
+    /// admission failure. On a single-connection boundary all own
+    /// submissions are the whole prefix; a multi-station registrar may
+    /// need to wait for *other* stations' earlier sessions to arrive
+    /// before this station's activation cross-checks can run.
+    fn sync_through(&mut self, sessions: u64) -> Result<(), TripError>;
 
     /// The activation ledger phase (Fig 11 lines 9–11) for a batch of
     /// claims, in order: L_R cross-check and L_E challenge reveal per
     /// claim, stopping at the first failure exactly as a sequential loop
     /// of [`crate::vsd::activate`] would.
     fn activation_sweep(&mut self, claims: &[ActivationClaim]) -> Result<(), TripError>;
-
-    /// The registration ledger's signed tree head (implies a `sync`).
-    fn registration_head(&mut self) -> Result<TreeHead, TripError>;
-
-    /// The envelope ledger's signed tree head (implies a `sync`).
-    fn envelope_head(&mut self) -> Result<TreeHead, TripError>;
 }
 
 /// The in-process registrar: direct calls into borrowed registrar state,
@@ -140,7 +119,6 @@ pub struct LocalBoundary<'a> {
     ledger: &'a mut Ledger,
     kiosk_registry: &'a [CompressedPoint],
     threads: usize,
-    next_ticket: u64,
 }
 
 impl<'a> LocalBoundary<'a> {
@@ -158,14 +136,7 @@ impl<'a> LocalBoundary<'a> {
             ledger,
             kiosk_registry,
             threads: threads.max(1),
-            next_ticket: 0,
         }
-    }
-
-    fn ticket(&mut self) -> IngestTicket {
-        let t = IngestTicket(self.next_ticket);
-        self.next_ticket += 1;
-        t
     }
 
     /// The durable commit point (see the module docs): WAL group-fsync,
@@ -195,28 +166,27 @@ impl RegistrarBoundary for LocalBoundary<'_> {
     fn submit_envelope_groups(
         &mut self,
         groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<IngestTicket, TripError> {
+    ) -> Result<(), TripError> {
         // One boundary carries the whole queue in order, so the session
         // tags are redundant here: admit the window as one batch.
         let commitments = groups.into_iter().flat_map(|(_, g)| g).collect();
         self.ledger
             .envelopes
             .commit_batch(commitments, self.threads)
-            .map_err(TripError::Ledger)?;
-        Ok(self.ticket())
+            .map(drop)
+            .map_err(TripError::Ledger)
     }
 
     fn submit_checkout_groups(
         &mut self,
         groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<IngestTicket, TripError> {
+    ) -> Result<(), TripError> {
         let checkouts = groups.into_iter().flat_map(|(_, g)| g).collect();
         self.official
-            .check_out_batch(self.ledger, checkouts, self.kiosk_registry, self.threads)?;
-        Ok(self.ticket())
+            .check_out_batch(self.ledger, checkouts, self.kiosk_registry, self.threads)
     }
 
-    fn sync(&mut self) -> Result<(), TripError> {
+    fn sync_through(&mut self, _sessions: u64) -> Result<(), TripError> {
         // Everything was admitted at submission time; only the commit
         // point is left.
         self.persist()
@@ -229,15 +199,5 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         // Activation appended reveal-WAL entries; sync them before
         // acknowledging the sweep.
         self.persist()
-    }
-
-    fn registration_head(&mut self) -> Result<TreeHead, TripError> {
-        self.persist()?;
-        Ok(self.ledger.registration.tree_head())
-    }
-
-    fn envelope_head(&mut self) -> Result<TreeHead, TripError> {
-        self.persist()?;
-        Ok(self.ledger.envelopes.tree_head())
     }
 }

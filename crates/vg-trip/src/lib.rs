@@ -56,7 +56,7 @@ pub mod protocol;
 pub mod setup;
 pub mod vsd;
 
-pub use boundary::{IngestTicket, LocalBoundary, RegistrarBoundary};
+pub use boundary::{LocalBoundary, RegistrarBoundary};
 pub use ceremony::{PrintJob, SessionMaterials, UnprintedSession};
 pub use error::{ActivationCheck, TripError};
 pub use fleet::{FleetConfig, KioskFleet};

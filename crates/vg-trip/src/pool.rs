@@ -133,9 +133,9 @@ impl CeremonyPool {
     }
 
     /// [`CeremonyPool::refill`] with envelope printing routed through a
-    /// caller-supplied fulfilment hook — the service layer's
-    /// `PrintService` boundary. The batch's session material is derived
-    /// locally (in parallel), every session's
+    /// caller-supplied fulfilment hook — the service layer's print
+    /// request (`Request::Print`). The batch's session material is
+    /// derived locally (in parallel), every session's
     /// [`PrintJob`](crate::ceremony::PrintJob)s are gathered
     /// into **one** `print` call (batch order = session order, jobs
     /// contiguous per session), and the returned envelopes are attached
@@ -273,7 +273,7 @@ impl CeremonyPool {
 /// pipelined registration day.
 ///
 /// The refiller ([`PoolFeed::run_refiller`]) owns a [`CeremonyPool`] and a
-/// print fulfilment hook (typically a `PrintService` client on its own
+/// print fulfilment hook (typically a `Request::Print` client on its own
 /// connection) and derives the next refill batch whenever the buffer sinks
 /// to the low-water mark, so precompute overlaps ceremony latency all day
 /// instead of only at warm start. The consumer pops ready sessions in
@@ -354,10 +354,7 @@ impl PoolFeed {
                     self.takeable.notify_all();
                 }
                 Err(e) => {
-                    let mut st = lock_recover(&self.state);
-                    st.error = Some(e.clone());
-                    st.done = true;
-                    self.takeable.notify_all();
+                    self.fail(e.clone());
                     return Err(e);
                 }
             }
@@ -379,6 +376,18 @@ impl PoolFeed {
         let window = st.ready.drain(..take).collect();
         self.refill.notify_all();
         Ok(window)
+    }
+
+    /// Ends the feed with `error` (refiller side; the first failure
+    /// wins): the consumer's [`PoolFeed::take_window`] surfaces it instead
+    /// of parking. [`PoolFeed::run_refiller`] does this for its own refill
+    /// failures; a refiller that dies before it ever runs (its print link
+    /// never opened) must call it itself.
+    pub fn fail(&self, error: TripError) {
+        let mut st = lock_recover(&self.state);
+        st.error.get_or_insert(error);
+        st.done = true;
+        self.takeable.notify_all();
     }
 
     /// Tells the refiller to stop (consumer side; idempotent). Call on
@@ -529,6 +538,17 @@ mod tests {
             feed.close();
             refiller.join().expect("joins").expect("stops cleanly");
         });
+    }
+
+    #[test]
+    fn failed_feed_surfaces_its_error_from_take_window() {
+        let feed = PoolFeed::new(2);
+        feed.fail(TripError::Boundary("print link never opened".into()));
+        feed.fail(TripError::PoolIntegrity); // the first failure wins
+        assert_eq!(
+            feed.take_window(4).map(|w| w.len()),
+            Err(TripError::Boundary("print link never opened".into()))
+        );
     }
 
     #[test]

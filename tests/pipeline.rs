@@ -428,16 +428,41 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
             };
             let stats = run_day(&fleet, &mut system, &queue, &day, |o, _| outcomes.push(o))
                 .expect("durable day runs");
-            (fingerprint(&system, &outcomes), stats)
+            let wal = system.ledger.durability_stats();
+            (fingerprint(&system, &outcomes), stats, wal)
         };
 
         // The uncrashed durable day: flat WAL Merkle roots are
         // bit-identical to the volatile in-memory reference, and the
         // day's records really went through the WAL.
         let full_dir = wal_dir(&format!("full-{engine}-{transport:?}"));
-        let (full, stats) = day_on(&full_dir);
+        let (full, stats, wal) = day_on(&full_dir);
         assert_eq!(full, reference, "{engine}/{transport:?} uncrashed");
-        assert!(stats.ingest.wal_records > 0, "day must write the WAL");
+        assert!(stats.wal_records > 0, "day must write the WAL");
+
+        // The one flat stats record: its WAL counters are the ledger's
+        // own on either engine; the threaded engine's counters are live,
+        // the inline day (no engine) reports one worker and zeroes.
+        assert_eq!(
+            (stats.wal_records, stats.wal_fsyncs, stats.wal_failures),
+            (wal.wal_records, wal.wal_fsyncs, wal.wal_failures),
+            "{engine}/{transport:?}"
+        );
+        let lanes = [
+            (stats.env_batches, stats.env_sweeps),
+            (stats.reg_batches, stats.reg_sweeps),
+        ];
+        if engine == "inline" {
+            assert_eq!(stats.workers, 1);
+            assert_eq!(lanes, [(0, 0); 2]);
+            assert_eq!((stats.worker_busy_us, stats.worker_idle_us), (0, 0));
+        } else {
+            assert_eq!(stats.workers, pipeline.workers.min(pipeline.stations));
+            for (batches, sweeps) in lanes {
+                assert!(1 <= sweeps && sweeps <= batches, "{engine}: {lanes:?}");
+            }
+            assert!(stats.worker_busy_us + stats.worker_idle_us > 0);
+        }
 
         // Kill the day at five byte fractions of its WAL — early (mid
         // envelope-supply setup), mid-registration, and near-complete —
@@ -447,7 +472,7 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
             let crashed = wal_dir(&format!("crash-{permille}"));
             let report = simulate_crash(&full_dir, &crashed, permille).expect("simulate crash");
             any_torn |= report.torn_tail;
-            let (recovered, _) = day_on(&crashed);
+            let (recovered, ..) = day_on(&crashed);
             assert_eq!(
                 recovered, reference,
                 "{engine}/{transport:?} killed at {permille}‰"
@@ -589,7 +614,7 @@ fn kill_during_failover_reopens_to_the_healthy_reference() {
                 (reference.clone(), ref_devices.clone(), ref_revealed),
                 "recovery kill after {recovery_after_ops} ops over {transport:?}"
             );
-            assert!(stats.ingest.wal_fsyncs > 0, "fsync-at-flush must engage");
+            assert!(stats.wal_fsyncs > 0, "fsync-at-flush must engage");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -801,7 +826,7 @@ fn durable_kill_then_steal_replays_to_identical_heads() {
                 (&reference, &ref_devices),
                 "steal chunks killed after {chunk_after_ops} ops over {transport:?}"
             );
-            assert!(stats.ingest.wal_fsyncs > 0, "fsync-at-flush must engage");
+            assert!(stats.wal_fsyncs > 0, "fsync-at-flush must engage");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1093,7 +1118,7 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                 );
                 if cell.plan.disk.is_some() {
                     assert_eq!(
-                        stats.ingest.wal_failures, 0,
+                        stats.wal_failures, 0,
                         "[{label}] a day that absorbed WAL failures must not report Ok"
                     );
                 }
