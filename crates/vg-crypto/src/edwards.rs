@@ -1,9 +1,29 @@
 //! The edwards25519 group: −x² + y² = 1 + d·x²y² over GF(2^255−19).
 //!
-//! Points use extended twisted-Edwards coordinates (X : Y : Z : T) with
-//! x = X/Z, y = Y/Z, T = XY/Z, the unified addition law (complete for
-//! a = −1), and the RFC 8032 compressed encoding (little-endian y with the
-//! sign of x in the top bit).
+//! **All scalar multiplication here is variable-time** — single,
+//! fixed-base and multi-scalar alike branch on scalar digits and skip the
+//! zero ones (the crate-level caveat applies; nothing below repeats it).
+//!
+//! # Coordinate forms
+//!
+//! The public type is [`EdwardsPoint`], extended twisted-Edwards
+//! coordinates (X : Y : Z : T) with x = X/Z, y = Y/Z, T = XY/Z, encoded by
+//! the RFC 8032 compression (little-endian y with the sign of x in the top
+//! bit). Four private forms sit behind it so that a scalar multiplication
+//! pays only for what each step reads (M = field multiplication, S =
+//! squaring; limb bounds in [`crate::field`]):
+//!
+//! | form | coordinates | role |
+//! |---|---|---|
+//! | `Projective` | (X : Y : Z) | input of a doubling — a doubling never reads T |
+//! | `Completed` | (X : Z), (Y : T) | output of every doubling (4S) and addition; → `Projective` 3M, → extended 4M |
+//! | `Cached` | (Y+X, Y−X, Z, 2dT) | an addend that is reused (window tables): extended + cached = 4M, no constant load |
+//! | `AffineNiels` | (y+x, y−x, 2dxy) | a normalised addend ([`FixedBaseTable`] rows): extended + niels = 3M |
+//!
+//! So a doubling inside a chain is 4S + 3M, an addition of a table entry is
+//! 8M (7M affine), and T is materialised only where an addition reads it.
+//! The addition law is the unified one (complete for a = −1), so every
+//! form handles the identity, doublings-by-addition and torsion points.
 //!
 //! The protocol layer works exclusively in the prime-order subgroup of
 //! order ℓ generated by the standard basepoint; decompression of untrusted
@@ -14,7 +34,7 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
-use crate::field::{edwards_d, edwards_d2, FieldElement};
+use crate::field::{FieldElement, EDWARDS_D, EDWARDS_D2};
 use crate::scalar::Scalar;
 
 /// A point on edwards25519 in extended coordinates.
@@ -61,6 +81,114 @@ impl Default for EdwardsPoint {
     }
 }
 
+/// (X : Y : Z) without T: what a doubling reads.
+#[derive(Clone, Copy)]
+struct Projective {
+    x: FieldElement,
+    y: FieldElement,
+    z: FieldElement,
+}
+
+/// ((X : Z), (Y : T)) — the point (X/Z, Y/T). Doublings and additions land
+/// here; the caller picks which form to pay for next.
+#[derive(Clone, Copy)]
+struct Completed {
+    x: FieldElement,
+    y: FieldElement,
+    z: FieldElement,
+    t: FieldElement,
+}
+
+/// (Y+X, Y−X, Z, 2dT): an extended point prepared as a repeated addend.
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    z: FieldElement,
+    t2d: FieldElement,
+}
+
+/// (y+x, y−x, 2dxy): a `Cached` with Z = 1, three-quarters the size and
+/// one multiplication less per addition.
+#[derive(Clone, Copy)]
+struct AffineNiels {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
+
+impl Projective {
+    const IDENTITY: Projective = Projective {
+        x: FieldElement::ZERO,
+        y: FieldElement::ONE,
+        z: FieldElement::ONE,
+    };
+
+    /// Doubling "dbl-2008-hwcd" for a = −1, 4S.
+    fn double(&self) -> Completed {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let xpy2 = self.x.add_lazy(&self.y).square();
+        let yy_plus_xx = yy.add_lazy(&xx);
+        let yy_minus_xx = yy - xx;
+        Completed {
+            x: xpy2 - yy_plus_xx, // 2XY
+            y: yy_plus_xx,
+            z: yy_minus_xx,
+            t: zz.add_lazy(&zz) - yy_minus_xx,
+        }
+    }
+
+    /// Restores T (3M + 1S); only the end of a doubling chain pays it.
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x * self.z,
+            y: self.y * self.z,
+            z: self.z.square(),
+            t: self.x * self.y,
+        }
+    }
+}
+
+impl Completed {
+    #[inline(always)]
+    fn swap_z_t(self) -> Completed {
+        Completed {
+            z: self.t,
+            t: self.z,
+            ..self
+        }
+    }
+
+    /// 3M: drops T, for a result that is doubled next.
+    fn to_projective(self) -> Projective {
+        Projective {
+            x: self.x * self.t,
+            y: self.y * self.z,
+            z: self.z * self.t,
+        }
+    }
+
+    /// 4M: for a result that is added to next (or returned).
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x * self.t,
+            y: self.y * self.z,
+            z: self.z * self.t,
+            t: self.x * self.y,
+        }
+    }
+}
+
+impl AffineNiels {
+    const IDENTITY: AffineNiels = AffineNiels {
+        y_plus_x: FieldElement::ONE,
+        y_minus_x: FieldElement::ONE,
+        xy2d: FieldElement::ZERO,
+    };
+}
+
 impl EdwardsPoint {
     /// The identity element (0, 1).
     pub const IDENTITY: EdwardsPoint = EdwardsPoint {
@@ -88,27 +216,109 @@ impl EdwardsPoint {
         *self == Self::IDENTITY
     }
 
+    #[inline]
+    fn as_projective(&self) -> Projective {
+        Projective {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
+    /// 1M: the reusable-addend form.
+    fn to_cached(self) -> Cached {
+        Cached {
+            y_plus_x: self.y.add_lazy(&self.x),
+            y_minus_x: self.y - self.x,
+            z: self.z,
+            t2d: self.t * EDWARDS_D2,
+        }
+    }
+
+    /// The shared tail of every addition, "add-2008-hwcd-3" for a = −1
+    /// (unified: complete on the whole curve), given the addend's Y₂+X₂ and
+    /// Y₂−X₂ and the two cross products 2·Z₁Z₂ and 2d·T₁T₂.
+    #[inline(always)]
+    fn add_with(
+        &self,
+        y_plus_x: &FieldElement,
+        y_minus_x: &FieldElement,
+        zz2: FieldElement,
+        tt2d: FieldElement,
+    ) -> Completed {
+        let pp = self.y.add_lazy(&self.x) * *y_plus_x;
+        let mm = (self.y - self.x) * *y_minus_x;
+        Completed {
+            x: pp - mm,
+            y: pp.add_lazy(&mm),
+            z: zz2.add_lazy(&tt2d),
+            t: zz2 - tt2d,
+        }
+    }
+
+    /// Addition of a prepared addend, 4M.
+    fn add_cached(&self, rhs: &Cached) -> Completed {
+        let zz = self.z * rhs.z;
+        self.add_with(
+            &rhs.y_plus_x,
+            &rhs.y_minus_x,
+            zz.add_lazy(&zz),
+            self.t * rhs.t2d,
+        )
+    }
+
+    /// Subtraction of a prepared addend, for signed digits: negating it
+    /// swaps Y+X with Y−X and the sign of 2dT, i.e. the result's Z and T.
+    fn sub_cached(&self, rhs: &Cached) -> Completed {
+        let zz = self.z * rhs.z;
+        self.add_with(
+            &rhs.y_minus_x,
+            &rhs.y_plus_x,
+            zz.add_lazy(&zz),
+            self.t * rhs.t2d,
+        )
+        .swap_z_t()
+    }
+
+    /// Mixed addition of a normalised addend (Z₂ = 1), 3M.
+    fn add_niels(&self, rhs: &AffineNiels) -> Completed {
+        self.add_with(
+            &rhs.y_plus_x,
+            &rhs.y_minus_x,
+            self.z.add_lazy(&self.z),
+            self.t * rhs.xy2d,
+        )
+    }
+
+    /// Mixed subtraction of a normalised addend.
+    fn sub_niels(&self, rhs: &AffineNiels) -> Completed {
+        self.add_with(
+            &rhs.y_minus_x,
+            &rhs.y_plus_x,
+            self.z.add_lazy(&self.z),
+            self.t * rhs.xy2d,
+        )
+        .swap_z_t()
+    }
+
     /// Point doubling.
     pub fn double(&self) -> EdwardsPoint {
-        let xx = self.x.square();
-        let yy = self.y.square();
-        let zz2 = self.z.square() + self.z.square();
-        let xpy2 = (self.x + self.y).square();
-        let yy_plus_xx = yy + xx;
-        let yy_minus_xx = yy - xx;
-        let e = xpy2 - yy_plus_xx; // 2XY
-        let t = zz2 - yy_minus_xx;
-        EdwardsPoint {
-            x: e * t,
-            y: yy_plus_xx * yy_minus_xx,
-            z: yy_minus_xx * t,
-            t: e * yy_plus_xx,
+        self.as_projective().double().to_extended()
+    }
+
+    /// 2^k·P for k ≥ 1: T is restored after the last doubling only.
+    fn mul_by_pow_2(&self, k: usize) -> EdwardsPoint {
+        debug_assert!(k > 0);
+        let mut p = self.as_projective();
+        for _ in 1..k {
+            p = p.double().to_projective();
         }
+        p.double().to_extended()
     }
 
     /// Multiplies by the cofactor 8.
     pub fn mul_by_cofactor(&self) -> EdwardsPoint {
-        self.double().double().double()
+        self.mul_by_pow_2(3)
     }
 
     /// Returns `true` if the point is in the 8-element torsion subgroup.
@@ -145,77 +355,38 @@ impl EdwardsPoint {
     /// [`EdwardsPoint::compress`] point by point. Statement hashing over
     /// large ciphertext vectors is inversion-bound without this.
     pub fn batch_compress(points: &[EdwardsPoint]) -> Vec<CompressedPoint> {
-        let n = points.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // prefix[i] = z_0·…·z_{i−1}; one inversion of the total product.
-        let mut prefix = Vec::with_capacity(n);
-        let mut acc = FieldElement::ONE;
-        for p in points {
-            prefix.push(acc);
-            acc *= p.z;
-        }
-        let mut inv = acc.invert();
-        let mut out = vec![CompressedPoint([0u8; 32]); n];
-        for i in (0..n).rev() {
-            let z_inv = inv * prefix[i];
-            inv *= points[i].z;
-            out[i] = Self::compress_with(&points[i], &z_inv);
-        }
+        let mut out = vec![CompressedPoint([0u8; 32]); points.len()];
+        with_z_inverses(points, |i, z_inv| {
+            out[i] = Self::compress_with(&points[i], z_inv);
+        });
         out
     }
 
-    /// The multiples [0·P, 1·P, …, 15·P] a 4-bit window looks up.
-    fn window_table(&self) -> [EdwardsPoint; 16] {
-        let mut table = [EdwardsPoint::IDENTITY; 16];
-        for i in 1..16 {
-            table[i] = table[i - 1] + *self;
+    /// The odd multiples [P, 3P, 5P, …, 15P] a width-5 NAF looks up.
+    fn odd_multiples(&self) -> [Cached; 8] {
+        let p2 = self.double().to_cached();
+        let mut table = [self.to_cached(); 8];
+        let mut odd = *self;
+        for entry in &mut table[1..] {
+            odd = odd.add_cached(&p2).to_extended();
+            *entry = odd.to_cached();
         }
         table
     }
 
-    /// Variable-time scalar multiplication with a 4-bit window.
+    /// Scalar multiplication along the width-5 NAF of `s`: ~253 doublings
+    /// and on average 253/6 additions from an 8-entry table.
     fn mul_vartime(&self, s: &Scalar) -> EdwardsPoint {
-        let table = self.window_table();
-        let bytes = s.to_bytes();
-        let mut acc = EdwardsPoint::IDENTITY;
-        for i in (0..64).rev() {
-            acc = acc.double().double().double().double();
-            let nibble = nibble(&bytes, i);
-            if nibble != 0 {
-                acc += table[nibble];
-            }
-        }
-        acc
+        naf_chain(&[naf5(s)], &[self.odd_multiples()])
     }
 
-    /// Fixed-base scalar multiplication `s·B` using a precomputed
-    /// radix-16 table (64 additions after one-time setup).
+    /// Fixed-base scalar multiplication `s·B` on a [`FixedBaseTable`] built
+    /// at first use (64 mixed additions, no doubling).
     pub fn mul_base(s: &Scalar) -> EdwardsPoint {
-        static TABLE: OnceLock<Vec<[EdwardsPoint; 16]>> = OnceLock::new();
-        let table = TABLE.get_or_init(|| {
-            let mut windows = Vec::with_capacity(64);
-            let mut base = EdwardsPoint::basepoint();
-            for _ in 0..64 {
-                let mut row = [EdwardsPoint::IDENTITY; 16];
-                for d in 1..16 {
-                    row[d] = row[d - 1] + base;
-                }
-                windows.push(row);
-                base = base.double().double().double().double();
-            }
-            windows
-        });
-        let bytes = s.to_bytes();
-        let mut acc = EdwardsPoint::IDENTITY;
-        for (i, row) in table.iter().enumerate() {
-            let nibble = nibble(&bytes, i);
-            if nibble != 0 {
-                acc += row[nibble];
-            }
-        }
-        acc
+        static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
+        TABLE
+            .get_or_init(|| FixedBaseTable::new(&EdwardsPoint::basepoint()))
+            .mul(s)
     }
 
     /// Checks the curve equation −x² + y² = z² + d·(xy/z)²·z²
@@ -227,15 +398,37 @@ impl EdwardsPoint {
         let yy = self.y.square();
         let zz = self.z.square();
         let lhs = (yy - xx) * zz;
-        let rhs = zz.square() + edwards_d() * xx * yy;
+        let rhs = zz.square() + EDWARDS_D * xx * yy;
         lhs == rhs && self.t * self.z == self.x * self.y
     }
 }
 
+/// Calls `f(i, &zᵢ⁻¹)` for every point, for the price of one field
+/// inversion and three multiplications per point (Montgomery's trick).
+fn with_z_inverses(points: &[EdwardsPoint], mut f: impl FnMut(usize, &FieldElement)) {
+    if points.is_empty() {
+        return;
+    }
+    // prefix[i] = z_0·…·z_{i−1}; one inversion of the total product.
+    let mut prefix = Vec::with_capacity(points.len());
+    let mut acc = FieldElement::ONE;
+    for p in points {
+        prefix.push(acc);
+        acc *= p.z;
+    }
+    let mut inv = acc.invert();
+    for i in (0..points.len()).rev() {
+        f(i, &(inv * prefix[i]));
+        inv *= points[i].z;
+    }
+}
+
 impl CompressedPoint {
-    /// The compressed identity encoding.
+    /// The compressed identity encoding (y = 1, sign 0).
     pub fn identity() -> CompressedPoint {
-        CompressedPoint(EdwardsPoint::IDENTITY.compress().0)
+        let mut bytes = [0u8; 32];
+        bytes[0] = 1;
+        CompressedPoint(bytes)
     }
 
     /// Decompresses, validating that the encoding is canonical and the
@@ -247,7 +440,7 @@ impl CompressedPoint {
         let y = FieldElement::from_bytes_canonical(&y_bytes)?;
         let yy = y.square();
         let u = yy - FieldElement::ONE;
-        let v = edwards_d() * yy + FieldElement::ONE;
+        let v = EDWARDS_D * yy + FieldElement::ONE;
         let (is_square, mut x) = FieldElement::sqrt_ratio_i(&u, &v);
         if !is_square {
             return None;
@@ -276,22 +469,7 @@ impl CompressedPoint {
 impl Add for EdwardsPoint {
     type Output = EdwardsPoint;
     fn add(self, rhs: EdwardsPoint) -> EdwardsPoint {
-        // Unified addition "add-2008-hwcd-3" for a = −1.
-        let a = (self.y - self.x) * (rhs.y - rhs.x);
-        let b = (self.y + self.x) * (rhs.y + rhs.x);
-        let c = self.t * edwards_d2() * rhs.t;
-        let zz = self.z * rhs.z;
-        let d = zz + zz;
-        let e = b - a;
-        let f = d - c;
-        let g = d + c;
-        let h = b + a;
-        EdwardsPoint {
-            x: e * f,
-            y: g * h,
-            z: f * g,
-            t: e * h,
-        }
+        self.add_cached(&rhs.to_cached()).to_extended()
     }
 }
 
@@ -304,7 +482,7 @@ impl AddAssign for EdwardsPoint {
 impl Sub for EdwardsPoint {
     type Output = EdwardsPoint;
     fn sub(self, rhs: EdwardsPoint) -> EdwardsPoint {
-        self + (-rhs)
+        self.sub_cached(&rhs.to_cached()).to_extended()
     }
 }
 
@@ -353,10 +531,143 @@ impl core::iter::Sum for EdwardsPoint {
     }
 }
 
-/// The `i`-th 4-bit digit of a little-endian scalar encoding.
-fn nibble(bytes: &[u8; 32], i: usize) -> usize {
-    let byte = bytes[i / 2];
-    (if i % 2 == 1 { byte >> 4 } else { byte & 0x0f }) as usize
+/// The width-5 non-adjacent form of `s`: Σ nafᵢ·2^i = s with every
+/// non-zero digit odd, |nafᵢ| ≤ 15, and at least four zeros between two
+/// non-zero digits (one addition per six bits on average).
+fn naf5(s: &Scalar) -> [i8; 256] {
+    const W: usize = 5;
+    // One zero limb past the scalar, so a window may read across the top.
+    let x = [s.0[0], s.0[1], s.0[2], s.0[3], 0];
+    let mut naf = [0i8; 256];
+    let mut pos = 0;
+    let mut carry = 0u64;
+    while pos < 256 {
+        let (word, bit) = (pos / 64, pos % 64);
+        let bits = if bit <= 64 - W {
+            x[word] >> bit
+        } else {
+            (x[word] >> bit) | (x[word + 1] << (64 - bit))
+        };
+        let window = carry + (bits & ((1 << W) - 1));
+        if window & 1 == 0 {
+            // Even (carry included): this digit is zero, the carry stands.
+            pos += 1;
+            continue;
+        }
+        if window < 1 << (W - 1) {
+            carry = 0;
+            naf[pos] = window as i8;
+        } else {
+            carry = 1;
+            naf[pos] = (window as i8).wrapping_sub(1 << W);
+        }
+        pos += W;
+    }
+    // Scalars are below ℓ < 2^253, so the recoding ends far below 2^256.
+    debug_assert_eq!(carry, 0);
+    naf
+}
+
+/// One doubling chain shared by every term: at bit i the accumulator is
+/// doubled once and each term whose NAF digit there is non-zero adds (or
+/// subtracts) its table entry.
+fn naf_chain(nafs: &[[i8; 256]], tables: &[[Cached; 8]]) -> EdwardsPoint {
+    let Some(top) = (0..256).rev().find(|&i| nafs.iter().any(|naf| naf[i] != 0)) else {
+        return EdwardsPoint::IDENTITY;
+    };
+    let mut acc = Projective::IDENTITY;
+    for i in (0..=top).rev() {
+        let mut t = acc.double();
+        for (naf, table) in nafs.iter().zip(tables) {
+            let d = naf[i];
+            if d > 0 {
+                t = t.to_extended().add_cached(&table[(d / 2) as usize]);
+            } else if d < 0 {
+                t = t.to_extended().sub_cached(&table[(-d / 2) as usize]);
+            }
+        }
+        acc = t.to_projective();
+    }
+    acc.to_extended()
+}
+
+/// The 64 signed radix-16 digits of `s`: Σ dᵢ·16^i = s with dᵢ ∈ [−8, 8).
+fn radix16_signed(s: &Scalar) -> [i8; 64] {
+    let bytes = s.to_bytes();
+    let mut digits = [0i8; 64];
+    for (i, byte) in bytes.iter().enumerate() {
+        digits[2 * i] = (byte & 0x0f) as i8;
+        digits[2 * i + 1] = (byte >> 4) as i8;
+    }
+    for i in 0..63 {
+        let carry = (digits[i] + 8) >> 4;
+        digits[i] -= carry << 4;
+        digits[i + 1] += carry;
+    }
+    // s < 2^253 leaves the top nibble at most 1, so d₆₃ ≤ 2 and no carry
+    // leaves the top digit.
+    digits
+}
+
+/// A precomputed table for multiplying one fixed point by many scalars.
+///
+/// Row i holds j·16^i·P for j = 1..=8 in affine-Niels form (all 512
+/// entries normalised with a single field inversion), so a multiplication
+/// is the scalar's 64 signed radix-16 digits looked up and summed — at most
+/// 64 mixed additions and no doubling, about a quarter of a variable-base
+/// multiplication. 60 KiB, plain data: callers keep it on their own stack
+/// for the loop that uses it.
+pub struct FixedBaseTable {
+    rows: [[AffineNiels; 8]; 64],
+}
+
+impl FixedBaseTable {
+    /// The number of multiplications of one point from which building its
+    /// table first is the cheaper way: building costs about 4.7
+    /// variable-base multiplications (8 700 field multiplications against
+    /// 1 860) and a walk about 490.
+    pub const PAYS_FROM_USES: usize = 7;
+
+    /// Builds the table for `base`.
+    pub fn new(base: &EdwardsPoint) -> FixedBaseTable {
+        // multiples[8i + j − 1] = j·16^i·P.
+        let mut multiples = Vec::with_capacity(64 * 8);
+        let mut row_base = *base;
+        for _ in 0..64 {
+            let step = row_base.to_cached();
+            let mut multiple = row_base;
+            multiples.push(multiple);
+            for _ in 1..8 {
+                multiple = multiple.add_cached(&step).to_extended();
+                multiples.push(multiple);
+            }
+            row_base = multiple.double(); // 16·16^i·P = 2·(8·16^i·P)
+        }
+        let mut rows = [[AffineNiels::IDENTITY; 8]; 64];
+        with_z_inverses(&multiples, |i, z_inv| {
+            let x = multiples[i].x * *z_inv;
+            let y = multiples[i].y * *z_inv;
+            rows[i / 8][i % 8] = AffineNiels {
+                y_plus_x: y + x,
+                y_minus_x: y - x,
+                xy2d: x * y * EDWARDS_D2,
+            };
+        });
+        FixedBaseTable { rows }
+    }
+
+    /// `s·P` for the table's point.
+    pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
+        let mut acc = EdwardsPoint::IDENTITY;
+        for (row, d) in self.rows.iter().zip(radix16_signed(s)) {
+            if d > 0 {
+                acc = acc.add_niels(&row[d as usize - 1]).to_extended();
+            } else if d < 0 {
+                acc = acc.sub_niels(&row[(-d) as usize - 1]).to_extended();
+            }
+        }
+        acc
+    }
 }
 
 /// Fixed-base shorthand `s·B`.
@@ -396,44 +707,54 @@ pub fn hash_to_point(label: &[u8]) -> EdwardsPoint {
     unreachable!("hash_to_point exhausts only after 2^64 attempts")
 }
 
+/// Below this many terms [`multiscalar_mul`] runs Straus, from it on
+/// Pippenger. A constant, not a knob: it sits where the measured sweep
+/// (`crossover_sweep` in this module's tests; the two alternate call by
+/// call, so the ratio column is free of the host's speed drift, the
+/// wall-clock µs columns are not) puts the break-even —
+///
+/// | n | Straus µs/term | Pippenger µs/term (c) | Pippenger ÷ Straus |
+/// |---|---|---|---|
+/// | 4 | 15.99 | 48.23 (4) | 2.95 |
+/// | 8 | 13.11 | 32.52 (4) | 2.39 |
+/// | 16 | 11.31 | 20.82 (4) | 1.87 |
+/// | 32 | 10.02 | 16.24 (5) | 1.58 |
+/// | 64 | 10.35 | 12.90 (5) | 1.29 |
+/// | 128 | 10.21 | 10.74 (6) | 1.04 |
+/// | 160 | 10.20 | 9.77 (6) | 0.97 |
+/// | 192 | 9.93 | 9.27 (6) | 0.96 |
+/// | 256 | 10.55 | 8.91 (7) | 0.85 |
+/// | 512 | 9.96 | 7.54 (8) | 0.72 |
+///
+/// — between 128 and 160. It also bounds Straus' scratch to ~220 KiB.
+const STRAUS_BELOW: usize = 150;
+
 /// Variable-time multi-scalar multiplication Σ sᵢ·Pᵢ.
 ///
-/// Uses Pippenger's bucket method for larger inputs and Straus' shared
-/// doubling chain for a handful of terms; both are cross-checked against
-/// one-by-one accumulation by tests.
+/// Uses Straus' shared doubling chain below 150 terms (`STRAUS_BELOW`, a
+/// measured constant) and Pippenger's bucket method from there on; both
+/// are cross-checked against a bit-by-bit double-and-add oracle by tests.
 ///
 /// # Panics
 ///
 /// Panics if `scalars` and `points` have different lengths.
 pub fn multiscalar_mul(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
     assert_eq!(scalars.len(), points.len(), "multiscalar length mismatch");
-    let n = scalars.len();
-    if n == 0 {
-        return EdwardsPoint::IDENTITY;
+    if scalars.len() < STRAUS_BELOW {
+        straus(scalars, points)
+    } else {
+        pippenger(scalars, points)
     }
-    if n < 8 {
-        return straus(scalars, points);
-    }
-    pippenger(scalars, points)
 }
 
-/// Straus' interleaved method: one 4-bit table per point and a single
-/// chain of doublings shared by all terms, so every term after the first
-/// costs its table and ~60 additions instead of a full multiplication.
+/// Straus' interleaved method on width-5 NAFs: one 8-entry odd-multiples
+/// table per point and a single chain of doublings shared by all terms, so
+/// every term costs its table and ~42 additions. Scratch is 1.5 KiB per
+/// term, bounded by [`STRAUS_BELOW`].
 fn straus(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
-    let tables: Vec<[EdwardsPoint; 16]> = points.iter().map(EdwardsPoint::window_table).collect();
-    let digits: Vec<[u8; 32]> = scalars.iter().map(|s| s.to_bytes()).collect();
-    let mut acc = EdwardsPoint::IDENTITY;
-    for i in (0..64).rev() {
-        acc = acc.double().double().double().double();
-        for (table, bytes) in tables.iter().zip(digits.iter()) {
-            let nibble = nibble(bytes, i);
-            if nibble != 0 {
-                acc += table[nibble];
-            }
-        }
-    }
-    acc
+    let nafs: Vec<[i8; 256]> = scalars.iter().map(naf5).collect();
+    let tables: Vec<[Cached; 8]> = points.iter().map(EdwardsPoint::odd_multiples).collect();
+    naf_chain(&nafs, &tables)
 }
 
 /// Parallel variable-time multi-scalar multiplication Σ sᵢ·Pᵢ.
@@ -469,66 +790,108 @@ pub fn multiscalar_mul_par(
     .sum()
 }
 
-/// Pippenger window size for `n` terms, chosen by minimizing the point-
-/// addition cost model `⌈253/c⌉·(n + 2·2^c)` over c ∈ [4, 16].
+/// Number of signed c-bit windows covering a scalar: one more than the
+/// bits strictly need, so the top digit (< 2^(c−1) before its carry-in)
+/// never carries out.
+fn pippenger_windows(c: usize) -> usize {
+    253 / c + 1
+}
+
+/// Pippenger window size for `n` terms, chosen by minimizing the cost
+/// model `windows·(3n + 2·2^c)` over c ∈ [4, 16]. Per window every term is
+/// one cached-form bucket addition (8M), and each of the 2^(c−1)
+/// signed-digit buckets costs two full additions to fold less the one its
+/// first point saved by being copied in (≈ 11M) — two thirds of an addition
+/// per unit of 2^c. Re-fitted to the signed-digit buckets against the
+/// sweep under [`STRAUS_BELOW`]: the model's c was the measured best (or
+/// within 1 % of it) at every n there.
 fn pippenger_window(n: usize) -> usize {
     (4usize..=16)
-        .min_by_key(|&c| 253usize.div_ceil(c) * (n + 2 * (1usize << c)))
+        .min_by_key(|&c| pippenger_windows(c) * (3 * n + (2usize << c)))
         .expect("non-empty window range")
 }
 
-/// Pippenger bucket multi-scalar multiplication (variable time).
+/// Pippenger bucket multi-scalar multiplication on signed c-bit digits.
+///
+/// A digit d ∈ [−2^(c−1), 2^(c−1)] sends its point to bucket |d| with the
+/// digit's sign, which halves the buckets (and the work of folding them)
+/// against unsigned digits. Scratch is allocated once per call: the bucket
+/// vector, one carry byte per term, and the 2dT of every point — the one
+/// part of its cached form that costs a multiplication, paid once here
+/// instead of once per window (40 bytes per term against 160 for the whole
+/// form).
 fn pippenger(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
-    let n = scalars.len();
-    let c = pippenger_window(n);
-    let digits_count = 253_usize.div_ceil(c);
-    let buckets_count = 1usize << c;
-    let mask = (buckets_count - 1) as u64;
+    pippenger_with_window(scalars, points, pippenger_window(scalars.len()))
+}
 
-    // Extract the w-th c-bit digit of each scalar, reading its canonical
-    // little-endian limbs directly.
-    let digit = |s: &Scalar, w: usize| -> u64 {
-        let bit_off = w * c;
-        let limbs = &s.0;
-        let limb_idx = bit_off / 64;
-        let shift = bit_off % 64;
-        if limb_idx >= 4 {
+fn pippenger_with_window(scalars: &[Scalar], points: &[EdwardsPoint], c: usize) -> EdwardsPoint {
+    let half = 1usize << (c - 1);
+    let mask = (1u64 << c) - 1;
+
+    // The w-th unsigned c-bit digit, read off the canonical limbs.
+    let digit = |s: &Scalar, w: usize| -> usize {
+        let (word, bit) = (w * c / 64, w * c % 64);
+        if word >= 4 {
             return 0;
         }
-        let mut d = limbs[limb_idx] >> shift;
-        if shift + c > 64 && limb_idx + 1 < 4 {
-            d |= limbs[limb_idx + 1] << (64 - shift);
+        let mut d = s.0[word] >> bit;
+        if bit + c > 64 && word + 1 < 4 {
+            d |= s.0[word + 1] << (64 - bit);
         }
-        d & mask
+        (d & mask) as usize
     };
 
-    let mut windows = Vec::with_capacity(digits_count);
-    for w in 0..digits_count {
-        let mut buckets = vec![EdwardsPoint::IDENTITY; buckets_count];
-        for i in 0..n {
-            let d = digit(&scalars[i], w) as usize;
-            if d != 0 {
-                buckets[d] += points[i];
+    let t2ds: Vec<FieldElement> = points.iter().map(|p| p.t * EDWARDS_D2).collect();
+    let mut carries = vec![0u8; scalars.len()];
+    let mut buckets: Vec<Option<EdwardsPoint>> = vec![None; half];
+    let mut sums = Vec::with_capacity(pippenger_windows(c));
+    for w in 0..pippenger_windows(c) {
+        buckets.fill(None);
+        for (((s, p), t2d), carry) in scalars.iter().zip(points).zip(&t2ds).zip(&mut carries) {
+            // Recode to signed: a digit above 2^(c−1) borrows 2^c from the
+            // next window (and 2^c itself becomes 0 with the borrow).
+            let d = digit(s, w) + *carry as usize;
+            *carry = (d > half) as u8;
+            if d == 0 || d == 1 << c {
+                continue;
             }
+            let negative = d > half;
+            let bucket = &mut buckets[if negative { (1 << c) - d } else { d } - 1];
+            *bucket = Some(match *bucket {
+                // The first point of a bucket is a copy, not an addition.
+                None if negative => -*p,
+                None => *p,
+                Some(sum) => {
+                    let addend = Cached {
+                        y_plus_x: p.y.add_lazy(&p.x),
+                        y_minus_x: p.y - p.x,
+                        z: p.z,
+                        t2d: *t2d,
+                    };
+                    if negative {
+                        sum.sub_cached(&addend).to_extended()
+                    } else {
+                        sum.add_cached(&addend).to_extended()
+                    }
+                }
+            });
         }
-        // Running-sum trick: Σ d·bucket[d] in 2(B−1) additions.
+        // Running-sum trick: Σ d·bucket[d] in at most 2·2^(c−1) additions.
         let mut running = EdwardsPoint::IDENTITY;
-        let mut acc = EdwardsPoint::IDENTITY;
-        for b in (1..buckets_count).rev() {
-            running += buckets[b];
-            acc += running;
+        let mut sum = EdwardsPoint::IDENTITY;
+        for bucket in buckets.iter().rev() {
+            if let Some(bucket) = bucket {
+                running += *bucket;
+            }
+            sum += running;
         }
-        windows.push(acc);
+        sums.push(sum);
     }
+    debug_assert!(carries.iter().all(|&carry| carry == 0));
     // Combine windows from the top: acc = acc·2^c + window.
-    let mut acc = EdwardsPoint::IDENTITY;
-    for w in windows.iter().rev() {
-        for _ in 0..c {
-            acc = acc.double();
-        }
-        acc += *w;
-    }
-    acc
+    sums.iter().rev().fold(EdwardsPoint::IDENTITY, |acc, sum| {
+        acc.mul_by_pow_2(c) + *sum
+    })
 }
 
 #[cfg(test)]
@@ -663,11 +1026,11 @@ mod tests {
 
     #[test]
     fn multiscalar_all_sizes_agree() {
-        // Exercise both the naive and the Pippenger path, across window
+        // Exercise the Straus and the Pippenger path, across window
         // boundaries, against one-by-one accumulation.
         use crate::drbg::Rng;
         let mut rng = crate::HmacDrbg::from_u64(99);
-        for n in [0usize, 1, 2, 7, 8, 9, 33, 100] {
+        for n in [0usize, 1, 2, 9, 33, STRAUS_BELOW - 1, STRAUS_BELOW, 200] {
             let scalars: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
             let points: Vec<EdwardsPoint> = (0..n)
                 .map(|_| EdwardsPoint::mul_base(&rng.scalar()))
@@ -743,6 +1106,405 @@ mod tests {
         fn roundtrip_random(a in arb_scalar()) {
             let p = EdwardsPoint::mul_base(&a);
             prop_assert_eq!(p.compress().decompress(), Some(p));
+        }
+    }
+}
+
+/// The curve kernel against an oracle that shares none of its code.
+///
+/// The oracle is bit-by-bit double-and-add over the textbook unified
+/// addition written on reduced public field operations (with d re-derived
+/// from −121665/121666): no coordinate forms, no lazy additions, no digit
+/// recoding, no tables. Every scalar-multiplication entry point must agree
+/// with it on random inputs and on the edges the recodings add — carries
+/// out of the top digit, repeated and identity points, both sides of the
+/// Straus↔Pippenger crossover, and points with a torsion component (which
+/// the cofactored folds of `crate::batch` feed through the MSM).
+#[cfg(test)]
+mod kernel_oracle {
+    use super::*;
+    use crate::scalar::L;
+    use proptest::prelude::*;
+
+    /// 1024 cases at optimized speed (CI's `release-test`), a sample in debug.
+    const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 1024 };
+
+    /// "add-2008-hwcd-3", complete for a = −1.
+    fn oracle_add(p: &EdwardsPoint, q: &EdwardsPoint) -> EdwardsPoint {
+        static D: OnceLock<FieldElement> = OnceLock::new();
+        let d = *D.get_or_init(|| {
+            -FieldElement::from_u64(121665) * FieldElement::from_u64(121666).invert()
+        });
+        let a = (p.y - p.x) * (q.y - q.x);
+        let b = (p.y + p.x) * (q.y + q.x);
+        let c = p.t * (d + d) * q.t;
+        let zz = p.z * q.z;
+        let (e, f, g, h) = (b - a, zz + zz - c, zz + zz + c, b + a);
+        EdwardsPoint {
+            x: e * f,
+            y: g * h,
+            z: f * g,
+            t: e * h,
+        }
+    }
+
+    /// k·P for the 256-bit integer `k` (not reduced: ℓ itself is a valid `k`).
+    fn oracle_mul(p: &EdwardsPoint, k: &[u64; 4]) -> EdwardsPoint {
+        let mut acc = EdwardsPoint::IDENTITY;
+        for i in (0..256).rev() {
+            acc = oracle_add(&acc, &acc);
+            if crate::bigint::bit(k, i) {
+                acc = oracle_add(&acc, p);
+            }
+        }
+        acc
+    }
+
+    fn oracle_msm(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
+        scalars
+            .iter()
+            .zip(points)
+            .fold(EdwardsPoint::IDENTITY, |acc, (s, p)| {
+                oracle_add(&acc, &oracle_mul(p, &s.0))
+            })
+    }
+
+    /// A generator of the 8-torsion: ℓ·Q for the first small y whose point Q
+    /// has full 8ℓ order.
+    fn t8() -> EdwardsPoint {
+        (2u64..)
+            .filter_map(|y| CompressedPoint(FieldElement::from_u64(y).to_bytes()).decompress())
+            .map(|q| oracle_mul(&q, &L))
+            .find(|t| !oracle_mul(t, &[4, 0, 0, 0]).is_identity())
+            .expect("an order-8 point exists")
+    }
+
+    /// The scalars at which a digit recoding can go wrong.
+    fn edge_scalars() -> &'static [Scalar] {
+        static EDGES: OnceLock<Vec<Scalar>> = OnceLock::new();
+        EDGES.get_or_init(build_edge_scalars)
+    }
+
+    fn build_edge_scalars() -> Vec<Scalar> {
+        let limbs = |top: u64, fill: u64| Scalar([fill, fill, fill, top]);
+        let two_252 = Scalar([0, 0, 0, 1 << 60]);
+        let mut l_minus_1 = L;
+        l_minus_1[0] -= 1;
+        vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u64(8),
+            Scalar::from_u64(15),
+            Scalar::from_u64(16),
+            Scalar::from_u64(u64::MAX),
+            Scalar(l_minus_1),
+            Scalar(l_minus_1) - Scalar::ONE,
+            two_252,
+            two_252 + Scalar::ONE,
+            // 2^252 − 1: every nibble 15, every c-bit window all-ones — the
+            // carry runs the whole length and out of the top digit.
+            two_252 - Scalar::ONE,
+            limbs(0x0888_8888_8888_8888, 0x8888_8888_8888_8888),
+            limbs(0x0777_7777_7777_7777, 0x7777_7777_7777_7777),
+            limbs(0x0f0f_0f0f_0f0f_0f0f, 0x0f0f_0f0f_0f0f_0f0f),
+            limbs(0x0fff_ffff_ffff_ffff, 0),
+            limbs(0, u64::MAX),
+        ]
+    }
+
+    /// Identity, ±B, the torsion subgroup's generators, and B + T₈.
+    fn edge_points() -> &'static [EdwardsPoint] {
+        static EDGES: OnceLock<Vec<EdwardsPoint>> = OnceLock::new();
+        EDGES.get_or_init(|| {
+            let b = EdwardsPoint::basepoint();
+            let t8 = t8();
+            let t4 = oracle_add(&t8, &t8);
+            let t2 = oracle_add(&t4, &t4);
+            vec![
+                EdwardsPoint::IDENTITY,
+                b,
+                -b,
+                t2,
+                t4,
+                t8,
+                oracle_add(&b, &t8),
+            ]
+        })
+    }
+
+    fn pick_scalar(draw: &[u8; 32]) -> Scalar {
+        let edges = edge_scalars();
+        match draw[31] >> 6 {
+            0 => edges[draw[0] as usize % edges.len()],
+            _ => Scalar::from_bytes_mod_order(draw),
+        }
+    }
+
+    fn pick_point(draw: &[u8; 32]) -> EdwardsPoint {
+        let edges = edge_points();
+        let random = || oracle_mul(&edges[1], &Scalar::from_bytes_mod_order(draw).0);
+        match draw[30] >> 6 {
+            0 => edges[draw[1] as usize % edges.len()],
+            1 => oracle_add(&random(), &edges[5]), // a torsion component
+            _ => random(),
+        }
+    }
+
+    fn draw() -> impl Strategy<Value = [u8; 32]> {
+        proptest::array::uniform32(any::<u8>())
+    }
+
+    /// Term counts around the window boundaries and both sides of the
+    /// Straus↔Pippenger crossover.
+    const SIZES: [usize; 10] = [
+        0,
+        1,
+        2,
+        3,
+        9,
+        STRAUS_BELOW - 1,
+        STRAUS_BELOW,
+        STRAUS_BELOW + 1,
+        STRAUS_BELOW + 40,
+        2 * STRAUS_BELOW,
+    ];
+
+    fn terms(draws: &[[u8; 32]], n: usize) -> (Vec<Scalar>, Vec<EdwardsPoint>) {
+        let scalars = draws[..n].iter().map(pick_scalar).collect();
+        // A few distinct points, heavily repeated: oracle cost stays flat and
+        // buckets/tables see duplicates and inverses.
+        let pool: Vec<EdwardsPoint> = draws[..n.min(6)].iter().map(pick_point).collect();
+        let points = draws[..n]
+            .iter()
+            .map(|d| pool[d[2] as usize % pool.len()])
+            .collect();
+        (scalars, points)
+    }
+
+    #[test]
+    fn every_edge_scalar_times_every_edge_point() {
+        for &p in edge_points() {
+            let table = FixedBaseTable::new(&p);
+            for &s in edge_scalars() {
+                let expect = oracle_mul(&p, &s.0);
+                assert_eq!(p * s, expect, "mul_vartime {s:?}");
+                assert_eq!(table.mul(&s), expect, "FixedBaseTable {s:?}");
+                assert_eq!(straus(&[s], &[p]), expect, "straus {s:?}");
+                assert_eq!(pippenger(&[s], &[p]), expect, "pippenger {s:?}");
+                assert!((p * s).is_on_curve());
+            }
+        }
+        let b = EdwardsPoint::basepoint();
+        for &s in edge_scalars() {
+            assert_eq!(EdwardsPoint::mul_base(&s), oracle_mul(&b, &s.0));
+        }
+    }
+
+    #[test]
+    fn edge_scalars_fill_an_msm_on_both_sides_of_the_crossover() {
+        // Every term an edge: all-ones scalars carry in every Pippenger window
+        // at once, and torsion points meet their own inverses in the buckets.
+        let (scalars, points) = (edge_scalars(), edge_points());
+        for n in [STRAUS_BELOW - 1, STRAUS_BELOW, 3 * STRAUS_BELOW] {
+            let s: Vec<Scalar> = scalars.iter().cycle().take(n).copied().collect();
+            let p: Vec<EdwardsPoint> = points.iter().cycle().take(n).copied().collect();
+            let expect = oracle_msm(&s, &p);
+            assert_eq!(multiscalar_mul(&s, &p), expect, "n={n}");
+            assert_eq!(straus(&s, &p), expect, "straus n={n}");
+            assert_eq!(pippenger(&s, &p), expect, "pippenger n={n}");
+        }
+    }
+
+    #[test]
+    fn parallel_split_matches_the_oracle() {
+        // The smallest input `multiscalar_mul_par` actually splits.
+        let n = 4096 + 3;
+        let (scalars, points) = (edge_scalars(), edge_points());
+        let s: Vec<Scalar> = (0..n)
+            .map(|i| scalars[i % scalars.len()] * Scalar::from_u64(i as u64 | 1))
+            .collect();
+        let p: Vec<EdwardsPoint> = points.iter().cycle().take(n).copied().collect();
+        // Per distinct point, the oracle multiplies once by the integer sum of
+        // its scalars (not reduced mod ℓ: torsion points have order up to 8ℓ).
+        let mut expect = EdwardsPoint::IDENTITY;
+        for (j, point) in points.iter().enumerate() {
+            let mut sum = [0u64; 5];
+            for s in s.iter().skip(j).step_by(points.len()) {
+                crate::bigint::add_assign(&mut sum, &[s.0[0], s.0[1], s.0[2], s.0[3], 0]);
+            }
+            let high = oracle_mul(
+                &oracle_mul(point, &[0, 0, 0, 1 << 63]),
+                &[2 * sum[4], 0, 0, 0],
+            );
+            let low = oracle_mul(point, &[sum[0], sum[1], sum[2], sum[3]]);
+            expect = oracle_add(&expect, &oracle_add(&high, &low));
+        }
+        assert_eq!(multiscalar_mul_par(&s, &p, 3), expect);
+        assert_eq!(multiscalar_mul_par(&s, &p, 1), expect);
+        assert_eq!(multiscalar_mul(&s, &p), expect);
+    }
+
+    #[test]
+    fn naf5_is_sparse_odd_and_exact() {
+        for &s in edge_scalars() {
+            let naf = naf5(&s);
+            let mut value = Scalar::ZERO;
+            let mut last_nonzero = None;
+            for i in (0..256).rev() {
+                value = value + value;
+                let d = naf[i];
+                if d != 0 {
+                    assert!(d % 2 != 0 && (-15..=15).contains(&d), "digit {d} at {i}");
+                    if let Some(j) = last_nonzero {
+                        assert!(j - i >= 5, "digits at {i} and {j} too close");
+                    }
+                    last_nonzero = Some(i);
+                    let magnitude = Scalar::from_u64(d.unsigned_abs() as u64);
+                    value = if d > 0 {
+                        value + magnitude
+                    } else {
+                        value - magnitude
+                    };
+                }
+            }
+            // Mod ℓ is exact here: both sides are integers below 2^254.
+            assert_eq!(value, s);
+            assert!(naf[254..].iter().all(|&d| d == 0));
+        }
+    }
+
+    #[test]
+    fn radix16_digits_are_signed_and_exact() {
+        for &s in edge_scalars() {
+            let digits = radix16_signed(&s);
+            let mut value = Scalar::ZERO;
+            for (i, &d) in digits.iter().enumerate().rev() {
+                assert!(
+                    (-8..=8).contains(&d) && (i == 63 || d < 8),
+                    "digit {d} at {i}"
+                );
+                value *= Scalar::from_u64(16);
+                let magnitude = Scalar::from_u64(d.unsigned_abs() as u64);
+                value = if d >= 0 {
+                    value + magnitude
+                } else {
+                    value - magnitude
+                };
+            }
+            assert_eq!(value, s);
+        }
+    }
+
+    #[test]
+    fn fixed_base_table_fits_64_kib() {
+        assert!(core::mem::size_of::<FixedBaseTable>() <= 64 * 1024);
+    }
+
+    #[test]
+    fn compressed_identity_is_the_constant() {
+        assert_eq!(
+            CompressedPoint::identity(),
+            EdwardsPoint::IDENTITY.compress()
+        );
+        assert_eq!(
+            CompressedPoint::identity().decompress(),
+            Some(EdwardsPoint::IDENTITY)
+        );
+    }
+
+    #[test]
+    fn forms_agree_with_the_textbook_formulas() {
+        for &p in edge_points() {
+            assert_eq!(p.double(), oracle_add(&p, &p));
+            assert_eq!(p.mul_by_cofactor(), oracle_mul(&p, &[8, 0, 0, 0]));
+            assert_eq!(p.mul_by_pow_2(1), oracle_add(&p, &p));
+            for &q in edge_points() {
+                assert_eq!(p + q, oracle_add(&p, &q));
+                assert_eq!(p - q, oracle_add(&p, &-q));
+                assert!((p + q).is_on_curve() && (p - q).is_on_curve());
+            }
+        }
+    }
+
+    /// The measurement behind [`STRAUS_BELOW`] and [`pippenger_window`]:
+    /// `cargo test --release -p vg-crypto crossover_sweep -- --ignored
+    /// --nocapture`. The two algorithms alternate call by call, so the host's
+    /// speed drift cancels in the ratio column (the µs columns keep it).
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn crossover_sweep() {
+        use crate::drbg::Rng;
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        let mut rng = crate::HmacDrbg::from_u64(5);
+        let points: Vec<EdwardsPoint> = (0..512)
+            .map(|_| EdwardsPoint::mul_base(&rng.scalar()))
+            .collect();
+        let scalars: Vec<Scalar> = (0..512).map(|_| rng.scalar()).collect();
+        let micros_per_term = |n: usize, f: &dyn Fn(&[Scalar], &[EdwardsPoint]) -> EdwardsPoint| {
+            let calls = (512 / n).max(1);
+            let start = Instant::now();
+            for _ in 0..calls {
+                black_box(f(&scalars[..n], &points[..n]));
+            }
+            start.elapsed().as_secs_f64() * 1e6 / (calls * n) as f64
+        };
+        let median = |v: &mut [f64]| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        println!("| n | Straus µs/term | Pippenger µs/term (c) | Pippenger ÷ Straus |");
+        println!("|---|---|---|---|");
+        for n in [4usize, 8, 16, 32, 64, 128, 160, 192, 256, 512] {
+            let (mut st, mut pi, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..41 {
+                let before = micros_per_term(n, &straus);
+                let between = micros_per_term(n, &pippenger);
+                let after = micros_per_term(n, &straus);
+                st.push(before);
+                pi.push(between);
+                ratio.push(2.0 * between / (before + after));
+            }
+            println!(
+                "| {n} | {:.2} | {:.2} ({}) | {:.2} |",
+                median(&mut st),
+                median(&mut pi),
+                pippenger_window(n),
+                median(&mut ratio)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn single_multiplications_match_the_oracle(s in draw(), p in draw()) {
+            let (s, p) = (pick_scalar(&s), pick_point(&p));
+            let expect = oracle_mul(&p, &s.0);
+            prop_assert_eq!(p * s, expect);
+            prop_assert_eq!(FixedBaseTable::new(&p).mul(&s), expect);
+            prop_assert_eq!(
+                EdwardsPoint::mul_base(&s),
+                oracle_mul(&EdwardsPoint::basepoint(), &s.0)
+            );
+        }
+
+        #[test]
+        fn multiscalar_paths_match_the_oracle(
+            draws in proptest::collection::vec(draw(), 2 * STRAUS_BELOW),
+            size in any::<u8>(),
+        ) {
+            let n = SIZES[size as usize % SIZES.len()];
+            let (scalars, points) = terms(&draws, n);
+            let expect = oracle_msm(&scalars, &points);
+            prop_assert_eq!(multiscalar_mul(&scalars, &points), expect, "n={}", n);
+            prop_assert_eq!(multiscalar_mul_par(&scalars, &points, 4), expect, "n={} par", n);
+            prop_assert_eq!(straus(&scalars, &points), expect, "n={} straus", n);
+            if n > 0 {
+                prop_assert_eq!(pippenger(&scalars, &points), expect, "n={} pippenger", n);
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! the homomorphic and re-randomization properties implemented here.
 
 use crate::drbg::Rng;
-use crate::edwards::{CompressedPoint, EdwardsPoint};
+use crate::edwards::{CompressedPoint, EdwardsPoint, FixedBaseTable};
 use crate::scalar::Scalar;
 use crate::CryptoError;
 use core::ops::{Add, Sub};
@@ -160,6 +160,20 @@ pub fn rerandomize_with(pk: &EdwardsPoint, ct: &Ciphertext, r: &Scalar) -> Ciphe
     }
 }
 
+/// [`rerandomize_with`] for a loop under one key: `pk_table` is the
+/// [`FixedBaseTable`] of `pk`, built once by the caller, which turns the
+/// variable-base `pk·r` into a table walk. Same ciphertext, byte for byte.
+pub fn rerandomize_with_table(
+    pk_table: &FixedBaseTable,
+    ct: &Ciphertext,
+    r: &Scalar,
+) -> Ciphertext {
+    Ciphertext {
+        c1: ct.c1 + EdwardsPoint::mul_base(r),
+        c2: ct.c2 + pk_table.mul(r),
+    }
+}
+
 /// Looks up g^m for m in [0, bound), recovering an exponentially encoded
 /// message after decryption. Returns `None` if the point is out of range.
 pub fn discrete_log_small(point: &EdwardsPoint, bound: u64) -> Option<u64> {
@@ -178,6 +192,7 @@ pub fn discrete_log_small(point: &EdwardsPoint, bound: u64) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use proptest::prelude::*;
 
     #[test]
     fn encrypt_decrypt_roundtrip() {
@@ -220,6 +235,27 @@ mod tests {
         let (ct2, _) = rerandomize(&kp.pk, &ct, &mut rng);
         assert_ne!(ct, ct2);
         assert_eq!(decrypt(&kp.sk, &ct2), m);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn table_rerandomization_is_byte_equal(
+            sk in proptest::array::uniform32(any::<u8>()),
+            r in proptest::array::uniform32(any::<u8>()),
+        ) {
+            let pk = EdwardsPoint::mul_base(&Scalar::from_bytes_mod_order(&sk));
+            let table = FixedBaseTable::new(&pk);
+            let mut rng = HmacDrbg::new(&r);
+            let (ct, _) = encrypt_point(&pk, &EdwardsPoint::mul_base(&rng.scalar()), &mut rng);
+            for r in [Scalar::ZERO, Scalar::ONE, Scalar::from_bytes_mod_order(&r)] {
+                let plain = rerandomize_with(&pk, &ct, &r);
+                let tabled = rerandomize_with_table(&table, &ct, &r);
+                prop_assert_eq!(plain.to_bytes(), tabled.to_bytes());
+                prop_assert_eq!(plain, tabled);
+            }
+        }
     }
 
     #[test]

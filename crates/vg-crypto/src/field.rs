@@ -1,13 +1,27 @@
 //! Arithmetic in the base field GF(2^255 − 19) of edwards25519.
 //!
 //! Elements are represented with five 51-bit limbs in radix 2^51
-//! (the standard 64-bit representation). After every public operation the
-//! limbs are weakly reduced below 2^52, which keeps all intermediate
-//! products inside `u128` without overflow.
+//! (the standard 64-bit representation).
 //!
-//! The curve constants that depend on this field (d, 2d, √−1) are *derived*
-//! at first use from their defining equations rather than transcribed, and
-//! are cross-checked by known-answer tests in [`crate::edwards`].
+//! # Limb bounds
+//!
+//! Every public operation accepts limbs below 2^52 and returns limbs below
+//! 2^52 (*reduced*; the value is unchanged mod p, only [`to_bytes`] is
+//! canonical). [`Mul`], [`square`] and [`Sub`] have headroom beyond that:
+//! they accept limbs below 2^54, which is what lets the point formulas in
+//! [`crate::edwards`] skip the carry pass after an addition whose result
+//! feeds straight into one of them (`add_lazy`, crate-private: two reduced
+//! operands give limbs below 2^53, and the formulas never chain more than
+//! two). With `aᵢ, bⱼ < 2^54` the folded terms `19·bⱼ < 2^58.3` (and a
+//! square's doubled `2·aᵢ < 2^55`) fit a `u64`, so each of the 25 (15 for a
+//! square) limb products is one 64×64→128 multiply, and every column sum
+//! stays below 2^115, inside `u128` with its carry inside `u64`.
+//!
+//! The curve constants that depend on this field (d, 2d, √−1) are `const`
+//! limbs, checked against their defining equations by this module's tests.
+//!
+//! [`to_bytes`]: FieldElement::to_bytes
+//! [`square`]: FieldElement::square
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -57,6 +71,7 @@ impl FieldElement {
     }
 
     /// Weakly reduces the limbs below 2^52 (value unchanged mod p).
+    #[inline(always)]
     fn weak_reduce(mut self) -> FieldElement {
         let c0 = self.0[0] >> 51;
         let c1 = self.0[1] >> 51;
@@ -185,12 +200,41 @@ impl FieldElement {
         self.to_bytes()[0] & 1 == 1
     }
 
-    /// The square of `self`.
+    /// The sum without the carry pass: limbs are the sums of the operands'
+    /// limbs (below 2^53 for reduced operands). Only for results that feed
+    /// straight into `Mul`, `square` or `Sub` — see the module doc.
+    #[inline(always)]
+    pub(crate) fn add_lazy(&self, rhs: &FieldElement) -> FieldElement {
+        let (a, b) = (&self.0, &rhs.0);
+        FieldElement([
+            a[0] + b[0],
+            a[1] + b[1],
+            a[2] + b[2],
+            a[3] + b[3],
+            a[4] + b[4],
+        ])
+    }
+
+    /// The square of `self`: 15 limb products where `self * self` takes 25
+    /// (the cross terms are doubled instead of computed twice).
+    #[inline]
     pub fn square(&self) -> FieldElement {
-        *self * *self
+        let a = &self.0;
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+        // Each cross term appears twice; doubling one u64 operand (below
+        // 2^55, or 2^59.3 with the 19) is cheaper than doubling the u128.
+        let (d0, d1, d2, d4) = (2 * a[0], 2 * a[1], 2 * a[2], 2 * a[4]);
+        let c0 = m(a[0], a[0]) + m(d1, a4_19) + m(d2, a3_19);
+        let c1 = m(a[3], a3_19) + m(d0, a[1]) + m(d2, a4_19);
+        let c2 = m(a[1], a[1]) + m(d0, a[2]) + m(d4, a3_19);
+        let c3 = m(a[4], a4_19) + m(d0, a[3]) + m(d1, a[2]);
+        let c4 = m(a[2], a[2]) + m(d0, a[4]) + m(d1, a[3]);
+        carry_wide([c0, c1, c2, c3, c4])
     }
 
     /// Squares `self` `k` times.
+    #[inline]
     pub fn pow2k(&self, k: u32) -> FieldElement {
         debug_assert!(k > 0);
         let mut z = *self;
@@ -255,7 +299,7 @@ impl FieldElement {
         let mut r = (*u * v3) * (*u * v7).pow_p58();
         let check = *v * r.square();
 
-        let i = sqrt_m1();
+        let i = SQRT_M1;
         let correct_sign = check == *u;
         let flipped_sign = check == -*u;
         let flipped_sign_i = check == -(*u * i);
@@ -280,16 +324,14 @@ impl FieldElement {
 
 impl Add for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn add(self, rhs: FieldElement) -> FieldElement {
-        let mut r = self;
-        for i in 0..5 {
-            r.0[i] += rhs.0[i];
-        }
-        r.weak_reduce()
+        self.add_lazy(&rhs).weak_reduce()
     }
 }
 
 impl AddAssign for FieldElement {
+    #[inline]
     fn add_assign(&mut self, rhs: FieldElement) {
         *self = *self + rhs;
     }
@@ -297,9 +339,10 @@ impl AddAssign for FieldElement {
 
 impl Sub for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn sub(self, rhs: FieldElement) -> FieldElement {
         // Add 16p (limb-wise) before subtracting to avoid underflow; valid
-        // because limbs are kept below 2^52 < 16p's limbs ≈ 2^55.
+        // because 16p's limbs ≈ 2^55 exceed the 2^54 input bound.
         const P16: [u64; 5] = [
             36028797018963664, // 16 * (2^51 - 19)
             36028797018963952, // 16 * (2^51 - 1)
@@ -307,16 +350,20 @@ impl Sub for FieldElement {
             36028797018963952,
             36028797018963952,
         ];
-        let mut r = self;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..5 {
-            r.0[i] = r.0[i] + P16[i] - rhs.0[i];
-        }
-        r.weak_reduce()
+        let (a, b) = (&self.0, &rhs.0);
+        FieldElement([
+            a[0] + P16[0] - b[0],
+            a[1] + P16[1] - b[1],
+            a[2] + P16[2] - b[2],
+            a[3] + P16[3] - b[3],
+            a[4] + P16[4] - b[4],
+        ])
+        .weak_reduce()
     }
 }
 
 impl SubAssign for FieldElement {
+    #[inline]
     fn sub_assign(&mut self, rhs: FieldElement) {
         *self = *self - rhs;
     }
@@ -324,122 +371,119 @@ impl SubAssign for FieldElement {
 
 impl Neg for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn neg(self) -> FieldElement {
         FieldElement::ZERO - self
     }
 }
 
+/// One 64×64→128 limb product.
+#[inline(always)]
+fn m(x: u64, y: u64) -> u128 {
+    x as u128 * y as u128
+}
+
+/// Carries five column sums (each below 2^115) into reduced 51-bit limbs.
+#[inline(always)]
+fn carry_wide(c: [u128; 5]) -> FieldElement {
+    let [c0, mut c1, mut c2, mut c3, mut c4] = c;
+    let mut out = [0u64; 5];
+    // Every column is below 2^115, so each carry fits a u64 and the
+    // accumulation into the next column is a 64-bit add with carry.
+    c1 += ((c0 >> 51) as u64) as u128;
+    out[0] = (c0 as u64) & LOW_51_BIT_MASK;
+    c2 += ((c1 >> 51) as u64) as u128;
+    out[1] = (c1 as u64) & LOW_51_BIT_MASK;
+    c3 += ((c2 >> 51) as u64) as u128;
+    out[2] = (c2 as u64) & LOW_51_BIT_MASK;
+    c4 += ((c3 >> 51) as u64) as u128;
+    out[3] = (c3 as u64) & LOW_51_BIT_MASK;
+    // c4 carries no 19-folded term, so it stays below 2^110.4 and the
+    // folded carry below 2^63.6.
+    let carry = (c4 >> 51) as u64;
+    out[4] = (c4 as u64) & LOW_51_BIT_MASK;
+    out[0] += carry * 19;
+    let carry = out[0] >> 51;
+    out[0] &= LOW_51_BIT_MASK;
+    out[1] += carry;
+    FieldElement(out)
+}
+
 impl Mul for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn mul(self, rhs: FieldElement) -> FieldElement {
         let a = &self.0;
         let b = &rhs.0;
-        // Pre-multiply the folding terms by 19.
-        let b1_19 = (b[1] as u128) * 19;
-        let b2_19 = (b[2] as u128) * 19;
-        let b3_19 = (b[3] as u128) * 19;
-        let b4_19 = (b[4] as u128) * 19;
-        let a0 = a[0] as u128;
-        let a1 = a[1] as u128;
-        let a2 = a[2] as u128;
-        let a3 = a[3] as u128;
-        let a4 = a[4] as u128;
-
-        let c0 = a0 * b[0] as u128 + a1 * b4_19 + a2 * b3_19 + a3 * b2_19 + a4 * b1_19;
-        let c1 = a0 * b[1] as u128 + a1 * b[0] as u128 + a2 * b4_19 + a3 * b3_19 + a4 * b2_19;
-        let mut c2 =
-            a0 * b[2] as u128 + a1 * b[1] as u128 + a2 * b[0] as u128 + a3 * b4_19 + a4 * b3_19;
-        let mut c3 = a0 * b[3] as u128
-            + a1 * b[2] as u128
-            + a2 * b[1] as u128
-            + a3 * b[0] as u128
-            + a4 * b4_19;
-        let mut c4 = a0 * b[4] as u128
-            + a1 * b[3] as u128
-            + a2 * b[2] as u128
-            + a3 * b[1] as u128
-            + a4 * b[0] as u128;
-
-        // Carry chain into 51-bit limbs.
-        let mut out = [0u64; 5];
-        let c1 = c1 + (c0 >> 51);
-        out[0] = (c0 as u64) & LOW_51_BIT_MASK;
-        c2 += c1 >> 51;
-        out[1] = (c1 as u64) & LOW_51_BIT_MASK;
-        c3 += c2 >> 51;
-        out[2] = (c2 as u64) & LOW_51_BIT_MASK;
-        c4 += c3 >> 51;
-        out[3] = (c3 as u64) & LOW_51_BIT_MASK;
-        let carry = (c4 >> 51) as u64;
-        out[4] = (c4 as u64) & LOW_51_BIT_MASK;
-        out[0] += carry * 19;
-        let carry = out[0] >> 51;
-        out[0] &= LOW_51_BIT_MASK;
-        out[1] += carry;
-        FieldElement(out)
+        // The terms that wrap past 2^255 fold back multiplied by 19; with
+        // bⱼ < 2^54 the pre-multiplication stays inside u64, so every
+        // product below is a single 64×64→128 multiply.
+        let b1_19 = 19 * b[1];
+        let b2_19 = 19 * b[2];
+        let b3_19 = 19 * b[3];
+        let b4_19 = 19 * b[4];
+        let c0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
+        let c1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
+        let c2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
+        let c3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
+        let c4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
+        carry_wide([c0, c1, c2, c3, c4])
     }
 }
 
 impl MulAssign for FieldElement {
+    #[inline]
     fn mul_assign(&mut self, rhs: FieldElement) {
         *self = *self * rhs;
     }
 }
 
-/// √−1 in GF(2^255−19), derived at first use as 2^((p−1)/4).
+/// √−1 in GF(2^255−19): 2^((p−1)/4), the root with even canonical encoding.
+pub(crate) const SQRT_M1: FieldElement = FieldElement([
+    1718705420411056,
+    234908883556509,
+    2233514472574048,
+    2117202627021982,
+    765476049583133,
+]);
+
+/// The Edwards curve constant d = −121665/121666.
+pub(crate) const EDWARDS_D: FieldElement = FieldElement([
+    929955233495203,
+    466365720129213,
+    1662059464998953,
+    2033849074728123,
+    1442794654840575,
+]);
+
+/// 2·d, the constant of the extended-coordinate addition formulas.
+pub(crate) const EDWARDS_D2: FieldElement = FieldElement([
+    1859910466990425,
+    932731440258426,
+    1072319116312658,
+    1815898335770999,
+    633789495995903,
+]);
+
+/// √−1 in GF(2^255−19).
 pub fn sqrt_m1() -> FieldElement {
-    use std::sync::OnceLock;
-    static SQRT_M1: OnceLock<FieldElement> = OnceLock::new();
-    *SQRT_M1.get_or_init(|| {
-        // (p-1)/4 = 2^253 - 5: compute 2^(2^253) / 2^5 as field exponents via
-        // square-and-multiply on the byte representation of the exponent.
-        // Simpler: e = (p-1)/4 with p = 2^255-19 => e = 2^253 - 5.
-        // Binary: 0b0111...1011 (251 ones, then 011).
-        let two = FieldElement::from_u64(2);
-        // 2^(2^253 - 5) = 2^(2^253) * 2^(-5); do square-and-multiply directly.
-        // Exponent bits MSB-first: 2^253 - 5 = (2^253 - 8) + 3
-        //   = 0b0111…1 (250 ones) 011.
-        let mut acc = FieldElement::ONE;
-        // 253 bits total: bits 252..=0 of e. e = 2^253-5 means bits 252..2
-        // are 1 except bit 2 = 0; bits: e = ...: compute via subtraction in
-        // binary: 2^253 is a 1 followed by 253 zeros; minus 5 (101) gives
-        // 252 leading ones then 011.
-        let mut bits = [true; 253];
-        bits[2] = false; // bit index 2 (value 4) is 0.
-        bits[1] = true; // value 2
-        bits[0] = true; // value 1
-        for i in (0..253).rev() {
-            acc = acc.square();
-            if bits[i] {
-                acc *= two;
-            }
-        }
-        let r = acc;
-        debug_assert_eq!(r * r, -FieldElement::ONE);
-        r
-    })
+    SQRT_M1
 }
 
-/// The Edwards curve constant d = −121665/121666, derived at first use.
+/// The Edwards curve constant d = −121665/121666.
 pub fn edwards_d() -> FieldElement {
-    use std::sync::OnceLock;
-    static D: OnceLock<FieldElement> = OnceLock::new();
-    *D.get_or_init(|| -FieldElement::from_u64(121665) * FieldElement::from_u64(121666).invert())
+    EDWARDS_D
 }
 
 /// 2·d, used by the extended-coordinate addition formulas.
 pub fn edwards_d2() -> FieldElement {
-    use std::sync::OnceLock;
-    static D2: OnceLock<FieldElement> = OnceLock::new();
-    *D2.get_or_init(|| {
-        let d = edwards_d();
-        d + d
-    })
+    EDWARDS_D2
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint;
     use proptest::prelude::*;
 
     fn arb_fe() -> impl Strategy<Value = FieldElement> {
@@ -478,20 +522,121 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_m1_squares_to_minus_one() {
-        let i = sqrt_m1();
-        assert_eq!(i * i, -FieldElement::ONE);
-        assert!(!i.is_zero());
+    fn sqrt_m1_matches_its_derivation() {
+        // (p−1)/4 = 2^253 − 5: bits 252..=3 set, then 0b011.
+        let two = FieldElement::from_u64(2);
+        let mut acc = FieldElement::ONE;
+        for i in (0..253).rev() {
+            acc = acc.square();
+            if i != 2 {
+                acc *= two;
+            }
+        }
+        assert_eq!(sqrt_m1(), acc);
+        assert_eq!(acc.0, SQRT_M1.0, "the const is stored reduced");
+        assert_eq!(SQRT_M1 * SQRT_M1, -FieldElement::ONE);
+        assert!(!SQRT_M1.is_negative());
     }
 
     #[test]
-    fn d_satisfies_definition() {
-        // d * 121666 == -121665.
-        assert_eq!(
-            edwards_d() * FieldElement::from_u64(121666),
-            -FieldElement::from_u64(121665)
-        );
-        assert_eq!(edwards_d2(), edwards_d() + edwards_d());
+    fn d_matches_its_derivation() {
+        let d = -FieldElement::from_u64(121665) * FieldElement::from_u64(121666).invert();
+        assert_eq!(edwards_d(), d);
+        assert_eq!(edwards_d2(), d + d);
+        for c in [EDWARDS_D, EDWARDS_D2] {
+            assert!(
+                c.0.iter().all(|&l| l < 1 << 51),
+                "consts are stored reduced"
+            );
+        }
+    }
+
+    /// p = 2^255 − 19 as little-endian 64-bit limbs.
+    const P: [u64; 4] = [
+        0xffff_ffff_ffff_ffed,
+        0xffff_ffff_ffff_ffff,
+        0xffff_ffff_ffff_ffff,
+        0x7fff_ffff_ffff_ffff,
+    ];
+
+    /// The integer Σ limbᵢ·2^(51i) reduced mod p, by `crate::bigint` alone
+    /// (no field code), so unreduced limbs are read at face value.
+    fn value_mod_p(fe: &FieldElement) -> [u64; 4] {
+        let mut wide = [0u64; 5];
+        for (i, &limb) in fe.0.iter().enumerate() {
+            let (word, shift) = (51 * i / 64, 51 * i % 64);
+            let mut term = [0u64; 5];
+            term[word] = limb << shift;
+            if shift > 0 && word + 1 < 5 {
+                term[word + 1] = limb >> (64 - shift);
+            }
+            assert!(!bigint::add_assign(&mut wide, &term));
+        }
+        let (_, r) = bigint::div_rem(&wide, &P);
+        [r[0], r[1], r[2], r[3]]
+    }
+
+    fn reference_mul(a: &FieldElement, b: &FieldElement) -> [u8; 32] {
+        let wide = bigint::mul_wide(&value_mod_p(a), &value_mod_p(b));
+        let (_, r) = bigint::div_rem(&wide, &P);
+        let mut out = [0u8; 32];
+        for (chunk, limb) in out.chunks_exact_mut(8).zip(&r) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
+        }
+        out
+    }
+
+    fn assert_mul_and_square_match_reference(a: &FieldElement, b: &FieldElement) {
+        let product = *a * *b;
+        assert_eq!(product.to_bytes(), reference_mul(a, b));
+        assert_eq!((*b * *a).to_bytes(), reference_mul(a, b));
+        assert_eq!(a.square().to_bytes(), reference_mul(a, a));
+        assert_eq!(a.pow2k(2).to_bytes(), {
+            let sq = a.square();
+            reference_mul(&sq, &sq)
+        });
+        for out in [product, a.square(), *a - *b, *a + *b, -*a] {
+            assert!(out.0.iter().all(|&l| l < 1 << 52), "output limbs reduced");
+        }
+    }
+
+    #[test]
+    fn mul_and_square_at_the_limb_bounds() {
+        // The documented public bound, the lazy-add bound the point
+        // formulas reach, and the hard 2^54 input limit.
+        let at = |bits: u32| FieldElement([(1u64 << bits) - 1; 5]);
+        let bounds = [at(51), at(52), at(53), at(54)];
+        for a in &bounds {
+            for b in &bounds {
+                assert_mul_and_square_match_reference(a, b);
+                let diff = *a - *b;
+                let mut expect = value_mod_p(a);
+                if bigint::sub_assign(&mut expect, &value_mod_p(b)) {
+                    bigint::add_assign(&mut expect, &P);
+                }
+                assert_eq!(value_mod_p(&diff), expect);
+            }
+        }
+        // Mixed: one saturated limb at a time against a saturated operand.
+        for i in 0..5 {
+            let mut limbs = [0u64; 5];
+            limbs[i] = (1 << 54) - 1;
+            assert_mul_and_square_match_reference(&FieldElement(limbs), &at(54));
+        }
+    }
+
+    #[test]
+    fn lazy_adds_of_the_point_formulas_stay_in_bounds() {
+        // The deepest chain in `crate::edwards`: 2·ZZ lazily, then + TT2d
+        // lazily (three reduced terms), multiplied by a lazy Y+X.
+        let r = FieldElement([(1 << 52) - 1; 5]);
+        let zz2 = r.add_lazy(&r);
+        let z = zz2.add_lazy(&r);
+        let y_plus_x = r.add_lazy(&r);
+        assert!(z.0.iter().all(|&l| l < 1 << 54));
+        assert_mul_and_square_match_reference(&z, &y_plus_x);
+        assert_mul_and_square_match_reference(&y_plus_x, &z);
+        assert_eq!(value_mod_p(&(r - z)), value_mod_p(&(r - z.weak_reduce())));
     }
 
     #[test]
@@ -566,6 +711,15 @@ mod tests {
         #[test]
         fn square_matches_mul(a in arb_fe()) {
             prop_assert_eq!(a.square(), a * a);
+        }
+
+        #[test]
+        fn mul_matches_bigint_reference(a in arb_fe(), b in arb_fe(), c in arb_fe()) {
+            assert_mul_and_square_match_reference(&a, &b);
+            // Unreduced operands: a lazy sum and a lazy sum of lazy sums.
+            let ab = a.add_lazy(&b);
+            assert_mul_and_square_match_reference(&ab, &c);
+            assert_mul_and_square_match_reference(&ab.add_lazy(&ab), &ab);
         }
 
         #[test]

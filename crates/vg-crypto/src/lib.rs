@@ -10,7 +10,13 @@
 //!
 //! # Layout
 //!
-//! - [`field`], [`scalar`], [`edwards`]: the group.
+//! - [`field`], [`scalar`], [`edwards`]: the group. [`field`] keeps limbs
+//!   below 2^52 across every public operation (its module doc states the
+//!   bounds and the headroom the point formulas use); [`edwards`] exposes
+//!   extended coordinates and works internally in projective, completed,
+//!   cached and affine-Niels forms (tabulated in its module doc), with
+//!   width-5 NAF single and Straus multiplication, signed-digit Pippenger
+//!   and [`edwards::FixedBaseTable`] for a point multiplied many times.
 //! - [`sha2`], [`hmac`], [`drbg`], [`transcript`]: hashing, MACs,
 //!   deterministic randomness, Fiat–Shamir.
 //! - [`schnorr`], [`elgamal`]: the signature and encryption schemes of
@@ -26,7 +32,9 @@
 //!
 //! # Security caveat
 //!
-//! Group and field operations are variable-time and unaudited: this is a
+//! Group and field operations are variable-time and unaudited — *all*
+//! scalar multiplication (single, fixed-base, multi-scalar) branches on
+//! scalar digits and skips the zero ones: this is a
 //! faithful research reproduction of the paper's cryptographic path, not
 //! a hardened production signer. MAC-tag and key-byte *comparisons*,
 //! however, are constant-time throughout (see [`ct`]) — the `vg-lint`

@@ -20,7 +20,8 @@
 
 use vg_crypto::drbg::{shuffle as fisher_yates, Rng};
 use vg_crypto::edwards::EdwardsPoint;
-use vg_crypto::elgamal::{rerandomize_with, Ciphertext};
+use vg_crypto::edwards::FixedBaseTable;
+use vg_crypto::elgamal::{rerandomize_with_table, Ciphertext};
 use vg_crypto::pedersen::CommitKey;
 use vg_crypto::scalar::Scalar;
 use vg_crypto::transcript::Transcript;
@@ -78,8 +79,11 @@ impl ShuffleContext {
         let mut perm: Vec<usize> = (0..n).collect();
         fisher_yates(rng, &mut perm);
         let rho: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
+        // pk·ρⱼ is a third of the re-encryption; one table of pk for the
+        // loop (it repays itself from seven ciphertexts on).
+        let pk_table = FixedBaseTable::new(pk);
         let outputs: Vec<Ciphertext> = (0..n)
-            .map(|j| rerandomize_with(pk, &inputs[perm[j]], &rho[j]))
+            .map(|j| rerandomize_with_table(&pk_table, &inputs[perm[j]], &rho[j]))
             .collect();
         let proof = self.prove(pk, inputs, &outputs, &perm, &rho, rng);
         (outputs, proof)
@@ -231,11 +235,12 @@ impl ShuffleContext {
         fisher_yates(rng, &mut perm);
         let rho_a: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
         let rho_b: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
+        let pk_table = FixedBaseTable::new(pk);
         let outputs: Vec<(Ciphertext, Ciphertext)> = (0..n)
             .map(|j| {
                 (
-                    rerandomize_with(pk, &inputs[perm[j]].0, &rho_a[j]),
-                    rerandomize_with(pk, &inputs[perm[j]].1, &rho_b[j]),
+                    rerandomize_with_table(&pk_table, &inputs[perm[j]].0, &rho_a[j]),
+                    rerandomize_with_table(&pk_table, &inputs[perm[j]].1, &rho_b[j]),
                 )
             })
             .collect();
@@ -460,7 +465,7 @@ pub(crate) fn absorb_statement(
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use vg_crypto::elgamal::{decrypt, encrypt_point, ElGamalKeyPair};
+    use vg_crypto::elgamal::{decrypt, encrypt_point, rerandomize_with, ElGamalKeyPair};
     use vg_crypto::HmacDrbg;
 
     fn sample_ciphertexts(

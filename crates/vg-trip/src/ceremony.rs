@@ -37,6 +37,9 @@ use vg_ledger::{EnvelopeCommitment, VoterId};
 use crate::materials::{Envelope, Symbol};
 use crate::printer::EnvelopePrinter;
 
+/// `s ↦ s·A_pk`: the authority key as the derivation sees it.
+pub(crate) type MulAuthorityPk<'a> = dyn Fn(&Scalar) -> EdwardsPoint + Sync + 'a;
+
 /// Precomputed state for issuing one *real* credential (Fig 9a lines 2–5,
 /// evaluated ahead of time).
 pub struct RealPrecursor {
@@ -227,6 +230,29 @@ impl SessionMaterials {
         authority_pk: &EdwardsPoint,
         malicious: bool,
     ) -> UnprintedSession {
+        Self::derive_unprinted_with(
+            seed,
+            session_index,
+            voter_id,
+            n_fakes,
+            &|s| *authority_pk * s,
+            malicious,
+        )
+    }
+
+    /// [`SessionMaterials::derive_unprinted`] with the authority key
+    /// behind `mul_pk(s) = s·A_pk`, the only way the derivation uses it:
+    /// a loop over many sessions passes a
+    /// [`FixedBaseTable`](vg_crypto::edwards::FixedBaseTable) walk, a single
+    /// derivation the plain multiplication. Same bundle either way.
+    pub(crate) fn derive_unprinted_with(
+        seed: &[u8; 32],
+        session_index: usize,
+        voter_id: VoterId,
+        n_fakes: usize,
+        mul_pk: &MulAuthorityPk<'_>,
+        malicious: bool,
+    ) -> UnprintedSession {
         let mut label = Vec::with_capacity(64);
         label.extend_from_slice(b"trip-pool-session-v1");
         label.extend_from_slice(seed);
@@ -237,7 +263,7 @@ impl SessionMaterials {
         // Real credential: (c_sk, c_pk), x, c_pc, Σ-nonce and commitment.
         let credential = SigningKey::generate(&mut rng);
         let x = rng.scalar();
-        let big_x = *authority_pk * x;
+        let big_x = mul_pk(&x);
         let c_pc = Ciphertext {
             c1: EdwardsPoint::mul_base(&x),
             c2: big_x + credential.verifying_key().0,
@@ -245,7 +271,7 @@ impl SessionMaterials {
         let nonce = rng.scalar();
         let commit = Commitment {
             a1: EdwardsPoint::mul_base(&nonce),
-            a2: *authority_pk * nonce,
+            a2: mul_pk(&nonce),
         };
         let symbol = Symbol::random(&mut rng);
         let mut coupons = NonceCoupon::batch(3, &mut rng);
@@ -275,7 +301,7 @@ impl SessionMaterials {
 
         let mut fakes = Vec::with_capacity(n_fakes);
         for _ in 0..n_fakes {
-            fakes.push(Self::derive_forge(authority_pk, &mut rng));
+            fakes.push(Self::derive_forge(mul_pk, &mut rng));
             jobs.push(PrintJob {
                 challenge: rng.scalar(),
                 symbol: Symbol::random(&mut rng),
@@ -283,7 +309,7 @@ impl SessionMaterials {
         }
 
         let official_coupon = NonceCoupon::generate(&mut rng);
-        let malicious_spare = malicious.then(|| Self::derive_forge(authority_pk, &mut rng));
+        let malicious_spare = malicious.then(|| Self::derive_forge(mul_pk, &mut rng));
 
         UnprintedSession {
             materials: SessionMaterials {
@@ -300,7 +326,7 @@ impl SessionMaterials {
         }
     }
 
-    fn derive_forge(authority_pk: &EdwardsPoint, rng: &mut dyn Rng) -> FakePrecursor {
+    fn derive_forge(mul_pk: &MulAuthorityPk<'_>, rng: &mut dyn Rng) -> FakePrecursor {
         let credential = SigningKey::generate(rng);
         let y = rng.scalar();
         let mut coupons = NonceCoupon::batch(2, rng);
@@ -310,7 +336,7 @@ impl SessionMaterials {
             credential,
             forge_nonce: y,
             g1y: EdwardsPoint::mul_base(&y),
-            g2y: *authority_pk * y,
+            g2y: mul_pk(&y),
             commit_coupon,
             response_coupon,
         }

@@ -22,12 +22,13 @@
 
 use std::collections::VecDeque;
 
+use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::par::par_map;
 use vg_crypto::sync::{lock_recover, wait_recover};
 use vg_crypto::{multiscalar_mul_par, EdwardsPoint, HmacDrbg, Scalar};
 use vg_ledger::VoterId;
 
-use crate::ceremony::SessionMaterials;
+use crate::ceremony::{MulAuthorityPk, SessionMaterials};
 use crate::error::TripError;
 use crate::materials::Envelope;
 use crate::printer::EnvelopePrinter;
@@ -149,16 +150,31 @@ impl CeremonyPool {
         let jobs: Vec<(usize, SessionPlan)> = self.plan[self.next..end].to_vec();
         let seed = &self.seed;
         let authority_pk = &self.authority_pk;
-        let unprinted = par_map(&jobs, self.threads, |&(index, plan)| {
-            SessionMaterials::derive_unprinted(
-                seed,
-                index,
-                plan.voter,
-                plan.n_fakes,
-                authority_pk,
-                plan.malicious,
-            )
-        });
+        let threads = self.threads;
+        let derive_all = |mul_pk: &MulAuthorityPk<'_>| {
+            par_map(&jobs, threads, |&(index, plan)| {
+                SessionMaterials::derive_unprinted_with(
+                    seed,
+                    index,
+                    plan.voter,
+                    plan.n_fakes,
+                    mul_pk,
+                    plan.malicious,
+                )
+            })
+        };
+        // Every credential multiplies A_pk once or twice; a refill with
+        // enough of them to repay a table builds it once, here.
+        let multiplications: usize = jobs
+            .iter()
+            .map(|(_, plan)| 2 + plan.n_fakes + plan.malicious as usize)
+            .sum();
+        let unprinted = if multiplications >= FixedBaseTable::PAYS_FROM_USES {
+            let table = FixedBaseTable::new(authority_pk);
+            derive_all(&|s| table.mul(s))
+        } else {
+            derive_all(&|s| *authority_pk * s)
+        };
         let print_jobs: Vec<crate::ceremony::PrintJob> = unprinted
             .iter()
             .flat_map(|u| u.jobs().iter().copied())
