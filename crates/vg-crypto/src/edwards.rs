@@ -139,16 +139,6 @@ impl Projective {
             t: zz.add_lazy(&zz) - yy_minus_xx,
         }
     }
-
-    /// Restores T (3M + 1S); only the end of a doubling chain pays it.
-    fn to_extended(self) -> EdwardsPoint {
-        EdwardsPoint {
-            x: self.x * self.z,
-            y: self.y * self.z,
-            z: self.z.square(),
-            t: self.x * self.y,
-        }
-    }
 }
 
 impl Completed {
@@ -575,8 +565,7 @@ fn naf_chain(nafs: &[[i8; 256]], tables: &[[Cached; 8]]) -> EdwardsPoint {
     let Some(top) = (0..256).rev().find(|&i| nafs.iter().any(|naf| naf[i] != 0)) else {
         return EdwardsPoint::IDENTITY;
     };
-    let mut acc = Projective::IDENTITY;
-    for i in (0..=top).rev() {
+    let step = |acc: &Projective, i: usize| -> Completed {
         let mut t = acc.double();
         for (naf, table) in nafs.iter().zip(tables) {
             let d = naf[i];
@@ -586,9 +575,13 @@ fn naf_chain(nafs: &[[i8; 256]], tables: &[[Cached; 8]]) -> EdwardsPoint {
                 t = t.to_extended().sub_cached(&table[(-d / 2) as usize]);
             }
         }
-        acc = t.to_projective();
+        t
+    };
+    let mut acc = Projective::IDENTITY;
+    for i in (1..=top).rev() {
+        acc = step(&acc, i).to_projective();
     }
-    acc.to_extended()
+    step(&acc, 0).to_extended()
 }
 
 /// The 64 signed radix-16 digits of `s`: Σ dᵢ·16^i = s with dᵢ ∈ [−8, 8).
@@ -615,19 +608,14 @@ fn radix16_signed(s: &Scalar) -> [i8; 64] {
 /// entries normalised with a single field inversion), so a multiplication
 /// is the scalar's 64 signed radix-16 digits looked up and summed — at most
 /// 64 mixed additions and no doubling, about a quarter of a variable-base
-/// multiplication. 60 KiB, plain data: callers keep it on their own stack
+/// multiplication. Building it costs about five variable-base
+/// multiplications. 60 KiB, plain data: callers keep it on their own stack
 /// for the loop that uses it.
 pub struct FixedBaseTable {
     rows: [[AffineNiels; 8]; 64],
 }
 
 impl FixedBaseTable {
-    /// The number of multiplications of one point from which building its
-    /// table first is the cheaper way: building costs about 4.7
-    /// variable-base multiplications (8 700 field multiplications against
-    /// 1 860) and a walk about 490.
-    pub const PAYS_FROM_USES: usize = 7;
-
     /// Builds the table for `base`.
     pub fn new(base: &EdwardsPoint) -> FixedBaseTable {
         // multiples[8i + j − 1] = j·16^i·P.
@@ -821,10 +809,7 @@ fn pippenger_window(n: usize) -> usize {
 /// instead of once per window (40 bytes per term against 160 for the whole
 /// form).
 fn pippenger(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
-    pippenger_with_window(scalars, points, pippenger_window(scalars.len()))
-}
-
-fn pippenger_with_window(scalars: &[Scalar], points: &[EdwardsPoint], c: usize) -> EdwardsPoint {
+    let c = pippenger_window(scalars.len());
     let half = 1usize << (c - 1);
     let mask = (1u64 << c) - 1;
 

@@ -11,8 +11,9 @@
 //! they accept limbs below 2^54, which is what lets the point formulas in
 //! [`crate::edwards`] skip the carry pass after an addition whose result
 //! feeds straight into one of them (`add_lazy`, crate-private: two reduced
-//! operands give limbs below 2^53, and the formulas never chain more than
-//! two). With `aᵢ, bⱼ < 2^54` the folded terms `19·bⱼ < 2^58.3` (and a
+//! operands give limbs below 2^53; the formulas sum at most three reduced
+//! terms lazily — `2·Z₁Z₂ + 2d·T₁T₂` in an addition, below 3·2^52 < 2^54 —
+//! and that sum feeds only `Mul`). With `aᵢ, bⱼ < 2^54` the folded terms `19·bⱼ < 2^58.3` (and a
 //! square's doubled `2·aᵢ < 2^55`) fit a `u64`, so each of the 25 (15 for a
 //! square) limb products is one 64×64→128 multiply, and every column sum
 //! stays below 2^115, inside `u128` with its carry inside `u64`.

@@ -80,7 +80,7 @@ impl ShuffleContext {
         fisher_yates(rng, &mut perm);
         let rho: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
         // pk·ρⱼ is a third of the re-encryption; one table of pk for the
-        // loop (it repays itself from seven ciphertexts on).
+        // loop.
         let pk_table = FixedBaseTable::new(pk);
         let outputs: Vec<Ciphertext> = (0..n)
             .map(|j| rerandomize_with_table(&pk_table, &inputs[perm[j]], &rho[j]))

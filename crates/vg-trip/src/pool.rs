@@ -28,7 +28,7 @@ use vg_crypto::sync::{lock_recover, wait_recover};
 use vg_crypto::{multiscalar_mul_par, EdwardsPoint, HmacDrbg, Scalar};
 use vg_ledger::VoterId;
 
-use crate::ceremony::{MulAuthorityPk, SessionMaterials};
+use crate::ceremony::SessionMaterials;
 use crate::error::TripError;
 use crate::materials::Envelope;
 use crate::printer::EnvelopePrinter;
@@ -151,30 +151,19 @@ impl CeremonyPool {
         let seed = &self.seed;
         let authority_pk = &self.authority_pk;
         let threads = self.threads;
-        let derive_all = |mul_pk: &MulAuthorityPk<'_>| {
-            par_map(&jobs, threads, |&(index, plan)| {
-                SessionMaterials::derive_unprinted_with(
-                    seed,
-                    index,
-                    plan.voter,
-                    plan.n_fakes,
-                    mul_pk,
-                    plan.malicious,
-                )
-            })
-        };
-        // Every credential multiplies A_pk once or twice; a refill with
-        // enough of them to repay a table builds it once, here.
-        let multiplications: usize = jobs
-            .iter()
-            .map(|(_, plan)| 2 + plan.n_fakes + plan.malicious as usize)
-            .sum();
-        let unprinted = if multiplications >= FixedBaseTable::PAYS_FROM_USES {
-            let table = FixedBaseTable::new(authority_pk);
-            derive_all(&|s| table.mul(s))
-        } else {
-            derive_all(&|s| *authority_pk * s)
-        };
+        // Every credential multiplies A_pk once or twice: one table per
+        // refill serves them all.
+        let table = FixedBaseTable::new(authority_pk);
+        let unprinted = par_map(&jobs, threads, |&(index, plan)| {
+            SessionMaterials::derive_unprinted_with(
+                seed,
+                index,
+                plan.voter,
+                plan.n_fakes,
+                &|s| table.mul(s),
+                plan.malicious,
+            )
+        });
         let print_jobs: Vec<crate::ceremony::PrintJob> = unprinted
             .iter()
             .flat_map(|u| u.jobs().iter().copied())
