@@ -595,7 +595,8 @@ impl KioskFleet {
     /// checks in `sessions` (a station's — or the whole day's — slice of
     /// the global queue), runs their ceremonies window by window on a
     /// **persistent lane crew** (worker threads spawned once and fed over
-    /// channels, not re-spawned per window), submits each window's ledger
+    /// channels, not re-spawned per window; a single window on a single
+    /// worker runs on the calling thread instead), submits each window's ledger
     /// records session-tagged through the boundary, and — when an
     /// [`ActivationContext`] is given — activates groups of `lag` windows
     /// behind one prefix barrier each.
@@ -631,37 +632,49 @@ impl KioskFleet {
         let max_session = sessions.iter().map(|&(idx, _, _)| idx).max();
         let mut driver = activation.map(|(ctx, lag)| ActivationDriver::new(ctx, threads, lag));
 
+        // A single window on a single worker has nothing to overlap with,
+        // so it gets no crew: its ceremonies run on the coordinator, in the
+        // same lane order. That is every booth call (a one-session day),
+        // whose latency would otherwise be a thread spawn and two
+        // cross-thread wake-ups at the host scheduler's mercy.
+        let worker_count = threads.min(n_kiosks);
+        let inline = worker_count == 1 && sessions.len() <= window_cap;
+        let run_lanes = |lanes: Vec<(usize, Vec<SessionMaterials>)>| -> Vec<SessionResult> {
+            let mut local = Vec::new();
+            for (k, lane) in lanes {
+                let kiosk = &kiosks[k];
+                for materials in lane {
+                    let idx = materials.session_index;
+                    local.push((idx, run_session(kiosk, &tickets[&idx], materials)));
+                }
+            }
+            local
+        };
+
         std::thread::scope(|scope| -> Result<(), TripError> {
             // The persistent crew: one thread per worker slot for the
             // whole run. Lanes (kiosks) are pinned to crew members, so a
             // kiosk's sessions always execute on the same thread, in
             // order — the journal-order guarantee survives pipelining.
-            let worker_count = threads.min(n_kiosks);
             let (result_tx, result_rx) = mpsc::channel::<(u64, Vec<SessionResult>)>();
             let mut crew = Vec::with_capacity(worker_count);
-            for _ in 0..worker_count {
+            for _ in 0..if inline { 0 } else { worker_count } {
                 let (job_tx, job_rx) =
                     mpsc::channel::<(u64, Vec<(usize, Vec<SessionMaterials>)>)>();
                 crew.push(job_tx);
                 let result_tx = result_tx.clone();
-                let tickets = &tickets;
+                let run_lanes = &run_lanes;
                 scope.spawn(move || {
                     while let Ok((window_id, lanes)) = job_rx.recv() {
-                        let mut local = Vec::new();
-                        for (k, lane) in lanes {
-                            let kiosk = &kiosks[k];
-                            for materials in lane {
-                                let idx = materials.session_index;
-                                local.push((idx, run_session(kiosk, &tickets[&idx], materials)));
-                            }
-                        }
-                        if result_tx.send((window_id, local)).is_err() {
+                        if result_tx.send((window_id, run_lanes(lanes))).is_err() {
                             return;
                         }
                     }
                 });
             }
-            drop(result_tx);
+            // Without a crew the coordinator keeps the sender and posts
+            // its own results.
+            let inline_tx = inline.then_some(result_tx);
 
             let dispatch =
                 |window: Vec<SessionMaterials>, window_id: u64| -> Result<usize, TripError> {
@@ -676,6 +689,11 @@ impl KioskFleet {
                         if !lane.is_empty() {
                             per_worker[k % worker_count].push((k, lane));
                         }
+                    }
+                    if let Some(result_tx) = &inline_tx {
+                        let lanes = per_worker.pop().expect("one worker");
+                        let _ = result_tx.send((window_id, run_lanes(lanes)));
+                        return Ok(1);
                     }
                     let mut jobs = 0;
                     for (worker, assigned) in per_worker.into_iter().enumerate() {
@@ -857,23 +875,28 @@ mod tests {
                 .push(register_voter_seeded(&mut seq_system, voter, fakes, &seed, i).unwrap());
         }
 
-        // The same deterministic setup, drained through the fleet with a
-        // small pool window and several workers.
-        let mut rng = HmacDrbg::from_u64(1);
-        let mut fleet_system = TripSystem::setup(config(5, 2), &mut rng);
-        let fleet = KioskFleet::new(FleetConfig {
-            pool_batch: 2,
-            threads: 3,
-            seed,
-        });
-        let fleet_outcomes = fleet.register(&mut fleet_system, &queue).unwrap();
+        // The same deterministic setup, drained through the fleet: with a
+        // small pool window and several workers (the crew), and as one
+        // window on one worker (no crew, both kiosks' lanes run on the
+        // coordinator), and with one-session refills (no authority-key
+        // table).
+        for (pool_batch, threads) in [(2, 3), (256, 1), (1, 1)] {
+            let mut rng = HmacDrbg::from_u64(1);
+            let mut fleet_system = TripSystem::setup(config(5, 2), &mut rng);
+            let fleet = KioskFleet::new(FleetConfig {
+                pool_batch,
+                threads,
+                seed,
+            });
+            let fleet_outcomes = fleet.register(&mut fleet_system, &queue).unwrap();
 
-        assert_eq!(
-            fingerprint(&seq_system, &seq_outcomes),
-            fingerprint(&fleet_system, &fleet_outcomes),
-        );
-        for outcome in &fleet_outcomes {
-            assert!(trace_shows_honest_real_flow(&outcome.events));
+            assert_eq!(
+                fingerprint(&seq_system, &seq_outcomes),
+                fingerprint(&fleet_system, &fleet_outcomes),
+            );
+            for outcome in &fleet_outcomes {
+                assert!(trace_shows_honest_real_flow(&outcome.events));
+            }
         }
     }
 

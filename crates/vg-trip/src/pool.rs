@@ -152,15 +152,23 @@ impl CeremonyPool {
         let authority_pk = &self.authority_pk;
         let threads = self.threads;
         // Every credential multiplies A_pk once or twice: one table per
-        // refill serves them all.
-        let table = FixedBaseTable::new(authority_pk);
+        // refill serves them all. A one-session refill — a booth's
+        // `register_and_activate`, a fresh pool per voter — multiplies
+        // directly: building the table (about five multiplications' worth,
+        // through 160 KiB of scratch) costs more than the session's three
+        // to five multiplications.
+        let table = (jobs.len() > 1).then(|| FixedBaseTable::new(authority_pk));
+        let mul_pk = |s: &Scalar| match &table {
+            Some(table) => table.mul(s),
+            None => *authority_pk * s,
+        };
         let unprinted = par_map(&jobs, threads, |&(index, plan)| {
             SessionMaterials::derive_unprinted_with(
                 seed,
                 index,
                 plan.voter,
                 plan.n_fakes,
-                &|s| table.mul(s),
+                &mul_pk,
                 plan.malicious,
             )
         });
