@@ -154,11 +154,9 @@ impl BenchSystem for SwissPost {
         // Verifier re-checks it once more (the system's defining
         // overhead).
         let cascade = MixCascade::new(inputs.len(), CONTROL_COMPONENTS);
-        let transcript = cascade.mix_pairs(&pk, &inputs, rng);
+        let transcript = cascade.mix(&pk, &inputs, rng);
         for _verifier in 0..=CONTROL_COMPONENTS {
-            cascade
-                .verify_pairs(&pk, &transcript)
-                .expect("own mix verifies");
+            cascade.verify(&pk, &transcript).expect("own mix verifies");
         }
         // Verifiable threshold decryption of every mixed ballot. Each of
         // the four control components produces a proven share, and each of

@@ -1,12 +1,13 @@
 //! Batched cascade verification: every mixer's proof equations folded
-//! into one random-linear-combination multi-scalar check.
+//! into one random-linear-combination multi-scalar check, for rows of
+//! either width through one stage collector and one cascade fold.
 //!
-//! Sequential verification of an M-mixer cascade over n ciphertexts
-//! performs ~8 n-term multi-scalar multiplications per stage (two Pedersen
-//! commitment checks for the product argument, one for the
-//! multi-exponentiation argument, and two ElGamal-component equations
-//! whose *target* E = Σ xⁱ·Cᵢ must itself be materialized with two more).
-//! The batch path instead:
+//! Sequential verification of an M-mixer cascade over n rows of k
+//! ciphertexts performs ~2 + 6k n-term multi-scalar multiplications per
+//! stage (two Pedersen commitment checks for the product argument, and per
+//! column one for the multi-exponentiation argument plus two
+//! ElGamal-component equations whose *target* E = Σ xⁱ·Cᵢ must itself be
+//! materialized with two more). The batch path instead:
 //!
 //! 1. replays every stage's Fiat–Shamir transcript to recover the
 //!    challenges (cheap hashing, parallel across mixers);
@@ -17,7 +18,7 @@
 //!    input ciphertexts;
 //! 3. coalesces coefficients that land on shared bases: the Pedersen
 //!    generators (shared by every stage), the basepoint, the election key,
-//!    and each stage boundary's ciphertext vector (stage k's outputs are
+//!    and each stage boundary's ciphertext columns (stage k's outputs are
 //!    stage k+1's inputs, so each boundary is touched twice but costs one
 //!    set of points);
 //! 4. checks the whole cascade with one large multi-scalar multiplication
@@ -31,17 +32,13 @@
 
 use vg_crypto::batch::{small_weight, BatchVerifier};
 use vg_crypto::edwards::EdwardsPoint;
-use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::par::par_map;
 use vg_crypto::scalar::Scalar;
 use vg_crypto::transcript::Transcript;
 use vg_crypto::{CryptoError, HmacDrbg, Rng};
 
 use crate::multiexp::{self, MultiExpProof};
-use crate::shuffle::{
-    absorb_pair_statement, absorb_statement, claimed_product, PairShuffleProof, ShuffleContext,
-    ShuffleProof,
-};
+use crate::shuffle::{Row, RowShuffleProof, ShuffleContext};
 use crate::svp::{self, SvpProof};
 
 /// The weighted contributions every equation shape shares: coefficients
@@ -60,40 +57,20 @@ struct EqAccumulator {
     terms: Vec<(Scalar, EdwardsPoint)>,
 }
 
-/// One ciphertext column's coefficients (c1/c2 components of a stage's
-/// input and output vectors), kept apart from the generic dynamic terms
-/// so the cascade assembler can merge adjacent stages' contributions onto
-/// one set of points per boundary.
+/// One ciphertext column's coefficients on a stage's input and output
+/// vectors, per ElGamal component (c1, c2) — kept apart from the generic
+/// dynamic terms so the cascade assembler can put adjacent stages'
+/// contributions on one set of points per boundary.
 struct ColumnFold {
-    in_c1: Vec<Scalar>,
-    in_c2: Vec<Scalar>,
-    out_c1: Vec<Scalar>,
-    out_c2: Vec<Scalar>,
+    input: [Vec<Scalar>; 2],
+    output: [Vec<Scalar>; 2],
 }
 
-impl ColumnFold {
-    fn new(n: usize) -> Self {
-        Self {
-            in_c1: vec![Scalar::ZERO; n],
-            in_c2: vec![Scalar::ZERO; n],
-            out_c1: vec![Scalar::ZERO; n],
-            out_c2: vec![Scalar::ZERO; n],
-        }
-    }
-}
-
-/// One single-column stage's weighted contributions to the folded check.
+/// One stage's weighted contributions to the folded check: one shared
+/// accumulator, one [`ColumnFold`] per ciphertext column of the row.
 struct StageFold {
     acc: EqAccumulator,
-    col: ColumnFold,
-}
-
-/// One pair-cascade stage's fold: one shared accumulator, one
-/// [`ColumnFold`] per ciphertext column.
-struct PairStageFold {
-    acc: EqAccumulator,
-    col_a: ColumnFold,
-    col_b: ColumnFold,
+    cols: Vec<ColumnFold>,
 }
 
 impl EqAccumulator {
@@ -107,58 +84,52 @@ impl EqAccumulator {
         }
     }
 
-    /// Folds the product argument's two commitment equations, where the
-    /// statement commitment is the derived c_d = y·c_a + c_b − com(z̄).
-    #[allow(clippy::too_many_arguments)] // the folded statement simply has this many parts
-    fn fold_svp(
+    /// Folds a stage's product argument — two commitment equations, where
+    /// the statement commitment is the derived c_d = y·c_a + c_b − com(z̄)
+    /// and the openings have the accumulator's length n.
+    fn fold_svp<R: Row>(
         &mut self,
         svp_x: Scalar,
         y: Scalar,
         z: Scalar,
-        n: usize,
-        c_a: &EdwardsPoint,
-        c_b: &EdwardsPoint,
-        proof: &SvpProof,
+        proof: &RowShuffleProof<R>,
         wt: &mut dyn Rng,
     ) {
+        let svp = &proof.svp;
         // (A) com(ã; r̃) − x·(y·c_a + c_b − Σᵢ z·Gᵢ) − c_d = 𝒪.
         let w_a = small_weight(wt);
-        self.h += w_a * proof.r_tilde;
-        for (gi, a) in self.g.iter_mut().zip(proof.a_tilde.iter()) {
-            *gi += w_a * *a;
-        }
+        self.h += w_a * svp.r_tilde;
         let xz = w_a * svp_x * z;
-        for gi in self.g.iter_mut().take(n) {
-            *gi += xz;
+        for (gi, a) in self.g.iter_mut().zip(svp.a_tilde.iter()) {
+            *gi += w_a * *a + xz;
         }
-        self.terms.push((-(w_a * svp_x * y), *c_a));
-        self.terms.push((-(w_a * svp_x), *c_b));
-        self.terms.push((-w_a, proof.c_d));
+        self.terms.push((-(w_a * svp_x * y), proof.c_a));
+        self.terms.push((-(w_a * svp_x), proof.c_b));
+        self.terms.push((-w_a, svp.c_d));
 
         // (B) com({x·b̃ᵢ₊₁ − b̃ᵢ·ãᵢ₊₁}; s̃) − x·c_Δ − c_δ = 𝒪.
         let w_b = small_weight(wt);
-        self.h += w_b * proof.s_tilde;
-        for i in 0..proof.a_tilde.len() - 1 {
-            let cross = svp_x * proof.b_tilde[i + 1] - proof.b_tilde[i] * proof.a_tilde[i + 1];
+        self.h += w_b * svp.s_tilde;
+        for i in 0..svp.a_tilde.len() - 1 {
+            let cross = svp_x * svp.b_tilde[i + 1] - svp.b_tilde[i] * svp.a_tilde[i + 1];
             self.g[i] += w_b * cross;
         }
-        self.terms.push((-(w_b * svp_x), proof.c_big_delta));
-        self.terms.push((-w_b, proof.c_delta));
+        self.terms.push((-(w_b * svp_x), svp.c_big_delta));
+        self.terms.push((-w_b, svp.c_delta));
     }
 
     /// Folds one multi-exponentiation argument's three equations into this
-    /// accumulator and one ciphertext column. The target Σᵢ x^i·inᵢ₋₁ is
-    /// folded symbolically onto the column's input coefficients instead of
-    /// being materialized.
+    /// accumulator and returns its ciphertext column's coefficients. The
+    /// target Σᵢ x^i·inᵢ₋₁ is folded symbolically onto the column's input
+    /// coefficients instead of being materialized.
     fn fold_multiexp(
         &mut self,
-        col: &mut ColumnFold,
         mexp_x: Scalar,
         x_powers: &[Scalar],
         c_b: &EdwardsPoint,
         proof: &MultiExpProof,
         wt: &mut dyn Rng,
-    ) {
+    ) -> ColumnFold {
         // (C) com(b̃; s̃) − x·c_b − c_d = 𝒪.
         let w_c = small_weight(wt);
         self.h += w_c * proof.s_tilde;
@@ -171,26 +142,22 @@ impl EqAccumulator {
         // (D)/(E) per ElGamal component:
         //   ρ̃·B + Σⱼ b̃ⱼ·outⱼ − x·Σⱼ x^{j+1}·inⱼ − e_d = 𝒪   (c1, base B)
         //   ρ̃·pk + …                                           (c2, base pk)
-        let w1 = small_weight(wt);
-        let w2 = small_weight(wt);
-        self.bp += w1 * proof.rho_tilde;
-        self.pk += w2 * proof.rho_tilde;
-        for j in 0..col.out_c1.len() {
-            let b = proof.b_tilde[j];
-            col.out_c1[j] += w1 * b;
-            col.out_c2[j] += w2 * b;
-            let t = mexp_x * x_powers[j + 1];
-            col.in_c1[j] -= w1 * t;
-            col.in_c2[j] -= w2 * t;
+        let w = [small_weight(wt), small_weight(wt)];
+        self.bp += w[0] * proof.rho_tilde;
+        self.pk += w[1] * proof.rho_tilde;
+        self.terms.push((-w[0], proof.e_d.c1));
+        self.terms.push((-w[1], proof.e_d.c2));
+        let scaled = |w: Scalar, v: &[Scalar]| v.iter().map(|s| w * *s).collect();
+        ColumnFold {
+            input: w.map(|w| scaled(-(w * mexp_x), &x_powers[1..])),
+            output: w.map(|w| scaled(w, &proof.b_tilde)),
         }
-        self.terms.push((-w1, proof.e_d.c1));
-        self.terms.push((-w2, proof.e_d.c2));
     }
 }
 
 /// Absorbs proof response scalars so the weight derivation commits to the
 /// complete proof, not just its commitments.
-fn absorb_responses(t: &mut Transcript, svp: &SvpProof, mexps: &[&MultiExpProof]) {
+fn absorb_responses(t: &mut Transcript, svp: &SvpProof, mexps: &[MultiExpProof]) {
     for a in &svp.a_tilde {
         t.append_scalar(b"batch-resp", a);
     }
@@ -208,117 +175,36 @@ fn absorb_responses(t: &mut Transcript, svp: &SvpProof, mexps: &[&MultiExpProof]
     }
 }
 
-/// Collects one single-column stage into a [`StageFold`].
-fn collect_stage(
+/// Collects one stage into a [`StageFold`]: replays its transcript, then
+/// folds the product argument and each column's multi-exponentiation
+/// argument under weights drawn from that transcript.
+fn collect_stage<R: Row>(
     ctx: &ShuffleContext,
     pk: &EdwardsPoint,
-    inputs: &[Ciphertext],
-    outputs: &[Ciphertext],
-    proof: &ShuffleProof,
+    inputs: &[R],
+    outputs: &[R],
+    proof: &RowShuffleProof<R>,
 ) -> Result<StageFold, CryptoError> {
-    let n = inputs.len();
-    if n < 2 || outputs.len() != n || n > ctx.ck.len() {
-        return Err(CryptoError::Malformed("shuffle size"));
-    }
-    let mut t = Transcript::new(b"votegral-shuffle");
-    absorb_statement(&mut t, pk, inputs, outputs);
-    t.append_point(b"shuf-ca", &proof.c_a);
-    let x = t.challenge_scalar(b"shuf-x");
-    t.append_point(b"shuf-cb", &proof.c_b);
-    let y = t.challenge_scalar(b"shuf-y");
-    let z = t.challenge_scalar(b"shuf-z");
+    let mut rp = ctx.replay(pk, inputs, outputs, proof)?;
+    let (n, t) = (inputs.len(), &mut rp.transcript);
+    let mexps = proof.mexp.as_ref();
+    let svp_x = svp::replay_svp(t, &ctx.ck, &rp.product, &proof.svp)?;
+    let mexp_xs = mexps
+        .iter()
+        .map(|mexp| multiexp::replay_multiexp(t, &ctx.ck, n, mexp))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let x_powers = Scalar::powers(x, n + 1);
-    let product = claimed_product(&x_powers, y, z, n);
-    let svp_x = svp::replay_svp(&mut t, &ctx.ck, &product, &proof.svp)?;
-    let mexp_x = multiexp::replay_multiexp(&mut t, &ctx.ck, n, &proof.mexp)?;
-
-    absorb_responses(&mut t, &proof.svp, &[&proof.mexp]);
+    absorb_responses(t, &proof.svp, mexps);
     let mut wt = HmacDrbg::new(&t.challenge_bytes(b"batch-weights"));
 
-    let g_len = n.max(proof.svp.a_tilde.len());
-    let mut acc = EqAccumulator::new(g_len);
-    let mut col = ColumnFold::new(n);
-    acc.fold_svp(svp_x, y, z, n, &proof.c_a, &proof.c_b, &proof.svp, &mut wt);
-    acc.fold_multiexp(
-        &mut col,
-        mexp_x,
-        &x_powers,
-        &proof.c_b,
-        &proof.mexp,
-        &mut wt,
-    );
-    Ok(StageFold { acc, col })
-}
-
-/// Collects one pair stage into a [`PairStageFold`].
-fn collect_pair_stage(
-    ctx: &ShuffleContext,
-    pk: &EdwardsPoint,
-    inputs: &[(Ciphertext, Ciphertext)],
-    outputs: &[(Ciphertext, Ciphertext)],
-    proof: &PairShuffleProof,
-) -> Result<PairStageFold, CryptoError> {
-    let n = inputs.len();
-    if n < 2 || outputs.len() != n || n > ctx.ck.len() {
-        return Err(CryptoError::Malformed("pair shuffle size"));
-    }
-    let mut t = Transcript::new(b"votegral-pair-shuffle");
-    absorb_pair_statement(&mut t, pk, inputs, outputs);
-    t.append_point(b"shuf-ca", &proof.c_a);
-    let x = t.challenge_scalar(b"shuf-x");
-    t.append_point(b"shuf-cb", &proof.c_b);
-    let y = t.challenge_scalar(b"shuf-y");
-    let z = t.challenge_scalar(b"shuf-z");
-
-    let x_powers = Scalar::powers(x, n + 1);
-    let product = claimed_product(&x_powers, y, z, n);
-    let svp_x = svp::replay_svp(&mut t, &ctx.ck, &product, &proof.svp)?;
-    let mexp_x_a = multiexp::replay_multiexp(&mut t, &ctx.ck, n, &proof.mexp_a)?;
-    let mexp_x_b = multiexp::replay_multiexp(&mut t, &ctx.ck, n, &proof.mexp_b)?;
-
-    absorb_responses(&mut t, &proof.svp, &[&proof.mexp_a, &proof.mexp_b]);
-    let mut wt = HmacDrbg::new(&t.challenge_bytes(b"batch-weights"));
-
-    let g_len = n.max(proof.svp.a_tilde.len());
-    let mut acc = EqAccumulator::new(g_len);
-    let mut col_a = ColumnFold::new(n);
-    let mut col_b = ColumnFold::new(n);
-    acc.fold_svp(svp_x, y, z, n, &proof.c_a, &proof.c_b, &proof.svp, &mut wt);
-    acc.fold_multiexp(
-        &mut col_a,
-        mexp_x_a,
-        &x_powers,
-        &proof.c_b,
-        &proof.mexp_a,
-        &mut wt,
-    );
-    acc.fold_multiexp(
-        &mut col_b,
-        mexp_x_b,
-        &x_powers,
-        &proof.c_b,
-        &proof.mexp_b,
-        &mut wt,
-    );
-    Ok(PairStageFold { acc, col_a, col_b })
-}
-
-/// Adds one ciphertext vector's accumulated coefficients to the verifier.
-fn add_vector_terms(
-    bv: &mut BatchVerifier,
-    c1: &[Scalar],
-    c2: &[Scalar],
-    cts: impl Iterator<Item = Ciphertext>,
-) {
-    for ((a, b), ct) in c1.iter().zip(c2.iter()).zip(cts) {
-        if !a.is_zero() {
-            bv.add_term(*a, ct.c1);
-        }
-        if !b.is_zero() {
-            bv.add_term(*b, ct.c2);
-        }
-    }
+    let mut acc = EqAccumulator::new(n);
+    acc.fold_svp(svp_x, rp.y, rp.z, proof, &mut wt);
+    let cols = mexps
+        .iter()
+        .zip(mexp_xs)
+        .map(|(mexp, mexp_x)| acc.fold_multiexp(mexp_x, &rp.x_powers, &proof.c_b, mexp, &mut wt))
+        .collect();
+    Ok(StageFold { acc, cols })
 }
 
 /// Builds the shared static-base table `[H, B, pk, G₀…]`.
@@ -336,39 +222,31 @@ const BP: usize = 1;
 const PK: usize = 2;
 const G0: usize = 3;
 
-/// Moves one stage's accumulated static coefficients and dynamic terms
-/// into the verifier.
-fn drain_accumulator(bv: &mut BatchVerifier, acc: EqAccumulator) {
+/// Adds one stage's accumulated static coefficients and dynamic terms to
+/// the verifier.
+fn drain_accumulator(bv: &mut BatchVerifier, acc: &EqAccumulator) {
     bv.add_static(H, acc.h);
     bv.add_static(BP, acc.bp);
     bv.add_static(PK, acc.pk);
-    for (i, gi) in acc.g.into_iter().enumerate() {
-        bv.add_static(G0 + i, gi);
+    for (i, gi) in acc.g.iter().enumerate() {
+        bv.add_static(G0 + i, *gi);
     }
-    for (coeff, point) in acc.terms {
-        bv.add_term(coeff, point);
-    }
-}
-
-/// Merges stage k's column coefficients into the per-boundary
-/// accumulators (boundary k = the stage's inputs, k+1 = its outputs).
-fn merge_column(c1: &mut [Vec<Scalar>], c2: &mut [Vec<Scalar>], k: usize, col: &ColumnFold) {
-    for j in 0..col.in_c1.len() {
-        c1[k][j] += col.in_c1[j];
-        c2[k][j] += col.in_c2[j];
-        c1[k + 1][j] += col.out_c1[j];
-        c2[k + 1][j] += col.out_c2[j];
+    for (coeff, point) in &acc.terms {
+        bv.add_term(*coeff, *point);
     }
 }
 
-/// Batched verification of a single-column cascade: collects every
-/// stage's equations (in parallel across mixers) and checks them with one
-/// folded multi-scalar multiplication.
-pub(crate) fn verify_cascade_batch(
+/// One stage as the batch verifier sees it: inputs, outputs, proof.
+pub(crate) type StageRef<'a, R> = (&'a [R], &'a [R], &'a RowShuffleProof<R>);
+
+/// Batched verification of a cascade: collects every stage's equations
+/// (in parallel across mixers) and checks them with one folded
+/// multi-scalar multiplication.
+pub(crate) fn verify_cascade_batch<R: Row>(
     ctx: &ShuffleContext,
     pk: &EdwardsPoint,
-    inputs: &[Ciphertext],
-    stages: &[(&[Ciphertext], &[Ciphertext], &ShuffleProof)],
+    inputs: &[R],
+    stages: &[StageRef<'_, R>],
     threads: usize,
 ) -> Result<(), CryptoError> {
     let folds = par_map(stages, threads, |(s_in, s_out, proof)| {
@@ -376,63 +254,27 @@ pub(crate) fn verify_cascade_batch(
     });
     let folds = folds.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-    let g_max = folds.iter().map(|f| f.acc.g.len()).max().unwrap_or(0);
-    let mut bv = BatchVerifier::new(&statics(ctx, pk, g_max));
-    // Per-boundary coefficient accumulators: boundary 0 is the cascade
-    // input; boundary k+1 is stage k's output.
-    let n = inputs.len();
-    let mut c1 = vec![vec![Scalar::ZERO; n]; stages.len() + 1];
-    let mut c2 = vec![vec![Scalar::ZERO; n]; stages.len() + 1];
-    for (k, fold) in folds.into_iter().enumerate() {
-        merge_column(&mut c1, &mut c2, k, &fold.col);
-        drain_accumulator(&mut bv, fold.acc);
+    let mut bv = BatchVerifier::new(&statics(ctx, pk, inputs.len()));
+    for fold in &folds {
+        drain_accumulator(&mut bv, &fold.acc);
     }
-    add_vector_terms(&mut bv, &c1[0], &c2[0], inputs.iter().copied());
-    for (k, (_, s_out, _)) in stages.iter().enumerate() {
-        add_vector_terms(&mut bv, &c1[k + 1], &c2[k + 1], s_out.iter().copied());
-    }
-    if bv.verify(threads) {
-        Ok(())
-    } else {
-        Err(CryptoError::BadProof)
-    }
-}
-
-/// One pair stage as seen by the batch verifier: inputs, outputs, proof.
-pub(crate) type PairStageRef<'a> = (
-    &'a [(Ciphertext, Ciphertext)],
-    &'a [(Ciphertext, Ciphertext)],
-    &'a PairShuffleProof,
-);
-
-/// Batched verification of a pair cascade.
-pub(crate) fn verify_pair_cascade_batch(
-    ctx: &ShuffleContext,
-    pk: &EdwardsPoint,
-    inputs: &[(Ciphertext, Ciphertext)],
-    stages: &[PairStageRef<'_>],
-    threads: usize,
-) -> Result<(), CryptoError> {
-    let folds = par_map(stages, threads, |(s_in, s_out, proof)| {
-        collect_pair_stage(ctx, pk, s_in, s_out, proof)
-    });
-    let folds = folds.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let g_max = folds.iter().map(|f| f.acc.g.len()).max().unwrap_or(0);
-    let mut bv = BatchVerifier::new(&statics(ctx, pk, g_max));
-    let n = inputs.len();
-    let zero = || vec![vec![Scalar::ZERO; n]; stages.len() + 1];
-    let (mut a1, mut a2, mut b1, mut b2) = (zero(), zero(), zero(), zero());
-    for (k, fold) in folds.into_iter().enumerate() {
-        merge_column(&mut a1, &mut a2, k, &fold.col_a);
-        merge_column(&mut b1, &mut b2, k, &fold.col_b);
-        drain_accumulator(&mut bv, fold.acc);
-    }
-    add_vector_terms(&mut bv, &a1[0], &a2[0], inputs.iter().map(|p| p.0));
-    add_vector_terms(&mut bv, &b1[0], &b2[0], inputs.iter().map(|p| p.1));
-    for (k, (_, s_out, _)) in stages.iter().enumerate() {
-        add_vector_terms(&mut bv, &a1[k + 1], &a2[k + 1], s_out.iter().map(|p| p.0));
-        add_vector_terms(&mut bv, &b1[k + 1], &b2[k + 1], s_out.iter().map(|p| p.1));
+    // Boundary k — the cascade input, then each stage's output — is stage
+    // k−1's output and stage k's input: one set of points, carrying the
+    // sum of the two stages' coefficients.
+    let sides = std::iter::once(inputs).chain(stages.iter().map(|(_, s_out, _)| *s_out));
+    for (k, rows) in sides.enumerate() {
+        let as_output = k.checked_sub(1).map(|prev| &folds[prev].cols);
+        let as_input = folds.get(k).map(|next| &next.cols);
+        for c in 0..R::WIDTH {
+            for (j, row) in rows.iter().enumerate() {
+                let ct = row.col(c);
+                for (i, point) in [ct.c1, ct.c2].into_iter().enumerate() {
+                    let coeff = as_output.map_or(Scalar::ZERO, |f| f[c].output[i][j])
+                        + as_input.map_or(Scalar::ZERO, |f| f[c].input[i][j]);
+                    bv.add_term(coeff, point);
+                }
+            }
+        }
     }
     if bv.verify(threads) {
         Ok(())

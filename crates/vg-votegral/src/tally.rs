@@ -374,7 +374,7 @@ pub fn tally(
     // Stage 2: verifiable mixes.
     let max_n = ballot_pair_inputs.len().max(reg_inputs.len());
     let cascade = MixCascade::new(max_n, mixers);
-    let ballot_mix = cascade.mix_pairs(&apk, &ballot_pair_inputs, rng);
+    let ballot_mix = cascade.mix(&apk, &ballot_pair_inputs, rng);
     let reg_mix = cascade.mix(&apk, &reg_inputs, rng);
 
     // Stage 3: deterministic tagging with per-member exponents.

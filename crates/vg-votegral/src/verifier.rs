@@ -142,7 +142,7 @@ pub fn verify_tally_with(
     let cascade = MixCascade::new(max_n, mixers);
     if transcript.ballot_mix.inputs != transcript.ballot_pair_inputs
         || cascade
-            .verify_pairs_with(&apk, &transcript.ballot_mix, mode, threads)
+            .verify_with(&apk, &transcript.ballot_mix, mode, threads)
             .is_err()
     {
         return Err(VotegralError::Verification(VerifyStage::BallotMix));

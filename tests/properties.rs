@@ -35,7 +35,7 @@ mod mix_fixtures {
     use votegral::crypto::drbg::Rng;
     use votegral::crypto::elgamal::{encrypt_point, Ciphertext, ElGamalKeyPair};
     use votegral::crypto::{EdwardsPoint, HmacDrbg, Scalar};
-    use votegral::shuffle::{MixCascade, MixTranscript, PairMixTranscript};
+    use votegral::shuffle::{MixCascade, MixTranscript, PairMixTranscript, Row, RowMixTranscript};
 
     pub struct Fixture {
         pub pk: EdwardsPoint,
@@ -87,74 +87,71 @@ mod mix_fixtures {
         *p += EdwardsPoint::basepoint();
     }
 
-    fn bump_ct(c: &mut Ciphertext, second: bool) {
-        if second {
-            bump_point(&mut c.c2);
+    /// Tampers one uniformly chosen field of one uniformly chosen stage of
+    /// a cascade of either width: a component of an output ciphertext in
+    /// any column, any field of the shared commitments and product
+    /// argument, or any field of any column's multi-exponentiation
+    /// argument.
+    pub fn tamper<R: Row>(t: &mut RowMixTranscript<R>, rng: &mut dyn Rng) {
+        let k = rng.below(t.stages.len() as u64) as usize;
+        let stage = &mut t.stages[k];
+        let j = rng.below(stage.outputs.len() as u64) as usize;
+        let width = R::WIDTH as u64;
+        let p = &mut stage.proof;
+        let field = rng.below(2 * width + 9 + 6 * width);
+        if field < 2 * width {
+            let (col, second) = ((field / 2) as usize, field % 2 == 1);
+            let row = stage.outputs[j];
+            stage.outputs[j] = R::from_cols(|c| {
+                let mut ct = row.col(c);
+                if c == col {
+                    bump_point(if second { &mut ct.c2 } else { &mut ct.c1 });
+                }
+                ct
+            });
+            return;
+        }
+        match field - 2 * width {
+            0 => bump_point(&mut p.c_a),
+            1 => bump_point(&mut p.c_b),
+            2 => bump_point(&mut p.svp.c_d),
+            3 => bump_point(&mut p.svp.c_delta),
+            4 => bump_point(&mut p.svp.c_big_delta),
+            5 => p.svp.a_tilde[j] += Scalar::ONE,
+            6 => p.svp.b_tilde[j] += Scalar::ONE,
+            7 => p.svp.r_tilde += Scalar::ONE,
+            8 => p.svp.s_tilde += Scalar::ONE,
+            m => {
+                let mexp = &mut p.mexp.as_mut()[(m - 9) as usize / 6];
+                match (m - 9) % 6 {
+                    0 => bump_point(&mut mexp.c_d),
+                    1 => bump_point(&mut mexp.e_d.c1),
+                    2 => bump_point(&mut mexp.e_d.c2),
+                    3 => mexp.b_tilde[j] += Scalar::ONE,
+                    4 => mexp.s_tilde += Scalar::ONE,
+                    _ => mexp.rho_tilde += Scalar::ONE,
+                }
+            }
+        }
+    }
+
+    /// One soak case of `batch_verification_equivalent_and_tamper_sound` at
+    /// either width: both modes accept the honest transcript, or both reject
+    /// one single-field tamper of it.
+    pub fn check<R: Row>(
+        fx: &Fixture,
+        honest: &RowMixTranscript<R>,
+        check_honest: bool,
+        rng: &mut dyn Rng,
+    ) {
+        if check_honest {
+            assert!(fx.cascade.verify(&fx.pk, honest).is_ok());
+            assert!(fx.cascade.verify_batch(&fx.pk, honest, 2).is_ok());
         } else {
-            bump_point(&mut c.c1);
-        }
-    }
-
-    /// Tampers one uniformly chosen field of one uniformly chosen stage
-    /// proof (or stage output) of a single cascade.
-    pub fn tamper_single(t: &mut MixTranscript, rng: &mut dyn Rng) {
-        let k = rng.below(t.stages.len() as u64) as usize;
-        let stage = &mut t.stages[k];
-        let n = stage.outputs.len();
-        let j = rng.below(n as u64) as usize;
-        let p = &mut stage.proof;
-        match rng.below(17) {
-            0 => bump_ct(&mut stage.outputs[j], false),
-            1 => bump_ct(&mut stage.outputs[j], true),
-            2 => bump_point(&mut p.c_a),
-            3 => bump_point(&mut p.c_b),
-            4 => bump_point(&mut p.svp.c_d),
-            5 => bump_point(&mut p.svp.c_delta),
-            6 => bump_point(&mut p.svp.c_big_delta),
-            7 => p.svp.a_tilde[j] += Scalar::ONE,
-            8 => p.svp.b_tilde[j] += Scalar::ONE,
-            9 => p.svp.r_tilde += Scalar::ONE,
-            10 => p.svp.s_tilde += Scalar::ONE,
-            11 => bump_point(&mut p.mexp.c_d),
-            12 => bump_point(&mut p.mexp.e_d.c1),
-            13 => bump_point(&mut p.mexp.e_d.c2),
-            14 => p.mexp.b_tilde[j] += Scalar::ONE,
-            15 => p.mexp.s_tilde += Scalar::ONE,
-            _ => p.mexp.rho_tilde += Scalar::ONE,
-        }
-    }
-
-    /// Tampers one uniformly chosen field of one pair-cascade stage.
-    pub fn tamper_pair(t: &mut PairMixTranscript, rng: &mut dyn Rng) {
-        let k = rng.below(t.stages.len() as u64) as usize;
-        let stage = &mut t.stages[k];
-        let n = stage.outputs.len();
-        let j = rng.below(n as u64) as usize;
-        let p = &mut stage.proof;
-        match rng.below(23) {
-            0 => bump_ct(&mut stage.outputs[j].0, false),
-            1 => bump_ct(&mut stage.outputs[j].0, true),
-            2 => bump_ct(&mut stage.outputs[j].1, false),
-            3 => bump_ct(&mut stage.outputs[j].1, true),
-            4 => bump_point(&mut p.c_a),
-            5 => bump_point(&mut p.c_b),
-            6 => bump_point(&mut p.svp.c_d),
-            7 => bump_point(&mut p.svp.c_delta),
-            8 => bump_point(&mut p.svp.c_big_delta),
-            9 => p.svp.a_tilde[j] += Scalar::ONE,
-            10 => p.svp.b_tilde[j] += Scalar::ONE,
-            11 => p.svp.r_tilde += Scalar::ONE,
-            12 => p.svp.s_tilde += Scalar::ONE,
-            13 => bump_point(&mut p.mexp_a.c_d),
-            14 => bump_point(&mut p.mexp_a.e_d.c1),
-            15 => bump_point(&mut p.mexp_a.e_d.c2),
-            16 => p.mexp_a.b_tilde[j] += Scalar::ONE,
-            17 => p.mexp_a.s_tilde += Scalar::ONE,
-            18 => p.mexp_a.rho_tilde += Scalar::ONE,
-            19 => bump_point(&mut p.mexp_b.c_d),
-            20 => bump_point(&mut p.mexp_b.e_d.c2),
-            21 => p.mexp_b.b_tilde[j] += Scalar::ONE,
-            _ => p.mexp_b.rho_tilde += Scalar::ONE,
+            let mut bad = honest.clone();
+            tamper(&mut bad, rng);
+            assert!(fx.cascade.verify(&fx.pk, &bad).is_err());
+            assert!(fx.cascade.verify_batch(&fx.pk, &bad, 2).is_err());
         }
     }
 }
@@ -407,23 +404,9 @@ proptest! {
         // the rest soak tampered-proof rejection.
         let check_honest = tamper_seed.is_multiple_of(8);
         if use_pair {
-            if check_honest {
-                prop_assert!(fx.cascade.verify_pairs(&fx.pk, &fx.pair).is_ok());
-                prop_assert!(fx.cascade.verify_pairs_batch(&fx.pk, &fx.pair, 2).is_ok());
-            } else {
-                let mut bad = fx.pair.clone();
-                mix_fixtures::tamper_pair(&mut bad, &mut rng);
-                prop_assert!(fx.cascade.verify_pairs(&fx.pk, &bad).is_err());
-                prop_assert!(fx.cascade.verify_pairs_batch(&fx.pk, &bad, 2).is_err());
-            }
-        } else if check_honest {
-            prop_assert!(fx.cascade.verify(&fx.pk, &fx.single).is_ok());
-            prop_assert!(fx.cascade.verify_batch(&fx.pk, &fx.single, 2).is_ok());
+            mix_fixtures::check(&fx, &fx.pair, check_honest, &mut rng);
         } else {
-            let mut bad = fx.single.clone();
-            mix_fixtures::tamper_single(&mut bad, &mut rng);
-            prop_assert!(fx.cascade.verify(&fx.pk, &bad).is_err());
-            prop_assert!(fx.cascade.verify_batch(&fx.pk, &bad, 2).is_err());
+            mix_fixtures::check(&fx, &fx.single, check_honest, &mut rng);
         }
     }
 }
