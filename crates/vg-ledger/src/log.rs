@@ -62,11 +62,6 @@ pub struct TamperEvidentLog<T: Record> {
 }
 
 impl<T: DurableRecord + Send + Sync + 'static> TamperEvidentLog<T> {
-    /// Creates an empty in-memory log operated by `operator`.
-    pub fn new(operator: SigningKey) -> Self {
-        Self::with_backend(operator, LedgerBackend::InMemory)
-    }
-
     /// Creates a log on the chosen backend — empty for the volatile
     /// backends, replayed from disk for [`LedgerBackend::Durable`].
     pub fn with_backend(operator: SigningKey, backend: LedgerBackend) -> Self {

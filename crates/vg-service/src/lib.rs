@@ -57,8 +57,8 @@
 //! sequential reference, for any `(seed, queue, kiosks, pool batch,
 //! threads)`. The workspace's `tests/service.rs` and `tests/pipeline.rs`
 //! pin this with cross-transport and cross-configuration proptests;
-//! `vg-bench`'s `service_bench` measures what the framing costs per
-//! ceremony.
+//! `bench/e2e`'s `vg-service.day.{tcp_tax, seal_tax}_us_per_session`
+//! rows measure what the framing and the sealing cost per ceremony.
 //!
 //! This crate forbids `unsafe` code (`#![forbid(unsafe_code)]`): the
 //! whole workspace is safe Rust, locked in by the `vg-lint` analyzer's

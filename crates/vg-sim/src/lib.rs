@@ -31,7 +31,7 @@ pub mod usability;
 pub use bench_adapter::{bench_rng, VotegralCore};
 pub use fig4::{run_all_devices, run_device, DeviceRun};
 pub use fig5::{measure, measure_with_cap, run_fig5, PhaseTiming, SystemKind};
-pub use population::{FakeCredentialDist, RegistrationPlan, VoteDist};
+pub use population::{FakeCredentialDist, VoteDist};
 pub use usability::{
     evasion_probability, log2_evasion_probability, simulate_study, UsabilityModel,
 };

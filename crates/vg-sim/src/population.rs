@@ -1,5 +1,4 @@
-//! Voter population models: the distributions D_c and D_v, and whole
-//! registration-day plans built from them.
+//! Voter population models: the distributions D_c and D_v.
 //!
 //! The coercion-resistance analysis (Appendix F.1) models two sources of
 //! statistical uncertainty the adversary cannot eliminate: D_c, the number
@@ -7,11 +6,8 @@
 //! vote choices. We use a truncated geometric for D_c (most voters create
 //! zero or one fake; a long tail creates several — consistent with the
 //! booth's informal time limit, §3.2) and a categorical for D_v.
-//! [`RegistrationPlan`] turns D_c into the check-in queue a
-//! `vg_trip::fleet::KioskFleet` (or the sequential baseline) consumes.
 
 use vg_crypto::Rng;
-use vg_ledger::VoterId;
 
 /// Distribution over the number of *fake* credentials an honest voter
 /// creates (their total credential count is 1 + this).
@@ -113,79 +109,10 @@ impl VoteDist {
     }
 }
 
-/// A registration-day check-in queue: one `(voter, fakes)` session per
-/// eligible voter, fakes drawn from D_c.
-///
-/// This is the population-level input to the kiosk-fleet engine and the
-/// `reg_bench` workloads: the same plan drives the fleet and the
-/// sequential baseline, so throughput comparisons see identical work.
-#[derive(Clone, Debug)]
-pub struct RegistrationPlan {
-    sessions: Vec<(VoterId, usize)>,
-}
-
-impl RegistrationPlan {
-    /// Samples a plan for voters `1..=n_voters` with fake counts drawn
-    /// from `dist`.
-    pub fn sample(n_voters: u64, dist: &FakeCredentialDist, rng: &mut dyn Rng) -> Self {
-        Self {
-            sessions: (1..=n_voters)
-                .map(|v| (VoterId(v), dist.sample(rng)))
-                .collect(),
-        }
-    }
-
-    /// A plan where every voter creates exactly `n_fakes` fakes.
-    pub fn uniform(n_voters: u64, n_fakes: usize) -> Self {
-        Self {
-            sessions: (1..=n_voters).map(|v| (VoterId(v), n_fakes)).collect(),
-        }
-    }
-
-    /// The check-in queue, in arrival order.
-    pub fn sessions(&self) -> &[(VoterId, usize)] {
-        &self.sessions
-    }
-
-    /// Number of sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// `true` if the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Total credentials the plan will mint (one real per session plus
-    /// its fakes).
-    pub fn total_credentials(&self) -> usize {
-        self.sessions.iter().map(|(_, f)| 1 + f).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vg_crypto::HmacDrbg;
-
-    #[test]
-    fn registration_plan_covers_roster_in_order() {
-        let mut rng = HmacDrbg::from_u64(9);
-        let plan = RegistrationPlan::sample(50, &FakeCredentialDist::default(), &mut rng);
-        assert_eq!(plan.len(), 50);
-        let voters: Vec<u64> = plan.sessions().iter().map(|(v, _)| v.0).collect();
-        assert_eq!(voters, (1..=50).collect::<Vec<_>>());
-        assert!(plan.total_credentials() >= 50);
-        assert!(plan.sessions().iter().all(|&(_, f)| f <= 5));
-    }
-
-    #[test]
-    fn uniform_plan_counts() {
-        let plan = RegistrationPlan::uniform(10, 2);
-        assert_eq!(plan.total_credentials(), 30);
-        assert!(!plan.is_empty());
-    }
 
     #[test]
     fn pmf_sums_to_one() {

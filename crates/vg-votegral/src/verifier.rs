@@ -70,7 +70,7 @@ pub fn verify_tally(
 
 /// [`verify_tally`] with an explicit proof [`VerifyMode`] (mixes, tagging
 /// rounds and openings alike) and worker thread count — the knob the
-/// equivalence property tests and the `verify_bench` comparison turn.
+/// equivalence property tests turn.
 pub fn verify_tally_with(
     transcript: &TallyTranscript,
     ledger: &Ledger,

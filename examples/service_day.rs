@@ -3,13 +3,15 @@
 //! plaintext TCP loopback socket, and over TCP secured by the mutually
 //! authenticated encrypted channel. The resulting signed ledger tree
 //! heads are **bit-identical**, which is the service layer's
-//! equivalence contract.
+//! equivalence contract. Under each plan's heads the day's engine
+//! counters ([`DayStats`]) are printed: the in-process day runs inline and
+//! reports a zeroed block with one worker.
 //!
 //! Run with: `cargo run --example service_day --release`
 
 use votegral::crypto::HmacDrbg;
 use votegral::ledger::VoterId;
-use votegral::service::{run_day, DayPlan, TransportPlan};
+use votegral::service::{run_day, DayPlan, DayStats, TransportPlan};
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::setup::{TripConfig, TripSystem};
 
@@ -50,7 +52,7 @@ fn main() {
             activate: true,
             ..DayPlan::default()
         };
-        run_day(&fleet, &mut system, &queue, &day, |_, vsd| {
+        let stats = run_day(&fleet, &mut system, &queue, &day, |_, vsd| {
             sessions += 1;
             credentials += vsd.credentials.len();
         })
@@ -63,6 +65,7 @@ fn main() {
         println!("  credentials on devices:        {credentials}");
         println!("  L_R head: size {} root {}", reg.size, hex(&reg.root[..8]));
         println!("  L_E head: size {} root {}", env.size, hex(&env.root[..8]));
+        print_stats(&stats);
         reg.verify(&system.ledger.registration.operator_key())
             .expect("signed head verifies");
         heads.push((reg.root, env.root, reg.size, env.size));
@@ -79,6 +82,35 @@ fn main() {
     println!("\nAll three transports produced bit-identical signed ledger heads.");
     println!("The registrar can move off-box — and under encryption — without");
     println!("changing a single ledger byte.");
+}
+
+/// The engine counters of one day, as an operator would read them.
+fn print_stats(s: &DayStats) {
+    let lane = |batches: u64, sweeps: u64| {
+        let ratio = batches as f64 / sweeps.max(1) as f64;
+        format!("{batches} batches in {sweeps} sweeps ({ratio:.1} per sweep)")
+    };
+    let busy = s.worker_busy_us as f64;
+    let share = 100.0 * busy / (busy + s.worker_idle_us as f64).max(1.0);
+    println!("  engine: workers: {}", s.workers);
+    println!("    L_E lane: {}", lane(s.env_batches, s.env_sweeps));
+    println!("    L_R lane: {}", lane(s.reg_batches, s.reg_sweeps));
+    println!(
+        "    ingest threads busy {share:.0}% ({} us busy, {} us idle)",
+        s.worker_busy_us, s.worker_idle_us
+    );
+    println!(
+        "    WAL: {} records, {} fsyncs, {} failures",
+        s.wal_records, s.wal_fsyncs, s.wal_failures
+    );
+    println!(
+        "    steal chunks {}, timeouts {}, reconnects {}, reaped {}, stall-steals {}",
+        s.steals.len(),
+        s.timeouts,
+        s.reconnects,
+        s.reaped,
+        s.stall_steals
+    );
 }
 
 fn hex(bytes: &[u8]) -> String {
