@@ -25,17 +25,17 @@ build() { cargo build --release --offline --quiet --manifest-path "$1/bench/e2e/
 
 judge() {
   local aa="" text bad=0
-  if [ "$1" = --aa ]; then aa=--aa && shift; fi
+  if [ "$1" = --aa ]; then aa=--aa; shift; fi
   text=$("$e2e" compare $aa "$1" "$2") || [ $? -eq 1 ] || return 2
   echo "$text"
   awk 'FNR == NR { if (/ uniform /) gate[$1]; next }
     /DIFFERENT/ { print "gate: FAILED, " $0; bad = 1 }
     !($2 in gate) { next }
-    { n[$NF]++ }
+    { n[$NF]++; rows++ }
     $NF == "regressed" { print "gate: REGRESSED", $1, $2, "b/a", $5, "bound", $6; bad = 1 }
     $NF == "unresolved" { print "gate: unresolved (spread wider than the bound)", $1, $2, "b/a", $5 }
     END { printf "gate: end-to-end rows: %d ok, %d unresolved, %d regressed\n", n["ok"], n["unresolved"], n["regressed"]
-      if (n["ok"] + n["unresolved"] + n["regressed"] == 0) { print "gate: FAILED, no end-to-end row to compare"; bad = 1 }
+      if (!rows) { print "gate: FAILED, no end-to-end row to compare"; bad = 1 }
       exit bad }' <("$e2e" list) <(echo "$text") || bad=1
   if grep -HoE '"failed": [1-9][0-9]*' "$1" "$2"; then
     echo "gate: FAILED, a run was not correct"
@@ -54,9 +54,9 @@ pairs=$2 seed=$3 tree=gate/base-tree
 rev=$(git rev-parse --verify "$1^{commit}")
 shift 3
 git worktree add --detach "$tree" "$rev" > /dev/null
-trap 'git worktree remove --force "$tree" && rm -f gate/e2e.base gate/e2e.head' EXIT
+trap 'git worktree remove --force "$tree"; rm -f gate/e2e.base gate/e2e.head' EXIT
 if [ -e gate/base.rev ] && [ "$(cat gate/base.rev)" != "$rev" ]; then
-  echo "gate/ holds runs against another base, $(cat gate/base.rev): remove it first" >&2 && exit 2
+  echo "gate/ holds runs against another base, $(cat gate/base.rev): remove it first" >&2; exit 2
 fi
 echo "$rev" > gate/base.rev
 build .

@@ -4,7 +4,7 @@
 //! authenticated encrypted channel. The resulting signed ledger tree
 //! heads are **bit-identical**, which is the service layer's
 //! equivalence contract. Under each plan's heads the day's engine
-//! counters ([`DayStats`]) are printed: the in-process day runs inline and
+//! counters (`DayStats`) are printed: the in-process day runs inline and
 //! reports a zeroed block with one worker.
 //!
 //! Run with: `cargo run --example service_day --release`
