@@ -38,7 +38,7 @@ fn bench_group(c: &mut Criterion) {
             |mut system| {
                 let mut outcome =
                     register_voter(&mut system, VoterId(1), 1, &mut rng).expect("registers");
-                let vsd = activate_all(&mut system, &mut outcome, &mut rng).expect("activates");
+                let vsd = activate_all(&mut system, &mut outcome).expect("activates");
                 black_box(vsd.credentials.len())
             },
             criterion::BatchSize::SmallInput,

@@ -6,9 +6,10 @@
 //! check-out approvals, envelope printers sign challenge hashes, and ballot
 //! authentication reuses the same scheme through credential key pairs.
 //!
-//! Nonces are derived deterministically from the secret key and message
-//! (RFC 6979 style) so a faulty RNG can never leak a key through nonce
-//! reuse; an optional extra entropy input hedges against fault attacks.
+//! [`SigningKey::sign`] derives its nonce deterministically from the secret
+//! key and message (RFC 6979 style) so a faulty RNG can never leak a key
+//! through nonce reuse; [`SigningKey::sign_with_coupon`] spends a nonce
+//! drawn ahead of time, and is where s = k + e·sk is computed for both.
 
 use crate::drbg::Rng;
 use crate::edwards::{CompressedPoint, EdwardsPoint};
@@ -105,7 +106,9 @@ impl SigningKey {
         self.pk_compressed
     }
 
-    /// Signs `msg` (`Sig.Sign`), with deterministic nonce derivation.
+    /// Signs `msg` (`Sig.Sign`) with the deterministic nonce
+    /// k = H(sk ‖ msg): [`SigningKey::sign_with_coupon`] over the coupon
+    /// ⟨k, R = k·B⟩.
     pub fn sign(&self, msg: &[u8]) -> Signature {
         let mut h = Sha512::new();
         h.update(b"votegral-schnorr-nonce-v1");
@@ -113,27 +116,8 @@ impl SigningKey {
         h.update(&(msg.len() as u64).to_le_bytes());
         h.update(msg);
         let k = Scalar::from_bytes_wide(&h.finalize());
-        self.sign_with_nonce(msg, k)
-    }
-
-    /// Signs with an extra entropy hedge mixed into the nonce.
-    pub fn sign_randomized(&self, msg: &[u8], rng: &mut dyn Rng) -> Signature {
-        let mut h = Sha512::new();
-        h.update(b"votegral-schnorr-nonce-v1");
-        h.update(&self.sk.to_bytes());
-        h.update(&rng.bytes32());
-        h.update(&(msg.len() as u64).to_le_bytes());
-        h.update(msg);
-        let k = Scalar::from_bytes_wide(&h.finalize());
-        self.sign_with_nonce(msg, k)
-    }
-
-    fn sign_with_nonce(&self, msg: &[u8], k: Scalar) -> Signature {
-        let r_point = EdwardsPoint::mul_base(&k);
-        let r = r_point.compress();
-        let e = challenge(&r, &self.pk_compressed, msg);
-        let s = k + e * self.sk;
-        Signature { r, s }
+        let r = EdwardsPoint::mul_base(&k).compress();
+        self.sign_with_coupon(msg, NonceCoupon { k, r })
     }
 }
 
@@ -645,14 +629,6 @@ mod tests {
         let key = SigningKey::generate(&mut rng);
         assert_eq!(key.sign(b"m").to_bytes(), key.sign(b"m").to_bytes());
         assert_ne!(key.sign(b"m").to_bytes(), key.sign(b"n").to_bytes());
-    }
-
-    #[test]
-    fn randomized_signing_still_verifies() {
-        let mut rng = HmacDrbg::from_u64(7);
-        let key = SigningKey::generate(&mut rng);
-        let sig = key.sign_randomized(b"m", &mut rng);
-        key.verifying_key().verify(b"m", &sig).unwrap();
     }
 
     #[test]

@@ -172,6 +172,8 @@ impl Default for Config {
                 "FakePrecursor",
                 "SessionMaterials",
                 "TransportKeyring",
+                "ResponseQr",
+                "PaperCredential",
             ]
             .into_iter()
             .map(String::from)

@@ -144,8 +144,8 @@ impl BenchSystem for VotegralCore {
                     Err(e) => panic!("registration fails: {e}"),
                 }
             };
-            let vsd = activate_all(&mut self.election.trip, &mut outcome, rng)
-                .expect("activation succeeds");
+            let vsd =
+                activate_all(&mut self.election.trip, &mut outcome).expect("activation succeeds");
             self.credentials
                 .push(vsd.credentials.into_iter().next().expect("one credential"));
         }

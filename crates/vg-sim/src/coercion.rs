@@ -154,7 +154,7 @@ pub fn credentials_structurally_indistinguishable(rng: &mut dyn Rng) -> bool {
         Ok(o) => o,
         Err(_) => return false,
     };
-    let vsd = match activate_all(&mut system, &mut outcome, rng) {
+    let vsd = match activate_all(&mut system, &mut outcome) {
         Ok(v) => v,
         Err(_) => return false,
     };

@@ -52,7 +52,7 @@ use crate::error::TripError;
 use crate::materials::{CheckInTicket, CheckOutQr, Envelope};
 use crate::official::Official;
 use crate::printer::EnvelopePrinter;
-use crate::vsd::{activation_ledger_phase, ActivationClaim};
+use crate::vsd::{sweep_ledger, ActivationClaim};
 
 /// The registrar-side operations a fleet run needs, in coordinator call
 /// order. See the [module docs](self) for the deployment picture and the
@@ -193,9 +193,7 @@ impl RegistrarBoundary for LocalBoundary<'_> {
     }
 
     fn activation_sweep(&mut self, claims: &[ActivationClaim]) -> Result<(), TripError> {
-        for claim in claims {
-            activation_ledger_phase(self.ledger, claim)?;
-        }
+        sweep_ledger(self.ledger, claims)?;
         // Activation appended reveal-WAL entries; sync them before
         // acknowledging the sweep.
         self.persist()

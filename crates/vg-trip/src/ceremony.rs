@@ -23,6 +23,11 @@
 //!   will emit (σ_kc, σ_kot, σ_kr per credential, plus the official's
 //!   check-out countersignature), so in-booth signing is hash-only.
 //!
+//! The two precursors come from `RealPrecursor::draw` and
+//! `FakePrecursor::draw` and nowhere else: a kiosk that precomputed
+//! nothing draws them from its own rng as the voter walks in
+//! ([`crate::kiosk`]), through the same constructors.
+//!
 //! Everything is derived from `(pool seed, session index, voter id)`
 //! through an HMAC-DRBG, which is what makes a [`crate::fleet::KioskFleet`]
 //! run replay bit-identically regardless of kiosk count, pool size or
@@ -56,6 +61,40 @@ pub struct RealPrecursor {
 }
 
 impl RealPrecursor {
+    /// Fig 9a lines 2–5: the credential key pair, the ElGamal randomness x
+    /// with the tag c_pc = (g^x, A_pk^x · c_pk), the Σ-nonce with its
+    /// commitment, the symbol and the three coupons — drawn in that order,
+    /// which is part of the replay contract.
+    pub(crate) fn draw(mul_pk: &MulAuthorityPk<'_>, rng: &mut dyn Rng) -> Self {
+        let credential = SigningKey::generate(rng);
+        let x = rng.scalar();
+        let c_pc = Ciphertext {
+            c1: EdwardsPoint::mul_base(&x),
+            c2: mul_pk(&x) + credential.verifying_key().0,
+        };
+        let nonce = rng.scalar();
+        let commit = Commitment {
+            a1: EdwardsPoint::mul_base(&nonce),
+            a2: mul_pk(&nonce),
+        };
+        let symbol = Symbol::random(rng);
+        let mut coupons = NonceCoupon::batch(3, rng);
+        let response_coupon = coupons.pop().expect("three coupons");
+        let checkout_coupon = coupons.pop().expect("two coupons");
+        let commit_coupon = coupons.pop().expect("one coupon");
+        Self {
+            credential,
+            elgamal_secret: x,
+            c_pc,
+            nonce,
+            commit,
+            symbol,
+            commit_coupon,
+            checkout_coupon,
+            response_coupon,
+        }
+    }
+
     /// The symbol the kiosk will print above the commit QR.
     pub fn symbol(&self) -> Symbol {
         self.symbol
@@ -91,6 +130,27 @@ pub struct FakePrecursor {
     pub(crate) g2y: EdwardsPoint,
     pub(crate) commit_coupon: NonceCoupon,
     pub(crate) response_coupon: NonceCoupon,
+}
+
+impl FakePrecursor {
+    /// Fig 9b before the envelope: the fake key pair, the forge nonce y
+    /// with its halves y·g₁, y·g₂, and the two coupons, drawn in that
+    /// order (replay contract, as for [`RealPrecursor::draw`]).
+    pub(crate) fn draw(mul_pk: &MulAuthorityPk<'_>, rng: &mut dyn Rng) -> Self {
+        let credential = SigningKey::generate(rng);
+        let y = rng.scalar();
+        let mut coupons = NonceCoupon::batch(2, rng);
+        let response_coupon = coupons.pop().expect("two coupons");
+        let commit_coupon = coupons.pop().expect("one coupon");
+        Self {
+            credential,
+            forge_nonce: y,
+            g1y: EdwardsPoint::mul_base(&y),
+            g2y: mul_pk(&y),
+            commit_coupon,
+            response_coupon,
+        }
+    }
 }
 
 /// Every precomputed input one registration session consumes.
@@ -199,12 +259,12 @@ impl SessionMaterials {
         printer: &EnvelopePrinter,
         malicious: bool,
     ) -> SessionMaterials {
-        let unprinted = Self::derive_unprinted(
+        let unprinted = Self::derive_unprinted_with(
             seed,
             session_index,
             voter_id,
             n_fakes,
-            authority_pk,
+            &|s| *authority_pk * s,
             malicious,
         );
         let printed = unprinted
@@ -215,36 +275,16 @@ impl SessionMaterials {
         unprinted.attach(printed)
     }
 
-    /// [`SessionMaterials::derive`] without a printer in reach: derives
-    /// everything session-local (keys, tag, Σ-state, coupons, envelope
-    /// challenges and symbols) and returns the bundle together with the
-    /// [`PrintJob`]s some envelope printer — local or behind an RPC
-    /// boundary — must fulfil before the session can run. Printing does
-    /// not consume the session's derivation stream, so both paths yield
-    /// bit-identical bundles.
-    pub fn derive_unprinted(
-        seed: &[u8; 32],
-        session_index: usize,
-        voter_id: VoterId,
-        n_fakes: usize,
-        authority_pk: &EdwardsPoint,
-        malicious: bool,
-    ) -> UnprintedSession {
-        Self::derive_unprinted_with(
-            seed,
-            session_index,
-            voter_id,
-            n_fakes,
-            &|s| *authority_pk * s,
-            malicious,
-        )
-    }
-
-    /// [`SessionMaterials::derive_unprinted`] with the authority key
-    /// behind `mul_pk(s) = s·A_pk`, the only way the derivation uses it:
-    /// a loop over many sessions passes a
+    /// [`SessionMaterials::derive`] without a printer in reach, and with
+    /// the authority key behind `mul_pk(s) = s·A_pk` (a loop over many
+    /// sessions passes a
     /// [`FixedBaseTable`](vg_crypto::edwards::FixedBaseTable) walk, a single
-    /// derivation the plain multiplication. Same bundle either way.
+    /// derivation the plain multiplication): derives everything
+    /// session-local (keys, tag, Σ-state, coupons, envelope challenges and
+    /// symbols) and returns the bundle together with the [`PrintJob`]s some
+    /// envelope printer — local or behind an RPC boundary — must fulfil
+    /// before the session can run. Printing does not consume the session's
+    /// derivation stream, so both paths yield bit-identical bundles.
     pub(crate) fn derive_unprinted_with(
         seed: &[u8; 32],
         session_index: usize,
@@ -260,35 +300,7 @@ impl SessionMaterials {
         label.extend_from_slice(&voter_id.to_bytes());
         let mut rng = HmacDrbg::new(&label);
 
-        // Real credential: (c_sk, c_pk), x, c_pc, Σ-nonce and commitment.
-        let credential = SigningKey::generate(&mut rng);
-        let x = rng.scalar();
-        let big_x = mul_pk(&x);
-        let c_pc = Ciphertext {
-            c1: EdwardsPoint::mul_base(&x),
-            c2: big_x + credential.verifying_key().0,
-        };
-        let nonce = rng.scalar();
-        let commit = Commitment {
-            a1: EdwardsPoint::mul_base(&nonce),
-            a2: mul_pk(&nonce),
-        };
-        let symbol = Symbol::random(&mut rng);
-        let mut coupons = NonceCoupon::batch(3, &mut rng);
-        let response_coupon = coupons.pop().expect("three coupons");
-        let checkout_coupon = coupons.pop().expect("two coupons");
-        let commit_coupon = coupons.pop().expect("one coupon");
-        let real = RealPrecursor {
-            credential,
-            elgamal_secret: x,
-            c_pc,
-            nonce,
-            commit,
-            symbol,
-            commit_coupon,
-            checkout_coupon,
-            response_coupon,
-        };
+        let real = RealPrecursor::draw(mul_pk, &mut rng);
 
         // The voter picks a matching envelope; in simulation the printer
         // simply prepares one with the right symbol (footnote 6 lets
@@ -296,12 +308,12 @@ impl SessionMaterials {
         let mut jobs = Vec::with_capacity(1 + n_fakes);
         jobs.push(PrintJob {
             challenge: rng.scalar(),
-            symbol,
+            symbol: real.symbol,
         });
 
         let mut fakes = Vec::with_capacity(n_fakes);
         for _ in 0..n_fakes {
-            fakes.push(Self::derive_forge(mul_pk, &mut rng));
+            fakes.push(FakePrecursor::draw(mul_pk, &mut rng));
             jobs.push(PrintJob {
                 challenge: rng.scalar(),
                 symbol: Symbol::random(&mut rng),
@@ -309,7 +321,7 @@ impl SessionMaterials {
         }
 
         let official_coupon = NonceCoupon::generate(&mut rng);
-        let malicious_spare = malicious.then(|| Self::derive_forge(mul_pk, &mut rng));
+        let malicious_spare = malicious.then(|| FakePrecursor::draw(mul_pk, &mut rng));
 
         UnprintedSession {
             materials: SessionMaterials {
@@ -323,22 +335,6 @@ impl SessionMaterials {
                 official_coupon,
             },
             jobs,
-        }
-    }
-
-    fn derive_forge(mul_pk: &MulAuthorityPk<'_>, rng: &mut dyn Rng) -> FakePrecursor {
-        let credential = SigningKey::generate(rng);
-        let y = rng.scalar();
-        let mut coupons = NonceCoupon::batch(2, rng);
-        let response_coupon = coupons.pop().expect("two coupons");
-        let commit_coupon = coupons.pop().expect("one coupon");
-        FakePrecursor {
-            credential,
-            forge_nonce: y,
-            g1y: EdwardsPoint::mul_base(&y),
-            g2y: mul_pk(&y),
-            commit_coupon,
-            response_coupon,
         }
     }
 
@@ -423,8 +419,14 @@ mod tests {
         let apk = EdwardsPoint::mul_base(&Scalar::from_u64(11));
         let p = printer();
         let direct = SessionMaterials::derive(&[4u8; 32], 2, VoterId(9), 2, &apk, &p, false);
-        let unprinted =
-            SessionMaterials::derive_unprinted(&[4u8; 32], 2, VoterId(9), 2, &apk, false);
+        let unprinted = SessionMaterials::derive_unprinted_with(
+            &[4u8; 32],
+            2,
+            VoterId(9),
+            2,
+            &|s| apk * s,
+            false,
+        );
         assert_eq!(unprinted.jobs().len(), 3);
         let printed = unprinted
             .jobs()

@@ -29,10 +29,10 @@ use vg_crypto::EdwardsPoint;
 use vg_ledger::EnvelopeCommitment;
 
 use crate::boundary::{LocalBoundary, RegistrarBoundary};
-use crate::ceremony::SessionMaterials;
+use crate::ceremony::{FakePrecursor, RealPrecursor, SessionMaterials};
 use crate::error::TripError;
-use crate::kiosk::{Kiosk, KioskBehavior, KioskEvent, StolenCredential};
-use crate::materials::{CheckInTicket, CheckOutQr, PaperCredential};
+use crate::kiosk::{Kiosk, KioskBehavior, StolenCredential};
+use crate::materials::{CheckInTicket, Envelope, PaperCredential, Symbol};
 use crate::pool::{CeremonyPool, PoolFeed, SessionPlan};
 use crate::protocol::RegistrationOutcome;
 use crate::setup::TripSystem;
@@ -337,62 +337,60 @@ impl FleetConfig {
     }
 }
 
-/// Everything one ceremony produces before the coordinator touches the
-/// ledger.
+/// One pool session's ceremony, before the coordinator touches the
+/// ledger: what the voter carries out, what a compromised kiosk kept, and
+/// the bundle's ledger material passed through.
 pub(crate) struct CeremonyOutput {
-    pub(crate) believed_real: PaperCredential,
-    pub(crate) fakes: Vec<PaperCredential>,
-    pub(crate) events: Vec<KioskEvent>,
-    pub(crate) checkout: CheckOutQr,
+    pub(crate) outcome: RegistrationOutcome,
+    pub(crate) stolen: Option<StolenCredential>,
     pub(crate) commitments: Vec<EnvelopeCommitment>,
     pub(crate) official_coupon: NonceCoupon,
-    pub(crate) stolen: Option<StolenCredential>,
 }
 
-/// Runs one voter's in-booth ceremony from precomputed materials. Shared
-/// by the fleet workers and the sequential reference path
-/// ([`crate::protocol::register_voter_seeded`]), which is what makes the
-/// two bit-identical.
+/// One voter's in-booth ceremony (Fig 9 from the voter's side, §3.2): the
+/// real credential — or what a compromised kiosk passes off as one — then
+/// one fake per precursor, then the private marking. `pick` is the voter's
+/// hand in the envelope supply: `Some(symbol)` asks for the envelope
+/// matching the symbol an honest kiosk just printed, `None` for any
+/// envelope. Every registration runs this body — the fleet and
+/// [`crate::protocol::register_voter_seeded`] over a pool bundle
+/// ([`run_pool_session`]), [`crate::protocol::register_voter`] over
+/// precursors drawn at the booth door.
 pub(crate) fn run_session(
     kiosk: &Kiosk,
     ticket: &CheckInTicket,
-    materials: SessionMaterials,
-) -> Result<CeremonyOutput, TripError> {
-    let SessionMaterials {
-        real,
-        fakes,
-        malicious_spare,
-        envelopes,
-        commitments,
-        official_coupon,
-        ..
-    } = materials;
+    real: RealPrecursor,
+    fakes: Vec<FakePrecursor>,
+    malicious_spare: Option<FakePrecursor>,
+    pick: &mut dyn FnMut(Option<Symbol>) -> Result<Envelope, TripError>,
+) -> Result<(RegistrationOutcome, Option<StolenCredential>), TripError> {
     let mut session = kiosk.begin_session(ticket)?;
-    let mut env_iter = envelopes.into_iter();
     let mut stolen = None;
 
     let mut believed_real = match kiosk.behavior() {
         KioskBehavior::Honest => {
-            // Real credential, 4-step process (§3.2): commit printed, then
-            // the voter presents the matching envelope.
-            session.begin_real_from(real)?;
-            let envelope = env_iter.next().expect("pool packs the real envelope");
+            // Real credential, 4-step process (§3.2): ticket scanned;
+            // kiosk prints symbol + commit; voter picks the matching
+            // envelope; kiosk prints the remaining QRs.
+            let symbol = session.begin_real_from(real)?.symbol();
+            let envelope = pick(Some(symbol))?;
             let receipt = session.finish_real_credential(&envelope)?;
             PaperCredential::assemble(receipt, envelope)
         }
         KioskBehavior::StealsRealCredential => {
             // The compromised kiosk asks for an envelope up front.
             let spare = malicious_spare.ok_or(TripError::WrongPhysicalState)?;
-            let envelope = env_iter.next().expect("pool packs the real envelope");
+            let envelope = pick(None)?;
             let (receipt, loot) = session.malicious_real_from(real, spare, &envelope)?;
             stolen = Some(loot);
             PaperCredential::assemble(receipt, envelope)
         }
     };
 
+    // Fake credentials, 2-step process each.
     let mut fake_creds = Vec::with_capacity(fakes.len());
     for pre in fakes {
-        let envelope = env_iter.next().expect("pool packs one envelope per fake");
+        let envelope = pick(None)?;
         let receipt = session.create_fake_from(pre, &envelope)?;
         fake_creds.push(PaperCredential::assemble(receipt, envelope));
     }
@@ -403,15 +401,37 @@ pub(crate) fn run_session(
         fake.mark(&format!("F{i}"));
     }
 
-    let checkout = believed_real.transport_view()?.checkout.clone();
-    Ok(CeremonyOutput {
+    let outcome = RegistrationOutcome {
         believed_real,
         fakes: fake_creds,
         events: session.finish(),
-        checkout,
-        commitments,
-        official_coupon,
+    };
+    Ok((outcome, stolen))
+}
+
+/// [`run_session`] over a pool bundle: the voter's envelopes are the ones
+/// the pool packed for them, in ceremony order (the real credential's
+/// first, symbol already matched), and the bundle's ledger material comes
+/// back beside the outcome.
+pub(crate) fn run_pool_session(
+    kiosk: &Kiosk,
+    ticket: &CheckInTicket,
+    materials: SessionMaterials,
+) -> Result<CeremonyOutput, TripError> {
+    let mut packed = materials.envelopes.into_iter();
+    let (outcome, stolen) = run_session(
+        kiosk,
+        ticket,
+        materials.real,
+        materials.fakes,
+        materials.malicious_spare,
+        &mut |_| Ok(packed.next().expect("one packed envelope per credential")),
+    )?;
+    Ok(CeremonyOutput {
+        outcome,
         stolen,
+        commitments: materials.commitments,
+        official_coupon: materials.official_coupon,
     })
 }
 
@@ -645,7 +665,7 @@ impl KioskFleet {
                 let kiosk = &kiosks[k];
                 for materials in lane {
                     let idx = materials.session_index;
-                    local.push((idx, run_session(kiosk, &tickets[&idx], materials)));
+                    local.push((idx, run_pool_session(kiosk, &tickets[&idx], materials)));
                 }
             }
             local
@@ -779,34 +799,20 @@ fn ledger_phase(
     driver: &mut Option<ActivationDriver<'_>>,
     sink: &mut StationSink<'_>,
 ) -> Result<(), TripError> {
-    let mut window_outputs = Vec::with_capacity(outputs.len());
+    let mut env_groups = Vec::with_capacity(outputs.len());
+    let mut checkout_groups = Vec::with_capacity(outputs.len());
+    let mut finals = Vec::with_capacity(outputs.len());
     for (idx, result) in outputs {
-        window_outputs.push((idx, result?));
-    }
-    let mut env_groups = Vec::with_capacity(window_outputs.len());
-    let mut checkout_groups = Vec::with_capacity(window_outputs.len());
-    let mut finals = Vec::with_capacity(window_outputs.len());
-    for (idx, output) in window_outputs {
         let CeremonyOutput {
-            believed_real,
-            fakes,
-            events,
-            checkout,
+            outcome,
+            stolen,
             commitments,
             official_coupon,
-            stolen,
-        } = output;
+        } = result?;
+        let checkout = outcome.believed_real.transport_view()?.checkout.clone();
         env_groups.push((idx as u64, commitments));
         checkout_groups.push((idx as u64, vec![(checkout, official_coupon)]));
-        finals.push((
-            idx,
-            RegistrationOutcome {
-                believed_real,
-                fakes,
-                events,
-            },
-            stolen,
-        ));
+        finals.push((idx, outcome, stolen));
     }
     boundary.submit_envelope_groups(env_groups)?;
     boundary.submit_checkout_groups(checkout_groups)?;
@@ -824,6 +830,7 @@ fn ledger_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kiosk::KioskEvent;
     use crate::protocol::{register_voter_seeded, trace_shows_honest_real_flow};
     use crate::setup::TripConfig;
     use vg_crypto::HmacDrbg;
@@ -911,8 +918,7 @@ mod tests {
         for (i, &(voter, fakes)) in queue.iter().enumerate() {
             let mut outcome =
                 register_voter_seeded(&mut seq_system, voter, fakes, &seed, i).unwrap();
-            let vsd =
-                crate::protocol::activate_all(&mut seq_system, &mut outcome, &mut rng).unwrap();
+            let vsd = crate::protocol::activate_all(&mut seq_system, &mut outcome).unwrap();
             seq_creds.extend(vsd.credentials.into_iter().map(|c| c.key.secret()));
         }
 

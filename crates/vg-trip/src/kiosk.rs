@@ -9,6 +9,22 @@
 //! which happened is the order of steps the voter observed in the booth;
 //! the printed artifacts are indistinguishable (§4.3).
 //!
+//! # One ceremony
+//!
+//! Everything a kiosk may compute *before* it scans an envelope — keys,
+//! the tag, the Σ-commitment, the forge halves y·g₁, y·g₂ and the signing
+//! coupons — is a [`RealPrecursor`] or a [`FakePrecursor`], computed in
+//! [`crate::ceremony`] and nowhere else. This module is what the kiosk does
+//! *with* them: the session state machine, the event trace, and signing,
+//! which is hash-only because every signature a session prints spends a
+//! coupon. The `*_from` methods are that ceremony. A kiosk that precomputed takes its
+//! precursors from a [`crate::pool::CeremonyPool`]; one that did not
+//! draws them on the spot ([`KioskSession::begin_real_credential`],
+//! [`KioskSession::create_fake_credential`],
+//! [`KioskSession::malicious_real_credential`]) and then runs the same
+//! `*_from` body, so a registration day and a single interactive voter
+//! execute the same code.
+//!
 //! [`KioskBehavior::StealsRealCredential`] models the integrity adversary
 //! of §5.1: a compromised kiosk that runs the fake-credential process while
 //! *claiming* to issue a real credential, keeping the real key for itself.
@@ -39,7 +55,7 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use vg_crypto::chaum_pedersen::{forge_transcript, DlEqStatement, Prover};
+use vg_crypto::chaum_pedersen::{Commitment, Prover};
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::schnorr::{NonceCoupon, SigningKey};
@@ -113,14 +129,12 @@ pub enum KioskEvent {
 pub struct PendingRealCredential {
     credential: SigningKey,
     elgamal_secret: Scalar,
-    c_pc: Ciphertext,
     prover: Prover,
     commit_qr: CommitQr,
     symbol: Symbol,
-    /// Precomputed signing coupons for (σ_kot, σ_kr) when the session was
-    /// started from ceremony-pool material; `None` on the classic
-    /// rng-driven path, which signs deterministically.
-    coupons: Option<(NonceCoupon, NonceCoupon)>,
+    /// Coupons for σ_kot and σ_kr, from the precursor.
+    checkout_coupon: NonceCoupon,
+    response_coupon: NonceCoupon,
 }
 
 impl PendingRealCredential {
@@ -208,6 +222,17 @@ impl Kiosk {
         (h, sig, e, r)
     }
 
+    /// A real precursor drawn on the spot, over this kiosk's copy of
+    /// A_pk — what a kiosk that precomputed nothing starts a session from.
+    pub(crate) fn draw_real(&self, rng: &mut dyn Rng) -> RealPrecursor {
+        RealPrecursor::draw(&|s| self.authority_pk * s, rng)
+    }
+
+    /// [`Kiosk::draw_real`] for a forge precursor.
+    pub(crate) fn draw_fake(&self, rng: &mut dyn Rng) -> FakePrecursor {
+        FakePrecursor::draw(&|s| self.authority_pk * s, rng)
+    }
+
     /// Starts a session by validating the check-in ticket (Fig 8, kiosk
     /// side).
     pub fn begin_session(&self, ticket: &CheckInTicket) -> Result<KioskSession<'_>, TripError> {
@@ -220,18 +245,6 @@ impl Kiosk {
             used_challenges: HashSet::new(),
             events: vec![KioskEvent::SessionStarted],
         })
-    }
-
-    fn sign_checkout(&self, voter_id: VoterId, c_pc: &Ciphertext) -> CheckOutQr {
-        let kiosk_sig = self
-            .key
-            .sign(&RegistrationRecord::kiosk_message(voter_id, c_pc));
-        CheckOutQr {
-            voter_id,
-            c_pc: *c_pc,
-            kiosk_pk: self.public_key(),
-            kiosk_sig,
-        }
     }
 }
 
@@ -246,111 +259,41 @@ impl KioskSession<'_> {
         self.checkout.is_some()
     }
 
-    /// Real credential, step 2 (Fig 9a lines 2–8): generate the credential
-    /// and the tag c_pc, compute the Σ-protocol commitment, print symbol +
-    /// commit QR.
-    ///
-    /// The voter observes [`KioskEvent::PrintedSymbolAndCommit`] *before*
-    /// being asked for an envelope — the soundness-critical ordering.
+    /// Real credential, step 2 (Fig 9a lines 2–8) for a kiosk that did not
+    /// precompute: draws the precursor from `rng` now and hands it to
+    /// [`KioskSession::begin_real_from`].
     pub fn begin_real_credential(
         &mut self,
         rng: &mut dyn Rng,
     ) -> Result<&PendingRealCredential, TripError> {
-        if self.checkout.is_some() || self.pending.is_some() {
-            return Err(TripError::WrongPhysicalState);
-        }
-        // (c_sk, c_pk) ← Sig.KGen (line 2).
-        let credential = SigningKey::generate(rng);
-        let c_pk = credential.verifying_key().0;
-        // x ←$ Z_q; X ← A_pk^x; c_pc ← (g^x, X·c_pk) (lines 3–4).
-        let x = rng.scalar();
-        let big_x = self.kiosk.authority_pk * x;
-        let c_pc = Ciphertext {
-            c1: EdwardsPoint::mul_base(&x),
-            c2: big_x + c_pk,
-        };
-        // ZKP commit (line 5): Y = (g^y, A_pk^y).
-        let stmt = DlEqStatement {
-            g1: EdwardsPoint::basepoint(),
-            y1: c_pc.c1,
-            g2: self.kiosk.authority_pk,
-            y2: big_x,
-        };
-        let prover = Prover::commit(&stmt, rng);
-        let commit = prover.commitment();
-        // σ_kc ← Sig.Sign(K_sk, V_id ‖ c_pc ‖ Y_c) (line 6).
-        let kiosk_sig = self
-            .kiosk
-            .key
-            .sign(&commit_message(self.voter_id, &c_pc, &commit));
-        let commit_qr = CommitQr {
-            voter_id: self.voter_id,
-            c_pc,
-            commit,
-            kiosk_sig,
-        };
-        let symbol = Symbol::random(rng);
-        self.events
-            .push(KioskEvent::PrintedSymbolAndCommit { symbol });
-        self.pending = Some(PendingRealCredential {
-            credential,
-            elgamal_secret: x,
-            c_pc,
-            prover,
-            commit_qr,
-            symbol,
-            coupons: None,
-        });
-        Ok(self.pending.as_ref().expect("just set"))
+        let pre = self.kiosk.draw_real(rng);
+        self.begin_real_from(pre)
     }
 
-    /// Real credential, step 2, from precomputed ceremony-pool material:
-    /// identical protocol flow and event trace as
-    /// [`KioskSession::begin_real_credential`], but all scalar
-    /// multiplications (credential key, tag, Σ-commitment) happened before
-    /// the voter arrived, and the printing step only signs — via a
-    /// precomputed coupon, so it is hash-only.
-    ///
-    /// The soundness-critical ordering is preserved: the precursor was
-    /// derived without reference to any envelope challenge, and the commit
-    /// is printed before an envelope is accepted.
-    pub fn begin_real_from(&mut self, pre: RealPrecursor) -> Result<Symbol, TripError> {
+    /// Real credential, step 2 (Fig 9a lines 6–8): sign the precursor's
+    /// tag and commitment, print symbol + commit QR. The precursor was
+    /// derived without reference to any envelope challenge, and the voter
+    /// observes [`KioskEvent::PrintedSymbolAndCommit`] *before* being asked
+    /// for an envelope — the soundness-critical ordering.
+    pub fn begin_real_from(
+        &mut self,
+        pre: RealPrecursor,
+    ) -> Result<&PendingRealCredential, TripError> {
         if self.checkout.is_some() || self.pending.is_some() {
             return Err(TripError::WrongPhysicalState);
         }
-        let RealPrecursor {
-            credential,
-            elgamal_secret,
-            c_pc,
-            nonce,
-            commit,
-            symbol,
-            commit_coupon,
-            checkout_coupon,
-            response_coupon,
-        } = pre;
-        let kiosk_sig = self.kiosk.key.sign_with_coupon(
-            &commit_message(self.voter_id, &c_pc, &commit),
-            commit_coupon,
-        );
-        let commit_qr = CommitQr {
-            voter_id: self.voter_id,
-            c_pc,
-            commit,
-            kiosk_sig,
-        };
+        let commit_qr = self.commit_qr(pre.c_pc, pre.commit, pre.commit_coupon);
         self.events
-            .push(KioskEvent::PrintedSymbolAndCommit { symbol });
-        self.pending = Some(PendingRealCredential {
-            credential,
-            elgamal_secret,
-            c_pc,
-            prover: Prover::from_parts(nonce, commit),
+            .push(KioskEvent::PrintedSymbolAndCommit { symbol: pre.symbol });
+        Ok(self.pending.insert(PendingRealCredential {
+            credential: pre.credential,
+            elgamal_secret: pre.elgamal_secret,
+            prover: Prover::from_parts(pre.nonce, pre.commit),
             commit_qr,
-            symbol,
-            coupons: Some((checkout_coupon, response_coupon)),
-        });
-        Ok(symbol)
+            symbol: pre.symbol,
+            checkout_coupon: pre.checkout_coupon,
+            response_coupon: pre.response_coupon,
+        }))
     }
 
     /// Real credential, step 4 (Fig 9a lines 9–18): scan the voter's
@@ -366,57 +309,22 @@ impl KioskSession<'_> {
             self.events.push(KioskEvent::RejectedEnvelope);
             return Err(TripError::WrongSymbol);
         }
-        if !self.used_challenges.insert(envelope.challenge.to_bytes()) {
-            self.events.push(KioskEvent::RejectedEnvelope);
-            return Err(TripError::EnvelopeReused);
-        }
+        self.scan(envelope)?;
         let pending = self.pending.take().expect("checked above");
-        self.events.push(KioskEvent::ScannedEnvelope {
-            symbol: envelope.symbol,
-        });
 
         // r ← y − e·x (line 12).
         let transcript = pending
             .prover
             .respond(&pending.elgamal_secret, &envelope.challenge);
-        let c_pk = pending.credential.public_key_compressed();
-        // σ_kot, σ_kr (lines 13–14) — hash-only when the session started
-        // from pool material, deterministic signing otherwise.
-        let (checkout_qr, response_sig) = match pending.coupons {
-            Some((checkout_coupon, response_coupon)) => {
-                let kiosk_sig = self.kiosk.key.sign_with_coupon(
-                    &RegistrationRecord::kiosk_message(self.voter_id, &pending.c_pc),
-                    checkout_coupon,
-                );
-                let checkout_qr = CheckOutQr {
-                    voter_id: self.voter_id,
-                    c_pc: pending.c_pc,
-                    kiosk_pk: self.kiosk.public_key(),
-                    kiosk_sig,
-                };
-                let response_sig = self.kiosk.key.sign_with_coupon(
-                    &response_message(&c_pk, &envelope.challenge, &transcript.response),
-                    response_coupon,
-                );
-                (checkout_qr, response_sig)
-            }
-            None => (
-                self.kiosk.sign_checkout(self.voter_id, &pending.c_pc),
-                self.kiosk.key.sign(&response_message(
-                    &c_pk,
-                    &envelope.challenge,
-                    &transcript.response,
-                )),
-            ),
-        };
-        let response_qr = ResponseQr {
-            credential_sk: pending.credential.secret(),
-            response: transcript.response,
-            kiosk_pk: self.kiosk.public_key(),
-            kiosk_sig: response_sig,
-        };
+        // σ_kot, σ_kr (lines 13–14).
+        let checkout_qr = self.issue_checkout(pending.commit_qr.c_pc, pending.checkout_coupon);
+        let response_qr = self.response_qr(
+            &pending.credential,
+            &envelope.challenge,
+            transcript.response,
+            pending.response_coupon,
+        );
         self.events.push(KioskEvent::PrintedCheckoutAndResponse);
-        self.checkout = Some(checkout_qr.clone());
         Ok(Receipt {
             symbol: pending.symbol,
             commit_qr: pending.commit_qr,
@@ -425,38 +333,26 @@ impl KioskSession<'_> {
         })
     }
 
-    /// Fake credential (Fig 9b): the envelope arrives first, the kiosk
-    /// forges an unsound transcript and prints the whole receipt at once.
-    ///
-    /// Requires the real credential to exist (the fake shares its c_pc and
-    /// check-out ticket).
+    /// Fake credential (Fig 9b) for a kiosk that did not precompute: draws
+    /// the forge precursor from `rng` — after the envelope is in hand, so
+    /// nothing here had to wait for it — and hands both to
+    /// [`KioskSession::create_fake_from`].
     pub fn create_fake_credential(
         &mut self,
         envelope: &Envelope,
         rng: &mut dyn Rng,
     ) -> Result<Receipt, TripError> {
-        let checkout = self
-            .checkout
-            .clone()
-            .ok_or(TripError::RealCredentialMissing)?;
-        if !self.used_challenges.insert(envelope.challenge.to_bytes()) {
-            self.events.push(KioskEvent::RejectedEnvelope);
-            return Err(TripError::EnvelopeReused);
-        }
-        self.events.push(KioskEvent::ScannedEnvelope {
-            symbol: envelope.symbol,
-        });
-        let receipt = self.forge_receipt(&checkout, envelope, envelope.symbol, rng);
-        self.events.push(KioskEvent::PrintedFullReceipt);
-        Ok(receipt)
+        let pre = self.kiosk.draw_fake(rng);
+        self.create_fake_from(pre, envelope)
     }
 
-    /// Fake credential from precomputed material: the same flow and event
-    /// trace as [`KioskSession::create_fake_credential`], but the fake key
-    /// pair and the challenge-independent halves y·g₁, y·g₂ of the forged
-    /// commitment come from the pool, leaving two scalar multiplications
-    /// (the challenge-dependent halves) plus hash-only coupon signing for
-    /// the in-booth step.
+    /// Fake credential (Fig 9b): the envelope arrives first, the kiosk
+    /// forges an unsound transcript from the precursor and the challenge
+    /// and prints the whole receipt at once — two scalar multiplications
+    /// (the challenge-dependent halves) plus hash-only signing.
+    ///
+    /// Requires the real credential to exist (the fake shares its c_pc and
+    /// check-out ticket).
     pub fn create_fake_from(
         &mut self,
         pre: FakePrecursor,
@@ -466,115 +362,52 @@ impl KioskSession<'_> {
             .checkout
             .clone()
             .ok_or(TripError::RealCredentialMissing)?;
-        if !self.used_challenges.insert(envelope.challenge.to_bytes()) {
-            self.events.push(KioskEvent::RejectedEnvelope);
-            return Err(TripError::EnvelopeReused);
-        }
-        self.events.push(KioskEvent::ScannedEnvelope {
-            symbol: envelope.symbol,
-        });
-        let receipt = self.forge_receipt_from(&checkout, envelope, envelope.symbol, pre);
+        self.scan(envelope)?;
+        let receipt = self.forge_receipt_from(checkout, envelope, pre);
         self.events.push(KioskEvent::PrintedFullReceipt);
         Ok(receipt)
     }
 
-    /// The compromised-kiosk "real" credential from pool material: the
-    /// precomputing adversary of the fleet setting. Event trace and
-    /// artifacts match [`KioskSession::malicious_real_credential`]; the
-    /// stolen key is the precursor's real credential.
+    /// The compromised-kiosk "real" credential (integrity adversary) for a
+    /// kiosk that did not precompute: draws the real precursor it will
+    /// keep and the spare it will forge from, then runs
+    /// [`KioskSession::malicious_real_from`].
+    pub fn malicious_real_credential(
+        &mut self,
+        envelope: &Envelope,
+        rng: &mut dyn Rng,
+    ) -> Result<(Receipt, StolenCredential), TripError> {
+        let (real, spare) = (self.kiosk.draw_real(rng), self.kiosk.draw_fake(rng));
+        self.malicious_real_from(real, spare, envelope)
+    }
+
+    /// The compromised-kiosk "real" credential: runs the fake-credential
+    /// process while the screen claims a real credential is being created,
+    /// and keeps the real precursor's key.
+    ///
+    /// Returns the receipt handed to the voter and the stolen credential.
+    /// The event trace shows [`KioskEvent::ScannedEnvelope`] *before* any
+    /// printing — the tell a trained voter can notice (§7.5).
     pub fn malicious_real_from(
         &mut self,
         real: RealPrecursor,
         spare: FakePrecursor,
         envelope: &Envelope,
     ) -> Result<(Receipt, StolenCredential), TripError> {
-        if self.kiosk.behavior != KioskBehavior::StealsRealCredential {
+        if self.kiosk.behavior != KioskBehavior::StealsRealCredential || self.checkout.is_some() {
             return Err(TripError::WrongPhysicalState);
         }
-        if self.checkout.is_some() {
-            return Err(TripError::WrongPhysicalState);
-        }
-        if !self.used_challenges.insert(envelope.challenge.to_bytes()) {
-            self.events.push(KioskEvent::RejectedEnvelope);
-            return Err(TripError::EnvelopeReused);
-        }
-        self.events.push(KioskEvent::ScannedEnvelope {
-            symbol: envelope.symbol,
-        });
-
-        // The kiosk keeps the precomputed REAL credential for itself.
-        let RealPrecursor {
-            credential,
-            c_pc,
-            checkout_coupon,
-            ..
-        } = real;
-        let kiosk_sig = self.kiosk.key.sign_with_coupon(
-            &RegistrationRecord::kiosk_message(self.voter_id, &c_pc),
-            checkout_coupon,
-        );
-        let checkout = CheckOutQr {
-            voter_id: self.voter_id,
-            c_pc,
-            kiosk_pk: self.kiosk.public_key(),
-            kiosk_sig,
-        };
-        self.checkout = Some(checkout.clone());
-        // The voter receives a forged (fake) credential presented as real.
-        let receipt = self.forge_receipt_from(&checkout, envelope, envelope.symbol, spare);
+        self.scan(envelope)?;
+        // The ledger gets the REAL tag; the voter a forged (fake)
+        // credential presented as real.
+        let checkout = self.issue_checkout(real.c_pc, real.checkout_coupon);
+        let receipt = self.forge_receipt_from(checkout, envelope, spare);
         self.events.push(KioskEvent::PrintedFullReceipt);
         Ok((
             receipt,
             StolenCredential {
                 voter_id: self.voter_id,
-                key: credential,
-            },
-        ))
-    }
-
-    /// The compromised-kiosk "real" credential (integrity adversary): runs
-    /// the fake-credential process while the screen claims a real
-    /// credential is being created, and keeps the real key.
-    ///
-    /// Returns the receipt handed to the voter and the stolen credential.
-    /// The event trace shows [`KioskEvent::ScannedEnvelope`] *before* any
-    /// printing — the tell a trained voter can notice (§7.5).
-    pub fn malicious_real_credential(
-        &mut self,
-        envelope: &Envelope,
-        rng: &mut dyn Rng,
-    ) -> Result<(Receipt, StolenCredential), TripError> {
-        if self.kiosk.behavior != KioskBehavior::StealsRealCredential {
-            return Err(TripError::WrongPhysicalState);
-        }
-        if self.checkout.is_some() {
-            return Err(TripError::WrongPhysicalState);
-        }
-        if !self.used_challenges.insert(envelope.challenge.to_bytes()) {
-            self.events.push(KioskEvent::RejectedEnvelope);
-            return Err(TripError::EnvelopeReused);
-        }
-        self.events.push(KioskEvent::ScannedEnvelope {
-            symbol: envelope.symbol,
-        });
-
-        // The kiosk generates the REAL credential and keeps it.
-        let real = SigningKey::generate(rng);
-        let x = rng.scalar();
-        let c_pc = Ciphertext {
-            c1: EdwardsPoint::mul_base(&x),
-            c2: self.kiosk.authority_pk * x + real.verifying_key().0,
-        };
-        let checkout = self.kiosk.sign_checkout(self.voter_id, &c_pc);
-        self.checkout = Some(checkout.clone());
-        // The voter receives a forged (fake) credential presented as real.
-        let receipt = self.forge_receipt(&checkout, envelope, envelope.symbol, rng);
-        self.events.push(KioskEvent::PrintedFullReceipt);
-        Ok((
-            receipt,
-            StolenCredential {
-                voter_id: self.voter_id,
-                key: real,
+                key: real.credential,
             },
         ))
     }
@@ -603,8 +436,7 @@ impl KioskSession<'_> {
             c1: EdwardsPoint::mul_base(&x),
             c2: self.kiosk.authority_pk * x + *party_pk,
         };
-        let checkout = self.kiosk.sign_checkout(self.voter_id, &c_pc);
-        self.checkout = Some(checkout.clone());
+        let checkout = self.issue_checkout(c_pc, NonceCoupon::generate(rng));
         self.events.push(KioskEvent::PrintedCheckoutAndResponse);
         Ok(checkout)
     }
@@ -621,109 +453,94 @@ impl KioskSession<'_> {
         self.events
     }
 
-    /// [`forge_receipt`](Self::forge_receipt) from a precomputed forge
-    /// precursor: Y = (y·g₁ + e·C₁, y·g₂ + e·X̃) with the y-halves already
-    /// evaluated, and coupon-backed signatures.
-    fn forge_receipt_from(
-        &self,
-        checkout: &CheckOutQr,
-        envelope: &Envelope,
-        symbol: Symbol,
-        pre: FakePrecursor,
-    ) -> Receipt {
-        let FakePrecursor {
-            credential: fake,
-            forge_nonce,
-            g1y,
-            g2y,
-            commit_coupon,
-            response_coupon,
-        } = pre;
-        let fake_pk = fake.verifying_key().0;
-        // X̃ ← C₂ − c̃_pk: no witness exists for this statement.
-        let x_tilde = checkout.c_pc.c2 - fake_pk;
-        let commit = vg_crypto::chaum_pedersen::Commitment {
-            a1: g1y + checkout.c_pc.c1 * envelope.challenge,
-            a2: g2y + x_tilde * envelope.challenge,
-        };
+    /// Scans an envelope: a challenge already used in this session is
+    /// rejected, anything else is on the trace as scanned.
+    fn scan(&mut self, envelope: &Envelope) -> Result<(), TripError> {
+        if !self.used_challenges.insert(envelope.challenge.to_bytes()) {
+            self.events.push(KioskEvent::RejectedEnvelope);
+            return Err(TripError::EnvelopeReused);
+        }
+        self.events.push(KioskEvent::ScannedEnvelope {
+            symbol: envelope.symbol,
+        });
+        Ok(())
+    }
+
+    /// Signs the session's check-out ticket t_ot = (V_id, c_pc, K_pk,
+    /// σ_kot) and keeps it: every credential of the session carries this
+    /// one ticket.
+    fn issue_checkout(&mut self, c_pc: Ciphertext, coupon: NonceCoupon) -> CheckOutQr {
         let kiosk_sig = self.kiosk.key.sign_with_coupon(
-            &commit_message(checkout.voter_id, &checkout.c_pc, &commit),
-            commit_coupon,
+            &RegistrationRecord::kiosk_message(self.voter_id, &c_pc),
+            coupon,
         );
-        let response_sig = self.kiosk.key.sign_with_coupon(
-            &response_message(
-                &fake.public_key_compressed(),
-                &envelope.challenge,
-                &forge_nonce,
-            ),
-            response_coupon,
-        );
-        Receipt {
-            symbol,
-            commit_qr: CommitQr {
-                voter_id: checkout.voter_id,
-                c_pc: checkout.c_pc,
-                commit,
-                kiosk_sig,
-            },
-            checkout_qr: checkout.clone(),
-            response_qr: ResponseQr {
-                credential_sk: fake.secret(),
-                response: forge_nonce,
+        self.checkout
+            .insert(CheckOutQr {
+                voter_id: self.voter_id,
+                c_pc,
                 kiosk_pk: self.kiosk.public_key(),
-                kiosk_sig: response_sig,
-            },
+                kiosk_sig,
+            })
+            .clone()
+    }
+
+    /// Prints q_c = (V_id, c_pc, Y_c, σ_kc), σ_kc over V_id ‖ c_pc ‖ Y_c
+    /// (Fig 9a lines 6–7, Fig 9b line 11).
+    fn commit_qr(&self, c_pc: Ciphertext, commit: Commitment, coupon: NonceCoupon) -> CommitQr {
+        let message = commit_message(self.voter_id, &c_pc, &commit);
+        CommitQr {
+            voter_id: self.voter_id,
+            c_pc,
+            commit,
+            kiosk_sig: self.kiosk.key.sign_with_coupon(&message, coupon),
+        }
+    }
+
+    /// Prints q_r = (c_sk, r, K_pk, σ_kr), σ_kr over c_pk ‖ H(e ‖ r)
+    /// (Fig 9a lines 14–16, Fig 9b line 12).
+    fn response_qr(
+        &self,
+        credential: &SigningKey,
+        challenge: &Scalar,
+        response: Scalar,
+        coupon: NonceCoupon,
+    ) -> ResponseQr {
+        let c_pk = credential.public_key_compressed();
+        let message = response_message(&c_pk, challenge, &response);
+        ResponseQr {
+            credential_sk: credential.secret(),
+            response,
+            kiosk_pk: self.kiosk.public_key(),
+            kiosk_sig: self.kiosk.key.sign_with_coupon(&message, coupon),
         }
     }
 
     /// Forges a receipt whose transcript "proves" that `checkout.c_pc`
-    /// encrypts a freshly generated key (Fig 9b lines 2–14).
-    fn forge_receipt(
+    /// encrypts the precursor's fake key (Fig 9b lines 4–14):
+    /// Y = (y·g₁ + e·C₁, y·g₂ + e·X̃) with the y-halves already evaluated,
+    /// and r = y.
+    fn forge_receipt_from(
         &self,
-        checkout: &CheckOutQr,
+        checkout: CheckOutQr,
         envelope: &Envelope,
-        symbol: Symbol,
-        rng: &mut dyn Rng,
+        pre: FakePrecursor,
     ) -> Receipt {
-        // (c̃_sk, c̃_pk) ← Sig.KGen (line 2).
-        let fake = SigningKey::generate(rng);
-        let fake_pk = fake.verifying_key().0;
         // X̃ ← C₂ − c̃_pk (line 4): no witness exists for this statement.
-        let x_tilde = checkout.c_pc.c2 - fake_pk;
-        let stmt = DlEqStatement {
-            g1: EdwardsPoint::basepoint(),
-            y1: checkout.c_pc.c1,
-            g2: self.kiosk.authority_pk,
-            y2: x_tilde,
+        let x_tilde = checkout.c_pc.c2 - pre.credential.verifying_key().0;
+        let commit = Commitment {
+            a1: pre.g1y + checkout.c_pc.c1 * envelope.challenge,
+            a2: pre.g2y + x_tilde * envelope.challenge,
         };
-        // Forge with the known challenge (lines 8–10).
-        let transcript = forge_transcript(&stmt, &envelope.challenge, rng);
-        // σ_kc, σ_kr (lines 11–12).
-        let kiosk_sig = self.kiosk.key.sign(&commit_message(
-            checkout.voter_id,
-            &checkout.c_pc,
-            &transcript.commit,
-        ));
-        let response_sig = self.kiosk.key.sign(&response_message(
-            &fake.public_key_compressed(),
-            &envelope.challenge,
-            &transcript.response,
-        ));
         Receipt {
-            symbol,
-            commit_qr: CommitQr {
-                voter_id: checkout.voter_id,
-                c_pc: checkout.c_pc,
-                commit: transcript.commit,
-                kiosk_sig,
-            },
-            checkout_qr: checkout.clone(),
-            response_qr: ResponseQr {
-                credential_sk: fake.secret(),
-                response: transcript.response,
-                kiosk_pk: self.kiosk.public_key(),
-                kiosk_sig: response_sig,
-            },
+            symbol: envelope.symbol,
+            commit_qr: self.commit_qr(checkout.c_pc, commit, pre.commit_coupon),
+            response_qr: self.response_qr(
+                &pre.credential,
+                &envelope.challenge,
+                pre.forge_nonce,
+                pre.response_coupon,
+            ),
+            checkout_qr: checkout,
         }
     }
 }
@@ -731,9 +548,19 @@ impl KioskSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ceremony::SessionMaterials;
     use crate::materials::checkin_message;
+    use crate::printer::EnvelopePrinter;
     use vg_crypto::hmac::hmac_sha256;
     use vg_crypto::HmacDrbg;
+
+    const MAC: [u8; 32] = [9u8; 32];
+
+    fn booth(seed: u64, behavior: KioskBehavior) -> (Kiosk, HmacDrbg) {
+        let mut rng = HmacDrbg::from_u64(seed);
+        let authority_pk = EdwardsPoint::mul_base(&rng.scalar());
+        (Kiosk::new(MAC, authority_pk, behavior, &mut rng), rng)
+    }
 
     fn ticket(mac_key: &[u8; 32], voter: VoterId) -> CheckInTicket {
         CheckInTicket {
@@ -752,17 +579,74 @@ mod tests {
         }
     }
 
+    fn printer() -> EnvelopePrinter {
+        EnvelopePrinter::new(&mut HmacDrbg::from_u64(99))
+    }
+
+    /// The two ways into the ceremony: the rng-driven methods, or the
+    /// `*_from` methods over what a pool hands the kiosk (the seeded
+    /// derivation).
+    #[derive(Clone, Copy, Debug)]
+    enum Entry {
+        Rng,
+        Pool,
+    }
+    const ENTRIES: [Entry; 2] = [Entry::Rng, Entry::Pool];
+
+    /// A pool bundle for one voter with one fake and the malicious spare
+    /// (which leaves the honest prefix of the stream unchanged).
+    fn pooled(kiosk: &Kiosk) -> SessionMaterials {
+        let apk = &kiosk.authority_pk;
+        SessionMaterials::derive(&[3u8; 32], 0, VoterId(1), 1, apk, &printer(), true)
+    }
+
+    impl Entry {
+        fn begin_real(
+            self,
+            session: &mut KioskSession<'_>,
+            rng: &mut dyn Rng,
+        ) -> Result<Symbol, TripError> {
+            match self {
+                Entry::Rng => session.begin_real_credential(rng),
+                Entry::Pool => session.begin_real_from(pooled(session.kiosk).real),
+            }
+            .map(|pending| pending.symbol())
+        }
+
+        fn fake(
+            self,
+            session: &mut KioskSession<'_>,
+            envelope: &Envelope,
+            rng: &mut dyn Rng,
+        ) -> Result<Receipt, TripError> {
+            match self {
+                Entry::Rng => session.create_fake_credential(envelope, rng),
+                Entry::Pool => {
+                    session.create_fake_from(pooled(session.kiosk).fakes.remove(0), envelope)
+                }
+            }
+        }
+
+        fn malicious(
+            self,
+            session: &mut KioskSession<'_>,
+            envelope: &Envelope,
+            rng: &mut dyn Rng,
+        ) -> Result<(Receipt, StolenCredential), TripError> {
+            match self {
+                Entry::Rng => session.malicious_real_credential(envelope, rng),
+                Entry::Pool => {
+                    let m = pooled(session.kiosk);
+                    session.malicious_real_from(m.real, m.malicious_spare.unwrap(), envelope)
+                }
+            }
+        }
+    }
+
     #[test]
     fn session_requires_valid_ticket() {
-        let mut rng = HmacDrbg::from_u64(1);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        assert!(kiosk.begin_session(&ticket(&mac, VoterId(1))).is_ok());
+        let (kiosk, _) = booth(1, KioskBehavior::Honest);
+        assert!(kiosk.begin_session(&ticket(&MAC, VoterId(1))).is_ok());
         assert!(kiosk
             .begin_session(&ticket(&[0u8; 32], VoterId(1)))
             .is_err());
@@ -770,160 +654,165 @@ mod tests {
 
     #[test]
     fn real_flow_event_order() {
-        let mut rng = HmacDrbg::from_u64(2);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let symbol = session.begin_real_credential(&mut rng).unwrap().symbol();
-        let env = envelope(symbol, &mut rng);
-        let receipt = session.finish_real_credential(&env).unwrap();
-        assert_eq!(receipt.symbol, symbol);
-        // Commit printed BEFORE envelope scanned.
-        assert_eq!(
-            session.events,
-            vec![
-                KioskEvent::SessionStarted,
-                KioskEvent::PrintedSymbolAndCommit { symbol },
-                KioskEvent::ScannedEnvelope { symbol },
-                KioskEvent::PrintedCheckoutAndResponse,
-            ]
-        );
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(2, KioskBehavior::Honest);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let env = envelope(symbol, &mut rng);
+            let receipt = session.finish_real_credential(&env).unwrap();
+            assert_eq!(receipt.symbol, symbol);
+            // Commit printed BEFORE envelope scanned.
+            assert_eq!(
+                session.events,
+                vec![
+                    KioskEvent::SessionStarted,
+                    KioskEvent::PrintedSymbolAndCommit { symbol },
+                    KioskEvent::ScannedEnvelope { symbol },
+                    KioskEvent::PrintedCheckoutAndResponse,
+                ],
+                "{entry:?}"
+            );
+        }
     }
 
     #[test]
     fn wrong_symbol_gently_rejected() {
-        let mut rng = HmacDrbg::from_u64(3);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let symbol = session.begin_real_credential(&mut rng).unwrap().symbol();
-        let wrong = Symbol::ALL.iter().copied().find(|s| *s != symbol).unwrap();
-        let env = envelope(wrong, &mut rng);
-        assert_eq!(
-            session.finish_real_credential(&env).unwrap_err(),
-            TripError::WrongSymbol
-        );
-        // The session is still pending; a matching envelope succeeds.
-        let env = envelope(symbol, &mut rng);
-        assert!(session.finish_real_credential(&env).is_ok());
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(3, KioskBehavior::Honest);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let wrong = Symbol::ALL.iter().copied().find(|s| *s != symbol).unwrap();
+            let env = envelope(wrong, &mut rng);
+            assert_eq!(
+                session.finish_real_credential(&env).unwrap_err(),
+                TripError::WrongSymbol,
+                "{entry:?}"
+            );
+            // The session is still pending; a matching envelope succeeds.
+            let env = envelope(symbol, &mut rng);
+            assert!(session.finish_real_credential(&env).is_ok(), "{entry:?}");
+        }
     }
 
     #[test]
     fn fake_requires_real_first() {
-        let mut rng = HmacDrbg::from_u64(4);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let env = envelope(Symbol::Star, &mut rng);
-        assert_eq!(
-            session.create_fake_credential(&env, &mut rng).unwrap_err(),
-            TripError::RealCredentialMissing
-        );
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(4, KioskBehavior::Honest);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let env = envelope(Symbol::Star, &mut rng);
+            assert_eq!(
+                entry.fake(&mut session, &env, &mut rng).unwrap_err(),
+                TripError::RealCredentialMissing,
+                "{entry:?}"
+            );
+        }
     }
 
     #[test]
     fn envelope_reuse_rejected() {
-        let mut rng = HmacDrbg::from_u64(5);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let symbol = session.begin_real_credential(&mut rng).unwrap().symbol();
-        let env = envelope(symbol, &mut rng);
-        session.finish_real_credential(&env).unwrap();
-        // Reusing the same envelope for a fake is rejected.
-        assert_eq!(
-            session.create_fake_credential(&env, &mut rng).unwrap_err(),
-            TripError::EnvelopeReused
-        );
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(5, KioskBehavior::Honest);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let env = envelope(symbol, &mut rng);
+            session.finish_real_credential(&env).unwrap();
+            // Reusing the same envelope for a fake is rejected.
+            assert_eq!(
+                entry.fake(&mut session, &env, &mut rng).unwrap_err(),
+                TripError::EnvelopeReused,
+                "{entry:?}"
+            );
+        }
     }
 
     #[test]
     fn fake_shares_checkout_with_real() {
-        let mut rng = HmacDrbg::from_u64(6);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let symbol = session.begin_real_credential(&mut rng).unwrap().symbol();
-        let real = session
-            .finish_real_credential(&envelope(symbol, &mut rng))
-            .unwrap();
-        let fake = session
-            .create_fake_credential(&envelope(Symbol::Circle, &mut rng), &mut rng)
-            .unwrap();
-        // "t_ot is identical (both in content and visually)" (Fig 9b):
-        // same tag, same kiosk, byte-identical signature.
-        assert_eq!(real.checkout_qr, fake.checkout_qr);
-        // But the credential keys differ.
-        assert_ne!(
-            real.response_qr.credential_sk,
-            fake.response_qr.credential_sk
-        );
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(6, KioskBehavior::Honest);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let real = session
+                .finish_real_credential(&envelope(symbol, &mut rng))
+                .unwrap();
+            let env = envelope(Symbol::Circle, &mut rng);
+            let fake = entry.fake(&mut session, &env, &mut rng).unwrap();
+            // "t_ot is identical (both in content and visually)" (Fig 9b):
+            // same tag, same kiosk, byte-identical signature.
+            assert_eq!(real.checkout_qr, fake.checkout_qr, "{entry:?}");
+            // But the credential keys differ.
+            assert_ne!(
+                real.response_qr.credential_sk,
+                fake.response_qr.credential_sk
+            );
+        }
     }
 
     #[test]
     fn malicious_kiosk_event_order_differs() {
-        let mut rng = HmacDrbg::from_u64(7);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::StealsRealCredential,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let env = envelope(Symbol::Star, &mut rng);
-        let (_receipt, stolen) = session.malicious_real_credential(&env, &mut rng).unwrap();
-        assert_eq!(stolen.voter_id, VoterId(1));
-        // The tell: envelope scanned first, no commit printed beforehand.
-        assert_eq!(
-            session.events,
-            vec![
-                KioskEvent::SessionStarted,
-                KioskEvent::ScannedEnvelope {
-                    symbol: Symbol::Star
-                },
-                KioskEvent::PrintedFullReceipt,
-            ]
-        );
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(7, KioskBehavior::StealsRealCredential);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let env = envelope(Symbol::Star, &mut rng);
+            let (_receipt, stolen) = entry.malicious(&mut session, &env, &mut rng).unwrap();
+            assert_eq!(stolen.voter_id, VoterId(1));
+            // The tell: envelope scanned first, no commit printed beforehand.
+            assert_eq!(
+                session.events,
+                vec![
+                    KioskEvent::SessionStarted,
+                    KioskEvent::ScannedEnvelope {
+                        symbol: Symbol::Star
+                    },
+                    KioskEvent::PrintedFullReceipt,
+                ],
+                "{entry:?}"
+            );
+        }
     }
 
     #[test]
     fn honest_kiosk_refuses_malicious_flow() {
-        let mut rng = HmacDrbg::from_u64(8);
-        let mac = [9u8; 32];
-        let kiosk = Kiosk::new(
-            mac,
-            EdwardsPoint::mul_base(&rng.scalar()),
-            KioskBehavior::Honest,
-            &mut rng,
-        );
-        let mut session = kiosk.begin_session(&ticket(&mac, VoterId(1))).unwrap();
-        let env = envelope(Symbol::Star, &mut rng);
-        assert!(session.malicious_real_credential(&env, &mut rng).is_err());
+        for entry in ENTRIES {
+            let (kiosk, mut rng) = booth(8, KioskBehavior::Honest);
+            let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
+            let env = envelope(Symbol::Star, &mut rng);
+            assert!(
+                entry.malicious(&mut session, &env, &mut rng).is_err(),
+                "{entry:?}"
+            );
+        }
+    }
+
+    /// Two entry points, one ceremony: an interactive session fed the
+    /// seeded derivation's own stream prints the seeded session's receipt,
+    /// byte for byte. (A fake or stolen credential takes its envelope
+    /// before it draws on the interactive side and after on the seeded
+    /// one, so only the real flow's streams line up.)
+    #[test]
+    fn interactive_session_on_the_seeded_stream_prints_the_seeded_receipt() {
+        let (kiosk, _) = booth(9, KioskBehavior::Honest);
+        let printer = printer();
+        let (seed, index, voter) = ([4u8; 32], 3usize, VoterId(7));
+        let ticket = ticket(&MAC, voter);
+
+        let apk = &kiosk.authority_pk;
+        let materials = SessionMaterials::derive(&seed, index, voter, 0, apk, &printer, false);
+        let seeded = crate::fleet::run_pool_session(&kiosk, &ticket, materials)
+            .unwrap()
+            .outcome
+            .believed_real;
+
+        let mut label = b"trip-pool-session-v1".to_vec();
+        label.extend_from_slice(&seed);
+        label.extend_from_slice(&(index as u64).to_le_bytes());
+        label.extend_from_slice(&voter.to_bytes());
+        let mut stream = HmacDrbg::new(&label);
+        let mut session = kiosk.begin_session(&ticket).unwrap();
+        let symbol = session.begin_real_credential(&mut stream).unwrap().symbol();
+        let (envelope, _) = printer.print_detached(stream.scalar(), symbol);
+        let receipt = session.finish_real_credential(&envelope).unwrap();
+
+        assert_eq!(receipt, seeded.receipt);
+        assert_eq!(envelope, seeded.envelope);
     }
 }

@@ -17,11 +17,20 @@
 //! - [`official`]: check-in and check-out (Figs 8, 10);
 //! - [`printer`]: envelope issuance with ledger commitments (Fig 7), plus
 //!   the adversarial duplicate-envelope attack;
-//! - [`kiosk`]: real/fake credential issuance (Fig 9) with honest and
-//!   credential-stealing behaviours;
+//! - [`ceremony`]: everything a kiosk may compute *before* it scans an
+//!   envelope — the real and fake credential precursors and the seeded
+//!   per-session bundle built from them;
+//! - [`kiosk`]: what a kiosk does with a precursor in the booth (Fig 9) —
+//!   session state machine, event trace, hash-only signing — with honest
+//!   and credential-stealing behaviours;
 //! - [`vsd`]: credential activation with every check of Fig 11;
+//! - [`pool`], [`fleet`], [`boundary`]: the registration day — sessions
+//!   precomputed in refill batches, N kiosks draining one check-in queue,
+//!   and the seam to the registrar's desks, printers and ledgers;
 //! - [`setup`], [`protocol`]: system setup (Fig 7) and the end-to-end
-//!   registration workflow (Fig 6).
+//!   registration workflow (Fig 6) for one voter, from an rng
+//!   ([`protocol::register_voter`]) or a day seed
+//!   ([`protocol::register_voter_seeded`]) — the same ceremony either way.
 //!
 //! # Example
 //!
@@ -33,7 +42,7 @@
 //! let mut rng = HmacDrbg::from_u64(7);
 //! let mut system = TripSystem::setup(TripConfig::with_voters(2), &mut rng);
 //! let mut outcome = protocol::register_voter(&mut system, VoterId(1), 1, &mut rng).unwrap();
-//! let vsd = protocol::activate_all(&mut system, &mut outcome, &mut rng).unwrap();
+//! let vsd = protocol::activate_all(&mut system, &mut outcome).unwrap();
 //! assert_eq!(vsd.credentials.len(), 2); // one real + one fake
 //! ```
 //!

@@ -124,7 +124,7 @@ pub struct CheckOutQr {
 }
 
 /// The third receipt QR (Fig 9a line 16): q_r = (c_sk, r, K_pk, σ_kr).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ResponseQr {
     /// The credential *secret* key (hidden inside the envelope during
     /// transport).
@@ -135,6 +135,18 @@ pub struct ResponseQr {
     pub kiosk_pk: CompressedPoint,
     /// Kiosk signature σ_kr over c_pk ‖ H(e ‖ r).
     pub kiosk_sig: Signature,
+}
+
+impl core::fmt::Debug for ResponseQr {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // c_sk is the credential itself: it stays off logs, and so does
+        // every `{:?}` of a receipt or an activate view built on this one.
+        write!(
+            f,
+            "ResponseQr(kiosk_pk={:?}, credential_sk=<redacted>)",
+            self.kiosk_pk
+        )
+    }
 }
 
 /// A fully printed receipt (Fig 2b).
@@ -180,7 +192,7 @@ pub struct ActivateView<'a> {
 
 /// An assembled paper credential: receipt inside envelope, with the
 /// voter's private marking.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PaperCredential {
     /// The printed receipt.
     pub receipt: Receipt,
@@ -191,6 +203,18 @@ pub struct PaperCredential {
     /// The voter's private marking (e.g. "R"); only the voter knows their
     /// own convention (§3.2).
     pub marking: Option<String>,
+}
+
+impl core::fmt::Debug for PaperCredential {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The marking says which credential is real — the one bit TRIP
+        // exists to keep from a coercer — and the receipt holds c_sk.
+        write!(
+            f,
+            "PaperCredential(kiosk_pk={:?}, state={:?}, credential_sk=<redacted>, marking=<redacted>)",
+            self.receipt.response_qr.kiosk_pk, self.state
+        )
+    }
 }
 
 impl PaperCredential {
@@ -372,6 +396,26 @@ mod tests {
         assert!(cred.marking.is_none());
         cred.mark("RR");
         assert_eq!(cred.marking.as_deref(), Some("RR"));
+    }
+
+    #[test]
+    fn debug_prints_neither_the_secret_key_nor_the_marking() {
+        let mut rng = HmacDrbg::from_u64(6);
+        for marking in ["R", "F0"] {
+            let mut cred = sample_credential(&mut rng);
+            cred.mark(marking);
+            cred.lift_to_activate();
+            let sk = cred.receipt.response_qr.credential_sk.to_bytes();
+            let sk_hex: String = sk.iter().rev().map(|b| format!("{b:02x}")).collect();
+            let view = cred.activate_view().unwrap();
+            let printed = format!("{cred:?} {:?} {view:?}", vec![cred.receipt.clone()]);
+            assert!(!printed.contains(sk_hex.as_str()), "c_sk in {printed}");
+            assert!(
+                !printed.contains(&format!("{marking:?}")),
+                "marking in {printed}"
+            );
+            assert!(printed.contains("PaperCredential(") && printed.contains("ResponseQr("));
+        }
     }
 
     #[test]

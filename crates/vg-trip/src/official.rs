@@ -8,7 +8,7 @@
 use vg_crypto::drbg::Rng;
 use vg_crypto::hmac::{hmac_sha256, hmac_verify};
 use vg_crypto::schnorr::{NonceCoupon, SignatureSweep, SigningKey, VerifyingKey};
-use vg_crypto::CompressedPoint;
+use vg_crypto::{CompressedPoint, HmacDrbg};
 use vg_ledger::{Ledger, RegistrationRecord, VoterId};
 
 use crate::error::TripError;
@@ -44,13 +44,38 @@ impl Official {
         Ok(CheckInTicket { voter_id, tag })
     }
 
-    /// Check-out (Fig 10): scans the credential's check-out QR through the
-    /// envelope window, verifies the kiosk's authorization and signature,
-    /// countersigns, and posts the registration record.
+    /// Check-out (Fig 10) at a desk that holds no precomputed coupon:
+    /// [`Official::check_out_with_coupon`] with a coupon drawn from
+    /// HMAC-DRBG(O_sk ‖ message), the RFC 6979 construction — one nonce per
+    /// message, so re-scanning a ticket countersigns it identically.
     pub fn check_out(
         &self,
         ledger: &mut Ledger,
         checkout: &CheckOutQr,
+        kiosk_registry: &[CompressedPoint],
+    ) -> Result<(), TripError> {
+        let mut label = b"trip-checkout-coupon-v1".to_vec();
+        label.extend_from_slice(&self.key.secret().to_bytes());
+        label.extend_from_slice(&RegistrationRecord::official_message(
+            checkout.voter_id,
+            &checkout.c_pc,
+            &checkout.kiosk_sig,
+        ));
+        let coupon = NonceCoupon::generate(&mut HmacDrbg::new(&label));
+        self.check_out_with_coupon(ledger, checkout, coupon, kiosk_registry)
+    }
+
+    /// Check-out (Fig 10): scans the credential's check-out QR through the
+    /// envelope window, verifies the kiosk's authorization and signature,
+    /// countersigns from `coupon` (the ceremony pool provides one per
+    /// session, making the desk hash-only), and posts the registration
+    /// record. Record bytes match the batched path exactly, which is the
+    /// fleet's replay contract.
+    pub fn check_out_with_coupon(
+        &self,
+        ledger: &mut Ledger,
+        checkout: &CheckOutQr,
+        coupon: NonceCoupon,
         kiosk_registry: &[CompressedPoint],
     ) -> Result<(), TripError> {
         // K_pk ∈ K_pk? (Fig 10 line 2).
@@ -63,45 +88,9 @@ impl Official {
             &RegistrationRecord::kiosk_message(checkout.voter_id, &checkout.c_pc),
             &checkout.kiosk_sig,
         )?;
-        // σ_o ← Sig.Sign(O_sk, V_id ‖ c_pc ‖ σ_kot) (line 4).
-        let official_sig = self.key.sign(&RegistrationRecord::official_message(
-            checkout.voter_id,
-            &checkout.c_pc,
-            &checkout.kiosk_sig,
-        ));
-        // L_R[V_id] ← (c_pc, K_pk, σ_kot, O_pk, σ_o) (line 5).
-        ledger.registration.post(RegistrationRecord {
-            voter_id: checkout.voter_id,
-            c_pc: checkout.c_pc,
-            kiosk_pk: checkout.kiosk_pk,
-            kiosk_sig: checkout.kiosk_sig,
-            official_pk: self.public_key(),
-            official_sig,
-        })?;
-        Ok(())
-    }
-
-    /// [`Official::check_out`] with the countersignature drawn from a
-    /// precomputed [`NonceCoupon`] (the ceremony pool provides one per
-    /// session), making the check-out desk hash-only. Record bytes match
-    /// the batched path exactly, which is the fleet's replay contract.
-    pub fn check_out_with_coupon(
-        &self,
-        ledger: &mut Ledger,
-        checkout: &CheckOutQr,
-        coupon: NonceCoupon,
-        kiosk_registry: &[CompressedPoint],
-    ) -> Result<(), TripError> {
-        if !kiosk_registry.contains(&checkout.kiosk_pk) {
-            return Err(TripError::UnknownKiosk);
-        }
-        let kiosk_vk = VerifyingKey::from_compressed(&checkout.kiosk_pk)?;
-        kiosk_vk.verify(
-            &RegistrationRecord::kiosk_message(checkout.voter_id, &checkout.c_pc),
-            &checkout.kiosk_sig,
-        )?;
-        let record = self.countersign(checkout, coupon);
-        ledger.registration.post(record)?;
+        ledger
+            .registration
+            .post(self.countersign(checkout, coupon))?;
         Ok(())
     }
 
@@ -186,6 +175,7 @@ impl Official {
     /// Builds the countersigned registration record for a verified
     /// check-out ticket (Fig 10 lines 4–5).
     fn countersign(&self, checkout: &CheckOutQr, coupon: NonceCoupon) -> RegistrationRecord {
+        // σ_o ← Sig.Sign(O_sk, V_id ‖ c_pc ‖ σ_kot) (line 4).
         let official_sig = self.key.sign_with_coupon(
             &RegistrationRecord::official_message(
                 checkout.voter_id,
@@ -194,6 +184,7 @@ impl Official {
             ),
             coupon,
         );
+        // L_R[V_id] ← (c_pc, K_pk, σ_kot, O_pk, σ_o) (line 5).
         RegistrationRecord {
             voter_id: checkout.voter_id,
             c_pc: checkout.c_pc,

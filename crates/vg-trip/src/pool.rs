@@ -210,18 +210,6 @@ impl CeremonyPool {
         Ok(())
     }
 
-    /// Takes the next session's materials, refilling if the pool ran dry.
-    /// Returns `None` once the whole plan has been consumed.
-    pub fn take(
-        &mut self,
-        printer: &EnvelopePrinter,
-    ) -> Result<Option<SessionMaterials>, TripError> {
-        if self.ready.is_empty() {
-            self.refill(printer)?;
-        }
-        Ok(self.ready.pop_front())
-    }
-
     /// Takes the next already-derived session's materials without
     /// refilling (the fleet drains exactly one refill window at a time).
     pub fn take_ready(&mut self) -> Option<SessionMaterials> {
@@ -450,15 +438,25 @@ mod tests {
         assert_eq!(pool.refill(&printer).unwrap(), 0);
     }
 
+    /// Drains a pool the way the fleet does: refill, then every ready
+    /// session, until a refill comes back empty.
+    fn drain(pool: &mut CeremonyPool, printer: &EnvelopePrinter) -> Vec<SessionMaterials> {
+        let mut out = Vec::new();
+        while pool.refill(printer).unwrap() > 0 {
+            out.extend(std::iter::from_fn(|| pool.take_ready()));
+        }
+        out
+    }
+
     #[test]
     fn take_drains_in_queue_order_independent_of_batch_size() {
         let (apk, printer) = fixtures();
         for batch in [1usize, 3, 64] {
             let mut pool = CeremonyPool::new([9u8; 32], apk, plan(7), batch, 1);
-            let mut voters = Vec::new();
-            while let Some(m) = pool.take(&printer).unwrap() {
-                voters.push((m.session_index, m.voter_id));
-            }
+            let voters: Vec<(usize, VoterId)> = drain(&mut pool, &printer)
+                .iter()
+                .map(|m| (m.session_index, m.voter_id))
+                .collect();
             let expected: Vec<(usize, VoterId)> =
                 (0..7).map(|i| (i, VoterId(i as u64 + 1))).collect();
             assert_eq!(voters, expected, "batch size {batch}");
@@ -468,15 +466,12 @@ mod tests {
     #[test]
     fn materials_identical_across_thread_counts() {
         let (apk, printer) = fixtures();
-        let drain = |threads: usize| {
+        let tags = |threads: usize| -> Vec<_> {
             let mut pool = CeremonyPool::new([1u8; 32], apk, plan(5), 2, threads);
-            let mut tags = Vec::new();
-            while let Some(m) = pool.take(&printer).unwrap() {
-                tags.push(m.real.c_pc);
-            }
-            tags
+            let drained = drain(&mut pool, &printer);
+            drained.iter().map(|m| m.real.c_pc).collect()
         };
-        assert_eq!(drain(1), drain(4));
+        assert_eq!(tags(1), tags(4));
     }
 
     #[test]

@@ -44,19 +44,9 @@ impl EnvelopePrinter {
         e: Scalar,
         symbol: Symbol,
     ) -> Result<Envelope, LedgerError> {
-        let h = challenge_hash(&e);
-        let signature = self.key.sign(&EnvelopeCommitment::message(&h));
-        ledger.commit(EnvelopeCommitment {
-            printer_pk: self.public_key(),
-            challenge_hash: h,
-            signature,
-        })?;
-        Ok(Envelope {
-            printer_pk: self.public_key(),
-            challenge: e,
-            signature,
-            symbol,
-        })
+        let (envelope, commitment) = self.print_detached(e, symbol);
+        ledger.commit(commitment)?;
+        Ok(envelope)
     }
 
     /// Prepares one envelope *without* touching the ledger, returning the
@@ -112,22 +102,13 @@ impl EnvelopePrinter {
         rng: &mut dyn Rng,
     ) -> Result<Vec<Envelope>, LedgerError> {
         let e_star = rng.scalar();
-        let mut out = Vec::with_capacity(k);
-        for i in 0..k {
-            if i == 0 {
-                out.push(self.print_one(ledger, e_star, Symbol::random(rng))?);
-            } else {
+        (0..k)
+            .map(|i| match i {
+                0 => self.print_one(ledger, e_star, Symbol::random(rng)),
                 // Clone the physical artifact without a new ledger entry.
-                let h = challenge_hash(&e_star);
-                out.push(Envelope {
-                    printer_pk: self.public_key(),
-                    challenge: e_star,
-                    signature: self.key.sign(&EnvelopeCommitment::message(&h)),
-                    symbol: Symbol::random(rng),
-                });
-            }
-        }
-        Ok(out)
+                _ => Ok(self.print_detached(e_star, Symbol::random(rng)).0),
+            })
+            .collect()
     }
 }
 

@@ -11,8 +11,8 @@ use vg_ledger::VoterId;
 
 use crate::error::TripError;
 use crate::kiosk::{KioskBehavior, KioskEvent};
-use crate::materials::PaperCredential;
-use crate::setup::TripSystem;
+use crate::materials::{PaperCredential, Symbol};
+use crate::setup::{take_any_envelope, take_envelope_with_symbol, TripSystem};
 use crate::vsd::Vsd;
 
 /// The result of one registration session.
@@ -35,9 +35,15 @@ impl RegistrationOutcome {
     }
 }
 
-/// Runs a complete registration session for `voter_id`, creating one real
-/// and `n_fakes` fake credentials, then checking out with the first
-/// credential.
+/// Runs a complete registration session for `voter_id` on kiosk 0,
+/// creating one real and `n_fakes` fake credentials from the booth's
+/// envelope supply, then checking out with the first credential.
+///
+/// The kiosk draws its precursors from `rng` as the voter walks in and
+/// then runs the ceremony every registration day runs
+/// (`fleet::run_session`); what differs from
+/// [`register_voter_seeded`] is where the randomness and the envelopes come
+/// from, not what the booth does.
 ///
 /// If the kiosk is compromised ([`KioskBehavior::StealsRealCredential`]),
 /// the "real" credential handed to the voter is forged and the stolen key
@@ -60,76 +66,42 @@ pub fn register_voter(
 
     // Privacy booth (Fig 1 step 2).
     let kiosk = &system.kiosks[0];
-    let behavior = kiosk.behavior();
-    let mut session = kiosk.begin_session(&ticket)?;
-
-    let believed_real = match behavior {
-        KioskBehavior::Honest => {
-            // Real credential, 4-step process (§3.2): ticket scanned;
-            // kiosk prints symbol + commit; voter picks matching envelope;
-            // kiosk prints the remaining QRs.
-            let symbol = session.begin_real_credential(rng)?.symbol();
-            let envelope = match crate::setup::take_envelope_with_symbol(
-                &mut system.booth_envelopes,
-                symbol,
-            ) {
-                Some(env) => env,
-                // The symbol ran out: the registrar prints fresh envelopes
-                // until a matching one appears (footnote 6), leaving the
-                // extras in the booth.
-                None => loop {
-                    let env = system.printers[0]
-                        .print_one(
-                            &mut system.ledger.envelopes,
-                            rng.scalar(),
-                            crate::materials::Symbol::random(rng),
-                        )
-                        .map_err(TripError::Ledger)?;
-                    if env.symbol == symbol {
-                        break env;
-                    }
-                    system.booth_envelopes.push(env);
-                },
-            };
-            let receipt = session.finish_real_credential(&envelope)?;
-            PaperCredential::assemble(receipt, envelope)
+    let real = kiosk.draw_real(rng);
+    let fakes = (0..n_fakes).map(|_| kiosk.draw_fake(rng)).collect();
+    let spare =
+        (kiosk.behavior() == KioskBehavior::StealsRealCredential).then(|| kiosk.draw_fake(rng));
+    let mut pick = |symbol: Option<Symbol>| {
+        let Some(symbol) = symbol else {
+            return take_any_envelope(&mut system.booth_envelopes, rng)
+                .ok_or(TripError::NoMatchingEnvelope);
+        };
+        if let Some(env) = take_envelope_with_symbol(&mut system.booth_envelopes, symbol) {
+            return Ok(env);
         }
-        KioskBehavior::StealsRealCredential => {
-            // The compromised kiosk asks for an envelope up front.
-            let envelope = crate::setup::take_any_envelope(&mut system.booth_envelopes, rng)
-                .ok_or(TripError::NoMatchingEnvelope)?;
-            let (receipt, stolen) = session.malicious_real_credential(&envelope, rng)?;
-            system.adversary_loot.push(stolen);
-            PaperCredential::assemble(receipt, envelope)
+        // The symbol ran out: the registrar prints fresh envelopes until a
+        // matching one appears (footnote 6), leaving the extras in the
+        // booth.
+        loop {
+            let env = system.printers[0].print_one(
+                &mut system.ledger.envelopes,
+                rng.scalar(),
+                Symbol::random(rng),
+            )?;
+            if env.symbol == symbol {
+                return Ok(env);
+            }
+            system.booth_envelopes.push(env);
         }
     };
-
-    // Fake credentials, 2-step process each.
-    let mut fakes = Vec::with_capacity(n_fakes);
-    for _ in 0..n_fakes {
-        let envelope = crate::setup::take_any_envelope(&mut system.booth_envelopes, rng)
-            .ok_or(TripError::NoMatchingEnvelope)?;
-        let receipt = session.create_fake_credential(&envelope, rng)?;
-        fakes.push(PaperCredential::assemble(receipt, envelope));
-    }
-
-    // The voter privately marks the credentials (§3.2).
-    let mut believed_real = believed_real;
-    believed_real.mark("R");
-    for (i, fake) in fakes.iter_mut().enumerate() {
-        fake.mark(&format!("F{i}"));
-    }
+    let (outcome, stolen) =
+        crate::fleet::run_session(kiosk, &ticket, real, fakes, spare, &mut pick)?;
+    system.adversary_loot.extend(stolen);
 
     // Check-out (Fig 1 step 3) with any one credential — they all carry
     // the same check-out ticket.
-    let view = believed_real.transport_view()?;
+    let view = outcome.believed_real.transport_view()?;
     system.officials[0].check_out(&mut system.ledger, view.checkout, &system.kiosk_registry)?;
-
-    Ok(RegistrationOutcome {
-        believed_real,
-        fakes,
-        events: session.finish(),
-    })
+    Ok(outcome)
 }
 
 /// The sequential reference for the kiosk-fleet engine: registers one
@@ -164,24 +136,18 @@ pub fn register_voter_seeded(
         malicious,
     );
     let ticket = system.officials[0].check_in(&system.ledger, voter_id)?;
-    let output = crate::fleet::run_session(&system.kiosks[kiosk_idx], &ticket, materials)?;
-    for commitment in output.commitments.iter().cloned() {
+    let output = crate::fleet::run_pool_session(&system.kiosks[kiosk_idx], &ticket, materials)?;
+    for commitment in output.commitments {
         system.ledger.envelopes.commit(commitment)?;
     }
     system.officials[0].check_out_with_coupon(
         &mut system.ledger,
-        &output.checkout,
+        output.outcome.believed_real.transport_view()?.checkout,
         output.official_coupon,
         &system.kiosk_registry,
     )?;
-    if let Some(loot) = output.stolen {
-        system.adversary_loot.push(loot);
-    }
-    Ok(RegistrationOutcome {
-        believed_real: output.believed_real,
-        fakes: output.fakes,
-        events: output.events,
-    })
+    system.adversary_loot.extend(output.stolen);
+    Ok(output.outcome)
 }
 
 /// Activates every credential from an outcome on a fresh device,
@@ -189,22 +155,13 @@ pub fn register_voter_seeded(
 pub fn activate_all(
     system: &mut TripSystem,
     outcome: &mut RegistrationOutcome,
-    rng: &mut dyn Rng,
 ) -> Result<Vsd, TripError> {
-    let _ = rng; // Activation itself is deterministic.
     let mut vsd = Vsd::new();
-    outcome.believed_real.lift_to_activate();
     let authority_pk = system.authority.public_key;
-    vsd.activate(
-        &outcome.believed_real,
-        &mut system.ledger,
-        &authority_pk,
-        &system.printer_registry,
-    )?;
-    for fake in &mut outcome.fakes {
-        fake.lift_to_activate();
+    for credential in std::iter::once(&mut outcome.believed_real).chain(&mut outcome.fakes) {
+        credential.lift_to_activate();
         vsd.activate(
-            fake,
+            credential,
             &mut system.ledger,
             &authority_pk,
             &system.printer_registry,
@@ -246,7 +203,7 @@ pub fn register_with_delegation(
 
     let mut fakes = Vec::with_capacity(n_fakes);
     for i in 0..n_fakes {
-        let envelope = crate::setup::take_any_envelope(&mut system.booth_envelopes, rng)
+        let envelope = take_any_envelope(&mut system.booth_envelopes, rng)
             .ok_or(TripError::NoMatchingEnvelope)?;
         let receipt = session.create_fake_credential(&envelope, rng)?;
         let mut cred = PaperCredential::assemble(receipt, envelope);
@@ -292,7 +249,7 @@ mod tests {
         assert!(trace_shows_honest_real_flow(&outcome.events));
         assert_eq!(system.ledger.registration.active_count(), 1);
 
-        let vsd = activate_all(&mut system, &mut outcome, &mut rng).expect("activates");
+        let vsd = activate_all(&mut system, &mut outcome).expect("activates");
         assert_eq!(vsd.credentials.len(), 3);
         // All three credentials share the same public tag.
         let tag = vsd.credentials[0].c_pc;
@@ -331,7 +288,7 @@ mod tests {
             &mut rng,
         );
         let mut outcome = register_voter(&mut system, VoterId(1), 0, &mut rng).unwrap();
-        let vsd = activate_all(&mut system, &mut outcome, &mut rng).expect("activates");
+        let vsd = activate_all(&mut system, &mut outcome).expect("activates");
         assert_eq!(vsd.credentials.len(), 1);
     }
 
@@ -340,7 +297,7 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(4);
         let mut system = TripSystem::setup(TripConfig::with_voters(2), &mut rng);
         let mut outcome = register_voter(&mut system, VoterId(1), 0, &mut rng).unwrap();
-        activate_all(&mut system, &mut outcome, &mut rng).expect("first activation");
+        activate_all(&mut system, &mut outcome).expect("first activation");
         // Re-activating the same credential trips the duplicate-challenge
         // detector (replay of the envelope challenge).
         let mut vsd = Vsd::new();
@@ -383,7 +340,7 @@ mod tests {
         assert_eq!(err, TripError::Activation(ActivationCheck::LedgerMismatch));
 
         // The second works.
-        let vsd = activate_all(&mut system, &mut second, &mut rng).unwrap();
+        let vsd = activate_all(&mut system, &mut second).unwrap();
         assert_eq!(vsd.credentials.len(), 1);
     }
 
@@ -395,7 +352,7 @@ mod tests {
             let n_fakes = (v % 3) as usize;
             let mut outcome = register_voter(&mut system, VoterId(v), n_fakes, &mut rng)
                 .unwrap_or_else(|e| panic!("voter {v}: {e}"));
-            let vsd = activate_all(&mut system, &mut outcome, &mut rng).unwrap();
+            let vsd = activate_all(&mut system, &mut outcome).unwrap();
             assert_eq!(vsd.credentials.len(), 1 + n_fakes);
         }
         assert_eq!(system.ledger.registration.active_count(), 5);

@@ -243,19 +243,6 @@ impl TripSystem {
         }
         Ok(())
     }
-
-    /// Takes an envelope with the given symbol out of the booth supply.
-    pub fn take_envelope_with_symbol(
-        &mut self,
-        symbol: crate::materials::Symbol,
-    ) -> Option<Envelope> {
-        take_envelope_with_symbol(&mut self.booth_envelopes, symbol)
-    }
-
-    /// Takes an arbitrary envelope out of the booth supply.
-    pub fn take_any_envelope(&mut self, rng: &mut dyn Rng) -> Option<Envelope> {
-        take_any_envelope(&mut self.booth_envelopes, rng)
-    }
 }
 
 /// Takes an envelope with a matching symbol out of a booth supply
@@ -303,9 +290,9 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(2);
         let mut system = TripSystem::setup(TripConfig::with_voters(4), &mut rng);
         let before = system.booth_envelopes.len();
-        let env = system
-            .take_envelope_with_symbol(crate::materials::Symbol::Star)
-            .expect("a star envelope exists in a healthy supply");
+        let env =
+            take_envelope_with_symbol(&mut system.booth_envelopes, crate::materials::Symbol::Star)
+                .expect("a star envelope exists in a healthy supply");
         assert_eq!(env.symbol, crate::materials::Symbol::Star);
         assert_eq!(system.booth_envelopes.len(), before - 1);
     }

@@ -217,6 +217,17 @@ pub fn activation_ledger_phase(
     Ok(())
 }
 
+/// [`activation_ledger_phase`] for a run of claims in order, stopping at
+/// the first failure.
+pub(crate) fn sweep_ledger(
+    ledger: &mut Ledger,
+    claims: &[ActivationClaim],
+) -> Result<(), TripError> {
+    claims
+        .iter()
+        .try_for_each(|claim| activation_ledger_phase(ledger, claim))
+}
+
 /// Performs the activation checks of Fig 11 and, on success, returns the
 /// activated credential and reveals the envelope challenge on L_E.
 pub fn activate(
@@ -225,17 +236,22 @@ pub fn activate(
     authority_pk: &EdwardsPoint,
     printer_registry: &[CompressedPoint],
 ) -> Result<ActivatedCredential, TripError> {
-    let key = activate_client_checks(view, authority_pk, printer_registry)?;
-    activation_ledger_phase(ledger, &ActivationClaim::of(view))?;
-    Ok(ActivatedCredential {
-        voter_id: view.commit.voter_id,
-        key,
-        c_pc: view.commit.c_pc,
-        kiosk_pk: view.response.kiosk_pk,
-        issuance_sig: view.response.kiosk_sig,
-        response: view.response.response,
-        challenge: view.envelope.challenge,
+    activate_with(view, authority_pk, printer_registry, &mut |claims| {
+        sweep_ledger(ledger, claims)
     })
+}
+
+/// Fig 11 for one credential: the device-side checks, then its claim
+/// through `ledger_sweep` (see [`activate_batch_with`]).
+fn activate_with(
+    view: &ActivateView<'_>,
+    authority_pk: &EdwardsPoint,
+    printer_registry: &[CompressedPoint],
+    ledger_sweep: &mut dyn FnMut(&[ActivationClaim]) -> Result<(), TripError>,
+) -> Result<ActivatedCredential, TripError> {
+    let key = activate_client_checks(view, authority_pk, printer_registry)?;
+    ledger_sweep(std::slice::from_ref(&ActivationClaim::of(view)))?;
+    Ok(assemble_activated(view, key))
 }
 
 /// Activates a whole batch of paper credentials (the fleet's check-out
@@ -263,52 +279,20 @@ pub fn activate_batch(
     printer_registry: &[CompressedPoint],
     threads: usize,
 ) -> Result<Vec<ActivatedCredential>, TripError> {
-    if credentials.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Optimistic, non-mutating folded checks; bail to the sequential
-    // reference on any failure so error semantics (including which
-    // credentials got their challenge revealed before the error) match a
-    // plain [`activate`] loop exactly. Ledger-phase errors below are
-    // already the sequential-faithful ones and propagate directly.
-    let (views, keys) =
-        match activate_batch_checks(credentials, authority_pk, printer_registry, threads) {
-            Ok(checked) => checked,
-            Err(_) => {
-                let mut out = Vec::with_capacity(credentials.len());
-                for credential in credentials {
-                    let view = credential.activate_view()?;
-                    out.push(activate(&view, ledger, authority_pk, printer_registry)?);
-                }
-                return Ok(out);
-            }
-        };
-
-    // Lines 9–11 per credential, in input order (identical L_E mutations
-    // to the sequential loop).
-    let mut out = Vec::with_capacity(views.len());
-    for (view, key) in views.iter().zip(keys.iter()) {
-        activation_ledger_phase(ledger, &ActivationClaim::of(view))?;
-        out.push(ActivatedCredential {
-            voter_id: view.commit.voter_id,
-            key: key.clone(),
-            c_pc: view.commit.c_pc,
-            kiosk_pk: view.response.kiosk_pk,
-            issuance_sig: view.response.kiosk_sig,
-            response: view.response.response,
-            challenge: view.envelope.challenge,
-        });
-    }
-    Ok(out)
+    activate_batch_with(
+        credentials,
+        authority_pk,
+        printer_registry,
+        threads,
+        &mut |claims| sweep_ledger(ledger, claims),
+    )
 }
 
 /// [`activate_batch`] with the ledger phase behind a
 /// [`crate::boundary::RegistrarBoundary`]: the device-side folded checks
 /// (lines 2–8) run locally — the credential secrets never cross the
 /// boundary — and only the [`ActivationClaim`]s are shipped for the L_R
-/// cross-check and L_E reveal. Falls back to the sequential-faithful
-/// per-credential path on any folded-check failure, reproducing the exact
-/// first error and partial-reveal behaviour of a plain [`activate`] loop.
+/// cross-check and L_E reveal.
 pub fn activate_batch_over(
     boundary: &mut dyn crate::boundary::RegistrarBoundary,
     credentials: &[&PaperCredential],
@@ -316,30 +300,53 @@ pub fn activate_batch_over(
     printer_registry: &[CompressedPoint],
     threads: usize,
 ) -> Result<Vec<ActivatedCredential>, TripError> {
+    activate_batch_with(
+        credentials,
+        authority_pk,
+        printer_registry,
+        threads,
+        &mut |claims| boundary.activation_sweep(claims),
+    )
+}
+
+/// The one batched activation body. `ledger_sweep` runs Fig 11 lines 9–11
+/// for a run of claims in order, stopping at the first failure: a loop
+/// over the ledger, or a boundary's
+/// [`activation_sweep`](crate::boundary::RegistrarBoundary::activation_sweep).
+fn activate_batch_with(
+    credentials: &[&PaperCredential],
+    authority_pk: &EdwardsPoint,
+    printer_registry: &[CompressedPoint],
+    threads: usize,
+    ledger_sweep: &mut dyn FnMut(&[ActivationClaim]) -> Result<(), TripError>,
+) -> Result<Vec<ActivatedCredential>, TripError> {
     if credentials.is_empty() {
         return Ok(Vec::new());
     }
-    match activate_batch_checks(credentials, authority_pk, printer_registry, threads) {
-        Ok((views, keys)) => {
-            let claims: Vec<ActivationClaim> = views.iter().map(ActivationClaim::of).collect();
-            boundary.activation_sweep(&claims)?;
-            Ok(views
-                .iter()
-                .zip(keys)
-                .map(|(view, key)| assemble_activated(view, key))
-                .collect())
-        }
-        Err(_) => {
-            let mut out = Vec::with_capacity(credentials.len());
-            for credential in credentials {
-                let view = credential.activate_view()?;
-                let key = activate_client_checks(&view, authority_pk, printer_registry)?;
-                boundary.activation_sweep(std::slice::from_ref(&ActivationClaim::of(&view)))?;
-                out.push(assemble_activated(&view, key));
-            }
-            Ok(out)
-        }
+    // Optimistic, non-mutating folded checks, then one sweep over every
+    // claim. Ledger-phase errors are already the sequential-faithful ones
+    // and propagate directly.
+    if let Ok((views, keys)) =
+        activate_batch_checks(credentials, authority_pk, printer_registry, threads)
+    {
+        let claims: Vec<ActivationClaim> = views.iter().map(ActivationClaim::of).collect();
+        ledger_sweep(&claims)?;
+        return Ok(views
+            .iter()
+            .zip(keys)
+            .map(|(view, key)| assemble_activated(view, key))
+            .collect());
     }
+    // A folded check rejected: one credential at a time, so error
+    // semantics (including which credentials got their challenge revealed
+    // before the error) match a plain [`activate`] loop exactly.
+    credentials
+        .iter()
+        .map(|credential| {
+            let view = credential.activate_view()?;
+            activate_with(&view, authority_pk, printer_registry, ledger_sweep)
+        })
+        .collect()
 }
 
 /// Builds the [`ActivatedCredential`] for a view whose checks and ledger

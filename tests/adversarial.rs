@@ -33,7 +33,7 @@ fn stolen_credential_lets_adversary_vote_as_victim() {
 
     let mut outcome = register_voter(&mut election.trip, VoterId(1), 0, &mut rng).unwrap();
     assert!(!trace_shows_honest_real_flow(&outcome.events));
-    let victim_vsd = activate_all(&mut election.trip, &mut outcome, &mut rng).unwrap();
+    let victim_vsd = activate_all(&mut election.trip, &mut outcome).unwrap();
 
     let mut voting = election.open_voting();
     // The victim votes with what they believe is real.
@@ -93,8 +93,8 @@ fn duplicated_envelopes_detected_at_activation() {
     let e1 = o1.believed_real.envelope.challenge;
     let e2 = o2.believed_real.envelope.challenge;
 
-    let r1 = activate_all(&mut system, &mut o1, &mut rng);
-    let r2 = activate_all(&mut system, &mut o2, &mut rng);
+    let r1 = activate_all(&mut system, &mut o1);
+    let r2 = activate_all(&mut system, &mut o2);
     if e1 == e2 {
         // Both used a stuffed envelope: second activation must fail.
         assert!(r1.is_ok());
@@ -129,10 +129,10 @@ fn impersonation_triggers_notification_and_reregistration() {
     // Victim re-registers: the impersonator's record is superseded…
     let mut honest_session = register_voter(&mut system, VoterId(1), 0, &mut rng).unwrap();
     // …and the impersonator's credential no longer activates.
-    let err = activate_all(&mut system, &mut stolen_session, &mut rng).unwrap_err();
+    let err = activate_all(&mut system, &mut stolen_session).unwrap_err();
     assert_eq!(err, TripError::Activation(ActivationCheck::LedgerMismatch));
     // The honest credential works.
-    let vsd = activate_all(&mut system, &mut honest_session, &mut rng).unwrap();
+    let vsd = activate_all(&mut system, &mut honest_session).unwrap();
     assert_eq!(vsd.credentials.len(), 1);
 }
 

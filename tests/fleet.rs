@@ -106,9 +106,8 @@ proptest! {
 
         // Every credential the fleet minted activates on a device (the
         // full Fig 11 check set), and so do the sequential ones.
-        let mut rng = HmacDrbg::from_u64(1);
         for outcome in &mut seq_outcomes {
-            let vsd = activate_all(&mut seq_system, outcome, &mut rng).expect("activates");
+            let vsd = activate_all(&mut seq_system, outcome).expect("activates");
             prop_assert_eq!(vsd.credentials.len(), 1 + outcome.fakes.len());
         }
     }
