@@ -240,13 +240,6 @@ impl AuthorityMember {
             proof,
         }
     }
-
-    /// The member's secret share (exposed for the tagging protocol, which
-    /// reuses the same share as its tagging exponent would in a deployment
-    /// use an independent DKG; see `vg-votegral::tagging`).
-    pub fn secret_share(&self) -> Scalar {
-        self.share
-    }
 }
 
 /// A verifiable decryption share D_j = x_j·C₁.

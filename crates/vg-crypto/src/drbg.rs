@@ -113,12 +113,6 @@ impl HmacDrbg {
         Self::new(&seed.to_le_bytes())
     }
 
-    /// Mixes fresh seed material into the state.
-    pub fn reseed(&mut self, seed: &[u8]) {
-        self.drbg_update(Some(seed));
-        self.reseed_counter = 1;
-    }
-
     fn drbg_update(&mut self, provided: Option<&[u8]>) {
         let mut mac = HmacSha256::new(&self.k);
         mac.update(&self.v).update(&[0x00]);

@@ -7,7 +7,6 @@
 //! discrete-log assumption, and is additively homomorphic — both properties
 //! the shuffle argument (crate `vg-shuffle`) relies on.
 
-use crate::drbg::Rng;
 use crate::edwards::{hash_to_point, multiscalar_mul, EdwardsPoint};
 use crate::scalar::Scalar;
 
@@ -63,12 +62,6 @@ impl CommitKey {
         multiscalar_mul(&scalars, &points)
     }
 
-    /// Commits with fresh randomness, returning the blinding used.
-    pub fn commit_random(&self, values: &[Scalar], rng: &mut dyn Rng) -> (EdwardsPoint, Scalar) {
-        let blind = rng.scalar();
-        (self.commit(values, &blind), blind)
-    }
-
     /// Commits to the constant vector (v, v, …, v) of length `n` with zero
     /// blinding (used by the shuffle verifier for public offsets).
     pub fn commit_constant(&self, v: &Scalar, n: usize) -> EdwardsPoint {
@@ -80,7 +73,7 @@ impl CommitKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drbg::HmacDrbg;
+    use crate::drbg::{HmacDrbg, Rng};
 
     #[test]
     fn deterministic_generators() {

@@ -250,18 +250,6 @@ impl Scalar {
     pub fn product(xs: &[Scalar]) -> Scalar {
         xs.iter().fold(Scalar::ONE, |a, b| a * *b)
     }
-
-    /// Inner product Σ aᵢ·bᵢ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn inner_product(a: &[Scalar], b: &[Scalar]) -> Scalar {
-        assert_eq!(a.len(), b.len(), "inner product length mismatch");
-        a.iter()
-            .zip(b.iter())
-            .fold(Scalar::ZERO, |acc, (x, y)| acc + *x * *y)
-    }
 }
 
 impl Add for Scalar {

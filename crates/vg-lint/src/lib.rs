@@ -164,9 +164,8 @@ impl Default for Config {
                 "FrameSealer",
                 "ElGamalKeyPair",
                 "AuthorityMember",
-                // vg-service: transport configuration and handshake state.
+                // vg-service: transport configuration.
                 "SecureConfig",
-                "ServerHello",
                 // vg-trip: ceremony secrets a coercer must not read.
                 "RealPrecursor",
                 "FakePrecursor",

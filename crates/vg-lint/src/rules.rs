@@ -284,7 +284,7 @@ pub fn ct_compare(file: &SourceFile, cfg: &Config, out: &mut Vec<Violation>) {
 
 /// Forbids `.unwrap()`, `.expect(..)`, panicking macros, and
 /// integer-literal indexing in the request-serving paths (gateway,
-/// pipeline, ingest, connection handling): a panic there kills a reactor
+/// pipeline, ingest, connection handling): a panic there kills a serving
 /// thread mid-day instead of answering a typed `ServiceError`.
 pub fn panic_path(file: &SourceFile, cfg: &Config, out: &mut Vec<Violation>) {
     if !cfg.server_paths.iter().any(|p| file.path_matches(p)) {

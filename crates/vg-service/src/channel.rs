@@ -31,9 +31,9 @@
 //! endpoint (or vice versa) is detected from the disjoint handshake tag
 //! range and rejected with a typed error.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,6 +64,15 @@ pub trait FramedChannel: Send {
     /// Receives the next complete frame, blocking until one arrives.
     /// Returns a typed transport error on EOF or a broken pipe.
     fn recv_frame(&mut self) -> Result<Vec<u8>, ServiceError>;
+
+    /// Moves the deadline [`recv_frame`](Self::recv_frame) waits under
+    /// for the next frame to *begin* (`None`: a quiet peer is waited on
+    /// forever). How long a frame that has begun may take to finish
+    /// stays what the channel was built with. The registrar's server
+    /// holds a peer to a deadline through the handshake and lets an
+    /// established one idle. The default does nothing: a channel
+    /// without read deadlines has none to move.
+    fn set_read_deadline(&mut self, _deadline: Option<Duration>) {}
 }
 
 /// Dials new channels to one endpoint. `Send + Sync` so a fleet can hand
@@ -103,7 +112,10 @@ pub trait Listener: Send {
 /// magnitude above any healthy round trip, including full-day flush
 /// barriers — so they only ever fire on genuine stalls; chaos tests
 /// tighten them. After a deadline fires mid-frame the stream position is
-/// unknown, so the channel must be discarded and redialed.
+/// unknown, so the channel must be discarded and redialed. The
+/// registrar's server builds its channels with `read` at its reap
+/// deadline and, once a peer is established, takes only the wait between
+/// frames off the clock ([`FramedChannel::set_read_deadline`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Deadlines {
     /// Deadline for each blocking read (`None` = wait forever).
@@ -126,21 +138,15 @@ impl Default for Deadlines {
     }
 }
 
-impl Deadlines {
-    /// No deadlines: the legacy block-forever behavior, for callers that
-    /// bound liveness some other way (the non-blocking gateway).
-    pub fn none() -> Self {
-        Self {
-            read: None,
-            write: None,
-        }
-    }
-}
-
 /// Length-prefixed frames over a TCP stream.
 pub struct TcpChannel {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The socket's read deadline ([`Deadlines::read`]).
+    read: Option<Duration>,
+    /// The deadline for the next frame's first byte; differs from `read`
+    /// only after [`FramedChannel::set_read_deadline`] moved it.
+    next_frame: Option<Duration>,
 }
 
 impl TcpChannel {
@@ -175,6 +181,8 @@ impl TcpChannel {
         Ok(Self {
             reader,
             writer: BufWriter::new(stream),
+            read: deadlines.read,
+            next_frame: deadlines.read,
         })
     }
 }
@@ -185,7 +193,21 @@ impl FramedChannel for TcpChannel {
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ServiceError> {
+        if self.next_frame != self.read && self.reader.buffer().is_empty() {
+            // Wait for the frame's first byte under the moved deadline;
+            // the rest of it is held to the socket's own again, so a
+            // peer that stalls mid-frame still times out.
+            let socket = self.writer.get_ref();
+            socket.set_read_timeout(self.next_frame)?;
+            let began = self.reader.fill_buf().map(drop);
+            socket.set_read_timeout(self.read)?;
+            began?;
+        }
         read_frame(&mut self.reader)
+    }
+
+    fn set_read_deadline(&mut self, deadline: Option<Duration>) {
+        self.next_frame = deadline;
     }
 }
 
@@ -193,28 +215,25 @@ impl FramedChannel for TcpChannel {
 // In-process pipes
 // ---------------------------------------------------------------------
 
-/// One end of an in-process duplex frame queue.
+/// One end of an in-process duplex frame queue. Frames arrive whole, so
+/// its only read deadline is the one
+/// [`FramedChannel::set_read_deadline`] sets; a fresh pipe has none.
 pub struct PipeChannel {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
+    next_frame: Option<Duration>,
 }
 
 /// Creates a connected pair of in-process channels.
 pub fn pipe_pair() -> (PipeChannel, PipeChannel) {
     let (a_tx, b_rx) = channel();
     let (b_tx, a_rx) = channel();
-    (
-        PipeChannel { tx: a_tx, rx: a_rx },
-        PipeChannel { tx: b_tx, rx: b_rx },
-    )
-}
-
-impl PipeChannel {
-    /// Splits into raw sender/receiver halves (the gateway polls the
-    /// receiver without blocking).
-    pub(crate) fn into_parts(self) -> (Sender<Vec<u8>>, Receiver<Vec<u8>>) {
-        (self.tx, self.rx)
-    }
+    let end = |tx, rx| PipeChannel {
+        tx,
+        rx,
+        next_frame: None,
+    };
+    (end(a_tx, a_rx), end(b_tx, b_rx))
 }
 
 impl FramedChannel for PipeChannel {
@@ -225,9 +244,20 @@ impl FramedChannel for PipeChannel {
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ServiceError> {
-        self.rx
-            .recv()
-            .map_err(|_| ServiceError::Transport("pipe peer hung up".into()))
+        let hung_up = || ServiceError::Transport("pipe peer hung up".into());
+        match self.next_frame {
+            None => self.rx.recv().map_err(|_| hung_up()),
+            Some(deadline) => self.rx.recv_timeout(deadline).map_err(|e| match e {
+                RecvTimeoutError::Timeout => {
+                    ServiceError::Timeout("pipe: no frame within the read deadline".into())
+                }
+                RecvTimeoutError::Disconnected => hung_up(),
+            }),
+        }
+    }
+
+    fn set_read_deadline(&mut self, deadline: Option<Duration>) {
+        self.next_frame = deadline;
     }
 }
 
@@ -291,8 +321,8 @@ impl ChannelPolicy {
         }
     }
 
-    /// Runs the (blocking) server side of the policy over an accepted
-    /// channel. On a typed handshake failure the rejection is sent to the
+    /// Runs the server side of the policy over an accepted channel. On a
+    /// typed handshake failure the rejection is sent to the
     /// peer as a plaintext [`Response::Err`] before the error returns, so
     /// the client observes the same typed error instead of an EOF.
     pub fn establish_server(
@@ -381,32 +411,20 @@ fn client_handshake(
     Ok(SecureChannel::client(chan, keys))
 }
 
-/// Server-side handshake state after the client's `Init`: the reply to
-/// send, plus what [`finish_server_handshake`] needs to validate `Fin`.
-/// Split out (rather than folded into [`server_handshake`]) so the
-/// non-blocking gateway can drive the same state machine frame by frame.
-pub(crate) struct ServerHello {
-    /// The `Reply` frame to send to the client.
-    pub(crate) reply: HandshakeReply,
-    /// Derived session keys (not yet confirmed).
-    pub(crate) keys: ChannelKeys,
-    /// Transcript hash both signatures cover.
-    pub(crate) th: [u8; 32],
-}
-
-impl core::fmt::Debug for ServerHello {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // The derived session keys stay off logs; the transcript hash and
-        // reply frame are public wire material.
-        write!(f, "ServerHello(th={:02x?}, keys=<redacted>)", self.th)
-    }
-}
-
-/// Processes a client `Init`: derives keys and builds the server's reply.
-pub(crate) fn server_hello(
-    init: &HandshakeInit,
+/// Server side of the handshake over a bare channel: answers the client's
+/// `Init`, then admits its `Fin` — enrolment first
+/// ([`ServiceError::AuthFailed`]), then signature and key confirmation
+/// ([`ServiceError::HandshakeFailed`]) — and returns the confirmed keys.
+fn server_keys(
+    chan: &mut dyn FramedChannel,
     cfg: &SecureConfig,
-) -> Result<ServerHello, ServiceError> {
+) -> Result<ChannelKeys, ServiceError> {
+    let frame = chan.recv_frame()?;
+    let Ok(HandshakeFrame::Init(init)) = HandshakeFrame::from_wire(&frame) else {
+        return Err(ServiceError::HandshakeFailed(
+            "secure registrar requires a handshake; peer sent something else".into(),
+        ));
+    };
     let mut rng = OsRng::new();
     let eph = EphemeralKey::generate(&mut rng);
     let shared = eph.agree(&init.eph).map_err(|e| {
@@ -421,17 +439,13 @@ pub(crate) fn server_hello(
         sig: cfg.local.sign(&sig_msg(SERVER_SIG_DOMAIN, &th)),
         confirm: confirmation_tag(&keys.auth, b"server", &static_pk),
     };
-    Ok(ServerHello { reply, keys, th })
-}
-
-/// Validates a client `Fin` against the [`ServerHello`] state: enrolment
-/// first ([`ServiceError::AuthFailed`]), then signature and confirmation
-/// ([`ServiceError::HandshakeFailed`]). Returns the confirmed keys.
-pub(crate) fn finish_server_handshake(
-    hello: &ServerHello,
-    fin: &HandshakeFin,
-    cfg: &SecureConfig,
-) -> Result<ChannelKeys, ServiceError> {
+    chan.send_frame(&HandshakeFrame::Reply(reply).to_wire())?;
+    let frame = chan.recv_frame()?;
+    let Ok(HandshakeFrame::Fin(fin)) = HandshakeFrame::from_wire(&frame) else {
+        return Err(ServiceError::HandshakeFailed(
+            "expected handshake fin".into(),
+        ));
+    };
     if !cfg.enrolled.contains(&fin.static_pk) {
         return Err(ServiceError::AuthFailed(
             "station transport key is not enrolled".into(),
@@ -439,56 +453,38 @@ pub(crate) fn finish_server_handshake(
     }
     let vk = VerifyingKey::from_compressed(&fin.static_pk)
         .map_err(|e| ServiceError::HandshakeFailed(format!("client static key invalid: {e}")))?;
-    vk.verify(&sig_msg(CLIENT_SIG_DOMAIN, &hello.th), &fin.sig)
+    vk.verify(&sig_msg(CLIENT_SIG_DOMAIN, &th), &fin.sig)
         .map_err(|_| ServiceError::HandshakeFailed("client transcript signature invalid".into()))?;
     if !ct_eq32(
-        &confirmation_tag(&hello.keys.auth, b"client", &fin.static_pk),
+        &confirmation_tag(&keys.auth, b"client", &fin.static_pk),
         &fin.confirm,
     ) {
         return Err(ServiceError::HandshakeFailed(
             "client key-confirmation mac mismatch".into(),
         ));
     }
-    Ok(hello.keys.clone())
+    Ok(keys)
 }
 
-/// Blocking server handshake (the thread-per-connection counterpart of
-/// the gateway's non-blocking state machine). Typed rejections are reported
-/// to the peer as plaintext `Response::Err` before returning the error.
+/// The server handshake, the mirror image of [`client_handshake`]. A
+/// refusal (as opposed to a lost link) is reported to the peer as a
+/// plaintext `Response::Err` — it holds no keys yet — before the error
+/// returns.
 fn server_handshake(
     mut chan: Box<dyn FramedChannel>,
     cfg: &SecureConfig,
 ) -> Result<Box<dyn FramedChannel>, ServiceError> {
-    let reject = |chan: &mut Box<dyn FramedChannel>, e: ServiceError| {
-        chan.send_frame(&Response::Err(e.clone()).to_wire()).ok();
-        e
-    };
-    let frame = chan.recv_frame()?;
-    let init = match HandshakeFrame::from_wire(&frame) {
-        Ok(HandshakeFrame::Init(i)) => i,
-        _ => {
-            let e = ServiceError::HandshakeFailed(
-                "secure registrar requires a handshake; peer sent something else".into(),
-            );
-            return Err(reject(&mut chan, e));
-        }
-    };
-    let hello = match server_hello(&init, cfg) {
-        Ok(h) => h,
-        Err(e) => return Err(reject(&mut chan, e)),
-    };
-    chan.send_frame(&HandshakeFrame::Reply(hello.reply.clone()).to_wire())?;
-    let frame = chan.recv_frame()?;
-    let fin = match HandshakeFrame::from_wire(&frame) {
-        Ok(HandshakeFrame::Fin(f)) => f,
-        _ => {
-            let e = ServiceError::HandshakeFailed("expected handshake fin".into());
-            return Err(reject(&mut chan, e));
-        }
-    };
-    match finish_server_handshake(&hello, &fin, cfg) {
+    match server_keys(&mut *chan, cfg) {
         Ok(keys) => Ok(Box::new(SecureChannel::server(chan, keys))),
-        Err(e) => Err(reject(&mut chan, e)),
+        Err(e) => {
+            if matches!(
+                e,
+                ServiceError::HandshakeFailed(_) | ServiceError::AuthFailed(_)
+            ) {
+                chan.send_frame(&Response::Err(e.clone()).to_wire()).ok();
+            }
+            Err(e)
+        }
     }
 }
 
@@ -548,6 +544,10 @@ impl FramedChannel for SecureChannel {
             _ => Err(reject_frame(&raw, "encrypted record")),
         }
     }
+
+    fn set_read_deadline(&mut self, deadline: Option<Duration>) {
+        self.inner.set_read_deadline(deadline);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -575,30 +575,20 @@ impl Connector for TcpConnector {
     }
 }
 
-/// Accepts framed TCP channels under one policy, blocking per connection
-/// (a registration day serves its stations through the non-blocking
-/// gateway instead).
+/// Accepts framed TCP channels under one policy, one at a time: the
+/// handshake runs inside [`accept`](Listener::accept). (A registration
+/// day's server gives every connection a thread of its own instead, so a
+/// slow handshake holds up nobody else's — see [`crate::gateway`].)
 pub struct TcpChannelListener {
     listener: TcpListener,
     policy: ChannelPolicy,
-    deadlines: Deadlines,
 }
 
 impl TcpChannelListener {
     /// Wraps a bound listener (default [`Deadlines`] on every accepted
     /// channel).
     pub fn new(listener: TcpListener, policy: ChannelPolicy) -> Self {
-        Self {
-            listener,
-            policy,
-            deadlines: Deadlines::default(),
-        }
-    }
-
-    /// Overrides the deadlines applied to accepted channels.
-    pub fn with_deadlines(mut self, deadlines: Deadlines) -> Self {
-        self.deadlines = deadlines;
-        self
+        Self { listener, policy }
     }
 }
 
@@ -606,10 +596,7 @@ impl Listener for TcpChannelListener {
     fn accept(&mut self) -> Result<Box<dyn FramedChannel>, ServiceError> {
         let (stream, _) = self.listener.accept()?;
         self.policy
-            .establish_server(Box::new(TcpChannel::from_stream_with(
-                stream,
-                self.deadlines,
-            )?))
+            .establish_server(Box::new(TcpChannel::from_stream(stream)?))
     }
 }
 
@@ -712,24 +699,30 @@ mod tests {
     #[test]
     fn tampered_handshake_reply_fails_typed() {
         let (_, _, server_cfg, client_cfg) = test_keys();
-        let (client_half, mut server_half) = pipe_pair();
+        let (client_half, mut to_client) = pipe_pair();
+        let (mut to_server, server_half) = pipe_pair();
+        let server = std::thread::spawn(move || {
+            ChannelPolicy::Secure(server_cfg).establish_server(Box::new(server_half))
+        });
         let tamperer = std::thread::spawn(move || {
             // Act as a man-in-the-middle that bit-flips the server reply.
-            let init = server_half.recv_frame().unwrap();
-            let init = match HandshakeFrame::from_wire(&init).unwrap() {
-                HandshakeFrame::Init(i) => i,
-                other => panic!("expected init, got {other:?}"),
+            let init = to_client.recv_frame().unwrap();
+            to_server.send_frame(&init).unwrap();
+            let reply = to_server.recv_frame().unwrap();
+            let mut reply = match HandshakeFrame::from_wire(&reply).unwrap() {
+                HandshakeFrame::Reply(r) => r,
+                other => panic!("expected reply, got {other:?}"),
             };
-            let hello = server_hello(&init, &server_cfg).unwrap();
-            let mut reply = hello.reply.clone();
             reply.confirm[0] ^= 1;
-            server_half
+            to_client
                 .send_frame(&HandshakeFrame::Reply(reply).to_wire())
                 .unwrap();
         });
         let client = ChannelPolicy::Secure(client_cfg).establish_client(Box::new(client_half));
         tamperer.join().unwrap();
         assert!(matches!(client, Err(ServiceError::HandshakeFailed(_))));
+        // The server's peer hung up before `Fin`: no channel comes out.
+        assert!(server.join().unwrap().is_err());
     }
 
     #[test]

@@ -242,6 +242,10 @@ impl FramedChannel for FaultyChannel {
             ))),
         }
     }
+
+    fn set_read_deadline(&mut self, deadline: Option<std::time::Duration>) {
+        self.inner.set_read_deadline(deadline);
+    }
 }
 
 /// A [`Connector`] wrapper giving every dial a fresh deterministic

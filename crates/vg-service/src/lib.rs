@@ -30,8 +30,9 @@
 //!   one-method [`RequestEndpoint`] seam, the fleet-facing
 //!   [`ServiceBoundary`] mapping over it, the [`ChannelClient`] speaking
 //!   it over any channel, and the flat [`DayStats`] record;
-//! - [`gateway`]: the non-blocking multiplexed acceptor that serves every
-//!   threaded-day connection on a bounded reactor pool;
+//! - [`gateway`]: the registrar's server — every threaded-day connection
+//!   is served by a blocking thread of its own over
+//!   [`ChannelPolicy::establish_server`], held to read deadlines;
 //! - [`pipeline`]: [`run_day`] and the threaded engine behind it (shard
 //!   verification workers, the commit sequencer, station runners, the
 //!   work-stealing coordinator).

@@ -1,6 +1,7 @@
-//! The whole threaded day: engine wiring, the gateway, one thread per
-//! station, and the coordinator that releases outcomes in queue order and
-//! steals a lost station's work (see the [module docs](super)).
+//! The whole threaded day: engine wiring, the registrar's server, one
+//! thread per station, and the coordinator that releases outcomes in
+//! queue order and steals a lost station's work (see the
+//! [module docs](super)).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -18,9 +19,9 @@ use vg_trip::setup::TripSystem;
 use vg_trip::vsd::Vsd;
 use vg_trip::TripError;
 
-use crate::channel::{Connector, Deadlines, TcpConnector};
+use crate::channel::{pipe_pair, Connector, Deadlines, TcpConnector};
 use crate::fault::{FaultPlan, FaultyConnector};
-use crate::gateway::{acceptor_loop, reactor_loop, GatewayIntake, PipeHub, REAP_AFTER};
+use crate::gateway::{pipe_acceptor, tcp_acceptor, PipeHub, Server, REAP_AFTER};
 use crate::messages::{Request, Response};
 use crate::retry::RetryPolicy;
 use crate::transport::{
@@ -68,7 +69,7 @@ const MAX_RESTEAL_DEPTH: usize = 2;
 const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// [`run_day`] on the threaded engine: the commit sequencer, the shard
-/// workers, the gateway (for every plan but plaintext in-process) and one
+/// workers, the server (for every plan but plaintext in-process) and one
 /// thread per polling station, coordinated from the caller's thread.
 pub(super) fn run_threaded_day(
     fleet: &KioskFleet,
@@ -131,8 +132,8 @@ pub(super) fn run_threaded_day(
 
     // The day's one counter block: shard workers and the sequencer book
     // sweeps and busy/idle time into it, station/refiller/steal runners
-    // their timeouts and reconnects, the gateway reactors their reaps,
-    // the coordinator its stall steals.
+    // their timeouts and reconnects, the server's connection threads
+    // their reaps, the coordinator its stall steals.
     let stats = EngineStats::new(workers);
 
     // The whole engine — sequencer, shard workers, client — is wired
@@ -164,32 +165,23 @@ pub(super) fn run_threaded_day(
         .map(|l| l.local_addr())
         .transpose()
         .map_err(|e| TripError::Boundary(format!("local_addr: {e}")))?;
-    // One flag tears the whole gateway down: the acceptor stops
-    // admitting and the reactors exit once their connections drain.
+    // Cleared at teardown: the acceptor stops admitting. Connection
+    // threads end when their clients hang up.
     let accepting = Arc::new(AtomicBool::new(true));
 
-    // The gateway serves every remote-ish day: real TCP links, and
+    // The server serves every remote-ish day: real TCP links, and
     // in-process links that the policy secures (the handshake needs the
     // frame-level server). Only the plaintext in-process day bypasses it
     // and dispatches straight into the engine — that is the bit-identity
     // reference and the zero-overhead perf path.
     let use_gateway =
         transport.link == LinkKind::Tcp || transport.security == ChannelSecurity::Secure;
-
-    // Reactor pool: bounded by the deployment, not the connection count.
-    const MAX_REACTORS: usize = 4;
-    let mut reactor_rxs = Vec::new();
-    let mut intake = None;
-    if use_gateway {
-        let n = station_plans.len().clamp(1, MAX_REACTORS);
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
-        reactor_rxs = rxs;
-        intake = Some(GatewayIntake::new(txs));
-    }
+    // Where in-process dials land (secure in-process days).
+    let (pipe_tx, pipe_rx) = mpsc::channel();
     // One pluggable connector per station, carrying that station's
     // enrolled channel identity; its refiller and steal lanes dial the
     // same connector (they act on the station's behalf).
-    let connectors: Option<Vec<Box<dyn Connector>>> = intake.as_ref().map(|intake| {
+    let connectors: Option<Vec<Box<dyn Connector>>> = use_gateway.then(|| {
         station_plans
             .iter()
             .map(|sp| -> Box<dyn Connector> {
@@ -200,7 +192,10 @@ pub(super) fn run_threaded_day(
                         policy,
                         deadlines: Deadlines::default(),
                     }),
-                    None => Box::new(PipeHub::new(intake.clone(), policy)),
+                    None => Box::new(PipeHub {
+                        intake: pipe_tx.clone(),
+                        policy,
+                    }),
                 };
                 // Network faults wrap the *established* channel, so the
                 // schedule applies uniformly to plaintext and secured
@@ -220,7 +215,7 @@ pub(super) fn run_threaded_day(
 
     let steals = std::thread::scope(|scope| -> Result<Vec<StealRecord>, TripError> {
         // The engine's side of the seam; every in-process link and every
-        // gateway reactor serves its own clone.
+        // served connection calls its own clone.
         let registrar = PipelineDispatch {
             official,
             printer,
@@ -233,28 +228,21 @@ pub(super) fn run_threaded_day(
             scope.spawn(move || worker.run());
         }
 
-        // The multiplexed gateway: a bounded reactor pool serves every
-        // connection — stations, refillers, steal lanes — and the
-        // acceptor (TCP days only; in-process dials inject straight into
-        // the intake) only hands sockets over.
+        // The server: one acceptor (a TCP listener, or the intake
+        // in-process dials land in) hands every connection — stations,
+        // refillers, steal lanes — a thread of its own.
         if use_gateway {
-            let server_pol = server_policy(transport_keys, transport.security);
-            for rx in reactor_rxs.drain(..) {
-                let policy = server_pol.clone();
-                let dispatch = registrar.clone();
-                let open = Arc::clone(&accepting);
-                let stats = Arc::clone(&stats);
-                scope.spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, stats));
-            }
-        }
-        if let Some(listener) = listener {
-            let open = Arc::clone(&accepting);
-            let Some(intake) = intake.clone() else {
-                return Err(TripError::InvalidConfig(
-                    "TCP listener configured without a gateway intake".into(),
-                ));
+            let server = Server {
+                policy: server_policy(transport_keys, transport.security),
+                endpoint: registrar.clone(),
+                reap_after: REAP_AFTER,
+                stats: Arc::clone(&stats),
+                open: Arc::clone(&accepting),
             };
-            scope.spawn(move || acceptor_loop(listener, open, intake));
+            match listener {
+                Some(listener) => scope.spawn(move || tcp_acceptor(scope, listener, server)),
+                None => scope.spawn(move || pipe_acceptor(scope, pipe_rx, server)),
+            };
         }
 
         let station_link = |station: usize| match &connectors {
@@ -629,19 +617,21 @@ pub(super) fn run_threaded_day(
         };
         let result = coordinate();
 
-        // Tear the gateway down — on success AND failure alike (see the
-        // coordinator comment): clear the flag so the reactors exit once
-        // their connections drain, and wake the acceptor (parked in
-        // accept()) with a throwaway connection so it observes the flag.
+        // Tear the server down — on success AND failure alike (see the
+        // coordinator comment): clear the flag and wake the acceptor
+        // (parked in accept()) with a throwaway connection so it observes
+        // it; each connection's thread ends as its client hangs up.
         // Injected hangs release first so their threads join.
         day_over.store(true, Ordering::SeqCst);
         accepting.store(false, Ordering::SeqCst);
-        if let Some(addr) = addr {
-            drop(TcpStream::connect(addr));
+        match addr {
+            Some(addr) => drop(TcpStream::connect(addr)),
+            None if use_gateway => drop(pipe_tx.send(pipe_pair().1)),
+            None => {}
         }
         // Teardown handshake: the sequencer drops its shard senders so
         // the workers drain and exit; dropping the coordinator's client
-        // (the reactors' clones go with their threads) then lets the
+        // (the server's clones go with its threads) then lets the
         // sequencer itself exit. Both must happen on every exit path or
         // the scope join deadlocks.
         registrar.client.shutdown();

@@ -28,10 +28,11 @@
 //! - **One seam**: every registrar operation enters the engine as a
 //!   [`Request`](crate::messages::Request) and is translated into
 //!   sequencer / shard-worker commands in exactly one dispatch arm
-//!   (`station.rs`). A gateway reactor polls the arm's reply channels;
-//!   the in-process link blocks on the same channels. All engine threads
-//!   book their telemetry into one shared counter block, snapshotted
-//!   into the flat [`DayStats`].
+//!   (`station.rs`), which waits on the reply channels it creates. Its
+//!   caller is the station's own thread (the in-process link) or the
+//!   thread serving the station's connection. All engine threads book
+//!   their telemetry into one shared counter block, snapshotted into the
+//!   flat [`DayStats`].
 //! - **Refillers** ([`vg_trip::pool::PoolFeed`]): each polling station
 //!   runs a dedicated thread with its own registrar link, sending
 //!   `Request::Print`s that keep the station's ceremony pool above a
@@ -53,10 +54,11 @@
 //!   one worker. Prefix barriers
 //!   ([`Request::SyncThrough`](crate::messages::Request)) resolve as
 //!   admission advances.
-//! - **Multi-connection registrar**: the gateway serves N
-//!   kiosk-coordinator connections (one per polling station, plus each
-//!   station's refiller client), with the commit sequencer as the single
-//!   serialization point for ledger state. Both ledger lanes — envelope
+//! - **Multi-connection registrar**: the server (`gateway.rs`) gives
+//!   each of N kiosk-coordinator connections (one per polling station,
+//!   plus each station's refiller client) a blocking thread of its own,
+//!   with the commit sequencer as the single serialization point for
+//!   ledger state. Both ledger lanes — envelope
 //!   commitments and registration records — run through the same
 //!   reorder → verify → inbox → commit routine, parameterised only by
 //!   the lane's verify and commit functions.

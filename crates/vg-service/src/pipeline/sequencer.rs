@@ -15,7 +15,6 @@ use vg_trip::official::Official;
 use vg_trip::vsd::{activation_ledger_phase, ActivationClaim};
 
 use crate::error::ServiceError;
-use crate::gateway::{Dispatched, Pending};
 use crate::messages::{CheckInResponse, IngestStatsReply, LedgerHeads, Response};
 use crate::transport::EngineStats;
 
@@ -368,11 +367,11 @@ impl Sequencer<'_> {
     }
 }
 
-/// Client half of the sharded engine (cheap to clone; one per gateway
-/// reactor / in-process link): submissions fan out to the shard workers
-/// owning their sessions, everything stateful goes to the sequencer.
-/// Nothing here blocks — both calls hand back the reply channels as a
-/// [`Dispatched`], for the caller to poll or wait on.
+/// Client half of the sharded engine (cheap to clone; one per served
+/// connection / in-process link): submissions fan out to the shard
+/// workers owning their sessions, everything stateful goes to the
+/// sequencer. Both calls wait on the reply channels they create — one
+/// request in flight per caller.
 #[derive(Clone)]
 pub(super) struct IngestClient {
     seq: Sender<Cmd>,
@@ -383,29 +382,32 @@ pub(super) struct IngestClient {
     tickets: Arc<AtomicU64>,
 }
 
+/// The answer when an engine thread's channel is found closed.
+fn gone(who: &str) -> Response {
+    Response::Err(ServiceError::Transport(format!("ingest {who} gone")))
+}
+
 impl IngestClient {
-    /// Sends one sequencer command and parks on its reply.
-    pub(super) fn ask(&self, build: impl FnOnce(Sender<Response>) -> Cmd) -> Dispatched {
+    /// Sends one sequencer command and waits for its reply.
+    pub(super) fn ask(&self, build: impl FnOnce(Sender<Response>) -> Cmd) -> Response {
         let (tx, reply) = mpsc::channel();
         if self.seq.send(build(tx)).is_err() {
-            let gone = ServiceError::Transport("ingest sequencer gone".into());
-            return Dispatched::Now(Response::Err(gone));
+            return gone("sequencer");
         }
-        let acks = Vec::new();
-        Dispatched::Pending(Pending { acks, reply })
+        reply.recv().unwrap_or_else(|_| gone("sequencer"))
     }
 
     /// Submits session-tagged groups on one lane (`make` picks it):
     /// splits them by owning shard, sends (a station's sessions all live
-    /// in one shard, so the common case is exactly one send) and parks on
-    /// every touched worker's acknowledgement; `done` builds the answer
-    /// from the submission's ticket.
+    /// in one shard, so the common case is exactly one send) and waits
+    /// for every touched worker's acknowledgement; `done` builds the
+    /// answer from the submission's ticket.
     pub(super) fn fan_out<R>(
         &self,
         groups: Vec<(u64, Vec<R>)>,
         make: impl Fn(Vec<(u64, Vec<R>)>, Sender<Result<(), ServiceError>>) -> ShardCmd,
         done: impl FnOnce(u64) -> Response,
-    ) -> Dispatched {
+    ) -> Response {
         let mut per_worker: Vec<Vec<(u64, Vec<R>)>> =
             (0..self.route.workers).map(|_| Vec::new()).collect();
         for group in groups {
@@ -418,13 +420,19 @@ impl IngestClient {
             }
             let (tx, rx) = mpsc::channel();
             if self.shards[worker].send(make(batch, tx)).is_err() {
-                let gone = ServiceError::Transport("ingest worker gone".into());
-                return Dispatched::Now(Response::Err(gone));
+                return gone("worker");
             }
             acks.push(rx);
         }
         let ticket = self.tickets.fetch_add(1, Ordering::SeqCst);
-        Dispatched::Pending(Pending::after(acks, done(ticket)))
+        for ack in acks {
+            match ack.recv() {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => return Response::Err(e),
+                Err(_) => return gone("worker"),
+            }
+        }
+        done(ticket)
     }
 
     pub(super) fn abort(&self) {

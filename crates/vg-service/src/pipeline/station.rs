@@ -1,7 +1,7 @@
 //! A polling station's day and both ends of its link to the registrar:
-//! the engine's request dispatch (served by the gateway reactors, or
-//! called straight as the in-process link) and the station, refiller and
-//! steal-lane runners (see the [module docs](super)).
+//! the engine's request dispatch (called by a connection's server
+//! thread, or straight as the in-process link) and the station, refiller
+//! and steal-lane runners (see the [module docs](super)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -25,7 +25,6 @@ use vg_trip::{PrintJob, TripError};
 
 use crate::channel::Connector;
 use crate::error::ServiceError;
-use crate::gateway::{Dispatched, GatewayDispatch};
 use crate::messages::{CheckOutBatchResponse, IngestReceipt, PrintResponse, Request, Response};
 use crate::retry::RetryPolicy;
 use crate::transport::{
@@ -44,11 +43,11 @@ use super::PipelineConfig;
 /// translated into sequencer / shard-worker commands here, once.
 /// Ledger-free requests (printing, desk-side check-out verification) run
 /// inline on the caller — only the resulting records funnel into the
-/// shard workers; everything stateful is forwarded and *parked* on its
-/// reply channels. A gateway reactor polls those, so one station's
-/// barrier never stalls another station's connection; the in-process
-/// link (the [`RequestEndpoint`] impl below) blocks on them. Cheap to
-/// clone: one per reactor and per in-process link.
+/// shard workers; everything stateful is forwarded, and the caller waits
+/// on its reply. The caller is a station's own thread (the in-process
+/// link) or its connection's server thread, so one station's barrier
+/// never stalls another station. Cheap to clone: one per connection and
+/// per in-process link.
 #[derive(Clone)]
 pub(super) struct PipelineDispatch<'a> {
     pub(super) official: &'a Official,
@@ -85,17 +84,17 @@ impl PipelineDispatch<'_> {
     }
 }
 
-impl GatewayDispatch for PipelineDispatch<'_> {
-    fn dispatch(&mut self, req: Request) -> Dispatched {
+impl RequestEndpoint for PipelineDispatch<'_> {
+    fn call(&mut self, req: Request) -> Response {
         match req {
             Request::CheckIn(m) => self.client.ask(|r| Cmd::CheckIn(m.voter, r)),
-            Request::Print(m) => Dispatched::Now(Response::Print(PrintResponse {
+            Request::Print(m) => Response::Print(PrintResponse {
                 envelopes: self.print(&m.jobs),
-            })),
+            }),
             Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_) => {
-                Dispatched::Now(Response::Err(ServiceError::Transport(
+                Response::Err(ServiceError::Transport(
                     "the sharded registrar requires session-tagged submissions".into(),
-                )))
+                ))
             }
             Request::SubmitEnvelopesSeq(m) => {
                 self.client
@@ -108,7 +107,7 @@ impl GatewayDispatch for PipelineDispatch<'_> {
                     Ok(records) => self.client.fan_out(records, ShardCmd::Records, |ticket| {
                         Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket })
                     }),
-                    Err(e) => Dispatched::Now(Response::Err(e)),
+                    Err(e) => Response::Err(e),
                 }
             }
             Request::Sync => self.client.ask(Cmd::SyncAll),
@@ -118,21 +117,7 @@ impl GatewayDispatch for PipelineDispatch<'_> {
             Request::ActivationSweep(m) => self.client.ask(|r| Cmd::Activate(m.claims, r)),
             // No ingest flush: the coordinator owns the day's final
             // barrier (matching the old multi-connection semantics).
-            Request::Shutdown => Dispatched::CloseAfter(Response::Shutdown),
-        }
-    }
-}
-
-/// The in-process link: dispatch, then wait on the reply channels a
-/// reactor would poll.
-impl RequestEndpoint for PipelineDispatch<'_> {
-    fn call(&mut self, req: Request) -> Response {
-        match self.dispatch(req) {
-            Dispatched::Now(resp) | Dispatched::CloseAfter(resp) => resp,
-            Dispatched::Pending(parked) => parked.resolve(true).unwrap_or_else(|_| {
-                // Unreachable: a blocking resolve never hands itself back.
-                Response::Err(ServiceError::Transport("reply still parked".into()))
-            }),
+            Request::Shutdown => Response::Shutdown,
         }
     }
 }
@@ -184,7 +169,7 @@ pub(super) enum StationMsg {
 
 /// How a station (or its refiller, or a steal lane) reaches the
 /// registrar: direct in-process dispatch, or a pluggable [`Connector`]
-/// that dials (and, per policy, secures) a gateway-served channel.
+/// that dials (and, per policy, secures) a channel to its server.
 #[derive(Clone)]
 pub(super) enum Link<'a> {
     InProcess(PipelineDispatch<'a>),
@@ -390,9 +375,9 @@ mod tests {
     use vg_trip::setup::{TripConfig, TripSystem};
     use vg_trip::{PrintJob, TripError};
 
-    use crate::channel::{pipe_pair, ChannelPolicy, Connector, FramedChannel};
+    use crate::channel::{ChannelPolicy, Connector, FramedChannel};
     use crate::error::ServiceError;
-    use crate::gateway::{reactor_loop, GatewayIntake, GatewayIo, PipeHub, REAP_AFTER};
+    use crate::gateway::{PipeHub, Server, REAP_AFTER};
     use crate::messages::*;
     use crate::retry::RetryPolicy;
     use crate::transport::{ChannelClient, EngineStats, RequestEndpoint};
@@ -460,13 +445,27 @@ mod tests {
     }
 
     impl Rig {
-        /// One reactor thread serving the engine over plaintext pipes.
-        fn gateway(&self) -> GatewayIntake {
-            let (tx, rx) = mpsc::channel();
-            let (open, stats) = (Arc::new(AtomicBool::new(true)), Arc::clone(&self.stats));
-            let (policy, dispatch) = (ChannelPolicy::Plaintext, self.registrar.clone());
-            std::thread::spawn(move || reactor_loop(rx, policy, dispatch, open, REAP_AFTER, stats));
-            GatewayIntake::new(vec![tx])
+        /// A hub onto the engine served over plaintext pipes, a (plain,
+        /// see [`Rig`]) thread per dialed connection.
+        fn gateway(&self) -> PipeHub {
+            let (intake, dialed) = mpsc::channel();
+            let server = Server {
+                policy: ChannelPolicy::Plaintext,
+                endpoint: self.registrar.clone(),
+                reap_after: REAP_AFTER,
+                stats: Arc::clone(&self.stats),
+                open: Arc::new(AtomicBool::new(true)),
+            };
+            std::thread::spawn(move || {
+                for chan in dialed {
+                    let server = server.clone();
+                    std::thread::spawn(move || server.serve(Box::new(chan)));
+                }
+            });
+            PipeHub {
+                intake,
+                policy: ChannelPolicy::Plaintext,
+            }
         }
     }
 
@@ -487,9 +486,7 @@ mod tests {
     fn one_engine_answers_both_links_alike() {
         let rig = rig(1);
         let mut local = rig.registrar.clone();
-        let (client_half, server_half) = pipe_pair();
-        assert!(rig.gateway().push(GatewayIo::from_pipe(server_half)));
-        let mut wire = ChannelClient::over(Box::new(client_half));
+        let mut wire = ChannelClient::connect(&rig.gateway()).expect("pipe dial");
 
         let mut rng = HmacDrbg::from_u64(11);
         let jobs = vec![PrintJob {
@@ -574,7 +571,7 @@ mod tests {
     fn refiller_dial_failure_unwinds_the_station_typed() {
         let rig = rig(4);
         let connector: &'static DialsOnce = Box::leak(Box::new(DialsOnce {
-            hub: PipeHub::new(rig.gateway(), ChannelPolicy::Plaintext),
+            hub: rig.gateway(),
             dialed: AtomicBool::new(false),
         }));
         let queue: Vec<(VoterId, usize)> = (1..=4).map(|v| (VoterId(v), 0)).collect();

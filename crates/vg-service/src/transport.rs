@@ -22,10 +22,10 @@
 //!   dispatches straight into the sharded engine over in-process
 //!   channels. The reference.
 //! - `InProcess × Secure`: the full handshake + encrypted records over
-//!   in-process pipes into the gateway, exercising the identical
+//!   in-process pipes into the server, exercising the identical
 //!   protocol state machines without a socket.
 //! - `Tcp × {Plaintext, Secure}`: length-prefixed frames over a loopback
-//!   socket into the gateway; every request round-trips the full
+//!   socket into the server; every request round-trips the full
 //!   versioned codec (and, when secure, the sealed-record layer).
 //!
 //! Every plan is bit-identical to every other (pinned by the workspace's
@@ -111,11 +111,6 @@ impl TransportPlan {
             security: ChannelSecurity::Secure,
             ..self
         }
-    }
-
-    /// Whether channels run the handshake + encryption.
-    pub fn is_secure(&self) -> bool {
-        self.security == ChannelSecurity::Secure
     }
 }
 
@@ -359,7 +354,8 @@ pub struct DayStats {
     pub timeouts: u64,
     /// Reconnect attempts the retry layer made beyond first tries.
     pub reconnects: u64,
-    /// Half-open or mid-frame-stalled connections the gateway reaped.
+    /// Connections the server ended at a read deadline: half-open in the
+    /// handshake, or stalled mid-frame.
     pub reaped: u64,
     /// Stations declared lost by the coordinator's *stall* detector (no
     /// progress within the liveness deadline) rather than by a clean
@@ -394,7 +390,7 @@ pub(crate) struct LaneStats {
 }
 
 /// The threaded engine's one shared counter block: shard workers, the
-/// sequencer, station/refiller/steal runners, the gateway reactors and
+/// sequencer, station/refiller/steal runners, the server's threads and
 /// the coordinator all bump it in place, and [`EngineStats::snapshot`]
 /// flattens it into the public [`DayStats`] (an inline day snapshots a
 /// zeroed block).

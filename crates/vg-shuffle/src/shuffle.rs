@@ -173,11 +173,6 @@ impl ShuffleContext {
         }
     }
 
-    /// The underlying commitment key.
-    pub fn commit_key(&self) -> &CommitKey {
-        &self.ck
-    }
-
     /// Shuffles `inputs` under `pk` with a fresh random permutation and
     /// re-encryption randomness, returning the outputs and proof. Every
     /// column of a row moves under the same permutation.

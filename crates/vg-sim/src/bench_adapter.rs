@@ -128,22 +128,8 @@ impl BenchSystem for VotegralCore {
     /// generation, IZKP, signatures, check-out posting, activation checks.
     fn register_all(&mut self, rng: &mut dyn Rng) {
         for v in 1..=self.n_voters as u64 {
-            // Restock the booth when the supply runs low so every symbol
-            // stays available (printers may issue additional envelopes;
-            // paper footnote 6). Retry on a symbol stock-out.
-            let mut outcome = loop {
-                if self.election.trip.booth_envelopes.len() < 40 {
-                    let fresh = self.election.trip.printers[0]
-                        .print_batch(&mut self.election.trip.ledger.envelopes, 64, rng)
-                        .expect("printer restocks booth");
-                    self.election.trip.booth_envelopes.extend(fresh);
-                }
-                match register_voter(&mut self.election.trip, VoterId(v), 0, rng) {
-                    Ok(outcome) => break outcome,
-                    Err(vg_trip::TripError::NoMatchingEnvelope) => continue,
-                    Err(e) => panic!("registration fails: {e}"),
-                }
-            };
+            let mut outcome = register_voter(&mut self.election.trip, VoterId(v), 0, rng)
+                .expect("registration succeeds");
             let vsd =
                 activate_all(&mut self.election.trip, &mut outcome).expect("activation succeeds");
             self.credentials

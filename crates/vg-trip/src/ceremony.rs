@@ -342,11 +342,6 @@ impl SessionMaterials {
     pub fn envelope_count(&self) -> usize {
         self.envelopes.len()
     }
-
-    /// Number of planned fake credentials.
-    pub fn fake_count(&self) -> usize {
-        self.fakes.len()
-    }
 }
 
 #[cfg(test)]

@@ -254,11 +254,6 @@ impl KioskSession<'_> {
         self.voter_id
     }
 
-    /// Whether the real credential has been issued.
-    pub fn real_issued(&self) -> bool {
-        self.checkout.is_some()
-    }
-
     /// Real credential, step 2 (Fig 9a lines 2–8) for a kiosk that did not
     /// precompute: draws the precursor from `rng` now and hands it to
     /// [`KioskSession::begin_real_from`].

@@ -46,7 +46,7 @@ fn main() {
         let mut credentials = 0usize;
         // One entry point for every plan: the in-process day runs inline
         // on the local boundary, the TCP days on the threaded engine
-        // behind the gateway.
+        // behind the registrar's server.
         let day = DayPlan {
             transport,
             activate: true,
