@@ -3,7 +3,7 @@
 //!
 //! A poisoned [`Mutex`] means some thread panicked while holding the
 //! guard. For the state these locks protect — progress counters, pool
-//! feeds, kiosk journals, reactor inboxes — the data is either
+//! feeds, kiosk journals — the data is either
 //! value-complete on every update or re-validated by the consumer, so
 //! recovering the inner value is strictly better than cascading the
 //! panic into threads that could still wind the day down cleanly (and

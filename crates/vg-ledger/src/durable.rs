@@ -11,7 +11,7 @@
 //! so a process killed at any instant leaves the disk a superset-or-equal
 //! of the published state, never behind it. Group fsync happens at the
 //! commit barrier ([`LedgerStore::persist`]), not per append, which is
-//! where the ingest worker's `flush_all` calls it.
+//! where the commit sequencer's admission sweep calls it.
 //!
 //! Reopen is snapshot-load + segment replay: frames are replayed in
 //! order, a torn partial frame at the very tail of the log is truncated
@@ -841,6 +841,9 @@ pub struct RevealWal {
     dirty: bool,
     replay: VecDeque<[u8; 32]>,
     stats: DurabilityStats,
+    /// Injected fault schedule (chaos tests only); only its fsync faults
+    /// apply here.
+    fault: Option<FaultFs>,
 }
 
 /// The persisted `H(e) → e` reveal map, in reveal order.
@@ -875,6 +878,7 @@ impl RevealWal {
                 dirty: false,
                 replay,
                 stats,
+                fault: None,
             },
             revealed,
         ))
@@ -905,10 +909,17 @@ impl RevealWal {
         Ok(())
     }
 
+    /// Installs a deterministic fault schedule (chaos tests): this WAL's
+    /// own fsync counter decides which group sync fails.
+    pub(crate) fn install_fault_fs(&mut self, fault: FaultFs) {
+        self.fault = Some(fault);
+    }
+
     /// Group fsync at a commit barrier.
     pub fn sync(&mut self) -> Result<(), WalError> {
         if self.fsync && self.dirty {
-            if let Err(err) = self.file.sync_data() {
+            let injected = self.fault.as_mut().map_or(Ok(()), FaultFs::on_fsync);
+            if let Err(err) = injected.and_then(|()| self.file.sync_data()) {
                 self.stats.wal_failures += 1;
                 return Err(WalError::Io(err));
             }

@@ -261,11 +261,12 @@ impl RegistrationLedger {
     /// one committed RLC admission sweep over the batch (2 records and
     /// up; per-record checks below that), touching no ledger state.
     ///
-    /// An associated function on purpose — sharded ingest workers run
-    /// these sweeps in parallel on their own shards while a single
-    /// sequencer owns the append (see
-    /// [`RegistrationLedger::post_batch_preverified`]); eligibility is
-    /// *not* checked here because the roster lives with the ledger.
+    /// An associated function: it needs no ledger. Eligibility is *not*
+    /// checked here because the roster lives with the ledger. `pub`
+    /// beside [`RegistrationLedger::post_batch_preverified`] because
+    /// `bench/e2e`'s re-enactment and layer probes time the two halves
+    /// separately; the registrar itself calls
+    /// [`RegistrationLedger::post_batch`].
     pub fn verify_batch(records: &[RegistrationRecord], threads: usize) -> Result<(), LedgerError> {
         if records.len() < 2 {
             for check in par_map(records, threads, Self::check_record) {
@@ -303,10 +304,8 @@ impl RegistrationLedger {
     ///
     /// The caller **must** have run [`RegistrationLedger::verify_batch`]
     /// over exactly these records — this entry point re-checks no
-    /// signatures. It exists so the verification cost can be paid on
-    /// sharded worker threads while appends stay globally ordered under
-    /// one owner, yielding the same single signed head as the
-    /// all-in-one path.
+    /// signatures, and yields the same signed head as the all-in-one
+    /// path.
     pub fn post_batch_preverified(
         &mut self,
         records: Vec<RegistrationRecord>,
@@ -494,10 +493,9 @@ impl EnvelopeLedger {
     }
 
     /// The printer-signature half of [`EnvelopeLedger::commit_batch`]:
-    /// one committed RLC sweep over the batch, touching no ledger state,
-    /// so sharded ingest workers can verify their own shards in parallel
-    /// (see [`RegistrationLedger::verify_batch`] for the split's
-    /// rationale).
+    /// one committed RLC sweep over the batch, touching no ledger state
+    /// (see [`RegistrationLedger::verify_batch`] for why the split is
+    /// `pub`).
     pub fn verify_batch(
         commitments: &[EnvelopeCommitment],
         threads: usize,
@@ -526,7 +524,7 @@ impl EnvelopeLedger {
     /// # Trust contract
     ///
     /// The caller **must** have run [`EnvelopeLedger::verify_batch`] over
-    /// exactly these commitments (same rationale as
+    /// exactly these commitments (same contract as
     /// [`RegistrationLedger::post_batch_preverified`]).
     pub fn commit_batch_preverified(
         &mut self,
@@ -603,9 +601,13 @@ impl EnvelopeLedger {
         Ok(())
     }
 
-    /// Installs a deterministic write-layer fault schedule on the
-    /// commitment log (chaos tests; the reveal WAL is not hooked).
+    /// Installs a deterministic write-layer fault schedule (chaos tests)
+    /// on the commitment log and, for its fsync faults, the reveal WAL —
+    /// each from its own clone, so per-file counters stay deterministic.
     pub fn install_fault_fs(&mut self, fault: FaultFs) {
+        if let Some(wal) = &mut self.reveal_wal {
+            wal.install_fault_fs(fault.clone());
+        }
         self.log.install_fault_fs(fault);
     }
 

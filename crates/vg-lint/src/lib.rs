@@ -179,7 +179,7 @@ impl Default for Config {
             .collect(),
             server_paths: [
                 "vg-service/src/gateway.rs",
-                // The day engine, split by role: mod (run_day), shard,
+                // The day engine, split by role: mod (run_day),
                 // sequencer, station, coordinator.
                 "vg-service/src/pipeline/",
                 "vg-service/src/channel.rs",

@@ -257,7 +257,7 @@ mod tests {
             policy,
             endpoint: TestEndpoint,
             reap_after,
-            stats: EngineStats::new(1),
+            stats: Arc::default(),
             open: Arc::new(AtomicBool::new(true)),
         };
         let doors = Doors {

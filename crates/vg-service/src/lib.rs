@@ -33,9 +33,9 @@
 //! - [`gateway`]: the registrar's server — every threaded-day connection
 //!   is served by a blocking thread of its own over
 //!   [`ChannelPolicy::establish_server`], held to read deadlines;
-//! - [`pipeline`]: [`run_day`] and the threaded engine behind it (shard
-//!   verification workers, the commit sequencer, station runners, the
-//!   work-stealing coordinator).
+//! - [`pipeline`]: [`run_day`] and the threaded engine behind it (the
+//!   commit sequencer with its one ingest lane per ledger, station
+//!   runners, the work-stealing coordinator).
 //!
 //! # One registration day: [`run_day`]
 //!

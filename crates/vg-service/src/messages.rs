@@ -336,7 +336,7 @@ wire_struct! {
 wire_struct! {
     /// Session-tagged envelope commitments from one polling station:
     /// each group pairs a *global* session index with that session's
-    /// commitments. The registrar's ingest worker restores global queue
+    /// commitments. The registrar's commit sequencer restores global queue
     /// order across stations before admission, so multi-connection days
     /// stay bit-identical to the sequential reference.
     SeqEnvelopeSubmitRequest { groups: Vec<(u64, Vec<EnvelopeCommitment>)> }

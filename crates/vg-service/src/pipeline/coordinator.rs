@@ -11,9 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vg_ledger::VoterId;
-use vg_trip::fleet::{
-    kiosk_owners, last_occurrence_of, partition_stations, ActivationContext, KioskFleet,
-};
+use vg_trip::fleet::{last_occurrence_of, partition_stations, ActivationContext, KioskFleet};
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::setup::TripSystem;
 use vg_trip::vsd::Vsd;
@@ -29,8 +27,7 @@ use crate::transport::{
     RequestEndpoint, StealRecord,
 };
 
-use super::sequencer::{build_ingest, IngestEngine};
-use super::shard::ShardRoute;
+use super::sequencer::Sequencer;
 use super::station::{
     run_station, run_steal_lane, Link, PipelineDispatch, SessionDelivery, StationJob, StationMsg,
     StealJob,
@@ -68,9 +65,9 @@ const MAX_RESTEAL_DEPTH: usize = 2;
 /// tighten it through [`ChaosOptions::stall_timeout`].
 const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// [`run_day`] on the threaded engine: the commit sequencer, the shard
-/// workers, the server (for every plan but plaintext in-process) and one
-/// thread per polling station, coordinated from the caller's thread.
+/// [`run_day`] on the threaded engine: the commit sequencer, the server
+/// (for every plan but plaintext in-process) and one thread per polling
+/// station, coordinated from the caller's thread.
 pub(super) fn run_threaded_day(
     fleet: &KioskFleet,
     system: &mut TripSystem,
@@ -115,40 +112,23 @@ pub(super) fn run_threaded_day(
     };
     let station_plans = partition_stations(queue, kiosks, pipeline.stations)?;
 
-    // Shard ownership: one worker per station partition, folded down to
-    // the effective worker count. Routing keys off the *original* kiosk
-    // owner so steal re-submissions land on the same shard.
-    let workers = pipeline.workers.max(1).min(station_plans.len());
-    let route = ShardRoute {
-        owner: Arc::new(kiosk_owners(kiosks.len(), station_plans.len())),
-        workers,
-    };
-
     // Disk faults go in before the engine is wired so the very first
     // WAL write is already under the injected schedule.
     if let Some(ff) = chaos.plan.as_ref().and_then(FaultPlan::fault_fs) {
         ledger.install_fault_fs(ff);
     }
 
-    // The day's one counter block: shard workers and the sequencer book
-    // sweeps and busy/idle time into it, station/refiller/steal runners
-    // their timeouts and reconnects, the server's connection threads
-    // their reaps, the coordinator its stall steals.
-    let stats = EngineStats::new(workers);
+    // The day's one counter block: the sequencer books sweeps and
+    // busy/idle time into it, station/refiller/steal runners their
+    // timeouts and reconnects, the server's connection threads their
+    // reaps, the coordinator its stall steals.
+    let stats = Arc::<EngineStats>::default();
 
-    // The whole engine — sequencer, shard workers, client — is wired
-    // before any thread spawns.
-    let IngestEngine {
-        client,
-        sequencer,
-        shards,
-    } = build_ingest(
+    let (client, sequencer) = Sequencer::new(
         ledger,
         official,
         threads,
         pipeline.ingest,
-        route,
-        total_sessions as u64,
         Arc::clone(&stats),
     );
 
@@ -224,9 +204,6 @@ pub(super) fn run_threaded_day(
             client,
         };
         scope.spawn(move || sequencer.run());
-        for worker in shards {
-            scope.spawn(move || worker.run());
-        }
 
         // The server: one acceptor (a TCP listener, or the intake
         // in-process dials land in) hands every connection — stations,
@@ -468,8 +445,8 @@ pub(super) fn run_threaded_day(
                         // per chunk — unless every lane is busy, in
                         // which case it gets a dedicated runner (see
                         // `run_steal_lane`). The kiosk assignment never
-                        // moves; shard routing (keyed off the original
-                        // owner) dedups the re-submissions.
+                        // moves; the sequencer's lanes drop the
+                        // re-submissions by session index.
                         let sp = &station_plans[victim];
                         let k = kiosks.len();
                         let mut stolen_kiosks: Vec<usize> =
@@ -629,12 +606,9 @@ pub(super) fn run_threaded_day(
             None if use_gateway => drop(pipe_tx.send(pipe_pair().1)),
             None => {}
         }
-        // Teardown handshake: the sequencer drops its shard senders so
-        // the workers drain and exit; dropping the coordinator's client
-        // (the server's clones go with its threads) then lets the
-        // sequencer itself exit. Both must happen on every exit path or
-        // the scope join deadlocks.
-        registrar.client.shutdown();
+        // Dropping the coordinator's client (the stations' and the
+        // server's clones go with their threads) ends the sequencer's
+        // loop — on every exit path, or the scope join deadlocks.
         drop(registrar);
         result
     })?;

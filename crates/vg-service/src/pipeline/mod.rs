@@ -1,6 +1,6 @@
 //! The registration day: one entry point, [`run_day`], and the threaded
 //! engine behind every day that needs concurrency — background pool
-//! refillers, a sharded multi-worker ingest layer, and a multi-connection
+//! refillers, one ingest lane per ledger, and a multi-connection
 //! registrar with dynamic kiosk work stealing.
 //!
 //! # One entry point, two ways to run
@@ -26,52 +26,50 @@
 //! # The threaded engine
 //!
 //! - **One seam**: every registrar operation enters the engine as a
-//!   [`Request`](crate::messages::Request) and is translated into
-//!   sequencer / shard-worker commands in exactly one dispatch arm
-//!   (`station.rs`), which waits on the reply channels it creates. Its
-//!   caller is the station's own thread (the in-process link) or the
-//!   thread serving the station's connection. All engine threads book
-//!   their telemetry into one shared counter block, snapshotted into the
-//!   flat [`DayStats`].
+//!   [`Request`](crate::messages::Request) and is translated into a
+//!   sequencer command in exactly one dispatch arm (`station.rs`), which
+//!   waits on the reply channel it creates. Its caller is the station's
+//!   own thread (the in-process link) or the thread serving the
+//!   station's connection. All engine threads book their telemetry into
+//!   one shared counter block, snapshotted into the flat [`DayStats`].
 //! - **Refillers** ([`vg_trip::pool::PoolFeed`]): each polling station
 //!   runs a dedicated thread with its own registrar link, sending
 //!   `Request::Print`s that keep the station's ceremony pool above a
 //!   low-water mark, hiding precompute behind ceremony latency mid-day,
 //!   not just at warm start.
-//! - **Sharded ingest**: N shard workers
-//!   ([`PipelineConfig::workers`]) own disjoint station partitions of
-//!   the session stream — shard = original kiosk-chunk owner, so a
-//!   station's submissions always route to one worker. Each worker runs
-//!   its own reorder buffers and the per-shard RLC admission sweeps
-//!   (pure signature-chain verification, no ledger state:
-//!   [`vg_ledger::RegistrationLedger::verify_batch`]), publishing
-//!   verified groups into a shared inbox. One **commit sequencer**
-//!   thread owns the ledgers: it drains the inbox's contiguous global
-//!   prefix, appends through the preverified entry points in exact
-//!   session order, and ends every sweep at the `persist()` commit
-//!   barrier — so N workers saturate cores on verification while the
-//!   day still yields **one signed head per ledger**, bit-identical to
-//!   one worker. Prefix barriers
+//! - **One ingest lane per ledger**: the **commit sequencer** thread
+//!   (`sequencer.rs`) owns the ledgers and every piece of admission
+//!   state, under no lock. Each lane — envelope commitments,
+//!   registration records — is a reorder buffer keyed by global session
+//!   index, a commit cursor and the ledger's own verify-then-append
+//!   entry point ([`vg_ledger::EnvelopeLedger::commit_batch`],
+//!   [`vg_ledger::RegistrationLedger::post_batch`]: the two calls
+//!   `LocalBoundary` makes). A sweep admits the contiguous arrived
+//!   prefix as one coalesced RLC-folded batch, in exact session order,
+//!   and ends at the `persist()` commit barrier — **one signed head per
+//!   ledger**. Prefix barriers
 //!   ([`Request::SyncThrough`](crate::messages::Request)) resolve as
-//!   admission advances.
+//!   soon as their prefix has arrived and been admitted. A layer of
+//!   shard verification workers in front of the sequencer was measured
+//!   level with this (one worker against two, and the fold against its
+//!   parent, ten alternating pairs each — README, *Ingest & work
+//!   stealing*) and deleted; a multi-lane design has to beat those rows.
 //! - **Multi-connection registrar**: the server (`gateway.rs`) gives
 //!   each of N kiosk-coordinator connections (one per polling station,
 //!   plus each station's refiller client) a blocking thread of its own,
-//!   with the commit sequencer as the single serialization point for
-//!   ledger state. Both ledger lanes — envelope
-//!   commitments and registration records — run through the same
-//!   reorder → verify → inbox → commit routine, parameterised only by
-//!   the lane's verify and commit functions.
+//!   which prints and runs Fig 10's check-out verification itself; the
+//!   commit sequencer is the single serialization point for ledger
+//!   state.
 //!
 //! # Bit-identity
 //!
-//! Every plan — inline or threaded; station count, worker count,
-//! low-water mark, ingest mode, activation lag, transport — produces
+//! Every plan — inline or threaded; station count, low-water mark,
+//! ingest mode, activation lag, transport — produces
 //! ledgers and credentials bit-identical to the sequential seeded
 //! reference: session materials are pure functions of `(seed, global
 //! index, voter)`, kiosk assignment stays `index mod |K|` (stations own
 //! disjoint kiosk chunks), and the sequencer commits records in global
-//! session order no matter which station or worker finished first.
+//! session order no matter which station finished first.
 //! Threading changes *when* work happens, never *what* lands on the
 //! ledger — pinned by `tests/pipeline.rs`.
 //!
@@ -83,14 +81,12 @@
 //! stations — parallel recovery instead of one serial replay connection.
 //! The kiosk assignment `i mod |K|` never moves (credentials keep the
 //! same kiosk signatures); only transport ownership does. Re-derived
-//! sessions are byte-identical (determinism again) and shard routing
-//! keys off the *original* owner, so stolen re-submissions land on the
-//! same worker whose reorder buffer drops duplicates — a partially
+//! sessions are byte-identical (determinism again) and each lane drops a
+//! session index it has already admitted or buffered, so a partially
 //! submitted window heals without double admission.
 
 mod coordinator;
 mod sequencer;
-mod shard;
 mod station;
 
 use std::time::Duration;
@@ -107,7 +103,7 @@ use crate::transport::{DayStats, EngineStats, TransportPlan};
 
 use coordinator::run_threaded_day;
 
-/// When the ingest worker runs admission sweeps.
+/// When the sequencer runs admission sweeps.
 ///
 /// Either mode ends every sweep at the same commit point: records are
 /// admitted to the in-memory Merkle state only after they are appended
@@ -147,12 +143,6 @@ pub struct PipelineConfig {
     /// amortize barrier and verification-fold fixed costs; peak memory
     /// grows to O(lag × pool batch).
     pub activation_lag: usize,
-    /// Shard verification workers for the ingest layer. Shards key off
-    /// the station owning each session's kiosk chunk, so the effective
-    /// count is `min(workers, stations)` — the day reports it in
-    /// [`DayStats::workers`]. `0` and `1` both mean the single-worker
-    /// engine.
-    pub workers: usize,
 }
 
 impl Default for PipelineConfig {
@@ -162,7 +152,6 @@ impl Default for PipelineConfig {
             low_water: 0,
             ingest: IngestMode::Barrier,
             activation_lag: 1,
-            workers: 1,
         }
     }
 }
@@ -274,6 +263,6 @@ pub fn run_day(
     }
     let mut pool = fleet.prepare_pool(system, queue);
     fleet.register_each(system, queue, &mut pool, plan.activate, sink)?;
-    // No engine: one worker (the caller) and a zeroed counter block.
-    Ok(EngineStats::new(1).snapshot(system.ledger.durability_stats()))
+    // No engine: a zeroed counter block.
+    Ok(EngineStats::default().snapshot(system.ledger.durability_stats()))
 }

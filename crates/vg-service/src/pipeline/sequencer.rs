@@ -1,34 +1,51 @@
-//! The commit sequencer — the one thread owning the ledgers — and the
-//! client half of the sharded engine (see the [module docs](super)).
+//! The commit sequencer — the one thread owning the ledgers and every
+//! piece of admission state — and its cloneable client (see the
+//! [module docs](super)).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::Instant;
 
-use vg_crypto::sync::lock_recover;
-use vg_ledger::{
-    EnvelopeCommitment, EnvelopeLedger, Ledger, LedgerError, RegistrationLedger,
-    RegistrationRecord, VoterId,
-};
+use vg_ledger::{EnvelopeCommitment, Ledger, LedgerError, RegistrationRecord, VoterId};
 use vg_trip::official::Official;
-use vg_trip::vsd::{activation_ledger_phase, ActivationClaim};
+use vg_trip::vsd::{sweep_ledger, ActivationClaim};
 
 use crate::error::ServiceError;
-use crate::messages::{CheckInResponse, IngestStatsReply, LedgerHeads, Response};
-use crate::transport::EngineStats;
-
-use super::shard::{
-    ShardCmd, ShardRoute, ShardWorker, VerifiedInbox, WorkerLane, MAX_PENDING_RECORDS,
-    MIN_IDLE_SWEEP,
+use crate::messages::{
+    CheckInResponse, CheckOutBatchResponse, IngestReceipt, IngestStatsReply, LedgerHeads, Response,
 };
+use crate::transport::{EngineStats, LaneStats};
+
 use super::IngestMode;
 
-/// Commands for the commit sequencer — the one thread owning the ledgers.
-/// The first six are registrar requests that need ledger state; each is
-/// answered with its [`Response`] (or [`Response::Err`]).
+/// Minimum ready records before a channel-idle gap triggers a background
+/// admission sweep (barriers always sweep everything). Smaller idle
+/// sweeps would fragment the RLC folds the coalescing win comes from.
+const MIN_IDLE_SWEEP: usize = 512;
+
+/// Per-lane ceiling on deferred records. Coalescing submissions into one
+/// folded admission sweep is the throughput win, but an unbounded backlog
+/// would buffer a whole million-voter day server-side and delay admission
+/// errors to end-of-day. Past the cap the sequencer sweeps on the
+/// submitter's call, so memory and error latency stay O(cap) while many
+/// small windows still coalesce.
+const MAX_PENDING_RECORDS: usize = 16_384;
+
+/// Session groups as stations submit them: each global session index
+/// with that session's records.
+type Groups<R> = Vec<(u64, Vec<R>)>;
+
+/// Commands for the commit sequencer, each answered with its
+/// [`Response`] (or [`Response::Err`]).
 pub(super) enum Cmd {
     CheckIn(VoterId, Sender<Response>),
+    /// Session-tagged envelope-commitment groups; answered once they are
+    /// buffered (and any overflow sweep ran).
+    Envelopes(Groups<EnvelopeCommitment>, Sender<Response>),
+    /// Session-tagged registration-record groups, same contract.
+    Records(Groups<RegistrationRecord>, Sender<Response>),
     SyncThrough(u64, Sender<Response>),
     SyncAll(Sender<Response>),
     Activate(Vec<ActivationClaim>, Sender<Response>),
@@ -36,98 +53,146 @@ pub(super) enum Cmd {
     Stats(Sender<Response>),
     /// Fail every parked barrier so blocked stations unwind (day abort).
     Abort,
-    /// A shard worker changed the shared inbox (released, verified or
-    /// failed something): commit opportunistically and re-check parked
-    /// barriers. Carries nothing — the inbox is the message.
-    Poke,
-    /// Day teardown, sent exactly once by the coordinator after every
-    /// station is done: the sequencer drops its shard senders so the
-    /// workers drain, exit-sweep into the inbox, and release their own
-    /// sequencer senders in turn. Without this the worker ⇄ sequencer
-    /// channel cycle would keep both sides parked in `recv` forever.
-    Shutdown,
 }
 
-/// One ledger lane of the sequencer: the commit cursor plus the lane's
-/// preverified append
-/// ([`EnvelopeLedger::commit_batch_preverified`] or
-/// [`RegistrationLedger::post_batch_preverified`]) — the only thing the
-/// two lanes do differently.
-struct CommitLane<R> {
-    /// Next session to commit; `[0, next)` is on this lane's ledger.
+/// One ledger lane: the reorder buffer over global session indices, the
+/// commit cursor, and the ledger's own verify-then-append entry point
+/// ([`vg_ledger::EnvelopeLedger::commit_batch`] or
+/// [`vg_ledger::RegistrationLedger::post_batch`], which append nothing
+/// when a check fails) — the only thing the two lanes do differently.
+struct Lane<R> {
+    /// Next session to admit; `[0, next)` is on this lane's ledger.
     next: u64,
-    append: fn(&mut Ledger, Vec<R>, usize) -> Result<(), LedgerError>,
+    /// End of the contiguous arrived prefix: `[next, ready)` is buffered.
+    ready: u64,
+    /// Records across `[next, ready)` (sweep-threshold bookkeeping).
+    ready_records: usize,
+    /// Arrived session groups at or above `next`.
+    reorder: BTreeMap<u64, Vec<R>>,
+    admit: fn(&mut Ledger, Vec<R>, usize) -> Result<(), LedgerError>,
 }
 
-impl<R: Clone> CommitLane<R> {
-    /// Commits `groups` — the contiguous verified prefix starting at
-    /// `self.next`, in session order — as one coalesced append, with a
-    /// per-group fallback to pin a failure to the first offending session
-    /// and keep the committed prefix before it. Eligibility (roster,
-    /// double registration) is a real failure mode of the registration
-    /// lane, checked here at the commit point; the preverified entry
-    /// points check it before appending anything, so re-running per
-    /// group never double-appends. Returns whether anything was appended,
-    /// and the failure if the lane hit one.
-    fn commit(
+impl<R: Clone> Lane<R> {
+    fn new(admit: fn(&mut Ledger, Vec<R>, usize) -> Result<(), LedgerError>) -> Self {
+        Self {
+            next: 0,
+            ready: 0,
+            ready_records: 0,
+            reorder: BTreeMap::new(),
+            admit,
+        }
+    }
+
+    /// Buffers session-tagged groups and extends the arrived prefix. A
+    /// session below the cursor or already buffered is a work-stealing
+    /// re-submission — byte-identical, so it is dropped and first wins.
+    fn absorb(&mut self, groups: Groups<R>, stats: &LaneStats) {
+        let mut fresh = false;
+        for (session, group) in groups {
+            if session >= self.next && !self.reorder.contains_key(&session) {
+                fresh |= !group.is_empty();
+                self.reorder.insert(session, group);
+            }
+        }
+        while let Some(group) = self.reorder.get(&self.ready) {
+            self.ready_records += group.len();
+            self.ready += 1;
+        }
+        if fresh {
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The admission sweep: verifies and appends the contiguous arrived
+    /// prefix as one coalesced batch. When that is refused, falls back
+    /// per session group once, keeping the prefix before the first
+    /// offending session and returning the failure pinned to it (the
+    /// entry points check before they append, so the re-run never
+    /// double-appends; what lay behind the offender is dropped — the
+    /// failure is sticky and the day is over).
+    fn sweep(
         &mut self,
         ledger: &mut Ledger,
         threads: usize,
-        groups: Vec<Vec<R>>,
-    ) -> (bool, Option<ServiceError>) {
-        let count = groups.len() as u64;
-        let flat: Vec<R> = groups.iter().flatten().cloned().collect();
+        stats: &LaneStats,
+    ) -> Option<(u64, ServiceError)> {
+        let behind = self.reorder.split_off(&self.ready);
+        let groups = std::mem::replace(&mut self.reorder, behind);
+        self.ready_records = 0;
+        let flat: Vec<R> = groups.values().flatten().cloned().collect();
         if flat.is_empty() {
-            self.next += count;
-            return (false, None);
+            self.next = self.ready;
+            return None;
         }
-        if (self.append)(ledger, flat, threads).is_ok() {
-            self.next += count;
-            return (true, None);
+        stats.sweeps.fetch_add(1, Ordering::Relaxed);
+        if (self.admit)(ledger, flat, threads).is_ok() {
+            self.next = self.ready;
+            return None;
         }
-        let mut appended = false;
-        for group in groups {
+        for (session, group) in groups {
             if !group.is_empty() {
-                if let Err(e) = (self.append)(ledger, group, threads) {
-                    return (appended, Some(e.into()));
+                if let Err(e) = (self.admit)(ledger, group, threads) {
+                    self.ready = session;
+                    return Some((session, e.into()));
                 }
-                appended = true;
             }
-            self.next += 1;
+            self.next = session + 1;
         }
-        (appended, None)
+        None
     }
 }
 
 /// The commit sequencer: the one thread owning the ledgers for the day.
-/// It drains the shared inbox's contiguous verified prefix and appends
-/// it in exact global session order through the preverified entry points
-/// — eligibility is checked here, at the commit point — so N shard
-/// workers change *where verification runs*, never what lands on the
-/// ledger or how many signed heads a day produces. Every mutation
-/// funnels through [`Sequencer::flush_all`], whose final `persist()` is
-/// the one durable commit point: no code path answers a barrier or
-/// returns ledger heads for state that has not already been fsynced
-/// under a signed head.
+/// Submissions wait in its two [`Lane`]s; every admission funnels through
+/// [`Sequencer::sweep`], whose final `persist()` is the one durable
+/// commit point: no code path answers a barrier or returns ledger heads
+/// for state that has not already been fsynced under a signed head.
 pub(super) struct Sequencer<'a> {
     ledger: &'a mut Ledger,
     official: &'a Official,
     threads: usize,
     mode: IngestMode,
     rx: Receiver<Cmd>,
-    shard_txs: Vec<Sender<ShardCmd>>,
-    inbox: Arc<Mutex<VerifiedInbox>>,
-    env: CommitLane<EnvelopeCommitment>,
-    reg: CommitLane<RegistrationRecord>,
+    env: Lane<EnvelopeCommitment>,
+    reg: Lane<RegistrationRecord>,
     parked: Vec<(u64, Sender<Response>)>,
     failed: Option<ServiceError>,
-    /// Reorder-buffer occupancy reported by the last flush barrier —
-    /// nonzero at day end means sessions were lost in transit.
-    stalled_reorder: usize,
+    /// Submissions acknowledged so far (the receipts' ticket sequence).
+    tickets: u64,
     stats: Arc<EngineStats>,
 }
 
-impl Sequencer<'_> {
+impl<'a> Sequencer<'a> {
+    /// The sequencer for a day over `ledger`, and the client that feeds
+    /// it; its loop ends when the last clone of that client is dropped.
+    pub(super) fn new(
+        ledger: &'a mut Ledger,
+        official: &'a Official,
+        threads: usize,
+        mode: IngestMode,
+        stats: Arc<EngineStats>,
+    ) -> (IngestClient, Self) {
+        let (seq, rx) = mpsc::channel();
+        let sequencer = Self {
+            ledger,
+            official,
+            threads,
+            mode,
+            rx,
+            env: Lane::new(|ledger, batch, threads| {
+                ledger.envelopes.commit_batch(batch, threads).map(drop)
+            }),
+            reg: Lane::new(|ledger, batch, threads| {
+                ledger.registration.post_batch(batch, threads).map(drop)
+            }),
+            parked: Vec::new(),
+            failed: None,
+            tickets: 0,
+            stats,
+        };
+        (IngestClient { seq }, sequencer)
+    }
+
     fn admitted_through(&self) -> u64 {
         self.env.next.min(self.reg.next)
     }
@@ -145,83 +210,52 @@ impl Sequencer<'_> {
         }
     }
 
-    fn inbox_records(&self) -> usize {
-        lock_recover(&self.inbox).records()
-    }
-
-    /// Drains the contiguous verified prefix out of the inbox and
-    /// commits it, envelope lane first (see [`CommitLane::commit`]).
-    /// Returns whether anything was appended; callers follow with the
-    /// `persist()` commit barrier before answering anyone.
-    fn commit_ready(&mut self) -> bool {
-        if self.failed.is_some() {
-            return false;
+    /// The full admission barrier: both lanes admit their arrived prefix
+    /// in exact global session order — RLC admission → segment append —
+    /// and the sweep closes at the durable commit point (group fsync →
+    /// signed-head publish; a no-op on volatile backends). Barriers are
+    /// answered only after `persist()` returns, so an admitted session is
+    /// always a persisted session. The earlier session's failure sticks.
+    fn sweep(&mut self) {
+        if self.failed.is_none() {
+            let env = self.env.sweep(self.ledger, self.threads, &self.stats.env);
+            let reg = self.reg.sweep(self.ledger, self.threads, &self.stats.reg);
+            let first = [env, reg].into_iter().flatten().min_by_key(|(s, _)| *s);
+            self.failed = first.map(|(_, e)| e);
         }
-        let (env_groups, reg_groups, verify_failed) = {
-            let mut sh = lock_recover(&self.inbox);
-            (
-                sh.env.drain_prefix(self.env.next),
-                sh.reg.drain_prefix(self.reg.next),
-                sh.failed.clone(),
-            )
-        };
-        let (mut appended, mut failed) = self.env.commit(self.ledger, self.threads, env_groups);
-        if failed.is_none() {
-            let (reg_appended, reg_failed) = self.reg.commit(self.ledger, self.threads, reg_groups);
-            appended |= reg_appended;
-            failed = reg_failed;
-        }
-        // A verification failure parked in the inbox becomes sticky only
-        // after the good prefix before it is committed (the workers only
-        // publish verified-good groups below the failing session).
-        self.failed = failed.or(verify_failed.map(|(_, e)| e));
-        appended
-    }
-
-    /// The full admission barrier: every shard worker sweeps its pending
-    /// backlog *concurrently* (this fan-out is the throughput win of the
-    /// shard layer), then one globally-ordered commit closes at the
-    /// durable commit point — RLC admission → segment append → group
-    /// fsync → signed-head publish. Barriers are answered only after
-    /// `persist()` returns, so an admitted session is always a persisted
-    /// session.
-    fn flush_all(&mut self) {
-        let mut acks = Vec::new();
-        for tx in &self.shard_txs {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            if tx.send(ShardCmd::Flush(ack_tx)).is_ok() {
-                acks.push(ack_rx);
-            }
-        }
-        self.stalled_reorder = acks.into_iter().filter_map(|ack| ack.recv().ok()).sum();
-        self.commit_ready();
-        // Commit barrier: everything this sweep admitted reaches stable
-        // storage (WAL fsync + signed head) before any barrier observes
-        // it as admitted. A no-op on volatile backends.
         self.persist_ledger();
     }
 
-    /// Resolves parked prefix barriers: flushes when a parked barrier's
-    /// prefix is fully released (per the workers' published floors) but
-    /// not yet admitted, then answers whatever the sweep satisfied.
-    /// Sticky failures answer everything.
+    /// A station's submission: refused after the sticky failure,
+    /// otherwise buffered by `absorb` and, past the cap, admitted on the
+    /// submitter's call. Returns the submission's ticket.
+    fn submit(&mut self, absorb: impl FnOnce(&mut Self)) -> Result<u64, ServiceError> {
+        if self.failed.is_none() {
+            absorb(self);
+            if self.env.ready_records.max(self.reg.ready_records) > MAX_PENDING_RECORDS {
+                self.sweep();
+            }
+        }
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => {
+                self.tickets += 1;
+                Ok(self.tickets - 1)
+            }
+        }
+    }
+
+    /// Resolves parked prefix barriers: sweeps when a parked barrier's
+    /// prefix has fully arrived but is not yet admitted, then answers
+    /// whatever the sweep satisfied. Sticky failures answer everything.
     fn service_parked(&mut self) {
         if self.parked.is_empty() {
             return;
         }
-        if self.failed.is_none() {
-            let releasable = {
-                let sh = lock_recover(&self.inbox);
-                sh.env.released_through().min(sh.reg.released_through())
-            };
-            let admitted = self.admitted_through();
-            if self
-                .parked
-                .iter()
-                .any(|(needed, _)| *needed > admitted && *needed <= releasable)
-            {
-                self.flush_all();
-            }
+        let (arrived, admitted) = (self.env.ready.min(self.reg.ready), self.admitted_through());
+        let waiting = |(needed, _): &(u64, _)| *needed > admitted && *needed <= arrived;
+        if self.failed.is_none() && self.parked.iter().any(waiting) {
+            self.sweep();
         }
         if let Some(e) = self.failed.clone() {
             for (_, reply) in self.parked.drain(..) {
@@ -256,48 +290,53 @@ impl Sequencer<'_> {
                     Err(e) => Response::Err(ServiceError::Trip(e)),
                 });
             }
-            Cmd::SyncThrough(sessions, reply) => {
-                if self.admitted_through() >= sessions && self.failed.is_none() {
-                    let _ = reply.send(Response::SyncThrough);
-                } else {
-                    self.parked.push((sessions, reply));
-                }
+            Cmd::Envelopes(groups, reply) => {
+                let _ = reply.send(
+                    match self.submit(|seq| seq.env.absorb(groups, &seq.stats.env)) {
+                        Ok(ticket) => Response::SubmitEnvelopesSeq(IngestReceipt { ticket }),
+                        Err(e) => Response::Err(e),
+                    },
+                );
             }
+            Cmd::Records(groups, reply) => {
+                let _ = reply.send(
+                    match self.submit(|seq| seq.reg.absorb(groups, &seq.stats.reg)) {
+                        Ok(ticket) => Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket }),
+                        Err(e) => Response::Err(e),
+                    },
+                );
+            }
+            Cmd::SyncThrough(sessions, reply) => self.parked.push((sessions, reply)),
             Cmd::SyncAll(reply) => {
-                self.flush_all();
-                let residual = {
-                    let sh = lock_recover(&self.inbox);
-                    !sh.env.groups.is_empty() || !sh.reg.groups.is_empty()
-                };
+                self.sweep();
                 let _ = reply.send(self.unless_failed(|seq| {
-                    if seq.stalled_reorder > 0 || residual {
+                    // Anything still buffered sits behind a gap.
+                    if seq.env.reorder.is_empty() && seq.reg.reorder.is_empty() {
+                        Response::Sync
+                    } else {
                         Response::Err(ServiceError::Transport(format!(
                             "sessions lost: admission stalled at {} (gap in submissions)",
                             seq.admitted_through()
                         )))
-                    } else {
-                        Response::Sync
                     }
                 }));
             }
             Cmd::Activate(claims, reply) => {
-                self.flush_all();
-                let mut out = self.unless_failed(|_| Response::ActivationSweep);
+                self.sweep();
+                let mut swept = Ok(());
                 if self.failed.is_none() {
-                    for claim in &claims {
-                        if let Err(e) = activation_ledger_phase(self.ledger, claim) {
-                            out = Response::Err(ServiceError::Trip(e));
-                            break;
-                        }
-                    }
+                    swept = sweep_ledger(self.ledger, &claims);
                     // Activation appended reveal-WAL entries; sync them
                     // before acknowledging the claims.
                     self.persist_ledger();
                 }
-                let _ = reply.send(out);
+                let _ = reply.send(self.unless_failed(|_| match swept {
+                    Ok(()) => Response::ActivationSweep,
+                    Err(e) => Response::Err(ServiceError::Trip(e)),
+                }));
             }
             Cmd::Heads(reply) => {
-                self.flush_all();
+                self.sweep();
                 let _ = reply.send(self.unless_failed(|seq| {
                     Response::LedgerHeads(LedgerHeads {
                         registration: seq.ledger.registration.tree_head(),
@@ -311,230 +350,329 @@ impl Sequencer<'_> {
             }
             Cmd::Abort => {
                 let e = ServiceError::Transport("registration day aborted".into());
-                self.failed.get_or_insert(e.clone());
-                // Mirror into the inbox so the shard workers refuse
-                // further submissions too.
-                lock_recover(&self.inbox).fail(u64::MAX, e);
-            }
-            Cmd::Poke => {
-                // The inbox changed; the shared post-command path below
-                // commits and re-checks parked barriers.
-            }
-            Cmd::Shutdown => {
-                // Drop the shard senders: the workers' receivers
-                // disconnect, they exit-sweep into the inbox, and their
-                // own sequencer senders drop in turn.
-                self.shard_txs.clear();
+                self.failed.get_or_insert(e);
             }
         }
+        self.service_parked();
     }
 
+    /// The sequencer loop: drain immediately-available commands first,
+    /// use [`IngestMode::Background`] channel-idle gaps for admission
+    /// sweeps that overlap the stations' next ceremonies
+    /// ([`IngestMode::Barrier`] sweeps only at barriers and the cap), and
+    /// only then block. Ends when the last [`IngestClient`] is dropped;
+    /// nothing can be parked then — a parked caller holds a client.
     pub(super) fn run(mut self) {
         loop {
-            let t = Instant::now();
-            let Ok(cmd) = self.rx.recv() else { break };
-            self.stats.idle(t);
+            let cmd = match self.rx.try_recv() {
+                Ok(cmd) => cmd,
+                Err(TryRecvError::Empty) => {
+                    let t = Instant::now();
+                    if self.mode == IngestMode::Background
+                        && self.failed.is_none()
+                        && self.env.ready_records + self.reg.ready_records >= MIN_IDLE_SWEEP
+                    {
+                        self.sweep();
+                        self.service_parked();
+                        self.stats.busy(t);
+                        continue;
+                    }
+                    let Ok(cmd) = self.rx.recv() else { break };
+                    self.stats.idle(t);
+                    cmd
+                }
+                Err(TryRecvError::Disconnected) => break,
+            };
             let t = Instant::now();
             self.handle(cmd);
-            // Opportunistic commits: verified records must not pile up
-            // in the inbox unboundedly. Background mode commits as soon
-            // as a worthwhile batch is verified (overlapping the
-            // stations' next ceremonies); Barrier mode only bounds
-            // memory at the queue cap — everything else rides the next
-            // barrier, preserving the coalescing behavior.
-            let cap = match self.mode {
-                IngestMode::Background => MIN_IDLE_SWEEP,
-                IngestMode::Barrier => MAX_PENDING_RECORDS,
-            };
-            if self.failed.is_none() && self.inbox_records() >= cap && self.commit_ready() {
-                self.persist_ledger();
-            }
-            self.service_parked();
             self.stats.busy(t);
-        }
-        // Day over: every client and worker sender is gone — the workers
-        // exit-swept their backlogs into the inbox before releasing
-        // their senders — so one final commit pass closes the day, then
-        // fail anything still parked (a parked barrier at this point
-        // means its prefix never arrived).
-        self.flush_all();
-        self.service_parked();
-        for (_, reply) in self.parked.drain(..) {
-            let _ = reply.send(Response::Err(ServiceError::Transport(
-                "registration day ended with submissions missing".into(),
-            )));
         }
     }
 }
 
-/// Client half of the sharded engine (cheap to clone; one per served
-/// connection / in-process link): submissions fan out to the shard
-/// workers owning their sessions, everything stateful goes to the
-/// sequencer. Both calls wait on the reply channels they create — one
-/// request in flight per caller.
+/// The engine's client (cheap to clone; one per served connection /
+/// in-process link): sends one command and waits on the reply channel it
+/// creates — one request in flight per caller.
 #[derive(Clone)]
 pub(super) struct IngestClient {
     seq: Sender<Cmd>,
-    shards: Arc<Vec<Sender<ShardCmd>>>,
-    route: ShardRoute,
-    /// One engine-wide ticket sequence, so tickets stay monotonic per
-    /// connection no matter which shard served the submission.
-    tickets: Arc<AtomicU64>,
-}
-
-/// The answer when an engine thread's channel is found closed.
-fn gone(who: &str) -> Response {
-    Response::Err(ServiceError::Transport(format!("ingest {who} gone")))
 }
 
 impl IngestClient {
     /// Sends one sequencer command and waits for its reply.
     pub(super) fn ask(&self, build: impl FnOnce(Sender<Response>) -> Cmd) -> Response {
+        let gone = || Response::Err(ServiceError::Transport("ingest sequencer gone".into()));
         let (tx, reply) = mpsc::channel();
         if self.seq.send(build(tx)).is_err() {
-            return gone("sequencer");
+            return gone();
         }
-        reply.recv().unwrap_or_else(|_| gone("sequencer"))
-    }
-
-    /// Submits session-tagged groups on one lane (`make` picks it):
-    /// splits them by owning shard, sends (a station's sessions all live
-    /// in one shard, so the common case is exactly one send) and waits
-    /// for every touched worker's acknowledgement; `done` builds the
-    /// answer from the submission's ticket.
-    pub(super) fn fan_out<R>(
-        &self,
-        groups: Vec<(u64, Vec<R>)>,
-        make: impl Fn(Vec<(u64, Vec<R>)>, Sender<Result<(), ServiceError>>) -> ShardCmd,
-        done: impl FnOnce(u64) -> Response,
-    ) -> Response {
-        let mut per_worker: Vec<Vec<(u64, Vec<R>)>> =
-            (0..self.route.workers).map(|_| Vec::new()).collect();
-        for group in groups {
-            per_worker[self.route.worker_of(group.0)].push(group);
-        }
-        let mut acks = Vec::new();
-        for (worker, batch) in per_worker.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let (tx, rx) = mpsc::channel();
-            if self.shards[worker].send(make(batch, tx)).is_err() {
-                return gone("worker");
-            }
-            acks.push(rx);
-        }
-        let ticket = self.tickets.fetch_add(1, Ordering::SeqCst);
-        for ack in acks {
-            match ack.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => return Response::Err(e),
-                Err(_) => return gone("worker"),
-            }
-        }
-        done(ticket)
+        reply.recv().unwrap_or_else(|_| gone())
     }
 
     pub(super) fn abort(&self) {
         let _ = self.seq.send(Cmd::Abort);
     }
-
-    /// Day teardown — must be sent exactly once, by the coordinator,
-    /// after every station connection is gone (see [`Cmd::Shutdown`]).
-    pub(super) fn shutdown(&self) {
-        let _ = self.seq.send(Cmd::Shutdown);
-    }
 }
 
-/// The wired-but-unspawned sharded engine: [`build_ingest`] constructs
-/// every piece before any thread exists so the caller controls spawning
-/// (the day runs them on scoped threads).
-pub(super) struct IngestEngine<'a> {
-    pub(super) client: IngestClient,
-    pub(super) sequencer: Sequencer<'a>,
-    pub(super) shards: Vec<ShardWorker>,
-}
+/// The lane and the commit point, without threads: the sequencer owns
+/// every piece of admission state, so each case drives `handle` on the
+/// test thread.
+#[cfg(test)]
+mod tests {
+    use vg_crypto::schnorr::SigningKey;
+    use vg_crypto::{elgamal, EdwardsPoint, HmacDrbg, Rng};
+    use vg_ledger::{FaultFs, FsFault, LedgerBackend, TreeHead};
+    use vg_trip::materials::Symbol;
+    use vg_trip::printer::EnvelopePrinter;
+    use vg_trip::protocol::register_voter;
+    use vg_trip::setup::{TripConfig, TripSystem};
+    use vg_trip::TripError;
 
-/// Wires up the sharded ingest engine for a day of `sessions` sessions:
-/// one sequencer owning `ledger`, `route.workers` shard workers (each
-/// owning the ascending global session indices `route` sends it —
-/// together a partition of the day), and a cloneable client routing by
-/// `route`.
-pub(super) fn build_ingest<'a>(
-    ledger: &'a mut Ledger,
-    official: &'a Official,
-    threads: usize,
-    mode: IngestMode,
-    route: ShardRoute,
-    sessions: u64,
-    stats: Arc<EngineStats>,
-) -> IngestEngine<'a> {
-    let workers = route.workers;
-    let mut worker_sessions: Vec<Vec<u64>> = vec![Vec::new(); workers];
-    for session in 0..sessions {
-        worker_sessions[route.worker_of(session)].push(session);
+    use super::*;
+
+    const SESSIONS: u64 = 4;
+
+    fn system(backend: LedgerBackend) -> TripSystem {
+        let config = TripConfig {
+            n_voters: SESSIONS,
+            backend,
+            ..TripConfig::default()
+        };
+        TripSystem::setup(config, &mut HmacDrbg::from_u64(0x5E9))
     }
-    let (seq_tx, rx) = mpsc::channel();
-    let inbox = Arc::new(Mutex::new(VerifiedInbox::new(&worker_sessions)));
-    let mut shard_txs = Vec::with_capacity(workers);
-    let mut shards = Vec::with_capacity(workers);
-    for (id, sessions) in worker_sessions.into_iter().enumerate() {
+
+    fn with_sequencer<T>(system: &mut TripSystem, test: impl FnOnce(&mut Sequencer<'_>) -> T) -> T {
+        let (ledger, official) = (&mut system.ledger, &system.officials[0]);
+        let (_client, mut seq) =
+            Sequencer::new(ledger, official, 1, IngestMode::Barrier, Arc::default());
+        test(&mut seq)
+    }
+
+    /// Hands `seq` one command; the receiver holds the answer once it is
+    /// given.
+    fn send(
+        seq: &mut Sequencer<'_>,
+        build: impl FnOnce(Sender<Response>) -> Cmd,
+    ) -> Receiver<Response> {
         let (tx, rx) = mpsc::channel();
-        shard_txs.push(tx);
-        let sessions = Arc::new(sessions);
-        shards.push(ShardWorker {
-            id,
-            threads,
-            mode,
-            rx,
-            env: WorkerLane::new(Arc::clone(&sessions), EnvelopeLedger::verify_batch),
-            reg: WorkerLane::new(sessions, RegistrationLedger::verify_batch),
-            inbox: Arc::clone(&inbox),
-            seq: seq_tx.clone(),
-            failed: None,
-            stats: Arc::clone(&stats),
+        seq.handle(build(tx));
+        rx
+    }
+
+    fn answer(seq: &mut Sequencer<'_>, build: impl FnOnce(Sender<Response>) -> Cmd) -> Response {
+        send(seq, build).try_recv().expect("answered on the call")
+    }
+
+    fn refused_with(expected: &ServiceError) -> impl Fn(Response) -> bool + '_ {
+        move |resp| matches!(resp, Response::Err(e) if e == *expected)
+    }
+
+    /// Turns a record into one the ledger refuses with this error.
+    type Spoiler<R> = (fn(&mut R), LedgerError);
+
+    /// Every case of one lane. `group` makes a session's records,
+    /// `submit` is the lane's command, `idle_other` fills the other lane
+    /// with empty groups (so barriers wait on this lane alone) and `head`
+    /// reads the lane's ledger.
+    fn lane_cases<R: Clone>(
+        mut group: impl FnMut(u64) -> Vec<R>,
+        submit: fn(Groups<R>, Sender<Response>) -> Cmd,
+        idle_other: fn(Sender<Response>) -> Cmd,
+        head: fn(&Ledger) -> TreeHead,
+        spoilers: &[Spoiler<R>],
+    ) {
+        let groups: Groups<R> = (0..SESSIONS).map(|s| (s, group(s))).collect();
+        let records =
+            |through: usize| -> u64 { groups[..through].iter().map(|g| g.1.len() as u64).sum() };
+        let only = |sessions: &[usize]| -> Groups<R> {
+            sessions.iter().map(|&s| groups[s].clone()).collect()
+        };
+        let base = head(&system(LedgerBackend::InMemory).ledger).size;
+
+        // The reference: the whole day as one in-order submission.
+        let reference = with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
+            answer(seq, idle_other);
+            answer(seq, |tx| submit(groups.clone(), tx));
+            assert!(matches!(answer(seq, Cmd::SyncAll), Response::Sync));
+            head(seq.ledger)
+        });
+        assert_eq!(reference.size, base + records(4));
+
+        with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
+            answer(seq, idle_other);
+            answer(seq, |tx| submit(only(&[3, 1]), tx));
+            let parked = send(seq, |tx| Cmd::SyncThrough(2, tx));
+            // Behind a gap nothing is admissible: `Sync` reports it and
+            // the barrier stays parked.
+            assert!(matches!(
+                answer(seq, Cmd::SyncAll),
+                Response::Err(ServiceError::Transport(m)) if m.starts_with("sessions lost")
+            ));
+            assert!(matches!(parked.try_recv(), Err(TryRecvError::Empty)));
+            assert_eq!(head(seq.ledger).size, base);
+            // The gap arrives: the barrier resolves on that call, with
+            // sessions 0 and 1 admitted and 3 still waiting for 2.
+            answer(seq, |tx| submit(only(&[0]), tx));
+            assert!(matches!(parked.try_recv(), Ok(Response::SyncThrough)));
+            assert_eq!(head(seq.ledger).size, base + records(2));
+            // Steal re-submissions, one below the cursor and one still
+            // buffered, ride in with the last session: both are dropped,
+            // and the day lands in session order whatever the arrival
+            // order was.
+            answer(seq, |tx| submit(only(&[1, 3, 2]), tx));
+            assert!(matches!(answer(seq, Cmd::SyncAll), Response::Sync));
+            let committed = head(seq.ledger);
+            assert_eq!(
+                (committed.size, committed.root),
+                (reference.size, reference.root)
+            );
+            let Response::IngestStats(s) = answer(seq, Cmd::Stats) else {
+                panic!("stats answer");
+            };
+            // Three fresh submissions, two sweeps with records; the idle
+            // lane's empty groups count as neither.
+            let lanes = [(s.env_batches, s.env_sweeps), (s.reg_batches, s.reg_sweeps)];
+            assert!(
+                lanes.contains(&(3, 2)) && lanes.contains(&(0, 0)),
+                "{lanes:?}"
+            );
+        });
+
+        for (spoil, error) in spoilers {
+            let mut spoiled = groups.clone();
+            spoil(spoiled[2].1.last_mut().expect("a record"));
+            let error = ServiceError::from(error.clone());
+            let refused = refused_with(&error);
+            with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
+                answer(seq, idle_other);
+                let parked = send(seq, |tx| Cmd::SyncThrough(SESSIONS, tx));
+                // Buffered and acknowledged; the sweep the parked barrier
+                // forces pins the failure to session 2 and keeps 0 and 1.
+                assert!(!matches!(
+                    answer(seq, |tx| submit(spoiled, tx)),
+                    Response::Err(_)
+                ));
+                assert!(refused(parked.try_recv().expect("the barrier is answered")));
+                assert_eq!(head(seq.ledger).size, base + records(2));
+                // Sticky: the next submission and barrier get the same.
+                assert!(refused(answer(seq, |tx| submit(only(&[3]), tx))));
+                assert!(refused(answer(seq, |tx| Cmd::SyncThrough(1, tx))));
+            });
+        }
+    }
+
+    #[test]
+    fn lanes_reorder_dedupe_and_pin_failures() {
+        let mut rng = HmacDrbg::from_u64(0xA11);
+        let printer = EnvelopePrinter::new(&mut rng);
+        lane_cases(
+            |session| {
+                let print = |_| printer.print_detached(rng.scalar(), Symbol::ALL[0]).1;
+                (0..=session % 2).map(print).collect()
+            },
+            Cmd::Envelopes,
+            |tx| Cmd::Records((0..SESSIONS).map(|s| (s, Vec::new())).collect(), tx),
+            |ledger| ledger.envelopes.tree_head(),
+            &[(
+                |c| c.challenge_hash[0] ^= 1,
+                LedgerError::Crypto(vg_crypto::CryptoError::BadSignature),
+            )],
+        );
+
+        let mut rng = HmacDrbg::from_u64(0xA12);
+        let (kiosk, official) = (
+            SigningKey::generate(&mut rng),
+            SigningKey::generate(&mut rng),
+        );
+        lane_cases(
+            |session| {
+                let voter = VoterId(session + 1);
+                let pk = EdwardsPoint::mul_base(&rng.scalar());
+                let (c_pc, _) = elgamal::encrypt_point(&pk, &pk, &mut rng);
+                let kiosk_sig = kiosk.sign(&RegistrationRecord::kiosk_message(voter, &c_pc));
+                let countersigned = RegistrationRecord::official_message(voter, &c_pc, &kiosk_sig);
+                vec![RegistrationRecord {
+                    voter_id: voter,
+                    c_pc,
+                    kiosk_pk: kiosk.verifying_key().compress(),
+                    kiosk_sig,
+                    official_pk: official.verifying_key().compress(),
+                    official_sig: official.sign(&countersigned),
+                }]
+            },
+            Cmd::Records,
+            |tx| Cmd::Envelopes((0..SESSIONS).map(|s| (s, Vec::new())).collect(), tx),
+            |ledger| ledger.registration.tree_head(),
+            &[
+                (
+                    |r| r.voter_id = VoterId(1),
+                    LedgerError::Crypto(vg_crypto::CryptoError::BadSignature),
+                ),
+                (|r| r.voter_id = VoterId(99), LedgerError::NotOnRoster),
+            ],
+        );
+    }
+
+    /// Up to the cap submissions only buffer; the one that crosses it is
+    /// admitted before its submitter is answered — no barrier involved.
+    #[test]
+    fn crossing_the_cap_sweeps_on_the_submitters_call() {
+        let mut rng = HmacDrbg::from_u64(0xCA9);
+        let one = EnvelopePrinter::new(&mut rng)
+            .print_detached(rng.scalar(), Symbol::ALL[0])
+            .1;
+        with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
+            let base = seq.ledger.envelopes.tree_head().size;
+            let at_cap = vec![(0, vec![one.clone(); MAX_PENDING_RECORDS])];
+            answer(seq, |tx| Cmd::Envelopes(at_cap, tx));
+            assert_eq!((seq.env.next, seq.env.ready), (0, 1));
+            answer(seq, |tx| Cmd::Envelopes(vec![(1, vec![one])], tx));
+            assert_eq!((seq.env.next, seq.env.ready_records), (2, 0));
+            let admitted = seq.ledger.envelopes.tree_head().size - base;
+            assert_eq!(admitted as usize, MAX_PENDING_RECORDS + 1);
         });
     }
-    let client = IngestClient {
-        seq: seq_tx,
-        shards: Arc::new(shard_txs.clone()),
-        route,
-        tickets: Arc::new(AtomicU64::new(0)),
-    };
-    let sequencer = Sequencer {
-        ledger,
-        official,
-        threads,
-        mode,
-        rx,
-        shard_txs,
-        inbox,
-        env: CommitLane {
-            next: 0,
-            append: |ledger, batch, threads| {
-                ledger
-                    .envelopes
-                    .commit_batch_preverified(batch, threads)
-                    .map(drop)
-            },
-        },
-        reg: CommitLane {
-            next: 0,
-            append: |ledger, batch, threads| {
-                ledger
-                    .registration
-                    .post_batch_preverified(batch, threads)
-                    .map(drop)
-            },
-        },
-        parked: Vec::new(),
-        failed: None,
-        stalled_reorder: 0,
-        stats,
-    };
-    IngestEngine {
-        client,
-        sequencer,
-        shards,
+
+    /// A reveal barrier that fails is not acknowledged: the claim is
+    /// valid and its reveal was written, but the group sync behind it did
+    /// not happen, so the station must not hear `ActivationSweep`.
+    #[test]
+    fn activation_waits_for_its_reveal_barrier() {
+        let dir = std::env::temp_dir().join(format!("vg-sequencer-reveal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut system = system(LedgerBackend::Durable {
+            dir: dir.clone(),
+            fsync: true,
+        });
+        let mut rng = HmacDrbg::from_u64(7);
+        let mut outcome = register_voter(&mut system, VoterId(1), 0, &mut rng).expect("registers");
+        system.ledger.persist().expect("persists");
+        // The stores are clean now, so the first fsync from here on is
+        // the reveal WAL's.
+        let fault = FaultFs::new(vec![FsFault::FailFsync { nth: 0 }]);
+        system.ledger.install_fault_fs(fault);
+        outcome.believed_real.lift_to_activate();
+        let view = outcome
+            .believed_real
+            .activate_view()
+            .expect("activate state");
+        let claim = ActivationClaim::of(&view);
+        with_sequencer(&mut system, |seq| {
+            let error = match answer(seq, |tx| Cmd::Activate(vec![claim], tx)) {
+                Response::Err(error) => error,
+                early => panic!("answered {early:?} before its barrier succeeded"),
+            };
+            assert!(
+                matches!(
+                    &error,
+                    ServiceError::Trip(TripError::Ledger(LedgerError::Storage(_)))
+                ),
+                "{error}"
+            );
+            assert!(refused_with(&error)(answer(seq, |tx| Cmd::SyncThrough(
+                0, tx
+            ))));
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,14 +25,13 @@ use vg_trip::{PrintJob, TripError};
 
 use crate::channel::Connector;
 use crate::error::ServiceError;
-use crate::messages::{CheckOutBatchResponse, IngestReceipt, PrintResponse, Request, Response};
+use crate::messages::{PrintResponse, Request, Response};
 use crate::retry::RetryPolicy;
 use crate::transport::{
     regroup_coupons, ChannelClient, EngineStats, RequestEndpoint, ServiceBoundary,
 };
 
 use super::sequencer::{Cmd, IngestClient};
-use super::shard::ShardCmd;
 use super::PipelineConfig;
 
 // ---------------------------------------------------------------------------
@@ -40,14 +39,13 @@ use super::PipelineConfig;
 // ---------------------------------------------------------------------------
 
 /// The threaded engine's side of the seam: every [`Request`] is
-/// translated into sequencer / shard-worker commands here, once.
-/// Ledger-free requests (printing, desk-side check-out verification) run
-/// inline on the caller — only the resulting records funnel into the
-/// shard workers; everything stateful is forwarded, and the caller waits
-/// on its reply. The caller is a station's own thread (the in-process
-/// link) or its connection's server thread, so one station's barrier
-/// never stalls another station. Cheap to clone: one per connection and
-/// per in-process link.
+/// translated into sequencer commands here, once. Ledger-free requests
+/// (printing, desk-side check-out verification) run inline on the caller
+/// — only the resulting records funnel into the sequencer; everything
+/// stateful is forwarded, and the caller waits on its reply. The caller
+/// is a station's own thread (the in-process link) or its connection's
+/// server thread, so one station's barrier never stalls another
+/// station. Cheap to clone: one per connection and per in-process link.
 #[derive(Clone)]
 pub(super) struct PipelineDispatch<'a> {
     pub(super) official: &'a Official,
@@ -93,20 +91,13 @@ impl RequestEndpoint for PipelineDispatch<'_> {
             }),
             Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_) => {
                 Response::Err(ServiceError::Transport(
-                    "the sharded registrar requires session-tagged submissions".into(),
+                    "the pipelined registrar requires session-tagged submissions".into(),
                 ))
             }
-            Request::SubmitEnvelopesSeq(m) => {
-                self.client
-                    .fan_out(m.groups, ShardCmd::Envelopes, |ticket| {
-                        Response::SubmitEnvelopesSeq(IngestReceipt { ticket })
-                    })
-            }
+            Request::SubmitEnvelopesSeq(m) => self.client.ask(|r| Cmd::Envelopes(m.groups, r)),
             Request::CheckOutBatchSeq(m) => {
                 match self.verify_and_countersign(regroup_coupons(m.groups)) {
-                    Ok(records) => self.client.fan_out(records, ShardCmd::Records, |ticket| {
-                        Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket })
-                    }),
+                    Ok(records) => self.client.ask(|r| Cmd::Records(records, r)),
                     Err(e) => Response::Err(e),
                 }
             }
@@ -115,8 +106,7 @@ impl RequestEndpoint for PipelineDispatch<'_> {
             Request::LedgerHeads => self.client.ask(Cmd::Heads),
             Request::IngestStats => self.client.ask(Cmd::Stats),
             Request::ActivationSweep(m) => self.client.ask(|r| Cmd::Activate(m.claims, r)),
-            // No ingest flush: the coordinator owns the day's final
-            // barrier (matching the old multi-connection semantics).
+            // No ingest flush: the coordinator owns the day's final barrier.
             Request::Shutdown => Response::Shutdown,
         }
     }
@@ -370,7 +360,7 @@ mod tests {
 
     use vg_crypto::{HmacDrbg, Rng};
     use vg_ledger::VoterId;
-    use vg_trip::fleet::{kiosk_owners, partition_stations, FleetConfig, KioskFleet};
+    use vg_trip::fleet::{partition_stations, FleetConfig, KioskFleet};
     use vg_trip::materials::Symbol;
     use vg_trip::setup::{TripConfig, TripSystem};
     use vg_trip::{PrintJob, TripError};
@@ -382,14 +372,13 @@ mod tests {
     use crate::retry::RetryPolicy;
     use crate::transport::{ChannelClient, EngineStats, RequestEndpoint};
 
-    use super::super::sequencer::{build_ingest, IngestEngine};
-    use super::super::shard::ShardRoute;
+    use super::super::sequencer::Sequencer;
     use super::super::IngestMode;
     use super::*;
 
-    /// A live one-worker engine over a leaked (`'static`) system, its threads
-    /// on plain `spawn`s — so a watchdog can fail a test that would otherwise
-    /// hang a scope join.
+    /// A live engine over a leaked (`'static`) system, its threads on plain
+    /// `spawn`s — so a watchdog can fail a test that would otherwise hang a
+    /// scope join.
     struct Rig {
         registrar: PipelineDispatch<'static>,
         stats: Arc<EngineStats>,
@@ -406,29 +395,11 @@ mod tests {
         };
         let system: &'static mut TripSystem =
             Box::leak(Box::new(TripSystem::setup(config, &mut rng)));
-        let route = ShardRoute {
-            owner: Arc::new(kiosk_owners(system.kiosks.len(), 1)),
-            workers: 1,
-        };
-        let stats = EngineStats::new(1);
+        let stats = Arc::<EngineStats>::default();
         let (official, mode) = (&system.officials[0], IngestMode::Barrier);
-        let IngestEngine {
-            client,
-            sequencer,
-            shards,
-        } = build_ingest(
-            &mut system.ledger,
-            official,
-            1,
-            mode,
-            route,
-            sessions,
-            Arc::clone(&stats),
-        );
+        let (client, sequencer) =
+            Sequencer::new(&mut system.ledger, official, 1, mode, Arc::clone(&stats));
         std::thread::spawn(move || sequencer.run());
-        for worker in shards {
-            std::thread::spawn(move || worker.run());
-        }
         let registrar = PipelineDispatch {
             official,
             printer: &system.printers[0],
@@ -544,7 +515,6 @@ mod tests {
             }
             assert_eq!(comparable(direct), comparable(framed), "{label}");
         }
-        rig.registrar.client.shutdown();
     }
 
     /// Dials the gateway once; every later dial finds it unreachable.
@@ -613,6 +583,5 @@ mod tests {
                 "transport error: registrar unreachable".into()
             ))
         );
-        rig.registrar.client.shutdown();
     }
 }

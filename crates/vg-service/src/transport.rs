@@ -19,7 +19,7 @@
 //!
 //! - `InProcess × Plaintext`: no frames at all. On the default pipeline
 //!   the day runs inline on [`vg_trip::LocalBoundary`]; on any other it
-//!   dispatches straight into the sharded engine over in-process
+//!   dispatches straight into the threaded engine over in-process
 //!   channels. The reference.
 //! - `InProcess × Secure`: the full handshake + encrypted records over
 //!   in-process pipes into the server, exercising the identical
@@ -321,22 +321,20 @@ pub struct StealRecord {
 /// own on every day.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DayStats {
-    /// Shard verification workers that served the day: threaded days run
-    /// `min(workers, stations)`; an inline day reports `1`.
-    pub workers: usize,
-    /// Envelope-lane submissions admitted (the coalescing ratio is
+    /// Envelope-lane submissions buffered (the coalescing ratio is
     /// `batches / sweeps`).
     pub env_batches: u64,
     /// Envelope-lane RLC verification sweeps run.
     pub env_sweeps: u64,
-    /// Registration-lane submissions admitted.
+    /// Registration-lane submissions buffered.
     pub reg_batches: u64,
     /// Registration-lane RLC verification sweeps run.
     pub reg_sweeps: u64,
-    /// Cumulative busy time in microseconds, summed over every ingest
-    /// thread (the shard workers and the commit sequencer).
+    /// Busy time of the one ingest thread, the commit sequencer, in
+    /// microseconds.
     pub worker_busy_us: u64,
-    /// Cumulative idle time of the same threads, in microseconds.
+    /// Idle time of the same thread (parked on its command channel), in
+    /// microseconds.
     pub worker_idle_us: u64,
     /// Records appended to the WAL (zero on the volatile backends).
     pub wal_records: u64,
@@ -364,7 +362,8 @@ pub struct DayStats {
 }
 
 /// Tag 11's wire payload — the one place it is built — from the same
-/// snapshot every day returns.
+/// snapshot every day returns. `workers` is a reserved slot since the
+/// shard workers went: it reads 1 until the wire version next moves.
 impl From<&DayStats> for IngestStatsReply {
     fn from(day: &DayStats) -> Self {
         Self {
@@ -376,7 +375,7 @@ impl From<&DayStats> for IngestStatsReply {
             worker_idle_us: day.worker_idle_us,
             wal_records: day.wal_records,
             wal_fsyncs: day.wal_fsyncs,
-            workers: day.workers as u64,
+            workers: 1,
             wal_failures: day.wal_failures,
         }
     }
@@ -389,14 +388,13 @@ pub(crate) struct LaneStats {
     pub(crate) sweeps: AtomicU64,
 }
 
-/// The threaded engine's one shared counter block: shard workers, the
-/// sequencer, station/refiller/steal runners, the server's threads and
-/// the coordinator all bump it in place, and [`EngineStats::snapshot`]
+/// The threaded engine's one shared counter block: the sequencer,
+/// station/refiller/steal runners, the server's threads and the
+/// coordinator all bump it in place, and [`EngineStats::snapshot`]
 /// flattens it into the public [`DayStats`] (an inline day snapshots a
 /// zeroed block).
 #[derive(Default)]
 pub(crate) struct EngineStats {
-    pub(crate) workers: usize,
     pub(crate) env: LaneStats,
     pub(crate) reg: LaneStats,
     busy_ns: AtomicU64,
@@ -408,14 +406,6 @@ pub(crate) struct EngineStats {
 }
 
 impl EngineStats {
-    /// A zeroed block for an engine of `workers` shard workers.
-    pub(crate) fn new(workers: usize) -> Arc<Self> {
-        Arc::new(Self {
-            workers,
-            ..Self::default()
-        })
-    }
-
     /// Books the time since `since` as ingest-thread busy time.
     pub(crate) fn busy(&self, since: Instant) {
         let ns = since.elapsed().as_nanos() as u64;
@@ -433,7 +423,6 @@ impl EngineStats {
     pub(crate) fn snapshot(&self, wal: DurabilityStats) -> DayStats {
         let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         DayStats {
-            workers: self.workers,
             env_batches: get(&self.env.batches),
             env_sweeps: get(&self.env.sweeps),
             reg_batches: get(&self.reg.batches),

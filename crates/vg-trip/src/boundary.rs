@@ -16,8 +16,8 @@
 //!   remote run must equal bit-identically.
 //! - `vg-service`'s `ServiceBoundary`: the same six calls mapped onto
 //!   typed, versioned `Request`/`Response` messages to a registrar that
-//!   shards verification across workers and commits in global session
-//!   order (in-process dispatch, pipes or a length-prefixed TCP socket).
+//!   admits in global session order whichever station submitted first
+//!   (in-process dispatch, pipes or a length-prefixed TCP socket).
 //!
 //! # Submission semantics
 //!

@@ -121,15 +121,9 @@ pub struct StationPlan {
 }
 
 /// The static kiosk → owning-station map: `stations` contiguous,
-/// balanced chunks over `kiosks` kiosks. This is the session-routing
-/// ground truth for the whole day — shard ownership in the pipelined
-/// registrar keys off the *original* owner even after a steal moves
-/// transport ownership of a dead station's kiosk range, so re-submitted
-/// sessions land on the same ingest worker and dedup for free.
-///
-/// Requires `1 ≤ stations ≤ kiosks` (callers validate; see
-/// [`partition_stations`]).
-pub fn kiosk_owners(kiosks: usize, stations: usize) -> Vec<usize> {
+/// balanced chunks over `kiosks` kiosks. Requires `1 ≤ stations ≤
+/// kiosks` ([`partition_stations`] validates).
+fn kiosk_owners(kiosks: usize, stations: usize) -> Vec<usize> {
     let (k, s) = (kiosks, stations);
     let mut owner = vec![0usize; k];
     for (j, slot) in (0..s).flat_map(|j| ((j * k) / s..((j + 1) * k) / s).map(move |ki| (j, ki))) {

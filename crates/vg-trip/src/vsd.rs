@@ -14,7 +14,7 @@ use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::par::par_map;
 use vg_crypto::schnorr::{Signature, SignatureSweep, SigningKey, VerifyingKey};
 use vg_crypto::{CompressedPoint, EdwardsPoint, Scalar};
-use vg_ledger::{challenge_hash, EnvelopeCommitment, Ledger, VoterId};
+use vg_ledger::{challenge_hash, EnvelopeCommitment, Ledger, LedgerError, VoterId};
 
 use crate::error::{ActivationCheck, TripError};
 use crate::materials::{commit_message, response_message, ActivateView, PaperCredential};
@@ -209,20 +209,24 @@ pub fn activation_ledger_phase(
         return Err(TripError::Activation(ActivationCheck::LedgerMismatch));
     }
 
-    // Line 11: challenge unused; reveal it (duplicate-envelope detector).
+    // Line 11: challenge unused; reveal it. Only a repeated reveal is
+    // the duplicate-envelope accusation of Appendix F.3.5; a challenge
+    // that was never committed, or a reveal WAL that could not be
+    // written, is the ledger's own failure and says so.
     ledger
         .envelopes
         .reveal_challenge(&claim.challenge)
-        .map_err(|_| TripError::Activation(ActivationCheck::DuplicateChallenge))?;
-    Ok(())
+        .map_err(|e| match e {
+            LedgerError::DuplicateChallenge => {
+                TripError::Activation(ActivationCheck::DuplicateChallenge)
+            }
+            e => TripError::Ledger(e),
+        })
 }
 
 /// [`activation_ledger_phase`] for a run of claims in order, stopping at
 /// the first failure.
-pub(crate) fn sweep_ledger(
-    ledger: &mut Ledger,
-    claims: &[ActivationClaim],
-) -> Result<(), TripError> {
+pub fn sweep_ledger(ledger: &mut Ledger, claims: &[ActivationClaim]) -> Result<(), TripError> {
     claims
         .iter()
         .try_for_each(|claim| activation_ledger_phase(ledger, claim))
@@ -454,4 +458,38 @@ pub fn activate_batch_checks<'a>(
         return Err(TripError::Activation(ActivationCheck::ZkTranscript));
     }
     Ok((views, keys))
+}
+
+#[cfg(test)]
+mod tests {
+    use vg_crypto::{HmacDrbg, Rng};
+
+    use super::*;
+    use crate::protocol::register_voter;
+    use crate::setup::{TripConfig, TripSystem};
+
+    /// An authorised printer can sign H(e) and never commit it. That is
+    /// the ledger not knowing the envelope — not the duplicated envelope
+    /// Appendix F.3.5 accuses a printer of.
+    #[test]
+    fn uncommitted_challenge_is_not_reported_as_a_duplicate() {
+        let mut rng = HmacDrbg::from_u64(6);
+        let mut system = TripSystem::setup(TripConfig::with_voters(2), &mut rng);
+        let mut outcome = register_voter(&mut system, VoterId(1), 0, &mut rng).unwrap();
+        outcome.believed_real.lift_to_activate();
+        let view = outcome.believed_real.activate_view().unwrap();
+        let committed = ActivationClaim::of(&view);
+        let uncommitted = ActivationClaim {
+            challenge: rng.scalar(),
+            ..committed.clone()
+        };
+        assert_eq!(
+            activation_ledger_phase(&mut system.ledger, &uncommitted),
+            Err(TripError::Ledger(LedgerError::UnknownEnvelope))
+        );
+        assert_eq!(
+            sweep_ledger(&mut system.ledger, &[committed.clone(), committed]),
+            Err(TripError::Activation(ActivationCheck::DuplicateChallenge))
+        );
+    }
 }

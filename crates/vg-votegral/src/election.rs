@@ -254,15 +254,13 @@ impl ElectionBuilder {
         self
     }
 
-    /// Shard verification workers for the registrar's ingest layer.
-    /// Each worker owns the sessions of a station partition (shards key
-    /// off kiosk-chunk ownership) and runs that shard's RLC admission
-    /// sweeps concurrently, while a single commit sequencer keeps
-    /// appends globally ordered under one signed head per ledger — the
-    /// effective count is `min(workers, stations)`. More than one
-    /// routes registration through the threaded engine.
-    pub fn ingest_workers(mut self, n: usize) -> Self {
-        self.pipeline.workers = n.max(1);
+    /// Sets nothing: the registrar's ingest layer is one
+    /// verify-and-commit lane per ledger on the commit sequencer's
+    /// thread, and ledgers were bit-identical across worker counts while
+    /// the count existed. Kept only because the frozen benchmark adapter
+    /// (`bench/e2e/src/adapter.rs`, its only caller) names it; ROADMAP
+    /// item 2's benchmark-only PR stops calling it and deletes it.
+    pub fn ingest_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -276,7 +274,7 @@ impl ElectionBuilder {
         self
     }
 
-    /// When the registrar's ingest worker runs admission sweeps:
+    /// When the registrar's commit sequencer runs admission sweeps:
     /// [`IngestMode::Barrier`] (only at sync barriers — the default) or
     /// [`IngestMode::Background`] (also in channel-idle gaps, overlapping
     /// sweeps with the next window's ceremonies). Selecting `Background`
@@ -342,8 +340,8 @@ pub struct Election<P: ElectionPhase = Registration> {
     /// Transport plan (link + channel security) the registration
     /// services run over.
     pub transport: TransportPlan,
-    /// Threaded-engine tuning (stations, ingest workers, refiller
-    /// low-water mark, ingest mode, activation lag). With the lock-step
+    /// Threaded-engine tuning (stations, refiller low-water mark,
+    /// ingest mode, activation lag). With the lock-step
     /// defaults on the plaintext in-process transport, registration runs
     /// inline on `vg_trip::LocalBoundary` (see [`vg_service::run_day`]).
     pub pipeline: PipelineConfig,
@@ -683,7 +681,6 @@ mod tests {
             if pipelined {
                 builder = builder
                     .stations(2)
-                    .ingest_workers(2)
                     .low_water(4)
                     .ingest(IngestMode::Background)
                     .activation_lag(3);

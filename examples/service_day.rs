@@ -92,11 +92,11 @@ fn print_stats(s: &DayStats) {
     };
     let busy = s.worker_busy_us as f64;
     let share = 100.0 * busy / (busy + s.worker_idle_us as f64).max(1.0);
-    println!("  engine: workers: {}", s.workers);
+    println!("  engine:");
     println!("    L_E lane: {}", lane(s.env_batches, s.env_sweeps));
     println!("    L_R lane: {}", lane(s.reg_batches, s.reg_sweeps));
     println!(
-        "    ingest threads busy {share:.0}% ({} us busy, {} us idle)",
+        "    sequencer thread busy {share:.0}% ({} us busy, {} us idle)",
         s.worker_busy_us, s.worker_idle_us
     );
     println!(

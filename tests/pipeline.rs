@@ -90,8 +90,8 @@ proptest! {
 
     /// The acceptance criterion: pipelined registration days equal the
     /// sequential seeded reference bit-for-bit across (kiosks × pool
-    /// batch × low-water mark × station count × ingest worker count ×
-    /// ingest mode × threads × seed), on every transport — including
+    /// batch × low-water mark × station count × ingest mode × threads ×
+    /// seed), on every transport — including
     /// the authenticated-encryption secure channel, whose ephemeral
     /// handshake randomness must never leak into ledger bytes.
     #[test]
@@ -101,7 +101,6 @@ proptest! {
         pool_batch in 1usize..5,
         threads in 1usize..3,
         stations in 1usize..4,
-        workers in 1usize..4,
         low_water in 0usize..7,
         background in any::<bool>(),
         fake_counts in proptest::collection::vec(0usize..3, 5),
@@ -118,7 +117,6 @@ proptest! {
         let stations = stations.min(n_kiosks);
         let pipeline = PipelineConfig {
             stations,
-            workers,
             low_water,
             ingest: if background { IngestMode::Background } else { IngestMode::Barrier },
             activation_lag: 1 + (seed64 % 3) as usize,
@@ -155,7 +153,6 @@ proptest! {
         seed64 in any::<u64>(),
         threads in 1usize..3,
         stations in 1usize..3,
-        workers in 1usize..3,
         activation_lag in 1usize..4,
         fake_counts in proptest::collection::vec(0usize..2, 4),
     ) {
@@ -190,7 +187,6 @@ proptest! {
 
         let pipeline = PipelineConfig {
             stations,
-            workers,
             low_water: 3,
             ingest: IngestMode::Background,
             activation_lag,
@@ -237,7 +233,6 @@ fn station_death_mid_window_heals_on_survivors() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        workers: 2,
         low_water: 2,
         ingest: IngestMode::Background,
         activation_lag: 1,
@@ -304,7 +299,6 @@ fn unrecoverable_error_returns_typed_instead_of_hanging() {
         let fleet = KioskFleet::new(FleetConfig::seeded([1u8; 32]));
         let pipeline = PipelineConfig {
             stations: 2,
-            workers: 2,
             low_water: 2,
             ingest: IngestMode::Background,
             activation_lag: 1,
@@ -380,7 +374,6 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
 
     let threaded = |ingest| PipelineConfig {
         stations: 2,
-        workers: 2,
         low_water: 2,
         ingest,
         activation_lag: 1,
@@ -442,7 +435,7 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
 
         // The one flat stats record: its WAL counters are the ledger's
         // own on either engine; the threaded engine's counters are live,
-        // the inline day (no engine) reports one worker and zeroes.
+        // the inline day (no engine) reports zeroes.
         assert_eq!(
             (stats.wal_records, stats.wal_fsyncs, stats.wal_failures),
             (wal.wal_records, wal.wal_fsyncs, wal.wal_failures),
@@ -453,11 +446,9 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
             (stats.reg_batches, stats.reg_sweeps),
         ];
         if engine == "inline" {
-            assert_eq!(stats.workers, 1);
             assert_eq!(lanes, [(0, 0); 2]);
             assert_eq!((stats.worker_busy_us, stats.worker_idle_us), (0, 0));
         } else {
-            assert_eq!(stats.workers, pipeline.workers.min(pipeline.stations));
             for (batches, sweeps) in lanes {
                 assert!(1 <= sweeps && sweeps <= batches, "{engine}: {lanes:?}");
             }
@@ -547,7 +538,6 @@ fn kill_during_failover_reopens_to_the_healthy_reference() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        workers: 2,
         low_water: 2,
         ingest: IngestMode::Background,
         activation_lag: 1,
@@ -669,7 +659,6 @@ fn station_death_steals_kiosk_chunks_across_survivors() {
     });
     let pipeline = PipelineConfig {
         stations: 3,
-        workers: 2,
         low_water: 2,
         ingest: IngestMode::Background,
         activation_lag: 1,
@@ -758,7 +747,6 @@ fn durable_kill_then_steal_replays_to_identical_heads() {
     });
     let pipeline = PipelineConfig {
         stations: 3,
-        workers: 3,
         low_water: 2,
         ingest: IngestMode::Background,
         activation_lag: 1,
@@ -856,7 +844,6 @@ fn dead_steal_chunks_are_restolen_with_bounded_depth() {
     });
     let pipeline = PipelineConfig {
         stations: 3,
-        workers: 2,
         low_water: 2,
         ingest: IngestMode::Background,
         activation_lag: 1,
@@ -1067,7 +1054,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
             });
             let pipeline = PipelineConfig {
                 stations: 2,
-                workers: 2,
                 low_water: 2,
                 ingest: cell.ingest,
                 activation_lag: 1,
@@ -1158,7 +1144,6 @@ fn quiet_chaos_options_are_the_identity() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        workers: 2,
         low_water: 2,
         ingest: IngestMode::Background,
         activation_lag: 1,
@@ -1207,7 +1192,6 @@ fn silently_hung_station_is_stall_detected_and_stolen() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        workers: 2,
         low_water: 0,
         ingest: IngestMode::Background,
         activation_lag: 1,
