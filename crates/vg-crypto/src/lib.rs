@@ -63,7 +63,6 @@ pub mod pet;
 pub mod scalar;
 pub mod schnorr;
 pub mod sha2;
-pub mod shamir;
 pub mod sync;
 pub mod transcript;
 

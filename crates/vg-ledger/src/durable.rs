@@ -14,12 +14,20 @@
 //! where the commit sequencer's admission sweep calls it.
 //!
 //! Reopen is snapshot-load + segment replay: frames are replayed in
-//! order, a torn partial frame at the very tail of the log is truncated
-//! (a crash mid-`write` is expected), while a corrupt frame *followed by
-//! more data* — a mid-log hole — is a hard error, because append-only
-//! writes cannot produce it. The persisted snapshot and the last
-//! persisted signed head are both cross-checked against the replayed
-//! tree ([`MerkleLog::root_of`]) before the store accepts the directory.
+//! order, and every file that was open for append when the process died
+//! — the final segment, `heads.log`, `reveals.log` — is truncated at its
+//! first incomplete or checksum-failing frame (a crash mid-`write` is
+//! expected, and the sticky poison below guarantees the writer never
+//! appended past one). A bad frame in a *non-final* segment — a mid-log
+//! hole — is a hard error, because append-only writes cannot produce
+//! it. The persisted snapshot and the last persisted signed head are
+//! both cross-checked against the replayed tree ([`MerkleLog::root_of`])
+//! before the store accepts the directory.
+//!
+//! Every log file is written through one private `FrameLog`: one append,
+//! one `sync_data`, one [`FaultFs`] consult per write and per fsync, and
+//! one poison rule — the first failed write or sync on a file makes
+//! every later append and sync of that file a [`WalError::Poisoned`].
 //!
 //! ## The replay cursor
 //!
@@ -67,13 +75,13 @@ const REVEALS_FILE: &str = "reveals.log";
 
 /// Errors raised opening, replaying, or writing a durable log directory.
 ///
-/// Append-path IO errors surface *typed*, not as panics: a failed WAL
-/// write poisons the store ([`WalError::Poisoned`]) so no head covering
-/// the unpersisted bytes can ever be published — the next
-/// [`LedgerStore::persist`] barrier returns the error and the caller
-/// aborts the day cleanly instead of the process dying mid-request. A
-/// restart then reopens the directory and replays the clean prefix the
-/// disk actually holds.
+/// Append-path IO errors surface *typed*, not as panics: a failed write
+/// or fsync poisons its log file ([`WalError::Poisoned`]) so no head
+/// covering the unpersisted bytes can ever be published and no reveal
+/// acknowledged past a torn frame — the next [`LedgerStore::persist`]
+/// barrier returns the error and the caller aborts the day cleanly
+/// instead of the process dying mid-request. A restart then reopens the
+/// directory and replays the clean prefix the disk actually holds.
 #[derive(Debug)]
 pub enum WalError {
     /// Filesystem error.
@@ -83,9 +91,10 @@ pub enum WalError {
     /// A complete, checksummed frame whose payload fails canonical
     /// decoding — the log was written by something other than this codec.
     Codec(CryptoError),
-    /// An earlier append or barrier already failed; the store refuses
-    /// every further persist until the process restarts and replays the
-    /// on-disk prefix. Carries the original failure's description.
+    /// An earlier append or sync of this log file already failed; it
+    /// refuses every further append and barrier until the process
+    /// restarts and replays the on-disk prefix. Carries the original
+    /// failure's description.
     Poisoned(String),
 }
 
@@ -139,8 +148,8 @@ pub struct DurabilityStats {
     pub replayed: u64,
     /// Signed tree heads persisted to `heads.log`.
     pub heads_persisted: u64,
-    /// WAL write or fsync failures observed (each one poisons its store;
-    /// nonzero means the day ran degraded and aborted typed).
+    /// WAL write or fsync failures observed (each one poisons its log
+    /// file; nonzero means the day ran degraded and aborted typed).
     pub wal_failures: u64,
 }
 
@@ -165,17 +174,20 @@ impl DurabilityStats {
 /// One injected filesystem fault, keyed by deterministic operation
 /// counters — never wall clocks or OS entropy (this file is inside
 /// vg-lint's `nondeterminism` scope, and the chaos tests rely on a seed
-/// reproducing the exact same failure).
+/// reproducing the exact same failure). Every log file — a store's
+/// segment stream, its `heads.log`, the envelope ledger's `reveals.log`
+/// — counts its own writes and fsyncs from 0, so a fault fires once on
+/// each file that gets that far.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsFault {
-    /// The `nth` segment write (0-based) fails with an injected IO error
-    /// before any byte lands.
+    /// The file's `nth` frame write (0-based) fails with an injected IO
+    /// error before any byte lands.
     FailWrite {
         /// 0-based write index at which the fault fires.
         nth: u64,
     },
-    /// The `nth` segment write persists only the first `keep` bytes of
-    /// the frame, then fails — a torn write the torn-tail repair path
+    /// The file's `nth` frame write persists only the first `keep` bytes
+    /// of the frame, then fails — a torn write the torn-tail repair path
     /// must truncate away on reopen.
     ShortWrite {
         /// 0-based write index at which the fault fires.
@@ -183,31 +195,24 @@ pub enum FsFault {
         /// Bytes of the frame that reach the file before the failure.
         keep: usize,
     },
-    /// Every segment write from the `nth` on fails with `ENOSPC`.
+    /// Every frame write from the file's `nth` on fails with `ENOSPC`.
     DiskFull {
         /// 0-based write index from which the disk reports full.
         nth: u64,
     },
-    /// The `nth` fsync (group sync at a commit barrier or segment roll)
-    /// fails with an injected IO error.
+    /// The file's `nth` fsync (group sync at a commit barrier or segment
+    /// roll) fails with an injected IO error.
     FailFsync {
         /// 0-based fsync index at which the fault fires.
         nth: u64,
     },
 }
 
-/// What [`FaultFs`] decided for one write.
-enum FsWriteDecision {
-    Proceed,
-    Short(usize),
-    Fail(std::io::Error),
-}
-
 /// A deterministic write-layer fault schedule installed on a
 /// [`DurableStore`] (via [`crate::ledger::Ledger::install_fault_fs`] or
-/// [`LedgerStore::install_fault_fs`]). Decisions depend only on the
-/// schedule and the store's own write/fsync counters, so a given seed
-/// replays the identical failure on every run.
+/// [`LedgerStore::install_fault_fs`]); every log file gets its own clone.
+/// Decisions depend only on the schedule and the file's own write/fsync
+/// counters, so a given seed replays the identical failure on every run.
 #[derive(Clone, Debug, Default)]
 pub struct FaultFs {
     faults: Vec<FsFault>,
@@ -225,21 +230,19 @@ impl FaultFs {
         }
     }
 
-    fn on_write(&mut self) -> FsWriteDecision {
+    /// Decides one write: proceed (`None`), persist only a prefix of the
+    /// frame and then fail (`Some(keep)`), or fail outright.
+    fn on_write(&mut self) -> std::io::Result<Option<usize>> {
         let n = self.writes;
         self.writes += 1;
         for f in &self.faults {
             match *f {
                 FsFault::FailWrite { nth } if nth == n => {
-                    return FsWriteDecision::Fail(std::io::Error::other(
-                        "injected WAL write failure",
-                    ));
+                    return Err(std::io::Error::other("injected WAL write failure"));
                 }
-                FsFault::ShortWrite { nth, keep } if nth == n => {
-                    return FsWriteDecision::Short(keep);
-                }
+                FsFault::ShortWrite { nth, keep } if nth == n => return Ok(Some(keep)),
                 FsFault::DiskFull { nth } if n >= nth => {
-                    return FsWriteDecision::Fail(std::io::Error::new(
+                    return Err(std::io::Error::new(
                         std::io::ErrorKind::StorageFull,
                         "injected ENOSPC",
                     ));
@@ -247,7 +250,7 @@ impl FaultFs {
                 _ => {}
             }
         }
-        FsWriteDecision::Proceed
+        Ok(None)
     }
 
     fn on_fsync(&mut self) -> Result<(), std::io::Error> {
@@ -285,70 +288,209 @@ fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn append_frame<W: Write>(file: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    file.write_all(&frame_bytes(payload))
-}
-
-enum FrameRead<'a> {
-    /// A complete, checksum-valid frame ending at `next`.
-    Frame { payload: &'a [u8], next: usize },
-    /// Clean end of buffer.
-    Eof,
-    /// An incomplete or checksum-failing frame starting at the cursor.
-    Torn,
-}
-
-fn read_frame(buf: &[u8], pos: usize) -> FrameRead<'_> {
-    if pos == buf.len() {
-        return FrameRead::Eof;
-    }
+/// The frame starting at `pos` — its payload and the offset just past it
+/// — or `None` where no complete, checksum-valid frame starts: at the
+/// clean end of the buffer, or at a torn frame.
+fn read_frame(buf: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     if pos + FRAME_HEADER > buf.len() {
-        return FrameRead::Torn;
+        return None;
     }
     let len = match buf[pos..pos + 4].try_into() {
         Ok(b) => u32::from_le_bytes(b) as usize,
-        Err(_) => return FrameRead::Torn,
+        Err(_) => return None,
     };
     if len > MAX_FRAME || pos + FRAME_HEADER + len > buf.len() {
-        return FrameRead::Torn;
+        return None;
     }
     let payload = &buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
     if frame_checksum(payload) != buf[pos + 4..pos + 12] {
-        return FrameRead::Torn;
+        return None;
     }
-    FrameRead::Frame {
-        payload,
-        next: pos + FRAME_HEADER + len,
+    Some((payload, pos + FRAME_HEADER + len))
+}
+
+/// The one frame scanner: yields the payload of every complete,
+/// checksum-valid frame of a file's bytes, in order, stopping at the
+/// first position where none starts. `valid` is the byte length of the
+/// good prefix scanned so far.
+struct Frames<'a> {
+    buf: &'a [u8],
+    valid: usize,
+}
+
+impl<'a> Frames<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Self { buf, valid: 0 }
+    }
+
+    /// After the scan ran out: whether it stopped at a torn frame (bytes
+    /// remain past the good prefix) rather than at the clean end.
+    fn torn(&self) -> bool {
+        self.valid < self.buf.len()
     }
 }
 
-/// Replays every frame of one file with torn-tail truncation: a torn
-/// frame at the tail is cut off (the file is physically truncated so
-/// subsequent appends start clean) and everything before it returned.
-/// Returns the payloads and the valid byte length.
-pub(crate) fn load_frames(path: &Path) -> Result<(Vec<Vec<u8>>, u64), WalError> {
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (payload, next) = read_frame(self.buf, self.valid)?;
+        self.valid = next;
+        Some(payload)
+    }
+}
+
+/// Replays one log file through `each`, returning the valid byte length
+/// (0 for a missing file). A torn frame ends the replay: where a crash
+/// mid-`write` can have produced it (`may_tear` — the tail of the final
+/// segment, of `heads.log` and of `reveals.log`) the file is physically
+/// truncated there so appends resume from a clean tail; anywhere else it
+/// is a mid-log hole.
+fn replay_file(
+    path: &Path,
+    may_tear: bool,
+    mut each: impl FnMut(&[u8]) -> Result<(), WalError>,
+) -> Result<u64, WalError> {
     let buf = match fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e.into()),
     };
-    let mut payloads = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        match read_frame(&buf, pos) {
-            FrameRead::Frame { payload, next } => {
-                payloads.push(payload.to_vec());
-                pos = next;
-            }
-            FrameRead::Eof => break,
-            FrameRead::Torn => {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(pos as u64)?;
-                break;
-            }
-        }
+    let mut frames = Frames::new(&buf);
+    for payload in &mut frames {
+        each(payload)?;
     }
-    Ok((payloads, pos as u64))
+    if frames.torn() {
+        if !may_tear {
+            return Err(WalError::Corrupt(
+                "mid-log hole: corrupt frame in a non-final segment",
+            ));
+        }
+        let f = OpenOptions::new().write(true).open(path)?;
+        f.set_len(frames.valid as u64)?;
+    }
+    Ok(frames.valid as u64)
+}
+
+// ---------------------------------------------------------------------------
+// FrameLog: the one writer under segments, heads and reveals
+// ---------------------------------------------------------------------------
+
+fn open_append(path: &Path) -> std::io::Result<BufWriter<File>> {
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    Ok(BufWriter::new(file))
+}
+
+/// The append side of one log file. Every durable byte outside the
+/// snapshot goes through here, so this is the only place that consults
+/// the fault schedule, calls `sync_data` on a log, counts, and poisons.
+struct FrameLog {
+    file: BufWriter<File>,
+    /// Drain the buffer after every frame (heads, reveals). Segments
+    /// leave it off: a frame append costs a memcpy, not a syscall, and
+    /// the buffer drains at segment rolls, at every commit barrier, and
+    /// on drop. A kill can lose buffered frames — that only ever shortens
+    /// the on-disk log by a tail, which replay repairs, and `sync` drains
+    /// before any head is written so heads never cover bytes the segment
+    /// files don't have.
+    write_through: bool,
+    fsync: bool,
+    dirty: bool,
+    /// Injected write-layer fault schedule (chaos tests only): this
+    /// file's own clone, counting this file's own writes and fsyncs.
+    fault: Option<FaultFs>,
+    /// First write or sync failure, sticky until restart: while set,
+    /// appends and syncs stop touching the disk (the file stays a clean
+    /// prefix plus at most one torn tail) and return
+    /// [`WalError::Poisoned`], so nothing can be appended past a torn
+    /// frame and no barrier can report bytes the file does not have.
+    failed: Option<String>,
+    /// `wal_records`, `wal_fsyncs` and `wal_failures` of this file.
+    stats: DurabilityStats,
+}
+
+impl FrameLog {
+    fn open(path: &Path, fsync: bool, write_through: bool) -> Result<Self, WalError> {
+        Ok(Self {
+            file: open_append(path)?,
+            write_through,
+            fsync,
+            dirty: false,
+            fault: None,
+            failed: None,
+            stats: DurabilityStats::default(),
+        })
+    }
+
+    /// Runs one disk operation under the poison rule.
+    fn guarded(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> std::io::Result<()>,
+    ) -> Result<(), WalError> {
+        if let Some(msg) = &self.failed {
+            return Err(WalError::Poisoned(msg.clone()));
+        }
+        op(self).map_err(|e| {
+            let e = WalError::Io(e);
+            self.stats.wal_failures += 1;
+            self.failed = Some(e.to_string());
+            e
+        })
+    }
+
+    fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
+        self.guarded(|log| {
+            let frame = frame_bytes(payload);
+            let torn = match log.fault.as_mut() {
+                Some(f) => f.on_write()?,
+                None => None,
+            };
+            if let Some(keep) = torn {
+                // A torn write: a prefix of the frame reaches the file,
+                // then the write fails. Flushed through so the torn tail
+                // is really on disk for the reopen path to repair.
+                log.file.write_all(&frame[..keep.min(frame.len())])?;
+                log.file.flush()?;
+                return Err(std::io::Error::other(
+                    "injected torn write: frame cut mid-byte",
+                ));
+            }
+            log.file.write_all(&frame)?;
+            if log.write_through {
+                log.file.flush()?;
+            }
+            log.dirty = true;
+            log.stats.wal_records += 1;
+            Ok(())
+        })
+    }
+
+    /// Drains the write buffer, then `sync_data`s what was appended since
+    /// the last sync when fsync discipline is on.
+    fn sync(&mut self) -> Result<(), WalError> {
+        self.guarded(|log| {
+            log.file.flush()?;
+            if log.fsync && log.dirty {
+                if let Some(f) = log.fault.as_mut() {
+                    f.on_fsync()?;
+                }
+                log.file.get_ref().sync_data()?;
+                log.dirty = false;
+                log.stats.wal_fsyncs += 1;
+            }
+            Ok(())
+        })
+    }
+
+    /// Continues this log in a fresh file (the segment roll); counters,
+    /// fault schedule and poison carry over.
+    fn roll(&mut self, path: &Path) -> Result<(), WalError> {
+        self.guarded(|log| {
+            log.file = open_append(path)?;
+            log.dirty = false;
+            Ok(())
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -388,104 +530,28 @@ fn list_segments(dir: &Path) -> Result<Vec<PathBuf>, WalError> {
     Ok(indices.iter().map(|&i| segment_path(dir, i)).collect())
 }
 
+/// A [`FrameLog`] that continues in the next segment file once the
+/// current one is full.
 struct SegmentWriter {
     dir: PathBuf,
     index: u64,
-    /// Buffered so a frame append costs a memcpy, not a syscall; the
-    /// buffer drains at segment rolls, at every commit barrier, and on
-    /// drop. A kill can lose buffered frames — that only ever shortens
-    /// the on-disk log by a tail, which replay repairs, and `sync`
-    /// drains before any head is written so heads never cover bytes the
-    /// segment files don't have.
-    file: BufWriter<File>,
     bytes: u64,
-    dirty: bool,
-    fsync: bool,
-    /// Injected write-layer fault schedule (chaos tests only).
-    fault: Option<FaultFs>,
+    log: FrameLog,
 }
 
 impl SegmentWriter {
-    fn open(dir: &Path, index: u64, bytes: u64, fsync: bool) -> Result<Self, WalError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(dir, index))?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            index,
-            file: BufWriter::new(file),
-            bytes,
-            dirty: false,
-            fsync,
-            fault: None,
-        })
-    }
-
-    fn injected_fsync(&mut self) -> Result<(), WalError> {
-        if let Some(f) = self.fault.as_mut() {
-            f.on_fsync().map_err(WalError::Io)?;
-        }
-        Ok(())
-    }
-
-    fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        let mut fsyncs = 0;
+    fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
         if self.bytes >= SEGMENT_BYTES {
             // Seal the full segment (synced under fsync discipline so the
             // roll itself is not a durability gap) and start the next.
-            self.file.flush()?;
-            if self.fsync && self.dirty {
-                self.injected_fsync()?;
-                self.file.get_ref().sync_data()?;
-                fsyncs += 1;
-            }
+            self.log.sync()?;
+            self.log.roll(&segment_path(&self.dir, self.index + 1))?;
             self.index += 1;
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&self.dir, self.index))?;
-            self.file = BufWriter::new(file);
             self.bytes = 0;
-            self.dirty = false;
         }
-        match self
-            .fault
-            .as_mut()
-            .map(|f| f.on_write())
-            .unwrap_or(FsWriteDecision::Proceed)
-        {
-            FsWriteDecision::Proceed => append_frame(&mut self.file, payload)?,
-            FsWriteDecision::Short(keep) => {
-                // A torn write: a prefix of the frame reaches the file,
-                // then the write fails. Flushed through so the torn tail
-                // is really on disk for the reopen path to repair.
-                let full = frame_bytes(payload);
-                let cut = keep.min(full.len());
-                self.file.write_all(full.get(..cut).unwrap_or(&full))?;
-                self.file.flush()?;
-                return Err(WalError::Io(std::io::Error::other(
-                    "injected torn write: frame cut mid-byte",
-                )));
-            }
-            FsWriteDecision::Fail(e) => return Err(WalError::Io(e)),
-        }
+        self.log.append(payload)?;
         self.bytes += (FRAME_HEADER + payload.len()) as u64;
-        self.dirty = true;
-        Ok(fsyncs)
-    }
-
-    /// Commit barrier: drains the write buffer, then group-fsyncs when
-    /// fsync discipline is on; returns whether a sync was issued.
-    fn sync(&mut self) -> Result<bool, WalError> {
-        self.file.flush()?;
-        if self.fsync && self.dirty {
-            self.injected_fsync()?;
-            self.file.get_ref().sync_data()?;
-            self.dirty = false;
-            return Ok(true);
-        }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -498,10 +564,7 @@ impl SegmentWriter {
 /// plus crash durability. See the module docs for the write discipline
 /// and the replay cursor.
 pub struct DurableStore<T> {
-    dir: PathBuf,
-    fsync: bool,
     records: Vec<T>,
-    leaves: Vec<Hash>,
     merkle: MerkleLog,
     /// Records loaded from disk at open; indices below this are the
     /// replayable prefix.
@@ -510,14 +573,8 @@ pub struct DurableStore<T> {
     /// re-appended (matched) by the caller since open.
     matched: usize,
     writer: SegmentWriter,
-    heads: File,
+    heads: FrameLog,
     last_head_size: u64,
-    stats: DurabilityStats,
-    /// First WAL write/barrier failure, sticky until restart: while set,
-    /// appends stop touching the disk (the on-disk log stays a clean
-    /// prefix) and every `persist` returns [`WalError::Poisoned`], so no
-    /// published head can ever cover bytes the WAL does not have.
-    failed: Option<String>,
 }
 
 impl<T: DurableRecord> DurableStore<T> {
@@ -530,54 +587,28 @@ impl<T: DurableRecord> DurableStore<T> {
         fs::create_dir_all(&dir)?;
 
         // Segment replay. Only the final segment may have a torn tail;
-        // a corrupt frame with data after it is a mid-log hole.
+        // a torn frame in an earlier one is a mid-log hole.
         let segments = list_segments(&dir)?;
         let mut records: Vec<T> = Vec::new();
-        let mut leaves: Vec<Hash> = Vec::new();
-        let mut tail = (0u64, 0u64); // (index, valid bytes) of last segment
-        for (k, path) in segments.iter().enumerate() {
-            let is_last = k + 1 == segments.len();
-            let buf = fs::read(path)?;
-            let mut pos = 0usize;
-            loop {
-                match read_frame(&buf, pos) {
-                    FrameRead::Frame { payload, next } => {
-                        let record = T::decode_canonical(payload)?;
-                        if record.canonical_bytes() != payload {
-                            return Err(WalError::Corrupt("record re-encoding diverges"));
-                        }
-                        leaves.push(merkle::leaf_hash(payload));
-                        records.push(record);
-                        pos = next;
-                    }
-                    FrameRead::Eof => break,
-                    FrameRead::Torn if is_last => {
-                        // A crash mid-write: truncate the partial final
-                        // record so appends resume from a clean tail.
-                        let f = OpenOptions::new().write(true).open(path)?;
-                        f.set_len(pos as u64)?;
-                        break;
-                    }
-                    FrameRead::Torn => {
-                        return Err(WalError::Corrupt(
-                            "mid-log hole: corrupt frame in a non-final segment",
-                        ));
-                    }
-                }
-            }
-            if is_last {
-                tail = (k as u64, pos as u64);
-            }
-        }
         let mut merkle_log = MerkleLog::new();
-        merkle_log.append_leaves(&leaves);
+        let mut tail_bytes = 0u64;
+        for (k, path) in segments.iter().enumerate() {
+            tail_bytes = replay_file(path, k + 1 == segments.len(), |payload| {
+                let record = T::decode_canonical(payload)?;
+                if record.canonical_bytes() != payload {
+                    return Err(WalError::Corrupt("record re-encoding diverges"));
+                }
+                merkle_log.append_leaf(merkle::leaf_hash(payload));
+                records.push(record);
+                Ok(())
+            })?;
+        }
 
         // Persisted signed heads: torn tail tolerated, but the newest
         // surviving head must describe a prefix of the replayed log.
         let heads_path = dir.join(HEADS_FILE);
-        let (head_payloads, _) = load_frames(&heads_path)?;
         let mut last_head_size = 0u64;
-        for payload in &head_payloads {
+        replay_file(&heads_path, true, |payload| {
             let (size, root) = decode_head(payload)?;
             if size < last_head_size {
                 return Err(WalError::Corrupt("persisted head sizes regress"));
@@ -589,13 +620,14 @@ impl<T: DurableRecord> DurableStore<T> {
                 return Err(WalError::Corrupt("persisted head root mismatch"));
             }
             last_head_size = size;
-        }
+            Ok(())
+        })?;
 
         // Snapshot cross-check, then rewrite for this open (atomically,
         // via rename, so a crash never leaves a half-written snapshot).
         let snap_path = dir.join(SNAPSHOT_FILE);
         if let Ok(buf) = fs::read(&snap_path) {
-            if let FrameRead::Frame { payload, .. } = read_frame(&buf, 0) {
+            if let Some(payload) = Frames::new(&buf).next() {
                 let (size, root) = decode_head(payload)?;
                 if size as usize > records.len() || merkle_log.root_of(size as usize) != root {
                     return Err(WalError::Corrupt("snapshot disagrees with the log"));
@@ -607,35 +639,30 @@ impl<T: DurableRecord> DurableStore<T> {
         snap_payload.extend_from_slice(&merkle_log.root());
         let tmp = dir.join("snapshot.tmp");
         let mut snap = File::create(&tmp)?;
-        append_frame(&mut snap, &snap_payload)?;
+        snap.write_all(&frame_bytes(&snap_payload))?;
         if fsync {
             snap.sync_data()?;
         }
         drop(snap);
         fs::rename(&tmp, &snap_path)?;
 
-        let writer = SegmentWriter::open(&dir, tail.0, tail.1, fsync)?;
-        let heads = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&heads_path)?;
+        let index = segments.len().saturating_sub(1) as u64;
+        let heads = FrameLog::open(&heads_path, fsync, true)?;
+        let writer = SegmentWriter {
+            log: FrameLog::open(&segment_path(&dir, index), fsync, false)?,
+            dir,
+            index,
+            bytes: tail_bytes,
+        };
         let replayed = records.len();
         Ok(Self {
-            dir,
-            fsync,
             records,
-            leaves,
             merkle: merkle_log,
             replayed,
             matched: 0,
             writer,
             heads,
             last_head_size,
-            stats: DurabilityStats {
-                replayed: replayed as u64,
-                ..DurabilityStats::default()
-            },
-            failed: None,
         })
     }
 
@@ -645,46 +672,30 @@ impl<T: DurableRecord> DurableStore<T> {
         self.matched < self.replayed
     }
 
-    /// Installs a deterministic write-layer fault schedule (chaos tests).
-    pub fn install_fault_fs(&mut self, fault: FaultFs) {
-        self.writer.fault = Some(fault);
-    }
-
     fn absorb(&mut self, record: T, payload: &[u8], leaf: Hash) -> usize {
         if self.matched < self.replayed {
             // Replay cursor: a byte-identical re-append of persisted
             // history is a no-op resolving to its original index.
             assert_eq!(
-                leaf,
-                self.leaves[self.matched],
+                Some(&leaf),
+                self.merkle.leaf(self.matched),
                 "durable replay diverged from the persisted log at index {} in {}",
                 self.matched,
-                self.dir.display()
+                self.writer.dir.display()
             );
             self.matched += 1;
             return self.matched - 1;
         }
         // Event before state: the WAL frame lands before the Merkle
-        // accumulator moves. An IO error poisons the store instead of
-        // panicking: the in-memory tree keeps its indices coherent for
-        // the caller, later appends skip the disk (keeping the on-disk
-        // log a clean prefix), and the next `persist` barrier surfaces
-        // the failure typed — no head covering the lost bytes is ever
-        // published, which is the durability contract.
-        if self.failed.is_none() {
-            match self.writer.append(payload) {
-                Ok(fsyncs) => {
-                    self.stats.wal_fsyncs += fsyncs;
-                    self.stats.wal_records += 1;
-                }
-                Err(e) => {
-                    self.stats.wal_failures += 1;
-                    self.failed = Some(e.to_string());
-                }
-            }
-        }
+        // accumulator moves. An IO error poisons the segment log instead
+        // of panicking, and is deliberately not returned here: the
+        // in-memory tree keeps its indices coherent for the caller, later
+        // appends skip the disk (keeping the on-disk log a clean prefix),
+        // and the next `persist` barrier surfaces the failure typed — no
+        // head covering the lost bytes is ever published, which is the
+        // durability contract.
+        let _poisoned = self.writer.append(payload);
         let idx = self.merkle.append_leaf(leaf);
-        self.leaves.push(leaf);
         self.records.push(record);
         idx
     }
@@ -705,17 +716,8 @@ fn decode_head(payload: &[u8]) -> Result<(u64, Hash), WalError> {
     if payload.len() != 40 && payload.len() != 104 {
         return Err(WalError::Corrupt("bad head frame length"));
     }
-    let (size_bytes, rest) = payload.split_at(8);
-    let size = match size_bytes.try_into() {
-        Ok(b) => u64::from_le_bytes(b),
-        Err(_) => return Err(WalError::Corrupt("bad head frame length")),
-    };
-    let mut root = [0u8; 32];
-    root.copy_from_slice(
-        rest.get(..32)
-            .ok_or(WalError::Corrupt("bad head frame length"))?,
-    );
-    Ok((size, root))
+    let mut r = Reader::new(payload);
+    Ok((r.u64()?, r.bytes32()?))
 }
 
 impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
@@ -768,8 +770,8 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
 
     fn backend(&self) -> LedgerBackend {
         LedgerBackend::Durable {
-            dir: self.dir.clone(),
-            fsync: self.fsync,
+            dir: self.writer.dir.clone(),
+            fsync: self.writer.log.fsync,
         }
     }
 
@@ -778,49 +780,41 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
     }
 
     fn persist(&mut self, head: &TreeHead) -> Result<(), WalError> {
-        if let Some(msg) = &self.failed {
-            return Err(WalError::Poisoned(msg.clone()));
-        }
-        let result: Result<(), WalError> = (|| {
-            // Commit barrier: group-fsync the outstanding appends first,
-            // publish the signed head second — the head on disk never
-            // gets ahead of the records it covers.
-            if self.writer.sync()? {
-                self.stats.wal_fsyncs += 1;
-            }
-            if head.size > self.last_head_size {
-                let mut payload = Vec::with_capacity(104);
-                payload.extend_from_slice(&head.size.to_le_bytes());
-                payload.extend_from_slice(&head.root);
-                payload.extend_from_slice(&head.signature.to_bytes());
-                append_frame(&mut self.heads, &payload)?;
-                if self.fsync {
-                    self.heads.sync_data()?;
-                    self.stats.wal_fsyncs += 1;
-                }
-                self.last_head_size = head.size;
-                self.stats.heads_persisted += 1;
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            // A failed barrier also poisons: the buffered writer's state
-            // is unknown, so further appends must not touch the disk.
-            self.stats.wal_failures += 1;
-            self.failed = Some(e.to_string());
-            return Err(e);
+        // Commit barrier: group-fsync the outstanding appends first,
+        // publish the signed head second — the head on disk never gets
+        // ahead of the records it covers. Either log's poison fails the
+        // barrier: a failed append surfaces here as the segment sync's
+        // `Poisoned`, a failed head write or head sync as the next head
+        // append's.
+        self.writer.log.sync()?;
+        if head.size > self.last_head_size {
+            let mut payload = Vec::with_capacity(104);
+            payload.extend_from_slice(&head.size.to_le_bytes());
+            payload.extend_from_slice(&head.root);
+            payload.extend_from_slice(&head.signature.to_bytes());
+            self.heads.append(&payload)?;
+            self.heads.sync()?;
+            self.last_head_size = head.size;
         }
         Ok(())
     }
 
     fn install_fault_fs(&mut self, fault: FaultFs) {
-        DurableStore::install_fault_fs(self, fault);
+        // The segment stream and `heads.log` each count their own writes
+        // and fsyncs from their own clone.
+        self.heads.fault = Some(fault.clone());
+        self.writer.log.fault = Some(fault);
     }
 
     fn durability_stats(&self) -> DurabilityStats {
+        let (segments, heads) = (&self.writer.log.stats, &self.heads.stats);
         DurabilityStats {
+            wal_records: segments.wal_records,
+            wal_fsyncs: segments.wal_fsyncs + heads.wal_fsyncs,
             segments: self.writer.index + 1,
-            ..self.stats
+            replayed: self.replayed as u64,
+            heads_persisted: heads.wal_records,
+            wal_failures: segments.wal_failures + heads.wal_failures,
         }
     }
 }
@@ -836,14 +830,8 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
 /// deterministic re-run's re-reveals idempotent, while any *other*
 /// repeated reveal still trips the duplicate-envelope detector.
 pub struct RevealWal {
-    file: File,
-    fsync: bool,
-    dirty: bool,
+    log: FrameLog,
     replay: VecDeque<[u8; 32]>,
-    stats: DurabilityStats,
-    /// Injected fault schedule (chaos tests only); only its fsync faults
-    /// apply here.
-    fault: Option<FaultFs>,
 }
 
 /// The persisted `H(e) → e` reveal map, in reveal order.
@@ -855,33 +843,19 @@ impl RevealWal {
     pub fn open(dir: &Path, fsync: bool) -> Result<(Self, RevealedEntries), WalError> {
         fs::create_dir_all(dir)?;
         let path = dir.join(REVEALS_FILE);
-        let (payloads, _) = load_frames(&path)?;
-        let mut revealed = Vec::with_capacity(payloads.len());
-        let mut replay = VecDeque::with_capacity(payloads.len());
-        for payload in &payloads {
+        let mut revealed = Vec::new();
+        replay_file(&path, true, |payload| {
             let mut r = Reader::new(payload);
             let h = r.bytes32()?;
             let e = r.scalar()?;
             r.finish()?;
             revealed.push((h, e));
-            replay.push_back(h);
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let stats = DurabilityStats {
-            replayed: revealed.len() as u64,
-            ..DurabilityStats::default()
-        };
-        Ok((
-            Self {
-                file,
-                fsync,
-                dirty: false,
-                replay,
-                stats,
-                fault: None,
-            },
-            revealed,
-        ))
+            Ok(())
+        })?;
+        let mut log = FrameLog::open(&path, fsync, true)?;
+        log.stats.replayed = revealed.len() as u64;
+        let replay = revealed.iter().map(|(h, _)| *h).collect();
+        Ok((Self { log, replay }, revealed))
     }
 
     /// If `h` is the next reveal in the persisted replay order, consume
@@ -895,43 +869,31 @@ impl RevealWal {
     }
 
     /// Appends a newly revealed challenge (event-before-state; a write
-    /// failure surfaces typed so the caller can refuse the reveal).
+    /// failure surfaces typed so the caller can refuse the reveal, and
+    /// poisons the WAL: every later reveal and barrier is refused too, so
+    /// no reveal is ever acknowledged past a torn frame that reopen would
+    /// truncate away).
     pub fn append(&mut self, h: &[u8; 32], e: &Scalar) -> Result<(), WalError> {
         let mut payload = Vec::with_capacity(64);
         payload.extend_from_slice(h);
         payload.extend_from_slice(&e.to_bytes());
-        if let Err(err) = append_frame(&mut self.file, &payload) {
-            self.stats.wal_failures += 1;
-            return Err(WalError::Io(err));
-        }
-        self.dirty = true;
-        self.stats.wal_records += 1;
-        Ok(())
+        self.log.append(&payload)
     }
 
     /// Installs a deterministic fault schedule (chaos tests): this WAL's
-    /// own fsync counter decides which group sync fails.
+    /// own write and fsync counters decide which operation fails.
     pub(crate) fn install_fault_fs(&mut self, fault: FaultFs) {
-        self.fault = Some(fault);
+        self.log.fault = Some(fault);
     }
 
     /// Group fsync at a commit barrier.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        if self.fsync && self.dirty {
-            let injected = self.fault.as_mut().map_or(Ok(()), FaultFs::on_fsync);
-            if let Err(err) = injected.and_then(|()| self.file.sync_data()) {
-                self.stats.wal_failures += 1;
-                return Err(WalError::Io(err));
-            }
-            self.dirty = false;
-            self.stats.wal_fsyncs += 1;
-        }
-        Ok(())
+        self.log.sync()
     }
 
     /// Durability counters for this WAL.
     pub fn stats(&self) -> DurabilityStats {
-        self.stats
+        self.log.stats
     }
 }
 
@@ -1058,65 +1020,30 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
         return Ok(report);
     }
 
-    // Cut the concatenated segment stream at the byte fraction.
-    let sizes: Vec<u64> = segments
-        .iter()
-        .map(|p| fs::metadata(p).map(|m| m.len()))
-        .collect::<Result<_, _>>()?;
-    let total: u64 = sizes.iter().sum();
-    let keep_bytes = total * keep_permille as u64 / 1000;
-    let mut remaining = keep_bytes;
-    let mut kept: Vec<PathBuf> = Vec::new();
-    for (path, &len) in segments.iter().zip(&sizes) {
-        if remaining == 0 {
-            break;
-        }
-        let take = len.min(remaining) as usize;
-        let buf = fs::read(path)?;
-        let Some(name) = path.file_name() else {
-            continue;
-        };
-        let out = dst.join(name);
-        fs::write(&out, &buf[..take])?;
-        kept.push(out);
-        remaining -= take as u64;
-    }
-
-    // Count complete surviving frames (the prefix cut usually lands
-    // mid-frame in the last kept segment).
-    let mut survivors = 0u64;
-    let mut torn = false;
-    for (k, path) in kept.iter().enumerate() {
-        let buf = fs::read(path)?;
-        let mut pos = 0usize;
-        loop {
-            match read_frame(&buf, pos) {
-                FrameRead::Frame { next, .. } => {
-                    survivors += 1;
-                    pos = next;
-                }
-                FrameRead::Eof => break,
-                FrameRead::Torn => {
-                    assert!(k + 1 == kept.len(), "prefix cut only tears the last file");
-                    torn = true;
-                    break;
-                }
-            }
-        }
-    }
-    let mut originals = 0u64;
+    // Cut the concatenated segment stream at the byte fraction, counting
+    // the source's frames and the complete ones that survive (the cut
+    // usually lands mid-frame in the last kept segment).
+    let mut total = 0u64;
     for path in &segments {
-        let (payloads, _) = {
-            let buf = fs::read(path)?;
-            let mut payloads = 0u64;
-            let mut pos = 0usize;
-            while let FrameRead::Frame { next, .. } = read_frame(&buf, pos) {
-                payloads += 1;
-                pos = next;
-            }
-            (payloads, ())
-        };
-        originals += payloads;
+        total += fs::metadata(path)?.len();
+    }
+    let mut remaining = total * keep_permille as u64 / 1000;
+    let (mut originals, mut survivors, mut torn) = (0u64, 0u64, false);
+    for (index, path) in segments.iter().enumerate() {
+        let buf = fs::read(path)?;
+        originals += Frames::new(&buf).count() as u64;
+        if remaining == 0 {
+            continue;
+        }
+        let take = (buf.len() as u64).min(remaining) as usize;
+        fs::write(segment_path(dst, index as u64), &buf[..take])?;
+        remaining -= take as u64;
+        let mut kept = Frames::new(&buf[..take]);
+        survivors += kept.by_ref().count() as u64;
+        if kept.torn() {
+            assert!(remaining == 0, "prefix cut only tears the last file");
+            torn = true;
+        }
     }
 
     // Heads: keep the prefix describing surviving records, then leave a
@@ -1124,26 +1051,17 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
     let heads_src = src.join(HEADS_FILE);
     if heads_src.exists() {
         let buf = fs::read(&heads_src)?;
-        let mut pos = 0usize;
+        let mut heads = Frames::new(&buf);
         let mut keep = 0usize;
-        let mut next_frame_end = None;
-        while let FrameRead::Frame { payload, next } = read_frame(&buf, pos) {
-            let (size, _) = decode_head(payload)?;
-            if size <= survivors {
-                keep = next;
-                pos = next;
-            } else {
-                next_frame_end = Some(next);
+        while let Some(payload) = heads.next() {
+            if decode_head(payload)?.0 > survivors {
                 break;
             }
+            keep = heads.valid;
         }
-        let mut out = buf[..keep].to_vec();
-        if let Some(end) = next_frame_end {
-            // Half of the next head made it to disk before the kill.
-            let frag = keep + (end - keep) / 2;
-            out.extend_from_slice(&buf[keep..frag]);
-        }
-        fs::write(dst.join(HEADS_FILE), &out)?;
+        // Half of the next head, if any, made it to disk before the kill.
+        let frag = keep + (heads.valid - keep) / 2;
+        fs::write(dst.join(HEADS_FILE), &buf[..frag])?;
     }
 
     // Reveal WAL: same byte-prefix cut as the segments.
@@ -1172,6 +1090,7 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::{challenge_hash, EnvelopeCommitment, Ledger, LedgerError};
     use crate::store::InMemoryStore;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -1389,7 +1308,7 @@ mod tests {
             .append(true)
             .open(dir.join(HEADS_FILE))
             .expect("open heads");
-        append_frame(&mut heads, &payload).expect("append");
+        heads.write_all(&frame_bytes(&payload)).expect("append");
         drop(heads);
         drop(store);
         match DurableStore::<Note>::open(&dir, true) {
@@ -1448,5 +1367,164 @@ mod tests {
         }
         assert!(any_torn, "the sweep must include a mid-frame cut");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fault_on_heads_log_aborts_the_barrier_and_poisons() {
+        let op = operator();
+        for fault in [
+            FsFault::FailWrite { nth: 1 },
+            FsFault::ShortWrite { nth: 1, keep: 9 },
+            FsFault::FailFsync { nth: 1 },
+        ] {
+            let dir = tmp_dir("heads-fault");
+            let first = {
+                let mut store = DurableStore::<Note>::open(&dir, true).expect("open");
+                // On `heads.log` alone, so the fault cannot land on a segment.
+                store.heads.fault = Some(FaultFs::new(vec![fault]));
+                store.append_batch(notes(0..5), 1);
+                let first = head_of(&store, &op);
+                store.persist(&first).expect("head 0 is written clean");
+                store.append_batch(notes(5..9), 1);
+                let second = head_of(&store, &op);
+                let failed = store.persist(&second);
+                assert!(matches!(failed, Err(WalError::Io(_))), "{fault:?}");
+                assert_eq!(store.durability_stats().wal_failures, 1, "{fault:?}");
+                // Sticky: the retry is refused without touching the disk.
+                let retried = store.persist(&second);
+                assert!(matches!(retried, Err(WalError::Poisoned(_))), "{fault:?}");
+                assert_eq!(store.durability_stats().wal_failures, 1, "{fault:?}");
+                first
+            };
+            // Reopen checks every surviving head against the segments, so
+            // opening at all means no head got ahead of its records.
+            let mut store = DurableStore::<Note>::open(&dir, true).expect("reopen");
+            assert_eq!(store.len(), 9, "records are synced before their head");
+            match fault {
+                // The frame reached the file whole; only its sync failed.
+                FsFault::FailFsync { .. } => assert_eq!(store.last_head_size, 9),
+                _ => assert_eq!(store.last_head_size, first.size, "{fault:?}"),
+            }
+            store.append_batch(notes(0..12), 1);
+            let head = head_of(&store, &op);
+            store.persist(&head).expect("clean tail");
+            drop(store);
+            let store = DurableStore::<Note>::open(&dir, true).expect("reopen again");
+            assert_eq!((store.len(), store.last_head_size), (12, 12), "{fault:?}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The envelope day the `tests/fixtures/parent-pr20` directories were
+    /// written with (by the commit before `FrameLog`): 56 commitments
+    /// across a segment roll, three barriers, ten reveals.
+    fn envelope_day(ledger: &mut Ledger) -> Vec<Scalar> {
+        use vg_crypto::Rng;
+        let mut rng = vg_crypto::HmacDrbg::from_u64(22);
+        let printer = vg_crypto::schnorr::SigningKey::generate(&mut rng);
+        let challenges: Vec<Scalar> = (0..56).map(|_| rng.scalar()).collect();
+        for (i, e) in challenges.iter().enumerate() {
+            let h = challenge_hash(e);
+            let commitment = EnvelopeCommitment {
+                printer_pk: printer.verifying_key().compress(),
+                challenge_hash: h,
+                signature: printer.sign(&EnvelopeCommitment::message(&h)),
+            };
+            ledger.envelopes.commit(commitment).expect("commits");
+            if i == 29 {
+                ledger.persist().expect("persist");
+            }
+        }
+        ledger.persist().expect("persist");
+        for e in &challenges[..10] {
+            ledger.envelopes.reveal_challenge(e).expect("reveals");
+        }
+        ledger.persist().expect("persist");
+        challenges
+    }
+
+    fn open_ledger(dir: &Path, fsync: bool) -> Ledger {
+        let backend = LedgerBackend::Durable {
+            dir: dir.to_path_buf(),
+            fsync,
+        };
+        Ledger::with_backend(Vec::new(), backend, &mut vg_crypto::HmacDrbg::from_u64(21))
+    }
+
+    #[test]
+    fn short_reveal_write_poisons_and_reopen_keeps_acknowledged_reveals() {
+        let dir = tmp_dir("reveal-fault");
+        let challenges = {
+            let mut ledger = open_ledger(&dir, true);
+            let challenges = envelope_day(&mut ledger);
+            // No commitment follows, so only `reveals.log` reaches write 2:
+            // reveals 10 and 11 land, reveal 12 is torn after 7 bytes.
+            let torn = FsFault::ShortWrite { nth: 2, keep: 7 };
+            ledger.envelopes.install_fault_fs(FaultFs::new(vec![torn]));
+            let mut reveal = |i: usize| ledger.envelopes.reveal_challenge(&challenges[i]);
+            reveal(10).expect("reveals");
+            reveal(11).expect("reveals");
+            let refused = reveal(12).expect_err("the torn write refuses the reveal");
+            assert!(matches!(refused, LedgerError::Storage(_)), "{refused:?}");
+            // Poisoned: a reveal accepted now would sit behind the torn
+            // frame, where reopen truncates it away after the barrier
+            // acknowledged it.
+            let poisoned = reveal(13).expect_err("poisoned");
+            assert!(
+                matches!(&poisoned, LedgerError::Storage(m) if m.contains("poisoned")),
+                "{poisoned:?}"
+            );
+            let barrier = ledger.envelopes.persist();
+            assert!(matches!(barrier, Err(WalError::Poisoned(_))), "{barrier:?}");
+            assert_eq!(ledger.envelopes.revealed_count(), 12);
+            assert_eq!(ledger.envelopes.durability_stats().wal_failures, 1);
+            challenges
+        };
+        let mut ledger = open_ledger(&dir, true);
+        assert_eq!(ledger.envelopes.revealed_count(), 12, "all accepted");
+        // Nothing after the tear: the tail is clean and takes the refused
+        // reveals, which then survive a reopen.
+        for e in &challenges[12..14] {
+            ledger.envelopes.reveal_challenge(e).expect("reveals");
+        }
+        ledger.persist().expect("persist");
+        drop(ledger);
+        assert_eq!(open_ledger(&dir, true).envelopes.revealed_count(), 14);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn directories_written_by_the_parent_commit_reopen_to_the_same_heads() {
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-pr20");
+        // What the parent printed for its own clean day.
+        let parent_root: Hash = [
+            0xe0, 0x68, 0x83, 0x4b, 0x26, 0x13, 0x67, 0x11, 0x7c, 0x09, 0x32, 0xba, 0x92, 0xa5,
+            0x47, 0x3a, 0x81, 0xd7, 0xe7, 0x2d, 0xa8, 0x70, 0x7e, 0x02, 0xf4, 0xfe, 0xb4, 0x81,
+            0xa2, 0x8a, 0x81, 0xa4,
+        ];
+        // (directory, records and reveals the parent left in it): a clean
+        // day, and `simulate_crash` at 980‰ — a whole first segment, a
+        // torn second one, a torn second head and a torn tenth reveal.
+        for (name, records, reveals) in [("clean", 56, 10), ("crashed", 54, 9)] {
+            let dir = tmp_dir(name);
+            let envelopes = dir.join("envelopes");
+            fs::create_dir_all(&envelopes).expect("mkdir");
+            for entry in fs::read_dir(fixtures.join(name).join("envelopes")).expect("fixture") {
+                let entry = entry.expect("entry");
+                fs::copy(entry.path(), envelopes.join(entry.file_name())).expect("copy");
+            }
+            let mut ledger = open_ledger(&dir, false);
+            assert_eq!(ledger.envelopes.tree_head().size, records, "{name}");
+            assert_eq!(ledger.envelopes.revealed_count(), reveals, "{name}");
+            // Re-running the day dedups against what the parent persisted
+            // and lands on the parent's head.
+            envelope_day(&mut ledger);
+            let head = ledger.envelopes.tree_head();
+            assert_eq!((head.size, head.root), (56, parent_root), "{name}");
+            assert_eq!(ledger.envelopes.revealed_count(), 10, "{name}");
+            let written = ledger.envelopes.durability_stats().wal_records;
+            assert_eq!(written, (56 - records) + (10 - reveals as u64), "{name}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -567,7 +567,8 @@ impl EnvelopeLedger {
         if let Some(wal) = &mut self.reveal_wal {
             // Event before state: the WAL frame must land before the
             // in-memory map accepts the reveal; a write failure refuses
-            // the reveal typed instead of panicking.
+            // the reveal typed instead of panicking, and poisons the WAL
+            // so no later reveal lands behind a torn frame.
             wal.append(&h, e).map_err(LedgerError::from)?;
         }
         self.revealed.insert(h, *e);
@@ -592,7 +593,8 @@ impl EnvelopeLedger {
     }
 
     /// Commit barrier: persists the commitment log and group-fsyncs the
-    /// reveal WAL. No-op on volatile backends.
+    /// reveal WAL (failing typed if either is poisoned). No-op on
+    /// volatile backends.
     pub fn persist(&mut self) -> Result<(), WalError> {
         self.log.persist()?;
         if let Some(wal) = &mut self.reveal_wal {
@@ -602,8 +604,8 @@ impl EnvelopeLedger {
     }
 
     /// Installs a deterministic write-layer fault schedule (chaos tests)
-    /// on the commitment log and, for its fsync faults, the reveal WAL —
-    /// each from its own clone, so per-file counters stay deterministic.
+    /// on the commitment log and the reveal WAL — each from its own
+    /// clone, so per-file counters stay deterministic.
     pub fn install_fault_fs(&mut self, fault: FaultFs) {
         if let Some(wal) = &mut self.reveal_wal {
             wal.install_fault_fs(fault.clone());

@@ -81,6 +81,11 @@ impl MerkleLog {
         self.leaves.is_empty()
     }
 
+    /// The leaf hash at `index`, if present.
+    pub(crate) fn leaf(&self, index: usize) -> Option<&Hash> {
+        self.leaves.get(index)
+    }
+
     /// Appends an entry, returning its index.
     pub fn append(&mut self, data: &[u8]) -> usize {
         self.append_leaf(leaf_hash(data))

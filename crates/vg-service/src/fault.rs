@@ -26,10 +26,11 @@
 //!   injects per-operation faults (delay, stall, connection drop, torn
 //!   write, byte corruption). [`FaultyConnector`] wraps any
 //!   [`Connector`] so every dial — initial connect, reconnect, steal
-//!   lane — gets a fresh schedule derived from `(seed, station, dial)`.
+//!   runner — gets a fresh schedule derived from `(seed, station, dial)`.
 //! - **Disk**: [`FaultPlan::fault_fs`] builds the write-layer schedule
-//!   ([`vg_ledger::FaultFs`]) the durable store consumes — fail the Nth
-//!   write or fsync, short writes, ENOSPC.
+//!   ([`vg_ledger::FaultFs`]) every log file of the durable ledger
+//!   (segments, `heads.log`, `reveals.log`) consumes its own clone of —
+//!   fail the Nth write or fsync, short writes, ENOSPC.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

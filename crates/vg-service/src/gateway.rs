@@ -1,5 +1,5 @@
 //! The registrar's server for a threaded day: every connection it
-//! accepts — stations, refillers, steal lanes; loopback TCP from
+//! accepts — stations, refillers, steal runners; loopback TCP from
 //! `tcp_acceptor`, in-process pipes dialed through a `PipeHub` — is
 //! served to its end by a scoped thread of its own, running the mirror
 //! image of what its client runs: the policy's server handshake
@@ -159,7 +159,7 @@ pub(crate) fn pipe_acceptor<'scope, E>(
 /// In-process connector onto the server: dialing builds a pipe, hands
 /// the server half to [`pipe_acceptor`], and completes the policy's
 /// client handshake over the client half. Cloneable so many stations
-/// (and their refillers / steal lanes) can dial one registrar.
+/// (and their refillers / steal runners) can dial one registrar.
 #[derive(Clone)]
 pub(crate) struct PipeHub {
     /// Where dialed server halves go.

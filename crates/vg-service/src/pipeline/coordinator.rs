@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,8 +29,7 @@ use crate::transport::{
 
 use super::sequencer::Sequencer;
 use super::station::{
-    run_station, run_steal_lane, Link, PipelineDispatch, SessionDelivery, StationJob, StationMsg,
-    StealJob,
+    run_station, Link, PipelineDispatch, SessionDelivery, StationJob, StationMsg,
 };
 use super::{ChaosOptions, DayPlan};
 
@@ -44,9 +43,6 @@ struct StealMeta {
     depth: usize,
     /// Global session indices the chunk was responsible for.
     sessions: Vec<usize>,
-    /// The steal lane carrying the chunk, or `None` for a dedicated
-    /// one-shot runner (spawned when every candidate lane was busy).
-    lane: Option<usize>,
 }
 
 /// How many times a failed steal chunk may be re-partitioned onto the
@@ -159,8 +155,8 @@ pub(super) fn run_threaded_day(
     // Where in-process dials land (secure in-process days).
     let (pipe_tx, pipe_rx) = mpsc::channel();
     // One pluggable connector per station, carrying that station's
-    // enrolled channel identity; its refiller and steal lanes dial the
-    // same connector (they act on the station's behalf).
+    // enrolled channel identity; its refiller and the steal runners it
+    // hosts dial the same connector (they act on the station's behalf).
     let connectors: Option<Vec<Box<dyn Connector>>> = use_gateway.then(|| {
         station_plans
             .iter()
@@ -207,7 +203,7 @@ pub(super) fn run_threaded_day(
 
         // The server: one acceptor (a TCP listener, or the intake
         // in-process dials land in) hands every connection — stations,
-        // refillers, steal lanes — a thread of its own.
+        // refillers, steal runners — a thread of its own.
         if use_gateway {
             let server = Server {
                 policy: server_policy(transport_keys, transport.security),
@@ -273,15 +269,6 @@ pub(super) fn run_threaded_day(
             let mut steals: Vec<StealRecord> = Vec::new();
             let mut steal_seq = 0usize;
             let mut first_error: Option<TripError> = None;
-            // Per-thief steal lanes: ONE extra connection per surviving
-            // station, shared by every chunk (and re-stolen chunk) that
-            // thief absorbs. Declared inside the coordinator so every
-            // return path drops the job senders and the lanes unwind
-            // before the scope joins.
-            let mut steal_lanes: HashMap<usize, Sender<StealJob>> = HashMap::new();
-            // In-flight chunks per lane. A lane only accepts a job at
-            // load 0 (see `run_steal_lane` on why queueing can deadlock).
-            let mut lane_load: HashMap<usize, usize> = HashMap::new();
             let mut steal_meta: HashMap<usize, StealMeta> = HashMap::new();
             // Chaos budget: how many recovery runners the injected fault
             // may still kill (so bounded re-steal is testable without
@@ -382,17 +369,10 @@ pub(super) fn run_threaded_day(
                         if id < station_plans.len() {
                             finished.insert(id);
                         }
-                        // Retire a finished steal chunk's lane slot.
-                        if let Some(t) = steal_meta.remove(&id).and_then(|m| m.lane) {
-                            lane_load.entry(t).and_modify(|n| *n = n.saturating_sub(1));
-                        }
                     }
                     StationMsg::Done(id, Err(e)) => {
                         done += 1;
                         let meta = steal_meta.remove(&id);
-                        if let Some(t) = meta.as_ref().and_then(|m| m.lane) {
-                            lane_load.entry(t).and_modify(|n| *n = n.saturating_sub(1));
-                        }
                         // Attribute the death: an *original* station's
                         // first death is stolen; a dead steal chunk is
                         // re-stolen onto the remaining survivors up to
@@ -440,11 +420,10 @@ pub(super) fn run_threaded_day(
                         // round-robin to the surviving stations, so
                         // recovery re-derivation runs in parallel
                         // instead of on one serial replay connection.
-                        // Each chunk rides its thief's steal *lane* —
-                        // one amortized connection per thief, not one
-                        // per chunk — unless every lane is busy, in
-                        // which case it gets a dedicated runner (see
-                        // `run_steal_lane`). The kiosk assignment never
+                        // Each chunk gets a one-shot runner of its own
+                        // (chunks park on the sequencer's session-order
+                        // prefix barriers, so they must never queue
+                        // behind each other). The kiosk assignment never
                         // moves; the sequencer's lanes drop the
                         // re-submissions by session index.
                         let sp = &station_plans[victim];
@@ -471,20 +450,10 @@ pub(super) fn run_threaded_day(
                             if keep.is_empty() {
                                 continue;
                             }
-                            // Prefer riding an IDLE survivor lane (one
-                            // amortized connection per thief); when every
-                            // candidate lane has a chunk in flight, fall
-                            // back to a dedicated one-shot runner so
-                            // session-ordered chunks never serialize
-                            // behind each other (prefix-barrier deadlock).
-                            let preferred = survivors
+                            let thief = survivors
                                 .get(c % survivors.len().max(1))
                                 .copied()
                                 .unwrap_or(victim);
-                            let lane_thief = (0..survivors.len())
-                                .map(|o| survivors[(c + o) % survivors.len()])
-                                .find(|t| lane_load.get(t).is_none_or(|n| *n == 0));
-                            let thief = lane_thief.unwrap_or(preferred);
                             steals.push(StealRecord {
                                 victim,
                                 thief,
@@ -543,33 +512,14 @@ pub(super) fn run_threaded_day(
                                     victim,
                                     depth,
                                     sessions: session_idxs,
-                                    lane: lane_thief,
                                 },
                             );
-                            match lane_thief {
-                                Some(t) => {
-                                    *lane_load.entry(t).or_insert(0) += 1;
-                                    let lane = steal_lanes.entry(t).or_insert_with(|| {
-                                        let (job_tx, job_rx) = mpsc::channel::<StealJob>();
-                                        let tx = msg_tx.clone();
-                                        let link = station_link(t);
-                                        scope.spawn(move || run_steal_lane(job_rx, link, &tx));
-                                        job_tx
-                                    });
-                                    // The lane cannot be gone while we
-                                    // hold its sender; a send failure is
-                                    // unreachable.
-                                    let _ = lane.send(StealJob { runner_id, job });
-                                }
-                                None => {
-                                    let tx = msg_tx.clone();
-                                    let link = station_link(thief);
-                                    scope.spawn(move || {
-                                        let result = run_station(job, link, &tx);
-                                        let _ = tx.send(StationMsg::Done(runner_id, result));
-                                    });
-                                }
-                            }
+                            let tx = msg_tx.clone();
+                            let link = station_link(thief);
+                            scope.spawn(move || {
+                                let result = run_station(job, link, &tx);
+                                let _ = tx.send(StationMsg::Done(runner_id, result));
+                            });
                             spawned += 1;
                         }
                     }

@@ -1,10 +1,10 @@
 //! A polling station's day and both ends of its link to the registrar:
 //! the engine's request dispatch (called by a connection's server
-//! thread, or straight as the in-process link) and the station, refiller
-//! and steal-lane runners (see the [module docs](super)).
+//! thread, or straight as the in-process link) and the station and
+//! refiller runners (see the [module docs](super)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,10 +157,9 @@ pub(super) enum StationMsg {
     Done(usize, Result<(), TripError>),
 }
 
-/// How a station (or its refiller, or a steal lane) reaches the
+/// How a station (or its refiller, or a steal runner) reaches the
 /// registrar: direct in-process dispatch, or a pluggable [`Connector`]
 /// that dials (and, per policy, secures) a channel to its server.
-#[derive(Clone)]
 pub(super) enum Link<'a> {
     InProcess(PipelineDispatch<'a>),
     Gateway(&'a dyn Connector),
@@ -180,8 +179,8 @@ pub(super) struct StationJob<'a> {
     /// day teardown.
     pub(super) hang_release: Option<Arc<AtomicBool>>,
     /// Reconnect policy for every channel this job dials (station
-    /// boundary, refiller, steal-lane reuse). Seeded per runner so a
-    /// fleet that loses the registrar at once backs off desynchronized.
+    /// boundary, refiller). Seeded per runner so a fleet that loses the
+    /// registrar at once backs off desynchronized.
     pub(super) retry: RetryPolicy,
     /// The day's shared counter block (timeouts, reconnects).
     pub(super) stats: &'a EngineStats,
@@ -221,36 +220,26 @@ fn open_link<'a>(
     })
 }
 
-/// One station's whole day: connect, optionally spawn the refiller on its
-/// own connection, and drive the generalized fleet engine.
+/// One station's whole day (or one stolen chunk's): connect, optionally
+/// spawn the refiller on its own connection, and drive the generalized
+/// fleet engine.
 pub(super) fn run_station(
-    job: StationJob<'_>,
+    mut job: StationJob<'_>,
     link: Link<'_>,
     tx: &Sender<StationMsg>,
 ) -> Result<(), TripError> {
-    let mut endpoint = open_link(&link, job.retry, job.stats)?;
-    drive_station(job, &link, &mut *endpoint, tx)
-}
-
-/// Drives one station job over an already-open link (stations open
-/// their own; steal lanes amortize one across every chunk they absorb).
-fn drive_station(
-    mut job: StationJob<'_>,
-    link: &Link<'_>,
-    endpoint: &mut dyn RequestEndpoint,
-    tx: &Sender<StationMsg>,
-) -> Result<(), TripError> {
+    let mut opened = open_link(&link, job.retry, job.stats)?;
     let mut faulting;
     let endpoint: &mut dyn RequestEndpoint = match job.fault_after {
         Some(after_ops) => {
             faulting = FaultingEndpoint {
-                inner: endpoint,
+                inner: &mut *opened,
                 remaining: after_ops,
                 hang_until: job.hang_release.take(),
             };
             &mut faulting
         }
-        None => endpoint,
+        None => &mut *opened,
     };
     let boundary = &mut ServiceBoundary::new(endpoint, &job.stats.timeouts);
     let activation = job
@@ -281,7 +270,7 @@ fn drive_station(
         scope.spawn(|| {
             // The refiller prints over its own link: a second connection
             // on gateway days, the dispatch's printer call in process.
-            let refilled = open_link(link, job.retry, job.stats).and_then(|mut own| {
+            let refilled = open_link(&link, job.retry, job.stats).and_then(|mut own| {
                 let mut printer = ServiceBoundary::new(&mut *own, &job.stats.timeouts);
                 feed.run_refiller(&mut pool, &mut |jobs| printer.print_envelopes(jobs))
             });
@@ -303,49 +292,6 @@ fn drive_station(
         feed.close();
         run
     })
-}
-
-/// One stolen chunk queued onto a surviving station's steal lane.
-pub(super) struct StealJob<'a> {
-    /// Coordinator-assigned runner id (`stations + steal_seq`), the key
-    /// for per-chunk failure attribution and bounded re-steal.
-    pub(super) runner_id: usize,
-    pub(super) job: StationJob<'a>,
-}
-
-/// A surviving station's steal lane: ONE extra connection per thief,
-/// amortized across every chunk (and re-stolen chunk) attributed to it,
-/// instead of one connection per chunk. Jobs run sequentially; a failed
-/// job bounces back to the coordinator as a `Done(runner_id, Err)` and
-/// the lane reconnects before the next job (an injected fault only
-/// poisons the per-job wrapper, but a real transport failure would not
-/// survive reuse). Exits when the coordinator drops the job sender.
-///
-/// A lane is only ever handed a job while it is IDLE. Steal chunks park
-/// on the sequencer's global-session-order prefix barriers, so a chunk
-/// queued behind a parked chunk whose barrier needs the queued chunk's
-/// sessions would deadlock the day; the coordinator therefore falls
-/// back to a dedicated one-shot runner whenever every candidate lane
-/// still has a chunk in flight.
-pub(super) fn run_steal_lane<'a>(
-    jobs: Receiver<StealJob<'a>>,
-    link: Link<'a>,
-    tx: &Sender<StationMsg>,
-) {
-    let mut endpoint: Option<Box<dyn RequestEndpoint + 'a>> = None;
-    while let Ok(StealJob { runner_id, job }) = jobs.recv() {
-        let result = (|| -> Result<(), TripError> {
-            let open = match &mut endpoint {
-                Some(open) => open,
-                None => endpoint.insert(open_link(&link, job.retry, job.stats)?),
-            };
-            drive_station(job, &link, &mut **open, tx)
-        })();
-        if result.is_err() {
-            endpoint = None;
-        }
-        let _ = tx.send(StationMsg::Done(runner_id, result));
-    }
 }
 
 /// Engine-level tests of the one seam: the same live engine answers a

@@ -125,7 +125,7 @@ impl From<LinkKind> for TransportPlan {
 
 /// Builds the client-side channel policy for `station` from the
 /// deployment keyring (station keys round-robin over the keyring slots;
-/// refillers and steal lanes reuse their station's identity).
+/// refillers and steal runners reuse their station's identity).
 pub(crate) fn client_policy(
     keys: &TransportKeyring,
     security: ChannelSecurity,
