@@ -63,10 +63,10 @@ impl CommitKey {
     }
 
     /// Commits to the constant vector (v, v, …, v) of length `n` with zero
-    /// blinding (used by the shuffle verifier for public offsets).
+    /// blinding (used by the shuffle verifier for public offsets): v·Σgᵢ,
+    /// n additions and one multiplication. Panics if `n` exceeds the key.
     pub fn commit_constant(&self, v: &Scalar, n: usize) -> EdwardsPoint {
-        let values = vec![*v; n];
-        self.commit(&values, &Scalar::ZERO)
+        self.gs[..n].iter().copied().sum::<EdwardsPoint>() * v
     }
 }
 
@@ -160,11 +160,13 @@ mod tests {
 
     #[test]
     fn commit_constant_matches_explicit() {
-        let key = CommitKey::new(b"const", 3);
-        let v = Scalar::from_u64(42);
-        assert_eq!(
-            key.commit_constant(&v, 3),
-            key.commit(&[v, v, v], &Scalar::ZERO)
-        );
+        let key = CommitKey::new(b"const", 4);
+        for v in [Scalar::from_u64(42), -Scalar::ONE] {
+            assert_eq!(
+                key.commit_constant(&v, 3),
+                key.commit(&[v, v, v], &Scalar::ZERO)
+            );
+        }
+        assert!(key.commit_constant(&Scalar::ONE, 0).is_identity());
     }
 }

@@ -3,25 +3,49 @@
 //! After mixing, the tally must match each ballot's (encrypted) credential
 //! key against the (encrypted) real-credential tags from the registration
 //! ledger — without decrypting either to its raw value. Each authority
-//! member applies a secret per-election exponent sᵢ to every ciphertext,
-//! with a Chaum–Pedersen proof per component against a public commitment
-//! Sᵢ = sᵢ·B. After all members have passed, threshold decryption yields
-//! the *blinded* value (Πsᵢ)·P: equal plaintexts produce equal blinded
-//! tags (enabling hash-map matching in linear time), while the blinding
-//! hides the actual keys.
+//! member applies a secret per-election exponent sᵢ to every ciphertext
+//! and proves, against a public commitment Sᵢ = sᵢ·B, that it used that
+//! one exponent throughout. After all members have passed, threshold
+//! decryption yields the *blinded* value (Πsᵢ)·P: equal plaintexts produce
+//! equal blinded tags (enabling hash-map matching in linear time), while
+//! the blinding hides the actual keys.
+//!
+//! # One proof per round
+//!
+//! A round claims outₖ = sᵢ·inₖ for the 2n components of n ciphertexts and
+//! carries **one** Chaum–Pedersen proof for all of them, the batched DLEQ
+//! of RFC 9497 §2.2.1: DLEQ(B, Sᵢ; G, Y) over the composites G = Σ wₖ·inₖ
+//! and Y = Σ wₖ·outₖ. The prover takes Y = sᵢ·G with one multiplication;
+//! the verifier recomputes both composites by multi-scalar multiplication.
+//! The weights are 128-bit, non-zero, and drawn from a hash that has
+//! absorbed Sᵢ, n and the encoding of every input and output component, so
+//! every error point eₖ = outₖ − sᵢ·inₖ is fixed before they are: if some
+//! eₖ ≠ 𝒪, Y − sᵢ·G = Σ wₖ·eₖ vanishes for at most one value of one weight
+//! given the others, and a wrong component survives with probability
+//! ≤ 2⁻¹²⁷ per hash query (the small-exponent bound of
+//! [`vg_crypto::batch`]); otherwise the composite statement is false and
+//! the proof's own soundness applies. The proof transcript binds n and the
+//! weights bind order and side, so a round verifies only against the exact
+//! input vector it was made for.
+//!
+//! Transcript points are curve-checked, not subgroup-checked, so — as for
+//! every tally proof — all of this holds modulo E\[8\]: a torsion offset on
+//! an output survives on an even weight or an even challenge, and
+//! `match_tags`/`count_votes` decide on cofactor-cleared images.
 
 use vg_crypto::batch::{BatchVerifier, CommittedWeights};
 use vg_crypto::chaum_pedersen::{
-    dleq_challenge, prove_dleq_batch, verify_dleq, DlEqJob, DlEqProof, DlEqStatement,
+    dleq_challenge, prove_dleq, verify_dleq, DlEqProof, DlEqStatement,
 };
 use vg_crypto::drbg::Rng;
+use vg_crypto::edwards::multiscalar_mul;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::{CryptoError, EdwardsPoint, Scalar, Transcript};
 use vg_shuffle::VerifyMode;
 
-/// Ciphertexts handled per pass of [`TaggingKey::apply`] and per fold of
-/// [`TaggingRound::verify`] (four equations each), so neither's working
-/// memory grows with the vector.
+/// Ciphertexts absorbed, weighted and folded per pass of [`composites`],
+/// so neither side's working memory grows with the vector. Part of the
+/// proof format: weights are drawn chunk by chunk.
 const CHUNK: usize = 512;
 
 /// One member's secret tagging exponent for one election.
@@ -42,58 +66,76 @@ impl TaggingKey {
     }
 
     /// Applies the exponent to every ciphertext, producing a verifiable
-    /// round.
-    ///
-    /// Nonces are drawn ciphertext by ciphertext, first component first —
-    /// the order a loop of single proofs would draw them — and each
-    /// chunk's commitments are compressed through one shared inversion
-    /// before hashing ([`prove_dleq_batch`]).
+    /// round: two multiplications and two short multi-scalar terms per
+    /// ciphertext, one nonce per round.
     pub fn apply(&self, inputs: &[Ciphertext], rng: &mut dyn Rng) -> TaggingRound {
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut proofs = Vec::with_capacity(inputs.len());
-        for (k, chunk) in inputs.chunks(CHUNK).enumerate() {
-            let scaled: Vec<Ciphertext> = chunk.iter().map(|c| c.scale(&self.secret)).collect();
-            let jobs = chunk
-                .iter()
-                .zip(scaled.iter())
-                .enumerate()
-                .flat_map(|(i, (input, out))| {
-                    [(0, input.c1, out.c1), (1, input.c2, out.c2)].map(|(comp, g2, y2)| DlEqJob {
-                        transcript: proof_transcript(k * CHUNK + i, comp),
-                        stmt: component_statement(&self.commitment, &g2, &y2),
-                        witness: &self.secret,
-                    })
-                })
-                .collect();
-            let chunk_proofs = prove_dleq_batch(jobs, rng);
-            proofs.extend(chunk_proofs.chunks_exact(2).map(|p| [p[0], p[1]]));
-            outputs.extend(scaled);
-        }
+        let outputs: Vec<Ciphertext> = inputs.iter().map(|c| c.scale(&self.secret)).collect();
+        let (_, [g]) = composites(&self.commitment, inputs, &outputs, [inputs]);
+        let proof = prove_dleq(
+            &mut round_transcript(inputs.len()),
+            &round_statement(&self.commitment, &g, &(g * self.secret)),
+            &self.secret,
+            rng,
+        );
         TaggingRound {
             commitment: self.commitment,
             outputs,
-            proofs,
+            proof,
         }
     }
 }
 
-fn component_statement(
+/// Draws the round's weights and folds them over each of `vectors` (the
+/// round's inputs and, for a verifier, its outputs): Σ wₖ·vₖ over the 2n
+/// components, first component first. The weight commitment has absorbed
+/// Sᵢ, n and every input and output component before the first weight is
+/// drawn (chunk k's after absorbing k); it is returned so a fold can go
+/// on to bind the proof.
+fn composites<const N: usize>(
     commitment: &EdwardsPoint,
-    input: &EdwardsPoint,
-    output: &EdwardsPoint,
-) -> DlEqStatement {
+    inputs: &[Ciphertext],
+    outputs: &[Ciphertext],
+    vectors: [&[Ciphertext]; N],
+) -> (CommittedWeights, [EdwardsPoint; N]) {
+    let mut seal = CommittedWeights::new(b"votegral-tagging-weights-v1");
+    seal.absorb(&commitment.compress().0);
+    seal.absorb(&(inputs.len() as u64).to_le_bytes());
+    for (inputs, outputs) in inputs.chunks(CHUNK).zip(outputs.chunks(CHUNK)) {
+        let points: Vec<EdwardsPoint> = inputs
+            .iter()
+            .zip(outputs)
+            .flat_map(|(i, o)| [i.c1, i.c2, o.c1, o.c2])
+            .collect();
+        for enc in EdwardsPoint::batch_compress(&points) {
+            seal.absorb(&enc.0);
+        }
+    }
+    let mut sums = [EdwardsPoint::IDENTITY; N];
+    for (k, lo) in (0..inputs.len()).step_by(CHUNK).enumerate() {
+        let hi = (lo + CHUNK).min(inputs.len());
+        seal.absorb(&(k as u64).to_le_bytes());
+        let weights = seal.weights(2 * (hi - lo));
+        for (sum, vector) in sums.iter_mut().zip(vectors) {
+            let points: Vec<EdwardsPoint> =
+                vector[lo..hi].iter().flat_map(|c| [c.c1, c.c2]).collect();
+            *sum += multiscalar_mul(&weights, &points);
+        }
+    }
+    (seal, sums)
+}
+
+fn round_statement(commitment: &EdwardsPoint, g: &EdwardsPoint, y: &EdwardsPoint) -> DlEqStatement {
     DlEqStatement {
         g1: EdwardsPoint::basepoint(),
         y1: *commitment,
-        g2: *input,
-        y2: *output,
+        g2: *g,
+        y2: *y,
     }
 }
 
-fn proof_transcript(index: usize, component: u8) -> Transcript {
-    let mut t = Transcript::new(b"votegral-tagging");
-    t.append_u64(b"tag-idx", index as u64);
-    t.append_u64(b"tag-comp", component as u64);
+fn round_transcript(n: usize) -> Transcript {
+    let mut t = Transcript::new(b"votegral-tagging-round-v1");
+    t.append_u64(b"tag-n", n as u64);
     t
 }
 
@@ -104,8 +146,8 @@ pub struct TaggingRound {
     pub commitment: EdwardsPoint,
     /// sᵢ-scaled ciphertexts.
     pub outputs: Vec<Ciphertext>,
-    /// Per-ciphertext proofs for both components.
-    pub proofs: Vec<[DlEqProof; 2]>,
+    /// The round's one proof: DLEQ(B, Sᵢ; G, Y), see the [module docs](self).
+    pub proof: DlEqProof,
 }
 
 impl TaggingRound {
@@ -115,104 +157,62 @@ impl TaggingRound {
         self.verify_with(inputs, VerifyMode::Batched, crate::par::default_threads())
     }
 
-    /// Verifies the round against its inputs.
-    ///
-    /// [`VerifyMode::Sequential`] checks the proofs one by one and is the
-    /// reference. [`VerifyMode::Batched`] folds every proof of the round
-    /// into cofactored multi-scalar checks of 512 ciphertexts each: it
-    /// accepts what the reference accepts, with every relation taken
-    /// modulo the 8-torsion — which is why the tally decides on
-    /// cofactor-cleared plaintexts (see [`vg_crypto::batch`]).
+    /// Verifies the round against its inputs: recomputes the weights and
+    /// both composites, then checks the one proof — exactly under
+    /// [`VerifyMode::Sequential`], the reference; as one cofactored fold of
+    /// its two equations under [`VerifyMode::Batched`], which accepts what
+    /// the reference accepts with the relation taken modulo the 8-torsion
+    /// (why the tally decides on cofactor-cleared plaintexts).
     pub fn verify_with(
         &self,
         inputs: &[Ciphertext],
         mode: VerifyMode,
         threads: usize,
     ) -> Result<(), CryptoError> {
-        if self.outputs.len() != inputs.len() || self.proofs.len() != inputs.len() {
+        if self.outputs.len() != inputs.len() {
             return Err(CryptoError::Malformed("tagging round lengths"));
         }
+        let (mut seal, [g, y]) = composites(
+            &self.commitment,
+            inputs,
+            &self.outputs,
+            [inputs, &self.outputs],
+        );
+        let mut transcript = round_transcript(inputs.len());
         match mode {
-            VerifyMode::Sequential => self.verify_one_by_one(inputs),
-            VerifyMode::Batched => self.verify_folded(inputs, threads),
-        }
-    }
-
-    fn verify_one_by_one(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
-        for (idx, ((input, output), proof)) in inputs
-            .iter()
-            .zip(self.outputs.iter())
-            .zip(self.proofs.iter())
-            .enumerate()
-        {
-            verify_dleq(
-                &mut proof_transcript(idx, 0),
-                &component_statement(&self.commitment, &input.c1, &output.c1),
-                &proof[0],
-            )?;
-            verify_dleq(
-                &mut proof_transcript(idx, 1),
-                &component_statement(&self.commitment, &input.c2, &output.c2),
-                &proof[1],
-            )?;
-        }
-        Ok(())
-    }
-
-    fn verify_folded(&self, inputs: &[Ciphertext], threads: usize) -> Result<(), CryptoError> {
-        // Static bases: B at 0, Sᵢ at 1.
-        let statics = [EdwardsPoint::basepoint(), self.commitment];
-        let static_enc = EdwardsPoint::batch_compress(&statics);
-        let mut commitment = CommittedWeights::new(b"votegral-tagging-fold-v1");
-        commitment.absorb(&static_enc[1].0);
-        commitment.absorb(&(inputs.len() as u64).to_le_bytes());
-
-        for (k, ((inputs, outputs), proofs)) in inputs
-            .chunks(CHUNK)
-            .zip(self.outputs.chunks(CHUNK))
-            .zip(self.proofs.chunks(CHUNK))
-            .enumerate()
-        {
-            // Per component: (input, output, Y₁, Y₂), through one inversion.
-            let mut points = Vec::with_capacity(8 * inputs.len());
-            for ((input, output), proof) in inputs.iter().zip(outputs).zip(proofs) {
-                let (p0, p1) = (proof[0].commit, proof[1].commit);
-                points.extend([input.c1, output.c1, p0.a1, p0.a2]);
-                points.extend([input.c2, output.c2, p1.a1, p1.a2]);
-            }
-            let encoded = EdwardsPoint::batch_compress(&points);
-            for enc in &encoded {
-                commitment.absorb(&enc.0);
-            }
-            for proof in proofs {
-                commitment.absorb(&proof[0].response.to_bytes());
-                commitment.absorb(&proof[1].response.to_bytes());
-            }
-            let weights = commitment.weights(4 * inputs.len());
-
-            let mut batch = BatchVerifier::new(&statics);
-            for (c, proof) in proofs.iter().flatten().enumerate() {
-                let [input, output, a1, a2] = [0, 1, 2, 3].map(|i| points[4 * c + i]);
-                let enc = &encoded[4 * c..];
+            VerifyMode::Sequential => verify_dleq(
+                &mut transcript,
+                &round_statement(&self.commitment, &g, &y),
+                &self.proof,
+            ),
+            VerifyMode::Batched => {
+                let DlEqProof { commit, response } = self.proof;
+                let statics = [EdwardsPoint::basepoint(), self.commitment];
+                let points = [statics[0], statics[1], g, y, commit.a1, commit.a2];
+                let enc = EdwardsPoint::batch_compress(&points);
                 let e = dleq_challenge(
-                    &mut proof_transcript(k * CHUNK + c / 2, (c % 2) as u8),
-                    &[static_enc[0], static_enc[1], enc[0], enc[1], enc[2], enc[3]],
+                    &mut transcript,
+                    enc[..].try_into().expect("six points, six encodings"),
                 );
-                let r = proof.response;
-                // w₁·(Y₁ − r·B − e·Sᵢ) + w₂·(Y₂ − r·in − e·out).
-                let (w1, w2) = (weights[2 * c], weights[2 * c + 1]);
-                batch.add_static(0, -(w1 * r));
-                batch.add_static(1, -(w1 * e));
-                batch.add_term(w1, a1);
-                batch.add_term(w2, a2);
-                batch.add_term(-(w2 * r), input);
-                batch.add_term(-(w2 * e), output);
-            }
-            if !batch.verify_cofactored(threads) {
-                return Err(CryptoError::BadProof);
+                // The weights of the proof's two equations commit to the
+                // proof as well as to the statement.
+                seal.absorb(&enc[4].0).absorb(&enc[5].0);
+                let w = seal.absorb(&response.to_bytes()).weights(2);
+                // w₁·(Y₁ − r·B − e·Sᵢ) + w₂·(Y₂ − r·G − e·Y).
+                let mut batch = BatchVerifier::new(&statics);
+                batch.add_static(0, -(w[0] * response));
+                batch.add_static(1, -(w[0] * e));
+                batch.add_term(w[0], commit.a1);
+                batch.add_term(w[1], commit.a2);
+                batch.add_term(-(w[1] * response), g);
+                batch.add_term(-(w[1] * e), y);
+                if batch.verify_cofactored(threads) {
+                    Ok(())
+                } else {
+                    Err(CryptoError::BadProof)
+                }
             }
         }
-        Ok(())
     }
 }
 
@@ -307,20 +307,6 @@ mod tests {
         assert_ne!(tags[2], q);
     }
 
-    #[test]
-    fn tampered_round_detected() {
-        let mut rng = HmacDrbg::from_u64(2);
-        let kp = ElGamalKeyPair::generate(&mut rng);
-        let cts = vec![
-            encrypt_point(&kp.pk, &EdwardsPoint::basepoint(), &mut rng).0,
-            encrypt_point(&kp.pk, &EdwardsPoint::basepoint(), &mut rng).0,
-        ];
-        let key = TaggingKey::generate(&mut rng);
-        let mut round = key.apply(&cts, &mut rng);
-        round.outputs[0].c1 += EdwardsPoint::basepoint();
-        assert!(round.verify(&cts).is_err());
-    }
-
     /// `n` encryptions of small points under a fresh key.
     fn inputs(n: u64, rng: &mut dyn Rng) -> Vec<Ciphertext> {
         let kp = ElGamalKeyPair::generate(rng);
@@ -329,74 +315,178 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn apply_matches_a_loop_of_single_proofs() {
-        // Same outputs, same proofs, same RNG position as proving component
-        // by component — across a chunk boundary.
-        let mut rng = HmacDrbg::from_u64(5);
-        let cts = inputs(CHUNK as u64 + 3, &mut rng);
-        let key = TaggingKey::generate(&mut rng);
-        let mut rng_a = HmacDrbg::from_u64(6);
-        let mut rng_b = HmacDrbg::from_u64(6);
-        let round = key.apply(&cts, &mut rng_a);
-        for (idx, ((input, output), proof)) in cts
-            .iter()
-            .zip(round.outputs.iter())
-            .zip(round.proofs.iter())
-            .enumerate()
-        {
-            assert_eq!(*output, input.scale(&key.secret));
-            for (comp, g2, y2) in [(0, input.c1, output.c1), (1, input.c2, output.c2)] {
-                let single = vg_crypto::chaum_pedersen::prove_dleq(
-                    &mut proof_transcript(idx, comp),
-                    &component_statement(&key.commitment, &g2, &y2),
-                    &key.secret,
-                    &mut rng_b,
-                );
-                assert_eq!(proof[comp as usize], single, "ciphertext {idx}/{comp}");
-            }
+    const MODES: [VerifyMode; 2] = [VerifyMode::Sequential, VerifyMode::Batched];
+
+    fn assert_rejected(round: &TaggingRound, inputs: &[Ciphertext], what: &str) {
+        for mode in MODES {
+            assert_eq!(
+                round.verify_with(inputs, mode, 2),
+                Err(CryptoError::BadProof),
+                "{what} under {mode:?}"
+            );
         }
-        assert_eq!(rng_a.scalar(), rng_b.scalar());
-        // … and the fold spans the boundary too.
-        round.verify(&cts).expect("honest round folds clean");
-        round
-            .verify_with(&cts, VerifyMode::Sequential, 1)
-            .expect("honest round verifies one by one");
     }
 
     #[test]
-    fn folded_and_one_by_one_agree_on_every_tamper() {
+    fn one_proof_covers_the_round_and_draws_one_nonce() {
+        // Across a chunk boundary: every output is sᵢ·input, the round's
+        // cost in randomness is one scalar, and both paths accept — as
+        // they do the empty and the one-element round.
+        let mut rng = HmacDrbg::from_u64(5);
+        let cts = inputs(CHUNK as u64 + 3, &mut rng);
+        let key = TaggingKey::generate(&mut rng);
+        for n in [0, 1, cts.len()] {
+            let mut rng_a = HmacDrbg::from_u64(6);
+            let mut rng_b = HmacDrbg::from_u64(6);
+            let round = key.apply(&cts[..n], &mut rng_a);
+            for (input, output) in cts.iter().zip(round.outputs.iter()) {
+                assert_eq!(*output, input.scale(&key.secret));
+            }
+            rng_b.scalar();
+            assert_eq!(rng_a.scalar(), rng_b.scalar(), "{n} ciphertexts");
+            for mode in MODES {
+                round.verify_with(&cts[..n], mode, 2).expect("honest round");
+            }
+        }
+    }
+
+    #[test]
+    fn one_bad_output_at_any_position_is_rejected() {
+        // A wrong component cannot hide among good ones, wherever it sits.
         let mut rng = HmacDrbg::from_u64(7);
-        let cts = inputs(5, &mut rng);
+        let cts = inputs(6, &mut rng);
         let round = TaggingKey::generate(&mut rng).apply(&cts, &mut rng);
         let b = EdwardsPoint::basepoint();
-        let tampers: [&dyn Fn(&mut TaggingRound); 9] = [
-            &|r| r.outputs[0].c1 += b,
-            &|r| r.outputs[4].c2 += b,
-            &|r| r.proofs[1][0].commit.a1 += b,
-            &|r| r.proofs[1][1].commit.a2 += b,
-            &|r| r.proofs[2][0].response += Scalar::ONE,
-            &|r| r.proofs[3][1].response += Scalar::ONE,
-            &|r| r.proofs.swap(0, 1),
-            &|r| r.proofs[2].swap(0, 1),
+        for item in 0..cts.len() {
+            for comp in 0..2 {
+                let mut bad = round.clone();
+                match comp {
+                    0 => bad.outputs[item].c1 += b,
+                    _ => bad.outputs[item].c2 += b,
+                }
+                assert_rejected(&bad, &cts, &format!("output {item}/{comp}"));
+            }
+        }
+        // Two errors that cancel under equal weights do not under the
+        // round's.
+        let mut bad = round.clone();
+        bad.outputs[0].c1 += b;
+        bad.outputs[1].c1 -= b;
+        assert_rejected(&bad, &cts, "cancelling pair");
+        // The proof's own fields and the commitment are bound too.
+        let tampers: [&dyn Fn(&mut TaggingRound); 4] = [
+            &|r| r.proof.commit.a1 += b,
+            &|r| r.proof.commit.a2 += b,
+            &|r| r.proof.response += Scalar::ONE,
             &|r| r.commitment += b,
         ];
         for (k, tamper) in tampers.iter().enumerate() {
             let mut bad = round.clone();
             tamper(&mut bad);
-            for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
-                assert_eq!(
-                    bad.verify_with(&cts, mode, 2),
-                    Err(CryptoError::BadProof),
-                    "tamper {k} under {mode:?}"
+            assert_rejected(&bad, &cts, &format!("proof tamper {k}"));
+        }
+    }
+
+    #[test]
+    fn round_is_bound_to_its_exact_input_vector() {
+        // Weights and n bind order and length: a round — every output of
+        // which is a correct sᵢ·input — does not verify against the same
+        // pairs permuted, truncated or extended.
+        let mut rng = HmacDrbg::from_u64(8);
+        let cts = inputs(5, &mut rng);
+        let key = TaggingKey::generate(&mut rng);
+        let round = key.apply(&cts, &mut rng);
+
+        let (mut swapped_in, mut swapped) = (cts.clone(), round.clone());
+        swapped_in.swap(1, 3);
+        swapped.outputs.swap(1, 3);
+        assert_rejected(&swapped, &swapped_in, "permuted");
+
+        let mut truncated = round.clone();
+        truncated.outputs.pop();
+        assert_rejected(&truncated, &cts[..4], "truncated");
+
+        let (mut longer_in, mut extended) = (cts.clone(), round.clone());
+        longer_in.push(cts[0]);
+        extended.outputs.push(round.outputs[0]);
+        assert_rejected(&extended, &longer_in, "extended");
+
+        // Lengths that disagree are malformed before any proof is read.
+        for mode in MODES {
+            assert_eq!(
+                round.verify_with(&cts[..4], mode, 1),
+                Err(CryptoError::Malformed("tagging round lengths"))
+            );
+        }
+        // Another round's proof over the same vector does not transplant.
+        let mut other = key.apply(&swapped_in, &mut rng);
+        other.outputs = round.outputs.clone();
+        assert_rejected(&other, &cts, "transplanted proof");
+    }
+
+    /// T₂ = (0, −1), the point of order 2.
+    fn t2() -> EdwardsPoint {
+        let mut enc = [0xffu8; 32];
+        enc[0] = 0xec;
+        enc[31] = 0x7f;
+        vg_crypto::CompressedPoint(enc)
+            .decompress()
+            .expect("on curve")
+    }
+
+    #[test]
+    fn torsion_offset_survives_only_on_an_even_weight_or_challenge() {
+        // A member that adds T₂ to one output — before proving, since the
+        // weights commit to every output — moves Y off sᵢ·G by wₖ·T₂. With
+        // wₖ even nothing moved. With wₖ odd its proof leaves an error
+        // e·T₂: the cofactored fold never sees it, the exact check does
+        // unless the member regrinds its nonce to an even challenge.
+        let mut rng = HmacDrbg::from_u64(9);
+        let cts = inputs(8, &mut rng);
+        let key = TaggingKey::generate(&mut rng);
+        let honest = key.apply(&cts, &mut rng);
+        let (mut even, mut odd) = (0, 0);
+        for victim in 0..cts.len() {
+            let mut shifted = honest.clone();
+            shifted.outputs[victim].c2 += t2();
+            assert_rejected(&shifted, &cts, "the honest proof, outputs moved");
+            let (_, [g, y]) = composites(
+                &key.commitment,
+                &cts,
+                &shifted.outputs,
+                [&cts, &shifted.outputs],
+            );
+            let stmt = round_statement(&key.commitment, &g, &y);
+            let mut prove = || {
+                prove_dleq(
+                    &mut round_transcript(cts.len()),
+                    &stmt,
+                    &key.secret,
+                    &mut rng,
+                )
+            };
+            let weight_is_even = y == g * key.secret;
+            assert!(weight_is_even || y == g * key.secret + t2());
+            *(if weight_is_even { &mut even } else { &mut odd }) += 1;
+            // Every fresh proof passes the fold; the exact check needs an
+            // even weight or grinds for an even challenge.
+            let mut grinds = 0;
+            loop {
+                shifted.proof = prove();
+                shifted
+                    .verify_with(&cts, VerifyMode::Batched, 1)
+                    .expect("the cofactored fold is blind to torsion");
+                match shifted.verify_with(&cts, VerifyMode::Sequential, 1) {
+                    Ok(()) => break,
+                    Err(_) => grinds += 1,
+                }
+                assert!(
+                    !weight_is_even && grinds < 64,
+                    "victim {victim}: {grinds} grinds"
                 );
             }
         }
-        // Empty rounds pass through both paths.
-        let empty = TaggingKey::generate(&mut rng).apply(&[], &mut rng);
-        for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
-            empty.verify_with(&[], mode, 1).expect("empty round");
-        }
+        assert!(even > 0 && odd > 0, "{even} even and {odd} odd weights");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    parallel, the registration tags c_pc through verifiable mix
 //!    cascades (four mixers by default, as in the paper's evaluation).
 //! 3. **Deterministic tagging**: every authority member exponentiates both
-//!    mixed sets by a secret sᵢ with per-component proofs.
+//!    mixed sets by a secret sᵢ with one proof per set.
 //! 4. **Opening**: threshold-decrypt the tagged sets, yielding *blinded*
 //!    credential keys and *blinded* real-credential tags.
 //! 5. **Matching**: a ballot counts iff its blinded key equals some unused

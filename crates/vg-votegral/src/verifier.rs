@@ -2,10 +2,10 @@
 //!
 //! The verifier holds no secrets: from the public ledger, the authority's
 //! public material and the tally transcript, it re-derives the admitted
-//! ballot set, checks every mix proof, every tagging proof and every
-//! decryption share, recomputes the matching and the counts, and compares
-//! against the claimed result. Any single inconsistency pinpoints the
-//! stage (and thus the responsible actor) via [`crate::error::VerifyStage`].
+//! ballot set, checks every mix proof, every tagging round's one proof and
+//! every decryption share, recomputes the matching and the counts, and
+//! compares against the claimed result. Any single inconsistency pinpoints
+//! the stage (and thus the responsible actor) via [`crate::error::VerifyStage`].
 
 use vg_crypto::dkg::{combine_shares, verify_openings, Authority};
 use vg_crypto::elgamal::Ciphertext;

@@ -2,6 +2,7 @@
 //! surface across crates — malicious kiosks, duplicated envelopes,
 //! impersonation, and coercion-resistance structure.
 
+use votegral::crypto::batch::CommittedWeights;
 use votegral::crypto::chaum_pedersen::{
     prove_dleq, verify_dleq, verify_transcript, DlEqStatement, IzkpTranscript,
 };
@@ -13,7 +14,8 @@ use votegral::shuffle::{MixCascade, VerifyMode};
 use votegral::sim::coercion::credentials_structurally_indistinguishable;
 use votegral::trip::protocol::{activate_all, register_voter, trace_shows_honest_real_flow};
 use votegral::trip::{ActivationCheck, KioskBehavior, TripConfig, TripError, TripSystem};
-use votegral::votegral::ElectionBuilder;
+use votegral::votegral::election::{Election, Tallying};
+use votegral::votegral::{ElectionBuilder, TallyTranscript, VerifyStage, VotegralError};
 
 #[test]
 fn stolen_credential_lets_adversary_vote_as_victim() {
@@ -246,35 +248,81 @@ impl Rng for Recording<'_> {
     }
 }
 
-#[test]
-fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
-    // Transcript points are curve-checked, not subgroup-checked, so a
-    // Chaum–Pedersen proof only pins its statement modulo the 8-torsion:
-    // adding the order-2 point T₂ to y₂ leaves an error e·T₂, which
-    // vanishes whenever the challenge e is even — the prover grinds its
-    // nonce. The LAST tagging member does exactly that to one victim's
-    // tagged key. Every proof still verifies, the opened blinded key
-    // becomes P + T₂, and a matching that compares raw encodings would
-    // silently drop the victim's ballot. Decisions are taken on
-    // cofactor-cleared points instead, so the result must not move — for
-    // the tally's own matching and under both verification modes.
-    let mut rng = HmacDrbg::from_u64(77);
-    let mut election = ElectionBuilder::new().voters(3).options(3).build(&mut rng);
+/// Three voters, one real ballot each on options 0, 1, 2, voting closed.
+fn three_ballot_election(rng: &mut HmacDrbg) -> Election<Tallying> {
+    let mut election = ElectionBuilder::new().voters(3).options(3).build(rng);
     let devices: Vec<_> = (1..=3u64)
         .map(|v| {
             election
-                .register_and_activate(VoterId(v), 0, &mut rng)
+                .register_and_activate(VoterId(v), 0, rng)
                 .unwrap()
                 .1
         })
         .collect();
     let mut voting = election.open_voting();
     for (v, vsd) in devices.iter().enumerate() {
-        voting
-            .cast(&vsd.credentials[0], v as u32, &mut rng)
-            .unwrap();
+        voting.cast(&vsd.credentials[0], v as u32, rng).unwrap();
     }
-    let tallying = voting.close();
+    voting.close()
+}
+
+const MODES: [VerifyMode; 2] = [VerifyMode::Sequential, VerifyMode::Batched];
+
+/// Both modes reject `transcript`, naming the tagging stage.
+fn assert_caught_at_tagging(
+    tallying: &Election<Tallying>,
+    transcript: &TallyTranscript,
+    what: &str,
+) {
+    for mode in MODES {
+        assert_eq!(
+            tallying.verify_with_mode(transcript, mode),
+            Err(VotegralError::Verification(VerifyStage::Tagging)),
+            "{what} under {mode:?}"
+        );
+    }
+}
+
+/// A tagging round's composites G = Σ wₖ·inₖ and Y = Σ wₖ·outₖ, derived
+/// here from the published format alone (one chunk: at most 512
+/// ciphertexts) — what a member, honest or not, must prove over.
+fn tagging_composites(
+    commitment: &EdwardsPoint,
+    inputs: &[Ciphertext],
+    outputs: &[Ciphertext],
+) -> (EdwardsPoint, EdwardsPoint) {
+    assert!(inputs.len() == outputs.len() && inputs.len() <= 512);
+    let mut seal = CommittedWeights::new(b"votegral-tagging-weights-v1");
+    seal.absorb(&commitment.compress().0);
+    seal.absorb(&(inputs.len() as u64).to_le_bytes());
+    for (input, output) in inputs.iter().zip(outputs) {
+        for point in [input.c1, input.c2, output.c1, output.c2] {
+            seal.absorb(&point.compress().0);
+        }
+    }
+    let weights = seal.absorb(&0u64.to_le_bytes()).weights(2 * inputs.len());
+    let fold = |vector: &[Ciphertext]| {
+        let components = vector.iter().flat_map(|c| [c.c1, c.c2]);
+        components.zip(&weights).map(|(p, w)| p * w).sum()
+    };
+    (fold(inputs), fold(outputs))
+}
+
+#[test]
+fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
+    // Transcript points are curve-checked, not subgroup-checked, so a
+    // tagging round's proof only pins its outputs modulo the 8-torsion.
+    // The LAST tagging member adds the order-2 point T₂ to one victim's
+    // tagged key before it proves: Y moves off sᵢ·G by wₖ·T₂, which is
+    // nothing when the victim's weight is even and otherwise leaves an
+    // error e·T₂ that vanishes whenever the challenge e is even — the
+    // member grinds its nonce. The proof then verifies in both modes, the
+    // opened blinded key becomes P + T₂, and a matching that compares raw
+    // encodings would silently drop the victim's ballot. Decisions are
+    // taken on cofactor-cleared points instead, so the result must not
+    // move — for the tally's own matching and under both modes.
+    let mut rng = HmacDrbg::from_u64(77);
+    let tallying = three_ballot_election(&mut rng);
     let mut recording = Recording {
         inner: &mut rng,
         wide_draws: Vec::new(),
@@ -299,33 +347,38 @@ fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
     let t2 = CompressedPoint(enc).decompress().unwrap();
     assert!(t2.is_small_order() && !t2.is_identity());
 
-    // The victim: a matched (real) ballot. Shift its tagged key, regrind
-    // the second component's proof until the challenge is even.
+    // The victim: a matched (real) ballot. Shift its tagged key; the
+    // honest proof was made over other outputs and no longer stands.
     let victim = transcript.matched_indices[0];
     let rounds = transcript.ballot_tagging.len();
-    let input = transcript.ballot_tagging[rounds - 2].outputs[victim];
+    let inputs = transcript.ballot_tagging[rounds - 2].outputs.clone();
     let last = &mut transcript.ballot_tagging[rounds - 1];
     last.outputs[victim].c2 += t2;
-    let stmt = DlEqStatement {
-        g1: EdwardsPoint::basepoint(),
-        y1: commitment,
-        g2: input.c2,
-        y2: last.outputs[victim].c2,
-    };
-    let bound = || {
-        let mut t = Transcript::new(b"votegral-tagging");
-        t.append_u64(b"tag-idx", victim as u64);
-        t.append_u64(b"tag-comp", 1);
-        t
-    };
-    let ground = (0..64)
-        .map(|_| prove_dleq(&mut bound(), &stmt, &secret, &mut rng))
-        .find(|proof| verify_dleq(&mut bound(), &stmt, proof).is_ok())
-        .expect("half of all nonces give an even challenge");
-    last.proofs[victim][1] = ground;
     // The shares depend on C₁ alone and stay valid; the recombined
     // plaintext inherits the offset.
     transcript.key_opening.plaintexts[victim] += t2;
+    assert_caught_at_tagging(&tallying, &transcript, "stale proof");
+
+    // Re-prove over the shifted outputs, regrinding until the exact check
+    // passes (at once on an even weight, else on an even challenge).
+    let last = &mut transcript.ballot_tagging[rounds - 1];
+    let (g, y) = tagging_composites(&commitment, &inputs, &last.outputs);
+    assert!(y == g * secret || y == g * secret + t2);
+    let stmt = DlEqStatement {
+        g1: EdwardsPoint::basepoint(),
+        y1: commitment,
+        g2: g,
+        y2: y,
+    };
+    let bound = || {
+        let mut t = Transcript::new(b"votegral-tagging-round-v1");
+        t.append_u64(b"tag-n", inputs.len() as u64);
+        t
+    };
+    last.proof = (0..64)
+        .map(|_| prove_dleq(&mut bound(), &stmt, &secret, &mut rng))
+        .find(|proof| verify_dleq(&mut bound(), &stmt, proof).is_ok())
+        .expect("half of all nonces give an even challenge");
 
     // The tally's own decision…
     let matched = votegral::votegral::tally::match_tags(
@@ -337,13 +390,86 @@ fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
         "the victim stays matched"
     );
     // …and the verifier's, in both modes.
-    for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
+    for mode in MODES {
         assert_eq!(
             tallying.verify_with_mode(&transcript, mode),
             Ok(honest_result.clone()),
             "{mode:?}"
         );
     }
+}
+
+#[test]
+fn one_bad_tagged_output_cannot_hide_behind_the_round_proof() {
+    // A round carries one proof for all its outputs. A member that tags
+    // every ciphertext but one correctly is still caught — whichever
+    // cascade, round, position and component the bad one sits at — and
+    // the verifier names the tagging stage, in both modes.
+    let mut rng = HmacDrbg::from_u64(78);
+    let tallying = three_ballot_election(&mut rng);
+    let mut transcript = tallying.tally(&mut rng).unwrap();
+    fn component(t: &mut TallyTranscript, at: [usize; 4]) -> &mut EdwardsPoint {
+        let [side, round, item, comp] = at;
+        let cascade = if side == 0 {
+            &mut t.reg_tagging
+        } else {
+            &mut t.ballot_tagging
+        };
+        let ct = &mut cascade[round].outputs[item];
+        if comp == 0 {
+            &mut ct.c1
+        } else {
+            &mut ct.c2
+        }
+    }
+    let b = EdwardsPoint::basepoint();
+    let rounds = transcript.reg_tagging.len();
+    let items = transcript.reg_tagging[0].outputs.len();
+    for i in 0..2 * rounds * items * 2 {
+        let at = [
+            i / (2 * items * rounds),
+            i / (2 * items) % rounds,
+            i / 2 % items,
+            i % 2,
+        ];
+        *component(&mut transcript, at) += b;
+        let what = format!("[side, round, output, component] = {at:?}");
+        assert_caught_at_tagging(&tallying, &transcript, &what);
+        *component(&mut transcript, at) -= b;
+    }
+    tallying.verify(&transcript).expect("every tamper undone");
+}
+
+#[test]
+fn tagging_cascades_cannot_be_swapped_between_sides() {
+    // Both cascades come from the same members and, here, have the same
+    // length — yet a round verifies only against the input vector its
+    // weights absorbed, so the registration-side rounds do not pass for
+    // the ballot side or the other way round.
+    let mut rng = HmacDrbg::from_u64(79);
+    let tallying = three_ballot_election(&mut rng);
+    let mut transcript = tallying.tally(&mut rng).unwrap();
+    assert_eq!(
+        transcript.reg_tagging[0].outputs.len(),
+        transcript.ballot_tagging[0].outputs.len()
+    );
+    std::mem::swap(&mut transcript.reg_tagging, &mut transcript.ballot_tagging);
+    assert_caught_at_tagging(&tallying, &transcript, "cascades swapped");
+    std::mem::swap(&mut transcript.reg_tagging, &mut transcript.ballot_tagging);
+    // Nor does one member's proof for one side stand in for its proof,
+    // over as many ciphertexts under the same exponent, for the other.
+    for round in 0..transcript.reg_tagging.len() {
+        let sides = (&mut transcript.reg_tagging, &mut transcript.ballot_tagging);
+        std::mem::swap(&mut sides.0[round].proof, &mut sides.1[round].proof);
+        assert_caught_at_tagging(
+            &tallying,
+            &transcript,
+            &format!("round {round}'s proofs swapped"),
+        );
+        let sides = (&mut transcript.reg_tagging, &mut transcript.ballot_tagging);
+        std::mem::swap(&mut sides.0[round].proof, &mut sides.1[round].proof);
+    }
+    tallying.verify(&transcript).expect("every swap undone");
 }
 
 #[test]

@@ -434,12 +434,10 @@ mod tally_tampers {
             item: usize,
             comp: usize,
         },
-        /// Field `field` (Y₁, Y₂, response) of that component's proof.
+        /// Field `field` (Y₁, Y₂, response) of round `round`'s one proof.
         TaggingProof {
             cascade: usize,
             round: usize,
-            item: usize,
-            comp: usize,
             field: usize,
         },
         /// Field `field` (D, Y₁, Y₂, response) of one decryption share.
@@ -524,11 +522,9 @@ mod tally_tampers {
                 Tamper::TaggingProof {
                     cascade: which,
                     round,
-                    item,
-                    comp,
                     field,
                 } => {
-                    let proof = &mut cascade(t, which)[round].proofs[item][comp];
+                    let proof = &mut cascade(t, which)[round].proof;
                     match field {
                         0 => bump_point(&mut proof.commit.a1, undo),
                         1 => bump_point(&mut proof.commit.a2, undo),
@@ -593,8 +589,6 @@ mod tally_tampers {
             Tamper::TaggingProof {
                 cascade,
                 round,
-                item,
-                comp: pick(2),
                 field: pick(3),
             },
             Tamper::Share {
@@ -694,7 +688,11 @@ proptest! {
 /// under the same DRBG seed — batching changes performance, never bytes.
 #[test]
 fn batched_pipeline_replays_bit_identically() {
+    use votegral::crypto::dkg::DecryptionShare;
+    use votegral::crypto::elgamal::Ciphertext;
     use votegral::crypto::sha2::Sha256;
+    use votegral::crypto::EdwardsPoint;
+    use votegral::votegral::tagging::TaggingRound;
 
     let run = |batch: bool, mode: VerifyMode| {
         let mut rng = HmacDrbg::from_u64(4242);
@@ -725,11 +723,34 @@ fn batched_pipeline_replays_bit_identically() {
         // `TallyTranscript`'s Debug rendering is canonical (compressed
         // points, canonical scalars), so equal digests ⇔ bit-identical
         // transcripts.
-        let mut h = Sha256::new();
-        h.update(format!("{transcript:?}").as_bytes());
+        let digest = |rendered: String| -> String {
+            let mut h = Sha256::new();
+            h.update(rendered.as_bytes());
+            h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        // The transcript less its tagging and share proofs: what a change
+        // to how a member *proves* a step, or to the nonces it draws, may
+        // not move.
+        let t = &transcript;
+        fn outputs(cascade: &[TaggingRound]) -> Vec<&Vec<Ciphertext>> {
+            cascade.iter().map(|r| &r.outputs).collect()
+        }
+        let opened = [&t.reg_opening, &t.key_opening, &t.vote_opening].map(|o| {
+            let share_points = |item: &Vec<DecryptionShare>| item.iter().map(|s| s.share).collect();
+            let shares: Vec<Vec<EdwardsPoint>> = o.shares.iter().map(share_points).collect();
+            (&o.plaintexts, shares)
+        });
+        let statements = digest(format!(
+            "{:?}",
+            (
+                (&t.ballot_mix, &t.reg_mix, &t.tag_commitments),
+                (outputs(&t.reg_tagging), outputs(&t.ballot_tagging)),
+                (opened, &t.matched_indices, &t.result),
+            )
+        ));
         (
             tallying.ledger().ballots.tree_head().root,
-            h.finalize(),
+            (digest(format!("{transcript:?}")), statements),
             transcript.result,
         )
     };
@@ -739,14 +760,22 @@ fn batched_pipeline_replays_bit_identically() {
     assert_eq!(sequential.0, batched.0, "identical ballot ledger heads");
     assert_eq!(sequential.1, batched.1, "bit-identical tally transcripts");
     assert_eq!(sequential.2, batched.2, "identical results");
-    // Pinned on the commit before the tally's provers took their fast
-    // paths (fixed-base commitments, shared-inversion hashing, one set of
-    // Lagrange coefficients): those may move no transcript byte and no RNG
-    // draw, so this digest may never change without a protocol change.
-    let hex: String = batched.1.iter().map(|b| format!("{b:02x}")).collect();
+    // Two pins. The whole transcript moves only with a protocol change,
+    // and was re-pinned for one (from 303fca99…3a939293): since PR 22 a
+    // tagging round carries one batched DLEQ and draws one nonce where it
+    // carried 2n proofs and drew 2n, so the rounds' proofs changed shape
+    // and every later draw — the openings' nonces — moved. The second pin
+    // was computed on the commit *before* that change and did not move
+    // with it: mixes, tagging commitments and outputs, opened plaintexts
+    // and share points, matching and result are what they were.
+    let (transcript, statements) = batched.1;
     assert_eq!(
-        hex, "303fca9951ca40b8dec7ffd1c29c5958caea8b5378fb82d90063f84f3a939293",
+        transcript, "3014678042c5a88a7df39f89e1e4fe969099de2d3d595c9651f4a37aafeaa426",
         "tally transcript bytes moved"
+    );
+    assert_eq!(
+        statements, "b74a52e21a3c7e00cb8404103748cf37a5952b5193ce2a55c635b3cd5729d9cc",
+        "something other than a proof or a nonce moved"
     );
 }
 
