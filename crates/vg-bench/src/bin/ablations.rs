@@ -17,11 +17,11 @@ use std::time::Instant;
 
 use vg_bench::print_table;
 use vg_crypto::elgamal::{encrypt_point, ElGamalKeyPair};
+use vg_crypto::par::par_map;
 use vg_crypto::{multiscalar_mul, EdwardsPoint, Rng, Scalar};
 use vg_sim::bench_rng;
 use vg_sim::ivbound::adversary_bound;
 use vg_sim::FakeCredentialDist;
-use vg_votegral::par::par_map;
 
 fn main() {
     mixer_count();

@@ -230,7 +230,6 @@ pub(super) fn run_threaded_day(
             let job = StationJob {
                 fleet,
                 kiosks,
-                sessions: sp.sessions.clone(),
                 plans: sp.plans.clone(),
                 authority_pk,
                 activation: activate.then_some(&ctx),
@@ -288,7 +287,7 @@ pub(super) fn run_threaded_day(
             let session_owner: HashMap<usize, usize> = station_plans
                 .iter()
                 .enumerate()
-                .flat_map(|(s, sp)| sp.sessions.iter().map(move |&(idx, _, _)| (idx, s)))
+                .flat_map(|(s, sp)| sp.plans.iter().map(move |&(idx, _)| (idx, s)))
                 .collect();
             let mut last_activity: Vec<Instant> = vec![Instant::now(); station_plans.len()];
             let mut finished: HashSet<usize> = HashSet::new();
@@ -322,7 +321,7 @@ pub(super) fn run_threaded_day(
                                     continue;
                                 }
                                 let undelivered =
-                                    station_plans[id].sessions.iter().any(|&(idx, _, _)| {
+                                    station_plans[id].plans.iter().any(|&(idx, _)| {
                                         idx >= next_emit && !buffered.contains_key(&idx)
                                     });
                                 if !undelivered {
@@ -388,9 +387,9 @@ pub(super) fn run_threaded_day(
                                     id,
                                     0,
                                     station_plans[id]
-                                        .sessions
+                                        .plans
                                         .iter()
-                                        .map(|&(idx, _, _)| idx)
+                                        .map(|&(idx, _)| idx)
                                         .collect(),
                                 ))
                             } else if let Some(meta) = meta {
@@ -460,14 +459,14 @@ pub(super) fn run_threaded_day(
                                 sessions: keep.len(),
                                 depth,
                             });
-                            let sessions: Vec<(usize, VoterId, usize)> = sp
-                                .sessions
+                            let plans: Vec<_> = sp
+                                .plans
                                 .iter()
-                                .filter(|(idx, _, _)| keep.contains(idx))
+                                .filter(|(idx, _)| keep.contains(idx))
                                 .copied()
                                 .collect();
                             let session_idxs: Vec<usize> =
-                                sessions.iter().map(|&(idx, _, _)| idx).collect();
+                                plans.iter().map(|&(idx, _)| idx).collect();
                             // Steal chunks draw their materials from a
                             // pre-built pool instead of spinning up a
                             // refiller connection per chunk (same
@@ -487,13 +486,7 @@ pub(super) fn run_threaded_day(
                             let job = StationJob {
                                 fleet,
                                 kiosks,
-                                sessions,
-                                plans: sp
-                                    .plans
-                                    .iter()
-                                    .filter(|(idx, _)| keep.contains(idx))
-                                    .copied()
-                                    .collect(),
+                                plans,
                                 authority_pk,
                                 activation: activate.then_some(&ctx),
                                 pipeline: chunk_pipeline,

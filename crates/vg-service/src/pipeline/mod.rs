@@ -8,9 +8,9 @@
 //! [`run_day`] reads the engine off its [`DayPlan`]; the caller never
 //! picks one. A plan that needs no concurrency — in-process plaintext
 //! transport, the default [`PipelineConfig`], no chaos — runs **inline**:
-//! thread-free (beyond the fleet's own ceremony crew) on
-//! [`vg_trip::LocalBoundary`], synchronous admission, a `persist()`
-//! commit point at every barrier. Every other plan, one-station TCP and
+//! thread-free on [`vg_trip::LocalBoundary`] (unless
+//! `FleetConfig::threads > 1` fans a window out), synchronous admission,
+//! a `persist()` commit point at every barrier. Every other plan, one-station TCP and
 //! secure days included, runs on the **threaded** engine below.
 //!
 //! Both sides are measured, not assumed. Forcing one-session booth days
@@ -36,7 +36,9 @@
 //!   runs a dedicated thread with its own registrar link, sending
 //!   `Request::Print`s that keep the station's ceremony pool above a
 //!   low-water mark, hiding precompute behind ceremony latency mid-day,
-//!   not just at warm start.
+//!   not just at warm start. It is the station's only other thread:
+//!   ceremonies, submissions and activation run in one loop on the
+//!   station's own ([`KioskFleet::run_station_over`]).
 //! - **One ingest lane per ledger**: the **commit sequencer** thread
 //!   (`sequencer.rs`) owns the ledgers and every piece of admission
 //!   state, under no lock. Each lane — envelope commitments,

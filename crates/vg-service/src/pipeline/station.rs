@@ -11,9 +11,9 @@ use std::time::Duration;
 use vg_crypto::par::par_map;
 use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
-use vg_ledger::{EnvelopeCommitment, RegistrationRecord, VoterId};
+use vg_ledger::{EnvelopeCommitment, RegistrationRecord};
 use vg_trip::boundary::RegistrarBoundary;
-use vg_trip::fleet::{ActivationContext, FeedSource, KioskFleet, PoolSource};
+use vg_trip::fleet::{check_ins, ActivationContext, FeedSource, KioskFleet, PoolSource};
 use vg_trip::kiosk::{Kiosk, StolenCredential};
 use vg_trip::materials::{CheckOutQr, Envelope};
 use vg_trip::official::Official;
@@ -168,7 +168,7 @@ pub(super) enum Link<'a> {
 pub(super) struct StationJob<'a> {
     pub(super) fleet: &'a KioskFleet,
     pub(super) kiosks: &'a [Kiosk],
-    pub(super) sessions: Vec<(usize, VoterId, usize)>,
+    /// The job's queue: `(global session index, plan)` in session order.
     pub(super) plans: Vec<(usize, vg_trip::pool::SessionPlan)>,
     pub(super) authority_pk: vg_crypto::EdwardsPoint,
     pub(super) activation: Option<&'a ActivationContext<'a>>,
@@ -221,8 +221,8 @@ fn open_link<'a>(
 }
 
 /// One station's whole day (or one stolen chunk's): connect, optionally
-/// spawn the refiller on its own connection, and drive the generalized
-/// fleet engine.
+/// spawn the refiller on its own connection, and drive the fleet's
+/// station loop on this thread.
 pub(super) fn run_station(
     mut job: StationJob<'_>,
     link: Link<'_>,
@@ -251,15 +251,16 @@ pub(super) fn run_station(
                     stolen: Option<StolenCredential>| {
         let _ = tx.send(StationMsg::Outcome(idx, Box::new((outcome, vsd, stolen))));
     };
-    // The indexed plan is only needed by the pool; move it rather than
-    // cloning megabytes of SessionPlans per station (and per recovery).
+    // The plan is the check-in list and then the pool's; move it rather
+    // than cloning megabytes of SessionPlans per station (and per recovery).
+    let sessions = check_ins(&job.plans);
     let plans = std::mem::take(&mut job.plans);
     let mut pool = job.fleet.prepare_pool_indexed(job.authority_pk, plans);
     if job.pipeline.low_water == 0 {
         return job.fleet.run_station_over(
             job.kiosks,
             boundary,
-            &job.sessions,
+            &sessions,
             &mut PoolSource { pool: &mut pool },
             activation,
             &mut sink,
@@ -284,7 +285,7 @@ pub(super) fn run_station(
         let run = job.fleet.run_station_over(
             job.kiosks,
             boundary,
-            &job.sessions,
+            &sessions,
             &mut FeedSource { feed: &feed },
             activation,
             &mut sink,
@@ -502,7 +503,6 @@ mod tests {
         let job = StationJob {
             fleet,
             kiosks: rig.kiosks,
-            sessions: plan.sessions,
             plans: plan.plans,
             authority_pk: rig.authority_pk,
             activation: None,

@@ -9,7 +9,13 @@
 //! batched random-linear-combination sweeps. Session `i` of the queue is
 //! served by kiosk `i mod N`, each kiosk's sessions run strictly
 //! sequentially (a booth holds one voter), and all ledger writes happen on
-//! the coordinator in queue order.
+//! the station's thread in queue order.
+//!
+//! A station is one loop on one thread ([`KioskFleet::run_station_over`]):
+//! take a window of materials, run its ceremonies, submit its records. The
+//! station — not the kiosk CPU — is the unit of concurrency: the ceremony
+//! is hash-only, and a day's time goes to derivation, printing and
+//! admission (Fig 4, §7.3).
 //!
 //! # Determinism
 //!
@@ -22,11 +28,10 @@
 //! equivalence is enforced by `tests/fleet.rs` at the workspace root.
 
 use std::collections::HashMap;
-use std::sync::mpsc;
 
 use vg_crypto::schnorr::NonceCoupon;
-use vg_crypto::EdwardsPoint;
-use vg_ledger::EnvelopeCommitment;
+use vg_crypto::{CompressedPoint, EdwardsPoint};
+use vg_ledger::{EnvelopeCommitment, VoterId};
 
 use crate::boundary::{LocalBoundary, RegistrarBoundary};
 use crate::ceremony::{FakePrecursor, RealPrecursor, SessionMaterials};
@@ -37,8 +42,6 @@ use crate::pool::{CeremonyPool, PoolFeed, SessionPlan};
 use crate::protocol::RegistrationOutcome;
 use crate::setup::TripSystem;
 use crate::vsd::{activate_batch_over, Vsd};
-use vg_crypto::CompressedPoint;
-use vg_ledger::VoterId;
 
 /// Where a station's ceremony windows come from: either a caller-managed
 /// [`CeremonyPool`] refilled synchronously at window boundaries
@@ -113,23 +116,15 @@ impl MaterialsSource for FeedSource<'_> {
 pub struct StationPlan {
     /// Station number (0-based).
     pub station: usize,
-    /// `(global session index, voter, fakes)` in queue order.
-    pub sessions: Vec<(usize, VoterId, usize)>,
-    /// The matching indexed pool plan (malicious flags resolved per
-    /// serving kiosk).
+    /// `(global session index, plan)` in queue order (malicious flags
+    /// resolved per serving kiosk): the station's queue, and its pool's
+    /// derivation plan.
     pub plans: Vec<(usize, SessionPlan)>,
 }
 
-/// The static kiosk → owning-station map: `stations` contiguous,
-/// balanced chunks over `kiosks` kiosks. Requires `1 ≤ stations ≤
-/// kiosks` ([`partition_stations`] validates).
-fn kiosk_owners(kiosks: usize, stations: usize) -> Vec<usize> {
-    let (k, s) = (kiosks, stations);
-    let mut owner = vec![0usize; k];
-    for (j, slot) in (0..s).flat_map(|j| ((j * k) / s..((j + 1) * k) / s).map(move |ki| (j, ki))) {
-        owner[slot] = j;
-    }
-    owner
+/// The `(global session index, voter)` check-in list of an indexed plan.
+pub fn check_ins(plans: &[(usize, SessionPlan)]) -> Vec<(usize, VoterId)> {
+    plans.iter().map(|&(idx, p)| (idx, p.voter)).collect()
 }
 
 /// Splits a day's plan across `stations` polling stations. Kiosk `k`
@@ -140,10 +135,8 @@ fn kiosk_owners(kiosks: usize, stations: usize) -> Vec<usize> {
 ///
 /// `1 ≤ stations ≤ |K|`: every station must own at least one kiosk, so a
 /// day can never run more stations than kiosks. Violations return
-/// [`TripError::InvalidConfig`] instead of silently clamping — an
-/// `ElectionBuilder` asking for 16 stations over 8 kiosks previously ran
-/// 8 stations without telling anyone, which made capacity planning (and
-/// the station-death steal math) quietly wrong.
+/// [`TripError::InvalidConfig`] instead of silently clamping, which would
+/// make capacity planning (and the station-death steal math) quietly wrong.
 pub fn partition_stations(
     plan: &[(VoterId, usize)],
     kiosks: &[Kiosk],
@@ -155,20 +148,20 @@ pub fn partition_stations(
             "{stations} stations over {k} kiosks (need 1 <= stations <= kiosks)"
         )));
     }
-    let s = stations;
-    let owner = kiosk_owners(k, s);
-    let mut out: Vec<StationPlan> = (0..s)
+    // Kiosk → owning station: contiguous, balanced chunks.
+    let mut owner = vec![0usize; k];
+    for station in 0..stations {
+        owner[station * k / stations..(station + 1) * k / stations].fill(station);
+    }
+    let mut out: Vec<StationPlan> = (0..stations)
         .map(|station| StationPlan {
             station,
-            sessions: Vec::new(),
             plans: Vec::new(),
         })
         .collect();
     for (i, &(voter, n_fakes)) in plan.iter().enumerate() {
         let ki = i % k;
-        let st = owner[ki];
-        out[st].sessions.push((i, voter, n_fakes));
-        out[st].plans.push((
+        out[owner[ki]].plans.push((
             i,
             SessionPlan {
                 voter,
@@ -305,7 +298,10 @@ impl<'a> ActivationDriver<'a> {
 pub struct FleetConfig {
     /// Sessions precomputed per pool refill.
     pub pool_batch: usize,
-    /// Worker threads for precompute, ceremonies and batched admission.
+    /// Worker threads for precompute and batched admission, fanned out
+    /// per call and joined before it returns. Above 1, a window's kiosk
+    /// lanes are spread over as many scoped threads as well; at 1 (the
+    /// default) a station spawns nothing.
     pub threads: usize,
     /// Derivation seed for the whole registration day.
     pub seed: [u8; 32],
@@ -450,24 +446,11 @@ impl KioskFleet {
     /// to model the booth-idle precompute the paper's deployment assumes,
     /// then drain it through [`KioskFleet::register_each`].
     pub fn prepare_pool(&self, system: &TripSystem, plan: &[(VoterId, usize)]) -> CeremonyPool {
-        let n_kiosks = system.kiosks.len().max(1);
-        let session_plans: Vec<SessionPlan> = plan
-            .iter()
-            .enumerate()
-            .map(|(i, &(voter, n_fakes))| SessionPlan {
-                voter,
-                n_fakes,
-                malicious: system.kiosks[i % n_kiosks].behavior()
-                    == KioskBehavior::StealsRealCredential,
-            })
-            .collect();
-        CeremonyPool::new(
-            self.config.seed,
-            system.authority.public_key,
-            session_plans,
-            self.config.pool_batch,
-            self.config.threads,
-        )
+        // A system without kiosks serves nobody: its pool is empty, and
+        // `register_each` refuses the day typed.
+        let day = partition_stations(plan, &system.kiosks, 1);
+        let plans = day.map(|mut day| day.remove(0).plans).unwrap_or_default();
+        self.prepare_pool_indexed(system.authority.public_key, plans)
     }
 
     /// Registers the whole queue: `plan` lists `(voter, fakes)` in
@@ -475,10 +458,10 @@ impl KioskFleet {
     /// queue order.
     ///
     /// Work proceeds in pool-batch windows: precompute (parallel) →
-    /// ceremonies (parallel across kiosks, sequential per kiosk) →
-    /// coordinator ledger phase (batched envelope commitments, batched
-    /// check-out admission, loot collection) — so memory stays bounded by
-    /// the pool batch while the ledgers fill in queue order.
+    /// ceremonies (sequential per kiosk) → ledger phase (batched envelope
+    /// commitments, batched check-out admission, loot collection) — so
+    /// memory stays bounded by the pool batch while the ledgers fill in
+    /// queue order.
     pub fn register(
         &self,
         system: &mut TripSystem,
@@ -553,6 +536,8 @@ impl KioskFleet {
                 "a registration day needs at least one official and one printer".into(),
             ));
         };
+        // The whole day as one station; no kiosks is refused here, typed.
+        let sessions = check_ins(&partition_stations(plan, kiosks, 1)?.remove(0).plans);
         let mut boundary = LocalBoundary::new(
             official,
             printer,
@@ -566,11 +551,6 @@ impl KioskFleet {
             printer_registry,
             last_occurrence: &last_occurrence,
         };
-        let sessions: Vec<(usize, VoterId, usize)> = plan
-            .iter()
-            .enumerate()
-            .map(|(i, &(voter, fakes))| (i, voter, fakes))
-            .collect();
         self.run_station_over(
             kiosks,
             &mut boundary,
@@ -596,7 +576,7 @@ impl KioskFleet {
         authority_pk: EdwardsPoint,
         plans: Vec<(usize, SessionPlan)>,
     ) -> CeremonyPool {
-        CeremonyPool::new_indexed(
+        CeremonyPool::new(
             self.config.seed,
             authority_pk,
             plans,
@@ -605,165 +585,51 @@ impl KioskFleet {
         )
     }
 
-    /// The generalized station engine every fleet entry point drives:
-    /// checks in `sessions` (a station's — or the whole day's — slice of
-    /// the global queue), runs their ceremonies window by window on a
-    /// **persistent lane crew** (worker threads spawned once and fed over
-    /// channels, not re-spawned per window; a single window on a single
-    /// worker runs on the calling thread instead), submits each window's ledger
-    /// records session-tagged through the boundary, and — when an
+    /// The station engine every fleet entry point drives, one loop on the
+    /// calling thread: checks in `sessions` (a station's — or the whole
+    /// day's — slice of the global queue), then window by window takes the
+    /// next materials from `source`, runs their ceremonies (in session
+    /// order; with `threads > 1`, kiosk lanes side by side on scoped
+    /// threads), submits the window's ledger records session-tagged
+    /// through the boundary, and — when an
     /// [`ActivationContext`] is given — activates groups of `lag` windows
     /// behind one prefix barrier each.
     ///
-    /// Windows are software-pipelined at depth 2: while the crew runs
-    /// window `w+1`'s ceremonies, the coordinator drives window `w`'s
-    /// ledger phase, so booth latency hides submission/activation latency
-    /// even within one station. Results reach `sink` strictly in session
-    /// order; ledger submission order per ledger is fixed by session
-    /// index, which is what keeps any scheduling bit-identical to the
-    /// sequential reference.
+    /// Results reach `sink` strictly in session order; ledger submission
+    /// order per ledger is fixed by session index, which is what keeps any
+    /// scheduling bit-identical to the sequential reference.
     ///
     /// `source` must yield exactly the materials for `sessions`, in
-    /// order.
+    /// order, and `kiosks` must be the non-empty slice their plan was
+    /// partitioned over ([`partition_stations`] refuses an empty one).
     pub fn run_station_over(
         &self,
         kiosks: &[Kiosk],
         boundary: &mut dyn RegistrarBoundary,
-        sessions: &[(usize, VoterId, usize)],
+        sessions: &[(usize, VoterId)],
         source: &mut dyn MaterialsSource,
         activation: Option<(&ActivationContext<'_>, usize)>,
         sink: &mut StationSink<'_>,
     ) -> Result<(), TripError> {
-        let n_kiosks = kiosks.len().max(1);
         let threads = self.config.threads.max(1);
         let window_cap = self.config.pool_batch.max(1);
 
         // Check-in for the station's whole queue (Fig 8; MAC-only).
         let mut tickets: HashMap<usize, CheckInTicket> = HashMap::with_capacity(sessions.len());
-        for &(idx, voter, _) in sessions {
+        for &(idx, voter) in sessions {
             tickets.insert(idx, boundary.check_in(voter)?);
         }
-        let max_session = sessions.iter().map(|&(idx, _, _)| idx).max();
+        let max_session = sessions.iter().map(|&(idx, _)| idx).max();
         let mut driver = activation.map(|(ctx, lag)| ActivationDriver::new(ctx, threads, lag));
 
-        // A single window on a single worker has nothing to overlap with,
-        // so it gets no crew: its ceremonies run on the coordinator, in the
-        // same lane order. That is every booth call (a one-session day),
-        // whose latency would otherwise be a thread spawn and two
-        // cross-thread wake-ups at the host scheduler's mercy.
-        let worker_count = threads.min(n_kiosks);
-        let inline = worker_count == 1 && sessions.len() <= window_cap;
-        let run_lanes = |lanes: Vec<(usize, Vec<SessionMaterials>)>| -> Vec<SessionResult> {
-            let mut local = Vec::new();
-            for (k, lane) in lanes {
-                let kiosk = &kiosks[k];
-                for materials in lane {
-                    let idx = materials.session_index;
-                    local.push((idx, run_pool_session(kiosk, &tickets[&idx], materials)));
-                }
+        loop {
+            let window = source.next_window(window_cap, &mut *boundary)?;
+            if window.is_empty() {
+                break;
             }
-            local
-        };
-
-        std::thread::scope(|scope| -> Result<(), TripError> {
-            // The persistent crew: one thread per worker slot for the
-            // whole run. Lanes (kiosks) are pinned to crew members, so a
-            // kiosk's sessions always execute on the same thread, in
-            // order — the journal-order guarantee survives pipelining.
-            let (result_tx, result_rx) = mpsc::channel::<(u64, Vec<SessionResult>)>();
-            let mut crew = Vec::with_capacity(worker_count);
-            for _ in 0..if inline { 0 } else { worker_count } {
-                let (job_tx, job_rx) =
-                    mpsc::channel::<(u64, Vec<(usize, Vec<SessionMaterials>)>)>();
-                crew.push(job_tx);
-                let result_tx = result_tx.clone();
-                let run_lanes = &run_lanes;
-                scope.spawn(move || {
-                    while let Ok((window_id, lanes)) = job_rx.recv() {
-                        if result_tx.send((window_id, run_lanes(lanes))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            // Without a crew the coordinator keeps the sender and posts
-            // its own results.
-            let inline_tx = inline.then_some(result_tx);
-
-            let dispatch =
-                |window: Vec<SessionMaterials>, window_id: u64| -> Result<usize, TripError> {
-                    let mut lanes: Vec<Vec<SessionMaterials>> =
-                        (0..n_kiosks).map(|_| Vec::new()).collect();
-                    for materials in window {
-                        lanes[materials.session_index % n_kiosks].push(materials);
-                    }
-                    let mut per_worker: Vec<Vec<(usize, Vec<SessionMaterials>)>> =
-                        (0..worker_count).map(|_| Vec::new()).collect();
-                    for (k, lane) in lanes.into_iter().enumerate() {
-                        if !lane.is_empty() {
-                            per_worker[k % worker_count].push((k, lane));
-                        }
-                    }
-                    if let Some(result_tx) = &inline_tx {
-                        let lanes = per_worker.pop().expect("one worker");
-                        let _ = result_tx.send((window_id, run_lanes(lanes)));
-                        return Ok(1);
-                    }
-                    let mut jobs = 0;
-                    for (worker, assigned) in per_worker.into_iter().enumerate() {
-                        if !assigned.is_empty() {
-                            crew[worker]
-                                .send((window_id, assigned))
-                                .map_err(|_| TripError::Boundary("ceremony crew died".into()))?;
-                            jobs += 1;
-                        }
-                    }
-                    Ok(jobs)
-                };
-
-            // Result batches of different windows may interleave on the
-            // shared channel (crew members run ahead); stash strays.
-            let mut stash: HashMap<u64, Vec<Vec<SessionResult>>> = HashMap::new();
-            let mut collect =
-                |window_id: u64, expected: usize| -> Result<Vec<SessionResult>, TripError> {
-                    let mut got = stash.remove(&window_id).unwrap_or_default();
-                    while got.len() < expected {
-                        let (id, batch) = result_rx
-                            .recv()
-                            .map_err(|_| TripError::Boundary("ceremony crew died".into()))?;
-                        if id == window_id {
-                            got.push(batch);
-                        } else {
-                            stash.entry(id).or_default().push(batch);
-                        }
-                    }
-                    let mut all: Vec<_> = got.into_iter().flatten().collect();
-                    all.sort_by_key(|(idx, _)| *idx);
-                    Ok(all)
-                };
-
-            // Depth-2 window pipeline: dispatch w+1, then finish w.
-            let mut window_id: u64 = 0;
-            let mut in_flight: Option<(u64, usize)> = None;
-            loop {
-                let window = source.next_window(window_cap, &mut *boundary)?;
-                if window.is_empty() {
-                    if let Some((id, expected)) = in_flight.take() {
-                        let outputs = collect(id, expected)?;
-                        ledger_phase(&mut *boundary, outputs, &mut driver, sink)?;
-                    }
-                    break;
-                }
-                let expected = dispatch(window, window_id)?;
-                let previous = in_flight.replace((window_id, expected));
-                window_id += 1;
-                if let Some((id, expected)) = previous {
-                    let outputs = collect(id, expected)?;
-                    ledger_phase(&mut *boundary, outputs, &mut driver, sink)?;
-                }
-            }
-            Ok(())
-        })?;
+            let outputs = run_window(kiosks, &tickets, window, threads);
+            ledger_phase(&mut *boundary, outputs, &mut driver, sink)?;
+        }
 
         // Trailing activation group, then the station's prefix barrier.
         if let Some(driver) = driver.as_mut() {
@@ -771,6 +637,47 @@ impl KioskFleet {
         }
         boundary.sync_through(max_session.map_or(0, |m| m as u64 + 1))
     }
+}
+
+/// One window's ceremonies, in session order. Session `i` runs on kiosk
+/// `i mod |K|`, and a kiosk's sessions run one after another in session
+/// order — a booth holds one voter — so every kiosk journal fills in queue
+/// order. With one thread that is a plain loop on the caller; with more,
+/// the window's kiosk lanes are dealt round-robin onto `min(threads, |K|)`
+/// scoped threads (a kiosk never spans two) that are joined before this
+/// returns: no channel, no worker outliving its window.
+fn run_window(
+    kiosks: &[Kiosk],
+    tickets: &HashMap<usize, CheckInTicket>,
+    window: Vec<SessionMaterials>,
+    threads: usize,
+) -> Vec<SessionResult> {
+    let run = |materials: SessionMaterials| -> SessionResult {
+        let idx = materials.session_index;
+        let kiosk = &kiosks[idx % kiosks.len()];
+        (idx, run_pool_session(kiosk, &tickets[&idx], materials))
+    };
+    let workers = threads.min(kiosks.len());
+    if workers == 1 {
+        return window.into_iter().map(run).collect();
+    }
+    let mut lanes: Vec<Vec<SessionMaterials>> = (0..workers).map(|_| Vec::new()).collect();
+    for materials in window {
+        lanes[materials.session_index % kiosks.len() % workers].push(materials);
+    }
+    let mut outputs: Vec<SessionResult> = std::thread::scope(|scope| {
+        let running: Vec<_> = lanes
+            .into_iter()
+            .filter(|lane| !lane.is_empty())
+            .map(|lane| scope.spawn(|| lane.into_iter().map(run).collect::<Vec<_>>()))
+            .collect();
+        running
+            .into_iter()
+            .flat_map(|lane| lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    outputs.sort_by_key(|(idx, _)| *idx);
+    outputs
 }
 
 /// Voter → global index of their last planned session, over the whole
@@ -783,13 +690,13 @@ pub fn last_occurrence_of(plan: &[(VoterId, usize)]) -> HashMap<VoterId, usize> 
     last
 }
 
-/// One window's coordinator ledger phase: propagate the earliest ceremony
+/// One window's ledger phase: propagate the earliest ceremony
 /// failure in session order, submit the window's envelope commitments and
 /// check-out records session-tagged, then either hand the outcomes to the
 /// activation driver or straight to the sink.
 fn ledger_phase(
     boundary: &mut dyn RegistrarBoundary,
-    outputs: Vec<(usize, Result<CeremonyOutput, TripError>)>,
+    outputs: Vec<SessionResult>,
     driver: &mut Option<ActivationDriver<'_>>,
     sink: &mut StationSink<'_>,
 ) -> Result<(), TripError> {
@@ -877,10 +784,9 @@ mod tests {
         }
 
         // The same deterministic setup, drained through the fleet: with a
-        // small pool window and several workers (the crew), and as one
-        // window on one worker (no crew, both kiosks' lanes run on the
-        // coordinator), and with one-session refills (no authority-key
-        // table).
+        // small pool window and more threads than kiosks (lanes fan out
+        // per window), as one window on the calling thread, and with
+        // one-session refills (no authority-key table).
         for (pool_batch, threads) in [(2, 3), (256, 1), (1, 1)] {
             let mut rng = HmacDrbg::from_u64(1);
             let mut fleet_system = TripSystem::setup(config(5, 2), &mut rng);
@@ -940,28 +846,87 @@ mod tests {
 
     #[test]
     fn kiosk_journals_stay_per_session_ordered() {
-        let mut rng = HmacDrbg::from_u64(3);
-        let mut system = TripSystem::setup(config(9, 3), &mut rng);
-        let fleet = KioskFleet::new(FleetConfig {
-            pool_batch: 4,
-            threads: 3,
-            seed: [1u8; 32],
-        });
-        fleet.register(&mut system, &plan(9)).unwrap();
-        // Kiosk k served sessions k, k+3, k+6 — in that order, each trace
-        // contiguous and honest.
-        for (k, kiosk) in system.kiosks.iter().enumerate() {
-            let journal = kiosk.journal();
-            let voters: Vec<u64> = journal.iter().map(|t| t.voter_id.0).collect();
-            assert_eq!(
-                voters,
-                vec![k as u64 + 1, k as u64 + 4, k as u64 + 7],
-                "kiosk {k} journal order"
-            );
-            for trace in &journal {
-                assert_eq!(trace.events[0], KioskEvent::SessionStarted);
-                assert!(trace_shows_honest_real_flow(&trace.events));
+        // A thread per kiosk, and more kiosks than threads (a thread
+        // carries several kiosks' lanes).
+        for (n_kiosks, threads) in [(3, 3), (5, 2)] {
+            let n_voters = 3 * n_kiosks as u64;
+            let mut rng = HmacDrbg::from_u64(3);
+            let mut system = TripSystem::setup(config(n_voters, n_kiosks), &mut rng);
+            let fleet = KioskFleet::new(FleetConfig {
+                pool_batch: 4,
+                threads,
+                seed: [1u8; 32],
+            });
+            fleet.register(&mut system, &plan(n_voters)).unwrap();
+            // Kiosk k served sessions k, k+|K|, k+2|K| — in that order,
+            // each trace contiguous and honest.
+            for (k, kiosk) in system.kiosks.iter().enumerate() {
+                let journal = kiosk.journal();
+                let voters: Vec<u64> = journal.iter().map(|t| t.voter_id.0).collect();
+                let expected: Vec<u64> = (0..3).map(|r| (k + r * n_kiosks) as u64 + 1).collect();
+                assert_eq!(voters, expected, "kiosk {k} of {n_kiosks} journal order");
+                for trace in &journal {
+                    assert_eq!(trace.events[0], KioskEvent::SessionStarted);
+                    assert!(trace_shows_honest_real_flow(&trace.events));
+                }
             }
+        }
+    }
+
+    /// `ledger_phase`'s contract: a ceremony that fails in the middle of
+    /// window `w` fails the station with that session's error, nothing of
+    /// window `w` reaches L_E or L_R, and every earlier window is admitted
+    /// and sunk.
+    #[test]
+    fn failed_ceremony_admits_nothing_of_its_window() {
+        let seed = [9u8; 32];
+        let queue = plan(6);
+        let stealing = KioskBehavior::StealsRealCredential;
+        for threads in [1, 2] {
+            let fleet = KioskFleet::new(FleetConfig {
+                pool_batch: 3,
+                threads,
+                seed,
+            });
+            // What window 0 (sessions 0..3) alone leaves on the ledgers.
+            let mut rng = HmacDrbg::from_u64(6);
+            let mut first = TripSystem::setup_with_behavior(config(6, 2), stealing, &mut rng);
+            let admitted = fleet.register(&mut first, &queue[..3]).unwrap();
+
+            let mut rng = HmacDrbg::from_u64(6);
+            let mut system = TripSystem::setup_with_behavior(config(6, 2), stealing, &mut rng);
+            let mut day = partition_stations(&queue, &system.kiosks, 1)
+                .unwrap()
+                .remove(0);
+            // Session 4, the middle of window 1, is planned for an honest
+            // kiosk: the spare precursor its stealing kiosk needs is
+            // never derived.
+            day.plans[4].1.malicious = false;
+            let sessions = check_ins(&day.plans);
+            let mut pool = fleet.prepare_pool_indexed(system.authority.public_key, day.plans);
+            let mut boundary = LocalBoundary::new(
+                &system.officials[0],
+                &system.printers[0],
+                &mut system.ledger,
+                &system.kiosk_registry,
+                threads,
+            );
+            let mut sunk = Vec::new();
+            let run = fleet.run_station_over(
+                &system.kiosks,
+                &mut boundary,
+                &sessions,
+                &mut PoolSource { pool: &mut pool },
+                None,
+                &mut |idx, outcome, _, _| sunk.push((idx, outcome)),
+            );
+            assert_eq!(run, Err(TripError::WrongPhysicalState));
+            let (indices, outcomes): (Vec<usize>, Vec<_>) = sunk.into_iter().unzip();
+            assert_eq!(indices, vec![0, 1, 2]);
+            assert_eq!(
+                fingerprint(&system, &outcomes),
+                fingerprint(&first, &admitted)
+            );
         }
     }
 

@@ -71,28 +71,11 @@ pub struct CeremonyPool {
 }
 
 impl CeremonyPool {
-    /// Creates a pool for `plan`, refilling `batch` sessions at a time
-    /// with up to `threads` derivation workers.
+    /// Creates a pool for `plan` — `(global session index, plan)` pairs,
+    /// the whole day's queue or a polling station's share of it —
+    /// refilling `batch` sessions at a time with up to `threads`
+    /// derivation workers. Indices must be strictly increasing.
     pub fn new(
-        seed: [u8; 32],
-        authority_pk: EdwardsPoint,
-        plan: Vec<SessionPlan>,
-        batch: usize,
-        threads: usize,
-    ) -> Self {
-        Self::new_indexed(
-            seed,
-            authority_pk,
-            plan.into_iter().enumerate().collect(),
-            batch,
-            threads,
-        )
-    }
-
-    /// [`CeremonyPool::new`] over an explicit `(global session index,
-    /// plan)` list — the pool a polling station builds for its share of
-    /// the day's queue. Indices must be strictly increasing.
-    pub fn new_indexed(
         seed: [u8; 32],
         authority_pk: EdwardsPoint,
         plan: Vec<(usize, SessionPlan)>,
@@ -407,14 +390,13 @@ mod tests {
     use super::*;
     use vg_crypto::Rng;
 
-    fn plan(n: usize) -> Vec<SessionPlan> {
-        (0..n)
-            .map(|i| SessionPlan {
-                voter: VoterId(i as u64 + 1),
-                n_fakes: i % 3,
-                malicious: false,
-            })
-            .collect()
+    fn plan(n: usize) -> Vec<(usize, SessionPlan)> {
+        let session = |i| SessionPlan {
+            voter: VoterId(i as u64 + 1),
+            n_fakes: i % 3,
+            malicious: false,
+        };
+        (0..n).map(|i| (i, session(i))).collect()
     }
 
     fn fixtures() -> (EdwardsPoint, EnvelopePrinter) {
@@ -478,13 +460,9 @@ mod tests {
     fn indexed_pool_derives_global_indices() {
         let (apk, printer) = fixtures();
         // A station owning the odd half of a 6-session queue.
-        let sub: Vec<(usize, SessionPlan)> = plan(6)
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 1)
-            .collect();
+        let sub: Vec<_> = plan(6).into_iter().filter(|(i, _)| i % 2 == 1).collect();
         let mut whole = CeremonyPool::new([4u8; 32], apk, plan(6), 8, 1);
-        let mut station = CeremonyPool::new_indexed([4u8; 32], apk, sub, 8, 1);
+        let mut station = CeremonyPool::new([4u8; 32], apk, sub, 8, 1);
         whole.warm(&printer).unwrap();
         station.warm(&printer).unwrap();
         let whole: Vec<SessionMaterials> = std::iter::from_fn(|| whole.take_ready()).collect();

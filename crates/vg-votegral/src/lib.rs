@@ -23,7 +23,6 @@ pub mod codec;
 pub mod election;
 pub mod error;
 pub mod history;
-pub mod par;
 pub mod tagging;
 pub mod tally;
 pub mod transfer;

@@ -40,6 +40,7 @@ use vg_crypto::chaum_pedersen::{
 use vg_crypto::drbg::Rng;
 use vg_crypto::edwards::multiscalar_mul;
 use vg_crypto::elgamal::Ciphertext;
+use vg_crypto::par::default_threads;
 use vg_crypto::{CryptoError, EdwardsPoint, Scalar, Transcript};
 use vg_shuffle::VerifyMode;
 
@@ -154,7 +155,7 @@ impl TaggingRound {
     /// Verifies the round against its inputs through the batched path on
     /// the host's cores.
     pub fn verify(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
-        self.verify_with(inputs, VerifyMode::Batched, crate::par::default_threads())
+        self.verify_with(inputs, VerifyMode::Batched, default_threads())
     }
 
     /// Verifies the round against its inputs: recomputes the weights and
@@ -247,7 +248,7 @@ pub fn verify_cascade<'a>(
         rounds,
         expected_commitments,
         VerifyMode::Batched,
-        crate::par::default_threads(),
+        default_threads(),
     )
 }
 

@@ -24,6 +24,7 @@ use vg_crypto::batch::{small_weights, BatchVerifier};
 use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionShare};
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
+use vg_crypto::par::default_threads;
 use vg_crypto::schnorr::{SignatureSweep, VerifyingKey, VerifyingKeyCache};
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::{BallotRecord, Ledger};
@@ -140,7 +141,7 @@ pub fn admit_ballots(
         config,
         authority_pk,
         kiosk_registry,
-        crate::par::default_threads(),
+        default_threads(),
     )
 }
 

@@ -9,6 +9,7 @@
 
 use vg_crypto::dkg::{combine_shares, verify_openings, Authority};
 use vg_crypto::elgamal::Ciphertext;
+use vg_crypto::par::{default_threads, par_map};
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::Ledger;
 use vg_shuffle::{MixCascade, VerifyMode};
@@ -64,7 +65,7 @@ pub fn verify_tally(
         kiosk_registry,
         mixers,
         VerifyMode::Batched,
-        crate::par::default_threads(),
+        default_threads(),
     )
 }
 
@@ -257,7 +258,7 @@ fn verify_opening_one_by_one(
     threads: usize,
 ) -> bool {
     let items: Vec<(usize, &Ciphertext)> = cts.iter().enumerate().collect();
-    crate::par::par_map(&items, threads, |(i, ct)| {
+    par_map(&items, threads, |(i, ct)| {
         let shares = &opening.shares[*i];
         let claimed = &opening.plaintexts[*i];
         if shares.len() < authority.threshold {

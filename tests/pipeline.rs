@@ -624,9 +624,9 @@ fn station_partition_is_disjoint_and_kiosk_aligned() {
         assert_eq!(parts.len(), stations);
         let mut seen = HashSet::new();
         for part in &parts {
-            for &(idx, voter, _) in &part.sessions {
+            for &(idx, session) in &part.plans {
                 assert!(seen.insert(idx), "session {idx} assigned twice");
-                assert_eq!(voter, plan[idx].0);
+                assert_eq!(session.voter, plan[idx].0);
             }
         }
         assert_eq!(seen.len(), plan.len(), "stations cover the whole plan");
@@ -636,6 +636,29 @@ fn station_partition_is_disjoint_and_kiosk_aligned() {
         assert!(
             matches!(out, Err(votegral::trip::TripError::InvalidConfig(_))),
             "{stations} stations over 5 kiosks must be a typed config error"
+        );
+    }
+}
+
+/// A system set up with no kiosks cannot hold a day, and both engines say
+/// so typed: the inline one used to index the empty kiosk slice (in
+/// `prepare_pool`, then in the station loop) where the threaded one
+/// already answered from the partition.
+#[test]
+fn zero_kiosk_day_is_a_typed_config_error_on_both_engines() {
+    let fleet = KioskFleet::new(FleetConfig::seeded([3u8; 32]));
+    let queue = [(VoterId(1), 1)];
+    let threaded = DayPlan {
+        transport: TransportPlan::TCP,
+        ..DayPlan::default()
+    };
+    for (engine, day) in [("inline", DayPlan::default()), ("threaded", threaded)] {
+        let mut rng = HmacDrbg::from_u64(9);
+        let mut system = TripSystem::setup(trip_config(1, 0), &mut rng);
+        let out = run_day(&fleet, &mut system, &queue, &day, |_, _| {});
+        assert!(
+            matches!(out, Err(votegral::trip::TripError::InvalidConfig(_))),
+            "{engine}: {out:?}"
         );
     }
 }
