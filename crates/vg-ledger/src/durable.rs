@@ -1,28 +1,32 @@
-//! Durable crash-recoverable storage backend: write-ahead segment logs,
-//! persisted signed tree heads, snapshot verification and replay-cursor
-//! reopen.
+//! Durable crash-recoverable storage backend: one write-ahead record
+//! log per store, persisted signed tree heads, snapshot verification and
+//! replay-cursor reopen.
 //!
-//! [`DurableStore`] implements [`LedgerStore`] over append-only segment
-//! files of length-prefixed, checksummed frames carrying each record's
+//! [`DurableStore`] implements [`LedgerStore`] over one append-only file
+//! of length-prefixed, checksummed frames carrying each record's
 //! canonical byte encoding (the same injective encoding the Merkle leaves
 //! hash, so disk and tree can never disagree about content). The write
 //! discipline is **event-before-state**: a record's frame is written to
-//! the segment before the in-memory Merkle accumulator absorbs its leaf,
-//! so a process killed at any instant leaves the disk a superset-or-equal
-//! of the published state, never behind it. Group fsync happens at the
-//! commit barrier ([`LedgerStore::persist`]), not per append, which is
-//! where the commit sequencer's admission sweep calls it.
+//! the record log before the in-memory Merkle accumulator absorbs its
+//! leaf, so a process killed at any instant leaves the disk a
+//! superset-or-equal of the published state, never behind it. The only
+//! fsyncs are the commit barrier's ([`LedgerStore::persist`]: the record
+//! log first, the signed head that covers it second), which is where the
+//! commit sequencer's admission sweep calls it. Nothing is acknowledged
+//! before a barrier, so nothing above the last persisted head is owed to
+//! anyone.
 //!
-//! Reopen is snapshot-load + segment replay: frames are replayed in
-//! order, and every file that was open for append when the process died
-//! — the final segment, `heads.log`, `reveals.log` — is truncated at its
-//! first incomplete or checksum-failing frame (a crash mid-`write` is
-//! expected, and the sticky poison below guarantees the writer never
-//! appended past one). A bad frame in a *non-final* segment — a mid-log
-//! hole — is a hard error, because append-only writes cannot produce
-//! it. The persisted snapshot and the last persisted signed head are
-//! both cross-checked against the replayed tree ([`MerkleLog::root_of`])
-//! before the store accepts the directory.
+//! Reopen is snapshot-load + replay, **anchored on the last persisted
+//! head**: the record log and `heads.log` are first scanned without
+//! modifying anything, one frame at a time, and the persisted snapshot
+//! and every persisted signed head are cross-checked against the
+//! replayed tree ([`MerkleLog::root_of`]). A file's first incomplete or
+//! checksum-failing frame ends its scan (a crash mid-`write` is expected,
+//! and the sticky poison below guarantees the writer never appended past
+//! one); it is truncated away as a torn tail only if the valid prefix
+//! still reaches the last persisted head's size. A bad frame *below*
+//! that head is a hard [`WalError::Corrupt`] with every file left at its
+//! original length — truncation never un-says an acknowledged record.
 //!
 //! Every log file is written through one private `FrameLog`: one append,
 //! one `sync_data`, one [`FaultFs`] consult per write and per fsync, and
@@ -45,7 +49,7 @@
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -58,17 +62,15 @@ use vg_crypto::schnorr::Signature;
 use vg_crypto::sha2::Sha256;
 use vg_crypto::{CryptoError, Scalar};
 
-/// Roll threshold for WAL segments: a segment that has reached this many
-/// bytes is closed and a new one started. Small enough that a
-/// registration day spans several segments (exercising multi-segment
-/// replay and recovery), large enough that rolls are rare per flush.
-pub const SEGMENT_BYTES: u64 = 8 * 1024;
-
 /// Hard ceiling on a single frame payload; a length prefix above this is
 /// corruption, not data.
 pub const MAX_FRAME: usize = 1 << 24;
 
 const FRAME_HEADER: usize = 4 + 8;
+/// A store's one record log. The name is what the first file of the
+/// rolled-segment layout was called: `bench/e2e`'s `wal_bytes_per_rec`
+/// probe sums a directory's files by the `seg-` prefix.
+const RECORDS_FILE: &str = "seg-000000.log";
 const HEADS_FILE: &str = "heads.log";
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const REVEALS_FILE: &str = "reveals.log";
@@ -142,8 +144,6 @@ pub struct DurabilityStats {
     /// `fsync` calls issued at commit barriers (zero when the backend
     /// runs with `fsync: false`).
     pub wal_fsyncs: u64,
-    /// Segment files the log currently spans.
-    pub segments: u64,
     /// Records replayed from disk when the store was opened.
     pub replayed: u64,
     /// Signed tree heads persisted to `heads.log`.
@@ -159,7 +159,6 @@ impl DurabilityStats {
         DurabilityStats {
             wal_records: self.wal_records + other.wal_records,
             wal_fsyncs: self.wal_fsyncs + other.wal_fsyncs,
-            segments: self.segments + other.segments,
             replayed: self.replayed + other.replayed,
             heads_persisted: self.heads_persisted + other.heads_persisted,
             wal_failures: self.wal_failures + other.wal_failures,
@@ -175,8 +174,8 @@ impl DurabilityStats {
 /// counters — never wall clocks or OS entropy (this file is inside
 /// vg-lint's `nondeterminism` scope, and the chaos tests rely on a seed
 /// reproducing the exact same failure). Every log file — a store's
-/// segment stream, its `heads.log`, the envelope ledger's `reveals.log`
-/// — counts its own writes and fsyncs from 0, so a fault fires once on
+/// record log, its `heads.log`, the envelope ledger's `reveals.log` —
+/// counts its own writes and fsyncs from 0, so a fault fires once on
 /// each file that gets that far.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsFault {
@@ -200,8 +199,8 @@ pub enum FsFault {
         /// 0-based write index from which the disk reports full.
         nth: u64,
     },
-    /// The file's `nth` fsync (group sync at a commit barrier or segment
-    /// roll) fails with an injected IO error.
+    /// The file's `nth` fsync (every one is part of a commit barrier)
+    /// fails with an injected IO error.
     FailFsync {
         /// 0-based fsync index at which the fault fires.
         nth: u64,
@@ -288,111 +287,77 @@ fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// The frame starting at `pos` — its payload and the offset just past it
-/// — or `None` where no complete, checksum-valid frame starts: at the
-/// clean end of the buffer, or at a torn frame.
-fn read_frame(buf: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    if pos + FRAME_HEADER > buf.len() {
-        return None;
-    }
-    let len = match buf[pos..pos + 4].try_into() {
-        Ok(b) => u32::from_le_bytes(b) as usize,
-        Err(_) => return None,
-    };
-    if len > MAX_FRAME || pos + FRAME_HEADER + len > buf.len() {
-        return None;
-    }
-    let payload = &buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-    if frame_checksum(payload) != buf[pos + 4..pos + 12] {
-        return None;
-    }
-    Some((payload, pos + FRAME_HEADER + len))
+/// Reads up to `n` bytes of `src` into `buf` (cleared first), returning
+/// how many the source had. Grows `buf` only by what was read, so a
+/// corrupt length prefix cannot allocate more than the file holds.
+fn read_up_to(src: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> std::io::Result<usize> {
+    buf.clear();
+    src.by_ref().take(n as u64).read_to_end(buf)
 }
 
-/// The one frame scanner: yields the payload of every complete,
-/// checksum-valid frame of a file's bytes, in order, stopping at the
-/// first position where none starts. `valid` is the byte length of the
-/// good prefix scanned so far.
-struct Frames<'a> {
-    buf: &'a [u8],
-    valid: usize,
-}
-
-impl<'a> Frames<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, valid: 0 }
-    }
-
-    /// After the scan ran out: whether it stopped at a torn frame (bytes
-    /// remain past the good prefix) rather than at the clean end.
-    fn torn(&self) -> bool {
-        self.valid < self.buf.len()
-    }
-}
-
-impl<'a> Iterator for Frames<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let (payload, next) = read_frame(self.buf, self.valid)?;
-        self.valid = next;
-        Some(payload)
-    }
-}
-
-/// Replays one log file through `each`, returning the valid byte length
-/// (0 for a missing file). A torn frame ends the replay: where a crash
-/// mid-`write` can have produced it (`may_tear` — the tail of the final
-/// segment, of `heads.log` and of `reveals.log`) the file is physically
-/// truncated there so appends resume from a clean tail; anywhere else it
-/// is a mid-log hole.
-fn replay_file(
+/// The one frame scanner: passes the payload of every complete,
+/// checksum-valid frame of a log file to `each`, in order, holding one
+/// frame at a time and modifying nothing, and stops at the first position
+/// where no such frame starts. At the clean end of the file (or with no
+/// file) that is `None`; at a torn frame it is the length of the valid
+/// prefix before it — what [`truncate_tail`] cuts the file back to once
+/// the caller has decided the tear is a tail.
+fn scan_file(
     path: &Path,
-    may_tear: bool,
     mut each: impl FnMut(&[u8]) -> Result<(), WalError>,
-) -> Result<u64, WalError> {
-    let buf = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+) -> Result<Option<u64>, WalError> {
+    let mut src = match File::open(path) {
+        Ok(file) => BufReader::new(file),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut frames = Frames::new(&buf);
-    for payload in &mut frames {
-        each(payload)?;
-    }
-    if frames.torn() {
-        if !may_tear {
-            return Err(WalError::Corrupt(
-                "mid-log hole: corrupt frame in a non-final segment",
-            ));
+    let (mut header, mut payload, mut valid) = (Vec::new(), Vec::new(), 0u64);
+    loop {
+        if read_up_to(&mut src, &mut header, FRAME_HEADER)? == 0 {
+            return Ok(None);
         }
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(frames.valid as u64)?;
+        // A header the file ends inside has a short checksum, which
+        // matches nothing.
+        let Some((len, sum)) = header.split_first_chunk::<4>() else {
+            return Ok(Some(valid));
+        };
+        let len = u32::from_le_bytes(*len) as usize;
+        if len > MAX_FRAME
+            || read_up_to(&mut src, &mut payload, len)? < len
+            || frame_checksum(&payload) != *sum
+        {
+            return Ok(Some(valid));
+        }
+        valid += (FRAME_HEADER + len) as u64;
+        each(&payload)?;
     }
-    Ok(frames.valid as u64)
+}
+
+/// Physically truncates the torn tail a scan found, so appends resume
+/// from a clean end.
+fn truncate_tail(path: &Path, torn_at: Option<u64>) -> std::io::Result<()> {
+    match torn_at {
+        Some(valid) => OpenOptions::new().write(true).open(path)?.set_len(valid),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
-// FrameLog: the one writer under segments, heads and reveals
+// FrameLog: the one writer under records, heads and reveals
 // ---------------------------------------------------------------------------
-
-fn open_append(path: &Path) -> std::io::Result<BufWriter<File>> {
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    Ok(BufWriter::new(file))
-}
 
 /// The append side of one log file. Every durable byte outside the
 /// snapshot goes through here, so this is the only place that consults
 /// the fault schedule, calls `sync_data` on a log, counts, and poisons.
 struct FrameLog {
     file: BufWriter<File>,
-    /// Drain the buffer after every frame (heads, reveals). Segments
-    /// leave it off: a frame append costs a memcpy, not a syscall, and
-    /// the buffer drains at segment rolls, at every commit barrier, and
-    /// on drop. A kill can lose buffered frames — that only ever shortens
+    /// Drain the buffer after every frame (heads, reveals). The record
+    /// log leaves it off: a frame append costs a memcpy, not a syscall,
+    /// and the buffer drains when full, at every commit barrier, and on
+    /// drop. A kill can lose buffered frames — that only ever shortens
     /// the on-disk log by a tail, which replay repairs, and `sync` drains
-    /// before any head is written so heads never cover bytes the segment
-    /// files don't have.
+    /// before any head is written so heads never cover bytes the record
+    /// log doesn't have.
     write_through: bool,
     fsync: bool,
     dirty: bool,
@@ -412,7 +377,7 @@ struct FrameLog {
 impl FrameLog {
     fn open(path: &Path, fsync: bool, write_through: bool) -> Result<Self, WalError> {
         Ok(Self {
-            file: open_append(path)?,
+            file: BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?),
             write_through,
             fsync,
             dirty: false,
@@ -481,78 +446,6 @@ impl FrameLog {
             Ok(())
         })
     }
-
-    /// Continues this log in a fresh file (the segment roll); counters,
-    /// fault schedule and poison carry over.
-    fn roll(&mut self, path: &Path) -> Result<(), WalError> {
-        self.guarded(|log| {
-            log.file = open_append(path)?;
-            log.dirty = false;
-            Ok(())
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segment files
-// ---------------------------------------------------------------------------
-
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("seg-{index:06}.log"))
-}
-
-/// Segment files of `dir` in index order, verified contiguous from 0.
-fn list_segments(dir: &Path) -> Result<Vec<PathBuf>, WalError> {
-    let mut indices = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".log"))
-        {
-            if let Ok(i) = num.parse::<u64>() {
-                indices.push(i);
-            }
-        }
-    }
-    indices.sort_unstable();
-    for (k, &i) in indices.iter().enumerate() {
-        if i != k as u64 {
-            return Err(WalError::Corrupt("segment sequence has a gap"));
-        }
-    }
-    Ok(indices.iter().map(|&i| segment_path(dir, i)).collect())
-}
-
-/// A [`FrameLog`] that continues in the next segment file once the
-/// current one is full.
-struct SegmentWriter {
-    dir: PathBuf,
-    index: u64,
-    bytes: u64,
-    log: FrameLog,
-}
-
-impl SegmentWriter {
-    fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
-        if self.bytes >= SEGMENT_BYTES {
-            // Seal the full segment (synced under fsync discipline so the
-            // roll itself is not a durability gap) and start the next.
-            self.log.sync()?;
-            self.log.roll(&segment_path(&self.dir, self.index + 1))?;
-            self.index += 1;
-            self.bytes = 0;
-        }
-        self.log.append(payload)?;
-        self.bytes += (FRAME_HEADER + payload.len()) as u64;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -572,49 +465,61 @@ pub struct DurableStore<T> {
     /// Replay cursor: how many of the replayed records have been
     /// re-appended (matched) by the caller since open.
     matched: usize,
-    writer: SegmentWriter,
+    dir: PathBuf,
+    log: FrameLog,
     heads: FrameLog,
     last_head_size: u64,
 }
 
 impl<T: DurableRecord> DurableStore<T> {
     /// Opens (or creates) a durable log rooted at `dir`: replays the
-    /// segments with torn-tail repair, cross-checks the snapshot and the
-    /// last persisted signed head against the rebuilt tree, and rewrites
-    /// the start-of-day snapshot.
+    /// record log, cross-checks the snapshot and every persisted signed
+    /// head against the rebuilt tree, truncates torn tails above the last
+    /// persisted head, and rewrites the start-of-day snapshot.
     pub fn open(dir: impl Into<PathBuf>, fsync: bool) -> Result<Self, WalError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-
-        // Segment replay. Only the final segment may have a torn tail;
-        // a torn frame in an earlier one is a mid-log hole.
-        let segments = list_segments(&dir)?;
-        let mut records: Vec<T> = Vec::new();
-        let mut merkle_log = MerkleLog::new();
-        let mut tail_bytes = 0u64;
-        for (k, path) in segments.iter().enumerate() {
-            tail_bytes = replay_file(path, k + 1 == segments.len(), |payload| {
-                let record = T::decode_canonical(payload)?;
-                if record.canonical_bytes() != payload {
-                    return Err(WalError::Corrupt("record re-encoding diverges"));
-                }
-                merkle_log.append_leaf(merkle::leaf_hash(payload));
-                records.push(record);
-                Ok(())
-            })?;
+        for entry in fs::read_dir(&dir)? {
+            let name = entry?.file_name();
+            if name != RECORDS_FILE && name.to_string_lossy().starts_with("seg-") {
+                return Err(WalError::Corrupt(
+                    "directory holds rolled segment files: not a one-record-log store",
+                ));
+            }
         }
 
-        // Persisted signed heads: torn tail tolerated, but the newest
-        // surviving head must describe a prefix of the replayed log.
+        // Scan first, modify nothing: whether a torn frame is a tail to
+        // cut or an acknowledged record lost is only known once the
+        // persisted heads have been read.
+        let records_path = dir.join(RECORDS_FILE);
+        let mut records: Vec<T> = Vec::new();
+        let mut merkle_log = MerkleLog::new();
+        let records_torn = scan_file(&records_path, |payload| {
+            let record = T::decode_canonical(payload)?;
+            if record.canonical_bytes() != payload {
+                return Err(WalError::Corrupt("record re-encoding diverges"));
+            }
+            merkle_log.append_leaf(merkle::leaf_hash(payload));
+            records.push(record);
+            Ok(())
+        })?;
+
+        // Persisted signed heads: every surviving head must describe a
+        // prefix of the replayed log. Records are synced before the head
+        // that covers them is written, so a head beyond the valid prefix
+        // means an acknowledged frame went bad — never a torn tail.
         let heads_path = dir.join(HEADS_FILE);
         let mut last_head_size = 0u64;
-        replay_file(&heads_path, true, |payload| {
+        let heads_torn = scan_file(&heads_path, |payload| {
             let (size, root) = decode_head(payload)?;
             if size < last_head_size {
                 return Err(WalError::Corrupt("persisted head sizes regress"));
             }
             if size as usize > records.len() {
-                return Err(WalError::Corrupt("persisted head beyond the log"));
+                return Err(WalError::Corrupt(match records_torn {
+                    Some(_) => "corrupt record frame below the last persisted head",
+                    None => "persisted head beyond the log",
+                }));
             }
             if merkle_log.root_of(size as usize) != root {
                 return Err(WalError::Corrupt("persisted head root mismatch"));
@@ -623,17 +528,21 @@ impl<T: DurableRecord> DurableStore<T> {
             Ok(())
         })?;
 
-        // Snapshot cross-check, then rewrite for this open (atomically,
-        // via rename, so a crash never leaves a half-written snapshot).
         let snap_path = dir.join(SNAPSHOT_FILE);
-        if let Ok(buf) = fs::read(&snap_path) {
-            if let Some(payload) = Frames::new(&buf).next() {
-                let (size, root) = decode_head(payload)?;
-                if size as usize > records.len() || merkle_log.root_of(size as usize) != root {
-                    return Err(WalError::Corrupt("snapshot disagrees with the log"));
-                }
+        scan_file(&snap_path, |payload| {
+            let (size, root) = decode_head(payload)?;
+            if size as usize > records.len() || merkle_log.root_of(size as usize) != root {
+                return Err(WalError::Corrupt("snapshot disagrees with the log"));
             }
-        }
+            Ok(())
+        })?;
+
+        // The directory is accepted: whatever is torn sits above the last
+        // persisted head, so cut it, and rewrite the snapshot for this
+        // open (atomically, via rename, so a crash never leaves a
+        // half-written one).
+        truncate_tail(&records_path, records_torn)?;
+        truncate_tail(&heads_path, heads_torn)?;
         let mut snap_payload = Vec::with_capacity(40);
         snap_payload.extend_from_slice(&(records.len() as u64).to_le_bytes());
         snap_payload.extend_from_slice(&merkle_log.root());
@@ -646,29 +555,23 @@ impl<T: DurableRecord> DurableStore<T> {
         drop(snap);
         fs::rename(&tmp, &snap_path)?;
 
-        let index = segments.len().saturating_sub(1) as u64;
-        let heads = FrameLog::open(&heads_path, fsync, true)?;
-        let writer = SegmentWriter {
-            log: FrameLog::open(&segment_path(&dir, index), fsync, false)?,
-            dir,
-            index,
-            bytes: tail_bytes,
-        };
         let replayed = records.len();
         Ok(Self {
             records,
             merkle: merkle_log,
             replayed,
             matched: 0,
-            writer,
-            heads,
+            log: FrameLog::open(&records_path, fsync, false)?,
+            heads: FrameLog::open(&heads_path, fsync, true)?,
+            dir,
             last_head_size,
         })
     }
 
     /// Whether the store is still matching appends against the replayed
     /// prefix (true between open and the first genuinely new append).
-    pub fn replaying(&self) -> bool {
+    #[cfg(test)]
+    fn replaying(&self) -> bool {
         self.matched < self.replayed
     }
 
@@ -681,20 +584,20 @@ impl<T: DurableRecord> DurableStore<T> {
                 self.merkle.leaf(self.matched),
                 "durable replay diverged from the persisted log at index {} in {}",
                 self.matched,
-                self.writer.dir.display()
+                self.dir.display()
             );
             self.matched += 1;
             return self.matched - 1;
         }
         // Event before state: the WAL frame lands before the Merkle
-        // accumulator moves. An IO error poisons the segment log instead
+        // accumulator moves. An IO error poisons the record log instead
         // of panicking, and is deliberately not returned here: the
         // in-memory tree keeps its indices coherent for the caller, later
         // appends skip the disk (keeping the on-disk log a clean prefix),
         // and the next `persist` barrier surfaces the failure typed — no
         // head covering the lost bytes is ever published, which is the
         // durability contract.
-        let _poisoned = self.writer.append(payload);
+        let _poisoned = self.log.append(payload);
         let idx = self.merkle.append_leaf(leaf);
         self.records.push(record);
         idx
@@ -770,8 +673,8 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
 
     fn backend(&self) -> LedgerBackend {
         LedgerBackend::Durable {
-            dir: self.writer.dir.clone(),
-            fsync: self.writer.log.fsync,
+            dir: self.dir.clone(),
+            fsync: self.log.fsync,
         }
     }
 
@@ -783,10 +686,10 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
         // Commit barrier: group-fsync the outstanding appends first,
         // publish the signed head second — the head on disk never gets
         // ahead of the records it covers. Either log's poison fails the
-        // barrier: a failed append surfaces here as the segment sync's
+        // barrier: a failed append surfaces here as the record sync's
         // `Poisoned`, a failed head write or head sync as the next head
         // append's.
-        self.writer.log.sync()?;
+        self.log.sync()?;
         if head.size > self.last_head_size {
             let mut payload = Vec::with_capacity(104);
             payload.extend_from_slice(&head.size.to_le_bytes());
@@ -800,21 +703,20 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
     }
 
     fn install_fault_fs(&mut self, fault: FaultFs) {
-        // The segment stream and `heads.log` each count their own writes
-        // and fsyncs from their own clone.
+        // The record log and `heads.log` each count their own writes and
+        // fsyncs from their own clone.
         self.heads.fault = Some(fault.clone());
-        self.writer.log.fault = Some(fault);
+        self.log.fault = Some(fault);
     }
 
     fn durability_stats(&self) -> DurabilityStats {
-        let (segments, heads) = (&self.writer.log.stats, &self.heads.stats);
+        let (records, heads) = (&self.log.stats, &self.heads.stats);
         DurabilityStats {
-            wal_records: segments.wal_records,
-            wal_fsyncs: segments.wal_fsyncs + heads.wal_fsyncs,
-            segments: self.writer.index + 1,
+            wal_records: records.wal_records,
+            wal_fsyncs: records.wal_fsyncs + heads.wal_fsyncs,
             replayed: self.replayed as u64,
             heads_persisted: heads.wal_records,
-            wal_failures: segments.wal_failures + heads.wal_failures,
+            wal_failures: records.wal_failures + heads.wal_failures,
         }
     }
 }
@@ -844,7 +746,7 @@ impl RevealWal {
         fs::create_dir_all(dir)?;
         let path = dir.join(REVEALS_FILE);
         let mut revealed = Vec::new();
-        replay_file(&path, true, |payload| {
+        let torn = scan_file(&path, |payload| {
             let mut r = Reader::new(payload);
             let h = r.bytes32()?;
             let e = r.scalar()?;
@@ -852,6 +754,10 @@ impl RevealWal {
             revealed.push((h, e));
             Ok(())
         })?;
+        // No head counts reveals, so there is nothing to anchor on: the
+        // first bad frame is taken as the tail (the poison rule is what
+        // keeps a crash from acknowledging a reveal behind one).
+        truncate_tail(&path, torn)?;
         let mut log = FrameLog::open(&path, fsync, true)?;
         log.stats.replayed = revealed.len() as u64;
         let replay = revealed.iter().map(|(h, _)| *h).collect();
@@ -991,19 +897,25 @@ impl CrashReport {
     }
 }
 
+/// Writes the first `n` bytes of `src` to `dst`.
+fn copy_prefix(src: &Path, dst: &Path, n: u64) -> std::io::Result<()> {
+    std::io::copy(&mut File::open(src)?.take(n), &mut File::create(dst)?)?;
+    Ok(())
+}
+
 /// Copies a durable ledger directory as if the writing process had been
 /// SIGKILLed partway through the day, keeping `keep_permille`/1000 of the
-/// segment bytes.
+/// record-log bytes.
 ///
 /// Because every file is appended by a single writer, a kill at any
 /// instant leaves each file a *prefix* of its final content — that is the
-/// whole crash-state space. This helper reproduces it: segment files are
-/// cut to a byte prefix (usually mid-frame, yielding a torn tail), later
-/// segments are dropped entirely, and `heads.log` is cut to the heads
-/// covering surviving records — mirroring the real write order, where
-/// records are fsynced *before* their head is published — plus a torn
-/// fragment of the next head. The reveal WAL and snapshot are prefix-cut
-/// and copied respectively. Recurses over sub-ledger directories.
+/// whole crash-state space. This helper reproduces it: the record log is
+/// cut to a byte prefix (usually mid-frame, yielding a torn tail), and
+/// `heads.log` is cut to the heads covering surviving records —
+/// mirroring the real write order, where records are fsynced *before*
+/// their head is published — plus a torn fragment of the next head. The
+/// reveal WAL and snapshot are prefix-cut and copied respectively.
+/// Recurses over sub-ledger directories.
 pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<CrashReport, WalError> {
     fs::create_dir_all(dst)?;
     let mut report = CrashReport::default();
@@ -1015,61 +927,51 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
         }
     }
 
-    let segments = list_segments(src)?;
-    if segments.is_empty() {
+    let records_src = src.join(RECORDS_FILE);
+    if !records_src.exists() {
         return Ok(report);
     }
+    let permille = |len: u64| len * keep_permille as u64 / 1000;
 
-    // Cut the concatenated segment stream at the byte fraction, counting
-    // the source's frames and the complete ones that survive (the cut
-    // usually lands mid-frame in the last kept segment).
-    let mut total = 0u64;
-    for path in &segments {
-        total += fs::metadata(path)?.len();
-    }
-    let mut remaining = total * keep_permille as u64 / 1000;
-    let (mut originals, mut survivors, mut torn) = (0u64, 0u64, false);
-    for (index, path) in segments.iter().enumerate() {
-        let buf = fs::read(path)?;
-        originals += Frames::new(&buf).count() as u64;
-        if remaining == 0 {
-            continue;
+    // Cut the record log at the byte fraction, counting the source's
+    // frames and the complete ones that survive (the cut usually lands
+    // mid-frame).
+    let cut = permille(fs::metadata(&records_src)?.len());
+    let (mut originals, mut survivors, mut end, mut boundary) = (0u64, 0u64, 0u64, 0u64);
+    scan_file(&records_src, |payload| {
+        originals += 1;
+        end += (FRAME_HEADER + payload.len()) as u64;
+        if end <= cut {
+            (survivors, boundary) = (originals, end);
         }
-        let take = (buf.len() as u64).min(remaining) as usize;
-        fs::write(segment_path(dst, index as u64), &buf[..take])?;
-        remaining -= take as u64;
-        let mut kept = Frames::new(&buf[..take]);
-        survivors += kept.by_ref().count() as u64;
-        if kept.torn() {
-            assert!(remaining == 0, "prefix cut only tears the last file");
-            torn = true;
-        }
-    }
+        Ok(())
+    })?;
+    copy_prefix(&records_src, &dst.join(RECORDS_FILE), cut)?;
 
     // Heads: keep the prefix describing surviving records, then leave a
     // torn fragment of the next head to exercise tail repair there too.
     let heads_src = src.join(HEADS_FILE);
     if heads_src.exists() {
-        let buf = fs::read(&heads_src)?;
-        let mut heads = Frames::new(&buf);
-        let mut keep = 0usize;
-        while let Some(payload) = heads.next() {
-            if decode_head(payload)?.0 > survivors {
-                break;
+        let (mut end, mut keep, mut next) = (0u64, 0u64, None);
+        scan_file(&heads_src, |payload| {
+            end += (FRAME_HEADER + payload.len()) as u64;
+            if decode_head(payload)?.0 <= survivors {
+                keep = end;
+            } else {
+                next.get_or_insert(end);
             }
-            keep = heads.valid;
-        }
+            Ok(())
+        })?;
         // Half of the next head, if any, made it to disk before the kill.
-        let frag = keep + (heads.valid - keep) / 2;
-        fs::write(dst.join(HEADS_FILE), &buf[..frag])?;
+        let frag = keep + (next.unwrap_or(keep) - keep) / 2;
+        copy_prefix(&heads_src, &dst.join(HEADS_FILE), frag)?;
     }
 
-    // Reveal WAL: same byte-prefix cut as the segments.
+    // Reveal WAL: same byte-prefix cut as the record log.
     let reveals_src = src.join(REVEALS_FILE);
     if reveals_src.exists() {
-        let buf = fs::read(&reveals_src)?;
-        let cut = buf.len() as u64 * keep_permille as u64 / 1000;
-        fs::write(dst.join(REVEALS_FILE), &buf[..cut as usize])?;
+        let cut = permille(fs::metadata(&reveals_src)?.len());
+        copy_prefix(&reveals_src, &dst.join(REVEALS_FILE), cut)?;
     }
 
     // The snapshot is written atomically at open, so a crash leaves the
@@ -1082,7 +984,7 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
     report.merge(&CrashReport {
         surviving_records: survivors,
         dropped_records: originals - survivors,
-        torn_tail: torn,
+        torn_tail: boundary < cut,
     });
     Ok(report)
 }
@@ -1231,7 +1133,7 @@ mod tests {
             store.append_batch(notes(0..8), 1);
         }
         // Chop the final frame in half: a crash mid-write.
-        let seg = segment_path(&dir, 0);
+        let seg = dir.join(RECORDS_FILE);
         let len = fs::metadata(&seg).expect("meta").len();
         let f = OpenOptions::new().write(true).open(&seg).expect("open");
         f.set_len(len - 10).expect("truncate");
@@ -1252,26 +1154,47 @@ mod tests {
     }
 
     #[test]
-    fn mid_log_hole_is_rejected() {
-        let dir = tmp_dir("hole");
-        {
+    fn corrupt_frame_is_an_error_below_the_last_head_and_a_tail_above_it() {
+        let dir = tmp_dir("anchor");
+        let op = operator();
+        let full_root = {
             let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
-            // Enough records to roll into a second segment.
-            store.append_batch(notes(0..600), 1);
-            assert!(store.durability_stats().segments > 1, "needs 2+ segments");
-        }
-        // Flip a byte in the middle of the FIRST segment: corruption that
-        // truncation must NOT repair (data follows the hole).
-        let seg = segment_path(&dir, 0);
-        let mut buf = fs::read(&seg).expect("read");
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0xFF;
-        fs::write(&seg, &buf).expect("write");
+            store.append_batch(notes(0..40), 1);
+            let head = head_of(&store, &op);
+            store.persist(&head).expect("persist");
+            store.append_batch(notes(40..60), 1);
+            store.root()
+        };
+        let path = dir.join(RECORDS_FILE);
+        let clean = fs::read(&path).expect("read");
+        let heads = fs::read(dir.join(HEADS_FILE)).expect("read");
+        // A `Note` frame is 20 bytes; flip one payload byte of frame `k`.
+        let flipped = |k: usize| {
+            let mut buf = clean.clone();
+            buf[k * 20 + 15] ^= 0xFF;
+            buf
+        };
+
+        // Frame 10 is covered by the persisted head of size 40: the
+        // record was acknowledged, so this is corruption, and nothing on
+        // disk is touched — not even the 49 good frames after the hole.
+        fs::write(&path, flipped(10)).expect("write");
         match DurableStore::<Note>::open(&dir, false) {
             Err(WalError::Corrupt(_)) => {}
-            Err(e) => panic!("mid-log hole must be Corrupt, got {e}"),
-            Ok(_) => panic!("mid-log hole must be rejected, but open succeeded"),
+            Err(e) => panic!("a bad frame below the head must be Corrupt, got {e}"),
+            Ok(_) => panic!("a bad frame below the head must be rejected, but open succeeded"),
         }
+        assert_eq!(fs::read(&path).expect("read"), flipped(10), "untouched");
+        assert_eq!(fs::read(dir.join(HEADS_FILE)).expect("read"), heads);
+
+        // The same flip in frame 45, above the head: no barrier ever
+        // covered it, so it is a torn tail — cut there and carry on.
+        fs::write(&path, flipped(45)).expect("write");
+        let mut store = DurableStore::<Note>::open(&dir, false).expect("tail repair");
+        assert_eq!((store.len(), store.last_head_size), (45, 40));
+        assert_eq!(fs::metadata(&path).expect("meta").len(), 45 * 20);
+        assert_eq!(store.append_batch(notes(0..60), 1), 0..60);
+        assert_eq!(store.root(), full_root);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1380,7 +1303,7 @@ mod tests {
             let dir = tmp_dir("heads-fault");
             let first = {
                 let mut store = DurableStore::<Note>::open(&dir, true).expect("open");
-                // On `heads.log` alone, so the fault cannot land on a segment.
+                // On `heads.log` alone, so the fault cannot land on a record.
                 store.heads.fault = Some(FaultFs::new(vec![fault]));
                 store.append_batch(notes(0..5), 1);
                 let first = head_of(&store, &op);
@@ -1396,7 +1319,7 @@ mod tests {
                 assert_eq!(store.durability_stats().wal_failures, 1, "{fault:?}");
                 first
             };
-            // Reopen checks every surviving head against the segments, so
+            // Reopen checks every surviving head against the records, so
             // opening at all means no head got ahead of its records.
             let mut store = DurableStore::<Note>::open(&dir, true).expect("reopen");
             assert_eq!(store.len(), 9, "records are synced before their head");
@@ -1415,32 +1338,83 @@ mod tests {
         }
     }
 
+    /// One step of [`EnvelopeDay`]: a commitment (one record-log write),
+    /// a reveal (one `reveals.log` write), or a commit barrier (the
+    /// record log's fsync, a `heads.log` write and fsync if the log grew,
+    /// the reveal log's fsync).
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Commit(usize),
+        Reveal(usize),
+        Barrier,
+    }
+
     /// The envelope day the `tests/fixtures/parent-pr20` directories were
-    /// written with (by the commit before `FrameLog`): 56 commitments
-    /// across a segment roll, three barriers, ten reveals.
-    fn envelope_day(ledger: &mut Ledger) -> Vec<Scalar> {
-        use vg_crypto::Rng;
-        let mut rng = vg_crypto::HmacDrbg::from_u64(22);
-        let printer = vg_crypto::schnorr::SigningKey::generate(&mut rng);
-        let challenges: Vec<Scalar> = (0..56).map(|_| rng.scalar()).collect();
-        for (i, e) in challenges.iter().enumerate() {
-            let h = challenge_hash(e);
-            let commitment = EnvelopeCommitment {
-                printer_pk: printer.verifying_key().compress(),
-                challenge_hash: h,
-                signature: printer.sign(&EnvelopeCommitment::message(&h)),
-            };
-            ledger.envelopes.commit(commitment).expect("commits");
-            if i == 29 {
-                ledger.persist().expect("persist");
+    /// written with (by the commit before `FrameLog`, which rolled to a
+    /// second file after the 54th commitment): 56 commitments with a
+    /// barrier after the 30th and the last, then ten reveals and a
+    /// barrier.
+    struct EnvelopeDay {
+        commitments: Vec<EnvelopeCommitment>,
+        challenges: Vec<Scalar>,
+    }
+
+    impl EnvelopeDay {
+        fn new() -> Self {
+            use vg_crypto::Rng;
+            let mut rng = vg_crypto::HmacDrbg::from_u64(22);
+            let printer = vg_crypto::schnorr::SigningKey::generate(&mut rng);
+            let challenges: Vec<Scalar> = (0..56).map(|_| rng.scalar()).collect();
+            let commitments = challenges
+                .iter()
+                .map(|e| {
+                    let h = challenge_hash(e);
+                    EnvelopeCommitment {
+                        printer_pk: printer.verifying_key().compress(),
+                        challenge_hash: h,
+                        signature: printer.sign(&EnvelopeCommitment::message(&h)),
+                    }
+                })
+                .collect();
+            Self {
+                commitments,
+                challenges,
             }
         }
-        ledger.persist().expect("persist");
-        for e in &challenges[..10] {
-            ledger.envelopes.reveal_challenge(e).expect("reveals");
+
+        fn steps() -> Vec<Step> {
+            let mut steps: Vec<Step> = (0..30).map(Step::Commit).collect();
+            steps.push(Step::Barrier);
+            steps.extend((30..56).map(Step::Commit));
+            steps.push(Step::Barrier);
+            steps.extend((0..10).map(Step::Reveal));
+            steps.push(Step::Barrier);
+            steps
         }
-        ledger.persist().expect("persist");
-        challenges
+
+        fn run(&self, ledger: &mut Ledger, step: Step) -> Result<(), LedgerError> {
+            match step {
+                Step::Commit(i) => ledger
+                    .envelopes
+                    .commit(self.commitments[i].clone())
+                    .map(drop),
+                Step::Reveal(i) => ledger.envelopes.reveal_challenge(&self.challenges[i]),
+                Step::Barrier => ledger.persist().map_err(LedgerError::from),
+            }
+        }
+
+        /// The whole day on a healthy disk.
+        fn run_clean(&self, ledger: &mut Ledger) {
+            for step in Self::steps() {
+                self.run(ledger, step).expect("a clean day");
+            }
+        }
+    }
+
+    fn envelope_day(ledger: &mut Ledger) -> Vec<Scalar> {
+        let day = EnvelopeDay::new();
+        day.run_clean(ledger);
+        day.challenges
     }
 
     fn open_ledger(dir: &Path, fsync: bool) -> Ledger {
@@ -1493,6 +1467,107 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The newest head `heads.log` holds, read with the one scanner.
+    fn last_persisted_head(dir: &Path) -> (u64, Hash) {
+        let mut last = (0, merkle::empty_root());
+        scan_file(&dir.join(HEADS_FILE), |payload| {
+            last = decode_head(payload)?;
+            Ok(())
+        })
+        .expect("heads scan");
+        last
+    }
+
+    /// Crash points enumerated, not sampled: every write of the day torn
+    /// at every byte class, and every barrier's first fsync failed. Each
+    /// fault is armed right before the step it is meant for, so `nth: 0`
+    /// is that step's own write — the day's k-th, whichever of the three
+    /// files it lands on — or that barrier's first sync (the record
+    /// log's, or the reveal log's at the last barrier; a failed head sync
+    /// leaves the same bytes as tearing the next write at 0 and is driven
+    /// directly by `fault_on_heads_log_aborts_the_barrier_and_poisons`).
+    #[test]
+    fn every_crash_point_of_the_envelope_day_reopens_to_an_acknowledged_prefix() {
+        let day = EnvelopeDay::new();
+        let steps = EnvelopeDay::steps();
+        let mut reference = MerkleLog::new();
+        for c in &day.commitments {
+            reference.append(&c.canonical_bytes());
+        }
+        let mut cases = Vec::new();
+        for (k, step) in steps.iter().enumerate() {
+            let frame = FRAME_HEADER
+                + match step {
+                    Step::Commit(i) => day.commitments[*i].canonical_bytes().len(),
+                    Step::Reveal(_) => 64,
+                    Step::Barrier => 104,
+                };
+            // Nothing, inside the length, inside the checksum, header
+            // complete, mid-payload, all but one byte.
+            for keep in [0, 2, 8, FRAME_HEADER, (FRAME_HEADER + frame) / 2, frame - 1] {
+                cases.push((k, FsFault::ShortWrite { nth: 0, keep }));
+            }
+            if matches!(step, Step::Barrier) {
+                cases.push((k, FsFault::FailFsync { nth: 0 }));
+            }
+        }
+
+        let mut aborted = 0;
+        for (k, fault) in cases {
+            let dir = tmp_dir("enumerated");
+            // The poisoned day stops at the first refusal, as a caller
+            // would; what it was told is durable is what the last barrier
+            // that returned `Ok` covered.
+            let (mut acked_size, mut acked_reveals, mut reveals) = (0, 0, 0);
+            let mut ledger = open_ledger(&dir, true);
+            for (i, step) in steps.iter().enumerate() {
+                if i == k {
+                    ledger.envelopes.install_fault_fs(FaultFs::new(vec![fault]));
+                }
+                if day.run(&mut ledger, *step).is_err() {
+                    aborted += 1;
+                    break;
+                }
+                match step {
+                    Step::Commit(_) => {}
+                    Step::Reveal(_) => reveals += 1,
+                    Step::Barrier => {
+                        acked_size = ledger.envelopes.tree_head().size;
+                        acked_reveals = reveals;
+                    }
+                }
+            }
+            drop(ledger);
+
+            let case = format!("step {k} ({:?}), {fault:?}", steps[k]);
+            let mut ledger = open_ledger(&dir, true);
+            let (size, root) = last_persisted_head(&dir.join("envelopes"));
+            assert!(size >= acked_size, "{case}: an acknowledged head is lost");
+            assert_eq!(root, reference.root_of(size as usize), "{case}");
+            let replayed = ledger.envelopes.tree_head();
+            assert!(replayed.size >= size, "{case}");
+            assert_eq!(replayed.root, reference.root_of(replayed.size as usize));
+            let kept = ledger.envelopes.revealed_count();
+            assert!(
+                kept >= acked_reveals,
+                "{case}: an acknowledged reveal is lost"
+            );
+
+            // The re-run lands on the reference, and leaves clean files.
+            day.run_clean(&mut ledger);
+            drop(ledger);
+            let ledger = open_ledger(&dir, true);
+            let head = ledger.envelopes.tree_head();
+            assert_eq!((head.size, head.root), (56, reference.root()), "{case}");
+            assert_eq!(ledger.envelopes.revealed_count(), 10, "{case}");
+            assert_eq!(last_persisted_head(&dir.join("envelopes")).0, 56, "{case}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+        // Every case but the six that arm a torn write before the last
+        // barrier, which writes no head.
+        assert_eq!(aborted, (56 + 2 + 10) * 6 + 3);
+    }
+
     #[test]
     fn directories_written_by_the_parent_commit_reopen_to_the_same_heads() {
         let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-pr20");
@@ -1513,11 +1588,30 @@ mod tests {
                 let entry = entry.expect("entry");
                 fs::copy(entry.path(), envelopes.join(entry.file_name())).expect("copy");
             }
+            // As the parent left it — two segment files — the directory is
+            // refused whole, never read as its first file alone.
+            let as_it_stands = DurableStore::<EnvelopeCommitment>::open(&envelopes, false);
+            assert!(
+                matches!(as_it_stands, Err(WalError::Corrupt(_))),
+                "{name}: a rolled directory must be refused typed"
+            );
+            // The same frames as one record log: the second file's bytes
+            // after the first's, every other file untouched.
+            let rolled = envelopes.join("seg-000001.log");
+            let tail = fs::read(&rolled).expect("read");
+            let mut log = OpenOptions::new()
+                .append(true)
+                .open(envelopes.join(RECORDS_FILE))
+                .expect("open");
+            log.write_all(&tail).expect("append");
+            drop(log);
+            fs::remove_file(&rolled).expect("remove");
+
             let mut ledger = open_ledger(&dir, false);
             assert_eq!(ledger.envelopes.tree_head().size, records, "{name}");
             assert_eq!(ledger.envelopes.revealed_count(), reveals, "{name}");
             // Re-running the day dedups against what the parent persisted
-            // and lands on the parent's head.
+            // and lands on the parent's head, writing only what is missing.
             envelope_day(&mut ledger);
             let head = ledger.envelopes.tree_head();
             assert_eq!((head.size, head.root), (56, parent_root), "{name}");

@@ -435,7 +435,7 @@ pub struct EnvelopeLedger {
 impl EnvelopeLedger {
     fn new(operator: SigningKey, backend: LedgerBackend) -> Self {
         // On a durable backend, reload the persisted reveal map before
-        // the day re-runs; corruption is fail-stop like the segment WAL.
+        // the day re-runs; corruption is fail-stop like the record log's.
         let (reveal_wal, persisted) = match &backend {
             LedgerBackend::Durable { dir, fsync } => {
                 let (wal, revealed) = RevealWal::open(dir, *fsync)

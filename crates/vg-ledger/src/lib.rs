@@ -6,16 +6,17 @@
 //! (L_V). This crate provides:
 //!
 //! - [`merkle`]: the underlying append-only Merkle tree with RFC 6962-style
-//!   inclusion and consistency proofs and an O(log n) incremental root;
+//!   inclusion and consistency proofs, all O(log n) off stored levels;
 //! - [`store`]: pluggable storage backends — the flat [`store::InMemoryStore`]
 //!   and the key-hash partitioned [`store::ShardedStore`] with a rolled-up
 //!   head — behind the [`store::LedgerStore`] trait, plus backend-tagged
 //!   proof objects;
 //! - [`durable`]: the crash-recoverable WAL backend
-//!   ([`durable::DurableStore`]) — append-only checksummed segment files
-//!   written event-before-state, persisted signed heads, snapshot+replay
-//!   reopen with torn-tail repair, and the replay cursor that makes a
-//!   deterministic re-run of a killed day resume bit-identically;
+//!   ([`durable::DurableStore`]) — one append-only checksummed record
+//!   log per store, written event-before-state, persisted signed heads,
+//!   snapshot+replay reopen with torn-tail repair anchored on the last
+//!   persisted head, and the replay cursor that makes a deterministic
+//!   re-run of a killed day resume bit-identically;
 //! - [`log`]: typed tamper-evident logs with operator-signed tree heads
 //!   and a parallel batch-append fast path;
 //! - [`ledger`]: the three Votegral sub-ledgers with their domain rules

@@ -22,6 +22,8 @@ pub fn leaf_hash(data: &[u8]) -> Hash {
 
 /// Hashes an interior node (domain-separated).
 pub fn node_hash(left: &Hash, right: &Hash) -> Hash {
+    #[cfg(test)]
+    tests::NODE_HASHES.with(|n| n.set(n.get() + 1));
     let mut h = Sha256::new();
     h.update(&[0x01]);
     h.update(left);
@@ -46,44 +48,40 @@ fn split_point(n: usize) -> usize {
 
 /// An append-only Merkle log over pre-hashed leaves.
 ///
-/// Alongside the full leaf vector (needed for historical roots and
-/// proofs), the log maintains the RFC 6962 "peak" decomposition of the
-/// current tree — the roots of the maximal perfect subtrees given by the
-/// binary representation of the leaf count. Appends update the peaks like
-/// a binary counter (amortized O(1)), so [`MerkleLog::root`] costs
-/// O(log n) hashes instead of recomputing the whole tree. This is what
-/// makes per-append signed tree heads affordable on a live bulletin
-/// board.
+/// The log keeps every interior node of the maximal perfect subtrees of
+/// the current tree — one 32-byte node per record beside its leaf.
+/// Appends carry like a binary counter (amortized O(1) hashes), and any
+/// aligned perfect range is answered by lookup, so roots (current and
+/// historical), inclusion paths and consistency proofs all cost
+/// O(log n) hashes instead of recomputing the tree. This is what makes
+/// per-append signed tree heads and per-voter proofs affordable on a
+/// live bulletin board.
 #[derive(Clone, Default)]
 pub struct MerkleLog {
-    leaves: Vec<Hash>,
-    /// Roots of the maximal perfect subtrees, leftmost (largest) first,
-    /// paired with their height (a peak of height h covers 2^h leaves).
-    peaks: Vec<(u32, Hash)>,
+    /// `levels[h][i]` is the root of leaves `[i·2^h, (i+1)·2^h)`;
+    /// `levels[0]` is the leaf vector.
+    levels: Vec<Vec<Hash>>,
 }
 
 impl MerkleLog {
     /// Creates an empty log.
     pub fn new() -> Self {
-        Self {
-            leaves: Vec::new(),
-            peaks: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.leaves.len()
+        self.levels.first().map_or(0, Vec::len)
     }
 
     /// Returns `true` if the log has no entries.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.len() == 0
     }
 
     /// The leaf hash at `index`, if present.
     pub(crate) fn leaf(&self, index: usize) -> Option<&Hash> {
-        self.leaves.get(index)
+        self.levels.first()?.get(index)
     }
 
     /// Appends an entry, returning its index.
@@ -95,46 +93,35 @@ impl MerkleLog {
     /// domain-separated [`leaf_hash`] (batch pipelines compute these in
     /// parallel before appending).
     pub fn append_leaf(&mut self, leaf: Hash) -> usize {
-        self.leaves.push(leaf);
-        // Binary-counter carry: merge equal-height peaks.
-        let mut height = 0u32;
-        let mut acc = leaf;
-        while let Some(&(top_height, top)) = self.peaks.last() {
-            if top_height != height {
+        // Binary-counter carry: a node that completes a pair is hashed
+        // with its left sibling into the level above.
+        let mut node = leaf;
+        for height in 0.. {
+            if height == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            let level = &mut self.levels[height];
+            level.push(node);
+            if level.len() % 2 == 1 {
                 break;
             }
-            self.peaks.pop();
-            acc = node_hash(&top, &acc);
-            height += 1;
+            node = node_hash(&level[level.len() - 2], &node);
         }
-        self.peaks.push((height, acc));
-        self.leaves.len() - 1
+        self.len() - 1
     }
 
     /// Appends a batch of pre-hashed leaves, returning the index range.
     pub fn append_leaves(&mut self, leaves: &[Hash]) -> std::ops::Range<usize> {
-        let start = self.leaves.len();
+        let start = self.len();
         for leaf in leaves {
             self.append_leaf(*leaf);
         }
-        start..self.leaves.len()
+        start..self.len()
     }
 
-    /// The current tree head (O(log n) via the peak decomposition).
+    /// The current tree head.
     pub fn root(&self) -> Hash {
-        match self.peaks.split_last() {
-            None => empty_root(),
-            Some(((_, last), rest)) => {
-                // Fold right-to-left: the RFC 6962 root of a non-perfect
-                // tree hangs each smaller peak under its larger left
-                // sibling's parent.
-                let mut acc = *last;
-                for (_, peak) in rest.iter().rev() {
-                    acc = node_hash(peak, &acc);
-                }
-                acc
-            }
-        }
+        self.root_of(self.len())
     }
 
     /// The tree head after the first `size` entries.
@@ -143,24 +130,23 @@ impl MerkleLog {
     ///
     /// Panics if `size` exceeds the log length.
     pub fn root_of(&self, size: usize) -> Hash {
-        assert!(size <= self.leaves.len(), "size beyond log length");
+        assert!(size <= self.len(), "size beyond log length");
         if size == 0 {
             return empty_root();
         }
-        Self::subtree_root(&self.leaves[..size])
+        self.subtree_root(0, size)
     }
 
-    fn subtree_root(leaves: &[Hash]) -> Hash {
-        match leaves.len() {
-            1 => leaves[0],
-            n => {
-                let k = split_point(n);
-                node_hash(
-                    &Self::subtree_root(&leaves[..k]),
-                    &Self::subtree_root(&leaves[k..]),
-                )
-            }
+    /// The RFC 6962 root of leaves `[lo, lo + n)`: a stored node where
+    /// the range is an aligned perfect subtree — every left child of the
+    /// recursion is — and one hash per level down the right edge where
+    /// it is not.
+    fn subtree_root(&self, lo: usize, n: usize) -> Hash {
+        if n.is_power_of_two() && lo.is_multiple_of(n) {
+            return self.levels[n.trailing_zeros() as usize][lo / n];
         }
+        let k = split_point(n);
+        node_hash(&self.subtree_root(lo, k), &self.subtree_root(lo + k, n - k))
     }
 
     /// Builds the inclusion (audit) path for `index` within the first
@@ -170,23 +156,23 @@ impl MerkleLog {
     ///
     /// Panics if `index >= size` or `size` exceeds the log length.
     pub fn inclusion_proof(&self, index: usize, size: usize) -> Vec<Hash> {
-        assert!(index < size && size <= self.leaves.len(), "bad proof range");
+        assert!(index < size && size <= self.len(), "bad proof range");
         let mut path = Vec::new();
-        Self::path(&self.leaves[..size], index, &mut path);
+        self.path(0, size, index, &mut path);
         path
     }
 
-    fn path(leaves: &[Hash], index: usize, out: &mut Vec<Hash>) {
-        if leaves.len() == 1 {
+    fn path(&self, lo: usize, n: usize, index: usize, out: &mut Vec<Hash>) {
+        if n == 1 {
             return;
         }
-        let k = split_point(leaves.len());
+        let k = split_point(n);
         if index < k {
-            Self::path(&leaves[..k], index, out);
-            out.push(Self::subtree_root(&leaves[k..]));
+            self.path(lo, k, index, out);
+            out.push(self.subtree_root(lo + k, n - k));
         } else {
-            Self::path(&leaves[k..], index - k, out);
-            out.push(Self::subtree_root(&leaves[..k]));
+            self.path(lo + k, n - k, index - k, out);
+            out.push(self.subtree_root(lo, k));
         }
     }
 
@@ -198,29 +184,28 @@ impl MerkleLog {
     /// Panics if `old_size` is zero or exceeds the log length.
     pub fn consistency_proof(&self, old_size: usize) -> Vec<Hash> {
         assert!(
-            old_size >= 1 && old_size <= self.leaves.len(),
+            old_size >= 1 && old_size <= self.len(),
             "bad consistency range"
         );
         let mut proof = Vec::new();
-        Self::subproof(&self.leaves, old_size, true, &mut proof);
+        self.subproof(0, self.len(), old_size, true, &mut proof);
         proof
     }
 
-    fn subproof(leaves: &[Hash], m: usize, complete: bool, out: &mut Vec<Hash>) {
-        let n = leaves.len();
+    fn subproof(&self, lo: usize, n: usize, m: usize, complete: bool, out: &mut Vec<Hash>) {
         if m == n {
             if !complete {
-                out.push(Self::subtree_root(leaves));
+                out.push(self.subtree_root(lo, n));
             }
             return;
         }
         let k = split_point(n);
         if m <= k {
-            Self::subproof(&leaves[..k], m, complete, out);
-            out.push(Self::subtree_root(&leaves[k..]));
+            self.subproof(lo, k, m, complete, out);
+            out.push(self.subtree_root(lo + k, n - k));
         } else {
-            Self::subproof(&leaves[k..], m - k, false, out);
-            out.push(Self::subtree_root(&leaves[..k]));
+            self.subproof(lo + k, n - k, m - k, false, out);
+            out.push(self.subtree_root(lo, k));
         }
     }
 }
@@ -427,14 +412,73 @@ mod tests {
         assert!(verify_consistency(&empty_root(), 0, &log.root(), 5, &[]));
     }
 
+    /// The RFC 6962 definition, computed from the leaves alone: the
+    /// oracle the stored levels are checked against.
+    fn recursive_root(leaves: &[Hash]) -> Hash {
+        match leaves.len() {
+            0 => empty_root(),
+            1 => leaves[0],
+            n => {
+                let (left, right) = leaves.split_at(split_point(n));
+                node_hash(&recursive_root(left), &recursive_root(right))
+            }
+        }
+    }
+
     #[test]
     fn incremental_root_matches_recursive() {
-        // The O(log n) peak-fold root must equal the recursive RFC 6962
-        // root at every size, including across many carry patterns.
+        // Every historical root read off the stored levels must equal
+        // the recursive RFC 6962 root, across many carry patterns.
         let mut log = MerkleLog::new();
+        let mut leaves = Vec::new();
         for i in 0..130 {
+            leaves.push(leaf_hash(format!("e{i}").as_bytes()));
             log.append(format!("e{i}").as_bytes());
-            assert_eq!(log.root(), log.root_of(log.len()), "size {}", i + 1);
+            assert_eq!(log.root(), recursive_root(&leaves), "size {}", i + 1);
+        }
+        for size in 0..=130 {
+            assert_eq!(log.root_of(size), recursive_root(&leaves[..size]), "{size}");
+        }
+    }
+
+    thread_local! {
+        /// `node_hash` calls made on this thread (test builds only).
+        pub(super) static NODE_HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn node_hashes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = NODE_HASHES.with(|n| n.get());
+        let out = f();
+        (out, NODE_HASHES.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn proofs_and_roots_cost_logarithmically_many_hashes() {
+        // 100 003 = 0b11000011010100011: a ragged right edge at most
+        // levels. A proof may hash only down that edge — at most
+        // 2·⌈log₂ n⌉ = 34 nodes — where recomputing the tree takes n − 1.
+        let n = 100_003usize;
+        let mut log = MerkleLog::new();
+        let (_, appended) = node_hashes_during(|| {
+            for i in 0..n as u64 {
+                log.append_leaf(leaf_hash(&i.to_le_bytes()));
+            }
+        });
+        assert!(appended < n, "amortized one hash per append: {appended}");
+        let bound = 2 * n.next_power_of_two().trailing_zeros() as usize;
+        let root = log.root();
+        for index in [0, 1, 65_535, 65_536, 98_303, 98_304, n - 2, n - 1] {
+            let (proof, hashes) = node_hashes_during(|| log.inclusion_proof(index, n));
+            assert!(hashes <= bound, "inclusion of {index}: {hashes} hashes");
+            let leaf = leaf_hash(&(index as u64).to_le_bytes());
+            assert!(verify_inclusion(&root, &leaf, index, n, &proof));
+        }
+        for old in [1, 2, 65_536, 65_537, 99_999, n - 1, n] {
+            let (proof, hashes) = node_hashes_during(|| log.consistency_proof(old));
+            assert!(hashes <= bound, "consistency from {old}: {hashes} hashes");
+            let (old_root, hashes) = node_hashes_during(|| log.root_of(old));
+            assert!(hashes <= bound, "root of {old}: {hashes} hashes");
+            assert!(verify_consistency(&old_root, old, &root, n, &proof));
         }
     }
 

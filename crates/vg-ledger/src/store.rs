@@ -45,7 +45,7 @@ pub enum LedgerBackend {
     /// roots as [`LedgerBackend::InMemory`], persisted event-before-state
     /// with group fsync at commit barriers when `fsync` is set.
     Durable {
-        /// Directory holding the segment files, persisted heads and
+        /// Directory holding the record log, persisted heads and
         /// snapshot (one subdirectory per sub-ledger at the
         /// [`crate::Ledger`] level).
         dir: PathBuf,

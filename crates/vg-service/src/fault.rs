@@ -28,8 +28,9 @@
 //!   [`Connector`] so every dial — initial connect, reconnect, steal
 //!   runner — gets a fresh schedule derived from `(seed, station, dial)`.
 //! - **Disk**: [`FaultPlan::fault_fs`] builds the write-layer schedule
-//!   ([`vg_ledger::FaultFs`]) every log file of the durable ledger
-//!   (segments, `heads.log`, `reveals.log`) consumes its own clone of —
+//!   ([`vg_ledger::FaultFs`]) every log file of the durable ledger (a
+//!   store's record log, `heads.log`, `reveals.log`) consumes its own
+//!   clone of —
 //!   fail the Nth write or fsync, short writes, ENOSPC.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -211,7 +211,7 @@ impl<'a> Sequencer<'a> {
     }
 
     /// The full admission barrier: both lanes admit their arrived prefix
-    /// in exact global session order — RLC admission → segment append —
+    /// in exact global session order — RLC admission → record append —
     /// and the sweep closes at the durable commit point (group fsync →
     /// signed-head publish; a no-op on volatile backends). Barriers are
     /// answered only after `persist()` returns, so an admitted session is

@@ -10,8 +10,10 @@
 //! replays the rest, and re-running the deterministic day no-ops through
 //! the persisted prefix and lands on exactly the uncrashed heads.
 //!
-//! Writes the recovered-head digests as JSON (CI uploads them as an
-//! artifact): `cargo run --example durable_day --release -- [out.json]`
+//! Writes the recovered-head digests as JSON (CI `cmp`s them against
+//! `examples/recovered-heads.expected.json`, written by the commit before
+//! the record log became one file, and uploads them):
+//! `cargo run --example durable_day --release -- [out.json]`
 
 use std::path::{Path, PathBuf};
 

@@ -347,8 +347,8 @@ fn durable_config(n_voters: u64, n_kiosks: usize, dir: &Path, fsync: bool) -> Tr
 
 /// The crash-recovery acceptance criterion: a registration day on the
 /// durable backend is SIGKILLed at ≥5 different byte offsets into its
-/// write-ahead log — including cuts landing mid-segment-write, leaving a
-/// torn final frame — and every crash state, reopened with the same
+/// write-ahead log — including cuts landing mid-frame, leaving a torn
+/// final frame — and every crash state, reopened with the same
 /// setup seed and driven through the same deterministic day, replays to
 /// signed tree heads and credential bytes bit-identical to the
 /// uncrashed sequential seeded reference. Swept over the transports
@@ -470,7 +470,7 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
             );
             let _ = std::fs::remove_dir_all(&crashed);
         }
-        assert!(any_torn, "the sweep must include a mid-segment-write kill");
+        assert!(any_torn, "the sweep must include a mid-frame kill");
         let _ = std::fs::remove_dir_all(&full_dir);
     }
 }
@@ -478,8 +478,8 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
 /// The inline day's commit points: a default-plan [`run_day`] runs on
 /// `LocalBoundary`, whose barriers must persist — every activation
 /// window's `sync_through` and `activation_sweep` end in a WAL fsync and
-/// a signed head on disk *while the day runs*, not at segment rolls or
-/// when the system drops.
+/// a signed head on disk *while the day runs*, not when the system
+/// drops.
 #[test]
 fn inline_durable_day_persists_at_every_barrier() {
     let queue: Vec<(VoterId, usize)> = (1..=6).map(|v| (VoterId(v), (v % 2) as usize)).collect();
