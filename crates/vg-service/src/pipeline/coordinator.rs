@@ -1,17 +1,21 @@
 //! The whole threaded day: engine wiring, the registrar's server, one
-//! thread per station, and the coordinator that releases outcomes in
+//! thread per runner, and the coordinator that releases outcomes in
 //! queue order and steals a lost station's work (see the
 //! [module docs](super)).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vg_ledger::VoterId;
-use vg_trip::fleet::{last_occurrence_of, partition_stations, ActivationContext, KioskFleet};
+use vg_trip::fleet::{
+    last_occurrence_of, partition_stations, ActivationContext, KioskFleet, StationPlan,
+};
+use vg_trip::pool::SessionPlan;
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::setup::TripSystem;
 use vg_trip::vsd::Vsd;
@@ -28,42 +32,227 @@ use crate::transport::{
 };
 
 use super::sequencer::Sequencer;
-use super::station::{
-    run_station, Link, PipelineDispatch, SessionDelivery, StationJob, StationMsg,
-};
-use super::{ChaosOptions, DayPlan};
-
-/// Coordinator bookkeeping for one in-flight steal chunk: enough to
-/// re-partition its sessions onto the remaining survivors if the chunk's
-/// runner dies too, up to [`MAX_RESTEAL_DEPTH`] retries deep.
-struct StealMeta {
-    /// The original dead station (attribution in [`StealRecord`]s).
-    victim: usize,
-    /// Retry depth of this chunk (0 = stolen from the victim itself).
-    depth: usize,
-    /// Global session indices the chunk was responsible for.
-    sessions: Vec<usize>,
-}
+use super::station::{run_station, Link, PipelineDispatch, StationJob, StationMsg};
+use super::{DayPlan, PipelineConfig};
 
 /// How many times a failed steal chunk may be re-partitioned onto the
-/// surviving stations before the day gives up with the runner's typed
-/// error. Depth 0 is the initial steal off a dead station; each retry
-/// re-steals only what is still undelivered, so bounded depth bounds
-/// total replay work at roughly `depth × remaining`.
+/// surviving stations before the day aborts with the runner's typed
+/// error. Each retry re-steals only what is still undelivered, so replay
+/// work stays bounded at roughly `depth × remaining`.
 const MAX_RESTEAL_DEPTH: usize = 2;
 
-/// Default coordinator liveness deadline: a station that delivers no
-/// outcome for this long (while still holding undelivered sessions) is
-/// declared *stalled* and its remainder is stolen exactly like a dead
-/// station's. Deliberately generous — healthy stations deliver every few
-/// milliseconds, and a false positive is merely wasteful (the dedup
-/// layer absorbs the double delivery), never incorrect. Chaos tests
-/// tighten it through [`ChaosOptions::stall_timeout`].
+/// Default coordinator liveness deadline: an original station that
+/// delivers no outcome for this long while holding undelivered sessions
+/// is declared *stalled* and stolen from like a dead one. Generous on
+/// purpose: healthy stations deliver every few milliseconds, and a false
+/// positive only wastes a replay. Chaos tests tighten it through
+/// [`ChaosOptions::stall_timeout`](super::ChaosOptions::stall_timeout).
 const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// `(global session index, plan)`, in session order.
+type Plans = Vec<(usize, SessionPlan)>;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum State {
+    Running,
+    Finished,
+    /// Died or declared stalled; a later `Done` changes nothing.
+    Lost,
+}
+
+/// One entry of the runner table — the original stations, then every
+/// steal chunk in spawn order; a runner's id is its index.
+struct Runner {
+    state: State,
+    /// The station whose link it dials: its own, or a chunk's thief.
+    station: usize,
+    /// The original station whose sessions it runs.
+    victim: usize,
+    /// Re-steal depth (0 for an original station).
+    depth: usize,
+    plans: Plans,
+    /// When it was spawned or last delivered an outcome.
+    heard: Instant,
+}
+
+/// What the scope loop must do after a runner ended or was declared lost:
+/// spawn these steal chunks, and whether to fail every parked barrier so
+/// blocked runners unwind.
+struct Recovery {
+    spawn: Range<usize>,
+    abort: bool,
+}
+
+/// The threaded day's coordinator, without threads: the runner table and
+/// the buffer that releases deliveries in global session order. It never
+/// blocks or spawns; each call returns what the scope loop must do.
+struct Coordinator<D> {
+    runners: Vec<Runner>,
+    /// `runners[..stations]` are the original stations.
+    stations: usize,
+    kiosks: usize,
+    total: usize,
+    /// `[0, next_emit)` went to the sink.
+    next_emit: usize,
+    /// Arrived deliveries at or above `next_emit`.
+    buffered: BTreeMap<usize, D>,
+    failed: Option<TripError>,
+    stall_timeout: Duration,
+}
+
+impl<D> Coordinator<D> {
+    fn new(stations: Vec<StationPlan>, kiosks: usize, stall_timeout: Duration) -> Self {
+        let mut coord = Self {
+            runners: Vec::new(),
+            stations: stations.len(),
+            kiosks,
+            total: stations.iter().map(|sp| sp.plans.len()).sum(),
+            next_emit: 0,
+            buffered: BTreeMap::new(),
+            failed: None,
+            stall_timeout,
+        };
+        for sp in stations {
+            coord.add(sp.station, sp.station, 0, sp.plans);
+        }
+        coord
+    }
+
+    fn add(&mut self, station: usize, victim: usize, depth: usize, plans: Plans) {
+        self.runners.push(Runner {
+            state: State::Running,
+            station,
+            victim,
+            depth,
+            plans,
+            heard: Instant::now(),
+        });
+    }
+
+    fn running(&self) -> bool {
+        self.runners.iter().any(|r| r.state == State::Running)
+    }
+
+    /// Neither released nor buffered: nobody has delivered it yet.
+    fn undelivered(&self, idx: usize) -> bool {
+        idx >= self.next_emit && !self.buffered.contains_key(&idx)
+    }
+
+    /// Runner `id` delivered session `idx`: returns what is now
+    /// releasable, in session order. A replay (below the cursor, or
+    /// already buffered) is dropped; a lost runner's delivery counts, as
+    /// a station declared stalled may only be slow.
+    fn outcome(&mut self, id: usize, idx: usize, delivery: D) -> Vec<D> {
+        let runner = &mut self.runners[id];
+        if runner.state == State::Running {
+            runner.heard = Instant::now();
+        }
+        if idx >= self.next_emit {
+            self.buffered.entry(idx).or_insert(delivery);
+        }
+        let mut release = Vec::new();
+        while let Some(delivery) = self.buffered.remove(&self.next_emit) {
+            release.push(delivery);
+            self.next_emit += 1;
+        }
+        release
+    }
+
+    /// Runner `id` ended: cleanly, or lost with its error.
+    fn done(&mut self, id: usize, result: Result<(), TripError>) -> Recovery {
+        let (first, mut abort) = (self.runners.len(), false);
+        if self.runners[id].state == State::Running {
+            match result {
+                Ok(()) => self.runners[id].state = State::Finished,
+                Err(e) => abort = self.lose(id, e),
+            }
+        }
+        let spawn = first..self.runners.len();
+        Recovery { spawn, abort }
+    }
+
+    /// The liveness scan: an original station that is running, silent
+    /// for the deadline and holds undelivered sessions is lost without
+    /// having died (counted in `stats`). Steal chunks are never watched,
+    /// so a slow chunk spends no re-steal depth.
+    fn tick(&mut self, now: Instant, stats: &EngineStats) -> Recovery {
+        let (first, mut abort) = (self.runners.len(), false);
+        for id in 0..self.stations {
+            let runner = &self.runners[id];
+            if runner.state == State::Running
+                && now.saturating_duration_since(runner.heard) >= self.stall_timeout
+                && runner.plans.iter().any(|&(idx, _)| self.undelivered(idx))
+            {
+                stats.stall_steals.fetch_add(1, Ordering::Relaxed);
+                let timeout = self.stall_timeout;
+                let why = format!("station {id} stalled: no outcome within {timeout:?}");
+                abort |= self.lose(id, TripError::Boundary(why));
+            }
+        }
+        let spawn = first..self.runners.len();
+        Recovery { spawn, abort }
+    }
+
+    /// Marks runner `id` lost and steals its undelivered sessions (an
+    /// original station's at depth 0, a chunk's one deeper), split by
+    /// kiosk into contiguous chunks dealt round-robin to the original
+    /// stations not lost, or with none left one chunk on the victim's own
+    /// link. Returns whether the day must abort instead.
+    fn lose(&mut self, id: usize, error: TripError) -> bool {
+        self.runners[id].state = State::Lost;
+        let runner = &self.runners[id];
+        let victim = runner.victim;
+        let depth = runner.depth + usize::from(id >= self.stations);
+        if self.failed.is_some() || depth > MAX_RESTEAL_DEPTH {
+            self.failed.get_or_insert(error);
+            return true;
+        }
+        let k = self.kiosks;
+        let mut remaining = runner.plans.clone();
+        remaining.retain(|&(idx, _)| self.undelivered(idx));
+        let stolen = BTreeSet::from_iter(remaining.iter().map(|(idx, _)| idx % k));
+        let stolen: Vec<usize> = stolen.into_iter().collect();
+        let survivors: Vec<usize> = (0..self.stations)
+            .filter(|&s| self.runners[s].state != State::Lost)
+            .collect();
+        let chunks = survivors.len().max(1).min(stolen.len());
+        for c in 0..chunks {
+            let owned = &stolen[c * stolen.len() / chunks..(c + 1) * stolen.len() / chunks];
+            let mut plans = remaining.clone();
+            plans.retain(|(idx, _)| owned.contains(&(idx % k)));
+            let thief = survivors.get(c % survivors.len().max(1));
+            self.add(thief.copied().unwrap_or(victim), victim, depth, plans);
+        }
+        false
+    }
+
+    /// The steal log: the table's chunks, in spawn order.
+    fn steals(&self) -> Vec<StealRecord> {
+        let record = |r: &Runner| StealRecord {
+            victim: r.victim,
+            thief: r.station,
+            sessions: r.plans.len(),
+            depth: r.depth,
+        };
+        self.runners[self.stations..].iter().map(record).collect()
+    }
+
+    /// The day's verdict once no runner is running.
+    fn finish(self) -> Result<Vec<StealRecord>, TripError> {
+        let (delivered, total) = (self.next_emit, self.total);
+        match self.failed {
+            Some(e) => Err(e),
+            None if delivered != total => Err(TripError::Boundary(format!(
+                "day ended with {delivered}/{total} sessions delivered"
+            ))),
+            None => Ok(self.steals()),
+        }
+    }
+}
+
 /// [`run_day`] on the threaded engine: the commit sequencer, the server
-/// (for every plan but plaintext in-process) and one thread per polling
-/// station, coordinated from the caller's thread.
+/// (for every plan but plaintext in-process) and one thread per runner,
+/// coordinated from the caller's thread.
 pub(super) fn run_threaded_day(
     fleet: &KioskFleet,
     system: &mut TripSystem,
@@ -71,20 +260,13 @@ pub(super) fn run_threaded_day(
     plan: &DayPlan,
     sink: &mut dyn FnMut(RegistrationOutcome, Vsd),
 ) -> Result<DayStats, TripError> {
-    let DayPlan {
-        transport,
-        pipeline,
-        activate,
-        ..
-    } = *plan;
-    let quiet = ChaosOptions::default();
-    let chaos = plan.chaos.as_ref().unwrap_or(&quiet);
+    let (transport, pipeline) = (plan.transport, plan.pipeline);
+    let chaos = plan.chaos.clone().unwrap_or_default();
     let fault = chaos.fault;
     let stall_timeout = chaos.stall_timeout.unwrap_or(DEFAULT_STALL_TIMEOUT);
     let authority_pk = system.authority.public_key;
     let printer_registry = system.printer_registry.clone();
     let last_occurrence = last_occurrence_of(queue);
-    let total_sessions = queue.len();
     let TripSystem {
         officials,
         printers,
@@ -107,91 +289,60 @@ pub(super) fn run_threaded_day(
         last_occurrence: &last_occurrence,
     };
     let station_plans = partition_stations(queue, kiosks, pipeline.stations)?;
-
+    let stations = station_plans.len();
     // Disk faults go in before the engine is wired so the very first
     // WAL write is already under the injected schedule.
     if let Some(ff) = chaos.plan.as_ref().and_then(FaultPlan::fault_fs) {
         ledger.install_fault_fs(ff);
     }
 
-    // The day's one counter block: the sequencer books sweeps and
-    // busy/idle time into it, station/refiller/steal runners their
-    // timeouts and reconnects, the server's connection threads their
-    // reaps, the coordinator its stall steals.
+    // The day's one counter block: every engine thread bumps it in place.
     let stats = Arc::<EngineStats>::default();
-
-    let (client, sequencer) = Sequencer::new(
-        ledger,
-        official,
-        threads,
-        pipeline.ingest,
-        Arc::clone(&stats),
-    );
+    let (client, sequencer) = Sequencer::new(ledger, official, threads, pipeline.ingest, &stats);
 
     // TCP: bind before the scope so stations can connect immediately.
-    let listener = match transport.link {
-        LinkKind::InProcess => None,
-        LinkKind::Tcp => Some(
-            TcpListener::bind(("127.0.0.1", 0))
-                .map_err(|e| TripError::Boundary(format!("bind: {e}")))?,
-        ),
-    };
-    let addr = listener
-        .as_ref()
-        .map(|l| l.local_addr())
-        .transpose()
-        .map_err(|e| TripError::Boundary(format!("local_addr: {e}")))?;
-    // Cleared at teardown: the acceptor stops admitting. Connection
-    // threads end when their clients hang up.
+    let bind = || TcpListener::bind(("127.0.0.1", 0));
+    let listener = (transport.link == LinkKind::Tcp).then(bind).transpose();
+    let listener = listener.map_err(|e| TripError::Boundary(format!("bind: {e}")))?;
+    let addr = listener.as_ref().map(TcpListener::local_addr).transpose();
+    let addr = addr.map_err(|e| TripError::Boundary(format!("local_addr: {e}")))?;
+    // Cleared at teardown: the acceptor stops admitting.
     let accepting = Arc::new(AtomicBool::new(true));
-
-    // The server serves every remote-ish day: real TCP links, and
-    // in-process links that the policy secures (the handshake needs the
-    // frame-level server). Only the plaintext in-process day bypasses it
-    // and dispatches straight into the engine — that is the bit-identity
-    // reference and the zero-overhead perf path.
+    // Every day but the plaintext in-process one (the bit-identity
+    // reference, dispatching straight into the engine) is served.
     let use_gateway =
         transport.link == LinkKind::Tcp || transport.security == ChannelSecurity::Secure;
     // Where in-process dials land (secure in-process days).
     let (pipe_tx, pipe_rx) = mpsc::channel();
-    // One pluggable connector per station, carrying that station's
-    // enrolled channel identity; its refiller and the steal runners it
-    // hosts dial the same connector (they act on the station's behalf).
-    let connectors: Option<Vec<Box<dyn Connector>>> = use_gateway.then(|| {
-        station_plans
-            .iter()
-            .map(|sp| -> Box<dyn Connector> {
-                let policy = client_policy(transport_keys, transport.security, sp.station);
-                let base: Box<dyn Connector> = match addr {
-                    Some(addr) => Box::new(TcpConnector {
-                        addr,
-                        policy,
-                        deadlines: Deadlines::default(),
-                    }),
-                    None => Box::new(PipeHub {
-                        intake: pipe_tx.clone(),
-                        policy,
-                    }),
-                };
-                // Network faults wrap the *established* channel, so the
-                // schedule applies uniformly to plaintext and secured
-                // links (injection sits outside the security policy).
-                match &chaos.plan {
-                    Some(fp) if fp.net_rate_permille > 0 => {
-                        Box::new(FaultyConnector::new(base, fp.clone(), sp.station))
-                    }
-                    _ => base,
-                }
-            })
-            .collect()
-    });
+    // One connector per station, carrying its enrolled channel identity;
+    // its refiller and the steal chunks it hosts dial the same one.
+    let connector = |station| -> Box<dyn Connector> {
+        let policy = client_policy(transport_keys, transport.security, station);
+        let base: Box<dyn Connector> = match addr {
+            Some(addr) => Box::new(TcpConnector {
+                addr,
+                policy,
+                deadlines: Deadlines::default(),
+            }),
+            None => Box::new(PipeHub {
+                intake: pipe_tx.clone(),
+                policy,
+            }),
+        };
+        // Network faults wrap the established channel, secured or not.
+        match &chaos.plan {
+            Some(fp) if fp.net_rate_permille > 0 => {
+                Box::new(FaultyConnector::new(base, fp.clone(), station))
+            }
+            _ => base,
+        }
+    };
+    let connectors: Option<Vec<_>> = use_gateway.then(|| (0..stations).map(connector).collect());
 
     // Releases injected hangs at teardown so their threads join.
     let day_over = Arc::new(AtomicBool::new(false));
-
     let steals = std::thread::scope(|scope| -> Result<Vec<StealRecord>, TripError> {
-        // The engine's side of the seam; every in-process link and every
-        // served connection calls its own clone.
+        // The engine's side of the seam, cloned per link and connection.
         let registrar = PipelineDispatch {
             official,
             printer,
@@ -201,9 +352,7 @@ pub(super) fn run_threaded_day(
         };
         scope.spawn(move || sequencer.run());
 
-        // The server: one acceptor (a TCP listener, or the intake
-        // in-process dials land in) hands every connection — stations,
-        // refillers, steal runners — a thread of its own.
+        // One acceptor hands every connection a thread of its own.
         if use_gateway {
             let server = Server {
                 policy: server_policy(transport_keys, transport.security),
@@ -218,330 +367,86 @@ pub(super) fn run_threaded_day(
             };
         }
 
-        let station_link = |station: usize| match &connectors {
-            Some(conns) => Link::Gateway(conns[station].as_ref()),
-            None => Link::InProcess(registrar.clone()),
-        };
-
         let (msg_tx, msg_rx) = mpsc::channel::<StationMsg>();
-        let mut spawned = 0usize;
-        for sp in &station_plans {
-            let hang = chaos.hang.filter(|h| h.station == sp.station);
+        let mut coord = Coordinator::new(station_plans, kiosks.len(), stall_timeout);
+        // Steal chunks the kill-during-failover fault may still kill.
+        let mut recovery_deaths_left = fault.map_or(0, |f| f.recovery_deaths);
+        // One runner's thread. A steal chunk draws its sessions from a
+        // pre-built pool (no refiller; same seeded plans, same bytes).
+        let mut spawn = |id: usize, runner: &Runner| {
+            let original = id < stations;
+            let hang = chaos.hang.filter(|h| original && h.station == id);
+            let fault_after = match fault {
+                Some(f) if original => (f.station == id).then_some(f.after_ops),
+                Some(f) if f.station == runner.victim && recovery_deaths_left > 0 => {
+                    f.recovery_after_ops.inspect(|_| recovery_deaths_left -= 1)
+                }
+                _ => None,
+            };
             let job = StationJob {
                 fleet,
                 kiosks,
-                plans: sp.plans.clone(),
+                plans: runner.plans.clone(),
                 authority_pk,
-                activation: activate.then_some(&ctx),
-                pipeline,
-                fault_after: fault
-                    .filter(|f| f.station == sp.station)
-                    .map(|f| f.after_ops)
-                    .or(hang.map(|h| h.after_ops)),
+                activation: plan.activate.then_some(&ctx),
+                pipeline: PipelineConfig {
+                    low_water: if original { pipeline.low_water } else { 0 },
+                    ..pipeline
+                },
+                fault_after: fault_after.or(hang.map(|h| h.after_ops)),
                 hang_release: hang.map(|_| Arc::clone(&day_over)),
-                retry: RetryPolicy::reconnect(sp.station as u64),
+                retry: RetryPolicy::reconnect(id as u64),
                 stats: &stats,
             };
             let tx = msg_tx.clone();
-            let station_id = sp.station;
-            let link = station_link(sp.station);
+            let link = match &connectors {
+                Some(conns) => Link::Gateway(conns[runner.station].as_ref()),
+                None => Link::InProcess(registrar.clone()),
+            };
             scope.spawn(move || {
-                let result = run_station(job, link, &tx);
-                let _ = tx.send(StationMsg::Done(station_id, result));
+                let result = run_station(job, link, id, &tx);
+                let _ = tx.send(StationMsg::Done(id, result));
             });
-            spawned += 1;
+        };
+        for id in 0..stations {
+            spawn(id, &coord.runners[id]);
         }
 
-        // Coordinator: release outcomes in global session order, push
-        // adversary loot in that same order, and steal a dead station's
-        // undelivered kiosk range onto the survivors. Runs as an
-        // immediately-invoked closure so EVERY exit path — including the
-        // error returns — falls through to the acceptor wake-up below;
-        // returning early from the scope with the acceptor still parked
-        // in accept() would deadlock the scope join.
-        let coordinate = || -> Result<Vec<StealRecord>, TripError> {
-            let mut next_emit = 0usize;
-            let mut buffered: BTreeMap<usize, SessionDelivery> = BTreeMap::new();
-            let mut done = 0usize;
-            let mut recovered: HashSet<usize> = HashSet::new();
-            let mut alive = vec![true; station_plans.len()];
-            let mut steals: Vec<StealRecord> = Vec::new();
-            let mut steal_seq = 0usize;
-            let mut first_error: Option<TripError> = None;
-            let mut steal_meta: HashMap<usize, StealMeta> = HashMap::new();
-            // Chaos budget: how many recovery runners the injected fault
-            // may still kill (so bounded re-steal is testable without
-            // the fault killing every retry forever).
-            let mut recovery_deaths_left = fault.map_or(0, |f| f.recovery_deaths);
-            // Stall-aware liveness. `session_owner` resolves a delivered
-            // session index back to its original station so each outcome
-            // refreshes its station's activity clock; a station with
-            // undelivered sessions and a stale clock is declared
-            // *stalled* — lost without the courtesy of dying — and its
-            // remainder is stolen through the exact same path as a dead
-            // station's, by synthesizing the `Done(id, Err)` it never
-            // sent. If the stalled station later recovers and sends its
-            // REAL `Done`, that message is swallowed (`stalled` set):
-            // the synthetic one already advanced the `done` accounting,
-            // and a late error must not abort a day the steal healed.
-            let session_owner: HashMap<usize, usize> = station_plans
-                .iter()
-                .enumerate()
-                .flat_map(|(s, sp)| sp.plans.iter().map(move |&(idx, _)| (idx, s)))
-                .collect();
-            let mut last_activity: Vec<Instant> = vec![Instant::now(); station_plans.len()];
-            let mut finished: HashSet<usize> = HashSet::new();
-            let mut stalled: HashSet<usize> = HashSet::new();
-            let mut synthetic: VecDeque<StationMsg> = VecDeque::new();
-            let stall_poll =
-                (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
-            while done < spawned {
-                let (msg, synthesized) = match synthetic.pop_front() {
-                    Some(msg) => (msg, true),
-                    None => match msg_rx.recv_timeout(stall_poll) {
-                        Ok(msg) => (msg, false),
-                        Err(RecvTimeoutError::Disconnected) => break,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Liveness scan: only stations that are still
-                            // nominally alive, unfinished, hold sessions
-                            // nobody has delivered, and have been silent
-                            // past the deadline. A healthy station parked
-                            // on an activation barrier keeps its clock
-                            // fresh through the other stations' outcomes
-                            // only if it owns none of the missing
-                            // sessions — so a false positive costs a
-                            // redundant (deduped) replay, never
-                            // correctness.
-                            for id in 0..station_plans.len() {
-                                if !alive[id]
-                                    || finished.contains(&id)
-                                    || stalled.contains(&id)
-                                    || last_activity[id].elapsed() < stall_timeout
-                                {
-                                    continue;
-                                }
-                                let undelivered =
-                                    station_plans[id].plans.iter().any(|&(idx, _)| {
-                                        idx >= next_emit && !buffered.contains_key(&idx)
-                                    });
-                                if !undelivered {
-                                    continue;
-                                }
-                                stalled.insert(id);
-                                stats.stall_steals.fetch_add(1, Ordering::Relaxed);
-                                synthetic.push_back(StationMsg::Done(
-                                    id,
-                                    Err(TripError::Boundary(format!(
-                                        "station {id} stalled: no outcome within \
-                                         {stall_timeout:?}"
-                                    ))),
-                                ));
-                            }
-                            continue;
-                        }
-                    },
-                };
-                if !synthesized {
-                    if let StationMsg::Done(id, _) = &msg {
-                        if stalled.remove(id) {
-                            continue;
-                        }
+        // Release outcomes (and adversary loot) in global session order
+        // and act on every loss. Nothing here returns: leaving the scope
+        // with the acceptor parked in accept() would deadlock its join.
+        let poll = (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
+        while coord.running() {
+            let recovery = match msg_rx.recv_timeout(poll) {
+                Ok(StationMsg::Outcome(id, idx, delivery)) => {
+                    for delivery in coord.outcome(id, idx, delivery) {
+                        let (outcome, vsd, stolen) = *delivery;
+                        adversary_loot.extend(stolen);
+                        sink(outcome, vsd.unwrap_or_default());
                     }
+                    continue;
                 }
-                match msg {
-                    StationMsg::Outcome(idx, delivery) => {
-                        if let Some(&owner) = session_owner.get(&idx) {
-                            last_activity[owner] = Instant::now();
-                        }
-                        buffered.entry(idx).or_insert(delivery);
-                        while let Some(delivery) = buffered.remove(&next_emit) {
-                            let (outcome, vsd, stolen) = *delivery;
-                            if let Some(looted) = stolen {
-                                adversary_loot.push(looted);
-                            }
-                            sink(outcome, vsd.unwrap_or_default());
-                            next_emit += 1;
-                        }
-                    }
-                    StationMsg::Done(id, Ok(())) => {
-                        done += 1;
-                        if id < station_plans.len() {
-                            finished.insert(id);
-                        }
-                    }
-                    StationMsg::Done(id, Err(e)) => {
-                        done += 1;
-                        let meta = steal_meta.remove(&id);
-                        // Attribute the death: an *original* station's
-                        // first death is stolen; a dead steal chunk is
-                        // re-stolen onto the remaining survivors up to
-                        // MAX_RESTEAL_DEPTH retries deep; anything else
-                        // aborts the day.
-                        let resteal: Option<(usize, usize, Vec<usize>)> =
-                            if id < station_plans.len()
-                                && recovered.insert(id)
-                                && first_error.is_none()
-                            {
-                                alive[id] = false;
-                                Some((
-                                    id,
-                                    0,
-                                    station_plans[id]
-                                        .plans
-                                        .iter()
-                                        .map(|&(idx, _)| idx)
-                                        .collect(),
-                                ))
-                            } else if let Some(meta) = meta {
-                                (first_error.is_none() && meta.depth < MAX_RESTEAL_DEPTH)
-                                    .then_some((meta.victim, meta.depth + 1, meta.sessions))
-                            } else {
-                                None
-                            };
-                        let Some((victim, depth, candidates)) = resteal else {
-                            // Unrecoverable: remember the first error and
-                            // fail every parked barrier so blocked stations
-                            // unwind instead of deadlocking the scope join.
-                            first_error.get_or_insert(e);
-                            registrar.client.abort();
-                            continue;
-                        };
-                        // Undelivered = not yet emitted and not buffered.
-                        let remaining: Vec<usize> = candidates
-                            .into_iter()
-                            .filter(|idx| *idx >= next_emit && !buffered.contains_key(idx))
-                            .collect();
-                        if remaining.is_empty() {
-                            continue;
-                        }
-                        // Dynamic work stealing: split the undelivered
-                        // kiosk range into contiguous chunks attributed
-                        // round-robin to the surviving stations, so
-                        // recovery re-derivation runs in parallel
-                        // instead of on one serial replay connection.
-                        // Each chunk gets a one-shot runner of its own
-                        // (chunks park on the sequencer's session-order
-                        // prefix barriers, so they must never queue
-                        // behind each other). The kiosk assignment never
-                        // moves; the sequencer's lanes drop the
-                        // re-submissions by session index.
-                        let sp = &station_plans[victim];
-                        let k = kiosks.len();
-                        let mut stolen_kiosks: Vec<usize> =
-                            remaining.iter().map(|idx| idx % k).collect();
-                        stolen_kiosks.sort_unstable();
-                        stolen_kiosks.dedup();
-                        let survivors: Vec<usize> =
-                            (0..station_plans.len()).filter(|s| alive[*s]).collect();
-                        // No survivors: one chunk, replayed by the
-                        // victim itself (the pre-stealing behavior).
-                        let chunks = survivors.len().clamp(1, stolen_kiosks.len());
-                        for c in 0..chunks {
-                            let lo = c * stolen_kiosks.len() / chunks;
-                            let hi = (c + 1) * stolen_kiosks.len() / chunks;
-                            let owned: HashSet<usize> =
-                                stolen_kiosks[lo..hi].iter().copied().collect();
-                            let keep: HashSet<usize> = remaining
-                                .iter()
-                                .copied()
-                                .filter(|idx| owned.contains(&(idx % k)))
-                                .collect();
-                            if keep.is_empty() {
-                                continue;
-                            }
-                            let thief = survivors
-                                .get(c % survivors.len().max(1))
-                                .copied()
-                                .unwrap_or(victim);
-                            steals.push(StealRecord {
-                                victim,
-                                thief,
-                                sessions: keep.len(),
-                                depth,
-                            });
-                            let plans: Vec<_> = sp
-                                .plans
-                                .iter()
-                                .filter(|(idx, _)| keep.contains(idx))
-                                .copied()
-                                .collect();
-                            let session_idxs: Vec<usize> =
-                                plans.iter().map(|&(idx, _)| idx).collect();
-                            // Steal chunks draw their materials from a
-                            // pre-built pool instead of spinning up a
-                            // refiller connection per chunk (same
-                            // seeded plans → same bytes either way).
-                            let mut chunk_pipeline = pipeline;
-                            chunk_pipeline.low_water = 0;
-                            // Kill-during-failover chaos hook: the
-                            // fault may kill up to `recovery_deaths`
-                            // recovery runners before the retries are
-                            // allowed to succeed.
-                            let fault_after = match fault {
-                                Some(f) if f.station == victim && recovery_deaths_left > 0 => {
-                                    f.recovery_after_ops.inspect(|_| recovery_deaths_left -= 1)
-                                }
-                                _ => None,
-                            };
-                            let job = StationJob {
-                                fleet,
-                                kiosks,
-                                plans,
-                                authority_pk,
-                                activation: activate.then_some(&ctx),
-                                pipeline: chunk_pipeline,
-                                fault_after,
-                                hang_release: None,
-                                retry: RetryPolicy::reconnect(
-                                    (station_plans.len() + steal_seq) as u64,
-                                ),
-                                stats: &stats,
-                            };
-                            let runner_id = station_plans.len() + steal_seq;
-                            steal_seq += 1;
-                            steal_meta.insert(
-                                runner_id,
-                                StealMeta {
-                                    victim,
-                                    depth,
-                                    sessions: session_idxs,
-                                },
-                            );
-                            let tx = msg_tx.clone();
-                            let link = station_link(thief);
-                            scope.spawn(move || {
-                                let result = run_station(job, link, &tx);
-                                let _ = tx.send(StationMsg::Done(runner_id, result));
-                            });
-                            spawned += 1;
-                        }
-                    }
-                }
+                Ok(StationMsg::Done(id, result)) => coord.done(id, result),
+                Err(RecvTimeoutError::Timeout) => coord.tick(Instant::now(), &stats),
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            for id in recovery.spawn {
+                spawn(id, &coord.runners[id]);
             }
-            drop(msg_tx);
-
-            if let Some(e) = first_error {
-                return Err(e);
+            if recovery.abort {
+                registrar.client.abort();
             }
-            if next_emit != total_sessions {
-                return Err(TripError::Boundary(format!(
-                    "day ended with {next_emit}/{total_sessions} sessions delivered"
-                )));
-            }
-
-            // Final barrier, over the same in-process link a station uses.
-            match registrar.clone().call(Request::Sync) {
-                Response::Err(e) => Err(e.into_trip()),
-                _ => Ok(steals),
-            }
+        }
+        // The final barrier, over the same in-process link a station uses.
+        let synced = |steals| match registrar.clone().call(Request::Sync) {
+            Response::Err(e) => Err(e.into_trip()),
+            _ => Ok(steals),
         };
-        let result = coordinate();
+        let result = coord.finish().and_then(synced);
 
-        // Tear the server down — on success AND failure alike (see the
-        // coordinator comment): clear the flag and wake the acceptor
-        // (parked in accept()) with a throwaway connection so it observes
-        // it; each connection's thread ends as its client hangs up.
-        // Injected hangs release first so their threads join.
+        // Teardown, on success and failure alike: release injected hangs,
+        // stop the acceptor and wake it (parked in accept()) with a
+        // throwaway connection; connection threads end as clients hang up.
         day_over.store(true, Ordering::SeqCst);
         accepting.store(false, Ordering::SeqCst);
         match addr {
@@ -549,8 +454,7 @@ pub(super) fn run_threaded_day(
             None if use_gateway => drop(pipe_tx.send(pipe_pair().1)),
             None => {}
         }
-        // Dropping the coordinator's client (the stations' and the
-        // server's clones go with their threads) ends the sequencer's
+        // Dropping the last client outside a runner ends the sequencer's
         // loop — on every exit path, or the scope join deadlocks.
         drop(registrar);
         result
@@ -560,4 +464,217 @@ pub(super) fn run_threaded_day(
         steals,
         ..stats.snapshot(ledger.durability_stats())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    //! The coordinator without threads: each case drives the runner table
+    //! on the test thread, with a session's own index as its delivery.
+
+    use super::*;
+
+    const TIMEOUT: Duration = Duration::from_millis(400);
+
+    /// One station per session list; the plans carry nothing the
+    /// coordinator reads.
+    fn plans(stations: &[&[usize]]) -> Vec<StationPlan> {
+        let plan = |&idx: &usize| {
+            let voter = VoterId(idx as u64);
+            (
+                idx,
+                SessionPlan {
+                    voter,
+                    n_fakes: 0,
+                    malicious: false,
+                },
+            )
+        };
+        let station = |(station, sessions): (usize, &&[usize])| StationPlan {
+            station,
+            plans: sessions.iter().map(plan).collect(),
+        };
+        stations.iter().enumerate().map(station).collect()
+    }
+
+    /// Nine sessions over six kiosks and three stations, as
+    /// `partition_stations` lays them out: station `s` owns kiosks
+    /// `{2s, 2s + 1}`, so station 1 owns sessions {2, 3, 8}.
+    fn three_stations() -> Coordinator<usize> {
+        let stations = plans(&[&[0, 1, 6, 7], &[2, 3, 8], &[4, 5]]);
+        Coordinator::new(stations, 6, TIMEOUT)
+    }
+
+    fn lost(why: &str) -> Result<(), TripError> {
+        Err(TripError::Boundary(why.into()))
+    }
+
+    /// Runner `id` delivers `sessions` in this order; returns what the
+    /// coordinator released.
+    fn deliver(coord: &mut Coordinator<usize>, id: usize, sessions: &[usize]) -> Vec<usize> {
+        let released = sessions.iter().flat_map(|&idx| coord.outcome(id, idx, idx));
+        released.collect()
+    }
+
+    /// `(station, depth, sessions)` of each runner in `ids`.
+    fn runners(coord: &Coordinator<usize>, ids: Range<usize>) -> Vec<(usize, usize, Vec<usize>)> {
+        let sessions = |r: &Runner| r.plans.iter().map(|&(idx, _)| idx).collect();
+        let runner = |r: &Runner| (r.station, r.depth, sessions(r));
+        coord.runners[ids].iter().map(runner).collect()
+    }
+
+    fn steal(victim: usize, thief: usize, sessions: usize, depth: usize) -> StealRecord {
+        StealRecord {
+            victim,
+            thief,
+            sessions,
+            depth,
+        }
+    }
+
+    #[test]
+    fn outcomes_release_in_session_order_and_replays_are_dropped() {
+        let mut coord = three_stations();
+        assert!(deliver(&mut coord, 1, &[3, 2]).is_empty());
+        assert!(deliver(&mut coord, 2, &[5, 4]).is_empty());
+        assert_eq!(deliver(&mut coord, 0, &[0]), [0]);
+        assert_eq!(deliver(&mut coord, 0, &[1]), [1, 2, 3, 4, 5]);
+        // A replay of a released session is dropped, not parked for the
+        // rest of the day beside its credentials.
+        assert!(deliver(&mut coord, 0, &[1, 3]).is_empty());
+        assert!(coord.buffered.is_empty());
+        assert_eq!(deliver(&mut coord, 0, &[6, 7]), [6, 7]);
+        for id in 0..3 {
+            assert!(!coord.done(id, Ok(())).abort);
+        }
+        // Every runner finished with session 8 never delivered: a gap.
+        assert!(!coord.running());
+        assert_eq!(
+            coord.finish(),
+            Err(TripError::Boundary(
+                "day ended with 8/9 sessions delivered".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn a_dead_station_is_split_by_kiosk_over_the_survivors() {
+        let mut coord = three_stations();
+        // A finished station still takes its share.
+        assert!(deliver(&mut coord, 2, &[4, 5]).is_empty());
+        assert!(!coord.done(2, Ok(())).abort);
+        // Session 2 is buffered, so it counts as delivered: the steal is
+        // {3, 8}, kiosks 3 and 2, one chunk each, dealt in order.
+        assert!(deliver(&mut coord, 1, &[2]).is_empty());
+        let recovery = coord.done(1, lost("station 1 died"));
+        assert_eq!((recovery.spawn, recovery.abort), (3..5, false));
+        assert_eq!(runners(&coord, 3..5), [(0, 0, vec![8]), (2, 0, vec![3])]);
+        assert!(coord.runners[3..].iter().all(|r| r.victim == 1));
+        assert_eq!(coord.steals(), [steal(1, 0, 1, 0), steal(1, 2, 1, 0)]);
+
+        assert_eq!(deliver(&mut coord, 0, &[0, 1, 6, 7]), [0, 1, 2]);
+        assert_eq!(deliver(&mut coord, 4, &[3]), [3, 4, 5, 6, 7]);
+        assert_eq!(deliver(&mut coord, 3, &[8]), [8]);
+        for id in [0, 3, 4] {
+            assert!(!coord.done(id, Ok(())).abort);
+        }
+        assert!(!coord.running());
+        assert_eq!(coord.finish().map(|s| s.len()), Ok(2));
+    }
+
+    #[test]
+    fn a_dead_chunk_is_restolen_one_level_deeper_until_the_bound() {
+        let mut coord = three_stations();
+        assert_eq!(coord.done(1, lost("station 1 died")).spawn, 3..5);
+        assert_eq!(runners(&coord, 3..4), [(0, 0, vec![2, 8])]);
+        let mut chunk = 3;
+        for depth in 1..=MAX_RESTEAL_DEPTH {
+            let recovery = coord.done(chunk, lost("a chunk died"));
+            assert!(!recovery.abort && recovery.spawn.len() == 1);
+            chunk = recovery.spawn.start;
+            // One kiosk left to steal: one chunk, on the first survivor.
+            assert_eq!(runners(&coord, chunk..chunk + 1), [(0, depth, vec![2, 8])]);
+        }
+        let recovery = coord.done(chunk, lost("the last chunk died"));
+        assert!(recovery.abort && recovery.spawn.is_empty());
+        // Once the day has failed a loss re-steals nothing.
+        let recovery = coord.done(4, lost("a chunk died after the abort"));
+        assert!(recovery.abort && recovery.spawn.is_empty());
+        for id in [0, 2] {
+            coord.done(id, Ok(()));
+        }
+        assert!(!coord.running());
+        let depths: Vec<usize> = coord.steals().iter().map(|s| s.depth).collect();
+        assert_eq!(depths, [0, 0, 1, 2]);
+        assert_eq!(
+            coord.finish(),
+            Err(TripError::Boundary("the last chunk died".into()))
+        );
+    }
+
+    #[test]
+    fn with_no_survivors_the_victim_replays_one_chunk_itself() {
+        let mut coord = Coordinator::new(plans(&[&[0, 1, 2, 3, 4]]), 4, TIMEOUT);
+        assert_eq!(deliver(&mut coord, 0, &[0]), [0]);
+        let recovery = coord.done(0, lost("the only station died"));
+        assert_eq!((recovery.spawn, recovery.abort), (1..2, false));
+        assert_eq!(runners(&coord, 1..2), [(0, 0, vec![1, 2, 3, 4])]);
+        assert_eq!(coord.steals(), [steal(0, 0, 4, 0)]);
+    }
+
+    #[test]
+    fn a_stalled_station_is_stolen_from_once_and_its_late_done_is_ignored() {
+        let stats = EngineStats::default();
+        let mut coord = three_stations();
+        assert_eq!(deliver(&mut coord, 0, &[0, 1, 6, 7]), [0, 1]);
+        assert!(deliver(&mut coord, 2, &[4, 5]).is_empty());
+        for id in [0, 2] {
+            coord.done(id, Ok(()));
+        }
+        let stall_steals = || stats.stall_steals.load(Ordering::Relaxed);
+        let recovery = coord.tick(Instant::now(), &stats);
+        assert!(recovery.spawn.is_empty() && !recovery.abort);
+
+        let late = Instant::now() + TIMEOUT;
+        let recovery = coord.tick(late, &stats);
+        assert_eq!((recovery.spawn, recovery.abort), (3..5, false));
+        assert_eq!(stall_steals(), 1);
+        assert!(coord.tick(late + TIMEOUT, &stats).spawn.is_empty());
+        // The station was slow, not hung: its deliveries count like its
+        // thieves' would, while its late `Done`, clean or not, neither
+        // aborts the day nor steals again.
+        assert_eq!(deliver(&mut coord, 1, &[3, 2]), [2, 3, 4, 5, 6, 7]);
+        for late_done in [Ok(()), lost("station 1 was only slow")] {
+            let recovery = coord.done(1, late_done);
+            assert!(recovery.spawn.is_empty() && !recovery.abort);
+        }
+        assert_eq!(coord.runners[1].state, State::Lost);
+        assert_eq!(deliver(&mut coord, 4, &[3]), []);
+        assert_eq!(deliver(&mut coord, 3, &[2, 8]), [8]);
+        // Every re-delivery fell below the cursor: nothing stays parked.
+        assert!(deliver(&mut coord, 1, &[8]).is_empty() && coord.buffered.is_empty());
+        for id in [3, 4] {
+            coord.done(id, Ok(()));
+        }
+        assert!(!coord.running());
+        assert_eq!(stall_steals(), 1);
+        assert_eq!(
+            coord.finish(),
+            Ok(vec![steal(1, 0, 2, 0), steal(1, 2, 1, 0)])
+        );
+    }
+
+    #[test]
+    fn a_steal_chunk_is_never_declared_stalled() {
+        let stats = EngineStats::default();
+        let mut coord = three_stations();
+        assert_eq!(coord.done(1, lost("station 1 died")).spawn, 3..5);
+        // The survivors have delivered all they own, so only the two
+        // silent chunks hold undelivered sessions.
+        deliver(&mut coord, 0, &[0, 1, 6, 7]);
+        deliver(&mut coord, 2, &[4, 5]);
+        let recovery = coord.tick(Instant::now() + TIMEOUT * 10, &stats);
+        assert!(recovery.spawn.is_empty() && !recovery.abort);
+        assert_eq!(stats.stall_steals.load(Ordering::Relaxed), 0);
+        assert!(coord.runners[3..].iter().all(|r| r.state == State::Running));
+    }
 }

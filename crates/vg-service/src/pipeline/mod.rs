@@ -77,15 +77,30 @@
 //!
 //! # Failover: work stealing
 //!
-//! If a station's connection dies mid-window, the coordinator partitions
-//! the dead station's undelivered kiosk range into contiguous chunks and
-//! attributes one *steal-runner* connection per chunk to the surviving
-//! stations — parallel recovery instead of one serial replay connection.
-//! The kiosk assignment `i mod |K|` never moves (credentials keep the
-//! same kiosk signatures); only transport ownership does. Re-derived
-//! sessions are byte-identical (determinism again) and each lane drops a
-//! session index it has already admitted or buffered, so a partially
-//! submitted window heals without double admission.
+//! The coordinator (`coordinator.rs`) is a thread-free state machine over
+//! one table of *runners*: the original stations first, then every steal
+//! chunk, each running, finished or lost, a runner's id being its index.
+//! The caller's thread feeds it each runner's outcomes and `Done`, plus a
+//! liveness tick whenever the message channel stays quiet, and does what
+//! it answers: release deliveries in session order, spawn steal chunks,
+//! or abort.
+//!
+//! A runner is lost when it ends with an error, or — original stations
+//! only — when it stays silent past the stall deadline
+//! ([`ChaosOptions::stall_timeout`]) while holding undelivered sessions.
+//! Either way the same loss handler partitions its undelivered kiosk
+//! range into contiguous chunks dealt round-robin to the original
+//! stations not lost, one *steal-runner* connection per chunk — parallel
+//! recovery instead of one serial replay connection. A dead chunk is
+//! re-stolen one level deeper, up to a bounded depth, before the day
+//! aborts typed. A lost runner's later `Done` changes nothing; its
+//! deliveries still count, since a station declared stalled may only be
+//! slow. The kiosk assignment `i mod |K|` never moves (credentials keep
+//! the same kiosk signatures); only transport ownership does. Re-derived
+//! sessions are byte-identical (determinism again): the coordinator drops
+//! a delivery below its release cursor or already buffered, and each lane
+//! drops a session index it has already admitted or buffered, so a
+//! partially submitted window heals without double admission.
 
 mod coordinator;
 mod sequencer;
@@ -199,7 +214,10 @@ pub struct ChaosOptions {
     /// Seeded network/disk fault plan (see [`FaultPlan`]).
     pub plan: Option<FaultPlan>,
     /// Override for the coordinator's stall-detection deadline
-    /// (`DEFAULT_STALL_TIMEOUT`, 30 s, when `None`).
+    /// (`DEFAULT_STALL_TIMEOUT`, 30 s, when `None`): an original station
+    /// silent this long while holding undelivered sessions is marked lost
+    /// and stolen from through the same handler as a dead one. Steal
+    /// chunks are never watched.
     pub stall_timeout: Option<Duration>,
     /// Deterministic hang injection: the station stops mid-day WITHOUT
     /// erroring — the lost-without-dying scenario only the stall
@@ -211,7 +229,8 @@ pub struct ChaosOptions {
 /// A station that silently stops making progress mid-day (see
 /// [`ChaosOptions::hang`]). The hung thread parks until day teardown —
 /// it never errors, never sends `Done` while the day runs — so healing
-/// it is entirely on the coordinator's liveness deadline.
+/// it is entirely on the coordinator's liveness deadline, which marks it
+/// lost in the runner table and steals its undelivered sessions.
 #[derive(Clone, Copy, Debug)]
 pub struct StationHang {
     /// Which original station hangs.

@@ -170,7 +170,7 @@ impl<'a> Sequencer<'a> {
         official: &'a Official,
         threads: usize,
         mode: IngestMode,
-        stats: Arc<EngineStats>,
+        stats: &Arc<EngineStats>,
     ) -> (IngestClient, Self) {
         let (seq, rx) = mpsc::channel();
         let sequencer = Self {
@@ -188,7 +188,7 @@ impl<'a> Sequencer<'a> {
             parked: Vec::new(),
             failed: None,
             tickets: 0,
-            stats,
+            stats: Arc::clone(stats),
         };
         (IngestClient { seq }, sequencer)
     }
@@ -444,7 +444,7 @@ mod tests {
     fn with_sequencer<T>(system: &mut TripSystem, test: impl FnOnce(&mut Sequencer<'_>) -> T) -> T {
         let (ledger, official) = (&mut system.ledger, &system.officials[0]);
         let (_client, mut seq) =
-            Sequencer::new(ledger, official, 1, IngestMode::Barrier, Arc::default());
+            Sequencer::new(ledger, official, 1, IngestMode::Barrier, &Arc::default());
         test(&mut seq)
     }
 

@@ -152,8 +152,11 @@ impl RequestEndpoint for FaultingEndpoint<'_> {
 /// receipts, traces) and `Done` is tiny.
 pub(super) type SessionDelivery = Box<(RegistrationOutcome, Option<Vsd>, Option<StolenCredential>)>;
 
+/// What a runner's thread tells the coordinator, tagged with the
+/// runner's id.
 pub(super) enum StationMsg {
-    Outcome(usize, SessionDelivery),
+    /// `(runner, global session index, delivery)`.
+    Outcome(usize, usize, SessionDelivery),
     Done(usize, Result<(), TripError>),
 }
 
@@ -220,12 +223,13 @@ fn open_link<'a>(
     })
 }
 
-/// One station's whole day (or one stolen chunk's): connect, optionally
-/// spawn the refiller on its own connection, and drive the fleet's
-/// station loop on this thread.
+/// One station's whole day (or one stolen chunk's) as runner `runner`:
+/// connect, optionally spawn the refiller on its own connection, and
+/// drive the fleet's station loop on this thread.
 pub(super) fn run_station(
     mut job: StationJob<'_>,
     link: Link<'_>,
+    runner: usize,
     tx: &Sender<StationMsg>,
 ) -> Result<(), TripError> {
     let mut opened = open_link(&link, job.retry, job.stats)?;
@@ -249,7 +253,11 @@ pub(super) fn run_station(
                     outcome: RegistrationOutcome,
                     vsd: Option<Vsd>,
                     stolen: Option<StolenCredential>| {
-        let _ = tx.send(StationMsg::Outcome(idx, Box::new((outcome, vsd, stolen))));
+        let _ = tx.send(StationMsg::Outcome(
+            runner,
+            idx,
+            Box::new((outcome, vsd, stolen)),
+        ));
     };
     // The plan is the check-in list and then the pool's; move it rather
     // than cloning megabytes of SessionPlans per station (and per recovery).
@@ -344,8 +352,7 @@ mod tests {
             Box::leak(Box::new(TripSystem::setup(config, &mut rng)));
         let stats = Arc::<EngineStats>::default();
         let (official, mode) = (&system.officials[0], IngestMode::Barrier);
-        let (client, sequencer) =
-            Sequencer::new(&mut system.ledger, official, 1, mode, Arc::clone(&stats));
+        let (client, sequencer) = Sequencer::new(&mut system.ledger, official, 1, mode, &stats);
         std::thread::spawn(move || sequencer.run());
         let registrar = PipelineDispatch {
             official,
@@ -518,7 +525,7 @@ mod tests {
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::spawn(move || {
             let (tx, _outcomes) = mpsc::channel();
-            let _ = done_tx.send(run_station(job, Link::Gateway(connector), &tx));
+            let _ = done_tx.send(run_station(job, Link::Gateway(connector), 0, &tx));
         });
         let result = done_rx
             .recv_timeout(Duration::from_secs(20))

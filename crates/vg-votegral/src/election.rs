@@ -241,8 +241,9 @@ impl ElectionBuilder {
     }
 
     /// Number of polling-station connections registration runs over.
-    /// Must not exceed the deployment's kiosk count: the day returns a
-    /// typed [`vg_trip::TripError::InvalidConfig`] rather than silently
+    /// Must be at least one and must not exceed the deployment's kiosk
+    /// count: the day returns a typed
+    /// [`vg_trip::TripError::InvalidConfig`] rather than silently
     /// clamping (kiosks split into contiguous chunks, so `1 <= stations
     /// <= |K|` is a hard invariant). More than one routes registration
     /// through the threaded engine: stations drive disjoint kiosk
@@ -250,7 +251,7 @@ impl ElectionBuilder {
     /// global queue order, so the ledgers stay bit-identical to a
     /// single-station run.
     pub fn stations(mut self, n: usize) -> Self {
-        self.pipeline.stations = n.max(1);
+        self.pipeline.stations = n;
         self
     }
 
@@ -633,6 +634,28 @@ mod tests {
         assert_eq!(sessions[1].1.credentials.len(), 1);
         assert_eq!(sessions[2].1.credentials.len(), 2);
         assert_eq!(election.trip.ledger.registration.active_count(), 3);
+    }
+
+    /// Zero stations is refused typed by the day, not clamped to one by
+    /// the builder.
+    #[test]
+    fn zero_stations_is_a_typed_config_error() {
+        let mut rng = HmacDrbg::from_u64(13);
+        let mut election = ElectionBuilder::new()
+            .voters(2)
+            .options(2)
+            .stations(0)
+            .build(&mut rng);
+        let out = election.register_batch(&[VoterId(1), VoterId(2)], &mut rng);
+        let err = out.err();
+        assert!(
+            matches!(
+                err,
+                Some(VotegralError::Trip(vg_trip::TripError::InvalidConfig(_)))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(election.trip.ledger.registration.active_count(), 0);
     }
 
     #[test]
