@@ -5,16 +5,18 @@
 //! [`DurableStore`] implements [`LedgerStore`] over one append-only file
 //! of length-prefixed, checksummed frames carrying each record's
 //! canonical byte encoding (the same injective encoding the Merkle leaves
-//! hash, so disk and tree can never disagree about content). The write
-//! discipline is **event-before-state**: a record's frame is written to
-//! the record log before the in-memory Merkle accumulator absorbs its
-//! leaf, so a process killed at any instant leaves the disk a
-//! superset-or-equal of the published state, never behind it. The only
-//! fsyncs are the commit barrier's ([`LedgerStore::persist`]: the record
-//! log first, the signed head that covers it second), which is where the
-//! commit sequencer's admission sweep calls it. Nothing is acknowledged
-//! before a barrier, so nothing above the last persisted head is owed to
-//! anyone.
+//! hash, so disk and tree can never disagree about content). The same
+//! file carries *side frames*: opaque payloads a ledger keeps next to its
+//! records (the envelope ledger's reveals), told apart by the kind in the
+//! top byte of the length prefix and by a per-kind checksum domain. The
+//! write discipline is **event-before-state**: a frame is written to the
+//! record log before the in-memory state absorbs it, so a process killed
+//! at any instant leaves the disk a superset-or-equal of the published
+//! state, never behind it. The only fsyncs are the commit barrier's
+//! ([`LedgerStore::persist`]: the record log first, the signed head that
+//! covers it second, in `heads.log`), which is where the commit
+//! sequencer's admission sweep calls it. Nothing is acknowledged before a
+//! barrier, so nothing above the last persisted head is owed to anyone.
 //!
 //! Reopen is snapshot-load + replay, **anchored on the last persisted
 //! head**: the record log and `heads.log` are first scanned without
@@ -23,12 +25,14 @@
 //! replayed tree ([`MerkleLog::root_of`]). A file's first incomplete or
 //! checksum-failing frame ends its scan (a crash mid-`write` is expected,
 //! and the sticky poison below guarantees the writer never appended past
-//! one); it is truncated away as a torn tail only if the valid prefix
-//! still reaches the last persisted head's size. A bad frame *below*
-//! that head is a hard [`WalError::Corrupt`] with every file left at its
-//! original length — truncation never un-says an acknowledged record.
+//! one). In the record log it is truncated away as a torn tail only if
+//! the records before it still reach the last persisted head's size, so
+//! a bad side frame followed by head-covered records is anchored too. In
+//! `heads.log` it is a tail only if no later head follows it. Anything
+//! else is a hard [`WalError::Corrupt`] with every file left at its
+//! original length — truncation never un-says an acknowledged frame.
 //!
-//! Every log file is written through one private `FrameLog`: one append,
+//! Both log files are written through one private `FrameLog`: one append,
 //! one `sync_data`, one [`FaultFs`] consult per write and per fsync, and
 //! one poison rule — the first failed write or sync on a file makes
 //! every later append and sync of that file a [`WalError::Poisoned`].
@@ -47,7 +51,6 @@
 //! by simply re-running it: everything already durable is deduplicated
 //! against *persisted* (not in-memory) progress.
 
-use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
@@ -60,20 +63,26 @@ use vg_crypto::codec::Reader;
 use vg_crypto::par::par_map;
 use vg_crypto::schnorr::Signature;
 use vg_crypto::sha2::Sha256;
-use vg_crypto::{CryptoError, Scalar};
+use vg_crypto::CryptoError;
 
-/// Hard ceiling on a single frame payload; a length prefix above this is
-/// corruption, not data.
-pub const MAX_FRAME: usize = 1 << 24;
+/// Hard ceiling on a single frame payload: the low 24 bits of a frame's
+/// `u32` length prefix (the top byte is the frame's kind).
+pub const MAX_FRAME: usize = (1 << 24) - 1;
 
 const FRAME_HEADER: usize = 4 + 8;
+/// Frame kinds. Records — and every head and snapshot frame — are kind 0;
+/// a side frame rides the record log without being a record. Any other
+/// kind is a bad frame.
+const RECORD: u8 = 0;
+const SIDE: u8 = 1;
+/// Every head frame's length: size ‖ root ‖ signature.
+const HEAD_FRAME: u64 = (FRAME_HEADER + 104) as u64;
 /// A store's one record log. The name is what the first file of the
 /// rolled-segment layout was called: `bench/e2e`'s `wal_bytes_per_rec`
 /// probe sums a directory's files by the `seg-` prefix.
 const RECORDS_FILE: &str = "seg-000000.log";
 const HEADS_FILE: &str = "heads.log";
 const SNAPSHOT_FILE: &str = "snapshot.bin";
-const REVEALS_FILE: &str = "reveals.log";
 
 /// Errors raised opening, replaying, or writing a durable log directory.
 ///
@@ -138,13 +147,15 @@ pub trait DurableRecord: Record + Sized {
 /// sharded backends).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// Frames appended to the WAL by this process (replay-cursor matches
-    /// are free and not counted).
+    /// Frames appended to the record log by this process: records and
+    /// side frames (the envelope ledger's reveals) alike. Replay-cursor
+    /// matches are free and not counted.
     pub wal_records: u64,
     /// `fsync` calls issued at commit barriers (zero when the backend
     /// runs with `fsync: false`).
     pub wal_fsyncs: u64,
-    /// Records replayed from disk when the store was opened.
+    /// Frames replayed from the record log when the store was opened:
+    /// records and side frames alike.
     pub replayed: u64,
     /// Signed tree heads persisted to `heads.log`.
     pub heads_persisted: u64,
@@ -173,10 +184,11 @@ impl DurabilityStats {
 /// One injected filesystem fault, keyed by deterministic operation
 /// counters — never wall clocks or OS entropy (this file is inside
 /// vg-lint's `nondeterminism` scope, and the chaos tests rely on a seed
-/// reproducing the exact same failure). Every log file — a store's
-/// record log, its `heads.log`, the envelope ledger's `reveals.log` —
-/// counts its own writes and fsyncs from 0, so a fault fires once on
-/// each file that gets that far.
+/// reproducing the exact same failure). A store's two log files — its
+/// record log and its `heads.log` — each count their own writes and
+/// fsyncs from 0, so a fault fires once on each file that gets that far.
+/// The envelope ledger's record log counts its commitments and reveals
+/// together: both are frames of that one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsFault {
     /// The file's `nth` frame write (0-based) fails with an injected IO
@@ -209,7 +221,8 @@ pub enum FsFault {
 
 /// A deterministic write-layer fault schedule installed on a
 /// [`DurableStore`] (via [`crate::ledger::Ledger::install_fault_fs`] or
-/// [`LedgerStore::install_fault_fs`]); every log file gets its own clone.
+/// [`LedgerStore::install_fault_fs`]); each of a store's two log files
+/// gets its own clone.
 /// Decisions depend only on the schedule and the file's own write/fsync
 /// counters, so a given seed replays the identical failure on every run.
 #[derive(Clone, Debug, Default)]
@@ -224,8 +237,7 @@ impl FaultFs {
     pub fn new(faults: Vec<FsFault>) -> Self {
         Self {
             faults,
-            writes: 0,
-            fsyncs: 0,
+            ..Self::default()
         }
     }
 
@@ -255,34 +267,38 @@ impl FaultFs {
     fn on_fsync(&mut self) -> Result<(), std::io::Error> {
         let n = self.fsyncs;
         self.fsyncs += 1;
-        for f in &self.faults {
-            if let FsFault::FailFsync { nth } = *f {
-                if nth == n {
-                    return Err(std::io::Error::other("injected fsync failure"));
-                }
-            }
+        if self.faults.contains(&FsFault::FailFsync { nth: n }) {
+            return Err(std::io::Error::other("injected fsync failure"));
         }
         Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec: u32 length ‖ 8-byte truncated domain-prefixed SHA-256 ‖ payload
+// Frame codec: u32 kind ‖ length, 8-byte truncated SHA-256 under the kind's
+// domain, payload
 // ---------------------------------------------------------------------------
 
-fn frame_checksum(payload: &[u8]) -> [u8; 8] {
+/// The checksum is domain-separated by kind, so a flipped kind byte fails
+/// it instead of turning a frame into another kind. Records keep the
+/// original domain: record, head and snapshot frames are byte-identical
+/// to those written before frames had kinds.
+fn frame_checksum(kind: u8, payload: &[u8]) -> [u8; 8] {
     let mut h = Sha256::new();
-    h.update(b"vg-wal-frame-v1");
+    h.update(match kind {
+        RECORD => b"vg-wal-frame-v1".as_slice(),
+        _ => b"vg-wal-side-v1",
+    });
     h.update(payload);
     let digest = h.finalize();
     std::array::from_fn(|i| digest[i])
 }
 
 /// The complete on-disk encoding of one frame.
-fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame_checksum(payload));
+    buf.extend_from_slice(&((kind as u32) << 24 | payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&frame_checksum(kind, payload));
     buf.extend_from_slice(payload);
     buf
 }
@@ -295,7 +311,7 @@ fn read_up_to(src: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> std::io::Resu
     src.by_ref().take(n as u64).read_to_end(buf)
 }
 
-/// The one frame scanner: passes the payload of every complete,
+/// The one frame scanner: passes the kind and payload of every complete,
 /// checksum-valid frame of a log file to `each`, in order, holding one
 /// frame at a time and modifying nothing, and stops at the first position
 /// where no such frame starts. At the clean end of the file (or with no
@@ -304,7 +320,7 @@ fn read_up_to(src: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> std::io::Resu
 /// the caller has decided the tear is a tail.
 fn scan_file(
     path: &Path,
-    mut each: impl FnMut(&[u8]) -> Result<(), WalError>,
+    mut each: impl FnMut(u8, &[u8]) -> Result<(), WalError>,
 ) -> Result<Option<u64>, WalError> {
     let mut src = match File::open(path) {
         Ok(file) => BufReader::new(file),
@@ -318,18 +334,19 @@ fn scan_file(
         }
         // A header the file ends inside has a short checksum, which
         // matches nothing.
-        let Some((len, sum)) = header.split_first_chunk::<4>() else {
+        let Some((prefix, sum)) = header.split_first_chunk::<4>() else {
             return Ok(Some(valid));
         };
-        let len = u32::from_le_bytes(*len) as usize;
-        if len > MAX_FRAME
+        let prefix = u32::from_le_bytes(*prefix);
+        let (kind, len) = ((prefix >> 24) as u8, prefix as usize & MAX_FRAME);
+        if kind > SIDE
             || read_up_to(&mut src, &mut payload, len)? < len
-            || frame_checksum(&payload) != *sum
+            || frame_checksum(kind, &payload) != *sum
         {
             return Ok(Some(valid));
         }
         valid += (FRAME_HEADER + len) as u64;
-        each(&payload)?;
+        each(kind, &payload)?;
     }
 }
 
@@ -343,22 +360,20 @@ fn truncate_tail(path: &Path, torn_at: Option<u64>) -> std::io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// FrameLog: the one writer under records, heads and reveals
+// FrameLog: the one writer under the record log and heads
 // ---------------------------------------------------------------------------
 
 /// The append side of one log file. Every durable byte outside the
 /// snapshot goes through here, so this is the only place that consults
 /// the fault schedule, calls `sync_data` on a log, counts, and poisons.
+///
+/// A frame append costs a memcpy, not a syscall: the buffer drains when
+/// full, at every `sync`, and on drop. A kill can lose buffered frames —
+/// that only ever shortens the on-disk log by a tail, which replay
+/// repairs — and the record log's `sync` drains before any head is
+/// written, so heads never cover bytes the record log doesn't have.
 struct FrameLog {
     file: BufWriter<File>,
-    /// Drain the buffer after every frame (heads, reveals). The record
-    /// log leaves it off: a frame append costs a memcpy, not a syscall,
-    /// and the buffer drains when full, at every commit barrier, and on
-    /// drop. A kill can lose buffered frames — that only ever shortens
-    /// the on-disk log by a tail, which replay repairs, and `sync` drains
-    /// before any head is written so heads never cover bytes the record
-    /// log doesn't have.
-    write_through: bool,
     fsync: bool,
     dirty: bool,
     /// Injected write-layer fault schedule (chaos tests only): this
@@ -370,15 +385,15 @@ struct FrameLog {
     /// [`WalError::Poisoned`], so nothing can be appended past a torn
     /// frame and no barrier can report bytes the file does not have.
     failed: Option<String>,
-    /// `wal_records`, `wal_fsyncs` and `wal_failures` of this file.
+    /// `wal_records`, `wal_fsyncs` and `wal_failures` of this file (and,
+    /// for the record log, `replayed`).
     stats: DurabilityStats,
 }
 
 impl FrameLog {
-    fn open(path: &Path, fsync: bool, write_through: bool) -> Result<Self, WalError> {
+    fn open(path: &Path, fsync: bool) -> Result<Self, WalError> {
         Ok(Self {
             file: BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?),
-            write_through,
             fsync,
             dirty: false,
             fault: None,
@@ -403,9 +418,13 @@ impl FrameLog {
         })
     }
 
-    fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
+    fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), WalError> {
         self.guarded(|log| {
-            let frame = frame_bytes(payload);
+            // A longer payload would spill into the kind byte.
+            if payload.len() > MAX_FRAME {
+                return Err(std::io::Error::other("frame payload exceeds MAX_FRAME"));
+            }
+            let frame = frame_bytes(kind, payload);
             let torn = match log.fault.as_mut() {
                 Some(f) => f.on_write()?,
                 None => None,
@@ -421,9 +440,6 @@ impl FrameLog {
                 ));
             }
             log.file.write_all(&frame)?;
-            if log.write_through {
-                log.file.flush()?;
-            }
             log.dirty = true;
             log.stats.wal_records += 1;
             Ok(())
@@ -469,6 +485,9 @@ pub struct DurableStore<T> {
     log: FrameLog,
     heads: FrameLog,
     last_head_size: u64,
+    /// Side frames replayed at open, in log order, until
+    /// [`LedgerStore::take_side_frames`] hands them back.
+    side: Vec<Vec<u8>>,
 }
 
 impl<T: DurableRecord> DurableStore<T> {
@@ -480,21 +499,25 @@ impl<T: DurableRecord> DurableStore<T> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         for entry in fs::read_dir(&dir)? {
-            let name = entry?.file_name();
-            if name != RECORDS_FILE && name.to_string_lossy().starts_with("seg-") {
+            let name = entry?.file_name().to_string_lossy().into_owned();
+            if name == "reveals.log" || (name != RECORDS_FILE && name.starts_with("seg-")) {
                 return Err(WalError::Corrupt(
-                    "directory holds rolled segment files: not a one-record-log store",
+                    "directory holds an older layout's rolled segment or reveal file",
                 ));
             }
         }
 
         // Scan first, modify nothing: whether a torn frame is a tail to
-        // cut or an acknowledged record lost is only known once the
+        // cut or an acknowledged frame lost is only known once the
         // persisted heads have been read.
         let records_path = dir.join(RECORDS_FILE);
-        let mut records: Vec<T> = Vec::new();
+        let (mut records, mut side): (Vec<T>, _) = (Vec::new(), Vec::new());
         let mut merkle_log = MerkleLog::new();
-        let records_torn = scan_file(&records_path, |payload| {
+        let records_torn = scan_file(&records_path, |kind, payload| {
+            if kind == SIDE {
+                side.push(payload.to_vec());
+                return Ok(());
+            }
             let record = T::decode_canonical(payload)?;
             if record.canonical_bytes() != payload {
                 return Err(WalError::Corrupt("record re-encoding diverges"));
@@ -510,14 +533,14 @@ impl<T: DurableRecord> DurableStore<T> {
         // means an acknowledged frame went bad — never a torn tail.
         let heads_path = dir.join(HEADS_FILE);
         let mut last_head_size = 0u64;
-        let heads_torn = scan_file(&heads_path, |payload| {
-            let (size, root) = decode_head(payload)?;
+        let heads_torn = scan_file(&heads_path, |kind, payload| {
+            let (size, root) = decode_head(kind, payload)?;
             if size < last_head_size {
                 return Err(WalError::Corrupt("persisted head sizes regress"));
             }
             if size as usize > records.len() {
                 return Err(WalError::Corrupt(match records_torn {
-                    Some(_) => "corrupt record frame below the last persisted head",
+                    Some(_) => "corrupt record-log frame below the last persisted head",
                     None => "persisted head beyond the log",
                 }));
             }
@@ -527,10 +550,18 @@ impl<T: DurableRecord> DurableStore<T> {
             last_head_size = size;
             Ok(())
         })?;
+        // Each head is synced before the next is written, so a bad head
+        // frame is a tear only if at most one frame's bytes follow its
+        // start; with more, a later head was persisted above it.
+        if let Some(valid) = heads_torn {
+            if fs::metadata(&heads_path)?.len() - valid > HEAD_FRAME {
+                return Err(WalError::Corrupt("corrupt head frame below a later head"));
+            }
+        }
 
         let snap_path = dir.join(SNAPSHOT_FILE);
-        scan_file(&snap_path, |payload| {
-            let (size, root) = decode_head(payload)?;
+        scan_file(&snap_path, |kind, payload| {
+            let (size, root) = decode_head(kind, payload)?;
             if size as usize > records.len() || merkle_log.root_of(size as usize) != root {
                 return Err(WalError::Corrupt("snapshot disagrees with the log"));
             }
@@ -548,31 +579,26 @@ impl<T: DurableRecord> DurableStore<T> {
         snap_payload.extend_from_slice(&merkle_log.root());
         let tmp = dir.join("snapshot.tmp");
         let mut snap = File::create(&tmp)?;
-        snap.write_all(&frame_bytes(&snap_payload))?;
+        snap.write_all(&frame_bytes(RECORD, &snap_payload))?;
         if fsync {
             snap.sync_data()?;
         }
         drop(snap);
         fs::rename(&tmp, &snap_path)?;
 
-        let replayed = records.len();
+        let mut log = FrameLog::open(&records_path, fsync)?;
+        log.stats.replayed = (records.len() + side.len()) as u64;
         Ok(Self {
+            replayed: records.len(),
             records,
             merkle: merkle_log,
-            replayed,
             matched: 0,
-            log: FrameLog::open(&records_path, fsync, false)?,
-            heads: FrameLog::open(&heads_path, fsync, true)?,
+            log,
+            heads: FrameLog::open(&heads_path, fsync)?,
             dir,
             last_head_size,
+            side,
         })
-    }
-
-    /// Whether the store is still matching appends against the replayed
-    /// prefix (true between open and the first genuinely new append).
-    #[cfg(test)]
-    fn replaying(&self) -> bool {
-        self.matched < self.replayed
     }
 
     fn absorb(&mut self, record: T, payload: &[u8], leaf: Hash) -> usize {
@@ -597,7 +623,7 @@ impl<T: DurableRecord> DurableStore<T> {
         // and the next `persist` barrier surfaces the failure typed — no
         // head covering the lost bytes is ever published, which is the
         // durability contract.
-        let _poisoned = self.log.append(payload);
+        let _poisoned = self.log.append(RECORD, payload);
         let idx = self.merkle.append_leaf(leaf);
         self.records.push(record);
         idx
@@ -612,12 +638,12 @@ impl<T: DurableRecord> DurableStore<T> {
     }
 }
 
-fn decode_head(payload: &[u8]) -> Result<(u64, Hash), WalError> {
+fn decode_head(kind: u8, payload: &[u8]) -> Result<(u64, Hash), WalError> {
     // size ‖ root ‖ signature — the signature rides along for external
     // auditors; the store itself verifies structure, not signatures
     // (operator keys live a layer up). The snapshot omits the signature.
-    if payload.len() != 40 && payload.len() != 104 {
-        return Err(WalError::Corrupt("bad head frame length"));
+    if kind != RECORD || (payload.len() != 40 && payload.len() != 104) {
+        return Err(WalError::Corrupt("bad head frame"));
     }
     let mut r = Reader::new(payload);
     Ok((r.u64()?, r.bytes32()?))
@@ -683,19 +709,19 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
     }
 
     fn persist(&mut self, head: &TreeHead) -> Result<(), WalError> {
-        // Commit barrier: group-fsync the outstanding appends first,
-        // publish the signed head second — the head on disk never gets
-        // ahead of the records it covers. Either log's poison fails the
-        // barrier: a failed append surfaces here as the record sync's
-        // `Poisoned`, a failed head write or head sync as the next head
-        // append's.
+        // Commit barrier: group-fsync the outstanding appends (records and
+        // side frames) first, publish the signed head second — the head on
+        // disk never gets ahead of the records it covers. Either log's
+        // poison fails the barrier: a failed append surfaces here as the
+        // record sync's `Poisoned`, a failed head write or head sync as
+        // the next head append's.
         self.log.sync()?;
         if head.size > self.last_head_size {
             let mut payload = Vec::with_capacity(104);
             payload.extend_from_slice(&head.size.to_le_bytes());
             payload.extend_from_slice(&head.root);
             payload.extend_from_slice(&head.signature.to_bytes());
-            self.heads.append(&payload)?;
+            self.heads.append(RECORD, &payload)?;
             self.heads.sync()?;
             self.last_head_size = head.size;
         }
@@ -712,94 +738,19 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
     fn durability_stats(&self) -> DurabilityStats {
         let (records, heads) = (&self.log.stats, &self.heads.stats);
         DurabilityStats {
-            wal_records: records.wal_records,
             wal_fsyncs: records.wal_fsyncs + heads.wal_fsyncs,
-            replayed: self.replayed as u64,
             heads_persisted: heads.wal_records,
             wal_failures: records.wal_failures + heads.wal_failures,
+            ..*records
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Reveal WAL (envelope challenge reveals live outside the Merkle log)
-// ---------------------------------------------------------------------------
-
-/// Write-ahead persistence for the envelope ledger's revealed-challenge
-/// map, which is keyed state *next to* the Merkle log rather than in it.
-/// Entries are `(H(e), e)` frames in reveal order. On reopen the map is
-/// reloaded and a replay queue of the original reveal order makes a
-/// deterministic re-run's re-reveals idempotent, while any *other*
-/// repeated reveal still trips the duplicate-envelope detector.
-pub struct RevealWal {
-    log: FrameLog,
-    replay: VecDeque<[u8; 32]>,
-}
-
-/// The persisted `H(e) → e` reveal map, in reveal order.
-pub type RevealedEntries = Vec<([u8; 32], Scalar)>;
-
-impl RevealWal {
-    /// Opens the reveal WAL inside a store directory, returning the WAL
-    /// and the persisted `H(e) → e` map.
-    pub fn open(dir: &Path, fsync: bool) -> Result<(Self, RevealedEntries), WalError> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(REVEALS_FILE);
-        let mut revealed = Vec::new();
-        let torn = scan_file(&path, |payload| {
-            let mut r = Reader::new(payload);
-            let h = r.bytes32()?;
-            let e = r.scalar()?;
-            r.finish()?;
-            revealed.push((h, e));
-            Ok(())
-        })?;
-        // No head counts reveals, so there is nothing to anchor on: the
-        // first bad frame is taken as the tail (the poison rule is what
-        // keeps a crash from acknowledging a reveal behind one).
-        truncate_tail(&path, torn)?;
-        let mut log = FrameLog::open(&path, fsync, true)?;
-        log.stats.replayed = revealed.len() as u64;
-        let replay = revealed.iter().map(|(h, _)| *h).collect();
-        Ok((Self { log, replay }, revealed))
+    fn append_side(&mut self, payload: &[u8]) -> Result<(), WalError> {
+        self.log.append(SIDE, payload)
     }
 
-    /// If `h` is the next reveal in the persisted replay order, consume
-    /// it (the caller treats the re-reveal as an idempotent no-op).
-    pub fn matches_replay(&mut self, h: &[u8; 32]) -> bool {
-        if self.replay.front() == Some(h) {
-            self.replay.pop_front();
-            return true;
-        }
-        false
-    }
-
-    /// Appends a newly revealed challenge (event-before-state; a write
-    /// failure surfaces typed so the caller can refuse the reveal, and
-    /// poisons the WAL: every later reveal and barrier is refused too, so
-    /// no reveal is ever acknowledged past a torn frame that reopen would
-    /// truncate away).
-    pub fn append(&mut self, h: &[u8; 32], e: &Scalar) -> Result<(), WalError> {
-        let mut payload = Vec::with_capacity(64);
-        payload.extend_from_slice(h);
-        payload.extend_from_slice(&e.to_bytes());
-        self.log.append(&payload)
-    }
-
-    /// Installs a deterministic fault schedule (chaos tests): this WAL's
-    /// own write and fsync counters decide which operation fails.
-    pub(crate) fn install_fault_fs(&mut self, fault: FaultFs) {
-        self.log.fault = Some(fault);
-    }
-
-    /// Group fsync at a commit barrier.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.log.sync()
-    }
-
-    /// Durability counters for this WAL.
-    pub fn stats(&self) -> DurabilityStats {
-        self.log.stats
+    fn take_side_frames(&mut self) -> Vec<Vec<u8>> {
+        std::mem::take(&mut self.side)
     }
 }
 
@@ -905,17 +856,18 @@ fn copy_prefix(src: &Path, dst: &Path, n: u64) -> std::io::Result<()> {
 
 /// Copies a durable ledger directory as if the writing process had been
 /// SIGKILLed partway through the day, keeping `keep_permille`/1000 of the
-/// record-log bytes.
+/// record bytes.
 ///
 /// Because every file is appended by a single writer, a kill at any
 /// instant leaves each file a *prefix* of its final content — that is the
 /// whole crash-state space. This helper reproduces it: the record log is
-/// cut to a byte prefix (usually mid-frame, yielding a torn tail), and
-/// `heads.log` is cut to the heads covering surviving records —
-/// mirroring the real write order, where records are fsynced *before*
-/// their head is published — plus a torn fragment of the next head. The
-/// reveal WAL and snapshot are prefix-cut and copied respectively.
-/// Recurses over sub-ledger directories.
+/// cut at the one offset where its record frames reach the byte fraction
+/// (usually mid-frame, yielding a torn tail; side frames before the cut
+/// survive, those after it are lost), and `heads.log` is cut to the heads
+/// covering surviving records — mirroring the real write order, where
+/// records are fsynced *before* their head is published — plus a torn
+/// fragment of the next head. The snapshot is copied. Recurses over
+/// sub-ledger directories; the report counts record frames only.
 pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<CrashReport, WalError> {
     fs::create_dir_all(dst)?;
     let mut report = CrashReport::default();
@@ -931,31 +883,36 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
     if !records_src.exists() {
         return Ok(report);
     }
-    let permille = |len: u64| len * keep_permille as u64 / 1000;
-
-    // Cut the record log at the byte fraction, counting the source's
-    // frames and the complete ones that survive (the cut usually lands
-    // mid-frame).
-    let cut = permille(fs::metadata(&records_src)?.len());
-    let (mut originals, mut survivors, mut end, mut boundary) = (0u64, 0u64, 0u64, 0u64);
-    scan_file(&records_src, |payload| {
-        originals += 1;
-        end += (FRAME_HEADER + payload.len()) as u64;
-        if end <= cut {
-            (survivors, boundary) = (originals, end);
-        }
+    let mut frames = Vec::new();
+    scan_file(&records_src, |kind, payload| {
+        frames.push((kind == RECORD, (FRAME_HEADER + payload.len()) as u64));
         Ok(())
     })?;
-    copy_prefix(&records_src, &dst.join(RECORDS_FILE), cut)?;
+    let originals = frames.iter().filter(|f| f.0).count() as u64;
+    let record_bytes: u64 = frames.iter().filter_map(|f| f.0.then_some(f.1)).sum();
+    let cut = record_bytes * keep_permille as u64 / 1000;
+    // Walk to the record frame the cut falls in: every frame before it
+    // survives whole, and `cut - kept` of its bytes make the torn tail.
+    let (mut kept, mut offset, mut survivors) = (0u64, 0u64, 0u64);
+    for (record, len) in frames {
+        if record {
+            if kept + len > cut {
+                break;
+            }
+            (kept, survivors) = (kept + len, survivors + 1);
+        }
+        offset += len;
+    }
+    copy_prefix(&records_src, &dst.join(RECORDS_FILE), offset + (cut - kept))?;
 
     // Heads: keep the prefix describing surviving records, then leave a
     // torn fragment of the next head to exercise tail repair there too.
     let heads_src = src.join(HEADS_FILE);
     if heads_src.exists() {
         let (mut end, mut keep, mut next) = (0u64, 0u64, None);
-        scan_file(&heads_src, |payload| {
+        scan_file(&heads_src, |kind, payload| {
             end += (FRAME_HEADER + payload.len()) as u64;
-            if decode_head(payload)?.0 <= survivors {
+            if decode_head(kind, payload)?.0 <= survivors {
                 keep = end;
             } else {
                 next.get_or_insert(end);
@@ -965,13 +922,6 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
         // Half of the next head, if any, made it to disk before the kill.
         let frag = keep + (next.unwrap_or(keep) - keep) / 2;
         copy_prefix(&heads_src, &dst.join(HEADS_FILE), frag)?;
-    }
-
-    // Reveal WAL: same byte-prefix cut as the record log.
-    let reveals_src = src.join(REVEALS_FILE);
-    if reveals_src.exists() {
-        let cut = permille(fs::metadata(&reveals_src)?.len());
-        copy_prefix(&reveals_src, &dst.join(REVEALS_FILE), cut)?;
     }
 
     // The snapshot is written atomically at open, so a crash leaves the
@@ -984,7 +934,7 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
     report.merge(&CrashReport {
         surviving_records: survivors,
         dropped_records: originals - survivors,
-        torn_tail: boundary < cut,
+        torn_tail: kept < cut,
     });
     Ok(report)
 }
@@ -994,6 +944,7 @@ mod tests {
     use super::*;
     use crate::ledger::{challenge_hash, EnvelopeCommitment, Ledger, LedgerError};
     use crate::store::InMemoryStore;
+    use vg_crypto::Scalar;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Note(u64);
@@ -1028,6 +979,12 @@ mod tests {
 
     fn notes(range: Range<u64>) -> Vec<Note> {
         range.map(Note).collect()
+    }
+
+    /// Whether the store is still matching appends against the replayed
+    /// prefix (true between open and the first genuinely new append).
+    fn replaying(store: &DurableStore<Note>) -> bool {
+        store.matched < store.replayed
     }
 
     fn head_of(store: &DurableStore<Note>, operator: &vg_crypto::schnorr::SigningKey) -> TreeHead {
@@ -1093,7 +1050,7 @@ mod tests {
             store.append_batch(notes(0..10), 1);
         }
         let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
-        assert!(store.replaying());
+        assert!(replaying(&store));
         // Byte-identical re-appends resolve to their original indices…
         assert_eq!(store.append(Note(0)), 0);
         let range = store.append_batch(notes(1..7), 2);
@@ -1101,7 +1058,7 @@ mod tests {
         // …including a batch spanning the persisted/new boundary.
         let range = store.append_batch(notes(7..14), 2);
         assert_eq!(range, 7..14);
-        assert!(!store.replaying());
+        assert!(!replaying(&store));
         assert_eq!(store.len(), 14);
         // Only the 4 genuinely new records hit the WAL.
         assert_eq!(store.durability_stats().wal_records, 4);
@@ -1231,7 +1188,9 @@ mod tests {
             .append(true)
             .open(dir.join(HEADS_FILE))
             .expect("open heads");
-        heads.write_all(&frame_bytes(&payload)).expect("append");
+        heads
+            .write_all(&frame_bytes(RECORD, &payload))
+            .expect("append");
         drop(heads);
         drop(store);
         match DurableStore::<Note>::open(&dir, true) {
@@ -1239,6 +1198,25 @@ mod tests {
             Err(e) => panic!("head beyond log must be Corrupt, got {e}"),
             Ok(_) => panic!("head beyond log must be rejected, but open succeeded"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A payload longer than `MAX_FRAME` would spill into its frame's
+    /// kind byte: it is refused typed and poisons the log instead.
+    #[test]
+    fn oversized_frame_is_refused_and_poisons() {
+        let dir = tmp_dir("oversized");
+        let op = operator();
+        {
+            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            store.append_batch(notes(0..3), 1);
+            let refused = store.append_side(&vec![0; MAX_FRAME + 1]);
+            assert!(matches!(refused, Err(WalError::Io(_))), "{refused:?}");
+            let barrier = store.persist(&head_of(&store, &op));
+            assert!(matches!(barrier, Err(WalError::Poisoned(_))), "{barrier:?}");
+        }
+        let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
+        assert_eq!((store.len(), store.take_side_frames().len()), (3, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1338,10 +1316,57 @@ mod tests {
         }
     }
 
-    /// One step of [`EnvelopeDay`]: a commitment (one record-log write),
-    /// a reveal (one `reveals.log` write), or a commit barrier (the
-    /// record log's fsync, a `heads.log` write and fsync if the log grew,
-    /// the reveal log's fsync).
+    /// Each head is synced before the next is written, so only the last
+    /// head frame can be torn: a bad head with a later one above it is
+    /// corruption, not a tail.
+    #[test]
+    fn anchored_heads_an_early_bad_head_is_corrupt_and_the_last_a_tail() {
+        let dir = tmp_dir("anchored-heads");
+        let op = operator();
+        {
+            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            for size in [5, 9, 12] {
+                store.append_batch(notes(store.len() as u64..size), 1);
+                store.persist(&head_of(&store, &op)).expect("persist");
+            }
+        }
+        let (log_path, heads_path) = (dir.join(RECORDS_FILE), dir.join(HEADS_FILE));
+        let log = fs::read(&log_path).expect("read");
+        let heads = fs::read(&heads_path).expect("read");
+        assert_eq!(heads.len() as u64, 3 * HEAD_FRAME);
+        // Flip one byte of head `k`'s size field.
+        let flipped = |k: u64| {
+            let mut buf = heads.clone();
+            buf[(k * HEAD_FRAME) as usize + FRAME_HEADER] ^= 0xFF;
+            buf
+        };
+
+        fs::write(&heads_path, flipped(0)).expect("write");
+        match DurableStore::<Note>::open(&dir, false) {
+            Err(WalError::Corrupt(_)) => {}
+            Err(e) => panic!("a bad head below a later head must be Corrupt, got {e}"),
+            Ok(_) => panic!("a bad head below a later head must be rejected"),
+        }
+        assert_eq!(
+            fs::read(&heads_path).expect("read"),
+            flipped(0),
+            "untouched"
+        );
+        assert_eq!(fs::read(&log_path).expect("read"), log, "untouched");
+
+        // The last head has nothing above it: a tail, cut, and the store
+        // reopens on the head before it.
+        fs::write(&heads_path, flipped(2)).expect("write");
+        let store = DurableStore::<Note>::open(&dir, false).expect("tail repair");
+        assert_eq!((store.len(), store.last_head_size), (12, 9));
+        let kept = fs::read(&heads_path).expect("read");
+        assert_eq!(kept, heads[..2 * HEAD_FRAME as usize]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One step of [`EnvelopeDay`]: a commitment or a reveal (one
+    /// record-log write each), or a commit barrier (the record log's
+    /// fsync, then a `heads.log` write and fsync if the tree grew).
     #[derive(Clone, Copy, Debug)]
     enum Step {
         Commit(usize),
@@ -1425,14 +1450,18 @@ mod tests {
         Ledger::with_backend(Vec::new(), backend, &mut vg_crypto::HmacDrbg::from_u64(21))
     }
 
+    /// A reveal is a frame of the envelope record log: a torn one refuses
+    /// its reveal and poisons the log, so every later reveal and barrier
+    /// is refused, and reopen cuts the tear above the last head and keeps
+    /// every reveal accepted before it.
     #[test]
     fn short_reveal_write_poisons_and_reopen_keeps_acknowledged_reveals() {
         let dir = tmp_dir("reveal-fault");
         let challenges = {
             let mut ledger = open_ledger(&dir, true);
             let challenges = envelope_day(&mut ledger);
-            // No commitment follows, so only `reveals.log` reaches write 2:
-            // reveals 10 and 11 land, reveal 12 is torn after 7 bytes.
+            // The fault counts from here, and only reveals follow: reveals
+            // 10 and 11 land, reveal 12 is torn after 7 bytes.
             let torn = FsFault::ShortWrite { nth: 2, keep: 7 };
             ledger.envelopes.install_fault_fs(FaultFs::new(vec![torn]));
             let mut reveal = |i: usize| ledger.envelopes.reveal_challenge(&challenges[i]);
@@ -1470,8 +1499,8 @@ mod tests {
     /// The newest head `heads.log` holds, read with the one scanner.
     fn last_persisted_head(dir: &Path) -> (u64, Hash) {
         let mut last = (0, merkle::empty_root());
-        scan_file(&dir.join(HEADS_FILE), |payload| {
-            last = decode_head(payload)?;
+        scan_file(&dir.join(HEADS_FILE), |kind, payload| {
+            last = decode_head(kind, payload)?;
             Ok(())
         })
         .expect("heads scan");
@@ -1481,11 +1510,12 @@ mod tests {
     /// Crash points enumerated, not sampled: every write of the day torn
     /// at every byte class, and every barrier's first fsync failed. Each
     /// fault is armed right before the step it is meant for, so `nth: 0`
-    /// is that step's own write — the day's k-th, whichever of the three
-    /// files it lands on — or that barrier's first sync (the record
-    /// log's, or the reveal log's at the last barrier; a failed head sync
-    /// leaves the same bytes as tearing the next write at 0 and is driven
-    /// directly by `fault_on_heads_log_aborts_the_barrier_and_poisons`).
+    /// is that step's own write — the day's k-th, a commitment's or a
+    /// reveal's frame in the record log or a head in `heads.log` — or that
+    /// barrier's first sync (the record log's, which carries the reveals
+    /// at the last barrier; a failed head sync leaves the same bytes as
+    /// tearing the next write at 0 and is driven directly by
+    /// `fault_on_heads_log_aborts_the_barrier_and_poisons`).
     #[test]
     fn every_crash_point_of_the_envelope_day_reopens_to_an_acknowledged_prefix() {
         let day = EnvelopeDay::new();
@@ -1588,24 +1618,34 @@ mod tests {
                 let entry = entry.expect("entry");
                 fs::copy(entry.path(), envelopes.join(entry.file_name())).expect("copy");
             }
-            // As the parent left it — two segment files — the directory is
-            // refused whole, never read as its first file alone.
-            let as_it_stands = DurableStore::<EnvelopeCommitment>::open(&envelopes, false);
-            assert!(
-                matches!(as_it_stands, Err(WalError::Corrupt(_))),
-                "{name}: a rolled directory must be refused typed"
-            );
-            // The same frames as one record log: the second file's bytes
-            // after the first's, every other file untouched.
-            let rolled = envelopes.join("seg-000001.log");
-            let tail = fs::read(&rolled).expect("read");
-            let mut log = OpenOptions::new()
-                .append(true)
-                .open(envelopes.join(RECORDS_FILE))
-                .expect("open");
-            log.write_all(&tail).expect("append");
-            drop(log);
-            fs::remove_file(&rolled).expect("remove");
+            let refused = |why: &str| {
+                let opened = DurableStore::<EnvelopeCommitment>::open(&envelopes, false);
+                assert!(matches!(opened, Err(WalError::Corrupt(_))), "{name}: {why}");
+            };
+            // As the parent left it — two segment files and a
+            // `reveals.log` — the directory is refused whole, never read as
+            // its first file alone.
+            refused("a rolled directory must be refused typed");
+            // A parent file's complete frames, re-encoded as `kind`; the
+            // file goes.
+            let frames = |file: &str, kind: u8| {
+                let mut out = Vec::new();
+                scan_file(&envelopes.join(file), |_, payload| {
+                    out.extend(frame_bytes(kind, payload));
+                    Ok(())
+                })
+                .expect("scan");
+                fs::remove_file(envelopes.join(file)).expect("remove");
+                out
+            };
+            // One record log: the complete record frames of both segments…
+            let mut log = frames(RECORDS_FILE, RECORD);
+            log.extend(frames("seg-000001.log", RECORD));
+            fs::write(envelopes.join(RECORDS_FILE), &log).expect("write");
+            refused("a leftover reveals.log must be refused typed");
+            // …then the complete reveals, as side frames of that log.
+            log.extend(frames("reveals.log", SIDE));
+            fs::write(envelopes.join(RECORDS_FILE), &log).expect("write");
 
             let mut ledger = open_ledger(&dir, false);
             assert_eq!(ledger.envelopes.tree_head().size, records, "{name}");
@@ -1620,5 +1660,96 @@ mod tests {
             assert_eq!(written, (56 - records) + (10 - reveals as u64), "{name}");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A reveal is a frame of the commitment log, so it is anchored like
+    /// a record: a bad reveal below head-covered commitments is `Corrupt`
+    /// with every file untouched; above the last of them it is a tail.
+    #[test]
+    fn anchored_reveal_is_corrupt_below_a_head_and_a_tail_above_it() {
+        let day = EnvelopeDay::new();
+        let dir = tmp_dir("anchored-reveal");
+        let mut ledger = open_ledger(&dir, false);
+        let mut steps: Vec<Step> = (0..5).map(Step::Commit).collect();
+        steps.push(Step::Reveal(0));
+        steps.extend((5..10).map(Step::Commit));
+        steps.extend([Step::Barrier, Step::Reveal(1), Step::Barrier]);
+        for step in steps {
+            day.run(&mut ledger, step).expect("a clean day");
+        }
+        drop(ledger);
+
+        let envelopes = dir.join("envelopes");
+        let (path, heads_path) = (envelopes.join(RECORDS_FILE), envelopes.join(HEADS_FILE));
+        let clean = fs::read(&path).expect("read");
+        let heads = fs::read(&heads_path).expect("read");
+        let (mut reveals, mut end) = (Vec::new(), 0);
+        scan_file(&path, |kind, payload| {
+            if kind == SIDE {
+                reveals.push(end);
+            }
+            end += FRAME_HEADER + payload.len();
+            Ok(())
+        })
+        .expect("scan");
+        assert_eq!(reveals.len(), 2);
+        let flipped = |at: usize| {
+            let mut buf = clean.clone();
+            buf[at] ^= 0x01;
+            buf
+        };
+
+        // Reveal 0 lies below commitments the head of 10 covers. Its kind
+        // bit flipped fails the record checksum; a payload byte flipped
+        // fails its own.
+        for at in [reveals[0] + 3, reveals[0] + FRAME_HEADER + 7] {
+            fs::write(&path, flipped(at)).expect("write");
+            match DurableStore::<EnvelopeCommitment>::open(&envelopes, false) {
+                Err(WalError::Corrupt(_)) => {}
+                Err(e) => panic!("a bad reveal below a head must be Corrupt, got {e}"),
+                Ok(_) => panic!("a bad reveal below a head must be rejected"),
+            }
+            assert_eq!(fs::read(&path).expect("read"), flipped(at), "untouched");
+            assert_eq!(fs::read(&heads_path).expect("read"), heads, "untouched");
+        }
+
+        // Reveal 1 follows the last head-covered commitment: a tail.
+        fs::write(&path, flipped(reveals[1] + FRAME_HEADER + 7)).expect("write");
+        let mut ledger = open_ledger(&dir, false);
+        let replayed = (
+            ledger.envelopes.tree_head().size,
+            ledger.envelopes.revealed_count(),
+        );
+        assert_eq!(replayed, (10, 1));
+        assert_eq!(fs::metadata(&path).expect("meta").len(), reveals[1] as u64);
+        // The re-run re-reveals 0 as a no-op and writes 1 again.
+        day.run(&mut ledger, Step::Reveal(0)).expect("replayed");
+        day.run(&mut ledger, Step::Reveal(1)).expect("reveals");
+        day.run(&mut ledger, Step::Barrier).expect("persists");
+        assert_eq!(ledger.envelopes.durability_stats().wal_records, 1);
+        drop(ledger);
+        assert_eq!(open_ledger(&dir, false).envelopes.revealed_count(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Reveals leave no file of their own: an activated envelope day's
+    /// store is its record log, its heads and its snapshot.
+    #[test]
+    fn anchored_envelope_day_leaves_one_record_log_heads_and_snapshot() {
+        let dir = tmp_dir("anchored-layout");
+        envelope_day(&mut open_ledger(&dir, false));
+        let mut names: Vec<String> = fs::read_dir(dir.join("envelopes"))
+            .expect("read dir")
+            .map(|entry| {
+                entry
+                    .expect("entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        assert_eq!(names, [HEADS_FILE, RECORDS_FILE, SNAPSHOT_FILE]);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -9,9 +9,9 @@
 //! a tamper-evident Merkle log ([`crate::log`]) so any mutation of history
 //! is detectable by auditors.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use crate::durable::{DurabilityStats, FaultFs, RevealWal, WalError};
+use crate::durable::{DurabilityStats, FaultFs, WalError};
 use crate::log::{Record, TamperEvidentLog, TreeHead};
 use crate::store::LedgerBackend;
 use vg_crypto::edwards::CompressedPoint;
@@ -420,41 +420,43 @@ impl Record for EnvelopeCommitment {
     }
 }
 
-/// The envelope sub-ledger L_E.
+/// The envelope sub-ledger L_E: printer commitments, and the challenges
+/// revealed at activation. On a durable backend each reveal is a side
+/// frame `H(e) ‖ e` of the commitment log itself, so it rides the same
+/// buffer, fsync and torn-tail repair as the commitments.
 pub struct EnvelopeLedger {
     log: TamperEvidentLog<EnvelopeCommitment>,
     by_hash: HashMap<[u8; 32], usize>,
     /// Challenges revealed at activation, keyed by H(e).
     revealed: HashMap<[u8; 32], Scalar>,
-    /// Write-ahead persistence for `revealed` on a durable backend (the
-    /// reveal map is keyed state *next to* the Merkle log, so it needs
-    /// its own WAL). `None` on volatile backends.
-    reveal_wal: Option<RevealWal>,
+    /// The H(e) of every reveal a reopened durable ledger replayed, in
+    /// reveal order, until a re-run of the day reveals it again.
+    replay: VecDeque<[u8; 32]>,
 }
 
 impl EnvelopeLedger {
     fn new(operator: SigningKey, backend: LedgerBackend) -> Self {
-        // On a durable backend, reload the persisted reveal map before
-        // the day re-runs; corruption is fail-stop like the record log's.
-        let (reveal_wal, persisted) = match &backend {
-            LedgerBackend::Durable { dir, fsync } => {
-                let (wal, revealed) = RevealWal::open(dir, *fsync)
-                    .unwrap_or_else(|e| panic!("reveal wal open failed at {}: {e}", dir.display()));
-                (Some(wal), revealed)
-            }
-            _ => (None, Vec::new()),
-        };
-        let log: TamperEvidentLog<EnvelopeCommitment> =
+        let mut log: TamperEvidentLog<EnvelopeCommitment> =
             TamperEvidentLog::with_backend(operator, backend);
         let mut by_hash = HashMap::new();
         for (idx, c) in log.records().iter().enumerate() {
             by_hash.insert(c.challenge_hash, idx);
         }
+        let (mut revealed, mut replay) = (HashMap::new(), VecDeque::new());
+        for frame in log.take_side_frames() {
+            let mut r = vg_crypto::codec::Reader::new(&frame);
+            let (Ok(h), Ok(e), Ok(())) = (r.bytes32(), r.scalar(), r.finish()) else {
+                // Corruption is fail-stop, like the commitment log's.
+                panic!("durable envelope ledger holds a bad reveal frame");
+            };
+            revealed.insert(h, e);
+            replay.push_back(h);
+        }
         Self {
             log,
             by_hash,
-            revealed: persisted.into_iter().collect(),
-            reveal_wal,
+            revealed,
+            replay,
         }
     }
 
@@ -557,20 +559,16 @@ impl EnvelopeLedger {
             return Err(LedgerError::UnknownEnvelope);
         }
         if self.revealed.contains_key(&h) {
-            if let Some(wal) = &mut self.reveal_wal {
-                if wal.matches_replay(&h) {
-                    return Ok(());
-                }
+            if self.replay.front() == Some(&h) {
+                self.replay.pop_front();
+                return Ok(());
             }
             return Err(LedgerError::DuplicateChallenge);
         }
-        if let Some(wal) = &mut self.reveal_wal {
-            // Event before state: the WAL frame must land before the
-            // in-memory map accepts the reveal; a write failure refuses
-            // the reveal typed instead of panicking, and poisons the WAL
-            // so no later reveal lands behind a torn frame.
-            wal.append(&h, e).map_err(LedgerError::from)?;
-        }
+        // Event before state: the reveal's frame lands before the map
+        // accepts it. A write failure refuses the reveal typed, and
+        // poisons the log so no later frame lands behind a torn one.
+        self.log.append_side(|| [&h[..], &e.to_bytes()].concat())?;
         self.revealed.insert(h, *e);
         Ok(())
     }
@@ -592,34 +590,20 @@ impl EnvelopeLedger {
         self.log.tree_head()
     }
 
-    /// Commit barrier: persists the commitment log and group-fsyncs the
-    /// reveal WAL (failing typed if either is poisoned). No-op on
-    /// volatile backends.
+    /// Commit barrier (no-op on volatile backends): see
+    /// [`TamperEvidentLog::persist`]; reveals sync with the commitments.
     pub fn persist(&mut self) -> Result<(), WalError> {
-        self.log.persist()?;
-        if let Some(wal) = &mut self.reveal_wal {
-            wal.sync()?;
-        }
-        Ok(())
+        self.log.persist()
     }
 
-    /// Installs a deterministic write-layer fault schedule (chaos tests)
-    /// on the commitment log and the reveal WAL — each from its own
-    /// clone, so per-file counters stay deterministic.
+    /// Installs a deterministic write-layer fault schedule (chaos tests).
     pub fn install_fault_fs(&mut self, fault: FaultFs) {
-        if let Some(wal) = &mut self.reveal_wal {
-            wal.install_fault_fs(fault.clone());
-        }
         self.log.install_fault_fs(fault);
     }
 
-    /// Durability counters (commitment log + reveal WAL).
+    /// Durability counters for this sub-ledger (reveals count as frames).
     pub fn durability_stats(&self) -> DurabilityStats {
-        let mut stats = self.log.durability_stats();
-        if let Some(wal) = &self.reveal_wal {
-            stats = stats.merge(&wal.stats());
-        }
-        stats
+        self.log.durability_stats()
     }
 }
 

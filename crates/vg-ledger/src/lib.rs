@@ -13,10 +13,11 @@
 //!   proof objects;
 //! - [`durable`]: the crash-recoverable WAL backend
 //!   ([`durable::DurableStore`]) — one append-only checksummed record
-//!   log per store, written event-before-state, persisted signed heads,
-//!   snapshot+replay reopen with torn-tail repair anchored on the last
-//!   persisted head, and the replay cursor that makes a deterministic
-//!   re-run of a killed day resume bit-identically;
+//!   log per store (the envelope ledger's reveals are side frames of it),
+//!   written event-before-state, persisted signed heads, snapshot+replay
+//!   reopen with torn-tail repair anchored on the last persisted head, and
+//!   the replay cursor that makes a deterministic re-run of a killed day
+//!   resume bit-identically;
 //! - [`log`]: typed tamper-evident logs with operator-signed tree heads
 //!   and a parallel batch-append fast path;
 //! - [`ledger`]: the three Votegral sub-ledgers with their domain rules

@@ -161,6 +161,20 @@ impl<T: Record> TamperEvidentLog<T> {
         self.store.durability_stats()
     }
 
+    /// Appends the side frame `frame` builds, on a durable backend only
+    /// ([`LedgerStore::append_side`]).
+    pub(crate) fn append_side(&mut self, frame: impl FnOnce() -> Vec<u8>) -> Result<(), WalError> {
+        if !self.store.is_durable() {
+            return Ok(());
+        }
+        self.store.append_side(&frame())
+    }
+
+    /// The side frames replayed at open ([`LedgerStore::take_side_frames`]).
+    pub(crate) fn take_side_frames(&mut self) -> Vec<Vec<u8>> {
+        self.store.take_side_frames()
+    }
+
     /// Verifies that `record` is included at `index` under `head`.
     pub fn verify_inclusion(
         head: &TreeHead,

@@ -168,6 +168,19 @@ pub trait LedgerStore<T: Record> {
     fn durability_stats(&self) -> DurabilityStats {
         DurabilityStats::default()
     }
+
+    /// Appends an opaque side frame to the record log (the envelope
+    /// ledger's reveals), durable at the next barrier like a record. A
+    /// no-op on volatile backends; a write failure poisons the store.
+    fn append_side(&mut self, payload: &[u8]) -> Result<(), WalError> {
+        let _ = payload;
+        Ok(())
+    }
+
+    /// The side frames replayed at open, in log order; handed back once.
+    fn take_side_frames(&mut self) -> Vec<Vec<u8>> {
+        Vec::new()
+    }
 }
 
 /// Domain-separated rollup root over per-shard `(size, root)` heads.

@@ -28,9 +28,9 @@
 //!   [`Connector`] so every dial — initial connect, reconnect, steal
 //!   runner — gets a fresh schedule derived from `(seed, station, dial)`.
 //! - **Disk**: [`FaultPlan::fault_fs`] builds the write-layer schedule
-//!   ([`vg_ledger::FaultFs`]) every log file of the durable ledger (a
-//!   store's record log, `heads.log`, `reveals.log`) consumes its own
-//!   clone of —
+//!   ([`vg_ledger::FaultFs`]) that each of a durable store's two log files
+//!   (its record log — on the envelope ledger, commitments and reveals
+//!   alike — and `heads.log`) consumes its own clone of —
 //!   fail the Nth write or fsync, short writes, ENOSPC.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -648,7 +648,7 @@ mod tests {
         let mut outcome = register_voter(&mut system, VoterId(1), 0, &mut rng).expect("registers");
         system.ledger.persist().expect("persists");
         // The stores are clean now, so the first fsync from here on is
-        // the reveal WAL's.
+        // the envelope record log's, which carries the reveal.
         let fault = FaultFs::new(vec![FsFault::FailFsync { nth: 0 }]);
         system.ledger.install_fault_fs(fault);
         outcome.believed_real.lift_to_activate();

@@ -211,7 +211,7 @@ pub fn activation_ledger_phase(
 
     // Line 11: challenge unused; reveal it. Only a repeated reveal is
     // the duplicate-envelope accusation of Appendix F.3.5; a challenge
-    // that was never committed, or a reveal WAL that could not be
+    // that was never committed, or a reveal frame that could not be
     // written, is the ledger's own failure and says so.
     ledger
         .envelopes
