@@ -6,7 +6,7 @@
 //! coercion-resistant, return-code based) and **VoteAgain** \[93\]
 //! (coercion resistance via deniable re-voting with dummy ballots).
 //!
-//! Per `DESIGN.md` §2, these are *crypto-path simulators*: the authors'
+//! These are *crypto-path simulators*: the authors'
 //! original implementations (Java/JML, the vendor's simulator, Python) are
 //! unavailable or proprietary, so each baseline is re-implemented over the
 //! same edwards25519 group with the per-phase cryptographic operation

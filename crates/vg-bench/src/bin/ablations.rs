@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices `DESIGN.md` calls out.
+//! Ablation studies of the four design choices listed below.
 //!
 //! `cargo run -p vg-bench --release --bin ablations`
 //!

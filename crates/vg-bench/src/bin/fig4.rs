@@ -3,17 +3,23 @@
 //!
 //! `cargo run -p vg-bench --release --bin fig4 [--runs N] [--cpu]`
 //!
-//! Without `--cpu` prints the wall-clock breakdown (Fig 4a); with it, the
-//! CPU breakdown with user/system split (Fig 4b).
+//! Each run is one registration through the booth every registration runs
+//! (`vg_trip::fleet::run_session`), printing and scanning the real QR
+//! payloads (see `vg_sim::fig4`). Without `--cpu` prints the wall-clock
+//! breakdown (Fig 4a); with it, the CPU breakdown with user/system split
+//! (Fig 4b). `--runs 0` is refused with status 2.
 
 use vg_bench::{arg_flag, arg_usize, print_table};
 use vg_hardware::metrics::{Component, Phase};
-use vg_hardware::peripherals::Peripherals;
 use vg_sim::bench_rng;
 use vg_sim::fig4::run_all_devices;
 
 fn main() {
     let runs = arg_usize("--runs", 3);
+    if runs == 0 {
+        eprintln!("--runs needs at least 1 registration to average");
+        std::process::exit(2);
+    }
     let cpu_mode = arg_flag("--cpu");
     let mut rng = bench_rng(0xF164);
 
@@ -44,8 +50,6 @@ fn main() {
                     any = true;
                 }
                 row.push(if cpu_mode {
-                    let p = Peripherals::new(run.device.clone());
-                    let _ = &p;
                     let sys = v * run.device.system_cpu_fraction;
                     format!("{:.1} ({:.1}u/{:.1}s)", v, v - sys, sys)
                 } else {
@@ -69,10 +73,7 @@ fn main() {
             run.device.name.to_string(),
             format!("{:.1} s", total / 1e3),
             format!("{:.1}%", run.metrics.qr_io_fraction() * 100.0),
-            format!(
-                "{:.0} ms",
-                run.metrics.component_wall_ms(Component::QrScan) / 7.0
-            ),
+            format!("{:.0} ms", run.metrics.mean_wall_ms(Component::QrScan)),
         ]);
     }
     print_table(

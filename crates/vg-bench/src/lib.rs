@@ -1,11 +1,10 @@
 //! Benchmark harness utilities: plain-text table rendering and
 //! `--flag value` parsing for the figure binaries (`fig4`, `fig5a`,
 //! `fig5b`, `usability`, `ivbound`, `coercion`, `ablations`), which
-//! regenerate the rows and series of the paper's evaluation section (see
-//! `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured records). They and the four criterion benches are
-//! reproduction artefacts; the performance gate is `bench/gate.sh` over
-//! `bench/e2e`.
+//! regenerate the rows and series of the paper's evaluation section (§7;
+//! one binary per figure or analysis, named after it). They and the four
+//! criterion benches are reproduction artefacts; the performance gate is
+//! `bench/gate.sh` over `bench/e2e`.
 //!
 //! This crate forbids `unsafe` code (`#![forbid(unsafe_code)]`): the
 //! whole workspace is safe Rust, locked in by the `vg-lint` analyzer's

@@ -28,7 +28,7 @@
 //! The protocol layer works exclusively in the prime-order subgroup of
 //! order ℓ generated by the standard basepoint; decompression of untrusted
 //! inputs offers [`EdwardsPoint::is_torsion_free`] for callers that must
-//! enforce subgroup membership (see `DESIGN.md` §7).
+//! enforce subgroup membership (README, *The torsion rule*).
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};

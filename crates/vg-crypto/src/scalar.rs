@@ -9,7 +9,7 @@
 //!
 //! All operations are variable-time; this library is a research artifact
 //! reproducing the paper's cryptographic path, not a hardened production
-//! signer (see `DESIGN.md` §7).
+//! signer, so a secret scalar's timing is not protected.
 
 use core::cmp::Ordering;
 use core::fmt;

@@ -3,35 +3,25 @@
 //! The paper measures TRIP on (L1) a Point-of-Sale kiosk, (L2) a Raspberry
 //! Pi 4, (H1) a MacBook Pro M1 Max VM and (H2) a Beelink GTR7, all with the
 //! same EPSON TM-T20III printer and a Bluetooth QR scanner. We have one
-//! machine, so per `DESIGN.md` §2 the profiles below *scale measured host
-//! CPU time* by per-device factors and add peripheral latencies, both
-//! calibrated from the paper's own reported breakdowns:
+//! machine, so the profiles below *scale measured host CPU time* by
+//! per-device factors and add peripheral latencies, both calibrated from
+//! the paper's own reported breakdowns:
 //!
 //! - resource-constrained devices run ≈2.6× the CPU time of the H devices,
 //!   with QR print rendering ≈3.8× slower (§7.2);
 //! - a QR scan averages ≈948 ms, dominated by Bluetooth transfer and thus
 //!   roughly device-independent;
-//! - thermal printing is mechanical: a fixed feed/cut plus per-byte ink
-//!   time shared across devices, with the CPU-side render scaled.
-
-/// Classification used in the figures ((L) vs (H), §7.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceClass {
-    /// Resource-constrained (kiosk, single-board computers).
-    ResourceConstrained,
-    /// Resource-abundant (laptop/desktop class).
-    ResourceAbundant,
-}
+//! - thermal printing is mechanical: one feed/cut per print job plus
+//!   per-byte ink time shared across devices, the CPU-side render scaled.
 
 /// A simulated hardware platform.
 #[derive(Debug, Clone)]
 pub struct DeviceProfile {
-    /// Short label used in tables ("L1", "H2", …).
+    /// Short label used in tables: L for the resource-constrained devices,
+    /// H for the resource-abundant ones (§7.2).
     pub label: &'static str,
     /// Human-readable name.
     pub name: &'static str,
-    /// Device class.
-    pub class: DeviceClass,
     /// Multiplier applied to measured host CPU time for crypto/logic.
     pub cpu_scale: f64,
     /// Multiplier applied to measured host CPU time for QR encode/decode.
@@ -58,7 +48,6 @@ impl DeviceProfile {
         Self {
             label: "L1",
             name: "Point-of-Sale Kiosk (Cortex-A17)",
-            class: DeviceClass::ResourceConstrained,
             cpu_scale: 10.5,
             qr_codec_scale: 9.0,
             print_fixed_ms: 1500.0,
@@ -75,7 +64,6 @@ impl DeviceProfile {
         Self {
             label: "L2",
             name: "Raspberry Pi 4 (Cortex-A72)",
-            class: DeviceClass::ResourceConstrained,
             cpu_scale: 8.0,
             qr_codec_scale: 7.0,
             print_fixed_ms: 1400.0,
@@ -92,7 +80,6 @@ impl DeviceProfile {
         Self {
             label: "H1",
             name: "MacBook Pro M1 Max (VM)",
-            class: DeviceClass::ResourceAbundant,
             cpu_scale: 3.0,
             qr_codec_scale: 2.6,
             print_fixed_ms: 950.0,
@@ -109,7 +96,6 @@ impl DeviceProfile {
         Self {
             label: "H2",
             name: "Beelink GTR7 (Ryzen 7840HS)",
-            class: DeviceClass::ResourceAbundant,
             cpu_scale: 3.3,
             qr_codec_scale: 2.9,
             print_fixed_ms: 1000.0,
@@ -131,7 +117,7 @@ impl DeviceProfile {
         ]
     }
 
-    /// Simulated wall-clock print time for a payload of `bytes`.
+    /// Simulated wall-clock time of one print job of `bytes` payload bytes.
     pub fn print_wall_ms(&self, bytes: usize, host_render_cpu_ms: f64) -> f64 {
         self.print_fixed_ms
             + self.print_per_byte_ms * bytes as f64
@@ -150,12 +136,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn four_profiles_with_expected_classes() {
-        let all = DeviceProfile::all();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[0].label, "L1");
-        assert_eq!(all[0].class, DeviceClass::ResourceConstrained);
-        assert_eq!(all[2].class, DeviceClass::ResourceAbundant);
+    fn four_profiles_in_paper_order() {
+        let labels: Vec<_> = DeviceProfile::all().iter().map(|d| d.label).collect();
+        assert_eq!(labels, ["L1", "L2", "H1", "H2"]);
     }
 
     #[test]

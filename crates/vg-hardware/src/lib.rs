@@ -2,8 +2,8 @@
 //!
 //! The paper's registration experiments (§7.1–7.2, Fig 4) run TRIP on four
 //! physical platforms with a thermal receipt printer and a Bluetooth QR
-//! scanner. This crate supplies that substrate in simulation, per the
-//! substitution policy of `DESIGN.md` §2:
+//! scanner. This crate simulates that substrate on one host, scaling host
+//! compute per device and modelling the peripherals' mechanical latencies:
 //!
 //! - [`gf256`] and [`rs`]: GF(2^8) arithmetic and a full Reed–Solomon
 //!   encoder/decoder (Berlekamp–Massey, Chien, Forney);
@@ -29,7 +29,7 @@ pub mod peripherals;
 pub mod qr;
 pub mod rs;
 
-pub use device::{DeviceClass, DeviceProfile};
+pub use device::DeviceProfile;
 pub use metrics::{Component, MetricsCollector, Phase, Sample};
-pub use peripherals::{Peripherals, PrintedQr};
+pub use peripherals::Peripherals;
 pub use qr::{QrError, QrSymbol};

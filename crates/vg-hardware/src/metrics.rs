@@ -90,6 +90,8 @@ pub struct Sample {
     pub wall_ms: f64,
     /// CPU milliseconds (user + system).
     pub cpu_ms: f64,
+    /// Charges recorded into the cell (per run, once scaled to a mean).
+    pub charges: f64,
 }
 
 /// Accumulates samples per (phase, component).
@@ -109,6 +111,7 @@ impl MetricsCollector {
         let cell = self.cells.entry((phase, component)).or_default();
         cell.wall_ms += wall_ms;
         cell.cpu_ms += cpu_ms;
+        cell.charges += 1.0;
     }
 
     /// The accumulated sample for a cell.
@@ -145,6 +148,16 @@ impl MetricsCollector {
             .sum()
     }
 
+    /// Mean wall-clock milliseconds per charge of one component (e.g. per
+    /// QR scan), across phases.
+    pub fn mean_wall_ms(&self, component: Component) -> f64 {
+        let charges: f64 = Phase::ALL
+            .iter()
+            .map(|p| self.get(*p, component).charges)
+            .sum();
+        self.component_wall_ms(component) / charges
+    }
+
     /// Fraction of total wall time spent in QR scan + print (the ≥69.5%
     /// headline of §7.2).
     pub fn qr_io_fraction(&self) -> f64 {
@@ -164,6 +177,7 @@ impl MetricsCollector {
             let cell = self.cells.entry(key).or_default();
             cell.wall_ms += sample.wall_ms;
             cell.cpu_ms += sample.cpu_ms;
+            cell.charges += sample.charges;
         }
     }
 
@@ -172,6 +186,7 @@ impl MetricsCollector {
         for sample in self.cells.values_mut() {
             sample.wall_ms *= factor;
             sample.cpu_ms *= factor;
+            sample.charges *= factor;
         }
     }
 }
@@ -203,6 +218,17 @@ mod tests {
         let s = a.get(Phase::CheckOut, Component::CryptoLogic);
         assert_eq!(s.wall_ms, 5.0);
         assert_eq!(s.cpu_ms, 3.0);
+    }
+
+    #[test]
+    fn mean_per_charge_survives_averaging() {
+        let mut a = MetricsCollector::new();
+        a.record(Phase::CheckIn, Component::QrScan, 800.0, 1.0);
+        a.record(Phase::Activation, Component::QrScan, 1000.0, 1.0);
+        let b = a.clone();
+        a.merge(&b);
+        a.scale(0.5);
+        assert_eq!(a.mean_wall_ms(Component::QrScan), 900.0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! The symbol geometry follows QR conventions (version v is a
 //! (17+4v)×(17+4v) module square) but uses a simplified capacity model and
-//! a single mask — a documented substitution (`DESIGN.md` §2): what the
-//! experiments measure is encode/decode compute and payload-proportional
-//! print/scan time, both of which this codec reproduces.
+//! a single mask. That substitution is deliberate: what the experiments
+//! measure is encode/decode compute and payload-proportional print/scan
+//! time, both of which this codec reproduces.
 
 use crate::rs::{self, RsError};
 

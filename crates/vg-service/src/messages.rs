@@ -3,19 +3,20 @@
 //!
 //! Every message is built from the protocol's natural units — check-in
 //! tickets, check-out QRs, envelope commitments, print jobs, activation
-//! claims, signed tree heads — encoded under the strict
-//! `vg_crypto::codec` rules: points validated on decode, scalars
-//! canonical, collection lengths bounded, trailing bytes rejected. The
-//! round-trip property tests at the workspace root
-//! (`tests/service.rs`) cover every type here, plus truncation and
-//! garbage-frame fuzzing.
+//! claims, signed tree heads — encoded under the strict `vg_crypto::codec`
+//! rules: points validated on decode, scalars canonical, collection lengths
+//! bounded, trailing bytes rejected. Every QR a booth prints is one of these
+//! encodings, the receipt's commit and response QRs included. The round-trip
+//! property tests at the workspace root (`tests/service.rs`) cover every
+//! type here, plus truncation and garbage-frame fuzzing.
 
-use vg_crypto::codec::{put_ciphertext, put_scalar, put_u64, Reader};
+use vg_crypto::chaum_pedersen::Commitment;
+use vg_crypto::codec::{put_ciphertext, put_point, put_scalar, put_u64, Reader};
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::schnorr::{NonceCoupon, Signature};
 use vg_crypto::{CompressedPoint, CryptoError, Scalar};
 use vg_ledger::{EnvelopeCommitment, TreeHead, VoterId};
-use vg_trip::materials::{CheckInTicket, CheckOutQr, Envelope, Symbol};
+use vg_trip::materials::{CheckInTicket, CheckOutQr, CommitQr, Envelope, ResponseQr, Symbol};
 use vg_trip::vsd::ActivationClaim;
 use vg_trip::PrintJob;
 
@@ -135,6 +136,46 @@ impl Wire for Envelope {
             challenge: r.scalar()?,
             signature: Signature::decode(r)?,
             symbol: Symbol::decode(r)?,
+        })
+    }
+}
+
+impl Wire for CommitQr {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.voter_id.encode(buf);
+        self.c_pc.encode(buf);
+        put_point(buf, &self.commit.a1);
+        put_point(buf, &self.commit.a2);
+        self.kiosk_sig.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
+        Ok(CommitQr {
+            voter_id: VoterId::decode(r)?,
+            c_pc: Ciphertext::decode(r)?,
+            commit: Commitment {
+                a1: r.point()?,
+                a2: r.point()?,
+            },
+            kiosk_sig: Signature::decode(r)?,
+        })
+    }
+}
+
+impl Wire for ResponseQr {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_scalar(buf, &self.credential_sk);
+        put_scalar(buf, &self.response);
+        self.kiosk_pk.encode(buf);
+        self.kiosk_sig.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
+        Ok(ResponseQr {
+            credential_sk: r.scalar()?,
+            response: r.scalar()?,
+            kiosk_pk: CompressedPoint::decode(r)?,
+            kiosk_sig: Signature::decode(r)?,
         })
     }
 }

@@ -1,21 +1,29 @@
 //! Experiment runner for Fig 4: voter-observable registration latencies.
 //!
-//! Mirrors §7.2's methodology: TRIP is scripted to issue one real and one
-//! fake credential "without human involvement", measuring every
-//! user-observable delay across the six phases, split into the four
-//! components. The cryptographic path executes for real (vg-trip calls
-//! timed on the host, scaled per device); the peripherals (QR print/scan)
-//! run through the simulated device models of `vg-hardware`, which really
-//! encode and decode each payload.
+//! Mirrors §7.2's methodology: one registration issues one real and one
+//! fake credential "without human involvement", and every user-observable
+//! delay is split into four components across six phases. The booth is the
+//! one every registration runs, [`run_session`]; this runner only watches
+//! it. Crypto & logic is host time scaled per device: each precursor draw
+//! is timed on its own, and the kiosk's work between two envelope picks is
+//! timed from inside the `pick` closure that stands for the voter's hand
+//! (the ticket check opens the booth, so it lands in RealToken). QR print
+//! and scan run through the simulated peripherals of `vg-hardware`: every
+//! QR is its artifact's canonical [`Wire`] bytes, really encoded and
+//! decoded, and every print event on the booth's trace is one print job.
+
+use std::time::Instant;
 
 use vg_crypto::Rng;
 use vg_hardware::metrics::{MetricsCollector, Phase};
 use vg_hardware::peripherals::Peripherals;
-use vg_hardware::DeviceProfile;
+use vg_hardware::{DeviceProfile, QrSymbol};
 use vg_ledger::VoterId;
-use vg_trip::setup::{take_any_envelope, take_envelope_with_symbol, TripConfig, TripSystem};
+use vg_trip::fleet::run_session;
+use vg_trip::setup::{pick_envelope, TripConfig, TripSystem};
 use vg_trip::vsd::Vsd;
-use vg_trip::PaperCredential;
+use vg_trip::{Envelope, KioskEvent, Symbol, TripError};
+use vg_votegral::Wire;
 
 /// One device's measured registration run.
 pub struct DeviceRun {
@@ -25,38 +33,12 @@ pub struct DeviceRun {
     pub metrics: MetricsCollector,
 }
 
-/// Serialized QR payload sizes, derived from the real canonical encodings
-/// (within the paper's 13–356-byte range).
-mod payload {
-    use vg_trip::materials::{CheckOutQr, CommitQr, Envelope, ResponseQr};
-
-    pub fn ticket() -> usize {
-        8 + 32 // V_id + MAC tag (barcode).
-    }
-
-    pub fn commit(_q: &CommitQr) -> usize {
-        8 + 64 + 64 + 64 // V_id + c_pc + Y + σ_kc.
-    }
-
-    pub fn checkout(_q: &CheckOutQr) -> usize {
-        8 + 64 + 32 + 64
-    }
-
-    pub fn response(_q: &ResponseQr) -> usize {
-        32 + 32 + 32 + 64
-    }
-
-    pub fn envelope(_e: &Envelope) -> usize {
-        32 + 32 + 64 + 1
-    }
-}
-
 /// Runs `runs` scripted registrations (1 real + 1 fake credential each)
 /// on one device, returning averaged metrics.
 pub fn run_device(device: DeviceProfile, runs: usize, rng: &mut dyn Rng) -> DeviceRun {
     let mut total = MetricsCollector::new();
     for run in 0..runs {
-        let metrics =
+        let (metrics, _) =
             one_registration(device.clone(), rng).unwrap_or_else(|e| panic!("run {run}: {e}"));
         total.merge(&metrics);
     }
@@ -75,137 +57,151 @@ pub fn run_all_devices(runs: usize, rng: &mut dyn Rng) -> Vec<DeviceRun> {
         .collect()
 }
 
+/// Every QR one registration printed or scanned: the bytes on paper, the
+/// symbol they travelled as, and whether they are the artifact's canonical
+/// encoding and parse back to it.
+type QrLog = Vec<(Vec<u8>, QrSymbol, bool)>;
+
+/// An artifact's canonical bytes, and whether they parse back to it.
+fn wire<T: Wire + PartialEq>(artifact: &T) -> (Vec<u8>, bool) {
+    let bytes = artifact.to_bytes();
+    (bytes.clone(), is_wire_of(&bytes, artifact))
+}
+
+fn is_wire_of<T: Wire + PartialEq>(bytes: &[u8], artifact: &T) -> bool {
+    bytes == artifact.to_bytes() && T::from_bytes(bytes).is_ok_and(|t| t == *artifact)
+}
+
+/// One registration's peripherals and the QRs they handled.
+struct Paper {
+    p: Peripherals,
+    log: QrLog,
+}
+
+impl Paper {
+    /// Prints one job: a symbol per QR, one feed.
+    fn print(&mut self, phase: Phase, qrs: Vec<(Vec<u8>, bool)>) {
+        let payloads: Vec<Vec<u8>> = qrs.iter().map(|(bytes, _)| bytes.clone()).collect();
+        let symbols = self
+            .p
+            .print_job(phase, &payloads)
+            .expect("every QR fits a symbol");
+        for ((bytes, is_wire), symbol) in qrs.into_iter().zip(symbols) {
+            self.log.push((bytes, symbol, is_wire));
+        }
+    }
+
+    /// Scans an artifact on paper: encodes its bytes into the symbol the
+    /// scanner is shown, then reads them back.
+    fn scan<T: Wire + PartialEq>(&mut self, phase: Phase, artifact: &T) {
+        let symbol = self.p.encode_for_scan(phase, &artifact.to_bytes());
+        let symbol = symbol.expect("every QR fits a symbol");
+        let bytes = self.p.scan_qr(phase, &symbol).expect("an encoded QR scans");
+        let is_wire = is_wire_of(&bytes, artifact);
+        self.log.push((bytes, symbol, is_wire));
+    }
+}
+
 fn one_registration(
     device: DeviceProfile,
     rng: &mut dyn Rng,
-) -> Result<MetricsCollector, vg_trip::TripError> {
-    let mut p = Peripherals::new(device);
+) -> Result<(MetricsCollector, QrLog), TripError> {
+    let mut paper = Paper {
+        p: Peripherals::new(device),
+        log: QrLog::new(),
+    };
     let mut system = TripSystem::setup(TripConfig::with_voters(1), rng);
-    let voter = VoterId(1);
 
-    // --- CheckIn: official verifies eligibility, prints the ticket.
-    let ticket = p.crypto(Phase::CheckIn, || {
-        system.officials[0].check_in(&system.ledger, voter)
+    // --- CheckIn: the official verifies eligibility and prints the ticket.
+    let ticket = paper.p.crypto(Phase::CheckIn, || {
+        system.officials[0].check_in(&system.ledger, VoterId(1))
     })?;
-    let ticket_qr = p
-        .print_qr(Phase::CheckIn, &vec![0x5a; payload::ticket()])
-        .expect("ticket prints");
+    paper.print(Phase::CheckIn, vec![wire(&ticket)]);
 
-    // --- Authorization: kiosk scans the ticket and validates the MAC.
-    let _ = p.scan_qr(Phase::Authorization, &ticket_qr).expect("scan");
-    let mut session = {
-        let kiosk = &system.kiosks[0];
-        p.crypto(Phase::Authorization, || kiosk.begin_session(&ticket))?
+    // --- Authorization: the kiosk scans the ticket; it checks the MAC as
+    // it opens the booth.
+    paper.scan(Phase::Authorization, &ticket);
+
+    // --- RealToken, FakeToken: the booth every registration runs.
+    let kiosk = &system.kiosks[0];
+    let real = paper.p.crypto(Phase::RealToken, || kiosk.draw_real(rng));
+    let fakes = vec![paper.p.crypto(Phase::FakeToken, || kiosk.draw_fake(rng))];
+    let (mut phase, mut mark) = (Phase::RealToken, Instant::now());
+    let mut pick = |symbol: Option<Symbol>| -> Result<Envelope, TripError> {
+        // The kiosk worked since the last mark; on an honest kiosk, a
+        // request for any envelope starts a fake credential.
+        paper.p.crypto_since(phase, mark);
+        if symbol.is_none() {
+            phase = Phase::FakeToken;
+        }
+        let ledger = &mut system.ledger.envelopes;
+        let envelope = pick_envelope(
+            &mut system.booth_envelopes,
+            &system.printers[0],
+            ledger,
+            symbol,
+            rng,
+        )?;
+        paper.scan(phase, &envelope);
+        mark = Instant::now();
+        Ok(envelope)
     };
+    let (outcome, _) = run_session(kiosk, &ticket, real, fakes, None, &mut pick)?;
+    paper.p.crypto_since(phase, mark);
 
-    // --- RealToken: commit printed, envelope scanned, rest printed.
-    let symbol = p.crypto(Phase::RealToken, || {
-        session.begin_real_credential(rng).map(|pend| pend.symbol())
-    })?;
-    // Print the symbol + commit QR (payload sized from the encoding).
-    let commit_len = 8 + 64 + 64 + 64;
-    let _commit_qr = p
-        .print_qr(Phase::RealToken, &vec![0x11; commit_len])
-        .expect("commit prints");
-    let envelope = match take_envelope_with_symbol(&mut system.booth_envelopes, symbol) {
-        Some(envelope) => envelope,
-        // A 19-envelope booth lacks a given symbol once in ~70 runs: the
-        // printer issues one (paper footnote 6).
-        None => system.printers[0].print_one(&mut system.ledger.envelopes, rng.scalar(), symbol)?,
-    };
-    let env_qr = p
-        .encode_for_scan(Phase::RealToken, &vec![0x22; payload::envelope(&envelope)])
-        .expect("envelope symbol encodes");
-    let _ = p
-        .scan_qr(Phase::RealToken, &env_qr)
-        .expect("envelope scans");
-    let receipt = p.crypto(Phase::RealToken, || {
-        session.finish_real_credential(&envelope)
-    })?;
-    let _checkout_print = p
-        .print_qr(
-            Phase::RealToken,
-            &vec![0x33; payload::checkout(&receipt.checkout_qr)],
-        )
-        .expect("checkout prints");
-    let _response_print = p
-        .print_qr(
-            Phase::RealToken,
-            &vec![0x44; payload::response(&receipt.response_qr)],
-        )
-        .expect("response prints");
-    let real_credential = PaperCredential::assemble(receipt, envelope);
-
-    // --- FakeToken: envelope scanned first, full receipt printed.
-    let envelope = take_any_envelope(&mut system.booth_envelopes, rng)
-        .ok_or(vg_trip::TripError::NoMatchingEnvelope)?;
-    let env_qr = p
-        .encode_for_scan(Phase::FakeToken, &vec![0x55; payload::envelope(&envelope)])
-        .expect("envelope encodes");
-    let _ = p
-        .scan_qr(Phase::FakeToken, &env_qr)
-        .expect("envelope scans");
-    let receipt = p.crypto(Phase::FakeToken, || {
-        session.create_fake_credential(&envelope, rng)
-    })?;
-    let full_len = payload::commit(&receipt.commit_qr)
-        + payload::checkout(&receipt.checkout_qr)
-        + payload::response(&receipt.response_qr);
-    // The fake flow prints the whole receipt as one job (§3.2 step 2),
-    // but it cannot exceed one symbol: split like the printer does.
-    let _ = p
-        .print_qr(Phase::FakeToken, &vec![0x66; full_len.min(350)])
-        .expect("receipt prints");
-    let fake_credential = PaperCredential::assemble(receipt, envelope);
-
-    // --- CheckOut: official scans through the window and posts.
-    let co_qr = p
-        .encode_for_scan(
-            Phase::CheckOut,
-            &vec![0x77; payload::checkout(&real_credential.receipt.checkout_qr)],
-        )
-        .expect("checkout re-encodes");
-    let _ = p.scan_qr(Phase::CheckOut, &co_qr).expect("checkout scans");
-    {
-        let view = real_credential.transport_view()?;
-        let official = &system.officials[0];
-        let registry = system.kiosk_registry.clone();
-        let ledger = &mut system.ledger;
-        p.crypto(Phase::CheckOut, || {
-            official.check_out(ledger, view.checkout, &registry)
-        })?;
+    // What the trace says the kiosk printed, one job per print event.
+    let receipt = &outcome.believed_real.receipt;
+    let mut fakes = outcome.fakes.iter().map(|fake| &fake.receipt);
+    for event in &outcome.events {
+        let (phase, qrs) = match event {
+            KioskEvent::PrintedSymbolAndCommit { .. } => {
+                (Phase::RealToken, vec![wire(&receipt.commit_qr)])
+            }
+            KioskEvent::PrintedCheckoutAndResponse => (
+                Phase::RealToken,
+                vec![wire(&receipt.checkout_qr), wire(&receipt.response_qr)],
+            ),
+            KioskEvent::PrintedFullReceipt => {
+                let fake = fakes.next().expect("one full receipt per fake");
+                let qrs = vec![
+                    wire(&fake.commit_qr),
+                    wire(&fake.checkout_qr),
+                    wire(&fake.response_qr),
+                ];
+                (Phase::FakeToken, qrs)
+            }
+            _ => continue,
+        };
+        paper.print(phase, qrs);
     }
+
+    // --- CheckOut: the official scans the check-out QR through the window
+    // and posts it.
+    paper.scan(Phase::CheckOut, &receipt.checkout_qr);
+    let view = outcome.believed_real.transport_view()?;
+    let (official, registry) = (&system.officials[0], &system.kiosk_registry);
+    let ledger = &mut system.ledger;
+    paper.p.crypto(Phase::CheckOut, || {
+        official.check_out(ledger, view.checkout, registry)
+    })?;
 
     // --- Activation: three scans plus the Fig 11 checks (real
     // credential; the fake activates identically, §7.2 measures one).
-    let mut real_credential = real_credential;
-    let _ = fake_credential;
-    real_credential.lift_to_activate();
-    for (pattern, len) in [
-        (0x88u8, payload::commit(&real_credential.receipt.commit_qr)),
-        (0x99, payload::envelope(&real_credential.envelope)),
-        (
-            0xaa,
-            payload::response(&real_credential.receipt.response_qr),
-        ),
-    ] {
-        let qr = p
-            .encode_for_scan(Phase::Activation, &vec![pattern; len])
-            .expect("activation QR encodes");
-        let _ = p.scan_qr(Phase::Activation, &qr).expect("activation scan");
-    }
-    {
-        let authority_pk = system.authority.public_key;
-        let registry = system.printer_registry.clone();
-        let ledger = &mut system.ledger;
-        let mut vsd = Vsd::new();
-        p.crypto(Phase::Activation, || {
-            vsd.activate(&real_credential, ledger, &authority_pk, &registry)
-                .map(|_| ())
-        })?;
-    }
+    let mut credential = outcome.believed_real;
+    credential.lift_to_activate();
+    paper.scan(Phase::Activation, &credential.receipt.commit_qr);
+    paper.scan(Phase::Activation, &credential.envelope);
+    paper.scan(Phase::Activation, &credential.receipt.response_qr);
+    let authority_pk = system.authority.public_key;
+    let registry = &system.printer_registry;
+    let ledger = &mut system.ledger;
+    paper.p.crypto(Phase::Activation, || {
+        Vsd::new()
+            .activate(&credential, ledger, &authority_pk, registry)
+            .map(|_| ())
+    })?;
 
-    Ok(p.metrics.clone())
+    Ok((paper.p.metrics, paper.log))
 }
 
 #[cfg(test)]
@@ -251,6 +247,31 @@ mod tests {
                 "phase {:?} empty",
                 phase
             );
+        }
+    }
+
+    /// Every QR of an honest registration is a real artifact: its
+    /// canonical wire bytes, within the paper's 13–356-byte symbol range,
+    /// byte-equal through the QR codec, and parsed back to the artifact.
+    #[test]
+    fn every_printed_or_scanned_payload_is_its_artifact() {
+        let mut rng = HmacDrbg::from_u64(3);
+        for device in DeviceProfile::all() {
+            let label = device.label;
+            let (_, log) = one_registration(device, &mut rng).unwrap();
+            // Ticket, commit, check-out + response, fake receipt (3):
+            // 7 printed; ticket, 2 envelopes, check-out, 3 at activation:
+            // 7 scanned.
+            assert_eq!(log.len(), 14, "{label}");
+            for (bytes, symbol, is_wire) in &log {
+                assert!(*is_wire, "{label}: {} bytes", bytes.len());
+                assert!(
+                    (13..=356).contains(&bytes.len()),
+                    "{label}: {}",
+                    bytes.len()
+                );
+                assert_eq!(&vg_hardware::qr::decode(symbol).unwrap(), bytes, "{label}");
+            }
         }
     }
 }

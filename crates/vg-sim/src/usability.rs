@@ -1,8 +1,8 @@
 //! Usability-study behavioural model and malicious-kiosk detection
 //! analysis (§7.5).
 //!
-//! The paper's 150-participant study \[94\] cannot be re-run with humans;
-//! per `DESIGN.md` §2 its published rates become a behavioural model:
+//! The paper's 150-participant study \[94\] cannot be re-run with humans,
+//! so its published rates become a behavioural model:
 //! 83% task success, a System Usability Scale score of 70.4, and
 //! kiosk-misbehaviour detection of 47% (with security education) or 10%
 //! (without). From the detection rate the paper derives the integrity

@@ -342,11 +342,11 @@ pub(crate) struct CeremonyOutput {
 /// one fake per precursor, then the private marking. `pick` is the voter's
 /// hand in the envelope supply: `Some(symbol)` asks for the envelope
 /// matching the symbol an honest kiosk just printed, `None` for any
-/// envelope. Every registration runs this body — the fleet and
-/// [`crate::protocol::register_voter_seeded`] over a pool bundle
-/// ([`run_pool_session`]), [`crate::protocol::register_voter`] over
-/// precursors drawn at the booth door.
-pub(crate) fn run_session(
+/// envelope. The workspace's only booth: the fleet and
+/// [`crate::protocol::register_voter_seeded`] run it over a pool bundle,
+/// [`crate::protocol::register_voter`] and the Fig 4 runner over
+/// precursors drawn at the door ([`Kiosk::draw_real`]/[`Kiosk::draw_fake`]).
+pub fn run_session(
     kiosk: &Kiosk,
     ticket: &CheckInTicket,
     real: RealPrecursor,

@@ -17,13 +17,13 @@
 //! [`crate::ceremony`] and nowhere else. This module is what the kiosk does
 //! *with* them: the session state machine, the event trace, and signing,
 //! which is hash-only because every signature a session prints spends a
-//! coupon. The `*_from` methods are that ceremony. A kiosk that precomputed takes its
-//! precursors from a [`crate::pool::CeremonyPool`]; one that did not
-//! draws them on the spot ([`KioskSession::begin_real_credential`],
-//! [`KioskSession::create_fake_credential`],
-//! [`KioskSession::malicious_real_credential`]) and then runs the same
-//! `*_from` body, so a registration day and a single interactive voter
-//! execute the same code.
+//! coupon. The `*_from` methods are that ceremony, and
+//! [`crate::fleet::run_session`] is the one booth that drives them. A kiosk
+//! that precomputed takes its precursors from a
+//! [`crate::pool::CeremonyPool`]; one that did not draws them on the spot
+//! ([`Kiosk::draw_real`], [`Kiosk::draw_fake`]) and hands them to the same
+//! booth, so a registration day, a single interactive voter and the Fig 4
+//! runner execute the same code.
 //!
 //! [`KioskBehavior::StealsRealCredential`] models the integrity adversary
 //! of §5.1: a compromised kiosk that runs the fake-credential process while
@@ -143,11 +143,6 @@ impl PendingRealCredential {
     pub fn symbol(&self) -> Symbol {
         self.symbol
     }
-
-    /// The printed commit QR.
-    pub fn commit_qr(&self) -> &CommitQr {
-        &self.commit_qr
-    }
 }
 
 /// A credential stolen by a compromised kiosk (test/experiment hook).
@@ -224,12 +219,12 @@ impl Kiosk {
 
     /// A real precursor drawn on the spot, over this kiosk's copy of
     /// A_pk — what a kiosk that precomputed nothing starts a session from.
-    pub(crate) fn draw_real(&self, rng: &mut dyn Rng) -> RealPrecursor {
+    pub fn draw_real(&self, rng: &mut dyn Rng) -> RealPrecursor {
         RealPrecursor::draw(&|s| self.authority_pk * s, rng)
     }
 
     /// [`Kiosk::draw_real`] for a forge precursor.
-    pub(crate) fn draw_fake(&self, rng: &mut dyn Rng) -> FakePrecursor {
+    pub fn draw_fake(&self, rng: &mut dyn Rng) -> FakePrecursor {
         FakePrecursor::draw(&|s| self.authority_pk * s, rng)
     }
 
@@ -249,22 +244,6 @@ impl Kiosk {
 }
 
 impl KioskSession<'_> {
-    /// The session's voter.
-    pub fn voter_id(&self) -> VoterId {
-        self.voter_id
-    }
-
-    /// Real credential, step 2 (Fig 9a lines 2–8) for a kiosk that did not
-    /// precompute: draws the precursor from `rng` now and hands it to
-    /// [`KioskSession::begin_real_from`].
-    pub fn begin_real_credential(
-        &mut self,
-        rng: &mut dyn Rng,
-    ) -> Result<&PendingRealCredential, TripError> {
-        let pre = self.kiosk.draw_real(rng);
-        self.begin_real_from(pre)
-    }
-
     /// Real credential, step 2 (Fig 9a lines 6–8): sign the precursor's
     /// tag and commitment, print symbol + commit QR. The precursor was
     /// derived without reference to any envelope challenge, and the voter
@@ -328,19 +307,6 @@ impl KioskSession<'_> {
         })
     }
 
-    /// Fake credential (Fig 9b) for a kiosk that did not precompute: draws
-    /// the forge precursor from `rng` — after the envelope is in hand, so
-    /// nothing here had to wait for it — and hands both to
-    /// [`KioskSession::create_fake_from`].
-    pub fn create_fake_credential(
-        &mut self,
-        envelope: &Envelope,
-        rng: &mut dyn Rng,
-    ) -> Result<Receipt, TripError> {
-        let pre = self.kiosk.draw_fake(rng);
-        self.create_fake_from(pre, envelope)
-    }
-
     /// Fake credential (Fig 9b): the envelope arrives first, the kiosk
     /// forges an unsound transcript from the precursor and the challenge
     /// and prints the whole receipt at once — two scalar multiplications
@@ -361,19 +327,6 @@ impl KioskSession<'_> {
         let receipt = self.forge_receipt_from(checkout, envelope, pre);
         self.events.push(KioskEvent::PrintedFullReceipt);
         Ok(receipt)
-    }
-
-    /// The compromised-kiosk "real" credential (integrity adversary) for a
-    /// kiosk that did not precompute: draws the real precursor it will
-    /// keep and the spare it will forge from, then runs
-    /// [`KioskSession::malicious_real_from`].
-    pub fn malicious_real_credential(
-        &mut self,
-        envelope: &Envelope,
-        rng: &mut dyn Rng,
-    ) -> Result<(Receipt, StolenCredential), TripError> {
-        let (real, spare) = (self.kiosk.draw_real(rng), self.kiosk.draw_fake(rng));
-        self.malicious_real_from(real, spare, envelope)
     }
 
     /// The compromised-kiosk "real" credential: runs the fake-credential
@@ -578,15 +531,16 @@ mod tests {
         EnvelopePrinter::new(&mut HmacDrbg::from_u64(99))
     }
 
-    /// The two ways into the ceremony: the rng-driven methods, or the
-    /// `*_from` methods over what a pool hands the kiosk (the seeded
-    /// derivation).
+    /// Where a session's precursors come from: drawn at the booth door
+    /// ([`Kiosk::draw_real`], [`Kiosk::draw_fake`]) or taken from a pool
+    /// bundle (the seeded derivation). Either way they enter the one
+    /// `*_from` ceremony.
     #[derive(Clone, Copy, Debug)]
-    enum Entry {
-        Rng,
-        Pool,
+    enum Source {
+        Drawn,
+        Pooled,
     }
-    const ENTRIES: [Entry; 2] = [Entry::Rng, Entry::Pool];
+    const SOURCES: [Source; 2] = [Source::Drawn, Source::Pooled];
 
     /// A pool bundle for one voter with one fake and the malicious spare
     /// (which leaves the honest prefix of the stream unchanged).
@@ -595,45 +549,26 @@ mod tests {
         SessionMaterials::derive(&[3u8; 32], 0, VoterId(1), 1, apk, &printer(), true)
     }
 
-    impl Entry {
-        fn begin_real(
-            self,
-            session: &mut KioskSession<'_>,
-            rng: &mut dyn Rng,
-        ) -> Result<Symbol, TripError> {
+    impl Source {
+        fn real(self, kiosk: &Kiosk, rng: &mut dyn Rng) -> RealPrecursor {
             match self {
-                Entry::Rng => session.begin_real_credential(rng),
-                Entry::Pool => session.begin_real_from(pooled(session.kiosk).real),
-            }
-            .map(|pending| pending.symbol())
-        }
-
-        fn fake(
-            self,
-            session: &mut KioskSession<'_>,
-            envelope: &Envelope,
-            rng: &mut dyn Rng,
-        ) -> Result<Receipt, TripError> {
-            match self {
-                Entry::Rng => session.create_fake_credential(envelope, rng),
-                Entry::Pool => {
-                    session.create_fake_from(pooled(session.kiosk).fakes.remove(0), envelope)
-                }
+                Source::Drawn => kiosk.draw_real(rng),
+                Source::Pooled => pooled(kiosk).real,
             }
         }
 
-        fn malicious(
-            self,
-            session: &mut KioskSession<'_>,
-            envelope: &Envelope,
-            rng: &mut dyn Rng,
-        ) -> Result<(Receipt, StolenCredential), TripError> {
+        fn fake(self, kiosk: &Kiosk, rng: &mut dyn Rng) -> FakePrecursor {
             match self {
-                Entry::Rng => session.malicious_real_credential(envelope, rng),
-                Entry::Pool => {
-                    let m = pooled(session.kiosk);
-                    session.malicious_real_from(m.real, m.malicious_spare.unwrap(), envelope)
-                }
+                Source::Drawn => kiosk.draw_fake(rng),
+                Source::Pooled => pooled(kiosk).fakes.remove(0),
+            }
+        }
+
+        /// The forge precursor a stealing kiosk spends on its victim.
+        fn spare(self, kiosk: &Kiosk, rng: &mut dyn Rng) -> FakePrecursor {
+            match self {
+                Source::Drawn => kiosk.draw_fake(rng),
+                Source::Pooled => pooled(kiosk).malicious_spare.unwrap(),
             }
         }
     }
@@ -649,10 +584,11 @@ mod tests {
 
     #[test]
     fn real_flow_event_order() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(2, KioskBehavior::Honest);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
-            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let real = source.real(&kiosk, &mut rng);
+            let symbol = session.begin_real_from(real).unwrap().symbol();
             let env = envelope(symbol, &mut rng);
             let receipt = session.finish_real_credential(&env).unwrap();
             assert_eq!(receipt.symbol, symbol);
@@ -665,75 +601,84 @@ mod tests {
                     KioskEvent::ScannedEnvelope { symbol },
                     KioskEvent::PrintedCheckoutAndResponse,
                 ],
-                "{entry:?}"
+                "{source:?}"
             );
         }
     }
 
     #[test]
     fn wrong_symbol_gently_rejected() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(3, KioskBehavior::Honest);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
-            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let real = source.real(&kiosk, &mut rng);
+            let symbol = session.begin_real_from(real).unwrap().symbol();
             let wrong = Symbol::ALL.iter().copied().find(|s| *s != symbol).unwrap();
             let env = envelope(wrong, &mut rng);
             assert_eq!(
                 session.finish_real_credential(&env).unwrap_err(),
                 TripError::WrongSymbol,
-                "{entry:?}"
+                "{source:?}"
             );
             // The session is still pending; a matching envelope succeeds.
             let env = envelope(symbol, &mut rng);
-            assert!(session.finish_real_credential(&env).is_ok(), "{entry:?}");
+            assert!(session.finish_real_credential(&env).is_ok(), "{source:?}");
         }
     }
 
     #[test]
     fn fake_requires_real_first() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(4, KioskBehavior::Honest);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
             let env = envelope(Symbol::Star, &mut rng);
             assert_eq!(
-                entry.fake(&mut session, &env, &mut rng).unwrap_err(),
+                session
+                    .create_fake_from(source.fake(&kiosk, &mut rng), &env)
+                    .unwrap_err(),
                 TripError::RealCredentialMissing,
-                "{entry:?}"
+                "{source:?}"
             );
         }
     }
 
     #[test]
     fn envelope_reuse_rejected() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(5, KioskBehavior::Honest);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
-            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let real = source.real(&kiosk, &mut rng);
+            let symbol = session.begin_real_from(real).unwrap().symbol();
             let env = envelope(symbol, &mut rng);
             session.finish_real_credential(&env).unwrap();
             // Reusing the same envelope for a fake is rejected.
             assert_eq!(
-                entry.fake(&mut session, &env, &mut rng).unwrap_err(),
+                session
+                    .create_fake_from(source.fake(&kiosk, &mut rng), &env)
+                    .unwrap_err(),
                 TripError::EnvelopeReused,
-                "{entry:?}"
+                "{source:?}"
             );
         }
     }
 
     #[test]
     fn fake_shares_checkout_with_real() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(6, KioskBehavior::Honest);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
-            let symbol = entry.begin_real(&mut session, &mut rng).unwrap();
+            let real = source.real(&kiosk, &mut rng);
+            let symbol = session.begin_real_from(real).unwrap().symbol();
             let real = session
                 .finish_real_credential(&envelope(symbol, &mut rng))
                 .unwrap();
             let env = envelope(Symbol::Circle, &mut rng);
-            let fake = entry.fake(&mut session, &env, &mut rng).unwrap();
+            let fake = session
+                .create_fake_from(source.fake(&kiosk, &mut rng), &env)
+                .unwrap();
             // "t_ot is identical (both in content and visually)" (Fig 9b):
             // same tag, same kiosk, byte-identical signature.
-            assert_eq!(real.checkout_qr, fake.checkout_qr, "{entry:?}");
+            assert_eq!(real.checkout_qr, fake.checkout_qr, "{source:?}");
             // But the credential keys differ.
             assert_ne!(
                 real.response_qr.credential_sk,
@@ -744,11 +689,17 @@ mod tests {
 
     #[test]
     fn malicious_kiosk_event_order_differs() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(7, KioskBehavior::StealsRealCredential);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
             let env = envelope(Symbol::Star, &mut rng);
-            let (_receipt, stolen) = entry.malicious(&mut session, &env, &mut rng).unwrap();
+            let (_receipt, stolen) = session
+                .malicious_real_from(
+                    source.real(&kiosk, &mut rng),
+                    source.spare(&kiosk, &mut rng),
+                    &env,
+                )
+                .unwrap();
             assert_eq!(stolen.voter_id, VoterId(1));
             // The tell: envelope scanned first, no commit printed beforehand.
             assert_eq!(
@@ -760,25 +711,31 @@ mod tests {
                     },
                     KioskEvent::PrintedFullReceipt,
                 ],
-                "{entry:?}"
+                "{source:?}"
             );
         }
     }
 
     #[test]
     fn honest_kiosk_refuses_malicious_flow() {
-        for entry in ENTRIES {
+        for source in SOURCES {
             let (kiosk, mut rng) = booth(8, KioskBehavior::Honest);
             let mut session = kiosk.begin_session(&ticket(&MAC, VoterId(1))).unwrap();
             let env = envelope(Symbol::Star, &mut rng);
             assert!(
-                entry.malicious(&mut session, &env, &mut rng).is_err(),
-                "{entry:?}"
+                session
+                    .malicious_real_from(
+                        source.real(&kiosk, &mut rng),
+                        source.spare(&kiosk, &mut rng),
+                        &env
+                    )
+                    .is_err(),
+                "{source:?}"
             );
         }
     }
 
-    /// Two entry points, one ceremony: an interactive session fed the
+    /// Two precursor sources, one ceremony: an interactive session fed the
     /// seeded derivation's own stream prints the seeded session's receipt,
     /// byte for byte. (A fake or stolen credential takes its envelope
     /// before it draws on the interactive side and after on the seeded
@@ -803,7 +760,8 @@ mod tests {
         label.extend_from_slice(&voter.to_bytes());
         let mut stream = HmacDrbg::new(&label);
         let mut session = kiosk.begin_session(&ticket).unwrap();
-        let symbol = session.begin_real_credential(&mut stream).unwrap().symbol();
+        let real = kiosk.draw_real(&mut stream);
+        let symbol = session.begin_real_from(real).unwrap().symbol();
         let (envelope, _) = printer.print_detached(stream.scalar(), symbol);
         let receipt = session.finish_real_credential(&envelope).unwrap();
 

@@ -11,8 +11,8 @@ use vg_ledger::VoterId;
 
 use crate::error::TripError;
 use crate::kiosk::{KioskBehavior, KioskEvent};
-use crate::materials::{PaperCredential, Symbol};
-use crate::setup::{take_any_envelope, take_envelope_with_symbol, TripSystem};
+use crate::materials::PaperCredential;
+use crate::setup::{pick_envelope, TripSystem};
 use crate::vsd::Vsd;
 
 /// The result of one registration session.
@@ -70,28 +70,15 @@ pub fn register_voter(
     let fakes = (0..n_fakes).map(|_| kiosk.draw_fake(rng)).collect();
     let spare =
         (kiosk.behavior() == KioskBehavior::StealsRealCredential).then(|| kiosk.draw_fake(rng));
-    let mut pick = |symbol: Option<Symbol>| {
-        let Some(symbol) = symbol else {
-            return take_any_envelope(&mut system.booth_envelopes, rng)
-                .ok_or(TripError::NoMatchingEnvelope);
-        };
-        if let Some(env) = take_envelope_with_symbol(&mut system.booth_envelopes, symbol) {
-            return Ok(env);
-        }
-        // The symbol ran out: the registrar prints fresh envelopes until a
-        // matching one appears (footnote 6), leaving the extras in the
-        // booth.
-        loop {
-            let env = system.printers[0].print_one(
-                &mut system.ledger.envelopes,
-                rng.scalar(),
-                Symbol::random(rng),
-            )?;
-            if env.symbol == symbol {
-                return Ok(env);
-            }
-            system.booth_envelopes.push(env);
-        }
+    let mut pick = |symbol| {
+        let ledger = &mut system.ledger.envelopes;
+        pick_envelope(
+            &mut system.booth_envelopes,
+            &system.printers[0],
+            ledger,
+            symbol,
+            rng,
+        )
     };
     let (outcome, stolen) =
         crate::fleet::run_session(kiosk, &ticket, real, fakes, spare, &mut pick)?;
@@ -183,8 +170,8 @@ pub struct DelegationOutcome {
 /// Registers `voter_id` under extreme coercion (Appendix C.3): the kiosk
 /// encrypts `party_pk` as the voter's credential tag and issues only fake
 /// credentials, so a coercer searching the voter immediately afterwards
-/// finds nothing but fakes. Requires `n_fakes >= 1` (check-out needs a
-/// credential to scan).
+/// finds nothing but fakes. `n_fakes = 0` is refused as
+/// [`TripError::InvalidConfig`]: check-out needs a credential to scan.
 pub fn register_with_delegation(
     system: &mut TripSystem,
     voter_id: VoterId,
@@ -192,10 +179,11 @@ pub fn register_with_delegation(
     n_fakes: usize,
     rng: &mut dyn Rng,
 ) -> Result<DelegationOutcome, TripError> {
-    assert!(
-        n_fakes >= 1,
-        "delegation needs at least one fake for check-out"
-    );
+    if n_fakes == 0 {
+        return Err(TripError::InvalidConfig(
+            "delegation needs at least one fake credential for check-out".into(),
+        ));
+    }
     let ticket = system.officials[0].check_in(&system.ledger, voter_id)?;
     let kiosk = &system.kiosks[0];
     let mut session = kiosk.begin_session(&ticket)?;
@@ -203,9 +191,15 @@ pub fn register_with_delegation(
 
     let mut fakes = Vec::with_capacity(n_fakes);
     for i in 0..n_fakes {
-        let envelope = take_any_envelope(&mut system.booth_envelopes, rng)
-            .ok_or(TripError::NoMatchingEnvelope)?;
-        let receipt = session.create_fake_credential(&envelope, rng)?;
+        let ledger = &mut system.ledger.envelopes;
+        let envelope = pick_envelope(
+            &mut system.booth_envelopes,
+            &system.printers[0],
+            ledger,
+            None,
+            rng,
+        )?;
+        let receipt = session.create_fake_from(kiosk.draw_fake(rng), &envelope)?;
         let mut cred = PaperCredential::assemble(receipt, envelope);
         cred.mark(&format!("D{i}"));
         fakes.push(cred);
@@ -342,6 +336,16 @@ mod tests {
         // The second works.
         let vsd = activate_all(&mut system, &mut second).unwrap();
         assert_eq!(vsd.credentials.len(), 1);
+    }
+
+    #[test]
+    fn delegation_without_fakes_is_a_config_error() {
+        let mut rng = HmacDrbg::from_u64(7);
+        let mut system = TripSystem::setup(TripConfig::with_voters(2), &mut rng);
+        let party_pk = vg_crypto::EdwardsPoint::mul_base(&rng.scalar());
+        let result = register_with_delegation(&mut system, VoterId(1), &party_pk, 0, &mut rng);
+        assert!(matches!(result, Err(TripError::InvalidConfig(_))));
+        assert_eq!(system.ledger.registration.active_count(), 0);
     }
 
     #[test]

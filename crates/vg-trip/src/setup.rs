@@ -11,10 +11,11 @@ use vg_crypto::dkg::Authority;
 use vg_crypto::drbg::Rng;
 use vg_crypto::schnorr::SigningKey;
 use vg_crypto::CompressedPoint;
-use vg_ledger::{Ledger, LedgerBackend, VoterId};
+use vg_ledger::{EnvelopeLedger, Ledger, LedgerBackend, VoterId};
 
+use crate::error::TripError;
 use crate::kiosk::{Kiosk, KioskBehavior, StolenCredential};
-use crate::materials::Envelope;
+use crate::materials::{Envelope, Symbol};
 use crate::official::Official;
 use crate::printer::EnvelopePrinter;
 
@@ -245,24 +246,29 @@ impl TripSystem {
     }
 }
 
-/// Takes an envelope with a matching symbol out of a booth supply
-/// (free function so callers can hold disjoint borrows of a
-/// [`TripSystem`]).
-pub fn take_envelope_with_symbol(
+/// The voter's hand in a booth supply: `Some(symbol)` takes an envelope
+/// showing it — printing fresh ones onto L_E until one does, the extras
+/// left in the booth (footnote 6) — and `None` a uniformly random one. Free,
+/// so a caller can hold a kiosk of the same [`TripSystem`] meanwhile.
+pub fn pick_envelope(
     supply: &mut Vec<Envelope>,
-    symbol: crate::materials::Symbol,
-) -> Option<Envelope> {
-    let pos = supply.iter().position(|e| e.symbol == symbol)?;
-    Some(supply.swap_remove(pos))
-}
-
-/// Takes a uniformly random envelope out of a booth supply.
-pub fn take_any_envelope(supply: &mut Vec<Envelope>, rng: &mut dyn Rng) -> Option<Envelope> {
-    if supply.is_empty() {
-        return None;
+    printer: &EnvelopePrinter,
+    ledger: &mut EnvelopeLedger,
+    symbol: Option<Symbol>,
+    rng: &mut dyn Rng,
+) -> Result<Envelope, TripError> {
+    let Some(symbol) = symbol else {
+        if supply.is_empty() {
+            return Err(TripError::NoMatchingEnvelope);
+        }
+        return Ok(supply.swap_remove(rng.below(supply.len() as u64) as usize));
+    };
+    loop {
+        if let Some(pos) = supply.iter().position(|e| e.symbol == symbol) {
+            return Ok(supply.swap_remove(pos));
+        }
+        supply.push(printer.print_one(ledger, rng.scalar(), Symbol::random(rng))?);
     }
-    let idx = rng.below(supply.len() as u64) as usize;
-    Some(supply.swap_remove(idx))
 }
 
 #[cfg(test)]
@@ -290,10 +296,45 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(2);
         let mut system = TripSystem::setup(TripConfig::with_voters(4), &mut rng);
         let before = system.booth_envelopes.len();
-        let env =
-            take_envelope_with_symbol(&mut system.booth_envelopes, crate::materials::Symbol::Star)
-                .expect("a star envelope exists in a healthy supply");
-        assert_eq!(env.symbol, crate::materials::Symbol::Star);
+        let committed = system.ledger.envelopes.committed_count();
+        let ledger = &mut system.ledger.envelopes;
+        let printer = &system.printers[0];
+        let env = pick_envelope(
+            &mut system.booth_envelopes,
+            printer,
+            ledger,
+            Some(Symbol::Star),
+            &mut rng,
+        )
+        .expect("a star envelope exists in a healthy supply");
+        assert_eq!(env.symbol, Symbol::Star);
         assert_eq!(system.booth_envelopes.len(), before - 1);
+        assert_eq!(system.ledger.envelopes.committed_count(), committed);
+    }
+
+    /// Footnote 6: a symbol the booth has run out of is printed until it
+    /// appears; the extras stay in the booth and every print is on L_E.
+    #[test]
+    fn missing_symbol_is_printed_until_it_appears() {
+        let mut rng = HmacDrbg::from_u64(3);
+        let mut system = TripSystem::setup(TripConfig::with_voters(4), &mut rng);
+        system.booth_envelopes.retain(|e| e.symbol != Symbol::Star);
+        let (before, committed) = (
+            system.booth_envelopes.len(),
+            system.ledger.envelopes.committed_count(),
+        );
+        let ledger = &mut system.ledger.envelopes;
+        let printer = &system.printers[0];
+        let env = pick_envelope(
+            &mut system.booth_envelopes,
+            printer,
+            ledger,
+            Some(Symbol::Star),
+            &mut rng,
+        )
+        .expect("the printer issues a star");
+        assert_eq!(env.symbol, Symbol::Star);
+        let printed = system.ledger.envelopes.committed_count() - committed;
+        assert_eq!(system.booth_envelopes.len(), before + printed - 1);
     }
 }

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use votegral::crypto::channel::{DirectionKeys, EphemeralKey, FrameSealer};
+use votegral::crypto::chaum_pedersen::Commitment;
 use votegral::crypto::schnorr::{NonceCoupon, SigningKey};
 use votegral::crypto::{HmacDrbg, Rng};
 use votegral::ledger::{challenge_hash, VoterId};
@@ -22,10 +23,10 @@ use votegral::service::messages::{
 };
 use votegral::service::{
     run_day, ChannelPolicy, Connector, DayPlan, Deadlines, LinkKind, Listener, SecureConfig,
-    ServiceError, TcpChannelListener, TcpConnector, TransportPlan,
+    ServiceError, TcpChannelListener, TcpConnector, TransportPlan, Wire,
 };
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
-use votegral::trip::materials::{CheckInTicket, CheckOutQr, Symbol};
+use votegral::trip::materials::{CheckInTicket, CheckOutQr, CommitQr, ResponseQr, Symbol};
 use votegral::trip::printer::EnvelopePrinter;
 use votegral::trip::protocol::{register_voter_seeded, RegistrationOutcome};
 use votegral::trip::setup::{TripConfig, TripSystem};
@@ -209,6 +210,27 @@ fn sample_handshake_frames(seed: u64) -> Vec<Vec<u8>> {
     ]
 }
 
+/// One commit QR and one response QR from a seed.
+fn sample_receipt_qrs(seed: u64) -> (CommitQr, ResponseQr) {
+    let mut rng = HmacDrbg::from_u64(seed ^ 0x9C);
+    let kiosk = SigningKey::generate(&mut rng);
+    let mut point = || votegral::crypto::EdwardsPoint::mul_base(&rng.scalar());
+    let (c1, c2, a1, a2) = (point(), point(), point(), point());
+    let commit = CommitQr {
+        voter_id: VoterId(rng.below(1 << 20)),
+        c_pc: votegral::crypto::elgamal::Ciphertext { c1, c2 },
+        commit: Commitment { a1, a2 },
+        kiosk_sig: kiosk.sign(b"commit"),
+    };
+    let response = ResponseQr {
+        credential_sk: rng.scalar(),
+        response: rng.scalar(),
+        kiosk_pk: kiosk.public_key_compressed(),
+        kiosk_sig: kiosk.sign(b"response"),
+    };
+    (commit, response)
+}
+
 /// Ledger heads plus per-credential identifying bytes of a run, in queue
 /// order — the full bit-identity fingerprint.
 fn run_fingerprint(
@@ -251,6 +273,12 @@ proptest! {
             let decoded = Response::from_wire(bytes).expect("response decodes");
             prop_assert_eq!(&decoded.to_wire(), bytes);
         }
+        // The receipt QRs that travel on paper, not in a message.
+        let (commit, response) = sample_receipt_qrs(seed);
+        let bytes = commit.to_bytes();
+        prop_assert_eq!(&CommitQr::from_bytes(&bytes).expect("commit QR decodes"), &commit);
+        let bytes = response.to_bytes();
+        prop_assert_eq!(&ResponseQr::from_bytes(&bytes).expect("response QR decodes"), &response);
     }
 
     /// Truncating any message anywhere, or corrupting its envelope, is
