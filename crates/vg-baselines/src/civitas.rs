@@ -163,10 +163,6 @@ impl Civitas {
 }
 
 impl BenchSystem for Civitas {
-    fn name(&self) -> &'static str {
-        "Civitas"
-    }
-
     fn register_all(&mut self, rng: &mut dyn Rng) {
         for _ in 0..self.n_voters {
             self.register_one(rng);
@@ -251,10 +247,6 @@ impl BenchSystem for Civitas {
         }
         counts
     }
-
-    fn quadratic_tally(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -280,12 +272,5 @@ mod tests {
         // Voter 0 re-votes for option 1: the earlier ballot is dropped.
         sys.vote_one(0, 1, &mut rng);
         assert_eq!(sys.tally(&mut rng), vec![0, 2]);
-    }
-
-    #[test]
-    fn civitas_reports_quadratic() {
-        let mut rng = HmacDrbg::from_u64(3);
-        let sys = Civitas::with_tellers(1, 2, 2, &mut rng);
-        assert!(sys.quadratic_tally());
     }
 }

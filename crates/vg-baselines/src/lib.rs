@@ -34,12 +34,11 @@ pub use voteagain::VoteAgain;
 
 /// A voting system under benchmark: three timed phases.
 ///
-/// `vg-sim` provides the TRIP-Core / Votegral implementation of this trait;
-/// the harness times each phase across systems and voter counts (Fig 5).
+/// `vg-sim`'s Fig 5 runner implements it for TRIP-Core / Votegral and
+/// times each phase across systems and voter counts; its `SystemKind`
+/// names each system and says which one's tally it extrapolates
+/// quadratically.
 pub trait BenchSystem {
-    /// Display name used in benchmark tables.
-    fn name(&self) -> &'static str;
-
     /// Registers every voter (the registration phase of Fig 5a).
     fn register_all(&mut self, rng: &mut dyn Rng);
 
@@ -52,11 +51,4 @@ pub trait BenchSystem {
 
     /// Tallies and returns per-option counts.
     fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64>;
-
-    /// `true` when tally time grows quadratically in the voter count
-    /// (Civitas); the harness extrapolates instead of measuring large n,
-    /// as the paper does beyond 10^4 voters.
-    fn quadratic_tally(&self) -> bool {
-        false
-    }
 }

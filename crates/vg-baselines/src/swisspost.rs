@@ -114,10 +114,6 @@ impl SwissPost {
 }
 
 impl BenchSystem for SwissPost {
-    fn name(&self) -> &'static str {
-        "SwissPost"
-    }
-
     fn register_all(&mut self, rng: &mut dyn Rng) {
         for _ in 0..self.n_voters {
             self.register_one(rng);
@@ -216,12 +212,5 @@ mod tests {
         sys.register_all(&mut rng);
         sys.vote_all(&[1], &mut rng);
         assert_eq!(sys.tally(&mut rng), vec![0, 1]);
-    }
-
-    #[test]
-    fn swisspost_is_linear() {
-        let mut rng = HmacDrbg::from_u64(3);
-        let sys = SwissPost::new(1, 2, &mut rng);
-        assert!(!sys.quadratic_tally());
     }
 }

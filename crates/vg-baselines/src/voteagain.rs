@@ -98,10 +98,6 @@ impl VoteAgain {
 }
 
 impl BenchSystem for VoteAgain {
-    fn name(&self) -> &'static str {
-        "VoteAgain"
-    }
-
     /// Registration is a single key generation per voter — the 0.1 ms
     /// column of Fig 5a.
     fn register_all(&mut self, rng: &mut dyn Rng) {

@@ -18,8 +18,7 @@ use std::time::Instant;
 use vg_bench::print_table;
 use vg_crypto::elgamal::{encrypt_point, ElGamalKeyPair};
 use vg_crypto::par::par_map;
-use vg_crypto::{multiscalar_mul, EdwardsPoint, Rng, Scalar};
-use vg_sim::bench_rng;
+use vg_crypto::{multiscalar_mul, EdwardsPoint, HmacDrbg, Rng, Scalar};
 use vg_sim::ivbound::adversary_bound;
 use vg_sim::FakeCredentialDist;
 
@@ -32,7 +31,7 @@ fn main() {
 
 fn mixer_count() {
     println!("\n[1] Mixer-count ablation (tally mix of 64 ciphertexts)\n");
-    let mut rng = bench_rng(1);
+    let mut rng = HmacDrbg::from_u64(1);
     let kp = ElGamalKeyPair::generate(&mut rng);
     let inputs: Vec<_> = (0..64u64)
         .map(|i| {
@@ -70,7 +69,7 @@ fn mixer_count() {
 
 fn msm() {
     println!("\n[2] Multi-scalar multiplication: Pippenger vs naive\n");
-    let mut rng = bench_rng(2);
+    let mut rng = HmacDrbg::from_u64(2);
     let mut rows = Vec::new();
     for n in [32usize, 128, 512] {
         let scalars: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
@@ -121,7 +120,7 @@ fn envelope_supply() {
 
 fn parallel_verification() {
     println!("\n[4] Parallel opening verification (thread scaling)\n");
-    let mut rng = bench_rng(3);
+    let mut rng = HmacDrbg::from_u64(3);
     // Simulate the hot loop: per-item Schnorr-style verifications.
     let items: Vec<Scalar> = (0..512).map(|_| rng.scalar()).collect();
     let base = EdwardsPoint::basepoint();

@@ -6,7 +6,7 @@
 //! `cargo run -p vg-bench --release --bin coercion [--trials 20000]`
 
 use vg_bench::{arg_usize, print_table};
-use vg_sim::bench_rng;
+use vg_crypto::HmacDrbg;
 use vg_sim::coercion::{
     analytic_shift_tv, credentials_structurally_indistinguishable, run_experiment,
 };
@@ -15,7 +15,7 @@ use vg_sim::FakeCredentialDist;
 fn main() {
     let trials = arg_usize("--trials", 20_000);
     let dist = FakeCredentialDist::default();
-    let mut rng = bench_rng(0xC0E5);
+    let mut rng = HmacDrbg::from_u64(0xC0E5);
 
     println!("C-Resist game — coercer's distinguishing advantage\n");
     println!(

@@ -10,18 +10,14 @@
 //! (Fig 4b). `--runs 0` is refused with status 2.
 
 use vg_bench::{arg_flag, arg_usize, print_table};
+use vg_crypto::HmacDrbg;
 use vg_hardware::metrics::{Component, Phase};
-use vg_sim::bench_rng;
 use vg_sim::fig4::run_all_devices;
 
 fn main() {
     let runs = arg_usize("--runs", 3);
-    if runs == 0 {
-        eprintln!("--runs needs at least 1 registration to average");
-        std::process::exit(2);
-    }
     let cpu_mode = arg_flag("--cpu");
-    let mut rng = bench_rng(0xF164);
+    let mut rng = HmacDrbg::from_u64(0xF164);
 
     eprintln!("Running {runs} scripted registrations (1 real + 1 fake) per device…");
     let device_runs = run_all_devices(runs, &mut rng);

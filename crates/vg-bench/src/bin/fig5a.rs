@@ -15,7 +15,10 @@ fn main() {
     let max = arg_usize("--sizes-max", 1_000_000);
     let cap = arg_usize("--cap", 200);
     let cap_civitas = arg_usize("--cap-civitas", 24);
-    let n_options = arg_usize("--options", 3) as u32;
+    let n_options = u32::try_from(arg_usize("--options", 3)).unwrap_or_else(|_| {
+        eprintln!("--options takes at most {}", u32::MAX);
+        std::process::exit(2)
+    });
 
     let mut sizes = vec![];
     let mut n = 100usize;

@@ -8,7 +8,7 @@
 //! `cargo run -p vg-bench --release --bin ivbound [--trials 50000]`
 
 use vg_bench::{arg_usize, print_table};
-use vg_sim::bench_rng;
+use vg_crypto::HmacDrbg;
 use vg_sim::ivbound::{
     adversary_bound, log2_iterative_bound, simulate_stuffing, success_probability,
 };
@@ -16,7 +16,7 @@ use vg_sim::FakeCredentialDist;
 
 fn main() {
     let trials = arg_usize("--trials", 50_000);
-    let mut rng = bench_rng(0x1BD);
+    let mut rng = HmacDrbg::from_u64(0x1BD);
 
     println!("Theorem §5.1 — integrity adversary's success bound");
     println!("p(k) = E_nc[(k/n_E) * C(n_E-k, n_c-1)/C(n_E-1, n_c-1)], maximized over k\n");

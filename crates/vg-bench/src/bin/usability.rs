@@ -5,7 +5,7 @@
 //! `cargo run -p vg-bench --release --bin usability [--cohort 150]`
 
 use vg_bench::{arg_usize, print_table};
-use vg_sim::bench_rng;
+use vg_crypto::HmacDrbg;
 use vg_sim::usability::{
     evasion_probability, log2_evasion_probability, simulate_study, UsabilityModel,
 };
@@ -13,7 +13,7 @@ use vg_sim::usability::{
 fn main() {
     let cohort = arg_usize("--cohort", 150);
     let model = UsabilityModel::default();
-    let mut rng = bench_rng(0x05AB);
+    let mut rng = HmacDrbg::from_u64(0x05AB);
 
     eprintln!("Simulating a {cohort}-participant study with real malicious-kiosk sessions…");
     let out = simulate_study(&model, cohort, 0.5, &mut rng);

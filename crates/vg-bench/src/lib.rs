@@ -2,9 +2,9 @@
 //! `--flag value` parsing for the figure binaries (`fig4`, `fig5a`,
 //! `fig5b`, `usability`, `ivbound`, `coercion`, `ablations`), which
 //! regenerate the rows and series of the paper's evaluation section (§7;
-//! one binary per figure or analysis, named after it). They and the four
-//! criterion benches are reproduction artefacts; the performance gate is
-//! `bench/gate.sh` over `bench/e2e`.
+//! one binary per figure or analysis, named after it). They are
+//! reproduction artefacts; the performance gate is `bench/gate.sh` over
+//! `bench/e2e`, whose `e2e layers` prints the per-layer rows.
 //!
 //! This crate forbids `unsafe` code (`#![forbid(unsafe_code)]`): the
 //! whole workspace is safe Rust, locked in by the `vg-lint` analyzer's
@@ -66,8 +66,8 @@ pub fn human_time(ms: f64) -> String {
 }
 
 /// The value of `--flag value` in `args`: `default` when the flag is
-/// absent, an error naming the flag when its value is missing or is not
-/// a number.
+/// absent, an error naming the flag when its value is missing, is not a
+/// number or is 0 (every flag the figure binaries take is a count).
 pub fn parse_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
     let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(default);
@@ -75,13 +75,15 @@ pub fn parse_usize(args: &[String], name: &str, default: usize) -> Result<usize,
     let value = args
         .get(i + 1)
         .ok_or_else(|| format!("{name} needs a number"))?;
-    value
-        .parse()
-        .map_err(|e| format!("{name} takes a number, not `{value}`: {e}"))
+    match value.parse() {
+        Ok(0) => Err(format!("{name} needs at least 1, not 0")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{name} takes a number, not `{value}`: {e}")),
+    }
 }
 
-/// [`parse_usize`] over the process arguments; a bad value ends the
-/// process with status 2 instead of running the default.
+/// [`parse_usize`] over the process arguments; a bad or zero value ends
+/// the process with status 2 instead of running the default.
 pub fn arg_usize(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
     parse_usize(&args, name, default).unwrap_or_else(|e| {
@@ -120,5 +122,7 @@ mod tests {
         assert!(garbage.is_err_and(|e| e.contains("--cap") && e.contains("1e6")));
         let missing = parse_usize(&args(&["bin", "--cap"]), "--cap", 200);
         assert!(missing.is_err_and(|e| e.contains("--cap")));
+        let zero = parse_usize(&args(&["bin", "--cap", "0"]), "--cap", 200);
+        assert!(zero.is_err_and(|e| e.contains("--cap") && e.contains('0')));
     }
 }

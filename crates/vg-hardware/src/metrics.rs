@@ -149,13 +149,17 @@ impl MetricsCollector {
     }
 
     /// Mean wall-clock milliseconds per charge of one component (e.g. per
-    /// QR scan), across phases.
+    /// QR scan), across phases; 0 for a component with no charges.
     pub fn mean_wall_ms(&self, component: Component) -> f64 {
         let charges: f64 = Phase::ALL
             .iter()
             .map(|p| self.get(*p, component).charges)
             .sum();
-        self.component_wall_ms(component) / charges
+        if charges == 0.0 {
+            0.0
+        } else {
+            self.component_wall_ms(component) / charges
+        }
     }
 
     /// Fraction of total wall time spent in QR scan + print (the ≥69.5%
@@ -236,5 +240,6 @@ mod tests {
         let m = MetricsCollector::new();
         assert_eq!(m.total_wall_ms(), 0.0);
         assert_eq!(m.qr_io_fraction(), 0.0);
+        assert_eq!(m.mean_wall_ms(Component::QrScan), 0.0);
     }
 }

@@ -44,8 +44,8 @@
 //! ([`stale_config_paths`]).
 //!
 //! The analyzer skips `#[cfg(test)]` modules, `tests/`, `benches/`, the
-//! dev shims, and its own source tree (whose rule tables and fixtures
-//! necessarily spell out the forbidden patterns).
+//! `proptest` dev shim, and its own source tree (whose rule tables and
+//! fixtures necessarily spell out the forbidden patterns).
 
 #![forbid(unsafe_code)]
 
@@ -212,11 +212,7 @@ impl Default for Config {
             entropy_exempt: vec!["vg-crypto/src/drbg.rs".into()],
             ct_exempt: vec!["vg-crypto/src/ct.rs".into()],
             lock_exempt: vec!["vg-crypto/src/sync.rs".into()],
-            skip_paths: vec![
-                "proptest-shim".into(),
-                "criterion-shim".into(),
-                "vg-lint".into(),
-            ],
+            skip_paths: vec!["proptest-shim".into(), "vg-lint".into()],
             messages_path: "vg-service/src/messages.rs".into(),
             error_path: "vg-service/src/error.rs".into(),
         }

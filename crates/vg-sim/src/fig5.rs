@@ -11,9 +11,13 @@
 use std::time::Instant;
 
 use vg_baselines::{BenchSystem, Civitas, SwissPost, VoteAgain};
-use vg_crypto::HmacDrbg;
+use vg_crypto::{HmacDrbg, Rng};
+use vg_ledger::VoterId;
+use vg_trip::protocol::{activate_all, register_voter};
+use vg_trip::setup::TripConfig;
+use vg_trip::vsd::ActivatedCredential;
+use vg_votegral::{Election, ElectionBuilder, Voting};
 
-use crate::bench_adapter::VotegralCore;
 use crate::population::VoteDist;
 
 /// Identifier for one of the compared systems.
@@ -85,6 +89,77 @@ impl PhaseTiming {
     /// Per-voter tally latency (ms).
     pub fn tally_per_voter_ms(&self) -> f64 {
         self.tally_ms / self.n_voters as f64
+    }
+}
+
+/// TRIP-Core / Votegral through the [`BenchSystem`] phases (the
+/// "TRIP-Core" configuration of §7.3, which omits all QR-related tasks to
+/// isolate the cryptographic operations).
+///
+/// The election is held in the `Voting` phase: the trait interleaves
+/// registration and casting freely, and the TRIP layer
+/// (`register_voter`/`activate_all`) is phase-agnostic, so registrations
+/// go through the protocol functions directly while casts use the
+/// session.
+struct VotegralCore {
+    election: Election<Voting>,
+    credentials: Vec<ActivatedCredential>,
+    n_voters: usize,
+}
+
+impl VotegralCore {
+    /// An election for `n_voters` and `n_options` with one envelope per
+    /// voter, on the builder's in-memory, one-thread defaults (setup/DKG
+    /// time is excluded from the phases, as in the paper).
+    fn new(n_voters: usize, n_options: u32, rng: &mut dyn Rng) -> Self {
+        let mut config = TripConfig::with_voters(n_voters as u64);
+        config.envelopes_per_voter = 1;
+        Self {
+            election: ElectionBuilder::new()
+                .trip_config(config)
+                .options(n_options)
+                .build(rng)
+                .open_voting(),
+            credentials: Vec::new(),
+            n_voters,
+        }
+    }
+}
+
+impl BenchSystem for VotegralCore {
+    /// Registration = the TRIP crypto path: check-in MAC, credential
+    /// generation, IZKP, signatures, check-out posting, activation checks.
+    fn register_all(&mut self, rng: &mut dyn Rng) {
+        for v in 1..=self.n_voters as u64 {
+            let mut outcome = register_voter(&mut self.election.trip, VoterId(v), 0, rng)
+                .expect("registration succeeds");
+            let vsd =
+                activate_all(&mut self.election.trip, &mut outcome).expect("activation succeeds");
+            self.credentials
+                .push(vsd.credentials.into_iter().next().expect("one credential"));
+        }
+    }
+
+    fn vote_all(&mut self, votes: &[u32], rng: &mut dyn Rng) {
+        assert_eq!(votes.len(), self.n_voters, "one vote per voter");
+        for (cred, &v) in self.credentials.iter().zip(votes.iter()) {
+            self.election.cast(cred, v, rng).expect("ballot accepted");
+        }
+    }
+
+    fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64> {
+        // The trait interleaves phases, so tally through the free
+        // function rather than consuming the session into `Tallying`.
+        let transcript = vg_votegral::tally(
+            &self.election.trip.authority,
+            &self.election.trip.ledger,
+            self.election.vote_config,
+            &self.election.trip.kiosk_registry,
+            self.election.mixers,
+            rng,
+        )
+        .expect("tally runs");
+        transcript.result.counts
     }
 }
 
@@ -300,5 +375,49 @@ mod tests {
         let rows = run_fig5(&[4, 8], 8, 4, 2, 5);
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().any(|r| r.extrapolated()));
+    }
+
+    #[test]
+    fn votegral_core_through_trait() {
+        let mut rng = HmacDrbg::from_u64(1);
+        let mut sys = VotegralCore::new(3, 2, &mut rng);
+        sys.register_all(&mut rng);
+        sys.vote_all(&[1, 0, 1], &mut rng);
+        assert_eq!(sys.tally(&mut rng), vec![1, 2]);
+    }
+
+    #[test]
+    fn all_four_systems_agree_on_result() {
+        // The same vote vector tallied by every system yields identical
+        // counts — the cross-system correctness check behind Fig 5.
+        let votes = {
+            let mut rng = HmacDrbg::from_u64(2);
+            VoteDist::uniform(3).sample_many(5, &mut rng)
+        };
+        let mut expected = vec![0u64; 3];
+        for &v in &votes {
+            expected[v as usize] += 1;
+        }
+
+        let mut rng = HmacDrbg::from_u64(3);
+        let mut votegral = VotegralCore::new(5, 3, &mut rng);
+        votegral.register_all(&mut rng);
+        votegral.vote_all(&votes, &mut rng);
+        assert_eq!(votegral.tally(&mut rng), expected, "votegral");
+
+        let mut swiss = SwissPost::new(5, 3, &mut rng);
+        swiss.register_all(&mut rng);
+        swiss.vote_all(&votes, &mut rng);
+        assert_eq!(swiss.tally(&mut rng), expected, "swisspost");
+
+        let mut va = VoteAgain::new(5, 3, &mut rng);
+        va.register_all(&mut rng);
+        va.vote_all(&votes, &mut rng);
+        assert_eq!(va.tally(&mut rng), expected, "voteagain");
+
+        let mut civitas = Civitas::with_tellers(5, 3, 2, &mut rng);
+        civitas.register_all(&mut rng);
+        civitas.vote_all(&votes, &mut rng);
+        assert_eq!(civitas.tally(&mut rng), expected, "civitas");
     }
 }

@@ -10,9 +10,9 @@
 //!   of Theorem §5.1, with a Monte-Carlo cross-check of the
 //!   envelope-stuffing game;
 //! - [`coercion`]: the empirical C-Resist experiment (Appendix F.1);
-//! - [`bench_adapter`]: TRIP-Core/Votegral as a
-//!   [`vg_baselines::BenchSystem`];
-//! - [`fig4`], [`fig5`]: the runners regenerating the evaluation figures.
+//! - [`fig4`], [`fig5`]: the runners regenerating the evaluation figures
+//!   (Fig 5 runs TRIP-Core/Votegral and the three baselines through
+//!   [`vg_baselines::BenchSystem`]).
 //!
 //! This crate forbids `unsafe` code (`#![forbid(unsafe_code)]`): the
 //! whole workspace is safe Rust, locked in by the `vg-lint` analyzer's
@@ -20,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench_adapter;
 pub mod coercion;
 pub mod fig4;
 pub mod fig5;
@@ -28,7 +27,6 @@ pub mod ivbound;
 pub mod population;
 pub mod usability;
 
-pub use bench_adapter::{bench_rng, VotegralCore};
 pub use fig4::{run_all_devices, run_device, DeviceRun};
 pub use fig5::{measure, measure_with_cap, run_fig5, PhaseTiming, SystemKind};
 pub use population::{FakeCredentialDist, VoteDist};

@@ -65,7 +65,12 @@ pub struct VoteDist {
 
 impl VoteDist {
     /// A uniform distribution over `n` options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0.
     pub fn uniform(n: u32) -> Self {
+        assert!(n >= 1, "need at least one option");
         Self {
             weights: vec![1.0 / n as f64; n as usize],
         }
@@ -153,6 +158,12 @@ mod tests {
             let count = votes.iter().filter(|&&v| v == opt).count();
             assert!(count > 350, "option {opt}: {count}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one option")]
+    fn vote_dist_uniform_refuses_zero_options() {
+        VoteDist::uniform(0);
     }
 
     #[test]
