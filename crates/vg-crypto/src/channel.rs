@@ -14,29 +14,39 @@
 //!   extract-and-expand keyed by the handshake transcript hash) yielding
 //!   independent per-direction encryption/MAC keys plus a key-confirmation
 //!   key that binds the static identities into the session.
-//! - [`FrameSealer`]: encrypt-then-MAC over whole frames with an
-//!   HMAC-SHA256 counter-mode keystream and a monotonically increasing
-//!   sequence number. Replayed, reordered, truncated or bit-flipped
-//!   frames all fail the tag check ([`CryptoError::BadMac`]); the
-//!   sequence number is implicit (never on the wire), so an attacker
+//! - [`FrameSealer`]: encrypt-then-MAC over whole frames with a monotonically
+//!   increasing 64-bit sequence number. The ciphertext is the plaintext
+//!   XOR the [`crate::chacha20`] keystream under the direction's `enc` key,
+//!   with nonce `0u32 ‖ seq` (little-endian) and block counter 0; the tag
+//!   is HMAC-SHA256 under the direction's `mac` key over
+//!   `seq ‖ len ‖ ciphertext`. Replayed, reordered, truncated or
+//!   bit-flipped frames all fail the tag check ([`CryptoError::BadMac`]);
+//!   the sequence number is implicit (never on the wire), so an attacker
 //!   cannot even choose which counter a forgery is checked against.
 //!
+//! The transcript label is `vgrs/handshake/v2`; it moved from `v1` when the
+//! record keystream changed from an HMAC-SHA256 counter mode to ChaCha20,
+//! so a `v1` peer derives different keys and fails key confirmation before
+//! it can send a record.
+//!
 //! Like the rest of the crate this is a faithful research substrate, not
-//! a hardened TLS replacement: group operations are variable-time and the
-//! cipher is a from-scratch PRF-counter construction chosen because the
-//! crate deliberately has no dependencies outside `std`. MAC-tag
-//! comparisons, however, are constant-time throughout (via
-//! [`crate::hmac::hmac_verify`] / [`crate::ct::ct_eq`]).
+//! a hardened TLS replacement: group operations are variable-time and
+//! every primitive is written from scratch, because the crate deliberately
+//! has no dependencies outside `std`. MAC-tag comparisons, however, are
+//! constant-time throughout (via [`crate::ct::ct_eq32`]).
 
+use crate::chacha20;
+use crate::ct::ct_eq32;
 use crate::drbg::Rng;
 use crate::edwards::{CompressedPoint, EdwardsPoint};
-use crate::hmac::{hmac_sha256, hmac_verify, HmacSha256};
+use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::scalar::Scalar;
 use crate::sha2::sha256;
 use crate::CryptoError;
 
-/// Domain-separation label for the handshake transcript hash.
-const TRANSCRIPT_DOMAIN: &[u8] = b"vgrs/handshake/v1";
+/// Domain-separation label for the handshake transcript hash. The version
+/// names the record format: `v2` seals with ChaCha20.
+const TRANSCRIPT_DOMAIN: &[u8] = b"vgrs/handshake/v2";
 
 /// A fresh ephemeral Diffie–Hellman key for one handshake.
 ///
@@ -86,7 +96,7 @@ pub fn validate_peer_point(peer: &CompressedPoint) -> Result<EdwardsPoint, Crypt
 /// Keys for one direction of an established channel.
 #[derive(Clone)]
 pub struct DirectionKeys {
-    /// Keystream PRF key.
+    /// ChaCha20 record-cipher key.
     pub enc: [u8; 32],
     /// Frame-tag MAC key.
     pub mac: [u8; 32],
@@ -161,13 +171,21 @@ pub fn confirmation_tag(auth_key: &[u8; 32], role: &[u8], static_pk: &Compressed
 /// Authenticated frame encryption for one direction of a channel.
 ///
 /// Encrypt-then-MAC with an implicit 64-bit sequence number: the sender
-/// and receiver each count frames, and the tag covers the counter, the
-/// length and the ciphertext. Any replay, reorder, truncation, extension
-/// or bit-flip therefore fails [`FrameSealer::open`] with
-/// [`CryptoError::BadMac`]. One sealer must only ever be used for one
-/// direction — the key schedule hands out disjoint keys per direction.
+/// and receiver each count frames. Frame `seq` is encrypted with ChaCha20
+/// under the `enc` key and nonce `0u32 ‖ seq` (little-endian), and its
+/// HMAC-SHA256 tag under the `mac` key covers the counter, the length and
+/// the ciphertext. Any replay, reorder, truncation, extension or bit-flip
+/// therefore fails [`FrameSealer::open`] with [`CryptoError::BadMac`].
+/// One sealer must only ever be used for one direction — the key schedule
+/// hands out disjoint keys per direction. The MAC key's pads are hashed
+/// once, here, and every frame's tag starts from a clone of that state.
+///
+/// A sealer carries at most `u64::MAX` frames: frame `u64::MAX` would
+/// need a counter past the end, so [`FrameSealer::seal`] panics and
+/// [`FrameSealer::open`] refuses rather than reuse a nonce.
 pub struct FrameSealer {
-    keys: DirectionKeys,
+    enc: [u8; 32],
+    mac: HmacSha256,
     seq: u64,
 }
 
@@ -181,25 +199,25 @@ impl core::fmt::Debug for FrameSealer {
 impl FrameSealer {
     /// Wraps direction keys with the sequence counter at zero.
     pub fn new(keys: DirectionKeys) -> Self {
-        Self { keys, seq: 0 }
-    }
-
-    /// XORs the counter-mode HMAC keystream for frame `seq` into `data`.
-    fn keystream_xor(&self, seq: u64, data: &mut [u8]) {
-        for (block, chunk) in data.chunks_mut(32).enumerate() {
-            let mut prf = HmacSha256::new(&self.keys.enc);
-            prf.update(b"ks")
-                .update(&seq.to_le_bytes())
-                .update(&(block as u32).to_le_bytes());
-            let pad = prf.finalize();
-            for (b, k) in chunk.iter_mut().zip(pad.iter()) {
-                *b ^= k;
-            }
+        Self {
+            enc: keys.enc,
+            mac: HmacSha256::new(&keys.mac),
+            seq: 0,
         }
     }
 
+    /// XORs the ChaCha20 keystream for frame `seq` into `data`.
+    fn keystream_xor(&self, seq: u64, data: &mut [u8]) {
+        // The service layer's `MAX_FRAME` is 64 MiB, a million blocks: the
+        // 32-bit block counter cannot wrap inside one frame (`xor`
+        // debug-asserts it).
+        let mut nonce = [0u8; 12];
+        nonce[4..].copy_from_slice(&seq.to_le_bytes());
+        chacha20::xor(&self.enc, 0, &nonce, data);
+    }
+
     fn tag(&self, seq: u64, ct: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(&self.keys.mac);
+        let mut mac = self.mac.clone();
         mac.update(&seq.to_le_bytes())
             .update(&(ct.len() as u64).to_le_bytes())
             .update(ct);
@@ -208,9 +226,16 @@ impl FrameSealer {
 
     /// Seals one frame: returns `ciphertext ‖ tag` and advances the
     /// sequence counter.
+    ///
+    /// # Panics
+    ///
+    /// When the sequence space is exhausted (`u64::MAX` frames sealed):
+    /// another frame would reuse frame 0's nonce and keystream.
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let seq = self.seq;
-        self.seq += 1;
+        self.seq = seq
+            .checked_add(1)
+            .expect("FrameSealer: sequence space exhausted; re-handshake");
         let mut out = Vec::with_capacity(plaintext.len() + 32);
         out.extend_from_slice(plaintext);
         self.keystream_xor(seq, &mut out);
@@ -222,32 +247,28 @@ impl FrameSealer {
     /// Opens one sealed frame, enforcing the implicit sequence number.
     ///
     /// On failure the counter does *not* advance, so a garbage frame
-    /// cannot desynchronise an honest stream it failed to break.
+    /// cannot desynchronise an honest stream it failed to break. Once the
+    /// sequence space is exhausted every frame is refused.
     pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
         if sealed.len() < 32 {
             return Err(CryptoError::Malformed("sealed frame too short"));
         }
         let (ct, tag) = sealed.split_at(sealed.len() - 32);
         let seq = self.seq;
+        let next = seq
+            .checked_add(1)
+            .ok_or(CryptoError::Malformed("sealed frame sequence exhausted"))?;
         let tag: &[u8; 32] = tag
             .try_into()
             .map_err(|_| CryptoError::Malformed("sealed frame tag length"))?;
-        if !hmac_verify(&self.keys.mac, &tag_input(seq, ct), tag) {
+        if !ct_eq32(&self.tag(seq, ct), tag) {
             return Err(CryptoError::BadMac);
         }
-        self.seq += 1;
+        self.seq = next;
         let mut pt = ct.to_vec();
         self.keystream_xor(seq, &mut pt);
         Ok(pt)
     }
-}
-
-fn tag_input(seq: u64, ct: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + ct.len());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-    buf.extend_from_slice(ct);
-    buf
 }
 
 #[cfg(test)]
@@ -276,6 +297,83 @@ mod tests {
             assert_ne!(&sealed[..msg.len()], &msg[..], "ciphertext differs");
             assert_eq!(rx.open(&sealed).unwrap(), msg);
         }
+    }
+
+    /// Every frame length across the first three keystream block edges.
+    #[test]
+    fn seal_open_round_trip_every_length_to_200() {
+        let k = keys(13);
+        let mut tx = FrameSealer::new(k.client_to_server.clone());
+        let mut rx = FrameSealer::new(k.client_to_server);
+        for len in 0..=200usize {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let sealed = tx.seal(&msg);
+            assert_eq!(sealed.len(), len + 32);
+            assert_eq!(rx.open(&sealed).unwrap(), msg, "length {len}");
+        }
+    }
+
+    /// The record format, pinned: frames of length 0, 1, 64 and 65 (bytes
+    /// `0, 1, 2, …`) sealed in that order under `enc = [7; 32]`,
+    /// `mac = [9; 32]`. A change here is a change to the wire.
+    #[test]
+    fn sealed_frames_match_pinned_vector() {
+        let keys = DirectionKeys {
+            enc: [7; 32],
+            mac: [9; 32],
+        };
+        let mut tx = FrameSealer::new(keys);
+        let sealed: Vec<String> = [0usize, 1, 64, 65]
+            .iter()
+            .map(|&len| {
+                let msg: Vec<u8> = (0..len as u8).collect();
+                tx.seal(&msg).iter().map(|b| format!("{b:02x}")).collect()
+            })
+            .collect();
+        assert_eq!(sealed, PINNED_FRAMES);
+    }
+
+    /// Cross-checked against OpenSSL's `chacha20` (iv = counter ‖ nonce)
+    /// and an independent HMAC-SHA256 when pinned.
+    const PINNED_FRAMES: [&str; 4] = [
+        "9fbc2f3b21bddc46633bec810cae2d2a10c3565a1655178167403f4f2a0ef9bf",
+        "6d3afadd9d561c2d66a96bf9e2fcc7e40ada1207ace904f4c62884371754e1893c",
+        "c51886a4e603d8cec81b18f1ded61f0115362097420d946d112b27ca1d49985f\
+         2f15292d78f101d47ca9ad8d421f42e28386e057153e0034218d76b178bd1204\
+         eca0f067079dad1867350792dc382ab254cdf61a308a166feac31b8cd00fb766",
+        "8f275bf80e460af90df805d48e12a1b6691954b6631b04194671843af562120b\
+         2465d9f29a1877448c79697cda4717f60fb6a9c24dc92e856fefbe174c4895c9\
+         cd3f9cad6807be777117fa1f0004da2334f05d1d7bca621f8883d128870a4cddde",
+    ];
+
+    fn sealer_at(keys: &DirectionKeys, seq: u64) -> FrameSealer {
+        FrameSealer {
+            seq,
+            ..FrameSealer::new(keys.clone())
+        }
+    }
+
+    /// The last frame of the sequence space opens; after it the receiver
+    /// refuses, typed, instead of wrapping to frame 0's nonce.
+    #[test]
+    fn exhausted_sequence_is_refused_not_wrapped() {
+        let k = keys(14).client_to_server;
+        let mut tx = sealer_at(&k, u64::MAX - 1);
+        let mut rx = sealer_at(&k, u64::MAX - 1);
+        assert_eq!(rx.open(&tx.seal(b"last")).unwrap(), b"last");
+        let frame0 = FrameSealer::new(k).seal(b"frame 0 replayed");
+        assert_eq!(
+            rx.open(&frame0),
+            Err(CryptoError::Malformed("sealed frame sequence exhausted"))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence space exhausted")]
+    fn exhausted_sequence_panics_on_seal() {
+        let mut tx = sealer_at(&keys(15).client_to_server, u64::MAX - 1);
+        tx.seal(b"last");
+        tx.seal(b"would reuse frame 0's keystream");
     }
 
     #[test]
@@ -322,6 +420,16 @@ mod tests {
             eph.agree(&CompressedPoint([0xff; 32])),
             Err(CryptoError::InvalidPoint)
         );
+    }
+
+    /// The transcript label names the record format: a peer still on the
+    /// HMAC-keystream `v1` format derives other keys and fails key
+    /// confirmation.
+    #[test]
+    fn transcript_label_is_v2() {
+        let (a, b) = (CompressedPoint([1; 32]), CompressedPoint([2; 32]));
+        let v2 = sha256(&[&b"vgrs/handshake/v2"[..], &a.0, &b.0].concat());
+        assert_eq!(transcript_hash(&a, &b), v2);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   and [`edwards::FixedBaseTable`] for a point multiplied many times.
 //! - [`sha2`], [`hmac`], [`drbg`], [`transcript`]: hashing, MACs,
 //!   deterministic randomness, Fiat–Shamir.
+//! - [`chacha20`], [`channel`]: the record cipher and the secure channel's
+//!   key agreement, key schedule and frame sealing.
 //! - [`schnorr`], [`elgamal`]: the signature and encryption schemes of
 //!   Appendix E.1.
 //! - [`chaum_pedersen`]: the interactive ZKPoE at the heart of TRIP's
@@ -47,6 +49,7 @@
 
 pub mod batch;
 pub mod bigint;
+pub mod chacha20;
 pub mod channel;
 pub mod chaum_pedersen;
 pub mod codec;
