@@ -24,10 +24,9 @@
 //!   the sequence number is implicit (never on the wire), so an attacker
 //!   cannot even choose which counter a forgery is checked against.
 //!
-//! The transcript label is `vgrs/handshake/v2`; it moved from `v1` when the
-//! record keystream changed from an HMAC-SHA256 counter mode to ChaCha20,
-//! so a `v1` peer derives different keys and fails key confirmation before
-//! it can send a record.
+//! The transcript label `vgrs/handshake/v2` names this record format. A
+//! `v1` peer (HMAC-SHA256 counter-mode keystream) derives different keys
+//! and fails key confirmation before it can send a record.
 //!
 //! Like the rest of the crate this is a faithful research substrate, not
 //! a hardened TLS replacement: group operations are variable-time and
@@ -44,8 +43,8 @@ use crate::scalar::Scalar;
 use crate::sha2::sha256;
 use crate::CryptoError;
 
-/// Domain-separation label for the handshake transcript hash. The version
-/// names the record format: `v2` seals with ChaCha20.
+/// Domain-separation label for the handshake transcript hash; its version
+/// names the record format (see the module doc).
 const TRANSCRIPT_DOMAIN: &[u8] = b"vgrs/handshake/v2";
 
 /// A fresh ephemeral Diffie–Hellman key for one handshake.
