@@ -9,8 +9,9 @@
 //!
 //! - [`TcpChannel`]: length-prefixed frames over a TCP stream (the old
 //!   transport, now one impl among several).
-//! - [`PipeChannel`]: an in-process duplex frame queue, so loopback-free
-//!   runs exercise the identical protocol state machines.
+//! - [`PipeChannel`]: an in-process duplex frame queue, so probes and
+//!   channel-level tests exercise the identical protocol state machines
+//!   without a socket.
 //! - [`SecureChannel`]: SIGMA-style handshake + per-direction
 //!   encrypt-then-MAC sealing over either of the above, driven by a
 //!   [`ChannelPolicy`].
@@ -33,7 +34,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -215,24 +216,18 @@ impl FramedChannel for TcpChannel {
 // In-process pipes
 // ---------------------------------------------------------------------
 
-/// One end of an in-process duplex frame queue. Frames arrive whole, so
-/// its only read deadline is the one
-/// [`FramedChannel::set_read_deadline`] sets; a fresh pipe has none.
+/// One end of an in-process duplex frame queue. Frames arrive whole and
+/// a quiet peer is waited on forever: a pipe has no read deadline.
 pub struct PipeChannel {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    next_frame: Option<Duration>,
 }
 
 /// Creates a connected pair of in-process channels.
 pub fn pipe_pair() -> (PipeChannel, PipeChannel) {
     let (a_tx, b_rx) = channel();
     let (b_tx, a_rx) = channel();
-    let end = |tx, rx| PipeChannel {
-        tx,
-        rx,
-        next_frame: None,
-    };
+    let end = |tx, rx| PipeChannel { tx, rx };
     (end(a_tx, a_rx), end(b_tx, b_rx))
 }
 
@@ -244,20 +239,9 @@ impl FramedChannel for PipeChannel {
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ServiceError> {
-        let hung_up = || ServiceError::Transport("pipe peer hung up".into());
-        match self.next_frame {
-            None => self.rx.recv().map_err(|_| hung_up()),
-            Some(deadline) => self.rx.recv_timeout(deadline).map_err(|e| match e {
-                RecvTimeoutError::Timeout => {
-                    ServiceError::Timeout("pipe: no frame within the read deadline".into())
-                }
-                RecvTimeoutError::Disconnected => hung_up(),
-            }),
-        }
-    }
-
-    fn set_read_deadline(&mut self, deadline: Option<Duration>) {
-        self.next_frame = deadline;
+        self.rx
+            .recv()
+            .map_err(|_| ServiceError::Transport("pipe peer hung up".into()))
     }
 }
 

@@ -24,9 +24,10 @@
 //!
 //! - **Network**: [`FaultyChannel`] wraps any [`FramedChannel`] and
 //!   injects per-operation faults (delay, stall, connection drop, torn
-//!   write, byte corruption). [`FaultyConnector`] wraps any
-//!   [`Connector`] so every dial — initial connect, reconnect, steal
-//!   runner — gets a fresh schedule derived from `(seed, station, dial)`.
+//!   write, and on sealed channels byte corruption). [`FaultyConnector`]
+//!   wraps any [`Connector`] so every dial — initial connect, reconnect,
+//!   steal runner — gets a fresh schedule derived from `(seed, station,
+//!   dial)`.
 //! - **Disk**: [`FaultPlan::fault_fs`] builds the write-layer schedule
 //!   ([`vg_ledger::FaultFs`]) that each of a durable store's two log files
 //!   (its record log — on the envelope ledger, commitments and reveals
@@ -58,13 +59,6 @@ pub struct FaultPlan {
     /// separate from the rate so a grid can sweep "lossy but live"
     /// against "lossy and stalling".
     pub stalls: bool,
-    /// Include in-flight byte corruption in the mix. Only meaningful on
-    /// integrity-protected channels: the secure transport's MAC turns a
-    /// flipped bit into a typed rejection, while a plaintext frame
-    /// decodes the altered bytes as-is — silent divergence rather than a
-    /// fault the chaos contract can observe — so plaintext grid cells
-    /// leave this off.
-    pub corrupt: bool,
     /// Write-layer fault for the day's durable store, if any.
     pub disk: Option<FsFault>,
 }
@@ -78,7 +72,13 @@ impl FaultPlan {
     /// The channel-level fault schedule for dial number `dial` from
     /// station `station`. Reconnects get fresh-but-deterministic
     /// schedules: same `(seed, station, dial)` → same faults.
-    pub fn channel_schedule(&self, station: usize, dial: u64) -> ChannelSchedule {
+    ///
+    /// In-flight byte corruption is in the mix exactly when the channel
+    /// is `sealed`: the secure transport's MAC turns a flipped bit into a
+    /// typed rejection, while a plaintext frame would decode the altered
+    /// bytes as-is — silent divergence, not a fault the chaos contract
+    /// can observe.
+    pub fn channel_schedule(&self, station: usize, dial: u64, sealed: bool) -> ChannelSchedule {
         let mut key = Vec::with_capacity(40);
         key.extend_from_slice(b"vgrs/fault/channel-v1");
         key.extend_from_slice(&self.seed.to_le_bytes());
@@ -88,7 +88,7 @@ impl FaultPlan {
             drbg: HmacDrbg::new(&key),
             rate: self.net_rate_permille.min(1000) as u64,
             stalls: self.stalls,
-            corrupt: self.corrupt,
+            corrupt: sealed,
         }
     }
 
@@ -255,23 +255,26 @@ impl FramedChannel for FaultyChannel {
 /// the same [`FaultPlan`].
 ///
 /// The wrapper composes *outside* the security policy (it wraps the
-/// fully established channel), so injected corruption exercises the
-/// secure channel's MAC rejection path rather than breaking handshakes
-/// nondeterministically.
+/// fully established channel), so injected corruption — drawn only when
+/// `inner` dials `sealed` channels — exercises the secure channel's MAC
+/// rejection path rather than breaking handshakes nondeterministically.
 pub struct FaultyConnector {
     inner: Box<dyn Connector>,
     plan: FaultPlan,
     station: usize,
+    sealed: bool,
     dials: AtomicU64,
 }
 
 impl FaultyConnector {
-    /// Wraps `inner` for `station` under `plan`.
-    pub fn new(inner: Box<dyn Connector>, plan: FaultPlan, station: usize) -> Self {
+    /// Wraps `inner`, whose channels are `sealed` or plaintext, for
+    /// `station` under `plan`.
+    pub fn new(inner: Box<dyn Connector>, plan: FaultPlan, station: usize, sealed: bool) -> Self {
         Self {
             inner,
             plan,
             station,
+            sealed,
             dials: AtomicU64::new(0),
         }
     }
@@ -283,7 +286,7 @@ impl Connector for FaultyConnector {
         let chan = self.inner.connect()?;
         Ok(Box::new(FaultyChannel::new(
             chan,
-            self.plan.channel_schedule(self.station, dial),
+            self.plan.channel_schedule(self.station, dial, self.sealed),
         )))
     }
 }
@@ -303,29 +306,32 @@ mod tests {
             seed: 7,
             net_rate_permille: 400,
             stalls: true,
-            corrupt: true,
             disk: None,
         };
-        let a = drain(plan.channel_schedule(0, 0), 64);
-        let b = drain(plan.channel_schedule(0, 0), 64);
+        let a = drain(plan.channel_schedule(0, 0, true), 64);
+        let b = drain(plan.channel_schedule(0, 0, true), 64);
         assert_eq!(a, b, "same coordinate replays identically");
         assert_ne!(
             a,
-            drain(plan.channel_schedule(1, 0), 64),
+            drain(plan.channel_schedule(1, 0, true), 64),
             "stations draw independent schedules"
         );
         assert_ne!(
             a,
-            drain(plan.channel_schedule(0, 1), 64),
+            drain(plan.channel_schedule(0, 1, true), 64),
             "reconnects draw independent schedules"
         );
         let other = FaultPlan { seed: 8, ..plan };
-        assert_ne!(a, drain(other.channel_schedule(0, 0), 64), "seed matters");
+        assert_ne!(
+            a,
+            drain(other.channel_schedule(0, 0, true), 64),
+            "seed matters"
+        );
     }
 
     #[test]
     fn quiet_plan_injects_nothing() {
-        let sched = FaultPlan::quiet().channel_schedule(0, 0);
+        let sched = FaultPlan::quiet().channel_schedule(0, 0, true);
         assert!(drain(sched, 256).iter().all(|f| f.is_none()));
     }
 
@@ -335,40 +341,36 @@ mod tests {
             seed: 3,
             net_rate_permille: 1000,
             stalls: false,
-            corrupt: true,
             disk: None,
         };
-        assert!(drain(plan.channel_schedule(0, 0), 512)
+        assert!(drain(plan.channel_schedule(0, 0, true), 512)
             .iter()
             .all(|f| !matches!(f, Some(ChannelFault::Stall))));
         let stalling = FaultPlan {
             stalls: true,
             ..plan
         };
-        assert!(drain(stalling.channel_schedule(0, 0), 512)
+        assert!(drain(stalling.channel_schedule(0, 0, true), 512)
             .iter()
             .any(|f| matches!(f, Some(ChannelFault::Stall))));
     }
 
     #[test]
-    fn corrupt_mix_gated_by_flag() {
+    fn corruption_is_drawn_exactly_on_sealed_channels() {
         let plan = FaultPlan {
             seed: 9,
             net_rate_permille: 1000,
             stalls: true,
-            corrupt: false,
             disk: None,
         };
-        assert!(drain(plan.channel_schedule(0, 0), 512)
-            .iter()
-            .all(|f| !matches!(f, Some(ChannelFault::Corrupt))));
-        let corrupting = FaultPlan {
-            corrupt: true,
-            ..plan
+        let corrupts = |sealed| {
+            drain(plan.channel_schedule(0, 0, sealed), 512)
+                .iter()
+                .filter(|f| matches!(f, Some(ChannelFault::Corrupt)))
+                .count()
         };
-        assert!(drain(corrupting.channel_schedule(0, 0), 512)
-            .iter()
-            .any(|f| matches!(f, Some(ChannelFault::Corrupt))));
+        assert_eq!(corrupts(false), 0, "a plaintext channel is never corrupted");
+        assert!(corrupts(true) > 0, "a sealed channel draws corruption");
     }
 
     #[test]
@@ -377,12 +379,11 @@ mod tests {
             seed: 11,
             net_rate_permille: 1000,
             stalls: true,
-            corrupt: true,
             disk: None,
         };
         // Rate 1000 → every op faults; drive sends until a fatal one.
         let (a, _b) = pipe_pair();
-        let mut chan = FaultyChannel::new(Box::new(a), plan.channel_schedule(0, 0));
+        let mut chan = FaultyChannel::new(Box::new(a), plan.channel_schedule(0, 0, true));
         let fatal = loop {
             match chan.send_frame(b"frame") {
                 Ok(()) => continue,
@@ -404,10 +405,9 @@ mod tests {
             seed: 5,
             net_rate_permille: 0,
             stalls: false,
-            corrupt: true,
             disk: None,
         };
-        let mut sched = plan.channel_schedule(0, 0);
+        let mut sched = plan.channel_schedule(0, 0, true);
         let original = vec![0u8; 32];
         let mut bent = original.clone();
         sched.corrupt(&mut bent);
@@ -425,7 +425,6 @@ mod tests {
             seed: 1,
             net_rate_permille: 0,
             stalls: false,
-            corrupt: false,
             disk: Some(FsFault::DiskFull { nth: 3 }),
         };
         assert!(plan.fault_fs().is_some());

@@ -1,6 +1,5 @@
-//! The registrar's server for a threaded day: every connection it
-//! accepts — stations, refillers, steal runners; loopback TCP from
-//! `tcp_acceptor`, in-process pipes dialed through a `PipeHub` — is
+//! The registrar's server for a threaded TCP day: every connection
+//! `tcp_acceptor` accepts — stations, refillers, steal runners — is
 //! served to its end by a scoped thread of its own, running the mirror
 //! image of what its client runs: the policy's server handshake
 //! ([`ChannelPolicy::establish_server`]), then one blocking loop of
@@ -20,14 +19,11 @@
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::Scope;
 use std::time::Duration;
 
-use crate::channel::{
-    pipe_pair, ChannelPolicy, Connector, Deadlines, FramedChannel, PipeChannel, TcpChannel,
-};
+use crate::channel::{ChannelPolicy, Deadlines, FramedChannel, TcpChannel};
 use crate::error::ServiceError;
 use crate::messages::{HandshakeFrame, Request, Response};
 use crate::transport::{EngineStats, RequestEndpoint};
@@ -136,55 +132,12 @@ pub(crate) fn tcp_acceptor<'scope, E>(
     }
 }
 
-/// The in-process counterpart of [`tcp_acceptor`]: serves every pipe a
-/// [`PipeHub`] dialed into `dialed`, until `open` clears (the
-/// coordinator wakes it with a throwaway pipe — connectors may outlive
-/// the day's scope, so the channel never disconnects by itself).
-pub(crate) fn pipe_acceptor<'scope, E>(
-    scope: &'scope Scope<'scope, '_>,
-    dialed: Receiver<PipeChannel>,
-    server: Server<E>,
-) where
-    E: RequestEndpoint + Clone + Send + 'scope,
-{
-    for chan in dialed {
-        if !server.open.load(Ordering::Acquire) {
-            break;
-        }
-        let server = server.clone();
-        scope.spawn(move || server.serve(Box::new(chan)));
-    }
-}
-
-/// In-process connector onto the server: dialing builds a pipe, hands
-/// the server half to [`pipe_acceptor`], and completes the policy's
-/// client handshake over the client half. Cloneable so many stations
-/// (and their refillers / steal runners) can dial one registrar.
-#[derive(Clone)]
-pub(crate) struct PipeHub {
-    /// Where dialed server halves go.
-    pub(crate) intake: Sender<PipeChannel>,
-    /// The dialing station's side of the channel policy.
-    pub(crate) policy: ChannelPolicy,
-}
-
-impl Connector for PipeHub {
-    fn connect(&self) -> Result<Box<dyn FramedChannel>, ServiceError> {
-        let (client_half, server_half) = pipe_pair();
-        if self.intake.send(server_half).is_err() {
-            return Err(ServiceError::Transport("pipe gateway is gone".into()));
-        }
-        self.policy.establish_client(Box::new(client_half))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::SecureConfig;
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
-    use std::sync::mpsc::channel;
     use std::time::Instant;
     use vg_crypto::schnorr::SigningKey;
     use vg_crypto::HmacDrbg;
@@ -208,20 +161,17 @@ mod tests {
         }
     }
 
-    /// A live server's two front doors and its counters.
+    /// A live server's front door and its counters.
     struct Doors {
         addr: SocketAddr,
-        intake: Sender<PipeChannel>,
         open: Arc<AtomicBool>,
         stats: Arc<EngineStats>,
     }
 
     impl Doors {
-        /// Dials an in-process pipe; the bare client half.
-        fn pipe(&self) -> PipeChannel {
-            let (client_half, server_half) = pipe_pair();
-            self.intake.send(server_half).unwrap();
-            client_half
+        /// Dials the server; the bare client channel.
+        fn dial(&self) -> TcpChannel {
+            TcpChannel::connect(self.addr).unwrap()
         }
 
         fn await_reap(&self) -> u64 {
@@ -238,21 +188,19 @@ mod tests {
     }
 
     /// Day teardown — also when an assertion unwinds, or the scope join
-    /// would wait on the acceptors forever.
+    /// would wait on the acceptor forever.
     impl Drop for Doors {
         fn drop(&mut self) {
             self.open.store(false, Ordering::SeqCst);
             drop(TcpStream::connect(self.addr));
-            let _ = self.intake.send(pipe_pair().1);
         }
     }
 
-    /// Runs `test` against a server accepting on loopback TCP and on a
-    /// pipe intake, as a day's scope runs it, then tears it down;
-    /// returning means every acceptor and connection thread joined.
+    /// Runs `test` against a server accepting on loopback TCP, as a day's
+    /// scope runs it, then tears it down; returning means the acceptor
+    /// and every connection thread joined.
     fn with_server(policy: ChannelPolicy, reap_after: Duration, test: impl FnOnce(&Doors)) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let (intake, dialed) = channel();
         let server = Server {
             policy,
             endpoint: TestEndpoint,
@@ -262,14 +210,11 @@ mod tests {
         };
         let doors = Doors {
             addr: listener.local_addr().unwrap(),
-            intake,
             open: Arc::clone(&server.open),
             stats: Arc::clone(&server.stats),
         };
         std::thread::scope(|scope| {
-            let pipes = server.clone();
             scope.spawn(move || tcp_acceptor(scope, listener, server));
-            scope.spawn(move || pipe_acceptor(scope, dialed, pipes));
             let doors = doors;
             test(&doors);
         });
@@ -281,10 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_pipe_request_response_and_pending() {
+    fn tcp_connection_served() {
         with_server(ChannelPolicy::Plaintext, REAP_AFTER, |doors| {
-            let mut client = doors.pipe();
-            assert!(matches!(call(&mut client, &Request::Sync), Response::Sync));
+            let mut client = doors.dial();
+            for _ in 0..5 {
+                assert!(matches!(call(&mut client, &Request::Sync), Response::Sync));
+            }
             // A reply that arrives late is waited for.
             assert!(matches!(
                 call(&mut client, &Request::LedgerHeads),
@@ -296,20 +243,6 @@ mod tests {
             ));
             // Answered its `Shutdown`, the server hung up.
             assert!(client.recv_frame().is_err());
-        });
-    }
-
-    #[test]
-    fn tcp_connection_served() {
-        with_server(ChannelPolicy::Plaintext, REAP_AFTER, |doors| {
-            let mut client = TcpChannel::connect(doors.addr).unwrap();
-            for _ in 0..5 {
-                assert!(matches!(call(&mut client, &Request::Sync), Response::Sync));
-            }
-            assert!(matches!(
-                call(&mut client, &Request::Shutdown),
-                Response::Shutdown
-            ));
         });
     }
 
@@ -337,7 +270,7 @@ mod tests {
         let (server_cfg, client_cfg) = secure_cfgs();
         with_server(ChannelPolicy::Secure(server_cfg), REAP_AFTER, |doors| {
             let mut client = ChannelPolicy::Secure(client_cfg)
-                .establish_client(Box::new(doors.pipe()))
+                .establish_client(Box::new(doors.dial()))
                 .unwrap();
             assert!(matches!(call(&mut *client, &Request::Sync), Response::Sync));
             assert!(matches!(
@@ -354,7 +287,7 @@ mod tests {
         client_cfg.local = SigningKey::generate(&mut rng);
         with_server(ChannelPolicy::Secure(server_cfg), REAP_AFTER, |doors| {
             let mut client = ChannelPolicy::Secure(client_cfg)
-                .establish_client(Box::new(doors.pipe()))
+                .establish_client(Box::new(doors.dial()))
                 .unwrap();
             // First use observes the typed rejection.
             assert!(matches!(
@@ -367,20 +300,11 @@ mod tests {
     const TIGHT: Duration = Duration::from_millis(50);
 
     #[test]
-    fn half_open_handshake_is_reaped() {
+    fn half_open_tcp_handshake_is_reaped() {
         let (server_cfg, _) = secure_cfgs();
         with_server(ChannelPolicy::Secure(server_cfg), TIGHT, |doors| {
             // The client connects and then never speaks: the server
             // waits for its `Init` and must give up, not wait forever.
-            let _silent = doors.pipe();
-            assert_eq!(doors.await_reap(), 1);
-        });
-    }
-
-    #[test]
-    fn half_open_tcp_handshake_is_reaped() {
-        let (server_cfg, _) = secure_cfgs();
-        with_server(ChannelPolicy::Secure(server_cfg), TIGHT, |doors| {
             let mut silent = TcpStream::connect(doors.addr).unwrap();
             assert_eq!(doors.await_reap(), 1);
             // The reaped peer finds its connection closed.
@@ -393,7 +317,7 @@ mod tests {
         with_server(ChannelPolicy::Plaintext, TIGHT, |doors| {
             // A healthy idle plaintext connection: established, no partial
             // frame. It must survive many reap deadlines.
-            let mut idle_client = doors.pipe();
+            let mut idle_client = doors.dial();
             // A TCP peer that sends half a frame header and then stalls.
             let mut stalled = TcpStream::connect(doors.addr).unwrap();
             stalled.set_nodelay(true).unwrap();
@@ -410,7 +334,7 @@ mod tests {
     #[test]
     fn idle_tcp_connection_outlives_the_reap_deadline() {
         with_server(ChannelPolicy::Plaintext, TIGHT, |doors| {
-            let mut client = TcpChannel::connect(doors.addr).unwrap();
+            let mut client = doors.dial();
             assert!(matches!(call(&mut client, &Request::Sync), Response::Sync));
             // Quiet for ten reap deadlines, with no partial frame.
             std::thread::sleep(10 * TIGHT);
@@ -423,7 +347,7 @@ mod tests {
     fn plaintext_client_of_secure_gateway_rejected_typed() {
         let (server_cfg, _) = secure_cfgs();
         with_server(ChannelPolicy::Secure(server_cfg), REAP_AFTER, |doors| {
-            let mut client = doors.pipe();
+            let mut client = doors.dial();
             assert!(matches!(
                 call(&mut client, &Request::Sync),
                 Response::Err(ServiceError::HandshakeFailed(_))
@@ -434,7 +358,7 @@ mod tests {
     #[test]
     fn secure_frame_to_plaintext_gateway_rejected_typed() {
         with_server(ChannelPolicy::Plaintext, REAP_AFTER, |doors| {
-            let mut client = doors.pipe();
+            let mut client = doors.dial();
             let mut rng = HmacDrbg::from_u64(5);
             let eph = vg_crypto::channel::EphemeralKey::generate(&mut rng);
             let init = crate::messages::HandshakeInit { eph: eph.public };

@@ -23,15 +23,16 @@
 //!   commit-point contract;
 //! - [`wire`]: the strict codec envelope and length-prefixed framing;
 //! - [`channel`]: the pluggable transport API — [`FramedChannel`] /
-//!   [`Connector`] / [`Listener`] traits, TCP and in-process pipe
-//!   channels, and the mutual-auth encrypted [`channel::SecureChannel`]
-//!   that wraps any of them by [`ChannelPolicy`];
-//! - [`transport`]: the [`TransportPlan`] value (link × security), the
-//!   one-method [`RequestEndpoint`] seam, the fleet-facing
+//!   [`Connector`] / [`Listener`] traits, TCP channels, in-process
+//!   pipes (for probes and channel-level tests; no day runs over one),
+//!   and the mutual-auth encrypted [`channel::SecureChannel`] that wraps
+//!   any of them by [`ChannelPolicy`];
+//! - [`transport`]: the three [`TransportPlan`]s (in-process, TCP,
+//!   secure TCP), the one-method [`RequestEndpoint`] seam, the fleet-facing
 //!   [`ServiceBoundary`] mapping over it, the [`ChannelClient`] speaking
 //!   it over any channel, and the flat [`DayStats`] record;
-//! - [`gateway`]: the registrar's server — every threaded-day connection
-//!   is served by a blocking thread of its own over
+//! - [`gateway`]: the registrar's server — every TCP connection of a
+//!   threaded day is served by a blocking thread of its own over
 //!   [`ChannelPolicy::establish_server`], held to read deadlines;
 //! - [`pipeline`]: [`run_day`] and the threaded engine behind it (the
 //!   commit sequencer with its one ingest lane per ledger, station
@@ -88,7 +89,6 @@ pub use pipeline::{
 };
 pub use retry::RetryPolicy;
 pub use transport::{
-    ChannelClient, ChannelSecurity, DayStats, LinkKind, RequestEndpoint, ServiceBoundary,
-    StealRecord, TransportPlan,
+    ChannelClient, DayStats, RequestEndpoint, ServiceBoundary, StealRecord, TransportPlan,
 };
 pub use wire::Wire;

@@ -21,9 +21,9 @@ use vg_trip::setup::TripSystem;
 use vg_trip::vsd::Vsd;
 use vg_trip::TripError;
 
-use crate::channel::{pipe_pair, Connector, Deadlines, TcpConnector};
+use crate::channel::{Connector, Deadlines, TcpConnector};
 use crate::fault::{FaultPlan, FaultyConnector};
-use crate::gateway::{pipe_acceptor, tcp_acceptor, PipeHub, Server, REAP_AFTER};
+use crate::gateway::{tcp_acceptor, Server, REAP_AFTER};
 use crate::messages::{Request, Response};
 use crate::retry::RetryPolicy;
 use crate::transport::{
@@ -251,8 +251,8 @@ impl<D> Coordinator<D> {
 }
 
 /// [`run_day`] on the threaded engine: the commit sequencer, the server
-/// (for every plan but plaintext in-process) and one thread per runner,
-/// coordinated from the caller's thread.
+/// (on a TCP day) and one thread per runner, coordinated from the
+/// caller's thread.
 pub(super) fn run_threaded_day(
     fleet: &KioskFleet,
     system: &mut TripSystem,
@@ -308,36 +308,27 @@ pub(super) fn run_threaded_day(
     let addr = addr.map_err(|e| TripError::Boundary(format!("local_addr: {e}")))?;
     // Cleared at teardown: the acceptor stops admitting.
     let accepting = Arc::new(AtomicBool::new(true));
-    // Every day but the plaintext in-process one (the bit-identity
-    // reference, dispatching straight into the engine) is served.
-    let use_gateway =
-        transport.link == LinkKind::Tcp || transport.security == ChannelSecurity::Secure;
-    // Where in-process dials land (secure in-process days).
-    let (pipe_tx, pipe_rx) = mpsc::channel();
+    let sealed = transport.security == ChannelSecurity::Secure;
     // One connector per station, carrying its enrolled channel identity;
     // its refiller and the steal chunks it hosts dial the same one.
-    let connector = |station| -> Box<dyn Connector> {
-        let policy = client_policy(transport_keys, transport.security, station);
-        let base: Box<dyn Connector> = match addr {
-            Some(addr) => Box::new(TcpConnector {
-                addr,
-                policy,
-                deadlines: Deadlines::default(),
-            }),
-            None => Box::new(PipeHub {
-                intake: pipe_tx.clone(),
-                policy,
-            }),
-        };
+    let connector = |addr, station| -> Box<dyn Connector> {
+        let base = Box::new(TcpConnector {
+            addr,
+            policy: client_policy(transport_keys, transport.security, station),
+            deadlines: Deadlines::default(),
+        });
         // Network faults wrap the established channel, secured or not.
         match &chaos.plan {
             Some(fp) if fp.net_rate_permille > 0 => {
-                Box::new(FaultyConnector::new(base, fp.clone(), station))
+                Box::new(FaultyConnector::new(base, fp.clone(), station, sealed))
             }
             _ => base,
         }
     };
-    let connectors: Option<Vec<_>> = use_gateway.then(|| (0..stations).map(connector).collect());
+    // The in-process day (the bit-identity reference) dispatches straight
+    // into the engine; a TCP day is served.
+    let connectors: Option<Vec<_>> =
+        addr.map(|addr| (0..stations).map(|s| connector(addr, s)).collect());
 
     // Releases injected hangs at teardown so their threads join.
     let day_over = Arc::new(AtomicBool::new(false));
@@ -353,7 +344,7 @@ pub(super) fn run_threaded_day(
         scope.spawn(move || sequencer.run());
 
         // One acceptor hands every connection a thread of its own.
-        if use_gateway {
+        if let Some(listener) = listener {
             let server = Server {
                 policy: server_policy(transport_keys, transport.security),
                 endpoint: registrar.clone(),
@@ -361,10 +352,7 @@ pub(super) fn run_threaded_day(
                 stats: Arc::clone(&stats),
                 open: Arc::clone(&accepting),
             };
-            match listener {
-                Some(listener) => scope.spawn(move || tcp_acceptor(scope, listener, server)),
-                None => scope.spawn(move || pipe_acceptor(scope, pipe_rx, server)),
-            };
+            scope.spawn(move || tcp_acceptor(scope, listener, server));
         }
 
         let (msg_tx, msg_rx) = mpsc::channel::<StationMsg>();
@@ -449,10 +437,8 @@ pub(super) fn run_threaded_day(
         // throwaway connection; connection threads end as clients hang up.
         day_over.store(true, Ordering::SeqCst);
         accepting.store(false, Ordering::SeqCst);
-        match addr {
-            Some(addr) => drop(TcpStream::connect(addr)),
-            None if use_gateway => drop(pipe_tx.send(pipe_pair().1)),
-            None => {}
+        if let Some(addr) = addr {
+            drop(TcpStream::connect(addr));
         }
         // Dropping the last client outside a runner ends the sequencer's
         // loop — on every exit path, or the scope join deadlocks.

@@ -11,7 +11,7 @@
 //! thread-free on [`vg_trip::LocalBoundary`] (unless
 //! `FleetConfig::threads > 1` fans a window out), synchronous admission,
 //! a `persist()` commit point at every barrier. Every other plan, one-station TCP and
-//! secure days included, runs on the **threaded** engine below.
+//! secure TCP days included, runs on the **threaded** engine below.
 //!
 //! Both sides are measured, not assumed. Forcing one-session booth days
 //! through the threaded engine cost 26 % of `reg_sessions_per_s` on the
@@ -56,8 +56,8 @@
 //!   level with this (one worker against two, and the fold against its
 //!   parent, ten alternating pairs each — README, *Ingest & work
 //!   stealing*) and deleted; a multi-lane design has to beat those rows.
-//! - **Multi-connection registrar**: the server (`gateway.rs`) gives
-//!   each of N kiosk-coordinator connections (one per polling station,
+//! - **Multi-connection registrar**: on a TCP day the server
+//!   (`gateway.rs`) gives each of N kiosk-coordinator connections (one per polling station,
 //!   plus each station's refiller client) a blocking thread of its own,
 //!   which prints and runs Fig 10's check-out verification itself; the
 //!   commit sequencer is the single serialization point for ledger

@@ -308,6 +308,7 @@ pub(super) fn run_station(
 /// cannot dial unwinds typed instead of parking.
 #[cfg(test)]
 mod tests {
+    use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
     use std::sync::Arc;
@@ -320,9 +321,9 @@ mod tests {
     use vg_trip::setup::{TripConfig, TripSystem};
     use vg_trip::{PrintJob, TripError};
 
-    use crate::channel::{ChannelPolicy, Connector, FramedChannel};
+    use crate::channel::{ChannelPolicy, Connector, Deadlines, FramedChannel, TcpConnector};
     use crate::error::ServiceError;
-    use crate::gateway::{PipeHub, Server, REAP_AFTER};
+    use crate::gateway::{tcp_acceptor, Server, REAP_AFTER};
     use crate::messages::*;
     use crate::retry::RetryPolicy;
     use crate::transport::{ChannelClient, EngineStats, RequestEndpoint};
@@ -370,10 +371,12 @@ mod tests {
     }
 
     impl Rig {
-        /// A hub onto the engine served over plaintext pipes, a (plain,
-        /// see [`Rig`]) thread per dialed connection.
-        fn gateway(&self) -> PipeHub {
-            let (intake, dialed) = mpsc::channel();
+        /// A connector onto the engine served over plaintext loopback TCP,
+        /// its acceptor on a plain (see [`Rig`]) thread that is never
+        /// joined.
+        fn gateway(&self) -> TcpConnector {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+            let addr = listener.local_addr().expect("local_addr");
             let server = Server {
                 policy: ChannelPolicy::Plaintext,
                 endpoint: self.registrar.clone(),
@@ -382,14 +385,12 @@ mod tests {
                 open: Arc::new(AtomicBool::new(true)),
             };
             std::thread::spawn(move || {
-                for chan in dialed {
-                    let server = server.clone();
-                    std::thread::spawn(move || server.serve(Box::new(chan)));
-                }
+                std::thread::scope(|scope| tcp_acceptor(scope, listener, server));
             });
-            PipeHub {
-                intake,
+            TcpConnector {
+                addr,
                 policy: ChannelPolicy::Plaintext,
+                deadlines: Deadlines::default(),
             }
         }
     }
@@ -411,7 +412,7 @@ mod tests {
     fn one_engine_answers_both_links_alike() {
         let rig = rig(1);
         let mut local = rig.registrar.clone();
-        let mut wire = ChannelClient::connect(&rig.gateway()).expect("pipe dial");
+        let mut wire = ChannelClient::connect(&rig.gateway()).expect("tcp dial");
 
         let mut rng = HmacDrbg::from_u64(11);
         let jobs = vec![PrintJob {
@@ -473,7 +474,7 @@ mod tests {
 
     /// Dials the gateway once; every later dial finds it unreachable.
     struct DialsOnce {
-        hub: PipeHub,
+        gateway: TcpConnector,
         dialed: AtomicBool,
     }
 
@@ -482,7 +483,7 @@ mod tests {
             if self.dialed.swap(true, Ordering::SeqCst) {
                 return Err(ServiceError::Transport("registrar unreachable".into()));
             }
-            self.hub.connect()
+            self.gateway.connect()
         }
     }
 
@@ -495,7 +496,7 @@ mod tests {
     fn refiller_dial_failure_unwinds_the_station_typed() {
         let rig = rig(4);
         let connector: &'static DialsOnce = Box::leak(Box::new(DialsOnce {
-            hub: rig.gateway(),
+            gateway: rig.gateway(),
             dialed: AtomicBool::new(false),
         }));
         let queue: Vec<(VoterId, usize)> = (1..=4).map(|v| (VoterId(v), 0)).collect();

@@ -13,20 +13,17 @@
 //! either.
 //!
 //! Endpoints are pluggable *channel values* (see [`crate::channel`]): a
-//! day takes a [`TransportPlan`] — a link kind × security policy pair —
-//! and wires its stations to the registrar through whichever
-//! [`Connector`] implements it:
+//! day takes one of the three [`TransportPlan`]s and wires its stations
+//! to the registrar through whichever [`Connector`] implements it:
 //!
-//! - `InProcess × Plaintext`: no frames at all. On the default pipeline
-//!   the day runs inline on [`vg_trip::LocalBoundary`]; on any other it
-//!   dispatches straight into the threaded engine over in-process
-//!   channels. The reference.
-//! - `InProcess × Secure`: the full handshake + encrypted records over
-//!   in-process pipes into the server, exercising the identical
-//!   protocol state machines without a socket.
-//! - `Tcp × {Plaintext, Secure}`: length-prefixed frames over a loopback
-//!   socket into the server; every request round-trips the full
-//!   versioned codec (and, when secure, the sealed-record layer).
+//! - [`TransportPlan::IN_PROCESS`]: no frames at all. On the default
+//!   pipeline the day runs inline on [`vg_trip::LocalBoundary`]; on any
+//!   other it dispatches straight into the threaded engine over
+//!   in-process channels. The reference.
+//! - [`TransportPlan::TCP`] and [`TransportPlan::SECURE_TCP`]:
+//!   length-prefixed frames over a loopback socket into the server;
+//!   every request round-trips the full versioned codec (and, when
+//!   secure, the handshake and the sealed-record layer).
 //!
 //! Every plan is bit-identical to every other (pinned by the workspace's
 //! cross-transport equivalence proptests).
@@ -52,8 +49,8 @@ use crate::messages::{
 
 /// Which link a registration day runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LinkKind {
-    /// Same-process endpoints (direct dispatch, or pipes when secured).
+pub(crate) enum LinkKind {
+    /// Same-process endpoints (direct dispatch).
     #[default]
     InProcess,
     /// Length-prefixed frames over a loopback TCP socket.
@@ -62,7 +59,7 @@ pub enum LinkKind {
 
 /// Whether the day's channels run the mutual-auth encrypted handshake.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ChannelSecurity {
+pub(crate) enum ChannelSecurity {
     /// Bare frames (the reference configuration).
     #[default]
     Plaintext,
@@ -72,15 +69,13 @@ pub enum ChannelSecurity {
     Secure,
 }
 
-/// A value describing how a registration day's endpoints are wired:
-/// link kind × channel security. Plans compose, and new links/policies
-/// slot in without touching every call site.
+/// How a registration day's endpoints are wired: one of the three
+/// plans below, the only values a caller can name. Security rides only
+/// on the TCP link; the default is [`TransportPlan::IN_PROCESS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TransportPlan {
-    /// The link layer.
-    pub link: LinkKind,
-    /// The channel-security policy.
-    pub security: ChannelSecurity,
+    pub(crate) link: LinkKind,
+    pub(crate) security: ChannelSecurity,
 }
 
 impl TransportPlan {
@@ -99,28 +94,6 @@ impl TransportPlan {
         link: LinkKind::Tcp,
         security: ChannelSecurity::Secure,
     };
-    /// Authenticated + encrypted in-process pipes.
-    pub const SECURE_IN_PROCESS: Self = Self {
-        link: LinkKind::InProcess,
-        security: ChannelSecurity::Secure,
-    };
-
-    /// This plan with the secure channel policy switched on.
-    pub fn secured(self) -> Self {
-        Self {
-            security: ChannelSecurity::Secure,
-            ..self
-        }
-    }
-}
-
-impl From<LinkKind> for TransportPlan {
-    fn from(link: LinkKind) -> Self {
-        Self {
-            link,
-            security: ChannelSecurity::Plaintext,
-        }
-    }
 }
 
 /// Builds the client-side channel policy for `station` from the

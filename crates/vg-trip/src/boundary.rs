@@ -17,7 +17,7 @@
 //! - `vg-service`'s `ServiceBoundary`: the same six calls mapped onto
 //!   typed, versioned `Request`/`Response` messages to a registrar that
 //!   admits in global session order whichever station submitted first
-//!   (in-process dispatch, pipes or a length-prefixed TCP socket).
+//!   (in-process dispatch or a length-prefixed TCP socket).
 //!
 //! # Submission semantics
 //!

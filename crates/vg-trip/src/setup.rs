@@ -80,8 +80,8 @@ impl TripConfig {
 /// check-out submissions to the registrar over a real network; the
 /// secure-channel handshake authenticates both ends with these keys. One
 /// key per kiosk-sized station slot: station `i` of a fleet uses key
-/// `i mod n_kiosks`, and its refiller / steal-lane connections reuse the
-/// same identity (they act on the station's behalf).
+/// `i mod n_kiosks`, and its refiller's and steal runners' connections
+/// reuse the same identity (they act on the station's behalf).
 pub struct TransportKeyring {
     /// The registrar gateway's static key.
     pub registrar: SigningKey,

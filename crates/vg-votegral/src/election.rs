@@ -50,7 +50,7 @@ use std::marker::PhantomData;
 
 use vg_crypto::drbg::Rng;
 use vg_ledger::{Ledger, LedgerBackend, VoterId};
-use vg_service::{ChannelSecurity, DayPlan, IngestMode, PipelineConfig, TransportPlan};
+use vg_service::{DayPlan, IngestMode, PipelineConfig, TransportPlan};
 use vg_trip::fleet::{FleetConfig, KioskFleet};
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::setup::{TripConfig, TripSystem};
@@ -212,31 +212,18 @@ impl ElectionBuilder {
         self
     }
 
-    /// Which transport registration runs over: a [`TransportPlan`]
-    /// combining the link ([`vg_service::LinkKind::InProcess`], the
-    /// zero-copy default, or [`vg_service::LinkKind::Tcp`], the
-    /// registrar services behind a framed loopback socket) with the
-    /// channel security policy. Every plan produces bit-identical
+    /// Which transport registration runs over: one of the three
+    /// [`TransportPlan`]s — [`TransportPlan::IN_PROCESS`] (the zero-copy
+    /// default), [`TransportPlan::TCP`] (the registrar services behind a
+    /// framed loopback socket) or [`TransportPlan::SECURE_TCP`] (the
+    /// deployment shape: the same socket under the mutually-authenticated
+    /// encrypted handshake, station keys enrolled at setup alongside the
+    /// officials' signing keys). Every plan produces bit-identical
     /// ledgers and credentials for the same seed — the service layer's
-    /// equivalence contract. Anything but the plaintext in-process plan
-    /// runs registration on the threaded engine behind the gateway.
-    pub fn transport(mut self, transport: impl Into<TransportPlan>) -> Self {
-        self.transport = transport.into();
-        self
-    }
-
-    /// Runs the registration channels under the mutually-authenticated
-    /// encrypted handshake (station keys are enrolled at setup alongside
-    /// the officials' signing keys). Composes with any link:
-    /// `.transport(TransportPlan::TCP).secure(true)` is the deployment
-    /// shape, secure in-process runs the same handshake without a
-    /// socket. Ledgers and credentials stay bit-identical either way.
-    pub fn secure(mut self, on: bool) -> Self {
-        self.transport.security = if on {
-            ChannelSecurity::Secure
-        } else {
-            ChannelSecurity::Plaintext
-        };
+    /// equivalence contract. Either TCP plan runs registration on the
+    /// threaded engine behind the gateway.
+    pub fn transport(mut self, transport: TransportPlan) -> Self {
+        self.transport = transport;
         self
     }
 

@@ -39,9 +39,9 @@ pub use history::{prove_ownership, recover_votes, VotingHistory};
 pub use tally::{tally, AcceptedBallot, ElectionResult, TallyTranscript, VectorOpening};
 pub use transfer::{transfer_credential, TransferCertificate, TransferredCredential};
 pub use verifier::{verify_tally, verify_tally_with, PublicAuthority};
+pub use vg_service::TransportPlan;
 /// The canonical encoding of every QR a booth prints, re-exported for
 /// `vg-sim`'s Fig 4 runner: a direct `vg-sim` → `vg-service` dependency
 /// would rewrite the frozen `bench/e2e/Cargo.lock`.
 pub use vg_service::Wire;
-pub use vg_service::{ChannelSecurity, LinkKind, TransportPlan};
 pub use vg_shuffle::VerifyMode;

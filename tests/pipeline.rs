@@ -193,8 +193,8 @@ proptest! {
         };
         for transport in [
             TransportPlan::IN_PROCESS,
-            TransportPlan::SECURE_IN_PROCESS,
             TransportPlan::TCP,
+            TransportPlan::SECURE_TCP,
         ] {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0xAC8);
             let mut system = TripSystem::setup(trip_config(n_voters, 2), &mut rng);
@@ -850,9 +850,9 @@ fn durable_kill_then_steal_replays_to_identical_heads() {
 /// that kills every re-steal generation must exhaust the depth and
 /// abort with a typed error instead of retrying forever.
 ///
-/// Swept over the in-process engine and the secure multiplexed gateway,
-/// so re-stolen chunks also ride the per-thief steal lanes over
-/// authenticated encrypted connections.
+/// Swept over the in-process engine and the secure TCP gateway, so
+/// re-stolen chunks also dial their thief's connector over authenticated
+/// encrypted connections.
 #[test]
 fn dead_steal_chunks_are_restolen_with_bounded_depth() {
     let seed = [0x5Eu8; 32];
@@ -986,11 +986,11 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
     let mut cells: Vec<ChaosCell> = Vec::new();
     // Network grid: rate × stall mix × transport. Corruption rides only
     // with the secure transport — a plaintext frame has no integrity
-    // check, so a flipped bit would change payload bytes silently
-    // instead of surfacing a fault (see `FaultPlan::corrupt`).
-    for (t_label, transport, corrupt) in [
-        ("tcp", TransportPlan::TCP, false),
-        ("secure", TransportPlan::SECURE_IN_PROCESS, true),
+    // check, so the fault plane never draws it there (see
+    // `FaultPlan::channel_schedule`).
+    for (t_label, transport) in [
+        ("tcp", TransportPlan::TCP),
+        ("secure", TransportPlan::SECURE_TCP),
     ] {
         // 8 permille ≈ a handful of faults per day: reliably heals
         // inside the bounded re-steal budget (pinning the heal arm of
@@ -1005,7 +1005,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                         seed: plan_seed,
                         net_rate_permille: rate,
                         stalls,
-                        corrupt,
                         disk: None,
                     },
                     transport,
@@ -1035,7 +1034,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                 seed: 77,
                 net_rate_permille: 0,
                 stalls: false,
-                corrupt: false,
                 disk: Some(disk),
             },
             transport: TransportPlan::TCP,
@@ -1050,10 +1048,9 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
             seed: 303,
             net_rate_permille: 150,
             stalls: true,
-            corrupt: true,
             disk: Some(FsFault::DiskFull { nth: 4 }),
         },
-        transport: TransportPlan::SECURE_IN_PROCESS,
+        transport: TransportPlan::SECURE_TCP,
         ingest: IngestMode::Background,
         durable: true,
     });
@@ -1131,12 +1128,13 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                         "[{label}] a day that absorbed WAL failures must not report Ok"
                     );
                 }
+                println!("[{label}] {plan_repro}: healed");
                 healed += 1;
             }
             Ok((Err(e), _cell)) => {
-                // Graceful degradation: typed, not a panic. The error
-                // formatting exercises the full typed chain.
-                let _ = format!("{e:?}");
+                // Graceful degradation: typed, not a panic. The log line
+                // formats the full typed chain.
+                println!("[{label}] {plan_repro}: degraded: {e:?}");
                 degraded += 1;
             }
             Err(_) => panic!(
@@ -1219,7 +1217,7 @@ fn silently_hung_station_is_stall_detected_and_stolen() {
         ingest: IngestMode::Background,
         activation_lag: 1,
     };
-    for transport in [TransportPlan::TCP, TransportPlan::SECURE_IN_PROCESS] {
+    for transport in [TransportPlan::TCP, TransportPlan::SECURE_TCP] {
         for after_ops in [0usize, 3] {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
             let mut system = TripSystem::setup(trip_config(6, 4), &mut rng);

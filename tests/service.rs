@@ -22,8 +22,8 @@ use votegral::service::messages::{
     SyncThroughRequest, WireCoupon,
 };
 use votegral::service::{
-    run_day, ChannelPolicy, Connector, DayPlan, Deadlines, LinkKind, Listener, SecureConfig,
-    ServiceError, TcpChannelListener, TcpConnector, TransportPlan, Wire,
+    run_day, ChannelPolicy, Connector, DayPlan, Deadlines, Listener, SecureConfig, ServiceError,
+    TcpChannelListener, TcpConnector, TransportPlan, Wire,
 };
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::materials::{CheckInTicket, CheckOutQr, CommitQr, ResponseQr, Symbol};
@@ -352,10 +352,9 @@ proptest! {
     }
 
     /// The acceptance criterion: a registration day over every transport
-    /// plan — plaintext or authenticated-encrypted, loopback TCP or
-    /// in-process pipes — produces ledgers and credentials bit-identical
-    /// to the in-process run and to the sequential seeded reference, for
-    /// any fleet shape.
+    /// plan — in-process, plaintext loopback TCP or authenticated-encrypted
+    /// loopback TCP — produces ledgers and credentials bit-identical to
+    /// the sequential seeded reference, for any fleet shape.
     #[test]
     fn tcp_day_equals_inprocess_and_sequential(
         seed64 in any::<u64>(),
@@ -390,7 +389,6 @@ proptest! {
             TransportPlan::IN_PROCESS,
             TransportPlan::TCP,
             TransportPlan::SECURE_TCP,
-            TransportPlan::SECURE_IN_PROCESS,
         ] {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x5EC);
             let mut system = TripSystem::setup(trip_config(n_voters, n_kiosks), &mut rng);
@@ -448,11 +446,10 @@ proptest! {
 
 /// The whole phase-typed election lifecycle — register, vote, tally,
 /// verify — over the TCP transport (plaintext and secure), with heads
-/// equal to the in-process run of the same seed. The `secure` knob run
-/// also exercises the `From<LinkKind>` plan conversion.
+/// equal to the in-process run of the same seed.
 #[test]
 fn election_lifecycle_over_tcp_bit_identical() {
-    let run = |transport: TransportPlan, secure: bool| {
+    let run = |transport: TransportPlan| {
         let mut rng = HmacDrbg::from_u64(404);
         let mut election = ElectionBuilder::new()
             .voters(4)
@@ -460,7 +457,6 @@ fn election_lifecycle_over_tcp_bit_identical() {
             .kiosks(2)
             .threads(2)
             .transport(transport)
-            .secure(secure)
             .build(&mut rng);
         let voters: Vec<VoterId> = (1..=4).map(VoterId).collect();
         let sessions = election
@@ -479,11 +475,10 @@ fn election_lifecycle_over_tcp_bit_identical() {
         tallying.verify(&transcript).expect("verifies");
         (reg_head, env_head, transcript.result)
     };
-    let reference = run(TransportPlan::IN_PROCESS, false);
-    assert_eq!(run(TransportPlan::TCP, false), reference);
-    // The deployment posture: plain TCP link + the `secure` builder knob
-    // (equivalent to `.transport(TransportPlan::SECURE_TCP)`).
-    assert_eq!(run(LinkKind::Tcp.into(), true), reference);
+    let reference = run(TransportPlan::IN_PROCESS);
+    assert_eq!(run(TransportPlan::TCP), reference);
+    // The deployment posture.
+    assert_eq!(run(TransportPlan::SECURE_TCP), reference);
 }
 
 /// A malicious kiosk hiding in the fleet is caught identically over TCP:
