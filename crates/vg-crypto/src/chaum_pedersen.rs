@@ -23,6 +23,7 @@
 
 use crate::drbg::Rng;
 use crate::edwards::{multiscalar_mul, CompressedPoint, EdwardsPoint};
+use crate::par::{default_threads, par_map};
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
@@ -86,7 +87,11 @@ fn scale(base: &EdwardsPoint, s: &Scalar) -> EdwardsPoint {
 impl Prover {
     /// Step 1 (kiosk, Fig 9a line 5): choose a nonce and commit.
     pub fn commit(stmt: &DlEqStatement, rng: &mut dyn Rng) -> Self {
-        let nonce = rng.scalar();
+        Self::with_nonce(stmt, rng.scalar())
+    }
+
+    /// [`Prover::commit`] with a nonce drawn beforehand.
+    fn with_nonce(stmt: &DlEqStatement, nonce: Scalar) -> Self {
         let commit = Commitment {
             a1: scale(&stmt.g1, &nonce),
             a2: scale(&stmt.g2, &nonce),
@@ -217,14 +222,17 @@ pub struct DlEqJob<'a> {
 
 /// Proves a vector of statements, producing exactly the proofs — and
 /// consuming exactly the randomness — of [`prove_dleq`] called on each job
-/// in order: all nonces are drawn and all commitments computed first, then
+/// in order: every nonce is drawn, in job order, before any commitment is
+/// computed; the commitments are then computed on the host's cores; then
 /// every point the challenges absorb is compressed with one shared
-/// inversion instead of six per proof.
+/// inversion instead of six per proof, and the challenges are derived
+/// job by job on this thread.
 pub fn prove_dleq_batch(jobs: Vec<DlEqJob<'_>>, rng: &mut dyn Rng) -> Vec<DlEqProof> {
-    let provers: Vec<Prover> = jobs
-        .iter()
-        .map(|job| Prover::commit(&job.stmt, rng))
-        .collect();
+    let drawn: Vec<(&DlEqStatement, Scalar)> =
+        jobs.iter().map(|job| (&job.stmt, rng.scalar())).collect();
+    let provers = par_map(&drawn, default_threads(), |&(stmt, nonce)| {
+        Prover::with_nonce(stmt, nonce)
+    });
     let mut points = Vec::with_capacity(6 * jobs.len());
     for (job, prover) in jobs.iter().zip(provers.iter()) {
         let (stmt, commit) = (&job.stmt, &prover.commit);
@@ -431,10 +439,11 @@ mod tests {
 
     #[test]
     fn batch_prover_matches_one_by_one() {
-        // Same proofs, same RNG position afterwards.
+        // Same proofs, same RNG position afterwards, with 40 jobs: past
+        // `par_map`'s inline cutoff, so the commitments run on workers.
         let mut setup = HmacDrbg::from_u64(20);
         let stmts: Vec<(DlEqStatement, Scalar)> =
-            (0..5).map(|_| stmt_with_witness(&mut setup)).collect();
+            (0..40).map(|_| stmt_with_witness(&mut setup)).collect();
         let transcript = |i: usize| {
             let mut t = Transcript::new(b"batch-test");
             t.append_u64(b"i", i as u64);

@@ -22,6 +22,7 @@ use crate::chaum_pedersen::{
 use crate::drbg::Rng;
 use crate::edwards::{multiscalar_mul, EdwardsPoint};
 use crate::elgamal::Ciphertext;
+use crate::par::{default_threads, par_map};
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
@@ -162,8 +163,11 @@ impl Authority {
     /// The first `t` members' verifiable shares for every ciphertext,
     /// `shares[item][member]` — exactly the shares (and exactly the RNG
     /// draws, item-major) of [`AuthorityMember::decryption_share`] called
-    /// in that order, with each chunk's commitments compressed through
-    /// one shared inversion before hashing.
+    /// in that order. Per chunk, the share points Dⱼ = xⱼ·C₁ are computed
+    /// on the host's cores, then [`prove_dleq_batch`] draws every nonce
+    /// before it computes any commitment (again on the host's cores), and
+    /// the commitments are compressed through one shared inversion before
+    /// hashing.
     pub fn decryption_shares(
         &self,
         cts: &[Ciphertext],
@@ -176,7 +180,7 @@ impl Authority {
                 .iter()
                 .flat_map(|ct| members.iter().map(move |m| (ct, m)))
                 .collect();
-            let points: Vec<EdwardsPoint> = pairs.iter().map(|(ct, m)| ct.c1 * m.share).collect();
+            let points = par_map(&pairs, default_threads(), |(ct, m)| ct.c1 * m.share);
             let jobs = pairs
                 .iter()
                 .zip(points.iter())
@@ -555,7 +559,8 @@ mod tests {
         ));
     }
 
-    /// An honest opening of `n` ciphertexts by the first t of 4 members.
+    /// An honest opening of `n` ciphertexts by the first t of 4 members,
+    /// and the DRBG positioned after it.
     #[allow(clippy::type_complexity)]
     fn opened_vector(
         seed: u64,
@@ -566,6 +571,7 @@ mod tests {
         Vec<Ciphertext>,
         Vec<Vec<DecryptionShare>>,
         Vec<EdwardsPoint>,
+        HmacDrbg,
     ) {
         let mut rng = HmacDrbg::from_u64(seed);
         let authority = Authority::dkg(4, t, &mut rng);
@@ -581,7 +587,7 @@ mod tests {
             .zip(shares.iter())
             .map(|(ct, s)| combine_shares(ct, s, t).expect("combines"))
             .collect();
-        (authority, cts, shares, plaintexts)
+        (authority, cts, shares, plaintexts, rng)
     }
 
     fn vks(authority: &Authority) -> Vec<EdwardsPoint> {
@@ -590,7 +596,11 @@ mod tests {
 
     #[test]
     fn vector_shares_match_one_by_one() {
-        let (authority, cts, shares, plaintexts) = opened_vector(9, 3, 3);
+        // 16 items by 3 members: 48 proofs, past `par_map`'s inline
+        // cutoff for the share points, the nonces' commitments and the
+        // recombinations alike. Same shares, same proofs, same RNG
+        // position afterwards.
+        let (authority, cts, shares, plaintexts, mut rng_vector) = opened_vector(9, 16, 3);
         // Replay the same stream: setup draws, then share by share.
         let mut rng = HmacDrbg::from_u64(9);
         let replay = Authority::dkg(4, 3, &mut rng);
@@ -610,11 +620,12 @@ mod tests {
                 EdwardsPoint::mul_base(&Scalar::from_u64(i as u64 + 1))
             );
         }
+        assert_eq!(rng.scalar(), rng_vector.scalar(), "same RNG position");
     }
 
     #[test]
     fn folded_openings_accept_honest_and_reject_each_tamper() {
-        let (authority, cts, shares, plaintexts) = opened_vector(10, 5, 3);
+        let (authority, cts, shares, plaintexts, _) = opened_vector(10, 5, 3);
         let vks = vks(&authority);
         verify_openings(&cts, &shares, &plaintexts, &vks, 3, 1).expect("honest opening");
         verify_openings(&[], &[], &[], &vks, 3, 1).expect("empty opening");
@@ -655,7 +666,7 @@ mod tests {
         // rolling commitment and the per-fold cursors line up, and a
         // tamper in the last fold is still caught.
         let n = (CHUNK / 3 + 5) as u64;
-        let (authority, cts, shares, mut plaintexts) = opened_vector(11, n, 1);
+        let (authority, cts, shares, mut plaintexts, _) = opened_vector(11, n, 1);
         let vks = vks(&authority);
         verify_openings(&cts, &shares, &plaintexts, &vks, 1, 2).expect("honest opening");
         *plaintexts.last_mut().expect("non-empty") += EdwardsPoint::basepoint();

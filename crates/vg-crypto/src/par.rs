@@ -1,12 +1,14 @@
-//! Order-preserving parallel map over std scoped threads.
+//! Order-preserving parallel map and a two-way join over std scoped
+//! threads.
 //!
 //! The paper's end-to-end evaluation ran on a 128-core Deterlab node
-//! (§7.1); tally verification and ledger leaf hashing are embarrassingly
-//! parallel across records. This helper fans a slice out over a bounded
-//! number of worker threads with no dependencies beyond `std`, preserving
-//! input order in the output. It sits in `vg-crypto` (the workspace's
-//! root crate) so both the ledger's batch-append fast path and the
-//! verifier can share it.
+//! (§7.1); tally proving and verification and ledger leaf hashing are
+//! embarrassingly parallel across records. [`par_map`] fans a slice out
+//! over a bounded number of worker threads with no dependencies beyond
+//! `std`, preserving input order in the output; [`join`] runs two unlike
+//! computations side by side. They sit in `vg-crypto` (the workspace's
+//! root crate) so the ledger's batch-append fast path, the tally's
+//! provers and the verifier can share them.
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
@@ -44,6 +46,30 @@ where
         .collect()
 }
 
+/// Runs `a` and `b` and returns their results in argument order: `a` on a
+/// scoped worker thread beside `b` on this one when `threads` is above
+/// one, else `a` then `b` on this thread. A panic in either closure
+/// propagates to the caller once both have finished.
+pub fn join<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(a);
+        let rb = b();
+        match worker.join() {
+            Ok(ra) => (ra, rb),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 /// A reasonable worker count for this host.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -72,6 +98,43 @@ mod tests {
     fn empty_input() {
         let items: [u8; 0] = [];
         assert!(par_map(&items, 4, |x| *x).is_empty());
+    }
+
+    #[test]
+    fn join_returns_in_argument_order() {
+        for threads in [1, 2, 8] {
+            let (a, b) = join(threads, || "left", || 2u64);
+            assert_eq!((a, b), ("left", 2), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn join_runs_both_sides_on_two_threads() {
+        // Each side waits for the other to arrive: only concurrent sides
+        // get past the barrier.
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = join(
+            2,
+            || barrier.wait().is_leader(),
+            || barrier.wait().is_leader(),
+        );
+        assert!(a ^ b, "exactly one leader");
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side() {
+        for threads in [1, 2] {
+            let left = std::panic::catch_unwind(|| join(threads, || panic!("left"), || 1));
+            let right = std::panic::catch_unwind(|| join(threads, || 1, || panic!("right")));
+            for (side, outcome) in [("left", left), ("right", right)] {
+                let panic = outcome.expect_err("the panic reaches the caller");
+                assert_eq!(
+                    panic.downcast_ref::<&str>(),
+                    Some(&side),
+                    "{threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

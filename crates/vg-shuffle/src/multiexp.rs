@@ -40,21 +40,27 @@ pub fn linear_combination(
     rho: &Scalar,
 ) -> Ciphertext {
     assert_eq!(bases.len(), exponents.len(), "length mismatch");
-    let mut scalars = Vec::with_capacity(bases.len() + 1);
-    let mut points1 = Vec::with_capacity(bases.len() + 1);
-    let mut points2 = Vec::with_capacity(bases.len() + 1);
-    scalars.push(*rho);
-    points1.push(EdwardsPoint::basepoint());
-    points2.push(*pk);
-    for (b, c) in exponents.iter().zip(bases.iter()) {
-        scalars.push(*b);
-        points1.push(c.c1);
-        points2.push(c.c2);
-    }
     Ciphertext {
-        c1: multiscalar_mul(&scalars, &points1),
-        c2: multiscalar_mul(&scalars, &points2),
+        c1: component(&EdwardsPoint::basepoint(), bases, |c| c.c1, exponents, rho),
+        c2: component(pk, bases, |c| c.c2, exponents, rho),
     }
+}
+
+/// ρ·`base` + Σ bᵢ·`part`(Cᵢ): one of [`linear_combination`]'s two sums.
+fn component(
+    base: &EdwardsPoint,
+    bases: &[Ciphertext],
+    part: fn(&Ciphertext) -> EdwardsPoint,
+    exponents: &[Scalar],
+    rho: &Scalar,
+) -> EdwardsPoint {
+    let mut scalars = Vec::with_capacity(bases.len() + 1);
+    let mut points = Vec::with_capacity(bases.len() + 1);
+    scalars.push(*rho);
+    points.push(*base);
+    scalars.extend_from_slice(exponents);
+    points.extend(bases.iter().map(part));
+    multiscalar_mul(&scalars, &points)
 }
 
 /// Proves E = Enc_pk(0; ρ) + Σ bᵢ·C′ᵢ for the vector committed in `c_b`.
@@ -81,54 +87,76 @@ pub fn prove_multiexp(
     );
 
     absorb(transcript, pk, bases, target, c_b);
-    prove_multiexp_core(transcript, ck, pk, bases, target, c_b, b, s, rho, rng)
+    let masks = Masks::draw(n, rng);
+    let c_d = masks.commit_d(ck);
+    let e_d = linear_combination(pk, bases, &masks.d, &masks.rho_d);
+    masks.respond(transcript, c_d, e_d, b, s, rho)
 }
 
-/// [`prove_multiexp`] without statement absorption: for callers (the
-/// shuffle argument) whose transcript already binds `pk`, `bases` and
-/// `c_b` directly and `target` as a deterministic function of absorbed
-/// data — which lets a batched verifier fold the target's defining
-/// multi-scalar sum into its combined check instead of materializing it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prove_multiexp_core(
-    transcript: &mut Transcript,
-    ck: &CommitKey,
-    pk: &EdwardsPoint,
-    bases: &[Ciphertext],
-    target: &Ciphertext,
-    c_b: &EdwardsPoint,
-    b: &[Scalar],
-    s: &Scalar,
-    rho: &Scalar,
-    rng: &mut dyn Rng,
-) -> MultiExpProof {
-    let n = bases.len();
-    assert_eq!(b.len(), n, "exponent length mismatch");
-    debug_assert_eq!(ck.commit(b, s), *c_b, "opening must match commitment");
-    debug_assert_eq!(
-        linear_combination(pk, bases, b, rho),
-        *target,
-        "witness must satisfy the statement"
-    );
+/// The prover's masks d, r_d and ρ_d, drawn in that order before anything
+/// is computed from them. Its first message (c_d, E_d) commits to masks
+/// only, so a caller whose transcript already binds the statement (the
+/// shuffle argument: `pk`, the bases and `c_b` directly, the target E as a
+/// deterministic function of absorbed data, which lets a batched verifier
+/// fold E's defining sum into its combined check instead of materializing
+/// it) may compute it on any worker, beside any other step, before
+/// [`Masks::respond`] absorbs it.
+pub(crate) struct Masks {
+    d: Vec<Scalar>,
+    r_d: Scalar,
+    rho_d: Scalar,
+}
 
-    let d: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
-    let r_d = rng.scalar();
-    let rho_d = rng.scalar();
-    let c_d = ck.commit(&d, &r_d);
-    let e_d = linear_combination(pk, bases, &d, &rho_d);
+impl Masks {
+    /// Draws the masks for an `n`-term argument.
+    pub(crate) fn draw(n: usize, rng: &mut dyn Rng) -> Self {
+        let d = (0..n).map(|_| rng.scalar()).collect();
+        let r_d = rng.scalar();
+        let rho_d = rng.scalar();
+        Self { d, r_d, rho_d }
+    }
 
-    transcript.append_point(b"mexp-cd", &c_d);
-    transcript.append_point(b"mexp-ed1", &e_d.c1);
-    transcript.append_point(b"mexp-ed2", &e_d.c2);
-    let x = transcript.challenge_scalar(b"mexp-x");
+    /// c_d = com(d; r_d).
+    pub(crate) fn commit_d(&self, ck: &CommitKey) -> EdwardsPoint {
+        ck.commit(&self.d, &self.r_d)
+    }
 
-    let b_tilde: Vec<Scalar> = (0..n).map(|i| x * b[i] + d[i]).collect();
-    MultiExpProof {
-        c_d,
-        e_d,
-        b_tilde,
-        s_tilde: x * *s + r_d,
-        rho_tilde: x * *rho + rho_d,
+    /// One of the two sums of E_d = Enc(0; ρ_d) + Σ dᵢ·C′ᵢ: B with every
+    /// C′ᵢ's C₁, or `pk` with every C₂.
+    pub(crate) fn e_d_component(
+        &self,
+        base: &EdwardsPoint,
+        bases: &[Ciphertext],
+        part: fn(&Ciphertext) -> EdwardsPoint,
+    ) -> EdwardsPoint {
+        component(base, bases, part, &self.d, &self.rho_d)
+    }
+
+    /// Absorbs the first message (c_d, E_d), derives the challenge x and
+    /// opens b̃ = x·b + d, s̃ = x·s + r_d, ρ̃ = x·ρ + ρ_d for the witness
+    /// (b, s, ρ) of `c_b` = com(b; s) and E = Enc(0; ρ) + Σ bᵢ·C′ᵢ.
+    pub(crate) fn respond(
+        self,
+        transcript: &mut Transcript,
+        c_d: EdwardsPoint,
+        e_d: Ciphertext,
+        b: &[Scalar],
+        s: &Scalar,
+        rho: &Scalar,
+    ) -> MultiExpProof {
+        assert_eq!(b.len(), self.d.len(), "exponent length mismatch");
+        transcript.append_point(b"mexp-cd", &c_d);
+        transcript.append_point(b"mexp-ed1", &e_d.c1);
+        transcript.append_point(b"mexp-ed2", &e_d.c2);
+        let x = transcript.challenge_scalar(b"mexp-x");
+        let b_tilde = b.iter().zip(&self.d).map(|(b, d)| x * *b + *d).collect();
+        MultiExpProof {
+            c_d,
+            e_d,
+            b_tilde,
+            s_tilde: x * *s + self.r_d,
+            rho_tilde: x * *rho + self.rho_d,
+        }
     }
 }
 
@@ -146,8 +174,8 @@ pub fn verify_multiexp(
     verify_multiexp_core(transcript, ck, pk, bases, target, c_b, proof)
 }
 
-/// [`verify_multiexp`] without statement absorption; see
-/// [`prove_multiexp_core`].
+/// [`verify_multiexp`] without statement absorption, for the shuffle
+/// argument (see [`Masks`]).
 pub(crate) fn verify_multiexp_core(
     transcript: &mut Transcript,
     ck: &CommitKey,

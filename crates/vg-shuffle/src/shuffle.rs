@@ -26,11 +26,13 @@
 //! only place the width enters the proof.
 
 use std::fmt;
+use std::ops::Range;
 
 use vg_crypto::drbg::{shuffle as fisher_yates, Rng};
 use vg_crypto::edwards::EdwardsPoint;
 use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::elgamal::{rerandomize_with_table, Ciphertext};
+use vg_crypto::par::{default_threads, join, par_map};
 use vg_crypto::pedersen::CommitKey;
 use vg_crypto::scalar::Scalar;
 use vg_crypto::transcript::Transcript;
@@ -177,6 +179,9 @@ impl ShuffleContext {
     /// re-encryption randomness, returning the outputs and proof. Every
     /// column of a row moves under the same permutation.
     ///
+    /// π and every ρ are drawn first; the re-encryptions then run on the
+    /// host's cores.
+    ///
     /// # Panics
     ///
     /// Panics if `inputs` has fewer than 2 or more than `max_n` rows.
@@ -197,18 +202,25 @@ impl ShuffleContext {
         // pk·ρⱼ is a third of the re-encryption; one table of pk for the
         // loop.
         let pk_table = FixedBaseTable::new(pk);
-        let outputs: Vec<R> = (0..n)
-            .map(|j| {
-                let row = &inputs[perm[j]];
-                R::from_cols(|k| rerandomize_with_table(&pk_table, &row.col(k), &rho[k][j]))
-            })
-            .collect();
+        let rows: Vec<(usize, usize)> = perm.iter().copied().enumerate().collect();
+        let outputs: Vec<R> = par_map(&rows, default_threads(), |&(j, from)| {
+            let row = &inputs[from];
+            R::from_cols(|k| rerandomize_with_table(&pk_table, &row.col(k), &rho[k][j]))
+        });
         let proof = self.prove(pk, inputs, &outputs, &perm, &rho, rng);
         (outputs, proof)
     }
 
     /// Proves that `outputs` is a correct re-encryption shuffle of `inputs`
     /// under permutation `perm` and per-column randomness `rho[k][j]`.
+    ///
+    /// Every scalar the proof takes from `rng` is drawn first, in the
+    /// order the steps below use them (r, s, the product argument's masks,
+    /// then each column's): no draw depends on a challenge, so drawing
+    /// ahead moves no transcript byte. The commitments are then computed
+    /// on the host's cores, each one as soon as what it commits to is
+    /// known, while this thread absorbs them and derives the challenges in
+    /// the argument's order.
     pub fn prove<R: Row>(
         &self,
         pk: &EdwardsPoint,
@@ -222,56 +234,93 @@ impl ShuffleContext {
         assert!(n >= 2 && outputs.len() == n && perm.len() == n);
         assert!(rho.len() == R::WIDTH && rho.iter().all(|r| r.len() == n));
         assert!(n <= self.ck.len(), "shuffle larger than context");
+        let (ck, threads) = (&self.ck, default_threads());
+        let r = rng.scalar();
+        let s = rng.scalar();
+        let svp_masks = svp::Masks::draw(n, ck, rng);
+        let mexp_masks: Vec<multiexp::Masks> = (0..R::WIDTH)
+            .map(|_| multiexp::Masks::draw(n, rng))
+            .collect();
+
         let mut transcript = Transcript::new(R::DOMAIN);
         absorb_statement(&mut transcript, pk, inputs, outputs);
 
-        // Step 1: commit to the 1-indexed permutation values.
+        // Step 1: commit to the 1-indexed permutation values, beside the
+        // product argument's c_d.
         let a: Vec<Scalar> = perm
             .iter()
             .map(|&p| Scalar::from_u64(p as u64 + 1))
             .collect();
-        let r = rng.scalar();
-        let c_a = self.ck.commit(&a, &r);
+        let (c_a, svp_c_d) = join(threads, || ck.commit(&a, &r), || svp_masks.commit_d(ck));
         transcript.append_point(b"shuf-ca", &c_a);
 
-        // Step 2: challenge x, commit to b_j = x^{π(j)+1}.
+        // Step 2: challenge x, commit to b_j = x^{π(j)+1}, beside c_δ.
         let x = transcript.challenge_scalar(b"shuf-x");
         let x_powers = Scalar::powers(x, n + 1); // x^0 … x^n
         let b: Vec<Scalar> = perm.iter().map(|&p| x_powers[p + 1]).collect();
-        let s = rng.scalar();
-        let c_b = self.ck.commit(&b, &s);
+        let (c_b, svp_c_delta) = join(threads, || ck.commit(&b, &s), || svp_masks.commit_delta(ck));
         transcript.append_point(b"shuf-cb", &c_b);
 
-        // Step 3: challenges y, z; product argument on y·a + b − z̄.
+        // Step 3: challenges y, z; product argument on y·a + b − z̄. Its
+        // last commitment c_Δ is computed together with every column's
+        // first message (c_d, then E_d's C₁ and C₂ sums).
         let y = transcript.challenge_scalar(b"shuf-y");
         let z = transcript.challenge_scalar(b"shuf-z");
         let d: Vec<Scalar> = (0..n).map(|j| y * a[j] + b[j] - z).collect();
         let r_d = y * r + s;
-        let c_d = c_a * y + c_b - self.ck.commit_constant(&z, n);
         let product = claimed_product(&x_powers, y, z, n);
-        let svp_proof =
-            svp::prove_svp_core(&mut transcript, &self.ck, &c_d, &product, &d, &r_d, rng);
+        debug_assert_eq!(Scalar::product(&d), product, "d must be a permutation");
+        debug_assert_eq!(
+            ck.commit(&d, &r_d),
+            c_a * y + c_b - ck.commit_constant(&z, n),
+            "the product argument opens c_a·y + c_b − com(z̄)"
+        );
+        let bs = svp::running_products(&d);
+        let out_cols = columns(outputs);
+        let computed = evaluate(threads, 0..1 + 3 * R::WIDTH, &|i| {
+            let Some(i) = i.checked_sub(1) else {
+                return svp_masks.commit_big_delta(ck, &d, &bs);
+            };
+            let (masks, col) = (&mexp_masks[i / 3], &out_cols[i / 3]);
+            match i % 3 {
+                0 => masks.commit_d(ck),
+                1 => masks.e_d_component(&EdwardsPoint::basepoint(), col, |c| c.c1),
+                _ => masks.e_d_component(pk, col, |c| c.c2),
+            }
+        });
+        let svp_proof = svp_masks.respond(
+            &mut transcript,
+            [svp_c_d, svp_c_delta, computed[0]],
+            &d,
+            &bs,
+            &r_d,
+        );
 
         // Step 4: one multi-exponentiation argument per column, in column
-        // order. E = Σ_{i=1..n} x^i·C_{i−1};  ρ̂ = −Σ_j ρ_j·b_j.
-        let (in_cols, out_cols) = (columns(inputs), columns(outputs));
-        let mexps: Vec<MultiExpProof> = (0..R::WIDTH)
-            .map(|k| {
-                let target =
-                    multiexp::linear_combination(pk, &in_cols[k], &x_powers[1..=n], &Scalar::ZERO);
+        // order, each against E = Σ_{i=1..n} x^i·C_{i−1} with
+        // ρ̂ = −Σ_j ρ_j·b_j. Only a debug build computes E: the
+        // transcript binds it as a function of absorbed data.
+        let mexps: Vec<MultiExpProof> = mexp_masks
+            .into_iter()
+            .zip(computed[1..].chunks_exact(3))
+            .enumerate()
+            .map(|(k, (masks, first))| {
                 let rho_hat = -(0..n).fold(Scalar::ZERO, |acc, j| acc + rho[k][j] * b[j]);
-                multiexp::prove_multiexp_core(
-                    &mut transcript,
-                    &self.ck,
-                    pk,
-                    &out_cols[k],
-                    &target,
-                    &c_b,
-                    &b,
-                    &s,
-                    &rho_hat,
-                    rng,
-                )
+                debug_assert_eq!(
+                    multiexp::linear_combination(pk, &out_cols[k], &b, &rho_hat),
+                    multiexp::linear_combination(
+                        pk,
+                        &columns(inputs)[k],
+                        &x_powers[1..=n],
+                        &Scalar::ZERO
+                    ),
+                    "witness must satisfy the statement"
+                );
+                let e_d = Ciphertext {
+                    c1: first[1],
+                    c2: first[2],
+                };
+                masks.respond(&mut transcript, first[0], e_d, &b, &s, &rho_hat)
             })
             .collect();
         let Ok(mexp) = R::MultiExps::try_from(mexps) else {
@@ -351,6 +400,26 @@ impl ShuffleContext {
             product,
         })
     }
+}
+
+/// `point(i)` for every `i` in `indices`, in order, on `threads` workers:
+/// the range is halved over [`join`] until each half has one worker.
+fn evaluate(
+    threads: usize,
+    indices: Range<usize>,
+    point: &(impl Fn(usize) -> EdwardsPoint + Sync),
+) -> Vec<EdwardsPoint> {
+    if threads <= 1 || indices.len() <= 1 {
+        return indices.map(point).collect();
+    }
+    let mid = indices.start + indices.len() / 2;
+    let (mut lo, hi) = join(
+        threads,
+        || evaluate(threads / 2, indices.start..mid, point),
+        || evaluate(threads - threads / 2, mid..indices.end, point),
+    );
+    lo.extend(hi);
+    lo
 }
 
 /// Splits rows into their ciphertext columns, once per statement side:

@@ -61,72 +61,124 @@ pub fn prove_svp(
     rng: &mut dyn Rng,
 ) -> SvpProof {
     absorb_statement(transcript, c_a, b);
-    prove_svp_core(transcript, ck, c_a, b, a, r, rng)
-}
-
-/// [`prove_svp`] without statement absorption: for callers (the shuffle
-/// argument) whose transcript already binds `c_a` and `b` — directly or as
-/// a deterministic function of absorbed data.
-pub(crate) fn prove_svp_core(
-    transcript: &mut Transcript,
-    ck: &CommitKey,
-    c_a: &EdwardsPoint,
-    b: &Scalar,
-    a: &[Scalar],
-    r: &Scalar,
-    rng: &mut dyn Rng,
-) -> SvpProof {
-    let n = a.len();
-    assert!(n >= 2, "product argument requires n >= 2");
-    assert!(n <= ck.len(), "vector longer than commitment key");
+    let masks = Masks::draw(a.len(), ck, rng);
     debug_assert_eq!(ck.commit(a, r), *c_a, "opening must match commitment");
     debug_assert_eq!(Scalar::product(a), *b, "claimed product must match");
+    let bs = running_products(a);
+    let commitments = [
+        masks.commit_d(ck),
+        masks.commit_delta(ck),
+        masks.commit_big_delta(ck, a, &bs),
+    ];
+    masks.respond(transcript, commitments, a, &bs, r)
+}
 
-    // Running products b_i = a_1 … a_i (b_n = b).
-    let mut bs = Vec::with_capacity(n);
-    let mut acc = Scalar::ONE;
-    for ai in a {
-        acc *= *ai;
-        bs.push(acc);
+/// Running products bᵢ = a₁ … aᵢ (the last is the claimed product).
+pub(crate) fn running_products(a: &[Scalar]) -> Vec<Scalar> {
+    a.iter()
+        .scan(Scalar::ONE, |acc, ai| {
+            *acc *= *ai;
+            Some(*acc)
+        })
+        .collect()
+}
+
+/// The prover's masks: d, r_d, δ (pinned at both ends, δ₁ = d₁ and
+/// δₙ = 0), s₁ and s_x, drawn in that order before anything is computed
+/// from them. Two of the three commitments ([`Masks::commit_d`],
+/// [`Masks::commit_delta`]) commit to masks only; a caller whose
+/// transcript already binds `c_a` and the claimed product (the shuffle
+/// argument, directly or as a deterministic function of absorbed data) may
+/// compute them on any worker, beside any other step, before
+/// [`Masks::respond`] absorbs them.
+pub(crate) struct Masks {
+    d: Vec<Scalar>,
+    r_d: Scalar,
+    delta: Vec<Scalar>,
+    s_1: Scalar,
+    s_x: Scalar,
+}
+
+impl Masks {
+    /// Draws the masks for an `n`-element argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is below two or exceeds the commitment key.
+    pub(crate) fn draw(n: usize, ck: &CommitKey, rng: &mut dyn Rng) -> Self {
+        assert!(n >= 2, "product argument requires n >= 2");
+        assert!(n <= ck.len(), "vector longer than commitment key");
+        let d: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
+        let r_d = rng.scalar();
+        let mut delta: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
+        delta[0] = d[0];
+        delta[n - 1] = Scalar::ZERO;
+        let s_1 = rng.scalar();
+        let s_x = rng.scalar();
+        Self {
+            d,
+            r_d,
+            delta,
+            s_1,
+            s_x,
+        }
     }
 
-    // Masks: d random; δ pinned at both ends.
-    let d: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
-    let r_d = rng.scalar();
-    let mut delta: Vec<Scalar> = (0..n).map(|_| rng.scalar()).collect();
-    delta[0] = d[0];
-    delta[n - 1] = Scalar::ZERO;
-    let s_1 = rng.scalar();
-    let s_x = rng.scalar();
+    /// c_d = com(d; r_d).
+    pub(crate) fn commit_d(&self, ck: &CommitKey) -> EdwardsPoint {
+        ck.commit(&self.d, &self.r_d)
+    }
 
-    let c_d = ck.commit(&d, &r_d);
-    // c_δ commits to the x⁰ coefficients −δᵢ·dᵢ₊₁ (length n−1).
-    let delta_lo: Vec<Scalar> = (0..n - 1).map(|i| -(delta[i] * d[i + 1])).collect();
-    let c_delta = ck.commit(&delta_lo, &s_1);
-    // c_Δ commits to the x¹ coefficients δᵢ₊₁ − aᵢ₊₁·δᵢ − bᵢ·dᵢ₊₁.
-    let delta_hi: Vec<Scalar> = (0..n - 1)
-        .map(|i| delta[i + 1] - a[i + 1] * delta[i] - bs[i] * d[i + 1])
-        .collect();
-    let c_big_delta = ck.commit(&delta_hi, &s_x);
+    /// c_δ, the commitment to the x⁰ coefficients −δᵢ·dᵢ₊₁ (length n−1).
+    pub(crate) fn commit_delta(&self, ck: &CommitKey) -> EdwardsPoint {
+        let lo: Vec<Scalar> = (0..self.d.len() - 1)
+            .map(|i| -(self.delta[i] * self.d[i + 1]))
+            .collect();
+        ck.commit(&lo, &self.s_1)
+    }
 
-    transcript.append_point(b"svp-cd", &c_d);
-    transcript.append_point(b"svp-cdelta", &c_delta);
-    transcript.append_point(b"svp-cbigdelta", &c_big_delta);
-    let x = transcript.challenge_scalar(b"svp-x");
+    /// c_Δ, the commitment to the x¹ coefficients δᵢ₊₁ − aᵢ₊₁·δᵢ − bᵢ·dᵢ₊₁
+    /// for the opening `a` and its [`running_products`] `bs`.
+    pub(crate) fn commit_big_delta(
+        &self,
+        ck: &CommitKey,
+        a: &[Scalar],
+        bs: &[Scalar],
+    ) -> EdwardsPoint {
+        let (d, delta) = (&self.d, &self.delta);
+        let hi: Vec<Scalar> = (0..d.len() - 1)
+            .map(|i| delta[i + 1] - a[i + 1] * delta[i] - bs[i] * d[i + 1])
+            .collect();
+        ck.commit(&hi, &self.s_x)
+    }
 
-    let a_tilde: Vec<Scalar> = (0..n).map(|i| x * a[i] + d[i]).collect();
-    let b_tilde: Vec<Scalar> = (0..n).map(|i| x * bs[i] + delta[i]).collect();
-    let r_tilde = x * *r + r_d;
-    let s_tilde = x * s_x + s_1;
-
-    SvpProof {
-        c_d,
-        c_delta,
-        c_big_delta,
-        a_tilde,
-        b_tilde,
-        r_tilde,
-        s_tilde,
+    /// Absorbs the three commitments `[c_d, c_δ, c_Δ]`, derives the
+    /// challenge x and opens ã = x·a + d, b̃ = x·bs + δ, r̃ = x·r + r_d and
+    /// s̃ = x·s_x + s₁.
+    pub(crate) fn respond(
+        self,
+        transcript: &mut Transcript,
+        [c_d, c_delta, c_big_delta]: [EdwardsPoint; 3],
+        a: &[Scalar],
+        bs: &[Scalar],
+        r: &Scalar,
+    ) -> SvpProof {
+        transcript.append_point(b"svp-cd", &c_d);
+        transcript.append_point(b"svp-cdelta", &c_delta);
+        transcript.append_point(b"svp-cbigdelta", &c_big_delta);
+        let x = transcript.challenge_scalar(b"svp-x");
+        let open = |v: &[Scalar], mask: &[Scalar]| -> Vec<Scalar> {
+            v.iter().zip(mask).map(|(v, m)| x * *v + *m).collect()
+        };
+        SvpProof {
+            c_d,
+            c_delta,
+            c_big_delta,
+            a_tilde: open(a, &self.d),
+            b_tilde: open(bs, &self.delta),
+            r_tilde: x * *r + self.r_d,
+            s_tilde: x * self.s_x + self.s_1,
+        }
     }
 }
 
@@ -143,7 +195,8 @@ pub fn verify_svp(
     verify_svp_core(transcript, ck, c_a, b, proof)
 }
 
-/// [`verify_svp`] without statement absorption; see [`prove_svp_core`].
+/// [`verify_svp`] without statement absorption, for the shuffle argument
+/// (see [`Masks`]).
 pub(crate) fn verify_svp_core(
     transcript: &mut Transcript,
     ck: &CommitKey,

@@ -200,7 +200,10 @@ impl ElectionBuilder {
         self
     }
 
-    /// Worker threads for batch registration/casting fast paths.
+    /// Worker threads for the batch registration and casting fast paths
+    /// (and for [`Election::verify_with_mode`]). [`Election::tally`] and
+    /// [`Election::verify`] do not read it: they run on the host's cores
+    /// ([`vg_crypto::par::default_threads`]).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self

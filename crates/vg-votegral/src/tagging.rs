@@ -40,7 +40,7 @@ use vg_crypto::chaum_pedersen::{
 use vg_crypto::drbg::Rng;
 use vg_crypto::edwards::multiscalar_mul;
 use vg_crypto::elgamal::Ciphertext;
-use vg_crypto::par::default_threads;
+use vg_crypto::par::{default_threads, par_map};
 use vg_crypto::{CryptoError, EdwardsPoint, Scalar, Transcript};
 use vg_shuffle::VerifyMode;
 
@@ -68,9 +68,11 @@ impl TaggingKey {
 
     /// Applies the exponent to every ciphertext, producing a verifiable
     /// round: two multiplications and two short multi-scalar terms per
-    /// ciphertext, one nonce per round.
+    /// ciphertext, one nonce per round. The multiplications run on the
+    /// host's cores; the weights' hash and the proof's one draw stay on
+    /// this thread.
     pub fn apply(&self, inputs: &[Ciphertext], rng: &mut dyn Rng) -> TaggingRound {
-        let outputs: Vec<Ciphertext> = inputs.iter().map(|c| c.scale(&self.secret)).collect();
+        let outputs = par_map(inputs, default_threads(), |c| c.scale(&self.secret));
         let (_, [g]) = composites(&self.commitment, inputs, &outputs, [inputs]);
         let proof = prove_dleq(
             &mut round_transcript(inputs.len()),

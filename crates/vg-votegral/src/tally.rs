@@ -6,9 +6,9 @@
 //! 1. **Admission**: decode each ballot from L_V, check its credential
 //!    signature, vote-validity proof and registrar-issuance signature;
 //!    deduplicate by credential key (keep-last).
-//! 2. **Mixing**: shuffle the (vote, credential-key) pairs and, in
-//!    parallel, the registration tags c_pc through verifiable mix
-//!    cascades (four mixers by default, as in the paper's evaluation).
+//! 2. **Mixing**: shuffle the (vote, credential-key) pairs, then the
+//!    registration tags c_pc, through verifiable mix cascades (four
+//!    mixers by default, as in the paper's evaluation).
 //! 3. **Deterministic tagging**: every authority member exponentiates both
 //!    mixed sets by a secret sᵢ with one proof per set.
 //! 4. **Opening**: threshold-decrypt the tagged sets, yielding *blinded*
@@ -17,6 +17,20 @@
 //!    blinded tag — linear time via a hash map, the key difference from
 //!    Civitas' quadratic pairwise PETs (§7.4).
 //! 6. **Counting**: threshold-decrypt only the matched votes and tally.
+//!
+//! # What runs on the host's cores
+//!
+//! The stages run one after the other, each on the caller's DRBG. Within
+//! a stage the point arithmetic runs on [`default_threads`] workers
+//! (`vg_crypto::par`): admission's signature sweep and proof fold, each
+//! mix stage's re-encryptions and commitments, each tagging round's
+//! exponentiations, and each opening's share points, proof commitments
+//! and recombinations. Two things stay sequential on the calling thread:
+//! every DRBG draw, taken before the arithmetic it feeds in the order a
+//! one-thread prover takes it, and every transcript hash, absorbed in the
+//! proof's own order. So the transcript's bytes do not depend on how many
+//! cores ran it (`tests/properties.rs` pins them), and on one core
+//! everything runs inline.
 
 use std::collections::HashMap;
 
@@ -24,7 +38,7 @@ use vg_crypto::batch::{small_weights, BatchVerifier};
 use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionShare};
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
-use vg_crypto::par::default_threads;
+use vg_crypto::par::{default_threads, par_map};
 use vg_crypto::schnorr::{SignatureSweep, VerifyingKey, VerifyingKeyCache};
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::{BallotRecord, Ledger};
@@ -306,8 +320,8 @@ pub fn registration_inputs(ledger: &Ledger) -> Vec<Ciphertext> {
 }
 
 /// Threshold-decrypts a ciphertext vector with verifiable shares from the
-/// first t members, recombining every item with one set of Lagrange
-/// coefficients.
+/// first t members, recombining every item, on the host's cores, with one
+/// set of Lagrange coefficients.
 fn open_vector(
     authority: &Authority,
     cts: &[Ciphertext],
@@ -319,11 +333,10 @@ fn open_vector(
         .map(|m| m.index)
         .collect();
     let lambdas = lagrange_coefficients(&indices).map_err(VotegralError::Crypto)?;
-    let plaintexts = cts
-        .iter()
-        .zip(shares.iter())
-        .map(|(ct, item)| combine_with(ct, item, &lambdas))
-        .collect();
+    let items: Vec<(&Ciphertext, &Vec<DecryptionShare>)> = cts.iter().zip(&shares).collect();
+    let plaintexts = par_map(&items, default_threads(), |(ct, item)| {
+        combine_with(ct, item, &lambdas)
+    });
     Ok(VectorOpening { shares, plaintexts })
 }
 

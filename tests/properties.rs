@@ -779,6 +779,52 @@ fn batched_pipeline_replays_bit_identically() {
     );
 }
 
+/// A third pin, over a tally large enough that every prover step's
+/// parallel branch runs (`par_map` maps inline below 16 items): 32
+/// registration tags, 64 ballot rows (each voter casts with its real and
+/// its fake credential) and 32 matched votes, so the re-encryption rows,
+/// the tagging exponentiations and the share proofs all fan out. Pinned on
+/// the commit before the tally prover drew first and computed on the
+/// host's cores; how many cores run it may not move a byte.
+#[test]
+fn tally_pin_past_the_parallel_cutoff() {
+    use votegral::crypto::sha2::Sha256;
+
+    let mut rng = HmacDrbg::from_u64(3232);
+    let mut election = ElectionBuilder::new()
+        .voters(32)
+        .options(3)
+        .mixers(2)
+        .build(&mut rng);
+    let voters: Vec<VoterId> = (1..=32).map(VoterId).collect();
+    let sessions = election
+        .register_batch(&voters, &mut rng)
+        .expect("registers");
+    let mut voting = election.open_voting();
+    let votes: Vec<(&ActivatedCredential, u32)> = sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (_, vsd))| vsd.credentials.iter().map(move |c| (c, (i % 3) as u32)))
+        .collect();
+    voting.cast_batch(&votes, &mut rng).expect("casts");
+    let tallying = voting.close();
+    let transcript = tallying.tally(&mut rng).expect("tally");
+    assert_eq!(transcript.reg_inputs.len(), 32);
+    assert_eq!(transcript.ballot_pair_inputs.len(), 64);
+    assert_eq!(transcript.result.counted, 32);
+    assert_eq!(
+        tallying.verify(&transcript).as_ref(),
+        Ok(&transcript.result)
+    );
+    let mut h = Sha256::new();
+    h.update(format!("{transcript:?}").as_bytes());
+    let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        digest, "3b3fba4a047dcd3b970c2480487dce767f9d3373386c0be2526ff9b6736a728c",
+        "tally transcript bytes moved"
+    );
+}
+
 /// The whole pipeline is deterministic from its seed: two elections run
 /// with the same seed produce byte-identical ledger heads and results.
 #[test]
