@@ -38,40 +38,40 @@ build() { cargo build --release --offline --quiet --manifest-path "$1/bench/e2e/
 # (README, *The perf gate*).
 HOST_F=1.5
 
-# "workload median" of a result file's host slowdowns, one line per workload.
-slowdowns() {
-  awk 'match($0, /"workload": "[^"]*"/) && match($0, /"host_slowdown": [^,}]*/) {
-      w = $0; sub(/.*"workload": "/, "", w); sub(/".*/, "", w)
-      s = $0; sub(/.*"host_slowdown": /, "", s); sub(/[,}].*/, "", s)
-      print w, s }' "$1" | sort -k1,1 -k2,2g |
-    awk '$1 != w { if (n) print w, median(v, n); w = $1; n = 0 } { v[++n] = $2 }
-      END { if (n) print w, median(v, n) }
-      function median(v, n) { return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 }'
-}
-
-# Prints each workload's two medians, and "host: unresolved <workload> …"
-# for every workload the host's spread leaves unjudged.
+# Prints each workload's median host slowdown on both sides, and
+# "host: unresolved <workload> (…)" for every workload the host leaves
+# unjudged.
 host_check() {
-  join <(slowdowns "$1") <(slowdowns "$2") | awk -v F="$HOST_F" '
-    { w[NR] = $1; s[1, NR] = $2; s[2, NR] = $3 }
-    # The median of side k over every workload but i.
-    function others(k, i,   j, n, v, t, a, b) {
-      for (j = 1; j <= NR; j++) if (j != i) v[++n] = s[k, j]
-      for (a = 2; a <= n; a++) for (b = a; b > 1 && v[b - 1] > v[b]; b--) { t = v[b]; v[b] = v[b - 1]; v[b - 1] = t }
+  awk -v F="$HOST_F" '
+    FNR == 1 { k++ }
+    match($0, /"host_slowdown": [^,}]*/) {
+      name = $0; sub(/.*"workload": "/, "", name); sub(/".*/, "", name)
+      if (!(name in seen)) { seen[name]; listed[++nl] = name }
+      x[k, name, ++c[k, name]] = substr($0, RSTART + 17, RLENGTH - 17) + 0
+    }
+    # The median of v[1..n], which it sorts.
+    function median(v, n,   i, j, t) {
+      for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
       return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
     }
     END {
-      for (i = 1; i <= NR; i++) {
-        a = s[1, i]; b = s[2, i]
+      for (i = 1; i <= nl; i++) if (c[1, listed[i]] && c[2, listed[i]]) w[++nw] = listed[i]
+      for (k = 1; k <= 2; k++) for (i = 1; i <= nw; i++) {
+        split("", v); for (j = 1; j <= c[k, w[i]]; j++) v[j] = x[k, w[i], j]
+        m[k, i] = median(v, c[k, w[i]])
+      }
+      for (i = 1; i <= nw; i++) {
+        a = m[1, i]; b = m[2, i]; why = ""
         printf "host: %-14s median host_slowdown a %.2f b %.2f\n", w[i], a, b
-        why = ""
         if (a > F * b || b > F * a) why = sprintf("; the sides differ by %.2fx", a > b ? a / b : b / a)
-        for (k = 1; k <= 2 && NR > 1; k++)
-          if (s[k, i] > F * others(k, i))
-            why = why sprintf("; side %s ran %.2fx the other workloads", k == 1 ? "a" : "b", s[k, i] / others(k, i))
+        for (k = 1; k <= 2 && nw > 1; k++) {
+          split("", v); n = 0; for (j = 1; j <= nw; j++) if (j != i) v[++n] = m[k, j]
+          if (m[k, i] > F * median(v, n))
+            why = why sprintf("; side %s ran %.2fx the other workloads", k == 1 ? "a" : "b", m[k, i] / median(v, n))
+        }
         if (why != "") printf "host: unresolved %s (bound %sx%s)\n", w[i], F, why
       }
-    }'
+    }' "$1" "$2"
 }
 
 judge() {

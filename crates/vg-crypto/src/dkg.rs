@@ -597,9 +597,8 @@ mod tests {
     #[test]
     fn vector_shares_match_one_by_one() {
         // 16 items by 3 members: 48 proofs, past `par_map`'s inline
-        // cutoff for the share points, the nonces' commitments and the
-        // recombinations alike. Same shares, same proofs, same RNG
-        // position afterwards.
+        // cutoff for the share points and the nonces' commitments alike.
+        // Same shares, same proofs, same RNG position afterwards.
         let (authority, cts, shares, plaintexts, mut rng_vector) = opened_vector(9, 16, 3);
         // Replay the same stream: setup draws, then share by share.
         let mut rng = HmacDrbg::from_u64(9);

@@ -94,13 +94,11 @@ pub fn prove_multiexp(
 }
 
 /// The prover's masks d, r_d and ρ_d, drawn in that order before anything
-/// is computed from them. Its first message (c_d, E_d) commits to masks
-/// only, so a caller whose transcript already binds the statement (the
-/// shuffle argument: `pk`, the bases and `c_b` directly, the target E as a
-/// deterministic function of absorbed data, which lets a batched verifier
-/// fold E's defining sum into its combined check instead of materializing
-/// it) may compute it on any worker, beside any other step, before
-/// [`Masks::respond`] absorbs it.
+/// is computed from them. The first message (c_d, E_d) commits to masks
+/// only, so the shuffle argument computes it beside its own earlier steps.
+/// Its transcript binds `pk`, the bases and `c_b` directly and the target
+/// E as a function of absorbed data, which lets a batched verifier fold
+/// E's defining sum into its combined check instead of materializing it.
 pub(crate) struct Masks {
     d: Vec<Scalar>,
     r_d: Scalar,

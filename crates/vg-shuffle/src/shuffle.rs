@@ -218,9 +218,9 @@ impl ShuffleContext {
     /// order the steps below use them (r, s, the product argument's masks,
     /// then each column's): no draw depends on a challenge, so drawing
     /// ahead moves no transcript byte. The commitments are then computed
-    /// on the host's cores, each one as soon as what it commits to is
-    /// known, while this thread absorbs them and derives the challenges in
-    /// the argument's order.
+    /// on the host's cores, each beside others that wait on no later
+    /// challenge, while this thread absorbs them and derives the
+    /// challenges in the argument's order.
     pub fn prove<R: Row>(
         &self,
         pk: &EdwardsPoint,

@@ -83,14 +83,11 @@ pub(crate) fn running_products(a: &[Scalar]) -> Vec<Scalar> {
         .collect()
 }
 
-/// The prover's masks: d, r_d, δ (pinned at both ends, δ₁ = d₁ and
-/// δₙ = 0), s₁ and s_x, drawn in that order before anything is computed
-/// from them. Two of the three commitments ([`Masks::commit_d`],
-/// [`Masks::commit_delta`]) commit to masks only; a caller whose
-/// transcript already binds `c_a` and the claimed product (the shuffle
-/// argument, directly or as a deterministic function of absorbed data) may
-/// compute them on any worker, beside any other step, before
-/// [`Masks::respond`] absorbs them.
+/// The prover's masks d, r_d, δ (δ₁ = d₁, δₙ = 0), s₁ and s_x, drawn in
+/// that order before anything is computed from them. c_d and c_δ commit
+/// to masks only, so the shuffle argument (whose transcript binds `c_a`
+/// and the claimed product as functions of absorbed data) computes them
+/// beside its own earlier steps.
 pub(crate) struct Masks {
     d: Vec<Scalar>,
     r_d: Scalar,
@@ -100,11 +97,8 @@ pub(crate) struct Masks {
 }
 
 impl Masks {
-    /// Draws the masks for an `n`-element argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is below two or exceeds the commitment key.
+    /// Draws the masks for an `n`-element argument; panics if `n` is below
+    /// two or exceeds the commitment key.
     pub(crate) fn draw(n: usize, ck: &CommitKey, rng: &mut dyn Rng) -> Self {
         assert!(n >= 2, "product argument requires n >= 2");
         assert!(n <= ck.len(), "vector longer than commitment key");

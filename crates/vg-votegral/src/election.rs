@@ -146,7 +146,8 @@ impl Default for ElectionBuilder {
 
 impl ElectionBuilder {
     /// Starts from the paper's defaults: 8 voters, 2 options, 4 mixers,
-    /// in-memory ledger, single-threaded, one fake per voter.
+    /// in-memory ledger, single-threaded registration and casting, one fake
+    /// per voter.
     pub fn new() -> Self {
         Self {
             trip_config: TripConfig::default(),
