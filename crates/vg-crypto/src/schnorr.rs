@@ -11,6 +11,8 @@
 //! through nonce reuse; [`SigningKey::sign_with_coupon`] spends a nonce
 //! drawn ahead of time, and is where s = k + e·sk is computed for both.
 
+use std::collections::HashMap;
+
 use crate::drbg::Rng;
 use crate::edwards::{CompressedPoint, EdwardsPoint};
 use crate::scalar::Scalar;
@@ -225,7 +227,7 @@ impl SigningKey {
 /// same small-order rejection.
 #[derive(Default)]
 pub struct VerifyingKeyCache {
-    memo: std::collections::HashMap<[u8; 32], Result<VerifyingKey, CryptoError>>,
+    memo: HashMap<[u8; 32], Result<VerifyingKey, CryptoError>>,
 }
 
 impl VerifyingKeyCache {
@@ -279,15 +281,22 @@ impl VerifyingKey {
 /// Batch-verifies independent (key, message, signature) triples with one
 /// multi-scalar multiplication.
 ///
-/// Uses the standard random-linear-combination check: with fresh random
-/// weights zᵢ, Σ zᵢ·sᵢ·B == Σ zᵢ·Rᵢ + Σ zᵢ·eᵢ·Aᵢ holds for honest batches
-/// and fails except with negligible probability if any signature is
-/// invalid. Ballot admission verifies thousands of independent credential
-/// signatures, which is exactly this shape; Pippenger makes the batch
-/// several times cheaper than one-by-one verification.
+/// Uses the standard random-linear-combination check: with random weights
+/// zᵢ drawn by [`crate::batch::small_weights`] (nonzero, below 2¹²⁸),
+/// Σ zᵢ·sᵢ·B == Σ zᵢ·Rᵢ + Σ zᵢ·eᵢ·Aᵢ holds for honest batches and fails
+/// except with negligible probability if any signature is invalid. The key
+/// terms are merged per distinct key: every item signed under one key A
+/// adds its zᵢ·eᵢ to A's single scalar, so a batch over k distinct keys
+/// folds n + k + 1 terms rather than 2n + 1 and sums to the same group
+/// element. Ballot admission verifies thousands of credential signatures
+/// under as many keys; ledger admission, check-out and activation verify
+/// thousands under a handful of printer, kiosk and official keys. Pippenger
+/// makes either batch several times cheaper than one-by-one verification.
 ///
 /// Returns `Ok(())` only if *every* signature is valid (callers fall back
-/// to per-item verification to locate an offender).
+/// to per-item verification to locate an offender). An undecodable or
+/// small-order R is [`CryptoError::InvalidPoint`], decided before any
+/// weight is drawn.
 pub fn batch_verify(
     items: &[(VerifyingKey, &[u8], Signature)],
     rng: &mut dyn Rng,
@@ -295,43 +304,78 @@ pub fn batch_verify(
     batch_verify_par(items, 1, rng)
 }
 
-/// [`batch_verify`] with the folded multi-scalar multiplication spread
-/// over up to `threads` workers (large registration and admission batches
-/// are Pippenger-bound; the fold parallelizes cleanly).
+/// [`batch_verify`] on up to `threads` workers: the per-item R
+/// decompressions, small-order rejections and challenge hashes run under
+/// [`crate::par::par_map`], and the folded multi-scalar multiplication
+/// splits across workers once it is large enough (large registration and
+/// admission batches are Pippenger-bound; the fold parallelizes cleanly).
 pub fn batch_verify_par(
     items: &[(VerifyingKey, &[u8], Signature)],
+    threads: usize,
+    rng: &mut dyn Rng,
+) -> Result<(), CryptoError> {
+    // One shared inversion for all the public-key encodings the challenge
+    // hashes need (compressing them one by one is inversion-bound).
+    let vk_points: Vec<EdwardsPoint> = items.iter().map(|(vk, _, _)| vk.0).collect();
+    fold_verify(
+        items,
+        &EdwardsPoint::batch_compress(&vk_points),
+        threads,
+        rng,
+    )
+}
+
+/// The fold behind [`batch_verify_par`], given every item's key encoding
+/// (`encodings[i]` compresses `items[i].0`), so a caller that already holds
+/// them does not compress the keys twice.
+fn fold_verify(
+    items: &[(VerifyingKey, &[u8], Signature)],
+    encodings: &[CompressedPoint],
     threads: usize,
     rng: &mut dyn Rng,
 ) -> Result<(), CryptoError> {
     if items.is_empty() {
         return Ok(());
     }
-    let n = items.len();
-    let mut scalars = Vec::with_capacity(2 * n + 1);
-    let mut points = Vec::with_capacity(2 * n + 1);
+    let paired: Vec<_> = items.iter().zip(encodings).collect();
+    // Per item, in parallel; the first failing item in input order decides
+    // the error.
+    let checked: Vec<(EdwardsPoint, Scalar)> =
+        crate::par::par_map(&paired, threads, |((_, msg, sig), vk_c)| {
+            let r_point = sig.r.decompress().ok_or(CryptoError::InvalidPoint)?;
+            // The same rejection `VerifyingKey::verify` makes: without it a
+            // key holder's (R = 𝒪, s = e·sk) folds clean here and fails one
+            // by one.
+            if r_point.is_small_order() {
+                return Err(CryptoError::InvalidPoint);
+            }
+            Ok((r_point, challenge(&sig.r, vk_c, msg)))
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    let weights = crate::batch::small_weights(rng, items.len());
+
+    let mut scalars = Vec::with_capacity(items.len() + 2);
+    let mut points = Vec::with_capacity(items.len() + 2);
+    // One term per distinct key, found by its encoding.
+    let mut key_slot: HashMap<CompressedPoint, usize> = HashMap::new();
+    let mut key_terms: Vec<(Scalar, EdwardsPoint)> = Vec::new();
     let mut s_sum = Scalar::ZERO;
-    // One shared inversion for all the public-key encodings the challenge
-    // hashes need (admission sweeps repeat a handful of keys thousands of
-    // times; compressing them one by one is inversion-bound).
-    let vk_points: Vec<EdwardsPoint> = items.iter().map(|(vk, _, _)| vk.0).collect();
-    let vk_compressed = EdwardsPoint::batch_compress(&vk_points);
-    for ((vk, msg, sig), vk_c) in items.iter().zip(vk_compressed.iter()) {
-        let r_point = sig.r.decompress().ok_or(CryptoError::InvalidPoint)?;
-        // The same rejection `VerifyingKey::verify` makes: without it a key
-        // holder's (R = 𝒪, s = e·sk) folds clean here and fails one by one.
-        if r_point.is_small_order() {
-            return Err(CryptoError::InvalidPoint);
-        }
-        let e = challenge(&sig.r, vk_c, msg);
-        // 128-bit random weight is ample for soundness.
-        let mut w = [0u8; 32];
-        rng.fill_bytes(&mut w[..16]);
-        let z = Scalar::from_bytes_mod_order(&w);
+    for (((vk, _, sig), vk_c), ((r_point, e), z)) in
+        paired.iter().zip(checked.into_iter().zip(weights))
+    {
         s_sum += z * sig.s;
         scalars.push(z);
         points.push(r_point);
-        scalars.push(z * e);
-        points.push(vk.0);
+        let slot = *key_slot.entry(**vk_c).or_insert_with(|| {
+            key_terms.push((Scalar::ZERO, vk.0));
+            key_terms.len() - 1
+        });
+        key_terms[slot].0 += z * e;
+    }
+    for (ze, key) in key_terms {
+        scalars.push(ze);
+        points.push(key);
     }
     scalars.push(-s_sum);
     points.push(EdwardsPoint::basepoint());
@@ -360,8 +404,10 @@ pub fn batch_verify_par(
 /// by an accompanying fold (e.g. Σ-transcript terms sharing the DRBG) goes
 /// in via [`SignatureSweep::commit`].
 ///
-/// Used by `vg-ledger`'s batched record admission, `vg-trip`'s batched
-/// check-out, and `vg-trip`'s batched activation checks.
+/// Used by `vg-ledger`'s batched record admission (L_E and L_R),
+/// `vg-trip`'s batched check-out and activation checks, and
+/// `vg-votegral`'s ballot admission; each runs the key-merged fold of
+/// [`batch_verify`].
 pub struct SignatureSweep {
     label: Vec<u8>,
     keys: Vec<(VerifyingKey, Signature)>,
@@ -424,12 +470,14 @@ impl SignatureSweep {
     /// their own fallback on `Err` — the fold itself cannot name an
     /// offender.
     pub fn verify(&self, threads: usize) -> Result<crate::HmacDrbg, CryptoError> {
-        // Fold the key encodings in last (order inside the commitment is
-        // immaterial; completeness is what soundness needs), sharing one
-        // inversion across the whole batch.
+        // Fold the key encodings in last, in item order (order inside the
+        // commitment is immaterial; completeness is what soundness needs),
+        // sharing one inversion across the whole batch. The fold's
+        // challenge hashes reuse the same encodings.
         let vk_points: Vec<EdwardsPoint> = self.keys.iter().map(|(vk, _)| vk.0).collect();
+        let encodings = EdwardsPoint::batch_compress(&vk_points);
         let mut label = self.label.clone();
-        for c in EdwardsPoint::batch_compress(&vk_points) {
+        for c in &encodings {
             label.extend_from_slice(&c.0);
         }
         let mut rng = crate::HmacDrbg::new(&sha256(&label));
@@ -439,7 +487,7 @@ impl SignatureSweep {
             .zip(self.msgs.iter())
             .map(|(&(vk, sig), msg)| (vk, msg.as_slice(), sig))
             .collect();
-        batch_verify_par(&items, threads, &mut rng)?;
+        fold_verify(&items, &encodings, threads, &mut rng)?;
         Ok(rng)
     }
 }
@@ -727,6 +775,125 @@ mod tests {
         sweep.push(vk, b"honest".to_vec(), honest);
         sweep.push(vk, msg.to_vec(), crafted);
         assert!(sweep.verify(1).is_err());
+    }
+
+    /// Signing keys for a fold-equivalence batch of `n` items: one key for
+    /// all, a key per item, or a mix of four repeated keys and fresh ones.
+    fn fold_keys(shape: &str, n: usize, rng: &mut HmacDrbg) -> Vec<SigningKey> {
+        let pool: Vec<SigningKey> = (0..4).map(|_| SigningKey::generate(rng)).collect();
+        (0..n)
+            .map(|i| match shape {
+                "shared" => pool[0].clone(),
+                "distinct" => SigningKey::generate(rng),
+                _ if i % 3 == 0 => SigningKey::generate(rng),
+                _ => pool[i % 4].clone(),
+            })
+            .collect()
+    }
+
+    /// Runs the fold on 1 and 2 workers from one weight seed, asserts the
+    /// two agree, and returns the verdict.
+    fn fold_on_one_and_two(items: &[(VerifyingKey, &[u8], Signature)]) -> Result<(), CryptoError> {
+        let one = batch_verify_par(items, 1, &mut HmacDrbg::from_u64(77));
+        let two = batch_verify_par(items, 2, &mut HmacDrbg::from_u64(77));
+        assert_eq!(one, two, "threads 1 and 2 disagree");
+        one
+    }
+
+    const FOLD_SHAPES: [&str; 3] = ["shared", "distinct", "mixed"];
+
+    #[test]
+    fn key_merged_fold_accepts_exactly_when_every_signature_verifies() {
+        let mut rng = HmacDrbg::from_u64(70);
+        for n in [15, 16, 257] {
+            for shape in FOLD_SHAPES {
+                let keys = fold_keys(shape, n, &mut rng);
+                let msgs: Vec<Vec<u8>> = (0..n)
+                    .map(|i| format!("{shape}-{i}").into_bytes())
+                    .collect();
+                let mut items: Vec<(VerifyingKey, &[u8], Signature)> = keys
+                    .iter()
+                    .zip(&msgs)
+                    .map(|(k, m)| (k.verifying_key(), m.as_slice(), k.sign(m)))
+                    .collect();
+                assert!(items.iter().all(|(vk, m, sig)| vk.verify(m, sig).is_ok()));
+                assert_eq!(fold_on_one_and_two(&items), Ok(()), "{shape} n={n}");
+                // A bad s on an item whose key repeats (item 4 shares pool
+                // key 0 in every shape but "distinct", where no key repeats).
+                items[4].2.s += Scalar::ONE;
+                assert!(items[4].0.verify(items[4].1, &items[4].2).is_err());
+                assert_eq!(
+                    fold_on_one_and_two(&items),
+                    Err(CryptoError::BadSignature),
+                    "{shape} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn key_merged_fold_rejects_bad_commitment_points() {
+        let mut rng = HmacDrbg::from_u64(71);
+        let undecodable = (2u8..)
+            .map(|b| {
+                let mut bytes = [0u8; 32];
+                bytes[0] = b;
+                CompressedPoint(bytes)
+            })
+            .find(|c| c.decompress().is_none())
+            .expect("some y has no x");
+        for n in [15, 16, 257] {
+            for shape in FOLD_SHAPES {
+                let keys = fold_keys(shape, n, &mut rng);
+                let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 7]).collect();
+                let honest: Vec<(VerifyingKey, &[u8], Signature)> = keys
+                    .iter()
+                    .zip(&msgs)
+                    .map(|(k, m)| (k.verifying_key(), m.as_slice(), k.sign(m)))
+                    .collect();
+                // An undecodable R, and a small-order R = 𝒪 with
+                // s = e·sk, which satisfies s·B = R + e·A.
+                let mut bad_r = honest.clone();
+                bad_r[n - 1].2.r = undecodable;
+                let mut small = honest.clone();
+                let (key, msg) = (&keys[4], msgs[4].as_slice());
+                let r = EdwardsPoint::IDENTITY.compress();
+                let e = challenge(&r, &key.public_key_compressed(), msg);
+                small[4].2 = Signature {
+                    r,
+                    s: e * key.secret(),
+                };
+                for items in [&bad_r, &small] {
+                    let single = items
+                        .iter()
+                        .map(|(vk, m, sig)| vk.verify(m, sig))
+                        .find(Result::is_err);
+                    assert_eq!(single, Some(Err(CryptoError::InvalidPoint)));
+                    assert_eq!(
+                        fold_on_one_and_two(items),
+                        Err(CryptoError::InvalidPoint),
+                        "{shape} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_merged_fold_sweep_is_thread_count_free() {
+        // The committed sweep folds the same keys it binds: its verdict and
+        // the DRBG it hands on do not depend on the worker count.
+        let mut rng = HmacDrbg::from_u64(72);
+        let keys = fold_keys("mixed", 257, &mut rng);
+        let mut sweep = SignatureSweep::new(b"test-sweep-v1");
+        for (i, key) in keys.iter().enumerate() {
+            let msg = (i as u64).to_le_bytes().to_vec();
+            let sig = key.sign(&msg);
+            sweep.push(key.verifying_key(), msg, sig);
+        }
+        let mut one = sweep.verify(1).expect("honest sweep");
+        let mut two = sweep.verify(2).expect("honest sweep");
+        assert_eq!(one.scalar(), two.scalar());
     }
 
     #[test]

@@ -479,12 +479,14 @@ impl EnvelopeLedger {
         Ok(idx)
     }
 
-    /// Records a batch of commitments (setup stocks hundreds of
-    /// thousands of envelopes at once; Fig 7 line 5, and the ceremony
-    /// pool's batched refills). All-or-nothing on signature failure;
-    /// printer signatures are checked through one RLC fold with the same
-    /// weight derivation and fallback as
-    /// [`RegistrationLedger::post_batch`].
+    /// Records a batch of commitments: setup's booth supply (Fig 7 line 5)
+    /// and every restock, posted by `vg-trip`'s `print_supply` in chunks
+    /// of at most 4 096, and the ceremony pool's batched refills.
+    /// All-or-nothing on signature failure; printer signatures are checked
+    /// through one RLC fold with the same weight derivation and fallback
+    /// as [`RegistrationLedger::post_batch`]. The fold carries one term per
+    /// distinct printer key, so a chunk from |P| printers folds n + |P| + 1
+    /// terms.
     pub fn commit_batch(
         &mut self,
         commitments: Vec<EnvelopeCommitment>,

@@ -6,12 +6,20 @@
 //! (P_pk, H(e), σ_p) to the envelope ledger L_E, enabling the
 //! activation-time duplicate-challenge detection of Appendix F.3.5.
 //!
+//! A supply (setup's n_E envelopes, a booth restock, a printer's batch) is
+//! printed by [`print_supply`]: every challenge and symbol is drawn in
+//! order, the signatures are computed on the host's cores, and L_E takes
+//! the commitments through [`EnvelopeLedger::commit_batch`] in chunks of
+//! at most 4 096. The ledger and the drawn stream are those of
+//! one [`EnvelopePrinter::print_one`] per envelope; only the time differs.
+//!
 //! The [`EnvelopePrinter::print_duplicates`] method models the
 //! envelope-stuffing attack of the individual-verifiability analysis
 //! (§5.1): a compromised registrar printing k envelopes with the *same*
 //! challenge to improve its forgery odds.
 
 use vg_crypto::drbg::Rng;
+use vg_crypto::par::{default_threads, par_map};
 use vg_crypto::schnorr::SigningKey;
 use vg_crypto::{CompressedPoint, Scalar};
 use vg_ledger::{challenge_hash, EnvelopeCommitment, EnvelopeLedger, LedgerError};
@@ -79,16 +87,14 @@ impl EnvelopePrinter {
     }
 
     /// Prints a batch of `n` honest envelopes with fresh random challenges
-    /// and random symbols.
+    /// and random symbols: [`print_supply`] with this printer alone.
     pub fn print_batch(
         &self,
         ledger: &mut EnvelopeLedger,
         n: usize,
         rng: &mut dyn Rng,
     ) -> Result<Vec<Envelope>, LedgerError> {
-        (0..n)
-            .map(|_| self.print_one(ledger, rng.scalar(), Symbol::random(rng)))
-            .collect()
+        print_supply(std::slice::from_ref(self), ledger, n, rng)
     }
 
     /// Models the adversarial duplicate-envelope ("stuffing") attack: `k`
@@ -110,6 +116,51 @@ impl EnvelopePrinter {
             })
             .collect()
     }
+}
+
+/// Most envelopes one [`print_supply`] chunk posts to L_E. It bounds the
+/// working memory of a supply at an electorate's size, and one printer's
+/// full chunk folds 4 098 terms, enough for the fold's multi-scalar
+/// multiplication to split across cores.
+pub(crate) const SUPPLY_CHUNK: usize = 4096;
+
+/// Prints `n` honest envelopes round-robin across `printers` (envelope `i`
+/// from printer `i mod |P|`) and commits them to L_E.
+///
+/// Each envelope's `(e, symbol)` is drawn from `rng` in envelope order, as
+/// a loop of [`EnvelopePrinter::print_one`] draws them. The signatures are
+/// computed on [`default_threads`] workers, and each chunk of at most
+/// 4 096 commitments is posted through one
+/// [`EnvelopeLedger::commit_batch`]: one folded printer-signature check,
+/// then one batch append. The envelopes, L_E's records and head, and the
+/// rng's state afterwards are those of the `print_one` loop. A chunk that
+/// fails its check is not posted; earlier chunks stay on L_E.
+///
+/// # Panics
+///
+/// Panics if `printers` is empty and `n > 0`.
+pub fn print_supply(
+    printers: &[EnvelopePrinter],
+    ledger: &mut EnvelopeLedger,
+    n: usize,
+    rng: &mut dyn Rng,
+) -> Result<Vec<Envelope>, LedgerError> {
+    let threads = default_threads();
+    let mut supply = Vec::with_capacity(n);
+    for lo in (0..n).step_by(SUPPLY_CHUNK) {
+        let drawn: Vec<(usize, Scalar, Symbol)> = (lo..n.min(lo + SUPPLY_CHUNK))
+            .map(|i| (i % printers.len(), rng.scalar(), Symbol::random(rng)))
+            .collect();
+        let (envelopes, commitments): (Vec<Envelope>, Vec<EnvelopeCommitment>) =
+            par_map(&drawn, threads, |&(p, e, symbol)| {
+                printers[p].print_detached(e, symbol)
+            })
+            .into_iter()
+            .unzip();
+        ledger.commit_batch(commitments, threads)?;
+        supply.extend(envelopes);
+    }
+    Ok(supply)
 }
 
 #[cfg(test)]

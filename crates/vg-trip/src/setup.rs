@@ -17,7 +17,7 @@ use crate::error::TripError;
 use crate::kiosk::{Kiosk, KioskBehavior, StolenCredential};
 use crate::materials::{Envelope, Symbol};
 use crate::official::Official;
-use crate::printer::EnvelopePrinter;
+use crate::printer::{print_supply, EnvelopePrinter};
 
 /// Configuration for a TRIP deployment.
 #[derive(Clone, Debug)]
@@ -156,7 +156,10 @@ pub struct TripSystem {
 }
 
 impl TripSystem {
-    /// Runs Setup (Fig 7) with all kiosks honest.
+    /// Runs Setup (Fig 7) with all kiosks honest. The booth supply is
+    /// printed and committed to L_E by [`print_supply`]: signed on the
+    /// host's cores, posted in folded batches, and bit-identical to one
+    /// `print_one` per envelope.
     pub fn setup(config: TripConfig, rng: &mut dyn Rng) -> Self {
         Self::setup_with_behavior(config, KioskBehavior::Honest, rng)
     }
@@ -189,19 +192,13 @@ impl TripSystem {
             .collect();
 
         // Envelope issuance (Fig 7 line 5), round-robin across printers.
-        let supply = config.envelope_supply();
-        let mut booth_envelopes = Vec::with_capacity(supply);
-        for i in 0..supply {
-            let printer = &printers[i % printers.len()];
-            let env = printer
-                .print_one(
-                    &mut ledger.envelopes,
-                    rng.scalar(),
-                    crate::materials::Symbol::random(rng),
-                )
-                .expect("honest printer commits envelopes");
-            booth_envelopes.push(env);
-        }
+        let booth_envelopes = print_supply(
+            &printers,
+            &mut ledger.envelopes,
+            config.envelope_supply(),
+            rng,
+        )
+        .expect("honest printers commit envelopes");
 
         let kiosk_registry = kiosks.iter().map(|k| k.public_key()).collect();
         let printer_registry = printers.iter().map(|p| p.public_key()).collect();
@@ -226,22 +223,15 @@ impl TripSystem {
     /// Tops the booth supply back up above the λ_E floor whenever it runs
     /// low, keeping every symbol stocked (printers may issue additional
     /// envelopes; paper footnote 6). The floor also prevents coerced
-    /// voters from counting the supply (Appendix F.1).
+    /// voters from counting the supply (Appendix F.1). The restock is one
+    /// [`print_supply`] of twice the floor.
     pub fn restock_booth(&mut self, rng: &mut dyn Rng) -> Result<(), vg_ledger::LedgerError> {
         let floor = (self.config.lambda_e * self.config.n_kiosks).max(16);
         if self.booth_envelopes.len() >= floor {
             return Ok(());
         }
-        let batch = floor * 2;
-        for i in 0..batch {
-            let printer = &self.printers[i % self.printers.len()];
-            let env = printer.print_one(
-                &mut self.ledger.envelopes,
-                rng.scalar(),
-                crate::materials::Symbol::random(rng),
-            )?;
-            self.booth_envelopes.push(env);
-        }
+        let restock = print_supply(&self.printers, &mut self.ledger.envelopes, floor * 2, rng)?;
+        self.booth_envelopes.extend(restock);
         Ok(())
     }
 }
@@ -274,7 +264,151 @@ pub fn pick_envelope(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::printer::SUPPLY_CHUNK;
     use vg_crypto::HmacDrbg;
+
+    /// The reference a batched supply must reproduce: one `print_one` per
+    /// envelope, printer `i mod |P|`, drawing `(e, symbol)` in order.
+    fn print_loop(
+        printers: &[EnvelopePrinter],
+        ledger: &mut EnvelopeLedger,
+        n: usize,
+        rng: &mut dyn Rng,
+    ) -> Vec<Envelope> {
+        (0..n)
+            .map(|i| {
+                printers[i % printers.len()]
+                    .print_one(ledger, rng.scalar(), Symbol::random(rng))
+                    .expect("honest printer commits")
+            })
+            .collect()
+    }
+
+    /// Setup's draws in setup's order, with the supply printed by
+    /// [`print_loop`]: returns the supply, L_E's `(size, root)` and the
+    /// generator's next output.
+    fn loop_setup(config: &TripConfig, seed: u64) -> (Vec<Envelope>, (u64, [u8; 32]), [u8; 32]) {
+        let mut rng = HmacDrbg::from_u64(seed);
+        let roster = (1..=config.n_voters).map(VoterId).collect();
+        let mut ledger = Ledger::with_backend(roster, config.backend.clone(), &mut rng);
+        let authority = Authority::dkg(config.n_authority, config.threshold, &mut rng);
+        let mac_key = rng.bytes32();
+        for _ in 0..config.n_officials {
+            Official::new(mac_key, &mut rng);
+        }
+        for _ in 0..config.n_kiosks {
+            Kiosk::new(
+                mac_key,
+                authority.public_key,
+                KioskBehavior::Honest,
+                &mut rng,
+            );
+        }
+        let printers: Vec<EnvelopePrinter> = (0..config.n_printers)
+            .map(|_| EnvelopePrinter::new(&mut rng))
+            .collect();
+        let supply = print_loop(
+            &printers,
+            &mut ledger.envelopes,
+            config.envelope_supply(),
+            &mut rng,
+        );
+        TransportKeyring::generate(config.n_kiosks, &mut rng);
+        let head = ledger.envelopes.tree_head();
+        (supply, (head.size, head.root), rng.bytes32())
+    }
+
+    fn supply_config(n_voters: u64, lambda_e: usize, n_printers: usize) -> TripConfig {
+        TripConfig {
+            n_voters,
+            lambda_e,
+            n_printers,
+            ..TripConfig::default()
+        }
+    }
+
+    /// `TripSystem::setup` against [`loop_setup`] from the same seed.
+    fn assert_setup_matches_loop(config: TripConfig, seed: u64) {
+        let (supply, head, next) = loop_setup(&config, seed);
+        let mut rng = HmacDrbg::from_u64(seed);
+        let system = TripSystem::setup(config, &mut rng);
+        let batched = system.ledger.envelopes.tree_head();
+        assert_eq!(system.booth_envelopes, supply);
+        assert_eq!((batched.size, batched.root), head);
+        assert_eq!(rng.bytes32(), next);
+    }
+
+    #[test]
+    fn supply_matches_print_one_loop_below_the_parallel_cutoff() {
+        // 2·2 + 4·1 + 1 = 9 envelopes: every step runs inline.
+        for n_printers in [1, 3] {
+            let config = supply_config(2, 4, n_printers);
+            assert_eq!(config.envelope_supply(), 9);
+            assert_setup_matches_loop(config, 61);
+        }
+    }
+
+    #[test]
+    fn supply_matches_print_one_loop_on_the_host_cores() {
+        for n_printers in [1, 3] {
+            let config = supply_config(40, 16, n_printers);
+            assert_eq!(config.envelope_supply(), 97);
+            assert_setup_matches_loop(config, 62);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "4 097 envelopes; run in release")]
+    fn supply_matches_print_one_loop_past_a_chunk() {
+        for n_printers in [1, 3] {
+            let config = supply_config(2040, 16, n_printers);
+            assert_eq!(config.envelope_supply(), SUPPLY_CHUNK + 1);
+            assert_setup_matches_loop(config, 63);
+        }
+    }
+
+    #[test]
+    fn supply_matches_print_one_loop_on_restock() {
+        for n_printers in [1, 3] {
+            let config = supply_config(4, 16, n_printers);
+            let mut rng_a = HmacDrbg::from_u64(64);
+            let mut rng_b = HmacDrbg::from_u64(64);
+            let mut a = TripSystem::setup(config.clone(), &mut rng_a);
+            let mut b = TripSystem::setup(config, &mut rng_b);
+            a.booth_envelopes.truncate(3);
+            b.booth_envelopes.truncate(3);
+            a.restock_booth(&mut rng_a).expect("restocks");
+            // The floor is max(λ_E·|K|, 16) = 16; a restock prints twice it.
+            let restock = print_loop(&b.printers, &mut b.ledger.envelopes, 32, &mut rng_b);
+            b.booth_envelopes.extend(restock);
+            assert_eq!(a.booth_envelopes, b.booth_envelopes);
+            assert_eq!(
+                a.ledger.envelopes.tree_head(),
+                b.ledger.envelopes.tree_head()
+            );
+            assert_eq!(rng_a.bytes32(), rng_b.bytes32());
+        }
+    }
+
+    #[test]
+    fn supply_matches_print_one_loop_in_print_batch() {
+        for n in [9, 40] {
+            let mut rng_a = HmacDrbg::from_u64(65);
+            let mut rng_b = HmacDrbg::from_u64(65);
+            let mut a = TripSystem::setup(TripConfig::with_voters(4), &mut rng_a);
+            let mut b = TripSystem::setup(TripConfig::with_voters(4), &mut rng_b);
+            let batch = a.printers[0]
+                .print_batch(&mut a.ledger.envelopes, n, &mut rng_a)
+                .expect("prints");
+            let looped = print_loop(&b.printers[..1], &mut b.ledger.envelopes, n, &mut rng_b);
+            assert_eq!(batch, looped);
+            assert_eq!(
+                a.ledger.envelopes.tree_head(),
+                b.ledger.envelopes.tree_head()
+            );
+            assert_eq!(rng_a.bytes32(), rng_b.bytes32());
+        }
+    }
 
     #[test]
     fn setup_produces_consistent_system() {

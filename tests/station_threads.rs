@@ -17,10 +17,26 @@ fn live_threads() -> usize {
         .count()
 }
 
+/// Waits (up to about a second) until the thread count is back to
+/// `count`: a scoped worker whose scope has returned can still be listed
+/// while its OS thread exits.
+fn settle_to(count: usize) {
+    for _ in 0..200 {
+        if live_threads() == count {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn inline_day_at_one_thread_spawns_no_thread() {
     let mut rng = HmacDrbg::from_u64(23);
+    // Setup prints the booth supply on the host's cores; its workers are
+    // gone before the day is counted.
+    let idle = live_threads();
     let mut system = TripSystem::setup(TripConfig::with_voters(7), &mut rng);
+    settle_to(idle);
     // Four windows of two sessions (the last one short), activated.
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
