@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use crate::drbg::Rng;
 use crate::edwards::{CompressedPoint, EdwardsPoint};
 use crate::scalar::Scalar;
-use crate::sha2::{sha256, Sha512};
+use crate::sha2::{sha256, Sha256, Sha512};
 use crate::CryptoError;
 
 /// A Schnorr signing key pair.
@@ -317,19 +317,23 @@ pub fn batch_verify_par(
     // One shared inversion for all the public-key encodings the challenge
     // hashes need (compressing them one by one is inversion-bound).
     let vk_points: Vec<EdwardsPoint> = items.iter().map(|(vk, _, _)| vk.0).collect();
+    let encodings = EdwardsPoint::batch_compress(&vk_points);
     fold_verify(
         items,
-        &EdwardsPoint::batch_compress(&vk_points),
+        |(vk, msg, sig)| (vk, msg, sig),
+        &encodings,
         threads,
         rng,
     )
 }
 
-/// The fold behind [`batch_verify_par`], given every item's key encoding
-/// (`encodings[i]` compresses `items[i].0`), so a caller that already holds
-/// them does not compress the keys twice.
-fn fold_verify(
-    items: &[(VerifyingKey, &[u8], Signature)],
+/// The fold behind [`batch_verify_par`] over any item storage (`item`
+/// names an item's key, message and signature), given every item's key
+/// encoding (`encodings[i]` compresses item i's key), so a caller that
+/// already holds them does not compress the keys twice.
+fn fold_verify<T: Sync>(
+    items: &[T],
+    item: impl Fn(&T) -> (&VerifyingKey, &[u8], &Signature) + Sync,
     encodings: &[CompressedPoint],
     threads: usize,
     rng: &mut dyn Rng,
@@ -341,7 +345,8 @@ fn fold_verify(
     // Per item, in parallel; the first failing item in input order decides
     // the error.
     let checked: Vec<(EdwardsPoint, Scalar)> =
-        crate::par::par_map(&paired, threads, |((_, msg, sig), vk_c)| {
+        crate::par::par_map(&paired, threads, |(it, vk_c)| {
+            let (_, msg, sig) = item(it);
             let r_point = sig.r.decompress().ok_or(CryptoError::InvalidPoint)?;
             // The same rejection `VerifyingKey::verify` makes: without it a
             // key holder's (R = 𝒪, s = e·sk) folds clean here and fails one
@@ -361,9 +366,8 @@ fn fold_verify(
     let mut key_slot: HashMap<CompressedPoint, usize> = HashMap::new();
     let mut key_terms: Vec<(Scalar, EdwardsPoint)> = Vec::new();
     let mut s_sum = Scalar::ZERO;
-    for (((vk, _, sig), vk_c), ((r_point, e), z)) in
-        paired.iter().zip(checked.into_iter().zip(weights))
-    {
+    for ((it, vk_c), ((r_point, e), z)) in paired.iter().zip(checked.into_iter().zip(weights)) {
+        let (vk, _, sig) = item(it);
         s_sum += z * sig.s;
         scalars.push(z);
         points.push(r_point);
@@ -409,23 +413,24 @@ fn fold_verify(
 /// `vg-votegral`'s ballot admission; each runs the key-merged fold of
 /// [`batch_verify`].
 pub struct SignatureSweep {
-    label: Vec<u8>,
-    keys: Vec<(VerifyingKey, Signature)>,
-    msgs: Vec<Vec<u8>>,
+    /// The running weight commitment: the label, then every committed
+    /// byte string and queued item, as they arrive.
+    label: Sha256,
+    items: Vec<(VerifyingKey, Vec<u8>, Signature)>,
 }
 
 impl SignatureSweep {
     /// Starts an empty sweep under `domain` (a versioned, per-call-site
     /// separation label).
     pub fn new(domain: &[u8]) -> Self {
-        let mut label = Vec::with_capacity(64 + domain.len());
-        label.extend_from_slice(b"votegral-committed-sweep-v1");
-        label.extend_from_slice(&(domain.len() as u64).to_le_bytes());
-        label.extend_from_slice(domain);
+        let mut label = Sha256::new();
+        label
+            .update(b"votegral-committed-sweep-v1")
+            .update(&(domain.len() as u64).to_le_bytes())
+            .update(domain);
         Self {
             label,
-            keys: Vec::new(),
-            msgs: Vec::new(),
+            items: Vec::new(),
         }
     }
 
@@ -434,8 +439,8 @@ impl SignatureSweep {
     /// statements this sweep's items do not already bind).
     pub fn commit(&mut self, bytes: &[u8]) {
         self.label
-            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        self.label.extend_from_slice(bytes);
+            .update(&(bytes.len() as u64).to_le_bytes())
+            .update(bytes);
     }
 
     /// Queues one `(key, message, signature)` triple, committing all three
@@ -444,21 +449,20 @@ impl SignatureSweep {
     /// compression).
     pub fn push(&mut self, vk: VerifyingKey, msg: Vec<u8>, sig: Signature) {
         self.label
-            .extend_from_slice(&(msg.len() as u64).to_le_bytes());
-        self.label.extend_from_slice(&msg);
-        self.label.extend_from_slice(&sig.to_bytes());
-        self.keys.push((vk, sig));
-        self.msgs.push(msg);
+            .update(&(msg.len() as u64).to_le_bytes())
+            .update(&msg)
+            .update(&sig.to_bytes());
+        self.items.push((vk, msg, sig));
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.items.len()
     }
 
     /// Returns `true` if nothing was queued.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.items.is_empty()
     }
 
     /// Runs the single folded check over up to `threads` workers.
@@ -474,20 +478,20 @@ impl SignatureSweep {
         // commitment is immaterial; completeness is what soundness needs),
         // sharing one inversion across the whole batch. The fold's
         // challenge hashes reuse the same encodings.
-        let vk_points: Vec<EdwardsPoint> = self.keys.iter().map(|(vk, _)| vk.0).collect();
+        let vk_points: Vec<EdwardsPoint> = self.items.iter().map(|(vk, _, _)| vk.0).collect();
         let encodings = EdwardsPoint::batch_compress(&vk_points);
         let mut label = self.label.clone();
         for c in &encodings {
-            label.extend_from_slice(&c.0);
+            label.update(&c.0);
         }
-        let mut rng = crate::HmacDrbg::new(&sha256(&label));
-        let items: Vec<(VerifyingKey, &[u8], Signature)> = self
-            .keys
-            .iter()
-            .zip(self.msgs.iter())
-            .map(|(&(vk, sig), msg)| (vk, msg.as_slice(), sig))
-            .collect();
-        fold_verify(&items, &encodings, threads, &mut rng)?;
+        let mut rng = crate::HmacDrbg::new(&label.finalize());
+        fold_verify(
+            &self.items,
+            |(vk, msg, sig)| (vk, msg, sig),
+            &encodings,
+            threads,
+            &mut rng,
+        )?;
         Ok(rng)
     }
 }
