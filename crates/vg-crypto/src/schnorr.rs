@@ -338,6 +338,8 @@ fn fold_verify<T: Sync>(
     threads: usize,
     rng: &mut dyn Rng,
 ) -> Result<(), CryptoError> {
+    // A short encoding list would drop items from the fold unchecked.
+    assert_eq!(items.len(), encodings.len(), "one key encoding per item");
     if items.is_empty() {
         return Ok(());
     }
