@@ -903,6 +903,30 @@ mod tests {
     }
 
     #[test]
+    fn sweep_pin_weight_stream() {
+        // One commit and 40 items under three repeated keys and fresh
+        // ones: the DRBG the sweep hands on is a fixed byte stream, so no
+        // label byte may move.
+        let mut rng = HmacDrbg::from_u64(74);
+        let pool: Vec<SigningKey> = (0..3).map(|_| SigningKey::generate(&mut rng)).collect();
+        let mut sweep = SignatureSweep::new(b"test-sweep-pin-v1");
+        sweep.commit(b"statement material");
+        for i in 0..40 {
+            let fresh = SigningKey::generate(&mut rng);
+            let key = if i % 4 == 0 { &fresh } else { &pool[i % 3] };
+            let msg = format!("pin-{i}").into_bytes();
+            let sig = key.sign(&msg);
+            sweep.push(key.verifying_key(), msg, sig);
+        }
+        let next = sweep.verify(2).expect("honest sweep").bytes32();
+        let hex: String = next.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "02542e3c03565bf649526258cb6ed545eb1ef37107bcc1ab4207559846579b3b"
+        );
+    }
+
+    #[test]
     fn batch_verify_empty_is_ok() {
         let mut rng = HmacDrbg::from_u64(11);
         batch_verify(&[], &mut rng).expect("empty batch");

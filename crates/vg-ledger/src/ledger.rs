@@ -945,6 +945,72 @@ mod tests {
         assert!(ledger.ballots.post(bad).is_err());
     }
 
+    /// A public key A = a·B + T, with T of order 8, and a signature on
+    /// `msg` whose nonce is ground until R = k·B − e·T: the single check
+    /// s·B = R + e·A holds, while a fold that reduces zᵢ·eᵢ modulo ℓ is
+    /// left a torsion residue (7 times in 8).
+    fn torsioned_signature(msg: &[u8], rng: &mut dyn Rng) -> (CompressedPoint, Signature) {
+        let inv8 = Scalar::from_u64(8).invert();
+        let t = (1u8..)
+            .filter_map(|b| CompressedPoint([b; 32]).decompress())
+            .map(|p| p - p.mul_by_cofactor() * inv8)
+            .find(|t| !t.double().double().is_identity())
+            .expect("some point has a component of order 8");
+        let a = rng.scalar();
+        let pk = (EdwardsPoint::mul_base(&a) + t).compress();
+        loop {
+            let k = rng.scalar();
+            for j in 0..8u8 {
+                let r = (EdwardsPoint::mul_base(&k) - t * Scalar::from_u64(j.into())).compress();
+                // The scheme's Fiat–Shamir challenge e = H(R ‖ A ‖ M).
+                let hash = [&b"votegral-schnorr-v1"[..], &r.0, &pk.0, msg].concat();
+                let e = Scalar::from_bytes_mod_order(&vg_crypto::sha2::sha256(&hash));
+                if e.to_bytes()[0] % 8 == j {
+                    return (pk, Signature { r, s: k + e * a });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn torsion_items_that_verify_alone_are_admitted_in_batches() {
+        let mut rng = HmacDrbg::from_u64(8);
+        let kiosk = SigningKey::generate(&mut rng);
+        let official = SigningKey::generate(&mut rng);
+        let mut ledger = Ledger::new(vec![VoterId(1), VoterId(2), VoterId(3)], &mut rng);
+        let mut records: Vec<RegistrationRecord> = (1..=3)
+            .map(|v| sample_record(VoterId(v), &kiosk, &official, &mut rng))
+            .collect();
+        let r = &mut records[1];
+        let kiosk_msg = RegistrationRecord::kiosk_message(r.voter_id, &r.c_pc);
+        (r.kiosk_pk, r.kiosk_sig) = torsioned_signature(&kiosk_msg, &mut rng);
+        let official_msg = RegistrationRecord::official_message(r.voter_id, &r.c_pc, &r.kiosk_sig);
+        r.official_sig = official.sign(&official_msg);
+        let kiosk_vk = VerifyingKey::from_compressed(&r.kiosk_pk).expect("mixed order decodes");
+        kiosk_vk
+            .verify(&kiosk_msg, &r.kiosk_sig)
+            .expect("verifies alone");
+        assert_eq!(ledger.registration.post_batch(records, 1), Ok(0..3));
+
+        let printer = SigningKey::generate(&mut rng);
+        let mut commitments: Vec<EnvelopeCommitment> = (0..3)
+            .map(|_| {
+                let h = challenge_hash(&rng.scalar());
+                let signature = printer.sign(&EnvelopeCommitment::message(&h));
+                let printer_pk = printer.public_key_compressed();
+                EnvelopeCommitment {
+                    printer_pk,
+                    challenge_hash: h,
+                    signature,
+                }
+            })
+            .collect();
+        let c = &mut commitments[1];
+        let msg = EnvelopeCommitment::message(&c.challenge_hash);
+        (c.printer_pk, c.signature) = torsioned_signature(&msg, &mut rng);
+        assert_eq!(ledger.envelopes.commit_batch(commitments, 1), Ok(0..3));
+    }
+
     #[test]
     fn tree_heads_verify() {
         let mut rng = HmacDrbg::from_u64(7);
