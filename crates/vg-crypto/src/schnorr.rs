@@ -218,33 +218,6 @@ impl SigningKey {
     }
 }
 
-/// A decompression memo for admission sweeps.
-///
-/// Batched ledger admission, check-out and activation see the *same* few
-/// registrar keys (kiosks, officials, printers) tens of thousands of
-/// times, and every [`VerifyingKey::from_compressed`] costs a field
-/// square root. The cache decodes each distinct encoding once, with the
-/// same small-order rejection.
-#[derive(Default)]
-pub struct VerifyingKeyCache {
-    memo: HashMap<[u8; 32], Result<VerifyingKey, CryptoError>>,
-}
-
-impl VerifyingKeyCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`VerifyingKey::from_compressed`], memoized.
-    pub fn get(&mut self, c: &CompressedPoint) -> Result<VerifyingKey, CryptoError> {
-        *self
-            .memo
-            .entry(c.0)
-            .or_insert_with(|| VerifyingKey::from_compressed(c))
-    }
-}
-
 impl VerifyingKey {
     /// Verifies `sig` over `msg` (`Sig.Vf`).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
@@ -296,59 +269,49 @@ impl VerifyingKey {
 /// Returns `Ok(())` only if *every* signature is valid (callers fall back
 /// to per-item verification to locate an offender). An undecodable or
 /// small-order R is [`CryptoError::InvalidPoint`], decided before any
-/// weight is drawn.
+/// weight is drawn. The keys are already decoded: their encodings, which
+/// the challenge hashes need, share one inversion, and the fold keys its
+/// table by them as [`SignatureSweep`] does.
 pub fn batch_verify(
     items: &[(VerifyingKey, &[u8], Signature)],
     rng: &mut dyn Rng,
 ) -> Result<(), CryptoError> {
-    batch_verify_par(items, 1, rng)
+    let points: Vec<EdwardsPoint> = items.iter().map(|(vk, _, _)| vk.0).collect();
+    let mut keys = Vec::new();
+    let mut slots = HashMap::new();
+    let slotted: Vec<(usize, &[u8], Signature)> = EdwardsPoint::batch_compress(&points)
+        .into_iter()
+        .zip(items)
+        .map(|(pk, (vk, msg, sig))| {
+            let slot = *slots.entry(pk).or_insert_with(|| {
+                keys.push((pk, *vk));
+                keys.len() - 1
+            });
+            (slot, *msg, *sig)
+        })
+        .collect();
+    fold_verify(&keys, &slotted, 1, rng)
 }
 
-/// [`batch_verify`] on up to `threads` workers: the per-item R
+/// The key-merged fold behind [`batch_verify`] and [`SignatureSweep`] on
+/// up to `threads` workers: `keys` holds each distinct key once, with its
+/// encoding, and every item names its key by slot. The per-item R
 /// decompressions, small-order rejections and challenge hashes run under
-/// [`crate::par::par_map`], and the folded multi-scalar multiplication
-/// splits across workers once it is large enough (large registration and
-/// admission batches are Pippenger-bound; the fold parallelizes cleanly).
-pub fn batch_verify_par(
-    items: &[(VerifyingKey, &[u8], Signature)],
+/// [`crate::par::par_map`], and the multi-scalar multiplication splits
+/// across workers once it is large enough.
+fn fold_verify<M: AsRef<[u8]> + Sync>(
+    keys: &[(CompressedPoint, VerifyingKey)],
+    items: &[(usize, M, Signature)],
     threads: usize,
     rng: &mut dyn Rng,
 ) -> Result<(), CryptoError> {
-    // One shared inversion for all the public-key encodings the challenge
-    // hashes need (compressing them one by one is inversion-bound).
-    let vk_points: Vec<EdwardsPoint> = items.iter().map(|(vk, _, _)| vk.0).collect();
-    let encodings = EdwardsPoint::batch_compress(&vk_points);
-    fold_verify(
-        items,
-        |(vk, msg, sig)| (vk, msg, sig),
-        &encodings,
-        threads,
-        rng,
-    )
-}
-
-/// The fold behind [`batch_verify_par`] over any item storage (`item`
-/// names an item's key, message and signature), given every item's key
-/// encoding (`encodings[i]` compresses item i's key), so a caller that
-/// already holds them does not compress the keys twice.
-fn fold_verify<T: Sync>(
-    items: &[T],
-    item: impl Fn(&T) -> (&VerifyingKey, &[u8], &Signature) + Sync,
-    encodings: &[CompressedPoint],
-    threads: usize,
-    rng: &mut dyn Rng,
-) -> Result<(), CryptoError> {
-    // A short encoding list would drop items from the fold unchecked.
-    assert_eq!(items.len(), encodings.len(), "one key encoding per item");
     if items.is_empty() {
         return Ok(());
     }
-    let paired: Vec<_> = items.iter().zip(encodings).collect();
     // Per item, in parallel; the first failing item in input order decides
     // the error.
     let checked: Vec<(EdwardsPoint, Scalar)> =
-        crate::par::par_map(&paired, threads, |(it, vk_c)| {
-            let (_, msg, sig) = item(it);
+        crate::par::par_map(items, threads, |(slot, msg, sig)| {
             let r_point = sig.r.decompress().ok_or(CryptoError::InvalidPoint)?;
             // The same rejection `VerifyingKey::verify` makes: without it a
             // key holder's (R = 𝒪, s = e·sk) folds clean here and fails one
@@ -356,33 +319,25 @@ fn fold_verify<T: Sync>(
             if r_point.is_small_order() {
                 return Err(CryptoError::InvalidPoint);
             }
-            Ok((r_point, challenge(&sig.r, vk_c, msg)))
+            Ok((r_point, challenge(&sig.r, &keys[*slot].0, msg.as_ref())))
         })
         .into_iter()
         .collect::<Result<_, _>>()?;
     let weights = crate::batch::small_weights(rng, items.len());
 
-    let mut scalars = Vec::with_capacity(items.len() + 2);
-    let mut points = Vec::with_capacity(items.len() + 2);
-    // One term per distinct key, found by its encoding.
-    let mut key_slot: HashMap<CompressedPoint, usize> = HashMap::new();
-    let mut key_terms: Vec<(Scalar, EdwardsPoint)> = Vec::new();
+    let mut scalars = Vec::with_capacity(items.len() + keys.len() + 1);
+    let mut points = Vec::with_capacity(items.len() + keys.len() + 1);
+    // One term per distinct key.
+    let mut key_scalars = vec![Scalar::ZERO; keys.len()];
     let mut s_sum = Scalar::ZERO;
-    for ((it, vk_c), ((r_point, e), z)) in paired.iter().zip(checked.into_iter().zip(weights)) {
-        let (vk, _, sig) = item(it);
+    for ((slot, _, sig), ((r_point, e), z)) in items.iter().zip(checked.into_iter().zip(weights)) {
         s_sum += z * sig.s;
         scalars.push(z);
         points.push(r_point);
-        let slot = *key_slot.entry(**vk_c).or_insert_with(|| {
-            key_terms.push((Scalar::ZERO, vk.0));
-            key_terms.len() - 1
-        });
-        key_terms[slot].0 += z * e;
+        key_scalars[*slot] += z * e;
     }
-    for (ze, key) in key_terms {
-        scalars.push(ze);
-        points.push(key);
-    }
+    scalars.extend(key_scalars);
+    points.extend(keys.iter().map(|(_, vk)| vk.0));
     scalars.push(-s_sum);
     points.push(EdwardsPoint::basepoint());
     if crate::edwards::multiscalar_mul_par(&scalars, &points, threads).is_identity() {
@@ -410,15 +365,23 @@ fn fold_verify<T: Sync>(
 /// by an accompanying fold (e.g. Σ-transcript terms sharing the DRBG) goes
 /// in via [`SignatureSweep::commit`].
 ///
-/// Used by `vg-ledger`'s batched record admission (L_E and L_R),
-/// `vg-trip`'s batched check-out and activation checks, and
-/// `vg-votegral`'s ballot admission; each runs the key-merged fold of
-/// [`batch_verify`].
+/// Items carry their keys as the records do, compressed; the sweep decodes
+/// each distinct encoding once and runs the key-merged fold of
+/// [`batch_verify`] over them. `vg-ledger`'s batched record admission (L_E
+/// and L_R) and `vg-trip`'s batched check-out take its verdict with
+/// [`SignatureSweep::check`]; `vg-trip`'s activation and `vg-votegral`'s
+/// ballot admission continue the DRBG [`SignatureSweep::verify`] returns.
 pub struct SignatureSweep {
     /// The running weight commitment: the label, then every committed
-    /// byte string and queued item, as they arrive.
+    /// byte string and queued item's message and signature, as they
+    /// arrive.
     label: Sha256,
-    items: Vec<(VerifyingKey, Vec<u8>, Signature)>,
+    /// Each distinct key encoding pushed, with its decoded key, in first
+    /// push order; `slots` finds an encoding's index.
+    keys: Vec<(CompressedPoint, VerifyingKey)>,
+    slots: HashMap<CompressedPoint, usize>,
+    /// The queued items: key slot, message, signature.
+    items: Vec<(usize, Vec<u8>, Signature)>,
 }
 
 impl SignatureSweep {
@@ -432,6 +395,8 @@ impl SignatureSweep {
             .update(domain);
         Self {
             label,
+            keys: Vec::new(),
+            slots: HashMap::new(),
             items: Vec::new(),
         }
     }
@@ -445,16 +410,32 @@ impl SignatureSweep {
             .update(bytes);
     }
 
-    /// Queues one `(key, message, signature)` triple, committing all three
-    /// to the weight derivation (the key encodings are folded in at
-    /// [`SignatureSweep::verify`] time through one shared-inversion batch
-    /// compression).
-    pub fn push(&mut self, vk: VerifyingKey, msg: Vec<u8>, sig: Signature) {
+    /// Queues one `(key, message, signature)` triple under the key's
+    /// encoding `pk`. The first push of an encoding decodes it with
+    /// [`VerifyingKey::from_compressed`]'s rejections; a push that fails
+    /// queues and commits nothing. The message and signature enter the
+    /// weight commitment now, the key encoding at
+    /// [`SignatureSweep::verify`].
+    pub fn push(
+        &mut self,
+        pk: &CompressedPoint,
+        msg: Vec<u8>,
+        sig: Signature,
+    ) -> Result<(), CryptoError> {
+        let slot = match self.slots.get(pk) {
+            Some(&slot) => slot,
+            None => {
+                self.keys.push((*pk, VerifyingKey::from_compressed(pk)?));
+                self.slots.insert(*pk, self.keys.len() - 1);
+                self.keys.len() - 1
+            }
+        };
         self.label
             .update(&(msg.len() as u64).to_le_bytes())
             .update(&msg)
             .update(&sig.to_bytes());
-        self.items.push((vk, msg, sig));
+        self.items.push((slot, msg, sig));
+        Ok(())
     }
 
     /// Number of queued items.
@@ -472,29 +453,35 @@ impl SignatureSweep {
     /// On success returns the post-sweep DRBG so follow-on folds (e.g. a
     /// [`crate::batch::BatchVerifier`] over Σ-transcripts checked in the
     /// same admission decision) can keep drawing weights from the same
-    /// committed stream. Callers that need per-item error attribution run
-    /// their own fallback on `Err` — the fold itself cannot name an
-    /// offender.
+    /// committed stream. The fold itself cannot name an offender:
+    /// [`SignatureSweep::check`] does.
     pub fn verify(&self, threads: usize) -> Result<crate::HmacDrbg, CryptoError> {
-        // Fold the key encodings in last, in item order (order inside the
-        // commitment is immaterial; completeness is what soundness needs),
-        // sharing one inversion across the whole batch. The fold's
-        // challenge hashes reuse the same encodings.
-        let vk_points: Vec<EdwardsPoint> = self.items.iter().map(|(vk, _, _)| vk.0).collect();
-        let encodings = EdwardsPoint::batch_compress(&vk_points);
+        // The key encodings go in last, in item order (order inside the
+        // commitment is immaterial; completeness is what soundness needs).
         let mut label = self.label.clone();
-        for c in &encodings {
-            label.update(&c.0);
+        for (slot, _, _) in &self.items {
+            label.update(&self.keys[*slot].0 .0);
         }
         let mut rng = crate::HmacDrbg::new(&label.finalize());
-        fold_verify(
-            &self.items,
-            |(vk, msg, sig)| (vk, msg, sig),
-            &encodings,
-            threads,
-            &mut rng,
-        )?;
+        fold_verify(&self.keys, &self.items, threads, &mut rng)?;
         Ok(rng)
+    }
+
+    /// The sweep's verdict with its offender named: the fold of
+    /// [`SignatureSweep::verify`], and if it rejects, every item checked
+    /// alone under its decoded key, in push order, the first failure
+    /// being the error. Items that all pass alone overrule the fold (a
+    /// torsioned key or R that verifies, or a negligible-probability RLC
+    /// false negative): per-item acceptance is authoritative.
+    pub fn check(&self, threads: usize) -> Result<(), CryptoError> {
+        if self.verify(threads).is_ok() {
+            return Ok(());
+        }
+        crate::par::par_map(&self.items, threads, |(slot, msg, sig)| {
+            self.keys[*slot].1.verify(msg, sig)
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -616,20 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn committed_sweep_accepts_valid_batches() {
-        let mut rng = HmacDrbg::from_u64(51);
-        let mut sweep = SignatureSweep::new(b"test-sweep-v1");
-        for i in 0..6u8 {
-            let key = SigningKey::generate(&mut rng);
-            let msg = vec![i; 9];
-            let sig = key.sign(&msg);
-            sweep.push(key.verifying_key(), msg, sig);
-        }
-        assert_eq!(sweep.len(), 6);
-        sweep.verify(2).expect("honest batch folds clean");
-    }
-
-    #[test]
     fn committed_sweep_rejects_any_tampered_item() {
         let mut rng = HmacDrbg::from_u64(52);
         let keys: Vec<SigningKey> = (0..4).map(|_| SigningKey::generate(&mut rng)).collect();
@@ -641,9 +614,10 @@ mod tests {
                 if i == bad {
                     sig.s += Scalar::ONE;
                 }
-                sweep.push(key.verifying_key(), msg, sig);
+                sweep.push(&key.public_key_compressed(), msg, sig).unwrap();
             }
             assert!(sweep.verify(1).is_err(), "tampered item {bad} survived");
+            assert_eq!(sweep.check(1), Err(CryptoError::BadSignature));
         }
     }
 
@@ -659,7 +633,9 @@ mod tests {
             if let Some(e) = extra {
                 sweep.commit(e);
             }
-            sweep.push(key.verifying_key(), msg.to_vec(), sig);
+            sweep
+                .push(&key.public_key_compressed(), msg.to_vec(), sig)
+                .unwrap();
             sweep
         };
         let mut a = stream(b"d1", None, b"m").verify(1).expect("valid");
@@ -692,69 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_accepts_honest_batch() {
-        let mut rng = HmacDrbg::from_u64(8);
-        let msgs: Vec<Vec<u8>> = (0..20)
-            .map(|i| format!("ballot-{i}").into_bytes())
-            .collect();
-        let items: Vec<(VerifyingKey, &[u8], Signature)> = msgs
-            .iter()
-            .map(|m| {
-                let key = SigningKey::generate(&mut rng);
-                let sig = key.sign(m);
-                (key.verifying_key(), m.as_slice(), sig)
-            })
-            .collect();
-        batch_verify(&items, &mut rng).expect("honest batch verifies");
-    }
-
-    #[test]
-    fn batch_verify_rejects_single_bad_signature() {
-        let mut rng = HmacDrbg::from_u64(9);
-        let msgs: Vec<Vec<u8>> = (0..10).map(|i| format!("m{i}").into_bytes()).collect();
-        let mut items: Vec<(VerifyingKey, &[u8], Signature)> = msgs
-            .iter()
-            .map(|m| {
-                let key = SigningKey::generate(&mut rng);
-                let sig = key.sign(m);
-                (key.verifying_key(), m.as_slice(), sig)
-            })
-            .collect();
-        items[7].2.s += Scalar::ONE;
-        assert_eq!(
-            batch_verify(&items, &mut rng),
-            Err(CryptoError::BadSignature)
-        );
-    }
-
-    #[test]
-    fn batch_verify_matches_individual() {
-        // Agreement: the batch accepts exactly when every individual check
-        // accepts (probabilistically, over several random batches).
-        let mut rng = HmacDrbg::from_u64(10);
-        for round in 0..5u64 {
-            let corrupt = round % 2 == 0;
-            let msgs: Vec<Vec<u8>> = (0..6)
-                .map(|i| format!("r{round}m{i}").into_bytes())
-                .collect();
-            let mut items: Vec<(VerifyingKey, &[u8], Signature)> = msgs
-                .iter()
-                .map(|m| {
-                    let key = SigningKey::generate(&mut rng);
-                    let sig = key.sign(m);
-                    (key.verifying_key(), m.as_slice(), sig)
-                })
-                .collect();
-            if corrupt {
-                items[0].2.s += Scalar::ONE;
-            }
-            let individual_ok = items.iter().all(|(vk, m, sig)| vk.verify(m, sig).is_ok());
-            let batch_ok = batch_verify(&items, &mut rng).is_ok();
-            assert_eq!(individual_ok, batch_ok, "round {round}");
-        }
-    }
-
-    #[test]
     fn small_order_commitment_rejected_by_every_path() {
         // R = 𝒪 and s = e·sk satisfy s·B = R + e·A, so only the explicit
         // small-order rejection keeps this out — on the single path, in
@@ -778,8 +691,9 @@ mod tests {
             Err(CryptoError::InvalidPoint)
         );
         let mut sweep = SignatureSweep::new(b"test-sweep-v1");
-        sweep.push(vk, b"honest".to_vec(), honest);
-        sweep.push(vk, msg.to_vec(), crafted);
+        let pk = key.public_key_compressed();
+        sweep.push(&pk, b"honest".to_vec(), honest).unwrap();
+        sweep.push(&pk, msg.to_vec(), crafted).unwrap();
         assert!(sweep.verify(1).is_err());
     }
 
@@ -797,16 +711,33 @@ mod tests {
             .collect()
     }
 
-    /// Runs the fold on 1 and 2 workers from one weight seed, asserts the
-    /// two agree, and returns the verdict.
+    /// Runs the fold through [`batch_verify`] and through a sweep on 1
+    /// and 2 workers, asserts the three agree, and returns the verdict.
     fn fold_on_one_and_two(items: &[(VerifyingKey, &[u8], Signature)]) -> Result<(), CryptoError> {
-        let one = batch_verify_par(items, 1, &mut HmacDrbg::from_u64(77));
-        let two = batch_verify_par(items, 2, &mut HmacDrbg::from_u64(77));
-        assert_eq!(one, two, "threads 1 and 2 disagree");
+        let mut sweep = SignatureSweep::new(b"test-sweep-v1");
+        for (vk, msg, sig) in items {
+            sweep.push(&vk.compress(), msg.to_vec(), *sig).unwrap();
+        }
+        let one = sweep.verify(1).map(|_| ());
+        assert_eq!(one, sweep.verify(2).map(|_| ()), "threads 1 and 2 disagree");
+        let direct = batch_verify(items, &mut HmacDrbg::from_u64(77));
+        assert_eq!(one, direct, "the sweep and batch_verify disagree");
         one
     }
 
     const FOLD_SHAPES: [&str; 3] = ["shared", "distinct", "mixed"];
+
+    /// An encoding that is not a curve point.
+    fn undecodable() -> CompressedPoint {
+        (2u8..)
+            .map(|b| {
+                let mut bytes = [0u8; 32];
+                bytes[0] = b;
+                CompressedPoint(bytes)
+            })
+            .find(|c| c.decompress().is_none())
+            .expect("some y has no x")
+    }
 
     #[test]
     fn key_merged_fold_accepts_exactly_when_every_signature_verifies() {
@@ -840,14 +771,7 @@ mod tests {
     #[test]
     fn key_merged_fold_rejects_bad_commitment_points() {
         let mut rng = HmacDrbg::from_u64(71);
-        let undecodable = (2u8..)
-            .map(|b| {
-                let mut bytes = [0u8; 32];
-                bytes[0] = b;
-                CompressedPoint(bytes)
-            })
-            .find(|c| c.decompress().is_none())
-            .expect("some y has no x");
+        let undecodable = undecodable();
         for n in [15, 16, 257] {
             for shape in FOLD_SHAPES {
                 let keys = fold_keys(shape, n, &mut rng);
@@ -895,7 +819,7 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             let msg = (i as u64).to_le_bytes().to_vec();
             let sig = key.sign(&msg);
-            sweep.push(key.verifying_key(), msg, sig);
+            sweep.push(&key.public_key_compressed(), msg, sig).unwrap();
         }
         let mut one = sweep.verify(1).expect("honest sweep");
         let mut two = sweep.verify(2).expect("honest sweep");
@@ -916,7 +840,15 @@ mod tests {
             let key = if i % 4 == 0 { &fresh } else { &pool[i % 3] };
             let msg = format!("pin-{i}").into_bytes();
             let sig = key.sign(&msg);
-            sweep.push(key.verifying_key(), msg, sig);
+            sweep.push(&key.public_key_compressed(), msg, sig).unwrap();
+            if i == 20 {
+                // Rejected keys queue and commit nothing.
+                for bad in [undecodable(), EdwardsPoint::IDENTITY.compress()] {
+                    let refused = sweep.push(&bad, b"refused".to_vec(), sig);
+                    assert_eq!(refused, Err(CryptoError::InvalidPoint));
+                }
+                assert_eq!(sweep.len(), 21);
+            }
         }
         let next = sweep.verify(2).expect("honest sweep").bytes32();
         let hex: String = next.iter().map(|b| format!("{b:02x}")).collect();

@@ -601,7 +601,7 @@ impl<T: DurableRecord> DurableStore<T> {
         })
     }
 
-    fn absorb(&mut self, record: T, payload: &[u8], leaf: Hash) -> usize {
+    fn absorb(&mut self, record: T, payload: &[u8], leaf: Hash) {
         if self.matched < self.replayed {
             // Replay cursor: a byte-identical re-append of persisted
             // history is a no-op resolving to its original index.
@@ -613,7 +613,7 @@ impl<T: DurableRecord> DurableStore<T> {
                 self.dir.display()
             );
             self.matched += 1;
-            return self.matched - 1;
+            return;
         }
         // Event before state: the WAL frame lands before the Merkle
         // accumulator moves. An IO error poisons the record log instead
@@ -624,9 +624,8 @@ impl<T: DurableRecord> DurableStore<T> {
         // head covering the lost bytes is ever published, which is the
         // durability contract.
         let _poisoned = self.log.append(RECORD, payload);
-        let idx = self.merkle.append_leaf(leaf);
+        self.merkle.append_leaf(leaf);
         self.records.push(record);
-        idx
     }
 
     fn next_index(&self) -> usize {
@@ -650,12 +649,6 @@ fn decode_head(kind: u8, payload: &[u8]) -> Result<(u64, Hash), WalError> {
 }
 
 impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
-    fn append(&mut self, record: T) -> usize {
-        let payload = record.canonical_bytes();
-        let leaf = merkle::leaf_hash(&payload);
-        self.absorb(record, &payload, leaf)
-    }
-
     fn append_batch(&mut self, records: Vec<T>, threads: usize) -> Range<usize> {
         let start = self.next_index();
         let encoded: Vec<(Vec<u8>, Hash)> = par_map(&records, threads, |r| {
@@ -1031,10 +1024,8 @@ mod tests {
         let dir = tmp_dir("flat-equal");
         let mut durable = DurableStore::<Note>::open(&dir, false).expect("open");
         let mut memory = InMemoryStore::<Note>::new();
-        for n in notes(0..37) {
-            memory.append(n.clone());
-            durable.append(n);
-        }
+        memory.append_batch(notes(0..37), 1);
+        durable.append_batch(notes(0..37), 1);
         assert_eq!(durable.root(), memory.root());
         // Proofs are flat and interchangeable.
         let proof = durable.prove_inclusion(12);
@@ -1052,7 +1043,7 @@ mod tests {
         let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
         assert!(replaying(&store));
         // Byte-identical re-appends resolve to their original indices…
-        assert_eq!(store.append(Note(0)), 0);
+        assert_eq!(store.append_batch(vec![Note(0)], 1), 0..1);
         let range = store.append_batch(notes(1..7), 2);
         assert_eq!(range, 1..7);
         // …including a batch spanning the persisted/new boundary.
@@ -1079,7 +1070,7 @@ mod tests {
             store.append_batch(notes(0..5), 1);
         }
         let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
-        store.append(Note(99));
+        store.append_batch(vec![Note(99)], 1);
     }
 
     #[test]
@@ -1099,9 +1090,8 @@ mod tests {
         assert_eq!(store.len(), 7, "partial final record truncated");
         // The tail is clean: appending the lost record again works and
         // the log reads back whole.
-        let mut matched = 0..0;
         for n in notes(0..8) {
-            matched = matched.start..store.append(n) + 1;
+            store.append_batch(vec![n], 1);
         }
         assert_eq!(store.len(), 8);
         drop(store); // drain the write buffer
@@ -1421,7 +1411,7 @@ mod tests {
             match step {
                 Step::Commit(i) => ledger
                     .envelopes
-                    .commit(self.commitments[i].clone())
+                    .commit_batch(vec![self.commitments[i].clone()], 1)
                     .map(drop),
                 Step::Reveal(i) => ledger.envelopes.reveal_challenge(&self.challenges[i]),
                 Step::Barrier => ledger.persist().map_err(LedgerError::from),
@@ -1522,7 +1512,7 @@ mod tests {
         let steps = EnvelopeDay::steps();
         let mut reference = MerkleLog::new();
         for c in &day.commitments {
-            reference.append(&c.canonical_bytes());
+            reference.append_leaf(merkle::leaf_hash(&c.canonical_bytes()));
         }
         let mut cases = Vec::new();
         for (k, step) in steps.iter().enumerate() {

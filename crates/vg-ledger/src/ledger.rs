@@ -75,30 +75,6 @@ impl From<WalError> for LedgerError {
     }
 }
 
-/// Runs one committed RLC signature sweep
-/// ([`vg_crypto::schnorr::SignatureSweep`] — the weights commit to every
-/// key, message and signature the fold checks, keeping batched admission
-/// deterministic and grind-resistant), falling back to the per-item
-/// checker to locate the offender (and surface its precise error) when
-/// the fold rejects.
-fn batched_signature_sweep<R: Record + Sync>(
-    sweep: &SignatureSweep,
-    records: &[R],
-    threads: usize,
-    per_item: impl Fn(&R) -> Result<(), LedgerError> + Sync,
-) -> Result<(), LedgerError> {
-    if sweep.verify(threads).is_ok() {
-        return Ok(());
-    }
-    for check in par_map(records, threads, &per_item) {
-        check?;
-    }
-    // The fold rejected but every item passes individually: a negligible-
-    // probability RLC false negative, or (far more likely) a torsioned
-    // but verifying R component. Per-item acceptance is authoritative.
-    Ok(())
-}
-
 /// A registration-ledger record (Fig 10 line 5):
 /// L_R\[V_id\] ← (c_pc, K_pk, σ_kot, O_pk, σ_o).
 #[derive(Clone, Debug)]
@@ -216,32 +192,18 @@ impl RegistrationLedger {
         self.roster_set.contains_key(&voter)
     }
 
-    /// Posts a registration record (check-out, Fig 10). Any prior record
-    /// for the same voter is superseded.
-    pub fn post(&mut self, record: RegistrationRecord) -> Result<usize, LedgerError> {
-        if !self.is_eligible(record.voter_id) {
-            return Err(LedgerError::NotOnRoster);
-        }
-        // The ledger checks the signature chain before accepting.
-        Self::check_record(&record)?;
-        let voter = record.voter_id;
-        let idx = self.log.append(record);
-        self.active.insert(voter, idx);
-        Ok(idx)
-    }
-
-    /// Posts a batch of registration records, verifying signature chains
-    /// through one random-linear-combination fold ([`vg_crypto::schnorr::
-    /// batch_verify_par`]; 2 records and up) and appending through the
-    /// backend's batch fast path. All-or-nothing: any invalid record
-    /// rejects the whole batch before the ledger is touched, with the
-    /// per-record checker re-run to surface the offender's precise error.
-    /// Supersede semantics apply in input order.
+    /// Posts registration records (check-out, Fig 10): the one admission
+    /// path, a single record being a batch of one. Eligibility is checked
+    /// per record, the signature chains through
+    /// [`RegistrationLedger::verify_batch`], and the records are appended
+    /// through the backend's batch path. All-or-nothing: any invalid
+    /// record rejects the whole batch, with its precise error, before the
+    /// ledger is touched. Any prior record for the same voter is
+    /// superseded, in input order.
     ///
     /// The fold's weights are derived from a hash committing to the whole
     /// batch, so replays are bit-identical; a submitter grinding records
     /// against the fold is the classical RLC residual risk, and auditors
-    /// (and the per-record [`RegistrationLedger::post`] path) always
     /// re-verify individually.
     pub fn post_batch(
         &mut self,
@@ -258,7 +220,8 @@ impl RegistrationLedger {
     }
 
     /// The signature-chain half of [`RegistrationLedger::post_batch`]:
-    /// one committed RLC admission sweep over the batch (2 records and
+    /// one committed RLC admission sweep over the batch, whose
+    /// [`SignatureSweep::check`] names the first offender (2 records and
     /// up; per-record checks below that), touching no ledger state.
     ///
     /// An associated function: it needs no ledger. Eligibility is *not*
@@ -269,30 +232,26 @@ impl RegistrationLedger {
     /// [`RegistrationLedger::post_batch`].
     pub fn verify_batch(records: &[RegistrationRecord], threads: usize) -> Result<(), LedgerError> {
         if records.len() < 2 {
-            for check in par_map(records, threads, Self::check_record) {
-                check?;
-            }
-            return Ok(());
+            return records.iter().try_for_each(Self::check_record);
         }
-        let mut vk_cache = vg_crypto::schnorr::VerifyingKeyCache::new();
         let mut sweep = SignatureSweep::new(b"ledger-reg-admission-v1");
         for record in records {
             sweep.push(
-                vk_cache.get(&record.kiosk_pk)?,
+                &record.kiosk_pk,
                 RegistrationRecord::kiosk_message(record.voter_id, &record.c_pc),
                 record.kiosk_sig,
-            );
+            )?;
             sweep.push(
-                vk_cache.get(&record.official_pk)?,
+                &record.official_pk,
                 RegistrationRecord::official_message(
                     record.voter_id,
                     &record.c_pc,
                     &record.kiosk_sig,
                 ),
                 record.official_sig,
-            );
+            )?;
         }
-        batched_signature_sweep(&sweep, records, threads, Self::check_record)
+        Ok(sweep.check(threads)?)
     }
 
     /// The state half of [`RegistrationLedger::post_batch`]: eligibility
@@ -470,23 +429,15 @@ impl EnvelopeLedger {
         Ok(())
     }
 
-    /// Records a printer's envelope commitment at setup.
-    pub fn commit(&mut self, commitment: EnvelopeCommitment) -> Result<usize, LedgerError> {
-        Self::check_commitment(&commitment)?;
-        let h = commitment.challenge_hash;
-        let idx = self.log.append(commitment);
-        self.by_hash.insert(h, idx);
-        Ok(idx)
-    }
-
-    /// Records a batch of commitments: setup's booth supply (Fig 7 line 5)
-    /// and every restock, posted by `vg-trip`'s `print_supply` in chunks
-    /// of at most 4 096, and the ceremony pool's batched refills.
+    /// Records printer commitments (Fig 7 line 5), the one admission
+    /// path: setup's booth supply and every restock, posted by `vg-trip`'s
+    /// `print_supply` in chunks of at most 4 096, the ceremony pool's
+    /// batched refills, and a single envelope as a batch of one.
     /// All-or-nothing on signature failure; printer signatures are checked
-    /// through one RLC fold with the same weight derivation and fallback
-    /// as [`RegistrationLedger::post_batch`]. The fold carries one term per
-    /// distinct printer key, so a chunk from |P| printers folds n + |P| + 1
-    /// terms.
+    /// through one RLC fold with the same weight derivation and offender
+    /// search as [`RegistrationLedger::post_batch`]. The fold carries one
+    /// term per distinct printer key, so a chunk from |P| printers folds
+    /// n + |P| + 1 terms.
     pub fn commit_batch(
         &mut self,
         commitments: Vec<EnvelopeCommitment>,
@@ -505,21 +456,17 @@ impl EnvelopeLedger {
         threads: usize,
     ) -> Result<(), LedgerError> {
         if commitments.len() < 2 {
-            for check in par_map(commitments, threads, Self::check_commitment) {
-                check?;
-            }
-            return Ok(());
+            return commitments.iter().try_for_each(Self::check_commitment);
         }
-        let mut vk_cache = vg_crypto::schnorr::VerifyingKeyCache::new();
         let mut sweep = SignatureSweep::new(b"ledger-env-admission-v1");
         for c in commitments {
             sweep.push(
-                vk_cache.get(&c.printer_pk)?,
+                &c.printer_pk,
                 EnvelopeCommitment::message(&c.challenge_hash),
                 c.signature,
-            );
+            )?;
         }
-        batched_signature_sweep(&sweep, commitments, threads, Self::check_commitment)
+        Ok(sweep.check(threads)?)
     }
 
     /// The state half of [`EnvelopeLedger::commit_batch`]: append and
@@ -676,26 +623,19 @@ impl BallotLedger {
         Ok(())
     }
 
-    /// Posts a ballot after checking its credential signature (the PBB's
-    /// syntactic admission check; semantic checks happen at tally).
-    pub fn post(&mut self, record: BallotRecord) -> Result<usize, LedgerError> {
-        Self::check_record(&record)?;
-        Ok(self.log.append(record))
-    }
-
-    /// Posts a batch of ballots: signatures verified with up to
-    /// `threads` workers, Merkle leaves hashed in parallel, one head
-    /// re-publication for the whole batch. This is the election-day
-    /// ingestion fast path. All-or-nothing on signature failure.
+    /// Posts ballots after checking their credential signatures (the
+    /// PBB's syntactic admission check; semantic checks happen at tally):
+    /// signatures verified with up to `threads` workers, Merkle leaves
+    /// hashed in parallel, one head re-publication for the whole batch.
+    /// A single cast is a batch of one. All-or-nothing on signature
+    /// failure.
     pub fn post_batch(
         &mut self,
         records: Vec<BallotRecord>,
         threads: usize,
     ) -> Result<std::ops::Range<usize>, LedgerError> {
         let checks = par_map(&records, threads, Self::check_record);
-        for check in checks {
-            check?;
-        }
+        checks.into_iter().collect::<Result<(), _>>()?;
         Ok(self.log.append_batch(records, threads))
     }
 
@@ -848,28 +788,18 @@ mod tests {
 
         let r1 = sample_record(VoterId(1), &kiosk, &official, &mut rng);
         let first_tag = r1.c_pc;
-        ledger.registration.post(r1).expect("posts");
+        ledger.registration.post_batch(vec![r1], 1).expect("posts");
         assert_eq!(ledger.registration.active_count(), 1);
 
         // Re-registration supersedes.
         let r2 = sample_record(VoterId(1), &kiosk, &official, &mut rng);
         let second_tag = r2.c_pc;
-        ledger.registration.post(r2).expect("posts");
+        ledger.registration.post_batch(vec![r2], 1).expect("posts");
         assert_eq!(ledger.registration.active_count(), 1);
         assert_eq!(ledger.registration.records().len(), 2);
         let active = ledger.registration.active_record(VoterId(1)).unwrap();
         assert_ne!(first_tag, second_tag);
         assert_eq!(active.c_pc, second_tag);
-    }
-
-    #[test]
-    fn ineligible_voter_rejected() {
-        let mut rng = HmacDrbg::from_u64(2);
-        let kiosk = SigningKey::generate(&mut rng);
-        let official = SigningKey::generate(&mut rng);
-        let mut ledger = Ledger::new(vec![VoterId(1)], &mut rng);
-        let r = sample_record(VoterId(99), &kiosk, &official, &mut rng);
-        assert_eq!(ledger.registration.post(r), Err(LedgerError::NotOnRoster));
     }
 
     #[test]
@@ -882,7 +812,7 @@ mod tests {
         // Swap in a signature over a different message.
         r.kiosk_sig = kiosk.sign(b"unrelated");
         assert!(matches!(
-            ledger.registration.post(r),
+            ledger.registration.post_batch(vec![r], 1),
             Err(LedgerError::Crypto(_))
         ));
     }
@@ -899,7 +829,7 @@ mod tests {
             challenge_hash: h,
             signature: printer.sign(&EnvelopeCommitment::message(&h)),
         };
-        ledger.envelopes.commit(c).expect("commits");
+        ledger.envelopes.commit_batch(vec![c], 1).expect("commits");
         assert!(ledger.envelopes.is_committed(&h));
         ledger.envelopes.reveal_challenge(&e).expect("reveals");
         assert_eq!(ledger.envelopes.revealed_count(), 1);
@@ -919,30 +849,6 @@ mod tests {
             ledger.envelopes.reveal_challenge(&e),
             Err(LedgerError::UnknownEnvelope)
         );
-    }
-
-    #[test]
-    fn ballot_posting_checks_signature() {
-        let mut rng = HmacDrbg::from_u64(6);
-        let mut ledger = Ledger::new(vec![], &mut rng);
-        let cred = SigningKey::generate(&mut rng);
-        let payload = b"encrypted-ballot".to_vec();
-        let signature = cred.sign(&BallotRecord::message(&payload));
-        let rec = BallotRecord {
-            credential_pk: cred.verifying_key().compress(),
-            payload: payload.clone(),
-            signature,
-        };
-        ledger.ballots.post(rec).expect("posts");
-        assert_eq!(ledger.ballots.len(), 1);
-
-        // Tampered payload rejected.
-        let bad = BallotRecord {
-            credential_pk: cred.verifying_key().compress(),
-            payload: b"tampered".to_vec(),
-            signature,
-        };
-        assert!(ledger.ballots.post(bad).is_err());
     }
 
     /// A public key A = a·B + T, with T of order 8, and a signature on
@@ -986,10 +892,13 @@ mod tests {
         (r.kiosk_pk, r.kiosk_sig) = torsioned_signature(&kiosk_msg, &mut rng);
         let official_msg = RegistrationRecord::official_message(r.voter_id, &r.c_pc, &r.kiosk_sig);
         r.official_sig = official.sign(&official_msg);
+        // It verifies alone and fails a fold, which `check` overrules.
         let kiosk_vk = VerifyingKey::from_compressed(&r.kiosk_pk).expect("mixed order decodes");
-        kiosk_vk
-            .verify(&kiosk_msg, &r.kiosk_sig)
-            .expect("verifies alone");
+        assert_eq!(kiosk_vk.verify(&kiosk_msg, &r.kiosk_sig), Ok(()));
+        let mut sweep = SignatureSweep::new(b"test-torsion-v1");
+        sweep.push(&r.kiosk_pk, kiosk_msg, r.kiosk_sig).unwrap();
+        assert_eq!(sweep.verify(1).err(), Some(CryptoError::BadSignature));
+        assert_eq!(sweep.check(1), Ok(()));
         assert_eq!(ledger.registration.post_batch(records, 1), Ok(0..3));
 
         let printer = SigningKey::generate(&mut rng);
@@ -1018,7 +927,7 @@ mod tests {
         let official = SigningKey::generate(&mut rng);
         let mut ledger = Ledger::new(vec![VoterId(1)], &mut rng);
         let r = sample_record(VoterId(1), &kiosk, &official, &mut rng);
-        ledger.registration.post(r).expect("posts");
+        ledger.registration.post_batch(vec![r], 1).expect("posts");
         let head = ledger.registration.tree_head();
         head.verify(&ledger.registration.operator_key())
             .expect("head verifies");

@@ -73,9 +73,9 @@ impl<T: DurableRecord + Send + Sync + 'static> TamperEvidentLog<T> {
 }
 
 impl<T: Record> TamperEvidentLog<T> {
-    /// Appends a record, returning its index.
+    /// Appends a record, returning its index: a batch of one.
     pub fn append(&mut self, record: T) -> usize {
-        self.store.append(record)
+        self.append_batch(vec![record], 1).start
     }
 
     /// Appends a batch of records, hashing Merkle leaves with up to

@@ -84,11 +84,6 @@ impl MerkleLog {
         self.levels.first()?.get(index)
     }
 
-    /// Appends an entry, returning its index.
-    pub fn append(&mut self, data: &[u8]) -> usize {
-        self.append_leaf(leaf_hash(data))
-    }
-
     /// Appends a pre-hashed leaf, returning its index. The hash must be a
     /// domain-separated [`leaf_hash`] (batch pipelines compute these in
     /// parallel before appending).
@@ -311,7 +306,7 @@ mod tests {
     fn build(n: usize) -> MerkleLog {
         let mut log = MerkleLog::new();
         for i in 0..n {
-            log.append(format!("entry-{i}").as_bytes());
+            log.append_leaf(leaf_hash(format!("entry-{i}").as_bytes()));
         }
         log
     }
@@ -400,7 +395,7 @@ mod tests {
             } else {
                 format!("entry-{i}")
             };
-            forged.append(data.as_bytes());
+            forged.append_leaf(leaf_hash(data.as_bytes()));
         }
         let proof = forged.consistency_proof(4);
         assert!(!verify_consistency(&old_root, 4, &forged.root(), 6, &proof));
@@ -433,7 +428,7 @@ mod tests {
         let mut leaves = Vec::new();
         for i in 0..130 {
             leaves.push(leaf_hash(format!("e{i}").as_bytes()));
-            log.append(format!("e{i}").as_bytes());
+            log.append_leaf(leaf_hash(format!("e{i}").as_bytes()));
             assert_eq!(log.root(), recursive_root(&leaves), "size {}", i + 1);
         }
         for size in 0..=130 {
@@ -499,7 +494,7 @@ mod tests {
     fn appends_change_root() {
         let mut log = build(4);
         let r1 = log.root();
-        log.append(b"more");
+        log.append_leaf(leaf_hash(b"more"));
         assert_ne!(log.root(), r1);
     }
 
@@ -516,7 +511,7 @@ mod tests {
             fn prop_inclusion(entries in proptest::collection::vec(any::<u64>(), 1..40), pick in any::<u64>()) {
                 let mut log = MerkleLog::new();
                 for e in &entries {
-                    log.append(&e.to_le_bytes());
+                    log.append_leaf(leaf_hash(&e.to_le_bytes()));
                 }
                 let n = entries.len();
                 let i = (pick as usize) % n;
@@ -533,7 +528,7 @@ mod tests {
             fn prop_consistency(entries in proptest::collection::vec(any::<u64>(), 2..32), pick in any::<u64>()) {
                 let mut log = MerkleLog::new();
                 for e in &entries {
-                    log.append(&e.to_le_bytes());
+                    log.append_leaf(leaf_hash(&e.to_le_bytes()));
                 }
                 let n = entries.len();
                 let m = 1 + (pick as usize) % n;
@@ -547,13 +542,13 @@ mod tests {
             fn prop_any_mutation_changes_root(entries in proptest::collection::vec(any::<u64>(), 1..24), pick in any::<u64>()) {
                 let mut log = MerkleLog::new();
                 for e in &entries {
-                    log.append(&e.to_le_bytes());
+                    log.append_leaf(leaf_hash(&e.to_le_bytes()));
                 }
                 let i = (pick as usize) % entries.len();
                 let mut mutated = MerkleLog::new();
                 for (j, e) in entries.iter().enumerate() {
                     let v = if j == i { e.wrapping_add(1) } else { *e };
-                    mutated.append(&v.to_le_bytes());
+                    mutated.append_leaf(leaf_hash(&v.to_le_bytes()));
                 }
                 prop_assert_ne!(log.root(), mutated.root());
             }

@@ -107,9 +107,6 @@ impl LedgerBackend {
 
 /// Storage + authentication backend for one typed log.
 pub trait LedgerStore<T: Record> {
-    /// Appends one record, returning its global index.
-    fn append(&mut self, record: T) -> usize;
-
     /// Appends a batch, hashing Merkle leaves with up to `threads`
     /// workers. Returns the global index range of the batch.
     fn append_batch(&mut self, records: Vec<T>, threads: usize) -> Range<usize>;
@@ -393,12 +390,6 @@ impl<T> Default for InMemoryStore<T> {
 }
 
 impl<T: Record + Sync> LedgerStore<T> for InMemoryStore<T> {
-    fn append(&mut self, record: T) -> usize {
-        let idx = self.merkle.append(&record.canonical_bytes());
-        self.records.push(record);
-        idx
-    }
-
     fn append_batch(&mut self, records: Vec<T>, threads: usize) -> Range<usize> {
         let leaves = par_map(&records, threads, |r| {
             merkle::leaf_hash(&r.canonical_bytes())
@@ -470,16 +461,6 @@ impl<T> ShardedStore<T> {
 }
 
 impl<T: Record + Sync> LedgerStore<T> for ShardedStore<T> {
-    fn append(&mut self, record: T) -> usize {
-        let global = self.records.len();
-        let shard = shard_of(&record.shard_key(), self.shards.len());
-        let leaf = sharded_leaf(global, &record.canonical_bytes());
-        let in_shard = self.shards[shard].append_leaf(leaf);
-        self.locate.push((shard as u32, in_shard as u32));
-        self.records.push(record);
-        global
-    }
-
     fn append_batch(&mut self, records: Vec<T>, threads: usize) -> Range<usize> {
         let start = self.records.len();
         let n_shards = self.shards.len();
@@ -616,7 +597,7 @@ mod tests {
         let mut flat = InMemoryStore::new();
         let mut sharded = ShardedStore::new(4);
         for r in notes(40) {
-            flat.append(r);
+            flat.append_batch(vec![r], 1);
         }
         sharded.append_batch(notes(40), 2);
         assert_eq!(flat.len(), sharded.len());
@@ -637,7 +618,7 @@ mod tests {
             let mut one: Box<dyn LedgerStore<Note> + Send + Sync> = a.make_store();
             let mut many: Box<dyn LedgerStore<Note> + Send + Sync> = b.make_store();
             for r in notes(25) {
-                one.append(r);
+                one.append_batch(vec![r], 1);
             }
             let range = many.append_batch(notes(25), 4);
             assert_eq!(range, 0..25);
@@ -738,9 +719,7 @@ mod tests {
 
         // Same boundary discipline on the flat backend.
         let mut flat = InMemoryStore::new();
-        for r in notes(16) {
-            flat.append(r);
-        }
+        flat.append_batch(notes(16), 1);
         let root = flat.root();
         let proof = flat.prove_inclusion(15);
         assert!(proof.verify(&root, 16, &Note(15), 15));
@@ -752,12 +731,8 @@ mod tests {
         // The same 12 records committed under both backends.
         let mut flat = InMemoryStore::new();
         let mut sharded = ShardedStore::new(4);
-        for r in notes(12) {
-            flat.append(r);
-        }
-        for r in notes(12) {
-            sharded.append(r);
-        }
+        flat.append_batch(notes(12), 1);
+        sharded.append_batch(notes(12), 1);
         for i in 0..12usize {
             // A flat proof never verifies against the sharded rollup root…
             let flat_proof = flat.prove_inclusion(i);
@@ -777,20 +752,12 @@ mod tests {
         // Consistency proofs are backend-bound the same way.
         let mut flat2 = InMemoryStore::new();
         let mut sharded2 = ShardedStore::new(4);
-        for r in notes(5) {
-            flat2.append(r);
-        }
-        for r in notes(5) {
-            sharded2.append(r);
-        }
+        flat2.append_batch(notes(5), 1);
+        sharded2.append_batch(notes(5), 1);
         let flat_old = flat2.root();
         let sharded_old = sharded2.root();
-        for r in (5..12u64).map(Note) {
-            flat2.append(r);
-        }
-        for r in (5..12u64).map(Note) {
-            sharded2.append(r);
-        }
+        flat2.append_batch((5..12).map(Note).collect(), 1);
+        sharded2.append_batch((5..12).map(Note).collect(), 1);
         let flat_proof = flat2.prove_consistency(5);
         let sharded_proof = sharded2.prove_consistency(5);
         assert!(flat_proof.verify(&flat_old, 5, &flat2.root(), 12));
@@ -803,19 +770,14 @@ mod tests {
     fn flat_and_sharded_roots_differ_but_both_commit() {
         let mut flat = InMemoryStore::new();
         let mut sharded = ShardedStore::new(4);
-        for r in notes(10) {
-            flat.append(r);
-        }
-        for r in notes(10) {
-            sharded.append(r);
-        }
+        flat.append_batch(notes(10), 1);
+        sharded.append_batch(notes(10), 1);
         // Different commitment structures…
         assert_ne!(flat.root(), sharded.root());
         // …but both notice any mutation.
         let mut sharded2 = ShardedStore::new(4);
-        for i in 0..10u64 {
-            sharded2.append(Note(if i == 3 { 77 } else { i }));
-        }
+        let mutated = (0..10).map(|i| Note(if i == 3 { 77 } else { i }));
+        sharded2.append_batch(mutated.collect(), 1);
         assert_ne!(sharded.root(), sharded2.root());
     }
 }

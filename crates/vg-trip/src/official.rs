@@ -7,7 +7,7 @@
 
 use vg_crypto::drbg::Rng;
 use vg_crypto::hmac::{hmac_sha256, hmac_verify};
-use vg_crypto::schnorr::{NonceCoupon, SignatureSweep, SigningKey, VerifyingKey};
+use vg_crypto::schnorr::{NonceCoupon, SignatureSweep, SigningKey};
 use vg_crypto::{CompressedPoint, HmacDrbg};
 use vg_ledger::{Ledger, RegistrationRecord, VoterId};
 
@@ -44,10 +44,11 @@ impl Official {
         Ok(CheckInTicket { voter_id, tag })
     }
 
-    /// Check-out (Fig 10) at a desk that holds no precomputed coupon:
-    /// [`Official::check_out_with_coupon`] with a coupon drawn from
-    /// HMAC-DRBG(O_sk ‖ message), the RFC 6979 construction — one nonce per
-    /// message, so re-scanning a ticket countersigns it identically.
+    /// Check-out (Fig 10) of one ticket at a desk that holds no
+    /// precomputed coupon: [`Official::check_out_batch`] over a batch of
+    /// one, countersigned from a coupon drawn from HMAC-DRBG(O_sk ‖
+    /// message), the RFC 6979 construction — one nonce per message, so
+    /// re-scanning a ticket countersigns it identically.
     pub fn check_out(
         &self,
         ledger: &mut Ledger,
@@ -62,44 +63,18 @@ impl Official {
             &checkout.kiosk_sig,
         ));
         let coupon = NonceCoupon::generate(&mut HmacDrbg::new(&label));
-        self.check_out_with_coupon(ledger, checkout, coupon, kiosk_registry)
+        self.check_out_batch(ledger, vec![(checkout.clone(), coupon)], kiosk_registry, 1)
     }
 
-    /// Check-out (Fig 10): scans the credential's check-out QR through the
-    /// envelope window, verifies the kiosk's authorization and signature,
-    /// countersigns from `coupon` (the ceremony pool provides one per
-    /// session, making the desk hash-only), and posts the registration
-    /// record. Record bytes match the batched path exactly, which is the
-    /// fleet's replay contract.
-    pub fn check_out_with_coupon(
-        &self,
-        ledger: &mut Ledger,
-        checkout: &CheckOutQr,
-        coupon: NonceCoupon,
-        kiosk_registry: &[CompressedPoint],
-    ) -> Result<(), TripError> {
-        // K_pk ∈ K_pk? (Fig 10 line 2).
-        if !kiosk_registry.contains(&checkout.kiosk_pk) {
-            return Err(TripError::UnknownKiosk);
-        }
-        // Sig.Vf(K_pk, σ_kot, V_id ‖ c_pc) (line 3).
-        let kiosk_vk = VerifyingKey::from_compressed(&checkout.kiosk_pk)?;
-        kiosk_vk.verify(
-            &RegistrationRecord::kiosk_message(checkout.voter_id, &checkout.c_pc),
-            &checkout.kiosk_sig,
-        )?;
-        ledger
-            .registration
-            .post(self.countersign(checkout, coupon))?;
-        Ok(())
-    }
-
-    /// Batched check-out (Fig 10 over a whole fleet window): registry
-    /// membership is checked per ticket in queue order, the kiosk
-    /// signatures are verified through one random-linear-combination fold
-    /// (with a per-item fallback to surface the offender), every record is
-    /// countersigned from its session's coupon, and the batch is posted
-    /// through the registration ledger's batched admission path.
+    /// Check-out (Fig 10) of a queue of tickets — a fleet window, or one
+    /// session: the credential's check-out QR is scanned through the
+    /// envelope window, registry membership is checked per ticket in
+    /// queue order, the kiosk signatures are verified through one
+    /// random-linear-combination fold that names the first offender,
+    /// every record is countersigned from its session's coupon (the
+    /// ceremony pool provides one per session, making the desk
+    /// hash-only), and the batch is posted through the registration
+    /// ledger's one admission path.
     pub fn check_out_batch(
         &self,
         ledger: &mut Ledger,
@@ -120,8 +95,8 @@ impl Official {
     /// lines 2–3 over a window, no ledger access): registry membership per
     /// ticket in queue order, then every σ_kot in one committed
     /// random-linear-combination fold
-    /// ([`vg_crypto::schnorr::SignatureSweep`]) with a per-item fallback
-    /// that surfaces the earliest offender.
+    /// ([`vg_crypto::schnorr::SignatureSweep::check`]), which surfaces the
+    /// earliest offender.
     pub fn verify_checkouts(
         &self,
         checkouts: &[(CheckOutQr, NonceCoupon)],
@@ -134,27 +109,15 @@ impl Official {
             }
         }
         // σ_kot sweep (Fig 10 line 3): one fold over the window.
-        let mut vk_cache = vg_crypto::schnorr::VerifyingKeyCache::new();
         let mut sweep = SignatureSweep::new(b"trip-checkout-sweep-v1");
         for (checkout, _) in checkouts {
             sweep.push(
-                vk_cache.get(&checkout.kiosk_pk)?,
+                &checkout.kiosk_pk,
                 RegistrationRecord::kiosk_message(checkout.voter_id, &checkout.c_pc),
                 checkout.kiosk_sig,
-            );
+            )?;
         }
-        if sweep.verify(threads).is_err() {
-            // Locate the offender (earliest in queue order); if every
-            // ticket passes individually, per-item acceptance rules.
-            for (checkout, _) in checkouts {
-                let vk = vk_cache.get(&checkout.kiosk_pk)?;
-                vk.verify(
-                    &RegistrationRecord::kiosk_message(checkout.voter_id, &checkout.c_pc),
-                    &checkout.kiosk_sig,
-                )?;
-            }
-        }
-        Ok(())
+        Ok(sweep.check(threads)?)
     }
 
     /// The record-construction half of [`Official::check_out_batch`]
@@ -166,33 +129,24 @@ impl Official {
         &self,
         checkouts: Vec<(CheckOutQr, NonceCoupon)>,
     ) -> Vec<RegistrationRecord> {
-        checkouts
-            .into_iter()
-            .map(|(checkout, coupon)| self.countersign(&checkout, coupon))
-            .collect()
-    }
-
-    /// Builds the countersigned registration record for a verified
-    /// check-out ticket (Fig 10 lines 4–5).
-    fn countersign(&self, checkout: &CheckOutQr, coupon: NonceCoupon) -> RegistrationRecord {
-        // σ_o ← Sig.Sign(O_sk, V_id ‖ c_pc ‖ σ_kot) (line 4).
-        let official_sig = self.key.sign_with_coupon(
-            &RegistrationRecord::official_message(
+        let countersign = |(checkout, coupon): (CheckOutQr, NonceCoupon)| {
+            // σ_o ← Sig.Sign(O_sk, V_id ‖ c_pc ‖ σ_kot) (line 4).
+            let message = RegistrationRecord::official_message(
                 checkout.voter_id,
                 &checkout.c_pc,
                 &checkout.kiosk_sig,
-            ),
-            coupon,
-        );
-        // L_R[V_id] ← (c_pc, K_pk, σ_kot, O_pk, σ_o) (line 5).
-        RegistrationRecord {
-            voter_id: checkout.voter_id,
-            c_pc: checkout.c_pc,
-            kiosk_pk: checkout.kiosk_pk,
-            kiosk_sig: checkout.kiosk_sig,
-            official_pk: self.public_key(),
-            official_sig,
-        }
+            );
+            // L_R[V_id] ← (c_pc, K_pk, σ_kot, O_pk, σ_o) (line 5).
+            RegistrationRecord {
+                voter_id: checkout.voter_id,
+                c_pc: checkout.c_pc,
+                kiosk_pk: checkout.kiosk_pk,
+                kiosk_sig: checkout.kiosk_sig,
+                official_pk: self.public_key(),
+                official_sig: self.key.sign_with_coupon(&message, coupon),
+            }
+        };
+        checkouts.into_iter().map(countersign).collect()
     }
 
     /// The shared MAC key (used by [`crate::kiosk::Kiosk`] construction in

@@ -11,7 +11,8 @@
 //! order, the signatures are computed on the host's cores, and L_E takes
 //! the commitments through [`EnvelopeLedger::commit_batch`] in chunks of
 //! at most 4 096. The ledger and the drawn stream are those of
-//! one [`EnvelopePrinter::print_one`] per envelope; only the time differs.
+//! one [`EnvelopePrinter::print_one`] per envelope, each a `commit_batch`
+//! of one; only the time differs.
 //!
 //! The [`EnvelopePrinter::print_duplicates`] method models the
 //! envelope-stuffing attack of the individual-verifiability analysis
@@ -45,7 +46,7 @@ impl EnvelopePrinter {
     }
 
     /// Prints one envelope with challenge `e`, committing H(e) to the
-    /// ledger.
+    /// ledger as a batch of one.
     pub fn print_one(
         &self,
         ledger: &mut EnvelopeLedger,
@@ -53,7 +54,7 @@ impl EnvelopePrinter {
         symbol: Symbol,
     ) -> Result<Envelope, LedgerError> {
         let (envelope, commitment) = self.print_detached(e, symbol);
-        ledger.commit(commitment)?;
+        ledger.commit_batch(vec![commitment], 1)?;
         Ok(envelope)
     }
 

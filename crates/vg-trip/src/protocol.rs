@@ -124,14 +124,21 @@ pub fn register_voter_seeded(
     );
     let ticket = system.officials[0].check_in(&system.ledger, voter_id)?;
     let output = crate::fleet::run_pool_session(&system.kiosks[kiosk_idx], &ticket, materials)?;
+    // One admission per commitment, as a sequential day posts them.
     for commitment in output.commitments {
-        system.ledger.envelopes.commit(commitment)?;
+        system.ledger.envelopes.commit_batch(vec![commitment], 1)?;
     }
-    system.officials[0].check_out_with_coupon(
+    let checkout = output
+        .outcome
+        .believed_real
+        .transport_view()?
+        .checkout
+        .clone();
+    system.officials[0].check_out_batch(
         &mut system.ledger,
-        output.outcome.believed_real.transport_view()?.checkout,
-        output.official_coupon,
+        vec![(checkout, output.official_coupon)],
         &system.kiosk_registry,
+        1,
     )?;
     system.adversary_loot.extend(output.stolen);
     Ok(output.outcome)

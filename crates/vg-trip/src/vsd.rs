@@ -264,7 +264,7 @@ fn activate_with(
 ///
 /// - the three signature checks per credential (σ_kc, σ_kr, σ_p) fold
 ///   into one random-linear-combination sweep
-///   ([`vg_crypto::schnorr::batch_verify_par`]);
+///   ([`vg_crypto::schnorr::SignatureSweep`]);
 /// - the two Σ-transcript equations per credential fold into one
 ///   [`BatchVerifier`] multi-scalar check over the shared bases (B, A_pk);
 /// - key reconstruction (`Sig.PubKey`, the one unavoidable scalar
@@ -394,41 +394,28 @@ pub fn activate_batch_checks<'a>(
     // H(e), i.e. every term of the transcript fold below too, so
     // continuing the sweep's DRBG into that fold keeps the
     // everything-committed rule intact.
-    let mut vk_cache = vg_crypto::schnorr::VerifyingKeyCache::new();
     let mut sweep = SignatureSweep::new(b"trip-activate-sweep-v1");
+    let failed = |check| move |_| TripError::Activation(check);
     for (view, key) in views.iter().zip(keys.iter()) {
         if !printer_registry.contains(&view.envelope.printer_pk) {
             return Err(TripError::Activation(ActivationCheck::EnvelopeSignature));
         }
-        let kiosk_vk = vk_cache
-            .get(&view.response.kiosk_pk)
-            .map_err(|_| TripError::Activation(ActivationCheck::CommitSignature))?;
-        let printer_vk = vk_cache
-            .get(&view.envelope.printer_pk)
-            .map_err(|_| TripError::Activation(ActivationCheck::EnvelopeSignature))?;
-        sweep.push(
-            kiosk_vk,
-            commit_message(view.commit.voter_id, &view.commit.c_pc, &view.commit.commit),
-            view.commit.kiosk_sig,
-        );
-        sweep.push(
-            kiosk_vk,
-            response_message(
-                &key.public_key_compressed(),
-                &view.envelope.challenge,
-                &view.response.response,
-            ),
-            view.response.kiosk_sig,
-        );
-        sweep.push(
-            printer_vk,
-            EnvelopeCommitment::message(&challenge_hash(&view.envelope.challenge)),
-            view.envelope.signature,
-        );
+        let (kiosk_pk, challenge) = (&view.response.kiosk_pk, &view.envelope.challenge);
+        let c_pk = key.public_key_compressed();
+        let commit = commit_message(view.commit.voter_id, &view.commit.c_pc, &view.commit.commit);
+        let response = response_message(&c_pk, challenge, &view.response.response);
+        let envelope = EnvelopeCommitment::message(&challenge_hash(challenge));
+        sweep
+            .push(kiosk_pk, commit, view.commit.kiosk_sig)
+            .and_then(|()| sweep.push(kiosk_pk, response, view.response.kiosk_sig))
+            .map_err(failed(ActivationCheck::CommitSignature))?;
+        sweep
+            .push(&view.envelope.printer_pk, envelope, view.envelope.signature)
+            .map_err(failed(ActivationCheck::EnvelopeSignature))?;
     }
     let mut rng = sweep
         .verify(threads)
-        .map_err(|_| TripError::Activation(ActivationCheck::CommitSignature))?;
+        .map_err(failed(ActivationCheck::CommitSignature))?;
 
     // Lines 6–8 folded: both transcript equations of every credential in
     // one multi-scalar check over the shared bases (B, A_pk).

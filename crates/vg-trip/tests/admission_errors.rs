@@ -5,10 +5,8 @@
 use vg_crypto::elgamal::encrypt_point;
 use vg_crypto::schnorr::{NonceCoupon, SigningKey};
 use vg_crypto::{CompressedPoint, CryptoError, EdwardsPoint, HmacDrbg, Rng};
-use vg_ledger::{
-    challenge_hash, BallotRecord, EnvelopeCommitment, Ledger, LedgerError, RegistrationRecord,
-    VoterId,
-};
+use vg_ledger::{challenge_hash, BallotRecord, EnvelopeCommitment, Ledger, LedgerError};
+use vg_ledger::{RegistrationRecord, TreeHead, VoterId};
 use vg_trip::materials::CheckOutQr;
 use vg_trip::{Official, TripError};
 
@@ -22,18 +20,19 @@ fn undecodable() -> CompressedPoint {
 
 /// A check-out ticket for `voter` signed by `kiosk`.
 fn ticket(voter: u64, kiosk: &SigningKey, rng: &mut HmacDrbg) -> CheckOutQr {
-    let voter_id = VoterId(voter);
-    let pk = EdwardsPoint::mul_base(&rng.scalar());
+    let (voter_id, pk) = (VoterId(voter), EdwardsPoint::mul_base(&rng.scalar()));
     let (c_pc, _) = encrypt_point(&pk, &EdwardsPoint::mul_base(&rng.scalar()), rng);
+    let kiosk_sig = kiosk.sign(&RegistrationRecord::kiosk_message(voter_id, &c_pc));
+    let kiosk_pk = kiosk.public_key_compressed();
     CheckOutQr {
         voter_id,
         c_pc,
-        kiosk_pk: kiosk.public_key_compressed(),
-        kiosk_sig: kiosk.sign(&RegistrationRecord::kiosk_message(voter_id, &c_pc)),
+        kiosk_pk,
+        kiosk_sig,
     }
 }
 
-fn size_root(head: vg_ledger::TreeHead) -> (u64, [u8; 32]) {
+fn size_root(head: TreeHead) -> (u64, [u8; 32]) {
     (head.size, head.root)
 }
 
@@ -43,47 +42,41 @@ fn checkout_errors_match_one_by_one_and_batched() {
     let mut ledger = Ledger::new((1..=4).map(VoterId).collect(), &mut rng);
     let official = Official::new([3u8; 32], &mut rng);
     let kiosk = SigningKey::generate(&mut rng);
-    let stranger = SigningKey::generate(&mut rng);
     let registry = [kiosk.public_key_compressed(), undecodable()];
-
-    let unknown = ticket(2, &stranger, &mut rng);
+    let unknown = ticket(2, &SigningKey::generate(&mut rng), &mut rng);
     let mut garbled = ticket(2, &kiosk, &mut rng);
     garbled.kiosk_pk = undecodable();
     let mut forged = ticket(2, &kiosk, &mut rng);
     forged.kiosk_sig = kiosk.sign(b"unrelated");
-    let ineligible = ticket(99, &kiosk, &mut rng);
     let cases = [
         (unknown, TripError::UnknownKiosk),
         (garbled, TripError::Crypto(CryptoError::InvalidPoint)),
         (forged, TripError::Crypto(CryptoError::BadSignature)),
-        (ineligible, TripError::Ledger(LedgerError::NotOnRoster)),
+        (
+            ticket(99, &kiosk, &mut rng),
+            TripError::Ledger(LedgerError::NotOnRoster),
+        ),
     ];
     for (bad, expected) in cases {
         let before = size_root(ledger.registration.tree_head());
         let single = official.check_out(&mut ledger, &bad, &registry);
         assert_eq!(single, Err(expected.clone()), "one ticket");
-        assert_eq!(size_root(ledger.registration.tree_head()), before);
-
-        let batch = vec![
-            (ticket(1, &kiosk, &mut rng), NonceCoupon::generate(&mut rng)),
-            (bad, NonceCoupon::generate(&mut rng)),
-            (ticket(3, &kiosk, &mut rng), NonceCoupon::generate(&mut rng)),
-        ];
-        let batched = official.check_out_batch(&mut ledger, batch, &registry, 1);
+        let batch = [
+            ticket(1, &kiosk, &mut rng),
+            bad,
+            ticket(3, &kiosk, &mut rng),
+        ]
+        .map(|t| (t, NonceCoupon::generate(&mut rng)));
+        let batched = official.check_out_batch(&mut ledger, batch.into(), &registry, 1);
         assert_eq!(batched, Err(expected), "offender in the middle");
         assert_eq!(size_root(ledger.registration.tree_head()), before);
     }
-    // The honest tickets still check out, one and three at a time.
-    official
-        .check_out(&mut ledger, &ticket(4, &kiosk, &mut rng), &registry)
-        .expect("honest ticket");
-    let honest = (1..=3)
-        .map(|v| (ticket(v, &kiosk, &mut rng), NonceCoupon::generate(&mut rng)))
-        .collect();
-    official
-        .check_out_batch(&mut ledger, honest, &registry, 1)
-        .expect("honest batch");
-    assert_eq!(ledger.registration.tree_head().size, 4);
+    // Honest tickets still check out, one and three at a time.
+    let one = ticket(4, &kiosk, &mut rng);
+    assert_eq!(official.check_out(&mut ledger, &one, &registry), Ok(()));
+    let three = (1..=3).map(|v| (ticket(v, &kiosk, &mut rng), NonceCoupon::generate(&mut rng)));
+    let batched = official.check_out_batch(&mut ledger, three.collect(), &registry, 1);
+    assert_eq!((batched, ledger.registration.tree_head().size), (Ok(()), 4));
 }
 
 #[test]
@@ -92,29 +85,33 @@ fn envelope_and_ballot_errors_match_one_by_one_and_batched() {
     let mut ledger = Ledger::new(vec![], &mut rng);
     let printer = SigningKey::generate(&mut rng);
     let commitment = |rng: &mut HmacDrbg| {
-        let h = challenge_hash(&rng.scalar());
+        let challenge_hash = challenge_hash(&rng.scalar());
+        let signature = printer.sign(&EnvelopeCommitment::message(&challenge_hash));
+        let printer_pk = printer.public_key_compressed();
         EnvelopeCommitment {
-            printer_pk: printer.public_key_compressed(),
-            challenge_hash: h,
-            signature: printer.sign(&EnvelopeCommitment::message(&h)),
+            printer_pk,
+            challenge_hash,
+            signature,
         }
     };
-    let mut forged = commitment(&mut rng);
+    let (mut forged, mut garbled) = (commitment(&mut rng), commitment(&mut rng));
     forged.signature = printer.sign(b"unrelated");
-    let mut garbled = commitment(&mut rng);
     garbled.printer_pk = undecodable();
     for (bad, expected) in [
         (forged, CryptoError::BadSignature),
         (garbled, CryptoError::InvalidPoint),
     ] {
+        let expected = Err(LedgerError::Crypto(expected));
         let before = size_root(ledger.envelopes.tree_head());
-        let single = ledger.envelopes.commit_batch(vec![bad.clone()], 1);
-        assert_eq!(single, Err(LedgerError::Crypto(expected)), "one commitment");
-        let batch = vec![commitment(&mut rng), bad, commitment(&mut rng)];
-        let batched = ledger.envelopes.commit_batch(batch, 1);
         assert_eq!(
-            batched,
-            Err(LedgerError::Crypto(expected)),
+            ledger.envelopes.commit_batch(vec![bad.clone()], 1),
+            expected,
+            "one"
+        );
+        let batch = vec![commitment(&mut rng), bad, commitment(&mut rng)];
+        assert_eq!(
+            ledger.envelopes.commit_batch(batch, 1),
+            expected,
             "offender in the middle"
         );
         assert_eq!(size_root(ledger.envelopes.tree_head()), before);
@@ -127,9 +124,8 @@ fn envelope_and_ballot_errors_match_one_by_one_and_batched() {
         signature: credential.sign(&BallotRecord::message(&payload)),
         payload,
     };
-    let mut tampered = honest.clone();
+    let (mut tampered, mut garbled) = (honest.clone(), honest.clone());
     tampered.payload = b"tampered ballot".to_vec();
-    let mut garbled = honest.clone();
     garbled.credential_pk = undecodable();
     for (bad, expected) in [
         (tampered, CryptoError::BadSignature),

@@ -357,7 +357,8 @@ impl Ballot {
 }
 
 /// Encrypts and casts a vote with an activated credential, posting the
-/// signed ballot to L_V. Returns the index of the posted record.
+/// signed ballot to L_V as a batch of one. Returns the index of the
+/// posted record.
 ///
 /// Used identically with real and fake credentials — only the tally
 /// determines which ballots count, and nothing in the cast path reveals
@@ -371,7 +372,10 @@ pub fn cast_ballot(
     rng: &mut dyn Rng,
 ) -> Result<usize, VotegralError> {
     let record = build_ballot_record(credential, vote, config, authority_pk, rng)?;
-    ledger.ballots.post(record).map_err(VotegralError::Ledger)
+    let posted = ledger.ballots.post_batch(vec![record], 1);
+    posted
+        .map(|range| range.start)
+        .map_err(VotegralError::Ledger)
 }
 
 /// Constructs a signed, provable ballot record without posting it —

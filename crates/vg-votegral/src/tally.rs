@@ -39,7 +39,7 @@ use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionS
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::par::{default_threads, par_map};
-use vg_crypto::schnorr::{SignatureSweep, VerifyingKey, VerifyingKeyCache};
+use vg_crypto::schnorr::{SignatureSweep, VerifyingKey};
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::{BallotRecord, Ledger};
 use vg_shuffle::{MixCascade, MixTranscript, PairMixTranscript};
@@ -237,14 +237,12 @@ fn admit_block_folded(
     threads: usize,
 ) -> Option<Vec<Option<AcceptedBallot>>> {
     let apk_enc = authority_pk.compress();
-    let mut kiosks = VerifyingKeyCache::new();
     let mut sweep = SignatureSweep::new(b"votegral-ballot-admission-v1");
     sweep.commit(&apk_enc.0);
     sweep.commit(&config.n_options.to_le_bytes());
     let decisions: Vec<Option<AcceptedBallot>> = block
         .iter()
         .map(|record| {
-            let vk = VerifyingKey::from_compressed(&record.credential_pk).ok()?;
             let ballot = Ballot::from_bytes(&record.payload).ok()?;
             let credential_pk = record.credential_pk;
             check_vote_challenge(&apk_enc, &ballot, &record.payload, &credential_pk, config)
@@ -252,13 +250,15 @@ fn admit_block_folded(
             if !kiosk_registry.contains(&ballot.issuance.kiosk_pk) {
                 return None;
             }
-            let kiosk_vk = kiosks.get(&ballot.issuance.kiosk_pk).ok()?;
-            sweep.push(vk, BallotRecord::message(&record.payload), record.signature);
-            sweep.push(
-                kiosk_vk,
-                response_message_from_hash(&credential_pk, &ballot.issuance.er_hash),
-                ballot.issuance.signature,
-            );
+            let message = BallotRecord::message(&record.payload);
+            sweep.push(&credential_pk, message, record.signature).ok()?;
+            sweep
+                .push(
+                    &ballot.issuance.kiosk_pk,
+                    response_message_from_hash(&credential_pk, &ballot.issuance.er_hash),
+                    ballot.issuance.signature,
+                )
+                .ok()?;
             Some(AcceptedBallot {
                 credential_pk,
                 ballot,
