@@ -232,7 +232,10 @@ impl RegistrationLedger {
     /// [`RegistrationLedger::post_batch`].
     pub fn verify_batch(records: &[RegistrationRecord], threads: usize) -> Result<(), LedgerError> {
         if records.len() < 2 {
-            return records.iter().try_for_each(Self::check_record);
+            for check in par_map(records, threads, Self::check_record) {
+                check?;
+            }
+            return Ok(());
         }
         let mut sweep = SignatureSweep::new(b"ledger-reg-admission-v1");
         for record in records {
@@ -456,7 +459,10 @@ impl EnvelopeLedger {
         threads: usize,
     ) -> Result<(), LedgerError> {
         if commitments.len() < 2 {
-            return commitments.iter().try_for_each(Self::check_commitment);
+            for check in par_map(commitments, threads, Self::check_commitment) {
+                check?;
+            }
+            return Ok(());
         }
         let mut sweep = SignatureSweep::new(b"ledger-env-admission-v1");
         for c in commitments {
@@ -635,7 +641,9 @@ impl BallotLedger {
         threads: usize,
     ) -> Result<std::ops::Range<usize>, LedgerError> {
         let checks = par_map(&records, threads, Self::check_record);
-        checks.into_iter().collect::<Result<(), _>>()?;
+        for check in checks {
+            check?;
+        }
         Ok(self.log.append_batch(records, threads))
     }
 

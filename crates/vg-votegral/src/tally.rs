@@ -217,8 +217,11 @@ fn keep_last(
 /// Everything a single check decides *exactly* — key and payload decoding,
 /// the branch count, the branch challenges summing to the Fiat–Shamir
 /// challenge, kiosk registry membership — is decided exactly here too, and
-/// a record failing any of it is `None` without entering the folds. The
-/// sweep's weights commit to every queued key, message and signature; the
+/// a record failing any of it is `None` without entering the folds (the
+/// one exception: a registry entry that does not decode is found when its
+/// issuance signature is pushed, after the credential signature; that
+/// record is still `None`, and a bad signature it leaves queued only sends
+/// the block to [`admit_one`]). The sweep's weights commit to every queued key, message and signature; the
 /// credential signature's message is the whole payload, so continuing its
 /// DRBG into the branch fold keeps the everything-committed rule (A_pk
 /// and the option count are committed explicitly).
