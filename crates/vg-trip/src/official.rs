@@ -129,24 +129,33 @@ impl Official {
         &self,
         checkouts: Vec<(CheckOutQr, NonceCoupon)>,
     ) -> Vec<RegistrationRecord> {
-        let countersign = |(checkout, coupon): (CheckOutQr, NonceCoupon)| {
-            // σ_o ← Sig.Sign(O_sk, V_id ‖ c_pc ‖ σ_kot) (line 4).
-            let message = RegistrationRecord::official_message(
+        checkouts
+            .into_iter()
+            .map(|(checkout, coupon)| self.countersign(&checkout, coupon))
+            .collect()
+    }
+
+    /// Builds the countersigned registration record for a verified
+    /// check-out ticket (Fig 10 lines 4–5).
+    fn countersign(&self, checkout: &CheckOutQr, coupon: NonceCoupon) -> RegistrationRecord {
+        // σ_o ← Sig.Sign(O_sk, V_id ‖ c_pc ‖ σ_kot) (line 4).
+        let official_sig = self.key.sign_with_coupon(
+            &RegistrationRecord::official_message(
                 checkout.voter_id,
                 &checkout.c_pc,
                 &checkout.kiosk_sig,
-            );
-            // L_R[V_id] ← (c_pc, K_pk, σ_kot, O_pk, σ_o) (line 5).
-            RegistrationRecord {
-                voter_id: checkout.voter_id,
-                c_pc: checkout.c_pc,
-                kiosk_pk: checkout.kiosk_pk,
-                kiosk_sig: checkout.kiosk_sig,
-                official_pk: self.public_key(),
-                official_sig: self.key.sign_with_coupon(&message, coupon),
-            }
-        };
-        checkouts.into_iter().map(countersign).collect()
+            ),
+            coupon,
+        );
+        // L_R[V_id] ← (c_pc, K_pk, σ_kot, O_pk, σ_o) (line 5).
+        RegistrationRecord {
+            voter_id: checkout.voter_id,
+            c_pc: checkout.c_pc,
+            kiosk_pk: checkout.kiosk_pk,
+            kiosk_sig: checkout.kiosk_sig,
+            official_pk: self.public_key(),
+            official_sig,
+        }
     }
 
     /// The shared MAC key (used by [`crate::kiosk::Kiosk`] construction in
