@@ -277,20 +277,38 @@ pub fn batch_verify(
     rng: &mut dyn Rng,
 ) -> Result<(), CryptoError> {
     let points: Vec<EdwardsPoint> = items.iter().map(|(vk, _, _)| vk.0).collect();
-    let mut keys = Vec::new();
-    let mut slots = HashMap::new();
-    let slotted: Vec<(usize, &[u8], Signature)> = EdwardsPoint::batch_compress(&points)
+    let mut keys = KeyTable::default();
+    let slotted = EdwardsPoint::batch_compress(&points)
         .into_iter()
         .zip(items)
-        .map(|(pk, (vk, msg, sig))| {
-            let slot = *slots.entry(pk).or_insert_with(|| {
-                keys.push((pk, *vk));
-                keys.len() - 1
-            });
-            (slot, *msg, *sig)
-        })
-        .collect();
-    fold_verify(&keys, &slotted, 1, rng)
+        .map(|(pk, (vk, msg, sig))| Ok((keys.slot(&pk, || Ok(*vk))?, *msg, *sig)))
+        .collect::<Result<Vec<_>, CryptoError>>()?;
+    fold_verify(&keys.keys, &slotted, 1, rng)
+}
+
+/// Each distinct key encoding, with its decoded key, in first-seen order:
+/// the table [`fold_verify`] merges key terms by.
+#[derive(Default)]
+struct KeyTable {
+    keys: Vec<(CompressedPoint, VerifyingKey)>,
+    slots: HashMap<CompressedPoint, usize>,
+}
+
+impl KeyTable {
+    /// The index of encoding `pk`, appending it with the key `decode`
+    /// yields the first time it is seen; a failed decode adds nothing.
+    fn slot(
+        &mut self,
+        pk: &CompressedPoint,
+        decode: impl FnOnce() -> Result<VerifyingKey, CryptoError>,
+    ) -> Result<usize, CryptoError> {
+        if let Some(&slot) = self.slots.get(pk) {
+            return Ok(slot);
+        }
+        self.keys.push((*pk, decode()?));
+        self.slots.insert(*pk, self.keys.len() - 1);
+        Ok(self.keys.len() - 1)
+    }
 }
 
 /// The key-merged fold behind [`batch_verify`] and [`SignatureSweep`] on
@@ -376,10 +394,8 @@ pub struct SignatureSweep {
     /// byte string and queued item's message and signature, as they
     /// arrive.
     label: Sha256,
-    /// Each distinct key encoding pushed, with its decoded key, in first
-    /// push order; `slots` finds an encoding's index.
-    keys: Vec<(CompressedPoint, VerifyingKey)>,
-    slots: HashMap<CompressedPoint, usize>,
+    /// Each distinct key encoding pushed, with its decoded key.
+    keys: KeyTable,
     /// The queued items: key slot, message, signature.
     items: Vec<(usize, Vec<u8>, Signature)>,
 }
@@ -395,8 +411,7 @@ impl SignatureSweep {
             .update(domain);
         Self {
             label,
-            keys: Vec::new(),
-            slots: HashMap::new(),
+            keys: KeyTable::default(),
             items: Vec::new(),
         }
     }
@@ -422,14 +437,7 @@ impl SignatureSweep {
         msg: Vec<u8>,
         sig: Signature,
     ) -> Result<(), CryptoError> {
-        let slot = match self.slots.get(pk) {
-            Some(&slot) => slot,
-            None => {
-                self.keys.push((*pk, VerifyingKey::from_compressed(pk)?));
-                self.slots.insert(*pk, self.keys.len() - 1);
-                self.keys.len() - 1
-            }
-        };
+        let slot = self.keys.slot(pk, || VerifyingKey::from_compressed(pk))?;
         self.label
             .update(&(msg.len() as u64).to_le_bytes())
             .update(&msg)
@@ -460,10 +468,10 @@ impl SignatureSweep {
         // commitment is immaterial; completeness is what soundness needs).
         let mut label = self.label.clone();
         for (slot, _, _) in &self.items {
-            label.update(&self.keys[*slot].0 .0);
+            label.update(&self.keys.keys[*slot].0 .0);
         }
         let mut rng = crate::HmacDrbg::new(&label.finalize());
-        fold_verify(&self.keys, &self.items, threads, &mut rng)?;
+        fold_verify(&self.keys.keys, &self.items, threads, &mut rng)?;
         Ok(rng)
     }
 
@@ -478,7 +486,7 @@ impl SignatureSweep {
             return Ok(());
         }
         crate::par::par_map(&self.items, threads, |(slot, msg, sig)| {
-            self.keys[*slot].1.verify(msg, sig)
+            self.keys.keys[*slot].1.verify(msg, sig)
         })
         .into_iter()
         .collect()
@@ -603,6 +611,20 @@ mod tests {
     }
 
     #[test]
+    fn committed_sweep_accepts_valid_batches() {
+        let mut rng = HmacDrbg::from_u64(51);
+        let mut sweep = SignatureSweep::new(b"test-sweep-v1");
+        for i in 0..6u8 {
+            let key = SigningKey::generate(&mut rng);
+            let msg = vec![i; 9];
+            let sig = key.sign(&msg);
+            sweep.push(&key.public_key_compressed(), msg, sig).unwrap();
+        }
+        assert_eq!(sweep.len(), 6);
+        sweep.verify(2).expect("honest batch folds clean");
+    }
+
+    #[test]
     fn committed_sweep_rejects_any_tampered_item() {
         let mut rng = HmacDrbg::from_u64(52);
         let keys: Vec<SigningKey> = (0..4).map(|_| SigningKey::generate(&mut rng)).collect();
@@ -665,6 +687,69 @@ mod tests {
     fn pubkey_decode_rejects_identity() {
         let id = EdwardsPoint::IDENTITY.compress();
         assert!(VerifyingKey::from_compressed(&id).is_err());
+    }
+
+    #[test]
+    fn batch_verify_accepts_honest_batch() {
+        let mut rng = HmacDrbg::from_u64(8);
+        let msgs: Vec<Vec<u8>> = (0..20)
+            .map(|i| format!("ballot-{i}").into_bytes())
+            .collect();
+        let items: Vec<(VerifyingKey, &[u8], Signature)> = msgs
+            .iter()
+            .map(|m| {
+                let key = SigningKey::generate(&mut rng);
+                let sig = key.sign(m);
+                (key.verifying_key(), m.as_slice(), sig)
+            })
+            .collect();
+        batch_verify(&items, &mut rng).expect("honest batch verifies");
+    }
+
+    #[test]
+    fn batch_verify_rejects_single_bad_signature() {
+        let mut rng = HmacDrbg::from_u64(9);
+        let msgs: Vec<Vec<u8>> = (0..10).map(|i| format!("m{i}").into_bytes()).collect();
+        let mut items: Vec<(VerifyingKey, &[u8], Signature)> = msgs
+            .iter()
+            .map(|m| {
+                let key = SigningKey::generate(&mut rng);
+                let sig = key.sign(m);
+                (key.verifying_key(), m.as_slice(), sig)
+            })
+            .collect();
+        items[7].2.s += Scalar::ONE;
+        assert_eq!(
+            batch_verify(&items, &mut rng),
+            Err(CryptoError::BadSignature)
+        );
+    }
+
+    #[test]
+    fn batch_verify_matches_individual() {
+        // Agreement: the batch accepts exactly when every individual check
+        // accepts (probabilistically, over several random batches).
+        let mut rng = HmacDrbg::from_u64(10);
+        for round in 0..5u64 {
+            let corrupt = round % 2 == 0;
+            let msgs: Vec<Vec<u8>> = (0..6)
+                .map(|i| format!("r{round}m{i}").into_bytes())
+                .collect();
+            let mut items: Vec<(VerifyingKey, &[u8], Signature)> = msgs
+                .iter()
+                .map(|m| {
+                    let key = SigningKey::generate(&mut rng);
+                    let sig = key.sign(m);
+                    (key.verifying_key(), m.as_slice(), sig)
+                })
+                .collect();
+            if corrupt {
+                items[0].2.s += Scalar::ONE;
+            }
+            let individual_ok = items.iter().all(|(vk, m, sig)| vk.verify(m, sig).is_ok());
+            let batch_ok = batch_verify(&items, &mut rng).is_ok();
+            assert_eq!(individual_ok, batch_ok, "round {round}");
+        }
     }
 
     #[test]

@@ -811,6 +811,19 @@ mod tests {
     }
 
     #[test]
+    fn ineligible_voter_rejected() {
+        let mut rng = HmacDrbg::from_u64(2);
+        let kiosk = SigningKey::generate(&mut rng);
+        let official = SigningKey::generate(&mut rng);
+        let mut ledger = Ledger::new(vec![VoterId(1)], &mut rng);
+        let r = sample_record(VoterId(99), &kiosk, &official, &mut rng);
+        assert_eq!(
+            ledger.registration.post_batch(vec![r], 1),
+            Err(LedgerError::NotOnRoster)
+        );
+    }
+
+    #[test]
     fn bad_kiosk_signature_rejected() {
         let mut rng = HmacDrbg::from_u64(3);
         let kiosk = SigningKey::generate(&mut rng);
@@ -857,6 +870,30 @@ mod tests {
             ledger.envelopes.reveal_challenge(&e),
             Err(LedgerError::UnknownEnvelope)
         );
+    }
+
+    #[test]
+    fn ballot_posting_checks_signature() {
+        let mut rng = HmacDrbg::from_u64(6);
+        let mut ledger = Ledger::new(vec![], &mut rng);
+        let cred = SigningKey::generate(&mut rng);
+        let payload = b"encrypted-ballot".to_vec();
+        let signature = cred.sign(&BallotRecord::message(&payload));
+        let rec = BallotRecord {
+            credential_pk: cred.verifying_key().compress(),
+            payload: payload.clone(),
+            signature,
+        };
+        ledger.ballots.post_batch(vec![rec], 1).expect("posts");
+        assert_eq!(ledger.ballots.len(), 1);
+
+        // Tampered payload rejected.
+        let bad = BallotRecord {
+            credential_pk: cred.verifying_key().compress(),
+            payload: b"tampered".to_vec(),
+            signature,
+        };
+        assert!(ledger.ballots.post_batch(vec![bad], 1).is_err());
     }
 
     /// A public key A = a·B + T, with T of order 8, and a signature on

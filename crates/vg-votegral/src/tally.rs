@@ -217,11 +217,8 @@ fn keep_last(
 /// Everything a single check decides *exactly* — key and payload decoding,
 /// the branch count, the branch challenges summing to the Fiat–Shamir
 /// challenge, kiosk registry membership — is decided exactly here too, and
-/// a record failing any of it is `None` without entering the folds (the
-/// one exception: a registry entry that does not decode is found when its
-/// issuance signature is pushed, after the credential signature; that
-/// record is still `None`, and a bad signature it leaves queued only sends
-/// the block to [`admit_one`]). The sweep's weights commit to every queued key, message and signature; the
+/// a record failing any of it is `None` without entering the folds. The
+/// sweep's weights commit to every queued key, message and signature; the
 /// credential signature's message is the whole payload, so continuing its
 /// DRBG into the branch fold keeps the everything-committed rule (A_pk
 /// and the option count are committed explicitly).
@@ -243,6 +240,14 @@ fn admit_block_folded(
     let mut sweep = SignatureSweep::new(b"votegral-ballot-admission-v1");
     sweep.commit(&apk_enc.0);
     sweep.commit(&config.n_options.to_le_bytes());
+    // Registry entries that do not decode are dropped up front, so a
+    // record naming one is `None` before its credential signature is
+    // queued, and the kiosk push below cannot fail.
+    let kiosks: Vec<CompressedPoint> = kiosk_registry
+        .iter()
+        .filter(|pk| VerifyingKey::from_compressed(pk).is_ok())
+        .copied()
+        .collect();
     let decisions: Vec<Option<AcceptedBallot>> = block
         .iter()
         .map(|record| {
@@ -250,7 +255,7 @@ fn admit_block_folded(
             let credential_pk = record.credential_pk;
             check_vote_challenge(&apk_enc, &ballot, &record.payload, &credential_pk, config)
                 .ok()?;
-            if !kiosk_registry.contains(&ballot.issuance.kiosk_pk) {
+            if !kiosks.contains(&ballot.issuance.kiosk_pk) {
                 return None;
             }
             let message = BallotRecord::message(&record.payload);
@@ -643,8 +648,11 @@ mod tests {
 
     #[test]
     fn exact_rejections_stay_out_of_the_folds() {
-        // Undecodable payload, broken challenge sum, unknown kiosk: decided
-        // exactly, so the remaining valid ballots still fold clean.
+        // Undecodable payload, broken challenge sum, unknown kiosk, and a
+        // registry entry that is no key (the identity) named by a ballot
+        // with a bad credential signature: decided exactly, before any
+        // signature is queued, so the remaining valid ballots still fold
+        // clean.
         let mut board = board(2);
         let garbage = vec![0xffu8; 40];
         board.records[1].signature = board.credentials[1]
@@ -657,11 +665,18 @@ mod tests {
         board.rewrite(3, |ballot, rng| {
             ballot.issuance.kiosk_pk = SigningKey::generate(rng).verifying_key().compress();
         });
+        let mut identity = [0u8; 32];
+        identity[0] = 1;
+        board.registry.push(CompressedPoint(identity));
+        board.rewrite(4, |ballot, _| {
+            ballot.issuance.kiosk_pk = CompressedPoint(identity)
+        });
+        board.records[4].signature.s += Scalar::ONE;
         let decisions = board.folded().expect("no fold sees the exact rejections");
         let rejected: Vec<usize> = (0..decisions.len())
             .filter(|&i| decisions[i].is_none())
             .collect();
-        assert_eq!(rejected, vec![1, 2, 3]);
+        assert_eq!(rejected, vec![1, 2, 3, 4]);
         assert_eq!(board.admitted(), board.one_by_one());
     }
 
