@@ -385,10 +385,11 @@ fn fold_verify<M: AsRef<[u8]> + Sync>(
 ///
 /// Items carry their keys as the records do, compressed; the sweep decodes
 /// each distinct encoding once and runs the key-merged fold of
-/// [`batch_verify`] over them. `vg-ledger`'s batched record admission (L_E
-/// and L_R) and `vg-trip`'s batched check-out take its verdict with
-/// [`SignatureSweep::check`]; `vg-trip`'s activation and `vg-votegral`'s
-/// ballot admission continue the DRBG [`SignatureSweep::verify`] returns.
+/// [`batch_verify`] over them. `vg-ledger`'s record admission on L_R, L_E
+/// and L_V, at any batch size, and `vg-trip`'s batched check-out take its
+/// verdict with [`SignatureSweep::check`]; `vg-trip`'s activation and
+/// `vg-votegral`'s tally-time ballot admission continue the DRBG
+/// [`SignatureSweep::verify`] returns.
 pub struct SignatureSweep {
     /// The running weight commitment: the label, then every committed
     /// byte string and queued item's message and signature, as they
@@ -481,6 +482,12 @@ impl SignatureSweep {
     /// being the error. Items that all pass alone overrule the fold (a
     /// torsioned key or R that verifies, or a negligible-probability RLC
     /// false negative): per-item acceptance is authoritative.
+    ///
+    /// The converse does not hold, at any size, one item included: a fold
+    /// that accepts is final. An item whose equation holds only modulo the
+    /// 8-torsion, which only the holder of its signing key can make, fails
+    /// alone but passes the fold whenever its weight clears the residue,
+    /// about one time in eight per grind.
     pub fn check(&self, threads: usize) -> Result<(), CryptoError> {
         if self.verify(threads).is_ok() {
             return Ok(());

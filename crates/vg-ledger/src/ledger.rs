@@ -16,7 +16,6 @@ use crate::log::{Record, TamperEvidentLog, TreeHead};
 use crate::store::LedgerBackend;
 use vg_crypto::edwards::CompressedPoint;
 use vg_crypto::elgamal::Ciphertext;
-use vg_crypto::par::par_map;
 use vg_crypto::schnorr::{Signature, SignatureSweep, SigningKey, VerifyingKey};
 use vg_crypto::{CryptoError, Rng, Scalar};
 
@@ -166,22 +165,6 @@ impl RegistrationLedger {
         }
     }
 
-    /// Checks the signature chain of one record (Fig 10's ledger-side
-    /// admission rule), without mutating anything.
-    fn check_record(record: &RegistrationRecord) -> Result<(), LedgerError> {
-        let kiosk_vk = VerifyingKey::from_compressed(&record.kiosk_pk)?;
-        kiosk_vk.verify(
-            &RegistrationRecord::kiosk_message(record.voter_id, &record.c_pc),
-            &record.kiosk_sig,
-        )?;
-        let official_vk = VerifyingKey::from_compressed(&record.official_pk)?;
-        official_vk.verify(
-            &RegistrationRecord::official_message(record.voter_id, &record.c_pc, &record.kiosk_sig),
-            &record.official_sig,
-        )?;
-        Ok(())
-    }
-
     /// The electoral roll.
     pub fn roster(&self) -> &[VoterId] {
         &self.roster
@@ -220,9 +203,9 @@ impl RegistrationLedger {
     }
 
     /// The signature-chain half of [`RegistrationLedger::post_batch`]:
-    /// one committed RLC admission sweep over the batch, whose
-    /// [`SignatureSweep::check`] names the first offender (2 records and
-    /// up; per-record checks below that), touching no ledger state.
+    /// one committed RLC admission sweep over the batch, whatever its
+    /// size, whose [`SignatureSweep::check`] names the first offender,
+    /// touching no ledger state.
     ///
     /// An associated function: it needs no ledger. Eligibility is *not*
     /// checked here because the roster lives with the ledger. `pub`
@@ -231,12 +214,6 @@ impl RegistrationLedger {
     /// separately; the registrar itself calls
     /// [`RegistrationLedger::post_batch`].
     pub fn verify_batch(records: &[RegistrationRecord], threads: usize) -> Result<(), LedgerError> {
-        if records.len() < 2 {
-            for check in par_map(records, threads, Self::check_record) {
-                check?;
-            }
-            return Ok(());
-        }
         let mut sweep = SignatureSweep::new(b"ledger-reg-admission-v1");
         for record in records {
             sweep.push(
@@ -422,16 +399,6 @@ impl EnvelopeLedger {
         }
     }
 
-    /// Checks one commitment's printer signature.
-    fn check_commitment(commitment: &EnvelopeCommitment) -> Result<(), LedgerError> {
-        let printer = VerifyingKey::from_compressed(&commitment.printer_pk)?;
-        printer.verify(
-            &EnvelopeCommitment::message(&commitment.challenge_hash),
-            &commitment.signature,
-        )?;
-        Ok(())
-    }
-
     /// Records printer commitments (Fig 7 line 5), the one admission
     /// path: setup's booth supply and every restock, posted by `vg-trip`'s
     /// `print_supply` in chunks of at most 4 096, the ceremony pool's
@@ -458,12 +425,6 @@ impl EnvelopeLedger {
         commitments: &[EnvelopeCommitment],
         threads: usize,
     ) -> Result<(), LedgerError> {
-        if commitments.len() < 2 {
-            for check in par_map(commitments, threads, Self::check_commitment) {
-                check?;
-            }
-            return Ok(());
-        }
         let mut sweep = SignatureSweep::new(b"ledger-env-admission-v1");
         for c in commitments {
             sweep.push(
@@ -622,28 +583,28 @@ impl BallotLedger {
         }
     }
 
-    /// Checks one ballot's credential signature.
-    fn check_record(record: &BallotRecord) -> Result<(), LedgerError> {
-        let vk = VerifyingKey::from_compressed(&record.credential_pk)?;
-        vk.verify(&BallotRecord::message(&record.payload), &record.signature)?;
-        Ok(())
-    }
-
     /// Posts ballots after checking their credential signatures (the
     /// PBB's syntactic admission check; semantic checks happen at tally):
-    /// signatures verified with up to `threads` workers, Merkle leaves
-    /// hashed in parallel, one head re-publication for the whole batch.
-    /// A single cast is a batch of one. All-or-nothing on signature
-    /// failure.
+    /// one committed RLC sweep over the batch on up to `threads` workers,
+    /// whose [`SignatureSweep::check`] names the first offender, Merkle
+    /// leaves hashed in parallel, one head re-publication for the whole
+    /// batch. A single cast is a batch of one. All-or-nothing: every key
+    /// is decoded before any signature is checked, so an undecodable key
+    /// is the error even behind an earlier bad signature.
     pub fn post_batch(
         &mut self,
         records: Vec<BallotRecord>,
         threads: usize,
     ) -> Result<std::ops::Range<usize>, LedgerError> {
-        let checks = par_map(&records, threads, Self::check_record);
-        for check in checks {
-            check?;
+        let mut sweep = SignatureSweep::new(b"ledger-ballot-admission-v1");
+        for r in &records {
+            sweep.push(
+                &r.credential_pk,
+                BallotRecord::message(&r.payload),
+                r.signature,
+            )?;
         }
+        sweep.check(threads)?;
         Ok(self.log.append_batch(records, threads))
     }
 
@@ -944,7 +905,9 @@ mod tests {
         sweep.push(&r.kiosk_pk, kiosk_msg, r.kiosk_sig).unwrap();
         assert_eq!(sweep.verify(1).err(), Some(CryptoError::BadSignature));
         assert_eq!(sweep.check(1), Ok(()));
+        let alone = r.clone();
         assert_eq!(ledger.registration.post_batch(records, 1), Ok(0..3));
+        assert_eq!(ledger.registration.post_batch(vec![alone], 1), Ok(3..4));
 
         let printer = SigningKey::generate(&mut rng);
         let mut commitments: Vec<EnvelopeCommitment> = (0..3)
@@ -962,7 +925,19 @@ mod tests {
         let c = &mut commitments[1];
         let msg = EnvelopeCommitment::message(&c.challenge_hash);
         (c.printer_pk, c.signature) = torsioned_signature(&msg, &mut rng);
+        let alone = c.clone();
         assert_eq!(ledger.envelopes.commit_batch(commitments, 1), Ok(0..3));
+        assert_eq!(ledger.envelopes.commit_batch(vec![alone], 1), Ok(3..4));
+
+        let payload = b"encrypted-ballot".to_vec();
+        let (credential_pk, signature) =
+            torsioned_signature(&BallotRecord::message(&payload), &mut rng);
+        let ballot = BallotRecord {
+            credential_pk,
+            payload,
+            signature,
+        };
+        assert_eq!(ledger.ballots.post_batch(vec![ballot], 1), Ok(0..1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Admission errors at check-out, on L_E and on L_V: a single record and a
-//! batch whose offender sits in the middle fail with the same typed error,
-//! and leave the ledger's `(size, root)` where it was.
+//! Admission errors at check-out, on L_R, L_E and L_V: a single record and
+//! a batch whose offender sits in the middle fail with the same typed
+//! error, and leave the ledger's `(size, root)` where it was.
 
 use vg_crypto::elgamal::encrypt_point;
 use vg_crypto::schnorr::{NonceCoupon, SigningKey};
@@ -131,10 +131,69 @@ fn envelope_and_ballot_errors_match_one_by_one_and_batched() {
         (tampered, CryptoError::BadSignature),
         (garbled, CryptoError::InvalidPoint),
     ] {
+        let expected = Err(LedgerError::Crypto(expected));
         let before = size_root(ledger.ballots.tree_head());
-        let single = ledger.ballots.post_batch(vec![bad], 1);
-        assert_eq!(single, Err(LedgerError::Crypto(expected)), "one ballot");
+        let single = ledger.ballots.post_batch(vec![bad.clone()], 1);
+        assert_eq!(single, expected, "one ballot");
+        let batch = vec![honest.clone(), bad, honest.clone()];
+        assert_eq!(
+            ledger.ballots.post_batch(batch, 1),
+            expected,
+            "offender in the middle"
+        );
         assert_eq!(size_root(ledger.ballots.tree_head()), before);
     }
     assert_eq!(ledger.ballots.post_batch(vec![honest], 1), Ok(0..1));
+}
+
+/// A record with two faults, a forged signature and an undecodable key,
+/// fails on the key, alone or in a batch: every key is decoded before any
+/// signature is checked.
+#[test]
+fn an_undecodable_key_outranks_a_forged_signature() {
+    let mut rng = HmacDrbg::from_u64(36);
+    let mut ledger = Ledger::new((1..=3).map(VoterId).collect(), &mut rng);
+    let (kiosk, official) = (
+        SigningKey::generate(&mut rng),
+        SigningKey::generate(&mut rng),
+    );
+    let record = |voter: u64, rng: &mut HmacDrbg| {
+        let t = ticket(voter, &kiosk, rng);
+        let msg = RegistrationRecord::official_message(t.voter_id, &t.c_pc, &t.kiosk_sig);
+        RegistrationRecord {
+            voter_id: t.voter_id,
+            c_pc: t.c_pc,
+            kiosk_pk: t.kiosk_pk,
+            kiosk_sig: t.kiosk_sig,
+            official_pk: official.public_key_compressed(),
+            official_sig: official.sign(&msg),
+        }
+    };
+    let mut bad = record(2, &mut rng);
+    bad.kiosk_sig = kiosk.sign(b"unrelated");
+    bad.official_pk = undecodable();
+    let expected = Err(LedgerError::Crypto(CryptoError::InvalidPoint));
+    let before = size_root(ledger.registration.tree_head());
+    let single = ledger.registration.post_batch(vec![bad.clone()], 1);
+    assert_eq!(single, expected, "one record");
+    let batch = vec![record(1, &mut rng), bad, record(3, &mut rng)];
+    let batched = ledger.registration.post_batch(batch, 1);
+    assert_eq!(batched, expected, "offender in the middle");
+    assert_eq!(size_root(ledger.registration.tree_head()), before);
+
+    // On L_V an undecodable key in a later record outranks a bad
+    // signature in an earlier one.
+    let credential = SigningKey::generate(&mut rng);
+    let ballot = |payload: &[u8]| BallotRecord {
+        credential_pk: credential.public_key_compressed(),
+        signature: credential.sign(&BallotRecord::message(payload)),
+        payload: payload.to_vec(),
+    };
+    let mut tampered = ballot(b"first ballot");
+    tampered.payload = b"tampered ballot".to_vec();
+    let mut garbled = ballot(b"third ballot");
+    garbled.credential_pk = undecodable();
+    let batch = vec![tampered, ballot(b"second ballot"), garbled];
+    assert_eq!(ledger.ballots.post_batch(batch, 1), expected);
+    assert!(ledger.ballots.is_empty());
 }

@@ -17,6 +17,7 @@ use vg_crypto::batch::BatchVerifier;
 use vg_crypto::chaum_pedersen::{
     forge_transcript, verify_transcript, Commitment, DlEqStatement, IzkpTranscript, Prover,
 };
+use vg_crypto::codec::{put_ciphertext, put_point, put_scalar, Reader};
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::schnorr::{Signature, VerifyingKey};
@@ -25,7 +26,6 @@ use vg_ledger::{BallotRecord, Ledger};
 use vg_trip::materials::response_message_from_hash;
 use vg_trip::vsd::ActivatedCredential;
 
-use crate::codec::{put_ciphertext, put_point, put_scalar, Reader};
 use crate::error::VotegralError;
 
 /// Election vote configuration: the candidate list size |M|.
@@ -425,7 +425,7 @@ pub fn build_ballot_record(
 /// Casts a batch of ballots: records are built sequentially (consuming
 /// the RNG in exactly the order a loop of [`cast_ballot`] calls would,
 /// so the two paths are bit-for-bit interchangeable), then admitted
-/// through the ledger's batch fast path — parallel signature checks,
+/// through the ledger's batch path — one committed signature sweep,
 /// parallel leaf hashing, one head re-publication. Returns the posted
 /// indices in input order.
 pub fn cast_ballots(

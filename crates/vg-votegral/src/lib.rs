@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ballot;
-pub mod codec;
 pub mod election;
 pub mod error;
 pub mod history;
