@@ -22,10 +22,11 @@
 #
 # Nominal times divide out the host's slowdown, and that correction holds
 # only over the range it was calibrated on. `judge` prints each side's
-# median `host_slowdown` per workload and marks every row of a workload
-# `unresolved` when the two sides' medians differ by more than a factor
-# HOST_F, or when one side's median is more than HOST_F times the median of
-# the other workloads' medians in the same file.
+# median `host_slowdown` per workload and the spread (max/min) of its runs'
+# readings, and marks every row of a workload `unresolved` when the two
+# sides' medians differ by more than a factor HOST_F, when one side's median
+# is more than HOST_F times the median of the other workloads' medians in
+# the same file, or when one side's own runs spread by more than HOST_F.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 e2e=bench/e2e/target/release/e2e
@@ -35,19 +36,23 @@ build() { cargo build --release --offline --quiet --manifest-path "$1/bench/e2e/
 # its widest readings were 1.09x between sides and 1.04x against the other
 # workloads; 1.5 leaves room for the host changing mode between workload
 # blocks and still refuses the 2.41x of bench/fixtures/bench_e2e_pr29.json
-# (README, *The perf gate*).
+# and the 2.55x spread within one side of bench/fixtures/bench_e2e_pr33.json,
+# whose runs straddle two of the host's modes (README, *The perf gate*).
 HOST_F=1.5
 
-# Prints each workload's median host slowdown on both sides, and
-# "host: unresolved <workload> (…)" for every workload the host leaves
-# unjudged.
+# Prints each workload's median host slowdown and its runs' spread on both
+# sides, and "host: unresolved <workload> (…)" for every workload the host
+# leaves unjudged.
 host_check() {
   awk -v F="$HOST_F" '
     FNR == 1 { k++ }
     match($0, /"host_slowdown": [^,}]*/) {
       name = $0; sub(/.*"workload": "/, "", name); sub(/".*/, "", name)
       if (!(name in seen)) { seen[name]; listed[++nl] = name }
-      x[k, name, ++c[k, name]] = substr($0, RSTART + 17, RLENGTH - 17) + 0
+      h = substr($0, RSTART + 17, RLENGTH - 17) + 0
+      x[k, name, ++c[k, name]] = h
+      if (c[k, name] == 1 || h < lo[k, name]) lo[k, name] = h
+      if (c[k, name] == 1 || h > hi[k, name]) hi[k, name] = h
     }
     # The median of v[1..n], which it sorts.
     function median(v, n,   i, j, t) {
@@ -62,8 +67,11 @@ host_check() {
       }
       for (i = 1; i <= nw; i++) {
         a = m[1, i]; b = m[2, i]; why = ""
-        printf "host: %-14s median host_slowdown a %.2f b %.2f\n", w[i], a, b
+        for (k = 1; k <= 2; k++) s[k] = hi[k, w[i]] / lo[k, w[i]]
+        printf "host: %-14s median host_slowdown a %.2f b %.2f, spread a %.2fx b %.2fx\n", w[i], a, b, s[1], s[2]
         if (a > F * b || b > F * a) why = sprintf("; the sides differ by %.2fx", a > b ? a / b : b / a)
+        for (k = 1; k <= 2; k++) if (s[k] > F)
+          why = why sprintf("; side %s runs spread %.2fx (%.2f-%.2f)", k == 1 ? "a" : "b", s[k], lo[k, w[i]], hi[k, w[i]])
         for (k = 1; k <= 2 && nw > 1; k++) {
           split("", v); n = 0; for (j = 1; j <= nw; j++) if (j != i) v[++n] = m[k, j]
           if (m[k, i] > F * median(v, n))

@@ -32,10 +32,11 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::field::{FieldElement, EDWARDS_D, EDWARDS_D2};
 use crate::scalar::Scalar;
+use crate::sync::lock_recover;
 
 /// A point on edwards25519 in extended coordinates.
 #[derive(Clone, Copy)]
@@ -609,11 +610,19 @@ fn radix16_signed(s: &Scalar) -> [i8; 64] {
 /// is the scalar's 64 signed radix-16 digits looked up and summed — at most
 /// 64 mixed additions and no doubling, about a quarter of a variable-base
 /// multiplication. Building it costs about five variable-base
-/// multiplications. 60 KiB, plain data: callers keep it on their own stack
-/// for the loop that uses it.
+/// multiplications. 60 KiB, plain data: a loop over one point builds its
+/// own with [`FixedBaseTable::new`], and a point the whole process
+/// multiplies — the election key — comes from [`FixedBaseTable::shared`].
 pub struct FixedBaseTable {
     rows: [[AffineNiels; 8]; 64],
 }
+
+/// How many tables [`FixedBaseTable::shared`] keeps: the election key and
+/// the few keys a test process or a mix of elections holds at once.
+const SHARED_TABLES: usize = 4;
+
+/// [`FixedBaseTable::shared`]'s cache, most recently used first.
+static SHARED: Mutex<Vec<(EdwardsPoint, Arc<FixedBaseTable>)>> = Mutex::new(Vec::new());
 
 impl FixedBaseTable {
     /// Builds the table for `base`.
@@ -642,6 +651,36 @@ impl FixedBaseTable {
             };
         });
         FixedBaseTable { rows }
+    }
+
+    /// The process-wide table of `base`, built on first use: what
+    /// [`EdwardsPoint::mul_base`]'s table is for B, for a point that is only
+    /// known at run time. The cache holds the four most recently used
+    /// bases. A missing table is built outside the lock, so two threads
+    /// that miss together may both build it; the first to finish is cached
+    /// and both return that one.
+    pub fn shared(base: &EdwardsPoint) -> Arc<FixedBaseTable> {
+        if let Some(table) = Self::cached(&mut lock_recover(&SHARED), base) {
+            return table;
+        }
+        let built = Arc::new(FixedBaseTable::new(base));
+        let mut cache = lock_recover(&SHARED);
+        if let Some(table) = Self::cached(&mut cache, base) {
+            return table;
+        }
+        cache.insert(0, (*base, Arc::clone(&built)));
+        cache.truncate(SHARED_TABLES);
+        built
+    }
+
+    /// `base`'s table if `cache` holds it, moved to the front.
+    fn cached(
+        cache: &mut [(EdwardsPoint, Arc<FixedBaseTable>)],
+        base: &EdwardsPoint,
+    ) -> Option<Arc<FixedBaseTable>> {
+        let at = cache.iter().position(|(b, _)| b == base)?;
+        cache[..=at].rotate_right(1);
+        Some(Arc::clone(&cache[0].1))
     }
 
     /// `s·P` for the table's point.
@@ -1378,6 +1417,50 @@ mod kernel_oracle {
             }
             assert_eq!(value, s);
         }
+    }
+
+    /// `shared(base).mul(s) == base·s`, and the cache within its bound.
+    fn check_shared(base: &EdwardsPoint, s: &Scalar) {
+        assert_eq!(FixedBaseTable::shared(base).mul(s), *base * *s, "{s:?}");
+        assert!(lock_recover(&SHARED).len() <= SHARED_TABLES);
+    }
+
+    #[test]
+    fn shared_table_over_more_bases_than_it_keeps() {
+        use crate::drbg::Rng;
+        // The identity, an 8-torsion point and more random bases than the
+        // cache holds, visited in an interleaved order, so lookups hit at
+        // every depth and miss after every eviction.
+        let mut rng = crate::HmacDrbg::from_u64(41);
+        let mut bases = vec![EdwardsPoint::IDENTITY, t8()];
+        bases.extend((0..SHARED_TABLES + 2).map(|_| EdwardsPoint::mul_base(&rng.scalar())));
+        let n = bases.len();
+        for step in [1, 3, 5, 2, 1] {
+            for i in 0..n {
+                let base = &bases[i * step % n];
+                check_shared(base, &rng.scalar());
+                for s in edge_scalars() {
+                    check_shared(base, s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_table_from_par_map_workers() {
+        use crate::drbg::Rng;
+        let mut rng = crate::HmacDrbg::from_u64(42);
+        let mut bases = vec![t8(), EdwardsPoint::IDENTITY];
+        bases.extend((0..SHARED_TABLES).map(|_| EdwardsPoint::mul_base(&rng.scalar())));
+        let jobs: Vec<(EdwardsPoint, Scalar)> = (0..96)
+            .map(|i| (bases[i * 5 % bases.len()], rng.scalar()))
+            .collect();
+        let products =
+            crate::par::par_map(&jobs, 4, |(base, s)| FixedBaseTable::shared(base).mul(s));
+        for ((base, s), product) in jobs.iter().zip(products) {
+            assert_eq!(product, *base * *s);
+        }
+        assert!(lock_recover(&SHARED).len() <= SHARED_TABLES);
     }
 
     #[test]

@@ -134,6 +134,20 @@ pub fn encrypt_point_with(pk: &EdwardsPoint, m: &EdwardsPoint, r: &Scalar) -> Ci
     }
 }
 
+/// [`encrypt_point_with`] for a key multiplied many times: `pk_table` is
+/// the [`FixedBaseTable`] of `pk`, which turns the variable-base `pk·r`
+/// into a table walk. Same ciphertext, byte for byte.
+pub fn encrypt_point_with_table(
+    pk_table: &FixedBaseTable,
+    m: &EdwardsPoint,
+    r: &Scalar,
+) -> Ciphertext {
+    Ciphertext {
+        c1: EdwardsPoint::mul_base(r),
+        c2: pk_table.mul(r) + *m,
+    }
+}
+
 /// Encrypts the scalar `m` in the exponent (message g^m); decryption
 /// recovers g^m, and small values are recovered by table lookup.
 pub fn encrypt_exponent(pk: &EdwardsPoint, m: &Scalar, rng: &mut dyn Rng) -> (Ciphertext, Scalar) {

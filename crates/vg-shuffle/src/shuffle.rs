@@ -199,9 +199,9 @@ impl ShuffleContext {
         let rho: Vec<Vec<Scalar>> = (0..R::WIDTH)
             .map(|_| (0..n).map(|_| rng.scalar()).collect())
             .collect();
-        // pk·ρⱼ is a third of the re-encryption; one table of pk for the
-        // loop.
-        let pk_table = FixedBaseTable::new(pk);
+        // pk·ρⱼ is a third of the re-encryption: pk's process-wide table
+        // serves it, and every other shuffle under the same key.
+        let pk_table = FixedBaseTable::shared(pk);
         let rows: Vec<(usize, usize)> = perm.iter().copied().enumerate().collect();
         let outputs: Vec<R> = par_map(&rows, default_threads(), |&(j, from)| {
             let row = &inputs[from];

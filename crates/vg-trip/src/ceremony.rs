@@ -34,6 +34,7 @@
 //! thread scheduling.
 
 use vg_crypto::chaum_pedersen::Commitment;
+use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::schnorr::{NonceCoupon, SigningKey};
 use vg_crypto::{EdwardsPoint, HmacDrbg, Rng, Scalar};
@@ -41,9 +42,6 @@ use vg_ledger::{EnvelopeCommitment, VoterId};
 
 use crate::materials::{Envelope, Symbol};
 use crate::printer::EnvelopePrinter;
-
-/// `s ↦ s·A_pk`: the authority key as the derivation sees it.
-pub(crate) type MulAuthorityPk<'a> = dyn Fn(&Scalar) -> EdwardsPoint + Sync + 'a;
 
 /// Precomputed state for issuing one *real* credential (Fig 9a lines 2–5,
 /// evaluated ahead of time).
@@ -64,18 +62,18 @@ impl RealPrecursor {
     /// Fig 9a lines 2–5: the credential key pair, the ElGamal randomness x
     /// with the tag c_pc = (g^x, A_pk^x · c_pk), the Σ-nonce with its
     /// commitment, the symbol and the three coupons — drawn in that order,
-    /// which is part of the replay contract.
-    pub(crate) fn draw(mul_pk: &MulAuthorityPk<'_>, rng: &mut dyn Rng) -> Self {
+    /// which is part of the replay contract. `pk_table` is A_pk's table.
+    pub(crate) fn draw(pk_table: &FixedBaseTable, rng: &mut dyn Rng) -> Self {
         let credential = SigningKey::generate(rng);
         let x = rng.scalar();
         let c_pc = Ciphertext {
             c1: EdwardsPoint::mul_base(&x),
-            c2: mul_pk(&x) + credential.verifying_key().0,
+            c2: pk_table.mul(&x) + credential.verifying_key().0,
         };
         let nonce = rng.scalar();
         let commit = Commitment {
             a1: EdwardsPoint::mul_base(&nonce),
-            a2: mul_pk(&nonce),
+            a2: pk_table.mul(&nonce),
         };
         let symbol = Symbol::random(rng);
         let mut coupons = NonceCoupon::batch(3, rng);
@@ -136,7 +134,7 @@ impl FakePrecursor {
     /// Fig 9b before the envelope: the fake key pair, the forge nonce y
     /// with its halves y·g₁, y·g₂, and the two coupons, drawn in that
     /// order (replay contract, as for [`RealPrecursor::draw`]).
-    pub(crate) fn draw(mul_pk: &MulAuthorityPk<'_>, rng: &mut dyn Rng) -> Self {
+    pub(crate) fn draw(pk_table: &FixedBaseTable, rng: &mut dyn Rng) -> Self {
         let credential = SigningKey::generate(rng);
         let y = rng.scalar();
         let mut coupons = NonceCoupon::batch(2, rng);
@@ -146,7 +144,7 @@ impl FakePrecursor {
             credential,
             forge_nonce: y,
             g1y: EdwardsPoint::mul_base(&y),
-            g2y: mul_pk(&y),
+            g2y: pk_table.mul(&y),
             commit_coupon,
             response_coupon,
         }
@@ -264,7 +262,7 @@ impl SessionMaterials {
             session_index,
             voter_id,
             n_fakes,
-            &|s| *authority_pk * s,
+            &FixedBaseTable::shared(authority_pk),
             malicious,
         );
         let printed = unprinted
@@ -276,10 +274,7 @@ impl SessionMaterials {
     }
 
     /// [`SessionMaterials::derive`] without a printer in reach, and with
-    /// the authority key behind `mul_pk(s) = s·A_pk` (a loop over many
-    /// sessions passes a
-    /// [`FixedBaseTable`](vg_crypto::edwards::FixedBaseTable) walk, a single
-    /// derivation the plain multiplication): derives everything
+    /// A_pk as its [`FixedBaseTable::shared`] table: derives everything
     /// session-local (keys, tag, Σ-state, coupons, envelope challenges and
     /// symbols) and returns the bundle together with the [`PrintJob`]s some
     /// envelope printer — local or behind an RPC boundary — must fulfil
@@ -290,7 +285,7 @@ impl SessionMaterials {
         session_index: usize,
         voter_id: VoterId,
         n_fakes: usize,
-        mul_pk: &MulAuthorityPk<'_>,
+        pk_table: &FixedBaseTable,
         malicious: bool,
     ) -> UnprintedSession {
         let mut label = Vec::with_capacity(64);
@@ -300,7 +295,7 @@ impl SessionMaterials {
         label.extend_from_slice(&voter_id.to_bytes());
         let mut rng = HmacDrbg::new(&label);
 
-        let real = RealPrecursor::draw(mul_pk, &mut rng);
+        let real = RealPrecursor::draw(pk_table, &mut rng);
 
         // The voter picks a matching envelope; in simulation the printer
         // simply prepares one with the right symbol (footnote 6 lets
@@ -313,7 +308,7 @@ impl SessionMaterials {
 
         let mut fakes = Vec::with_capacity(n_fakes);
         for _ in 0..n_fakes {
-            fakes.push(FakePrecursor::draw(mul_pk, &mut rng));
+            fakes.push(FakePrecursor::draw(pk_table, &mut rng));
             jobs.push(PrintJob {
                 challenge: rng.scalar(),
                 symbol: Symbol::random(&mut rng),
@@ -321,7 +316,7 @@ impl SessionMaterials {
         }
 
         let official_coupon = NonceCoupon::generate(&mut rng);
-        let malicious_spare = malicious.then(|| FakePrecursor::draw(mul_pk, &mut rng));
+        let malicious_spare = malicious.then(|| FakePrecursor::draw(pk_table, &mut rng));
 
         UnprintedSession {
             materials: SessionMaterials {
@@ -419,7 +414,7 @@ mod tests {
             2,
             VoterId(9),
             2,
-            &|s| apk * s,
+            &FixedBaseTable::new(&apk),
             false,
         );
         assert_eq!(unprinted.jobs().len(), 3);

@@ -57,6 +57,7 @@ use std::sync::Mutex;
 
 use vg_crypto::chaum_pedersen::{Commitment, Prover};
 use vg_crypto::drbg::Rng;
+use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::schnorr::{NonceCoupon, SigningKey};
 use vg_crypto::sync::lock_recover;
@@ -220,12 +221,12 @@ impl Kiosk {
     /// A real precursor drawn on the spot, over this kiosk's copy of
     /// A_pk — what a kiosk that precomputed nothing starts a session from.
     pub fn draw_real(&self, rng: &mut dyn Rng) -> RealPrecursor {
-        RealPrecursor::draw(&|s| self.authority_pk * s, rng)
+        RealPrecursor::draw(&FixedBaseTable::shared(&self.authority_pk), rng)
     }
 
     /// [`Kiosk::draw_real`] for a forge precursor.
     pub fn draw_fake(&self, rng: &mut dyn Rng) -> FakePrecursor {
-        FakePrecursor::draw(&|s| self.authority_pk * s, rng)
+        FakePrecursor::draw(&FixedBaseTable::shared(&self.authority_pk), rng)
     }
 
     /// Starts a session by validating the check-in ticket (Fig 8, kiosk
@@ -382,7 +383,7 @@ impl KioskSession<'_> {
         let x = rng.scalar();
         let c_pc = Ciphertext {
             c1: EdwardsPoint::mul_base(&x),
-            c2: self.kiosk.authority_pk * x + *party_pk,
+            c2: FixedBaseTable::shared(&self.kiosk.authority_pk).mul(&x) + *party_pk,
         };
         let checkout = self.issue_checkout(c_pc, NonceCoupon::generate(rng));
         self.events.push(KioskEvent::PrintedCheckoutAndResponse);

@@ -132,26 +132,15 @@ impl CeremonyPool {
         }
         let jobs: Vec<(usize, SessionPlan)> = self.plan[self.next..end].to_vec();
         let seed = &self.seed;
-        let authority_pk = &self.authority_pk;
         let threads = self.threads;
-        // Every credential multiplies A_pk once or twice: one table per
-        // refill serves them all. A one-session refill — a booth's
-        // `register_and_activate`, a fresh pool per voter — multiplies
-        // directly: building the table (about five multiplications' worth,
-        // through 160 KiB of scratch) costs more than the session's three
-        // to five multiplications.
-        let table = (jobs.len() > 1).then(|| FixedBaseTable::new(authority_pk));
-        let mul_pk = |s: &Scalar| match &table {
-            Some(table) => table.mul(s),
-            None => *authority_pk * s,
-        };
+        let pk_table = FixedBaseTable::shared(&self.authority_pk);
         let unprinted = par_map(&jobs, threads, |&(index, plan)| {
             SessionMaterials::derive_unprinted_with(
                 seed,
                 index,
                 plan.voter,
                 plan.n_fakes,
-                &mul_pk,
+                &pk_table,
                 plan.malicious,
             )
         });

@@ -14,11 +14,10 @@
 //! the ballot ledger L_V.
 
 use vg_crypto::batch::BatchVerifier;
-use vg_crypto::chaum_pedersen::{
-    forge_transcript, verify_transcript, Commitment, DlEqStatement, IzkpTranscript, Prover,
-};
+use vg_crypto::chaum_pedersen::{verify_transcript, Commitment, DlEqStatement, IzkpTranscript};
 use vg_crypto::codec::{put_ciphertext, put_point, put_scalar, Reader};
 use vg_crypto::drbg::Rng;
+use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::schnorr::{Signature, VerifyingKey};
 use vg_crypto::{CompressedPoint, CryptoError, EdwardsPoint, Scalar, Transcript};
@@ -134,6 +133,16 @@ fn vote_challenge_of_points<'a>(
 /// Proves that `ct = Enc(A_pk, g^vote; r)` with `vote < n_options`,
 /// bound to `credential_pk`.
 ///
+/// Every commitment is computed from the witness (r, vote), on the two
+/// fixed bases B and A_pk. With C₁ = r·B and C₂ = r·A_pk + v·B, a forged
+/// branch m with challenge eₘ and response y commits
+/// (y·B + eₘ·C₁, y·A_pk + eₘ·(C₂ − m·B)) = (t·B, t·A_pk + eₘ(v − m)·B)
+/// for t = y + eₘ·r, and the real branch commits (k·B, k·A_pk): the points
+/// `forge_transcript` and `Prover::commit` produce on the branch
+/// statements, from the same draws in the same order (eₘ then y for each
+/// forged branch in option order, then k). A `ct` that does not encrypt
+/// `vote` under `randomness` yields a proof that fails verification.
+///
 /// # Panics
 ///
 /// Panics if `vote >= config.n_options`.
@@ -147,42 +156,49 @@ pub fn prove_vote(
     rng: &mut dyn Rng,
 ) -> VoteProof {
     assert!(vote < config.n_options, "vote out of range");
-    let m = config.n_options as usize;
+    let pk_table = FixedBaseTable::shared(authority_pk);
+    let v = Scalar::from_u64(vote as u64);
 
-    // Simulate every branch except the real one.
-    let mut branches: Vec<Option<(Commitment, Scalar, Scalar)>> = vec![None; m];
+    // Forge every branch except the real one, whose slot waits for k.
+    let mut branches = Vec::with_capacity(config.n_options as usize);
     let mut challenge_sum = Scalar::ZERO;
-    for (opt, slot) in branches.iter_mut().enumerate() {
-        if opt as u32 == vote {
+    for opt in 0..config.n_options {
+        if opt == vote {
+            let pending = Commitment {
+                a1: EdwardsPoint::IDENTITY,
+                a2: EdwardsPoint::IDENTITY,
+            };
+            branches.push((pending, Scalar::ZERO, Scalar::ZERO));
             continue;
         }
-        let stmt = branch_statement(authority_pk, ct, opt as u32);
         let e_m = rng.scalar();
-        let t = forge_transcript(&stmt, &e_m, rng);
+        let y = rng.scalar();
+        let t = y + e_m * *randomness;
+        let shift = e_m * (v - Scalar::from_u64(opt as u64));
+        let commit = Commitment {
+            a1: EdwardsPoint::mul_base(&t),
+            a2: pk_table.mul(&t) + EdwardsPoint::mul_base(&shift),
+        };
         challenge_sum += e_m;
-        *slot = Some((t.commit, t.challenge, t.response));
+        branches.push((commit, e_m, y));
     }
     // Real branch: commit honestly, then split the global challenge.
-    let real_stmt = branch_statement(authority_pk, ct, vote);
-    let prover = Prover::commit(&real_stmt, rng);
-    let real_commit = prover.commitment();
-
+    let k = rng.scalar();
+    branches[vote as usize].0 = Commitment {
+        a1: EdwardsPoint::mul_base(&k),
+        a2: pk_table.mul(&k),
+    };
     let e = vote_challenge_of_points(
         authority_pk,
         ct,
         credential_pk,
         config,
-        branches
-            .iter()
-            .map(|slot| slot.as_ref().map_or(&real_commit, |(commit, _, _)| commit)),
+        branches.iter().map(|(commit, _, _)| commit),
     );
     let e_real = e - challenge_sum;
-    let t_real = prover.respond(randomness, &e_real);
-    branches[vote as usize] = Some((t_real.commit, t_real.challenge, t_real.response));
-
-    VoteProof {
-        branches: branches.into_iter().map(|b| b.expect("filled")).collect(),
-    }
+    branches[vote as usize].1 = e_real;
+    branches[vote as usize].2 = k - e_real * *randomness;
+    VoteProof { branches }
 }
 
 /// Verifies a vote-validity proof.
@@ -392,7 +408,11 @@ pub fn build_ballot_record(
     }
     let randomness = rng.scalar();
     let g_v = EdwardsPoint::mul_base(&Scalar::from_u64(vote as u64));
-    let vote_ct = vg_crypto::elgamal::encrypt_point_with(authority_pk, &g_v, &randomness);
+    let vote_ct = vg_crypto::elgamal::encrypt_point_with_table(
+        &FixedBaseTable::shared(authority_pk),
+        &g_v,
+        &randomness,
+    );
     let credential_pk = credential.public_key();
     let vote_proof = prove_vote(
         authority_pk,
@@ -422,12 +442,13 @@ pub fn build_ballot_record(
     })
 }
 
-/// Casts a batch of ballots: records are built sequentially (consuming
-/// the RNG in exactly the order a loop of [`cast_ballot`] calls would,
-/// so the two paths are bit-for-bit interchangeable), then admitted
-/// through the ledger's batch path — one committed signature sweep,
-/// parallel leaf hashing, one head re-publication. Returns the posted
-/// indices in input order.
+/// Casts a batch of ballots: records are built one after another on the
+/// calling thread (consuming the RNG in exactly the order a loop of
+/// [`cast_ballot`] calls would, so the two paths are bit-for-bit
+/// interchangeable), then admitted through the ledger's batch path — one
+/// committed signature sweep, parallel leaf hashing, one head
+/// re-publication. `threads` reaches only that admission. Returns the
+/// posted indices in input order.
 pub fn cast_ballots(
     votes: &[(&ActivatedCredential, u32)],
     config: VoteConfig,
@@ -463,6 +484,102 @@ mod tests {
         let r = rng.scalar();
         let g_v = EdwardsPoint::mul_base(&Scalar::from_u64(vote as u64));
         (encrypt_point_with(authority_pk, &g_v, &r), r)
+    }
+
+    /// The prover before it computed commitments from its witness: forged
+    /// branches through `forge_transcript`, the real one through `Prover`,
+    /// all on the branch statements.
+    fn prove_vote_reference(
+        authority_pk: &EdwardsPoint,
+        ct: &Ciphertext,
+        randomness: &Scalar,
+        vote: u32,
+        config: VoteConfig,
+        credential_pk: &CompressedPoint,
+        rng: &mut dyn Rng,
+    ) -> VoteProof {
+        use vg_crypto::chaum_pedersen::{forge_transcript, Prover};
+        let mut branches: Vec<Option<(Commitment, Scalar, Scalar)>> =
+            vec![None; config.n_options as usize];
+        let mut challenge_sum = Scalar::ZERO;
+        for (opt, slot) in branches.iter_mut().enumerate() {
+            if opt as u32 == vote {
+                continue;
+            }
+            let stmt = branch_statement(authority_pk, ct, opt as u32);
+            let e_m = rng.scalar();
+            let t = forge_transcript(&stmt, &e_m, rng);
+            challenge_sum += e_m;
+            *slot = Some((t.commit, t.challenge, t.response));
+        }
+        let prover = Prover::commit(&branch_statement(authority_pk, ct, vote), rng);
+        let real_commit = prover.commitment();
+        let e = vote_challenge_of_points(
+            authority_pk,
+            ct,
+            credential_pk,
+            config,
+            branches
+                .iter()
+                .map(|slot| slot.as_ref().map_or(&real_commit, |(commit, _, _)| commit)),
+        );
+        let t_real = prover.respond(randomness, &(e - challenge_sum));
+        branches[vote as usize] = Some((t_real.commit, t_real.challenge, t_real.response));
+        VoteProof {
+            branches: branches.into_iter().map(|b| b.expect("filled")).collect(),
+        }
+    }
+
+    fn proof_bytes(proof: &VoteProof) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for (commit, e_m, z_m) in &proof.branches {
+            put_point(&mut buf, &commit.a1);
+            put_point(&mut buf, &commit.a2);
+            put_scalar(&mut buf, e_m);
+            put_scalar(&mut buf, z_m);
+        }
+        buf
+    }
+
+    #[test]
+    fn vote_prover_matches_reference() {
+        for seed in 0..4u64 {
+            let mut rng = HmacDrbg::from_u64(100 + seed);
+            let apk = EdwardsPoint::mul_base(&rng.scalar());
+            let cred = EdwardsPoint::mul_base(&rng.scalar()).compress();
+            for n in 1..=5 {
+                let config = VoteConfig::new(n);
+                for vote in 0..n {
+                    let (ct, r) = enc_vote(&apk, vote, &mut rng);
+                    let draws = rng.bytes32();
+                    let (mut ours, mut theirs) = (HmacDrbg::new(&draws), HmacDrbg::new(&draws));
+                    let proof = prove_vote(&apk, &ct, &r, vote, config, &cred, &mut ours);
+                    let reference =
+                        prove_vote_reference(&apk, &ct, &r, vote, config, &cred, &mut theirs);
+                    assert_eq!(
+                        proof_bytes(&proof),
+                        proof_bytes(&reference),
+                        "n={n} v={vote}"
+                    );
+                    assert_eq!(ours.bytes32(), theirs.bytes32(), "n={n} v={vote}");
+                    verify_vote_proof(&apk, &ct, config, &cred, &proof).expect("verifies");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vote_prover_with_a_mismatched_witness_is_rejected() {
+        let mut rng = HmacDrbg::from_u64(6);
+        let apk = EdwardsPoint::mul_base(&rng.scalar());
+        let cred = EdwardsPoint::mul_base(&rng.scalar()).compress();
+        let config = VoteConfig::new(3);
+        let (ct, r) = enc_vote(&apk, 1, &mut rng);
+        // The wrong randomness, and the right randomness with the wrong vote.
+        for (r, vote) in [(r + Scalar::ONE, 1), (r, 2), (r, 0)] {
+            let proof = prove_vote(&apk, &ct, &r, vote, config, &cred, &mut rng);
+            assert!(verify_vote_proof(&apk, &ct, config, &cred, &proof).is_err());
+        }
     }
 
     #[test]

@@ -201,9 +201,12 @@ impl ElectionBuilder {
         self
     }
 
-    /// Worker threads for the batch registration and casting fast paths
-    /// (and for [`Election::verify_with_mode`]). [`Election::tally`] and
-    /// [`Election::verify`] do not read it: they run on the host's cores
+    /// Worker threads for batch registration (the kiosk fleet's
+    /// precompute, ceremonies and admission), for L_V's batch admission in
+    /// [`Election::cast_batch`] and for [`Election::verify_with_mode`].
+    /// Ballots are not built on them: every record is built on the calling
+    /// thread, in DRBG order. [`Election::tally`] and [`Election::verify`]
+    /// do not read it: they run on the host's cores
     /// ([`vg_crypto::par::default_threads`]).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -486,11 +489,12 @@ impl Election<Voting> {
         )
     }
 
-    /// Casts a batch of ballots through the ledger's batch fast path
-    /// (parallel admission checks and leaf hashing, one signed head for
-    /// the batch). Consumes the RNG exactly as the equivalent sequence
-    /// of [`Election::cast`] calls would, so both paths produce
-    /// bit-identical ledgers.
+    /// Casts a batch of ballots: every record is built on the calling
+    /// thread, in DRBG order, then L_V admits the whole batch through its
+    /// batch path (one signature sweep and leaf hashing on the session's
+    /// `threads`, one signed head). Consumes the RNG exactly as the
+    /// equivalent sequence of [`Election::cast`] calls would, so both
+    /// paths produce bit-identical ledgers.
     pub fn cast_batch(
         &mut self,
         votes: &[(&ActivatedCredential, u32)],

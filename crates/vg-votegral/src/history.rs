@@ -16,7 +16,8 @@
 use vg_crypto::chaum_pedersen::{prove_dlog, verify_dlog, DlogProof};
 use vg_crypto::dkg::{combine_shares, Authority, DecryptionShare};
 use vg_crypto::drbg::Rng;
-use vg_crypto::elgamal::{discrete_log_small, encrypt_point_with, Ciphertext};
+use vg_crypto::edwards::FixedBaseTable;
+use vg_crypto::elgamal::{discrete_log_small, encrypt_point_with_table, Ciphertext};
 use vg_crypto::{CompressedPoint, EdwardsPoint, Scalar, Transcript};
 use vg_trip::vsd::ActivatedCredential;
 
@@ -63,12 +64,13 @@ impl VotingHistory {
     /// each claimed vote with the stored randomness and compares with the
     /// recorded ciphertext. Returns the indices of entries that fail.
     pub fn verify(&self, authority_pk: &EdwardsPoint) -> Vec<usize> {
+        let pk_table = FixedBaseTable::shared(authority_pk);
         self.entries
             .iter()
             .enumerate()
             .filter_map(|(i, e)| {
                 let g_v = EdwardsPoint::mul_base(&Scalar::from_u64(e.vote as u64));
-                let expect = encrypt_point_with(authority_pk, &g_v, &e.randomness);
+                let expect = encrypt_point_with_table(&pk_table, &g_v, &e.randomness);
                 if expect == e.ciphertext {
                     None
                 } else {
@@ -156,6 +158,7 @@ pub fn recover_votes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vg_crypto::elgamal::encrypt_point_with;
     use vg_crypto::HmacDrbg;
     use vg_ledger::VoterId;
     use vg_trip::setup::TripConfig;
