@@ -133,6 +133,8 @@ impl CeremonyPool {
         let jobs: Vec<(usize, SessionPlan)> = self.plan[self.next..end].to_vec();
         let seed = &self.seed;
         let threads = self.threads;
+        // Every credential multiplies A_pk once or twice. Its table is built
+        // once per process, so a booth's one-session refill uses it too.
         let pk_table = FixedBaseTable::shared(&self.authority_pk);
         let unprinted = par_map(&jobs, threads, |&(index, plan)| {
             SessionMaterials::derive_unprinted_with(
