@@ -255,19 +255,23 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn table_rerandomization_is_byte_equal(
+        fn table_encryption_and_rerandomization_are_byte_equal(
             sk in proptest::array::uniform32(any::<u8>()),
             r in proptest::array::uniform32(any::<u8>()),
         ) {
             let pk = EdwardsPoint::mul_base(&Scalar::from_bytes_mod_order(&sk));
             let table = FixedBaseTable::new(&pk);
             let mut rng = HmacDrbg::new(&r);
-            let (ct, _) = encrypt_point(&pk, &EdwardsPoint::mul_base(&rng.scalar()), &mut rng);
+            let m = EdwardsPoint::mul_base(&rng.scalar());
+            let (ct, _) = encrypt_point(&pk, &m, &mut rng);
             for r in [Scalar::ZERO, Scalar::ONE, Scalar::from_bytes_mod_order(&r)] {
                 let plain = rerandomize_with(&pk, &ct, &r);
                 let tabled = rerandomize_with_table(&table, &ct, &r);
                 prop_assert_eq!(plain.to_bytes(), tabled.to_bytes());
                 prop_assert_eq!(plain, tabled);
+                let plain = encrypt_point_with(&pk, &m, &r);
+                let tabled = encrypt_point_with_table(&table, &m, &r);
+                prop_assert_eq!(plain.to_bytes(), tabled.to_bytes());
             }
         }
     }
