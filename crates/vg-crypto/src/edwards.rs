@@ -617,12 +617,10 @@ pub struct FixedBaseTable {
     rows: [[AffineNiels; 8]; 64],
 }
 
-/// How many tables [`FixedBaseTable::shared`] keeps: the election key and
-/// the few keys a test process or a mix of elections holds at once.
-const SHARED_TABLES: usize = 4;
-
-/// [`FixedBaseTable::shared`]'s cache, most recently used first.
-static SHARED: Mutex<Vec<(EdwardsPoint, Arc<FixedBaseTable>)>> = Mutex::new(Vec::new());
+/// [`FixedBaseTable::shared`]'s table: the last base it was asked for.
+/// Every workload multiplies one election key at a time, so one slot is
+/// enough; a new key replaces the old one.
+static SHARED: Mutex<Option<(EdwardsPoint, Arc<FixedBaseTable>)>> = Mutex::new(None);
 
 impl FixedBaseTable {
     /// Builds the table for `base`.
@@ -655,32 +653,18 @@ impl FixedBaseTable {
 
     /// The process-wide table of `base`, built on first use: what
     /// [`EdwardsPoint::mul_base`]'s table is for B, for a point that is only
-    /// known at run time. The cache holds the four most recently used
-    /// bases. A missing table is built outside the lock, so two threads
-    /// that miss together may both build it; the first to finish is cached
-    /// and both return that one.
+    /// known at run time. The process keeps the table of the last base
+    /// asked for. A missing table is built outside the lock, so two threads
+    /// that miss together may both build it.
     pub fn shared(base: &EdwardsPoint) -> Arc<FixedBaseTable> {
-        if let Some(table) = Self::cached(&mut lock_recover(&SHARED), base) {
-            return table;
+        if let Some((b, table)) = &*lock_recover(&SHARED) {
+            if b == base {
+                return Arc::clone(table);
+            }
         }
         let built = Arc::new(FixedBaseTable::new(base));
-        let mut cache = lock_recover(&SHARED);
-        if let Some(table) = Self::cached(&mut cache, base) {
-            return table;
-        }
-        cache.insert(0, (*base, Arc::clone(&built)));
-        cache.truncate(SHARED_TABLES);
+        *lock_recover(&SHARED) = Some((*base, Arc::clone(&built)));
         built
-    }
-
-    /// `base`'s table if `cache` holds it, moved to the front.
-    fn cached(
-        cache: &mut [(EdwardsPoint, Arc<FixedBaseTable>)],
-        base: &EdwardsPoint,
-    ) -> Option<Arc<FixedBaseTable>> {
-        let at = cache.iter().position(|(b, _)| b == base)?;
-        cache[..=at].rotate_right(1);
-        Some(Arc::clone(&cache[0].1))
     }
 
     /// `s·P` for the table's point.
@@ -1419,23 +1403,22 @@ mod kernel_oracle {
         }
     }
 
-    /// `shared(base).mul(s) == base·s`, and the cache within its bound.
+    /// `shared(base).mul(s) == base·s`.
     fn check_shared(base: &EdwardsPoint, s: &Scalar) {
         assert_eq!(FixedBaseTable::shared(base).mul(s), *base * *s, "{s:?}");
-        assert!(lock_recover(&SHARED).len() <= SHARED_TABLES);
     }
 
     #[test]
-    fn shared_table_over_more_bases_than_it_keeps() {
+    fn shared_table_over_interleaved_bases() {
         use crate::drbg::Rng;
-        // The identity, an 8-torsion point and more random bases than the
-        // cache holds, visited in an interleaved order, so lookups hit at
-        // every depth and miss after every eviction.
+        // The identity, an 8-torsion point and random bases, visited in an
+        // interleaved order, so a lookup after a switch replaces the table
+        // and the next one for the same base finds it.
         let mut rng = crate::HmacDrbg::from_u64(41);
         let mut bases = vec![EdwardsPoint::IDENTITY, t8()];
-        bases.extend((0..SHARED_TABLES + 2).map(|_| EdwardsPoint::mul_base(&rng.scalar())));
+        bases.extend((0..3).map(|_| EdwardsPoint::mul_base(&rng.scalar())));
         let n = bases.len();
-        for step in [1, 3, 5, 2, 1] {
+        for step in [1, 3, 2] {
             for i in 0..n {
                 let base = &bases[i * step % n];
                 check_shared(base, &rng.scalar());
@@ -1451,16 +1434,15 @@ mod kernel_oracle {
         use crate::drbg::Rng;
         let mut rng = crate::HmacDrbg::from_u64(42);
         let mut bases = vec![t8(), EdwardsPoint::IDENTITY];
-        bases.extend((0..SHARED_TABLES).map(|_| EdwardsPoint::mul_base(&rng.scalar())));
+        bases.extend((0..3).map(|_| EdwardsPoint::mul_base(&rng.scalar())));
         let jobs: Vec<(EdwardsPoint, Scalar)> = (0..96)
-            .map(|i| (bases[i * 5 % bases.len()], rng.scalar()))
+            .map(|i| (bases[i / 8 * 3 % bases.len()], rng.scalar()))
             .collect();
         let products =
             crate::par::par_map(&jobs, 4, |(base, s)| FixedBaseTable::shared(base).mul(s));
         for ((base, s), product) in jobs.iter().zip(products) {
             assert_eq!(product, *base * *s);
         }
-        assert!(lock_recover(&SHARED).len() <= SHARED_TABLES);
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //!   journal order is its queue order, independent of thread scheduling.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use vg_crypto::chaum_pedersen::{Commitment, Prover};
 use vg_crypto::drbg::Rng;
@@ -86,7 +86,10 @@ pub enum KioskBehavior {
 pub struct Kiosk {
     key: SigningKey,
     mac_key: [u8; 32],
-    authority_pk: EdwardsPoint,
+    /// This kiosk's copy of A_pk, as its [`FixedBaseTable::shared`]
+    /// table: fetched when the kiosk is set up, so that no session pays
+    /// for building it.
+    pk_table: Arc<FixedBaseTable>,
     behavior: KioskBehavior,
     /// Sealed per-session event traces, in the order sessions finished on
     /// this kiosk (see the module-level concurrency audit).
@@ -178,7 +181,7 @@ impl Kiosk {
         Self {
             key: SigningKey::generate(rng),
             mac_key,
-            authority_pk,
+            pk_table: FixedBaseTable::shared(&authority_pk),
             behavior,
             journal: Mutex::new(Vec::new()),
         }
@@ -221,12 +224,12 @@ impl Kiosk {
     /// A real precursor drawn on the spot, over this kiosk's copy of
     /// A_pk — what a kiosk that precomputed nothing starts a session from.
     pub fn draw_real(&self, rng: &mut dyn Rng) -> RealPrecursor {
-        RealPrecursor::draw(&FixedBaseTable::shared(&self.authority_pk), rng)
+        RealPrecursor::draw(&self.pk_table, rng)
     }
 
     /// [`Kiosk::draw_real`] for a forge precursor.
     pub fn draw_fake(&self, rng: &mut dyn Rng) -> FakePrecursor {
-        FakePrecursor::draw(&FixedBaseTable::shared(&self.authority_pk), rng)
+        FakePrecursor::draw(&self.pk_table, rng)
     }
 
     /// Starts a session by validating the check-in ticket (Fig 8, kiosk
@@ -383,7 +386,7 @@ impl KioskSession<'_> {
         let x = rng.scalar();
         let c_pc = Ciphertext {
             c1: EdwardsPoint::mul_base(&x),
-            c2: FixedBaseTable::shared(&self.kiosk.authority_pk).mul(&x) + *party_pk,
+            c2: self.kiosk.pk_table.mul(&x) + *party_pk,
         };
         let checkout = self.issue_checkout(c_pc, NonceCoupon::generate(rng));
         self.events.push(KioskEvent::PrintedCheckoutAndResponse);
@@ -511,6 +514,11 @@ mod tests {
         (Kiosk::new(MAC, authority_pk, behavior, &mut rng), rng)
     }
 
+    /// The kiosk's A_pk, read back from its table as 1·A_pk.
+    fn apk(kiosk: &Kiosk) -> EdwardsPoint {
+        kiosk.pk_table.mul(&Scalar::ONE)
+    }
+
     fn ticket(mac_key: &[u8; 32], voter: VoterId) -> CheckInTicket {
         CheckInTicket {
             voter_id: voter,
@@ -546,7 +554,7 @@ mod tests {
     /// A pool bundle for one voter with one fake and the malicious spare
     /// (which leaves the honest prefix of the stream unchanged).
     fn pooled(kiosk: &Kiosk) -> SessionMaterials {
-        let apk = &kiosk.authority_pk;
+        let apk = &apk(kiosk);
         SessionMaterials::derive(&[3u8; 32], 0, VoterId(1), 1, apk, &printer(), true)
     }
 
@@ -748,7 +756,7 @@ mod tests {
         let (seed, index, voter) = ([4u8; 32], 3usize, VoterId(7));
         let ticket = ticket(&MAC, voter);
 
-        let apk = &kiosk.authority_pk;
+        let apk = &apk(&kiosk);
         let materials = SessionMaterials::derive(&seed, index, voter, 0, apk, &printer, false);
         let seeded = crate::fleet::run_pool_session(&kiosk, &ticket, materials)
             .unwrap()

@@ -157,6 +157,30 @@ pub fn prove_vote(
 ) -> VoteProof {
     assert!(vote < config.n_options, "vote out of range");
     let pk_table = FixedBaseTable::shared(authority_pk);
+    prove_vote_on(
+        authority_pk,
+        &pk_table,
+        ct,
+        randomness,
+        vote,
+        config,
+        credential_pk,
+        rng,
+    )
+}
+
+/// [`prove_vote`] on A_pk's table, fetched once by the caller.
+#[allow(clippy::too_many_arguments)] // prove_vote's seven, and the table
+fn prove_vote_on(
+    authority_pk: &EdwardsPoint,
+    pk_table: &FixedBaseTable,
+    ct: &Ciphertext,
+    randomness: &Scalar,
+    vote: u32,
+    config: VoteConfig,
+    credential_pk: &CompressedPoint,
+    rng: &mut dyn Rng,
+) -> VoteProof {
     let v = Scalar::from_u64(vote as u64);
 
     // Forge every branch except the real one, whose slot waits for k.
@@ -408,14 +432,12 @@ pub fn build_ballot_record(
     }
     let randomness = rng.scalar();
     let g_v = EdwardsPoint::mul_base(&Scalar::from_u64(vote as u64));
-    let vote_ct = vg_crypto::elgamal::encrypt_point_with_table(
-        &FixedBaseTable::shared(authority_pk),
-        &g_v,
-        &randomness,
-    );
+    let pk_table = FixedBaseTable::shared(authority_pk);
+    let vote_ct = vg_crypto::elgamal::encrypt_point_with_table(&pk_table, &g_v, &randomness);
     let credential_pk = credential.public_key();
-    let vote_proof = prove_vote(
+    let vote_proof = prove_vote_on(
         authority_pk,
+        &pk_table,
         &vote_ct,
         &randomness,
         vote,
