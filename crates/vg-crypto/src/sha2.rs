@@ -181,12 +181,18 @@ impl Sha256 {
     /// Finalizes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros, 64-bit big-endian length, written in place
+        // (`update` leaves at most 63 bytes buffered); a tail of 56 bytes
+        // or more leaves no room for the length and spills into a block
+        // of its own.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual length append to avoid double-counting in total_len.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -307,9 +313,15 @@ impl Sha512 {
     /// Finalizes the hash and returns the 64-byte digest.
     pub fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0x00]);
+        // As `Sha256::finalize`, with a 128-bit length: a tail of 112
+        // bytes or more spills into a block of its own.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 112 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 128];
         }
         self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
@@ -445,6 +457,62 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha512(&data), "split {split}");
+        }
+    }
+
+    /// Finalization as it was: padding absorbed one byte per `update`.
+    fn finalize256_bytewise(mut h: Sha256) -> [u8; 32] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buf_len != 56 {
+            h.update(&[0x00]);
+        }
+        h.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buf;
+        h.compress(&block);
+        let mut out = [0u8; 32];
+        for (i, w) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    fn finalize512_bytewise(mut h: Sha512) -> [u8; 64] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buf_len != 112 {
+            h.update(&[0x00]);
+        }
+        h.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buf;
+        h.compress(&block);
+        let mut out = [0u8; 64];
+        for (i, w) in h.state.iter().enumerate() {
+            out[8 * i..8 * i + 8].copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn padding_sweep_matches_bytewise_reference() {
+        // Every message length to 300 crosses both hashes' one-block and
+        // two-block padding cases several times; every split point puts
+        // the buffered tail at each offset.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
+        for n in 0..=data.len() {
+            let msg = &data[..n];
+            let want256 = finalize256_bytewise(Sha256::new().update(msg).clone());
+            let want512 = finalize512_bytewise(Sha512::new().update(msg).clone());
+            assert_eq!(sha256(msg), want256, "sha256 len {n}");
+            assert_eq!(sha512(msg), want512, "sha512 len {n}");
+            for split in 0..=n {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]).update(&msg[split..]);
+                assert_eq!(h.finalize(), want256, "sha256 len {n} split {split}");
+                let mut h = Sha512::new();
+                h.update(&msg[..split]).update(&msg[split..]);
+                assert_eq!(h.finalize(), want512, "sha512 len {n} split {split}");
+            }
         }
     }
 
