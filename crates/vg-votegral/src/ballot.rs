@@ -15,7 +15,7 @@
 
 use vg_crypto::batch::BatchVerifier;
 use vg_crypto::chaum_pedersen::{verify_transcript, Commitment, DlEqStatement, IzkpTranscript};
-use vg_crypto::codec::{put_ciphertext, put_point, put_scalar, Reader};
+use vg_crypto::codec::{put_scalar, Reader};
 use vg_crypto::drbg::Rng;
 use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::elgamal::Ciphertext;
@@ -326,13 +326,25 @@ pub(crate) fn queue_vote_proof(batch: &mut BatchVerifier, weights: &[Scalar], ba
 
 impl Ballot {
     /// Serializes the ballot payload canonically.
+    ///
+    /// The ciphertext's and the branches' 2 + 2·|M| points are compressed
+    /// through one field inversion ([`EdwardsPoint::batch_compress`]); the
+    /// bytes are those of compressing each point on its own.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.vote_proof.branches.len() * 128 + 128);
-        buf.extend_from_slice(&(self.vote_proof.branches.len() as u32).to_le_bytes());
-        put_ciphertext(&mut buf, &self.vote_ct);
-        for (commit, e_m, z_m) in &self.vote_proof.branches {
-            put_point(&mut buf, &commit.a1);
-            put_point(&mut buf, &commit.a2);
+        let branches = &self.vote_proof.branches;
+        let mut points = Vec::with_capacity(2 + 2 * branches.len());
+        points.extend([self.vote_ct.c1, self.vote_ct.c2]);
+        for (commit, _, _) in branches {
+            points.extend([commit.a1, commit.a2]);
+        }
+        let encoded = EdwardsPoint::batch_compress(&points);
+        let mut buf = Vec::with_capacity(64 + branches.len() * 128 + 128);
+        buf.extend_from_slice(&(branches.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&encoded[0].0);
+        buf.extend_from_slice(&encoded[1].0);
+        for ((_, e_m, z_m), pair) in branches.iter().zip(encoded[2..].chunks_exact(2)) {
+            buf.extend_from_slice(&pair[0].0);
+            buf.extend_from_slice(&pair[1].0);
             put_scalar(&mut buf, e_m);
             put_scalar(&mut buf, z_m);
         }
@@ -499,6 +511,7 @@ pub fn cast_ballots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vg_crypto::codec::{put_ciphertext, put_point};
     use vg_crypto::elgamal::encrypt_point_with;
     use vg_crypto::HmacDrbg;
 
@@ -691,6 +704,39 @@ mod tests {
             .expect("issuance verifies");
         // Unknown kiosk rejected.
         assert!(decoded.verify_issuance(&cred, &[]).is_err());
+    }
+
+    #[test]
+    fn batch_compressed_encoding_matches_per_point() {
+        let mut rng = HmacDrbg::from_u64(7);
+        let apk = EdwardsPoint::mul_base(&rng.scalar());
+        let kiosk = vg_crypto::schnorr::SigningKey::generate(&mut rng);
+        let cred = EdwardsPoint::mul_base(&rng.scalar()).compress();
+        let er_hash = [3u8; 32];
+        for n in 1..=5 {
+            let config = VoteConfig::new(n);
+            for vote in 0..n {
+                let (ct, r) = enc_vote(&apk, vote, &mut rng);
+                let proof = prove_vote(&apk, &ct, &r, vote, config, &cred, &mut rng);
+                let ballot = Ballot {
+                    vote_ct: ct,
+                    vote_proof: proof,
+                    issuance: IssuanceTag {
+                        kiosk_pk: kiosk.verifying_key().compress(),
+                        er_hash,
+                        signature: kiosk.sign(&response_message_from_hash(&cred, &er_hash)),
+                    },
+                };
+                // The encoding as it was, one `compress` per point.
+                let mut want = n.to_le_bytes().to_vec();
+                put_ciphertext(&mut want, &ballot.vote_ct);
+                want.extend(proof_bytes(&ballot.vote_proof));
+                want.extend_from_slice(&ballot.issuance.kiosk_pk.0);
+                want.extend_from_slice(&er_hash);
+                want.extend_from_slice(&ballot.issuance.signature.to_bytes());
+                assert_eq!(ballot.to_bytes(), want, "n={n} v={vote}");
+            }
+        }
     }
 
     #[test]
