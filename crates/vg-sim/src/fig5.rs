@@ -273,6 +273,31 @@ pub fn run_fig5(
 mod tests {
     use super::*;
 
+    /// Each phase's fastest reading over `rounds` rounds that measure
+    /// every `(kind, n)` once, interleaved, so a scheduling hiccup or a
+    /// slow stretch of the host lands on one reading of every system
+    /// rather than on all of one system's.
+    fn best_of(
+        rounds: usize,
+        cells: &[(SystemKind, usize)],
+        n_options: u32,
+        seed: u64,
+    ) -> Vec<PhaseTiming> {
+        let mut best: Vec<PhaseTiming> = cells
+            .iter()
+            .map(|&(kind, n)| measure(kind, n, n_options, seed))
+            .collect();
+        for _ in 1..rounds {
+            for (b, &(kind, n)) in best.iter_mut().zip(cells) {
+                let t = measure(kind, n, n_options, seed);
+                b.register_ms = b.register_ms.min(t.register_ms);
+                b.vote_ms = b.vote_ms.min(t.vote_ms);
+                b.tally_ms = b.tally_ms.min(t.tally_ms);
+            }
+        }
+        best
+    }
+
     #[test]
     fn ordering_matches_paper_shape() {
         // Robust Fig 5a orderings — those with wide margins that survive
@@ -280,21 +305,17 @@ mod tests {
         // (TRIP vs Civitas registration, exact factors) are checked by the
         // release harness binaries, which measure at larger n.
         let n = 12;
-        // The faster-tallying of two runs each: the folded tally proofs
-        // narrowed VoteAgain-vs-Votegral from ~2.4x to ~1.8x, which one
-        // scheduling hiccup on a single wall-clock sample can invert.
-        let best_of_two = |kind| {
-            let (a, b) = (measure(kind, n, 3, 1), measure(kind, n, 3, 1));
-            if a.tally_ms < b.tally_ms {
-                a
-            } else {
-                b
-            }
-        };
-        let votegral = best_of_two(SystemKind::Votegral);
-        let swiss = best_of_two(SystemKind::SwissPost);
-        let voteagain = best_of_two(SystemKind::VoteAgain);
-        let civitas = best_of_two(SystemKind::Civitas);
+        // Each phase's best of three interleaved rounds: the folded tally
+        // proofs narrowed VoteAgain-vs-Votegral from ~2.4x to ~1.8x, which
+        // one scheduling hiccup on a single wall-clock sample can invert.
+        let cells = [
+            (SystemKind::Votegral, n),
+            (SystemKind::SwissPost, n),
+            (SystemKind::VoteAgain, n),
+            (SystemKind::Civitas, n),
+        ];
+        let [votegral, swiss, voteagain, civitas] =
+            <[PhaseTiming; 4]>::try_from(best_of(3, &cells, 3, 1)).expect("one row per cell");
 
         // Registration: VoteAgain (one keygen) is far below everything.
         assert!(
@@ -336,14 +357,20 @@ mod tests {
         // The defining Fig 5b shape: doubling the population should
         // roughly quadruple Civitas' tally (pairwise PETs) while the
         // linear systems only double. Allow generous noise margins.
-        let small = measure(SystemKind::Civitas, 6, 2, 9);
-        let large = measure(SystemKind::Civitas, 12, 2, 9);
-        let growth = large.tally_ms / small.tally_ms;
+        // Each tally is its best of three interleaved rounds, so one slow
+        // reading cannot flatten or steepen a ratio.
+        let cells = [
+            (SystemKind::Civitas, 6),
+            (SystemKind::Civitas, 12),
+            (SystemKind::VoteAgain, 6),
+            (SystemKind::VoteAgain, 12),
+        ];
+        let [civitas_small, civitas_large, voteagain_small, voteagain_large] =
+            <[PhaseTiming; 4]>::try_from(best_of(3, &cells, 2, 9)).expect("one row per cell");
+        let growth = civitas_large.tally_ms / civitas_small.tally_ms;
         assert!(growth > 2.4, "quadratic growth expected, saw {growth:.2}x");
 
-        let small = measure(SystemKind::VoteAgain, 6, 2, 9);
-        let large = measure(SystemKind::VoteAgain, 12, 2, 9);
-        let growth = large.tally_ms / small.tally_ms;
+        let growth = voteagain_large.tally_ms / voteagain_small.tally_ms;
         assert!(growth < 3.5, "linear growth expected, saw {growth:.2}x");
     }
 
