@@ -4,9 +4,7 @@
 //! tests and experiments can run fully deterministically from a seed while
 //! deployments use operating-system entropy. The deterministic generator is
 //! an HMAC-DRBG (NIST SP 800-90A) over HMAC-SHA-256, at the standard's
-//! compression floor: it keeps K as a keyed HMAC state (see [`HmacDrbg`]),
-//! so a 64-byte draw runs 10 SHA-256 compressions, not the 16 that
-//! re-keying HMAC from K's bytes for every call would.
+//! floor of SHA-256 compressions per draw (see [`HmacDrbg`]).
 
 use std::sync::OnceLock;
 
