@@ -244,7 +244,6 @@ impl BatchVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edwards::basemul;
     use crate::HmacDrbg;
 
     /// Builds k Schnorr-style equations z·B − c·P − R = 𝒪 with P = x·B,
@@ -259,8 +258,8 @@ mod tests {
                 let z = r + c * x;
                 [
                     (z, EdwardsPoint::basepoint()),
-                    (-c, basemul(&x)),
-                    (-Scalar::ONE, basemul(&r)),
+                    (-c, EdwardsPoint::mul_base(&x)),
+                    (-Scalar::ONE, EdwardsPoint::mul_base(&r)),
                 ]
             })
             .collect()

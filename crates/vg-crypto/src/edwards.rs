@@ -681,11 +681,6 @@ impl FixedBaseTable {
     }
 }
 
-/// Fixed-base shorthand `s·B`.
-pub fn basemul(s: &Scalar) -> EdwardsPoint {
-    EdwardsPoint::mul_base(s)
-}
-
 /// Derives a "nothing-up-my-sleeve" prime-order point from a label.
 ///
 /// Try-and-increment over SHA-512 outputs: candidate y-coordinates are

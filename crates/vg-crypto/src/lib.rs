@@ -75,7 +75,7 @@ pub use channel::{
 };
 pub use ct::{ct_eq, ct_eq32};
 pub use drbg::{HmacDrbg, OsRng, Rng};
-pub use edwards::{basemul, multiscalar_mul, multiscalar_mul_par, CompressedPoint, EdwardsPoint};
+pub use edwards::{multiscalar_mul, multiscalar_mul_par, CompressedPoint, EdwardsPoint};
 pub use scalar::Scalar;
 pub use sync::lock_recover;
 pub use transcript::Transcript;

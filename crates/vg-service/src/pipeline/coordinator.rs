@@ -83,9 +83,10 @@ struct Recovery {
     abort: bool,
 }
 
-/// The threaded day's coordinator, without threads: the runner table and
-/// the buffer that releases deliveries in global session order. It never
-/// blocks or spawns; each call returns what the scope loop must do.
+/// The threaded day's coordinator, without threads or a clock of its own:
+/// the runner table and the buffer that releases deliveries in global
+/// session order. It never blocks, spawns or reads the time; each call
+/// takes `now` and returns what the scope loop must do.
 struct Coordinator<D> {
     runners: Vec<Runner>,
     /// `runners[..stations]` are the original stations.
@@ -101,7 +102,12 @@ struct Coordinator<D> {
 }
 
 impl<D> Coordinator<D> {
-    fn new(stations: Vec<StationPlan>, kiosks: usize, stall_timeout: Duration) -> Self {
+    fn new(
+        now: Instant,
+        stations: Vec<StationPlan>,
+        kiosks: usize,
+        stall_timeout: Duration,
+    ) -> Self {
         let mut coord = Self {
             runners: Vec::new(),
             stations: stations.len(),
@@ -113,19 +119,19 @@ impl<D> Coordinator<D> {
             stall_timeout,
         };
         for sp in stations {
-            coord.add(sp.station, sp.station, 0, sp.plans);
+            coord.add(now, sp.station, sp.station, 0, sp.plans);
         }
         coord
     }
 
-    fn add(&mut self, station: usize, victim: usize, depth: usize, plans: Plans) {
+    fn add(&mut self, now: Instant, station: usize, victim: usize, depth: usize, plans: Plans) {
         self.runners.push(Runner {
             state: State::Running,
             station,
             victim,
             depth,
             plans,
-            heard: Instant::now(),
+            heard: now,
         });
     }
 
@@ -142,10 +148,10 @@ impl<D> Coordinator<D> {
     /// releasable, in session order. A replay (below the cursor, or
     /// already buffered) is dropped; a lost runner's delivery counts, as
     /// a station declared stalled may only be slow.
-    fn outcome(&mut self, id: usize, idx: usize, delivery: D) -> Vec<D> {
+    fn outcome(&mut self, now: Instant, id: usize, idx: usize, delivery: D) -> Vec<D> {
         let runner = &mut self.runners[id];
         if runner.state == State::Running {
-            runner.heard = Instant::now();
+            runner.heard = now;
         }
         if idx >= self.next_emit {
             self.buffered.entry(idx).or_insert(delivery);
@@ -159,12 +165,12 @@ impl<D> Coordinator<D> {
     }
 
     /// Runner `id` ended: cleanly, or lost with its error.
-    fn done(&mut self, id: usize, result: Result<(), TripError>) -> Recovery {
+    fn done(&mut self, now: Instant, id: usize, result: Result<(), TripError>) -> Recovery {
         let (first, mut abort) = (self.runners.len(), false);
         if self.runners[id].state == State::Running {
             match result {
                 Ok(()) => self.runners[id].state = State::Finished,
-                Err(e) => abort = self.lose(id, e),
+                Err(e) => abort = self.lose(now, id, e),
             }
         }
         let spawn = first..self.runners.len();
@@ -186,7 +192,7 @@ impl<D> Coordinator<D> {
                 stats.stall_steals.fetch_add(1, Ordering::Relaxed);
                 let timeout = self.stall_timeout;
                 let why = format!("station {id} stalled: no outcome within {timeout:?}");
-                abort |= self.lose(id, TripError::Boundary(why));
+                abort |= self.lose(now, id, TripError::Boundary(why));
             }
         }
         let spawn = first..self.runners.len();
@@ -197,8 +203,9 @@ impl<D> Coordinator<D> {
     /// original station's at depth 0, a chunk's one deeper), split by
     /// kiosk into contiguous chunks dealt round-robin to the original
     /// stations not lost, or with none left one chunk on the victim's own
-    /// link. Returns whether the day must abort instead.
-    fn lose(&mut self, id: usize, error: TripError) -> bool {
+    /// link, each heard from at `now`. Returns whether the day must abort
+    /// instead.
+    fn lose(&mut self, now: Instant, id: usize, error: TripError) -> bool {
         self.runners[id].state = State::Lost;
         let runner = &self.runners[id];
         let victim = runner.victim;
@@ -221,7 +228,7 @@ impl<D> Coordinator<D> {
             let mut plans = remaining.clone();
             plans.retain(|(idx, _)| owned.contains(&(idx % k)));
             let thief = survivors.get(c % survivors.len().max(1));
-            self.add(thief.copied().unwrap_or(victim), victim, depth, plans);
+            self.add(now, thief.copied().unwrap_or(victim), victim, depth, plans);
         }
         false
     }
@@ -356,7 +363,8 @@ pub(super) fn run_threaded_day(
         }
 
         let (msg_tx, msg_rx) = mpsc::channel::<StationMsg>();
-        let mut coord = Coordinator::new(station_plans, kiosks.len(), stall_timeout);
+        let mut coord =
+            Coordinator::new(Instant::now(), station_plans, kiosks.len(), stall_timeout);
         // Steal chunks the kill-during-failover fault may still kill.
         let mut recovery_deaths_left = fault.map_or(0, |f| f.recovery_deaths);
         // One runner's thread. A steal chunk draws its sessions from a
@@ -407,14 +415,14 @@ pub(super) fn run_threaded_day(
         while coord.running() {
             let recovery = match msg_rx.recv_timeout(poll) {
                 Ok(StationMsg::Outcome(id, idx, delivery)) => {
-                    for delivery in coord.outcome(id, idx, delivery) {
+                    for delivery in coord.outcome(Instant::now(), id, idx, delivery) {
                         let (outcome, vsd, stolen) = *delivery;
                         adversary_loot.extend(stolen);
                         sink(outcome, vsd.unwrap_or_default());
                     }
                     continue;
                 }
-                Ok(StationMsg::Done(id, result)) => coord.done(id, result),
+                Ok(StationMsg::Done(id, result)) => coord.done(Instant::now(), id, result),
                 Err(RecvTimeoutError::Timeout) => coord.tick(Instant::now(), &stats),
                 Err(RecvTimeoutError::Disconnected) => break,
             };
@@ -484,20 +492,28 @@ mod tests {
 
     /// Nine sessions over six kiosks and three stations, as
     /// `partition_stations` lays them out: station `s` owns kiosks
-    /// `{2s, 2s + 1}`, so station 1 owns sessions {2, 3, 8}.
-    fn three_stations() -> Coordinator<usize> {
+    /// `{2s, 2s + 1}`, so station 1 owns sessions {2, 3, 8}. All three are
+    /// spawned at `now`.
+    fn three_stations(now: Instant) -> Coordinator<usize> {
         let stations = plans(&[&[0, 1, 6, 7], &[2, 3, 8], &[4, 5]]);
-        Coordinator::new(stations, 6, TIMEOUT)
+        Coordinator::new(now, stations, 6, TIMEOUT)
     }
 
     fn lost(why: &str) -> Result<(), TripError> {
         Err(TripError::Boundary(why.into()))
     }
 
-    /// Runner `id` delivers `sessions` in this order; returns what the
-    /// coordinator released.
-    fn deliver(coord: &mut Coordinator<usize>, id: usize, sessions: &[usize]) -> Vec<usize> {
-        let released = sessions.iter().flat_map(|&idx| coord.outcome(id, idx, idx));
+    /// Runner `id` delivers `sessions` in this order at `now`; returns
+    /// what the coordinator released.
+    fn deliver(
+        coord: &mut Coordinator<usize>,
+        now: Instant,
+        id: usize,
+        sessions: &[usize],
+    ) -> Vec<usize> {
+        let released = sessions
+            .iter()
+            .flat_map(|&idx| coord.outcome(now, id, idx, idx));
         released.collect()
     }
 
@@ -519,18 +535,19 @@ mod tests {
 
     #[test]
     fn outcomes_release_in_session_order_and_replays_are_dropped() {
-        let mut coord = three_stations();
-        assert!(deliver(&mut coord, 1, &[3, 2]).is_empty());
-        assert!(deliver(&mut coord, 2, &[5, 4]).is_empty());
-        assert_eq!(deliver(&mut coord, 0, &[0]), [0]);
-        assert_eq!(deliver(&mut coord, 0, &[1]), [1, 2, 3, 4, 5]);
+        let t0 = Instant::now();
+        let mut coord = three_stations(t0);
+        assert!(deliver(&mut coord, t0, 1, &[3, 2]).is_empty());
+        assert!(deliver(&mut coord, t0, 2, &[5, 4]).is_empty());
+        assert_eq!(deliver(&mut coord, t0, 0, &[0]), [0]);
+        assert_eq!(deliver(&mut coord, t0, 0, &[1]), [1, 2, 3, 4, 5]);
         // A replay of a released session is dropped, not parked for the
         // rest of the day beside its credentials.
-        assert!(deliver(&mut coord, 0, &[1, 3]).is_empty());
+        assert!(deliver(&mut coord, t0, 0, &[1, 3]).is_empty());
         assert!(coord.buffered.is_empty());
-        assert_eq!(deliver(&mut coord, 0, &[6, 7]), [6, 7]);
+        assert_eq!(deliver(&mut coord, t0, 0, &[6, 7]), [6, 7]);
         for id in 0..3 {
-            assert!(!coord.done(id, Ok(())).abort);
+            assert!(!coord.done(t0, id, Ok(())).abort);
         }
         // Every runner finished with session 8 never delivered: a gap.
         assert!(!coord.running());
@@ -544,24 +561,25 @@ mod tests {
 
     #[test]
     fn a_dead_station_is_split_by_kiosk_over_the_survivors() {
-        let mut coord = three_stations();
+        let t0 = Instant::now();
+        let mut coord = three_stations(t0);
         // A finished station still takes its share.
-        assert!(deliver(&mut coord, 2, &[4, 5]).is_empty());
-        assert!(!coord.done(2, Ok(())).abort);
+        assert!(deliver(&mut coord, t0, 2, &[4, 5]).is_empty());
+        assert!(!coord.done(t0, 2, Ok(())).abort);
         // Session 2 is buffered, so it counts as delivered: the steal is
         // {3, 8}, kiosks 3 and 2, one chunk each, dealt in order.
-        assert!(deliver(&mut coord, 1, &[2]).is_empty());
-        let recovery = coord.done(1, lost("station 1 died"));
+        assert!(deliver(&mut coord, t0, 1, &[2]).is_empty());
+        let recovery = coord.done(t0, 1, lost("station 1 died"));
         assert_eq!((recovery.spawn, recovery.abort), (3..5, false));
         assert_eq!(runners(&coord, 3..5), [(0, 0, vec![8]), (2, 0, vec![3])]);
         assert!(coord.runners[3..].iter().all(|r| r.victim == 1));
         assert_eq!(coord.steals(), [steal(1, 0, 1, 0), steal(1, 2, 1, 0)]);
 
-        assert_eq!(deliver(&mut coord, 0, &[0, 1, 6, 7]), [0, 1, 2]);
-        assert_eq!(deliver(&mut coord, 4, &[3]), [3, 4, 5, 6, 7]);
-        assert_eq!(deliver(&mut coord, 3, &[8]), [8]);
+        assert_eq!(deliver(&mut coord, t0, 0, &[0, 1, 6, 7]), [0, 1, 2]);
+        assert_eq!(deliver(&mut coord, t0, 4, &[3]), [3, 4, 5, 6, 7]);
+        assert_eq!(deliver(&mut coord, t0, 3, &[8]), [8]);
         for id in [0, 3, 4] {
-            assert!(!coord.done(id, Ok(())).abort);
+            assert!(!coord.done(t0, id, Ok(())).abort);
         }
         assert!(!coord.running());
         assert_eq!(coord.finish().map(|s| s.len()), Ok(2));
@@ -569,24 +587,25 @@ mod tests {
 
     #[test]
     fn a_dead_chunk_is_restolen_one_level_deeper_until_the_bound() {
-        let mut coord = three_stations();
-        assert_eq!(coord.done(1, lost("station 1 died")).spawn, 3..5);
+        let t0 = Instant::now();
+        let mut coord = three_stations(t0);
+        assert_eq!(coord.done(t0, 1, lost("station 1 died")).spawn, 3..5);
         assert_eq!(runners(&coord, 3..4), [(0, 0, vec![2, 8])]);
         let mut chunk = 3;
         for depth in 1..=MAX_RESTEAL_DEPTH {
-            let recovery = coord.done(chunk, lost("a chunk died"));
+            let recovery = coord.done(t0, chunk, lost("a chunk died"));
             assert!(!recovery.abort && recovery.spawn.len() == 1);
             chunk = recovery.spawn.start;
             // One kiosk left to steal: one chunk, on the first survivor.
             assert_eq!(runners(&coord, chunk..chunk + 1), [(0, depth, vec![2, 8])]);
         }
-        let recovery = coord.done(chunk, lost("the last chunk died"));
+        let recovery = coord.done(t0, chunk, lost("the last chunk died"));
         assert!(recovery.abort && recovery.spawn.is_empty());
         // Once the day has failed a loss re-steals nothing.
-        let recovery = coord.done(4, lost("a chunk died after the abort"));
+        let recovery = coord.done(t0, 4, lost("a chunk died after the abort"));
         assert!(recovery.abort && recovery.spawn.is_empty());
         for id in [0, 2] {
-            coord.done(id, Ok(()));
+            coord.done(t0, id, Ok(()));
         }
         assert!(!coord.running());
         let depths: Vec<usize> = coord.steals().iter().map(|s| s.depth).collect();
@@ -599,9 +618,10 @@ mod tests {
 
     #[test]
     fn with_no_survivors_the_victim_replays_one_chunk_itself() {
-        let mut coord = Coordinator::new(plans(&[&[0, 1, 2, 3, 4]]), 4, TIMEOUT);
-        assert_eq!(deliver(&mut coord, 0, &[0]), [0]);
-        let recovery = coord.done(0, lost("the only station died"));
+        let t0 = Instant::now();
+        let mut coord = Coordinator::new(t0, plans(&[&[0, 1, 2, 3, 4]]), 4, TIMEOUT);
+        assert_eq!(deliver(&mut coord, t0, 0, &[0]), [0]);
+        let recovery = coord.done(t0, 0, lost("the only station died"));
         assert_eq!((recovery.spawn, recovery.abort), (1..2, false));
         assert_eq!(runners(&coord, 1..2), [(0, 0, vec![1, 2, 3, 4])]);
         assert_eq!(coord.steals(), [steal(0, 0, 4, 0)]);
@@ -610,17 +630,18 @@ mod tests {
     #[test]
     fn a_stalled_station_is_stolen_from_once_and_its_late_done_is_ignored() {
         let stats = EngineStats::default();
-        let mut coord = three_stations();
-        assert_eq!(deliver(&mut coord, 0, &[0, 1, 6, 7]), [0, 1]);
-        assert!(deliver(&mut coord, 2, &[4, 5]).is_empty());
+        let t0 = Instant::now();
+        let mut coord = three_stations(t0);
+        assert_eq!(deliver(&mut coord, t0, 0, &[0, 1, 6, 7]), [0, 1]);
+        assert!(deliver(&mut coord, t0, 2, &[4, 5]).is_empty());
         for id in [0, 2] {
-            coord.done(id, Ok(()));
+            coord.done(t0, id, Ok(()));
         }
         let stall_steals = || stats.stall_steals.load(Ordering::Relaxed);
-        let recovery = coord.tick(Instant::now(), &stats);
+        let recovery = coord.tick(t0, &stats);
         assert!(recovery.spawn.is_empty() && !recovery.abort);
 
-        let late = Instant::now() + TIMEOUT;
+        let late = t0 + TIMEOUT;
         let recovery = coord.tick(late, &stats);
         assert_eq!((recovery.spawn, recovery.abort), (3..5, false));
         assert_eq!(stall_steals(), 1);
@@ -628,18 +649,18 @@ mod tests {
         // The station was slow, not hung: its deliveries count like its
         // thieves' would, while its late `Done`, clean or not, neither
         // aborts the day nor steals again.
-        assert_eq!(deliver(&mut coord, 1, &[3, 2]), [2, 3, 4, 5, 6, 7]);
+        assert_eq!(deliver(&mut coord, t0, 1, &[3, 2]), [2, 3, 4, 5, 6, 7]);
         for late_done in [Ok(()), lost("station 1 was only slow")] {
-            let recovery = coord.done(1, late_done);
+            let recovery = coord.done(t0, 1, late_done);
             assert!(recovery.spawn.is_empty() && !recovery.abort);
         }
         assert_eq!(coord.runners[1].state, State::Lost);
-        assert_eq!(deliver(&mut coord, 4, &[3]), []);
-        assert_eq!(deliver(&mut coord, 3, &[2, 8]), [8]);
+        assert_eq!(deliver(&mut coord, t0, 4, &[3]), []);
+        assert_eq!(deliver(&mut coord, t0, 3, &[2, 8]), [8]);
         // Every re-delivery fell below the cursor: nothing stays parked.
-        assert!(deliver(&mut coord, 1, &[8]).is_empty() && coord.buffered.is_empty());
+        assert!(deliver(&mut coord, t0, 1, &[8]).is_empty() && coord.buffered.is_empty());
         for id in [3, 4] {
-            coord.done(id, Ok(()));
+            coord.done(t0, id, Ok(()));
         }
         assert!(!coord.running());
         assert_eq!(stall_steals(), 1);
@@ -652,15 +673,46 @@ mod tests {
     #[test]
     fn a_steal_chunk_is_never_declared_stalled() {
         let stats = EngineStats::default();
-        let mut coord = three_stations();
-        assert_eq!(coord.done(1, lost("station 1 died")).spawn, 3..5);
+        let t0 = Instant::now();
+        let mut coord = three_stations(t0);
+        assert_eq!(coord.done(t0, 1, lost("station 1 died")).spawn, 3..5);
         // The survivors have delivered all they own, so only the two
         // silent chunks hold undelivered sessions.
-        deliver(&mut coord, 0, &[0, 1, 6, 7]);
-        deliver(&mut coord, 2, &[4, 5]);
-        let recovery = coord.tick(Instant::now() + TIMEOUT * 10, &stats);
+        deliver(&mut coord, t0, 0, &[0, 1, 6, 7]);
+        deliver(&mut coord, t0, 2, &[4, 5]);
+        let recovery = coord.tick(t0 + TIMEOUT * 10, &stats);
         assert!(recovery.spawn.is_empty() && !recovery.abort);
         assert_eq!(stats.stall_steals.load(Ordering::Relaxed), 0);
         assert!(coord.runners[3..].iter().all(|r| r.state == State::Running));
+    }
+
+    #[test]
+    fn stall_deadline_is_read_on_the_callers_clock() {
+        // A virtual clock, no sleep. Station 1 was spawned at `start` and
+        // last heard from at t₀, when it delivered session 2; it still
+        // owes 3 and 8. The deadline runs from t₀, not from the spawn.
+        let stats = EngineStats::default();
+        let start = Instant::now();
+        let mut coord = three_stations(start);
+        for (id, sessions) in [(0, &[0, 1, 6, 7][..]), (2, &[4, 5])] {
+            deliver(&mut coord, start, id, sessions);
+            coord.done(start, id, Ok(()));
+        }
+        let t0 = start + TIMEOUT * 3;
+        assert_eq!(deliver(&mut coord, t0, 1, &[2]), [2]);
+        let ms = Duration::from_millis(1);
+        let recovery = coord.tick(t0 + TIMEOUT - ms, &stats);
+        assert!(recovery.spawn.is_empty() && !recovery.abort);
+        assert_eq!(coord.runners[1].state, State::Running);
+        assert_eq!(stats.stall_steals.load(Ordering::Relaxed), 0);
+
+        let recovery = coord.tick(t0 + TIMEOUT + ms, &stats);
+        assert_eq!((recovery.spawn, recovery.abort), (3..5, false));
+        assert_eq!(coord.runners[1].state, State::Lost);
+        assert_eq!(stats.stall_steals.load(Ordering::Relaxed), 1);
+        // The thieves were spawned at the tick's `now`.
+        assert!(coord.runners[3..]
+            .iter()
+            .all(|r| r.heard == t0 + TIMEOUT + ms));
     }
 }

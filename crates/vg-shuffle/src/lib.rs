@@ -30,6 +30,6 @@ pub mod svp;
 
 pub use mixnet::{
     MixCascade, MixStage, MixTranscript, PairMixStage, PairMixTranscript, RowMixStage,
-    RowMixTranscript, VerifyMode,
+    RowMixTranscript,
 };
 pub use shuffle::{PairShuffleProof, Row, RowShuffleProof, ShuffleContext, ShuffleProof};

@@ -8,9 +8,9 @@
 //! [`MixCascade::DEFAULT_MIXERS`].
 //!
 //! The cascade is generic over the [`Row`] it moves: one mix loop and one
-//! verification entry ([`MixCascade::verify_with`]) serve the
-//! registration-tag mix ([`MixTranscript`]) and the ballot-pair mix
-//! ([`PairMixTranscript`]).
+//! pair of verifiers — [`MixCascade::verify`] stage by stage,
+//! [`MixCascade::verify_batch`] as one fold — serve the registration-tag
+//! mix ([`MixTranscript`]) and the ballot-pair mix ([`PairMixTranscript`]).
 
 use std::fmt;
 
@@ -21,41 +21,6 @@ use vg_crypto::CryptoError;
 
 use crate::batch::{verify_cascade_batch, StageRef};
 use crate::shuffle::{Row, RowShuffleProof, ShuffleContext};
-
-/// How a cascade transcript is verified.
-///
-/// Both modes accept exactly the same transcripts; [`VerifyMode::Batched`]
-/// is the production default and `Sequential` remains available as the
-/// reference implementation (and for pinpointing *which* stage of a
-/// rejected cascade failed).
-///
-/// # Soundness of the batched mode
-///
-/// Batched verification folds every stage's Σ-protocol equations
-/// Eⱼ = 𝒪 into the single check Σⱼ wⱼ·Eⱼ = 𝒪 with independent random
-/// 128-bit weights wⱼ (a *small-exponent random linear combination*).
-/// All points lie in the prime-order subgroup, so each error Eⱼ is
-/// eⱼ·B for a unique exponent eⱼ mod ℓ; if any eⱼ ≠ 0, a uniformly
-/// random wⱼ satisfies the folded congruence with probability at most
-/// 2⁻¹²⁷. Each stage's weights are derived from that stage's own
-/// Fiat–Shamir transcript hash after additionally absorbing the proof's
-/// response scalars, so they commit to the stage's complete statement
-/// and proof: a cheating mixer cannot choose its stage proof after
-/// learning the weights that will scale its equations — any change to
-/// the proof re-randomizes them, and grinding proofs against the hash
-/// buys only 2⁻¹²⁷ per attempt. Small (128-bit rather than 253-bit)
-/// weights keep that bound while halving the weighting cost, the
-/// classical Bellare–Garay–Rabin trade-off. See [`vg_crypto::batch`]
-/// for the primitive.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VerifyMode {
-    /// Check every stage's proof on its own, in cascade order.
-    Sequential,
-    /// Fold all stages' proof equations into one random-linear-combination
-    /// multi-scalar check (parallelized across mixers).
-    #[default]
-    Batched,
-}
 
 /// One mixer's contribution to a cascade over rows of type `R`.
 #[derive(Clone)]
@@ -177,61 +142,71 @@ impl MixCascade {
         self.mix(pk, inputs, rng)
     }
 
-    /// Verifies a cascade transcript with the given [`VerifyMode`],
-    /// returning the final outputs on success. `threads` bounds the
-    /// batched mode's workers; the sequential mode ignores it.
-    pub fn verify_with<'a, R: Row>(
-        &self,
-        pk: &EdwardsPoint,
-        transcript: &'a RowMixTranscript<R>,
-        mode: VerifyMode,
-        threads: usize,
-    ) -> Result<&'a [R], CryptoError> {
-        if transcript.stages.len() != self.mixers {
-            return Err(CryptoError::Malformed("wrong number of mix stages"));
-        }
-        let mut stages: Vec<StageRef<'a, R>> = Vec::with_capacity(self.mixers);
-        let mut current: &[R] = &transcript.inputs;
-        for stage in &transcript.stages {
-            stages.push((current, &stage.outputs, &stage.proof));
-            current = &stage.outputs;
-        }
-        match mode {
-            VerifyMode::Sequential => {
-                for (s_in, s_out, proof) in stages {
-                    self.ctx.verify(pk, s_in, s_out, proof)?;
-                }
-            }
-            VerifyMode::Batched => {
-                verify_cascade_batch(&self.ctx, pk, &transcript.inputs, &stages, threads)?;
-            }
-        }
-        Ok(current)
-    }
-
-    /// Verifies every stage's proof on its own, in cascade order
-    /// ([`VerifyMode::Sequential`]).
+    /// Verifies every stage's proof on its own, in cascade order, and
+    /// returns the final outputs. The exact check: it is the reference the
+    /// Fig 5 baselines time, and it fails at the first bad stage.
     pub fn verify<'a, R: Row>(
         &self,
         pk: &EdwardsPoint,
         transcript: &'a RowMixTranscript<R>,
     ) -> Result<&'a [R], CryptoError> {
-        self.verify_with(pk, transcript, VerifyMode::Sequential, 1)
+        for (s_in, s_out, proof) in self.stages(transcript)? {
+            self.ctx.verify(pk, s_in, s_out, proof)?;
+        }
+        Ok(transcript.outputs())
     }
 
     /// Verifies a cascade transcript by folding every stage's proof
-    /// equations into one batched multi-scalar check, with the equation
-    /// collection parallelized over up to `threads` workers
-    /// ([`VerifyMode::Batched`]). Accepts exactly the same transcripts as
-    /// [`MixCascade::verify`]; see [`VerifyMode`] for the soundness
-    /// argument.
+    /// equations into one multi-scalar check, with the equation collection
+    /// parallelized over up to `threads` workers, and returns the final
+    /// outputs. The tally verifier's path.
+    ///
+    /// # Soundness
+    ///
+    /// The fold checks Σⱼ wⱼ·Eⱼ = 𝒪 for the stages' equations Eⱼ = 𝒪 with
+    /// independent random 128-bit weights wⱼ (a *small-exponent random
+    /// linear combination*). Decoding checks that a point is on the curve,
+    /// not that it is in the prime-order subgroup, so each error is
+    /// Eⱼ = eⱼ·B + Tⱼ with Tⱼ in the 8-torsion E\[8\]. If some eⱼ ≠ 0 mod ℓ,
+    /// a uniformly random wⱼ satisfies the folded congruence with
+    /// probability at most 2⁻¹²⁷. The fold is cofactorless, so an error
+    /// that lies wholly in E\[8\] is not covered: one of order 2 passes
+    /// whenever its weight is even, where [`MixCascade::verify`] rejects
+    /// it. Each stage's weights are derived from that stage's own
+    /// Fiat–Shamir transcript hash after additionally absorbing the
+    /// proof's response scalars, so they commit to the stage's complete
+    /// statement and proof: a cheating mixer cannot choose its stage proof
+    /// after learning the weights that will scale its equations — any
+    /// change to the proof re-randomizes them, and grinding proofs against
+    /// the hash buys only 2⁻¹²⁷ per attempt. Small (128-bit rather than
+    /// 253-bit) weights keep that bound while halving the weighting cost,
+    /// the classical Bellare–Garay–Rabin trade-off. See
+    /// [`vg_crypto::batch`] for the primitive.
     pub fn verify_batch<'a, R: Row>(
         &self,
         pk: &EdwardsPoint,
         transcript: &'a RowMixTranscript<R>,
         threads: usize,
     ) -> Result<&'a [R], CryptoError> {
-        self.verify_with(pk, transcript, VerifyMode::Batched, threads)
+        let stages = self.stages(transcript)?;
+        verify_cascade_batch(&self.ctx, pk, &transcript.inputs, &stages, threads)?;
+        Ok(transcript.outputs())
+    }
+
+    /// Each stage with its input rows, once the stage count is checked.
+    fn stages<'a, R: Row>(
+        &self,
+        transcript: &'a RowMixTranscript<R>,
+    ) -> Result<Vec<StageRef<'a, R>>, CryptoError> {
+        if transcript.stages.len() != self.mixers {
+            return Err(CryptoError::Malformed("wrong number of mix stages"));
+        }
+        let outputs = transcript.stages.iter().map(|s| s.outputs.as_slice());
+        let inputs = std::iter::once(transcript.inputs.as_slice()).chain(outputs);
+        let stages = inputs.zip(&transcript.stages);
+        Ok(stages
+            .map(|(s_in, s)| (s_in, s.outputs.as_slice(), &s.proof))
+            .collect())
     }
 
     /// [`MixCascade::verify_batch`] under the name the lifecycle
@@ -256,7 +231,18 @@ mod tests {
     use vg_crypto::HmacDrbg;
 
     type Pair = (Ciphertext, Ciphertext);
-    const MODES: [VerifyMode; 2] = [VerifyMode::Sequential, VerifyMode::Batched];
+
+    /// Both verifiers' verdicts on `transcript`: per stage, then folded.
+    fn verdicts<'a, R: Row>(
+        cascade: &MixCascade,
+        pk: &EdwardsPoint,
+        transcript: &'a RowMixTranscript<R>,
+    ) -> [(&'static str, Result<&'a [R], CryptoError>); 2] {
+        [
+            ("verify", cascade.verify(pk, transcript)),
+            ("verify_batch", cascade.verify_batch(pk, transcript, 2)),
+        ]
+    }
 
     #[test]
     fn cascade_roundtrip() {
@@ -338,9 +324,7 @@ mod tests {
                 .verify_batch(&kp.pk, &transcript, 2)
                 .expect("batched");
             assert_eq!(seq, bat, "mixers={mixers}");
-            assert!(cascade
-                .verify_with(&kp.pk, &transcript, VerifyMode::Batched, 1)
-                .is_ok());
+            assert!(cascade.verify_batch(&kp.pk, &transcript, 1).is_ok());
         }
     }
 
@@ -389,11 +373,8 @@ mod tests {
             .verify_pairs_batch(&kp.pk, &good, 2)
             .expect("batched");
         assert_eq!(seq, bat);
-        assert!(cascade
-            .verify_with(&kp.pk, &good, VerifyMode::Sequential, 1)
-            .is_ok());
 
-        // Column swap is caught by both modes.
+        // Column swap is caught by both verifiers.
         let mut bad = good.clone();
         let tmp = bad.stages[2].outputs[0].1;
         bad.stages[2].outputs[0].1 = bad.stages[2].outputs[1].1;
@@ -411,13 +392,15 @@ mod tests {
     /// The product argument's opening must have the shuffle's length. The
     /// commitment key has room for a longer one, so only the explicit
     /// check stands between it and the commitment equations.
-    fn svp_opening_of_wrong_length_is_malformed<R: Row>(mode: VerifyMode) {
+    fn svp_opening_of_wrong_length_is_malformed<R: Row>() {
         let mut rng = HmacDrbg::from_u64(23);
         let kp = ElGamalKeyPair::generate(&mut rng);
         let inputs: Vec<R> = rows(4, 50, &kp, &mut rng);
         let cascade = MixCascade::new(8, 2);
         let good = cascade.mix(&kp.pk, &inputs, &mut rng);
-        cascade.verify_with(&kp.pk, &good, mode, 2).expect("honest");
+        for (verifier, verdict) in verdicts(&cascade, &kp.pk, &good) {
+            verdict.unwrap_or_else(|e| panic!("{verifier} rejected the honest cascade: {e:?}"));
+        }
         // Short and over-long; a lone opening, then both (which agree with
         // each other and so pass the product argument's own length check).
         for len in [3usize, 5] {
@@ -430,25 +413,21 @@ mod tests {
                 if resize_b {
                     svp.b_tilde.resize(len, Scalar::ZERO);
                 }
-                assert_eq!(
-                    cascade.verify_with(&kp.pk, &bad, mode, 2).err(),
-                    Some(CryptoError::Malformed("svp opening lengths")),
-                    "{mode:?}, len {len}, a {resize_a}, b {resize_b}"
-                );
+                for (verifier, verdict) in verdicts(&cascade, &kp.pk, &bad) {
+                    assert_eq!(
+                        verdict.err(),
+                        Some(CryptoError::Malformed("svp opening lengths")),
+                        "{verifier}, len {len}, a {resize_a}, b {resize_b}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn sequential_verify_rejects_svp_opening_of_wrong_length() {
-        svp_opening_of_wrong_length_is_malformed::<Ciphertext>(VerifyMode::Sequential);
-        svp_opening_of_wrong_length_is_malformed::<Pair>(VerifyMode::Sequential);
-    }
-
-    #[test]
-    fn batched_verify_rejects_svp_opening_of_wrong_length() {
-        svp_opening_of_wrong_length_is_malformed::<Ciphertext>(VerifyMode::Batched);
-        svp_opening_of_wrong_length_is_malformed::<Pair>(VerifyMode::Batched);
+    fn both_verifiers_reject_svp_opening_of_wrong_length() {
+        svp_opening_of_wrong_length_is_malformed::<Ciphertext>();
+        svp_opening_of_wrong_length_is_malformed::<Pair>();
     }
 
     #[test]
@@ -458,8 +437,8 @@ mod tests {
         // product argument, the one multi-exp argument used for both
         // columns). Every equation would hold over those ciphertexts under
         // the width-1 challenges; width 2 hashes its statement under its
-        // own domain and labels, so the challenges differ and both modes
-        // reject.
+        // own domain and labels, so the challenges differ and both
+        // verifiers reject.
         let mut rng = HmacDrbg::from_u64(24);
         let kp = ElGamalKeyPair::generate(&mut rng);
         let inputs: Vec<Ciphertext> = rows(4, 0, &kp, &mut rng);
@@ -482,15 +461,11 @@ mod tests {
                 })
                 .collect(),
         };
-        for mode in MODES {
-            cascade
-                .verify_with(&kp.pk, &single, mode, 2)
-                .expect("the width-1 transcript itself is valid");
-            assert_eq!(
-                cascade.verify_with(&kp.pk, &forged, mode, 2).err(),
-                Some(CryptoError::BadProof),
-                "{mode:?}"
-            );
+        for (verifier, verdict) in verdicts(&cascade, &kp.pk, &single) {
+            verdict.unwrap_or_else(|e| panic!("{verifier} rejected the width-1 transcript: {e:?}"));
+        }
+        for (verifier, verdict) in verdicts(&cascade, &kp.pk, &forged) {
+            assert_eq!(verdict.err(), Some(CryptoError::BadProof), "{verifier}");
         }
     }
 

@@ -365,9 +365,9 @@ impl ShuffleContext {
         Ok(())
     }
 
-    /// The part of verification both modes share: the structural checks
-    /// (before any group operation), the statement and commitment
-    /// absorption, and the challenges x, y, z.
+    /// The part of verification [`ShuffleContext::verify`] and the cascade
+    /// fold share: the structural checks (before any group operation), the
+    /// statement and commitment absorption, and the challenges x, y, z.
     pub(crate) fn replay<R: Row>(
         &self,
         pk: &EdwardsPoint,

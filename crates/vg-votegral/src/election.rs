@@ -202,9 +202,8 @@ impl ElectionBuilder {
     }
 
     /// Worker threads for batch registration (the kiosk fleet's
-    /// precompute, ceremonies and admission), for L_V's batch admission in
-    /// [`Election::cast_batch`] and for [`Election::verify_with_mode`].
-    /// Ballots are not built on them: every record is built on the calling
+    /// precompute, ceremonies and admission) and for L_V's batch admission
+    /// in [`Election::cast_batch`]. Ballots are not built on them: every record is built on the calling
     /// thread, in DRBG order. [`Election::tally`] and [`Election::verify`]
     /// do not read it: they run on the host's cores
     /// ([`vg_crypto::par::default_threads`]).
@@ -530,10 +529,8 @@ impl Election<Tallying> {
         )
     }
 
-    /// Independently verifies a tally transcript (no secrets used).
-    ///
-    /// Mix proofs go through the batched verification path; see
-    /// [`Election::verify_with_mode`] for the explicit knob.
+    /// Independently verifies a tally transcript (no secrets used) with
+    /// the one tally verifier, [`verify_tally`].
     pub fn verify(&self, transcript: &TallyTranscript) -> Result<ElectionResult, VotegralError> {
         verify_tally(
             transcript,
@@ -541,24 +538,6 @@ impl Election<Tallying> {
             &PublicAuthority::of(&self.trip.authority),
             &self.trip.kiosk_registry,
             self.mixers,
-        )
-    }
-
-    /// Verifies a tally transcript with an explicit mix-proof
-    /// [`vg_shuffle::VerifyMode`], using the session's thread budget.
-    pub fn verify_with_mode(
-        &self,
-        transcript: &TallyTranscript,
-        mode: vg_shuffle::VerifyMode,
-    ) -> Result<ElectionResult, VotegralError> {
-        crate::verifier::verify_tally_with(
-            transcript,
-            &self.trip.ledger,
-            &PublicAuthority::of(&self.trip.authority),
-            &self.trip.kiosk_registry,
-            self.mixers,
-            mode,
-            self.threads,
         )
     }
 
@@ -833,11 +812,10 @@ mod tests {
     }
 
     #[test]
-    fn padding_dummies_pass_through_both_verify_modes() {
+    fn padding_dummies_pass_through_the_verifier() {
         // Zero ballots and one ballot: the identity-ciphertext dummies
         // (and the empty vote opening) go through the tagging and opening
-        // folds exactly as through the one-by-one checks.
-        use vg_shuffle::VerifyMode;
+        // folds.
         for ballots in 0..=1usize {
             let (mut election, mut rng) = small_election(14, 2);
             let (_, vsd) = election
@@ -852,10 +830,12 @@ mod tests {
             assert_eq!(transcript.n_ballot_dummies, 2 - ballots);
             assert_eq!(transcript.n_reg_dummies, 1);
             assert_eq!(transcript.result.counted, ballots);
-            for mode in [VerifyMode::Sequential, VerifyMode::Batched] {
-                let verified = tallying.verify_with_mode(&transcript, mode);
-                assert_eq!(verified.as_ref(), Ok(&transcript.result), "{mode:?}");
-            }
+            let verified = tallying.verify(&transcript);
+            assert_eq!(
+                verified.as_ref(),
+                Ok(&transcript.result),
+                "{ballots} ballots"
+            );
         }
     }
 

@@ -34,15 +34,12 @@
 //! `match_tags`/`count_votes` decide on cofactor-cleared images.
 
 use vg_crypto::batch::{BatchVerifier, CommittedWeights};
-use vg_crypto::chaum_pedersen::{
-    dleq_challenge, prove_dleq, verify_dleq, DlEqProof, DlEqStatement,
-};
+use vg_crypto::chaum_pedersen::{dleq_challenge, prove_dleq, DlEqProof, DlEqStatement};
 use vg_crypto::drbg::Rng;
 use vg_crypto::edwards::multiscalar_mul;
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::par::{default_threads, par_map};
 use vg_crypto::{CryptoError, EdwardsPoint, Scalar, Transcript};
-use vg_shuffle::VerifyMode;
 
 /// Ciphertexts absorbed, weighted and folded per pass of [`composites`],
 /// so neither side's working memory grows with the vector. Part of the
@@ -154,24 +151,12 @@ pub struct TaggingRound {
 }
 
 impl TaggingRound {
-    /// Verifies the round against its inputs through the batched path on
-    /// the host's cores.
-    pub fn verify(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
-        self.verify_with(inputs, VerifyMode::Batched, default_threads())
-    }
-
     /// Verifies the round against its inputs: recomputes the weights and
-    /// both composites, then checks the one proof — exactly under
-    /// [`VerifyMode::Sequential`], the reference; as one cofactored fold of
-    /// its two equations under [`VerifyMode::Batched`], which accepts what
-    /// the reference accepts with the relation taken modulo the 8-torsion
+    /// both composites, then checks the one proof as one cofactored fold
+    /// of its two equations on the host's cores. It accepts what the exact
+    /// DLEQ check accepts, with the relation taken modulo the 8-torsion
     /// (why the tally decides on cofactor-cleared plaintexts).
-    pub fn verify_with(
-        &self,
-        inputs: &[Ciphertext],
-        mode: VerifyMode,
-        threads: usize,
-    ) -> Result<(), CryptoError> {
+    pub fn verify(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
         if self.outputs.len() != inputs.len() {
             return Err(CryptoError::Malformed("tagging round lengths"));
         }
@@ -181,40 +166,30 @@ impl TaggingRound {
             &self.outputs,
             [inputs, &self.outputs],
         );
-        let mut transcript = round_transcript(inputs.len());
-        match mode {
-            VerifyMode::Sequential => verify_dleq(
-                &mut transcript,
-                &round_statement(&self.commitment, &g, &y),
-                &self.proof,
-            ),
-            VerifyMode::Batched => {
-                let DlEqProof { commit, response } = self.proof;
-                let statics = [EdwardsPoint::basepoint(), self.commitment];
-                let points = [statics[0], statics[1], g, y, commit.a1, commit.a2];
-                let enc = EdwardsPoint::batch_compress(&points);
-                let e = dleq_challenge(
-                    &mut transcript,
-                    enc[..].try_into().expect("six points, six encodings"),
-                );
-                // The weights of the proof's two equations commit to the
-                // proof as well as to the statement.
-                seal.absorb(&enc[4].0).absorb(&enc[5].0);
-                let w = seal.absorb(&response.to_bytes()).weights(2);
-                // w₁·(Y₁ − r·B − e·Sᵢ) + w₂·(Y₂ − r·G − e·Y).
-                let mut batch = BatchVerifier::new(&statics);
-                batch.add_static(0, -(w[0] * response));
-                batch.add_static(1, -(w[0] * e));
-                batch.add_term(w[0], commit.a1);
-                batch.add_term(w[1], commit.a2);
-                batch.add_term(-(w[1] * response), g);
-                batch.add_term(-(w[1] * e), y);
-                if batch.verify_cofactored(threads) {
-                    Ok(())
-                } else {
-                    Err(CryptoError::BadProof)
-                }
-            }
+        let DlEqProof { commit, response } = self.proof;
+        let statics = [EdwardsPoint::basepoint(), self.commitment];
+        let points = [statics[0], statics[1], g, y, commit.a1, commit.a2];
+        let enc = EdwardsPoint::batch_compress(&points);
+        let e = dleq_challenge(
+            &mut round_transcript(inputs.len()),
+            enc[..].try_into().expect("six points, six encodings"),
+        );
+        // The weights of the proof's two equations commit to the proof as
+        // well as to the statement.
+        seal.absorb(&enc[4].0).absorb(&enc[5].0);
+        let w = seal.absorb(&response.to_bytes()).weights(2);
+        // w₁·(Y₁ − r·B − e·Sᵢ) + w₂·(Y₂ − r·G − e·Y).
+        let mut batch = BatchVerifier::new(&statics);
+        batch.add_static(0, -(w[0] * response));
+        batch.add_static(1, -(w[0] * e));
+        batch.add_term(w[0], commit.a1);
+        batch.add_term(w[1], commit.a2);
+        batch.add_term(-(w[1] * response), g);
+        batch.add_term(-(w[1] * e), y);
+        if batch.verify_cofactored(default_threads()) {
+            Ok(())
+        } else {
+            Err(CryptoError::BadProof)
         }
     }
 }
@@ -235,8 +210,8 @@ pub fn apply_cascade(
     rounds
 }
 
-/// Verifies a tagging cascade through the batched path on the host's
-/// cores and returns the final ciphertexts.
+/// Verifies a tagging cascade round by round ([`TaggingRound::verify`])
+/// and returns the final ciphertexts.
 ///
 /// `expected_commitments` pins the member commitments so that the ballot
 /// and registration cascades provably used the *same* exponents.
@@ -244,24 +219,6 @@ pub fn verify_cascade<'a>(
     inputs: &'a [Ciphertext],
     rounds: &'a [TaggingRound],
     expected_commitments: &[EdwardsPoint],
-) -> Result<&'a [Ciphertext], CryptoError> {
-    verify_cascade_with(
-        inputs,
-        rounds,
-        expected_commitments,
-        VerifyMode::Batched,
-        default_threads(),
-    )
-}
-
-/// [`verify_cascade`] with an explicit [`VerifyMode`] and worker thread
-/// count (see [`TaggingRound::verify_with`]).
-pub fn verify_cascade_with<'a>(
-    inputs: &'a [Ciphertext],
-    rounds: &'a [TaggingRound],
-    expected_commitments: &[EdwardsPoint],
-    mode: VerifyMode,
-    threads: usize,
 ) -> Result<&'a [Ciphertext], CryptoError> {
     if rounds.len() != expected_commitments.len() {
         return Err(CryptoError::Malformed("tagging cascade length"));
@@ -271,7 +228,7 @@ pub fn verify_cascade_with<'a>(
         if round.commitment != *expected {
             return Err(CryptoError::BadProof);
         }
-        round.verify_with(current, mode, threads)?;
+        round.verify(current)?;
         current = &round.outputs;
     }
     Ok(current)
@@ -280,8 +237,35 @@ pub fn verify_cascade_with<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vg_crypto::chaum_pedersen::verify_dleq;
     use vg_crypto::elgamal::{decrypt, encrypt_point, ElGamalKeyPair};
     use vg_crypto::HmacDrbg;
+
+    /// The exact check the fold is held against: the round's one DLEQ
+    /// proof verified on its own statement, torsion included.
+    fn verify_exact(round: &TaggingRound, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
+        if round.outputs.len() != inputs.len() {
+            return Err(CryptoError::Malformed("tagging round lengths"));
+        }
+        let outputs = &round.outputs;
+        let (_, [g, y]) = composites(&round.commitment, inputs, outputs, [inputs, outputs]);
+        verify_dleq(
+            &mut round_transcript(inputs.len()),
+            &round_statement(&round.commitment, &g, &y),
+            &round.proof,
+        )
+    }
+
+    /// The fold and the exact check on `round`, by name.
+    fn verdicts(
+        round: &TaggingRound,
+        inputs: &[Ciphertext],
+    ) -> [(&'static str, Result<(), CryptoError>); 2] {
+        [
+            ("fold", round.verify(inputs)),
+            ("exact", verify_exact(round, inputs)),
+        ]
+    }
 
     #[test]
     fn cascade_blinds_consistently() {
@@ -318,15 +302,9 @@ mod tests {
             .collect()
     }
 
-    const MODES: [VerifyMode; 2] = [VerifyMode::Sequential, VerifyMode::Batched];
-
     fn assert_rejected(round: &TaggingRound, inputs: &[Ciphertext], what: &str) {
-        for mode in MODES {
-            assert_eq!(
-                round.verify_with(inputs, mode, 2),
-                Err(CryptoError::BadProof),
-                "{what} under {mode:?}"
-            );
+        for (check, verdict) in verdicts(round, inputs) {
+            assert_eq!(verdict, Err(CryptoError::BadProof), "{what} under {check}");
         }
     }
 
@@ -347,8 +325,8 @@ mod tests {
             }
             rng_b.scalar();
             assert_eq!(rng_a.scalar(), rng_b.scalar(), "{n} ciphertexts");
-            for mode in MODES {
-                round.verify_with(&cts[..n], mode, 2).expect("honest round");
+            for (check, verdict) in verdicts(&round, &cts[..n]) {
+                assert_eq!(verdict, Ok(()), "honest round under {check}");
             }
         }
     }
@@ -415,11 +393,9 @@ mod tests {
         assert_rejected(&extended, &longer_in, "extended");
 
         // Lengths that disagree are malformed before any proof is read.
-        for mode in MODES {
-            assert_eq!(
-                round.verify_with(&cts[..4], mode, 1),
-                Err(CryptoError::Malformed("tagging round lengths"))
-            );
+        for (check, verdict) in verdicts(&round, &cts[..4]) {
+            let malformed = Err(CryptoError::Malformed("tagging round lengths"));
+            assert_eq!(verdict, malformed, "{check}");
         }
         // Another round's proof over the same vector does not transplant.
         let mut other = key.apply(&swapped_in, &mut rng);
@@ -477,9 +453,9 @@ mod tests {
             loop {
                 shifted.proof = prove();
                 shifted
-                    .verify_with(&cts, VerifyMode::Batched, 1)
+                    .verify(&cts)
                     .expect("the cofactored fold is blind to torsion");
-                match shifted.verify_with(&cts, VerifyMode::Sequential, 1) {
+                match verify_exact(&shifted, &cts) {
                     Ok(()) => break,
                     Err(_) => grinds += 1,
                 }

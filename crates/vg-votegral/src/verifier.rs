@@ -7,15 +7,15 @@
 //! compares against the claimed result. Any single inconsistency pinpoints
 //! the stage (and thus the responsible actor) via [`crate::error::VerifyStage`].
 
-use vg_crypto::dkg::{combine_shares, verify_openings, Authority};
+use vg_crypto::dkg::{verify_openings, Authority};
 use vg_crypto::elgamal::Ciphertext;
-use vg_crypto::par::{default_threads, par_map};
+use vg_crypto::par::default_threads;
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::Ledger;
-use vg_shuffle::{MixCascade, VerifyMode};
+use vg_shuffle::MixCascade;
 
 use crate::error::{VerifyStage, VotegralError};
-use crate::tagging::verify_cascade_with;
+use crate::tagging::verify_cascade;
 use crate::tally::{
     admit_records, count_votes, dummy_ciphertext, match_tags, registration_inputs, ElectionResult,
     TallyTranscript, VectorOpening,
@@ -45,12 +45,14 @@ impl PublicAuthority {
 
 /// Verifies a complete tally transcript against the public ledger.
 ///
-/// Returns the (re-derived) election result on success. Mix-cascade,
-/// tagging and decryption-share proofs are checked through the batched
-/// random-linear-combination paths ([`VerifyMode::Batched`]); use
-/// [`verify_tally_with`] to select the sequential reference paths instead.
-/// Ballot admission is the tally's own [`crate::tally::admit_ballots`]
-/// (folded, with a one-by-one fallback) in either mode.
+/// Returns the (re-derived) election result on success. Every Σ-proof
+/// stage is checked as a random-linear-combination fold on the host's
+/// cores: each mix cascade in one fold ([`MixCascade::verify_batch`]),
+/// each tagging round in one cofactored fold
+/// ([`crate::tagging::verify_cascade`]) and each opening in one fold
+/// ([`vg_crypto::dkg::verify_openings`]). Ballot admission is the tally's
+/// own [`crate::tally::admit_ballots`] (folded, with a one-by-one
+/// fallback).
 pub fn verify_tally(
     transcript: &TallyTranscript,
     ledger: &Ledger,
@@ -58,30 +60,8 @@ pub fn verify_tally(
     kiosk_registry: &[CompressedPoint],
     mixers: usize,
 ) -> Result<ElectionResult, VotegralError> {
-    verify_tally_with(
-        transcript,
-        ledger,
-        authority,
-        kiosk_registry,
-        mixers,
-        VerifyMode::Batched,
-        default_threads(),
-    )
-}
-
-/// [`verify_tally`] with an explicit proof [`VerifyMode`] (mixes, tagging
-/// rounds and openings alike) and worker thread count — the knob the
-/// equivalence property tests turn.
-pub fn verify_tally_with(
-    transcript: &TallyTranscript,
-    ledger: &Ledger,
-    authority: &PublicAuthority,
-    kiosk_registry: &[CompressedPoint],
-    mixers: usize,
-    mode: VerifyMode,
-    threads: usize,
-) -> Result<ElectionResult, VotegralError> {
     let apk = authority.public_key;
+    let threads = default_threads();
 
     // Stage 1: re-derive admission and compare.
     let (accepted, rejected, superseded) = admit_records(
@@ -143,14 +123,14 @@ pub fn verify_tally_with(
     let cascade = MixCascade::new(max_n, mixers);
     if transcript.ballot_mix.inputs != transcript.ballot_pair_inputs
         || cascade
-            .verify_with(&apk, &transcript.ballot_mix, mode, threads)
+            .verify_batch(&apk, &transcript.ballot_mix, threads)
             .is_err()
     {
         return Err(VotegralError::Verification(VerifyStage::BallotMix));
     }
     if transcript.reg_mix.inputs != transcript.reg_inputs
         || cascade
-            .verify_with(&apk, &transcript.reg_mix, mode, threads)
+            .verify_batch(&apk, &transcript.reg_mix, threads)
             .is_err()
     {
         return Err(VotegralError::Verification(VerifyStage::RegistrationMix));
@@ -163,26 +143,30 @@ pub fn verify_tally_with(
         .iter()
         .map(|p| p.1)
         .collect();
-    let tagged_regs = verify_cascade_with(
+    let tagged_regs = verify_cascade(
         transcript.reg_mix.outputs(),
         &transcript.reg_tagging,
         &transcript.tag_commitments,
-        mode,
-        threads,
     )
     .map_err(|_| VotegralError::Verification(VerifyStage::Tagging))?;
-    let tagged_keys = verify_cascade_with(
+    let tagged_keys = verify_cascade(
         &mixed_keys,
         &transcript.ballot_tagging,
         &transcript.tag_commitments,
-        mode,
-        threads,
     )
     .map_err(|_| VotegralError::Verification(VerifyStage::Tagging))?;
 
-    // Stage 4: both openings.
+    // Stage 4: both openings, every share and the recombination folded.
     let check_opening = |opening: &VectorOpening, cts: &[Ciphertext]| {
-        verify_opening(opening, cts, authority, mode, threads)
+        verify_openings(
+            cts,
+            &opening.shares,
+            &opening.plaintexts,
+            &authority.member_vks,
+            authority.threshold,
+            threads,
+        )
+        .map_err(|_| VotegralError::Verification(VerifyStage::Decryption))
     };
     check_opening(&transcript.reg_opening, tagged_regs)?;
     check_opening(&transcript.key_opening, tagged_keys)?;
@@ -212,72 +196,4 @@ pub fn verify_tally_with(
         return Err(VotegralError::Verification(VerifyStage::Counting));
     }
     Ok(result)
-}
-
-/// Verifies every decryption share of an opening and the recombination.
-///
-/// [`VerifyMode::Batched`] folds the whole opening
-/// ([`vg_crypto::dkg::verify_openings`]); [`VerifyMode::Sequential`] is
-/// the reference: per item, every share proof and then the recombination,
-/// independent items fanned out over `threads` (the paper's tally
-/// evaluation used a 128-core node; see [`crate::par`]).
-fn verify_opening(
-    opening: &VectorOpening,
-    cts: &[Ciphertext],
-    authority: &PublicAuthority,
-    mode: VerifyMode,
-    threads: usize,
-) -> Result<(), VotegralError> {
-    let ok = match mode {
-        VerifyMode::Batched => verify_openings(
-            cts,
-            &opening.shares,
-            &opening.plaintexts,
-            &authority.member_vks,
-            authority.threshold,
-            threads,
-        )
-        .is_ok(),
-        VerifyMode::Sequential => {
-            opening.shares.len() == cts.len()
-                && opening.plaintexts.len() == cts.len()
-                && verify_opening_one_by_one(opening, cts, authority, threads)
-        }
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(VotegralError::Verification(VerifyStage::Decryption))
-    }
-}
-
-fn verify_opening_one_by_one(
-    opening: &VectorOpening,
-    cts: &[Ciphertext],
-    authority: &PublicAuthority,
-    threads: usize,
-) -> bool {
-    let items: Vec<(usize, &Ciphertext)> = cts.iter().enumerate().collect();
-    par_map(&items, threads, |(i, ct)| {
-        let shares = &opening.shares[*i];
-        let claimed = &opening.plaintexts[*i];
-        if shares.len() < authority.threshold {
-            return false;
-        }
-        for share in shares {
-            let idx = share.member_index as usize;
-            let Some(vk) = authority.member_vks.get(idx.wrapping_sub(1)) else {
-                return false;
-            };
-            if share.verify(vk, ct).is_err() {
-                return false;
-            }
-        }
-        match combine_shares(ct, shares, authority.threshold) {
-            Ok(combined) => combined == *claimed,
-            Err(_) => false,
-        }
-    })
-    .into_iter()
-    .all(|ok| ok)
 }

@@ -10,7 +10,7 @@ use votegral::crypto::drbg::Rng;
 use votegral::crypto::elgamal::{encrypt_point, Ciphertext};
 use votegral::crypto::{CompressedPoint, EdwardsPoint, HmacDrbg, Scalar, Transcript};
 use votegral::ledger::VoterId;
-use votegral::shuffle::{MixCascade, VerifyMode};
+use votegral::shuffle::MixCascade;
 use votegral::sim::coercion::credentials_structurally_indistinguishable;
 use votegral::trip::protocol::{activate_all, register_voter, trace_shows_honest_real_flow};
 use votegral::trip::{ActivationCheck, KioskBehavior, TripConfig, TripError, TripSystem};
@@ -175,13 +175,14 @@ fn printed_transcripts_carry_no_realness_bit() {
 }
 
 #[test]
-fn malicious_mixer_in_cascade_caught_by_both_verify_modes() {
+fn malicious_mixer_in_cascade_caught_by_both_cascade_verifiers() {
     // A single malicious mixer in an M-mixer cascade substitutes a
     // non-permutation — dropping a ballot, duplicating one, or flipping
     // one for a ciphertext of its choosing. Whatever the stage and
-    // whatever the substitution, both the sequential per-stage verifier
-    // and the batched random-linear-combination verifier reject the
-    // cascade transcript: a mixer cannot hide behind the folding.
+    // whatever the substitution, both the per-stage verifier (`verify`)
+    // and the random-linear-combination fold the tally verifier runs
+    // (`verify_batch`) reject the cascade transcript: a mixer cannot hide
+    // behind the folding.
     let mut rng = HmacDrbg::from_u64(77);
     let kp = votegral::crypto::elgamal::ElGamalKeyPair::generate(&mut rng);
     let n = 6usize;
@@ -200,13 +201,11 @@ fn malicious_mixer_in_cascade_caught_by_both_verify_modes() {
     let reject_both = |label: &str, bad: &votegral::shuffle::MixTranscript| {
         assert!(
             cascade.verify(&kp.pk, bad).is_err(),
-            "{label}: sequential verifier accepted a non-permutation"
+            "{label}: per-stage verifier accepted a non-permutation"
         );
         assert!(
-            cascade
-                .verify_with(&kp.pk, bad, VerifyMode::Batched, 2)
-                .is_err(),
-            "{label}: batched verifier accepted a non-permutation"
+            cascade.verify_batch(&kp.pk, bad, 2).is_err(),
+            "{label}: folded verifier accepted a non-permutation"
         );
     };
 
@@ -266,21 +265,17 @@ fn three_ballot_election(rng: &mut HmacDrbg) -> Election<Tallying> {
     voting.close()
 }
 
-const MODES: [VerifyMode; 2] = [VerifyMode::Sequential, VerifyMode::Batched];
-
-/// Both modes reject `transcript`, naming the tagging stage.
+/// The verifier rejects `transcript`, naming the tagging stage.
 fn assert_caught_at_tagging(
     tallying: &Election<Tallying>,
     transcript: &TallyTranscript,
     what: &str,
 ) {
-    for mode in MODES {
-        assert_eq!(
-            tallying.verify_with_mode(transcript, mode),
-            Err(VotegralError::Verification(VerifyStage::Tagging)),
-            "{what} under {mode:?}"
-        );
-    }
+    assert_eq!(
+        tallying.verify(transcript),
+        Err(VotegralError::Verification(VerifyStage::Tagging)),
+        "{what}"
+    );
 }
 
 /// A tagging round's composites G = Σ wₖ·inₖ and Y = Σ wₖ·outₖ, derived
@@ -316,11 +311,12 @@ fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
     // tagged key before it proves: Y moves off sᵢ·G by wₖ·T₂, which is
     // nothing when the victim's weight is even and otherwise leaves an
     // error e·T₂ that vanishes whenever the challenge e is even — the
-    // member grinds its nonce. The proof then verifies in both modes, the
-    // opened blinded key becomes P + T₂, and a matching that compares raw
-    // encodings would silently drop the victim's ballot. Decisions are
-    // taken on cofactor-cleared points instead, so the result must not
-    // move — for the tally's own matching and under both modes.
+    // member grinds its nonce. The proof then passes the exact check and
+    // the verifier's cofactored fold alike, the opened blinded key becomes
+    // P + T₂, and a matching that compares raw encodings would silently
+    // drop the victim's ballot. Decisions are taken on cofactor-cleared
+    // points instead, so the result must not move — for the tally's own
+    // matching and for the verifier.
     let mut rng = HmacDrbg::from_u64(77);
     let tallying = three_ballot_election(&mut rng);
     let mut recording = Recording {
@@ -389,14 +385,8 @@ fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
         matched, transcript.matched_indices,
         "the victim stays matched"
     );
-    // …and the verifier's, in both modes.
-    for mode in MODES {
-        assert_eq!(
-            tallying.verify_with_mode(&transcript, mode),
-            Ok(honest_result.clone()),
-            "{mode:?}"
-        );
-    }
+    // …and the verifier's.
+    assert_eq!(tallying.verify(&transcript), Ok(honest_result));
 }
 
 #[test]
@@ -404,7 +394,7 @@ fn one_bad_tagged_output_cannot_hide_behind_the_round_proof() {
     // A round carries one proof for all its outputs. A member that tags
     // every ciphertext but one correctly is still caught — whichever
     // cascade, round, position and component the bad one sits at — and
-    // the verifier names the tagging stage, in both modes.
+    // the verifier names the tagging stage.
     let mut rng = HmacDrbg::from_u64(78);
     let tallying = three_ballot_election(&mut rng);
     let mut transcript = tallying.tally(&mut rng).unwrap();

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use votegral::crypto::schnorr::SigningKey;
 use votegral::crypto::{CompressedPoint, HmacDrbg, Scalar};
 use votegral::ledger::{BallotRecord, LedgerBackend, TamperEvidentLog, VoterId};
-use votegral::shuffle::VerifyMode;
 use votegral::trip::vsd::ActivatedCredential;
 use votegral::votegral::{Ballot, ElectionBuilder, VotegralError};
 
@@ -136,8 +135,8 @@ mod mix_fixtures {
     }
 
     /// One soak case of `batch_verification_equivalent_and_tamper_sound` at
-    /// either width: both modes accept the honest transcript, or both reject
-    /// one single-field tamper of it.
+    /// either width: `verify` and `verify_batch` both accept the honest
+    /// transcript, or both reject one single-field tamper of it.
     pub fn check<R: Row>(
         fx: &Fixture,
         honest: &RowMixTranscript<R>,
@@ -385,12 +384,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Batched cascade verification accepts **iff** per-stage sequential
-    /// verification accepts: honest transcripts (random sizes, random
-    /// mixer counts, single and pair cascades) pass both ways, and a soak
-    /// of single-field tampers — one random field of one random stage's
-    /// proof or outputs — is rejected by both; no tamper survives the
-    /// random-linear-combination folding.
+    /// The folded cascade verifier (`verify_batch`) against the per-stage
+    /// one (`verify`): honest transcripts (random sizes, random mixer
+    /// counts, single and pair cascades) pass both ways, and a soak of
+    /// single-field tampers — one random field of one random stage's proof
+    /// or outputs, bumped by `+B` or `+1` — is rejected by both; no such
+    /// tamper survives the random-linear-combination folding.
     #[test]
     fn batch_verification_equivalent_and_tamper_sound(
         n in 2usize..6,
@@ -400,7 +399,7 @@ proptest! {
     ) {
         let fx = mix_fixtures::get(n, mixers);
         let mut rng = HmacDrbg::from_u64(tamper_seed);
-        // A slice of cases re-checks honest acceptance under both modes;
+        // A slice of cases re-checks honest acceptance by both verifiers;
         // the rest soak tampered-proof rejection.
         let check_honest = tamper_seed.is_multiple_of(8);
         if use_pair {
@@ -621,15 +620,15 @@ mod tally_tampers {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tally's batched verification (folded tagging rounds, folded
-    /// openings) against its sequential reference, beside the mix-cascade
-    /// soak above: over random small elections the two modes accept the
-    /// honest transcript with the same result, and every single-field
-    /// tamper of a tagging output, tagging proof, decryption share, share
-    /// proof, opened plaintext, matched index or claimed count is rejected
-    /// by both at the same — the expected — stage.
+    /// The tally verifier, beside the mix-cascade soak above: over random
+    /// small elections it accepts the honest transcript with the tally's
+    /// result, and rejects every single-field tamper of a tagging output,
+    /// tagging proof, decryption share, share proof, opened plaintext,
+    /// matched index or claimed count at the expected stage. (Each fold is
+    /// held against its exact check in its own crate: `mixnet`, `tagging`
+    /// and `dkg` unit tests.)
     #[test]
-    fn tally_verify_modes_equivalent_and_tamper_sound(
+    fn tally_verify_is_tamper_sound(
         seed in any::<u64>(),
         n_voters in 1u64..4,
         mixers in 1usize..3,
@@ -661,20 +660,15 @@ proptest! {
         let tallying = voting.close();
         let mut transcript = tallying.tally(&mut rng).expect("tally");
 
-        let modes = [VerifyMode::Sequential, VerifyMode::Batched];
-        for mode in modes {
-            let verified = tallying.verify_with_mode(&transcript, mode);
-            prop_assert_eq!(verified.as_ref(), Ok(&transcript.result), "honest, {:?}", mode);
-        }
+        let verified = tallying.verify(&transcript);
+        prop_assert_eq!(verified.as_ref(), Ok(&transcript.result), "honest");
         for tamper in tally_tampers::one_of_each(&transcript, &mut rng) {
             tamper.apply(&mut transcript, false);
-            for mode in modes {
-                prop_assert_eq!(
-                    tallying.verify_with_mode(&transcript, mode),
-                    Err(VotegralError::Verification(tamper.stage())),
-                    "{:?} under {:?}", tamper, mode
-                );
-            }
+            prop_assert_eq!(
+                tallying.verify(&transcript),
+                Err(VotegralError::Verification(tamper.stage())),
+                "{:?}", tamper
+            );
             tamper.apply(&mut transcript, true);
         }
         // Every tamper was undone: the transcript verifies again.
@@ -682,10 +676,10 @@ proptest! {
     }
 }
 
-/// Deterministic replay across the batch paths: `cast_batch` + batched
-/// tally verification produces a bit-identical `TallyTranscript` (and
-/// identical ledger heads) to sequential `cast` + sequential verification
-/// under the same DRBG seed — batching changes performance, never bytes.
+/// Deterministic replay across the cast paths: `cast_batch` produces a
+/// bit-identical `TallyTranscript` (and identical ledger heads) to
+/// sequential `cast` under the same DRBG seed, and the verifier accepts
+/// both — batching changes performance, never bytes.
 #[test]
 fn batched_pipeline_replays_bit_identically() {
     use votegral::crypto::dkg::DecryptionShare;
@@ -694,7 +688,7 @@ fn batched_pipeline_replays_bit_identically() {
     use votegral::crypto::EdwardsPoint;
     use votegral::votegral::tagging::TaggingRound;
 
-    let run = |batch: bool, mode: VerifyMode| {
+    let run = |batch: bool| {
         let mut rng = HmacDrbg::from_u64(4242);
         let mut election = ElectionBuilder::new().voters(3).options(3).build(&mut rng);
         let voters: Vec<VoterId> = (1..=3).map(VoterId).collect();
@@ -716,9 +710,7 @@ fn batched_pipeline_replays_bit_identically() {
         }
         let tallying = voting.close();
         let transcript = tallying.tally(&mut rng).expect("tally");
-        let verified = tallying
-            .verify_with_mode(&transcript, mode)
-            .expect("verifies");
+        let verified = tallying.verify(&transcript).expect("verifies");
         assert_eq!(verified, transcript.result);
         // `TallyTranscript`'s Debug rendering is canonical (compressed
         // points, canonical scalars), so equal digests ⇔ bit-identical
@@ -755,8 +747,8 @@ fn batched_pipeline_replays_bit_identically() {
         )
     };
 
-    let sequential = run(false, VerifyMode::Sequential);
-    let batched = run(true, VerifyMode::Batched);
+    let sequential = run(false);
+    let batched = run(true);
     assert_eq!(sequential.0, batched.0, "identical ballot ledger heads");
     assert_eq!(sequential.1, batched.1, "bit-identical tally transcripts");
     assert_eq!(sequential.2, batched.2, "identical results");
