@@ -594,6 +594,23 @@ mod tests {
         authority.members.iter().map(|m| m.vk).collect()
     }
 
+    /// A vector opening's shares and the DRBG position after them, across
+    /// a chunk boundary, pinned before the prover was split into its
+    /// draws and its arithmetic.
+    #[test]
+    fn vector_share_bytes_and_drbg_position_are_pinned() {
+        let n = (CHUNK / 3) as u64 + 5;
+        let (_, _, shares, _, mut rng) = opened_vector(12, n, 3);
+        let mut h = crate::sha2::Sha256::new();
+        h.update(format!("{shares:?}").as_bytes());
+        h.update(&rng.bytes32());
+        let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            digest,
+            "eb5afd0a8391be5462732d1ad569519b9fae9218ac8e8d0dd6c344646b45f7bb"
+        );
+    }
+
     #[test]
     fn vector_shares_match_one_by_one() {
         // 16 items by 3 members: 48 proofs, past `par_map`'s inline

@@ -638,4 +638,36 @@ pub(crate) mod tests {
     fn larger_shuffle() {
         honest::<Ciphertext>(64, 8).verify().unwrap();
     }
+
+    /// SHA-256 of `value`'s canonical `Debug` rendering followed by the
+    /// DRBG's next 32 bytes: equal digests mean equal bytes out *and* the
+    /// DRBG left at the same position.
+    pub(crate) fn digest_then_position(value: &impl fmt::Debug, rng: &mut dyn Rng) -> String {
+        let mut h = vg_crypto::sha2::Sha256::new();
+        h.update(format!("{value:?}").as_bytes());
+        h.update(&rng.bytes32());
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The shuffle's bytes and DRBG position at both widths, past
+    /// `par_map`'s inline cutoff, pinned before the prover was split into
+    /// its draws and its arithmetic.
+    #[test]
+    fn shuffle_bytes_and_drbg_position_are_pinned() {
+        fn run<R: Row>(seed: u64) -> String {
+            let mut rng = HmacDrbg::from_u64(seed);
+            let kp = ElGamalKeyPair::generate(&mut rng);
+            let inputs = sample_rows::<R>(20, 100, &kp, &mut rng);
+            let shuffled = ShuffleContext::new(20).shuffle(&kp.pk, &inputs, &mut rng);
+            digest_then_position(&shuffled, &mut rng)
+        }
+        assert_eq!(
+            run::<Ciphertext>(31),
+            "380a8dd4257d91fe848656dfacdddde20712ea65d262163c983a16906531633e"
+        );
+        assert_eq!(
+            run::<Pair>(32),
+            "069a423aadc077fa44fb115ad39f0efd601255812288c8685f762331213864c4"
+        );
+    }
 }

@@ -267,6 +267,24 @@ mod tests {
         ]
     }
 
+    /// A tagging cascade's bytes and the DRBG position after it, pinned
+    /// before the prover was split into its draws and its arithmetic.
+    #[test]
+    fn cascade_bytes_and_drbg_position_are_pinned() {
+        let mut rng = HmacDrbg::from_u64(41);
+        let cts = inputs(20, &mut rng);
+        let keys: Vec<TaggingKey> = (0..3).map(|_| TaggingKey::generate(&mut rng)).collect();
+        let rounds = apply_cascade(&keys, &cts, &mut rng);
+        let mut h = vg_crypto::sha2::Sha256::new();
+        h.update(format!("{rounds:?}").as_bytes());
+        h.update(&rng.bytes32());
+        let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            digest,
+            "6551bd495b76ad2da5046afa0cb533dc4f6efac406131e6b4bc1d5c6a07cc067"
+        );
+    }
+
     #[test]
     fn cascade_blinds_consistently() {
         let mut rng = HmacDrbg::from_u64(1);

@@ -683,6 +683,7 @@ proptest! {
 #[test]
 fn batched_pipeline_replays_bit_identically() {
     use votegral::crypto::dkg::DecryptionShare;
+    use votegral::crypto::drbg::Rng;
     use votegral::crypto::elgamal::Ciphertext;
     use votegral::crypto::sha2::Sha256;
     use votegral::crypto::EdwardsPoint;
@@ -710,6 +711,14 @@ fn batched_pipeline_replays_bit_identically() {
         }
         let tallying = voting.close();
         let transcript = tallying.tally(&mut rng).expect("tally");
+        // Where the tally leaves the caller's DRBG: a prover that draws
+        // its coins ahead of computing must take exactly the draws, in
+        // exactly the order, of one that draws as it goes.
+        let next: String = rng.bytes32().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            next, "7f59740fee8547c1f99fb03607474fc2a0eaa2748f8606273a00ce200eda035f",
+            "the tally left the DRBG elsewhere"
+        );
         let verified = tallying.verify(&transcript).expect("verifies");
         assert_eq!(verified, transcript.result);
         // `TallyTranscript`'s Debug rendering is canonical (compressed
@@ -819,6 +828,144 @@ fn tally_pin_past_the_parallel_cutoff() {
 
 /// The whole pipeline is deterministic from its seed: two elections run
 /// with the same seed produce byte-identical ledger heads and results.
+/// Structural tampers — a transcript whose shape, not only whose values,
+/// is wrong — get the stage the sequential verifier gave them, without a
+/// panic in any check that runs beside the failing one: an out-of-range
+/// matched index, a tagging cascade one round short, an opening item
+/// below the threshold, a mix missing a stage and a ballot input row
+/// missing. The expected stages were recorded on the verifier that ran
+/// its stages one after the other.
+#[test]
+fn structural_tampers_keep_their_stage() {
+    use votegral::votegral::{TallyTranscript, VerifyStage};
+
+    let mut rng = HmacDrbg::from_u64(5151);
+    let mut election = ElectionBuilder::new()
+        .voters(3)
+        .options(3)
+        .mixers(2)
+        .build(&mut rng);
+    let mut devices = Vec::new();
+    for v in 1..=3u64 {
+        let (_, vsd) = election
+            .register_and_activate(VoterId(v), 1, &mut rng)
+            .expect("registers");
+        devices.push(vsd);
+    }
+    let mut voting = election.open_voting();
+    for (v, vsd) in devices.iter().enumerate() {
+        for cred in &vsd.credentials {
+            voting.cast(cred, (v % 3) as u32, &mut rng).expect("cast");
+        }
+    }
+    let tallying = voting.close();
+    let transcript = tallying.tally(&mut rng).expect("tally");
+    assert_eq!(tallying.verify(&transcript).as_ref(), Ok(&transcript.result));
+
+    type Edit = fn(&mut TallyTranscript);
+    let cases: [(&str, Edit, VerifyStage); 9] = [
+        (
+            "matched index out of range",
+            |t| t.matched_indices[0] = usize::MAX,
+            VerifyStage::Matching,
+        ),
+        (
+            "matched index past the mixed rows",
+            |t| {
+                let rows = t.ballot_mix.outputs().len();
+                t.matched_indices.push(rows)
+            },
+            VerifyStage::Matching,
+        ),
+        (
+            "registration tagging one round short",
+            |t| {
+                t.reg_tagging.pop();
+            },
+            VerifyStage::Tagging,
+        ),
+        (
+            "ballot tagging one round short",
+            |t| {
+                t.ballot_tagging.pop();
+            },
+            VerifyStage::Tagging,
+        ),
+        (
+            "tag opening item below the threshold",
+            |t| {
+                t.reg_opening.shares[0].pop();
+            },
+            VerifyStage::Decryption,
+        ),
+        (
+            "vote opening item below the threshold",
+            |t| {
+                t.vote_opening.shares[0].pop();
+            },
+            VerifyStage::Decryption,
+        ),
+        (
+            "ballot mix missing a stage",
+            |t| {
+                t.ballot_mix.stages.pop();
+            },
+            VerifyStage::BallotMix,
+        ),
+        (
+            "registration mix missing a stage",
+            |t| {
+                t.reg_mix.stages.pop();
+            },
+            VerifyStage::RegistrationMix,
+        ),
+        (
+            "ballot inputs one row short",
+            |t| {
+                t.ballot_pair_inputs.pop();
+            },
+            VerifyStage::BallotAdmission,
+        ),
+    ];
+    for (what, edit, stage) in cases {
+        let mut bad = clone_transcript(&transcript);
+        edit(&mut bad);
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tallying.verify(&bad)))
+            .unwrap_or_else(|_| panic!("{what}: the verifier panicked"));
+        assert_eq!(verdict, Err(VotegralError::Verification(stage)), "{what}");
+    }
+}
+
+/// A field-by-field copy of a tally transcript (the type is not `Clone`:
+/// only tests copy one).
+fn clone_transcript(t: &votegral::votegral::TallyTranscript) -> votegral::votegral::TallyTranscript {
+    use votegral::votegral::tally::VectorOpening;
+    let opening = |o: &VectorOpening| VectorOpening {
+        shares: o.shares.clone(),
+        plaintexts: o.plaintexts.clone(),
+    };
+    votegral::votegral::TallyTranscript {
+        config: t.config,
+        accepted: t.accepted.clone(),
+        rejected: t.rejected,
+        superseded: t.superseded,
+        reg_inputs: t.reg_inputs.clone(),
+        ballot_pair_inputs: t.ballot_pair_inputs.clone(),
+        n_ballot_dummies: t.n_ballot_dummies,
+        n_reg_dummies: t.n_reg_dummies,
+        ballot_mix: t.ballot_mix.clone(),
+        reg_mix: t.reg_mix.clone(),
+        tag_commitments: t.tag_commitments.clone(),
+        reg_tagging: t.reg_tagging.clone(),
+        ballot_tagging: t.ballot_tagging.clone(),
+        reg_opening: opening(&t.reg_opening),
+        key_opening: opening(&t.key_opening),
+        matched_indices: t.matched_indices.clone(),
+        vote_opening: opening(&t.vote_opening),
+        result: t.result.clone(),
+    }
+}
+
 #[test]
 fn deterministic_from_seed() {
     let run = |seed: u64| {
