@@ -200,7 +200,18 @@ pub fn prove_dleq(
     x: &Scalar,
     rng: &mut dyn Rng,
 ) -> DlEqProof {
-    let prover = Prover::commit(stmt, rng);
+    prove_dleq_with(transcript, stmt, x, rng.scalar())
+}
+
+/// [`prove_dleq`] with its one nonce drawn beforehand: the same proof for
+/// the nonce [`prove_dleq`] would have drawn.
+pub fn prove_dleq_with(
+    transcript: &mut Transcript,
+    stmt: &DlEqStatement,
+    x: &Scalar,
+    nonce: Scalar,
+) -> DlEqProof {
+    let prover = Prover::with_nonce(stmt, nonce);
     let e = dleq_challenge(transcript, &encodings(stmt, &prover.commit));
     let t = prover.respond(x, &e);
     DlEqProof {
@@ -228,8 +239,23 @@ pub struct DlEqJob<'a> {
 /// inversion instead of six per proof, and the challenges are derived
 /// job by job on this thread.
 pub fn prove_dleq_batch(jobs: Vec<DlEqJob<'_>>, rng: &mut dyn Rng) -> Vec<DlEqProof> {
-    let drawn: Vec<(&DlEqStatement, Scalar)> =
-        jobs.iter().map(|job| (&job.stmt, rng.scalar())).collect();
+    let nonces: Vec<Scalar> = jobs.iter().map(|_| rng.scalar()).collect();
+    prove_dleq_batch_with(jobs, &nonces)
+}
+
+/// [`prove_dleq_batch`] with its nonces drawn beforehand, one per job in
+/// job order.
+///
+/// # Panics
+///
+/// Panics unless there is one nonce per job.
+pub fn prove_dleq_batch_with(jobs: Vec<DlEqJob<'_>>, nonces: &[Scalar]) -> Vec<DlEqProof> {
+    assert_eq!(jobs.len(), nonces.len(), "one nonce per proof");
+    let drawn: Vec<(&DlEqStatement, Scalar)> = jobs
+        .iter()
+        .map(|job| &job.stmt)
+        .zip(nonces.iter().copied())
+        .collect();
     let provers = par_map(&drawn, default_threads(), |&(stmt, nonce)| {
         Prover::with_nonce(stmt, nonce)
     });

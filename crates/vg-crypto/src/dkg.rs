@@ -17,7 +17,8 @@
 
 use crate::batch::{BatchVerifier, CommittedWeights};
 use crate::chaum_pedersen::{
-    dleq_challenge, prove_dleq, prove_dleq_batch, verify_dleq, DlEqJob, DlEqProof, DlEqStatement,
+    dleq_challenge, prove_dleq, prove_dleq_batch_with, verify_dleq, DlEqJob, DlEqProof,
+    DlEqStatement,
 };
 use crate::drbg::Rng;
 use crate::edwards::{multiscalar_mul, EdwardsPoint};
@@ -163,19 +164,44 @@ impl Authority {
     /// The first `t` members' verifiable shares for every ciphertext,
     /// `shares[item][member]` — exactly the shares (and exactly the RNG
     /// draws, item-major) of [`AuthorityMember::decryption_share`] called
-    /// in that order. Per chunk, the share points Dⱼ = xⱼ·C₁ are computed
-    /// on the host's cores, then [`prove_dleq_batch`] draws every nonce
-    /// before it computes any commitment (again on the host's cores), and
-    /// the commitments are compressed through one shared inversion before
+    /// in that order. Every nonce is drawn first
+    /// ([`Authority::share_nonces`]); then, per chunk, the share points
+    /// Dⱼ = xⱼ·C₁ and the proofs' commitments are computed on the host's
+    /// cores ([`crate::chaum_pedersen::prove_dleq_batch_with`]), and the
+    /// commitments are compressed through one shared inversion before
     /// hashing.
     pub fn decryption_shares(
         &self,
         cts: &[Ciphertext],
         rng: &mut dyn Rng,
     ) -> Vec<Vec<DecryptionShare>> {
+        let nonces = self.share_nonces(cts.len(), rng);
+        self.decryption_shares_with(cts, &nonces)
+    }
+
+    /// Draws the nonces [`Authority::decryption_shares`] draws for `items`
+    /// ciphertexts: one per share proof, item by item, member by member.
+    pub fn share_nonces(&self, items: usize, rng: &mut dyn Rng) -> Vec<Scalar> {
+        (0..items * self.t).map(|_| rng.scalar()).collect()
+    }
+
+    /// [`Authority::decryption_shares`] on nonces drawn beforehand by
+    /// [`Authority::share_nonces`]: the same shares, and no DRBG needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are t nonces per ciphertext.
+    pub fn decryption_shares_with(
+        &self,
+        cts: &[Ciphertext],
+        nonces: &[Scalar],
+    ) -> Vec<Vec<DecryptionShare>> {
+        assert_eq!(nonces.len(), cts.len() * self.t, "t nonces per item");
         let members = &self.members[..self.t];
+        let items_per_chunk = (CHUNK / self.t).max(1);
+        let mut nonces = nonces.chunks(items_per_chunk * self.t);
         let mut out = Vec::with_capacity(cts.len());
-        for chunk in cts.chunks((CHUNK / self.t).max(1)) {
+        for chunk in cts.chunks(items_per_chunk) {
             let pairs: Vec<(&Ciphertext, &AuthorityMember)> = chunk
                 .iter()
                 .flat_map(|ct| members.iter().map(move |m| (ct, m)))
@@ -193,7 +219,10 @@ impl Authority {
             let mut shares = pairs
                 .iter()
                 .zip(points.iter())
-                .zip(prove_dleq_batch(jobs, rng))
+                .zip(prove_dleq_batch_with(
+                    jobs,
+                    nonces.next().expect("one nonce chunk per item chunk"),
+                ))
                 .map(|(((_, m), d), proof)| DecryptionShare {
                     member_index: m.index,
                     share: *d,
@@ -600,15 +629,26 @@ mod tests {
     #[test]
     fn vector_share_bytes_and_drbg_position_are_pinned() {
         let n = (CHUNK / 3) as u64 + 5;
-        let (_, _, shares, _, mut rng) = opened_vector(12, n, 3);
-        let mut h = crate::sha2::Sha256::new();
-        h.update(format!("{shares:?}").as_bytes());
-        h.update(&rng.bytes32());
-        let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            digest,
-            "eb5afd0a8391be5462732d1ad569519b9fae9218ac8e8d0dd6c344646b45f7bb"
-        );
+        let digest = |shares: &[Vec<DecryptionShare>], rng: &mut HmacDrbg| -> String {
+            let mut h = crate::sha2::Sha256::new();
+            h.update(format!("{shares:?}").as_bytes());
+            h.update(&rng.bytes32());
+            h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let (authority, cts, shares, _, mut rng) = opened_vector(12, n, 3);
+        let pin = "eb5afd0a8391be5462732d1ad569519b9fae9218ac8e8d0dd6c344646b45f7bb";
+        assert_eq!(digest(&shares, &mut rng), pin);
+        // `share_nonces` then `decryption_shares_with` from the position
+        // `opened_vector` took its shares at.
+        let mut rng = HmacDrbg::from_u64(12);
+        let _ = Authority::dkg(4, 3, &mut rng);
+        for _ in 0..n {
+            let _ =
+                elgamal::encrypt_point(&authority.public_key, &EdwardsPoint::IDENTITY, &mut rng);
+        }
+        let nonces = authority.share_nonces(cts.len(), &mut rng);
+        let split = authority.decryption_shares_with(&cts, &nonces);
+        assert_eq!(digest(&split, &mut rng), pin, "draw then compute");
     }
 
     #[test]

@@ -765,10 +765,12 @@ fn straus(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
 
 /// Parallel variable-time multi-scalar multiplication Σ sᵢ·Pᵢ.
 ///
-/// Splits the terms into `threads` chunks, runs Pippenger on each chunk on
-/// its own worker via [`crate::par::par_map`], and sums the partial
-/// results. Falls back to the single-threaded path when the input is too
-/// small for the split to pay off.
+/// From 4 096 terms on, splits the terms into one contiguous chunk per
+/// participant of [`crate::par::par_ranges`] — this thread and up to
+/// `threads − 1` workers, as many as the core budget has free slots — runs
+/// [`multiscalar_mul`] on each and sums the partial results. Below that,
+/// or with no slot free, it is one [`multiscalar_mul`] over all terms: a
+/// split run on one thread costs more than the whole.
 ///
 /// # Panics
 ///
@@ -778,22 +780,31 @@ pub fn multiscalar_mul_par(
     points: &[EdwardsPoint],
     threads: usize,
 ) -> EdwardsPoint {
+    msm_split(
+        crate::par::Budget::global(),
+        scalars,
+        points,
+        threads,
+        multiscalar_mul,
+    )
+}
+
+/// [`multiscalar_mul_par`] against `budget`, with `msm` for each chunk.
+fn msm_split(
+    budget: &crate::par::Budget,
+    scalars: &[Scalar],
+    points: &[EdwardsPoint],
+    threads: usize,
+    msm: impl Fn(&[Scalar], &[EdwardsPoint]) -> EdwardsPoint + Sync,
+) -> EdwardsPoint {
     assert_eq!(scalars.len(), points.len(), "multiscalar length mismatch");
     let n = scalars.len();
-    let threads = threads.max(1);
-    if threads == 1 || n < 4096 {
-        return multiscalar_mul(scalars, points);
+    if n < 4096 {
+        return msm(scalars, points);
     }
-    let chunk = n.div_ceil(threads);
-    let jobs: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    crate::par::par_map(&jobs, threads, |&(lo, hi)| {
-        multiscalar_mul(&scalars[lo..hi], &points[lo..hi])
-    })
-    .into_iter()
-    .sum()
+    crate::par::par_ranges_in(budget, n, threads, |r| msm(&scalars[r.clone()], &points[r]))
+        .into_iter()
+        .sum()
 }
 
 /// Number of signed c-bit windows covering a scalar: one more than the
@@ -1318,15 +1329,22 @@ mod kernel_oracle {
         }
     }
 
-    #[test]
-    fn parallel_split_matches_the_oracle() {
-        // The smallest input `multiscalar_mul_par` actually splits.
+    /// The smallest input `multiscalar_mul_par` splits, as scalars and
+    /// points cycling through the edge cases.
+    fn split_input() -> (Vec<Scalar>, Vec<EdwardsPoint>) {
         let n = 4096 + 3;
         let (scalars, points) = (edge_scalars(), edge_points());
-        let s: Vec<Scalar> = (0..n)
+        let s = (0..n)
             .map(|i| scalars[i % scalars.len()] * Scalar::from_u64(i as u64 | 1))
             .collect();
-        let p: Vec<EdwardsPoint> = points.iter().cycle().take(n).copied().collect();
+        (s, points.iter().cycle().take(n).copied().collect())
+    }
+
+    #[test]
+    fn parallel_split_matches_the_oracle() {
+        // The smallest input `multiscalar_mul_par` splits, split three
+        // ways on a budget of its own, which has the two slots free.
+        let ((s, p), points) = (split_input(), edge_points());
         // Per distinct point, the oracle multiplies once by the integer sum of
         // its scalars (not reduced mod ℓ: torsion points have order up to 8ℓ).
         let mut expect = EdwardsPoint::IDENTITY;
@@ -1342,9 +1360,44 @@ mod kernel_oracle {
             let low = oracle_mul(point, &[sum[0], sum[1], sum[2], sum[3]]);
             expect = oracle_add(&expect, &oracle_add(&high, &low));
         }
+        let budget = crate::par::Budget::new(2);
+        let chunks = std::sync::atomic::AtomicUsize::new(0);
+        let split = msm_split(&budget, &s, &p, 3, |s, p| {
+            chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            multiscalar_mul(s, p)
+        });
+        assert_eq!(split, expect);
+        assert_eq!(chunks.into_inner(), 3, "three chunks");
         assert_eq!(multiscalar_mul_par(&s, &p, 3), expect);
         assert_eq!(multiscalar_mul_par(&s, &p, 1), expect);
         assert_eq!(multiscalar_mul(&s, &p), expect);
+    }
+
+    #[test]
+    fn parallel_split_runs_on_two_threads_when_a_slot_is_free() {
+        // With a free slot the two halves run on two threads; with none
+        // the terms stay one multiplication on the calling thread.
+        let (s, p) = split_input();
+        let whole = multiscalar_mul(&s, &p);
+        for (slots, threads) in [(1, 2), (0, 2), (1, 1)] {
+            let budget = crate::par::Budget::new(slots);
+            let ran = std::sync::Mutex::new(Vec::new());
+            let sum = msm_split(&budget, &s, &p, threads, |s, p| {
+                crate::sync::lock_recover(&ran).push((std::thread::current().id(), s.len()));
+                multiscalar_mul(s, p)
+            });
+            let ran = ran
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            assert_eq!(sum, whole, "{slots} slots");
+            let mut ids: Vec<_> = ran.iter().map(|(id, _)| *id).collect();
+            ids.dedup();
+            let terms: usize = ran.iter().map(|(_, len)| len).sum();
+            assert_eq!(terms, s.len(), "{slots} slots");
+            let expect = if slots == 1 && threads == 2 { 2 } else { 1 };
+            assert_eq!((ran.len(), ids.len()), (expect, expect), "{slots} slots");
+            assert_eq!(budget.free(), slots, "the slot is back");
+        }
     }
 
     #[test]

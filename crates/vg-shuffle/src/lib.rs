@@ -32,4 +32,6 @@ pub use mixnet::{
     MixCascade, MixStage, MixTranscript, PairMixStage, PairMixTranscript, RowMixStage,
     RowMixTranscript,
 };
-pub use shuffle::{PairShuffleProof, Row, RowShuffleProof, ShuffleContext, ShuffleProof};
+pub use shuffle::{
+    PairShuffleProof, Row, RowShuffleProof, ShuffleCoins, ShuffleContext, ShuffleProof,
+};

@@ -20,7 +20,7 @@ use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::CryptoError;
 
 use crate::batch::{verify_cascade_batch, StageRef};
-use crate::shuffle::{Row, RowShuffleProof, ShuffleContext};
+use crate::shuffle::{Row, RowShuffleProof, ShuffleCoins, ShuffleContext};
 
 /// One mixer's contribution to a cascade over rows of type `R`.
 #[derive(Clone)]
@@ -113,16 +113,42 @@ impl MixCascade {
     /// Runs the full cascade over `inputs` — single ciphertexts or linked
     /// pairs — producing a verifiable transcript. Each mixer reads the
     /// previous stage's outputs where the transcript holds them.
+    ///
+    /// [`MixCascade::draw`] then [`MixCascade::mix_with`].
     pub fn mix<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],
         rng: &mut dyn Rng,
     ) -> RowMixTranscript<R> {
+        let coins = self.draw(inputs.len(), rng);
+        self.mix_with(pk, inputs, coins)
+    }
+
+    /// Draws every stage's coins for a cascade over `n` rows, stage by
+    /// stage, in the order [`MixCascade::mix`] draws them.
+    pub fn draw<R: Row>(&self, n: usize, rng: &mut dyn Rng) -> Vec<ShuffleCoins<R>> {
+        (0..self.mixers).map(|_| self.ctx.draw(n, rng)).collect()
+    }
+
+    /// The arithmetic of [`MixCascade::mix`] on coins drawn beforehand by
+    /// [`MixCascade::draw`]: the same transcript, and no DRBG needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are coins for every mixer, drawn for
+    /// `inputs.len()` rows.
+    pub fn mix_with<R: Row>(
+        &self,
+        pk: &EdwardsPoint,
+        inputs: &[R],
+        coins: Vec<ShuffleCoins<R>>,
+    ) -> RowMixTranscript<R> {
+        assert_eq!(coins.len(), self.mixers, "one stage's coins per mixer");
         let mut stages: Vec<RowMixStage<R>> = Vec::with_capacity(self.mixers);
-        for _ in 0..self.mixers {
+        for coins in coins {
             let current = stages.last().map_or(inputs, |s| s.outputs.as_slice());
-            let (outputs, proof) = self.ctx.shuffle(pk, current, rng);
+            let (outputs, proof) = self.ctx.shuffle_with(pk, current, coins);
             stages.push(RowMixStage { outputs, proof });
         }
         RowMixTranscript {
@@ -257,6 +283,26 @@ mod tests {
             cts.iter().map(|c| decrypt(&kp.sk, c).compress()).collect()
         };
         assert_eq!(plain(&inputs), plain(outputs));
+    }
+
+    #[test]
+    fn drawn_coins_mix_like_the_drbg() {
+        // `draw` then `mix_with` is `mix`: the same transcript, and the
+        // DRBG left at the same place.
+        let run = |split: bool| {
+            let mut rng = HmacDrbg::from_u64(12);
+            let kp = ElGamalKeyPair::generate(&mut rng);
+            let inputs: Vec<Pair> = rows(5, 100, &kp, &mut rng);
+            let cascade = MixCascade::new(5, 3);
+            let transcript = if split {
+                let coins = cascade.draw::<Pair>(inputs.len(), &mut rng);
+                cascade.mix_with(&kp.pk, &inputs, coins)
+            } else {
+                cascade.mix(&kp.pk, &inputs, &mut rng)
+            };
+            crate::shuffle::tests::digest_then_position(&transcript, &mut rng)
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! only place the width enters the proof.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 use vg_crypto::drbg::{shuffle as fisher_yates, Rng};
@@ -149,6 +150,26 @@ impl<R: Row> fmt::Debug for RowShuffleProof<R> {
     }
 }
 
+/// Every coin one shuffle of rows of type `R` takes from the DRBG, drawn
+/// by [`ShuffleContext::draw`] and spent by
+/// [`ShuffleContext::shuffle_with`]. It is the mixer's secret witness
+/// (π and ρ) and masks: it prints nothing and is consumed by the shuffle.
+pub struct ShuffleCoins<R: Row> {
+    perm: Vec<usize>,
+    /// ρ\[column\]\[row\].
+    rho: Vec<Vec<Scalar>>,
+    proof: ProofCoins,
+    _row: PhantomData<fn() -> R>,
+}
+
+/// The proof's share of [`ShuffleCoins`].
+struct ProofCoins {
+    r: Scalar,
+    s: Scalar,
+    svp: svp::Masks,
+    mexp: Vec<multiexp::Masks>,
+}
+
 /// Context holding the commitment key for shuffles up to a fixed size.
 pub struct ShuffleContext {
     pub(crate) ck: CommitKey,
@@ -179,8 +200,9 @@ impl ShuffleContext {
     /// re-encryption randomness, returning the outputs and proof. Every
     /// column of a row moves under the same permutation.
     ///
-    /// π and every ρ are drawn first; the re-encryptions then run on the
-    /// host's cores.
+    /// [`ShuffleContext::draw`] then [`ShuffleContext::shuffle_with`]: π,
+    /// every ρ and every coin of the proof are drawn first; the
+    /// re-encryptions and the proof then run on the host's cores.
     ///
     /// # Panics
     ///
@@ -191,23 +213,62 @@ impl ShuffleContext {
         inputs: &[R],
         rng: &mut dyn Rng,
     ) -> (Vec<R>, RowShuffleProof<R>) {
-        let n = inputs.len();
+        let coins = self.draw(inputs.len(), rng);
+        self.shuffle_with(pk, inputs, coins)
+    }
+
+    /// Draws everything a shuffle of `n` rows takes from `rng`, in the
+    /// order [`ShuffleContext::shuffle`] takes it: π (Fisher–Yates), ρ
+    /// column by column, then the proof's coins (see
+    /// [`ShuffleContext::prove`]). No draw depends on a computed value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is below 2 or above `max_n`.
+    pub fn draw<R: Row>(&self, n: usize, rng: &mut dyn Rng) -> ShuffleCoins<R> {
         assert!(n >= 2, "shuffle requires at least 2 rows");
-        // Sample π, then ρ column by column; C′ⱼ = C_{π(j)} + Enc(0; ρⱼ).
         let mut perm: Vec<usize> = (0..n).collect();
         fisher_yates(rng, &mut perm);
         let rho: Vec<Vec<Scalar>> = (0..R::WIDTH)
             .map(|_| (0..n).map(|_| rng.scalar()).collect())
             .collect();
-        // pk·ρⱼ is a third of the re-encryption: pk's process-wide table
-        // serves it, and every other shuffle under the same key.
+        let proof = self.draw_proof::<R>(n, rng);
+        ShuffleCoins {
+            perm,
+            rho,
+            proof,
+            _row: PhantomData,
+        }
+    }
+
+    /// The arithmetic of [`ShuffleContext::shuffle`] on coins drawn
+    /// beforehand by [`ShuffleContext::draw`]: the same bytes out, and no
+    /// DRBG needed, so it can run on any thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coins were drawn for another row count than
+    /// `inputs.len()`.
+    pub fn shuffle_with<R: Row>(
+        &self,
+        pk: &EdwardsPoint,
+        inputs: &[R],
+        coins: ShuffleCoins<R>,
+    ) -> (Vec<R>, RowShuffleProof<R>) {
+        let ShuffleCoins {
+            perm, rho, proof, ..
+        } = coins;
+        assert_eq!(perm.len(), inputs.len(), "coins drawn for another size");
+        // C′ⱼ = C_{π(j)} + Enc(0; ρⱼ). pk·ρⱼ is a third of the
+        // re-encryption: pk's process-wide table serves it, and every
+        // other shuffle under the same key.
         let pk_table = FixedBaseTable::shared(pk);
         let rows: Vec<(usize, usize)> = perm.iter().copied().enumerate().collect();
         let outputs: Vec<R> = par_map(&rows, default_threads(), |&(j, from)| {
             let row = &inputs[from];
             R::from_cols(|k| rerandomize_with_table(&pk_table, &row.col(k), &rho[k][j]))
         });
-        let proof = self.prove(pk, inputs, &outputs, &perm, &rho, rng);
+        let proof = self.prove_with(pk, inputs, &outputs, &perm, &rho, proof);
         (outputs, proof)
     }
 
@@ -230,17 +291,42 @@ impl ShuffleContext {
         rho: &[Vec<Scalar>],
         rng: &mut dyn Rng,
     ) -> RowShuffleProof<R> {
+        let coins = self.draw_proof::<R>(inputs.len(), rng);
+        self.prove_with(pk, inputs, outputs, perm, rho, coins)
+    }
+
+    /// The proof's coins for `n` rows: r, s, the product argument's masks,
+    /// then each column's multi-exponentiation masks.
+    fn draw_proof<R: Row>(&self, n: usize, rng: &mut dyn Rng) -> ProofCoins {
+        let r = rng.scalar();
+        let s = rng.scalar();
+        let svp = svp::Masks::draw(n, &self.ck, rng);
+        let mexp = (0..R::WIDTH)
+            .map(|_| multiexp::Masks::draw(n, rng))
+            .collect();
+        ProofCoins { r, s, svp, mexp }
+    }
+
+    fn prove_with<R: Row>(
+        &self,
+        pk: &EdwardsPoint,
+        inputs: &[R],
+        outputs: &[R],
+        perm: &[usize],
+        rho: &[Vec<Scalar>],
+        coins: ProofCoins,
+    ) -> RowShuffleProof<R> {
         let n = inputs.len();
         assert!(n >= 2 && outputs.len() == n && perm.len() == n);
         assert!(rho.len() == R::WIDTH && rho.iter().all(|r| r.len() == n));
         assert!(n <= self.ck.len(), "shuffle larger than context");
         let (ck, threads) = (&self.ck, default_threads());
-        let r = rng.scalar();
-        let s = rng.scalar();
-        let svp_masks = svp::Masks::draw(n, ck, rng);
-        let mexp_masks: Vec<multiexp::Masks> = (0..R::WIDTH)
-            .map(|_| multiexp::Masks::draw(n, rng))
-            .collect();
+        let ProofCoins {
+            r,
+            s,
+            svp: svp_masks,
+            mexp: mexp_masks,
+        } = coins;
 
         let mut transcript = Transcript::new(R::DOMAIN);
         absorb_statement(&mut transcript, pk, inputs, outputs);
@@ -651,23 +737,34 @@ pub(crate) mod tests {
 
     /// The shuffle's bytes and DRBG position at both widths, past
     /// `par_map`'s inline cutoff, pinned before the prover was split into
-    /// its draws and its arithmetic.
+    /// its draws and its arithmetic; `draw` then `shuffle_with` gives the
+    /// same bytes and leaves the DRBG at the same place.
     #[test]
     fn shuffle_bytes_and_drbg_position_are_pinned() {
-        fn run<R: Row>(seed: u64) -> String {
+        fn run<R: Row>(seed: u64, split: bool) -> String {
             let mut rng = HmacDrbg::from_u64(seed);
             let kp = ElGamalKeyPair::generate(&mut rng);
             let inputs = sample_rows::<R>(20, 100, &kp, &mut rng);
-            let shuffled = ShuffleContext::new(20).shuffle(&kp.pk, &inputs, &mut rng);
+            let ctx = ShuffleContext::new(20);
+            let shuffled = if split {
+                let coins = ctx.draw::<R>(inputs.len(), &mut rng);
+                ctx.shuffle_with(&kp.pk, &inputs, coins)
+            } else {
+                ctx.shuffle(&kp.pk, &inputs, &mut rng)
+            };
             digest_then_position(&shuffled, &mut rng)
         }
-        assert_eq!(
-            run::<Ciphertext>(31),
-            "380a8dd4257d91fe848656dfacdddde20712ea65d262163c983a16906531633e"
-        );
-        assert_eq!(
-            run::<Pair>(32),
-            "069a423aadc077fa44fb115ad39f0efd601255812288c8685f762331213864c4"
-        );
+        for split in [false, true] {
+            assert_eq!(
+                run::<Ciphertext>(31, split),
+                "380a8dd4257d91fe848656dfacdddde20712ea65d262163c983a16906531633e",
+                "split: {split}"
+            );
+            assert_eq!(
+                run::<Pair>(32, split),
+                "069a423aadc077fa44fb115ad39f0efd601255812288c8685f762331213864c4",
+                "split: {split}"
+            );
+        }
     }
 }

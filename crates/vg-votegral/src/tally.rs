@@ -20,17 +20,37 @@
 //!
 //! # What runs on the host's cores
 //!
-//! The stages run one after the other, each on the caller's DRBG. Within
+//! Admission runs first. Then every DRBG value stages 2–4 take is drawn
+//! on the calling thread, in the order a tally running the stages one
+//! after the other takes them: the ballot mix's stages, then the
+//! registration mix's, the tagging exponents, the registration tagging's
+//! nonces, then the ballot tagging's, the registration opening's nonces,
+//! then the key opening's. Nothing then needs the DRBG until the vote
+//! opening, and the two chains, which share nothing but the tagging
+//! exponents, run side by side under [`join`]:
+//!
+//! - ballot mix → ballot tagging (of the credential-key column) → key
+//!   opening;
+//! - registration mix → registration tagging → registration opening.
+//!
+//! Matching, the vote opening's draws and the vote opening follow. Within
 //! a stage the point arithmetic runs on [`default_threads`] workers
 //! (`vg_crypto::par`): admission's signature sweep and proof fold, each
 //! mix stage's re-encryptions and commitments, each tagging round's
 //! exponentiations, and each opening's share points, proof commitments
-//! and recombinations. Two things stay sequential on the calling thread:
-//! every DRBG draw, taken before the arithmetic it feeds in the order a
-//! one-thread prover takes it, and every transcript hash, absorbed in the
-//! proof's own order. So the transcript's bytes do not depend on how many
-//! cores ran it (`tests/properties.rs` pins them), and on one core
-//! everything runs inline.
+//! and recombinations. Every worker comes out of the process's core
+//! budget, so while both chains run their stages mostly run inline, and
+//! a chain that finishes first hands its core to the other. Every
+//! transcript hash stays on its chain's thread, absorbed in the proof's
+//! own order. So the transcript's bytes, and where the caller's DRBG is
+//! left, do not depend on how many cores ran it (`tests/properties.rs`
+//! pins both), and on one core everything runs inline, one chain after
+//! the other.
+//!
+//! The drawn coins are O(mixers · n) scalars held at once: 6n + 9 per
+//! ballot-mix stage, 4n + 7 per registration-mix stage and t per opened
+//! row — about 220 KB at the lifecycle benchmark's size (165 ballot rows,
+//! 100 tags, four mixers, t = 4), about 1.6 GB at 10⁶ rows a side.
 
 use std::collections::HashMap;
 
@@ -38,18 +58,20 @@ use vg_crypto::batch::{small_weights, BatchVerifier};
 use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionShare};
 use vg_crypto::drbg::Rng;
 use vg_crypto::elgamal::Ciphertext;
-use vg_crypto::par::{default_threads, par_map};
+use vg_crypto::par::{default_threads, join, par_map};
 use vg_crypto::schnorr::{SignatureSweep, VerifyingKey};
-use vg_crypto::{CompressedPoint, EdwardsPoint};
+use vg_crypto::{CompressedPoint, EdwardsPoint, Scalar};
 use vg_ledger::{BallotRecord, Ledger};
-use vg_shuffle::{MixCascade, MixTranscript, PairMixTranscript};
+use vg_shuffle::{
+    MixCascade, MixTranscript, PairMixTranscript, Row, RowMixTranscript, ShuffleCoins,
+};
 use vg_trip::materials::response_message_from_hash;
 
 use crate::ballot::{
     check_vote_challenge, queue_vote_proof, verify_vote_proof, Ballot, VoteConfig,
 };
 use crate::error::VotegralError;
-use crate::tagging::{apply_cascade, TaggingKey, TaggingRound};
+use crate::tagging::{apply_cascade_with, cascade_nonces, TaggingKey, TaggingRound};
 
 /// A ballot that passed admission, paired with its credential key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -335,7 +357,17 @@ fn open_vector(
     cts: &[Ciphertext],
     rng: &mut dyn Rng,
 ) -> Result<VectorOpening, VotegralError> {
-    let shares = authority.decryption_shares(cts, rng);
+    let nonces = authority.share_nonces(cts.len(), rng);
+    open_vector_with(authority, cts, &nonces)
+}
+
+/// [`open_vector`] on nonces drawn beforehand ([`Authority::share_nonces`]).
+fn open_vector_with(
+    authority: &Authority,
+    cts: &[Ciphertext],
+    nonces: &[Scalar],
+) -> Result<VectorOpening, VotegralError> {
+    let shares = authority.decryption_shares_with(cts, nonces);
     let indices: Vec<u32> = authority.members[..authority.t]
         .iter()
         .map(|m| m.index)
@@ -346,6 +378,36 @@ fn open_vector(
         combine_with(ct, item, &lambdas)
     });
     Ok(VectorOpening { shares, plaintexts })
+}
+
+/// One chain's coins, drawn before either chain runs: its mix stages',
+/// its tagging rounds' and its opening's.
+struct ChainCoins<R: Row> {
+    mix: Vec<ShuffleCoins<R>>,
+    tagging: Vec<Scalar>,
+    opening: Vec<Scalar>,
+}
+
+/// One chain's evidence: its mix, its tagging cascade over the mix's
+/// credential column and the opening of the tagged values.
+type Chain<R> = (RowMixTranscript<R>, Vec<TaggingRound>, VectorOpening);
+
+/// Mixes `inputs`, tags the column `tagged` picks from the mixed rows and
+/// opens the tagged values, on coins drawn beforehand.
+fn run_chain<R: Row>(
+    authority: &Authority,
+    cascade: &MixCascade,
+    keys: &[TaggingKey],
+    inputs: &[R],
+    tagged: fn(&R) -> Ciphertext,
+    coins: ChainCoins<R>,
+) -> Result<Chain<R>, VotegralError> {
+    let mix = cascade.mix_with(&authority.public_key, inputs, coins.mix);
+    let column: Vec<Ciphertext> = mix.outputs().iter().map(tagged).collect();
+    let tagging = apply_cascade_with(keys, &column, &coins.tagging);
+    let opened = tagging.last().map_or(&column, |r| &r.outputs);
+    let opening = open_vector_with(authority, opened, &coins.opening)?;
+    Ok((mix, tagging, opening))
 }
 
 /// Runs the complete tally, producing the transcript.
@@ -392,33 +454,56 @@ pub fn tally(
         reg_inputs.push(dummy_ciphertext());
         n_reg_dummies += 1;
     }
-
-    // Stage 2: verifiable mixes.
     let max_n = ballot_pair_inputs.len().max(reg_inputs.len());
     let cascade = MixCascade::new(max_n, mixers);
-    let ballot_mix = cascade.mix(&apk, &ballot_pair_inputs, rng);
-    let reg_mix = cascade.mix(&apk, &reg_inputs, rng);
 
-    // Stage 3: deterministic tagging with per-member exponents.
+    // Every coin of stages 2–4, drawn in the order a tally running them
+    // one after the other draws them: the mixes' (ballots, then tags), the
+    // tagging exponents, the tagging rounds' nonces (tags, then ballots),
+    // the openings' nonces (tags, then keys).
+    let ballot_mix = cascade.draw(ballot_pair_inputs.len(), rng);
+    let reg_mix = cascade.draw(reg_inputs.len(), rng);
     let tagging_keys: Vec<TaggingKey> = (0..authority.n)
         .map(|_| TaggingKey::generate(rng))
         .collect();
-    let tag_commitments: Vec<EdwardsPoint> = tagging_keys.iter().map(|k| k.commitment).collect();
-    let mixed_keys: Vec<Ciphertext> = ballot_mix.outputs().iter().map(|p| p.1).collect();
-    let reg_tagging = apply_cascade(&tagging_keys, reg_mix.outputs(), rng);
-    let ballot_tagging = apply_cascade(&tagging_keys, &mixed_keys, rng);
+    let reg_tagging = cascade_nonces(tagging_keys.len(), rng);
+    let ballot_tagging = cascade_nonces(tagging_keys.len(), rng);
+    let reg_coins = ChainCoins {
+        mix: reg_mix,
+        tagging: reg_tagging,
+        opening: authority.share_nonces(reg_inputs.len(), rng),
+    };
+    let ballot_coins = ChainCoins {
+        mix: ballot_mix,
+        tagging: ballot_tagging,
+        opening: authority.share_nonces(ballot_pair_inputs.len(), rng),
+    };
 
-    // Stage 4: open both tagged sets.
-    let tagged_regs = reg_tagging
-        .last()
-        .map(|r| r.outputs.clone())
-        .unwrap_or_else(|| reg_mix.outputs().to_vec());
-    let tagged_keys = ballot_tagging
-        .last()
-        .map(|r| r.outputs.clone())
-        .unwrap_or(mixed_keys);
-    let reg_opening = open_vector(authority, &tagged_regs, rng)?;
-    let key_opening = open_vector(authority, &tagged_keys, rng)?;
+    // Stages 2–4 as two chains side by side, each mix → tagging →
+    // opening: the registration tags' and the ballots' (credential keys).
+    // The tagging commitments are shared; nothing else is.
+    let (reg_chain, ballot_chain) = join(
+        default_threads(),
+        || {
+            let tag = |ct: &Ciphertext| *ct;
+            run_chain(
+                authority,
+                &cascade,
+                &tagging_keys,
+                &reg_inputs,
+                tag,
+                reg_coins,
+            )
+        },
+        || {
+            let key = |pair: &(Ciphertext, Ciphertext)| pair.1;
+            let pairs = &ballot_pair_inputs;
+            run_chain(authority, &cascade, &tagging_keys, pairs, key, ballot_coins)
+        },
+    );
+    let (reg_mix, reg_tagging, reg_opening) = reg_chain?;
+    let (ballot_mix, ballot_tagging, key_opening) = ballot_chain?;
+    let tag_commitments: Vec<EdwardsPoint> = tagging_keys.iter().map(|k| k.commitment).collect();
 
     // Stage 5: linear-time matching, consuming each tag at most once.
     let matched_indices = match_tags(&reg_opening.plaintexts, &key_opening.plaintexts);

@@ -860,7 +860,10 @@ fn structural_tampers_keep_their_stage() {
     }
     let tallying = voting.close();
     let transcript = tallying.tally(&mut rng).expect("tally");
-    assert_eq!(tallying.verify(&transcript).as_ref(), Ok(&transcript.result));
+    assert_eq!(
+        tallying.verify(&transcript).as_ref(),
+        Ok(&transcript.result)
+    );
 
     type Edit = fn(&mut TallyTranscript);
     let cases: [(&str, Edit, VerifyStage); 9] = [
@@ -930,15 +933,18 @@ fn structural_tampers_keep_their_stage() {
     for (what, edit, stage) in cases {
         let mut bad = clone_transcript(&transcript);
         edit(&mut bad);
-        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tallying.verify(&bad)))
-            .unwrap_or_else(|_| panic!("{what}: the verifier panicked"));
+        let verdict =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tallying.verify(&bad)))
+                .unwrap_or_else(|_| panic!("{what}: the verifier panicked"));
         assert_eq!(verdict, Err(VotegralError::Verification(stage)), "{what}");
     }
 }
 
 /// A field-by-field copy of a tally transcript (the type is not `Clone`:
 /// only tests copy one).
-fn clone_transcript(t: &votegral::votegral::TallyTranscript) -> votegral::votegral::TallyTranscript {
+fn clone_transcript(
+    t: &votegral::votegral::TallyTranscript,
+) -> votegral::votegral::TallyTranscript {
     use votegral::votegral::tally::VectorOpening;
     let opening = |o: &VectorOpening| VectorOpening {
         shares: o.shares.clone(),
