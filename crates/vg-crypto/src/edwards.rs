@@ -766,8 +766,8 @@ fn straus(scalars: &[Scalar], points: &[EdwardsPoint]) -> EdwardsPoint {
 /// Parallel variable-time multi-scalar multiplication Σ sᵢ·Pᵢ.
 ///
 /// From 4 096 terms on, splits the terms into one contiguous chunk per
-/// participant of [`crate::par::par_ranges`] — this thread and up to
-/// `threads − 1` workers, as many as the core budget has free slots — runs
+/// participant — this thread and up to `threads − 1` workers, as many as
+/// the core budget ([`crate::par`]) has free slots — runs
 /// [`multiscalar_mul`] on each and sums the partial results. Below that,
 /// or with no slot free, it is one [`multiscalar_mul`] over all terms: a
 /// split run on one thread costs more than the whole.

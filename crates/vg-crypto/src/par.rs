@@ -37,7 +37,9 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+
+use crate::sync::lock_recover;
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
@@ -81,17 +83,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     run_jobs_in(Budget::global(), jobs, threads, f)
-}
-
-/// `f` over `0..n` split into one contiguous range per participant — this
-/// thread and up to `threads − 1` workers from the core budget — with the
-/// results in range order. One range, `0..n`, when no slot is free.
-pub fn par_ranges<U, F>(n: usize, threads: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(Range<usize>) -> U + Sync,
-{
-    par_ranges_in(Budget::global(), n, threads, f)
 }
 
 /// A reasonable worker count for this host.
@@ -175,31 +166,53 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = if items.len() < 16 { 1 } else { threads };
-    par_ranges_in(budget, items.len(), threads, |range| {
-        items[range].iter().map(&f).collect::<Vec<U>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let n = items.len();
+    let threads = if n < 16 { 1 } else { threads };
+    let (workers, chunk) = split(budget, n, threads);
+    if workers == 0 {
+        return items.iter().map(f).collect();
+    }
+    // Each share writes its results in place, so the output is allocated
+    // once, at its final size.
+    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
+    out.resize_with(n, || None);
+    let shares: Vec<_> = out.chunks_mut(chunk).zip(items.chunks(chunk)).collect();
+    fan_out(budget, workers, shares, &|(slots, items)| {
+        for (slot, item) in slots.iter_mut().zip(items) {
+            *slot = Some(f(item));
+        }
+    });
+    out.into_iter()
+        .map(|u| u.expect("every slot filled by its share"))
+        .collect()
 }
 
+/// `f` over `0..n` split into one contiguous range per participant — this
+/// thread and up to `threads − 1` workers from `budget` — with the results
+/// in range order. One range, `0..n`, when no slot is free.
 pub(crate) fn par_ranges_in<U, F>(budget: &Budget, n: usize, threads: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(Range<usize>) -> U + Sync,
 {
-    let parts = threads.clamp(1, n.max(1));
-    let workers = budget.take(parts - 1);
-    let chunk = n.div_ceil(workers + 1).max(1);
-    let ranges: Vec<Range<usize>> = (0..n.max(1))
+    let (workers, chunk) = split(budget, n, threads);
+    let ranges = (0..n.max(1))
         .step_by(chunk)
         .map(|lo| lo..(lo + chunk).min(n))
         .collect();
-    // A rounded-up chunk can leave fewer ranges than participants.
-    let spare = (workers + 1).saturating_sub(ranges.len());
-    budget.give(spare);
-    fan_out(budget, workers - spare, &ranges, &|range| f(range.clone()))
+    fan_out(budget, workers, ranges, &f)
+}
+
+/// Takes the workers for `n` items on up to `threads` participants from
+/// `budget` and returns how many it took and the share of each
+/// participant: `n` split as evenly as the rounded-up share allows, which
+/// can need fewer participants than were free (the spare slots go back).
+fn split(budget: &Budget, n: usize, threads: usize) -> (usize, usize) {
+    let taken = budget.take(threads.clamp(1, n.max(1)) - 1);
+    let chunk = n.div_ceil(taken + 1).max(1);
+    let workers = n.div_ceil(chunk).max(1) - 1;
+    budget.give(taken - workers);
+    (workers, chunk)
 }
 
 pub(crate) fn run_jobs_in<T, U, F>(budget: &Budget, jobs: &[T], threads: usize, f: F) -> Vec<U>
@@ -208,8 +221,8 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let want = threads.clamp(1, jobs.len().max(1)) - 1;
-    fan_out(budget, budget.take(want), jobs, &f)
+    let workers = budget.take(threads.clamp(1, jobs.len().max(1)) - 1);
+    fan_out(budget, workers, jobs.iter().collect(), &f)
 }
 
 pub(crate) fn join_in<A, B, RA, RB>(budget: &Budget, threads: usize, a: A, b: B) -> (RA, RB)
@@ -246,20 +259,21 @@ where
 /// Runs `f` on every part on this thread and `workers` spawned threads
 /// (whose slots the caller has taken), each claiming the next unstarted
 /// part; returns the results in part order.
-fn fan_out<T, U>(
+fn fan_out<P, U>(
     budget: &Budget,
     workers: usize,
-    parts: &[T],
-    f: &(dyn Fn(&T) -> U + Sync),
+    parts: Vec<P>,
+    f: &(dyn Fn(P) -> U + Sync),
 ) -> Vec<U>
 where
-    T: Sync,
+    P: Send,
     U: Send,
 {
     if workers == 0 {
-        return parts.iter().map(f).collect();
+        return parts.into_iter().map(f).collect();
     }
-    let next = AtomicUsize::new(0);
+    let n = parts.len();
+    let queue = Mutex::new(parts.into_iter().enumerate());
     let left = AtomicUsize::new(workers + 1);
     let participate = || {
         let _done = Finish {
@@ -268,15 +282,14 @@ where
         };
         let mut done = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(part) = parts.get(i) else {
+            let Some((i, part)) = lock_recover(&queue).next() else {
                 return done;
             };
             done.push((i, f(part)));
         }
     };
-    let mut out: Vec<Option<U>> = Vec::with_capacity(parts.len());
-    out.resize_with(parts.len(), || None);
+    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
+    out.resize_with(n, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(participate)).collect();
         let own = participate();
@@ -320,7 +333,7 @@ mod tests {
         let items: [u8; 0] = [];
         assert!(par_map(&items, 4, |x| *x).is_empty());
         assert!(run_jobs(&items, 4, |x| *x).is_empty());
-        assert_eq!(par_ranges(0, 4, |r| r.len()), vec![0]);
+        assert_eq!(par_ranges_in(&Budget::new(3), 0, 4, |r| r.len()), vec![0]);
     }
 
     #[test]

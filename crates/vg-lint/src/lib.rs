@@ -164,6 +164,9 @@ impl Default for Config {
                 "FrameSealer",
                 "ElGamalKeyPair",
                 "AuthorityMember",
+                // vg-shuffle: a mixer's permutation, re-encryption
+                // randomness and proof masks, drawn ahead of the shuffle.
+                "ShuffleCoins",
                 // vg-service: transport configuration.
                 "SecureConfig",
                 // vg-trip: ceremony secrets a coercer must not read.

@@ -153,13 +153,20 @@ impl<R: Row> fmt::Debug for RowShuffleProof<R> {
 /// Every coin one shuffle of rows of type `R` takes from the DRBG, drawn
 /// by [`ShuffleContext::draw`] and spent by
 /// [`ShuffleContext::shuffle_with`]. It is the mixer's secret witness
-/// (π and ρ) and masks: it prints nothing and is consumed by the shuffle.
+/// (π and ρ) and masks: `Debug` prints only the row count, and the
+/// shuffle consumes it.
 pub struct ShuffleCoins<R: Row> {
     perm: Vec<usize>,
     /// ρ\[column\]\[row\].
     rho: Vec<Vec<Scalar>>,
     proof: ProofCoins,
     _row: PhantomData<fn() -> R>,
+}
+
+impl<R: Row> fmt::Debug for ShuffleCoins<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ShuffleCoins(rows={}, <redacted>)", self.perm.len())
+    }
 }
 
 /// The proof's share of [`ShuffleCoins`].

@@ -392,22 +392,32 @@ struct ChainCoins<R: Row> {
 /// credential column and the opening of the tagged values.
 type Chain<R> = (RowMixTranscript<R>, Vec<TaggingRound>, VectorOpening);
 
-/// Mixes `inputs`, tags the column `tagged` picks from the mixed rows and
-/// opens the tagged values, on coins drawn beforehand.
-fn run_chain<R: Row>(
-    authority: &Authority,
-    cascade: &MixCascade,
-    keys: &[TaggingKey],
-    inputs: &[R],
-    tagged: fn(&R) -> Ciphertext,
-    coins: ChainCoins<R>,
-) -> Result<Chain<R>, VotegralError> {
-    let mix = cascade.mix_with(&authority.public_key, inputs, coins.mix);
-    let column: Vec<Ciphertext> = mix.outputs().iter().map(tagged).collect();
-    let tagging = apply_cascade_with(keys, &column, &coins.tagging);
-    let opened = tagging.last().map_or(&column, |r| &r.outputs);
-    let opening = open_vector_with(authority, opened, &coins.opening)?;
-    Ok((mix, tagging, opening))
+/// What both chains share: the authority, the cascade and the tagging
+/// exponents.
+struct Chains<'a> {
+    authority: &'a Authority,
+    cascade: &'a MixCascade,
+    keys: &'a [TaggingKey],
+}
+
+impl Chains<'_> {
+    /// Mixes `inputs`, tags the column `tagged` picks from the mixed rows
+    /// and opens the tagged values, on coins drawn beforehand.
+    fn run<R: Row>(
+        &self,
+        inputs: &[R],
+        tagged: fn(&R) -> Ciphertext,
+        coins: ChainCoins<R>,
+    ) -> Result<Chain<R>, VotegralError> {
+        let mix = self
+            .cascade
+            .mix_with(&self.authority.public_key, inputs, coins.mix);
+        let column: Vec<Ciphertext> = mix.outputs().iter().map(tagged).collect();
+        let tagging = apply_cascade_with(self.keys, &column, &coins.tagging);
+        let opened = tagging.last().map_or(&column, |r| &r.outputs);
+        let opening = open_vector_with(self.authority, opened, &coins.opening)?;
+        Ok((mix, tagging, opening))
+    }
 }
 
 /// Runs the complete tally, producing the transcript.
@@ -482,24 +492,15 @@ pub fn tally(
     // Stages 2–4 as two chains side by side, each mix → tagging →
     // opening: the registration tags' and the ballots' (credential keys).
     // The tagging commitments are shared; nothing else is.
+    let chains = Chains {
+        authority,
+        cascade: &cascade,
+        keys: &tagging_keys,
+    };
     let (reg_chain, ballot_chain) = join(
         default_threads(),
-        || {
-            let tag = |ct: &Ciphertext| *ct;
-            run_chain(
-                authority,
-                &cascade,
-                &tagging_keys,
-                &reg_inputs,
-                tag,
-                reg_coins,
-            )
-        },
-        || {
-            let key = |pair: &(Ciphertext, Ciphertext)| pair.1;
-            let pairs = &ballot_pair_inputs;
-            run_chain(authority, &cascade, &tagging_keys, pairs, key, ballot_coins)
-        },
+        || chains.run(&reg_inputs, |ct| *ct, reg_coins),
+        || chains.run(&ballot_pair_inputs, |pair| pair.1, ballot_coins),
     );
     let (reg_mix, reg_tagging, reg_opening) = reg_chain?;
     let (ballot_mix, ballot_tagging, key_opening) = ballot_chain?;

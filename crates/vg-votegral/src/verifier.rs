@@ -163,15 +163,14 @@ impl Inputs<'_> {
         let t = self.transcript;
         match check {
             Check::Admission => self.admission(),
-            Check::BallotMix => {
-                let ok =
-                    t.ballot_mix.inputs == t.ballot_pair_inputs && self.mix_verifies(&t.ballot_mix);
-                ok.then_some(()).ok_or(VerifyStage::BallotMix)
-            }
-            Check::RegistrationMix => {
-                let ok = t.reg_mix.inputs == t.reg_inputs && self.mix_verifies(&t.reg_mix);
-                ok.then_some(()).ok_or(VerifyStage::RegistrationMix)
-            }
+            Check::BallotMix => ensure(
+                t.ballot_mix.inputs == t.ballot_pair_inputs && self.mix_verifies(&t.ballot_mix),
+                VerifyStage::BallotMix,
+            ),
+            Check::RegistrationMix => ensure(
+                t.reg_mix.inputs == t.reg_inputs && self.mix_verifies(&t.reg_mix),
+                VerifyStage::RegistrationMix,
+            ),
             Check::RegistrationTagging => {
                 verify_cascade(t.reg_mix.outputs(), &t.reg_tagging, &t.tag_commitments)
                     .map(drop)
@@ -192,9 +191,7 @@ impl Inputs<'_> {
             }
             Check::Matching => {
                 let matched = match_tags(&t.reg_opening.plaintexts, &t.key_opening.plaintexts);
-                (matched == t.matched_indices)
-                    .then_some(())
-                    .ok_or(VerifyStage::Matching)
+                ensure(matched == t.matched_indices, VerifyStage::Matching)
             }
             Check::VoteOpening => {
                 let rows = t.ballot_mix.outputs();
@@ -282,6 +279,14 @@ impl Inputs<'_> {
             self.threads,
         )
         .map_err(|_| VerifyStage::Decryption)
+    }
+}
+
+fn ensure(ok: bool, stage: VerifyStage) -> Result<(), VerifyStage> {
+    if ok {
+        Ok(())
+    } else {
+        Err(stage)
     }
 }
 
