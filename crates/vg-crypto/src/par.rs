@@ -37,7 +37,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::sync::lock_recover;
 
@@ -176,12 +176,20 @@ where
     // once, at its final size.
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let shares: Vec<_> = out.chunks_mut(chunk).zip(items.chunks(chunk)).collect();
-    fan_out(budget, workers, shares, &|(slots, items)| {
+    let shares: Vec<_> = out
+        .chunks_mut(chunk)
+        .zip(items.chunks(chunk))
+        .map(|share| Mutex::new(Some(share)))
+        .collect();
+    fan_out(budget, workers, shares.len(), &|i| {
+        let Some((slots, items)) = lock_recover(&shares[i]).take() else {
+            return;
+        };
         for (slot, item) in slots.iter_mut().zip(items) {
             *slot = Some(f(item));
         }
     });
+    drop(shares);
     out.into_iter()
         .map(|u| u.expect("every slot filled by its share"))
         .collect()
@@ -196,11 +204,10 @@ where
     F: Fn(Range<usize>) -> U + Sync,
 {
     let (workers, chunk) = split(budget, n, threads);
-    let ranges = (0..n.max(1))
-        .step_by(chunk)
-        .map(|lo| lo..(lo + chunk).min(n))
-        .collect();
-    fan_out(budget, workers, ranges, &f)
+    let parts = n.div_ceil(chunk).max(1);
+    collect_parts(budget, workers, parts, |i| {
+        f(i * chunk..((i + 1) * chunk).min(n))
+    })
 }
 
 /// Takes the workers for `n` items on up to `threads` participants from
@@ -222,7 +229,31 @@ where
     F: Fn(&T) -> U + Sync,
 {
     let workers = budget.take(threads.clamp(1, jobs.len().max(1)) - 1);
-    fan_out(budget, workers, jobs.iter().collect(), &f)
+    collect_parts(budget, workers, jobs.len(), |i| f(&jobs[i]))
+}
+
+/// `part(i)` for every `i` in `0..parts` through [`fan_out`], in order.
+fn collect_parts<U: Send>(
+    budget: &Budget,
+    workers: usize,
+    parts: usize,
+    part: impl Fn(usize) -> U + Sync,
+) -> Vec<U> {
+    if workers == 0 {
+        return (0..parts).map(part).collect();
+    }
+    let out: Vec<Mutex<Option<U>>> = (0..parts).map(|_| Mutex::new(None)).collect();
+    fan_out(budget, workers, parts, &|i| {
+        let u = part(i);
+        *lock_recover(&out[i]) = Some(u);
+    });
+    out.into_iter()
+        .map(|u| {
+            u.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every part run by one participant")
+        })
+        .collect()
 }
 
 pub(crate) fn join_in<A, B, RA, RB>(budget: &Budget, threads: usize, a: A, b: B) -> (RA, RB)
@@ -256,54 +287,35 @@ where
     })
 }
 
-/// Runs `f` on every part on this thread and `workers` spawned threads
-/// (whose slots the caller has taken), each claiming the next unstarted
-/// part; returns the results in part order.
-fn fan_out<P, U>(
-    budget: &Budget,
-    workers: usize,
-    parts: Vec<P>,
-    f: &(dyn Fn(P) -> U + Sync),
-) -> Vec<U>
-where
-    P: Send,
-    U: Send,
-{
-    if workers == 0 {
-        return parts.into_iter().map(f).collect();
-    }
-    let n = parts.len();
-    let queue = Mutex::new(parts.into_iter().enumerate());
+/// Runs `part(i)` for every `i` in `0..parts` on this thread and `workers`
+/// spawned threads (whose slots the caller has taken), each claiming the
+/// next unstarted part. Not generic, so every section shares one copy of
+/// the thread code.
+fn fan_out(budget: &Budget, workers: usize, parts: usize, part: &(dyn Fn(usize) + Sync)) {
+    let next = AtomicUsize::new(0);
     let left = AtomicUsize::new(workers + 1);
     let participate = || {
         let _done = Finish {
             left: &left,
             budget,
         };
-        let mut done = Vec::new();
         loop {
-            let Some((i, part)) = lock_recover(&queue).next() else {
-                return done;
-            };
-            done.push((i, f(part)));
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= parts {
+                return;
+            }
+            part(i);
         }
     };
-    let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(participate)).collect();
-        let own = participate();
-        let theirs = handles.into_iter().map(|h| match h.join() {
-            Ok(done) => done,
-            Err(panic) => std::panic::resume_unwind(panic),
-        });
-        for (i, u) in std::iter::once(own).chain(theirs).flatten() {
-            out[i] = Some(u);
+        participate();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
-    out.into_iter()
-        .map(|u| u.expect("every part run by one participant"))
-        .collect()
 }
 
 #[cfg(test)]
