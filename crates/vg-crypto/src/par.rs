@@ -31,9 +31,10 @@
 //!   back on the way out.
 //!
 //! So at most `available_parallelism()` threads of these sections work at
-//! once, and the extra threads never bloat the allocator's per-thread
-//! arenas. Which thread computes an item never moves a result: outputs are
-//! in input order whatever ran them.
+//! once (`multiscalar_mul_par` splits its terms on the same slots), and
+//! the allocator's per-thread arenas stay as few as the cores. Which
+//! thread computes an item never moves a result: outputs are in input
+//! order whatever ran them.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

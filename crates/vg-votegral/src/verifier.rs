@@ -12,6 +12,8 @@
 //! one a verifier running them one after the other gives: the first
 //! failing stage in that order (see [`verify_tally`]).
 
+use std::sync::OnceLock;
+
 use vg_crypto::dkg::{verify_openings, Authority};
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::par::{default_threads, run_jobs};
@@ -67,11 +69,12 @@ impl PublicAuthority {
 /// the transcript alone — a tagging cascade's inputs are the mix outputs
 /// the transcript claims, the vote opening's are the rows
 /// `matched_indices` names — and returns an error, never panics, on a
-/// transcript an earlier check rejects. The verdict is the first failing check in the order a
-/// verifier running them one after the other meets them (the order of
-/// its `Check` list), then counting. So the verdict is that sequential
-/// verifier's: when every earlier check passes, the transcript's claims
-/// are exactly what that verifier would have derived and handed on.
+/// transcript an earlier check rejects. The verdict is the first failing
+/// check in the order a verifier running them one after the other meets
+/// them (the order of its `Check` list), then counting. So the verdict is
+/// that sequential verifier's: when every earlier check passes, the
+/// transcript's claims are exactly what that verifier would have derived
+/// and handed on.
 pub fn verify_tally(
     transcript: &TallyTranscript,
     ledger: &Ledger,
@@ -87,6 +90,7 @@ pub fn verify_tally(
         kiosk_registry,
         mixers,
         threads,
+        cascade: OnceLock::new(),
     };
     let verdicts = run_jobs(&Check::LONGEST_FIRST, threads, |check| {
         inputs.check(*check).map_err(|stage| (*check, stage))
@@ -156,6 +160,7 @@ struct Inputs<'a> {
     kiosk_registry: &'a [CompressedPoint],
     mixers: usize,
     threads: usize,
+    cascade: OnceLock<MixCascade>,
 }
 
 impl Inputs<'_> {
@@ -259,11 +264,13 @@ impl Inputs<'_> {
         Ok(())
     }
 
-    /// Both mixes run through one cascade sized for the larger input.
+    /// Both mixes run through one cascade sized for the larger input,
+    /// built by whichever mix job gets there first.
     fn mix_verifies<R: Row>(&self, mix: &RowMixTranscript<R>) -> bool {
         let t = self.transcript;
         let max_n = t.ballot_pair_inputs.len().max(t.reg_inputs.len());
-        MixCascade::new(max_n, self.mixers)
+        self.cascade
+            .get_or_init(|| MixCascade::new(max_n, self.mixers))
             .verify_batch(&self.authority.public_key, mix, self.threads)
             .is_ok()
     }
