@@ -25,6 +25,21 @@
 //! The addition law is the unified one (complete for a = −1), so every
 //! form handles the identity, doublings-by-addition and torsion points.
 //!
+//! # Compression and the Z = 1 rule
+//!
+//! [`EdwardsPoint::compress`] divides X and Y by Z, which costs one field
+//! inversion (about 250 multiplications) — unless Z's limbs are exactly
+//! one, when it encodes X and Y as they stand. Decoded points have Z = 1,
+//! so every point read off the wire, a log or the ledger compresses for
+//! free. A point that is made once and encoded many times (a credential
+//! tag, a Σ-commitment, a public key) is put in that form where it is
+//! made: [`EdwardsPoint::batch_normalize`] rewrites many points to Z = 1
+//! for one shared inversion, and [`EdwardsPoint::batch_compress`] encodes
+//! many for one. Either way the group element, and so every encoding, is
+//! unchanged. The branch reads how a point is represented, never a
+//! secret: whether a point was normalised is fixed by the code that made
+//! it.
+//!
 //! The protocol layer works exclusively in the prime-order subgroup of
 //! order ℓ generated by the standard basepoint; decompression of untrusted
 //! inputs offers [`EdwardsPoint::is_torsion_free`] for callers that must
@@ -327,18 +342,19 @@ impl EdwardsPoint {
         ((*self * l_minus_1) + *self).is_identity()
     }
 
-    /// Compresses to the 32-byte RFC 8032 encoding.
+    /// Compresses to the 32-byte RFC 8032 encoding: one field inversion,
+    /// none when Z's limbs are exactly one (the Z = 1 rule in the module
+    /// docs).
     pub fn compress(&self) -> CompressedPoint {
+        if self.z.0 == FieldElement::ONE.0 {
+            return encode_affine(&self.x, &self.y);
+        }
         let z_inv = self.z.invert();
         Self::compress_with(self, &z_inv)
     }
 
     fn compress_with(p: &EdwardsPoint, z_inv: &FieldElement) -> CompressedPoint {
-        let x = p.x * *z_inv;
-        let y = p.y * *z_inv;
-        let mut bytes = y.to_bytes();
-        bytes[31] |= (x.is_negative() as u8) << 7;
-        CompressedPoint(bytes)
+        encode_affine(&(p.x * *z_inv), &(p.y * *z_inv))
     }
 
     /// Compresses many points with a single shared field inversion
@@ -346,11 +362,25 @@ impl EdwardsPoint {
     /// [`EdwardsPoint::compress`] point by point. Statement hashing over
     /// large ciphertext vectors is inversion-bound without this.
     pub fn batch_compress(points: &[EdwardsPoint]) -> Vec<CompressedPoint> {
-        let mut out = vec![CompressedPoint([0u8; 32]); points.len()];
-        with_z_inverses(points, |i, z_inv| {
-            out[i] = Self::compress_with(&points[i], z_inv);
-        });
-        out
+        points
+            .iter()
+            .zip(z_inverses(points))
+            .map(|(p, z_inv)| Self::compress_with(p, &z_inv))
+            .collect()
+    }
+
+    /// Rewrites every point to Z = 1 (the same group elements) with a
+    /// single shared field inversion, so that each later
+    /// [`EdwardsPoint::compress`] of them costs none.
+    pub fn batch_normalize(points: &mut [EdwardsPoint]) {
+        let inverses = z_inverses(points);
+        for (p, z_inv) in points.iter_mut().zip(inverses) {
+            // T = XY/Z, so T/Z = (X/Z)(Y/Z).
+            p.x *= z_inv;
+            p.y *= z_inv;
+            p.t *= z_inv;
+            p.z = FieldElement::ONE;
+        }
     }
 
     /// The odd multiples [P, 3P, 5P, …, 15P] a width-5 NAF looks up.
@@ -394,24 +424,34 @@ impl EdwardsPoint {
     }
 }
 
-/// Calls `f(i, &zᵢ⁻¹)` for every point, for the price of one field
-/// inversion and three multiplications per point (Montgomery's trick).
-fn with_z_inverses(points: &[EdwardsPoint], mut f: impl FnMut(usize, &FieldElement)) {
+/// The affine point (x, y) in the RFC 8032 encoding.
+fn encode_affine(x: &FieldElement, y: &FieldElement) -> CompressedPoint {
+    let mut bytes = y.to_bytes();
+    bytes[31] |= (x.is_negative() as u8) << 7;
+    CompressedPoint(bytes)
+}
+
+/// zᵢ⁻¹ for every point, in order, for the price of one field inversion
+/// and three multiplications per point (Montgomery's trick); none for an
+/// empty slice.
+fn z_inverses(points: &[EdwardsPoint]) -> Vec<FieldElement> {
     if points.is_empty() {
-        return;
+        return Vec::new();
     }
-    // prefix[i] = z_0·…·z_{i−1}; one inversion of the total product.
-    let mut prefix = Vec::with_capacity(points.len());
+    // out[i] = z_0·…·z_{i−1}, overwritten with zᵢ⁻¹ on the way back; one
+    // inversion of the total product.
+    let mut out = Vec::with_capacity(points.len());
     let mut acc = FieldElement::ONE;
     for p in points {
-        prefix.push(acc);
+        out.push(acc);
         acc *= p.z;
     }
     let mut inv = acc.invert();
-    for i in (0..points.len()).rev() {
-        f(i, &(inv * prefix[i]));
-        inv *= points[i].z;
+    for (slot, p) in out.iter_mut().zip(points).rev() {
+        *slot *= inv;
+        inv *= p.z;
     }
+    out
 }
 
 impl CompressedPoint {
@@ -638,16 +678,15 @@ impl FixedBaseTable {
             }
             row_base = multiple.double(); // 16·16^i·P = 2·(8·16^i·P)
         }
+        EdwardsPoint::batch_normalize(&mut multiples);
         let mut rows = [[AffineNiels::IDENTITY; 8]; 64];
-        with_z_inverses(&multiples, |i, z_inv| {
-            let x = multiples[i].x * *z_inv;
-            let y = multiples[i].y * *z_inv;
+        for (i, p) in multiples.iter().enumerate() {
             rows[i / 8][i % 8] = AffineNiels {
-                y_plus_x: y + x,
-                y_minus_x: y - x,
-                xy2d: x * y * EDWARDS_D2,
+                y_plus_x: p.y + p.x,
+                y_minus_x: p.y - p.x,
+                xy2d: p.t * EDWARDS_D2,
             };
-        });
+        }
         FixedBaseTable { rows }
     }
 
@@ -1574,8 +1613,145 @@ mod kernel_oracle {
         }
     }
 
+    /// The RFC 8032 encoding through an explicit inversion of Z, whatever
+    /// Z is: what `compress` must give with or without its Z = 1 branch.
+    fn oracle_compress(p: &EdwardsPoint) -> CompressedPoint {
+        let z_inv = p.z.invert();
+        let (x, y) = (p.x * z_inv, p.y * z_inv);
+        let mut bytes = y.to_bytes();
+        bytes[31] |= (x.to_bytes()[0] & 1) << 7;
+        CompressedPoint(bytes)
+    }
+
+    /// All eight torsion points, k·T₈ for k = 0..8 (the identity first).
+    fn torsion_points() -> &'static [EdwardsPoint] {
+        static TORSION: OnceLock<Vec<EdwardsPoint>> = OnceLock::new();
+        TORSION.get_or_init(|| {
+            let t8 = edge_points()[5];
+            std::iter::successors(Some(EdwardsPoint::IDENTITY), |p| Some(oracle_add(p, &t8)))
+                .take(8)
+                .collect()
+        })
+    }
+
+    /// Points in every representation `compress` meets: the torsion
+    /// subgroup, then per draw a random point, its decoding (Z = 1), and
+    /// the outputs of fixed-base, variable-base and table multiplication,
+    /// addition, subtraction, doubling and negation.
+    fn representations(draws: &[[u8; 32]]) -> Vec<EdwardsPoint> {
+        let b = EdwardsPoint::basepoint();
+        let mut points = torsion_points().to_vec();
+        for d in draws {
+            let (s, p) = (pick_scalar(d), pick_point(d));
+            let decoded = oracle_compress(&p)
+                .decompress()
+                .expect("an encoding decodes");
+            points.extend([
+                p,
+                decoded,
+                EdwardsPoint::mul_base(&s),
+                p * s,
+                FixedBaseTable::new(&decoded).mul(&s),
+                p + b,
+                decoded - b.double(),
+                p.double(),
+                -(decoded + p),
+            ]);
+        }
+        points
+    }
+
+    fn is_z_one(p: &EdwardsPoint) -> bool {
+        p.z.0 == FieldElement::ONE.0
+    }
+
+    #[test]
+    fn empty_batches_are_empty() {
+        let mut none: [EdwardsPoint; 0] = [];
+        EdwardsPoint::batch_normalize(&mut none);
+        assert!(EdwardsPoint::batch_compress(&none).is_empty());
+        assert!(crate::schnorr::batch_sign(&[]).is_empty());
+        assert!(crate::schnorr::SigningKey::batch_from_scalars(&[]).is_empty());
+    }
+
+    #[test]
+    fn decoded_and_constant_points_are_already_normal() {
+        // The Z = 1 branch covers everything read off the wire.
+        assert!(is_z_one(&EdwardsPoint::IDENTITY));
+        assert!(is_z_one(&EdwardsPoint::basepoint()));
+        for p in representations(&[[7u8; 32], [0xc3; 32]]) {
+            let decoded = p.compress().decompress().expect("decodes");
+            assert!(is_z_one(&decoded));
+            assert_eq!(decoded.compress(), oracle_compress(&p));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn normalised_points_compress_as_the_inversion_reference(
+            draws in proptest::collection::vec(draw(), 1..5),
+        ) {
+            let points = representations(&draws);
+            let expect: Vec<CompressedPoint> = points.iter().map(oracle_compress).collect();
+            let single: Vec<CompressedPoint> = points.iter().map(|p| p.compress()).collect();
+            prop_assert_eq!(&single, &expect);
+            prop_assert_eq!(&EdwardsPoint::batch_compress(&points), &expect);
+
+            let mut normal = points.clone();
+            EdwardsPoint::batch_normalize(&mut normal);
+            for (n, p) in normal.iter().zip(&points) {
+                prop_assert!(is_z_one(n));
+                prop_assert!(n.is_on_curve());
+                prop_assert_eq!(n.t, n.x * n.y);
+                prop_assert_eq!(n, p);
+            }
+            let single: Vec<CompressedPoint> = normal.iter().map(|p| p.compress()).collect();
+            prop_assert_eq!(&single, &expect);
+            prop_assert_eq!(&EdwardsPoint::batch_compress(&normal), &expect);
+
+            // A batch of Z = 1 and raw points, as a station's messages mix them.
+            let mixed: Vec<EdwardsPoint> = normal
+                .iter()
+                .zip(&points)
+                .enumerate()
+                .map(|(i, (n, p))| if i % 2 == 0 { *n } else { *p })
+                .collect();
+            prop_assert_eq!(&EdwardsPoint::batch_compress(&mixed), &expect);
+            let mut again = mixed;
+            EdwardsPoint::batch_normalize(&mut again);
+            let twice: Vec<CompressedPoint> = again.iter().map(|p| p.compress()).collect();
+            prop_assert_eq!(&twice, &expect);
+        }
+
+        #[test]
+        fn batch_signing_and_key_rebuild_match_one_by_one(
+            draws in proptest::collection::vec(draw(), 1..9),
+        ) {
+            use crate::schnorr::{batch_sign, SigningKey};
+            let secrets: Vec<Scalar> = draws.iter().map(pick_scalar).collect();
+            let keys = SigningKey::batch_from_scalars(&secrets);
+            prop_assert_eq!(keys.len(), secrets.len());
+            for (key, sk) in keys.iter().zip(&secrets) {
+                let one = SigningKey::from_scalar(*sk);
+                prop_assert_eq!(key.secret(), *sk);
+                prop_assert_eq!(key.public_key_compressed(), one.public_key_compressed());
+                prop_assert_eq!(key.verifying_key(), one.verifying_key());
+            }
+            // Two messages per key's worth of draws over three texts: the
+            // same (key, message) pair repeats, as does a message under
+            // different keys.
+            let texts: [&[u8]; 3] = [b"", b"envelope", b"trip-envelope-v1 challenge"];
+            let items: Vec<(&SigningKey, &[u8])> = draws
+                .iter()
+                .flat_map(|d| [(d[3], d[4]), (d[3], d[5])])
+                .map(|(k, m)| (&keys[k as usize % keys.len()], texts[m as usize % texts.len()]))
+                .collect();
+            let batch: Vec<[u8; 64]> = batch_sign(&items).iter().map(|s| s.to_bytes()).collect();
+            let single: Vec<[u8; 64]> = items.iter().map(|(k, m)| k.sign(m).to_bytes()).collect();
+            prop_assert_eq!(batch, single);
+        }
 
         #[test]
         fn single_multiplications_match_the_oracle(s in draw(), p in draw()) {

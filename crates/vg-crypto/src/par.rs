@@ -5,9 +5,9 @@
 //! (§7.1); tally proving and verification and ledger leaf hashing are
 //! embarrassingly parallel across records. [`par_map`] fans a slice out
 //! over worker threads with no dependencies beyond `std`, preserving input
-//! order in the output; [`join`] runs two unlike computations side by
-//! side; [`run_jobs`] runs a short list of unlike jobs, each as one unit
-//! of work. They sit in `vg-crypto` (the workspace's root crate) so the
+//! order in the output ([`par_chunks`] hands each worker its whole share);
+//! [`join`] runs two unlike computations side by side; [`run_jobs`] runs a
+//! short list of unlike jobs, each as one unit of work. They sit in `vg-crypto` (the workspace's root crate) so the
 //! ledger's batch-append fast path, the tally's provers and the verifier
 //! can share them.
 //!
@@ -56,6 +56,23 @@ where
     F: Fn(&T) -> U + Sync,
 {
     par_map_in(Budget::global(), items, threads, f)
+}
+
+/// [`par_map`] for a map that pays a fixed cost once per call: `f` maps
+/// one contiguous share of `items` — split as `par_map` splits them, with
+/// the same small-input cutoff — and the shares' outputs are concatenated
+/// in order. `f` must return one output per item of its share.
+pub fn par_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&[T]) -> Vec<U> + Sync,
+{
+    let threads = if items.len() < 16 { 1 } else { threads };
+    par_ranges_in(Budget::global(), items.len(), threads, |r| f(&items[r]))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Runs `a` and `b` and returns their results in argument order: `a` on a
@@ -336,6 +353,22 @@ mod tests {
     }
 
     #[test]
+    fn chunks_concatenate_in_order() {
+        for n in [1usize, 15, 16, 1000] {
+            let items: Vec<u64> = (0..n as u64).collect();
+            let shares = AtomicUsize::new(0);
+            let out = par_chunks(&items, 8, |share| {
+                shares.fetch_add(1, Ordering::Relaxed);
+                share.iter().map(|x| x * 2).collect()
+            });
+            assert_eq!(out, par_map(&items, 8, |x| x * 2), "n {n}");
+            if n < 16 {
+                assert_eq!(shares.into_inner(), 1, "n {n} runs as one share");
+            }
+        }
+    }
+
+    #[test]
     fn small_inputs_sequential() {
         let items = [1u32, 2, 3];
         assert_eq!(par_map(&items, 8, |x| x + 1), vec![2, 3, 4]);
@@ -346,6 +379,7 @@ mod tests {
         let items: [u8; 0] = [];
         assert!(par_map(&items, 4, |x| *x).is_empty());
         assert!(run_jobs(&items, 4, |x| *x).is_empty());
+        assert!(par_chunks(&items, 4, |share| share.to_vec()).is_empty());
         assert_eq!(par_ranges_in(&Budget::new(3), 0, 4, |r| r.len()), vec![0]);
     }
 

@@ -91,6 +91,23 @@ impl SigningKey {
         }
     }
 
+    /// [`SigningKey::from_scalar`] for every secret, in order, with the
+    /// public keys' compressions sharing one field inversion (and the
+    /// keys left at Z = 1, so compressing them again is free too).
+    pub fn batch_from_scalars(secrets: &[Scalar]) -> Vec<SigningKey> {
+        let mut pks: Vec<EdwardsPoint> = secrets.iter().map(EdwardsPoint::mul_base).collect();
+        EdwardsPoint::batch_normalize(&mut pks);
+        secrets
+            .iter()
+            .zip(pks)
+            .map(|(&sk, pk)| Self {
+                sk,
+                pk,
+                pk_compressed: pk.compress(),
+            })
+            .collect()
+    }
+
     /// The secret scalar (used by the credential-transfer extension C.2).
     pub fn secret(&self) -> Scalar {
         self.sk
@@ -112,15 +129,35 @@ impl SigningKey {
     /// k = H(sk ‖ msg): [`SigningKey::sign_with_coupon`] over the coupon
     /// ⟨k, R = k·B⟩.
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        let k = self.nonce(msg);
+        let r = EdwardsPoint::mul_base(&k).compress();
+        self.sign_with_coupon(msg, NonceCoupon { k, r })
+    }
+
+    /// The deterministic nonce k = H(sk ‖ msg) of [`SigningKey::sign`].
+    fn nonce(&self, msg: &[u8]) -> Scalar {
         let mut h = Sha512::new();
         h.update(b"votegral-schnorr-nonce-v1");
         h.update(&self.sk.to_bytes());
         h.update(&(msg.len() as u64).to_le_bytes());
         h.update(msg);
-        let k = Scalar::from_bytes_wide(&h.finalize());
-        let r = EdwardsPoint::mul_base(&k).compress();
-        self.sign_with_coupon(msg, NonceCoupon { k, r })
+        Scalar::from_bytes_wide(&h.finalize())
     }
+}
+
+/// Signs every `(key, message)` pair: the signatures [`SigningKey::sign`]
+/// gives one by one, byte for byte, with the nonce commitments'
+/// compressions sharing one field inversion. Envelope printers sign their
+/// supply through it.
+pub fn batch_sign(items: &[(&SigningKey, &[u8])]) -> Vec<Signature> {
+    let ks: Vec<Scalar> = items.iter().map(|(key, msg)| key.nonce(msg)).collect();
+    let rs: Vec<EdwardsPoint> = ks.iter().map(EdwardsPoint::mul_base).collect();
+    EdwardsPoint::batch_compress(&rs)
+        .into_iter()
+        .zip(ks)
+        .zip(items)
+        .map(|((r, k), (key, msg))| key.sign_with_coupon(msg, NonceCoupon { k, r }))
+        .collect()
 }
 
 /// A precomputed signing nonce: the pair (k, R = k·B) with R already

@@ -176,6 +176,8 @@ impl Default for Config {
                 "TransportKeyring",
                 "ResponseQr",
                 "PaperCredential",
+                // vg-trip: the registration day's master seed.
+                "FleetConfig",
             ]
             .into_iter()
             .map(String::from)

@@ -8,7 +8,6 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vg_crypto::par::par_map;
 use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
 use vg_ledger::{EnvelopeCommitment, RegistrationRecord};
@@ -57,9 +56,7 @@ pub(super) struct PipelineDispatch<'a> {
 
 impl PipelineDispatch<'_> {
     fn print(&self, jobs: &[PrintJob]) -> Vec<(Envelope, EnvelopeCommitment)> {
-        par_map(jobs, self.threads, |job| {
-            self.printer.print_detached(job.challenge, job.symbol)
-        })
+        self.printer.print_jobs(jobs, self.threads)
     }
 
     /// Fig 10 lines 2–5 for a station's window: verify the whole window

@@ -28,7 +28,7 @@ pub mod population;
 pub mod usability;
 
 pub use fig4::{run_all_devices, run_device, DeviceRun};
-pub use fig5::{measure, measure_with_cap, run_fig5, PhaseTiming, SystemKind};
+pub use fig5::{measure, measure_by, measure_with_cap, run_fig5, PhaseTiming, SystemKind};
 pub use population::{FakeCredentialDist, VoteDist};
 pub use usability::{
     evasion_probability, log2_evasion_probability, simulate_study, UsabilityModel,

@@ -158,9 +158,7 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         &mut self,
         jobs: &[PrintJob],
     ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError> {
-        Ok(vg_crypto::par::par_map(jobs, self.threads, |job| {
-            self.printer.print_detached(job.challenge, job.symbol)
-        }))
+        Ok(self.printer.print_jobs(jobs, self.threads))
     }
 
     fn submit_envelope_groups(

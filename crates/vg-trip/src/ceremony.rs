@@ -63,29 +63,35 @@ impl RealPrecursor {
     /// with the tag c_pc = (g^x, A_pk^x · c_pk), the Σ-nonce with its
     /// commitment, the symbol and the three coupons — drawn in that order,
     /// which is part of the replay contract. `pk_table` is A_pk's table.
+    ///
+    /// Every station signs or checks c_pc and (Y₁, Y₂) again, so they
+    /// leave here at Z = 1, normalised together with the coupons'
+    /// commitments for the one inversion those cost anyway.
     pub(crate) fn draw(pk_table: &FixedBaseTable, rng: &mut dyn Rng) -> Self {
         let credential = SigningKey::generate(rng);
         let x = rng.scalar();
-        let c_pc = Ciphertext {
-            c1: EdwardsPoint::mul_base(&x),
-            c2: pk_table.mul(&x) + credential.verifying_key().0,
-        };
         let nonce = rng.scalar();
-        let commit = Commitment {
-            a1: EdwardsPoint::mul_base(&nonce),
-            a2: pk_table.mul(&nonce),
-        };
         let symbol = Symbol::random(rng);
-        let mut coupons = NonceCoupon::batch(3, rng);
-        let response_coupon = coupons.pop().expect("three coupons");
-        let checkout_coupon = coupons.pop().expect("two coupons");
-        let commit_coupon = coupons.pop().expect("one coupon");
+        let ks: [Scalar; 3] = core::array::from_fn(|_| rng.scalar());
+        let mut points = [
+            EdwardsPoint::mul_base(&x),
+            pk_table.mul(&x) + credential.verifying_key().0,
+            EdwardsPoint::mul_base(&nonce),
+            pk_table.mul(&nonce),
+            EdwardsPoint::mul_base(&ks[0]),
+            EdwardsPoint::mul_base(&ks[1]),
+            EdwardsPoint::mul_base(&ks[2]),
+        ];
+        EdwardsPoint::batch_normalize(&mut points);
+        let [c1, c2, a1, a2, rs @ ..] = points;
+        let [commit_coupon, checkout_coupon, response_coupon] =
+            core::array::from_fn(|i| NonceCoupon::from_parts(ks[i], rs[i].compress()));
         Self {
             credential,
             elgamal_secret: x,
-            c_pc,
+            c_pc: Ciphertext { c1, c2 },
             nonce,
-            commit,
+            commit: Commitment { a1, a2 },
             symbol,
             commit_coupon,
             checkout_coupon,
@@ -265,11 +271,7 @@ impl SessionMaterials {
             &FixedBaseTable::shared(authority_pk),
             malicious,
         );
-        let printed = unprinted
-            .jobs()
-            .iter()
-            .map(|job| printer.print_detached(job.challenge, job.symbol))
-            .collect();
+        let printed = printer.print_jobs(unprinted.jobs(), 1);
         unprinted.attach(printed)
     }
 

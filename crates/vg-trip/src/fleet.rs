@@ -294,7 +294,7 @@ impl<'a> ActivationDriver<'a> {
 
 /// Fleet tuning knobs. The seed fixes every credential, envelope and
 /// signature of the run; batch and thread counts only change scheduling.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct FleetConfig {
     /// Sessions precomputed per pool refill.
     pub pool_batch: usize,
@@ -314,6 +314,17 @@ impl Default for FleetConfig {
             threads: 1,
             seed: [0u8; 32],
         }
+    }
+}
+
+impl core::fmt::Debug for FleetConfig {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The seed derives every real credential of the day.
+        write!(
+            f,
+            "FleetConfig(pool_batch={}, threads={}, seed=<redacted>)",
+            self.pool_batch, self.threads
+        )
     }
 }
 
@@ -746,6 +757,15 @@ mod tests {
 
     fn plan(n: u64) -> Vec<(VoterId, usize)> {
         (1..=n).map(|v| (VoterId(v), (v % 3) as usize)).collect()
+    }
+
+    #[test]
+    fn fleet_config_debug_redacts_the_seed() {
+        let shown = format!("{:?}", FleetConfig::seeded([0xAB; 32]));
+        assert_eq!(
+            shown,
+            "FleetConfig(pool_batch=256, threads=1, seed=<redacted>)"
+        );
     }
 
     /// Ledger heads plus per-credential identifying bytes of a run.

@@ -479,10 +479,13 @@ impl KioskSession<'_> {
     ) -> Receipt {
         // X̃ ← C₂ − c̃_pk (line 4): no witness exists for this statement.
         let x_tilde = checkout.c_pc.c2 - pre.credential.verifying_key().0;
-        let commit = Commitment {
-            a1: pre.g1y + checkout.c_pc.c1 * envelope.challenge,
-            a2: pre.g2y + x_tilde * envelope.challenge,
-        };
+        // At Z = 1, as a real commitment leaves `RealPrecursor::draw`.
+        let mut y = [
+            pre.g1y + checkout.c_pc.c1 * envelope.challenge,
+            pre.g2y + x_tilde * envelope.challenge,
+        ];
+        EdwardsPoint::batch_normalize(&mut y);
+        let commit = Commitment { a1: y[0], a2: y[1] };
         Receipt {
             symbol: envelope.symbol,
             commit_qr: self.commit_qr(checkout.c_pc, commit, pre.commit_coupon),

@@ -109,11 +109,7 @@ impl CeremonyPool {
     /// self-checks it. Returns how many sessions became ready.
     pub fn refill(&mut self, printer: &EnvelopePrinter) -> Result<usize, TripError> {
         let threads = self.threads;
-        self.refill_via(&mut |jobs| {
-            Ok(par_map(jobs, threads, |job| {
-                printer.print_detached(job.challenge, job.symbol)
-            }))
-        })
+        self.refill_via(&mut |jobs| Ok(printer.print_jobs(jobs, threads)))
     }
 
     /// [`CeremonyPool::refill`] with envelope printing routed through a

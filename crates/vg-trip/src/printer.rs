@@ -8,11 +8,12 @@
 //!
 //! A supply (setup's n_E envelopes, a booth restock, a printer's batch) is
 //! printed by [`print_supply`]: every challenge and symbol is drawn in
-//! order, the signatures are computed on the host's cores, and L_E takes
-//! the commitments through [`EnvelopeLedger::commit_batch`] in chunks of
-//! at most 4 096. The ledger and the drawn stream are those of
-//! one [`EnvelopePrinter::print_one`] per envelope, each a `commit_batch`
-//! of one; only the time differs.
+//! order, the signatures are computed on the host's cores (each core's
+//! share through one [`batch_sign`]), and L_E takes the commitments
+//! through [`EnvelopeLedger::commit_batch`] in chunks of at most 4 096.
+//! The ledger and the drawn stream are those of one
+//! [`EnvelopePrinter::print_one`] per envelope, each a `commit_batch` of
+//! one; only the time differs.
 //!
 //! The [`EnvelopePrinter::print_duplicates`] method models the
 //! envelope-stuffing attack of the individual-verifiability analysis
@@ -20,11 +21,12 @@
 //! challenge to improve its forgery odds.
 
 use vg_crypto::drbg::Rng;
-use vg_crypto::par::{default_threads, par_map};
-use vg_crypto::schnorr::SigningKey;
+use vg_crypto::par::{default_threads, par_chunks};
+use vg_crypto::schnorr::{batch_sign, Signature, SigningKey};
 use vg_crypto::{CompressedPoint, Scalar};
 use vg_ledger::{challenge_hash, EnvelopeCommitment, EnvelopeLedger, LedgerError};
 
+use crate::ceremony::PrintJob;
 use crate::materials::{Envelope, Symbol};
 
 /// An envelope printer.
@@ -72,6 +74,32 @@ impl EnvelopePrinter {
     pub fn print_detached(&self, e: Scalar, symbol: Symbol) -> (Envelope, EnvelopeCommitment) {
         let h = challenge_hash(&e);
         let signature = self.key.sign(&EnvelopeCommitment::message(&h));
+        self.assemble(e, symbol, h, signature)
+    }
+
+    /// [`EnvelopePrinter::print_detached`] for every job, in order: the
+    /// same envelopes and commitments, signed on up to `threads` cores,
+    /// each core's share through one [`batch_sign`] (one field inversion
+    /// for the share rather than one per envelope).
+    pub fn print_jobs(
+        &self,
+        jobs: &[PrintJob],
+        threads: usize,
+    ) -> Vec<(Envelope, EnvelopeCommitment)> {
+        let drawn: Vec<(&EnvelopePrinter, Scalar, Symbol)> = jobs
+            .iter()
+            .map(|job| (self, job.challenge, job.symbol))
+            .collect();
+        print_drawn(&drawn, threads)
+    }
+
+    fn assemble(
+        &self,
+        e: Scalar,
+        symbol: Symbol,
+        h: [u8; 32],
+        signature: Signature,
+    ) -> (Envelope, EnvelopeCommitment) {
         (
             Envelope {
                 printer_pk: self.public_key(),
@@ -149,19 +177,46 @@ pub fn print_supply(
     let threads = default_threads();
     let mut supply = Vec::with_capacity(n);
     for lo in (0..n).step_by(SUPPLY_CHUNK) {
-        let drawn: Vec<(usize, Scalar, Symbol)> = (lo..n.min(lo + SUPPLY_CHUNK))
-            .map(|i| (i % printers.len(), rng.scalar(), Symbol::random(rng)))
+        let drawn: Vec<(&EnvelopePrinter, Scalar, Symbol)> = (lo..n.min(lo + SUPPLY_CHUNK))
+            .map(|i| {
+                (
+                    &printers[i % printers.len()],
+                    rng.scalar(),
+                    Symbol::random(rng),
+                )
+            })
             .collect();
         let (envelopes, commitments): (Vec<Envelope>, Vec<EnvelopeCommitment>) =
-            par_map(&drawn, threads, |&(p, e, symbol)| {
-                printers[p].print_detached(e, symbol)
-            })
-            .into_iter()
-            .unzip();
+            print_drawn(&drawn, threads).into_iter().unzip();
         ledger.commit_batch(commitments, threads)?;
         supply.extend(envelopes);
     }
     Ok(supply)
+}
+
+/// [`EnvelopePrinter::print_detached`] for every `(printer, e, symbol)`,
+/// in order, on up to `threads` cores: one [`batch_sign`] per core's share.
+fn print_drawn(
+    drawn: &[(&EnvelopePrinter, Scalar, Symbol)],
+    threads: usize,
+) -> Vec<(Envelope, EnvelopeCommitment)> {
+    par_chunks(drawn, threads, |share| {
+        let hashes: Vec<[u8; 32]> = share.iter().map(|(_, e, _)| challenge_hash(e)).collect();
+        let messages: Vec<Vec<u8>> = hashes.iter().map(EnvelopeCommitment::message).collect();
+        let items: Vec<(&SigningKey, &[u8])> = share
+            .iter()
+            .zip(&messages)
+            .map(|((printer, _, _), m)| (&printer.key, m.as_slice()))
+            .collect();
+        batch_sign(&items)
+            .into_iter()
+            .zip(share)
+            .zip(hashes)
+            .map(|((signature, &(printer, e, symbol)), h)| {
+                printer.assemble(e, symbol, h, signature)
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use vg_crypto::batch::{small_weight, BatchVerifier};
 use vg_crypto::chaum_pedersen::{verify_transcript, DlEqStatement, IzkpTranscript};
 use vg_crypto::elgamal::Ciphertext;
-use vg_crypto::par::par_map;
+use vg_crypto::par::par_chunks;
 use vg_crypto::schnorr::{Signature, SignatureSweep, SigningKey, VerifyingKey};
 use vg_crypto::{CompressedPoint, EdwardsPoint, Scalar};
 use vg_ledger::{challenge_hash, EnvelopeCommitment, Ledger, LedgerError, VoterId};
@@ -383,9 +383,9 @@ pub fn activate_batch_checks<'a>(
         .map(|c| c.activate_view())
         .collect::<Result<_, _>>()?;
 
-    // Line 2 fan-out: c_pk ← Sig.PubKey(c_sk).
+    // Line 2 fan-out: c_pk ← Sig.PubKey(c_sk), one inversion per share.
     let secrets: Vec<Scalar> = views.iter().map(|v| v.response.credential_sk).collect();
-    let keys: Vec<SigningKey> = par_map(&secrets, threads, |sk| SigningKey::from_scalar(*sk));
+    let keys = par_chunks(&secrets, threads, SigningKey::batch_from_scalars);
 
     // Lines 3–5 folded: every signature in the batch in one committed
     // sweep. The sweep's weight derivation binds every key, message and

@@ -4,8 +4,10 @@
 //! and adversarial kiosk detection inside a fleet.
 
 use proptest::prelude::*;
+use votegral::crypto::sha2::sha256;
 use votegral::crypto::HmacDrbg;
 use votegral::ledger::VoterId;
+use votegral::service::{run_day, DayPlan, PipelineConfig, Wire};
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::kiosk::KioskBehavior;
 use votegral::trip::protocol::{
@@ -241,4 +243,66 @@ fn election_fleet_batch_preserves_fakes_policy() {
     let transcript = tallying.tally(&mut rng).expect("tallies");
     assert_eq!(transcript.result.counts, vec![0, 4]);
     tallying.verify(&transcript).expect("verifies");
+}
+
+/// Digest of every credential a day minted, in queue order: each
+/// receipt's three QRs, its symbol and its envelope, as their wire bytes.
+fn credentials_digest(outcomes: &[votegral::trip::protocol::RegistrationOutcome]) -> String {
+    let mut bytes = Vec::new();
+    for c in outcomes.iter().flat_map(|o| o.all_credentials()) {
+        c.receipt.commit_qr.encode(&mut bytes);
+        c.receipt.checkout_qr.encode(&mut bytes);
+        c.receipt.response_qr.encode(&mut bytes);
+        c.receipt.symbol.encode(&mut bytes);
+        c.envelope.encode(&mut bytes);
+    }
+    hex(&sha256(&bytes))
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// An absolute pin on one seeded 64-voter registration day: L_R's and
+/// L_E's roots and the digest of every credential's bytes, on the inline
+/// engine and on the threaded one (two in-process stations). The
+/// equivalence suites compare engines with each other and with
+/// `register_voter_seeded`, which would all move together; these values
+/// were recorded before compression learned the Z = 1 shortcut and the
+/// printers signed in batches, so a moved byte anywhere in derivation,
+/// printing or admission fails here.
+#[test]
+fn seeded_day_matches_its_recorded_pin() {
+    const L_R: &str = "bf4703c9b3cc020b72f77cda7128bf197e2a372cf6c886b9c5796aa39cc87011";
+    const L_E: &str = "1b401a8ee973b65563e796f52c86edcd25df76d5757b5b29d7a9efb3b6979eb1";
+    const CREDENTIALS: &str = "79aa10b41107685c34765c8fa4cd879cab88bab74db2eecace2e5cc0db038176";
+    let queue: Vec<(VoterId, usize)> = (1..=64).map(|v| (VoterId(v), (v % 3) as usize)).collect();
+    let threaded = DayPlan {
+        pipeline: PipelineConfig {
+            stations: 2,
+            ..PipelineConfig::default()
+        },
+        ..DayPlan::default()
+    };
+    for (engine, plan) in [("inline", DayPlan::default()), ("threaded", threaded)] {
+        let mut rng = HmacDrbg::from_u64(0x05EE_DDA7);
+        let mut system = TripSystem::setup(trip_config(64, 4), &mut rng);
+        let fleet = KioskFleet::new(FleetConfig {
+            pool_batch: 16,
+            threads: 2,
+            seed: [0x64u8; 32],
+        });
+        let mut outcomes = Vec::new();
+        run_day(&fleet, &mut system, &queue, &plan, |o, _| outcomes.push(o)).expect("day runs");
+        let pin = (
+            hex(&system.ledger.registration.tree_head().root),
+            hex(&system.ledger.envelopes.tree_head().root),
+            credentials_digest(&outcomes),
+        );
+        assert_eq!(
+            pin,
+            (L_R.into(), L_E.into(), CREDENTIALS.into()),
+            "{engine}"
+        );
+    }
 }
