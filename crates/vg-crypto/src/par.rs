@@ -59,20 +59,29 @@ where
 }
 
 /// [`par_map`] for a map that pays a fixed cost once per call: `f` maps
-/// one contiguous share of `items` — split as `par_map` splits them, with
-/// the same small-input cutoff — and the shares' outputs are concatenated
-/// in order. `f` must return one output per item of its share.
-pub fn par_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+/// pieces of at most `piece` consecutive items, and must return one output
+/// per item of its piece. Each participant maps its share of `items`
+/// (split as `par_map` splits them, with the same small-input cutoff)
+/// piece by piece, and writes the outputs in place.
+///
+/// # Panics
+///
+/// Panics if `piece` is 0, or if `f` returns fewer outputs than its piece
+/// has items.
+pub fn par_chunks<T, U, F>(items: &[T], piece: usize, threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&[T]) -> Vec<U> + Sync,
 {
-    let threads = if items.len() < 16 { 1 } else { threads };
-    par_ranges_in(Budget::global(), items.len(), threads, |r| f(&items[r]))
-        .into_iter()
-        .flatten()
-        .collect()
+    assert!(piece > 0, "par_chunks needs a piece of at least one item");
+    map_shares(Budget::global(), items, threads, |share, slots| {
+        for (items, slots) in share.chunks(piece).zip(slots.chunks_mut(piece)) {
+            for (slot, u) in slots.iter_mut().zip(f(items)) {
+                *slot = Some(u);
+            }
+        }
+    })
 }
 
 /// Runs `a` and `b` and returns their results in argument order: `a` on a
@@ -184,30 +193,43 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    map_shares(budget, items, threads, |share, slots| {
+        for (slot, item) in slots.iter_mut().zip(share) {
+            *slot = Some(f(item));
+        }
+    })
+}
+
+/// Splits `items` into one contiguous share per participant — this thread
+/// and up to `threads − 1` workers from `budget`; only this thread below
+/// 16 items — and has `fill(share, slots)` set every slot of the share's
+/// part of the output. The output is allocated once, at its final size.
+fn map_shares<T, U, F>(budget: &Budget, items: &[T], threads: usize, fill: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&[T], &mut [Option<U>]) + Sync,
+{
     let n = items.len();
     let threads = if n < 16 { 1 } else { threads };
     let (workers, chunk) = split(budget, n, threads);
-    if workers == 0 {
-        return items.iter().map(f).collect();
-    }
-    // Each share writes its results in place, so the output is allocated
-    // once, at its final size.
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let shares: Vec<_> = out
-        .chunks_mut(chunk)
-        .zip(items.chunks(chunk))
-        .map(|share| Mutex::new(Some(share)))
-        .collect();
-    fan_out(budget, workers, shares.len(), &|i| {
-        let Some((slots, items)) = lock_recover(&shares[i]).take() else {
-            return;
-        };
-        for (slot, item) in slots.iter_mut().zip(items) {
-            *slot = Some(f(item));
-        }
-    });
-    drop(shares);
+    if workers == 0 {
+        fill(items, &mut out);
+    } else {
+        let shares: Vec<_> = out
+            .chunks_mut(chunk)
+            .zip(items.chunks(chunk))
+            .map(|share| Mutex::new(Some(share)))
+            .collect();
+        fan_out(budget, workers, shares.len(), &|i| {
+            let Some((slots, items)) = lock_recover(&shares[i]).take() else {
+                return;
+            };
+            fill(items, slots);
+        });
+    }
     out.into_iter()
         .map(|u| u.expect("every slot filled by its share"))
         .collect()
@@ -353,18 +375,16 @@ mod tests {
     }
 
     #[test]
-    fn chunks_concatenate_in_order() {
+    fn chunks_map_every_piece_in_order() {
         for n in [1usize, 15, 16, 1000] {
             let items: Vec<u64> = (0..n as u64).collect();
-            let shares = AtomicUsize::new(0);
-            let out = par_chunks(&items, 8, |share| {
-                shares.fetch_add(1, Ordering::Relaxed);
-                share.iter().map(|x| x * 2).collect()
+            let longest = AtomicUsize::new(0);
+            let out = par_chunks(&items, 7, 8, |piece| {
+                longest.fetch_max(piece.len(), Ordering::Relaxed);
+                piece.iter().map(|x| x * 2).collect()
             });
             assert_eq!(out, par_map(&items, 8, |x| x * 2), "n {n}");
-            if n < 16 {
-                assert_eq!(shares.into_inner(), 1, "n {n} runs as one share");
-            }
+            assert_eq!(longest.into_inner(), n.min(7), "n {n}");
         }
     }
 
@@ -379,7 +399,7 @@ mod tests {
         let items: [u8; 0] = [];
         assert!(par_map(&items, 4, |x| *x).is_empty());
         assert!(run_jobs(&items, 4, |x| *x).is_empty());
-        assert!(par_chunks(&items, 4, |share| share.to_vec()).is_empty());
+        assert!(par_chunks(&items, 3, 4, |piece| piece.to_vec()).is_empty());
         assert_eq!(par_ranges_in(&Budget::new(3), 0, 4, |r| r.len()), vec![0]);
     }
 

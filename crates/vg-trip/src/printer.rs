@@ -8,10 +8,10 @@
 //!
 //! A supply (setup's n_E envelopes, a booth restock, a printer's batch) is
 //! printed by [`print_supply`]: every challenge and symbol is drawn in
-//! order, the signatures are computed on the host's cores (each core's
-//! share through one [`batch_sign`]), and L_E takes the commitments
-//! through [`EnvelopeLedger::commit_batch`] in chunks of at most 4 096.
-//! The ledger and the drawn stream are those of one
+//! order, the signatures are computed on the host's cores (64 at a time
+//! through one [`batch_sign`]), and L_E takes the commitments through
+//! [`EnvelopeLedger::commit_batch`] in chunks of at most 4 096. The
+//! ledger and the drawn stream are those of one
 //! [`EnvelopePrinter::print_one`] per envelope, each a `commit_batch` of
 //! one; only the time differs.
 //!
@@ -78,9 +78,9 @@ impl EnvelopePrinter {
     }
 
     /// [`EnvelopePrinter::print_detached`] for every job, in order: the
-    /// same envelopes and commitments, signed on up to `threads` cores,
-    /// each core's share through one [`batch_sign`] (one field inversion
-    /// for the share rather than one per envelope).
+    /// same envelopes and commitments, signed on up to `threads` cores
+    /// through [`batch_sign`] (one field inversion per 64 envelopes
+    /// rather than one per envelope).
     pub fn print_jobs(
         &self,
         jobs: &[PrintJob],
@@ -90,7 +90,7 @@ impl EnvelopePrinter {
             .iter()
             .map(|job| (self, job.challenge, job.symbol))
             .collect();
-        print_drawn(&drawn, threads)
+        par_chunks(&drawn, SIGN_BATCH, threads, print_drawn)
     }
 
     fn assemble(
@@ -187,36 +187,38 @@ pub fn print_supply(
             })
             .collect();
         let (envelopes, commitments): (Vec<Envelope>, Vec<EnvelopeCommitment>) =
-            print_drawn(&drawn, threads).into_iter().unzip();
+            par_chunks(&drawn, SIGN_BATCH, threads, print_drawn)
+                .into_iter()
+                .unzip();
         ledger.commit_batch(commitments, threads)?;
         supply.extend(envelopes);
     }
     Ok(supply)
 }
 
+/// Most envelopes one [`batch_sign`] call signs: its one field inversion
+/// is then under a fortieth of one envelope's signing, and its working
+/// vectors stay a few KiB, not a core's share of a supply.
+const SIGN_BATCH: usize = 64;
+
 /// [`EnvelopePrinter::print_detached`] for every `(printer, e, symbol)`,
-/// in order, on up to `threads` cores: one [`batch_sign`] per core's share.
+/// in order, through one [`batch_sign`].
 fn print_drawn(
     drawn: &[(&EnvelopePrinter, Scalar, Symbol)],
-    threads: usize,
 ) -> Vec<(Envelope, EnvelopeCommitment)> {
-    par_chunks(drawn, threads, |share| {
-        let hashes: Vec<[u8; 32]> = share.iter().map(|(_, e, _)| challenge_hash(e)).collect();
-        let messages: Vec<Vec<u8>> = hashes.iter().map(EnvelopeCommitment::message).collect();
-        let items: Vec<(&SigningKey, &[u8])> = share
-            .iter()
-            .zip(&messages)
-            .map(|((printer, _, _), m)| (&printer.key, m.as_slice()))
-            .collect();
-        batch_sign(&items)
-            .into_iter()
-            .zip(share)
-            .zip(hashes)
-            .map(|((signature, &(printer, e, symbol)), h)| {
-                printer.assemble(e, symbol, h, signature)
-            })
-            .collect()
-    })
+    let hashes: Vec<[u8; 32]> = drawn.iter().map(|(_, e, _)| challenge_hash(e)).collect();
+    let messages: Vec<Vec<u8>> = hashes.iter().map(EnvelopeCommitment::message).collect();
+    let items: Vec<(&SigningKey, &[u8])> = drawn
+        .iter()
+        .zip(&messages)
+        .map(|((printer, _, _), m)| (&printer.key, m.as_slice()))
+        .collect();
+    batch_sign(&items)
+        .into_iter()
+        .zip(drawn)
+        .zip(hashes)
+        .map(|((signature, &(printer, e, symbol)), h)| printer.assemble(e, symbol, h, signature))
+        .collect()
 }
 
 #[cfg(test)]
@@ -247,6 +249,35 @@ mod tests {
                 &env.signature,
             )
             .expect("printer signature");
+        }
+    }
+
+    #[test]
+    fn print_jobs_matches_print_detached() {
+        let mut rng = HmacDrbg::from_u64(4);
+        let printer = EnvelopePrinter::new(&mut rng);
+        for n in [0usize, 1, 17, 40, 130] {
+            let jobs: Vec<PrintJob> = (0..n)
+                .map(|i| PrintJob {
+                    challenge: rng.scalar(),
+                    symbol: Symbol::ALL[i % Symbol::ALL.len()],
+                })
+                .collect();
+            let bytes = |(env, c): (Envelope, EnvelopeCommitment)| {
+                (env, c.printer_pk, c.challenge_hash, c.signature.to_bytes())
+            };
+            let one_by_one: Vec<_> = jobs
+                .iter()
+                .map(|job| bytes(printer.print_detached(job.challenge, job.symbol)))
+                .collect();
+            for threads in [1, 3] {
+                let batch: Vec<_> = printer
+                    .print_jobs(&jobs, threads)
+                    .into_iter()
+                    .map(bytes)
+                    .collect();
+                assert_eq!(batch, one_by_one, "n {n}");
+            }
         }
     }
 

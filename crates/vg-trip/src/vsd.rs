@@ -383,9 +383,9 @@ pub fn activate_batch_checks<'a>(
         .map(|c| c.activate_view())
         .collect::<Result<_, _>>()?;
 
-    // Line 2 fan-out: c_pk ← Sig.PubKey(c_sk), one inversion per share.
+    // Line 2 fan-out: c_pk ← Sig.PubKey(c_sk), one inversion per 64 keys.
     let secrets: Vec<Scalar> = views.iter().map(|v| v.response.credential_sk).collect();
-    let keys = par_chunks(&secrets, threads, SigningKey::batch_from_scalars);
+    let keys = par_chunks(&secrets, 64, threads, SigningKey::batch_from_scalars);
 
     // Lines 3–5 folded: every signature in the batch in one committed
     // sweep. The sweep's weight derivation binds every key, message and
