@@ -5,11 +5,12 @@
 //! (§7.1); tally proving and verification and ledger leaf hashing are
 //! embarrassingly parallel across records. [`par_map`] fans a slice out
 //! over worker threads with no dependencies beyond `std`, preserving input
-//! order in the output ([`par_chunks`] hands each worker its whole share);
-//! [`join`] runs two unlike computations side by side; [`run_jobs`] runs a
-//! short list of unlike jobs, each as one unit of work. They sit in `vg-crypto` (the workspace's root crate) so the
-//! ledger's batch-append fast path, the tally's provers and the verifier
-//! can share them.
+//! order in the output, and [`par_chunks`] maps it a fixed-size piece at a
+//! time, for work that pays a fixed cost per call; [`join`] runs two
+//! unlike computations side by side; [`run_jobs`] runs a short list of
+//! unlike jobs, each as one unit of work. They sit in `vg-crypto` (the
+//! workspace's root crate) so the ledger's batch-append fast path, the
+//! tally's provers and the verifier can share them.
 //!
 //! # The core budget
 //!
@@ -75,13 +76,25 @@ where
     F: Fn(&[T]) -> Vec<U> + Sync,
 {
     assert!(piece > 0, "par_chunks needs a piece of at least one item");
-    map_shares(Budget::global(), items, threads, |share, slots| {
-        for (items, slots) in share.chunks(piece).zip(slots.chunks_mut(piece)) {
-            for (slot, u) in slots.iter_mut().zip(f(items)) {
-                *slot = Some(u);
+    map_shares(
+        Budget::global(),
+        items,
+        threads,
+        |items| {
+            let mut out = Vec::with_capacity(items.len());
+            for items in items.chunks(piece) {
+                out.extend(f(items));
             }
-        }
-    })
+            out
+        },
+        |share, slots| {
+            for (items, slots) in share.chunks(piece).zip(slots.chunks_mut(piece)) {
+                for (slot, u) in slots.iter_mut().zip(f(items)) {
+                    *slot = Some(u);
+                }
+            }
+        },
+    )
 }
 
 /// Runs `a` and `b` and returns their results in argument order: `a` on a
@@ -193,43 +206,55 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    map_shares(budget, items, threads, |share, slots| {
-        for (slot, item) in slots.iter_mut().zip(share) {
-            *slot = Some(f(item));
-        }
-    })
+    map_shares(
+        budget,
+        items,
+        threads,
+        |items| items.iter().map(&f).collect(),
+        |share, slots| {
+            for (slot, item) in slots.iter_mut().zip(share) {
+                *slot = Some(f(item));
+            }
+        },
+    )
 }
 
 /// Splits `items` into one contiguous share per participant — this thread
 /// and up to `threads − 1` workers from `budget`; only this thread below
 /// 16 items — and has `fill(share, slots)` set every slot of the share's
-/// part of the output. The output is allocated once, at its final size.
-fn map_shares<T, U, F>(budget: &Budget, items: &[T], threads: usize, fill: F) -> Vec<U>
+/// part of the output, so the output is allocated once, at its final
+/// size. With no worker, `whole(items)` maps them all on this thread.
+fn map_shares<T, U>(
+    budget: &Budget,
+    items: &[T],
+    threads: usize,
+    whole: impl FnOnce(&[T]) -> Vec<U>,
+    fill: impl Fn(&[T], &mut [Option<U>]) + Sync,
+) -> Vec<U>
 where
     T: Sync,
     U: Send,
-    F: Fn(&[T], &mut [Option<U>]) + Sync,
 {
     let n = items.len();
     let threads = if n < 16 { 1 } else { threads };
     let (workers, chunk) = split(budget, n, threads);
+    if workers == 0 {
+        return whole(items);
+    }
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    if workers == 0 {
-        fill(items, &mut out);
-    } else {
-        let shares: Vec<_> = out
-            .chunks_mut(chunk)
-            .zip(items.chunks(chunk))
-            .map(|share| Mutex::new(Some(share)))
-            .collect();
-        fan_out(budget, workers, shares.len(), &|i| {
-            let Some((slots, items)) = lock_recover(&shares[i]).take() else {
-                return;
-            };
-            fill(items, slots);
-        });
-    }
+    let shares: Vec<_> = out
+        .chunks_mut(chunk)
+        .zip(items.chunks(chunk))
+        .map(|share| Mutex::new(Some(share)))
+        .collect();
+    fan_out(budget, workers, shares.len(), &|i| {
+        let Some((slots, items)) = lock_recover(&shares[i]).take() else {
+            return;
+        };
+        fill(items, slots);
+    });
+    drop(shares);
     out.into_iter()
         .map(|u| u.expect("every slot filled by its share"))
         .collect()
