@@ -226,7 +226,8 @@ impl NonceCoupon {
         (self.k, self.r)
     }
 
-    /// Rebuilds a coupon from its wire parts.
+    /// Rebuilds a coupon from its wire parts, or builds one whose R the
+    /// caller compressed in a batch of its own (`RealPrecursor::draw`).
     ///
     /// The pair is *not* checked against R = k·B (that would spend the
     /// scalar multiplication the coupon exists to avoid); a mismatched
