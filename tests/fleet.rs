@@ -1,7 +1,8 @@
 //! Workspace-level properties of the kiosk-fleet registration engine:
 //! outcome equivalence with the sequential reference under arbitrary
 //! fleet shapes, fakes-policy preservation through the election facade,
-//! and adversarial kiosk detection inside a fleet.
+//! adversarial kiosk detection inside a fleet, and an absolute pin on one
+//! seeded day.
 
 use proptest::prelude::*;
 use votegral::crypto::sha2::sha256;
