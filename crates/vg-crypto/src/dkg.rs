@@ -378,14 +378,14 @@ pub fn combine_shares(
 ///
 /// Per item the fold merges what the relations share: C₁ is one term for
 /// all of the item's share proofs, each Dⱼ one term for its proof *and*
-/// the recombination, C₂ − P one short-weight term.
+/// the recombination, C₂ − P one short-weight term. The folds run on the
+/// host's cores ([`default_threads`]).
 pub fn verify_openings(
     cts: &[Ciphertext],
     shares: &[Vec<DecryptionShare>],
     plaintexts: &[EdwardsPoint],
     member_vks: &[EdwardsPoint],
     threshold: usize,
-    threads: usize,
 ) -> Result<(), CryptoError> {
     if shares.len() != cts.len() || plaintexts.len() != cts.len() {
         return Err(CryptoError::Malformed("opening lengths"));
@@ -477,7 +477,7 @@ pub fn verify_openings(
             batch.add_term(c1_coeff, ct.c1);
             batch.add_term(w_sum, ct.c2 - *plain);
         }
-        if !batch.verify_cofactored(threads) {
+        if !batch.verify_cofactored(default_threads()) {
             return Err(CryptoError::BadShare);
         }
     }
@@ -683,8 +683,8 @@ mod tests {
     fn folded_openings_accept_honest_and_reject_each_tamper() {
         let (authority, cts, shares, plaintexts, _) = opened_vector(10, 5, 3);
         let vks = vks(&authority);
-        verify_openings(&cts, &shares, &plaintexts, &vks, 3, 1).expect("honest opening");
-        verify_openings(&[], &[], &[], &vks, 3, 1).expect("empty opening");
+        verify_openings(&cts, &shares, &plaintexts, &vks, 3).expect("honest opening");
+        verify_openings(&[], &[], &[], &vks, 3).expect("empty opening");
         let b = EdwardsPoint::basepoint();
         let tampers: [fn(&mut DecryptionShare, &mut EdwardsPoint); 5] = [
             |s, _| s.share += EdwardsPoint::basepoint(),
@@ -697,23 +697,23 @@ mod tests {
             let (mut bad_shares, mut bad_plain) = (shares.clone(), plaintexts.clone());
             tamper(&mut bad_shares[k][k % 3], &mut bad_plain[k]);
             assert!(
-                verify_openings(&cts, &bad_shares, &bad_plain, &vks, 3, 1).is_err(),
+                verify_openings(&cts, &bad_shares, &bad_plain, &vks, 3).is_err(),
                 "tamper {k} survived the fold"
             );
         }
         // Shape violations the one-by-one path rejects too.
         let mut short = shares.clone();
         short[1].pop();
-        assert!(verify_openings(&cts, &short, &plaintexts, &vks, 3, 1).is_err());
+        assert!(verify_openings(&cts, &short, &plaintexts, &vks, 3).is_err());
         let mut dup = shares.clone();
         dup[2][1] = dup[2][0].clone();
-        assert!(verify_openings(&cts, &dup, &plaintexts, &vks, 3, 1).is_err());
+        assert!(verify_openings(&cts, &dup, &plaintexts, &vks, 3).is_err());
         let mut stranger = shares.clone();
         stranger[0][0].member_index = 9;
-        assert!(verify_openings(&cts, &stranger, &plaintexts, &vks, 3, 1).is_err());
+        assert!(verify_openings(&cts, &stranger, &plaintexts, &vks, 3).is_err());
         let mut wrong_ct = cts.clone();
         wrong_ct[4].c2 += b;
-        assert!(verify_openings(&wrong_ct, &shares, &plaintexts, &vks, 3, 1).is_err());
+        assert!(verify_openings(&wrong_ct, &shares, &plaintexts, &vks, 3).is_err());
     }
 
     #[test]
@@ -724,9 +724,9 @@ mod tests {
         let n = (CHUNK / 3 + 5) as u64;
         let (authority, cts, shares, mut plaintexts, _) = opened_vector(11, n, 1);
         let vks = vks(&authority);
-        verify_openings(&cts, &shares, &plaintexts, &vks, 1, 2).expect("honest opening");
+        verify_openings(&cts, &shares, &plaintexts, &vks, 1).expect("honest opening");
         *plaintexts.last_mut().expect("non-empty") += EdwardsPoint::basepoint();
-        assert!(verify_openings(&cts, &shares, &plaintexts, &vks, 1, 2).is_err());
+        assert!(verify_openings(&cts, &shares, &plaintexts, &vks, 1).is_err());
     }
 
     #[test]

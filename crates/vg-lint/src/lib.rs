@@ -21,6 +21,7 @@
 //! | `ct-compare` | no `==`/`!=` on MAC tags / secret material outside `vg_crypto::ct` |
 //! | `panic-path` | no `unwrap`/`expect`/panicking macros/literal indexing in request-serving paths |
 //! | `lock-unwrap` | no bare `.lock().unwrap()`; acquire via `vg_crypto::sync::lock_recover` |
+//! | `thread-spawn` | OS threads start only in the files that own the process's threads |
 //! | `nondeterminism` | no wall clocks or OS entropy in seeded deterministic modules |
 //! | `wire-tags` | protocol tag registries are collision-free, encode==decode, handshake range disjoint |
 //! | `test-scope` | no `#[test]` functions outside `#[cfg(test)]` modules |
@@ -141,6 +142,8 @@ pub struct Config {
     pub ct_exempt: Vec<String>,
     /// Files exempt from `lock-unwrap` (the audited recovery helper).
     pub lock_exempt: Vec<String>,
+    /// The only files allowed to start OS threads (`thread-spawn`).
+    pub thread_exempt: Vec<String>,
     /// Path fragments excluded from the workspace walk entirely.
     pub skip_paths: Vec<String>,
     /// The wire codec file audited by `wire-tags`.
@@ -217,6 +220,15 @@ impl Default for Config {
             entropy_exempt: vec!["vg-crypto/src/drbg.rs".into()],
             ct_exempt: vec!["vg-crypto/src/ct.rs".into()],
             lock_exempt: vec!["vg-crypto/src/sync.rs".into()],
+            // The core budget's workers, and the registration day's
+            // long-lived loops (connection threads and acceptor,
+            // sequencer, stations, refillers).
+            thread_exempt: vec![
+                "vg-crypto/src/par.rs".into(),
+                "vg-service/src/gateway.rs".into(),
+                "vg-service/src/pipeline/coordinator.rs".into(),
+                "vg-service/src/pipeline/station.rs".into(),
+            ],
             skip_paths: vec!["proptest-shim".into(), "vg-lint".into()],
             messages_path: "vg-service/src/messages.rs".into(),
             error_path: "vg-service/src/error.rs".into(),
@@ -233,6 +245,7 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Vec<Violation> {
         rules::ct_compare(f, cfg, &mut raw);
         rules::panic_path(f, cfg, &mut raw);
         rules::lock_unwrap(f, cfg, &mut raw);
+        rules::thread_spawn(f, cfg, &mut raw);
         rules::nondeterminism(f, cfg, &mut raw);
         rules::test_scope(f, cfg, &mut raw);
     }
@@ -300,12 +313,13 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Vec<Violation> {
 /// findings — denied under `--deny-all` — and kept out of [`analyze`] so
 /// narrow fixture file sets need not satisfy every list.
 pub fn stale_config_paths(files: &[SourceFile], cfg: &Config) -> Vec<Violation> {
-    let lists: [(&str, &[String]); 5] = [
+    let lists: [(&str, &[String]); 6] = [
         ("server_paths", &cfg.server_paths),
         ("det_paths", &cfg.det_paths),
         ("entropy_exempt", &cfg.entropy_exempt),
         ("ct_exempt", &cfg.ct_exempt),
         ("lock_exempt", &cfg.lock_exempt),
+        ("thread_exempt", &cfg.thread_exempt),
     ];
     let mut out = Vec::new();
     for (list, entries) in lists {

@@ -425,6 +425,36 @@ pub fn lock_unwrap(file: &SourceFile, cfg: &Config, out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------
+// Rule: thread-spawn
+// ---------------------------------------------------------------------
+
+/// Forbids starting OS threads (`std::thread::{scope, spawn, Builder}`)
+/// outside [`Config::thread_exempt`]: anywhere else a thread is a second
+/// compute fan-out beside the core budget and the day's stations.
+pub fn thread_spawn(file: &SourceFile, cfg: &Config, out: &mut Vec<Violation>) {
+    if cfg.thread_exempt.iter().any(|p| file.path_matches(p)) {
+        return;
+    }
+    for (idx, line) in file.scanned.masked_lines.iter().enumerate() {
+        // A `use std::thread::{scope, spawn}` names them one by one.
+        let import = line.trim_start().starts_with("use ") && line.contains("thread::");
+        let starts = ["scope", "spawn", "Builder"].iter().any(|w| {
+            !find_words(line, &format!("thread::{w}")).is_empty()
+                || import && !find_words(line, w).is_empty()
+        });
+        if starts && !file.scanned.is_test_line(idx + 1) {
+            let why = "an OS thread outside `thread_exempt`; map through `vg_crypto::par`";
+            out.push(Violation::new(
+                "thread-spawn",
+                &file.path,
+                idx + 1,
+                why.into(),
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Rule: nondeterminism
 // ---------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ fn fixture_config() -> Config {
         entropy_exempt: vec!["entropy.rs".into()],
         ct_exempt: vec!["ct.rs".into()],
         lock_exempt: vec![],
+        thread_exempt: vec!["par.rs".into()],
         skip_paths: vec![],
         messages_path: "messages.rs".into(),
         error_path: "error.rs".into(),
@@ -218,6 +219,59 @@ fn lock_recover_and_try_lock_pass() {
             "    let b = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n",
             "    let c = m.try_lock();\n",
             "}\n",
+        ),
+    )]);
+    assert!(vs.is_empty(), "{vs:#?}");
+}
+
+// ---------------------------------------------------------------------
+// thread-spawn
+// ---------------------------------------------------------------------
+
+#[test]
+fn thread_spawn_fires_outside_the_exempt_files() {
+    let bad = concat!(
+        "use std::thread::{scope, spawn};\n",
+        "fn fan(lanes: Vec<Vec<u32>>) {\n",
+        "    std::thread::scope(|s| {\n",
+        "        for lane in lanes { s.spawn(move || lane.len()); }\n",
+        "    });\n",
+        "    let h = std::thread::spawn(|| 1);\n",
+        "    let b = thread::Builder::new().spawn(|| 2);\n",
+        "}\n",
+    );
+    let vs = run(&[("fleet.rs", bad)]);
+    assert_eq!(rules_of(&vs), ["thread-spawn"; 4], "{vs:#?}");
+    let lines: Vec<usize> = vs.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [1, 3, 6, 7]);
+
+    let vs = run(&[("par.rs", bad)]);
+    assert!(vs.is_empty(), "the budget's own file is exempt: {vs:#?}");
+}
+
+#[test]
+fn thread_spawn_ignores_tests_comments_and_scope_types() {
+    let vs = run(&[(
+        "fleet.rs",
+        concat!(
+            "use std::thread::Scope;\n",
+            "// std::thread::spawn would fan this out\n",
+            "fn serve<'s>(scope: &'s Scope<'s, '_>) { let _ = scope; }\n",
+            "#[cfg(test)]\nmod tests {\n",
+            "    fn t() { std::thread::spawn(|| ()).join().unwrap(); }\n",
+            "}\n",
+        ),
+    )]);
+    assert!(vs.is_empty(), "{vs:#?}");
+}
+
+#[test]
+fn thread_spawn_respects_justified_allowlist() {
+    let vs = run(&[(
+        "fleet.rs",
+        concat!(
+            "// vg-lint: allow(thread-spawn) a watchdog that computes nothing\n",
+            "fn f() { std::thread::spawn(|| ()); }\n",
         ),
     )]);
     assert!(vs.is_empty(), "{vs:#?}");
@@ -597,6 +651,7 @@ fn config_entry_matching_no_file_is_a_hygiene_finding() {
     let mut cfg = fixture_config();
     cfg.entropy_exempt = vec![];
     cfg.ct_exempt = vec![];
+    cfg.thread_exempt = vec![];
     assert!(stale_config_paths(&files, &cfg).is_empty());
 
     // The serving file is renamed away from its list entry, and an

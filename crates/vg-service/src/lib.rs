@@ -56,8 +56,8 @@
 //!
 //! A registration day under any plan is **bit-identical** — same ledger
 //! tree heads, same credentials, same event traces — to the in-process
-//! sequential reference, for any `(seed, queue, kiosks, pool batch,
-//! threads)`. The workspace's `tests/service.rs` and `tests/pipeline.rs`
+//! sequential reference, for any `(seed, queue, kiosks, pool batch)`.
+//! The workspace's `tests/service.rs` and `tests/pipeline.rs`
 //! pin this with cross-transport and cross-configuration proptests;
 //! `bench/e2e`'s `vg-service.day.{tcp_tax, seal_tax}_us_per_session`
 //! rows measure what the framing and the sealing cost per ceremony.

@@ -289,7 +289,6 @@ pub(super) fn run_threaded_day(
             "a registration day needs at least one official and one printer".into(),
         ));
     };
-    let threads = fleet.config().threads;
     let ctx = ActivationContext {
         authority_pk: &authority_pk,
         printer_registry: &printer_registry,
@@ -305,7 +304,7 @@ pub(super) fn run_threaded_day(
 
     // The day's one counter block: every engine thread bumps it in place.
     let stats = Arc::<EngineStats>::default();
-    let (client, sequencer) = Sequencer::new(ledger, official, threads, pipeline.ingest, &stats);
+    let (client, sequencer) = Sequencer::new(ledger, official, pipeline.ingest, &stats);
 
     // TCP: bind before the scope so stations can connect immediately.
     let bind = || TcpListener::bind(("127.0.0.1", 0));
@@ -345,7 +344,6 @@ pub(super) fn run_threaded_day(
             official,
             printer,
             kiosk_registry,
-            threads,
             client,
         };
         scope.spawn(move || sequencer.run());

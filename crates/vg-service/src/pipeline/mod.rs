@@ -8,8 +8,7 @@
 //! [`run_day`] reads the engine off its [`DayPlan`]; the caller never
 //! picks one. A plan that needs no concurrency — in-process plaintext
 //! transport, the default [`PipelineConfig`], no chaos — runs **inline**:
-//! thread-free on [`vg_trip::LocalBoundary`] (unless
-//! `FleetConfig::threads > 1` fans a window out), synchronous admission,
+//! thread-free on [`vg_trip::LocalBoundary`], synchronous admission,
 //! a `persist()` commit point at every barrier. Every other plan, one-station TCP and
 //! secure TCP days included, runs on the **threaded** engine below.
 //!
@@ -271,7 +270,7 @@ fn runs_inline(plan: &DayPlan) -> bool {
 /// `(outcome, device)` pair to `sink` in queue order, and returns the
 /// day's service-layer telemetry. Ledgers and credentials are
 /// bit-identical to the sequential seeded reference for any plan and any
-/// `(seed, queue, kiosks, pool batch, threads)`.
+/// `(seed, queue, kiosks, pool batch)`.
 pub fn run_day(
     fleet: &KioskFleet,
     system: &mut TripSystem,

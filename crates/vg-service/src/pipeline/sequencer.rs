@@ -11,6 +11,7 @@ use std::time::Instant;
 use vg_ledger::{EnvelopeCommitment, Ledger, LedgerError, RegistrationRecord, VoterId};
 use vg_trip::official::Official;
 use vg_trip::vsd::{sweep_ledger, ActivationClaim};
+use vg_trip::DAY_THREADS;
 
 use crate::error::ServiceError;
 use crate::messages::{
@@ -69,11 +70,11 @@ struct Lane<R> {
     ready_records: usize,
     /// Arrived session groups at or above `next`.
     reorder: BTreeMap<u64, Vec<R>>,
-    admit: fn(&mut Ledger, Vec<R>, usize) -> Result<(), LedgerError>,
+    admit: fn(&mut Ledger, Vec<R>) -> Result<(), LedgerError>,
 }
 
 impl<R: Clone> Lane<R> {
-    fn new(admit: fn(&mut Ledger, Vec<R>, usize) -> Result<(), LedgerError>) -> Self {
+    fn new(admit: fn(&mut Ledger, Vec<R>) -> Result<(), LedgerError>) -> Self {
         Self {
             next: 0,
             ready: 0,
@@ -110,12 +111,7 @@ impl<R: Clone> Lane<R> {
     /// entry points check before they append, so the re-run never
     /// double-appends; what lay behind the offender is dropped — the
     /// failure is sticky and the day is over).
-    fn sweep(
-        &mut self,
-        ledger: &mut Ledger,
-        threads: usize,
-        stats: &LaneStats,
-    ) -> Option<(u64, ServiceError)> {
+    fn sweep(&mut self, ledger: &mut Ledger, stats: &LaneStats) -> Option<(u64, ServiceError)> {
         let behind = self.reorder.split_off(&self.ready);
         let groups = std::mem::replace(&mut self.reorder, behind);
         self.ready_records = 0;
@@ -125,13 +121,13 @@ impl<R: Clone> Lane<R> {
             return None;
         }
         stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        if (self.admit)(ledger, flat, threads).is_ok() {
+        if (self.admit)(ledger, flat).is_ok() {
             self.next = self.ready;
             return None;
         }
         for (session, group) in groups {
             if !group.is_empty() {
-                if let Err(e) = (self.admit)(ledger, group, threads) {
+                if let Err(e) = (self.admit)(ledger, group) {
                     self.ready = session;
                     return Some((session, e.into()));
                 }
@@ -150,7 +146,6 @@ impl<R: Clone> Lane<R> {
 pub(super) struct Sequencer<'a> {
     ledger: &'a mut Ledger,
     official: &'a Official,
-    threads: usize,
     mode: IngestMode,
     rx: Receiver<Cmd>,
     env: Lane<EnvelopeCommitment>,
@@ -168,7 +163,6 @@ impl<'a> Sequencer<'a> {
     pub(super) fn new(
         ledger: &'a mut Ledger,
         official: &'a Official,
-        threads: usize,
         mode: IngestMode,
         stats: &Arc<EngineStats>,
     ) -> (IngestClient, Self) {
@@ -176,14 +170,13 @@ impl<'a> Sequencer<'a> {
         let sequencer = Self {
             ledger,
             official,
-            threads,
             mode,
             rx,
-            env: Lane::new(|ledger, batch, threads| {
-                ledger.envelopes.commit_batch(batch, threads).map(drop)
+            env: Lane::new(|ledger, batch| {
+                ledger.envelopes.commit_batch(batch, DAY_THREADS).map(drop)
             }),
-            reg: Lane::new(|ledger, batch, threads| {
-                ledger.registration.post_batch(batch, threads).map(drop)
+            reg: Lane::new(|ledger, batch| {
+                ledger.registration.post_batch(batch, DAY_THREADS).map(drop)
             }),
             parked: Vec::new(),
             failed: None,
@@ -218,8 +211,8 @@ impl<'a> Sequencer<'a> {
     /// always a persisted session. The earlier session's failure sticks.
     fn sweep(&mut self) {
         if self.failed.is_none() {
-            let env = self.env.sweep(self.ledger, self.threads, &self.stats.env);
-            let reg = self.reg.sweep(self.ledger, self.threads, &self.stats.reg);
+            let env = self.env.sweep(self.ledger, &self.stats.env);
+            let reg = self.reg.sweep(self.ledger, &self.stats.reg);
             let first = [env, reg].into_iter().flatten().min_by_key(|(s, _)| *s);
             self.failed = first.map(|(_, e)| e);
         }
@@ -444,7 +437,7 @@ mod tests {
     fn with_sequencer<T>(system: &mut TripSystem, test: impl FnOnce(&mut Sequencer<'_>) -> T) -> T {
         let (ledger, official) = (&mut system.ledger, &system.officials[0]);
         let (_client, mut seq) =
-            Sequencer::new(ledger, official, 1, IngestMode::Barrier, &Arc::default());
+            Sequencer::new(ledger, official, IngestMode::Barrier, &Arc::default());
         test(&mut seq)
     }
 

@@ -20,7 +20,7 @@ use vg_trip::pool::PoolFeed;
 use vg_trip::printer::EnvelopePrinter;
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::vsd::Vsd;
-use vg_trip::{PrintJob, TripError};
+use vg_trip::{PrintJob, TripError, DAY_THREADS};
 
 use crate::channel::Connector;
 use crate::error::ServiceError;
@@ -50,13 +50,12 @@ pub(super) struct PipelineDispatch<'a> {
     pub(super) official: &'a Official,
     pub(super) printer: &'a EnvelopePrinter,
     pub(super) kiosk_registry: &'a [CompressedPoint],
-    pub(super) threads: usize,
     pub(super) client: IngestClient,
 }
 
 impl PipelineDispatch<'_> {
     fn print(&self, jobs: &[PrintJob]) -> Vec<(Envelope, EnvelopeCommitment)> {
-        self.printer.print_jobs(jobs, self.threads)
+        self.printer.print_jobs(jobs)
     }
 
     /// Fig 10 lines 2–5 for a station's window: verify the whole window
@@ -70,7 +69,7 @@ impl PipelineDispatch<'_> {
         let flat: Vec<(CheckOutQr, NonceCoupon)> =
             groups.into_iter().flat_map(|(_, c)| c).collect();
         self.official
-            .verify_checkouts(&flat, self.kiosk_registry, self.threads)?;
+            .verify_checkouts(&flat, self.kiosk_registry, DAY_THREADS)?;
         let mut records = self.official.countersign_checkouts(flat).into_iter();
         Ok(counts
             .into_iter()
@@ -350,13 +349,12 @@ mod tests {
             Box::leak(Box::new(TripSystem::setup(config, &mut rng)));
         let stats = Arc::<EngineStats>::default();
         let (official, mode) = (&system.officials[0], IngestMode::Barrier);
-        let (client, sequencer) = Sequencer::new(&mut system.ledger, official, 1, mode, &stats);
+        let (client, sequencer) = Sequencer::new(&mut system.ledger, official, mode, &stats);
         std::thread::spawn(move || sequencer.run());
         let registrar = PipelineDispatch {
             official,
             printer: &system.printers[0],
             kiosk_registry: &system.kiosk_registry,
-            threads: 1,
             client,
         };
         Rig {
@@ -499,7 +497,6 @@ mod tests {
         let queue: Vec<(VoterId, usize)> = (1..=4).map(|v| (VoterId(v), 0)).collect();
         let fleet: &'static KioskFleet = Box::leak(Box::new(KioskFleet::new(FleetConfig {
             pool_batch: 2,
-            threads: 1,
             seed: [7; 32],
         })));
         let plan = partition_stations(&queue, rig.kiosks, 1)

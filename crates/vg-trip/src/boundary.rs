@@ -49,6 +49,7 @@ use vg_ledger::{EnvelopeCommitment, Ledger, VoterId};
 
 use crate::ceremony::PrintJob;
 use crate::error::TripError;
+use crate::fleet::DAY_THREADS;
 use crate::materials::{CheckInTicket, CheckOutQr, Envelope};
 use crate::official::Official;
 use crate::printer::EnvelopePrinter;
@@ -118,7 +119,6 @@ pub struct LocalBoundary<'a> {
     printer: &'a EnvelopePrinter,
     ledger: &'a mut Ledger,
     kiosk_registry: &'a [CompressedPoint],
-    threads: usize,
 }
 
 impl<'a> LocalBoundary<'a> {
@@ -128,14 +128,12 @@ impl<'a> LocalBoundary<'a> {
         printer: &'a EnvelopePrinter,
         ledger: &'a mut Ledger,
         kiosk_registry: &'a [CompressedPoint],
-        threads: usize,
     ) -> Self {
         Self {
             official,
             printer,
             ledger,
             kiosk_registry,
-            threads: threads.max(1),
         }
     }
 
@@ -158,7 +156,7 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         &mut self,
         jobs: &[PrintJob],
     ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError> {
-        Ok(self.printer.print_jobs(jobs, self.threads))
+        Ok(self.printer.print_jobs(jobs))
     }
 
     fn submit_envelope_groups(
@@ -170,7 +168,7 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         let commitments = groups.into_iter().flat_map(|(_, g)| g).collect();
         self.ledger
             .envelopes
-            .commit_batch(commitments, self.threads)
+            .commit_batch(commitments, DAY_THREADS)
             .map(drop)
             .map_err(TripError::Ledger)
     }
@@ -181,7 +179,7 @@ impl RegistrarBoundary for LocalBoundary<'_> {
     ) -> Result<(), TripError> {
         let checkouts = groups.into_iter().flat_map(|(_, g)| g).collect();
         self.official
-            .check_out_batch(self.ledger, checkouts, self.kiosk_registry, self.threads)
+            .check_out_batch(self.ledger, checkouts, self.kiosk_registry, DAY_THREADS)
     }
 
     fn sync_through(&mut self, _sessions: u64) -> Result<(), TripError> {

@@ -271,7 +271,7 @@ impl SessionMaterials {
             &FixedBaseTable::shared(authority_pk),
             malicious,
         );
-        let printed = printer.print_jobs(unprinted.jobs(), 1);
+        let printed = printer.print_jobs(unprinted.jobs());
         unprinted.attach(printed)
     }
 

@@ -3,7 +3,7 @@
 //!
 //! This is the registration-day engine the paper's throughput story needs
 //! (§7.3): the expensive per-session material is precomputed by the pool
-//! (ahead of voter arrival, in parallel), every signature the booth emits
+//! (ahead of voter arrival), every signature the booth emits
 //! is coupon-backed (hash-only), and ledger admission — envelope
 //! commitments, check-out records, activation checks — is folded into
 //! batched random-linear-combination sweeps. Session `i` of the queue is
@@ -22,7 +22,7 @@
 //! A fleet run is a pure function of `(seed, queue, kiosk count)`: session
 //! materials derive from `(seed, queue position, voter)`, coupons are part
 //! of that derivation, and ledger ordering is fixed by the queue — so any
-//! `(pool batch, thread count)` choice replays bit-identically, and the
+//! pool batch (and any station count) replays bit-identically, and the
 //! whole run equals a sequential loop of
 //! [`crate::protocol::register_voter_seeded`] record-for-record. The
 //! equivalence is enforced by `tests/fleet.rs` at the workspace root.
@@ -194,7 +194,6 @@ pub struct ActivationContext<'a> {
 /// behavior exactly.
 struct ActivationDriver<'a> {
     ctx: &'a ActivationContext<'a>,
-    threads: usize,
     lag: usize,
     pending: Vec<(usize, RegistrationOutcome, Option<StolenCredential>)>,
     windows: usize,
@@ -210,10 +209,9 @@ pub type StationSink<'a> =
 type SessionResult = (usize, Result<CeremonyOutput, TripError>);
 
 impl<'a> ActivationDriver<'a> {
-    fn new(ctx: &'a ActivationContext<'a>, threads: usize, lag: usize) -> Self {
+    fn new(ctx: &'a ActivationContext<'a>, lag: usize) -> Self {
         Self {
             ctx,
-            threads,
             lag: lag.max(1),
             pending: Vec::new(),
             windows: 0,
@@ -275,7 +273,6 @@ impl<'a> ActivationDriver<'a> {
             &credential_refs,
             self.ctx.authority_pk,
             self.ctx.printer_registry,
-            self.threads,
         )?;
         let mut activated = activated.into_iter();
         for ((idx, outcome, stolen), is_active) in batch.into_iter().zip(active) {
@@ -292,17 +289,20 @@ impl<'a> ActivationDriver<'a> {
     }
 }
 
+/// The worker count the registration day passes the batch calls that take
+/// one: each section runs on the thread that calls it (a station, its
+/// refiller, the sequencer, the inline day's caller), as the day's
+/// parallelism is its stations. On the host's cores instead
+/// ([`vg_crypto::par::default_threads`]), the threaded day read 8–14 %
+/// more peak RSS and no more throughput (README, *Service architecture*).
+pub const DAY_THREADS: usize = 1;
+
 /// Fleet tuning knobs. The seed fixes every credential, envelope and
-/// signature of the run; batch and thread counts only change scheduling.
+/// signature of the run; the batch size only changes scheduling.
 #[derive(Clone, Copy)]
 pub struct FleetConfig {
     /// Sessions precomputed per pool refill.
     pub pool_batch: usize,
-    /// Worker threads for precompute and batched admission, fanned out
-    /// per call and joined before it returns. Above 1, a window's kiosk
-    /// lanes are spread over as many scoped threads as well; at 1 (the
-    /// default) a station spawns nothing.
-    pub threads: usize,
     /// Derivation seed for the whole registration day.
     pub seed: [u8; 32],
 }
@@ -311,7 +311,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             pool_batch: 256,
-            threads: 1,
             seed: [0u8; 32],
         }
     }
@@ -322,8 +321,8 @@ impl core::fmt::Debug for FleetConfig {
         // The seed derives every real credential of the day.
         write!(
             f,
-            "FleetConfig(pool_batch={}, threads={}, seed=<redacted>)",
-            self.pool_batch, self.threads
+            "FleetConfig(pool_batch={}, seed=<redacted>)",
+            self.pool_batch
         )
     }
 }
@@ -447,11 +446,6 @@ impl KioskFleet {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Builds the [`CeremonyPool`] for a queue over this system's kiosks,
     /// without deriving anything yet. Pre-warm it ([`CeremonyPool::warm`])
     /// to model the booth-idle precompute the paper's deployment assumes,
@@ -549,13 +543,7 @@ impl KioskFleet {
         };
         // The whole day as one station; no kiosks is refused here, typed.
         let sessions = check_ins(&partition_stations(plan, kiosks, 1)?.remove(0).plans);
-        let mut boundary = LocalBoundary::new(
-            official,
-            printer,
-            ledger,
-            kiosk_registry,
-            self.config.threads,
-        );
+        let mut boundary = LocalBoundary::new(official, printer, ledger, kiosk_registry);
         let last_occurrence = last_occurrence_of(plan);
         let ctx = ActivationContext {
             authority_pk: &authority.public_key,
@@ -592,16 +580,14 @@ impl KioskFleet {
             authority_pk,
             plans,
             self.config.pool_batch,
-            self.config.threads,
         )
     }
 
     /// The station engine every fleet entry point drives, one loop on the
     /// calling thread: checks in `sessions` (a station's — or the whole
     /// day's — slice of the global queue), then window by window takes the
-    /// next materials from `source`, runs their ceremonies (in session
-    /// order; with `threads > 1`, kiosk lanes side by side on scoped
-    /// threads), submits the window's ledger records session-tagged
+    /// next materials from `source`, runs their ceremonies in session
+    /// order, submits the window's ledger records session-tagged
     /// through the boundary, and — when an
     /// [`ActivationContext`] is given — activates groups of `lag` windows
     /// behind one prefix barrier each.
@@ -622,7 +608,6 @@ impl KioskFleet {
         activation: Option<(&ActivationContext<'_>, usize)>,
         sink: &mut StationSink<'_>,
     ) -> Result<(), TripError> {
-        let threads = self.config.threads.max(1);
         let window_cap = self.config.pool_batch.max(1);
 
         // Check-in for the station's whole queue (Fig 8; MAC-only).
@@ -631,14 +616,14 @@ impl KioskFleet {
             tickets.insert(idx, boundary.check_in(voter)?);
         }
         let max_session = sessions.iter().map(|&(idx, _)| idx).max();
-        let mut driver = activation.map(|(ctx, lag)| ActivationDriver::new(ctx, threads, lag));
+        let mut driver = activation.map(|(ctx, lag)| ActivationDriver::new(ctx, lag));
 
         loop {
             let window = source.next_window(window_cap, &mut *boundary)?;
             if window.is_empty() {
                 break;
             }
-            let outputs = run_window(kiosks, &tickets, window, threads);
+            let outputs = run_window(kiosks, &tickets, window);
             ledger_phase(&mut *boundary, outputs, &mut driver, sink)?;
         }
 
@@ -650,45 +635,23 @@ impl KioskFleet {
     }
 }
 
-/// One window's ceremonies, in session order. Session `i` runs on kiosk
-/// `i mod |K|`, and a kiosk's sessions run one after another in session
-/// order — a booth holds one voter — so every kiosk journal fills in queue
-/// order. With one thread that is a plain loop on the caller; with more,
-/// the window's kiosk lanes are dealt round-robin onto `min(threads, |K|)`
-/// scoped threads (a kiosk never spans two) that are joined before this
-/// returns: no channel, no worker outliving its window.
+/// One window's ceremonies, in session order, on the calling thread.
+/// Session `i` runs on kiosk `i mod |K|`, and a kiosk's sessions run one
+/// after another in session order — a booth holds one voter — so every
+/// kiosk journal fills in queue order.
 fn run_window(
     kiosks: &[Kiosk],
     tickets: &HashMap<usize, CheckInTicket>,
     window: Vec<SessionMaterials>,
-    threads: usize,
 ) -> Vec<SessionResult> {
-    let run = |materials: SessionMaterials| -> SessionResult {
-        let idx = materials.session_index;
-        let kiosk = &kiosks[idx % kiosks.len()];
-        (idx, run_pool_session(kiosk, &tickets[&idx], materials))
-    };
-    let workers = threads.min(kiosks.len());
-    if workers == 1 {
-        return window.into_iter().map(run).collect();
-    }
-    let mut lanes: Vec<Vec<SessionMaterials>> = (0..workers).map(|_| Vec::new()).collect();
-    for materials in window {
-        lanes[materials.session_index % kiosks.len() % workers].push(materials);
-    }
-    let mut outputs: Vec<SessionResult> = std::thread::scope(|scope| {
-        let running: Vec<_> = lanes
-            .into_iter()
-            .filter(|lane| !lane.is_empty())
-            .map(|lane| scope.spawn(|| lane.into_iter().map(run).collect::<Vec<_>>()))
-            .collect();
-        running
-            .into_iter()
-            .flat_map(|lane| lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    outputs.sort_by_key(|(idx, _)| *idx);
-    outputs
+    window
+        .into_iter()
+        .map(|materials| {
+            let idx = materials.session_index;
+            let kiosk = &kiosks[idx % kiosks.len()];
+            (idx, run_pool_session(kiosk, &tickets[&idx], materials))
+        })
+        .collect()
 }
 
 /// Voter → global index of their last planned session, over the whole
@@ -762,10 +725,7 @@ mod tests {
     #[test]
     fn fleet_config_debug_redacts_the_seed() {
         let shown = format!("{:?}", FleetConfig::seeded([0xAB; 32]));
-        assert_eq!(
-            shown,
-            "FleetConfig(pool_batch=256, threads=1, seed=<redacted>)"
-        );
+        assert_eq!(shown, "FleetConfig(pool_batch=256, seed=<redacted>)");
     }
 
     /// Ledger heads plus per-credential identifying bytes of a run.
@@ -803,18 +763,12 @@ mod tests {
                 .push(register_voter_seeded(&mut seq_system, voter, fakes, &seed, i).unwrap());
         }
 
-        // The same deterministic setup, drained through the fleet: with a
-        // small pool window and more threads than kiosks (lanes fan out
-        // per window), as one window on the calling thread, and with
-        // one-session refills (no authority-key table).
-        for (pool_batch, threads) in [(2, 3), (256, 1), (1, 1)] {
+        // The same deterministic setup, drained through the fleet: in
+        // small pool windows, as one window, and with one-session refills.
+        for pool_batch in [2, 256, 1] {
             let mut rng = HmacDrbg::from_u64(1);
             let mut fleet_system = TripSystem::setup(config(5, 2), &mut rng);
-            let fleet = KioskFleet::new(FleetConfig {
-                pool_batch,
-                threads,
-                seed,
-            });
+            let fleet = KioskFleet::new(FleetConfig { pool_batch, seed });
             let fleet_outcomes = fleet.register(&mut fleet_system, &queue).unwrap();
 
             assert_eq!(
@@ -846,7 +800,6 @@ mod tests {
         let mut fleet_system = TripSystem::setup(config(4, 2), &mut rng);
         let fleet = KioskFleet::new(FleetConfig {
             pool_batch: 3,
-            threads: 2,
             seed,
         });
         let sessions = fleet
@@ -866,15 +819,13 @@ mod tests {
 
     #[test]
     fn kiosk_journals_stay_per_session_ordered() {
-        // A thread per kiosk, and more kiosks than threads (a thread
-        // carries several kiosks' lanes).
-        for (n_kiosks, threads) in [(3, 3), (5, 2)] {
+        // Windows of four sessions, which straddle the kiosk cycle.
+        for n_kiosks in [3, 5] {
             let n_voters = 3 * n_kiosks as u64;
             let mut rng = HmacDrbg::from_u64(3);
             let mut system = TripSystem::setup(config(n_voters, n_kiosks), &mut rng);
             let fleet = KioskFleet::new(FleetConfig {
                 pool_batch: 4,
-                threads,
                 seed: [1u8; 32],
             });
             fleet.register(&mut system, &plan(n_voters)).unwrap();
@@ -902,52 +853,48 @@ mod tests {
         let seed = [9u8; 32];
         let queue = plan(6);
         let stealing = KioskBehavior::StealsRealCredential;
-        for threads in [1, 2] {
-            let fleet = KioskFleet::new(FleetConfig {
-                pool_batch: 3,
-                threads,
-                seed,
-            });
-            // What window 0 (sessions 0..3) alone leaves on the ledgers.
-            let mut rng = HmacDrbg::from_u64(6);
-            let mut first = TripSystem::setup_with_behavior(config(6, 2), stealing, &mut rng);
-            let admitted = fleet.register(&mut first, &queue[..3]).unwrap();
+        let fleet = KioskFleet::new(FleetConfig {
+            pool_batch: 3,
+            seed,
+        });
+        // What window 0 (sessions 0..3) alone leaves on the ledgers.
+        let mut rng = HmacDrbg::from_u64(6);
+        let mut first = TripSystem::setup_with_behavior(config(6, 2), stealing, &mut rng);
+        let admitted = fleet.register(&mut first, &queue[..3]).unwrap();
 
-            let mut rng = HmacDrbg::from_u64(6);
-            let mut system = TripSystem::setup_with_behavior(config(6, 2), stealing, &mut rng);
-            let mut day = partition_stations(&queue, &system.kiosks, 1)
-                .unwrap()
-                .remove(0);
-            // Session 4, the middle of window 1, is planned for an honest
-            // kiosk: the spare precursor its stealing kiosk needs is
-            // never derived.
-            day.plans[4].1.malicious = false;
-            let sessions = check_ins(&day.plans);
-            let mut pool = fleet.prepare_pool_indexed(system.authority.public_key, day.plans);
-            let mut boundary = LocalBoundary::new(
-                &system.officials[0],
-                &system.printers[0],
-                &mut system.ledger,
-                &system.kiosk_registry,
-                threads,
-            );
-            let mut sunk = Vec::new();
-            let run = fleet.run_station_over(
-                &system.kiosks,
-                &mut boundary,
-                &sessions,
-                &mut PoolSource { pool: &mut pool },
-                None,
-                &mut |idx, outcome, _, _| sunk.push((idx, outcome)),
-            );
-            assert_eq!(run, Err(TripError::WrongPhysicalState));
-            let (indices, outcomes): (Vec<usize>, Vec<_>) = sunk.into_iter().unzip();
-            assert_eq!(indices, vec![0, 1, 2]);
-            assert_eq!(
-                fingerprint(&system, &outcomes),
-                fingerprint(&first, &admitted)
-            );
-        }
+        let mut rng = HmacDrbg::from_u64(6);
+        let mut system = TripSystem::setup_with_behavior(config(6, 2), stealing, &mut rng);
+        let mut day = partition_stations(&queue, &system.kiosks, 1)
+            .unwrap()
+            .remove(0);
+        // Session 4, the middle of window 1, is planned for an honest
+        // kiosk: the spare precursor its stealing kiosk needs is
+        // never derived.
+        day.plans[4].1.malicious = false;
+        let sessions = check_ins(&day.plans);
+        let mut pool = fleet.prepare_pool_indexed(system.authority.public_key, day.plans);
+        let mut boundary = LocalBoundary::new(
+            &system.officials[0],
+            &system.printers[0],
+            &mut system.ledger,
+            &system.kiosk_registry,
+        );
+        let mut sunk = Vec::new();
+        let run = fleet.run_station_over(
+            &system.kiosks,
+            &mut boundary,
+            &sessions,
+            &mut PoolSource { pool: &mut pool },
+            None,
+            &mut |idx, outcome, _, _| sunk.push((idx, outcome)),
+        );
+        assert_eq!(run, Err(TripError::WrongPhysicalState));
+        let (indices, outcomes): (Vec<usize>, Vec<_>) = sunk.into_iter().unzip();
+        assert_eq!(indices, vec![0, 1, 2]);
+        assert_eq!(
+            fingerprint(&system, &outcomes),
+            fingerprint(&first, &admitted)
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!
 //! [`Kiosk::begin_session`] hands out a [`KioskSession`] that borrows the
 //! kiosk for the whole ceremony, and under a [`crate::fleet::KioskFleet`]
-//! many sessions of *different* kiosks run on worker threads at once. The
+//! many sessions of *different* kiosks run on station threads at once. The
 //! invariants that keep this sound:
 //!
 //! - every per-ceremony mutable value (pending credential, used-challenge

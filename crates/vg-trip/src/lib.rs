@@ -68,7 +68,7 @@ pub mod vsd;
 pub use boundary::{LocalBoundary, RegistrarBoundary};
 pub use ceremony::{PrintJob, SessionMaterials, UnprintedSession};
 pub use error::{ActivationCheck, TripError};
-pub use fleet::{FleetConfig, KioskFleet};
+pub use fleet::{FleetConfig, KioskFleet, DAY_THREADS};
 pub use kiosk::{Kiosk, KioskBehavior, KioskEvent, KioskSession, SessionTrace};
 pub use materials::{
     CheckInTicket, CheckOutQr, CommitQr, CredentialState, Envelope, PaperCredential, Receipt,

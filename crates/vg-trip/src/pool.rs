@@ -1,16 +1,15 @@
-//! The ceremony pool: batched, parallel precomputation of registration
-//! session material ahead of voter arrival.
+//! The ceremony pool: batched precomputation of registration session
+//! material ahead of voter arrival.
 //!
 //! A [`CeremonyPool`] owns the planned check-in queue and derives
-//! [`SessionMaterials`] bundles for it in configurable refill batches,
-//! fanning the scalar-multiplication-heavy derivation over worker threads
-//! ([`vg_crypto::par::par_map`]). Because every bundle is a pure function
-//! of `(seed, session index, voter)`, the pool's batch size and thread
-//! count change *when* material is ready, never *what* it is — which is
-//! what lets a kiosk fleet replay bit-identically.
+//! [`SessionMaterials`] bundles for it in configurable refill batches, on
+//! the thread that refills it (a station, or its background refiller).
+//! Because every bundle is a pure function of `(seed, session index,
+//! voter)`, the pool's batch size changes *when* material is ready, never
+//! *what* it is — which is what lets a kiosk fleet replay bit-identically.
 //!
 //! Each refill ends with a batched **self-check**: one random-linear-
-//! combination multi-scalar multiplication ([`vg_crypto::multiscalar_mul_par`])
+//! combination multi-scalar multiplication ([`vg_crypto::multiscalar_mul`])
 //! over all freshly derived commitments verifies that every precomputed
 //! point matches its claimed scalar. A kiosk appliance whose precompute
 //! store bit-rots (or is tampered with between idle-time precompute and
@@ -23,9 +22,8 @@
 use std::collections::VecDeque;
 
 use vg_crypto::edwards::FixedBaseTable;
-use vg_crypto::par::par_map;
 use vg_crypto::sync::{lock_recover, wait_recover};
-use vg_crypto::{multiscalar_mul_par, EdwardsPoint, HmacDrbg, Scalar};
+use vg_crypto::{multiscalar_mul, EdwardsPoint, HmacDrbg, Scalar};
 use vg_ledger::VoterId;
 
 use crate::ceremony::SessionMaterials;
@@ -52,8 +50,8 @@ pub struct SessionPlan {
 pub type PrintFulfil<'a> = dyn FnMut(&[crate::ceremony::PrintJob]) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError>
     + 'a;
 
-/// Precomputes [`SessionMaterials`] for a planned queue, in refill batches
-/// over worker threads, with a batched integrity self-check per refill.
+/// Precomputes [`SessionMaterials`] for a planned queue, in refill batches,
+/// with a batched integrity self-check per refill.
 pub struct CeremonyPool {
     seed: [u8; 32],
     authority_pk: EdwardsPoint,
@@ -66,21 +64,19 @@ pub struct CeremonyPool {
     ready: VecDeque<SessionMaterials>,
     next: usize,
     batch: usize,
-    threads: usize,
     refills: u64,
 }
 
 impl CeremonyPool {
     /// Creates a pool for `plan` — `(global session index, plan)` pairs,
     /// the whole day's queue or a polling station's share of it —
-    /// refilling `batch` sessions at a time with up to `threads`
-    /// derivation workers. Indices must be strictly increasing.
+    /// refilling `batch` sessions at a time. Indices must be strictly
+    /// increasing.
     pub fn new(
         seed: [u8; 32],
         authority_pk: EdwardsPoint,
         plan: Vec<(usize, SessionPlan)>,
         batch: usize,
-        threads: usize,
     ) -> Self {
         debug_assert!(plan.windows(2).all(|w| w[0].0 < w[1].0));
         Self {
@@ -90,7 +86,6 @@ impl CeremonyPool {
             ready: VecDeque::new(),
             next: 0,
             batch: batch.max(1),
-            threads: threads.max(1),
             refills: 0,
         }
     }
@@ -108,14 +103,13 @@ impl CeremonyPool {
     /// Derives the next refill batch (up to the configured batch size) and
     /// self-checks it. Returns how many sessions became ready.
     pub fn refill(&mut self, printer: &EnvelopePrinter) -> Result<usize, TripError> {
-        let threads = self.threads;
-        self.refill_via(&mut |jobs| Ok(printer.print_jobs(jobs, threads)))
+        self.refill_via(&mut |jobs| Ok(printer.print_jobs(jobs)))
     }
 
     /// [`CeremonyPool::refill`] with envelope printing routed through a
     /// caller-supplied fulfilment hook — the service layer's print
     /// request (`Request::Print`). The batch's session material is
-    /// derived locally (in parallel), every session's
+    /// derived locally, every session's
     /// [`PrintJob`](crate::ceremony::PrintJob)s are gathered
     /// into **one** `print` call (batch order = session order, jobs
     /// contiguous per session), and the returned envelopes are attached
@@ -126,22 +120,22 @@ impl CeremonyPool {
         if self.next == end {
             return Ok(0);
         }
-        let jobs: Vec<(usize, SessionPlan)> = self.plan[self.next..end].to_vec();
-        let seed = &self.seed;
-        let threads = self.threads;
         // Every credential multiplies A_pk once or twice. Its table is built
         // once per process, so a booth's one-session refill uses it too.
         let pk_table = FixedBaseTable::shared(&self.authority_pk);
-        let unprinted = par_map(&jobs, threads, |&(index, plan)| {
-            SessionMaterials::derive_unprinted_with(
-                seed,
-                index,
-                plan.voter,
-                plan.n_fakes,
-                &pk_table,
-                plan.malicious,
-            )
-        });
+        let unprinted: Vec<_> = self.plan[self.next..end]
+            .iter()
+            .map(|&(index, plan)| {
+                SessionMaterials::derive_unprinted_with(
+                    &self.seed,
+                    index,
+                    plan.voter,
+                    plan.n_fakes,
+                    &pk_table,
+                    plan.malicious,
+                )
+            })
+            .collect();
         let print_jobs: Vec<crate::ceremony::PrintJob> = unprinted
             .iter()
             .flat_map(|u| u.jobs().iter().copied())
@@ -231,7 +225,7 @@ impl CeremonyPool {
         points.push(EdwardsPoint::basepoint());
         scalars.push(auth_coeff);
         points.push(self.authority_pk);
-        if multiscalar_mul_par(&scalars, &points, self.threads).is_identity() {
+        if multiscalar_mul(&scalars, &points).is_identity() {
             Ok(())
         } else {
             Err(TripError::PoolIntegrity)
@@ -397,7 +391,7 @@ mod tests {
     #[test]
     fn refill_batches_cover_the_plan() {
         let (apk, printer) = fixtures();
-        let mut pool = CeremonyPool::new([3u8; 32], apk, plan(10), 4, 2);
+        let mut pool = CeremonyPool::new([3u8; 32], apk, plan(10), 4);
         assert_eq!(pool.pending(), 10);
         assert_eq!(pool.refill(&printer).unwrap(), 4);
         assert_eq!(pool.prepared(), 4);
@@ -421,7 +415,7 @@ mod tests {
     fn take_drains_in_queue_order_independent_of_batch_size() {
         let (apk, printer) = fixtures();
         for batch in [1usize, 3, 64] {
-            let mut pool = CeremonyPool::new([9u8; 32], apk, plan(7), batch, 1);
+            let mut pool = CeremonyPool::new([9u8; 32], apk, plan(7), batch);
             let voters: Vec<(usize, VoterId)> = drain(&mut pool, &printer)
                 .iter()
                 .map(|m| (m.session_index, m.voter_id))
@@ -433,23 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn materials_identical_across_thread_counts() {
-        let (apk, printer) = fixtures();
-        let tags = |threads: usize| -> Vec<_> {
-            let mut pool = CeremonyPool::new([1u8; 32], apk, plan(5), 2, threads);
-            let drained = drain(&mut pool, &printer);
-            drained.iter().map(|m| m.real.c_pc).collect()
-        };
-        assert_eq!(tags(1), tags(4));
-    }
-
-    #[test]
     fn indexed_pool_derives_global_indices() {
         let (apk, printer) = fixtures();
         // A station owning the odd half of a 6-session queue.
         let sub: Vec<_> = plan(6).into_iter().filter(|(i, _)| i % 2 == 1).collect();
-        let mut whole = CeremonyPool::new([4u8; 32], apk, plan(6), 8, 1);
-        let mut station = CeremonyPool::new([4u8; 32], apk, sub, 8, 1);
+        let mut whole = CeremonyPool::new([4u8; 32], apk, plan(6), 8);
+        let mut station = CeremonyPool::new([4u8; 32], apk, sub, 8);
         whole.warm(&printer).unwrap();
         station.warm(&printer).unwrap();
         let whole: Vec<SessionMaterials> = std::iter::from_fn(|| whole.take_ready()).collect();
@@ -467,7 +450,7 @@ mod tests {
     #[test]
     fn feed_refiller_streams_the_whole_plan_in_order() {
         let (apk, printer) = fixtures();
-        let mut pool = CeremonyPool::new([6u8; 32], apk, plan(9), 2, 1);
+        let mut pool = CeremonyPool::new([6u8; 32], apk, plan(9), 2);
         let feed = PoolFeed::new(3);
         let taken = std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -496,7 +479,7 @@ mod tests {
     #[test]
     fn feed_close_stops_the_refiller_early() {
         let (apk, printer) = fixtures();
-        let mut pool = CeremonyPool::new([6u8; 32], apk, plan(64), 2, 1);
+        let mut pool = CeremonyPool::new([6u8; 32], apk, plan(64), 2);
         let feed = PoolFeed::new(1);
         std::thread::scope(|scope| {
             let refiller = scope.spawn(|| {
@@ -527,7 +510,7 @@ mod tests {
     #[test]
     fn self_check_catches_corrupted_commitment() {
         let (apk, printer) = fixtures();
-        let pool = CeremonyPool::new([2u8; 32], apk, plan(3), 8, 1);
+        let pool = CeremonyPool::new([2u8; 32], apk, plan(3), 8);
         let mut fresh: Vec<SessionMaterials> = (0..3)
             .map(|i| {
                 SessionMaterials::derive(

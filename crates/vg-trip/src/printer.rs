@@ -64,7 +64,7 @@ impl EnvelopePrinter {
     /// physical envelope together with the commitment that still has to be
     /// posted to L_E.
     ///
-    /// This is the ceremony pool's precompute hook: worker threads prepare
+    /// This is the ceremony pool's precompute hook: pool refills prepare
     /// envelopes (the signature is the expensive part) ahead of voter
     /// arrival, and the fleet coordinator posts the commitments in
     /// check-in-queue order so the resulting L_E is bit-identical to a
@@ -78,19 +78,15 @@ impl EnvelopePrinter {
     }
 
     /// [`EnvelopePrinter::print_detached`] for every job, in order: the
-    /// same envelopes and commitments, signed on up to `threads` cores
+    /// same envelopes and commitments, signed on the calling thread
     /// through [`batch_sign`] (one field inversion per 64 envelopes
     /// rather than one per envelope).
-    pub fn print_jobs(
-        &self,
-        jobs: &[PrintJob],
-        threads: usize,
-    ) -> Vec<(Envelope, EnvelopeCommitment)> {
+    pub fn print_jobs(&self, jobs: &[PrintJob]) -> Vec<(Envelope, EnvelopeCommitment)> {
         let drawn: Vec<(&EnvelopePrinter, Scalar, Symbol)> = jobs
             .iter()
             .map(|job| (self, job.challenge, job.symbol))
             .collect();
-        par_chunks(&drawn, SIGN_BATCH, threads, print_drawn)
+        drawn.chunks(SIGN_BATCH).flat_map(print_drawn).collect()
     }
 
     fn assemble(
@@ -270,14 +266,8 @@ mod tests {
                 .iter()
                 .map(|job| bytes(printer.print_detached(job.challenge, job.symbol)))
                 .collect();
-            for threads in [1, 3] {
-                let batch: Vec<_> = printer
-                    .print_jobs(&jobs, threads)
-                    .into_iter()
-                    .map(bytes)
-                    .collect();
-                assert_eq!(batch, one_by_one, "n {n}");
-            }
+            let batch: Vec<_> = printer.print_jobs(&jobs).into_iter().map(bytes).collect();
+            assert_eq!(batch, one_by_one, "n {n}");
         }
     }
 

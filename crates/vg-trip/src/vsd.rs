@@ -296,19 +296,19 @@ pub fn activate_batch(
 /// [`crate::boundary::RegistrarBoundary`]: the device-side folded checks
 /// (lines 2–8) run locally — the credential secrets never cross the
 /// boundary — and only the [`ActivationClaim`]s are shipped for the L_R
-/// cross-check and L_E reveal.
+/// cross-check and L_E reveal. The checks run on the calling thread
+/// ([`crate::fleet::DAY_THREADS`]).
 pub fn activate_batch_over(
     boundary: &mut dyn crate::boundary::RegistrarBoundary,
     credentials: &[&PaperCredential],
     authority_pk: &EdwardsPoint,
     printer_registry: &[CompressedPoint],
-    threads: usize,
 ) -> Result<Vec<ActivatedCredential>, TripError> {
     activate_batch_with(
         credentials,
         authority_pk,
         printer_registry,
-        threads,
+        crate::fleet::DAY_THREADS,
         &mut |claims| boundary.activation_sweep(claims),
     )
 }

@@ -55,6 +55,7 @@ use vg_trip::fleet::{FleetConfig, KioskFleet};
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::setup::{TripConfig, TripSystem};
 use vg_trip::vsd::{ActivatedCredential, Vsd};
+use vg_trip::DAY_THREADS;
 
 use crate::ballot::{cast_ballot, cast_ballots, VoteConfig};
 use crate::error::VotegralError;
@@ -122,7 +123,6 @@ impl FakesPolicy {
 ///     .voters(2)
 ///     .options(3)
 ///     .backend(LedgerBackend::sharded(4))
-///     .threads(2)
 ///     .build(&mut rng);
 /// let sessions = election.trip.config.n_voters;
 /// assert_eq!(sessions, 2);
@@ -132,7 +132,6 @@ pub struct ElectionBuilder {
     trip_config: TripConfig,
     options: u32,
     mixers: usize,
-    threads: usize,
     fakes: FakesPolicy,
     transport: TransportPlan,
     pipeline: PipelineConfig,
@@ -146,14 +145,12 @@ impl Default for ElectionBuilder {
 
 impl ElectionBuilder {
     /// Starts from the paper's defaults: 8 voters, 2 options, 4 mixers,
-    /// in-memory ledger, single-threaded registration and casting, one fake
-    /// per voter.
+    /// in-memory ledger, one fake per voter.
     pub fn new() -> Self {
         Self {
             trip_config: TripConfig::default(),
             options: 2,
             mixers: vg_shuffle::MixCascade::DEFAULT_MIXERS,
-            threads: 1,
             fakes: FakesPolicy::default(),
             transport: TransportPlan::IN_PROCESS,
             pipeline: PipelineConfig::default(),
@@ -201,14 +198,11 @@ impl ElectionBuilder {
         self
     }
 
-    /// Worker threads for batch registration (the kiosk fleet's
-    /// precompute, ceremonies and admission) and for L_V's batch admission
-    /// in [`Election::cast_batch`]. Ballots are not built on them: every record is built on the calling
-    /// thread, in DRBG order. [`Election::tally`] and [`Election::verify`]
-    /// do not read it: they run on the host's cores
-    /// ([`vg_crypto::par::default_threads`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    /// Sets nothing: registration and [`Election::cast_batch`] compute on
+    /// the calling threads ([`vg_trip::DAY_THREADS`]). Kept only because
+    /// the frozen benchmark adapter (`bench/e2e/src/adapter.rs`, its only
+    /// caller) names it; ROADMAP item 1's deletion PR removes it.
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -253,7 +247,7 @@ impl ElectionBuilder {
     /// thread, and ledgers were bit-identical across worker counts while
     /// the count existed. Kept only because the frozen benchmark adapter
     /// (`bench/e2e/src/adapter.rs`, its only caller) names it; ROADMAP
-    /// item 2's benchmark-only PR stops calling it and deletes it.
+    /// item 1's benchmark-only PR stops calling it and deletes it.
     pub fn ingest_workers(self, _n: usize) -> Self {
         self
     }
@@ -307,7 +301,6 @@ impl ElectionBuilder {
             trip,
             vote_config: VoteConfig::new(self.options),
             mixers: self.mixers,
-            threads: self.threads,
             fakes: self.fakes,
             transport: self.transport,
             pipeline: self.pipeline,
@@ -327,8 +320,6 @@ pub struct Election<P: ElectionPhase = Registration> {
     pub vote_config: VoteConfig,
     /// Number of mixers in the tally cascades (the paper uses 4).
     pub mixers: usize,
-    /// Worker threads for batch fast paths.
-    pub threads: usize,
     /// Fake-credential policy for batch registration.
     pub fakes: FakesPolicy,
     /// Transport plan (link + channel security) the registration
@@ -364,7 +355,6 @@ impl<P: ElectionPhase> Election<P> {
             trip: self.trip,
             vote_config: self.vote_config,
             mixers: self.mixers,
-            threads: self.threads,
             fakes: self.fakes,
             transport: self.transport,
             pipeline: self.pipeline,
@@ -381,12 +371,10 @@ impl Election<Registration> {
 
     /// The registration engine for this session: a [`KioskFleet`] over
     /// the deployment's kiosks, seeded from the caller's RNG (so a seeded
-    /// run replays bit-identically) and using the session's thread
-    /// budget for precompute, ceremonies and batched admission.
+    /// run replays bit-identically).
     fn fleet(&self, rng: &mut dyn Rng) -> KioskFleet {
         KioskFleet::new(FleetConfig {
             pool_batch: 256,
-            threads: self.threads,
             seed: rng.bytes32(),
         })
     }
@@ -417,7 +405,7 @@ impl Election<Registration> {
     ///
     /// The batch is one [`KioskFleet`] run over the session's
     /// [`TransportPlan`]: per-session material is precomputed pool-batch-wise
-    /// on worker threads ahead of each ceremony window, sessions fan out
+    /// ahead of each ceremony window, sessions fan out
     /// across the deployment's kiosks (session `i` on kiosk `i mod |K|`),
     /// and envelope commitments, check-out records and activation checks
     /// all go through batched random-linear-combination admission.
@@ -490,8 +478,8 @@ impl Election<Voting> {
 
     /// Casts a batch of ballots: every record is built on the calling
     /// thread, in DRBG order, then L_V admits the whole batch through its
-    /// batch path (one signature sweep and leaf hashing on the session's
-    /// `threads`, one signed head). Consumes the RNG exactly as the
+    /// batch path (one signature sweep and leaf hashing on the calling
+    /// thread, one signed head). Consumes the RNG exactly as the
     /// equivalent sequence of [`Election::cast`] calls would, so both
     /// paths produce bit-identical ledgers.
     pub fn cast_batch(
@@ -505,7 +493,7 @@ impl Election<Voting> {
             self.vote_config,
             &apk,
             &mut self.trip.ledger,
-            self.threads,
+            DAY_THREADS,
             rng,
         )
     }
@@ -639,7 +627,6 @@ mod tests {
             .voters(6)
             .options(2)
             .kiosks(3)
-            .threads(2)
             .fakes(FakesPolicy::Fixed(1))
             .build(&mut rng);
         assert_eq!(election.trip.kiosks.len(), 3);
@@ -673,7 +660,6 @@ mod tests {
                 .voters(5)
                 .options(2)
                 .kiosks(4)
-                .threads(2)
                 .fakes(FakesPolicy::Cycling(2));
             if pipelined {
                 builder = builder
@@ -739,7 +725,6 @@ mod tests {
             .voters(2)
             .options(2)
             .backend(LedgerBackend::sharded(4))
-            .threads(2)
             .build(&mut rng);
         assert_eq!(
             election.ledger().backend(),

@@ -177,32 +177,28 @@ pub fn admit_ballots(
         config,
         authority_pk,
         kiosk_registry,
-        default_threads(),
     )
 }
 
-/// [`admit_ballots`] over a record slice with an explicit worker count.
+/// [`admit_ballots`] over a record slice.
 ///
 /// Each block of records is checked by [`admit_block_folded`]; only when
 /// that fold rejects is the block re-checked one by one, so the decisions
 /// are those of a loop of single checks (see there for the one caveat,
 /// torsion-crafted proofs).
-pub(crate) fn admit_records(
+fn admit_records(
     records: &[BallotRecord],
     config: VoteConfig,
     authority_pk: &EdwardsPoint,
     kiosk_registry: &[CompressedPoint],
-    threads: usize,
 ) -> (Vec<AcceptedBallot>, usize, usize) {
     keep_last(records.chunks(ADMISSION_BLOCK).flat_map(|block| {
-        admit_block_folded(block, config, authority_pk, kiosk_registry, threads).unwrap_or_else(
-            || {
-                block
-                    .iter()
-                    .map(|r| admit_one(r, config, authority_pk, kiosk_registry))
-                    .collect()
-            },
-        )
+        admit_block_folded(block, config, authority_pk, kiosk_registry).unwrap_or_else(|| {
+            block
+                .iter()
+                .map(|r| admit_one(r, config, authority_pk, kiosk_registry))
+                .collect()
+        })
     }))
 }
 
@@ -234,7 +230,8 @@ fn keep_last(
 
 /// Checks a block of records with one [`SignatureSweep`] (credential
 /// signature and kiosk issuance signature per record) continued into one
-/// cofactored fold of every vote-proof branch equation.
+/// cofactored fold of every vote-proof branch equation, both on the
+/// host's cores ([`default_threads`]).
 ///
 /// Everything a single check decides *exactly* — key and payload decoding,
 /// the branch count, the branch challenges summing to the Fiat–Shamir
@@ -256,8 +253,8 @@ fn admit_block_folded(
     config: VoteConfig,
     authority_pk: &EdwardsPoint,
     kiosk_registry: &[CompressedPoint],
-    threads: usize,
 ) -> Option<Vec<Option<AcceptedBallot>>> {
+    let threads = default_threads();
     let apk_enc = authority_pk.compress();
     let mut sweep = SignatureSweep::new(b"votegral-ballot-admission-v1");
     sweep.commit(&apk_enc.0);
@@ -710,11 +707,11 @@ mod tests {
         }
 
         fn folded(&self) -> Option<Vec<Option<AcceptedBallot>>> {
-            admit_block_folded(&self.records, self.config, &self.apk, &self.registry, 1)
+            admit_block_folded(&self.records, self.config, &self.apk, &self.registry)
         }
 
         fn admitted(&self) -> (Vec<AcceptedBallot>, usize, usize) {
-            admit_records(&self.records, self.config, &self.apk, &self.registry, 2)
+            admit_records(&self.records, self.config, &self.apk, &self.registry)
         }
     }
 
@@ -728,7 +725,7 @@ mod tests {
         assert_eq!(accepted.len(), board.credentials.len());
         assert_eq!(board.admitted(), board.one_by_one());
         // The empty board passes through the folds too.
-        let empty = admit_block_folded(&[], board.config, &board.apk, &board.registry, 1);
+        let empty = admit_block_folded(&[], board.config, &board.apk, &board.registry);
         assert_eq!(empty, Some(Vec::new()));
     }
 

@@ -24,7 +24,7 @@ use vg_shuffle::{MixCascade, Row, RowMixTranscript};
 use crate::error::{VerifyStage, VotegralError};
 use crate::tagging::{verify_cascade, TaggingRound};
 use crate::tally::{
-    admit_records, count_votes, dummy_ciphertext, match_tags, registration_inputs, ElectionResult,
+    admit_ballots, count_votes, dummy_ciphertext, match_tags, registration_inputs, ElectionResult,
     TallyTranscript, VectorOpening,
 };
 
@@ -82,17 +82,15 @@ pub fn verify_tally(
     kiosk_registry: &[CompressedPoint],
     mixers: usize,
 ) -> Result<ElectionResult, VotegralError> {
-    let threads = default_threads();
     let inputs = Inputs {
         transcript,
         ledger,
         authority,
         kiosk_registry,
         mixers,
-        threads,
         cascade: OnceLock::new(),
     };
-    let verdicts = run_jobs(&Check::LONGEST_FIRST, threads, |check| {
+    let verdicts = run_jobs(&Check::LONGEST_FIRST, default_threads(), |check| {
         inputs.check(*check).map_err(|stage| (*check, stage))
     });
     let first_failure = verdicts
@@ -159,7 +157,6 @@ struct Inputs<'a> {
     authority: &'a PublicAuthority,
     kiosk_registry: &'a [CompressedPoint],
     mixers: usize,
-    threads: usize,
     cascade: OnceLock<MixCascade>,
 }
 
@@ -218,13 +215,8 @@ impl Inputs<'_> {
     fn admission(&self) -> Result<(), VerifyStage> {
         let t = self.transcript;
         let apk = self.authority.public_key;
-        let (accepted, rejected, superseded) = admit_records(
-            self.ledger.ballots.records(),
-            t.config,
-            &apk,
-            self.kiosk_registry,
-            self.threads,
-        );
+        let (accepted, rejected, superseded) =
+            admit_ballots(self.ledger, t.config, &apk, self.kiosk_registry);
         if accepted != t.accepted || rejected != t.rejected || superseded != t.superseded {
             return Err(VerifyStage::BallotAdmission);
         }
@@ -271,7 +263,7 @@ impl Inputs<'_> {
         let max_n = t.ballot_pair_inputs.len().max(t.reg_inputs.len());
         self.cascade
             .get_or_init(|| MixCascade::new(max_n, self.mixers))
-            .verify_batch(&self.authority.public_key, mix, self.threads)
+            .verify_batch(&self.authority.public_key, mix, default_threads())
             .is_ok()
     }
 
@@ -283,7 +275,6 @@ impl Inputs<'_> {
             &opening.plaintexts,
             &self.authority.member_vks,
             self.authority.threshold,
-            self.threads,
         )
         .map_err(|_| VerifyStage::Decryption)
     }

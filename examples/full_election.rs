@@ -24,7 +24,6 @@ fn main() {
         .voters(n_voters)
         .options(n_options)
         .backend(LedgerBackend::sharded(4))
-        .threads(votegral::crypto::par::default_threads())
         .build(&mut rng);
     let d_c = FakeCredentialDist::default();
     let d_v = VoteDist::weighted(&[3.0, 2.0, 1.0]);

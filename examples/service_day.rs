@@ -20,7 +20,6 @@ fn main() {
     let queue: Vec<(VoterId, usize)> = (1..=24).map(|v| (VoterId(v), (v % 3) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 8,
-        threads: 2,
         seed,
     });
     let config = TripConfig {
@@ -30,7 +29,7 @@ fn main() {
     };
 
     println!("== Registration day over typed registrar services ==");
-    println!("24 voters, 3 kiosks, pool windows of 8, 2 worker threads.\n");
+    println!("24 voters, 3 kiosks, pool windows of 8.\n");
 
     let mut heads = Vec::new();
     for transport in [

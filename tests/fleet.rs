@@ -55,7 +55,7 @@ fn run_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any (kiosks, pool batch, thread count, seed, queue shape), a
+    /// For any (kiosks, pool batch, seed, queue shape), a
     /// fleet run is bit-identical — same ledgers, same credentials, same
     /// fakes policy — to the sequential `register_voter_seeded` loop over
     /// the same queue, and every credential it minted activates.
@@ -64,7 +64,6 @@ proptest! {
         seed64 in any::<u64>(),
         n_kiosks in 1usize..5,
         pool_batch in 1usize..7,
-        threads in 1usize..5,
         fake_counts in proptest::collection::vec(0usize..3, 5),
     ) {
         let n_voters = fake_counts.len() as u64;
@@ -88,11 +87,11 @@ proptest! {
             );
         }
 
-        // Fleet over the same deterministic setup with an arbitrary
-        // (pool, threads) shape.
+        // Fleet over the same deterministic setup with an arbitrary pool
+        // batch.
         let mut rng = HmacDrbg::from_u64(seed64 ^ 0xF1EE7);
         let mut fleet_system = TripSystem::setup(trip_config(n_voters, n_kiosks), &mut rng);
-        let fleet = KioskFleet::new(FleetConfig { pool_batch, threads, seed });
+        let fleet = KioskFleet::new(FleetConfig { pool_batch, seed });
         let fleet_outcomes = fleet
             .register(&mut fleet_system, &queue)
             .expect("fleet registration");
@@ -290,7 +289,6 @@ fn seeded_day_matches_its_recorded_pin() {
         let mut system = TripSystem::setup(trip_config(64, 4), &mut rng);
         let fleet = KioskFleet::new(FleetConfig {
             pool_batch: 16,
-            threads: 2,
             seed: [0x64u8; 32],
         });
         let mut outcomes = Vec::new();

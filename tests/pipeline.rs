@@ -90,8 +90,8 @@ proptest! {
 
     /// The acceptance criterion: pipelined registration days equal the
     /// sequential seeded reference bit-for-bit across (kiosks × pool
-    /// batch × low-water mark × station count × ingest mode × threads ×
-    /// seed), on every transport — including
+    /// batch × low-water mark × station count × ingest mode × seed), on
+    /// every transport — including
     /// the authenticated-encryption secure channel, whose ephemeral
     /// handshake randomness must never leak into ledger bytes.
     #[test]
@@ -99,7 +99,6 @@ proptest! {
         seed64 in any::<u64>(),
         n_kiosks in 2usize..5,
         pool_batch in 1usize..5,
-        threads in 1usize..3,
         stations in 1usize..4,
         low_water in 0usize..7,
         background in any::<bool>(),
@@ -113,7 +112,7 @@ proptest! {
             .collect();
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&seed64.to_le_bytes());
-        let fleet = KioskFleet::new(FleetConfig { pool_batch, threads, seed });
+        let fleet = KioskFleet::new(FleetConfig { pool_batch, seed });
         let stations = stations.min(n_kiosks);
         let pipeline = PipelineConfig {
             stations,
@@ -151,7 +150,6 @@ proptest! {
     #[test]
     fn pipelined_activation_day_matches_barrier_engine(
         seed64 in any::<u64>(),
-        threads in 1usize..3,
         stations in 1usize..3,
         activation_lag in 1usize..4,
         fake_counts in proptest::collection::vec(0usize..2, 4),
@@ -166,7 +164,7 @@ proptest! {
         seed[..8].copy_from_slice(&seed64.to_le_bytes());
         // pool_batch 2 forces several windows for a 4-voter queue, so
         // lag grouping and prefix barriers actually engage.
-        let fleet = KioskFleet::new(FleetConfig { pool_batch: 2, threads, seed });
+        let fleet = KioskFleet::new(FleetConfig { pool_batch: 2, seed });
 
         let barrier = {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0xAC8);
@@ -228,7 +226,6 @@ fn station_death_mid_window_heals_on_survivors() {
     let queue: Vec<(VoterId, usize)> = (1..=6).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {
@@ -367,7 +364,6 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
     let queue: Vec<(VoterId, usize)> = (1..=6).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let reference = sequential_reference(seed64, &seed, 4, &queue);
@@ -485,7 +481,6 @@ fn inline_durable_day_persists_at_every_barrier() {
     let queue: Vec<(VoterId, usize)> = (1..=6).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed: [0x1Du8; 32],
     });
     let dir = wal_dir("inline-barrier");
@@ -533,7 +528,6 @@ fn kill_during_failover_reopens_to_the_healthy_reference() {
     let queue: Vec<(VoterId, usize)> = (1..=6).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {
@@ -677,7 +671,6 @@ fn station_death_steals_kiosk_chunks_across_survivors() {
     let queue: Vec<(VoterId, usize)> = (1..=9).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {
@@ -765,7 +758,6 @@ fn durable_kill_then_steal_replays_to_identical_heads() {
     let queue: Vec<(VoterId, usize)> = (1..=9).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {
@@ -862,7 +854,6 @@ fn dead_steal_chunks_are_restolen_with_bounded_depth() {
     let queue: Vec<(VoterId, usize)> = (1..=9).map(|v| (VoterId(v), (v % 2) as usize)).collect();
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {
@@ -1069,7 +1060,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
             let dir = cell.durable.then(|| wal_dir(&cell.label.replace('/', "-")));
             let fleet = KioskFleet::new(FleetConfig {
                 pool_batch: 2,
-                threads: 2,
                 seed,
             });
             let pipeline = PipelineConfig {
@@ -1160,7 +1150,6 @@ fn quiet_chaos_options_are_the_identity() {
     let reference = sequential_reference(seed64, &seed, 4, &queue);
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {
@@ -1208,7 +1197,6 @@ fn silently_hung_station_is_stall_detected_and_stolen() {
     let reference = sequential_reference(seed64, &seed, 4, &queue);
     let fleet = KioskFleet::new(FleetConfig {
         pool_batch: 2,
-        threads: 2,
         seed,
     });
     let pipeline = PipelineConfig {

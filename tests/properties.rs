@@ -221,7 +221,6 @@ proptest! {
                 .voters(n_voters)
                 .options(2)
                 .backend(backend)
-                .threads(2)
                 .build(&mut rng);
             let voters: Vec<VoterId> = (1..=n_voters).map(VoterId).collect();
             let sessions = election.register_batch(&voters, &mut rng).expect("registers");

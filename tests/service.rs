@@ -3,7 +3,7 @@
 //! rejection, and the cross-transport equivalence contract — a fleet
 //! registration day over the TCP transport is bit-identical to the
 //! in-process run and to the sequential seeded reference, for any
-//! `(kiosks, pool batch, threads, seed, queue shape)`.
+//! `(kiosks, pool batch, seed, queue shape)`.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -360,7 +360,6 @@ proptest! {
         seed64 in any::<u64>(),
         n_kiosks in 1usize..4,
         pool_batch in 1usize..6,
-        threads in 1usize..4,
         fake_counts in proptest::collection::vec(0usize..3, 4),
     ) {
         let n_voters = fake_counts.len() as u64;
@@ -371,7 +370,7 @@ proptest! {
             .collect();
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&seed64.to_le_bytes());
-        let fleet = KioskFleet::new(FleetConfig { pool_batch, threads, seed });
+        let fleet = KioskFleet::new(FleetConfig { pool_batch, seed });
 
         // Sequential seeded reference.
         let mut rng = HmacDrbg::from_u64(seed64 ^ 0x5EC);
@@ -409,7 +408,6 @@ proptest! {
     #[test]
     fn activation_day_equivalent_across_transports(
         seed64 in any::<u64>(),
-        threads in 1usize..3,
         fake_counts in proptest::collection::vec(0usize..2, 3),
     ) {
         let n_voters = fake_counts.len() as u64;
@@ -422,7 +420,7 @@ proptest! {
         seed[..8].copy_from_slice(&seed64.to_le_bytes());
         // pool_batch 2 forces multiple windows (and thus multiple ingest
         // flush barriers) for a 3-voter queue.
-        let fleet = KioskFleet::new(FleetConfig { pool_batch: 2, threads, seed });
+        let fleet = KioskFleet::new(FleetConfig { pool_batch: 2, seed });
 
         let run = |transport: TransportPlan| {
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0xAC7);
@@ -455,7 +453,6 @@ fn election_lifecycle_over_tcp_bit_identical() {
             .voters(4)
             .options(2)
             .kiosks(2)
-            .threads(2)
             .transport(transport)
             .build(&mut rng);
         let voters: Vec<VoterId> = (1..=4).map(VoterId).collect();
