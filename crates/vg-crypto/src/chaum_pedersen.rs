@@ -23,7 +23,6 @@
 
 use crate::drbg::Rng;
 use crate::edwards::{multiscalar_mul, CompressedPoint, EdwardsPoint};
-use crate::par::{default_threads, par_map};
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
@@ -176,9 +175,10 @@ pub type DlEqEncodings = [CompressedPoint; 6];
 
 /// Derives the Fiat–Shamir challenge of a NIZK proof from the *encodings*
 /// of its statement and commitment — byte for byte what [`prove_dleq`] and
-/// [`verify_dleq`] absorb. Batched provers and verifiers compress a whole
-/// vector of points with one shared inversion
-/// ([`EdwardsPoint::batch_compress`]) and replay the challenges from here.
+/// [`verify_dleq`] absorb. Provers and verifiers of many proofs encode
+/// their points through shared inversions
+/// ([`EdwardsPoint::batch_compress`], [`EdwardsPoint::batch_normalize`])
+/// and derive the challenges from here.
 pub fn dleq_challenge(transcript: &mut Transcript, enc: &DlEqEncodings) -> Scalar {
     const LABELS: [&[u8]; 6] = [b"cp-g1", b"cp-y1", b"cp-g2", b"cp-y2", b"cp-a1", b"cp-a2"];
     for (label, point) in LABELS.into_iter().zip(enc.iter()) {
@@ -218,66 +218,6 @@ pub fn prove_dleq_with(
         commit: t.commit,
         response: t.response,
     }
-}
-
-/// One proof request of [`prove_dleq_batch`]: the transcript the proof is
-/// bound to, the statement, and its witness.
-pub struct DlEqJob<'a> {
-    /// The transcript, positioned where [`prove_dleq`] would receive it.
-    pub transcript: Transcript,
-    /// The statement to prove.
-    pub stmt: DlEqStatement,
-    /// The witness x.
-    pub witness: &'a Scalar,
-}
-
-/// Proves a vector of statements, producing exactly the proofs — and
-/// consuming exactly the randomness — of [`prove_dleq`] called on each job
-/// in order: every nonce is drawn, in job order, before any commitment is
-/// computed; the commitments are then computed on the host's cores; then
-/// every point the challenges absorb is compressed with one shared
-/// inversion instead of six per proof, and the challenges are derived
-/// job by job on this thread.
-pub fn prove_dleq_batch(jobs: Vec<DlEqJob<'_>>, rng: &mut dyn Rng) -> Vec<DlEqProof> {
-    let nonces: Vec<Scalar> = jobs.iter().map(|_| rng.scalar()).collect();
-    prove_dleq_batch_with(jobs, &nonces)
-}
-
-/// [`prove_dleq_batch`] with its nonces drawn beforehand, one per job in
-/// job order.
-///
-/// # Panics
-///
-/// Panics unless there is one nonce per job.
-pub fn prove_dleq_batch_with(jobs: Vec<DlEqJob<'_>>, nonces: &[Scalar]) -> Vec<DlEqProof> {
-    assert_eq!(jobs.len(), nonces.len(), "one nonce per proof");
-    let drawn: Vec<(&DlEqStatement, Scalar)> = jobs
-        .iter()
-        .map(|job| &job.stmt)
-        .zip(nonces.iter().copied())
-        .collect();
-    let provers = par_map(&drawn, default_threads(), |&(stmt, nonce)| {
-        Prover::with_nonce(stmt, nonce)
-    });
-    let mut points = Vec::with_capacity(6 * jobs.len());
-    for (job, prover) in jobs.iter().zip(provers.iter()) {
-        let (stmt, commit) = (&job.stmt, &prover.commit);
-        points.extend([stmt.g1, stmt.y1, stmt.g2, stmt.y2, commit.a1, commit.a2]);
-    }
-    let encoded = EdwardsPoint::batch_compress(&points);
-    jobs.into_iter()
-        .zip(provers)
-        .zip(encoded.chunks_exact(6))
-        .map(|((mut job, prover), enc)| {
-            let enc = enc.try_into().expect("chunks of six");
-            let e = dleq_challenge(&mut job.transcript, enc);
-            let t = prover.respond(job.witness, &e);
-            DlEqProof {
-                commit: t.commit,
-                response: t.response,
-            }
-        })
-        .collect()
 }
 
 /// Verifies a NIZK discrete-log-equality proof bound to `transcript`.
@@ -461,43 +401,6 @@ mod tests {
         let mut bad = stmt;
         bad.y1 += EdwardsPoint::basepoint();
         assert!(verify_dleq(&mut Transcript::new(b"t"), &bad, &proof).is_err());
-    }
-
-    #[test]
-    fn batch_prover_matches_one_by_one() {
-        // Same proofs, same RNG position afterwards, with 40 jobs: past
-        // `par_map`'s inline cutoff, so the commitments run on workers.
-        let mut setup = HmacDrbg::from_u64(20);
-        let stmts: Vec<(DlEqStatement, Scalar)> =
-            (0..40).map(|_| stmt_with_witness(&mut setup)).collect();
-        let transcript = |i: usize| {
-            let mut t = Transcript::new(b"batch-test");
-            t.append_u64(b"i", i as u64);
-            t
-        };
-        let mut rng_a = HmacDrbg::from_u64(21);
-        let mut rng_b = HmacDrbg::from_u64(21);
-        let single: Vec<DlEqProof> = stmts
-            .iter()
-            .enumerate()
-            .map(|(i, (stmt, x))| prove_dleq(&mut transcript(i), stmt, x, &mut rng_a))
-            .collect();
-        let jobs = stmts
-            .iter()
-            .enumerate()
-            .map(|(i, (stmt, x))| DlEqJob {
-                transcript: transcript(i),
-                stmt: *stmt,
-                witness: x,
-            })
-            .collect();
-        let batch = prove_dleq_batch(jobs, &mut rng_b);
-        assert_eq!(single, batch);
-        assert_eq!(rng_a.scalar(), rng_b.scalar());
-        for (i, ((stmt, _), proof)) in stmts.iter().zip(batch.iter()).enumerate() {
-            verify_dleq(&mut transcript(i), stmt, proof).expect("verifies");
-        }
-        assert!(prove_dleq_batch(Vec::new(), &mut rng_a).is_empty());
     }
 
     #[test]

@@ -16,20 +16,17 @@
 //! live in one process, as in the paper's prototype.
 
 use crate::batch::{BatchVerifier, CommittedWeights};
-use crate::chaum_pedersen::{
-    dleq_challenge, prove_dleq, prove_dleq_batch_with, verify_dleq, DlEqJob, DlEqProof,
-    DlEqStatement,
-};
+use crate::chaum_pedersen::{dleq_challenge, verify_dleq, Commitment, DlEqProof, DlEqStatement};
 use crate::drbg::Rng;
-use crate::edwards::{multiscalar_mul, EdwardsPoint};
+use crate::edwards::{multiscalar_mul, CompressedPoint, EdwardsPoint};
 use crate::elgamal::Ciphertext;
 use crate::par::{default_threads, par_map};
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
 
-/// Proofs (proving) or equations (verifying) handled per pass of the
-/// vector paths, so their working memory does not grow with the vector.
+/// Equations handled per fold of [`verify_openings`], so its working
+/// memory does not grow with the vector.
 const CHUNK: usize = 2048;
 
 /// The statement of a decryption share: log_B(X_j) = log_{C₁}(D_j).
@@ -147,6 +144,13 @@ impl Authority {
                 vk: EdwardsPoint::mul_base(&share),
             });
         }
+        // Every share proof absorbs its member's X_j: in Z = 1 form it
+        // encodes for free.
+        let mut vks: Vec<EdwardsPoint> = members.iter().map(|m| m.vk).collect();
+        EdwardsPoint::batch_normalize(&mut vks);
+        for (m, vk) in members.iter_mut().zip(vks) {
+            m.vk = vk;
+        }
         // A_pk = Σ_i F_{i,0}.
         let public_key = dealings
             .iter()
@@ -165,11 +169,8 @@ impl Authority {
     /// `shares[item][member]` — exactly the shares (and exactly the RNG
     /// draws, item-major) of [`AuthorityMember::decryption_share`] called
     /// in that order. Every nonce is drawn first
-    /// ([`Authority::share_nonces`]); then, per chunk, the share points
-    /// Dⱼ = xⱼ·C₁ and the proofs' commitments are computed on the host's
-    /// cores ([`crate::chaum_pedersen::prove_dleq_batch_with`]), and the
-    /// commitments are compressed through one shared inversion before
-    /// hashing.
+    /// ([`Authority::share_nonces`]); then the items are proved on the
+    /// host's cores, each by [`ShareProver::prove`].
     pub fn decryption_shares(
         &self,
         cts: &[Ciphertext],
@@ -197,44 +198,11 @@ impl Authority {
         nonces: &[Scalar],
     ) -> Vec<Vec<DecryptionShare>> {
         assert_eq!(nonces.len(), cts.len() * self.t, "t nonces per item");
-        let members = &self.members[..self.t];
-        let items_per_chunk = (CHUNK / self.t).max(1);
-        let mut nonces = nonces.chunks(items_per_chunk * self.t);
-        let mut out = Vec::with_capacity(cts.len());
-        for chunk in cts.chunks(items_per_chunk) {
-            let pairs: Vec<(&Ciphertext, &AuthorityMember)> = chunk
-                .iter()
-                .flat_map(|ct| members.iter().map(move |m| (ct, m)))
-                .collect();
-            let points = par_map(&pairs, default_threads(), |(ct, m)| ct.c1 * m.share);
-            let jobs = pairs
-                .iter()
-                .zip(points.iter())
-                .map(|((ct, m), d)| DlEqJob {
-                    transcript: share_transcript(),
-                    stmt: share_statement(&m.vk, ct, d),
-                    witness: &m.share,
-                })
-                .collect();
-            let mut shares = pairs
-                .iter()
-                .zip(points.iter())
-                .zip(prove_dleq_batch_with(
-                    jobs,
-                    nonces.next().expect("one nonce chunk per item chunk"),
-                ))
-                .map(|(((_, m), d), proof)| DecryptionShare {
-                    member_index: m.index,
-                    share: *d,
-                    proof,
-                });
-            out.extend(
-                chunk
-                    .iter()
-                    .map(|_| shares.by_ref().take(self.t).collect::<Vec<_>>()),
-            );
-        }
-        out
+        let prover = ShareProver::new(&self.members[..self.t]);
+        let items: Vec<(&Ciphertext, &[Scalar])> = cts.iter().zip(nonces.chunks(self.t)).collect();
+        par_map(&items, default_threads(), |(ct, nonces)| {
+            prover.prove(ct, nonces)
+        })
     }
 
     /// Threshold-decrypts `ct` using the first `t` members, verifying every
@@ -258,20 +226,84 @@ impl Authority {
 
 impl AuthorityMember {
     /// Produces this member's verifiable decryption share for `ct`:
-    /// D_j = x_j·C₁ with a Chaum–Pedersen proof against X_j.
+    /// D_j = x_j·C₁ with a Chaum–Pedersen proof against X_j, on one nonce
+    /// drawn from `rng` — [`ShareProver::prove`] for a single member.
     pub fn decryption_share(&self, ct: &Ciphertext, rng: &mut dyn Rng) -> DecryptionShare {
-        let d = ct.c1 * self.share;
-        let proof = prove_dleq(
-            &mut share_transcript(),
-            &share_statement(&self.vk, ct, &d),
-            &self.share,
-            rng,
-        );
-        DecryptionShare {
-            member_index: self.index,
-            share: d,
-            proof,
+        let mut shares = ShareProver::new(core::slice::from_ref(self)).prove(ct, &[rng.scalar()]);
+        shares.pop().expect("one member, one share")
+    }
+}
+
+/// The one share prover: what every item's proofs absorb that no item
+/// changes — B's and each member's X_j encodings — taken once per call.
+struct ShareProver<'a> {
+    members: &'a [AuthorityMember],
+    b_enc: CompressedPoint,
+    vk_enc: Vec<CompressedPoint>,
+}
+
+impl<'a> ShareProver<'a> {
+    fn new(members: &'a [AuthorityMember]) -> Self {
+        Self {
+            members,
+            b_enc: EdwardsPoint::basepoint().compress(),
+            vk_enc: members.iter().map(|m| m.vk.compress()).collect(),
         }
+    }
+
+    /// The members' shares of `ct`, member j's proof on `nonces[j]` —
+    /// byte for byte the proof [`crate::chaum_pedersen::prove_dleq`] makes
+    /// on that nonce.
+    ///
+    /// Of the 3t multiplications, 2t have the base C₁ — each share
+    /// Dⱼ = xⱼ·C₁ and its proof's Y₂ = kⱼ·C₁ — and share one set of its
+    /// powers ([`EdwardsPoint::mul_each`]); each Y₁ = kⱼ·B comes off B's
+    /// table. The item's points go to Z = 1 through one inversion, so the
+    /// challenges' encodings, and every later one, cost none.
+    fn prove(&self, ct: &Ciphertext, nonces: &[Scalar]) -> Vec<DecryptionShare> {
+        let t = self.members.len();
+        assert_eq!(nonces.len(), t, "one nonce per member");
+        let scalars: Vec<Scalar> = self
+            .members
+            .iter()
+            .map(|m| m.share)
+            .chain(nonces.iter().copied())
+            .collect();
+        let mut points = ct.c1.mul_each(&scalars);
+        points.extend(nonces.iter().map(EdwardsPoint::mul_base));
+        points.push(ct.c1);
+        EdwardsPoint::batch_normalize(&mut points);
+        let (ds, rest) = points.split_at(t);
+        let (a2s, rest) = rest.split_at(t);
+        let (a1s, c1) = rest.split_at(t);
+        let c1_enc = c1[0].compress();
+        self.members
+            .iter()
+            .zip(&self.vk_enc)
+            .zip(nonces)
+            .zip(ds.iter().zip(a1s).zip(a2s))
+            .map(|(((m, vk_enc), k), ((d, a1), a2))| {
+                let e = dleq_challenge(
+                    &mut share_transcript(),
+                    &[
+                        self.b_enc,
+                        *vk_enc,
+                        c1_enc,
+                        d.compress(),
+                        a1.compress(),
+                        a2.compress(),
+                    ],
+                );
+                DecryptionShare {
+                    member_index: m.index,
+                    share: *d,
+                    proof: DlEqProof {
+                        commit: Commitment { a1: *a1, a2: *a2 },
+                        response: *k - e * m.share,
+                    },
+                }
+            })
+            .collect()
     }
 }
 
@@ -623,9 +655,9 @@ mod tests {
         authority.members.iter().map(|m| m.vk).collect()
     }
 
-    /// A vector opening's shares and the DRBG position after them, across
-    /// a chunk boundary, pinned before the prover was split into its
-    /// draws and its arithmetic.
+    /// A vector opening's shares and the DRBG position after them, over
+    /// more items than one pass of the former chunked prover held, pinned
+    /// before the prover was split into its draws and its arithmetic.
     #[test]
     fn vector_share_bytes_and_drbg_position_are_pinned() {
         let n = (CHUNK / 3) as u64 + 5;

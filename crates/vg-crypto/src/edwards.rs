@@ -193,6 +193,30 @@ impl AffineNiels {
         y_minus_x: FieldElement::ONE,
         xy2d: FieldElement::ZERO,
     };
+
+    /// The addend form of a point with Z = 1 (T = xy), 1M.
+    fn from_normal(p: &EdwardsPoint) -> AffineNiels {
+        debug_assert!(p.z.0 == FieldElement::ONE.0);
+        AffineNiels {
+            y_plus_x: p.y + p.x,
+            y_minus_x: p.y - p.x,
+            xy2d: p.t * EDWARDS_D2,
+        }
+    }
+
+    /// The point itself, 1M: with a = 2x and b = 2y read off y ± x, it is
+    /// (2a : 2b : 4 : ab).
+    fn to_extended(self) -> EdwardsPoint {
+        const FOUR: FieldElement = FieldElement([4, 0, 0, 0, 0]);
+        let a = self.y_plus_x - self.y_minus_x;
+        let b = self.y_plus_x + self.y_minus_x;
+        EdwardsPoint {
+            x: a + a,
+            y: b + b,
+            z: FOUR,
+            t: a * b,
+        }
+    }
 }
 
 impl EdwardsPoint {
@@ -681,11 +705,7 @@ impl FixedBaseTable {
         EdwardsPoint::batch_normalize(&mut multiples);
         let mut rows = [[AffineNiels::IDENTITY; 8]; 64];
         for (i, p) in multiples.iter().enumerate() {
-            rows[i / 8][i % 8] = AffineNiels {
-                y_plus_x: p.y + p.x,
-                y_minus_x: p.y - p.x,
-                xy2d: p.t * EDWARDS_D2,
-            };
+            rows[i / 8][i % 8] = AffineNiels::from_normal(p);
         }
         FixedBaseTable { rows }
     }
@@ -718,6 +738,89 @@ impl FixedBaseTable {
         }
         acc
     }
+}
+
+/// From this many scalars on, [`EdwardsPoint::mul_each`] shares one set
+/// of base powers among them; below it, each is a NAF multiplication. A
+/// measured constant, not a knob (`mul_each`'s table).
+const SHARED_BASE_FROM: usize = 2;
+
+impl EdwardsPoint {
+    /// `[s·P for s in scalars]` for this point P, the base powers shared.
+    ///
+    /// P's 64 powers 16ⁱ·P are computed once — 252 doublings, one shared
+    /// inversion to put them in affine-Niels form — and each scalar is then
+    /// its 64 signed radix-16 digits dᵢ summed into eight buckets
+    /// (bucket |dᵢ| gets ±16ⁱ·P, one mixed addition) and the buckets folded
+    /// by the running-sum trick: no doubling per scalar. The powers are
+    /// 7.5 KiB of scratch. Measured against one NAF multiplication per
+    /// scalar (`shared_base_sweep` in this module's tests; the two alternate
+    /// call by call, so the ratio column is free of the host's speed drift)
+    /// —
+    ///
+    /// SWEEP_TABLE
+    ///
+    /// — one scalar alone loses, so below two (`SHARED_BASE_FROM`) each
+    /// scalar is a plain `P * s`.
+    pub fn mul_each(&self, scalars: &[Scalar]) -> Vec<EdwardsPoint> {
+        if scalars.len() < SHARED_BASE_FROM {
+            return scalars.iter().map(|s| self.mul_vartime(s)).collect();
+        }
+        let powers = self.radix16_powers();
+        scalars
+            .iter()
+            .map(|s| sum_radix16_digits(&powers, s))
+            .collect()
+    }
+
+    /// [16ⁱ·P for i in 0..64] in affine-Niels form.
+    fn radix16_powers(&self) -> [AffineNiels; 64] {
+        let mut powers = Vec::with_capacity(64);
+        let mut power = *self;
+        powers.push(power);
+        for _ in 1..64 {
+            power = power.mul_by_pow_2(4);
+            powers.push(power);
+        }
+        EdwardsPoint::batch_normalize(&mut powers);
+        let mut niels = [AffineNiels::IDENTITY; 64];
+        for (slot, p) in niels.iter_mut().zip(&powers) {
+            *slot = AffineNiels::from_normal(p);
+        }
+        niels
+    }
+}
+
+/// Σ dᵢ·16ⁱ·P over the signed radix-16 digits of `s`, for `powers` from
+/// [`EdwardsPoint::radix16_powers`]: bucket j − 1 collects the powers whose
+/// digit is ±j, and Σ j·bucket is folded from the top by a running sum.
+fn sum_radix16_digits(powers: &[AffineNiels; 64], s: &Scalar) -> EdwardsPoint {
+    let mut buckets: [Option<EdwardsPoint>; 8] = [None; 8];
+    for (power, d) in powers.iter().zip(radix16_signed(s)) {
+        if d == 0 {
+            continue;
+        }
+        let bucket = &mut buckets[d.unsigned_abs() as usize - 1];
+        *bucket = Some(match (*bucket, d > 0) {
+            // The first power of a bucket is a copy, not an addition.
+            (None, true) => power.to_extended(),
+            (None, false) => -power.to_extended(),
+            (Some(sum), true) => sum.add_niels(power).to_extended(),
+            (Some(sum), false) => sum.sub_niels(power).to_extended(),
+        });
+    }
+    let mut running: Option<EdwardsPoint> = None;
+    let mut sum: Option<EdwardsPoint> = None;
+    for bucket in buckets.iter().rev() {
+        running = match (running, bucket) {
+            (Some(r), Some(b)) => Some(r + *b),
+            (r, b) => r.or(*b),
+        };
+        if let Some(r) = running {
+            sum = Some(sum.map_or(r, |s| s + r));
+        }
+    }
+    sum.unwrap_or(EdwardsPoint::IDENTITY)
 }
 
 /// Derives a "nothing-up-my-sleeve" prime-order point from a label.
@@ -1613,7 +1716,112 @@ mod kernel_oracle {
         }
     }
 
-    /// The RFC 8032 encoding through an explicit inversion of Z, whatever
+    /// The shared-base path of `mul_each` whatever the count, as the sweep
+    /// times it.
+    fn shared_base(p: &EdwardsPoint, scalars: &[Scalar]) -> Vec<EdwardsPoint> {
+        let powers = p.radix16_powers();
+        scalars
+            .iter()
+            .map(|s| sum_radix16_digits(&powers, s))
+            .collect()
+    }
+
+    /// The measurement behind [`SHARED_BASE_FROM`] and `mul_each`'s table:
+    /// `cargo test --release -p vg-crypto --lib shared_base_sweep --
+    /// --ignored --nocapture`. k scalars on one base, the shared powers
+    /// against k NAF multiplications, alternating call by call as in
+    /// `crossover_sweep`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn shared_base_sweep() {
+        use crate::drbg::Rng;
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        let mut rng = crate::HmacDrbg::from_u64(6);
+        let bases: Vec<EdwardsPoint> = (0..64)
+            .map(|_| EdwardsPoint::mul_base(&rng.scalar()))
+            .collect();
+        let scalars: Vec<Scalar> = (0..8).map(|_| rng.scalar()).collect();
+        let micros_per_base =
+            |k: usize, f: &dyn Fn(&EdwardsPoint, &[Scalar]) -> Vec<EdwardsPoint>| {
+                let start = Instant::now();
+                for base in &bases {
+                    black_box(f(base, &scalars[..k]));
+                }
+                start.elapsed().as_secs_f64() * 1e6 / bases.len() as f64
+            };
+        let naf = |p: &EdwardsPoint, s: &[Scalar]| -> Vec<EdwardsPoint> {
+            s.iter().map(|s| *p * s).collect()
+        };
+        let median = |v: &mut [f64]| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        println!("| k | NAF µs/base | shared µs/base | shared ÷ NAF |");
+        println!("|---|---|---|---|");
+        for k in [1usize, 2, 4, 8] {
+            let (mut nf, mut sh, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..21 {
+                let before = micros_per_base(k, &naf);
+                let between = micros_per_base(k, &shared_base);
+                let after = micros_per_base(k, &naf);
+                nf.push(before);
+                sh.push(between);
+                ratio.push(2.0 * between / (before + after));
+            }
+            println!(
+                "| {k} | {:.1} | {:.1} | {:.2} |",
+                median(&mut nf),
+                median(&mut sh),
+                median(&mut ratio)
+            );
+        }
+    }
+
+    /// Bases in every form `mul_each` meets: the edge points (the identity,
+    /// ±B, B + T₈), all eight torsion points, and a random point with a
+    /// torsion component, as arithmetic leaves it (Z ≠ 1) and decoded
+    /// (Z = 1).
+    fn shared_bases(draw: &[u8; 32]) -> Vec<EdwardsPoint> {
+        let arithmetic = oracle_add(&pick_point(draw), &edge_points()[5]).double();
+        let decoded = oracle_compress(&arithmetic)
+            .decompress()
+            .expect("an encoding decodes");
+        assert!(!is_z_one(&arithmetic) && is_z_one(&decoded));
+        let mut bases = edge_points().to_vec();
+        bases.extend_from_slice(torsion_points());
+        bases.extend([arithmetic, decoded]);
+        bases
+    }
+
+    /// `p.mul_each(scalars)` against the oracle, scalar by scalar.
+    fn check_mul_each(p: &EdwardsPoint, scalars: &[Scalar]) {
+        let products = p.mul_each(scalars);
+        assert_eq!(products.len(), scalars.len());
+        for (s, product) in scalars.iter().zip(&products) {
+            assert_eq!(*product, oracle_mul(p, &s.0), "{p:?} · {s:?}");
+            assert!(product.is_on_curve(), "{p:?} · {s:?}");
+        }
+        assert_eq!(shared_base(p, scalars), products, "the shared path");
+    }
+
+    #[test]
+    fn mul_each_edge_lists_on_every_base_form() {
+        // Lists of 0–9 scalars cut from the edge scalars (0, 1, 8, 15, 16,
+        // ℓ − 1, 2²⁵², and the all-fifteen nibbles whose recoding carries
+        // into the top digit), and all of them at once.
+        let edges = edge_scalars();
+        for p in shared_bases(&[0x5a; 32]) {
+            for n in 0..=9 {
+                let start = 3 * n % edges.len();
+                let list: Vec<Scalar> = edges.iter().cycle().skip(start).take(n).copied().collect();
+                check_mul_each(&p, &list);
+            }
+            check_mul_each(&p, edges);
+        }
+    }
+
     /// Z is: what `compress` must give with or without its Z = 1 branch.
     fn oracle_compress(p: &EdwardsPoint) -> CompressedPoint {
         let z_inv = p.z.invert();
@@ -1763,6 +1971,18 @@ mod kernel_oracle {
                 EdwardsPoint::mul_base(&s),
                 oracle_mul(&EdwardsPoint::basepoint(), &s.0)
             );
+        }
+
+        #[test]
+        fn mul_each_matches_the_oracle(
+            base in draw(),
+            draws in proptest::collection::vec(draw(), 0..10),
+        ) {
+            let scalars: Vec<Scalar> = draws.iter().map(pick_scalar).collect();
+            let p = pick_point(&base);
+            check_mul_each(&p, &scalars);
+            let decoded = oracle_compress(&p).decompress().expect("an encoding decodes");
+            check_mul_each(&decoded, &scalars);
         }
 
         #[test]
