@@ -170,7 +170,7 @@ impl Authority {
     /// draws, item-major) of [`AuthorityMember::decryption_share`] called
     /// in that order. Every nonce is drawn first
     /// ([`Authority::share_nonces`]); then the items are proved on the
-    /// host's cores, each by [`ShareProver::prove`].
+    /// host's cores, each by the share prover (`ShareProver::prove`).
     pub fn decryption_shares(
         &self,
         cts: &[Ciphertext],
@@ -227,7 +227,8 @@ impl Authority {
 impl AuthorityMember {
     /// Produces this member's verifiable decryption share for `ct`:
     /// D_j = x_j·C₁ with a Chaum–Pedersen proof against X_j, on one nonce
-    /// drawn from `rng` — [`ShareProver::prove`] for a single member.
+    /// drawn from `rng`: the share prover (`ShareProver::prove`) with one
+    /// member.
     pub fn decryption_share(&self, ct: &Ciphertext, rng: &mut dyn Rng) -> DecryptionShare {
         let mut shares = ShareProver::new(core::slice::from_ref(self)).prove(ct, &[rng.scalar()]);
         shares.pop().expect("one member, one share")

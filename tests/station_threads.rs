@@ -88,21 +88,39 @@ fn inline_day_at_one_thread_spawns_no_thread() {
             ..DayPlan::default()
         };
 
-        let before = live_threads();
-        let mut during = Vec::new();
-        run_day(&fleet, &mut system, &queue, &day, |_, _| {
-            during.push(live_threads())
-        })
-        .expect("inline day runs");
-        assert_eq!(during, vec![before; queue.len()]);
+        let mut sunk = 0;
+        let extra = extra_threads_during(|| {
+            run_day(&fleet, &mut system, &queue, &day, |_, _| sunk += 1).expect("inline day runs");
+        });
+        assert_eq!(sunk, queue.len());
+        assert_eq!(extra, 0, "threads started during the day");
     });
+}
+
+/// Runs `day` and returns how many threads the process had at its most
+/// while it ran beyond those it had when it began, sampled by a watcher
+/// thread as fast as procfs answers: a thread that starts and is joined
+/// between two points of the day is counted too.
+fn extra_threads_during(day: impl FnOnce()) -> usize {
+    let (done, most) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let before = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                most.fetch_max(live_threads(), Ordering::Relaxed);
+            }
+        });
+        let before = live_threads();
+        day();
+        done.store(true, Ordering::Relaxed);
+        before
+    });
+    most.into_inner().saturating_sub(before)
 }
 
 /// Registers 40 voters over five kiosks through `Election::register_batch`
 /// with the builder's thread knob at `threads`. Returns the L_R and L_E
-/// roots, and how many threads the process had at its most during the
-/// day beyond those it had when the day began, sampled by a watcher
-/// thread as fast as procfs answers.
+/// roots, and the day's threads beyond those it began with
+/// ([`extra_threads_during`]).
 fn register_batch_at(threads: usize) -> (([u8; 32], [u8; 32]), usize) {
     let mut rng = HmacDrbg::from_u64(41);
     let idle = live_threads();
@@ -113,26 +131,17 @@ fn register_batch_at(threads: usize) -> (([u8; 32], [u8; 32]), usize) {
         .build(&mut rng);
     settle_to(idle);
     let voters: Vec<VoterId> = (1..=40).map(VoterId).collect();
-    let (done, most) = (AtomicBool::new(false), AtomicUsize::new(0));
-    let before = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while !done.load(Ordering::Relaxed) {
-                most.fetch_max(live_threads(), Ordering::Relaxed);
-            }
-        });
-        let before = live_threads();
+    let extra = extra_threads_during(|| {
         election
             .register_batch(&voters, &mut rng)
             .expect("registers");
-        done.store(true, Ordering::Relaxed);
-        before
     });
     let ledger = election.ledger();
     let roots = (
         ledger.registration.tree_head().root,
         ledger.envelopes.tree_head().root,
     );
-    (roots, most.into_inner().saturating_sub(before))
+    (roots, extra)
 }
 
 #[test]
