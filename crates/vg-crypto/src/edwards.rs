@@ -771,6 +771,11 @@ impl EdwardsPoint {
         if scalars.len() < SHARED_BASE_FROM {
             return scalars.iter().map(|s| self.mul_vartime(s)).collect();
         }
+        self.mul_each_shared(scalars)
+    }
+
+    /// [`EdwardsPoint::mul_each`]'s shared-powers path, whatever the count.
+    fn mul_each_shared(&self, scalars: &[Scalar]) -> Vec<EdwardsPoint> {
         let powers = self.radix16_powers();
         scalars
             .iter()
@@ -1721,16 +1726,6 @@ mod kernel_oracle {
         }
     }
 
-    /// The shared-base path of `mul_each` whatever the count, as the sweep
-    /// times it.
-    fn shared_base(p: &EdwardsPoint, scalars: &[Scalar]) -> Vec<EdwardsPoint> {
-        let powers = p.radix16_powers();
-        scalars
-            .iter()
-            .map(|s| sum_radix16_digits(&powers, s))
-            .collect()
-    }
-
     /// The measurement behind [`SHARED_BASE_FROM`] and `mul_each`'s table:
     /// `cargo test --release -p vg-crypto --lib shared_base_sweep --
     /// --ignored --nocapture`. k scalars on one base, the shared powers
@@ -1769,7 +1764,7 @@ mod kernel_oracle {
             let (mut nf, mut sh, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
             for _ in 0..41 {
                 let before = micros_per_base(k, &naf);
-                let between = micros_per_base(k, &shared_base);
+                let between = micros_per_base(k, &EdwardsPoint::mul_each_shared);
                 let after = micros_per_base(k, &naf);
                 nf.push(before);
                 sh.push(between);
@@ -1808,7 +1803,7 @@ mod kernel_oracle {
             assert_eq!(*product, oracle_mul(p, &s.0), "{p:?} · {s:?}");
             assert!(product.is_on_curve(), "{p:?} · {s:?}");
         }
-        assert_eq!(shared_base(p, scalars), products, "the shared path");
+        assert_eq!(p.mul_each_shared(scalars), products, "the shared path");
     }
 
     #[test]
