@@ -657,8 +657,8 @@ mod tests {
     }
 
     /// A vector opening's shares and the DRBG position after them, over
-    /// more items than one pass of the former chunked prover held, pinned
-    /// before the prover was split into its draws and its arithmetic.
+    /// `CHUNK / 3 + 5` items, pinned before the prover was split into its
+    /// draws and its arithmetic.
     #[test]
     fn vector_share_bytes_and_drbg_position_are_pinned() {
         let n = (CHUNK / 3) as u64 + 5;

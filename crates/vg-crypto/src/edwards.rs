@@ -18,7 +18,7 @@
 //! | `Projective` | (X : Y : Z) | input of a doubling — a doubling never reads T |
 //! | `Completed` | (X : Z), (Y : T) | output of every doubling (4S) and addition; → `Projective` 3M, → extended 4M |
 //! | `Cached` | (Y+X, Y−X, Z, 2dT) | an addend that is reused (window tables): extended + cached = 4M, no constant load |
-//! | `AffineNiels` | (y+x, y−x, 2dxy) | a normalised addend ([`FixedBaseTable`] rows): extended + niels = 3M |
+//! | `AffineNiels` | (y+x, y−x, 2dxy) | a normalised addend ([`FixedBaseTable`] rows, [`EdwardsPoint::mul_each`]'s powers): extended + niels = 3M |
 //!
 //! So a doubling inside a chain is 4S + 3M, an addition of a table entry is
 //! 8M (7M affine), and T is materialised only where an addition reads it.
@@ -1822,6 +1822,7 @@ mod kernel_oracle {
         }
     }
 
+    /// The RFC 8032 encoding through an explicit inversion of Z, whatever
     /// Z is: what `compress` must give with or without its Z = 1 branch.
     fn oracle_compress(p: &EdwardsPoint) -> CompressedPoint {
         let z_inv = p.z.invert();
