@@ -203,20 +203,6 @@ impl AffineNiels {
             xy2d: p.t * EDWARDS_D2,
         }
     }
-
-    /// The point itself, 1M: with a = 2x and b = 2y read off y ± x, it is
-    /// (2a : 2b : 4 : ab).
-    fn to_extended(self) -> EdwardsPoint {
-        const FOUR: FieldElement = FieldElement([4, 0, 0, 0, 0]);
-        let a = self.y_plus_x - self.y_minus_x;
-        let b = self.y_plus_x + self.y_minus_x;
-        EdwardsPoint {
-            x: a + a,
-            y: b + b,
-            z: FOUR,
-            t: a * b,
-        }
-    }
 }
 
 impl EdwardsPoint {
@@ -760,10 +746,10 @@ impl EdwardsPoint {
     ///
     /// | k | NAF µs/base | shared µs/base | shared ÷ NAF |
     /// |---|---|---|---|
-    /// | 1 | 42.1 | 61.3 | 1.45 |
-    /// | 2 | 85.4 | 74.9 | 0.88 |
-    /// | 4 | 173.2 | 100.6 | 0.59 |
-    /// | 8 | 367.2 | 161.5 | 0.44 |
+    /// | 1 | 75.4 | 106.3 | 1.42 |
+    /// | 2 | 115.4 | 104.7 | 0.89 |
+    /// | 4 | 293.0 | 186.3 | 0.59 |
+    /// | 8 | 369.9 | 167.5 | 0.46 |
     ///
     /// — one scalar alone loses, so below two (`SHARED_BASE_FROM`) each
     /// scalar is a plain `P * s`.
@@ -805,32 +791,23 @@ impl EdwardsPoint {
 /// [`EdwardsPoint::radix16_powers`]: bucket j − 1 collects the powers whose
 /// digit is ±j, and Σ j·bucket is folded from the top by a running sum.
 fn sum_radix16_digits(powers: &[AffineNiels; 64], s: &Scalar) -> EdwardsPoint {
-    let mut buckets: [Option<EdwardsPoint>; 8] = [None; 8];
+    let mut buckets = [EdwardsPoint::IDENTITY; 8];
     for (power, d) in powers.iter().zip(radix16_signed(s)) {
-        if d == 0 {
-            continue;
+        if d > 0 {
+            let bucket = &mut buckets[d as usize - 1];
+            *bucket = bucket.add_niels(power).to_extended();
+        } else if d < 0 {
+            let bucket = &mut buckets[(-d) as usize - 1];
+            *bucket = bucket.sub_niels(power).to_extended();
         }
-        let bucket = &mut buckets[d.unsigned_abs() as usize - 1];
-        *bucket = Some(match (*bucket, d > 0) {
-            // The first power of a bucket is a copy, not an addition.
-            (None, true) => power.to_extended(),
-            (None, false) => -power.to_extended(),
-            (Some(sum), true) => sum.add_niels(power).to_extended(),
-            (Some(sum), false) => sum.sub_niels(power).to_extended(),
-        });
     }
-    let mut running: Option<EdwardsPoint> = None;
-    let mut sum: Option<EdwardsPoint> = None;
+    let mut running = EdwardsPoint::IDENTITY;
+    let mut sum = EdwardsPoint::IDENTITY;
     for bucket in buckets.iter().rev() {
-        running = match (running, bucket) {
-            (Some(r), Some(b)) => Some(r + *b),
-            (r, b) => r.or(*b),
-        };
-        if let Some(r) = running {
-            sum = Some(sum.map_or(r, |s| s + r));
-        }
+        running += *bucket;
+        sum += running;
     }
-    sum.unwrap_or(EdwardsPoint::IDENTITY)
+    sum
 }
 
 /// Derives a "nothing-up-my-sleeve" prime-order point from a label.
