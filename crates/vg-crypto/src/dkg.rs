@@ -16,11 +16,13 @@
 //! live in one process, as in the paper's prototype.
 
 use crate::batch::{BatchVerifier, CommittedWeights};
-use crate::chaum_pedersen::{dleq_challenge, verify_dleq, Commitment, DlEqProof, DlEqStatement};
+use crate::chaum_pedersen::{
+    dleq_challenge, verify_dleq, Commitment, DlEqProof, DlEqStatement, Prover,
+};
 use crate::drbg::Rng;
 use crate::edwards::{multiscalar_mul, CompressedPoint, EdwardsPoint};
 use crate::elgamal::Ciphertext;
-use crate::par::{default_threads, par_map};
+use crate::par::{default_threads, run_jobs};
 use crate::scalar::Scalar;
 use crate::transcript::Transcript;
 use crate::CryptoError;
@@ -170,7 +172,9 @@ impl Authority {
     /// draws, item-major) of [`AuthorityMember::decryption_share`] called
     /// in that order. Every nonce is drawn first
     /// ([`Authority::share_nonces`]); then the items are proved on the
-    /// host's cores, each by the share prover (`ShareProver::prove`).
+    /// host's cores, each by the share prover (`ShareProver::prove`) as
+    /// one job. An item costs about 3t multiplications, so even a vector
+    /// of two fans out.
     pub fn decryption_shares(
         &self,
         cts: &[Ciphertext],
@@ -200,7 +204,7 @@ impl Authority {
         assert_eq!(nonces.len(), cts.len() * self.t, "t nonces per item");
         let prover = ShareProver::new(&self.members[..self.t]);
         let items: Vec<(&Ciphertext, &[Scalar])> = cts.iter().zip(nonces.chunks(self.t)).collect();
-        par_map(&items, default_threads(), |(ct, nonces)| {
+        run_jobs(&items, default_threads(), |(ct, nonces)| {
             prover.prove(ct, nonces)
         })
     }
@@ -295,12 +299,14 @@ impl<'a> ShareProver<'a> {
                         a2.compress(),
                     ],
                 );
+                let proof =
+                    Prover::from_parts(*k, Commitment { a1: *a1, a2: *a2 }).respond(&m.share, &e);
                 DecryptionShare {
                     member_index: m.index,
                     share: *d,
                     proof: DlEqProof {
-                        commit: Commitment { a1: *a1, a2: *a2 },
-                        response: *k - e * m.share,
+                        commit: proof.commit,
+                        response: proof.response,
                     },
                 }
             })
@@ -684,32 +690,55 @@ mod tests {
         assert_eq!(digest(&split, &mut rng), pin, "draw then compute");
     }
 
+    /// For t = 1..4, 16 items each: every share of the vector prover and of
+    /// `decryption_share` is x_j·C₁ and carries the reference prover's proof
+    /// (`prove_dleq_with`) on the nonce drawn for it, and both leave the
+    /// DRBG at the same position.
     #[test]
     fn vector_shares_match_one_by_one() {
-        // 16 items by 3 members: 48 proofs, past `par_map`'s inline
-        // cutoff for the share points and the nonces' commitments alike.
-        // Same shares, same proofs, same RNG position afterwards.
-        let (authority, cts, shares, plaintexts, mut rng_vector) = opened_vector(9, 16, 3);
-        // Replay the same stream: setup draws, then share by share.
-        let mut rng = HmacDrbg::from_u64(9);
-        let replay = Authority::dkg(4, 3, &mut rng);
-        for _ in 0..cts.len() {
-            let _ = elgamal::encrypt_point(&replay.public_key, &EdwardsPoint::IDENTITY, &mut rng);
-        }
-        for (i, (ct, item)) in cts.iter().zip(shares.iter()).enumerate() {
-            assert_eq!(item.len(), 3);
-            for (m, share) in authority.members.iter().zip(item.iter()) {
-                let single = m.decryption_share(ct, &mut rng);
-                assert_eq!(single.member_index, share.member_index);
-                assert_eq!(single.share, share.share);
-                assert_eq!(single.proof, share.proof);
+        use crate::chaum_pedersen::prove_dleq_with;
+        for t in 1..=4 {
+            let (authority, cts, shares, plaintexts, mut rng_vector) = opened_vector(9, 16, t);
+            // The stream at the position the shares were taken at.
+            let replay = || {
+                let mut rng = HmacDrbg::from_u64(9);
+                let _ = Authority::dkg(4, t, &mut rng);
+                for _ in 0..cts.len() {
+                    let _ = elgamal::encrypt_point(
+                        &authority.public_key,
+                        &EdwardsPoint::IDENTITY,
+                        &mut rng,
+                    );
+                }
+                rng
+            };
+            let nonces = authority.share_nonces(cts.len(), &mut replay());
+            let mut rng = replay();
+            for (i, ((ct, item), nonces)) in
+                cts.iter().zip(&shares).zip(nonces.chunks(t)).enumerate()
+            {
+                assert_eq!(item.len(), t);
+                for ((m, share), nonce) in authority.members.iter().zip(item).zip(nonces) {
+                    assert_eq!(share.share, ct.c1 * m.share, "t = {t}");
+                    let reference = prove_dleq_with(
+                        &mut share_transcript(),
+                        &share_statement(&m.vk, ct, &share.share),
+                        &m.share,
+                        *nonce,
+                    );
+                    assert_eq!(share.proof, reference, "the vector prover, t = {t}");
+                    let single = m.decryption_share(ct, &mut rng);
+                    assert_eq!(single.member_index, share.member_index);
+                    assert_eq!(single.share, share.share);
+                    assert_eq!(single.proof, reference, "one member, t = {t}");
+                }
+                assert_eq!(
+                    plaintexts[i],
+                    EdwardsPoint::mul_base(&Scalar::from_u64(i as u64 + 1))
+                );
             }
-            assert_eq!(
-                plaintexts[i],
-                EdwardsPoint::mul_base(&Scalar::from_u64(i as u64 + 1))
-            );
+            assert_eq!(rng.scalar(), rng_vector.scalar(), "same RNG position");
         }
-        assert_eq!(rng.scalar(), rng_vector.scalar(), "same RNG position");
     }
 
     #[test]

@@ -726,11 +726,6 @@ impl FixedBaseTable {
     }
 }
 
-/// From this many scalars on, [`EdwardsPoint::mul_each`] shares one set
-/// of base powers among them; below it, each is a NAF multiplication. A
-/// measured constant, not a knob (`mul_each`'s table).
-const SHARED_BASE_FROM: usize = 2;
-
 impl EdwardsPoint {
     /// `[s·P for s in scalars]` for this point P, the base powers shared.
     ///
@@ -751,17 +746,8 @@ impl EdwardsPoint {
     /// | 4 | 293.0 | 186.3 | 0.59 |
     /// | 8 | 369.9 | 167.5 | 0.46 |
     ///
-    /// — one scalar alone loses, so below two (`SHARED_BASE_FROM`) each
-    /// scalar is a plain `P * s`.
+    /// — it pays from two scalars on; one scalar alone is a plain `P * s`.
     pub fn mul_each(&self, scalars: &[Scalar]) -> Vec<EdwardsPoint> {
-        if scalars.len() < SHARED_BASE_FROM {
-            return scalars.iter().map(|s| self.mul_vartime(s)).collect();
-        }
-        self.mul_each_shared(scalars)
-    }
-
-    /// [`EdwardsPoint::mul_each`]'s shared-powers path, whatever the count.
-    fn mul_each_shared(&self, scalars: &[Scalar]) -> Vec<EdwardsPoint> {
         let powers = self.radix16_powers();
         scalars
             .iter()
@@ -1703,7 +1689,7 @@ mod kernel_oracle {
         }
     }
 
-    /// The measurement behind [`SHARED_BASE_FROM`] and `mul_each`'s table:
+    /// The measurement behind [`EdwardsPoint::mul_each`]'s table:
     /// `cargo test --release -p vg-crypto --lib shared_base_sweep --
     /// --ignored --nocapture`. k scalars on one base, the shared powers
     /// against k NAF multiplications, alternating call by call as in
@@ -1741,7 +1727,7 @@ mod kernel_oracle {
             let (mut nf, mut sh, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
             for _ in 0..41 {
                 let before = micros_per_base(k, &naf);
-                let between = micros_per_base(k, &EdwardsPoint::mul_each_shared);
+                let between = micros_per_base(k, &EdwardsPoint::mul_each);
                 let after = micros_per_base(k, &naf);
                 nf.push(before);
                 sh.push(between);
@@ -1780,7 +1766,6 @@ mod kernel_oracle {
             assert_eq!(*product, oracle_mul(p, &s.0), "{p:?} · {s:?}");
             assert!(product.is_on_curve(), "{p:?} · {s:?}");
         }
-        assert_eq!(p.mul_each_shared(scalars), products, "the shared path");
     }
 
     #[test]

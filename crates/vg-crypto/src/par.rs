@@ -127,7 +127,8 @@ where
 /// each job is one unit of work, and each participant (this thread and up
 /// to `threads − 1` workers from the core budget) claims the next
 /// unstarted job until none is left. For a handful of unlike jobs, listed
-/// longest first.
+/// longest first, or for jobs each costly enough that a few of them are
+/// worth a thread.
 pub fn run_jobs<T, U, F>(jobs: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,

@@ -100,7 +100,8 @@ fn inline_day_at_one_thread_spawns_no_thread() {
 /// Runs `day` and returns how many threads the process had at its most
 /// while it ran beyond those it had when it began, sampled by a watcher
 /// thread as fast as procfs answers: a thread that starts and is joined
-/// between two points of the day is counted too.
+/// between two points of the day is counted too. The day starts once the
+/// watcher has taken its first sample, so even a short day is watched.
 fn extra_threads_during(day: impl FnOnce()) -> usize {
     let (done, most) = (AtomicBool::new(false), AtomicUsize::new(0));
     let before = std::thread::scope(|scope| {
@@ -110,6 +111,9 @@ fn extra_threads_during(day: impl FnOnce()) -> usize {
             }
         });
         let before = live_threads();
+        while most.load(Ordering::Relaxed) == 0 {
+            std::hint::spin_loop();
+        }
         day();
         done.store(true, Ordering::Relaxed);
         before
