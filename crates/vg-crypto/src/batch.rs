@@ -34,28 +34,18 @@
 //!
 //! Decoded points are curve-checked, not subgroup-checked, so an error
 //! point may carry a component Tⱼ in the 8-torsion E\[8\]: Eⱼ = eⱼ·B + Tⱼ.
-//! The bound above covers only the eⱼ. A cofactorless fold additionally
-//! asks for Σⱼ wⱼ·Tⱼ = 𝒪, which a prover who sees (or grinds) hash-derived
-//! weights can arrange with probability 1/8 per attempt — *easier* than
-//! passing the one-by-one check. A caller whose points are not all known
-//! to be torsion-free must therefore
-//!
-//! 1. finish the fold with [`BatchVerifier::verify_cofactored`], which
-//!    checks 8·Σⱼ wⱼ·Eⱼ = 𝒪 and so establishes exactly "every relation
-//!    holds in the quotient E / E\[8\]", and
-//! 2. take every *decision* that depends on the related points in that
-//!    quotient too — compare and hash `mul_by_cofactor()` images, never
-//!    raw encodings — because a relation that holds modulo torsion says
-//!    nothing about which of the eight representatives was published.
-//!
-//! Users: `vg-shuffle`'s cascade folds and `vg-trip`'s activation fold
-//! run over points their own provers generated in the subgroup and use
-//! [`BatchVerifier::verify`]; `vg-ledger`'s admission sweeps fall back to
-//! the authoritative one-by-one check on rejection. The tally folds of
-//! `vg-votegral` (tagging rounds, vote-proof admission) and
-//! [`crate::dkg::verify_openings`] take transcript points as published,
-//! so they are cofactored, and `match_tags`/`count_votes` decide on
-//! cofactor-cleared plaintexts.
+//! The bound above covers only the eⱼ, and whether Σⱼ wⱼ·Tⱼ vanishes
+//! depends on the weights, so a fold cannot decide the Tⱼ. The workspace
+//! therefore has one rule, ZIP 215's: every equation holds modulo E\[8\],
+//! checked alone or folded. [`BatchVerifier::verify`] checks
+//! 8·Σⱼ wⱼ·Eⱼ = 𝒪, and every single check compares `(lhs − rhs)` with
+//! [`EdwardsPoint::is_small_order`]. A fold then accepts exactly when every
+//! item passes alone, up to the 2⁻¹²⁷ bound, so a verdict never depends on
+//! the batch an item rode in. Provers, mixers and kiosks are not trusted to
+//! publish torsion-free points, so every *decision* that rests on a
+//! relation is taken in the quotient too: `match_tags` and `count_votes`
+//! in `vg-votegral` compare and read `mul_by_cofactor()` images, never raw
+//! encodings.
 //!
 //! # Static bases
 //!
@@ -153,8 +143,7 @@ impl CommittedWeights {
 /// Accumulates weighted Σ-protocol equations into one multi-scalar check.
 ///
 /// Create with the shared [static bases](self#static-bases), queue each
-/// equation with its weight, then call [`BatchVerifier::verify`] (or
-/// [`BatchVerifier::verify_cofactored`], see the module docs) once.
+/// equation with its weight, then call [`BatchVerifier::verify`] once.
 pub struct BatchVerifier {
     statics: Vec<EdwardsPoint>,
     static_coeffs: Vec<Scalar>,
@@ -216,28 +205,17 @@ impl BatchVerifier {
     }
 
     /// Runs the single folded multi-scalar multiplication over up to
-    /// `threads` workers and returns whether it lands on the identity.
-    pub fn verify(self, threads: usize) -> bool {
-        self.fold(threads).is_identity()
-    }
-
-    /// Like [`BatchVerifier::verify`], but accepts iff the folded sum lies
-    /// in the 8-torsion (8·Σ = 𝒪): every queued relation holds modulo
-    /// E\[8\]. The check for points that were never subgroup-checked —
-    /// see [the module docs](self#points-outside-the-prime-order-subgroup)
-    /// for what the caller owes in return.
-    pub fn verify_cofactored(self, threads: usize) -> bool {
-        self.fold(threads).is_small_order()
-    }
-
-    fn fold(mut self, threads: usize) -> EdwardsPoint {
+    /// `threads` workers and accepts iff the sum lies in the 8-torsion
+    /// (8·Σ = 𝒪): every queued relation holds modulo E\[8\], see
+    /// [the module docs](self#points-outside-the-prime-order-subgroup).
+    pub fn verify(mut self, threads: usize) -> bool {
         for (coeff, point) in self.static_coeffs.iter().zip(self.statics.iter()) {
             if !coeff.is_zero() {
                 self.scalars.push(*coeff);
                 self.points.push(*point);
             }
         }
-        multiscalar_mul_par(&self.scalars, &self.points, threads)
+        multiscalar_mul_par(&self.scalars, &self.points, threads).is_small_order()
     }
 }
 
@@ -319,8 +297,8 @@ mod tests {
     #[test]
     fn cofactored_check_ignores_torsion_and_nothing_else() {
         // (0, −1) has order 2. An equation whose error is exactly that
-        // point fails the plain fold (odd weight) and passes the
-        // cofactored one; a prime-order error fails both.
+        // point passes on any weight; a prime-order error fails, torsion
+        // or not.
         let mut enc = [0xffu8; 32];
         enc[0] = 0xec;
         enc[31] = 0x7f;
@@ -332,10 +310,9 @@ mod tests {
             bv.queue(&w, &[], &[(Scalar::ONE, error)]);
             bv
         };
-        assert!(!queue(t2).verify(1));
-        assert!(queue(t2).verify_cofactored(1));
-        assert!(!queue(EdwardsPoint::basepoint()).verify_cofactored(1));
-        assert!(!queue(EdwardsPoint::basepoint() + t2).verify_cofactored(1));
+        assert!(queue(t2).verify(1));
+        assert!(!queue(EdwardsPoint::basepoint()).verify(1));
+        assert!(!queue(EdwardsPoint::basepoint() + t2).verify(1));
     }
 
     #[test]

@@ -150,14 +150,15 @@ pub fn forge_transcript(
 }
 
 /// Verifies a Σ-protocol transcript:
-/// Y₁ == r·g₁ + e·y₁ and Y₂ == r·g₂ + e·y₂.
+/// Y₁ == r·g₁ + e·y₁ and Y₂ == r·g₂ + e·y₂, modulo the 8-torsion as every
+/// check in the workspace is (see [`crate::batch`]).
 ///
 /// Both sound and forged transcripts pass — the transcript carries no
 /// information about the order in which it was produced.
 pub fn verify_transcript(stmt: &DlEqStatement, t: &IzkpTranscript) -> bool {
     let lhs1 = stmt.g1 * t.response + stmt.y1 * t.challenge;
     let lhs2 = stmt.g2 * t.response + stmt.y2 * t.challenge;
-    lhs1 == t.commit.a1 && lhs2 == t.commit.a2
+    (lhs1 - t.commit.a1).is_small_order() && (lhs2 - t.commit.a2).is_small_order()
 }
 
 /// A non-interactive (Fiat–Shamir) discrete-log-equality proof.
@@ -282,8 +283,8 @@ pub fn verify_dlog(
     transcript.append_point(b"dlog-y", y);
     transcript.append_point(b"dlog-a", &proof.commit);
     let e = transcript.challenge_scalar(b"dlog-e");
-    // r·g == A + e·y.
-    if *g * proof.response == proof.commit + *y * e {
+    // r·g == A + e·y, modulo the 8-torsion.
+    if (*g * proof.response - proof.commit - *y * e).is_small_order() {
         Ok(())
     } else {
         Err(CryptoError::BadProof)

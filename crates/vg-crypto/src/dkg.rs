@@ -406,12 +406,12 @@ pub fn combine_shares(
 
 /// Verifies a whole vector of threshold openings — every share proof of
 /// every item and every recombination `plaintexts[i]` = C₂ − Σλⱼ·Dⱼ — in
-/// cofactored [`BatchVerifier`] folds of about two thousand equations.
+/// [`BatchVerifier`] folds of about two thousand equations.
 ///
 /// Accepts what the one-by-one reference ([`DecryptionShare::verify`] on
-/// every share, then [`combine_shares`] compared with the claim) accepts,
-/// with every relation taken modulo the 8-torsion: callers decide on
-/// cofactor-cleared plaintexts (see [`crate::batch`]). `member_vks[j−1]`
+/// every share, then [`combine_shares`] compared with the claim modulo the
+/// 8-torsion) accepts: callers decide on cofactor-cleared plaintexts (see
+/// [`crate::batch`]). `member_vks[j−1]`
 /// is X_j; every item needs at least `threshold` shares and is recombined
 /// from its first `threshold`, as [`combine_shares`] does.
 ///
@@ -516,7 +516,7 @@ pub fn verify_openings(
             batch.add_term(c1_coeff, ct.c1);
             batch.add_term(w_sum, ct.c2 - *plain);
         }
-        if !batch.verify_cofactored(default_threads()) {
+        if !batch.verify(default_threads()) {
             return Err(CryptoError::BadShare);
         }
     }

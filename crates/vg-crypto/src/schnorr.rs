@@ -257,17 +257,16 @@ impl SigningKey {
 }
 
 impl VerifyingKey {
-    /// Verifies `sig` over `msg` (`Sig.Vf`).
+    /// Verifies `sig` over `msg` (`Sig.Vf`), modulo the 8-torsion as every
+    /// check in the workspace is (see [`crate::batch`]).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
         let r_point = sig.r.decompress().ok_or(CryptoError::InvalidPoint)?;
         if r_point.is_small_order() {
             return Err(CryptoError::InvalidPoint);
         }
         let e = challenge(&sig.r, &self.0.compress(), msg);
-        // s·B == R + e·A.
-        let lhs = EdwardsPoint::mul_base(&sig.s);
-        let rhs = r_point + self.0 * e;
-        if lhs == rhs {
+        // 8·(s·B − R − e·A) == 𝒪.
+        if (EdwardsPoint::mul_base(&sig.s) - r_point - self.0 * e).is_small_order() {
             Ok(())
         } else {
             Err(CryptoError::BadSignature)
@@ -294,15 +293,16 @@ impl VerifyingKey {
 ///
 /// Uses the standard random-linear-combination check: with random weights
 /// zᵢ drawn by [`crate::batch::small_weights`] (nonzero, below 2¹²⁸),
-/// Σ zᵢ·sᵢ·B == Σ zᵢ·Rᵢ + Σ zᵢ·eᵢ·Aᵢ holds for honest batches and fails
-/// except with negligible probability if any signature is invalid. The key
-/// terms are merged per distinct key: every item signed under one key A
-/// adds its zᵢ·eᵢ to A's single scalar, so a batch over k distinct keys
-/// folds n + k + 1 terms rather than 2n + 1 and sums to the same group
-/// element. Ballot admission verifies thousands of credential signatures
-/// under as many keys; ledger admission, check-out and activation verify
-/// thousands under a handful of printer, kiosk and official keys. Pippenger
-/// makes either batch several times cheaper than one-by-one verification.
+/// 8·(Σ zᵢ·sᵢ·B − Σ zᵢ·Rᵢ − Σ zᵢ·eᵢ·Aᵢ) == 𝒪 holds when every signature
+/// passes [`VerifyingKey::verify`] and fails except with negligible
+/// probability otherwise. The key terms are merged per distinct key:
+/// every item signed under one key A adds its zᵢ·eᵢ to A's single scalar,
+/// so a batch over k distinct keys folds n + k + 1 terms rather than
+/// 2n + 1 and sums to the same group element. Ballot admission verifies
+/// thousands of credential signatures under as many keys; ledger
+/// admission, check-out and activation verify thousands under a handful of
+/// printer, kiosk and official keys. Pippenger makes either batch several
+/// times cheaper than one-by-one verification.
 ///
 /// Returns `Ok(())` only if *every* signature is valid (callers fall back
 /// to per-item verification to locate an offender). An undecodable or
@@ -396,7 +396,7 @@ fn fold_verify<M: AsRef<[u8]> + Sync>(
     points.extend(keys.iter().map(|(_, vk)| vk.0));
     scalars.push(-s_sum);
     points.push(EdwardsPoint::basepoint());
-    if crate::edwards::multiscalar_mul_par(&scalars, &points, threads).is_identity() {
+    if crate::edwards::multiscalar_mul_par(&scalars, &points, threads).is_small_order() {
         Ok(())
     } else {
         Err(CryptoError::BadSignature)
@@ -423,9 +423,11 @@ fn fold_verify<M: AsRef<[u8]> + Sync>(
 ///
 /// Items carry their keys as the records do, compressed; the sweep decodes
 /// each distinct encoding once and runs the key-merged fold of
-/// [`batch_verify`] over them. `vg-ledger`'s record admission on L_R, L_E
-/// and L_V, at any batch size, and `vg-trip`'s batched check-out take its
-/// verdict with [`SignatureSweep::check`]; `vg-trip`'s activation and
+/// [`batch_verify`] over them. The fold, like [`VerifyingKey::verify`],
+/// takes every equation modulo the 8-torsion, so an item's verdict is its
+/// own, whatever sweep it rides in. `vg-ledger`'s record admission on L_R,
+/// L_E and L_V, at any batch size, and `vg-trip`'s batched check-out take
+/// its verdict with [`SignatureSweep::check`]; `vg-trip`'s activation and
 /// `vg-votegral`'s tally-time ballot admission continue the DRBG
 /// [`SignatureSweep::verify`] returns.
 pub struct SignatureSweep {
@@ -517,24 +519,19 @@ impl SignatureSweep {
     /// The sweep's verdict with its offender named: the fold of
     /// [`SignatureSweep::verify`], and if it rejects, every item checked
     /// alone under its decoded key, in push order, the first failure
-    /// being the error. Items that all pass alone overrule the fold (a
-    /// torsioned key or R that verifies, or a negligible-probability RLC
-    /// false negative): per-item acceptance is authoritative.
-    ///
-    /// The converse does not hold, at any size, one item included: a fold
-    /// that accepts is final. An item whose equation holds only modulo the
-    /// 8-torsion, which only the holder of its signing key can make, fails
-    /// alone but passes the fold whenever its weight clears the residue,
-    /// about one time in eight per grind.
+    /// being the error. Both take the equation modulo the 8-torsion, so a
+    /// fold rejects only if some item fails alone: the verdict is every
+    /// item's own, whatever the sweep's size or company.
     pub fn check(&self, threads: usize) -> Result<(), CryptoError> {
-        if self.verify(threads).is_ok() {
+        let Err(fold) = self.verify(threads) else {
             return Ok(());
-        }
+        };
         crate::par::par_map(&self.items, threads, |(slot, msg, sig)| {
             self.keys.keys[*slot].1.verify(msg, sig)
         })
         .into_iter()
-        .collect()
+        .collect::<Result<(), _>>()?;
+        Err(fold)
     }
 }
 

@@ -857,87 +857,300 @@ mod tests {
         assert!(ledger.ballots.post_batch(vec![bad], 1).is_err());
     }
 
-    /// A public key A = a·B + T, with T of order 8, and a signature on
-    /// `msg` whose nonce is ground until R = k·B − e·T: the single check
-    /// s·B = R + e·A holds, while a fold that reduces zᵢ·eᵢ modulo ℓ is
-    /// left a torsion residue (7 times in 8).
-    fn torsioned_signature(msg: &[u8], rng: &mut dyn Rng) -> (CompressedPoint, Signature) {
+    /// A point with a component of order 8.
+    fn order_eight() -> EdwardsPoint {
         let inv8 = Scalar::from_u64(8).invert();
-        let t = (1u8..)
+        (1u8..)
             .filter_map(|b| CompressedPoint([b; 32]).decompress())
             .map(|p| p - p.mul_by_cofactor() * inv8)
             .find(|t| !t.double().double().is_identity())
-            .expect("some point has a component of order 8");
-        let a = rng.scalar();
-        let pk = (EdwardsPoint::mul_base(&a) + t).compress();
-        loop {
-            let k = rng.scalar();
-            for j in 0..8u8 {
-                let r = (EdwardsPoint::mul_base(&k) - t * Scalar::from_u64(j.into())).compress();
-                // The scheme's Fiat–Shamir challenge e = H(R ‖ A ‖ M).
-                let hash = [&b"votegral-schnorr-v1"[..], &r.0, &pk.0, msg].concat();
-                let e = Scalar::from_bytes_mod_order(&vg_crypto::sha2::sha256(&hash));
-                if e.to_bytes()[0] % 8 == j {
-                    return (pk, Signature { r, s: k + e * a });
+            .expect("some point has a component of order 8")
+    }
+
+    /// The scheme's Fiat–Shamir challenge e = H(R ‖ A ‖ M).
+    fn challenge(r: &CompressedPoint, pk: &CompressedPoint, msg: &[u8]) -> Scalar {
+        let hash = [&b"votegral-schnorr-v1"[..], &r.0, &pk.0, msg].concat();
+        Scalar::from_bytes_mod_order(&vg_crypto::sha2::sha256(&hash))
+    }
+
+    /// How a test record's signature is made.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Honest,
+        /// s off by one.
+        Forged,
+        /// The key encoding is no curve point.
+        Undecodable,
+        /// A = a·B + T with T of order 8, and the nonce ground until
+        /// R = k·B − e·T: s·B = R + e·A holds exactly.
+        MixedKey,
+        /// An honest key, and R = k·B + T with T of order 8:
+        /// s·B = R + e·A − T holds only modulo E\[8\].
+        ShiftedR,
+    }
+
+    /// The key encoding and signature a `kind` record carries for `msg`,
+    /// `key` signing where the kind has an honest key.
+    fn signed(
+        kind: Kind,
+        key: &SigningKey,
+        msg: &[u8],
+        rng: &mut dyn Rng,
+    ) -> (CompressedPoint, Signature) {
+        let pk = key.public_key_compressed();
+        match kind {
+            Kind::Honest => (pk, key.sign(msg)),
+            Kind::Forged => {
+                let mut sig = key.sign(msg);
+                sig.s += Scalar::ONE;
+                (pk, sig)
+            }
+            Kind::Undecodable => {
+                let bad = (2u8..)
+                    .map(|b| CompressedPoint([b; 32]))
+                    .find(|c| c.decompress().is_none())
+                    .expect("some y has no x");
+                (bad, key.sign(msg))
+            }
+            Kind::MixedKey => {
+                let t = order_eight();
+                let a = rng.scalar();
+                let pk = (EdwardsPoint::mul_base(&a) + t).compress();
+                loop {
+                    let k = rng.scalar();
+                    for j in 0..8u8 {
+                        let r = (EdwardsPoint::mul_base(&k) - t * Scalar::from_u64(j.into()))
+                            .compress();
+                        let e = challenge(&r, &pk, msg);
+                        if e.to_bytes()[0] % 8 == j {
+                            return (pk, Signature { r, s: k + e * a });
+                        }
+                    }
                 }
+            }
+            Kind::ShiftedR => {
+                let k = rng.scalar();
+                let r = (EdwardsPoint::mul_base(&k) + order_eight()).compress();
+                let e = challenge(&r, &pk, msg);
+                let s = k + e * key.secret();
+                (pk, Signature { r, s })
+            }
+        }
+    }
+
+    /// The keys a test stream's honest signatures are made with.
+    struct Signers {
+        kiosk: SigningKey,
+        official: SigningKey,
+        printer: SigningKey,
+    }
+
+    impl Signers {
+        fn new(rng: &mut dyn Rng) -> Self {
+            Self {
+                kiosk: SigningKey::generate(rng),
+                official: SigningKey::generate(rng),
+                printer: SigningKey::generate(rng),
+            }
+        }
+
+        /// An L_R record whose kiosk signature is of `kind`, countersigned
+        /// honestly by the official.
+        fn registration(
+            &self,
+            kind: Kind,
+            voter: VoterId,
+            rng: &mut dyn Rng,
+        ) -> RegistrationRecord {
+            let mut r = sample_record(voter, &self.kiosk, &self.official, rng);
+            let msg = RegistrationRecord::kiosk_message(voter, &r.c_pc);
+            (r.kiosk_pk, r.kiosk_sig) = signed(kind, &self.kiosk, &msg, rng);
+            let msg = RegistrationRecord::official_message(voter, &r.c_pc, &r.kiosk_sig);
+            r.official_sig = self.official.sign(&msg);
+            r
+        }
+
+        /// An L_E commitment whose printer signature is of `kind`.
+        fn envelope(&self, kind: Kind, rng: &mut dyn Rng) -> EnvelopeCommitment {
+            let challenge_hash = challenge_hash(&rng.scalar());
+            let msg = EnvelopeCommitment::message(&challenge_hash);
+            let (printer_pk, signature) = signed(kind, &self.printer, &msg, rng);
+            EnvelopeCommitment {
+                printer_pk,
+                challenge_hash,
+                signature,
+            }
+        }
+
+        /// An L_V ballot under a fresh credential, its signature of `kind`.
+        fn ballot(&self, kind: Kind, rng: &mut dyn Rng) -> BallotRecord {
+            let payload = rng.bytes32().to_vec();
+            let credential = SigningKey::generate(rng);
+            let msg = BallotRecord::message(&payload);
+            let (credential_pk, signature) = signed(kind, &credential, &msg, rng);
+            BallotRecord {
+                credential_pk,
+                payload,
+                signature,
             }
         }
     }
 
     #[test]
-    fn torsion_items_that_verify_alone_are_admitted_in_batches() {
+    fn torsion_items_are_admitted_alone_and_in_batches() {
+        // A mixed-order key, whose signature verifies exactly, and R
+        // shifted by a point of order 8, whose equation holds only modulo
+        // E[8]: each verifies alone and folds clean, in a sweep of one
+        // and in L_R, L_E and L_V admission, one record and three.
         let mut rng = HmacDrbg::from_u64(8);
-        let kiosk = SigningKey::generate(&mut rng);
-        let official = SigningKey::generate(&mut rng);
-        let mut ledger = Ledger::new(vec![VoterId(1), VoterId(2), VoterId(3)], &mut rng);
-        let mut records: Vec<RegistrationRecord> = (1..=3)
-            .map(|v| sample_record(VoterId(v), &kiosk, &official, &mut rng))
-            .collect();
-        let r = &mut records[1];
-        let kiosk_msg = RegistrationRecord::kiosk_message(r.voter_id, &r.c_pc);
-        (r.kiosk_pk, r.kiosk_sig) = torsioned_signature(&kiosk_msg, &mut rng);
-        let official_msg = RegistrationRecord::official_message(r.voter_id, &r.c_pc, &r.kiosk_sig);
-        r.official_sig = official.sign(&official_msg);
-        // It verifies alone and fails a fold, which `check` overrules.
-        let kiosk_vk = VerifyingKey::from_compressed(&r.kiosk_pk).expect("mixed order decodes");
-        assert_eq!(kiosk_vk.verify(&kiosk_msg, &r.kiosk_sig), Ok(()));
-        let mut sweep = SignatureSweep::new(b"test-torsion-v1");
-        sweep.push(&r.kiosk_pk, kiosk_msg, r.kiosk_sig).unwrap();
-        assert_eq!(sweep.verify(1).err(), Some(CryptoError::BadSignature));
-        assert_eq!(sweep.check(1), Ok(()));
-        let alone = r.clone();
-        assert_eq!(ledger.registration.post_batch(records, 1), Ok(0..3));
-        assert_eq!(ledger.registration.post_batch(vec![alone], 1), Ok(3..4));
+        let signers = Signers::new(&mut rng);
+        let mut ledger = Ledger::new((1..=4).map(VoterId).collect(), &mut rng);
+        for kind in [Kind::MixedKey, Kind::ShiftedR] {
+            let msg = b"torsion".to_vec();
+            let (pk, sig) = signed(kind, &signers.kiosk, &msg, &mut rng);
+            let vk = VerifyingKey::from_compressed(&pk).expect("decodes");
+            assert_eq!(vk.verify(&msg, &sig), Ok(()), "{kind:?}");
+            let mut sweep = SignatureSweep::new(b"test-torsion-v1");
+            sweep.push(&pk, msg, sig).unwrap();
+            assert!(sweep.verify(1).is_ok(), "{kind:?}");
+            assert_eq!(sweep.check(1), Ok(()), "{kind:?}");
 
-        let printer = SigningKey::generate(&mut rng);
-        let mut commitments: Vec<EnvelopeCommitment> = (0..3)
-            .map(|_| {
-                let h = challenge_hash(&rng.scalar());
-                let signature = printer.sign(&EnvelopeCommitment::message(&h));
-                let printer_pk = printer.public_key_compressed();
-                EnvelopeCommitment {
-                    printer_pk,
-                    challenge_hash: h,
-                    signature,
-                }
+            let three = [Kind::Honest, kind, Kind::Honest];
+            let regs = (1..=3)
+                .zip(three)
+                .map(|(v, k)| signers.registration(k, VoterId(v), &mut rng))
+                .collect();
+            let alone = signers.registration(kind, VoterId(4), &mut rng);
+            let posted = ledger.registration.post_batch(regs, 1);
+            assert_eq!(posted.map(|r| r.len()), Ok(3), "L_R, {kind:?}");
+            let posted = ledger.registration.post_batch(vec![alone], 1);
+            assert_eq!(posted.map(|r| r.len()), Ok(1), "L_R, {kind:?}");
+
+            let envs = three.map(|k| signers.envelope(k, &mut rng)).to_vec();
+            let alone = signers.envelope(kind, &mut rng);
+            let posted = ledger.envelopes.commit_batch(envs, 1);
+            assert_eq!(posted.map(|r| r.len()), Ok(3), "L_E, {kind:?}");
+            let posted = ledger.envelopes.commit_batch(vec![alone], 1);
+            assert_eq!(posted.map(|r| r.len()), Ok(1), "L_E, {kind:?}");
+
+            let ballots = three.map(|k| signers.ballot(k, &mut rng)).to_vec();
+            let alone = signers.ballot(kind, &mut rng);
+            let posted = ledger.ballots.post_batch(ballots, 1);
+            assert_eq!(posted.map(|r| r.len()), Ok(3), "L_V, {kind:?}");
+            let posted = ledger.ballots.post_batch(vec![alone], 1);
+            assert_eq!(posted.map(|r| r.len()), Ok(1), "L_V, {kind:?}");
+        }
+    }
+
+    /// Admits `stream` in batches of `sizes` (the last cut short), each
+    /// refused batch again record by record, as the day's sequencer falls
+    /// back: every record's verdict, in stream order.
+    fn admit_partitioned<R: Clone>(
+        ledger: &mut Ledger,
+        stream: &[R],
+        sizes: &[usize],
+        admit: fn(&mut Ledger, Vec<R>) -> Result<std::ops::Range<usize>, LedgerError>,
+    ) -> Vec<Result<(), LedgerError>> {
+        let mut verdicts = Vec::with_capacity(stream.len());
+        let mut rest = stream;
+        for &size in sizes {
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            if admit(ledger, batch.to_vec()).is_ok() {
+                verdicts.extend(batch.iter().map(|_| Ok(())));
+            } else {
+                verdicts.extend(
+                    batch
+                        .iter()
+                        .map(|r| admit(ledger, vec![r.clone()]).map(drop)),
+                );
+            }
+        }
+        verdicts
+    }
+
+    #[test]
+    fn admission_verdicts_hold_under_every_partition() {
+        // One stream of honest, forged, undecodable-key and torsioned
+        // records (both kinds), admitted through L_R, L_E and L_V in
+        // random batches of 1..=n: every record gets its own verdict, and
+        // every ledger its (size, root), whatever the batches were.
+        use Kind::*;
+        const STREAM: [Kind; 10] = [
+            Honest,
+            ShiftedR,
+            Forged,
+            MixedKey,
+            Honest,
+            Undecodable,
+            ShiftedR,
+            Honest,
+            MixedKey,
+            ShiftedR,
+        ];
+        let n = STREAM.len();
+        let mut rng = HmacDrbg::from_u64(11);
+        let signers = Signers::new(&mut rng);
+        let roster: Vec<VoterId> = (1..=n as u64).map(VoterId).collect();
+        let regs: Vec<RegistrationRecord> = STREAM
+            .iter()
+            .zip(&roster)
+            .map(|(&kind, &voter)| signers.registration(kind, voter, &mut rng))
+            .collect();
+        let envs: Vec<EnvelopeCommitment> = STREAM
+            .iter()
+            .map(|&k| signers.envelope(k, &mut rng))
+            .collect();
+        let ballots: Vec<BallotRecord> = STREAM
+            .iter()
+            .map(|&k| signers.ballot(k, &mut rng))
+            .collect();
+        let expected: Vec<Result<(), LedgerError>> = STREAM
+            .iter()
+            .map(|kind| match kind {
+                Forged => Err(LedgerError::Crypto(CryptoError::BadSignature)),
+                Undecodable => Err(LedgerError::Crypto(CryptoError::InvalidPoint)),
+                _ => Ok(()),
             })
             .collect();
-        let c = &mut commitments[1];
-        let msg = EnvelopeCommitment::message(&c.challenge_hash);
-        (c.printer_pk, c.signature) = torsioned_signature(&msg, &mut rng);
-        let alone = c.clone();
-        assert_eq!(ledger.envelopes.commit_batch(commitments, 1), Ok(0..3));
-        assert_eq!(ledger.envelopes.commit_batch(vec![alone], 1), Ok(3..4));
 
-        let payload = b"encrypted-ballot".to_vec();
-        let (credential_pk, signature) =
-            torsioned_signature(&BallotRecord::message(&payload), &mut rng);
-        let ballot = BallotRecord {
-            credential_pk,
-            payload,
-            signature,
-        };
-        assert_eq!(ledger.ballots.post_batch(vec![ballot], 1), Ok(0..1));
+        let mut first = None;
+        for case in 0..32 {
+            let sizes: Vec<usize> = match case {
+                0 => vec![1; n],
+                1 => vec![n],
+                _ => (0..n).map(|_| 1 + rng.next_u64() as usize % n).collect(),
+            };
+            let mut ledger = Ledger::new(roster.clone(), &mut HmacDrbg::from_u64(12));
+            let verdicts = [
+                admit_partitioned(&mut ledger, &regs, &sizes, |l, b| {
+                    l.registration.post_batch(b, 1)
+                }),
+                admit_partitioned(&mut ledger, &envs, &sizes, |l, b| {
+                    l.envelopes.commit_batch(b, 1)
+                }),
+                admit_partitioned(&mut ledger, &ballots, &sizes, |l, b| {
+                    l.ballots.post_batch(b, 1)
+                }),
+            ];
+            let heads = [
+                ledger.registration.tree_head(),
+                ledger.envelopes.tree_head(),
+                ledger.ballots.tree_head(),
+            ]
+            .map(|h| (h.size, h.root));
+            let outcome = (verdicts, heads);
+            assert_eq!(
+                first.get_or_insert(outcome.clone()),
+                &outcome,
+                "batches of {sizes:?}"
+            );
+        }
+        // One record at a time, each kind gets its own verdict.
+        let (verdicts, _) = first.expect("32 cases ran");
+        for (name, verdicts) in ["L_R", "L_E", "L_V"].into_iter().zip(verdicts) {
+            assert_eq!(verdicts, expected, "{name}");
+        }
     }
 
     #[test]

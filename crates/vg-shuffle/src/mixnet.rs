@@ -169,8 +169,8 @@ impl MixCascade {
     }
 
     /// Verifies every stage's proof on its own, in cascade order, and
-    /// returns the final outputs. The exact check: it is the reference the
-    /// Fig 5 baselines time, and it fails at the first bad stage.
+    /// returns the final outputs. The one-by-one check: it is the reference
+    /// the Fig 5 baselines time, and it fails at the first bad stage.
     pub fn verify<'a, R: Row>(
         &self,
         pk: &EdwardsPoint,
@@ -189,16 +189,15 @@ impl MixCascade {
     ///
     /// # Soundness
     ///
-    /// The fold checks Σⱼ wⱼ·Eⱼ = 𝒪 for the stages' equations Eⱼ = 𝒪 with
-    /// independent random 128-bit weights wⱼ (a *small-exponent random
-    /// linear combination*). Decoding checks that a point is on the curve,
-    /// not that it is in the prime-order subgroup, so each error is
+    /// The fold checks 8·Σⱼ wⱼ·Eⱼ = 𝒪 for the stages' equations Eⱼ = 𝒪
+    /// with independent random 128-bit weights wⱼ (a *small-exponent
+    /// random linear combination*). Decoding checks that a point is on the
+    /// curve, not that it is in the prime-order subgroup, so each error is
     /// Eⱼ = eⱼ·B + Tⱼ with Tⱼ in the 8-torsion E\[8\]. If some eⱼ ≠ 0 mod ℓ,
     /// a uniformly random wⱼ satisfies the folded congruence with
-    /// probability at most 2⁻¹²⁷. The fold is cofactorless, so an error
-    /// that lies wholly in E\[8\] is not covered: one of order 2 passes
-    /// whenever its weight is even, where [`MixCascade::verify`] rejects
-    /// it. Each stage's weights are derived from that stage's own
+    /// probability at most 2⁻¹²⁷. The Tⱼ are cleared, as
+    /// [`MixCascade::verify`] clears them, so the two verifiers agree on
+    /// every transcript (see [`vg_crypto::batch`]). Each stage's weights are derived from that stage's own
     /// Fiat–Shamir transcript hash after additionally absorbing the
     /// proof's response scalars, so they commit to the stage's complete
     /// statement and proof: a cheating mixer cannot choose its stage proof
@@ -405,6 +404,57 @@ mod tests {
         bad.stages.pop();
         assert!(cascade.verify(&kp.pk, &bad).is_err());
         assert!(cascade.verify_batch(&kp.pk, &bad, 2).is_err());
+    }
+
+    #[test]
+    fn t2_shifted_output_gets_one_verdict_from_both_verifiers() {
+        // A mixer adds T₂ = (0, −1), of order 2, to one output's C₁ and
+        // proves over what it publishes: its multi-exponentiation
+        // equation is left an error of order 2 or none, by the parity of
+        // a response. The stage-by-stage check and the fold take it alike
+        // at every position, where the fold's verdict used to turn on its
+        // weight. The honest proof, outputs moved, fails both.
+        let mut enc = [0xffu8; 32];
+        enc[0] = 0xec;
+        enc[31] = 0x7f;
+        let t2 = vg_crypto::CompressedPoint(enc)
+            .decompress()
+            .expect("on curve");
+        let mut rng = HmacDrbg::from_u64(23);
+        let kp = ElGamalKeyPair::generate(&mut rng);
+        let inputs: Vec<Ciphertext> = rows(6, 0, &kp, &mut rng);
+        let cascade = MixCascade::new(6, 1);
+        let perm: Vec<usize> = (0..6).rev().collect();
+        let rho = vec![(0..6).map(|_| rng.scalar()).collect::<Vec<_>>()];
+        let honest: Vec<Ciphertext> = perm
+            .iter()
+            .zip(&rho[0])
+            .map(|(&from, r)| vg_crypto::elgamal::rerandomize_with(&kp.pk, &inputs[from], r))
+            .collect();
+        let ctx = cascade.context();
+        let proof = ctx.prove(&kp.pk, &inputs, &honest, &perm, &rho, &mut rng);
+        for victim in 0..6 {
+            let mut outputs = honest.clone();
+            outputs[victim].c1 += t2;
+            let stale = RowMixTranscript {
+                inputs: inputs.clone(),
+                stages: vec![RowMixStage {
+                    outputs: outputs.clone(),
+                    proof: proof.clone(),
+                }],
+            };
+            for (name, verdict) in verdicts(&cascade, &kp.pk, &stale) {
+                assert!(verdict.is_err(), "stale proof, victim {victim}, {name}");
+            }
+            let proof = ctx.prove(&kp.pk, &inputs, &outputs, &perm, &rho, &mut rng);
+            let reproved = RowMixTranscript {
+                inputs: inputs.clone(),
+                stages: vec![RowMixStage { outputs, proof }],
+            };
+            let [(_, single), (_, folded)] = verdicts(&cascade, &kp.pk, &reproved);
+            assert_eq!(single, folded, "re-proved, victim {victim}");
+            assert!(single.is_ok(), "re-proved, victim {victim}");
+        }
     }
 
     #[test]

@@ -192,17 +192,15 @@ pub(crate) fn verify_multiexp_core(
     transcript.append_point(b"mexp-ed2", &proof.e_d.c2);
     let x = transcript.challenge_scalar(b"mexp-x");
 
-    // (1) com(b̃; s̃) == x·c_b + c_d.
-    if ck.commit(&proof.b_tilde, &proof.s_tilde) != *c_b * x + proof.c_d {
+    // (1) com(b̃; s̃) == x·c_b + c_d, modulo the 8-torsion as every point
+    // equation is (see `vg_crypto::batch`).
+    if !(ck.commit(&proof.b_tilde, &proof.s_tilde) - *c_b * x - proof.c_d).is_small_order() {
         return Err(CryptoError::BadProof);
     }
-    // (2) Enc(0; ρ̃) + Σ b̃ᵢ·C′ᵢ == x·E + E_d.
+    // (2) Enc(0; ρ̃) + Σ b̃ᵢ·C′ᵢ == x·E + E_d, componentwise.
     let lhs = linear_combination(pk, bases, &proof.b_tilde, &proof.rho_tilde);
-    let rhs = Ciphertext {
-        c1: target.c1 * x + proof.e_d.c1,
-        c2: target.c2 * x + proof.e_d.c2,
-    };
-    if lhs != rhs {
+    let error = lhs - target.scale(&x) - proof.e_d;
+    if !(error.c1.is_small_order() && error.c2.is_small_order()) {
         return Err(CryptoError::BadProof);
     }
     Ok(())

@@ -399,14 +399,18 @@ impl ShuffleContext {
             .enumerate()
             .map(|(k, (masks, first))| {
                 let rho_hat = -(0..n).fold(Scalar::ZERO, |acc, j| acc + rho[k][j] * b[j]);
-                debug_assert_eq!(
-                    multiexp::linear_combination(pk, &out_cols[k], &b, &rho_hat),
-                    multiexp::linear_combination(
-                        pk,
-                        &columns(inputs)[k],
-                        &x_powers[1..=n],
-                        &Scalar::ZERO
-                    ),
+                // Modulo the 8-torsion, as the verifiers take it.
+                debug_assert!(
+                    {
+                        let error = multiexp::linear_combination(pk, &out_cols[k], &b, &rho_hat)
+                            - multiexp::linear_combination(
+                                pk,
+                                &columns(inputs)[k],
+                                &x_powers[1..=n],
+                                &Scalar::ZERO,
+                            );
+                        error.c1.is_small_order() && error.c2.is_small_order()
+                    },
                     "witness must satisfy the statement"
                 );
                 let e_d = Ciphertext {

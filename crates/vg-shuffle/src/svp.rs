@@ -208,15 +208,17 @@ pub(crate) fn verify_svp_core(
     transcript.append_point(b"svp-cbigdelta", &proof.c_big_delta);
     let x = transcript.challenge_scalar(b"svp-x");
 
-    // (1) com(ã; r̃) == x·c_a + c_d.
-    if ck.commit(&proof.a_tilde, &proof.r_tilde) != *c_a * x + proof.c_d {
+    // (1) com(ã; r̃) == x·c_a + c_d, modulo the 8-torsion as every point
+    // equation is (see `vg_crypto::batch`).
+    if !(ck.commit(&proof.a_tilde, &proof.r_tilde) - *c_a * x - proof.c_d).is_small_order() {
         return Err(CryptoError::BadProof);
     }
     // (2) com({x·b̃ᵢ₊₁ − b̃ᵢ·ãᵢ₊₁}; s̃) == x·c_Δ + c_δ.
     let cross: Vec<Scalar> = (0..n - 1)
         .map(|i| x * proof.b_tilde[i + 1] - proof.b_tilde[i] * proof.a_tilde[i + 1])
         .collect();
-    if ck.commit(&cross, &proof.s_tilde) != proof.c_big_delta * x + proof.c_delta {
+    if !(ck.commit(&cross, &proof.s_tilde) - proof.c_big_delta * x - proof.c_delta).is_small_order()
+    {
         return Err(CryptoError::BadProof);
     }
     // (3) boundary conditions.

@@ -181,9 +181,10 @@ impl CeremonyPool {
     }
 
     /// One folded multi-scalar check over the refill: for random 128-bit
-    /// weights w, Σ w·(claimed scalar · base − precomputed point) must be
-    /// the identity across every real-credential commitment half, tag
-    /// component and forge-precursor half in the batch.
+    /// weights w, Σ w·(claimed scalar · base − precomputed point) must lie
+    /// in the 8-torsion, as every fold's sum must (`vg_crypto::batch`),
+    /// across every real-credential commitment half, tag component and
+    /// forge-precursor half in the batch.
     fn self_check(&self, fresh: &[SessionMaterials]) -> Result<(), TripError> {
         let mut label = Vec::with_capacity(48);
         label.extend_from_slice(b"trip-pool-selfcheck-v1");
@@ -225,7 +226,7 @@ impl CeremonyPool {
         points.push(EdwardsPoint::basepoint());
         scalars.push(auth_coeff);
         points.push(self.authority_pk);
-        if multiscalar_mul(&scalars, &points).is_identity() {
+        if multiscalar_mul(&scalars, &points).is_small_order() {
             Ok(())
         } else {
             Err(TripError::PoolIntegrity)

@@ -455,6 +455,97 @@ mod tests {
     use crate::protocol::register_voter;
     use crate::setup::{TripConfig, TripSystem};
 
+    /// An activate-state credential whose kiosk added `shift` to the
+    /// Σ-commitment's Y₁ before signing it (𝒪: an honest one).
+    fn kiosk_made(
+        shift: EdwardsPoint,
+        apk: &EdwardsPoint,
+        kiosk: &SigningKey,
+        printer: &SigningKey,
+        rng: &mut dyn Rng,
+    ) -> PaperCredential {
+        use crate::materials::{CheckOutQr, CommitQr, Envelope, Receipt, ResponseQr, Symbol};
+        use vg_crypto::chaum_pedersen::Commitment;
+        let voter_id = VoterId(1);
+        let (c_sk, x, y, e) = (rng.scalar(), rng.scalar(), rng.scalar(), rng.scalar());
+        let c_pk = EdwardsPoint::mul_base(&c_sk);
+        let c_pc = Ciphertext {
+            c1: EdwardsPoint::mul_base(&x),
+            c2: *apk * x + c_pk,
+        };
+        let commit = Commitment {
+            a1: EdwardsPoint::mul_base(&y) + shift,
+            a2: *apk * y,
+        };
+        let r = y - e * x;
+        let kiosk_pk = kiosk.public_key_compressed();
+        let receipt = Receipt {
+            symbol: Symbol::Star,
+            commit_qr: CommitQr {
+                voter_id,
+                c_pc,
+                commit,
+                kiosk_sig: kiosk.sign(&commit_message(voter_id, &c_pc, &commit)),
+            },
+            checkout_qr: CheckOutQr {
+                voter_id,
+                c_pc,
+                kiosk_pk,
+                kiosk_sig: kiosk.sign(b"checkout"),
+            },
+            response_qr: ResponseQr {
+                credential_sk: c_sk,
+                response: r,
+                kiosk_pk,
+                kiosk_sig: kiosk.sign(&response_message(&c_pk.compress(), &e, &r)),
+            },
+        };
+        let envelope = Envelope {
+            printer_pk: printer.public_key_compressed(),
+            challenge: e,
+            signature: printer.sign(&EnvelopeCommitment::message(&challenge_hash(&e))),
+            symbol: Symbol::Star,
+        };
+        let mut credential = PaperCredential::assemble(receipt, envelope);
+        credential.lift_to_activate();
+        credential
+    }
+
+    #[test]
+    fn torsioned_transcript_gets_one_verdict_alone_and_folded() {
+        // A kiosk shifts Y₁ by T₂ = (0, −1), of order 2, and signs the
+        // result: the transcript's first equation is off by T₂ for every
+        // challenge. The device's single check and the batch fold, over
+        // one credential and over three, take it alike, where the fold's
+        // verdict used to turn on its weight's parity.
+        let mut enc = [0xffu8; 32];
+        enc[0] = 0xec;
+        enc[31] = 0x7f;
+        let t2 = CompressedPoint(enc).decompress().expect("on curve");
+        let mut rng = HmacDrbg::from_u64(7);
+        let (kiosk, printer) = (
+            SigningKey::generate(&mut rng),
+            SigningKey::generate(&mut rng),
+        );
+        let apk = EdwardsPoint::mul_base(&rng.scalar());
+        let registry = [printer.public_key_compressed()];
+        for trial in 0..6 {
+            let mut make = |shift| kiosk_made(shift, &apk, &kiosk, &printer, &mut rng);
+            let (before, torsioned, after) = (
+                make(EdwardsPoint::IDENTITY),
+                make(t2),
+                make(EdwardsPoint::IDENTITY),
+            );
+            let view = torsioned.activate_view().unwrap();
+            let single = activate_client_checks(&view, &apk, &registry).map(drop);
+            for batch in [vec![&torsioned], vec![&before, &torsioned, &after]] {
+                let folded = activate_batch_checks(&batch, &apk, &registry, 1).map(drop);
+                assert_eq!(single, folded, "trial {trial}, {} credentials", batch.len());
+            }
+            assert_eq!(single, Ok(()), "trial {trial}");
+        }
+    }
+
     /// An authorised printer can sign H(e) and never commit it. That is
     /// the ledger not knowing the envelope — not the duplicated envelope
     /// Appendix F.3.5 accuses a printer of.

@@ -158,10 +158,10 @@ pub struct TaggingRound {
 
 impl TaggingRound {
     /// Verifies the round against its inputs: recomputes the weights and
-    /// both composites, then checks the one proof as one cofactored fold
-    /// of its two equations on the host's cores. It accepts what the exact
-    /// DLEQ check accepts, with the relation taken modulo the 8-torsion
-    /// (why the tally decides on cofactor-cleared plaintexts).
+    /// both composites, then checks the one proof as one fold of its two
+    /// equations on the host's cores. It accepts what the DLEQ check
+    /// accepts, both taking the relation modulo the 8-torsion (why the
+    /// tally decides on cofactor-cleared plaintexts).
     pub fn verify(&self, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
         if self.outputs.len() != inputs.len() {
             return Err(CryptoError::Malformed("tagging round lengths"));
@@ -192,7 +192,7 @@ impl TaggingRound {
         batch.add_term(w[1], commit.a2);
         batch.add_term(-(w[1] * response), g);
         batch.add_term(-(w[1] * e), y);
-        if batch.verify_cofactored(default_threads()) {
+        if batch.verify(default_threads()) {
             Ok(())
         } else {
             Err(CryptoError::BadProof)
@@ -264,23 +264,31 @@ pub fn verify_cascade<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vg_crypto::chaum_pedersen::{prove_dleq, verify_dleq};
+    use vg_crypto::chaum_pedersen::prove_dleq;
     use vg_crypto::elgamal::{decrypt, encrypt_point, ElGamalKeyPair};
     use vg_crypto::HmacDrbg;
 
     /// The exact check the fold is held against: the round's one DLEQ
-    /// proof verified on its own statement, torsion included.
+    /// proof's two equations on its own statement, compared as group
+    /// elements, torsion included (every check in the workspace clears
+    /// it, so this one is computed here).
     fn verify_exact(round: &TaggingRound, inputs: &[Ciphertext]) -> Result<(), CryptoError> {
         if round.outputs.len() != inputs.len() {
             return Err(CryptoError::Malformed("tagging round lengths"));
         }
         let outputs = &round.outputs;
         let (_, [g, y]) = composites(&round.commitment, inputs, outputs, [inputs, outputs]);
-        verify_dleq(
+        let stmt = round_statement(&round.commitment, &g, &y);
+        let DlEqProof { commit, response } = round.proof;
+        let points = [stmt.g1, stmt.y1, stmt.g2, stmt.y2, commit.a1, commit.a2];
+        let enc = EdwardsPoint::batch_compress(&points);
+        let e = dleq_challenge(
             &mut round_transcript(inputs.len()),
-            &round_statement(&round.commitment, &g, &y),
-            &round.proof,
-        )
+            enc[..].try_into().expect("six points, six encodings"),
+        );
+        let exact = stmt.g1 * response + stmt.y1 * e == commit.a1
+            && stmt.g2 * response + stmt.y2 * e == commit.a2;
+        exact.then_some(()).ok_or(CryptoError::BadProof)
     }
 
     /// The fold and the exact check on `round`, by name.

@@ -183,9 +183,9 @@ pub fn admit_ballots(
 /// [`admit_ballots`] over a record slice.
 ///
 /// Each block of records is checked by [`admit_block_folded`]; only when
-/// that fold rejects is the block re-checked one by one, so the decisions
-/// are those of a loop of single checks (see there for the one caveat,
-/// torsion-crafted proofs).
+/// that fold rejects is the block re-checked one by one. Folds and single
+/// checks take every equation modulo the 8-torsion, so the decisions are
+/// those of a loop of single checks, whatever block a record lands in.
 fn admit_records(
     records: &[BallotRecord],
     config: VoteConfig,
@@ -230,8 +230,8 @@ fn keep_last(
 
 /// Checks a block of records with one [`SignatureSweep`] (credential
 /// signature and kiosk issuance signature per record) continued into one
-/// cofactored fold of every vote-proof branch equation, both on the
-/// host's cores ([`default_threads`]).
+/// fold of every vote-proof branch equation, both on the host's cores
+/// ([`default_threads`]).
 ///
 /// Everything a single check decides *exactly* — key and payload decoding,
 /// the branch count, the branch challenges summing to the Fiat–Shamir
@@ -243,11 +243,7 @@ fn keep_last(
 /// and the option count are committed explicitly).
 ///
 /// Returns `None` when a fold rejects: some queued record is invalid and
-/// the caller locates it with [`admit_one`]. A proof that holds only
-/// modulo the 8-torsion passes the cofactored fold and fails `admit_one`,
-/// so whether such a ballot is admitted depends on its block-mates; it is
-/// its own credential holder's ballot either way, and the tally and every
-/// verifier run this same function on the same ledger, so they agree.
+/// the caller locates it with [`admit_one`].
 fn admit_block_folded(
     block: &[BallotRecord],
     config: VoteConfig,
@@ -305,7 +301,7 @@ fn admit_block_folded(
     {
         queue_vote_proof(&mut proofs, weights, &ab.ballot);
     }
-    proofs.verify_cofactored(threads).then_some(decisions)
+    proofs.verify(threads).then_some(decisions)
 }
 
 fn admit_one(
@@ -795,6 +791,36 @@ mod tests {
             assert_eq!(board.admitted(), board.one_by_one(), "offender {offender}");
             assert_eq!(board.admitted().1, 1);
         }
+    }
+
+    #[test]
+    fn torsion_crafted_vote_proof_gets_one_verdict_alone_and_in_its_block() {
+        // A credential holder encrypts with C₁ shifted by a point T of
+        // order 8 and proves with its true randomness: every branch
+        // equation is off by eₘ·T, so the proof holds modulo E[8] and
+        // almost never exactly. The block fold and the one-by-one check
+        // take it alike: the ballot is admitted either way.
+        let mut board = board(5);
+        let inv8 = Scalar::from_u64(8).invert();
+        let t8 = (1u8..)
+            .filter_map(|b| CompressedPoint([b; 32]).decompress())
+            .map(|p| p - p.mul_by_cofactor() * inv8)
+            .find(|t| !t.double().double().is_identity())
+            .expect("some point has a component of order 8");
+        let (config, apk) = (board.config, board.apk);
+        let credential_pk = board.credentials[1].public_key();
+        board.rewrite(1, |ballot, rng| {
+            let r = rng.scalar();
+            let vote = EdwardsPoint::mul_base(&Scalar::from_u64(2));
+            let mut ct = vg_crypto::elgamal::encrypt_point_with(&apk, &vote, &r);
+            ct.c1 += t8;
+            ballot.vote_proof =
+                crate::ballot::prove_vote(&apk, &ct, &r, 2, config, &credential_pk, rng);
+            ballot.vote_ct = ct;
+        });
+        assert!(board.folded().is_some(), "the folds accept the board");
+        assert_eq!(board.admitted(), board.one_by_one());
+        assert_eq!(board.admitted().1, 0, "no ballot rejected");
     }
 
     #[test]
