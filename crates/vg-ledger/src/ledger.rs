@@ -645,6 +645,17 @@ impl BallotLedger {
     }
 }
 
+/// One registration session's ledger records: the envelope commitments
+/// its ceremony used, for L_E, and its countersigned check-out record, for
+/// L_R.
+#[derive(Clone, Debug)]
+pub struct SessionRecords {
+    /// The session's envelope commitments, in ceremony order.
+    pub commitments: Vec<EnvelopeCommitment>,
+    /// The session's registration record.
+    pub record: RegistrationRecord,
+}
+
 /// The complete public bulletin board.
 pub struct Ledger {
     /// Registration sub-ledger L_R.
@@ -681,6 +692,34 @@ impl Ledger {
             ),
             ballots: BallotLedger::new(SigningKey::generate(rng), backend.for_subledger("ballots")),
         }
+    }
+
+    /// Admits registration sessions to both ledgers, all or nothing:
+    /// every record's eligibility, then one fold over the commitments
+    /// ([`EnvelopeLedger::verify_batch`]) and one over the records
+    /// ([`RegistrationLedger::verify_batch`]), and only then the L_E and
+    /// L_R appends, in session order. A session lands on both ledgers or
+    /// on neither; the first failing check names the error.
+    pub fn admit_sessions(
+        &mut self,
+        sessions: Vec<SessionRecords>,
+        threads: usize,
+    ) -> Result<(), LedgerError> {
+        let mut commitments = Vec::with_capacity(sessions.len());
+        let mut records = Vec::with_capacity(sessions.len());
+        for session in sessions {
+            if !self.registration.is_eligible(session.record.voter_id) {
+                return Err(LedgerError::NotOnRoster);
+            }
+            commitments.extend(session.commitments);
+            records.push(session.record);
+        }
+        EnvelopeLedger::verify_batch(&commitments, threads)?;
+        RegistrationLedger::verify_batch(&records, threads)?;
+        self.envelopes
+            .commit_batch_preverified(commitments, threads)?;
+        self.registration.post_batch_preverified(records, threads)?;
+        Ok(())
     }
 
     /// The storage backend this ledger runs on.

@@ -42,7 +42,7 @@ pub use durable::{
 };
 pub use ledger::{
     challenge_hash, BallotLedger, BallotRecord, EnvelopeCommitment, EnvelopeLedger, Ledger,
-    LedgerError, RegistrationLedger, RegistrationRecord, VoterId,
+    LedgerError, RegistrationLedger, RegistrationRecord, SessionRecords, VoterId,
 };
 pub use log::{verify_consistency_heads, Record, TamperEvidentLog, TreeHead};
 pub use store::{

@@ -8,9 +8,9 @@
 //! ```text
 //!  fleet side (booths)                │ registrar side (one Request seam)
 //!  ──────────────────────────────────┼──────────────────────────────────
-//!  KioskFleet ── RegistrarBoundary ──┤ CheckIn, CheckOutBatchSeq  (officials)
-//!    │   (vg-trip seam, six calls;   │ Print                      (printers)
-//!    │    ServiceBoundary maps them  │ SubmitEnvelopesSeq,
+//!  KioskFleet ── RegistrarBoundary ──┤ CheckIn, SubmitWindow  (officials)
+//!    │   (vg-trip seam, five calls;  │ Print                  (printers)
+//!    │    ServiceBoundary maps them  │ SubmitWindow,
 //!    │    onto Request → Response)   │   SyncThrough, …       (bulletin board)
 //!    └─ VSD client checks            │ ActivationSweep        (ledger phase)
 //! ```
@@ -35,7 +35,7 @@
 //!   threaded day is served by a blocking thread of its own over
 //!   [`ChannelPolicy::establish_server`], held to read deadlines;
 //! - [`pipeline`]: [`run_day`] and the threaded engine behind it (the
-//!   commit sequencer with its one ingest lane per ledger, station
+//!   commit sequencer with its one ingest lane for both ledgers, station
 //!   runners, the work-stealing coordinator).
 //!
 //! # One registration day: [`run_day`]

@@ -18,7 +18,7 @@ use vg_crypto::{CompressedPoint, CryptoError, Scalar};
 use vg_ledger::{EnvelopeCommitment, TreeHead, VoterId};
 use vg_trip::materials::{CheckInTicket, CheckOutQr, CommitQr, Envelope, ResponseQr, Symbol};
 use vg_trip::vsd::ActivationClaim;
-use vg_trip::PrintJob;
+use vg_trip::{PrintJob, SessionSubmission};
 
 use crate::wire::Wire;
 
@@ -355,16 +355,6 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// A window's envelope commitments for L_E admission.
-    EnvelopeSubmitRequest { commitments: Vec<EnvelopeCommitment> }
-}
-
-wire_struct! {
-    /// Acknowledgement of a queued ledger submission.
-    IngestReceipt { ticket: u64 }
-}
-
-wire_struct! {
     /// Signed tree heads of both registrar ledgers (implies a sync).
     LedgerHeads { registration: TreeHead, envelopes: TreeHead }
 }
@@ -375,18 +365,44 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Session-tagged envelope commitments from one polling station:
-    /// each group pairs a *global* session index with that session's
-    /// commitments. The registrar's commit sequencer restores global queue
-    /// order across stations before admission, so multi-connection days
-    /// stay bit-identical to the sequential reference.
-    SeqEnvelopeSubmitRequest { groups: Vec<(u64, Vec<EnvelopeCommitment>)> }
+    /// A [`SessionSubmission`] on the wire: the coupon travels as a
+    /// [`WireCoupon`].
+    WireSession {
+        session: u64,
+        commitments: Vec<EnvelopeCommitment>,
+        checkout: CheckOutQr,
+        coupon: WireCoupon
+    }
+}
+
+impl From<SessionSubmission> for WireSession {
+    fn from(s: SessionSubmission) -> Self {
+        Self {
+            session: s.session,
+            commitments: s.commitments,
+            checkout: s.checkout,
+            coupon: s.coupon.into(),
+        }
+    }
+}
+
+impl From<WireSession> for SessionSubmission {
+    fn from(w: WireSession) -> Self {
+        Self {
+            session: w.session,
+            commitments: w.commitments,
+            checkout: w.checkout,
+            coupon: w.coupon.into(),
+        }
+    }
 }
 
 wire_struct! {
-    /// Session-tagged check-out tickets (same ordering contract as
-    /// [`SeqEnvelopeSubmitRequest`]; one ticket per session).
-    SeqCheckOutRequest { groups: Vec<(u64, Vec<(CheckOutQr, WireCoupon)>)> }
+    /// A polling station's window, in session order. The commit
+    /// sequencer restores global queue order across stations before
+    /// admission, so multi-connection days stay bit-identical to the
+    /// sequential reference.
+    SubmitWindowRequest { sessions: Vec<WireSession> }
 }
 
 wire_struct! {
@@ -402,26 +418,25 @@ wire_struct! {
     /// whose snapshot this is built.
     #[derive(Clone, Copy, Default, PartialEq, Eq)]
     IngestStatsReply {
-        env_batches: u64,
-        env_sweeps: u64,
-        reg_batches: u64,
-        reg_sweeps: u64,
+        batches: u64,
+        sweeps: u64,
         worker_busy_us: u64,
         worker_idle_us: u64,
         wal_records: u64,
         wal_fsyncs: u64,
-        workers: u64,
         wal_failures: u64
     }
 }
 
 /// A client request, tagged for dispatch: the one seam between the fleet
 /// and the registrar side of a deployment (`ServiceBoundary` maps
-/// `vg_trip::RegistrarBoundary`'s six calls onto it; the threaded engine
+/// `vg_trip::RegistrarBoundary`'s five calls onto it; the threaded engine
 /// serves each variant from one dispatch arm). The variants fall into
-/// four groups, one per paper role; variant order is tag order.
+/// four groups, one per paper role; variant order is tag order. Tags 3
+/// and 8 are retired (the separate envelope submissions, wire version 1)
+/// and never reassigned.
 ///
-/// # Officials' desks (Figs 8, 10): [`Request::CheckIn`], [`Request::CheckOutBatchSeq`]
+/// # Officials' desks (Figs 8, 10): [`Request::CheckIn`], [`Request::SubmitWindow`]
 ///
 /// Trusted to apply the roster at check-in and Fig 10's verification rules
 /// at check-out; the desk holds the official's signing key and the shared
@@ -441,14 +456,16 @@ wire_struct! {
 /// belong to one refill batch, which the physical print room learns
 /// anyway. It never sees credential keys or voter identities.
 ///
-/// # Bulletin board: [`Request::SubmitEnvelopesSeq`], [`Request::SyncThrough`], [`Request::Sync`], [`Request::LedgerHeads`], [`Request::IngestStats`]
+/// # Bulletin board: [`Request::SubmitWindow`], [`Request::SyncThrough`], [`Request::Sync`], [`Request::LedgerHeads`], [`Request::IngestStats`]
 ///
 /// The admission front-end runs with the ledger operator's signing key.
-/// Submissions (check-out records included) are **ordered and
-/// coalesced**: in-flight batches may be folded into one
-/// random-linear-combination admission sweep, but always admit in global
-/// session order — the signed tree heads any auditor checks are therefore
-/// bit-identical to a synchronous, batch-at-a-time ledger. A compromised
+/// A window's sessions — each one's envelope commitments with its
+/// countersigned record — are **ordered and coalesced**: in-flight
+/// windows may be folded into one random-linear-combination admission
+/// sweep, but always admit in global session order, each session on both
+/// ledgers or neither — the signed tree heads any auditor checks are
+/// therefore bit-identical to a synchronous, batch-at-a-time ledger. A
+/// compromised
 /// front-end is exactly a compromised ledger operator: it can withhold or
 /// reorder *pending* submissions (detectable by the submitting registrar
 /// at the next barrier) but cannot rewrite admitted history without
@@ -482,19 +499,15 @@ pub enum Request {
     /// Check-in (Fig 8): authenticates the voter, issues a session ticket.
     CheckIn(CheckInRequest),
     /// Untagged batched check-out. Retired (every station submits
-    /// [`Request::CheckOutBatchSeq`]); no fleet sends it and the
-    /// registrar answers it with a typed error. The codec stays: the tag
-    /// is versioned and never reassigned.
+    /// [`Request::SubmitWindow`]); no fleet sends it and the registrar
+    /// answers it with a typed error. The codec stays: the tag is
+    /// versioned and never reassigned.
     CheckOutBatch(CheckOutBatchRequest),
     /// Signs one envelope per job, in order, returning the envelopes with
     /// their not-yet-posted L_E commitments.
     Print(PrintRequest),
-    /// Untagged envelope submission; retired like
-    /// [`Request::CheckOutBatch`] in favour of
-    /// [`Request::SubmitEnvelopesSeq`].
-    SubmitEnvelopes(EnvelopeSubmitRequest),
-    /// Barrier: drives every queued submission (envelopes *and* check-out
-    /// records) to admission, surfacing the earliest failure.
+    /// Barrier: drives every queued session to admission, surfacing the
+    /// earliest failure.
     Sync,
     /// Signed tree heads of L_R and L_E (implies a [`Request::Sync`]).
     LedgerHeads,
@@ -504,15 +517,12 @@ pub enum Request {
     ActivationSweep(ActivationSweepRequest),
     /// Ends the connection; the server loop exits cleanly.
     Shutdown,
-    /// Queues a window's envelope commitments for L_E admission,
-    /// session-tagged: the registrar uses the global indices to restore
-    /// queue order across stations before admission.
-    SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest),
-    /// Session-tagged batched check-out from one polling station (Fig
-    /// 10): verifies kiosk signatures, countersigns from the supplied
-    /// coupons, and queues the records for L_R admission (ordering
-    /// contract as [`Request::SubmitEnvelopesSeq`]).
-    CheckOutBatchSeq(SeqCheckOutRequest),
+    /// A polling station's window of sessions (Fig 10): verifies the
+    /// kiosk signatures, countersigns from the supplied coupons, and
+    /// queues each session's envelope commitments and record for
+    /// admission together; the registrar uses the global session indices
+    /// to restore queue order across stations before admission.
+    SubmitWindow(SubmitWindowRequest),
     /// Prefix barrier: answered once every session with global index
     /// below `sessions` is admitted on both ledgers.
     SyncThrough(SyncThroughRequest),
@@ -530,8 +540,6 @@ pub enum Response {
     CheckOutBatch(CheckOutBatchResponse),
     /// Envelopes printed.
     Print(PrintResponse),
-    /// Envelope submission queued.
-    SubmitEnvelopes(IngestReceipt),
     /// All submissions admitted.
     Sync,
     /// The current tree heads.
@@ -540,10 +548,8 @@ pub enum Response {
     ActivationSweep,
     /// Shutdown acknowledged.
     Shutdown,
-    /// Sequenced envelope submission queued.
-    SubmitEnvelopesSeq(IngestReceipt),
-    /// Sequenced check-out batch accepted.
-    CheckOutBatchSeq(CheckOutBatchResponse),
+    /// The window's sessions are queued for admission.
+    SubmitWindow,
     /// The prefix is admitted.
     SyncThrough,
     /// Current ingest telemetry.
@@ -559,13 +565,11 @@ impl Request {
             Request::CheckIn(m) => (0u16, m.to_bytes()),
             Request::CheckOutBatch(m) => (1, m.to_bytes()),
             Request::Print(m) => (2, m.to_bytes()),
-            Request::SubmitEnvelopes(m) => (3, m.to_bytes()),
             Request::Sync => (4, Vec::new()),
             Request::LedgerHeads => (5, Vec::new()),
             Request::ActivationSweep(m) => (6, m.to_bytes()),
             Request::Shutdown => (7, Vec::new()),
-            Request::SubmitEnvelopesSeq(m) => (8, m.to_bytes()),
-            Request::CheckOutBatchSeq(m) => (9, m.to_bytes()),
+            Request::SubmitWindow(m) => (9, m.to_bytes()),
             Request::SyncThrough(m) => (10, m.to_bytes()),
             Request::IngestStats => (11, Vec::new()),
         };
@@ -579,13 +583,11 @@ impl Request {
             0 => Request::CheckIn(CheckInRequest::decode(&mut r)?),
             1 => Request::CheckOutBatch(CheckOutBatchRequest::decode(&mut r)?),
             2 => Request::Print(PrintRequest::decode(&mut r)?),
-            3 => Request::SubmitEnvelopes(EnvelopeSubmitRequest::decode(&mut r)?),
             4 => Request::Sync,
             5 => Request::LedgerHeads,
             6 => Request::ActivationSweep(ActivationSweepRequest::decode(&mut r)?),
             7 => Request::Shutdown,
-            8 => Request::SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest::decode(&mut r)?),
-            9 => Request::CheckOutBatchSeq(SeqCheckOutRequest::decode(&mut r)?),
+            9 => Request::SubmitWindow(SubmitWindowRequest::decode(&mut r)?),
             10 => Request::SyncThrough(SyncThroughRequest::decode(&mut r)?),
             11 => Request::IngestStats,
             _ => return Err(CryptoError::Malformed("unknown request tag")),
@@ -602,13 +604,11 @@ impl Response {
             Response::CheckIn(m) => (0u16, m.to_bytes()),
             Response::CheckOutBatch(m) => (1, m.to_bytes()),
             Response::Print(m) => (2, m.to_bytes()),
-            Response::SubmitEnvelopes(m) => (3, m.to_bytes()),
             Response::Sync => (4, Vec::new()),
             Response::LedgerHeads(m) => (5, m.to_bytes()),
             Response::ActivationSweep => (6, Vec::new()),
             Response::Shutdown => (7, Vec::new()),
-            Response::SubmitEnvelopesSeq(m) => (8, m.to_bytes()),
-            Response::CheckOutBatchSeq(m) => (9, m.to_bytes()),
+            Response::SubmitWindow => (9, Vec::new()),
             Response::SyncThrough => (10, Vec::new()),
             Response::IngestStats(m) => (11, m.to_bytes()),
             Response::Err(e) => {
@@ -627,13 +627,11 @@ impl Response {
             0 => Response::CheckIn(CheckInResponse::decode(&mut r)?),
             1 => Response::CheckOutBatch(CheckOutBatchResponse::decode(&mut r)?),
             2 => Response::Print(PrintResponse::decode(&mut r)?),
-            3 => Response::SubmitEnvelopes(IngestReceipt::decode(&mut r)?),
             4 => Response::Sync,
             5 => Response::LedgerHeads(LedgerHeads::decode(&mut r)?),
             6 => Response::ActivationSweep,
             7 => Response::Shutdown,
-            8 => Response::SubmitEnvelopesSeq(IngestReceipt::decode(&mut r)?),
-            9 => Response::CheckOutBatchSeq(CheckOutBatchResponse::decode(&mut r)?),
+            9 => Response::SubmitWindow,
             10 => Response::SyncThrough,
             11 => Response::IngestStats(IngestStatsReply::decode(&mut r)?),
             15 => Response::Err(crate::error::decode_error(&mut r)?),
@@ -780,10 +778,10 @@ pub(crate) const HS_TAG_LAST: u16 = 0x4810;
 /// `vg-lint` `wire-tags` rule cross-checks this registry against the
 /// `to_wire`/`from_wire` match arms in this file, and the
 /// `tag_registries_match_encoded_frames` test checks it at runtime.
-pub const REQUEST_TAGS: [u16; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
+pub const REQUEST_TAGS: [u16; 10] = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11];
 /// Every response tag, in variant declaration order (15 is the error
 /// response).
-pub const RESPONSE_TAGS: [u16; 13] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15];
+pub const RESPONSE_TAGS: [u16; 11] = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 15];
 /// Every secure-channel handshake tag, all inside
 /// `HS_TAG_BASE..=HS_TAG_LAST` (`0x4801..=0x4810`).
 pub const HANDSHAKE_TAGS: [u16; 4] = [0x4801, 0x4802, 0x4803, 0x4810];
@@ -835,22 +833,23 @@ mod tests {
     fn tag_registries_match_encoded_frames() {
         // Payload-free variants encode to exactly the registry entry at
         // their declaration position.
-        assert_eq!(wire_tag(&Request::Sync.to_wire()), REQUEST_TAGS[4]);
-        assert_eq!(wire_tag(&Request::LedgerHeads.to_wire()), REQUEST_TAGS[5]);
-        assert_eq!(wire_tag(&Request::Shutdown.to_wire()), REQUEST_TAGS[7]);
-        assert_eq!(wire_tag(&Request::IngestStats.to_wire()), REQUEST_TAGS[11]);
-        assert_eq!(wire_tag(&Response::Sync.to_wire()), RESPONSE_TAGS[4]);
+        assert_eq!(wire_tag(&Request::Sync.to_wire()), REQUEST_TAGS[3]);
+        assert_eq!(wire_tag(&Request::LedgerHeads.to_wire()), REQUEST_TAGS[4]);
+        assert_eq!(wire_tag(&Request::Shutdown.to_wire()), REQUEST_TAGS[6]);
+        assert_eq!(wire_tag(&Request::IngestStats.to_wire()), REQUEST_TAGS[9]);
+        assert_eq!(wire_tag(&Response::Sync.to_wire()), RESPONSE_TAGS[3]);
         assert_eq!(
             wire_tag(&Response::ActivationSweep.to_wire()),
-            RESPONSE_TAGS[6]
+            RESPONSE_TAGS[5]
         );
-        assert_eq!(wire_tag(&Response::Shutdown.to_wire()), RESPONSE_TAGS[7]);
+        assert_eq!(wire_tag(&Response::Shutdown.to_wire()), RESPONSE_TAGS[6]);
         assert_eq!(
-            wire_tag(&Response::SyncThrough.to_wire()),
-            RESPONSE_TAGS[10]
+            wire_tag(&Response::SubmitWindow.to_wire()),
+            RESPONSE_TAGS[7]
         );
+        assert_eq!(wire_tag(&Response::SyncThrough.to_wire()), RESPONSE_TAGS[8]);
         let err = Response::Err(crate::error::ServiceError::Transport("x".into()));
-        assert_eq!(wire_tag(&err.to_wire()), RESPONSE_TAGS[12]);
+        assert_eq!(wire_tag(&err.to_wire()), RESPONSE_TAGS[10]);
     }
 
     #[test]
@@ -876,6 +875,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_decode_to_typed_errors() {
+        // The retired envelope submissions' tags 3 and 8 are unknown.
+        for retired in [3, 8].map(|tag| crate::wire::seal(tag, &[0; 8])) {
+            let unknown = |e| e == CryptoError::Malformed("unknown request tag");
+            assert!(Request::from_wire(&retired).is_err_and(unknown));
+            let unknown = |e| e == CryptoError::Malformed("unknown response tag");
+            assert!(Response::from_wire(&retired).is_err_and(unknown));
+        }
         let stray = crate::wire::seal(0x2222, &[]);
         assert!(Request::from_wire(&stray).is_err());
         assert!(Response::from_wire(&stray).is_err());

@@ -1,6 +1,6 @@
 //! The registration day: one entry point, [`run_day`], and the threaded
 //! engine behind every day that needs concurrency — background pool
-//! refillers, one ingest lane per ledger, and a multi-connection
+//! refillers, one ingest lane for both ledgers, and a multi-connection
 //! registrar with dynamic kiosk work stealing.
 //!
 //! # One entry point, two ways to run
@@ -38,23 +38,22 @@
 //!   not just at warm start. It is the station's only other thread:
 //!   ceremonies, submissions and activation run in one loop on the
 //!   station's own ([`KioskFleet::run_station_over`]).
-//! - **One ingest lane per ledger**: the **commit sequencer** thread
+//! - **One ingest lane**: the **commit sequencer** thread
 //!   (`sequencer.rs`) owns the ledgers and every piece of admission
-//!   state, under no lock. Each lane — envelope commitments,
-//!   registration records — is a reorder buffer keyed by global session
-//!   index, a commit cursor and the ledger's own verify-then-append
-//!   entry point ([`vg_ledger::EnvelopeLedger::commit_batch`],
-//!   [`vg_ledger::RegistrationLedger::post_batch`]: the two calls
-//!   `LocalBoundary` makes). A sweep admits the contiguous arrived
-//!   prefix as one coalesced RLC-folded batch, in exact session order,
-//!   and ends at the `persist()` commit barrier — **one signed head per
-//!   ledger**. Prefix barriers
+//!   state, under no lock. A station submits a window in one request,
+//!   each session's commitments with its check-out (countersigned on the
+//!   caller's thread). The lane is a reorder buffer of sessions keyed by
+//!   global session index, a commit cursor and
+//!   [`vg_ledger::Ledger::admit_sessions`], the call `LocalBoundary`
+//!   makes. A sweep admits the contiguous arrived prefix as one coalesced
+//!   batch in exact session order, each session on **both ledgers or
+//!   neither**, and ends at the `persist()` commit barrier — **one signed
+//!   head per ledger**. Prefix barriers
 //!   ([`Request::SyncThrough`](crate::messages::Request)) resolve as
 //!   soon as their prefix has arrived and been admitted. A layer of
 //!   shard verification workers in front of the sequencer was measured
-//!   level with this (one worker against two, and the fold against its
-//!   parent, ten alternating pairs each — README, *Ingest & work
-//!   stealing*) and deleted; a multi-lane design has to beat those rows.
+//!   level with this (README, *Ingest & work stealing*) and deleted; a
+//!   multi-lane design has to beat those rows.
 //! - **Multi-connection registrar**: on a TCP day the server
 //!   (`gateway.rs`) gives each of N kiosk-coordinator connections (one per polling station,
 //!   plus each station's refiller client) a blocking thread of its own,
@@ -97,9 +96,9 @@
 //! slow. The kiosk assignment `i mod |K|` never moves (credentials keep
 //! the same kiosk signatures); only transport ownership does. Re-derived
 //! sessions are byte-identical (determinism again): the coordinator drops
-//! a delivery below its release cursor or already buffered, and each lane
+//! a delivery below its release cursor or already buffered, and the lane
 //! drops a session index it has already admitted or buffered, so a
-//! partially submitted window heals without double admission.
+//! re-submitted window heals without double admission.
 
 mod coordinator;
 mod sequencer;

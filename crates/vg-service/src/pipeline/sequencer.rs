@@ -8,45 +8,42 @@ use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
 
-use vg_ledger::{EnvelopeCommitment, Ledger, LedgerError, RegistrationRecord, VoterId};
+use vg_ledger::{Ledger, LedgerError, SessionRecords, VoterId};
 use vg_trip::official::Official;
 use vg_trip::vsd::{sweep_ledger, ActivationClaim};
 use vg_trip::DAY_THREADS;
 
 use crate::error::ServiceError;
-use crate::messages::{
-    CheckInResponse, CheckOutBatchResponse, IngestReceipt, IngestStatsReply, LedgerHeads, Response,
-};
-use crate::transport::{EngineStats, LaneStats};
+use crate::messages::{CheckInResponse, IngestStatsReply, LedgerHeads, Response};
+use crate::transport::EngineStats;
 
 use super::IngestMode;
 
-/// Minimum ready records before a channel-idle gap triggers a background
-/// admission sweep (barriers always sweep everything). Smaller idle
-/// sweeps would fragment the RLC folds the coalescing win comes from.
+/// Minimum ready records (both ledgers') before a channel-idle gap
+/// triggers a background admission sweep (barriers always sweep
+/// everything). Smaller idle sweeps would fragment the RLC folds the
+/// coalescing win comes from.
 const MIN_IDLE_SWEEP: usize = 512;
 
-/// Per-lane ceiling on deferred records. Coalescing submissions into one
-/// folded admission sweep is the throughput win, but an unbounded backlog
-/// would buffer a whole million-voter day server-side and delay admission
-/// errors to end-of-day. Past the cap the sequencer sweeps on the
-/// submitter's call, so memory and error latency stay O(cap) while many
-/// small windows still coalesce.
+/// Ceiling on deferred records (both ledgers'). Coalescing submissions
+/// into one folded admission sweep is the throughput win, but an
+/// unbounded backlog would buffer a whole million-voter day server-side
+/// and delay admission errors to end-of-day. Past the cap the sequencer
+/// sweeps on the submitter's call, so memory and error latency stay
+/// O(cap) while many small windows still coalesce.
 const MAX_PENDING_RECORDS: usize = 16_384;
 
-/// Session groups as stations submit them: each global session index
-/// with that session's records.
-type Groups<R> = Vec<(u64, Vec<R>)>;
+/// Sessions as stations submit them, once countersigned: each global
+/// session index with that session's records.
+type Sessions = Vec<(u64, SessionRecords)>;
 
 /// Commands for the commit sequencer, each answered with its
 /// [`Response`] (or [`Response::Err`]).
 pub(super) enum Cmd {
     CheckIn(VoterId, Sender<Response>),
-    /// Session-tagged envelope-commitment groups; answered once they are
+    /// A window's countersigned sessions; answered once they are
     /// buffered (and any overflow sweep ran).
-    Envelopes(Groups<EnvelopeCommitment>, Sender<Response>),
-    /// Session-tagged registration-record groups, same contract.
-    Records(Groups<RegistrationRecord>, Sender<Response>),
+    Window(Sessions, Sender<Response>),
     SyncThrough(u64, Sender<Response>),
     SyncAll(Sender<Response>),
     Activate(Vec<ActivationClaim>, Sender<Response>),
@@ -56,47 +53,37 @@ pub(super) enum Cmd {
     Abort,
 }
 
-/// One ledger lane: the reorder buffer over global session indices, the
-/// commit cursor, and the ledger's own verify-then-append entry point
-/// ([`vg_ledger::EnvelopeLedger::commit_batch`] or
-/// [`vg_ledger::RegistrationLedger::post_batch`], which append nothing
-/// when a check fails) — the only thing the two lanes do differently.
-struct Lane<R> {
-    /// Next session to admit; `[0, next)` is on this lane's ledger.
+/// The ingest lane: the reorder buffer over global session indices and
+/// the commit cursor, in front of [`Ledger::admit_sessions`], which
+/// appends nothing when a check fails — so a session lands on L_E and L_R
+/// together or on neither.
+#[derive(Default)]
+struct Lane {
+    /// Next session to admit; `[0, next)` is on both ledgers.
     next: u64,
     /// End of the contiguous arrived prefix: `[next, ready)` is buffered.
     ready: u64,
-    /// Records across `[next, ready)` (sweep-threshold bookkeeping).
+    /// Records across `[next, ready)`, both ledgers' (sweep-threshold
+    /// bookkeeping).
     ready_records: usize,
-    /// Arrived session groups at or above `next`.
-    reorder: BTreeMap<u64, Vec<R>>,
-    admit: fn(&mut Ledger, Vec<R>) -> Result<(), LedgerError>,
+    /// Arrived sessions at or above `next`.
+    reorder: BTreeMap<u64, SessionRecords>,
 }
 
-impl<R: Clone> Lane<R> {
-    fn new(admit: fn(&mut Ledger, Vec<R>) -> Result<(), LedgerError>) -> Self {
-        Self {
-            next: 0,
-            ready: 0,
-            ready_records: 0,
-            reorder: BTreeMap::new(),
-            admit,
-        }
-    }
-
-    /// Buffers session-tagged groups and extends the arrived prefix. A
+impl Lane {
+    /// Buffers a window's sessions and extends the arrived prefix. A
     /// session below the cursor or already buffered is a work-stealing
     /// re-submission — byte-identical, so it is dropped and first wins.
-    fn absorb(&mut self, groups: Groups<R>, stats: &LaneStats) {
+    fn absorb(&mut self, sessions: Sessions, stats: &EngineStats) {
         let mut fresh = false;
-        for (session, group) in groups {
+        for (session, records) in sessions {
             if session >= self.next && !self.reorder.contains_key(&session) {
-                fresh |= !group.is_empty();
-                self.reorder.insert(session, group);
+                fresh = true;
+                self.reorder.insert(session, records);
             }
         }
-        while let Some(group) = self.reorder.get(&self.ready) {
-            self.ready_records += group.len();
+        while let Some(records) = self.reorder.get(&self.ready) {
+            self.ready_records += records.commitments.len() + 1;
             self.ready += 1;
         }
         if fresh {
@@ -106,31 +93,28 @@ impl<R: Clone> Lane<R> {
 
     /// The admission sweep: verifies and appends the contiguous arrived
     /// prefix as one coalesced batch. When that is refused, falls back
-    /// per session group once, keeping the prefix before the first
-    /// offending session and returning the failure pinned to it (the
-    /// entry points check before they append, so the re-run never
-    /// double-appends; what lay behind the offender is dropped — the
-    /// failure is sticky and the day is over).
-    fn sweep(&mut self, ledger: &mut Ledger, stats: &LaneStats) -> Option<(u64, ServiceError)> {
+    /// per session once, keeping the prefix before the first offending
+    /// session and returning the failure pinned to it (the ledger checks
+    /// before it appends, so the re-run never double-appends; what lay
+    /// behind the offender is dropped — the failure is sticky and the day
+    /// is over).
+    fn sweep(&mut self, ledger: &mut Ledger, stats: &EngineStats) -> Option<ServiceError> {
         let behind = self.reorder.split_off(&self.ready);
-        let groups = std::mem::replace(&mut self.reorder, behind);
+        let sessions = std::mem::replace(&mut self.reorder, behind);
         self.ready_records = 0;
-        let flat: Vec<R> = groups.values().flatten().cloned().collect();
-        if flat.is_empty() {
-            self.next = self.ready;
+        if sessions.is_empty() {
             return None;
         }
         stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        if (self.admit)(ledger, flat).is_ok() {
+        let batch = sessions.values().cloned().collect();
+        if ledger.admit_sessions(batch, DAY_THREADS).is_ok() {
             self.next = self.ready;
             return None;
         }
-        for (session, group) in groups {
-            if !group.is_empty() {
-                if let Err(e) = (self.admit)(ledger, group) {
-                    self.ready = session;
-                    return Some((session, e.into()));
-                }
+        for (session, records) in sessions {
+            if let Err(e) = ledger.admit_sessions(vec![records], DAY_THREADS) {
+                self.ready = session;
+                return Some(e.into());
             }
             self.next = session + 1;
         }
@@ -139,7 +123,7 @@ impl<R: Clone> Lane<R> {
 }
 
 /// The commit sequencer: the one thread owning the ledgers for the day.
-/// Submissions wait in its two [`Lane`]s; every admission funnels through
+/// Submissions wait in its one [`Lane`]; every admission funnels through
 /// [`Sequencer::sweep`], whose final `persist()` is the one durable
 /// commit point: no code path answers a barrier or returns ledger heads
 /// for state that has not already been fsynced under a signed head.
@@ -148,12 +132,9 @@ pub(super) struct Sequencer<'a> {
     official: &'a Official,
     mode: IngestMode,
     rx: Receiver<Cmd>,
-    env: Lane<EnvelopeCommitment>,
-    reg: Lane<RegistrationRecord>,
+    lane: Lane,
     parked: Vec<(u64, Sender<Response>)>,
     failed: Option<ServiceError>,
-    /// Submissions acknowledged so far (the receipts' ticket sequence).
-    tickets: u64,
     stats: Arc<EngineStats>,
 }
 
@@ -172,22 +153,12 @@ impl<'a> Sequencer<'a> {
             official,
             mode,
             rx,
-            env: Lane::new(|ledger, batch| {
-                ledger.envelopes.commit_batch(batch, DAY_THREADS).map(drop)
-            }),
-            reg: Lane::new(|ledger, batch| {
-                ledger.registration.post_batch(batch, DAY_THREADS).map(drop)
-            }),
+            lane: Lane::default(),
             parked: Vec::new(),
             failed: None,
-            tickets: 0,
             stats: Arc::clone(stats),
         };
         (IngestClient { seq }, sequencer)
-    }
-
-    fn admitted_through(&self) -> u64 {
-        self.env.next.min(self.reg.next)
     }
 
     /// The durable commit barrier, with graceful degradation: a WAL IO
@@ -203,39 +174,30 @@ impl<'a> Sequencer<'a> {
         }
     }
 
-    /// The full admission barrier: both lanes admit their arrived prefix
-    /// in exact global session order — RLC admission → record append —
-    /// and the sweep closes at the durable commit point (group fsync →
-    /// signed-head publish; a no-op on volatile backends). Barriers are
-    /// answered only after `persist()` returns, so an admitted session is
-    /// always a persisted session. The earlier session's failure sticks.
+    /// The full admission barrier: the lane admits its arrived prefix in
+    /// exact global session order — RLC admission → L_E append → L_R
+    /// append — and the sweep closes at the durable commit point (group
+    /// fsync → signed-head publish; a no-op on volatile backends).
+    /// Barriers are answered only after `persist()` returns, so an
+    /// admitted session is always a persisted session. The failure
+    /// sticks.
     fn sweep(&mut self) {
         if self.failed.is_none() {
-            let env = self.env.sweep(self.ledger, &self.stats.env);
-            let reg = self.reg.sweep(self.ledger, &self.stats.reg);
-            let first = [env, reg].into_iter().flatten().min_by_key(|(s, _)| *s);
-            self.failed = first.map(|(_, e)| e);
+            self.failed = self.lane.sweep(self.ledger, &self.stats);
         }
         self.persist_ledger();
     }
 
-    /// A station's submission: refused after the sticky failure,
-    /// otherwise buffered by `absorb` and, past the cap, admitted on the
-    /// submitter's call. Returns the submission's ticket.
-    fn submit(&mut self, absorb: impl FnOnce(&mut Self)) -> Result<u64, ServiceError> {
+    /// A station's window: refused after the sticky failure, otherwise
+    /// buffered and, past the cap, admitted on the submitter's call.
+    fn submit(&mut self, sessions: Sessions) -> Response {
         if self.failed.is_none() {
-            absorb(self);
-            if self.env.ready_records.max(self.reg.ready_records) > MAX_PENDING_RECORDS {
+            self.lane.absorb(sessions, &self.stats);
+            if self.lane.ready_records > MAX_PENDING_RECORDS {
                 self.sweep();
             }
         }
-        match &self.failed {
-            Some(e) => Err(e.clone()),
-            None => {
-                self.tickets += 1;
-                Ok(self.tickets - 1)
-            }
-        }
+        self.unless_failed(|_| Response::SubmitWindow)
     }
 
     /// Resolves parked prefix barriers: sweeps when a parked barrier's
@@ -245,7 +207,7 @@ impl<'a> Sequencer<'a> {
         if self.parked.is_empty() {
             return;
         }
-        let (arrived, admitted) = (self.env.ready.min(self.reg.ready), self.admitted_through());
+        let (arrived, admitted) = (self.lane.ready, self.lane.next);
         let waiting = |(needed, _): &(u64, _)| *needed > admitted && *needed <= arrived;
         if self.failed.is_none() && self.parked.iter().any(waiting) {
             self.sweep();
@@ -256,7 +218,7 @@ impl<'a> Sequencer<'a> {
             }
             return;
         }
-        let admitted = self.admitted_through();
+        let admitted = self.lane.next;
         self.parked.retain(|(needed, reply)| {
             if *needed <= admitted {
                 let _ = reply.send(Response::SyncThrough);
@@ -283,33 +245,20 @@ impl<'a> Sequencer<'a> {
                     Err(e) => Response::Err(ServiceError::Trip(e)),
                 });
             }
-            Cmd::Envelopes(groups, reply) => {
-                let _ = reply.send(
-                    match self.submit(|seq| seq.env.absorb(groups, &seq.stats.env)) {
-                        Ok(ticket) => Response::SubmitEnvelopesSeq(IngestReceipt { ticket }),
-                        Err(e) => Response::Err(e),
-                    },
-                );
-            }
-            Cmd::Records(groups, reply) => {
-                let _ = reply.send(
-                    match self.submit(|seq| seq.reg.absorb(groups, &seq.stats.reg)) {
-                        Ok(ticket) => Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket }),
-                        Err(e) => Response::Err(e),
-                    },
-                );
+            Cmd::Window(sessions, reply) => {
+                let _ = reply.send(self.submit(sessions));
             }
             Cmd::SyncThrough(sessions, reply) => self.parked.push((sessions, reply)),
             Cmd::SyncAll(reply) => {
                 self.sweep();
                 let _ = reply.send(self.unless_failed(|seq| {
                     // Anything still buffered sits behind a gap.
-                    if seq.env.reorder.is_empty() && seq.reg.reorder.is_empty() {
+                    if seq.lane.reorder.is_empty() {
                         Response::Sync
                     } else {
                         Response::Err(ServiceError::Transport(format!(
                             "sessions lost: admission stalled at {} (gap in submissions)",
-                            seq.admitted_through()
+                            seq.lane.next
                         )))
                     }
                 }));
@@ -363,7 +312,7 @@ impl<'a> Sequencer<'a> {
                     let t = Instant::now();
                     if self.mode == IngestMode::Background
                         && self.failed.is_none()
-                        && self.env.ready_records + self.reg.ready_records >= MIN_IDLE_SWEEP
+                        && self.lane.ready_records >= MIN_IDLE_SWEEP
                     {
                         self.sweep();
                         self.service_parked();
@@ -412,10 +361,11 @@ impl IngestClient {
 /// test thread.
 #[cfg(test)]
 mod tests {
-    use vg_crypto::schnorr::SigningKey;
+    use vg_crypto::schnorr::{NonceCoupon, SigningKey};
     use vg_crypto::{elgamal, EdwardsPoint, HmacDrbg, Rng};
-    use vg_ledger::{FaultFs, FsFault, LedgerBackend, TreeHead};
-    use vg_trip::materials::Symbol;
+    use vg_ledger::{FaultFs, FsFault, LedgerBackend, RegistrationRecord};
+    use vg_trip::boundary::{LocalBoundary, RegistrarBoundary, SessionSubmission};
+    use vg_trip::materials::{CheckOutQr, Symbol};
     use vg_trip::printer::EnvelopePrinter;
     use vg_trip::protocol::register_voter;
     use vg_trip::setup::{TripConfig, TripSystem};
@@ -460,40 +410,76 @@ mod tests {
         move |resp| matches!(resp, Response::Err(e) if e == *expected)
     }
 
-    /// Turns a record into one the ledger refuses with this error.
-    type Spoiler<R> = (fn(&mut R), LedgerError);
-
-    /// Every case of one lane. `group` makes a session's records,
-    /// `submit` is the lane's command, `idle_other` fills the other lane
-    /// with empty groups (so barriers wait on this lane alone) and `head`
-    /// reads the lane's ledger.
-    fn lane_cases<R: Clone>(
-        mut group: impl FnMut(u64) -> Vec<R>,
-        submit: fn(Groups<R>, Sender<Response>) -> Cmd,
-        idle_other: fn(Sender<Response>) -> Cmd,
-        head: fn(&Ledger) -> TreeHead,
-        spoilers: &[Spoiler<R>],
-    ) {
-        let groups: Groups<R> = (0..SESSIONS).map(|s| (s, group(s))).collect();
-        let records =
-            |through: usize| -> u64 { groups[..through].iter().map(|g| g.1.len() as u64).sum() };
-        let only = |sessions: &[usize]| -> Groups<R> {
-            sessions.iter().map(|&s| groups[s].clone()).collect()
+    /// A day of correctly signed sessions: session `s` has one or two
+    /// envelope commitments and a record for `voter(s)`. Also returns the
+    /// kiosk key that signed every check-out.
+    fn day(seed: u64, voter: fn(u64) -> VoterId) -> (Sessions, SigningKey) {
+        let mut rng = HmacDrbg::from_u64(seed);
+        let printer = EnvelopePrinter::new(&mut rng);
+        let (kiosk, official) = (
+            SigningKey::generate(&mut rng),
+            SigningKey::generate(&mut rng),
+        );
+        let mut session = |s: u64| {
+            let print = |_| printer.print_detached(rng.scalar(), Symbol::ALL[0]).1;
+            let commitments = (0..=s % 2).map(print).collect();
+            let (voter, pk) = (voter(s), EdwardsPoint::mul_base(&rng.scalar()));
+            let (c_pc, _) = elgamal::encrypt_point(&pk, &pk, &mut rng);
+            let kiosk_sig = kiosk.sign(&RegistrationRecord::kiosk_message(voter, &c_pc));
+            let countersigned = RegistrationRecord::official_message(voter, &c_pc, &kiosk_sig);
+            let record = RegistrationRecord {
+                voter_id: voter,
+                c_pc,
+                kiosk_pk: kiosk.verifying_key().compress(),
+                kiosk_sig,
+                official_pk: official.verifying_key().compress(),
+                official_sig: official.sign(&countersigned),
+            };
+            (
+                s,
+                SessionRecords {
+                    commitments,
+                    record,
+                },
+            )
         };
-        let base = head(&system(LedgerBackend::InMemory).ledger).size;
+        ((0..SESSIONS).map(&mut session).collect(), kiosk)
+    }
 
-        // The reference: the whole day as one in-order submission.
-        let reference = with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
-            answer(seq, idle_other);
-            answer(seq, |tx| submit(groups.clone(), tx));
+    /// Turns a session into one the ledger refuses with this error.
+    type Spoiler = (fn(&mut SessionRecords), LedgerError);
+
+    /// Both ledgers' `(size, root)`.
+    fn heads(ledger: &Ledger) -> [(u64, [u8; 32]); 2] {
+        let (e, r) = (
+            ledger.envelopes.tree_head(),
+            ledger.registration.tree_head(),
+        );
+        [(e.size, e.root), (r.size, r.root)]
+    }
+
+    /// What `sessions` alone leave on a fresh system's ledgers.
+    fn admitted_alone(sessions: &[(u64, SessionRecords)]) -> [(u64, [u8; 32]); 2] {
+        with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
+            answer(seq, |tx| Cmd::Window(sessions.to_vec(), tx));
             assert!(matches!(answer(seq, Cmd::SyncAll), Response::Sync));
-            head(seq.ledger)
-        });
-        assert_eq!(reference.size, base + records(4));
+            heads(seq.ledger)
+        })
+    }
+
+    #[test]
+    fn lane_reorders_dedupes_and_pins_failures() {
+        let (day, _) = day(0xA11, |s| VoterId(s + 1));
+        let only =
+            |sessions: &[usize]| -> Sessions { sessions.iter().map(|&s| day[s].clone()).collect() };
+        let base = heads(&system(LedgerBackend::InMemory).ledger);
+        // The reference: the whole day as one in-order submission.
+        let reference = admitted_alone(&day);
+        assert_eq!(reference[0].0, base[0].0 + 6);
+        assert_eq!(reference[1].0, base[1].0 + SESSIONS);
 
         with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
-            answer(seq, idle_other);
-            answer(seq, |tx| submit(only(&[3, 1]), tx));
+            answer(seq, |tx| Cmd::Window(only(&[3, 1]), tx));
             let parked = send(seq, |tx| Cmd::SyncThrough(2, tx));
             // Behind a gap nothing is admissible: `Sync` reports it and
             // the barrier stays parked.
@@ -502,127 +488,126 @@ mod tests {
                 Response::Err(ServiceError::Transport(m)) if m.starts_with("sessions lost")
             ));
             assert!(matches!(parked.try_recv(), Err(TryRecvError::Empty)));
-            assert_eq!(head(seq.ledger).size, base);
+            assert_eq!(heads(seq.ledger), base);
             // The gap arrives: the barrier resolves on that call, with
             // sessions 0 and 1 admitted and 3 still waiting for 2.
-            answer(seq, |tx| submit(only(&[0]), tx));
+            answer(seq, |tx| Cmd::Window(only(&[0]), tx));
             assert!(matches!(parked.try_recv(), Ok(Response::SyncThrough)));
-            assert_eq!(head(seq.ledger).size, base + records(2));
+            assert_eq!(heads(seq.ledger), admitted_alone(&day[..2]));
             // Steal re-submissions, one below the cursor and one still
             // buffered, ride in with the last session: both are dropped,
             // and the day lands in session order whatever the arrival
             // order was.
-            answer(seq, |tx| submit(only(&[1, 3, 2]), tx));
+            answer(seq, |tx| Cmd::Window(only(&[1, 3, 2]), tx));
             assert!(matches!(answer(seq, Cmd::SyncAll), Response::Sync));
-            let committed = head(seq.ledger);
-            assert_eq!(
-                (committed.size, committed.root),
-                (reference.size, reference.root)
-            );
+            assert_eq!(heads(seq.ledger), reference);
             let Response::IngestStats(s) = answer(seq, Cmd::Stats) else {
                 panic!("stats answer");
             };
-            // Three fresh submissions, two sweeps with records; the idle
-            // lane's empty groups count as neither.
-            let lanes = [(s.env_batches, s.env_sweeps), (s.reg_batches, s.reg_sweeps)];
-            assert!(
-                lanes.contains(&(3, 2)) && lanes.contains(&(0, 0)),
-                "{lanes:?}"
-            );
+            // Three fresh submissions, two sweeps with records.
+            assert_eq!((s.batches, s.sweeps), (3, 2));
         });
 
+        // A refused commitment or record at session 2 keeps sessions 0
+        // and 1 on both ledgers, whichever ledger refuses.
+        let kept = admitted_alone(&day[..2]);
+        let bad_signature = LedgerError::Crypto(vg_crypto::CryptoError::BadSignature);
+        let spoilers: [Spoiler; 3] = [
+            (
+                |s| s.commitments[0].challenge_hash[0] ^= 1,
+                bad_signature.clone(),
+            ),
+            (|s| s.record.voter_id = VoterId(1), bad_signature),
+            (
+                |s| s.record.voter_id = VoterId(99),
+                LedgerError::NotOnRoster,
+            ),
+        ];
         for (spoil, error) in spoilers {
-            let mut spoiled = groups.clone();
-            spoil(spoiled[2].1.last_mut().expect("a record"));
-            let error = ServiceError::from(error.clone());
+            let mut spoiled = day.clone();
+            spoil(&mut spoiled[2].1);
+            let error = ServiceError::from(error);
             let refused = refused_with(&error);
             with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
-                answer(seq, idle_other);
                 let parked = send(seq, |tx| Cmd::SyncThrough(SESSIONS, tx));
                 // Buffered and acknowledged; the sweep the parked barrier
                 // forces pins the failure to session 2 and keeps 0 and 1.
-                assert!(!matches!(
-                    answer(seq, |tx| submit(spoiled, tx)),
-                    Response::Err(_)
+                assert!(matches!(
+                    answer(seq, |tx| Cmd::Window(spoiled, tx)),
+                    Response::SubmitWindow
                 ));
                 assert!(refused(parked.try_recv().expect("the barrier is answered")));
-                assert_eq!(head(seq.ledger).size, base + records(2));
+                assert_eq!(heads(seq.ledger), kept);
                 // Sticky: the next submission and barrier get the same.
-                assert!(refused(answer(seq, |tx| submit(only(&[3]), tx))));
+                assert!(refused(answer(seq, |tx| Cmd::Window(only(&[3]), tx))));
                 assert!(refused(answer(seq, |tx| Cmd::SyncThrough(1, tx))));
             });
         }
     }
 
+    /// Sessions 0..4 with valid commitments everywhere and an ineligible
+    /// (correctly signed) L_R record at session 2: after the barrier both
+    /// ledgers hold exactly sessions 0 and 1, and the barrier answers the
+    /// typed error.
     #[test]
-    fn lanes_reorder_dedupe_and_pin_failures() {
-        let mut rng = HmacDrbg::from_u64(0xA11);
-        let printer = EnvelopePrinter::new(&mut rng);
-        lane_cases(
-            |session| {
-                let print = |_| printer.print_detached(rng.scalar(), Symbol::ALL[0]).1;
-                (0..=session % 2).map(print).collect()
-            },
-            Cmd::Envelopes,
-            |tx| Cmd::Records((0..SESSIONS).map(|s| (s, Vec::new())).collect(), tx),
-            |ledger| ledger.envelopes.tree_head(),
-            &[(
-                |c| c.challenge_hash[0] ^= 1,
-                LedgerError::Crypto(vg_crypto::CryptoError::BadSignature),
-            )],
-        );
+    fn a_session_lands_on_both_ledgers_or_neither() {
+        let (day, kiosk) = day(0xB07, |s| VoterId(if s == 2 { 99 } else { s + 1 }));
+        let reference = admitted_alone(&day[..2]);
+        let error = ServiceError::from(LedgerError::NotOnRoster);
+        with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
+            let parked = send(seq, |tx| Cmd::SyncThrough(SESSIONS, tx));
+            answer(seq, |tx| Cmd::Window(day.clone(), tx));
+            assert!(refused_with(&error)(parked.try_recv().expect("answered")));
+            assert_eq!(heads(seq.ledger), reference);
+        });
 
-        let mut rng = HmacDrbg::from_u64(0xA12);
-        let (kiosk, official) = (
-            SigningKey::generate(&mut rng),
-            SigningKey::generate(&mut rng),
+        // The same window through `LocalBoundary`, which admits it as one
+        // batch: refused whole, it moves neither ledger.
+        let mut rng = HmacDrbg::from_u64(0xB08);
+        let window = day
+            .into_iter()
+            .map(|(session, s)| SessionSubmission {
+                session,
+                commitments: s.commitments,
+                checkout: CheckOutQr {
+                    voter_id: s.record.voter_id,
+                    c_pc: s.record.c_pc,
+                    kiosk_pk: s.record.kiosk_pk,
+                    kiosk_sig: s.record.kiosk_sig,
+                },
+                coupon: NonceCoupon::generate(&mut rng),
+            })
+            .collect();
+        let mut system = system(LedgerBackend::InMemory);
+        let before = heads(&system.ledger);
+        let registry = [kiosk.public_key_compressed()];
+        let (official, printer) = (&system.officials[0], &system.printers[0]);
+        let mut local = LocalBoundary::new(official, printer, &mut system.ledger, &registry);
+        assert_eq!(
+            local.submit_window(window),
+            Err(TripError::Ledger(LedgerError::NotOnRoster))
         );
-        lane_cases(
-            |session| {
-                let voter = VoterId(session + 1);
-                let pk = EdwardsPoint::mul_base(&rng.scalar());
-                let (c_pc, _) = elgamal::encrypt_point(&pk, &pk, &mut rng);
-                let kiosk_sig = kiosk.sign(&RegistrationRecord::kiosk_message(voter, &c_pc));
-                let countersigned = RegistrationRecord::official_message(voter, &c_pc, &kiosk_sig);
-                vec![RegistrationRecord {
-                    voter_id: voter,
-                    c_pc,
-                    kiosk_pk: kiosk.verifying_key().compress(),
-                    kiosk_sig,
-                    official_pk: official.verifying_key().compress(),
-                    official_sig: official.sign(&countersigned),
-                }]
-            },
-            Cmd::Records,
-            |tx| Cmd::Envelopes((0..SESSIONS).map(|s| (s, Vec::new())).collect(), tx),
-            |ledger| ledger.registration.tree_head(),
-            &[
-                (
-                    |r| r.voter_id = VoterId(1),
-                    LedgerError::Crypto(vg_crypto::CryptoError::BadSignature),
-                ),
-                (|r| r.voter_id = VoterId(99), LedgerError::NotOnRoster),
-            ],
-        );
+        assert_eq!(heads(&system.ledger), before);
     }
 
     /// Up to the cap submissions only buffer; the one that crosses it is
     /// admitted before its submitter is answered — no barrier involved.
     #[test]
     fn crossing_the_cap_sweeps_on_the_submitters_call() {
-        let mut rng = HmacDrbg::from_u64(0xCA9);
-        let one = EnvelopePrinter::new(&mut rng)
-            .print_detached(rng.scalar(), Symbol::ALL[0])
-            .1;
+        let (mut day, _) = day(0xCA9, |s| VoterId(s + 1));
+        // Session 0 holds exactly the cap: its commitments and its record.
+        let one = day[0].1.commitments[0].clone();
+        day[0].1.commitments = vec![one; MAX_PENDING_RECORDS - 1];
+        let (first, second) = (day[..1].to_vec(), day[1..2].to_vec());
         with_sequencer(&mut system(LedgerBackend::InMemory), |seq| {
-            let base = seq.ledger.envelopes.tree_head().size;
-            let at_cap = vec![(0, vec![one.clone(); MAX_PENDING_RECORDS])];
-            answer(seq, |tx| Cmd::Envelopes(at_cap, tx));
-            assert_eq!((seq.env.next, seq.env.ready), (0, 1));
-            answer(seq, |tx| Cmd::Envelopes(vec![(1, vec![one])], tx));
-            assert_eq!((seq.env.next, seq.env.ready_records), (2, 0));
-            let admitted = seq.ledger.envelopes.tree_head().size - base;
-            assert_eq!(admitted as usize, MAX_PENDING_RECORDS + 1);
+            let base = heads(seq.ledger);
+            answer(seq, |tx| Cmd::Window(first, tx));
+            assert_eq!((seq.lane.next, seq.lane.ready), (0, 1));
+            answer(seq, |tx| Cmd::Window(second, tx));
+            assert_eq!((seq.lane.next, seq.lane.ready_records), (2, 0));
+            let admitted = heads(seq.ledger);
+            assert_eq!(admitted[0].0 - base[0].0, MAX_PENDING_RECORDS as u64 + 1);
+            assert_eq!(admitted[1].0 - base[1].0, 2);
         });
     }
 

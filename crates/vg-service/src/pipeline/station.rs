@@ -8,27 +8,24 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
-use vg_ledger::{EnvelopeCommitment, RegistrationRecord};
-use vg_trip::boundary::RegistrarBoundary;
+use vg_ledger::EnvelopeCommitment;
+use vg_trip::boundary::{check_out_window, RegistrarBoundary};
 use vg_trip::fleet::{check_ins, ActivationContext, FeedSource, KioskFleet, PoolSource};
 use vg_trip::kiosk::{Kiosk, StolenCredential};
-use vg_trip::materials::{CheckOutQr, Envelope};
+use vg_trip::materials::Envelope;
 use vg_trip::official::Official;
 use vg_trip::pool::PoolFeed;
 use vg_trip::printer::EnvelopePrinter;
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::vsd::Vsd;
-use vg_trip::{PrintJob, TripError, DAY_THREADS};
+use vg_trip::{PrintJob, TripError};
 
 use crate::channel::Connector;
 use crate::error::ServiceError;
 use crate::messages::{PrintResponse, Request, Response};
 use crate::retry::RetryPolicy;
-use crate::transport::{
-    regroup_coupons, ChannelClient, EngineStats, RequestEndpoint, ServiceBoundary,
-};
+use crate::transport::{ChannelClient, EngineStats, RequestEndpoint, ServiceBoundary};
 
 use super::sequencer::{Cmd, IngestClient};
 use super::PipelineConfig;
@@ -57,25 +54,6 @@ impl PipelineDispatch<'_> {
     fn print(&self, jobs: &[PrintJob]) -> Vec<(Envelope, EnvelopeCommitment)> {
         self.printer.print_jobs(jobs)
     }
-
-    /// Fig 10 lines 2–5 for a station's window: verify the whole window
-    /// in one committed RLC sweep on the *caller's* thread (stations
-    /// verify concurrently), countersign, and regroup by session.
-    fn verify_and_countersign(
-        &self,
-        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<Vec<(u64, Vec<RegistrationRecord>)>, ServiceError> {
-        let counts: Vec<(u64, usize)> = groups.iter().map(|(s, c)| (*s, c.len())).collect();
-        let flat: Vec<(CheckOutQr, NonceCoupon)> =
-            groups.into_iter().flat_map(|(_, c)| c).collect();
-        self.official
-            .verify_checkouts(&flat, self.kiosk_registry, DAY_THREADS)?;
-        let mut records = self.official.countersign_checkouts(flat).into_iter();
-        Ok(counts
-            .into_iter()
-            .map(|(session, n)| (session, records.by_ref().take(n).collect()))
-            .collect())
-    }
 }
 
 impl RequestEndpoint for PipelineDispatch<'_> {
@@ -85,16 +63,17 @@ impl RequestEndpoint for PipelineDispatch<'_> {
             Request::Print(m) => Response::Print(PrintResponse {
                 envelopes: self.print(&m.jobs),
             }),
-            Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_) => {
-                Response::Err(ServiceError::Transport(
-                    "the pipelined registrar requires session-tagged submissions".into(),
-                ))
-            }
-            Request::SubmitEnvelopesSeq(m) => self.client.ask(|r| Cmd::Envelopes(m.groups, r)),
-            Request::CheckOutBatchSeq(m) => {
-                match self.verify_and_countersign(regroup_coupons(m.groups)) {
-                    Ok(records) => self.client.ask(|r| Cmd::Records(records, r)),
-                    Err(e) => Response::Err(e),
+            Request::CheckOutBatch(_) => Response::Err(ServiceError::Transport(
+                "the pipelined registrar requires session-tagged submissions".into(),
+            )),
+            // Fig 10's verification runs here, on the *caller's* thread
+            // (stations verify concurrently); only the records funnel into
+            // the sequencer.
+            Request::SubmitWindow(m) => {
+                let window = m.sessions.into_iter().map(Into::into).collect();
+                match check_out_window(self.official, self.kiosk_registry, window) {
+                    Ok(sessions) => self.client.ask(|r| Cmd::Window(sessions, r)),
+                    Err(e) => Response::Err(ServiceError::Trip(e)),
                 }
             }
             Request::Sync => self.client.ask(Cmd::SyncAll),
@@ -310,10 +289,12 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    use vg_crypto::elgamal;
+    use vg_crypto::schnorr::{NonceCoupon, SigningKey};
     use vg_crypto::{HmacDrbg, Rng};
-    use vg_ledger::VoterId;
+    use vg_ledger::{RegistrationRecord, VoterId};
     use vg_trip::fleet::{partition_stations, FleetConfig, KioskFleet};
-    use vg_trip::materials::Symbol;
+    use vg_trip::materials::{CheckOutQr, Symbol};
     use vg_trip::setup::{TripConfig, TripSystem};
     use vg_trip::{PrintJob, TripError};
 
@@ -391,24 +372,17 @@ mod tests {
     }
 
     /// A response's wire bytes with what legitimately differs between two
-    /// calls masked out: the engine-wide submission ticket and the ingest
-    /// threads' clocks.
+    /// calls masked out: the ingest thread's clocks.
     fn comparable(mut resp: Response) -> Vec<u8> {
-        match &mut resp {
-            Response::SubmitEnvelopesSeq(r) => r.ticket = 0,
-            Response::CheckOutBatchSeq(r) => r.ticket = 0,
-            Response::IngestStats(r) => (r.worker_busy_us, r.worker_idle_us) = (0, 0),
-            _ => {}
+        if let Response::IngestStats(r) = &mut resp {
+            (r.worker_busy_us, r.worker_idle_us) = (0, 0);
         }
         resp.to_wire()
     }
 
     #[test]
     fn one_engine_answers_both_links_alike() {
-        let rig = rig(1);
-        let mut local = rig.registrar.clone();
-        let mut wire = ChannelClient::connect(&rig.gateway()).expect("tcp dial");
-
+        let mut rig = rig(1);
         let mut rng = HmacDrbg::from_u64(11);
         let jobs = vec![PrintJob {
             challenge: rng.scalar(),
@@ -419,22 +393,33 @@ mod tests {
             .printer
             .print_detached(jobs[0].challenge, jobs[0].symbol)
             .1;
+        // Session 0's check-out, signed by the kiosk the registrar's
+        // registry lists.
+        let kiosk = SigningKey::generate(&mut rng);
+        rig.registrar.kiosk_registry = Box::leak(Box::new([kiosk.public_key_compressed()]));
+        let voter = VoterId(1);
+        let c_pc = elgamal::encrypt_point(&rig.authority_pk, &rig.authority_pk, &mut rng).0;
+        let checkout = CheckOutQr {
+            voter_id: voter,
+            c_pc,
+            kiosk_pk: kiosk.public_key_compressed(),
+            kiosk_sig: kiosk.sign(&RegistrationRecord::kiosk_message(voter, &c_pc)),
+        };
         // Every variant, in an order a day could produce: session 0's
-        // envelopes and (empty) check-out group, then the barriers over them.
+        // window, then the barriers over it.
         let requests = [
-            Request::CheckIn(CheckInRequest { voter: VoterId(1) }),
+            Request::CheckIn(CheckInRequest { voter }),
             Request::Print(PrintRequest { jobs }),
-            Request::SubmitEnvelopes(EnvelopeSubmitRequest {
-                commitments: vec![commitments.clone()],
-            }),
             Request::CheckOutBatch(CheckOutBatchRequest {
                 checkouts: Vec::new(),
             }),
-            Request::SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest {
-                groups: vec![(0, vec![commitments])],
-            }),
-            Request::CheckOutBatchSeq(SeqCheckOutRequest {
-                groups: vec![(0, Vec::new())],
+            Request::SubmitWindow(SubmitWindowRequest {
+                sessions: vec![WireSession {
+                    session: 0,
+                    commitments: vec![commitments],
+                    checkout,
+                    coupon: NonceCoupon::generate(&mut rng).into(),
+                }],
             }),
             Request::SyncThrough(SyncThroughRequest { sessions: 1 }),
             Request::ActivationSweep(ActivationSweepRequest { claims: Vec::new() }),
@@ -444,24 +429,23 @@ mod tests {
             Request::Shutdown,
         ];
         assert_eq!(requests.len(), REQUEST_TAGS.len());
+        let mut local = rig.registrar.clone();
+        let mut wire = ChannelClient::connect(&rig.gateway()).expect("tcp dial");
         for req in requests {
             let label = format!("{req:?}");
-            let retired = matches!(req, Request::SubmitEnvelopes(_) | Request::CheckOutBatch(_));
+            let retired = matches!(req, Request::CheckOutBatch(_));
             let twin = Request::from_wire(&req.to_wire()).expect("round trip");
             let direct = local.call(req);
             let framed = wire.call(twin);
             match &direct {
-                // The retired untagged pair: one typed refusal, both ways.
+                // The retired untagged check-out: one typed refusal, both ways.
                 Response::Err(ServiceError::Transport(_)) if retired => {}
                 Response::Err(e) => panic!("{label} refused: {e}"),
                 _ => assert!(!retired, "{label} is retired"),
             }
             if let Response::IngestStats(reply) = &direct {
-                // Tag 11 on a live engine: the envelope really went through.
-                assert_eq!(
-                    (reply.workers, reply.env_batches, reply.env_sweeps),
-                    (1, 1, 1)
-                );
+                // Tag 11 on a live engine: the window really went through.
+                assert_eq!((reply.batches, reply.sweeps), (1, 1));
             }
             assert_eq!(comparable(direct), comparable(framed), "{label}");
         }

@@ -32,10 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use vg_crypto::schnorr::NonceCoupon;
 use vg_ledger::{DurabilityStats, EnvelopeCommitment, VoterId};
-use vg_trip::boundary::RegistrarBoundary;
-use vg_trip::materials::{CheckInTicket, CheckOutQr, Envelope};
+use vg_trip::boundary::{RegistrarBoundary, SessionSubmission};
+use vg_trip::materials::{CheckInTicket, Envelope};
 use vg_trip::setup::TransportKeyring;
 use vg_trip::vsd::ActivationClaim;
 use vg_trip::{PrintJob, TripError};
@@ -44,7 +43,7 @@ use crate::channel::{ChannelPolicy, Connector, FramedChannel, SecureConfig};
 use crate::error::ServiceError;
 use crate::messages::{
     ActivationSweepRequest, CheckInRequest, IngestStatsReply, PrintRequest, Request, Response,
-    SeqCheckOutRequest, SeqEnvelopeSubmitRequest, SyncThroughRequest,
+    SubmitWindowRequest, SyncThroughRequest,
 };
 
 /// Which link a registration day runs over.
@@ -134,22 +133,6 @@ pub trait RequestEndpoint {
     fn call(&mut self, req: Request) -> Response;
 }
 
-/// Regroups session-tagged check-outs between their in-memory and wire
-/// coupon forms ([`NonceCoupon`] ⇄ [`crate::messages::WireCoupon`]), either
-/// direction.
-pub(crate) fn regroup_coupons<Q, A, B: From<A>>(
-    groups: Vec<(u64, Vec<(Q, A)>)>,
-) -> Vec<(u64, Vec<(Q, B)>)> {
-    let regroup = |(session, checkouts): (u64, Vec<(Q, A)>)| {
-        let checkouts = checkouts
-            .into_iter()
-            .map(|(qr, c)| (qr, c.into()))
-            .collect();
-        (session, checkouts)
-    };
-    groups.into_iter().map(regroup).collect()
-}
-
 /// The fleet's [`RegistrarBoundary`] over any [`RequestEndpoint`]: the
 /// single place a typed registrar call becomes a [`Request`] and its
 /// [`Response`] becomes a typed result — one request per call, so the
@@ -202,24 +185,10 @@ impl RegistrarBoundary for ServiceBoundary<'_> {
         }
     }
 
-    fn submit_envelope_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<(), TripError> {
-        let req = Request::SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest { groups });
-        match self.call(req)? {
-            Response::SubmitEnvelopesSeq(_) => Ok(()),
-            _ => mismatched(),
-        }
-    }
-
-    fn submit_checkout_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<(), TripError> {
-        let groups = regroup_coupons(groups);
-        match self.call(Request::CheckOutBatchSeq(SeqCheckOutRequest { groups }))? {
-            Response::CheckOutBatchSeq(_) => Ok(()),
+    fn submit_window(&mut self, window: Vec<SessionSubmission>) -> Result<(), TripError> {
+        let sessions = window.into_iter().map(Into::into).collect();
+        match self.call(Request::SubmitWindow(SubmitWindowRequest { sessions }))? {
+            Response::SubmitWindow => Ok(()),
             _ => mismatched(),
         }
     }
@@ -294,15 +263,13 @@ pub struct StealRecord {
 /// own on every day.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DayStats {
-    /// Envelope-lane submissions buffered (the coalescing ratio is
-    /// `batches / sweeps`).
-    pub env_batches: u64,
-    /// Envelope-lane RLC verification sweeps run.
-    pub env_sweeps: u64,
-    /// Registration-lane submissions buffered.
-    pub reg_batches: u64,
-    /// Registration-lane RLC verification sweeps run.
-    pub reg_sweeps: u64,
+    /// Window submissions the ingest lane buffered that brought at least
+    /// one new session (the coalescing ratio is `batches / sweeps`).
+    pub batches: u64,
+    /// Admission sweeps that admitted at least one session: each one
+    /// verifies its sessions' commitments and records in one RLC fold per
+    /// ledger and appends them to L_E and L_R.
+    pub sweeps: u64,
     /// Busy time of the one ingest thread, the commit sequencer, in
     /// microseconds.
     pub worker_busy_us: u64,
@@ -335,30 +302,19 @@ pub struct DayStats {
 }
 
 /// Tag 11's wire payload — the one place it is built — from the same
-/// snapshot every day returns. `workers` is a reserved slot since the
-/// shard workers went: it reads 1 until the wire version next moves.
+/// snapshot every day returns.
 impl From<&DayStats> for IngestStatsReply {
     fn from(day: &DayStats) -> Self {
         Self {
-            env_batches: day.env_batches,
-            env_sweeps: day.env_sweeps,
-            reg_batches: day.reg_batches,
-            reg_sweeps: day.reg_sweeps,
+            batches: day.batches,
+            sweeps: day.sweeps,
             worker_busy_us: day.worker_busy_us,
             worker_idle_us: day.worker_idle_us,
             wal_records: day.wal_records,
             wal_fsyncs: day.wal_fsyncs,
-            workers: 1,
             wal_failures: day.wal_failures,
         }
     }
-}
-
-/// One ledger lane's coalescing counters inside [`EngineStats`].
-#[derive(Default)]
-pub(crate) struct LaneStats {
-    pub(crate) batches: AtomicU64,
-    pub(crate) sweeps: AtomicU64,
 }
 
 /// The threaded engine's one shared counter block: the sequencer,
@@ -368,8 +324,10 @@ pub(crate) struct LaneStats {
 /// zeroed block).
 #[derive(Default)]
 pub(crate) struct EngineStats {
-    pub(crate) env: LaneStats,
-    pub(crate) reg: LaneStats,
+    /// The ingest lane's coalescing counters ([`DayStats::batches`],
+    /// [`DayStats::sweeps`]).
+    pub(crate) batches: AtomicU64,
+    pub(crate) sweeps: AtomicU64,
     busy_ns: AtomicU64,
     idle_ns: AtomicU64,
     pub(crate) timeouts: AtomicU64,
@@ -396,10 +354,8 @@ impl EngineStats {
     pub(crate) fn snapshot(&self, wal: DurabilityStats) -> DayStats {
         let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         DayStats {
-            env_batches: get(&self.env.batches),
-            env_sweeps: get(&self.env.sweeps),
-            reg_batches: get(&self.reg.batches),
-            reg_sweeps: get(&self.reg.sweeps),
+            batches: get(&self.batches),
+            sweeps: get(&self.sweeps),
             worker_busy_us: get(&self.busy_ns) / 1000,
             worker_idle_us: get(&self.idle_ns) / 1000,
             wal_records: wal.wal_records,

@@ -25,8 +25,10 @@ use crate::error::ServiceError;
 /// The wire magic: identifies a Votegral registrar service stream.
 pub const MAGIC: [u8; 4] = *b"VGRS";
 
-/// The wire protocol version this build speaks.
-pub const VERSION: u16 = 1;
+/// The wire protocol version this build speaks. Version 2 carries a
+/// window's envelope commitments and check-outs in one request (tag 9)
+/// and retires version 1's separate envelope submissions (tags 3 and 8).
+pub const VERSION: u16 = 2;
 
 /// Hard ceiling on a single frame (64 MiB). A registration window of
 /// thousands of sessions stays far below this; anything larger is a
@@ -156,6 +158,13 @@ mod tests {
         let mut msg = seal(1, b"");
         msg[4] = 0xee; // version
         assert!(unseal(&msg).is_err());
+        // A version-1 peer's frame: same magic and tag, older version.
+        let mut msg = seal(1, b"");
+        msg[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            unseal(&msg),
+            Err(CryptoError::Malformed("unsupported wire version"))
+        ));
     }
 
     #[test]

@@ -7,32 +7,34 @@
 //! reproduction splits them: the fleet (kiosks plus their coordinator)
 //! drives the voter-facing ceremonies and talks to the registrar only
 //! through these calls — check-in tickets, envelope print fulfilment,
-//! batched ledger submissions and the activation ledger phase.
+//! window submissions and the activation ledger phase.
 //!
 //! Two implementations exist:
 //!
 //! - [`LocalBoundary`] (here): direct, zero-copy calls into the
 //!   in-process registrar state — today's behavior, and the reference a
 //!   remote run must equal bit-identically.
-//! - `vg-service`'s `ServiceBoundary`: the same six calls mapped onto
+//! - `vg-service`'s `ServiceBoundary`: the same five calls mapped onto
 //!   typed, versioned `Request`/`Response` messages to a registrar that
 //!   admits in global session order whichever station submitted first
 //!   (in-process dispatch or a length-prefixed TCP socket).
 //!
 //! # Submission semantics
 //!
-//! [`RegistrarBoundary::submit_envelope_groups`] and
-//! [`RegistrarBoundary::submit_checkout_groups`] are **ordered,
-//! asynchronous submissions**: the boundary promises that batches are admitted to each
-//! ledger in submission order, but may defer admission (coalescing several
-//! windows into one RLC-folded sweep) until the next barrier. An
-//! admission failure therefore surfaces either at the submitting call or
-//! at the next barrier — callers that need errors attributed before
-//! proceeding (the fleet does, before activating a window) place a
-//! [`RegistrarBoundary::sync_through`]. [`LocalBoundary`] admits
-//! synchronously; the fleet's replay contract (ledger heads bit-identical
-//! to the sequential reference) holds for any conforming implementation
-//! because Merkle roots depend only on record order, not on batching.
+//! [`RegistrarBoundary::submit_window`] is an **ordered, asynchronous
+//! submission**: each session's envelope commitments (L_E) and check-out
+//! record (L_R) cross as one value and are admitted together by
+//! [`Ledger::admit_sessions`], so a session lands on **both ledgers or
+//! neither**. Sessions are admitted in session order, but admission may
+//! be deferred (coalescing several windows into one RLC-folded sweep)
+//! until the next barrier. An admission failure therefore surfaces either
+//! at the submitting call or at the next barrier — callers that need
+//! errors attributed before proceeding (the fleet does, before activating
+//! a window) place a [`RegistrarBoundary::sync_through`]. [`LocalBoundary`]
+//! admits synchronously; the fleet's replay contract (ledger heads
+//! bit-identical to the sequential reference) holds for any conforming
+//! implementation because Merkle roots depend only on record order, not
+//! on batching.
 //!
 //! # Commit points
 //!
@@ -45,7 +47,7 @@
 
 use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::CompressedPoint;
-use vg_ledger::{EnvelopeCommitment, Ledger, VoterId};
+use vg_ledger::{EnvelopeCommitment, Ledger, SessionRecords, VoterId};
 
 use crate::ceremony::PrintJob;
 use crate::error::TripError;
@@ -65,34 +67,22 @@ pub trait RegistrarBoundary {
 
     /// Envelope print fulfilment: signs (and prepares ledger commitments
     /// for) one envelope per job, in job order. The commitments are *not*
-    /// posted here — the coordinator submits them in queue order via
-    /// [`RegistrarBoundary::submit_envelope_groups`].
+    /// posted here — the coordinator submits them with their sessions via
+    /// [`RegistrarBoundary::submit_window`].
     fn print_envelopes(
         &mut self,
         jobs: &[PrintJob],
     ) -> Result<Vec<(Envelope, EnvelopeCommitment)>, TripError>;
 
-    /// Submits a window's envelope commitments for admission to L_E
-    /// (ordered, possibly deferred; see the module docs). `groups` pairs
-    /// each global session index with that session's commitments, in
-    /// session order: a multi-station registrar uses the indices to
-    /// restore global queue order across stations before admission, so
-    /// the ledgers stay bit-identical to the sequential reference no
-    /// matter which station finished first.
-    fn submit_envelope_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<(), TripError>;
-
-    /// Submits a window's check-out tickets (Fig 10), session-tagged like
-    /// [`RegistrarBoundary::submit_envelope_groups`]: the official
-    /// verifies the kiosk signatures, countersigns from the sessions'
-    /// coupons, and the records are admitted to L_R (ordered, possibly
-    /// deferred).
-    fn submit_checkout_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<(), TripError>;
+    /// Submits a window of sessions, in session order, for admission to
+    /// both ledgers (ordered, possibly deferred; see the module docs):
+    /// the official verifies the kiosk signatures (Fig 10), countersigns
+    /// from the sessions' coupons, and each session's commitments and
+    /// record are admitted together. A multi-station registrar uses the
+    /// global session indices to restore queue order across stations
+    /// before admission, so the ledgers stay bit-identical to the
+    /// sequential reference no matter which station finished first.
+    fn submit_window(&mut self, window: Vec<SessionSubmission>) -> Result<(), TripError>;
 
     /// Prefix barrier: returns once every session with global index below
     /// `sessions` is admitted on both ledgers, surfacing the earliest
@@ -107,6 +97,49 @@ pub trait RegistrarBoundary {
     /// claim, stopping at the first failure exactly as a sequential loop
     /// of [`crate::vsd::activate`] would.
     fn activation_sweep(&mut self, claims: &[ActivationClaim]) -> Result<(), TripError>;
+}
+
+/// One session of a submitted window: its global session index, the
+/// envelope commitments its ceremony used (for L_E), and its check-out
+/// ticket with the coupon the official countersigns it from (for L_R).
+#[derive(Debug)]
+pub struct SessionSubmission {
+    /// Global session index (queue position).
+    pub session: u64,
+    /// The session's envelope commitments, in ceremony order.
+    pub commitments: Vec<EnvelopeCommitment>,
+    /// The real credential's check-out ticket.
+    pub checkout: CheckOutQr,
+    /// The official's signing coupon for this session.
+    pub coupon: NonceCoupon,
+}
+
+/// Fig 10 lines 2–5 over a submitted window, touching no ledger: the
+/// official verifies every check-out ticket in one fold
+/// ([`Official::verify_checkouts`]) and countersigns each from its
+/// session's coupon. Returns each session's index with the records
+/// [`Ledger::admit_sessions`] takes, in window order.
+pub fn check_out_window(
+    official: &Official,
+    kiosk_registry: &[CompressedPoint],
+    window: Vec<SessionSubmission>,
+) -> Result<Vec<(u64, SessionRecords)>, TripError> {
+    let (tags, checkouts): (Vec<_>, Vec<_>) = window
+        .into_iter()
+        .map(|s| ((s.session, s.commitments), (s.checkout, s.coupon)))
+        .unzip();
+    official.verify_checkouts(&checkouts, kiosk_registry, DAY_THREADS)?;
+    let records = official.countersign_checkouts(checkouts);
+    let session = |((session, commitments), record)| {
+        (
+            session,
+            SessionRecords {
+                commitments,
+                record,
+            },
+        )
+    };
+    Ok(tags.into_iter().zip(records).map(session).collect())
 }
 
 /// The in-process registrar: direct calls into borrowed registrar state,
@@ -159,27 +192,14 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         Ok(self.printer.print_jobs(jobs))
     }
 
-    fn submit_envelope_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<EnvelopeCommitment>)>,
-    ) -> Result<(), TripError> {
+    fn submit_window(&mut self, window: Vec<SessionSubmission>) -> Result<(), TripError> {
         // One boundary carries the whole queue in order, so the session
         // tags are redundant here: admit the window as one batch.
-        let commitments = groups.into_iter().flat_map(|(_, g)| g).collect();
+        let sessions = check_out_window(self.official, self.kiosk_registry, window)?;
+        let sessions = sessions.into_iter().map(|(_, s)| s).collect();
         self.ledger
-            .envelopes
-            .commit_batch(commitments, DAY_THREADS)
-            .map(drop)
+            .admit_sessions(sessions, DAY_THREADS)
             .map_err(TripError::Ledger)
-    }
-
-    fn submit_checkout_groups(
-        &mut self,
-        groups: Vec<(u64, Vec<(CheckOutQr, NonceCoupon)>)>,
-    ) -> Result<(), TripError> {
-        let checkouts = groups.into_iter().flat_map(|(_, g)| g).collect();
-        self.official
-            .check_out_batch(self.ledger, checkouts, self.kiosk_registry, DAY_THREADS)
     }
 
     fn sync_through(&mut self, _sessions: u64) -> Result<(), TripError> {

@@ -33,7 +33,7 @@ use vg_crypto::schnorr::NonceCoupon;
 use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::{EnvelopeCommitment, VoterId};
 
-use crate::boundary::{LocalBoundary, RegistrarBoundary};
+use crate::boundary::{LocalBoundary, RegistrarBoundary, SessionSubmission};
 use crate::ceremony::{FakePrecursor, RealPrecursor, SessionMaterials};
 use crate::error::TripError;
 use crate::kiosk::{Kiosk, KioskBehavior, StolenCredential};
@@ -665,17 +665,16 @@ pub fn last_occurrence_of(plan: &[(VoterId, usize)]) -> HashMap<VoterId, usize> 
 }
 
 /// One window's ledger phase: propagate the earliest ceremony
-/// failure in session order, submit the window's envelope commitments and
-/// check-out records session-tagged, then either hand the outcomes to the
-/// activation driver or straight to the sink.
+/// failure in session order, submit the window's sessions (each one's
+/// envelope commitments with its check-out) in one call, then either hand
+/// the outcomes to the activation driver or straight to the sink.
 fn ledger_phase(
     boundary: &mut dyn RegistrarBoundary,
     outputs: Vec<SessionResult>,
     driver: &mut Option<ActivationDriver<'_>>,
     sink: &mut StationSink<'_>,
 ) -> Result<(), TripError> {
-    let mut env_groups = Vec::with_capacity(outputs.len());
-    let mut checkout_groups = Vec::with_capacity(outputs.len());
+    let mut window = Vec::with_capacity(outputs.len());
     let mut finals = Vec::with_capacity(outputs.len());
     for (idx, result) in outputs {
         let CeremonyOutput {
@@ -684,13 +683,15 @@ fn ledger_phase(
             commitments,
             official_coupon,
         } = result?;
-        let checkout = outcome.believed_real.transport_view()?.checkout.clone();
-        env_groups.push((idx as u64, commitments));
-        checkout_groups.push((idx as u64, vec![(checkout, official_coupon)]));
+        window.push(SessionSubmission {
+            session: idx as u64,
+            commitments,
+            checkout: outcome.believed_real.transport_view()?.checkout.clone(),
+            coupon: official_coupon,
+        });
         finals.push((idx, outcome, stolen));
     }
-    boundary.submit_envelope_groups(env_groups)?;
-    boundary.submit_checkout_groups(checkout_groups)?;
+    boundary.submit_window(window)?;
     match driver {
         Some(driver) => driver.push_window(boundary, finals, sink),
         None => {

@@ -65,7 +65,7 @@ pub mod protocol;
 pub mod setup;
 pub mod vsd;
 
-pub use boundary::{LocalBoundary, RegistrarBoundary};
+pub use boundary::{LocalBoundary, RegistrarBoundary, SessionSubmission};
 pub use ceremony::{PrintJob, SessionMaterials, UnprintedSession};
 pub use error::{ActivationCheck, TripError};
 pub use fleet::{FleetConfig, KioskFleet, DAY_THREADS};

@@ -243,7 +243,7 @@ impl ElectionBuilder {
     }
 
     /// Sets nothing: the registrar's ingest layer is one
-    /// verify-and-commit lane per ledger on the commit sequencer's
+    /// verify-and-commit lane for both ledgers on the commit sequencer's
     /// thread, and ledgers were bit-identical across worker counts while
     /// the count existed. Kept only because the frozen benchmark adapter
     /// (`bench/e2e/src/adapter.rs`, its only caller) names it; ROADMAP

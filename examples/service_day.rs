@@ -4,8 +4,8 @@
 //! authenticated encrypted channel. The resulting signed ledger tree
 //! heads are **bit-identical**, which is the service layer's
 //! equivalence contract. Under each plan's heads the day's engine
-//! counters (`DayStats`) are printed: the in-process day runs inline and
-//! reports a zeroed block with one worker.
+//! counters (`DayStats`) are printed: the in-process day runs inline, has
+//! no engine and reports zeroed engine counters.
 //!
 //! Run with: `cargo run --example service_day --release`
 
@@ -85,15 +85,14 @@ fn main() {
 
 /// The engine counters of one day, as an operator would read them.
 fn print_stats(s: &DayStats) {
-    let lane = |batches: u64, sweeps: u64| {
-        let ratio = batches as f64 / sweeps.max(1) as f64;
-        format!("{batches} batches in {sweeps} sweeps ({ratio:.1} per sweep)")
-    };
+    let ratio = s.batches as f64 / s.sweeps.max(1) as f64;
     let busy = s.worker_busy_us as f64;
     let share = 100.0 * busy / (busy + s.worker_idle_us as f64).max(1.0);
     println!("  engine:");
-    println!("    L_E lane: {}", lane(s.env_batches, s.env_sweeps));
-    println!("    L_R lane: {}", lane(s.reg_batches, s.reg_sweeps));
+    println!(
+        "    ingest lane (L_E + L_R): {} windows in {} sweeps ({ratio:.1} per sweep)",
+        s.batches, s.sweeps
+    );
     println!(
         "    sequencer thread busy {share:.0}% ({} us busy, {} us idle)",
         s.worker_busy_us, s.worker_idle_us

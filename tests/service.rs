@@ -16,10 +16,9 @@ use votegral::crypto::{HmacDrbg, Rng};
 use votegral::ledger::{challenge_hash, VoterId};
 use votegral::service::messages::{
     ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchRequest,
-    CheckOutBatchResponse, EnvelopeSubmitRequest, HandshakeFin, HandshakeFrame, HandshakeInit,
-    HandshakeReply, IngestReceipt, IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse,
-    Request, Response, SealedRecord, SeqCheckOutRequest, SeqEnvelopeSubmitRequest,
-    SyncThroughRequest, WireCoupon,
+    CheckOutBatchResponse, HandshakeFin, HandshakeFrame, HandshakeInit, HandshakeReply,
+    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, Request, Response, SealedRecord,
+    SubmitWindowRequest, SyncThroughRequest, WireCoupon, WireSession,
 };
 use votegral::service::{
     run_day, ChannelPolicy, Connector, DayPlan, Deadlines, Listener, SecureConfig, ServiceError,
@@ -102,10 +101,6 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
             jobs: vec![job, job],
         })
         .to_wire(),
-        Request::SubmitEnvelopes(EnvelopeSubmitRequest {
-            commitments: vec![commitment.clone(), commitment.clone()],
-        })
-        .to_wire(),
         Request::Sync.to_wire(),
         Request::LedgerHeads.to_wire(),
         Request::ActivationSweep(ActivationSweepRequest {
@@ -113,18 +108,21 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         })
         .to_wire(),
         Request::Shutdown.to_wire(),
-        Request::SubmitEnvelopesSeq(SeqEnvelopeSubmitRequest {
-            groups: vec![
-                (2, vec![commitment.clone()]),
-                (3, vec![commitment.clone(), commitment.clone()]),
+        Request::SubmitWindow(SubmitWindowRequest {
+            sessions: vec![
+                WireSession {
+                    session: 2,
+                    commitments: vec![commitment.clone()],
+                    checkout: qr.clone(),
+                    coupon: NonceCoupon::generate(&mut rng).into(),
+                },
+                WireSession {
+                    session: 3,
+                    commitments: vec![commitment.clone(), commitment.clone()],
+                    checkout: qr.clone(),
+                    coupon: NonceCoupon::generate(&mut rng).into(),
+                },
             ],
-        })
-        .to_wire(),
-        Request::CheckOutBatchSeq(SeqCheckOutRequest {
-            groups: vec![(
-                5,
-                vec![(qr.clone(), NonceCoupon::generate(&mut rng).into())],
-            )],
         })
         .to_wire(),
         Request::SyncThrough(SyncThroughRequest {
@@ -140,7 +138,6 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
             envelopes: vec![(envelope, commitment)],
         })
         .to_wire(),
-        Response::SubmitEnvelopes(IngestReceipt { ticket: 9 }).to_wire(),
         Response::Sync.to_wire(),
         Response::LedgerHeads(LedgerHeads {
             registration: head.clone(),
@@ -149,19 +146,15 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         .to_wire(),
         Response::ActivationSweep.to_wire(),
         Response::Shutdown.to_wire(),
-        Response::SubmitEnvelopesSeq(IngestReceipt { ticket: 11 }).to_wire(),
-        Response::CheckOutBatchSeq(CheckOutBatchResponse { ticket: 12 }).to_wire(),
+        Response::SubmitWindow.to_wire(),
         Response::SyncThrough.to_wire(),
         Response::IngestStats(IngestStatsReply {
-            env_batches: 8,
-            env_sweeps: 2,
-            reg_batches: 8,
-            reg_sweeps: 2,
+            batches: 8,
+            sweeps: 2,
             worker_busy_us: 1_000,
             worker_idle_us: 9_000,
             wal_records: 16,
             wal_fsyncs: 2,
-            workers: 4,
             wal_failures: 1,
         })
         .to_wire(),
