@@ -213,7 +213,10 @@ impl RegistrationLedger {
     /// `bench/e2e`'s re-enactment and layer probes time the two halves
     /// separately; the registrar itself calls
     /// [`RegistrationLedger::post_batch`].
-    pub fn verify_batch(records: &[RegistrationRecord], threads: usize) -> Result<(), LedgerError> {
+    pub fn verify_batch<'a>(
+        records: impl IntoIterator<Item = &'a RegistrationRecord>,
+        threads: usize,
+    ) -> Result<(), LedgerError> {
         let mut sweep = SignatureSweep::new(b"ledger-reg-admission-v1");
         for record in records {
             sweep.push(
@@ -421,8 +424,8 @@ impl EnvelopeLedger {
     /// one committed RLC sweep over the batch, touching no ledger state
     /// (see [`RegistrationLedger::verify_batch`] for why the split is
     /// `pub`).
-    pub fn verify_batch(
-        commitments: &[EnvelopeCommitment],
+    pub fn verify_batch<'a>(
+        commitments: impl IntoIterator<Item = &'a EnvelopeCommitment>,
         threads: usize,
     ) -> Result<(), LedgerError> {
         let mut sweep = SignatureSweep::new(b"ledger-env-admission-v1");
@@ -699,23 +702,29 @@ impl Ledger {
     /// ([`EnvelopeLedger::verify_batch`]) and one over the records
     /// ([`RegistrationLedger::verify_batch`]), and only then the L_E and
     /// L_R appends, in session order. A session lands on both ledgers or
-    /// on neither; the first failing check names the error.
+    /// on neither; the first failing check names the error. Admitted
+    /// sessions are moved out of `sessions`; a refused batch is left
+    /// there, untouched, for the caller to retry in parts.
     pub fn admit_sessions(
         &mut self,
-        sessions: Vec<SessionRecords>,
+        sessions: &mut Vec<SessionRecords>,
         threads: usize,
     ) -> Result<(), LedgerError> {
-        let mut commitments = Vec::with_capacity(sessions.len());
+        if !sessions
+            .iter()
+            .all(|s| self.registration.is_eligible(s.record.voter_id))
+        {
+            return Err(LedgerError::NotOnRoster);
+        }
+        EnvelopeLedger::verify_batch(sessions.iter().flat_map(|s| &s.commitments), threads)?;
+        RegistrationLedger::verify_batch(sessions.iter().map(|s| &s.record), threads)?;
+        let mut commitments =
+            Vec::with_capacity(sessions.iter().map(|s| s.commitments.len()).sum());
         let mut records = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            if !self.registration.is_eligible(session.record.voter_id) {
-                return Err(LedgerError::NotOnRoster);
-            }
+        for session in sessions.drain(..) {
             commitments.extend(session.commitments);
             records.push(session.record);
         }
-        EnvelopeLedger::verify_batch(&commitments, threads)?;
-        RegistrationLedger::verify_batch(&records, threads)?;
         self.envelopes
             .commit_batch_preverified(commitments, threads)?;
         self.registration.post_batch_preverified(records, threads)?;

@@ -106,13 +106,13 @@ impl Lane {
             return None;
         }
         stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        let batch = sessions.values().cloned().collect();
-        if ledger.admit_sessions(batch, DAY_THREADS).is_ok() {
+        let (indices, mut batch): (Vec<u64>, Vec<_>) = sessions.into_iter().unzip();
+        if ledger.admit_sessions(&mut batch, DAY_THREADS).is_ok() {
             self.next = self.ready;
             return None;
         }
-        for (session, records) in sessions {
-            if let Err(e) = ledger.admit_sessions(vec![records], DAY_THREADS) {
+        for (session, records) in indices.into_iter().zip(batch) {
+            if let Err(e) = ledger.admit_sessions(&mut vec![records], DAY_THREADS) {
                 self.ready = session;
                 return Some(e.into());
             }

@@ -196,9 +196,9 @@ impl RegistrarBoundary for LocalBoundary<'_> {
         // One boundary carries the whole queue in order, so the session
         // tags are redundant here: admit the window as one batch.
         let sessions = check_out_window(self.official, self.kiosk_registry, window)?;
-        let sessions = sessions.into_iter().map(|(_, s)| s).collect();
+        let mut sessions = sessions.into_iter().map(|(_, s)| s).collect();
         self.ledger
-            .admit_sessions(sessions, DAY_THREADS)
+            .admit_sessions(&mut sessions, DAY_THREADS)
             .map_err(TripError::Ledger)
     }
 
