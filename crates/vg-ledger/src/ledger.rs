@@ -175,8 +175,10 @@ impl RegistrationLedger {
         self.roster_set.contains_key(&voter)
     }
 
-    /// Posts registration records (check-out, Fig 10): the one admission
-    /// path, a single record being a batch of one. Eligibility is checked
+    /// Posts registration records (check-out, Fig 10), a single record
+    /// being a batch of one; a registration day's sessions go through
+    /// [`Ledger::admit_sessions`], which runs the same two halves beside
+    /// L_E's. Eligibility is checked
     /// per record, the signature chains through
     /// [`RegistrationLedger::verify_batch`], and the records are appended
     /// through the backend's batch path. All-or-nothing: any invalid
@@ -211,8 +213,8 @@ impl RegistrationLedger {
     /// checked here because the roster lives with the ledger. `pub`
     /// beside [`RegistrationLedger::post_batch_preverified`] because
     /// `bench/e2e`'s re-enactment and layer probes time the two halves
-    /// separately; the registrar itself calls
-    /// [`RegistrationLedger::post_batch`].
+    /// separately; the registrar's day admits through
+    /// [`Ledger::admit_sessions`], which runs both halves.
     pub fn verify_batch<'a>(
         records: impl IntoIterator<Item = &'a RegistrationRecord>,
         threads: usize,
@@ -402,10 +404,11 @@ impl EnvelopeLedger {
         }
     }
 
-    /// Records printer commitments (Fig 7 line 5), the one admission
-    /// path: setup's booth supply and every restock, posted by `vg-trip`'s
-    /// `print_supply` in chunks of at most 4 096, the ceremony pool's
-    /// batched refills, and a single envelope as a batch of one.
+    /// Records printer commitments (Fig 7 line 5): setup's booth supply
+    /// and every restock, posted by `vg-trip`'s `print_supply` in chunks
+    /// of at most 4 096, and a single envelope as a batch of one. A
+    /// registration day's commitments go through
+    /// [`Ledger::admit_sessions`] with their sessions' records.
     /// All-or-nothing on signature failure; printer signatures are checked
     /// through one RLC fold with the same weight derivation and offender
     /// search as [`RegistrationLedger::post_batch`]. The fold carries one

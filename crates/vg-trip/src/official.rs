@@ -73,8 +73,8 @@ impl Official {
     /// random-linear-combination fold that names the first offender,
     /// every record is countersigned from its session's coupon (the
     /// ceremony pool provides one per session, making the desk
-    /// hash-only), and the batch is posted through the registration
-    /// ledger's one admission path.
+    /// hash-only), and the batch is posted through
+    /// [`vg_ledger::RegistrationLedger::post_batch`].
     pub fn check_out_batch(
         &self,
         ledger: &mut Ledger,
@@ -123,8 +123,8 @@ impl Official {
     /// The record-construction half of [`Official::check_out_batch`]
     /// (Fig 10 lines 4–5): countersigns each *already verified* ticket
     /// from its session's coupon. Callers that split verification from
-    /// posting (the service layer's asynchronous ledger ingestion) combine
-    /// this with [`Official::verify_checkouts`].
+    /// posting ([`crate::boundary::check_out_window`], for a registration
+    /// day's windows) combine this with [`Official::verify_checkouts`].
     pub fn countersign_checkouts(
         &self,
         checkouts: Vec<(CheckOutQr, NonceCoupon)>,
