@@ -175,6 +175,18 @@ impl RegistrationLedger {
         self.roster_set.contains_key(&voter)
     }
 
+    /// `NotOnRoster` unless every record's voter is eligible.
+    fn check_roster<'a>(
+        &self,
+        records: impl IntoIterator<Item = &'a RegistrationRecord>,
+    ) -> Result<(), LedgerError> {
+        let mut voters = records.into_iter().map(|r| r.voter_id);
+        match voters.all(|voter| self.is_eligible(voter)) {
+            true => Ok(()),
+            false => Err(LedgerError::NotOnRoster),
+        }
+    }
+
     /// Posts registration records (check-out, Fig 10), a single record
     /// being a batch of one; a registration day's sessions go through
     /// [`Ledger::admit_sessions`], which runs the same two halves beside
@@ -195,11 +207,7 @@ impl RegistrationLedger {
         records: Vec<RegistrationRecord>,
         threads: usize,
     ) -> Result<std::ops::Range<usize>, LedgerError> {
-        for record in &records {
-            if !self.is_eligible(record.voter_id) {
-                return Err(LedgerError::NotOnRoster);
-            }
-        }
+        self.check_roster(&records)?;
         Self::verify_batch(&records, threads)?;
         self.post_batch_preverified(records, threads)
     }
@@ -255,11 +263,7 @@ impl RegistrationLedger {
         records: Vec<RegistrationRecord>,
         threads: usize,
     ) -> Result<std::ops::Range<usize>, LedgerError> {
-        for record in &records {
-            if !self.is_eligible(record.voter_id) {
-                return Err(LedgerError::NotOnRoster);
-            }
-        }
+        self.check_roster(&records)?;
         let voters: Vec<VoterId> = records.iter().map(|r| r.voter_id).collect();
         let range = self.log.append_batch(records, threads);
         for (voter, idx) in voters.into_iter().zip(range.clone()) {
@@ -713,12 +717,8 @@ impl Ledger {
         sessions: &mut Vec<SessionRecords>,
         threads: usize,
     ) -> Result<(), LedgerError> {
-        if !sessions
-            .iter()
-            .all(|s| self.registration.is_eligible(s.record.voter_id))
-        {
-            return Err(LedgerError::NotOnRoster);
-        }
+        self.registration
+            .check_roster(sessions.iter().map(|s| &s.record))?;
         EnvelopeLedger::verify_batch(sessions.iter().flat_map(|s| &s.commitments), threads)?;
         RegistrationLedger::verify_batch(sessions.iter().map(|s| &s.record), threads)?;
         let mut commitments =

@@ -451,11 +451,8 @@ mod tests {
 
     /// Both ledgers' `(size, root)`.
     fn heads(ledger: &Ledger) -> [(u64, [u8; 32]); 2] {
-        let (e, r) = (
-            ledger.envelopes.tree_head(),
-            ledger.registration.tree_head(),
-        );
-        [(e.size, e.root), (r.size, r.root)]
+        let (e, r) = (&ledger.envelopes, &ledger.registration);
+        [e.tree_head(), r.tree_head()].map(|h| (h.size, h.root))
     }
 
     /// What `sessions` alone leave on a fresh system's ledgers.

@@ -90,6 +90,15 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         tag: rng.bytes32(),
     };
     assert_eq!(commitment.challenge_hash, challenge_hash(&e));
+    let mut session = |session, n| WireSession {
+        session,
+        commitments: vec![commitment.clone(); n],
+        checkout: qr.clone(),
+        coupon: NonceCoupon::generate(&mut rng).into(),
+    };
+    let window = SubmitWindowRequest {
+        sessions: vec![session(2, 1), session(3, 2)],
+    };
 
     let requests = vec![
         Request::CheckIn(CheckInRequest { voter: qr.voter_id }).to_wire(),
@@ -108,23 +117,7 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         })
         .to_wire(),
         Request::Shutdown.to_wire(),
-        Request::SubmitWindow(SubmitWindowRequest {
-            sessions: vec![
-                WireSession {
-                    session: 2,
-                    commitments: vec![commitment.clone()],
-                    checkout: qr.clone(),
-                    coupon: NonceCoupon::generate(&mut rng).into(),
-                },
-                WireSession {
-                    session: 3,
-                    commitments: vec![commitment.clone(), commitment.clone()],
-                    checkout: qr.clone(),
-                    coupon: NonceCoupon::generate(&mut rng).into(),
-                },
-            ],
-        })
-        .to_wire(),
+        Request::SubmitWindow(window).to_wire(),
         Request::SyncThrough(SyncThroughRequest {
             sessions: rng.below(1 << 30),
         })
