@@ -50,5 +50,5 @@ pub trait BenchSystem {
     fn vote_all(&mut self, votes: &[u32], rng: &mut dyn Rng);
 
     /// Tallies and returns per-option counts.
-    fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64>;
+    fn tally(&mut self, rng: &mut (dyn Rng + Send)) -> Vec<u64>;
 }

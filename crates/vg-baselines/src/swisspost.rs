@@ -127,7 +127,7 @@ impl BenchSystem for SwissPost {
         }
     }
 
-    fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64> {
+    fn tally(&mut self, rng: &mut (dyn Rng + Send)) -> Vec<u64> {
         let pk = self.authority.public_key;
         // Swiss Post ballots travel through the mix as (encrypted vote,
         // encrypted confirmation key) pairs — the mixnet moves both under

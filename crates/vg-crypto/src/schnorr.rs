@@ -479,12 +479,34 @@ impl SignatureSweep {
         sig: Signature,
     ) -> Result<(), CryptoError> {
         let slot = self.keys.slot(pk, || VerifyingKey::from_compressed(pk))?;
+        self.queue(slot, msg, sig);
+        Ok(())
+    }
+
+    /// [`SignatureSweep::push`] for a key its caller has already decoded
+    /// from `pk` with [`VerifyingKey::from_compressed`] — say, for many
+    /// items at once on the host's cores — so the push cannot fail. The
+    /// weight commitment takes `pk`, as it does from `push`.
+    pub fn push_decoded(
+        &mut self,
+        pk: &CompressedPoint,
+        key: VerifyingKey,
+        msg: Vec<u8>,
+        sig: Signature,
+    ) {
+        let slot = match self.keys.slot(pk, || Ok(key)) {
+            Ok(slot) => slot,
+            Err(_) => unreachable!("a decoded key is taken as it is"),
+        };
+        self.queue(slot, msg, sig);
+    }
+
+    fn queue(&mut self, slot: usize, msg: Vec<u8>, sig: Signature) {
         self.label
             .update(&(msg.len() as u64).to_le_bytes())
             .update(&msg)
             .update(&sig.to_bytes());
         self.items.push((slot, msg, sig));
-        Ok(())
     }
 
     /// Number of queued items.
@@ -664,6 +686,41 @@ mod tests {
         }
         assert_eq!(sweep.len(), 6);
         sweep.verify(2).expect("honest batch folds clean");
+    }
+
+    #[test]
+    fn a_decoded_push_commits_and_verifies_like_a_push() {
+        // Three keys, the first twice: the weight stream and the verdicts
+        // are the same whether the sweep decodes the keys or is handed
+        // them, honest or with one signature broken.
+        let mut rng = HmacDrbg::from_u64(54);
+        let keys: Vec<SigningKey> = (0..3).map(|_| SigningKey::generate(&mut rng)).collect();
+        for bad in [None, Some(2usize)] {
+            let sweep = |decoded: bool| {
+                let mut sweep = SignatureSweep::new(b"test-sweep-v1");
+                for (i, key) in keys.iter().chain(&keys[..1]).enumerate() {
+                    let msg = vec![i as u8; 7];
+                    let mut sig = key.sign(&msg);
+                    if Some(i) == bad {
+                        sig.s += Scalar::ONE;
+                    }
+                    let pk = key.public_key_compressed();
+                    if decoded {
+                        let vk = VerifyingKey::from_compressed(&pk).unwrap();
+                        sweep.push_decoded(&pk, vk, msg, sig);
+                    } else {
+                        sweep.push(&pk, msg, sig).unwrap();
+                    }
+                }
+                sweep
+            };
+            let (pushed, decoded) = (sweep(false), sweep(true));
+            assert_eq!(pushed.check(1), decoded.check(1), "bad {bad:?}");
+            if bad.is_none() {
+                let next = |s: &SignatureSweep| s.verify(1).unwrap().bytes32();
+                assert_eq!(next(&pushed), next(&decoded));
+            }
+        }
     }
 
     #[test]

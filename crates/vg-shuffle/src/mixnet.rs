@@ -114,14 +114,15 @@ impl MixCascade {
     /// pairs — producing a verifiable transcript. Each mixer reads the
     /// previous stage's outputs where the transcript holds them.
     ///
-    /// [`MixCascade::draw`] then [`MixCascade::mix_with`].
+    /// [`MixCascade::mix_with`] on each stage's coins drawn as the stage
+    /// starts, in the order [`MixCascade::draw`] draws them.
     pub fn mix<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],
         rng: &mut dyn Rng,
     ) -> RowMixTranscript<R> {
-        let coins = self.draw(inputs.len(), rng);
+        let coins = (0..self.mixers).map(|_| self.ctx.draw(inputs.len(), rng));
         self.mix_with(pk, inputs, coins)
     }
 
@@ -131,26 +132,31 @@ impl MixCascade {
         (0..self.mixers).map(|_| self.ctx.draw(n, rng)).collect()
     }
 
-    /// The arithmetic of [`MixCascade::mix`] on coins drawn beforehand by
-    /// [`MixCascade::draw`]: the same transcript, and no DRBG needed.
+    /// The arithmetic of [`MixCascade::mix`] on coins drawn apart from it:
+    /// the same transcript, and no DRBG needed. The stages' coins
+    /// ([`ShuffleContext::draw`], one stage each, in stage order) are
+    /// taken one at a time as each stage starts, so they can still be
+    /// arriving — say over a channel from the thread that draws them —
+    /// while the first stages run.
     ///
     /// # Panics
     ///
-    /// Panics unless there are coins for every mixer, drawn for
-    /// `inputs.len()` rows.
+    /// Panics unless `coins` yields one stage's coins per mixer, each
+    /// drawn for `inputs.len()` rows.
     pub fn mix_with<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],
-        coins: Vec<ShuffleCoins<R>>,
+        coins: impl IntoIterator<Item = ShuffleCoins<R>>,
     ) -> RowMixTranscript<R> {
-        assert_eq!(coins.len(), self.mixers, "one stage's coins per mixer");
         let mut stages: Vec<RowMixStage<R>> = Vec::with_capacity(self.mixers);
         for coins in coins {
+            assert!(stages.len() < self.mixers, "one stage's coins per mixer");
             let current = stages.last().map_or(inputs, |s| s.outputs.as_slice());
             let (outputs, proof) = self.ctx.shuffle_with(pk, current, coins);
             stages.push(RowMixStage { outputs, proof });
         }
+        assert_eq!(stages.len(), self.mixers, "one stage's coins per mixer");
         RowMixTranscript {
             inputs: inputs.to_vec(),
             stages,
@@ -286,22 +292,47 @@ mod tests {
 
     #[test]
     fn drawn_coins_mix_like_the_drbg() {
-        // `draw` then `mix_with` is `mix`: the same transcript, and the
-        // DRBG left at the same place.
-        let run = |split: bool| {
+        // `draw` then `mix_with`, on a Vec or on coins sent stage by stage
+        // over a channel, is `mix`: the same transcript, and the DRBG left
+        // at the same place.
+        let run = |how: &str| {
             let mut rng = HmacDrbg::from_u64(12);
             let kp = ElGamalKeyPair::generate(&mut rng);
             let inputs: Vec<Pair> = rows(5, 100, &kp, &mut rng);
             let cascade = MixCascade::new(5, 3);
-            let transcript = if split {
-                let coins = cascade.draw::<Pair>(inputs.len(), &mut rng);
-                cascade.mix_with(&kp.pk, &inputs, coins)
-            } else {
-                cascade.mix(&kp.pk, &inputs, &mut rng)
+            let transcript = match how {
+                "mix" => cascade.mix(&kp.pk, &inputs, &mut rng),
+                "vec" => {
+                    let coins = cascade.draw::<Pair>(inputs.len(), &mut rng);
+                    cascade.mix_with(&kp.pk, &inputs, coins)
+                }
+                _ => {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    for _ in 0..cascade.mixers() {
+                        tx.send(cascade.context().draw::<Pair>(inputs.len(), &mut rng))
+                            .expect("receiver alive");
+                    }
+                    drop(tx);
+                    cascade.mix_with(&kp.pk, &inputs, rx)
+                }
             };
             crate::shuffle::tests::digest_then_position(&transcript, &mut rng)
         };
-        assert_eq!(run(false), run(true));
+        let mixed = run("mix");
+        assert_eq!(run("vec"), mixed);
+        assert_eq!(run("channel"), mixed);
+    }
+
+    #[test]
+    #[should_panic(expected = "one stage's coins per mixer")]
+    fn mix_with_too_few_stages_panics() {
+        let mut rng = HmacDrbg::from_u64(13);
+        let kp = ElGamalKeyPair::generate(&mut rng);
+        let inputs: Vec<Ciphertext> = rows(4, 0, &kp, &mut rng);
+        let cascade = MixCascade::new(4, 3);
+        let mut coins = cascade.draw::<Ciphertext>(inputs.len(), &mut rng);
+        coins.pop();
+        cascade.mix_with(&kp.pk, &inputs, coins);
     }
 
     #[test]

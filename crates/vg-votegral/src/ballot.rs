@@ -19,6 +19,7 @@ use vg_crypto::codec::{put_scalar, Reader};
 use vg_crypto::drbg::Rng;
 use vg_crypto::edwards::FixedBaseTable;
 use vg_crypto::elgamal::Ciphertext;
+use vg_crypto::par::{default_threads, par_map};
 use vg_crypto::schnorr::{Signature, VerifyingKey};
 use vg_crypto::{CompressedPoint, CryptoError, EdwardsPoint, Scalar, Transcript};
 use vg_ledger::{BallotRecord, Ledger};
@@ -157,6 +158,7 @@ pub fn prove_vote(
 ) -> VoteProof {
     assert!(vote < config.n_options, "vote out of range");
     let pk_table = FixedBaseTable::shared(authority_pk);
+    let coins: Vec<Scalar> = (1..2 * config.n_options).map(|_| rng.scalar()).collect();
     prove_vote_on(
         authority_pk,
         &pk_table,
@@ -165,12 +167,14 @@ pub fn prove_vote(
         vote,
         config,
         credential_pk,
-        rng,
+        &coins,
     )
 }
 
-/// [`prove_vote`] on A_pk's table, fetched once by the caller.
-#[allow(clippy::too_many_arguments)] // prove_vote's seven, and the table
+/// [`prove_vote`] on A_pk's table, fetched once by the caller, and on its
+/// 2·|M| − 1 coins drawn beforehand: eₘ then y for each forged branch in
+/// option order, then k.
+#[allow(clippy::too_many_arguments)] // prove_vote's six, the table and the coins
 fn prove_vote_on(
     authority_pk: &EdwardsPoint,
     pk_table: &FixedBaseTable,
@@ -179,9 +183,11 @@ fn prove_vote_on(
     vote: u32,
     config: VoteConfig,
     credential_pk: &CompressedPoint,
-    rng: &mut dyn Rng,
+    coins: &[Scalar],
 ) -> VoteProof {
     let v = Scalar::from_u64(vote as u64);
+    let (forged, k) = coins.split_at(coins.len() - 1);
+    let mut forged = forged.chunks_exact(2);
 
     // Forge every branch except the real one, whose slot waits for k.
     let mut branches = Vec::with_capacity(config.n_options as usize);
@@ -195,8 +201,9 @@ fn prove_vote_on(
             branches.push((pending, Scalar::ZERO, Scalar::ZERO));
             continue;
         }
-        let e_m = rng.scalar();
-        let y = rng.scalar();
+        let &[e_m, y] = forged.next().expect("two coins per forged branch") else {
+            unreachable!("chunks of two")
+        };
         let t = y + e_m * *randomness;
         let shift = e_m * (v - Scalar::from_u64(opt as u64));
         let commit = Commitment {
@@ -207,7 +214,7 @@ fn prove_vote_on(
         branches.push((commit, e_m, y));
     }
     // Real branch: commit honestly, then split the global challenge.
-    let k = rng.scalar();
+    let k = k[0];
     branches[vote as usize].0 = Commitment {
         a1: EdwardsPoint::mul_base(&k),
         a2: pk_table.mul(&k),
@@ -439,23 +446,56 @@ pub fn build_ballot_record(
     authority_pk: &EdwardsPoint,
     rng: &mut dyn Rng,
 ) -> Result<BallotRecord, VotegralError> {
+    let coins = ballot_coins(vote, config, rng)?;
+    let pk_table = FixedBaseTable::shared(authority_pk);
+    Ok(ballot_record_on(
+        credential,
+        vote,
+        config,
+        authority_pk,
+        &pk_table,
+        &coins,
+    ))
+}
+
+/// Every coin one ballot for `vote` takes, in the order its builder takes
+/// them: the encryption randomness, then the vote proof's 2·|M| − 1. An
+/// out-of-range vote draws nothing.
+fn ballot_coins(
+    vote: u32,
+    config: VoteConfig,
+    rng: &mut dyn Rng,
+) -> Result<Vec<Scalar>, VotegralError> {
     if vote >= config.n_options {
         return Err(VotegralError::VoteOutOfRange);
     }
-    let randomness = rng.scalar();
+    Ok((0..2 * config.n_options).map(|_| rng.scalar()).collect())
+}
+
+/// The arithmetic of [`build_ballot_record`] on its coins
+/// ([`ballot_coins`]) and A_pk's table: no DRBG needed, so many ballots
+/// can be built at once.
+fn ballot_record_on(
+    credential: &ActivatedCredential,
+    vote: u32,
+    config: VoteConfig,
+    authority_pk: &EdwardsPoint,
+    pk_table: &FixedBaseTable,
+    coins: &[Scalar],
+) -> BallotRecord {
+    let (randomness, proof_coins) = (coins[0], &coins[1..]);
     let g_v = EdwardsPoint::mul_base(&Scalar::from_u64(vote as u64));
-    let pk_table = FixedBaseTable::shared(authority_pk);
-    let vote_ct = vg_crypto::elgamal::encrypt_point_with_table(&pk_table, &g_v, &randomness);
+    let vote_ct = vg_crypto::elgamal::encrypt_point_with_table(pk_table, &g_v, &randomness);
     let credential_pk = credential.public_key();
     let vote_proof = prove_vote_on(
         authority_pk,
-        &pk_table,
+        pk_table,
         &vote_ct,
         &randomness,
         vote,
         config,
         &credential_pk,
-        rng,
+        proof_coins,
     );
     let er_hash = vg_trip::materials::er_hash(&credential.challenge, &credential.response);
     let ballot = Ballot {
@@ -469,20 +509,23 @@ pub fn build_ballot_record(
     };
     let payload = ballot.to_bytes();
     let signature = credential.key.sign(&BallotRecord::message(&payload));
-    Ok(BallotRecord {
+    BallotRecord {
         credential_pk,
         payload,
         signature,
-    })
+    }
 }
 
-/// Casts a batch of ballots: records are built one after another on the
-/// calling thread (consuming the RNG in exactly the order a loop of
-/// [`cast_ballot`] calls would, so the two paths are bit-for-bit
-/// interchangeable), then admitted through the ledger's batch path — one
-/// committed signature sweep, parallel leaf hashing, one head
-/// re-publication. `threads` reaches only that admission. Returns the
-/// posted indices in input order.
+/// Casts a batch of ballots. Every ballot's coins are drawn first, on the
+/// calling thread, in exactly the order a loop of [`cast_ballot`] calls
+/// draws them, and each vote's range is checked as its turn comes: an
+/// out-of-range vote fails the batch with the DRBG where that loop leaves
+/// it, and nothing posted. The records are then built from their coins on
+/// the host's cores ([`par_map`] on [`default_threads`]), so the two paths
+/// are bit-for-bit interchangeable, and admitted through the ledger's
+/// batch path — one committed signature sweep, parallel leaf hashing, one
+/// head re-publication. `threads` reaches only that admission. Returns
+/// the posted indices in input order.
 pub fn cast_ballots(
     votes: &[(&ActivatedCredential, u32)],
     config: VoteConfig,
@@ -491,16 +534,15 @@ pub fn cast_ballots(
     threads: usize,
     rng: &mut dyn Rng,
 ) -> Result<Vec<usize>, VotegralError> {
-    let mut records = Vec::with_capacity(votes.len());
-    for (credential, vote) in votes {
-        records.push(build_ballot_record(
-            credential,
-            *vote,
-            config,
-            authority_pk,
-            rng,
-        )?);
-    }
+    let coins = votes
+        .iter()
+        .map(|(_, vote)| ballot_coins(*vote, config, rng))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pk_table = FixedBaseTable::shared(authority_pk);
+    let jobs: Vec<_> = votes.iter().zip(&coins).collect();
+    let records = par_map(&jobs, default_threads(), |((credential, vote), coins)| {
+        ballot_record_on(credential, *vote, config, authority_pk, &pk_table, coins)
+    });
     let range = ledger
         .ballots
         .post_batch(records, threads)

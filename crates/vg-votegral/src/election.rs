@@ -198,10 +198,12 @@ impl ElectionBuilder {
         self
     }
 
-    /// Sets nothing: registration and [`Election::cast_batch`] compute on
-    /// the calling threads ([`vg_trip::DAY_THREADS`]). Kept only because
-    /// the frozen benchmark adapter (`bench/e2e/src/adapter.rs`, its only
-    /// caller) names it; ROADMAP item 1's deletion PR removes it.
+    /// Sets nothing: registration computes on the calling threads
+    /// ([`vg_trip::DAY_THREADS`]), and [`Election::cast_batch`] builds its
+    /// records on the process's core budget and admits them on the
+    /// calling thread. Kept only because the frozen benchmark adapter
+    /// (`bench/e2e/src/adapter.rs`, its only caller) names it; ROADMAP
+    /// item 1's deletion PR removes it.
     pub fn threads(self, _n: usize) -> Self {
         self
     }
@@ -476,12 +478,13 @@ impl Election<Voting> {
         )
     }
 
-    /// Casts a batch of ballots: every record is built on the calling
-    /// thread, in DRBG order, then L_V admits the whole batch through its
-    /// batch path (one signature sweep and leaf hashing on the calling
-    /// thread, one signed head). Consumes the RNG exactly as the
-    /// equivalent sequence of [`Election::cast`] calls would, so both
-    /// paths produce bit-identical ledgers.
+    /// Casts a batch of ballots: every ballot's coins are drawn on the
+    /// calling thread, in DRBG order, and the records built from them on
+    /// the host's cores ([`cast_ballots`]); then L_V admits the whole batch
+    /// through its batch path (one signature sweep and leaf hashing on the
+    /// calling thread, one signed head). Consumes the RNG exactly as the
+    /// equivalent sequence of [`Election::cast`] calls would, failing or
+    /// not, so both paths produce bit-identical ledgers.
     pub fn cast_batch(
         &mut self,
         votes: &[(&ActivatedCredential, u32)],
@@ -505,8 +508,10 @@ impl Election<Voting> {
 }
 
 impl Election<Tallying> {
-    /// Runs the tally, producing the publicly verifiable transcript.
-    pub fn tally(&self, rng: &mut dyn Rng) -> Result<TallyTranscript, VotegralError> {
+    /// Runs the tally, producing the publicly verifiable transcript. The
+    /// DRBG is `Send` because the tally draws its coins on a worker while
+    /// the ballot chain starts on this thread ([`tally`]).
+    pub fn tally(&self, rng: &mut (dyn Rng + Send)) -> Result<TallyTranscript, VotegralError> {
         tally(
             &self.trip.authority,
             &self.trip.ledger,
@@ -716,6 +721,54 @@ mod tests {
         let (head_batch, result_batch) = run(true);
         assert_eq!(head_seq, head_batch, "identical ballot ledger heads");
         assert_eq!(result_seq, result_batch, "identical results");
+    }
+
+    #[test]
+    fn cast_batch_past_the_parallel_cutoff_fails_like_sequential_cast() {
+        // 24 ballots, past `par_map`'s 16-item cutoff, on two credentials.
+        // Honest, the batch builds its records on the host's cores and
+        // posts what the loop posts. With an out-of-range vote at 11 both
+        // fail with the same error, L_V untouched by the batch, and leave
+        // the DRBG at the same place: the loop's eleven casts drew their
+        // coins, the bad vote drew nothing.
+        let run = |batch: bool, bad: Option<usize>| {
+            let (mut election, mut rng) = small_election(22, 2);
+            let sessions = election
+                .register_batch(&[VoterId(1), VoterId(2)], &mut rng)
+                .unwrap();
+            let votes: Vec<(&ActivatedCredential, u32)> = (0..24)
+                .map(|i| {
+                    let vote = if Some(i) == bad { 3 } else { i as u32 % 3 };
+                    (&sessions[i % 2].1.credentials[0], vote)
+                })
+                .collect();
+            let mut voting = election.open_voting();
+            let empty = voting.ledger().ballots.tree_head();
+            let outcome = if batch {
+                voting
+                    .cast_batch(&votes, &mut rng)
+                    .map(|posted| posted.len())
+            } else {
+                votes
+                    .iter()
+                    .map(|(credential, vote)| voting.cast(credential, *vote, &mut rng))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(|posted| posted.len())
+            };
+            let head = voting.ledger().ballots.tree_head();
+            let posted = voting.ledger().ballots.len();
+            (outcome, (posted, head.root, head == empty), rng.bytes32())
+        };
+        let honest = run(true, None);
+        assert_eq!(honest.0, Ok(24));
+        assert_eq!(honest, run(false, None), "bit-identical L_V and DRBG");
+        let (outcome, (posted, _, untouched), next) = run(true, Some(11));
+        assert_eq!(outcome, Err(VotegralError::VoteOutOfRange));
+        assert_eq!((posted, untouched), (0, true), "the failed batch moved L_V");
+        let (seq_outcome, (seq_posted, _, _), seq_next) = run(false, Some(11));
+        assert_eq!(seq_outcome, outcome);
+        assert_eq!(seq_posted, 11);
+        assert_eq!(seq_next, next, "the batch left the DRBG elsewhere");
     }
 
     #[test]

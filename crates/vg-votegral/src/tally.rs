@@ -20,32 +20,44 @@
 //!
 //! # What runs on the host's cores
 //!
-//! Admission runs first. Then every DRBG value stages 2–4 take is drawn
-//! on the calling thread, in the order a tally running the stages one
-//! after the other takes them: the ballot mix's stages, then the
-//! registration mix's, the tagging exponents, the registration tagging's
-//! nonces, then the ballot tagging's, the registration opening's nonces,
-//! then the key opening's. Nothing then needs the DRBG until the vote
-//! opening, and the two chains, which share nothing but the tagging
-//! exponents, run side by side under [`join`]:
+//! Admission runs first: each record's decoding and exact checks, and its
+//! credential key's decoding, on [`default_threads`] workers, then the
+//! signature sweep and proof fold, themselves parallel, over the records
+//! in ledger order. Every DRBG value stages 2–4 take is then drawn in the
+//! order a tally running the stages one after the other takes them: the
+//! ballot mix's stages, then the registration mix's, the tagging
+//! exponents, the registration tagging's nonces, then the ballot
+//! tagging's, the registration opening's nonces, then the key opening's.
+//! The two chains share nothing but the tagging exponents:
 //!
 //! - ballot mix → ballot tagging (of the credential-key column) → key
 //!   opening;
 //! - registration mix → registration tagging → registration opening.
 //!
+//! They run side by side under [`join`]. Its first closure, on a worker
+//! when the core budget has a free slot, draws every coin and then runs
+//! the registration chain; its second, on the calling thread, runs the
+//! ballot chain, which takes each mix stage's coins as they are drawn
+//! ([`MixCascade::mix_with`]) and its later coins through a one-shot
+//! channel. So the ballot mix starts on its first stage's coins while the
+//! rest are drawn. With no free slot `join` runs the first closure to its
+//! end, then the second: every coin is then waiting in its channel before
+//! the ballot chain asks for it, which is why the drawing side must be
+//! the first closure (`tests/tally_budget.rs` runs a tally with every
+//! slot held).
+//!
 //! Matching, the vote opening's draws and the vote opening follow. Within
 //! a stage the point arithmetic runs on [`default_threads`] workers
-//! (`vg_crypto::par`): admission's signature sweep and proof fold, each
-//! mix stage's re-encryptions and commitments, each tagging round's
-//! exponentiations, and each opening's share points, proof commitments
-//! and recombinations. Every worker comes out of the process's core
-//! budget, so while both chains run their stages mostly run inline, and
-//! a chain that finishes first hands its core to the other. Every
-//! transcript hash stays on its chain's thread, absorbed in the proof's
-//! own order. So the transcript's bytes, and where the caller's DRBG is
-//! left, do not depend on how many cores ran it (`tests/properties.rs`
-//! pins both), and on one core everything runs inline, one chain after
-//! the other.
+//! (`vg_crypto::par`): each mix stage's re-encryptions and commitments,
+//! each tagging round's exponentiations, and each opening's share points,
+//! proof commitments and recombinations. Every worker comes out of the
+//! process's core budget, so while both chains run their stages mostly
+//! run inline, and a chain that finishes first hands its core to the
+//! other. Every transcript hash stays on its chain's thread, absorbed in
+//! the proof's own order. So the transcript's bytes, and where the
+//! caller's DRBG is left, do not depend on how many cores ran it
+//! (`tests/properties.rs` pins both), and on one core everything runs
+//! inline: the draws, then the registration chain, then the ballot chain.
 //!
 //! The drawn coins are O(mixers · n) scalars held at once: 6n + 9 per
 //! ballot-mix stage, 4n + 7 per registration-mix stage and t per opened
@@ -53,6 +65,7 @@
 //! 100 tags, four mixers, t = 4), about 1.6 GB at 10⁶ rows a side.
 
 use std::collections::HashMap;
+use std::sync::{mpsc, OnceLock};
 
 use vg_crypto::batch::{small_weights, BatchVerifier};
 use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionShare};
@@ -235,8 +248,9 @@ fn keep_last(
 ///
 /// Everything a single check decides *exactly* — key and payload decoding,
 /// the branch count, the branch challenges summing to the Fiat–Shamir
-/// challenge, kiosk registry membership — is decided exactly here too, and
-/// a record failing any of it is `None` without entering the folds. The
+/// challenge, kiosk registry membership — is decided exactly here too, per
+/// record on the host's cores, and a record failing any of it is `None`
+/// without entering the folds; the rest enter the sweep in ledger order. The
 /// sweep's weights commit to every queued key, message and signature; the
 /// credential signature's message is the whole payload, so continuing its
 /// DRBG into the branch fold keeps the everything-committed rule (A_pk
@@ -263,18 +277,26 @@ fn admit_block_folded(
         .filter(|pk| VerifyingKey::from_compressed(pk).is_ok())
         .copied()
         .collect();
+    // Every exact check, and the credential key's decoding, per record on
+    // the host's cores; the sweep then takes the queued records in ledger
+    // order.
+    let checked = par_map(block, threads, |record| {
+        let ballot = Ballot::from_bytes(&record.payload).ok()?;
+        let credential_pk = record.credential_pk;
+        check_vote_challenge(&apk_enc, &ballot, &record.payload, &credential_pk, config).ok()?;
+        if !kiosks.contains(&ballot.issuance.kiosk_pk) {
+            return None;
+        }
+        let key = VerifyingKey::from_compressed(&credential_pk).ok()?;
+        Some((key, BallotRecord::message(&record.payload), ballot))
+    });
     let decisions: Vec<Option<AcceptedBallot>> = block
         .iter()
-        .map(|record| {
-            let ballot = Ballot::from_bytes(&record.payload).ok()?;
+        .zip(checked)
+        .map(|(record, checked)| {
+            let (key, message, ballot) = checked?;
             let credential_pk = record.credential_pk;
-            check_vote_challenge(&apk_enc, &ballot, &record.payload, &credential_pk, config)
-                .ok()?;
-            if !kiosks.contains(&ballot.issuance.kiosk_pk) {
-                return None;
-            }
-            let message = BallotRecord::message(&record.payload);
-            sweep.push(&credential_pk, message, record.signature).ok()?;
+            sweep.push_decoded(&credential_pk, key, message, record.signature);
             sweep
                 .push(
                     &ballot.issuance.kiosk_pk,
@@ -373,10 +395,10 @@ fn open_vector_with(
     Ok(VectorOpening { shares, plaintexts })
 }
 
-/// One chain's coins, drawn before either chain runs: its mix stages',
-/// its tagging rounds' and its opening's.
-struct ChainCoins<R: Row> {
-    mix: Vec<ShuffleCoins<R>>,
+/// A chain's coins past its mix: the tagging exponents both chains share,
+/// its tagging rounds' nonces and its opening's.
+struct LaterCoins<'k> {
+    keys: &'k [TaggingKey],
     tagging: Vec<Scalar>,
     opening: Vec<Scalar>,
 }
@@ -385,32 +407,24 @@ struct ChainCoins<R: Row> {
 /// credential column and the opening of the tagged values.
 type Chain<R> = (RowMixTranscript<R>, Vec<TaggingRound>, VectorOpening);
 
-/// What both chains share: the authority, the cascade and the tagging
-/// exponents.
-struct Chains<'a> {
-    authority: &'a Authority,
-    cascade: &'a MixCascade,
-    keys: &'a [TaggingKey],
-}
-
-impl Chains<'_> {
-    /// Mixes `inputs`, tags the column `tagged` picks from the mixed rows
-    /// and opens the tagged values, on coins drawn beforehand.
-    fn run<R: Row>(
-        &self,
-        inputs: &[R],
-        tagged: fn(&R) -> Ciphertext,
-        coins: ChainCoins<R>,
-    ) -> Result<Chain<R>, VotegralError> {
-        let mix = self
-            .cascade
-            .mix_with(&self.authority.public_key, inputs, coins.mix);
-        let column: Vec<Ciphertext> = mix.outputs().iter().map(tagged).collect();
-        let tagging = apply_cascade_with(self.keys, &column, &coins.tagging);
-        let opened = tagging.last().map_or(&column, |r| &r.outputs);
-        let opening = open_vector_with(self.authority, opened, &coins.opening)?;
-        Ok((mix, tagging, opening))
-    }
+/// Mixes `inputs` on `mix`'s coins, taken stage by stage as they arrive,
+/// then takes the chain's later coins from `later`, tags the column
+/// `tagged` picks from the mixed rows and opens the tagged values.
+fn run_chain<'k, R: Row>(
+    authority: &Authority,
+    cascade: &MixCascade,
+    inputs: &[R],
+    tagged: fn(&R) -> Ciphertext,
+    mix: impl IntoIterator<Item = ShuffleCoins<R>>,
+    later: impl FnOnce() -> LaterCoins<'k>,
+) -> Result<Chain<R>, VotegralError> {
+    let mix = cascade.mix_with(&authority.public_key, inputs, mix);
+    let column: Vec<Ciphertext> = mix.outputs().iter().map(tagged).collect();
+    let coins = later();
+    let tagging = apply_cascade_with(coins.keys, &column, &coins.tagging);
+    let opened = tagging.last().map_or(&column, |r| &r.outputs);
+    let opening = open_vector_with(authority, opened, &coins.opening)?;
+    Ok((mix, tagging, opening))
 }
 
 /// Runs the complete tally, producing the transcript.
@@ -420,7 +434,7 @@ pub fn tally(
     config: VoteConfig,
     kiosk_registry: &[CompressedPoint],
     mixers: usize,
-    rng: &mut dyn Rng,
+    rng: &mut (dyn Rng + Send),
 ) -> Result<TallyTranscript, VotegralError> {
     let apk = authority.public_key;
 
@@ -460,44 +474,78 @@ pub fn tally(
     let max_n = ballot_pair_inputs.len().max(reg_inputs.len());
     let cascade = MixCascade::new(max_n, mixers);
 
-    // Every coin of stages 2–4, drawn in the order a tally running them
-    // one after the other draws them: the mixes' (ballots, then tags), the
-    // tagging exponents, the tagging rounds' nonces (tags, then ballots),
-    // the openings' nonces (tags, then keys).
-    let ballot_mix = cascade.draw(ballot_pair_inputs.len(), rng);
-    let reg_mix = cascade.draw(reg_inputs.len(), rng);
-    let tagging_keys: Vec<TaggingKey> = (0..authority.n)
-        .map(|_| TaggingKey::generate(rng))
-        .collect();
-    let reg_tagging = cascade_nonces(tagging_keys.len(), rng);
-    let ballot_tagging = cascade_nonces(tagging_keys.len(), rng);
-    let reg_coins = ChainCoins {
-        mix: reg_mix,
-        tagging: reg_tagging,
-        opening: authority.share_nonces(reg_inputs.len(), rng),
+    // Every coin of stages 2–4 is drawn on the drawing side, `join`'s
+    // first closure, in the order a tally running the stages one after the
+    // other draws them: the mixes' (ballots, then tags), the tagging
+    // exponents, the tagging rounds' nonces (tags, then ballots), the
+    // openings' nonces (tags, then keys). Each ballot-mix stage's coins go
+    // to the ballot chain as they are drawn, its later coins once they
+    // are; the drawing side then runs the registration chain. The ballot
+    // chain runs on this thread, `join`'s second closure: with no free
+    // slot `join` runs the drawing side to its end first, so every coin is
+    // waiting in its channel before the ballot chain asks for it.
+    let (mix_tx, mix_rx) = mpsc::channel();
+    let (later_tx, later_rx) = mpsc::channel();
+    let keys: OnceLock<Vec<TaggingKey>> = OnceLock::new();
+    let draw_then_register = || {
+        for _ in 0..cascade.mixers() {
+            // A send fails only once the ballot chain has panicked, and
+            // that panic reaches the caller.
+            let _ = mix_tx.send(cascade.context().draw(ballot_pair_inputs.len(), rng));
+        }
+        drop(mix_tx);
+        let reg_mix = cascade.draw(reg_inputs.len(), rng);
+        let keys = keys.get_or_init(|| {
+            (0..authority.n)
+                .map(|_| TaggingKey::generate(rng))
+                .collect()
+        });
+        let reg_tagging = cascade_nonces(keys.len(), rng);
+        let ballot_tagging = cascade_nonces(keys.len(), rng);
+        let reg_opening = authority.share_nonces(reg_inputs.len(), rng);
+        let key_opening = authority.share_nonces(ballot_pair_inputs.len(), rng);
+        let _ = later_tx.send((ballot_tagging, key_opening));
+        run_chain(
+            authority,
+            &cascade,
+            &reg_inputs,
+            |ct| *ct,
+            reg_mix,
+            || LaterCoins {
+                keys,
+                tagging: reg_tagging,
+                opening: reg_opening,
+            },
+        )
     };
-    let ballot_coins = ChainCoins {
-        mix: ballot_mix,
-        tagging: ballot_tagging,
-        opening: authority.share_nonces(ballot_pair_inputs.len(), rng),
+    let ballots = || {
+        run_chain(
+            authority,
+            &cascade,
+            &ballot_pair_inputs,
+            |pair| pair.1,
+            mix_rx,
+            || {
+                let (tagging, opening) = later_rx
+                    .recv()
+                    .expect("the drawing side sends the ballot chain's later coins");
+                LaterCoins {
+                    keys: keys.get().expect("drawn before the later coins were sent"),
+                    tagging,
+                    opening,
+                }
+            },
+        )
     };
-
-    // Stages 2–4 as two chains side by side, each mix → tagging →
-    // opening: the registration tags' and the ballots' (credential keys).
-    // The tagging commitments are shared; nothing else is.
-    let chains = Chains {
-        authority,
-        cascade: &cascade,
-        keys: &tagging_keys,
-    };
-    let (reg_chain, ballot_chain) = join(
-        default_threads(),
-        || chains.run(&reg_inputs, |ct| *ct, reg_coins),
-        || chains.run(&ballot_pair_inputs, |pair| pair.1, ballot_coins),
-    );
+    let (reg_chain, ballot_chain) = join(default_threads(), draw_then_register, ballots);
     let (reg_mix, reg_tagging, reg_opening) = reg_chain?;
     let (ballot_mix, ballot_tagging, key_opening) = ballot_chain?;
-    let tag_commitments: Vec<EdwardsPoint> = tagging_keys.iter().map(|k| k.commitment).collect();
+    let tag_commitments: Vec<EdwardsPoint> = keys
+        .get()
+        .expect("drawn by the drawing side")
+        .iter()
+        .map(|k| k.commitment)
+        .collect();
 
     // Stage 5: linear-time matching, consuming each tag at most once.
     let matched_indices = match_tags(&reg_opening.plaintexts, &key_opening.plaintexts);

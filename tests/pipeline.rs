@@ -241,7 +241,7 @@ fn station_death_mid_window_heals_on_survivors() {
         let mut system = TripSystem::setup(trip_config(6, 4), &mut rng);
         let mut devices = Vec::new();
         let mut outcomes = Vec::new();
-        run_day(
+        let stats = run_day(
             &fleet,
             &mut system,
             &queue,
@@ -253,20 +253,22 @@ fn station_death_mid_window_heals_on_survivors() {
         )
         .expect("day completes despite the dead station");
         let fp = fingerprint(&system, &outcomes);
-        (fp, devices, system.ledger.envelopes.revealed_count())
+        let day = (fp, devices, system.ledger.envelopes.revealed_count());
+        (day, stats.steals.len())
     };
-    let reference = run(None, TransportPlan::IN_PROCESS);
+    let (reference, steals) = run(None, TransportPlan::IN_PROCESS);
     // Everyone got their devices in the healthy run.
     assert_eq!(reference.1, vec![2, 1, 2, 1, 2, 1]);
+    assert_eq!(steals, 0);
 
-    // Kill station 1 after a handful of boundary ops — sweeping the
-    // fault point across check-in, submission and barrier calls — on
-    // both transports. Station 1 runs sessions 2 and 3 as one window:
-    // calls 0-1 check_in, 2 submit_window, 3 sync_through (activation
-    // barrier), 4 activation_sweep, 5 sync_through (final barrier). So 0
-    // dies at check-in, 2 at the submission, 4 at activation, 5 at the
-    // final barrier; 6 is past the last call and runs healthy.
-    for after_ops in [0, 2, 4, 5, 6] {
+    // Kill station 1 at each of its boundary calls in turn, on both
+    // transports. Station 1 runs sessions 2 and 3 as one window: calls 0
+    // and 1 check in, 2 submits the window, 3 is the activation barrier
+    // (sync_through), 4 the activation sweep and 5 the final barrier; it
+    // makes no seventh call, so a fault after 6 ops would fault nothing.
+    // A death before the final barrier leaves the window's work to a
+    // survivor, which steals it; one at the final barrier leaves nothing.
+    for after_ops in 0..=5 {
         for transport in [TransportPlan::IN_PROCESS, TransportPlan::TCP] {
             let fault = Some(StationFault {
                 station: 1,
@@ -274,11 +276,10 @@ fn station_death_mid_window_heals_on_survivors() {
                 recovery_after_ops: None,
                 recovery_deaths: 0,
             });
-            assert_eq!(
-                run(fault, transport),
-                reference,
-                "fault after {after_ops} ops over {transport:?}"
-            );
+            let (day, steals) = run(fault, transport);
+            let at = format!("fault after {after_ops} ops over {transport:?}");
+            assert_eq!(day, reference, "{at}");
+            assert_eq!(steals > 0, after_ops < 5, "{at}: {steals} steals");
         }
     }
 }
