@@ -187,7 +187,7 @@ fn prove_vote_on(
 ) -> VoteProof {
     let v = Scalar::from_u64(vote as u64);
     let (forged, k) = coins.split_at(coins.len() - 1);
-    let mut forged = forged.chunks_exact(2);
+    let mut forged = forged.chunks_exact(2).map(|pair| (pair[0], pair[1]));
 
     // Forge every branch except the real one, whose slot waits for k.
     let mut branches = Vec::with_capacity(config.n_options as usize);
@@ -201,9 +201,7 @@ fn prove_vote_on(
             branches.push((pending, Scalar::ZERO, Scalar::ZERO));
             continue;
         }
-        let &[e_m, y] = forged.next().expect("two coins per forged branch") else {
-            unreachable!("chunks of two")
-        };
+        let (e_m, y) = forged.next().expect("two coins per forged branch");
         let t = y + e_m * *randomness;
         let shift = e_m * (v - Scalar::from_u64(opt as u64));
         let commit = Commitment {

@@ -493,6 +493,7 @@ pub fn tally(
             // that panic reaches the caller.
             let _ = mix_tx.send(cascade.context().draw(ballot_pair_inputs.len(), rng));
         }
+        // The ballot mix takes stages until the sender is gone.
         drop(mix_tx);
         let reg_mix = cascade.draw(reg_inputs.len(), rng);
         let keys = keys.get_or_init(|| {

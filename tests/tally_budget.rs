@@ -10,12 +10,12 @@
 //! Its own test binary, so that no other test in the process takes or
 //! returns budget slots while it runs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use votegral::crypto::drbg::Rng;
-use votegral::crypto::par::{default_threads, run_jobs};
+use votegral::crypto::par::{default_threads, join, run_jobs};
 use votegral::crypto::sha2::Sha256;
 use votegral::crypto::HmacDrbg;
 use votegral::ledger::VoterId;
@@ -51,29 +51,37 @@ fn pinned_election() -> (String, String) {
 fn tally_finishes_with_no_free_budget_slot() {
     // One `run_jobs` section takes every free slot: job 0 runs the
     // election, each other job holds its participant's slot until the
-    // election is done. A watcher thread gives the section a deadline, so
-    // a tally that waits on itself fails the test instead of hanging it.
-    let (done_tx, done_rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let done = AtomicBool::new(false);
+    // election is done. A watcher gives the section a deadline, so a
+    // tally that waits on itself fails the test instead of hanging it.
+    let (pins_tx, pins_rx) = mpsc::channel();
+    let section = std::thread::spawn(move || {
+        let done = (Mutex::new(false), Condvar::new());
         let jobs: Vec<usize> = (0..default_threads()).collect();
         let mut outcomes = run_jobs(&jobs, jobs.len(), |&job| {
             if job == 0 {
+                let here = || std::thread::current().id();
+                let (a, b) = join(2, here, here);
+                assert_eq!(a, b, "a budget slot was free");
                 let pins = pinned_election();
-                done.store(true, Ordering::Release);
+                *done.0.lock().expect("no holder panics") = true;
+                done.1.notify_all();
                 return Some(pins);
             }
-            while !done.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            let guard = done.0.lock().expect("no holder panics");
+            drop(done.1.wait_while(guard, |done| !*done));
             None
         });
-        let _ = done_tx.send(outcomes.swap_remove(0));
+        let _ = pins_tx.send(outcomes.swap_remove(0));
     });
-    let (transcript, next) = done_rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("the tally hung with no free budget slot")
-        .expect("job 0 runs the election");
+    let pins = match pins_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(pins) => pins,
+        Err(RecvTimeoutError::Timeout) => panic!("the tally hung with no free budget slot"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(section.join().expect_err("the section sent nothing"))
+        }
+    };
+    section.join().expect("the section finished");
+    let (transcript, next) = pins.expect("job 0 runs the election");
     assert_eq!(
         transcript, "3014678042c5a88a7df39f89e1e4fe969099de2d3d595c9651f4a37aafeaa426",
         "tally transcript bytes moved"
