@@ -494,10 +494,10 @@ impl SignatureSweep {
         msg: Vec<u8>,
         sig: Signature,
     ) {
-        let slot = match self.keys.slot(pk, || Ok(key)) {
-            Ok(slot) => slot,
-            Err(_) => unreachable!("a decoded key is taken as it is"),
-        };
+        let slot = self
+            .keys
+            .slot(pk, || Ok(key))
+            .expect("a decoded key is taken as it is");
         self.queue(slot, msg, sig);
     }
 

@@ -114,15 +114,14 @@ impl MixCascade {
     /// pairs — producing a verifiable transcript. Each mixer reads the
     /// previous stage's outputs where the transcript holds them.
     ///
-    /// [`MixCascade::mix_with`] on each stage's coins drawn as the stage
-    /// starts, in the order [`MixCascade::draw`] draws them.
+    /// [`MixCascade::draw`] then [`MixCascade::mix_with`].
     pub fn mix<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],
         rng: &mut dyn Rng,
     ) -> RowMixTranscript<R> {
-        let coins = (0..self.mixers).map(|_| self.ctx.draw(inputs.len(), rng));
+        let coins = self.draw(inputs.len(), rng);
         self.mix_with(pk, inputs, coins)
     }
 

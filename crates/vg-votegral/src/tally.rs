@@ -474,16 +474,10 @@ pub fn tally(
     let max_n = ballot_pair_inputs.len().max(reg_inputs.len());
     let cascade = MixCascade::new(max_n, mixers);
 
-    // Every coin of stages 2–4 is drawn on the drawing side, `join`'s
-    // first closure, in the order a tally running the stages one after the
-    // other draws them: the mixes' (ballots, then tags), the tagging
-    // exponents, the tagging rounds' nonces (tags, then ballots), the
-    // openings' nonces (tags, then keys). Each ballot-mix stage's coins go
-    // to the ballot chain as they are drawn, its later coins once they
-    // are; the drawing side then runs the registration chain. The ballot
-    // chain runs on this thread, `join`'s second closure: with no free
-    // slot `join` runs the drawing side to its end first, so every coin is
-    // waiting in its channel before the ballot chain asks for it.
+    // Stages 2–4 as two chains side by side (module docs). The drawing
+    // side must be `join`'s first closure: with no free slot `join` runs
+    // it to its end first, so every coin is waiting in its channel before
+    // the ballot chain, on this thread, asks for it.
     let (mix_tx, mix_rx) = mpsc::channel();
     let (later_tx, later_rx) = mpsc::channel();
     let keys: OnceLock<Vec<TaggingKey>> = OnceLock::new();
