@@ -179,7 +179,7 @@ impl BenchSystem for Civitas {
     /// The JCJ tally: pairwise-PET duplicate elimination, mixing
     /// (re-randomization pass per teller), pairwise-PET roster matching,
     /// then decryption — quadratic in the ballot/roster sizes.
-    fn tally(&mut self, rng: &mut (dyn Rng + Send)) -> Vec<u64> {
+    fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64> {
         let pk = self.authority.public_key;
         let a = self.ballots.len();
 

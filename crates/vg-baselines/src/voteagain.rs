@@ -118,7 +118,7 @@ impl BenchSystem for VoteAgain {
     /// Dummy-padded filter tally: select each pseudonym's last ballot
     /// (with a cheap selection proof per ballot), pad with dummies to hide
     /// re-voting counts, one mix cascade, then verifiable decryption.
-    fn tally(&mut self, rng: &mut (dyn Rng + Send)) -> Vec<u64> {
+    fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64> {
         let pk = self.authority.public_key;
 
         // Selection: last ballot per pseudonym; each selection carries a

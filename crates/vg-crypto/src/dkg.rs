@@ -170,11 +170,10 @@ impl Authority {
     /// The first `t` members' verifiable shares for every ciphertext,
     /// `shares[item][member]` — exactly the shares (and exactly the RNG
     /// draws, item-major) of [`AuthorityMember::decryption_share`] called
-    /// in that order. Every nonce is drawn first
-    /// ([`Authority::share_nonces`]); then the items are proved on the
-    /// host's cores, each by the share prover (`ShareProver::prove`) as
-    /// one job. An item costs about 3t multiplications, so even a vector
-    /// of two fans out.
+    /// in that order. Every nonce is drawn first; then the items are
+    /// proved on the host's cores, each by the share prover
+    /// (`ShareProver::prove`) as one job. An item costs about 3t
+    /// multiplications, so even a vector of two fans out.
     pub fn decryption_shares(
         &self,
         cts: &[Ciphertext],
@@ -186,17 +185,17 @@ impl Authority {
 
     /// Draws the nonces [`Authority::decryption_shares`] draws for `items`
     /// ciphertexts: one per share proof, item by item, member by member.
-    pub fn share_nonces(&self, items: usize, rng: &mut dyn Rng) -> Vec<Scalar> {
+    fn share_nonces(&self, items: usize, rng: &mut dyn Rng) -> Vec<Scalar> {
         (0..items * self.t).map(|_| rng.scalar()).collect()
     }
 
     /// [`Authority::decryption_shares`] on nonces drawn beforehand by
-    /// [`Authority::share_nonces`]: the same shares, and no DRBG needed.
+    /// `Authority::share_nonces`: the same shares.
     ///
     /// # Panics
     ///
     /// Panics unless there are t nonces per ciphertext.
-    pub fn decryption_shares_with(
+    fn decryption_shares_with(
         &self,
         cts: &[Ciphertext],
         nonces: &[Scalar],
@@ -419,6 +418,16 @@ pub fn combine_shares(
 /// all of the item's share proofs, each Dⱼ one term for its proof *and*
 /// the recombination, C₂ − P one short-weight term. The folds run on the
 /// host's cores ([`default_threads`]).
+///
+/// A fold's weights are drawn after its items are absorbed: every value
+/// its equations take from the prover (each item's share count, points,
+/// member indices and responses) is fixed before the weights that scale
+/// it. The commitment also absorbs `cts.len()` and `threshold`, though
+/// soundness does not rest on either. The verifier fixes both, not the
+/// prover: the threshold is the authority's, and the item count is that
+/// of the vector the verifier passes. Without either absorb the weights
+/// would differ but stay as unpredictable to the prover, so a mutant that
+/// drops one is equivalent, and no test but a byte pin can kill it.
 pub fn verify_openings(
     cts: &[Ciphertext],
     shares: &[Vec<DecryptionShare>],

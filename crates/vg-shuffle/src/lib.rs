@@ -32,6 +32,4 @@ pub use mixnet::{
     MixCascade, MixStage, MixTranscript, PairMixStage, PairMixTranscript, RowMixStage,
     RowMixTranscript,
 };
-pub use shuffle::{
-    PairShuffleProof, Row, RowShuffleProof, ShuffleCoins, ShuffleContext, ShuffleProof,
-};
+pub use shuffle::{PairShuffleProof, Row, RowShuffleProof, ShuffleContext, ShuffleProof};

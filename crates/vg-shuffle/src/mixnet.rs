@@ -20,7 +20,7 @@ use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::CryptoError;
 
 use crate::batch::{verify_cascade_batch, StageRef};
-use crate::shuffle::{Row, RowShuffleProof, ShuffleCoins, ShuffleContext};
+use crate::shuffle::{Row, RowShuffleProof, ShuffleContext};
 
 /// One mixer's contribution to a cascade over rows of type `R`.
 #[derive(Clone)]
@@ -105,57 +105,22 @@ impl MixCascade {
         self.mixers
     }
 
-    /// The shared shuffle context (for external per-stage use).
-    pub fn context(&self) -> &ShuffleContext {
-        &self.ctx
-    }
-
     /// Runs the full cascade over `inputs` — single ciphertexts or linked
-    /// pairs — producing a verifiable transcript. Each mixer reads the
-    /// previous stage's outputs where the transcript holds them.
-    ///
-    /// [`MixCascade::draw`] then [`MixCascade::mix_with`].
+    /// pairs — producing a verifiable transcript. Each mixer shuffles the
+    /// previous stage's outputs where the transcript holds them, drawing
+    /// its coins from `rng` as its stage starts.
     pub fn mix<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],
         rng: &mut dyn Rng,
     ) -> RowMixTranscript<R> {
-        let coins = self.draw(inputs.len(), rng);
-        self.mix_with(pk, inputs, coins)
-    }
-
-    /// Draws every stage's coins for a cascade over `n` rows, stage by
-    /// stage, in the order [`MixCascade::mix`] draws them.
-    pub fn draw<R: Row>(&self, n: usize, rng: &mut dyn Rng) -> Vec<ShuffleCoins<R>> {
-        (0..self.mixers).map(|_| self.ctx.draw(n, rng)).collect()
-    }
-
-    /// The arithmetic of [`MixCascade::mix`] on coins drawn apart from it:
-    /// the same transcript, and no DRBG needed. The stages' coins
-    /// ([`ShuffleContext::draw`], one stage each, in stage order) are
-    /// taken one at a time as each stage starts, so they can still be
-    /// arriving — say over a channel from the thread that draws them —
-    /// while the first stages run.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `coins` yields one stage's coins per mixer, each
-    /// drawn for `inputs.len()` rows.
-    pub fn mix_with<R: Row>(
-        &self,
-        pk: &EdwardsPoint,
-        inputs: &[R],
-        coins: impl IntoIterator<Item = ShuffleCoins<R>>,
-    ) -> RowMixTranscript<R> {
         let mut stages: Vec<RowMixStage<R>> = Vec::with_capacity(self.mixers);
-        for coins in coins {
-            assert!(stages.len() < self.mixers, "one stage's coins per mixer");
+        for _ in 0..self.mixers {
             let current = stages.last().map_or(inputs, |s| s.outputs.as_slice());
-            let (outputs, proof) = self.ctx.shuffle_with(pk, current, coins);
+            let (outputs, proof) = self.ctx.shuffle(pk, current, rng);
             stages.push(RowMixStage { outputs, proof });
         }
-        assert_eq!(stages.len(), self.mixers, "one stage's coins per mixer");
         RowMixTranscript {
             inputs: inputs.to_vec(),
             stages,
@@ -290,51 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn drawn_coins_mix_like_the_drbg() {
-        // `draw` then `mix_with`, on a Vec or on coins sent stage by stage
-        // over a channel, is `mix`: the same transcript, and the DRBG left
-        // at the same place.
-        let run = |how: &str| {
-            let mut rng = HmacDrbg::from_u64(12);
-            let kp = ElGamalKeyPair::generate(&mut rng);
-            let inputs: Vec<Pair> = rows(5, 100, &kp, &mut rng);
-            let cascade = MixCascade::new(5, 3);
-            let transcript = match how {
-                "mix" => cascade.mix(&kp.pk, &inputs, &mut rng),
-                "vec" => {
-                    let coins = cascade.draw::<Pair>(inputs.len(), &mut rng);
-                    cascade.mix_with(&kp.pk, &inputs, coins)
-                }
-                _ => {
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    for _ in 0..cascade.mixers() {
-                        tx.send(cascade.context().draw::<Pair>(inputs.len(), &mut rng))
-                            .expect("receiver alive");
-                    }
-                    drop(tx);
-                    cascade.mix_with(&kp.pk, &inputs, rx)
-                }
-            };
-            crate::shuffle::tests::digest_then_position(&transcript, &mut rng)
-        };
-        let mixed = run("mix");
-        assert_eq!(run("vec"), mixed);
-        assert_eq!(run("channel"), mixed);
-    }
-
-    #[test]
-    #[should_panic(expected = "one stage's coins per mixer")]
-    fn mix_with_too_few_stages_panics() {
-        let mut rng = HmacDrbg::from_u64(13);
-        let kp = ElGamalKeyPair::generate(&mut rng);
-        let inputs: Vec<Ciphertext> = rows(4, 0, &kp, &mut rng);
-        let cascade = MixCascade::new(4, 3);
-        let mut coins = cascade.draw::<Ciphertext>(inputs.len(), &mut rng);
-        coins.pop();
-        cascade.mix_with(&kp.pk, &inputs, coins);
-    }
-
-    #[test]
     fn dishonest_middle_mixer_detected() {
         let mut rng = HmacDrbg::from_u64(2);
         let kp = ElGamalKeyPair::generate(&mut rng);
@@ -461,7 +381,7 @@ mod tests {
             .zip(&rho[0])
             .map(|(&from, r)| vg_crypto::elgamal::rerandomize_with(&kp.pk, &inputs[from], r))
             .collect();
-        let ctx = cascade.context();
+        let ctx = &cascade.ctx;
         let proof = ctx.prove(&kp.pk, &inputs, &honest, &perm, &rho, &mut rng);
         for victim in 0..6 {
             let mut outputs = honest.clone();

@@ -151,11 +151,10 @@ impl<R: Row> fmt::Debug for RowShuffleProof<R> {
 }
 
 /// Every coin one shuffle of rows of type `R` takes from the DRBG, drawn
-/// by [`ShuffleContext::draw`] and spent by
-/// [`ShuffleContext::shuffle_with`]. It is the mixer's secret witness
-/// (π and ρ) and masks: `Debug` prints only the row count, and the
-/// shuffle consumes it.
-pub struct ShuffleCoins<R: Row> {
+/// by `ShuffleContext::draw` and spent by `ShuffleContext::shuffle_with`.
+/// It is the mixer's secret witness (π and ρ) and masks: `Debug` prints
+/// only the row count, and the shuffle consumes it.
+struct ShuffleCoins<R: Row> {
     perm: Vec<usize>,
     /// ρ\[column\]\[row\].
     rho: Vec<Vec<Scalar>>,
@@ -207,8 +206,7 @@ impl ShuffleContext {
     /// re-encryption randomness, returning the outputs and proof. Every
     /// column of a row moves under the same permutation.
     ///
-    /// [`ShuffleContext::draw`] then [`ShuffleContext::shuffle_with`]: π,
-    /// every ρ and every coin of the proof are drawn first; the
+    /// π, every ρ and every coin of the proof are drawn first; the
     /// re-encryptions and the proof then run on the host's cores.
     ///
     /// # Panics
@@ -232,7 +230,7 @@ impl ShuffleContext {
     /// # Panics
     ///
     /// Panics if `n` is below 2 or above `max_n`.
-    pub fn draw<R: Row>(&self, n: usize, rng: &mut dyn Rng) -> ShuffleCoins<R> {
+    fn draw<R: Row>(&self, n: usize, rng: &mut dyn Rng) -> ShuffleCoins<R> {
         assert!(n >= 2, "shuffle requires at least 2 rows");
         let mut perm: Vec<usize> = (0..n).collect();
         fisher_yates(rng, &mut perm);
@@ -249,14 +247,13 @@ impl ShuffleContext {
     }
 
     /// The arithmetic of [`ShuffleContext::shuffle`] on coins drawn
-    /// beforehand by [`ShuffleContext::draw`]: the same bytes out, and no
-    /// DRBG needed, so it can run on any thread.
+    /// beforehand by `ShuffleContext::draw`: the same bytes out.
     ///
     /// # Panics
     ///
     /// Panics if the coins were drawn for another row count than
     /// `inputs.len()`.
-    pub fn shuffle_with<R: Row>(
+    fn shuffle_with<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],

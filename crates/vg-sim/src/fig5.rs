@@ -147,7 +147,7 @@ impl BenchSystem for VotegralCore {
         }
     }
 
-    fn tally(&mut self, rng: &mut (dyn Rng + Send)) -> Vec<u64> {
+    fn tally(&mut self, rng: &mut dyn Rng) -> Vec<u64> {
         // The trait interleaves phases, so tally through the free
         // function rather than consuming the session into `Tallying`.
         let transcript = vg_votegral::tally(

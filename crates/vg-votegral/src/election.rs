@@ -508,10 +508,10 @@ impl Election<Voting> {
 }
 
 impl Election<Tallying> {
-    /// Runs the tally, producing the publicly verifiable transcript. The
-    /// DRBG is `Send` because the tally draws its coins on a worker while
-    /// the ballot chain starts on this thread ([`tally`]).
-    pub fn tally(&self, rng: &mut (dyn Rng + Send)) -> Result<TallyTranscript, VotegralError> {
+    /// Runs the tally, producing the publicly verifiable transcript. It
+    /// takes one 32-byte seed from `rng` and derives every party's coins
+    /// from it ([`tally`]).
+    pub fn tally(&self, rng: &mut dyn Rng) -> Result<TallyTranscript, VotegralError> {
         tally(
             &self.trip.authority,
             &self.trip.ledger,

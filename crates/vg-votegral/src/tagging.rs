@@ -69,19 +69,13 @@ impl TaggingKey {
     /// host's cores; the weights' hash and the proof's one draw stay on
     /// this thread.
     pub fn apply(&self, inputs: &[Ciphertext], rng: &mut dyn Rng) -> TaggingRound {
-        self.apply_with(inputs, rng.scalar())
-    }
-
-    /// [`TaggingKey::apply`] with the proof's one nonce drawn beforehand:
-    /// the same round, and no DRBG needed.
-    pub fn apply_with(&self, inputs: &[Ciphertext], nonce: Scalar) -> TaggingRound {
         let outputs = par_map(inputs, default_threads(), |c| c.scale(&self.secret));
         let (_, [g]) = composites(&self.commitment, inputs, &outputs, [inputs]);
         let proof = prove_dleq_with(
             &mut round_transcript(inputs.len()),
             &round_statement(&self.commitment, &g, &(g * self.secret)),
             &self.secret,
-            nonce,
+            rng.scalar(),
         );
         TaggingRound {
             commitment: self.commitment,
@@ -200,39 +194,17 @@ impl TaggingRound {
     }
 }
 
-/// Applies a full tagging cascade (every member in order) to `inputs`:
-/// [`cascade_nonces`] then [`apply_cascade_with`].
+/// Applies a full tagging cascade (every member in order) to `inputs`,
+/// each round drawing its nonce from `rng` in member order.
 pub fn apply_cascade(
     keys: &[TaggingKey],
     inputs: &[Ciphertext],
     rng: &mut dyn Rng,
 ) -> Vec<TaggingRound> {
-    let nonces = cascade_nonces(keys.len(), rng);
-    apply_cascade_with(keys, inputs, &nonces)
-}
-
-/// Draws the nonces a cascade of `rounds` rounds takes, one per round in
-/// member order, as [`apply_cascade`] draws them.
-pub fn cascade_nonces(rounds: usize, rng: &mut dyn Rng) -> Vec<Scalar> {
-    (0..rounds).map(|_| rng.scalar()).collect()
-}
-
-/// [`apply_cascade`] on nonces drawn beforehand by [`cascade_nonces`]: the
-/// same rounds, and no DRBG needed.
-///
-/// # Panics
-///
-/// Panics unless there is one nonce per key.
-pub fn apply_cascade_with(
-    keys: &[TaggingKey],
-    inputs: &[Ciphertext],
-    nonces: &[Scalar],
-) -> Vec<TaggingRound> {
-    assert_eq!(keys.len(), nonces.len(), "one nonce per round");
     let mut rounds: Vec<TaggingRound> = Vec::with_capacity(keys.len());
-    for (key, nonce) in keys.iter().zip(nonces) {
+    for key in keys {
         let current = rounds.last().map_or(inputs, |r| r.outputs.as_slice());
-        rounds.push(key.apply_with(current, *nonce));
+        rounds.push(key.apply(current, rng));
     }
     rounds
 }
@@ -306,25 +278,18 @@ mod tests {
     /// before the prover was split into its draws and its arithmetic.
     #[test]
     fn cascade_bytes_and_drbg_position_are_pinned() {
-        for split in [false, true] {
-            let mut rng = HmacDrbg::from_u64(41);
-            let cts = inputs(20, &mut rng);
-            let keys: Vec<TaggingKey> = (0..3).map(|_| TaggingKey::generate(&mut rng)).collect();
-            let rounds = if split {
-                let nonces = cascade_nonces(keys.len(), &mut rng);
-                apply_cascade_with(&keys, &cts, &nonces)
-            } else {
-                apply_cascade(&keys, &cts, &mut rng)
-            };
-            let mut h = vg_crypto::sha2::Sha256::new();
-            h.update(format!("{rounds:?}").as_bytes());
-            h.update(&rng.bytes32());
-            let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(
-                digest, "6551bd495b76ad2da5046afa0cb533dc4f6efac406131e6b4bc1d5c6a07cc067",
-                "split: {split}"
-            );
-        }
+        let mut rng = HmacDrbg::from_u64(41);
+        let cts = inputs(20, &mut rng);
+        let keys: Vec<TaggingKey> = (0..3).map(|_| TaggingKey::generate(&mut rng)).collect();
+        let rounds = apply_cascade(&keys, &cts, &mut rng);
+        let mut h = vg_crypto::sha2::Sha256::new();
+        h.update(format!("{rounds:?}").as_bytes());
+        h.update(&rng.bytes32());
+        let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            digest,
+            "6551bd495b76ad2da5046afa0cb533dc4f6efac406131e6b4bc1d5c6a07cc067"
+        );
     }
 
     #[test]

@@ -23,68 +23,61 @@
 //! Admission runs first: each record's decoding and exact checks, and its
 //! credential key's decoding, on [`default_threads`] workers, then the
 //! signature sweep and proof fold, themselves parallel, over the records
-//! in ledger order. Every DRBG value stages 2–4 take is then drawn in the
-//! order a tally running the stages one after the other takes them: the
-//! ballot mix's stages, then the registration mix's, the tagging
-//! exponents, the registration tagging's nonces, then the ballot
-//! tagging's, the registration opening's nonces, then the key opening's.
-//! The two chains share nothing but the tagging exponents:
+//! in ledger order. Stages 2–4 then run as two chains that share nothing
+//! but the tagging keys:
 //!
 //! - ballot mix → ballot tagging (of the credential-key column) → key
 //!   opening;
 //! - registration mix → registration tagging → registration opening.
 //!
-//! They run side by side under [`join`]. Its first closure, on a worker
-//! when the core budget has a free slot, draws every coin and then runs
-//! the registration chain; its second, on the calling thread, runs the
-//! ballot chain, which takes each mix stage's coins as they are drawn
-//! ([`MixCascade::mix_with`]) and its later coins through a one-shot
-//! channel. So the ballot mix starts on its first stage's coins while the
-//! rest are drawn. With no free slot `join` runs the first closure to its
-//! end, then the second: every coin is then waiting in its channel before
-//! the ballot chain asks for it, which is why the drawing side must be
-//! the first closure (`tests/tally_budget.rs` runs a tally with every
-//! slot held).
+//! Every party draws from its own coin stream. The tally takes one 32-byte
+//! seed from the caller's DRBG and draws nothing else from it; each stream
+//! is its own [`HmacDrbg`] on `votegral-tally-coins-v1 ‖ seed ‖ chain ‖
+//! role ‖ party`: per chain a mix stream, which the cascade's mixers share
+//! in stage order, a tagging stream and an opening stream; one for the
+//! vote opening; one per authority member's tagging key. The keys are
+//! derived first, then the chains run side by side under [`join`], each on
+//! its own streams. No draw order is shared between them, so either may
+//! run first or alone: with no free slot in the core budget, `join` runs
+//! one to its end, then the other, on the calling thread.
 //!
-//! Matching, the vote opening's draws and the vote opening follow. Within
-//! a stage the point arithmetic runs on [`default_threads`] workers
-//! (`vg_crypto::par`): each mix stage's re-encryptions and commitments,
-//! each tagging round's exponentiations, and each opening's share points,
-//! proof commitments and recombinations. Every worker comes out of the
-//! process's core budget, so while both chains run their stages mostly
-//! run inline, and a chain that finishes first hands its core to the
-//! other. Every transcript hash stays on its chain's thread, absorbed in
-//! the proof's own order. So the transcript's bytes, and where the
-//! caller's DRBG is left, do not depend on how many cores ran it
-//! (`tests/properties.rs` pins both), and on one core everything runs
-//! inline: the draws, then the registration chain, then the ballot chain.
+//! Matching and the vote opening follow. Within a stage the point
+//! arithmetic runs on [`default_threads`] workers (`vg_crypto::par`): each
+//! mix stage's re-encryptions and commitments, each tagging round's
+//! exponentiations, and each opening's share points, proof commitments and
+//! recombinations. Every worker comes out of the process's core budget, so
+//! while both chains run their stages mostly run inline, and a chain that
+//! finishes first hands its core to the other. Every draw and every
+//! transcript hash stays on its chain's thread, in the proof's own order.
+//! So the transcript's bytes do not depend on how many cores ran it
+//! (`tests/properties.rs` pins them), and the caller's DRBG moves by the
+//! one seed whatever ran.
 //!
-//! The drawn coins are O(mixers · n) scalars held at once: 6n + 9 per
-//! ballot-mix stage, 4n + 7 per registration-mix stage and t per opened
-//! row — about 220 KB at the lifecycle benchmark's size (165 ballot rows,
-//! 100 tags, four mixers, t = 4), about 1.6 GB at 10⁶ rows a side.
+//! A chain holds one step's coins at a time: a mix stage draws its
+//! 6n + 9 (ballot rows) or 4n + 7 (registration rows) scalars as it
+//! starts, an opening its t per row just before proving. With both chains
+//! mixing that is about 45 KB at the lifecycle benchmark's size (165
+//! ballot rows, 100 tags, t = 4), about 320 MB at 10⁶ rows a side, where
+//! drawing every coin up front held 220 KB and 1.6 GB.
 
 use std::collections::HashMap;
-use std::sync::{mpsc, OnceLock};
 
 use vg_crypto::batch::{small_weights, BatchVerifier};
 use vg_crypto::dkg::{combine_with, lagrange_coefficients, Authority, DecryptionShare};
-use vg_crypto::drbg::Rng;
+use vg_crypto::drbg::{HmacDrbg, Rng};
 use vg_crypto::elgamal::Ciphertext;
 use vg_crypto::par::{default_threads, join, par_map};
 use vg_crypto::schnorr::{SignatureSweep, VerifyingKey};
-use vg_crypto::{CompressedPoint, EdwardsPoint, Scalar};
+use vg_crypto::{CompressedPoint, EdwardsPoint};
 use vg_ledger::{BallotRecord, Ledger};
-use vg_shuffle::{
-    MixCascade, MixTranscript, PairMixTranscript, Row, RowMixTranscript, ShuffleCoins,
-};
+use vg_shuffle::{MixCascade, MixTranscript, PairMixTranscript, Row, RowMixTranscript};
 use vg_trip::materials::response_message_from_hash;
 
 use crate::ballot::{
     check_vote_challenge, queue_vote_proof, verify_vote_proof, Ballot, VoteConfig,
 };
 use crate::error::VotegralError;
-use crate::tagging::{apply_cascade_with, cascade_nonces, TaggingKey, TaggingRound};
+use crate::tagging::{apply_cascade, TaggingKey, TaggingRound};
 
 /// A ballot that passed admission, paired with its credential key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -372,17 +365,7 @@ fn open_vector(
     cts: &[Ciphertext],
     rng: &mut dyn Rng,
 ) -> Result<VectorOpening, VotegralError> {
-    let nonces = authority.share_nonces(cts.len(), rng);
-    open_vector_with(authority, cts, &nonces)
-}
-
-/// [`open_vector`] on nonces drawn beforehand ([`Authority::share_nonces`]).
-fn open_vector_with(
-    authority: &Authority,
-    cts: &[Ciphertext],
-    nonces: &[Scalar],
-) -> Result<VectorOpening, VotegralError> {
-    let shares = authority.decryption_shares_with(cts, nonces);
+    let shares = authority.decryption_shares(cts, rng);
     let indices: Vec<u32> = authority.members[..authority.t]
         .iter()
         .map(|m| m.index)
@@ -395,46 +378,61 @@ fn open_vector_with(
     Ok(VectorOpening { shares, plaintexts })
 }
 
-/// A chain's coins past its mix: the tagging exponents both chains share,
-/// its tagging rounds' nonces and its opening's.
-struct LaterCoins<'k> {
-    keys: &'k [TaggingKey],
-    tagging: Vec<Scalar>,
-    opening: Vec<Scalar>,
+/// A coin stream's chain: the ballot chain, the registration chain, the
+/// vote opening, or the authority's tagging keys, which both chains share.
+const BALLOT: u8 = b'B';
+const REGISTRATION: u8 = b'R';
+const VOTES: u8 = b'V';
+const KEYS: u8 = b'A';
+/// A coin stream's role.
+const MIX: u8 = b'M';
+const TAGGING: u8 = b'T';
+const OPENING: u8 = b'O';
+
+/// The stream of `party` (a member's index for its tagging key, else 0)
+/// in `role` on `chain`: an [`HmacDrbg`] on `votegral-tally-coins-v1 ‖
+/// seed ‖ chain ‖ role ‖ party`, the party as 8 bytes little-endian.
+fn coin_stream(seed: &[u8; 32], chain: u8, role: u8, party: u64) -> HmacDrbg {
+    let mut label = Vec::with_capacity(64);
+    label.extend_from_slice(b"votegral-tally-coins-v1");
+    label.extend_from_slice(seed);
+    label.extend_from_slice(&[chain, role]);
+    label.extend_from_slice(&party.to_le_bytes());
+    HmacDrbg::new(&label)
 }
 
 /// One chain's evidence: its mix, its tagging cascade over the mix's
 /// credential column and the opening of the tagged values.
 type Chain<R> = (RowMixTranscript<R>, Vec<TaggingRound>, VectorOpening);
 
-/// Mixes `inputs` on `mix`'s coins, taken stage by stage as they arrive,
-/// then takes the chain's later coins from `later`, tags the column
-/// `tagged` picks from the mixed rows and opens the tagged values.
-fn run_chain<'k, R: Row>(
+/// Mixes `inputs`, tags the column `tagged` picks from the mixed rows
+/// under `keys` and opens the tagged values, each step on the chain's own
+/// stream for its role.
+fn run_chain<R: Row>(
     authority: &Authority,
     cascade: &MixCascade,
+    keys: &[TaggingKey],
     inputs: &[R],
     tagged: fn(&R) -> Ciphertext,
-    mix: impl IntoIterator<Item = ShuffleCoins<R>>,
-    later: impl FnOnce() -> LaterCoins<'k>,
+    coins: impl Fn(u8) -> HmacDrbg,
 ) -> Result<Chain<R>, VotegralError> {
-    let mix = cascade.mix_with(&authority.public_key, inputs, mix);
+    let mix = cascade.mix(&authority.public_key, inputs, &mut coins(MIX));
     let column: Vec<Ciphertext> = mix.outputs().iter().map(tagged).collect();
-    let coins = later();
-    let tagging = apply_cascade_with(coins.keys, &column, &coins.tagging);
+    let tagging = apply_cascade(keys, &column, &mut coins(TAGGING));
     let opened = tagging.last().map_or(&column, |r| &r.outputs);
-    let opening = open_vector_with(authority, opened, &coins.opening)?;
+    let opening = open_vector(authority, opened, &mut coins(OPENING))?;
     Ok((mix, tagging, opening))
 }
 
-/// Runs the complete tally, producing the transcript.
+/// Runs the complete tally, producing the transcript. It takes one 32-byte
+/// seed from `rng` and derives every coin from it (module docs).
 pub fn tally(
     authority: &Authority,
     ledger: &Ledger,
     config: VoteConfig,
     kiosk_registry: &[CompressedPoint],
     mixers: usize,
-    rng: &mut (dyn Rng + Send),
+    rng: &mut dyn Rng,
 ) -> Result<TallyTranscript, VotegralError> {
     let apk = authority.public_key;
 
@@ -474,73 +472,40 @@ pub fn tally(
     let max_n = ballot_pair_inputs.len().max(reg_inputs.len());
     let cascade = MixCascade::new(max_n, mixers);
 
-    // Stages 2–4 as two chains side by side (module docs). The drawing
-    // side must be `join`'s first closure: with no free slot `join` runs
-    // it to its end first, so every coin is waiting in its channel before
-    // the ballot chain, on this thread, asks for it.
-    let (mix_tx, mix_rx) = mpsc::channel();
-    let (later_tx, later_rx) = mpsc::channel();
-    let keys: OnceLock<Vec<TaggingKey>> = OnceLock::new();
-    let draw_then_register = || {
-        for _ in 0..cascade.mixers() {
-            // A send fails only once the ballot chain has panicked, and
-            // that panic reaches the caller.
-            let _ = mix_tx.send(cascade.context().draw(ballot_pair_inputs.len(), rng));
-        }
-        // The ballot mix takes stages until the sender is gone.
-        drop(mix_tx);
-        let reg_mix = cascade.draw(reg_inputs.len(), rng);
-        let keys = keys.get_or_init(|| {
-            (0..authority.n)
-                .map(|_| TaggingKey::generate(rng))
-                .collect()
-        });
-        let reg_tagging = cascade_nonces(keys.len(), rng);
-        let ballot_tagging = cascade_nonces(keys.len(), rng);
-        let reg_opening = authority.share_nonces(reg_inputs.len(), rng);
-        let key_opening = authority.share_nonces(ballot_pair_inputs.len(), rng);
-        let _ = later_tx.send((ballot_tagging, key_opening));
-        run_chain(
-            authority,
-            &cascade,
-            &reg_inputs,
-            |ct| *ct,
-            reg_mix,
-            || LaterCoins {
-                keys,
-                tagging: reg_tagging,
-                opening: reg_opening,
-            },
-        )
-    };
-    let ballots = || {
-        run_chain(
-            authority,
-            &cascade,
-            &ballot_pair_inputs,
-            |pair| pair.1,
-            mix_rx,
-            || {
-                let (tagging, opening) = later_rx
-                    .recv()
-                    .expect("the drawing side sends the ballot chain's later coins");
-                LaterCoins {
-                    keys: keys.get().expect("drawn before the later coins were sent"),
-                    tagging,
-                    opening,
-                }
-            },
-        )
-    };
-    let (reg_chain, ballot_chain) = join(default_threads(), draw_then_register, ballots);
+    // Stages 2–4 as two chains side by side, each on its own coin
+    // streams, both applying the tagging keys derived here (module docs).
+    let seed = rng.bytes32();
+    let keys: Vec<TaggingKey> = authority
+        .members
+        .iter()
+        .map(|m| TaggingKey::generate(&mut coin_stream(&seed, KEYS, TAGGING, m.index.into())))
+        .collect();
+    let (reg_chain, ballot_chain) = join(
+        default_threads(),
+        || {
+            run_chain(
+                authority,
+                &cascade,
+                &keys,
+                &reg_inputs,
+                |ct| *ct,
+                |role| coin_stream(&seed, REGISTRATION, role, 0),
+            )
+        },
+        || {
+            run_chain(
+                authority,
+                &cascade,
+                &keys,
+                &ballot_pair_inputs,
+                |pair| pair.1,
+                |role| coin_stream(&seed, BALLOT, role, 0),
+            )
+        },
+    );
     let (reg_mix, reg_tagging, reg_opening) = reg_chain?;
     let (ballot_mix, ballot_tagging, key_opening) = ballot_chain?;
-    let tag_commitments: Vec<EdwardsPoint> = keys
-        .get()
-        .expect("drawn by the drawing side")
-        .iter()
-        .map(|k| k.commitment)
-        .collect();
+    let tag_commitments: Vec<EdwardsPoint> = keys.iter().map(|k| k.commitment).collect();
 
     // Stage 5: linear-time matching, consuming each tag at most once.
     let matched_indices = match_tags(&reg_opening.plaintexts, &key_opening.plaintexts);
@@ -550,7 +515,11 @@ pub fn tally(
         .iter()
         .map(|&i| ballot_mix.outputs()[i].0)
         .collect();
-    let vote_opening = open_vector(authority, &matched_votes, rng)?;
+    let vote_opening = open_vector(
+        authority,
+        &matched_votes,
+        &mut coin_stream(&seed, VOTES, OPENING, 0),
+    )?;
     let result = count_votes(
         config,
         &vote_opening.plaintexts,

@@ -10,7 +10,7 @@ use votegral::votegral::ElectionBuilder;
 fn main() {
     // Deterministic RNG for a reproducible demo; swap for OsRng in
     // anything real.
-    let mut rng: Box<dyn Rng + Send> = if std::env::var_os("VOTEGRAL_OS_RNG").is_some() {
+    let mut rng: Box<dyn Rng> = if std::env::var_os("VOTEGRAL_OS_RNG").is_some() {
         Box::new(OsRng::new())
     } else {
         Box::new(HmacDrbg::from_u64(2025))

@@ -231,19 +231,17 @@ fn malicious_mixer_in_cascade_caught_by_both_cascade_verifiers() {
     }
 }
 
-/// An RNG that remembers every 64-byte draw, so a test can play the
-/// tagging member whose exponent the tally sampled.
+/// An RNG that remembers every byte drawn from it, so a test can take
+/// the tally's seed and play a tagging member on its own coin stream.
 struct Recording<'a> {
     inner: &'a mut HmacDrbg,
-    wide_draws: Vec<[u8; 64]>,
+    drawn: Vec<u8>,
 }
 
 impl Rng for Recording<'_> {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.inner.fill_bytes(dest);
-        if let Ok(wide) = <[u8; 64]>::try_from(&*dest) {
-            self.wide_draws.push(wide);
-        }
+        self.drawn.extend_from_slice(dest);
     }
 }
 
@@ -320,20 +318,24 @@ fn torsion_offset_by_last_tagging_member_cannot_unmatch_a_ballot() {
     let tallying = three_ballot_election(&mut rng);
     let mut recording = Recording {
         inner: &mut rng,
-        wide_draws: Vec::new(),
+        drawn: Vec::new(),
     };
     let mut transcript = tallying.tally(&mut recording).unwrap();
     let honest_result = transcript.result.clone();
     assert_eq!(honest_result.counts, vec![1, 1, 1]);
 
-    // The last member's exponent: the draw whose image is its commitment.
+    // The last member's exponent: the first draw of its tagging-key
+    // stream, on `votegral-tally-coins-v1 ‖ seed ‖ b'A' ‖ b'T' ‖ index`,
+    // the seed being the tally's one 32-byte draw from this RNG.
     let commitment = *transcript.tag_commitments.last().unwrap();
-    let secret = recording
-        .wide_draws
-        .iter()
-        .map(Scalar::from_bytes_wide)
-        .find(|s| EdwardsPoint::mul_base(s) == commitment)
-        .expect("the tally drew the tagging exponent from this RNG");
+    assert_eq!(recording.drawn.len(), 32, "the tally draws one seed");
+    let member = tallying.trip.authority.members.last().unwrap().index;
+    let mut label = b"votegral-tally-coins-v1".to_vec();
+    label.extend_from_slice(&recording.drawn);
+    label.extend_from_slice(b"AT");
+    label.extend_from_slice(&u64::from(member).to_le_bytes());
+    let secret = HmacDrbg::new(&label).scalar();
+    assert_eq!(EdwardsPoint::mul_base(&secret), commitment);
 
     // T₂ = (0, −1).
     let mut enc = [0xffu8; 32];

@@ -9,7 +9,7 @@ use votegral::crypto::schnorr::SigningKey;
 use votegral::crypto::{CompressedPoint, HmacDrbg, Scalar};
 use votegral::ledger::{BallotRecord, LedgerBackend, TamperEvidentLog, VoterId};
 use votegral::trip::vsd::ActivatedCredential;
-use votegral::votegral::{Ballot, ElectionBuilder, VotegralError};
+use votegral::votegral::{Ballot, Election, ElectionBuilder, Tallying, VotegralError};
 
 /// A fresh scratch directory for durable-backend cases.
 fn wal_dir(tag: &str) -> PathBuf {
@@ -675,6 +675,55 @@ proptest! {
     }
 }
 
+/// The 3-voter election `batched_pipeline_replays_bit_identically` pins,
+/// its ballots cast as one batch or one by one, closed for the tally, and
+/// the DRBG where the tally takes it.
+fn three_voter_election(batch: bool) -> (Election<Tallying>, HmacDrbg) {
+    let mut rng = HmacDrbg::from_u64(4242);
+    let mut election = ElectionBuilder::new().voters(3).options(3).build(&mut rng);
+    let voters: Vec<VoterId> = (1..=3).map(VoterId).collect();
+    let sessions = election
+        .register_batch(&voters, &mut rng)
+        .expect("registers");
+    let mut voting = election.open_voting();
+    let pairs: Vec<(&ActivatedCredential, u32)> = sessions
+        .iter()
+        .enumerate()
+        .map(|(i, (_, vsd))| (&vsd.credentials[0], (i % 3) as u32))
+        .collect();
+    if batch {
+        voting.cast_batch(&pairs, &mut rng).expect("batch cast");
+    } else {
+        for (cred, vote) in &pairs {
+            voting.cast(cred, *vote, &mut rng).expect("cast");
+        }
+    }
+    (voting.close(), rng)
+}
+
+/// The 32-voter election `tally_pin_past_the_parallel_cutoff` pins, closed
+/// for the tally, and the DRBG where the tally takes it.
+fn thirty_two_voter_election() -> (Election<Tallying>, HmacDrbg) {
+    let mut rng = HmacDrbg::from_u64(3232);
+    let mut election = ElectionBuilder::new()
+        .voters(32)
+        .options(3)
+        .mixers(2)
+        .build(&mut rng);
+    let voters: Vec<VoterId> = (1..=32).map(VoterId).collect();
+    let sessions = election
+        .register_batch(&voters, &mut rng)
+        .expect("registers");
+    let mut voting = election.open_voting();
+    let votes: Vec<(&ActivatedCredential, u32)> = sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (_, vsd))| vsd.credentials.iter().map(move |c| (c, (i % 3) as u32)))
+        .collect();
+    voting.cast_batch(&votes, &mut rng).expect("casts");
+    (voting.close(), rng)
+}
+
 /// Deterministic replay across the cast paths: `cast_batch` produces a
 /// bit-identical `TallyTranscript` (and identical ledger heads) to
 /// sequential `cast` under the same DRBG seed, and the verifier accepts
@@ -689,33 +738,16 @@ fn batched_pipeline_replays_bit_identically() {
     use votegral::votegral::tagging::TaggingRound;
 
     let run = |batch: bool| {
-        let mut rng = HmacDrbg::from_u64(4242);
-        let mut election = ElectionBuilder::new().voters(3).options(3).build(&mut rng);
-        let voters: Vec<VoterId> = (1..=3).map(VoterId).collect();
-        let sessions = election
-            .register_batch(&voters, &mut rng)
-            .expect("registers");
-        let mut voting = election.open_voting();
-        let pairs: Vec<(&ActivatedCredential, u32)> = sessions
-            .iter()
-            .enumerate()
-            .map(|(i, (_, vsd))| (&vsd.credentials[0], (i % 3) as u32))
-            .collect();
-        if batch {
-            voting.cast_batch(&pairs, &mut rng).expect("batch cast");
-        } else {
-            for (cred, vote) in &pairs {
-                voting.cast(cred, *vote, &mut rng).expect("cast");
-            }
-        }
-        let tallying = voting.close();
+        let (tallying, mut rng) = three_voter_election(batch);
         let transcript = tallying.tally(&mut rng).expect("tally");
-        // Where the tally leaves the caller's DRBG: a prover that draws
-        // its coins ahead of computing must take exactly the draws, in
-        // exactly the order, of one that draws as it goes.
+        // Where the tally leaves the caller's DRBG: one 32-byte draw past
+        // where it took it, the seed every party's coin stream derives
+        // from, whatever the tally's stages draw from their own streams.
+        // (Re-pinned from 7f59740f…0eda035f, the position after every coin
+        // was drawn from this DRBG.)
         let next: String = rng.bytes32().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
-            next, "7f59740fee8547c1f99fb03607474fc2a0eaa2748f8606273a00ce200eda035f",
+            next, "cb0b9074db0b14a990b094cdbd1814293fdffede4efff3cccf48cb4a4efb00a1",
             "the tally left the DRBG elsewhere"
         );
         let verified = tallying.verify(&transcript).expect("verifies");
@@ -760,21 +792,29 @@ fn batched_pipeline_replays_bit_identically() {
     assert_eq!(sequential.0, batched.0, "identical ballot ledger heads");
     assert_eq!(sequential.1, batched.1, "bit-identical tally transcripts");
     assert_eq!(sequential.2, batched.2, "identical results");
-    // Two pins. The whole transcript moves only with a protocol change,
-    // and was re-pinned for one (from 303fca99…3a939293): since PR 22 a
-    // tagging round carries one batched DLEQ and draws one nonce where it
-    // carried 2n proofs and drew 2n, so the rounds' proofs changed shape
-    // and every later draw — the openings' nonces — moved. The second pin
-    // was computed on the commit *before* that change and did not move
-    // with it: mixes, tagging commitments and outputs, opened plaintexts
-    // and share points, matching and result are what they were.
+    assert_eq!(
+        batched.2.counts,
+        vec![1, 1, 1],
+        "each voter's ballot counts"
+    );
+    // Two pins. The whole transcript moves only with a protocol change.
+    // It was last re-pinned (from 3014678042…afeaa426) when each party's
+    // coins came from its own stream derived from one seed, instead of
+    // one DRBG in a fixed order: every mix, tagging key and nonce moved.
+    // The second pin is the transcript less its tagging and share proofs.
+    // It held when a tagging round went from 2n proofs to one batched
+    // DLEQ, and moved (from b74a52e2…5729d9cc) only with the coin
+    // streams, since the mixes' permutations and re-encryptions and the
+    // tagging exponents are coins too. The result did not move: each
+    // voter's one ballot counts (`tally_matches_its_stage_by_stage_oracle`
+    // recomputes both pins' transcripts without running `tally`).
     let (transcript, statements) = batched.1;
     assert_eq!(
-        transcript, "3014678042c5a88a7df39f89e1e4fe969099de2d3d595c9651f4a37aafeaa426",
+        transcript, "03024ec4289e526a7acb7621597a692c4d47ecd0b8f5649cad5e4aaa5761af78",
         "tally transcript bytes moved"
     );
     assert_eq!(
-        statements, "b74a52e21a3c7e00cb8404103748cf37a5952b5193ce2a55c635b3cd5729d9cc",
+        statements, "b0b51a163a63c580fb026028bd5a87f67230156486f6c673bd5c5db0d08355f7",
         "something other than a proof or a nonce moved"
     );
 }
@@ -783,35 +823,21 @@ fn batched_pipeline_replays_bit_identically() {
 /// parallel branch runs (`par_map` maps inline below 16 items): 32
 /// registration tags, 64 ballot rows (each voter casts with its real and
 /// its fake credential) and 32 matched votes, so the re-encryption rows,
-/// the tagging exponentiations and the share proofs all fan out. Pinned on
-/// the commit before the tally prover drew first and computed on the
-/// host's cores; how many cores run it may not move a byte.
+/// the tagging exponentiations and the share proofs all fan out; how many
+/// cores run it may not move a byte. Re-pinned (from 3b3fba4a…6736a728c)
+/// when each party's coins came from its own stream derived from one
+/// seed; `tally_matches_its_stage_by_stage_oracle` recomputes it without
+/// running `tally`.
 #[test]
 fn tally_pin_past_the_parallel_cutoff() {
     use votegral::crypto::sha2::Sha256;
 
-    let mut rng = HmacDrbg::from_u64(3232);
-    let mut election = ElectionBuilder::new()
-        .voters(32)
-        .options(3)
-        .mixers(2)
-        .build(&mut rng);
-    let voters: Vec<VoterId> = (1..=32).map(VoterId).collect();
-    let sessions = election
-        .register_batch(&voters, &mut rng)
-        .expect("registers");
-    let mut voting = election.open_voting();
-    let votes: Vec<(&ActivatedCredential, u32)> = sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(i, (_, vsd))| vsd.credentials.iter().map(move |c| (c, (i % 3) as u32)))
-        .collect();
-    voting.cast_batch(&votes, &mut rng).expect("casts");
-    let tallying = voting.close();
+    let (tallying, mut rng) = thirty_two_voter_election();
     let transcript = tallying.tally(&mut rng).expect("tally");
     assert_eq!(transcript.reg_inputs.len(), 32);
     assert_eq!(transcript.ballot_pair_inputs.len(), 64);
     assert_eq!(transcript.result.counted, 32);
+    assert_eq!(transcript.result.counts, vec![11, 11, 10]);
     assert_eq!(
         tallying.verify(&transcript).as_ref(),
         Ok(&transcript.result)
@@ -820,9 +846,153 @@ fn tally_pin_past_the_parallel_cutoff() {
     h.update(format!("{transcript:?}").as_bytes());
     let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
-        digest, "3b3fba4a047dcd3b970c2480487dce767f9d3373386c0be2526ff9b6736a728c",
+        digest, "b7490a6532573b2685680db7cc678ddfe79116286ba9f9b1c3407d46ec428963",
         "tally transcript bytes moved"
     );
+}
+
+/// An oracle for the tally's bytes that does not run `tally`: both pinned
+/// elections recomputed stage by stage through the public stage functions,
+/// each on a coin stream whose label is written out here, give the whole
+/// transcript byte for byte. So the pins rest on a second construction,
+/// and the tally takes exactly one 32-byte seed from the caller's DRBG.
+#[test]
+fn tally_matches_its_stage_by_stage_oracle() {
+    use votegral::crypto::dkg::{combine_with, lagrange_coefficients};
+    use votegral::crypto::drbg::Rng;
+    use votegral::crypto::elgamal::Ciphertext;
+    use votegral::crypto::EdwardsPoint;
+    use votegral::shuffle::MixCascade;
+    use votegral::votegral::tagging::{apply_cascade, TaggingKey};
+    use votegral::votegral::tally::{
+        admit_ballots, count_votes, dummy_ciphertext, match_tags, registration_inputs,
+    };
+    use votegral::votegral::{TallyTranscript, VectorOpening};
+
+    /// The caller's DRBG, recording every byte the tally draws from it.
+    struct Tap<'a>(&'a mut HmacDrbg, Vec<u8>);
+    impl Rng for Tap<'_> {
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.0.fill_bytes(dest);
+            self.1.extend_from_slice(dest);
+        }
+    }
+
+    let elections = [
+        ("3 voters", three_voter_election(true)),
+        ("32 voters", thirty_two_voter_election()),
+    ];
+    for (name, (tallying, mut rng)) in elections {
+        let mut tap = Tap(&mut rng, Vec::new());
+        let transcript = tallying.tally(&mut tap).expect("tally");
+        let seed: [u8; 32] = tap.1[..]
+            .try_into()
+            .expect("the tally draws one 32-byte seed");
+        // votegral-tally-coins-v1 ‖ seed ‖ chain ‖ role ‖ party, the party
+        // as 8 bytes little-endian.
+        let stream = |chain: u8, role: u8, party: u64| {
+            let mut label = b"votegral-tally-coins-v1".to_vec();
+            label.extend_from_slice(&seed);
+            label.extend_from_slice(&[chain, role]);
+            label.extend_from_slice(&party.to_le_bytes());
+            HmacDrbg::new(&label)
+        };
+        let authority = &tallying.trip.authority;
+        let (apk, ledger, config) = (
+            authority.public_key,
+            tallying.ledger(),
+            tallying.vote_config,
+        );
+        let open = |cts: &[Ciphertext], mut coins: HmacDrbg| {
+            let shares = authority.decryption_shares(cts, &mut coins);
+            let first_t: Vec<u32> = authority.members[..authority.t]
+                .iter()
+                .map(|m| m.index)
+                .collect();
+            let lambdas = lagrange_coefficients(&first_t).expect("distinct indices");
+            let plaintexts = cts
+                .iter()
+                .zip(&shares)
+                .map(|(ct, item)| combine_with(ct, item, &lambdas))
+                .collect();
+            VectorOpening { shares, plaintexts }
+        };
+
+        let (accepted, rejected, superseded) =
+            admit_ballots(ledger, config, &apk, &tallying.trip.kiosk_registry);
+        let mut ballot_pair_inputs: Vec<(Ciphertext, Ciphertext)> = accepted
+            .iter()
+            .map(|ab| {
+                let key = ab.credential_pk.decompress().expect("admitted keys decode");
+                let key = Ciphertext {
+                    c1: EdwardsPoint::IDENTITY,
+                    c2: key,
+                };
+                (ab.ballot.vote_ct, key)
+            })
+            .collect();
+        let mut reg_inputs = registration_inputs(ledger);
+        let (n_ballot_dummies, n_reg_dummies) = (
+            2usize.saturating_sub(ballot_pair_inputs.len()),
+            2usize.saturating_sub(reg_inputs.len()),
+        );
+        let dummy = dummy_ciphertext();
+        ballot_pair_inputs.extend(std::iter::repeat_n((dummy, dummy), n_ballot_dummies));
+        reg_inputs.extend(std::iter::repeat_n(dummy, n_reg_dummies));
+        let rows = ballot_pair_inputs.len().max(reg_inputs.len());
+        let cascade = MixCascade::new(rows, tallying.mixers);
+
+        let keys: Vec<TaggingKey> = authority
+            .members
+            .iter()
+            .map(|m| TaggingKey::generate(&mut stream(b'A', b'T', m.index.into())))
+            .collect();
+        let reg_mix = cascade.mix(&apk, &reg_inputs, &mut stream(b'R', b'M', 0));
+        let reg_tagging = apply_cascade(&keys, reg_mix.outputs(), &mut stream(b'R', b'T', 0));
+        let tagged = reg_tagging.last().expect("one round per member");
+        let reg_opening = open(&tagged.outputs, stream(b'R', b'O', 0));
+        let ballot_mix = cascade.mix_pairs(&apk, &ballot_pair_inputs, &mut stream(b'B', b'M', 0));
+        let key_column: Vec<Ciphertext> = ballot_mix.outputs().iter().map(|p| p.1).collect();
+        let ballot_tagging = apply_cascade(&keys, &key_column, &mut stream(b'B', b'T', 0));
+        let tagged = ballot_tagging.last().expect("one round per member");
+        let key_opening = open(&tagged.outputs, stream(b'B', b'O', 0));
+        let matched_indices = match_tags(&reg_opening.plaintexts, &key_opening.plaintexts);
+        let matched_votes: Vec<Ciphertext> = matched_indices
+            .iter()
+            .map(|&i| ballot_mix.outputs()[i].0)
+            .collect();
+        let vote_opening = open(&matched_votes, stream(b'V', b'O', 0));
+        let result = count_votes(
+            config,
+            &vote_opening.plaintexts,
+            ballot_mix.outputs().len(),
+            matched_indices.len(),
+        );
+        let oracle = TallyTranscript {
+            config,
+            accepted,
+            rejected,
+            superseded,
+            reg_inputs,
+            ballot_pair_inputs,
+            n_ballot_dummies,
+            n_reg_dummies,
+            ballot_mix,
+            reg_mix,
+            tag_commitments: keys.iter().map(|k| k.commitment).collect(),
+            reg_tagging,
+            ballot_tagging,
+            reg_opening,
+            key_opening,
+            matched_indices,
+            vote_opening,
+            result,
+        };
+        assert!(
+            format!("{oracle:?}") == format!("{transcript:?}"),
+            "{name}: the tally's transcript is not the oracle's"
+        );
+    }
 }
 
 /// The whole pipeline is deterministic from its seed: two elections run

@@ -1,11 +1,11 @@
 //! The tally when the core budget has no free slot.
 //!
-//! `tally` draws its coins in `join`'s first closure and runs the ballot
-//! chain, which consumes them, in its second. With no free slot `join`
-//! runs the first closure to its end, then the second, on the calling
-//! thread, so every coin must be drawn before anything waits for one. A
-//! tally whose consumer ran first would wait forever on coins no thread
-//! draws.
+//! `tally` runs its two chains side by side under `join`, each on its own
+//! coin streams. With no free slot `join` runs its first closure to its
+//! end, then the second, on the calling thread. Neither chain waits on the
+//! other, so the closures' order is not load-bearing, but a tally with
+//! every slot held must still finish, with the bytes it pins when cores
+//! are free.
 //!
 //! Its own test binary, so that no other test in the process takes or
 //! returns budget slots while it runs.
@@ -83,11 +83,11 @@ fn tally_finishes_with_no_free_budget_slot() {
     section.join().expect("the section finished");
     let (transcript, next) = pins.expect("job 0 runs the election");
     assert_eq!(
-        transcript, "3014678042c5a88a7df39f89e1e4fe969099de2d3d595c9651f4a37aafeaa426",
+        transcript, "03024ec4289e526a7acb7621597a692c4d47ecd0b8f5649cad5e4aaa5761af78",
         "tally transcript bytes moved"
     );
     assert_eq!(
-        next, "7f59740fee8547c1f99fb03607474fc2a0eaa2748f8606273a00ce200eda035f",
+        next, "cb0b9074db0b14a990b094cdbd1814293fdffede4efff3cccf48cb4a4efb00a1",
         "the tally left the DRBG elsewhere"
     );
 }
