@@ -1,8 +1,8 @@
-//! Durable crash-recoverable storage backend: one write-ahead record
-//! log per store, persisted signed tree heads, snapshot verification and
-//! replay-cursor reopen.
+//! The durable backend: one write-ahead record log per store, persisted
+//! signed tree heads, snapshot verification and replay-cursor reopen.
 //!
-//! [`DurableStore`] implements [`LedgerStore`] over one append-only file
+//! A durable [`TamperEvidentLog`](crate::TamperEvidentLog) keeps its records and tree in memory
+//! like any other and writes them ahead to one append-only file
 //! of length-prefixed, checksummed frames carrying each record's
 //! canonical byte encoding (the same injective encoding the Merkle leaves
 //! hash, so disk and tree can never disagree about content). The same
@@ -13,7 +13,7 @@
 //! record log before the in-memory state absorbs it, so a process killed
 //! at any instant leaves the disk a superset-or-equal of the published
 //! state, never behind it. The only fsyncs are the commit barrier's
-//! ([`LedgerStore::persist`]: the record log first, the signed head that
+//! ([`TamperEvidentLog::persist`](crate::TamperEvidentLog::persist): the record log first, the signed head that
 //! covers it second, in `heads.log`), which is where the commit
 //! sequencer's admission sweep calls it. Nothing is acknowledged before a
 //! barrier, so nothing above the last persisted head is owed to anyone.
@@ -58,7 +58,6 @@ use std::path::{Path, PathBuf};
 
 use crate::log::{Record, TreeHead};
 use crate::merkle::{self, Hash, MerkleLog};
-use crate::store::{ConsistencyProof, InclusionProof, LedgerBackend, LedgerStore};
 use vg_crypto::codec::Reader;
 use vg_crypto::par::par_map;
 use vg_crypto::schnorr::Signature;
@@ -89,7 +88,7 @@ const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Append-path IO errors surface *typed*, not as panics: a failed write
 /// or fsync poisons its log file ([`WalError::Poisoned`]) so no head
 /// covering the unpersisted bytes can ever be published and no reveal
-/// acknowledged past a torn frame — the next [`LedgerStore::persist`]
+/// acknowledged past a torn frame — the next [`TamperEvidentLog::persist`](crate::TamperEvidentLog::persist)
 /// barrier returns the error and the caller aborts the day cleanly
 /// instead of the process dying mid-request. A restart then reopens the
 /// directory and replays the clean prefix the disk actually holds.
@@ -143,8 +142,7 @@ pub trait DurableRecord: Record + Sized {
     fn decode_canonical(bytes: &[u8]) -> Result<Self, WalError>;
 }
 
-/// Durability counters for one store (all zero on the in-memory and
-/// sharded backends).
+/// Durability counters for one store (all zero in memory).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Frames appended to the record log by this process: records and
@@ -219,10 +217,10 @@ pub enum FsFault {
     },
 }
 
-/// A deterministic write-layer fault schedule installed on a
-/// [`DurableStore`] (via [`crate::ledger::Ledger::install_fault_fs`] or
-/// [`LedgerStore::install_fault_fs`]); each of a store's two log files
-/// gets its own clone.
+/// A deterministic write-layer fault schedule installed on a durable
+/// log (via [`crate::ledger::Ledger::install_fault_fs`] or
+/// [`TamperEvidentLog::install_fault_fs`](crate::TamperEvidentLog::install_fault_fs)); each of a store's two log
+/// files gets its own clone.
 /// Decisions depend only on the schedule and the file's own write/fsync
 /// counters, so a given seed replays the identical failure on every run.
 #[derive(Clone, Debug, Default)]
@@ -465,16 +463,15 @@ impl FrameLog {
 }
 
 // ---------------------------------------------------------------------------
-// DurableStore
+// Wal: the write-ahead side of a durable log
 // ---------------------------------------------------------------------------
 
-/// WAL-backed flat Merkle store: identical commitment structure (and
-/// therefore identical roots and proofs) to [`crate::store::InMemoryStore`],
-/// plus crash durability. See the module docs for the write discipline
-/// and the replay cursor.
-pub struct DurableStore<T> {
-    records: Vec<T>,
-    merkle: MerkleLog,
+/// The write-ahead side of a durable [`crate::TamperEvidentLog`]: its record log,
+/// its `heads.log`, the replay cursor and the side frames replayed at
+/// open. The log keeps the records and the tree exactly as an in-memory
+/// log does (so roots and proofs are identical); see the module docs for
+/// the write discipline and the replay cursor.
+pub(crate) struct Wal {
     /// Records loaded from disk at open; indices below this are the
     /// replayable prefix.
     replayed: usize,
@@ -486,17 +483,20 @@ pub struct DurableStore<T> {
     heads: FrameLog,
     last_head_size: u64,
     /// Side frames replayed at open, in log order, until
-    /// [`LedgerStore::take_side_frames`] hands them back.
+    /// [`crate::TamperEvidentLog::take_side_frames`] hands them back.
     side: Vec<Vec<u8>>,
 }
 
-impl<T: DurableRecord> DurableStore<T> {
+impl Wal {
     /// Opens (or creates) a durable log rooted at `dir`: replays the
     /// record log, cross-checks the snapshot and every persisted signed
     /// head against the rebuilt tree, truncates torn tails above the last
-    /// persisted head, and rewrites the start-of-day snapshot.
-    pub fn open(dir: impl Into<PathBuf>, fsync: bool) -> Result<Self, WalError> {
-        let dir = dir.into();
+    /// persisted head, and rewrites the start-of-day snapshot. Returns the
+    /// write-ahead side with the replayed records and their tree.
+    pub(crate) fn open<T: DurableRecord>(
+        dir: PathBuf,
+        fsync: bool,
+    ) -> Result<(Self, Vec<T>, MerkleLog), WalError> {
         fs::create_dir_all(&dir)?;
         for entry in fs::read_dir(&dir)? {
             let name = entry?.file_name().to_string_lossy().into_owned();
@@ -588,126 +588,82 @@ impl<T: DurableRecord> DurableStore<T> {
 
         let mut log = FrameLog::open(&records_path, fsync)?;
         log.stats.replayed = (records.len() + side.len()) as u64;
-        Ok(Self {
+        let wal = Self {
             replayed: records.len(),
-            records,
-            merkle: merkle_log,
             matched: 0,
             log,
             heads: FrameLog::open(&heads_path, fsync)?,
             dir,
             last_head_size,
             side,
-        })
+        };
+        Ok((wal, records, merkle_log))
     }
 
-    fn absorb(&mut self, record: T, payload: &[u8], leaf: Hash) {
-        if self.matched < self.replayed {
-            // Replay cursor: a byte-identical re-append of persisted
-            // history is a no-op resolving to its original index.
-            assert_eq!(
-                Some(&leaf),
-                self.merkle.leaf(self.matched),
-                "durable replay diverged from the persisted log at index {} in {}",
-                self.matched,
-                self.dir.display()
-            );
-            self.matched += 1;
-            return;
-        }
-        // Event before state: the WAL frame lands before the Merkle
-        // accumulator moves. An IO error poisons the record log instead
-        // of panicking, and is deliberately not returned here: the
-        // in-memory tree keeps its indices coherent for the caller, later
-        // appends skip the disk (keeping the on-disk log a clean prefix),
-        // and the next `persist` barrier surfaces the failure typed — no
-        // head covering the lost bytes is ever published, which is the
-        // durability contract.
-        let _poisoned = self.log.append(RECORD, payload);
-        self.merkle.append_leaf(leaf);
-        self.records.push(record);
-    }
-
-    fn next_index(&self) -> usize {
-        if self.matched < self.replayed {
-            self.matched
-        } else {
-            self.records.len()
-        }
-    }
-}
-
-fn decode_head(kind: u8, payload: &[u8]) -> Result<(u64, Hash), WalError> {
-    // size ‖ root ‖ signature — the signature rides along for external
-    // auditors; the store itself verifies structure, not signatures
-    // (operator keys live a layer up). The snapshot omits the signature.
-    if kind != RECORD || (payload.len() != 40 && payload.len() != 104) {
-        return Err(WalError::Corrupt("bad head frame"));
-    }
-    let mut r = Reader::new(payload);
-    Ok((r.u64()?, r.bytes32()?))
-}
-
-impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
-    fn append_batch(&mut self, records: Vec<T>, threads: usize) -> Range<usize> {
-        let start = self.next_index();
-        let encoded: Vec<(Vec<u8>, Hash)> = par_map(&records, threads, |r| {
+    /// Appends a batch to a durable log's `records` and `tree`, hashing
+    /// leaves with up to `threads` workers, and returns the batch's index
+    /// range. Each record's frame is written ahead of the tree, or — while
+    /// the replay cursor is inside the replayed prefix — matched against
+    /// it: a byte-identical re-append of persisted history resolves to
+    /// its original index as a no-op.
+    pub(crate) fn append_batch<T: Record + Sync>(
+        &mut self,
+        tree: &mut MerkleLog,
+        records: &mut Vec<T>,
+        batch: Vec<T>,
+        threads: usize,
+    ) -> Range<usize> {
+        let start = self.next_index(records.len());
+        let encoded = par_map(&batch, threads, |r| {
             let payload = r.canonical_bytes();
             let leaf = merkle::leaf_hash(&payload);
             (payload, leaf)
         });
-        for (record, (payload, leaf)) in records.into_iter().zip(encoded) {
-            self.absorb(record, &payload, leaf);
+        for (record, (payload, leaf)) in batch.into_iter().zip(encoded) {
+            if self.matched < self.replayed {
+                assert_eq!(
+                    Some(&leaf),
+                    tree.leaf(self.matched),
+                    "durable replay diverged from the persisted log at index {} in {}",
+                    self.matched,
+                    self.dir.display()
+                );
+                self.matched += 1;
+                continue;
+            }
+            // Event before state: the WAL frame lands before the Merkle
+            // accumulator moves. An IO error poisons the record log
+            // instead of panicking, and is deliberately not returned
+            // here: the in-memory tree keeps its indices coherent for the
+            // caller, later appends skip the disk (keeping the on-disk log
+            // a clean prefix), and the next `persist` barrier surfaces the
+            // failure typed — no head covering the lost bytes is ever
+            // published, which is the durability contract.
+            let _poisoned = self.log.append(RECORD, &payload);
+            tree.append_leaf(leaf);
+            records.push(record);
         }
-        start..self.next_index()
+        start..self.next_index(records.len())
     }
 
-    fn get(&self, index: usize) -> Option<&T> {
-        self.records.get(index)
-    }
-
-    fn records(&self) -> &[T] {
-        &self.records
-    }
-
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    fn root(&self) -> Hash {
-        self.merkle.root()
-    }
-
-    fn prove_inclusion(&self, index: usize) -> InclusionProof {
-        InclusionProof::Flat {
-            path: self.merkle.inclusion_proof(index, self.records.len()),
-        }
-    }
-
-    fn prove_consistency(&self, old_size: usize) -> ConsistencyProof {
-        ConsistencyProof::Flat {
-            path: self.merkle.consistency_proof(old_size),
-        }
-    }
-
-    fn backend(&self) -> LedgerBackend {
-        LedgerBackend::Durable {
-            dir: self.dir.clone(),
-            fsync: self.log.fsync,
+    /// The index the next append resolves to, for a log of `len` records:
+    /// the replay cursor's while it matches the persisted prefix, `len`
+    /// after.
+    fn next_index(&self, len: usize) -> usize {
+        if self.matched < self.replayed {
+            self.matched
+        } else {
+            len
         }
     }
 
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn persist(&mut self, head: &TreeHead) -> Result<(), WalError> {
-        // Commit barrier: group-fsync the outstanding appends (records and
-        // side frames) first, publish the signed head second — the head on
-        // disk never gets ahead of the records it covers. Either log's
-        // poison fails the barrier: a failed append surfaces here as the
-        // record sync's `Poisoned`, a failed head write or head sync as
-        // the next head append's.
+    /// Commit barrier: group-fsync the outstanding appends (records and
+    /// side frames) first, publish the signed head second — the head on
+    /// disk never gets ahead of the records it covers. Either log's
+    /// poison fails the barrier: a failed append surfaces here as the
+    /// record sync's `Poisoned`, a failed head write or head sync as the
+    /// next head append's.
+    pub(crate) fn persist(&mut self, head: &TreeHead) -> Result<(), WalError> {
         self.log.sync()?;
         if head.size > self.last_head_size {
             let mut payload = Vec::with_capacity(104);
@@ -721,14 +677,15 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
         Ok(())
     }
 
-    fn install_fault_fs(&mut self, fault: FaultFs) {
-        // The record log and `heads.log` each count their own writes and
-        // fsyncs from their own clone.
+    /// Installs `fault` on both files: the record log and `heads.log`
+    /// each count their own writes and fsyncs from their own clone.
+    pub(crate) fn install_fault_fs(&mut self, fault: FaultFs) {
         self.heads.fault = Some(fault.clone());
         self.log.fault = Some(fault);
     }
 
-    fn durability_stats(&self) -> DurabilityStats {
+    /// The store's counters, both files summed.
+    pub(crate) fn stats(&self) -> DurabilityStats {
         let (records, heads) = (&self.log.stats, &self.heads.stats);
         DurabilityStats {
             wal_fsyncs: records.wal_fsyncs + heads.wal_fsyncs,
@@ -738,13 +695,27 @@ impl<T: DurableRecord + Sync> LedgerStore<T> for DurableStore<T> {
         }
     }
 
-    fn append_side(&mut self, payload: &[u8]) -> Result<(), WalError> {
+    /// Appends a side frame to the record log, durable at the next
+    /// barrier like a record; a write failure poisons the log.
+    pub(crate) fn append_side(&mut self, payload: &[u8]) -> Result<(), WalError> {
         self.log.append(SIDE, payload)
     }
 
-    fn take_side_frames(&mut self) -> Vec<Vec<u8>> {
+    /// The side frames replayed at open, in log order; handed back once.
+    pub(crate) fn take_side_frames(&mut self) -> Vec<Vec<u8>> {
         std::mem::take(&mut self.side)
     }
+}
+
+fn decode_head(kind: u8, payload: &[u8]) -> Result<(u64, Hash), WalError> {
+    // size ‖ root ‖ signature — the signature rides along for external
+    // auditors; the store itself verifies structure, not signatures
+    // (operator keys live a layer up). The snapshot omits the signature.
+    if kind != RECORD || (payload.len() != 40 && payload.len() != 104) {
+        return Err(WalError::Corrupt("bad head frame"));
+    }
+    let mut r = Reader::new(payload);
+    Ok((r.u64()?, r.bytes32()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -936,7 +907,8 @@ pub fn simulate_crash(src: &Path, dst: &Path, keep_permille: u32) -> Result<Cras
 mod tests {
     use super::*;
     use crate::ledger::{challenge_hash, EnvelopeCommitment, Ledger, LedgerError};
-    use crate::store::InMemoryStore;
+    use crate::log::TamperEvidentLog;
+    use crate::store::LedgerBackend;
     use vg_crypto::Scalar;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -974,46 +946,41 @@ mod tests {
         range.map(Note).collect()
     }
 
-    /// Whether the store is still matching appends against the replayed
-    /// prefix (true between open and the first genuinely new append).
-    fn replaying(store: &DurableStore<Note>) -> bool {
-        store.matched < store.replayed
-    }
-
-    fn head_of(store: &DurableStore<Note>, operator: &vg_crypto::schnorr::SigningKey) -> TreeHead {
-        let size = store.len() as u64;
-        let root = store.root();
-        // Mirror TamperEvidentLog::tree_head's message.
-        let mut m = Vec::with_capacity(61);
-        m.extend_from_slice(b"votegral-tree-head-v1");
-        m.extend_from_slice(&size.to_le_bytes());
-        m.extend_from_slice(&root);
-        TreeHead {
-            size,
-            root,
-            signature: operator.sign(&m),
-        }
-    }
-
     fn operator() -> vg_crypto::schnorr::SigningKey {
         let mut rng = vg_crypto::HmacDrbg::from_u64(11);
         vg_crypto::schnorr::SigningKey::generate(&mut rng)
     }
 
+    /// A durable log on `dir`, or the typed error its open returned.
+    fn open<T: DurableRecord + Sync>(
+        dir: &Path,
+        fsync: bool,
+    ) -> Result<TamperEvidentLog<T>, WalError> {
+        TamperEvidentLog::open(operator(), dir.to_path_buf(), fsync)
+    }
+
+    fn wal(store: &TamperEvidentLog<Note>) -> &Wal {
+        store.wal.as_ref().expect("a durable log")
+    }
+
+    /// Whether the store is still matching appends against the replayed
+    /// prefix (true between open and the first genuinely new append).
+    fn replaying(store: &TamperEvidentLog<Note>) -> bool {
+        wal(store).matched < wal(store).replayed
+    }
+
     #[test]
     fn reopen_rebuilds_identical_state() {
         let dir = tmp_dir("reopen");
-        let op = operator();
         let root = {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..100), 2);
-            let head = head_of(&store, &op);
-            store.persist(&head).expect("persist");
-            store.root()
+            store.persist().expect("persist");
+            store.tree_head().root
         };
-        let store = DurableStore::<Note>::open(&dir, false).expect("reopen");
+        let store = open::<Note>(&dir, false).expect("reopen");
         assert_eq!(store.len(), 100);
-        assert_eq!(store.root(), root);
+        assert_eq!(store.tree_head().root, root);
         assert_eq!(store.durability_stats().replayed, 100);
         assert_eq!(store.get(42), Some(&Note(42)));
         let _ = fs::remove_dir_all(&dir);
@@ -1022,14 +989,14 @@ mod tests {
     #[test]
     fn durable_roots_match_in_memory() {
         let dir = tmp_dir("flat-equal");
-        let mut durable = DurableStore::<Note>::open(&dir, false).expect("open");
-        let mut memory = InMemoryStore::<Note>::new();
+        let mut durable = open::<Note>(&dir, false).expect("open");
+        let mut memory = TamperEvidentLog::with_backend(operator(), LedgerBackend::InMemory);
         memory.append_batch(notes(0..37), 1);
         durable.append_batch(notes(0..37), 1);
-        assert_eq!(durable.root(), memory.root());
+        assert_eq!(durable.tree_head().root, memory.tree_head().root);
         // Proofs are flat and interchangeable.
         let proof = durable.prove_inclusion(12);
-        assert!(proof.verify(&memory.root(), 37, &Note(12), 12));
+        assert!(proof.verify(&memory.tree_head().root, 37, &Note(12), 12));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1037,10 +1004,10 @@ mod tests {
     fn replay_cursor_dedups_reappends_to_original_indices() {
         let dir = tmp_dir("cursor");
         {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..10), 1);
         }
-        let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
+        let mut store = open::<Note>(&dir, false).expect("reopen");
         assert!(replaying(&store));
         // Byte-identical re-appends resolve to their original indices…
         assert_eq!(store.append_batch(vec![Note(0)], 1), 0..1);
@@ -1053,11 +1020,11 @@ mod tests {
         assert_eq!(store.len(), 14);
         // Only the 4 genuinely new records hit the WAL.
         assert_eq!(store.durability_stats().wal_records, 4);
-        let root = store.root();
+        let root = store.tree_head().root;
         drop(store); // drain the write buffer
-        let reopened = DurableStore::<Note>::open(&dir, false).expect("reopen again");
+        let reopened = open::<Note>(&dir, false).expect("reopen again");
         assert_eq!(reopened.len(), 14);
-        assert_eq!(reopened.root(), root);
+        assert_eq!(reopened.tree_head().root, root);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1066,10 +1033,10 @@ mod tests {
     fn replay_divergence_is_fail_stop() {
         let dir = tmp_dir("diverge");
         {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..5), 1);
         }
-        let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
+        let mut store = open::<Note>(&dir, false).expect("reopen");
         store.append_batch(vec![Note(99)], 1);
     }
 
@@ -1077,7 +1044,7 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let dir = tmp_dir("torn");
         {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..8), 1);
         }
         // Chop the final frame in half: a crash mid-write.
@@ -1086,7 +1053,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&seg).expect("open");
         f.set_len(len - 10).expect("truncate");
         drop(f);
-        let mut store = DurableStore::<Note>::open(&dir, false).expect("repairing reopen");
+        let mut store = open::<Note>(&dir, false).expect("repairing reopen");
         assert_eq!(store.len(), 7, "partial final record truncated");
         // The tail is clean: appending the lost record again works and
         // the log reads back whole.
@@ -1095,7 +1062,7 @@ mod tests {
         }
         assert_eq!(store.len(), 8);
         drop(store); // drain the write buffer
-        let reopened = DurableStore::<Note>::open(&dir, false).expect("reopen");
+        let reopened = open::<Note>(&dir, false).expect("reopen");
         assert_eq!(reopened.len(), 8);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1103,14 +1070,12 @@ mod tests {
     #[test]
     fn corrupt_frame_is_an_error_below_the_last_head_and_a_tail_above_it() {
         let dir = tmp_dir("anchor");
-        let op = operator();
         let full_root = {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..40), 1);
-            let head = head_of(&store, &op);
-            store.persist(&head).expect("persist");
+            store.persist().expect("persist");
             store.append_batch(notes(40..60), 1);
-            store.root()
+            store.tree_head().root
         };
         let path = dir.join(RECORDS_FILE);
         let clean = fs::read(&path).expect("read");
@@ -1126,7 +1091,7 @@ mod tests {
         // record was acknowledged, so this is corruption, and nothing on
         // disk is touched — not even the 49 good frames after the hole.
         fs::write(&path, flipped(10)).expect("write");
-        match DurableStore::<Note>::open(&dir, false) {
+        match open::<Note>(&dir, false) {
             Err(WalError::Corrupt(_)) => {}
             Err(e) => panic!("a bad frame below the head must be Corrupt, got {e}"),
             Ok(_) => panic!("a bad frame below the head must be rejected, but open succeeded"),
@@ -1137,11 +1102,11 @@ mod tests {
         // The same flip in frame 45, above the head: no barrier ever
         // covered it, so it is a torn tail — cut there and carry on.
         fs::write(&path, flipped(45)).expect("write");
-        let mut store = DurableStore::<Note>::open(&dir, false).expect("tail repair");
-        assert_eq!((store.len(), store.last_head_size), (45, 40));
+        let mut store = open::<Note>(&dir, false).expect("tail repair");
+        assert_eq!((store.len(), wal(&store).last_head_size), (45, 40));
         assert_eq!(fs::metadata(&path).expect("meta").len(), 45 * 20);
         assert_eq!(store.append_batch(notes(0..60), 1), 0..60);
-        assert_eq!(store.root(), full_root);
+        assert_eq!(store.tree_head().root, full_root);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1150,18 +1115,16 @@ mod tests {
         let dir = tmp_dir("heads");
         let op = operator();
         {
-            let mut store = DurableStore::<Note>::open(&dir, true).expect("open");
+            let mut store = open::<Note>(&dir, true).expect("open");
             store.append_batch(notes(0..5), 1);
-            let head = head_of(&store, &op);
-            store.persist(&head).expect("persist");
+            store.persist().expect("persist");
             store.append_batch(notes(5..9), 1);
-            let head = head_of(&store, &op);
-            store.persist(&head).expect("persist");
+            store.persist().expect("persist");
             let stats = store.durability_stats();
             assert_eq!(stats.heads_persisted, 2);
             assert!(stats.wal_fsyncs >= 2, "fsync mode syncs at barriers");
         }
-        let store = DurableStore::<Note>::open(&dir, true).expect("reopen");
+        let store = open::<Note>(&dir, true).expect("reopen");
         assert_eq!(store.len(), 9);
 
         // A head claiming records the log does not have is corruption.
@@ -1183,7 +1146,7 @@ mod tests {
             .expect("append");
         drop(heads);
         drop(store);
-        match DurableStore::<Note>::open(&dir, true) {
+        match open::<Note>(&dir, true) {
             Err(WalError::Corrupt(_)) => {}
             Err(e) => panic!("head beyond log must be Corrupt, got {e}"),
             Ok(_) => panic!("head beyond log must be rejected, but open succeeded"),
@@ -1196,16 +1159,15 @@ mod tests {
     #[test]
     fn oversized_frame_is_refused_and_poisons() {
         let dir = tmp_dir("oversized");
-        let op = operator();
         {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..3), 1);
-            let refused = store.append_side(&vec![0; MAX_FRAME + 1]);
+            let refused = store.append_side(|| vec![0; MAX_FRAME + 1]);
             assert!(matches!(refused, Err(WalError::Io(_))), "{refused:?}");
-            let barrier = store.persist(&head_of(&store, &op));
+            let barrier = store.persist();
             assert!(matches!(barrier, Err(WalError::Poisoned(_))), "{barrier:?}");
         }
-        let mut store = DurableStore::<Note>::open(&dir, false).expect("reopen");
+        let mut store = open::<Note>(&dir, false).expect("reopen");
         assert_eq!((store.len(), store.take_side_frames().len()), (3, 0));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1213,29 +1175,31 @@ mod tests {
     #[test]
     fn empty_batch_and_head_boundary() {
         let dir = tmp_dir("edges");
-        let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+        let mut store = open::<Note>(&dir, false).expect("open");
         store.append_batch(notes(0..7), 2);
-        let root_before = store.root();
+        let root_before = store.tree_head().root;
         let range = store.append_batch(Vec::new(), 4);
         assert_eq!(range, 7..7);
-        assert_eq!(store.root(), root_before, "empty batch moves nothing");
+        assert_eq!(
+            store.tree_head().root,
+            root_before,
+            "empty batch moves nothing"
+        );
         // Exact head-boundary indexing, as on the other backends.
         let proof = store.prove_inclusion(6);
-        assert!(proof.verify(&store.root(), 7, &Note(6), 6));
-        assert!(!proof.verify(&store.root(), 7, &Note(6), 7));
+        assert!(proof.verify(&store.tree_head().root, 7, &Note(6), 6));
+        assert!(!proof.verify(&store.tree_head().root, 7, &Note(6), 7));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn simulate_crash_sweeps_are_reopenable() {
         let dir = tmp_dir("sim");
-        let op = operator();
         let full_root = {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             store.append_batch(notes(0..800), 2);
-            let head = head_of(&store, &op);
-            store.persist(&head).expect("persist");
-            store.root()
+            store.persist().expect("persist");
+            store.tree_head().root
         };
         let mut any_torn = false;
         // Fractions chosen so at least one cut lands mid-frame (frames
@@ -1246,14 +1210,14 @@ mod tests {
             let report = simulate_crash(&dir, &crashed, permille).expect("simulate");
             any_torn |= report.torn_tail;
             assert_eq!(report.surviving_records + report.dropped_records, 800);
-            let mut store = DurableStore::<Note>::open(&crashed, false).expect("reopen");
+            let mut store = open::<Note>(&crashed, false).expect("reopen");
             assert_eq!(store.len() as u64, report.surviving_records);
             // Re-running the original append sequence replays the
             // survivors and re-appends the lost tail…
             let range = store.append_batch(notes(0..800), 2);
             assert_eq!(range, 0..800);
             // …to the exact same head as the uncrashed log.
-            assert_eq!(store.root(), full_root, "keep {permille}‰");
+            assert_eq!(store.tree_head().root, full_root, "keep {permille}‰");
             let _ = fs::remove_dir_all(&crashed);
         }
         assert!(any_torn, "the sweep must include a mid-frame cut");
@@ -1262,7 +1226,6 @@ mod tests {
 
     #[test]
     fn fault_on_heads_log_aborts_the_barrier_and_poisons() {
-        let op = operator();
         for fault in [
             FsFault::FailWrite { nth: 1 },
             FsFault::ShortWrite { nth: 1, keep: 9 },
@@ -1270,38 +1233,41 @@ mod tests {
         ] {
             let dir = tmp_dir("heads-fault");
             let first = {
-                let mut store = DurableStore::<Note>::open(&dir, true).expect("open");
+                let mut store = open::<Note>(&dir, true).expect("open");
                 // On `heads.log` alone, so the fault cannot land on a record.
-                store.heads.fault = Some(FaultFs::new(vec![fault]));
+                let heads = &mut store.wal.as_mut().expect("a durable log").heads;
+                heads.fault = Some(FaultFs::new(vec![fault]));
                 store.append_batch(notes(0..5), 1);
-                let first = head_of(&store, &op);
-                store.persist(&first).expect("head 0 is written clean");
+                store.persist().expect("head 0 is written clean");
+                let first = store.tree_head();
                 store.append_batch(notes(5..9), 1);
-                let second = head_of(&store, &op);
-                let failed = store.persist(&second);
+                let failed = store.persist();
                 assert!(matches!(failed, Err(WalError::Io(_))), "{fault:?}");
                 assert_eq!(store.durability_stats().wal_failures, 1, "{fault:?}");
                 // Sticky: the retry is refused without touching the disk.
-                let retried = store.persist(&second);
+                let retried = store.persist();
                 assert!(matches!(retried, Err(WalError::Poisoned(_))), "{fault:?}");
                 assert_eq!(store.durability_stats().wal_failures, 1, "{fault:?}");
                 first
             };
             // Reopen checks every surviving head against the records, so
             // opening at all means no head got ahead of its records.
-            let mut store = DurableStore::<Note>::open(&dir, true).expect("reopen");
+            let mut store = open::<Note>(&dir, true).expect("reopen");
             assert_eq!(store.len(), 9, "records are synced before their head");
             match fault {
                 // The frame reached the file whole; only its sync failed.
-                FsFault::FailFsync { .. } => assert_eq!(store.last_head_size, 9),
-                _ => assert_eq!(store.last_head_size, first.size, "{fault:?}"),
+                FsFault::FailFsync { .. } => assert_eq!(wal(&store).last_head_size, 9),
+                _ => assert_eq!(wal(&store).last_head_size, first.size, "{fault:?}"),
             }
             store.append_batch(notes(0..12), 1);
-            let head = head_of(&store, &op);
-            store.persist(&head).expect("clean tail");
+            store.persist().expect("clean tail");
             drop(store);
-            let store = DurableStore::<Note>::open(&dir, true).expect("reopen again");
-            assert_eq!((store.len(), store.last_head_size), (12, 12), "{fault:?}");
+            let store = open::<Note>(&dir, true).expect("reopen again");
+            assert_eq!(
+                (store.len(), wal(&store).last_head_size),
+                (12, 12),
+                "{fault:?}"
+            );
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -1312,12 +1278,11 @@ mod tests {
     #[test]
     fn anchored_heads_an_early_bad_head_is_corrupt_and_the_last_a_tail() {
         let dir = tmp_dir("anchored-heads");
-        let op = operator();
         {
-            let mut store = DurableStore::<Note>::open(&dir, false).expect("open");
+            let mut store = open::<Note>(&dir, false).expect("open");
             for size in [5, 9, 12] {
                 store.append_batch(notes(store.len() as u64..size), 1);
-                store.persist(&head_of(&store, &op)).expect("persist");
+                store.persist().expect("persist");
             }
         }
         let (log_path, heads_path) = (dir.join(RECORDS_FILE), dir.join(HEADS_FILE));
@@ -1332,7 +1297,7 @@ mod tests {
         };
 
         fs::write(&heads_path, flipped(0)).expect("write");
-        match DurableStore::<Note>::open(&dir, false) {
+        match open::<Note>(&dir, false) {
             Err(WalError::Corrupt(_)) => {}
             Err(e) => panic!("a bad head below a later head must be Corrupt, got {e}"),
             Ok(_) => panic!("a bad head below a later head must be rejected"),
@@ -1347,8 +1312,8 @@ mod tests {
         // The last head has nothing above it: a tail, cut, and the store
         // reopens on the head before it.
         fs::write(&heads_path, flipped(2)).expect("write");
-        let store = DurableStore::<Note>::open(&dir, false).expect("tail repair");
-        assert_eq!((store.len(), store.last_head_size), (12, 9));
+        let store = open::<Note>(&dir, false).expect("tail repair");
+        assert_eq!((store.len(), wal(&store).last_head_size), (12, 9));
         let kept = fs::read(&heads_path).expect("read");
         assert_eq!(kept, heads[..2 * HEAD_FRAME as usize]);
         let _ = fs::remove_dir_all(&dir);
@@ -1609,7 +1574,7 @@ mod tests {
                 fs::copy(entry.path(), envelopes.join(entry.file_name())).expect("copy");
             }
             let refused = |why: &str| {
-                let opened = DurableStore::<EnvelopeCommitment>::open(&envelopes, false);
+                let opened = open::<EnvelopeCommitment>(&envelopes, false);
                 assert!(matches!(opened, Err(WalError::Corrupt(_))), "{name}: {why}");
             };
             // As the parent left it — two segment files and a
@@ -1694,7 +1659,7 @@ mod tests {
         // fails its own.
         for at in [reveals[0] + 3, reveals[0] + FRAME_HEADER + 7] {
             fs::write(&path, flipped(at)).expect("write");
-            match DurableStore::<EnvelopeCommitment>::open(&envelopes, false) {
+            match open::<EnvelopeCommitment>(&envelopes, false) {
                 Err(WalError::Corrupt(_)) => {}
                 Err(e) => panic!("a bad reveal below a head must be Corrupt, got {e}"),
                 Ok(_) => panic!("a bad reveal below a head must be rejected"),

@@ -128,12 +128,6 @@ impl Record for RegistrationRecord {
         m.extend_from_slice(&self.official_sig.to_bytes());
         m
     }
-
-    fn shard_key(&self) -> Vec<u8> {
-        // Partition by voter so every (re-)registration of a voter lands
-        // on one shard.
-        self.voter_id.to_bytes().to_vec()
-    }
 }
 
 /// The registration sub-ledger L_R with supersede semantics.
@@ -308,11 +302,6 @@ impl RegistrationLedger {
         self.log.prove_consistency(old_size)
     }
 
-    /// The storage backend this sub-ledger runs on.
-    pub fn backend(&self) -> LedgerBackend {
-        self.log.backend()
-    }
-
     /// Commit barrier (no-op on volatile backends): see
     /// [`TamperEvidentLog::persist`].
     pub fn persist(&mut self) -> Result<(), WalError> {
@@ -359,12 +348,6 @@ impl Record for EnvelopeCommitment {
         m.extend_from_slice(&self.challenge_hash);
         m.extend_from_slice(&self.signature.to_bytes());
         m
-    }
-
-    fn shard_key(&self) -> Vec<u8> {
-        // Partition by challenge hash: activation looks envelopes up by
-        // H(e).
-        self.challenge_hash.to_vec()
     }
 }
 
@@ -573,12 +556,6 @@ impl Record for BallotRecord {
         m.extend_from_slice(&self.signature.to_bytes());
         m
     }
-
-    fn shard_key(&self) -> Vec<u8> {
-        // Partition by casting credential: a credential's revotes stay on
-        // one shard.
-        self.credential_pk.0.to_vec()
-    }
 }
 
 /// The ballot sub-ledger L_V.
@@ -732,11 +709,6 @@ impl Ledger {
             .commit_batch_preverified(commitments, threads)?;
         self.registration.post_batch_preverified(records, threads)?;
         Ok(())
-    }
-
-    /// The storage backend this ledger runs on.
-    pub fn backend(&self) -> LedgerBackend {
-        self.registration.backend()
     }
 
     /// Commit barrier across all three sub-ledgers (no-op on volatile

@@ -7,19 +7,20 @@
 //!
 //! - [`merkle`]: the underlying append-only Merkle tree with RFC 6962-style
 //!   inclusion and consistency proofs, all O(log n) off stored levels;
-//! - [`store`]: pluggable storage backends — the flat [`store::InMemoryStore`]
-//!   and the key-hash partitioned [`store::ShardedStore`] with a rolled-up
-//!   head — behind the [`store::LedgerStore`] trait, plus backend-tagged
-//!   proof objects;
-//! - [`durable`]: the crash-recoverable WAL backend
-//!   ([`durable::DurableStore`]) — one append-only checksummed record
-//!   log per store (the envelope ledger's reveals are side frames of it),
-//!   written event-before-state, persisted signed heads, snapshot+replay
+//! - [`store`]: the backend choice — in memory, or durable — and the
+//!   inclusion and consistency proof objects, which are the same plain
+//!   RFC 6962 paths on either backend;
+//! - [`durable`]: the crash-recoverable write-ahead side of a durable
+//!   log — one append-only checksummed record log per store (the
+//!   envelope ledger's reveals are side frames of it), written
+//!   event-before-state, persisted signed heads, snapshot+replay
 //!   reopen with torn-tail repair anchored on the last persisted head, and
 //!   the replay cursor that makes a deterministic re-run of a killed day
 //!   resume bit-identically;
-//! - [`log`]: typed tamper-evident logs with operator-signed tree heads
-//!   and a parallel batch-append fast path;
+//! - [`log`]: the one store, a typed tamper-evident log — its records,
+//!   their flat Merkle tree and, on a durable backend, its write-ahead
+//!   side — with operator-signed tree heads and a parallel batch-append
+//!   fast path;
 //! - [`ledger`]: the three Votegral sub-ledgers with their domain rules
 //!   (registration supersede semantics, envelope duplicate-challenge
 //!   detection, ballot admission checks) and batch posting.
@@ -37,14 +38,11 @@ pub mod merkle;
 pub mod store;
 
 pub use durable::{
-    simulate_crash, CrashReport, DurabilityStats, DurableRecord, DurableStore, FaultFs, FsFault,
-    WalError,
+    simulate_crash, CrashReport, DurabilityStats, DurableRecord, FaultFs, FsFault, WalError,
 };
 pub use ledger::{
     challenge_hash, BallotLedger, BallotRecord, EnvelopeCommitment, EnvelopeLedger, Ledger,
     LedgerError, RegistrationLedger, RegistrationRecord, SessionRecords, VoterId,
 };
 pub use log::{verify_consistency_heads, Record, TamperEvidentLog, TreeHead};
-pub use store::{
-    ConsistencyProof, InMemoryStore, InclusionProof, LedgerBackend, LedgerStore, ShardedStore,
-};
+pub use store::{ConsistencyProof, InclusionProof, LedgerBackend};

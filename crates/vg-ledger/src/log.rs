@@ -1,16 +1,20 @@
 //! Generic tamper-evident logs with signed tree heads.
 //!
-//! A [`TamperEvidentLog`] couples a typed record store (any
-//! [`crate::store::LedgerStore`] backend) with operator-signed tree
-//! heads. Appends return the entry index; auditors fetch [`TreeHead`]s
-//! and verify backend-tagged inclusion/consistency proofs against them.
-//! The paper idealizes the ledger as globally consistent (Appendix D.1);
-//! signed tree heads are how a deployment distributes that trust, so we
-//! model them explicitly.
+//! A [`TamperEvidentLog`] keeps a typed record sequence, the flat Merkle
+//! tree that authenticates it and, on a durable backend, the write-ahead
+//! side that persists both ([`crate::durable`]), and signs its tree heads
+//! with the operator's key. Appends return the entry index; auditors fetch
+//! [`TreeHead`]s and verify inclusion and consistency proofs against
+//! them. The paper idealizes the ledger as globally consistent
+//! (Appendix D.1); signed tree heads are how a deployment distributes
+//! that trust, so we model them explicitly.
 
-use crate::durable::{DurabilityStats, DurableRecord, FaultFs, WalError};
-use crate::merkle::Hash;
-use crate::store::{ConsistencyProof, InclusionProof, LedgerBackend, LedgerStore};
+use std::ops::Range;
+
+use crate::durable::{DurabilityStats, DurableRecord, FaultFs, Wal, WalError};
+use crate::merkle::{self, Hash, MerkleLog};
+use crate::store::{ConsistencyProof, InclusionProof, LedgerBackend};
+use vg_crypto::par::par_map;
 use vg_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use vg_crypto::CryptoError;
 
@@ -18,14 +22,6 @@ use vg_crypto::CryptoError;
 pub trait Record {
     /// Serializes the record into an injective canonical form.
     fn canonical_bytes(&self) -> Vec<u8>;
-
-    /// The partition key a sharded backend hashes to place this record.
-    /// Defaults to the full canonical encoding; records with a natural
-    /// key (voter id, credential key, challenge hash) override this so
-    /// related records co-locate.
-    fn shard_key(&self) -> Vec<u8> {
-        self.canonical_bytes()
-    }
 }
 
 /// A signed snapshot of the log: (size, root) under the operator's key.
@@ -33,8 +29,7 @@ pub trait Record {
 pub struct TreeHead {
     /// Number of entries covered.
     pub size: u64,
-    /// Authenticated root over the first `size` entries (flat Merkle
-    /// root or sharded rollup, per the log's backend).
+    /// Merkle root over the first `size` entries.
     pub root: Hash,
     /// Operator signature over `size ‖ root`.
     pub signature: Signature,
@@ -49,76 +44,115 @@ impl TreeHead {
         m
     }
 
+    fn sign(operator: &SigningKey, size: u64, root: Hash) -> Self {
+        let signature = operator.sign(&Self::message(size, &root));
+        TreeHead {
+            size,
+            root,
+            signature,
+        }
+    }
+
     /// Verifies the operator signature.
     pub fn verify(&self, operator: &VerifyingKey) -> Result<(), CryptoError> {
         operator.verify(&Self::message(self.size, &self.root), &self.signature)
     }
 }
 
-/// An append-only, tamper-evident, typed log over a pluggable backend.
+/// An append-only, tamper-evident, typed log, in memory or written ahead
+/// to disk.
 pub struct TamperEvidentLog<T: Record> {
-    store: Box<dyn LedgerStore<T> + Send + Sync>,
+    records: Vec<T>,
+    merkle: MerkleLog,
+    /// The write-ahead side on [`LedgerBackend::Durable`]; `None` in
+    /// memory.
+    pub(crate) wal: Option<Wal>,
     operator: SigningKey,
 }
 
-impl<T: DurableRecord + Send + Sync + 'static> TamperEvidentLog<T> {
-    /// Creates a log on the chosen backend — empty for the volatile
-    /// backends, replayed from disk for [`LedgerBackend::Durable`].
+impl<T: DurableRecord> TamperEvidentLog<T> {
+    /// Creates a log on the chosen backend: empty in memory, replayed
+    /// from disk for [`LedgerBackend::Durable`]. Fail-stop on an
+    /// unreadable or corrupt durable directory.
     pub fn with_backend(operator: SigningKey, backend: LedgerBackend) -> Self {
-        Self {
-            store: backend.make_store(),
-            operator,
+        match backend {
+            LedgerBackend::InMemory => Self {
+                records: Vec::new(),
+                merkle: MerkleLog::new(),
+                wal: None,
+                operator,
+            },
+            LedgerBackend::Durable { dir, fsync } => Self::open(operator, dir.clone(), fsync)
+                .unwrap_or_else(|e| panic!("durable ledger open failed at {}: {e}", dir.display())),
         }
+    }
+
+    /// A durable log on `dir`, replayed from disk; an unreadable or
+    /// corrupt directory is a typed error.
+    pub(crate) fn open(
+        operator: SigningKey,
+        dir: std::path::PathBuf,
+        fsync: bool,
+    ) -> Result<Self, WalError> {
+        let (wal, records, merkle) = Wal::open(dir, fsync)?;
+        Ok(Self {
+            records,
+            merkle,
+            wal: Some(wal),
+            operator,
+        })
     }
 }
 
-impl<T: Record> TamperEvidentLog<T> {
+impl<T: Record + Sync> TamperEvidentLog<T> {
     /// Appends a record, returning its index: a batch of one.
     pub fn append(&mut self, record: T) -> usize {
         self.append_batch(vec![record], 1).start
     }
 
     /// Appends a batch of records, hashing Merkle leaves with up to
-    /// `threads` workers. Returns the index range of the batch.
-    pub fn append_batch(&mut self, records: Vec<T>, threads: usize) -> std::ops::Range<usize> {
-        self.store.append_batch(records, threads)
+    /// `threads` workers. Returns the index range of the batch. In memory
+    /// each record's encoding is dropped once hashed; a durable log
+    /// writes it ahead of the tree ([`crate::durable`]).
+    pub fn append_batch(&mut self, records: Vec<T>, threads: usize) -> Range<usize> {
+        if let Some(wal) = &mut self.wal {
+            return wal.append_batch(&mut self.merkle, &mut self.records, records, threads);
+        }
+        let leaves = par_map(&records, threads, |r| {
+            merkle::leaf_hash(&r.canonical_bytes())
+        });
+        let range = self.merkle.append_leaves(&leaves);
+        self.records.extend(records);
+        range
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.records.len()
     }
 
     /// Returns `true` if the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.records.is_empty()
     }
 
     /// Immutable view of the records.
     pub fn records(&self) -> &[T] {
-        self.store.records()
+        &self.records
     }
 
     /// Record at `index`, if present.
     pub fn get(&self, index: usize) -> Option<&T> {
-        self.store.get(index)
-    }
-
-    /// The backend this log runs on.
-    pub fn backend(&self) -> LedgerBackend {
-        self.store.backend()
+        self.records.get(index)
     }
 
     /// Issues a signed tree head for the current state.
     pub fn tree_head(&self) -> TreeHead {
-        let size = self.store.len() as u64;
-        let root = self.store.root();
-        let signature = self.operator.sign(&TreeHead::message(size, &root));
-        TreeHead {
-            size,
-            root,
-            signature,
-        }
+        TreeHead::sign(
+            &self.operator,
+            self.records.len() as u64,
+            self.merkle.root(),
+        )
     }
 
     /// The operator's public key, for auditors.
@@ -128,51 +162,64 @@ impl<T: Record> TamperEvidentLog<T> {
 
     /// Inclusion proof for the entry at `index` against the current head.
     pub fn prove_inclusion(&self, index: usize) -> InclusionProof {
-        self.store.prove_inclusion(index)
+        InclusionProof {
+            path: self.merkle.inclusion_proof(index, self.records.len()),
+        }
     }
 
     /// Consistency proof from an earlier size to the current head.
     pub fn prove_consistency(&self, old_size: usize) -> ConsistencyProof {
-        self.store.prove_consistency(old_size)
+        ConsistencyProof {
+            path: self.merkle.consistency_proof(old_size),
+        }
     }
 
     /// Commit barrier on a durable backend: group-fsyncs outstanding
     /// appends, then persists the current signed tree head (records
     /// always reach stable storage before the head that covers them). A
-    /// no-op on the volatile backends — callers can invoke it
-    /// unconditionally at flush points. An IO failure surfaces typed
-    /// (and poisons the backing store) instead of panicking.
+    /// no-op in memory — callers can invoke it unconditionally at flush
+    /// points. An IO failure surfaces typed (and poisons the write-ahead
+    /// log) instead of panicking.
     pub fn persist(&mut self) -> Result<(), WalError> {
-        if self.store.is_durable() {
-            let head = self.tree_head();
-            self.store.persist(&head)?;
-        }
-        Ok(())
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        wal.persist(&TreeHead::sign(
+            &self.operator,
+            self.records.len() as u64,
+            self.merkle.root(),
+        ))
     }
 
     /// Installs a deterministic write-layer fault schedule on a durable
-    /// backend (chaos tests); a no-op on volatile backends.
+    /// backend (chaos tests); a no-op in memory.
     pub fn install_fault_fs(&mut self, fault: FaultFs) {
-        self.store.install_fault_fs(fault);
-    }
-
-    /// Durability counters (all zero on volatile backends).
-    pub fn durability_stats(&self) -> DurabilityStats {
-        self.store.durability_stats()
-    }
-
-    /// Appends the side frame `frame` builds, on a durable backend only
-    /// ([`LedgerStore::append_side`]).
-    pub(crate) fn append_side(&mut self, frame: impl FnOnce() -> Vec<u8>) -> Result<(), WalError> {
-        if !self.store.is_durable() {
-            return Ok(());
+        if let Some(wal) = &mut self.wal {
+            wal.install_fault_fs(fault);
         }
-        self.store.append_side(&frame())
     }
 
-    /// The side frames replayed at open ([`LedgerStore::take_side_frames`]).
+    /// Durability counters (all zero in memory).
+    pub fn durability_stats(&self) -> DurabilityStats {
+        self.wal.as_ref().map(Wal::stats).unwrap_or_default()
+    }
+
+    /// Appends the side frame `frame` builds to the record log, on a
+    /// durable backend only: durable at the next barrier like a record,
+    /// and a write failure poisons the log.
+    pub(crate) fn append_side(&mut self, frame: impl FnOnce() -> Vec<u8>) -> Result<(), WalError> {
+        match &mut self.wal {
+            Some(wal) => wal.append_side(&frame()),
+            None => Ok(()),
+        }
+    }
+
+    /// The side frames replayed at open, in log order; handed back once.
     pub(crate) fn take_side_frames(&mut self) -> Vec<Vec<u8>> {
-        self.store.take_side_frames()
+        self.wal
+            .as_mut()
+            .map(Wal::take_side_frames)
+            .unwrap_or_default()
     }
 
     /// Verifies that `record` is included at `index` under `head`.
@@ -241,11 +288,7 @@ mod tests {
 
     #[test]
     fn append_and_prove_on_all_backends() {
-        for backend in [
-            LedgerBackend::InMemory,
-            LedgerBackend::sharded(4),
-            durable_backend("prove"),
-        ] {
+        for backend in [LedgerBackend::InMemory, durable_backend("prove")] {
             let mut log = new_log_on(backend.clone());
             for i in 0..10 {
                 log.append(Note(format!("n{i}")));
@@ -266,7 +309,6 @@ mod tests {
     fn batch_append_head_matches_sequential() {
         for (a, b) in [
             (LedgerBackend::InMemory, LedgerBackend::InMemory),
-            (LedgerBackend::sharded(4), LedgerBackend::sharded(4)),
             (durable_backend("batch-one"), durable_backend("batch-many")),
         ] {
             let mut one = new_log_on(a.clone());
@@ -315,11 +357,7 @@ mod tests {
 
     #[test]
     fn consistency_across_appends_on_both_backends() {
-        for backend in [
-            LedgerBackend::InMemory,
-            LedgerBackend::sharded(3),
-            durable_backend("consistency"),
-        ] {
+        for backend in [LedgerBackend::InMemory, durable_backend("consistency")] {
             let mut log = new_log_on(backend.clone());
             log.append(Note("a".into()));
             log.append(Note("b".into()));

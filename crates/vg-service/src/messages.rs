@@ -338,12 +338,6 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Acknowledgement of an accepted (possibly still pending) check-out
-    /// submission.
-    CheckOutBatchResponse { ticket: u64 }
-}
-
-wire_struct! {
     /// Envelope print fulfilment for a pool refill.
     PrintRequest { jobs: Vec<PrintJob> }
 }
@@ -434,7 +428,8 @@ wire_struct! {
 /// serves each variant from one dispatch arm). The variants fall into
 /// four groups, one per paper role; variant order is tag order. Tags 3
 /// and 8 are retired (the separate envelope submissions, wire version 1)
-/// and never reassigned.
+/// and never reassigned, as is [`Response`] tag 1 (the check-out
+/// acknowledgement, wire version 2).
 ///
 /// # Officials' desks (Figs 8, 10): [`Request::CheckIn`], [`Request::SubmitWindow`]
 ///
@@ -500,8 +495,9 @@ pub enum Request {
     CheckIn(CheckInRequest),
     /// Untagged batched check-out. Retired (every station submits
     /// [`Request::SubmitWindow`]); no fleet sends it and the registrar
-    /// answers it with a typed error. The codec stays: the tag is
-    /// versioned and never reassigned.
+    /// answers it with a typed error, so its response (tag 1) is gone.
+    /// The request's codec stays: the tag is versioned and never
+    /// reassigned.
     CheckOutBatch(CheckOutBatchRequest),
     /// Signs one envelope per job, in order, returning the envelopes with
     /// their not-yet-posted L_E commitments.
@@ -531,13 +527,12 @@ pub enum Request {
 }
 
 /// A server response. Tag values mirror [`Request`] (15 is the error
-/// response).
+/// response). Tag 1 is retired: [`Request::CheckOutBatch`] is answered
+/// with [`Response::Err`].
 #[derive(Debug)]
 pub enum Response {
     /// Check-in succeeded.
     CheckIn(CheckInResponse),
-    /// Check-out batch accepted.
-    CheckOutBatch(CheckOutBatchResponse),
     /// Envelopes printed.
     Print(PrintResponse),
     /// All submissions admitted.
@@ -602,7 +597,6 @@ impl Response {
     pub fn to_wire(&self) -> Vec<u8> {
         let (tag, body) = match self {
             Response::CheckIn(m) => (0u16, m.to_bytes()),
-            Response::CheckOutBatch(m) => (1, m.to_bytes()),
             Response::Print(m) => (2, m.to_bytes()),
             Response::Sync => (4, Vec::new()),
             Response::LedgerHeads(m) => (5, m.to_bytes()),
@@ -625,7 +619,6 @@ impl Response {
         let (tag, mut r) = crate::wire::unseal(msg)?;
         let resp = match tag {
             0 => Response::CheckIn(CheckInResponse::decode(&mut r)?),
-            1 => Response::CheckOutBatch(CheckOutBatchResponse::decode(&mut r)?),
             2 => Response::Print(PrintResponse::decode(&mut r)?),
             4 => Response::Sync,
             5 => Response::LedgerHeads(LedgerHeads::decode(&mut r)?),
@@ -780,8 +773,8 @@ pub(crate) const HS_TAG_LAST: u16 = 0x4810;
 /// `tag_registries_match_encoded_frames` test checks it at runtime.
 pub const REQUEST_TAGS: [u16; 10] = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11];
 /// Every response tag, in variant declaration order (15 is the error
-/// response).
-pub const RESPONSE_TAGS: [u16; 11] = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 15];
+/// response; 1, 3 and 8 are retired).
+pub const RESPONSE_TAGS: [u16; 10] = [0, 2, 4, 5, 6, 7, 9, 10, 11, 15];
 /// Every secure-channel handshake tag, all inside
 /// `HS_TAG_BASE..=HS_TAG_LAST` (`0x4801..=0x4810`).
 pub const HANDSHAKE_TAGS: [u16; 4] = [0x4801, 0x4802, 0x4803, 0x4810];
@@ -837,19 +830,19 @@ mod tests {
         assert_eq!(wire_tag(&Request::LedgerHeads.to_wire()), REQUEST_TAGS[4]);
         assert_eq!(wire_tag(&Request::Shutdown.to_wire()), REQUEST_TAGS[6]);
         assert_eq!(wire_tag(&Request::IngestStats.to_wire()), REQUEST_TAGS[9]);
-        assert_eq!(wire_tag(&Response::Sync.to_wire()), RESPONSE_TAGS[3]);
+        assert_eq!(wire_tag(&Response::Sync.to_wire()), RESPONSE_TAGS[2]);
         assert_eq!(
             wire_tag(&Response::ActivationSweep.to_wire()),
-            RESPONSE_TAGS[5]
+            RESPONSE_TAGS[4]
         );
-        assert_eq!(wire_tag(&Response::Shutdown.to_wire()), RESPONSE_TAGS[6]);
+        assert_eq!(wire_tag(&Response::Shutdown.to_wire()), RESPONSE_TAGS[5]);
         assert_eq!(
             wire_tag(&Response::SubmitWindow.to_wire()),
-            RESPONSE_TAGS[7]
+            RESPONSE_TAGS[6]
         );
-        assert_eq!(wire_tag(&Response::SyncThrough.to_wire()), RESPONSE_TAGS[8]);
+        assert_eq!(wire_tag(&Response::SyncThrough.to_wire()), RESPONSE_TAGS[7]);
         let err = Response::Err(crate::error::ServiceError::Transport("x".into()));
-        assert_eq!(wire_tag(&err.to_wire()), RESPONSE_TAGS[10]);
+        assert_eq!(wire_tag(&err.to_wire()), RESPONSE_TAGS[9]);
     }
 
     #[test]
@@ -882,6 +875,10 @@ mod tests {
             let unknown = |e| e == CryptoError::Malformed("unknown response tag");
             assert!(Response::from_wire(&retired).is_err_and(unknown));
         }
+        // So is the retired check-out acknowledgement's response tag 1.
+        let retired = crate::wire::seal(1, &0u64.to_le_bytes());
+        let unknown = |e| e == CryptoError::Malformed("unknown response tag");
+        assert!(Response::from_wire(&retired).is_err_and(unknown));
         let stray = crate::wire::seal(0x2222, &[]);
         assert!(Request::from_wire(&stray).is_err());
         assert!(Response::from_wire(&stray).is_err());

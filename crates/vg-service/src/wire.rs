@@ -28,7 +28,9 @@ pub const MAGIC: [u8; 4] = *b"VGRS";
 /// The wire protocol version this build speaks. Version 2 carries a
 /// window's envelope commitments and check-outs in one request (tag 9)
 /// and retires version 1's separate envelope submissions (tags 3 and 8).
-pub const VERSION: u16 = 2;
+/// Version 3 retires the untagged check-out's response (tag 1): the
+/// registrar answers that request with a typed error.
+pub const VERSION: u16 = 3;
 
 /// Hard ceiling on a single frame (64 MiB). A registration window of
 /// thousands of sessions stays far below this; anything larger is a

@@ -225,7 +225,7 @@ impl ShuffleContext {
     /// Draws everything a shuffle of `n` rows takes from `rng`, in the
     /// order [`ShuffleContext::shuffle`] takes it: π (Fisher–Yates), ρ
     /// column by column, then the proof's coins (see
-    /// [`ShuffleContext::prove`]). No draw depends on a computed value.
+    /// `draw_proof`). No draw depends on a computed value.
     ///
     /// # Panics
     ///
@@ -286,7 +286,12 @@ impl ShuffleContext {
     /// on the host's cores, each beside others that wait on no later
     /// challenge, while this thread absorbs them and derives the
     /// challenges in the argument's order.
-    pub fn prove<R: Row>(
+    ///
+    /// Test-only: every production shuffle proves through
+    /// [`ShuffleContext::shuffle`]; the tests prove outputs they built or
+    /// corrupted themselves.
+    #[cfg(test)]
+    pub(crate) fn prove<R: Row>(
         &self,
         pk: &EdwardsPoint,
         inputs: &[R],

@@ -122,7 +122,7 @@ impl FakesPolicy {
 /// let election = ElectionBuilder::new()
 ///     .voters(2)
 ///     .options(3)
-///     .backend(LedgerBackend::sharded(4))
+///     .backend(LedgerBackend::InMemory) // the default; `durable(dir)` persists
 ///     .build(&mut rng);
 /// let sessions = election.trip.config.n_voters;
 /// assert_eq!(sessions, 2);
@@ -769,33 +769,6 @@ mod tests {
         assert_eq!(seq_outcome, outcome);
         assert_eq!(seq_posted, 11);
         assert_eq!(seq_next, next, "the batch left the DRBG elsewhere");
-    }
-
-    #[test]
-    fn sharded_backend_runs_the_full_lifecycle() {
-        let mut rng = HmacDrbg::from_u64(31);
-        let mut election = ElectionBuilder::new()
-            .voters(2)
-            .options(2)
-            .backend(LedgerBackend::sharded(4))
-            .build(&mut rng);
-        assert_eq!(
-            election.ledger().backend(),
-            LedgerBackend::Sharded { shards: 4 }
-        );
-        let sessions = election
-            .register_batch(&[VoterId(1), VoterId(2)], &mut rng)
-            .unwrap();
-        let mut voting = election.open_voting();
-        let votes: Vec<(&ActivatedCredential, u32)> = sessions
-            .iter()
-            .map(|(_, vsd)| (&vsd.credentials[0], 1u32))
-            .collect();
-        voting.cast_batch(&votes, &mut rng).unwrap();
-        let tallying = voting.close();
-        let transcript = tallying.tally(&mut rng).unwrap();
-        assert_eq!(transcript.result.counts, vec![0, 2]);
-        tallying.verify(&transcript).expect("verifies");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! A fuller election: a population of voters with realistic behaviour
-//! (fake-credential and vote distributions), batched casting on the
-//! sharded ledger backend, re-voting, a coercion attempt, and complete
-//! universal verification.
+//! (fake-credential and vote distributions), batched casting through the
+//! ledger's admission fast path, re-voting, a coercion attempt, and
+//! complete universal verification.
 //!
 //! Run with: `cargo run --example full_election --release [n_voters]`
 
 use votegral::crypto::HmacDrbg;
-use votegral::ledger::{LedgerBackend, VoterId};
+use votegral::ledger::VoterId;
 use votegral::sim::{FakeCredentialDist, VoteDist};
 use votegral::trip::vsd::{ActivatedCredential, Vsd};
 use votegral::votegral::ElectionBuilder;
@@ -23,7 +23,6 @@ fn main() {
     let mut election = ElectionBuilder::new()
         .voters(n_voters)
         .options(n_options)
-        .backend(LedgerBackend::sharded(4))
         .build(&mut rng);
     let d_c = FakeCredentialDist::default();
     let d_v = VoteDist::weighted(&[3.0, 2.0, 1.0]);
@@ -75,7 +74,7 @@ fn main() {
         .cast_batch(&revotes, &mut rng)
         .expect("revotes accepted");
     println!(
-        "Cast {} ballots (+{} revotes) in {:.2}s via cast_batch on the sharded backend.",
+        "Cast {} ballots (+{} revotes) in {:.2}s via cast_batch.",
         wave.len(),
         revotes.len(),
         t0.elapsed().as_secs_f64()

@@ -38,7 +38,7 @@
 //! let mut election = ElectionBuilder::new()
 //!     .voters(2)
 //!     .options(2)
-//!     .backend(LedgerBackend::sharded(4)) // or LedgerBackend::InMemory
+//!     .backend(LedgerBackend::InMemory) // or LedgerBackend::durable(dir)
 //!     .build(&mut rng);
 //!
 //! // Registration phase: one fake credential; activate both on a device.

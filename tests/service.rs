@@ -15,10 +15,10 @@ use votegral::crypto::schnorr::{NonceCoupon, SigningKey};
 use votegral::crypto::{HmacDrbg, Rng};
 use votegral::ledger::{challenge_hash, VoterId};
 use votegral::service::messages::{
-    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchRequest,
-    CheckOutBatchResponse, HandshakeFin, HandshakeFrame, HandshakeInit, HandshakeReply,
-    IngestStatsReply, LedgerHeads, PrintRequest, PrintResponse, Request, Response, SealedRecord,
-    SubmitWindowRequest, SyncThroughRequest, WireCoupon, WireSession,
+    ActivationSweepRequest, CheckInRequest, CheckInResponse, CheckOutBatchRequest, HandshakeFin,
+    HandshakeFrame, HandshakeInit, HandshakeReply, IngestStatsReply, LedgerHeads, PrintRequest,
+    PrintResponse, Request, Response, SealedRecord, SubmitWindowRequest, SyncThroughRequest,
+    WireCoupon, WireSession,
 };
 use votegral::service::{
     run_day, ChannelPolicy, Connector, DayPlan, Deadlines, Listener, SecureConfig, ServiceError,
@@ -126,7 +126,6 @@ fn sample_messages(seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     ];
     let responses = vec![
         Response::CheckIn(CheckInResponse { ticket }).to_wire(),
-        Response::CheckOutBatch(CheckOutBatchResponse { ticket: 7 }).to_wire(),
         Response::Print(PrintResponse {
             envelopes: vec![(envelope, commitment)],
         })
