@@ -476,9 +476,9 @@ wire_struct! {
 /// crash after the answer loses nothing it covered: reopening the store
 /// replays the WAL back to the same heads, bit-identically. A submission's
 /// receipt alone promises ordering, not durability; durability attaches
-/// at the next barrier, identically under both
-/// [`IngestMode`](crate::IngestMode)s — the modes only change when sweeps
-/// happen, not what an answered barrier means.
+/// at the next barrier. A sweep the sequencer runs in a channel-idle gap
+/// ends at the same commit point, so it changes when records are
+/// admitted, not what an answered barrier means.
 ///
 /// # Activation ledger phase (Fig 11 lines 9–11): [`Request::ActivationSweep`]
 ///

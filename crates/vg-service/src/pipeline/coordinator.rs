@@ -33,7 +33,7 @@ use crate::transport::{
 
 use super::sequencer::Sequencer;
 use super::station::{run_station, Link, PipelineDispatch, StationJob, StationMsg};
-use super::{DayPlan, PipelineConfig};
+use super::DayPlan;
 
 /// How many times a failed steal chunk may be re-partitioned onto the
 /// surviving stations before the day aborts with the runner's typed
@@ -244,15 +244,21 @@ impl<D> Coordinator<D> {
         self.runners[self.stations..].iter().map(record).collect()
     }
 
-    /// The day's verdict once no runner is running.
-    fn finish(self) -> Result<Vec<StealRecord>, TripError> {
+    /// The day's verdict once no runner is running: its steal log and
+    /// how many runners were lost, dead or stalled.
+    fn finish(self) -> Result<(Vec<StealRecord>, u64), TripError> {
         let (delivered, total) = (self.next_emit, self.total);
+        let lost = self
+            .runners
+            .iter()
+            .filter(|r| r.state == State::Lost)
+            .count() as u64;
         match self.failed {
             Some(e) => Err(e),
             None if delivered != total => Err(TripError::Boundary(format!(
                 "day ended with {delivered}/{total} sessions delivered"
             ))),
-            None => Ok(self.steals()),
+            None => Ok((self.steals(), lost)),
         }
     }
 }
@@ -304,7 +310,7 @@ pub(super) fn run_threaded_day(
 
     // The day's one counter block: every engine thread bumps it in place.
     let stats = Arc::<EngineStats>::default();
-    let (client, sequencer) = Sequencer::new(ledger, official, pipeline.ingest, &stats);
+    let (client, sequencer) = Sequencer::new(ledger, official, &stats);
 
     // TCP: bind before the scope so stations can connect immediately.
     let bind = || TcpListener::bind(("127.0.0.1", 0));
@@ -338,7 +344,7 @@ pub(super) fn run_threaded_day(
 
     // Releases injected hangs at teardown so their threads join.
     let day_over = Arc::new(AtomicBool::new(false));
-    let steals = std::thread::scope(|scope| -> Result<Vec<StealRecord>, TripError> {
+    let (steals, lost_runners) = std::thread::scope(|scope| {
         // The engine's side of the seam, cloned per link and connection.
         let registrar = PipelineDispatch {
             official,
@@ -365,8 +371,8 @@ pub(super) fn run_threaded_day(
             Coordinator::new(Instant::now(), station_plans, kiosks.len(), stall_timeout);
         // Steal chunks the kill-during-failover fault may still kill.
         let mut recovery_deaths_left = fault.map_or(0, |f| f.recovery_deaths);
-        // One runner's thread. A steal chunk draws its sessions from a
-        // pre-built pool (no refiller; same seeded plans, same bytes).
+        // One runner's thread. A steal chunk has no refiller: it refills
+        // its pool synchronously (same seeded plans, same bytes).
         let mut spawn = |id: usize, runner: &Runner| {
             let original = id < stations;
             let hang = chaos.hang.filter(|h| original && h.station == id);
@@ -382,11 +388,10 @@ pub(super) fn run_threaded_day(
                 kiosks,
                 plans: runner.plans.clone(),
                 authority_pk,
-                activation: plan.activate.then_some(&ctx),
-                pipeline: PipelineConfig {
-                    low_water: if original { pipeline.low_water } else { 0 },
-                    ..pipeline
-                },
+                activation: plan
+                    .activate
+                    .then_some((&ctx, pipeline.activation_lag.max(1))),
+                refiller: original,
                 fault_after: fault_after.or(hang.map(|h| h.after_ops)),
                 hang_release: hang.map(|_| Arc::clone(&day_over)),
                 retry: RetryPolicy::reconnect(id as u64),
@@ -432,9 +437,9 @@ pub(super) fn run_threaded_day(
             }
         }
         // The final barrier, over the same in-process link a station uses.
-        let synced = |steals| match registrar.clone().call(Request::Sync) {
+        let synced = |day| match registrar.clone().call(Request::Sync) {
             Response::Err(e) => Err(e.into_trip()),
-            _ => Ok(steals),
+            _ => Ok(day),
         };
         let result = coord.finish().and_then(synced);
 
@@ -454,6 +459,7 @@ pub(super) fn run_threaded_day(
     // Every engine thread has joined: the ledger is ours again.
     Ok(DayStats {
         steals,
+        lost_runners,
         ..stats.snapshot(ledger.durability_stats())
     })
 }
@@ -580,7 +586,7 @@ mod tests {
             assert!(!coord.done(t0, id, Ok(())).abort);
         }
         assert!(!coord.running());
-        assert_eq!(coord.finish().map(|s| s.len()), Ok(2));
+        assert_eq!(coord.finish().map(|(s, lost)| (s.len(), lost)), Ok((2, 1)));
     }
 
     #[test]
@@ -664,7 +670,7 @@ mod tests {
         assert_eq!(stall_steals(), 1);
         assert_eq!(
             coord.finish(),
-            Ok(vec![steal(1, 0, 2, 0), steal(1, 2, 1, 0)])
+            Ok((vec![steal(1, 0, 2, 0), steal(1, 2, 1, 0)], 1))
         );
     }
 

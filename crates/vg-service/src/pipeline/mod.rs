@@ -33,11 +33,13 @@
 //!   one shared counter block, snapshotted into the flat [`DayStats`].
 //! - **Refillers** ([`vg_trip::pool::PoolFeed`]): each polling station
 //!   runs a dedicated thread with its own registrar link, sending
-//!   `Request::Print`s that keep the station's ceremony pool above a
-//!   low-water mark, hiding precompute behind ceremony latency mid-day,
-//!   not just at warm start. It is the station's only other thread:
-//!   ceremonies, submissions and activation run in one loop on the
-//!   station's own ([`KioskFleet::run_station_over`]).
+//!   `Request::Print`s that keep the station's ceremony pool two pool
+//!   windows ahead ([`KioskFleet::pool_feed`]), hiding precompute behind
+//!   ceremony latency mid-day, not just at warm start. It is the
+//!   station's only other thread: ceremonies, submissions and activation
+//!   run in one loop on the station's own
+//!   ([`KioskFleet::run_station_over`]). A steal chunk has no refiller:
+//!   it refills its pool synchronously at window boundaries.
 //! - **One ingest lane**: the **commit sequencer** thread
 //!   (`sequencer.rs`) owns the ledgers and every piece of admission
 //!   state, under no lock. A station submits a window in one request,
@@ -48,7 +50,9 @@
 //!   makes. A sweep admits the contiguous arrived prefix as one coalesced
 //!   batch in exact session order, each session on **both ledgers or
 //!   neither**, and ends at the `persist()` commit barrier — **one signed
-//!   head per ledger**. Prefix barriers
+//!   head per ledger**. The sequencer sweeps whenever its channel goes
+//!   idle with a big enough prefix arrived, so admission overlaps the
+//!   stations' next ceremonies, and at every barrier. Prefix barriers
 //!   ([`Request::SyncThrough`](crate::messages::Request)) resolve as
 //!   soon as their prefix has arrived and been admitted. A layer of
 //!   shard verification workers in front of the sequencer was measured
@@ -63,8 +67,8 @@
 //!
 //! # Bit-identity
 //!
-//! Every plan — inline or threaded; station count, low-water mark,
-//! ingest mode, activation lag, transport — produces
+//! Every plan — inline or threaded; station count, pool batch,
+//! activation lag, transport — produces
 //! ledgers and credentials bit-identical to the sequential seeded
 //! reference: session materials are pure functions of `(seed, global
 //! index, voter)`, kiosk assignment stays `index mod |K|` (stations own
@@ -118,23 +122,13 @@ use crate::transport::{DayStats, EngineStats, TransportPlan};
 
 use coordinator::run_threaded_day;
 
-/// When the sequencer runs admission sweeps.
-///
-/// Either mode ends every sweep at the same commit point: records are
-/// admitted to the in-memory Merkle state only after they are appended
-/// (and, with fsync on, group-synced) to the durable WAL, and each sweep
-/// closes by persisting a signed tree head covering everything admitted.
-/// The modes differ only in *when* sweeps run, never in what a completed
-/// sweep guarantees — so crash recovery replays to the same heads under
-/// both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Sets nothing: the threaded engine always sweeps admission at its
+/// barriers and in channel-idle gaps. Kept only because the frozen
+/// benchmark adapter names it through `ElectionBuilder::ingest`; ROADMAP
+/// item 1's deletion PR removes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IngestMode {
-    /// Flush only at barriers (sync/heads/activation), coalescing every
-    /// window submitted in between into one sweep.
-    #[default]
-    Barrier,
-    /// Additionally flush whenever the command channel goes idle, so
-    /// admission sweeps overlap the next window's ceremonies.
+    /// Sweeps at barriers and whenever the command channel goes idle.
     Background,
 }
 
@@ -147,12 +141,6 @@ pub struct PipelineConfig {
     /// kiosk); anything else is a typed
     /// [`TripError::InvalidConfig`] — never silently clamped.
     pub stations: usize,
-    /// Background-refiller low-water mark in sessions; `0` disables the
-    /// refiller thread (stations refill synchronously at window
-    /// boundaries).
-    pub low_water: usize,
-    /// When the ingest layer sweeps.
-    pub ingest: IngestMode,
     /// Activate groups of this many windows behind one prefix barrier
     /// (`1` = a barrier per window, the lock-step reference). Larger lags
     /// amortize barrier and verification-fold fixed costs; peak memory
@@ -164,8 +152,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             stations: 1,
-            low_water: 0,
-            ingest: IngestMode::Barrier,
             activation_lag: 1,
         }
     }

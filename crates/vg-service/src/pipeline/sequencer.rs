@@ -1,6 +1,8 @@
 //! The commit sequencer — the one thread owning the ledgers and every
 //! piece of admission state — and its cloneable client (see the
-//! [module docs](super)).
+//! [module docs](super)). It sweeps admission at every barrier, when its
+//! backlog crosses [`MAX_PENDING_RECORDS`], and whenever its command
+//! channel goes idle with at least [`MIN_IDLE_SWEEP`] records arrived.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -17,12 +19,10 @@ use crate::error::ServiceError;
 use crate::messages::{CheckInResponse, IngestStatsReply, LedgerHeads, Response};
 use crate::transport::EngineStats;
 
-use super::IngestMode;
-
 /// Minimum ready records (both ledgers') before a channel-idle gap
-/// triggers a background admission sweep (barriers always sweep
-/// everything). Smaller idle sweeps would fragment the RLC folds the
-/// coalescing win comes from.
+/// triggers an admission sweep (barriers always sweep everything).
+/// Smaller idle sweeps would fragment the RLC folds the coalescing win
+/// comes from.
 const MIN_IDLE_SWEEP: usize = 512;
 
 /// Ceiling on deferred records (both ledgers'). Coalescing submissions
@@ -130,7 +130,6 @@ impl Lane {
 pub(super) struct Sequencer<'a> {
     ledger: &'a mut Ledger,
     official: &'a Official,
-    mode: IngestMode,
     rx: Receiver<Cmd>,
     lane: Lane,
     parked: Vec<(u64, Sender<Response>)>,
@@ -144,14 +143,12 @@ impl<'a> Sequencer<'a> {
     pub(super) fn new(
         ledger: &'a mut Ledger,
         official: &'a Official,
-        mode: IngestMode,
         stats: &Arc<EngineStats>,
     ) -> (IngestClient, Self) {
         let (seq, rx) = mpsc::channel();
         let sequencer = Self {
             ledger,
             official,
-            mode,
             rx,
             lane: Lane::default(),
             parked: Vec::new(),
@@ -299,21 +296,18 @@ impl<'a> Sequencer<'a> {
     }
 
     /// The sequencer loop: drain immediately-available commands first,
-    /// use [`IngestMode::Background`] channel-idle gaps for admission
-    /// sweeps that overlap the stations' next ceremonies
-    /// ([`IngestMode::Barrier`] sweeps only at barriers and the cap), and
-    /// only then block. Ends when the last [`IngestClient`] is dropped;
-    /// nothing can be parked then — a parked caller holds a client.
+    /// use a channel-idle gap with at least [`MIN_IDLE_SWEEP`] records
+    /// arrived for an admission sweep that overlaps the stations' next
+    /// ceremonies, and only then block. Ends when the last
+    /// [`IngestClient`] is dropped; nothing can be parked then — a parked
+    /// caller holds a client.
     pub(super) fn run(mut self) {
         loop {
             let cmd = match self.rx.try_recv() {
                 Ok(cmd) => cmd,
                 Err(TryRecvError::Empty) => {
                     let t = Instant::now();
-                    if self.mode == IngestMode::Background
-                        && self.failed.is_none()
-                        && self.lane.ready_records >= MIN_IDLE_SWEEP
-                    {
+                    if self.failed.is_none() && self.lane.ready_records >= MIN_IDLE_SWEEP {
                         self.sweep();
                         self.service_parked();
                         self.stats.busy(t);
@@ -356,11 +350,14 @@ impl IngestClient {
     }
 }
 
-/// The lane and the commit point, without threads: the sequencer owns
-/// every piece of admission state, so each case drives `handle` on the
-/// test thread.
+/// The lane and the commit point: the sequencer owns every piece of
+/// admission state, so most cases drive `handle` on the test thread; the
+/// idle sweep, which only the loop makes, runs `run` on a thread of its
+/// own.
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use vg_crypto::schnorr::{NonceCoupon, SigningKey};
     use vg_crypto::{elgamal, EdwardsPoint, HmacDrbg, Rng};
     use vg_ledger::{FaultFs, FsFault, LedgerBackend, RegistrationRecord};
@@ -386,8 +383,7 @@ mod tests {
 
     fn with_sequencer<T>(system: &mut TripSystem, test: impl FnOnce(&mut Sequencer<'_>) -> T) -> T {
         let (ledger, official) = (&mut system.ledger, &system.officials[0]);
-        let (_client, mut seq) =
-            Sequencer::new(ledger, official, IngestMode::Barrier, &Arc::default());
+        let (_client, mut seq) = Sequencer::new(ledger, official, &Arc::default());
         test(&mut seq)
     }
 
@@ -606,6 +602,42 @@ mod tests {
             assert_eq!(admitted[0].0 - base[0].0, MAX_PENDING_RECORDS as u64 + 1);
             assert_eq!(admitted[1].0 - base[1].0, 2);
         });
+    }
+
+    /// A window of exactly [`MIN_IDLE_SWEEP`] records with no barrier
+    /// behind it is admitted in the channel-idle gap after it. `Stats`
+    /// only snapshots, so polling it sweeps nothing itself.
+    #[test]
+    fn an_idle_channel_sweeps_an_arrived_window() {
+        let (mut day, _) = day(0x1D1E, |s| VoterId(s + 1));
+        let one = day[0].1.commitments[0].clone();
+        day[0].1.commitments = vec![one; MIN_IDLE_SWEEP - 1];
+        // A leaked (`'static`) system, so the loop runs on a plain spawn.
+        let system: &'static mut TripSystem = Box::leak(Box::new(system(LedgerBackend::InMemory)));
+        let base = heads(&system.ledger);
+        let official = &system.officials[0];
+        let (client, sequencer) = Sequencer::new(&mut system.ledger, official, &Arc::default());
+        std::thread::spawn(move || sequencer.run());
+        let window = day[..1].to_vec();
+        let submitted = client.ask(|tx| Cmd::Window(window, tx));
+        assert!(matches!(submitted, Response::SubmitWindow));
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let Response::IngestStats(stats) = client.ask(Cmd::Stats) else {
+                panic!("stats answer");
+            };
+            assert_eq!(stats.batches, 1);
+            if stats.sweeps == 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no idle sweep within 20 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let Response::LedgerHeads(after) = client.ask(Cmd::Heads) else {
+            panic!("heads answer");
+        };
+        assert_eq!(after.envelopes.size - base[0].0, MIN_IDLE_SWEEP as u64 - 1);
+        assert_eq!(after.registration.size - base[1].0, 1);
     }
 
     /// A reveal barrier that fails is not acknowledged: the claim is

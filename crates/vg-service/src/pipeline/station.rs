@@ -15,7 +15,6 @@ use vg_trip::fleet::{check_ins, ActivationContext, FeedSource, KioskFleet, PoolS
 use vg_trip::kiosk::{Kiosk, StolenCredential};
 use vg_trip::materials::Envelope;
 use vg_trip::official::Official;
-use vg_trip::pool::PoolFeed;
 use vg_trip::printer::EnvelopePrinter;
 use vg_trip::protocol::RegistrationOutcome;
 use vg_trip::vsd::Vsd;
@@ -28,7 +27,6 @@ use crate::retry::RetryPolicy;
 use crate::transport::{ChannelClient, EngineStats, RequestEndpoint, ServiceBoundary};
 
 use super::sequencer::{Cmd, IngestClient};
-use super::PipelineConfig;
 
 // ---------------------------------------------------------------------------
 // Registrar-side: the request dispatch
@@ -149,8 +147,12 @@ pub(super) struct StationJob<'a> {
     /// The job's queue: `(global session index, plan)` in session order.
     pub(super) plans: Vec<(usize, vg_trip::pool::SessionPlan)>,
     pub(super) authority_pk: vg_crypto::EdwardsPoint,
-    pub(super) activation: Option<&'a ActivationContext<'a>>,
-    pub(super) pipeline: PipelineConfig,
+    /// What activates the job's credentials, and its activation lag.
+    pub(super) activation: Option<(&'a ActivationContext<'a>, usize)>,
+    /// An original station keeps its pool warm on a background refiller
+    /// ([`KioskFleet::pool_feed`]); a steal chunk drains a pool it
+    /// refills synchronously.
+    pub(super) refiller: bool,
     pub(super) fault_after: Option<usize>,
     /// `Some` makes `fault_after` a silent hang instead of a clean death
     /// (see [`StationHang`]); the flag releases the parked thread at
@@ -199,8 +201,8 @@ fn open_link<'a>(
 }
 
 /// One station's whole day (or one stolen chunk's) as runner `runner`:
-/// connect, optionally spawn the refiller on its own connection, and
-/// drive the fleet's station loop on this thread.
+/// connect, spawn an original station's refiller on its own connection,
+/// and drive the fleet's station loop on this thread.
 pub(super) fn run_station(
     mut job: StationJob<'_>,
     link: Link<'_>,
@@ -221,9 +223,6 @@ pub(super) fn run_station(
         None => &mut *opened,
     };
     let boundary = &mut ServiceBoundary::new(endpoint, &job.stats.timeouts);
-    let activation = job
-        .activation
-        .map(|ctx| (ctx, job.pipeline.activation_lag.max(1)));
     let mut sink = |idx: usize,
                     outcome: RegistrationOutcome,
                     vsd: Option<Vsd>,
@@ -239,17 +238,17 @@ pub(super) fn run_station(
     let sessions = check_ins(&job.plans);
     let plans = std::mem::take(&mut job.plans);
     let mut pool = job.fleet.prepare_pool_indexed(job.authority_pk, plans);
-    if job.pipeline.low_water == 0 {
+    if !job.refiller {
         return job.fleet.run_station_over(
             job.kiosks,
             boundary,
             &sessions,
             &mut PoolSource { pool: &mut pool },
-            activation,
+            job.activation,
             &mut sink,
         );
     }
-    let feed = PoolFeed::new(job.pipeline.low_water);
+    let feed = job.fleet.pool_feed();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             // The refiller prints over its own link: a second connection
@@ -270,7 +269,7 @@ pub(super) fn run_station(
             boundary,
             &sessions,
             &mut FeedSource { feed: &feed },
-            activation,
+            job.activation,
             &mut sink,
         );
         feed.close();
@@ -306,7 +305,6 @@ mod tests {
     use crate::transport::{ChannelClient, EngineStats, RequestEndpoint};
 
     use super::super::sequencer::Sequencer;
-    use super::super::IngestMode;
     use super::*;
 
     /// A live engine over a leaked (`'static`) system, its threads on plain
@@ -329,8 +327,8 @@ mod tests {
         let system: &'static mut TripSystem =
             Box::leak(Box::new(TripSystem::setup(config, &mut rng)));
         let stats = Arc::<EngineStats>::default();
-        let (official, mode) = (&system.officials[0], IngestMode::Barrier);
-        let (client, sequencer) = Sequencer::new(&mut system.ledger, official, mode, &stats);
+        let official = &system.officials[0];
+        let (client, sequencer) = Sequencer::new(&mut system.ledger, official, &stats);
         std::thread::spawn(move || sequencer.run());
         let registrar = PipelineDispatch {
             official,
@@ -492,10 +490,7 @@ mod tests {
             plans: plan.plans,
             authority_pk: rig.authority_pk,
             activation: None,
-            pipeline: PipelineConfig {
-                low_water: 2,
-                ..PipelineConfig::default()
-            },
+            refiller: true,
             fault_after: None,
             hang_release: None,
             retry: RetryPolicy::once(),

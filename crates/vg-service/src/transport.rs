@@ -299,6 +299,10 @@ pub struct DayStats {
     /// progress within the liveness deadline) rather than by a clean
     /// connection death; each one triggered the chunked steal path.
     pub stall_steals: u64,
+    /// Runners (stations or steal chunks) the coordinator marked lost,
+    /// dead or stalled, whether or not they left sessions to steal: a
+    /// station lost at its final barrier shows here and nowhere else.
+    pub lost_runners: u64,
 }
 
 /// Tag 11's wire payload — the one place it is built — from the same

@@ -583,6 +583,12 @@ impl KioskFleet {
         )
     }
 
+    /// The feed a station's background refiller keeps two pool windows
+    /// ahead of its ceremonies (a low-water mark of `2 × pool_batch`).
+    pub fn pool_feed(&self) -> PoolFeed {
+        PoolFeed::new(2 * self.config.pool_batch)
+    }
+
     /// The station engine every fleet entry point drives, one loop on the
     /// calling thread: checks in `sessions` (a station's — or the whole
     /// day's — slice of the global queue), then window by window takes the

@@ -254,23 +254,22 @@ impl ElectionBuilder {
         self
     }
 
-    /// Background-refiller low-water mark, in sessions. Non-zero gives
-    /// every station a dedicated refiller thread (owning its own print
-    /// client) that keeps ceremony material precomputed ahead of the
-    /// booths all day; `0` (the default) refills synchronously at window
-    /// boundaries.
-    pub fn low_water(mut self, sessions: usize) -> Self {
-        self.pipeline.low_water = sessions;
+    /// Sets nothing: on the threaded engine every polling station runs a
+    /// background refiller that keeps two pool windows of ceremony
+    /// material ready, and an inline day refills at window boundaries.
+    /// Kept only because the frozen benchmark adapter
+    /// (`bench/e2e/src/adapter.rs`, its only caller) names it; ROADMAP
+    /// item 1's deletion PR removes it.
+    pub fn low_water(self, _sessions: usize) -> Self {
         self
     }
 
-    /// When the registrar's commit sequencer runs admission sweeps:
-    /// [`IngestMode::Barrier`] (only at sync barriers — the default) or
-    /// [`IngestMode::Background`] (also in channel-idle gaps, overlapping
-    /// sweeps with the next window's ceremonies). Selecting `Background`
-    /// routes registration through the threaded engine.
-    pub fn ingest(mut self, mode: IngestMode) -> Self {
-        self.pipeline.ingest = mode;
+    /// Sets nothing: the threaded engine's commit sequencer always sweeps
+    /// admission at barriers and in channel-idle gaps, and
+    /// [`IngestMode`] has no other mode. Kept only because the frozen
+    /// benchmark adapter (`bench/e2e/src/adapter.rs`, its only caller)
+    /// names it; ROADMAP item 1's deletion PR removes it.
+    pub fn ingest(self, _mode: IngestMode) -> Self {
         self
     }
 
@@ -327,10 +326,10 @@ pub struct Election<P: ElectionPhase = Registration> {
     /// Transport plan (link + channel security) the registration
     /// services run over.
     pub transport: TransportPlan,
-    /// Threaded-engine tuning (stations, refiller low-water mark,
-    /// ingest mode, activation lag). With the lock-step
-    /// defaults on the plaintext in-process transport, registration runs
-    /// inline on `vg_trip::LocalBoundary` (see [`vg_service::run_day`]).
+    /// Threaded-engine tuning (stations, activation lag). With the
+    /// lock-step defaults on the plaintext in-process transport,
+    /// registration runs inline on `vg_trip::LocalBoundary` (see
+    /// [`vg_service::run_day`]).
     pub pipeline: PipelineConfig,
     _phase: PhantomData<P>,
 }
@@ -657,7 +656,7 @@ mod tests {
 
     #[test]
     fn pipelined_registration_matches_lockstep() {
-        // The threaded engine (stations + refiller + background ingest +
+        // The threaded engine (stations + refillers + idle-gap sweeps +
         // lagged activation) is invisible in the ledgers and devices.
         let run = |pipelined: bool| {
             let mut rng = HmacDrbg::from_u64(77);
@@ -667,11 +666,7 @@ mod tests {
                 .kiosks(4)
                 .fakes(FakesPolicy::Cycling(2));
             if pipelined {
-                builder = builder
-                    .stations(2)
-                    .low_water(4)
-                    .ingest(IngestMode::Background)
-                    .activation_lag(3);
+                builder = builder.stations(2).activation_lag(3);
             }
             let mut election = builder.build(&mut rng);
             let voters: Vec<VoterId> = (1..=5).map(VoterId).collect();

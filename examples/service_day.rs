@@ -102,8 +102,9 @@ fn print_stats(s: &DayStats) {
         s.wal_records, s.wal_fsyncs, s.wal_failures
     );
     println!(
-        "    steal chunks {}, timeouts {}, reconnects {}, reaped {}, stall-steals {}",
+        "    steal chunks {}, lost runners {}, timeouts {}, reconnects {}, reaped {}, stall-steals {}",
         s.steals.len(),
+        s.lost_runners,
         s.timeouts,
         s.reconnects,
         s.reaped,

@@ -1,7 +1,6 @@
 //! Workspace properties of the pipelined registration-day engine: for
-//! ANY pipeline configuration — station count, background-refiller
-//! low-water mark, ingest mode, activation lag, transport — a pipelined
-//! day produces ledgers and credentials bit-identical to the sequential
+//! ANY pipeline configuration — station count, pool batch, activation
+//! lag, transport — a pipelined day produces ledgers and credentials bit-identical to the sequential
 //! seeded reference, and a station whose connection dies mid-window is
 //! healed by failover without perturbing that identity.
 
@@ -13,8 +12,8 @@ use votegral::crypto::HmacDrbg;
 use votegral::ledger::FsFault;
 use votegral::ledger::{simulate_crash, LedgerBackend, VoterId};
 use votegral::service::{
-    run_day, ChaosOptions, DayPlan, FaultPlan, IngestMode, PipelineConfig, StationFault,
-    StationHang, TransportPlan,
+    run_day, ChaosOptions, DayPlan, FaultPlan, PipelineConfig, StationFault, StationHang,
+    TransportPlan,
 };
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::protocol::{register_voter_seeded, RegistrationOutcome};
@@ -90,8 +89,8 @@ proptest! {
 
     /// The acceptance criterion: pipelined registration days equal the
     /// sequential seeded reference bit-for-bit across (kiosks × pool
-    /// batch × low-water mark × station count × ingest mode × seed), on
-    /// every transport — including
+    /// batch × station count × activation lag × seed), on every
+    /// transport — including
     /// the authenticated-encryption secure channel, whose ephemeral
     /// handshake randomness must never leak into ledger bytes.
     #[test]
@@ -100,8 +99,6 @@ proptest! {
         n_kiosks in 2usize..5,
         pool_batch in 1usize..5,
         stations in 1usize..4,
-        low_water in 0usize..7,
-        background in any::<bool>(),
         fake_counts in proptest::collection::vec(0usize..3, 5),
     ) {
         let n_voters = fake_counts.len() as u64;
@@ -116,8 +113,6 @@ proptest! {
         let stations = stations.min(n_kiosks);
         let pipeline = PipelineConfig {
             stations,
-            low_water,
-            ingest: if background { IngestMode::Background } else { IngestMode::Barrier },
             activation_lag: 1 + (seed64 % 3) as usize,
         };
         let reference = sequential_reference(seed64, &seed, n_kiosks, &queue);
@@ -143,7 +138,7 @@ proptest! {
         }
     }
 
-    /// Pipelined register-and-activate (lagged activation, background
+    /// Pipelined register-and-activate (lagged activation, idle-gap
     /// sweeps, multiple stations) matches the barrier-synchronous
     /// engine: same activated credential secrets in queue order, same
     /// reveal counts, same heads.
@@ -185,8 +180,6 @@ proptest! {
 
         let pipeline = PipelineConfig {
             stations,
-            low_water: 3,
-            ingest: IngestMode::Background,
             activation_lag,
         };
         for transport in [
@@ -230,8 +223,6 @@ fn station_death_mid_window_heals_on_survivors() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        low_water: 2,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
 
@@ -254,12 +245,12 @@ fn station_death_mid_window_heals_on_survivors() {
         .expect("day completes despite the dead station");
         let fp = fingerprint(&system, &outcomes);
         let day = (fp, devices, system.ledger.envelopes.revealed_count());
-        (day, stats.steals.len())
+        (day, stats.steals.len(), stats.lost_runners)
     };
-    let (reference, steals) = run(None, TransportPlan::IN_PROCESS);
+    let (reference, steals, lost) = run(None, TransportPlan::IN_PROCESS);
     // Everyone got their devices in the healthy run.
     assert_eq!(reference.1, vec![2, 1, 2, 1, 2, 1]);
-    assert_eq!(steals, 0);
+    assert_eq!((steals, lost), (0, 0));
 
     // Kill station 1 at each of its boundary calls in turn, on both
     // transports. Station 1 runs sessions 2 and 3 as one window: calls 0
@@ -267,7 +258,8 @@ fn station_death_mid_window_heals_on_survivors() {
     // (sync_through), 4 the activation sweep and 5 the final barrier; it
     // makes no seventh call, so a fault after 6 ops would fault nothing.
     // A death before the final barrier leaves the window's work to a
-    // survivor, which steals it; one at the final barrier leaves nothing.
+    // survivor, which steals it; one at the final barrier leaves nothing
+    // to steal, but the loss is still counted.
     for after_ops in 0..=5 {
         for transport in [TransportPlan::IN_PROCESS, TransportPlan::TCP] {
             let fault = Some(StationFault {
@@ -276,10 +268,11 @@ fn station_death_mid_window_heals_on_survivors() {
                 recovery_after_ops: None,
                 recovery_deaths: 0,
             });
-            let (day, steals) = run(fault, transport);
+            let (day, steals, lost) = run(fault, transport);
             let at = format!("fault after {after_ops} ops over {transport:?}");
             assert_eq!(day, reference, "{at}");
             assert_eq!(steals > 0, after_ops < 5, "{at}: {steals} steals");
+            assert_eq!(lost, 1, "{at}");
         }
     }
 }
@@ -301,8 +294,6 @@ fn unrecoverable_error_returns_typed_instead_of_hanging() {
         let fleet = KioskFleet::new(FleetConfig::seeded([1u8; 32]));
         let pipeline = PipelineConfig {
             stations: 2,
-            low_water: 2,
-            ingest: IngestMode::Background,
             activation_lag: 1,
         };
         // Voter 99 is not on the roster; their station fails at check-in
@@ -353,8 +344,8 @@ fn durable_config(n_voters: u64, n_kiosks: usize, dir: &Path, fsync: bool) -> Tr
 /// final frame — and every crash state, reopened with the same
 /// setup seed and driven through the same deterministic day, replays to
 /// signed tree heads and credential bytes bit-identical to the
-/// uncrashed sequential seeded reference. Swept over the transports
-/// (including the secure gateway), both ingest modes, and the inline day
+/// uncrashed sequential seeded reference. Swept over the threaded
+/// engine's transports (including the secure gateway) and the inline day
 /// — whose only commit points are `LocalBoundary`'s own barriers (no row
 /// calls `Election::persist_ledgers`).
 ///
@@ -373,34 +364,14 @@ fn durable_day_killed_mid_day_replays_to_identical_heads() {
     });
     let reference = sequential_reference(seed64, &seed, 4, &queue);
 
-    let threaded = |ingest| PipelineConfig {
+    let threaded = PipelineConfig {
         stations: 2,
-        low_water: 2,
-        ingest,
         activation_lag: 1,
     };
     for (engine, pipeline, transport) in [
-        (
-            "Barrier",
-            threaded(IngestMode::Barrier),
-            TransportPlan::IN_PROCESS,
-        ),
-        ("Barrier", threaded(IngestMode::Barrier), TransportPlan::TCP),
-        (
-            "Background",
-            threaded(IngestMode::Background),
-            TransportPlan::IN_PROCESS,
-        ),
-        (
-            "Background",
-            threaded(IngestMode::Background),
-            TransportPlan::TCP,
-        ),
-        (
-            "Background",
-            threaded(IngestMode::Background),
-            TransportPlan::SECURE_TCP,
-        ),
+        ("threaded", threaded, TransportPlan::IN_PROCESS),
+        ("threaded", threaded, TransportPlan::TCP),
+        ("threaded", threaded, TransportPlan::SECURE_TCP),
         // The default plan: inline on `LocalBoundary`, no threads.
         (
             "inline",
@@ -532,8 +503,6 @@ fn kill_during_failover_reopens_to_the_healthy_reference() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        low_water: 2,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
 
@@ -675,8 +644,6 @@ fn station_death_steals_kiosk_chunks_across_survivors() {
     });
     let pipeline = PipelineConfig {
         stations: 3,
-        low_water: 2,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
 
@@ -766,8 +733,6 @@ fn durable_kill_then_steal_replays_to_identical_heads() {
     });
     let pipeline = PipelineConfig {
         stations: 3,
-        low_water: 2,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
 
@@ -862,8 +827,6 @@ fn dead_steal_chunks_are_restolen_with_bounded_depth() {
     });
     let pipeline = PipelineConfig {
         stations: 3,
-        low_water: 2,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
 
@@ -944,8 +907,8 @@ fn dead_steal_chunks_are_restolen_with_bounded_depth() {
 /// the failure mode the deadline/reap/stall machinery exists to prevent.
 const CHAOS_WATCHDOG: std::time::Duration = std::time::Duration::from_secs(120);
 
-/// One cell of the chaos grid: a seeded fault plan, the transport and
-/// ingest mode it runs over, and whether the day needs a durable WAL
+/// One cell of the chaos grid: a seeded fault plan, the transport it
+/// runs over, and whether the day needs a durable WAL
 /// (disk-fault cells do; network-only cells stay on the volatile
 /// backend).
 #[derive(Clone, Debug)]
@@ -953,7 +916,6 @@ struct ChaosCell {
     label: String,
     plan: FaultPlan,
     transport: TransportPlan,
-    ingest: IngestMode,
     durable: bool,
 }
 
@@ -961,7 +923,7 @@ struct ChaosCell {
 /// grid — network faults (delays, drops, torn writes, stalls, and on
 /// the MAC-protected transport, bit corruption) crossed with disk
 /// faults (failed/short WAL writes, ENOSPC, failed fsync) over both
-/// gateway transports and both ingest modes — a pipelined day either
+/// gateway transports — a pipelined day either
 ///
 /// 1. completes with ledger heads and credential bytes bit-identical to
 ///    the unfaulted sequential reference (faults healed by reconnect,
@@ -1003,11 +965,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                         disk: None,
                     },
                     transport,
-                    ingest: if stalls {
-                        IngestMode::Background
-                    } else {
-                        IngestMode::Barrier
-                    },
                     durable: false,
                 });
             }
@@ -1032,7 +989,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
                 disk: Some(disk),
             },
             transport: TransportPlan::TCP,
-            ingest: IngestMode::Background,
             durable: true,
         });
     }
@@ -1046,7 +1002,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
             disk: Some(FsFault::DiskFull { nth: 4 }),
         },
         transport: TransportPlan::SECURE_TCP,
-        ingest: IngestMode::Background,
         durable: true,
     });
 
@@ -1068,8 +1023,6 @@ fn chaos_sweep_heals_bit_identically_or_fails_typed() {
             });
             let pipeline = PipelineConfig {
                 stations: 2,
-                low_water: 2,
-                ingest: cell.ingest,
                 activation_lag: 1,
             };
             let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
@@ -1158,8 +1111,6 @@ fn quiet_chaos_options_are_the_identity() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        low_water: 2,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
     let mut rng = HmacDrbg::from_u64(seed64 ^ 0x91E);
@@ -1205,8 +1156,6 @@ fn silently_hung_station_is_stall_detected_and_stolen() {
     });
     let pipeline = PipelineConfig {
         stations: 2,
-        low_water: 0,
-        ingest: IngestMode::Background,
         activation_lag: 1,
     };
     for transport in [TransportPlan::TCP, TransportPlan::SECURE_TCP] {

@@ -1,7 +1,8 @@
 //! One loop per station: a default-plan registration day runs on the
-//! caller's thread and starts no other, whatever `ElectionBuilder::threads`
-//! says. The cases take turns ([`alone`]), so no sibling case's thread
-//! comes or goes while one counts.
+//! caller's thread and starts no other, whatever `ElectionBuilder`'s
+//! setters that set nothing (`threads`, `ingest`, `low_water`) say. The
+//! cases take turns ([`alone`]), so no sibling case's thread comes or goes
+//! while one counts.
 
 #![cfg(target_os = "linux")]
 
@@ -12,7 +13,7 @@ use std::time::Duration;
 
 use votegral::crypto::HmacDrbg;
 use votegral::ledger::VoterId;
-use votegral::service::{run_day, DayPlan};
+use votegral::service::{run_day, DayPlan, IngestMode};
 use votegral::trip::fleet::{FleetConfig, KioskFleet};
 use votegral::trip::setup::{TripConfig, TripSystem};
 use votegral::votegral::ElectionBuilder;
@@ -122,17 +123,15 @@ fn extra_threads_during(day: impl FnOnce()) -> usize {
 }
 
 /// Registers 40 voters over five kiosks through `Election::register_batch`
-/// with the builder's thread knob at `threads`. Returns the L_R and L_E
-/// roots, and the day's threads beyond those it began with
+/// on a default builder that `knobs` sets. Returns the L_R and L_E roots,
+/// and the day's threads beyond those it began with
 /// ([`extra_threads_during`]).
-fn register_batch_at(threads: usize) -> (([u8; 32], [u8; 32]), usize) {
+fn register_batch_with(
+    knobs: impl FnOnce(ElectionBuilder) -> ElectionBuilder,
+) -> (([u8; 32], [u8; 32]), usize) {
     let mut rng = HmacDrbg::from_u64(41);
     let idle = live_threads();
-    let mut election = ElectionBuilder::new()
-        .voters(40)
-        .kiosks(5)
-        .threads(threads)
-        .build(&mut rng);
+    let mut election = knobs(ElectionBuilder::new().voters(40).kiosks(5)).build(&mut rng);
     settle_to(idle);
     let voters: Vec<VoterId> = (1..=40).map(VoterId).collect();
     let extra = extra_threads_during(|| {
@@ -148,12 +147,19 @@ fn register_batch_at(threads: usize) -> (([u8; 32], [u8; 32]), usize) {
     (roots, extra)
 }
 
+/// At `.threads(1)`, `.threads(8)`, and with the benchmark's pipelined
+/// stand-ins, `.ingest(..)` and `.low_water(..)`, which set nothing and so
+/// leave a one-station day on the default, inline plan.
 #[test]
 fn inline_election_day_spawns_no_thread_whatever_the_knob_says() {
     alone(|| {
-        let (roots_at_one, extra_at_one) = register_batch_at(1);
-        let (roots_at_eight, extra_at_eight) = register_batch_at(8);
-        assert_eq!((extra_at_one, extra_at_eight), (0, 0));
+        let (roots_at_one, extra_at_one) = register_batch_with(|b| b.threads(1));
+        let (roots_at_eight, extra_at_eight) = register_batch_with(|b| b.threads(8));
+        let stand_ins =
+            |b: ElectionBuilder| b.threads(8).ingest(IngestMode::Background).low_water(512);
+        let (roots_stood_in, extra_stood_in) = register_batch_with(stand_ins);
+        assert_eq!((extra_at_one, extra_at_eight, extra_stood_in), (0, 0, 0));
         assert_eq!(roots_at_eight, roots_at_one);
+        assert_eq!(roots_stood_in, roots_at_one);
     });
 }
