@@ -1,8 +1,9 @@
 //! Workspace properties of the pipelined registration-day engine: for
 //! ANY pipeline configuration — station count, pool batch, activation
-//! lag, transport — a pipelined day produces ledgers and credentials bit-identical to the sequential
-//! seeded reference, and a station whose connection dies mid-window is
-//! healed by failover without perturbing that identity.
+//! lag, transport — a pipelined day produces ledgers and credentials
+//! bit-identical to the sequential seeded reference, and a station whose
+//! connection dies mid-window is healed by failover without perturbing
+//! that identity.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
